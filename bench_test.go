@@ -192,36 +192,12 @@ func BenchmarkInsertPath(b *testing.B) {
 }
 
 // BenchmarkInsertBatched measures the batched insert pipeline on the
-// same 32-node overlay: records enter in groups of 32 via InsertBatch
-// with per-link coalescing (BatchMaxMsgs=32), and the benchmark reports
-// transport sends per record next to the per-record path's cost.
+// same 32-node overlay under the default config: records enter in groups
+// of 32 via InsertBatch, every hop forwards, replicates and acks one
+// envelope per peer, and the benchmark reports transport sends per
+// record next to the per-record path's cost.
 func BenchmarkInsertBatched(b *testing.B) {
-	sch := &schema.Schema{
-		Tag: "bench",
-		Attrs: []schema.Attr{
-			{Name: "x", Kind: schema.KindUint, Max: 1 << 32},
-			{Name: "t", Kind: schema.KindTime, Max: 86400},
-			{Name: "y", Kind: schema.KindUint, Max: 1 << 20},
-			{Name: "p"},
-		},
-		IndexDims: 3,
-	}
-	cfg := mind.DefaultConfig(benchSeed)
-	cfg.BatchMaxMsgs = 32
-	c, err := cluster.New(cluster.Options{
-		N:    32,
-		Seed: benchSeed,
-		Sim:  simnet.Config{Seed: benchSeed, DefaultLatency: 5 * time.Millisecond},
-		Node: cfg,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := c.CreateIndex(sch); err != nil {
-		b.Fatal(err)
-	}
-	c.Settle(3 * time.Second)
-
+	c, sch := benchCluster(b, 32)
 	rng := uint64(1)
 	next := func() uint64 {
 		rng ^= rng << 13

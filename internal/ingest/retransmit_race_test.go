@@ -13,7 +13,8 @@ import (
 )
 
 // ackDropEndpoint wraps a transport endpoint and swallows the FIRST
-// InsertAck sent for every request id — exactly the loss the transport
+// InsertAck sent for every request id — bare, or riding in an envelope
+// (which is re-wrapped without it) — exactly the loss the transport
 // contract permits. The originator's batch-group retransmission schedule
 // then has to re-send every remote record at least once, while the
 // second (dedup-hit) ack settles it concurrently.
@@ -24,18 +25,44 @@ type ackDropEndpoint struct {
 	dropped int
 }
 
+// firstAck reports (and books) whether data is the first InsertAck seen
+// for its request id.
+func (e *ackDropEndpoint) firstAck(data []byte) bool {
+	if len(data) == 0 || wire.Kind(data[0]) != wire.KindInsertAck {
+		return false
+	}
+	m, err := wire.Decode(data)
+	if err != nil {
+		return false
+	}
+	reqID := m.(*wire.InsertAck).ReqID
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.seen[reqID] {
+		return false
+	}
+	e.seen[reqID] = true
+	e.dropped++
+	return true
+}
+
 func (e *ackDropEndpoint) Send(to string, msg []byte) error {
+	if e.firstAck(msg) {
+		return nil
+	}
 	if m, err := wire.Decode(msg); err == nil {
-		if ack, ok := m.(*wire.InsertAck); ok {
-			e.mu.Lock()
-			first := !e.seen[ack.ReqID]
-			if first {
-				e.seen[ack.ReqID] = true
-				e.dropped++
+		if env, ok := m.(*wire.Batch); ok {
+			var kept [][]byte
+			for _, sub := range env.Msgs {
+				if !e.firstAck(sub) {
+					kept = append(kept, sub)
+				}
 			}
-			e.mu.Unlock()
-			if first {
+			if len(kept) == 0 {
 				return nil
+			}
+			if len(kept) < len(env.Msgs) {
+				msg = wire.Encode(&wire.Batch{Msgs: kept})
 			}
 		}
 	}

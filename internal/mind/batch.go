@@ -2,25 +2,21 @@ package mind
 
 import (
 	"mind/internal/metrics"
-	"mind/internal/transport"
 	"mind/internal/wire"
 )
 
-// Per-link message coalescing: when cfg.BatchMaxMsgs > 1, outgoing
-// messages buffer per destination and leave as one wire.Batch once the
-// message-count or byte threshold is reached, or when the linger timer
-// fires. The per-message overhead of the codec and transport dominates
-// the insert hot path (§3.5's one-Insert-per-record stream), so a
-// single envelope per link per burst is the main lever for scaling
-// ingestion — the receiver unwraps through the normal dispatch loop, so
-// replication fan-out, acks and trigger fires coalesce identically.
+// Envelope-scoped coalescing: while a node handles one inbound
+// wire.Batch, one InsertBatch call or one group retransmission, every
+// message the write path emits — forwarded Insert, Replicate, InsertAck —
+// is encoded at once into a per-call outbox keyed by destination, and
+// when the handler returns each destination gets one frame: one envelope
+// in, at most one envelope out per peer and class, with no timer and
+// nothing to configure. Everything outside such a scope — Node.Insert,
+// client RPCs, queries, control traffic — passes a nil outbox and sends
+// immediately. A lost envelope is N lost datagrams to the reliable layer.
 //
-// Locking: the coalescer has its own mutex and never touches n.mu, so
-// send stays callable both with and without n.mu held (trigger and
-// rebalance forwarding send under n.mu). Lock order is
-// n.mu → batchMu → transport internals, with no reverse path: the
-// linger timer callback takes only batchMu before handing off to the
-// endpoint.
+// Locking: an outbox belongs to the one call that created it and needs
+// no lock. batchMu guards only the occupancy counters.
 
 // transportOverheadEstimate approximates the per-message framing and
 // header cost a coalesced sub-message avoids (simnet's default
@@ -28,84 +24,88 @@ import (
 // for the bytes-saved counter.
 const transportOverheadEstimate = 64
 
-// peerBatch is the pending buffer for one destination.
-type peerBatch struct {
-	msgs  [][]byte
-	bytes int
-	timer transport.Timer
+// outboxFlushBytes flushes an outbox early once its pending payload
+// reaches it: far below tcpnet.MaxFrame and (every encoded message having
+// at least two bytes) wire.MaxBatchMsgs, and inside the wire encode
+// pool's 64 KiB bound, so envelope buffers keep recycling.
+const outboxFlushBytes = 48 << 10
+
+// outGroup is the pending traffic for one destination.
+type outGroup struct {
+	to   string
+	msgs [][]byte
 }
 
-// batchingEnabled reports whether sends coalesce.
-func (n *Node) batchingEnabled() bool { return n.cfg.BatchMaxMsgs > 1 }
+// The two classes of an outbox: data (forwarded Inserts, Replicates)
+// flushes before acks, so a replica still leaves before its record's ack.
+const (
+	outData = iota
+	outAck
+)
 
-// enqueueBatch buffers one encoded message for a peer, flushing when a
-// threshold is crossed and arming the linger timer otherwise.
-func (n *Node) enqueueBatch(to string, data []byte) {
-	n.batchMu.Lock()
-	pb, ok := n.batches[to]
-	if !ok {
-		pb = &peerBatch{}
-		n.batches[to] = pb
-	}
-	pb.msgs = append(pb.msgs, data)
-	pb.bytes += len(data)
-	if len(pb.msgs) >= n.cfg.BatchMaxMsgs ||
-		(n.cfg.BatchMaxBytes > 0 && pb.bytes >= n.cfg.BatchMaxBytes) {
-		n.takeBatchLocked(to, pb)
-		n.batchMu.Unlock()
-		n.deliverBatch(to, pb.msgs)
+// outbox collects what one envelope-scoped call emits. It holds encoded
+// bytes, never message structs: an Insert's Rec may alias an ingest-pooled
+// buffer that is recycled the moment the op settles, so whatever
+// references the record is serialized before that record's finishInsert
+// can run.
+type outbox struct {
+	n *Node
+	// Per class, in first-seen destination order (reproducible on simnet).
+	groups   [2][]outGroup
+	bytes    int      // pending payload, all groups
+	replicas []string // replicaTargets, resolved once per outbox
+	resolved bool
+}
+
+// post transmits one write-path message: immediately when ob is nil,
+// else encoded into the destination's group of the given class.
+func (n *Node) post(ob *outbox, class int, to string, m wire.Message) {
+	if ob == nil {
+		n.send(to, m)
 		return
 	}
-	if pb.timer == nil {
-		// The timer identifies the batch by pointer: a threshold flush
-		// followed by new traffic creates a fresh peerBatch, and the
-		// stale timer then finds a different pointer and does nothing.
-		pb.timer = n.clock.AfterFunc(n.cfg.BatchLinger, func() { n.flushPeerBatch(to, pb) })
+	groups := &ob.groups[class]
+	i := 0
+	for i < len(*groups) && (*groups)[i].to != to {
+		i++
 	}
-	n.batchMu.Unlock()
-}
-
-// takeBatchLocked detaches a pending batch from the map and disarms its
-// timer. Callers hold batchMu.
-func (n *Node) takeBatchLocked(to string, pb *peerBatch) {
-	delete(n.batches, to)
-	if pb.timer != nil {
-		pb.timer.Stop()
-		pb.timer = nil
+	if i == len(*groups) {
+		*groups = append(*groups, outGroup{to: to})
+	}
+	data := wire.Encode(m)
+	(*groups)[i].msgs = append((*groups)[i].msgs, data)
+	if ob.bytes += len(data); ob.bytes >= outboxFlushBytes {
+		ob.flush() // everything: acks alone would overtake their replicas
 	}
 }
 
-// flushPeerBatch is the linger-timer path: it flushes the batch it was
-// armed for if that batch is still pending.
-func (n *Node) flushPeerBatch(to string, pb *peerBatch) {
-	n.batchMu.Lock()
-	if n.batches[to] != pb {
-		n.batchMu.Unlock()
-		return
+// replicasFor returns the node's replica targets, resolved at most once
+// per outbox (a contacts copy, a level map and a sort).
+func (n *Node) replicasFor(ob *outbox) []string {
+	if ob == nil {
+		return n.replicaTargets()
 	}
-	n.takeBatchLocked(to, pb)
-	n.batchMu.Unlock()
-	n.deliverBatch(to, pb.msgs)
+	if !ob.resolved {
+		ob.replicas, ob.resolved = n.replicaTargets(), true
+	}
+	return ob.replicas
 }
 
-// FlushBatches force-flushes every pending coalescing buffer (shutdown,
-// tests, and tools that must not leave messages lingering).
-func (n *Node) FlushBatches() {
-	n.batchMu.Lock()
-	pending := make(map[string][][]byte, len(n.batches))
-	for to, pb := range n.batches {
-		pending[to] = pb.msgs
-		n.takeBatchLocked(to, pb)
+// flush sends every pending group, data before acks. The outbox stays
+// usable afterwards.
+func (ob *outbox) flush() {
+	for _, groups := range ob.groups {
+		for i := range groups {
+			ob.n.deliverBatch(groups[i].to, groups[i].msgs)
+			groups[i].msgs = groups[i].msgs[:0]
+		}
 	}
-	n.batchMu.Unlock()
-	for to, msgs := range pending {
-		n.deliverBatch(to, msgs)
-	}
+	ob.bytes = 0
 }
 
-// deliverBatch hands a detached buffer to the transport: a single
-// message goes out bare (the envelope would only add overhead), more
-// wrap into one wire.Batch.
+// deliverBatch hands one destination's messages to the transport: a
+// single message goes out bare (the envelope would only add overhead),
+// more wrap into one wire.Batch.
 func (n *Node) deliverBatch(to string, msgs [][]byte) {
 	if len(msgs) == 0 {
 		return
@@ -130,15 +130,37 @@ func (n *Node) deliverBatch(to string, msgs [][]byte) {
 	}
 }
 
-// handleBatch unwraps a received envelope and dispatches each
-// sub-message as if it had arrived alone.
-func (n *Node) handleBatch(from string, m *wire.Batch) {
+// handleBatch unwraps a received envelope under one outbox: Inserts
+// route or store through it, InsertAcks settle together under a single
+// n.mu acquisition, a run of Replicates from one owner resolves its index
+// and notes the owner once, and any other kind dispatches as if it had
+// arrived alone.
+func (n *Node) handleBatch(from string, b *wire.Batch) {
 	n.batchMu.Lock()
-	n.recvBatches.Observe(len(m.Msgs))
+	n.recvBatches.Observe(len(b.Msgs))
 	n.batchMu.Unlock()
-	for _, sub := range m.Msgs {
-		n.dispatch(from, sub)
+	n.ov.Handle(from, b) // no overlay message: the sender's liveness touch, once per envelope
+	ob := &outbox{n: n}
+	var acks []*wire.InsertAck
+	var run replicaRun
+	for _, sub := range b.Msgs {
+		m, err := wire.Decode(sub)
+		if err != nil {
+			continue // corrupt sub-message; drop
+		}
+		switch msg := m.(type) {
+		case *wire.Insert:
+			n.handleInsert(from, msg, ob)
+		case *wire.InsertAck:
+			acks = append(acks, msg)
+		case *wire.Replicate:
+			n.handleReplicate(msg, &run)
+		default:
+			n.handleMessage(from, m)
+		}
 	}
+	n.handleInsertAcks(acks)
+	ob.flush()
 }
 
 // BatchStats snapshots the coalescing counters.

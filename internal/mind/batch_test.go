@@ -45,7 +45,7 @@ func insertRecords(t *testing.T, c *cluster.Cluster, tag string, seed int64, nre
 }
 
 func TestInsertBatchStoresAndQueries(t *testing.T) {
-	c := mkCluster(t, 16, 5, nil) // batching off: grouped envelopes only
+	c := mkCluster(t, 16, 5, nil)
 	sch := testSchema()
 	if err := c.CreateIndex(sch); err != nil {
 		t.Fatal(err)
@@ -106,26 +106,46 @@ func TestInsertBatchEdgeCases(t *testing.T) {
 	}
 }
 
-// TestBatchingReducesTransportSends runs the same workload with and
-// without coalescing and checks the acceptance criterion: fewer
-// transport sends per record, and mean batch occupancy > 1.
+// insertRecordsSingly drives the records insertRecords would, from the
+// same rotating origins, one Insert at a time — the single-message path
+// no envelope ever forms on.
+func insertRecordsSingly(t *testing.T, c *cluster.Cluster, tag string, seed int64, nrecs, batchSize int) int {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	ok := 0
+	for i := 0; i < nrecs; i++ {
+		res, _, err := c.InsertWait((i/batchSize)%len(c.Nodes), tag, randRec(r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.OK {
+			ok++
+		}
+	}
+	return ok
+}
+
+// TestBatchingReducesTransportSends runs the same workload through
+// InsertBatch (envelope-scoped: every hop forwards, replicates and acks
+// one frame per peer) and through per-record Insert, and checks the
+// acceptance criterion: fewer transport sends per record, and mean batch
+// occupancy > 1 — under the default config, with nothing switched on.
 func TestBatchingReducesTransportSends(t *testing.T) {
 	const nrecs = 200
-	run := func(batch bool) (sends uint64, stats mind.Stats, cl *cluster.Cluster) {
-		c := mkCluster(t, 16, 7, func(o *cluster.Options) {
-			if batch {
-				o.Node.BatchMaxMsgs = 32
-			}
-		})
+	run := func(batch bool) (sends uint64, agg mind.Stats, c *cluster.Cluster) {
+		c = mkCluster(t, 16, 7, nil)
 		sch := testSchema()
 		if err := c.CreateIndex(sch); err != nil {
 			t.Fatal(err)
 		}
+		insert := insertRecordsSingly
+		if batch {
+			insert = insertRecords
+		}
 		base := c.Net.Stats().Sent
-		if ok := insertRecords(t, c, sch.Tag, 11, nrecs, 32); ok != nrecs {
+		if ok := insert(t, c, sch.Tag, 11, nrecs, 32); ok != nrecs {
 			t.Fatalf("batch=%v: acked %d/%d", batch, ok, nrecs)
 		}
-		var agg mind.Stats
 		for _, nd := range c.Nodes {
 			s := nd.Stats()
 			agg.BatchesSent += s.BatchesSent
@@ -138,8 +158,11 @@ func TestBatchingReducesTransportSends(t *testing.T) {
 
 	plainSends, plainStats, _ := run(false)
 	batchSends, batchStats, c := run(true)
-	if batchSends >= plainSends {
-		t.Errorf("coalescing did not reduce transport sends: %d >= %d", batchSends, plainSends)
+	if plainStats.BatchesSent != 0 {
+		t.Errorf("the single-message path sent %d envelopes", plainStats.BatchesSent)
+	}
+	if 2*batchSends >= plainSends {
+		t.Errorf("envelope path did not halve transport sends: %d vs %d", batchSends, plainSends)
 	}
 	if batchStats.BatchesSent == 0 || batchStats.BatchesRecv == 0 {
 		t.Fatalf("no envelopes flowed: %+v", batchStats)
@@ -151,35 +174,31 @@ func TestBatchingReducesTransportSends(t *testing.T) {
 	if batchStats.BatchBytesSaved == 0 {
 		t.Error("bytes-saved counter never moved")
 	}
-	// The unbatched run may still wrap InsertBatch groups; per-node
-	// occupancy must be well-formed either way.
 	for _, nd := range c.Nodes {
 		if s := nd.Stats(); s.BatchesSent > 0 && (math.IsNaN(s.BatchOccupancy) || s.BatchOccupancy < 1) {
 			t.Errorf("node %s occupancy %v with %d batches", nd.Addr(), s.BatchOccupancy, s.BatchesSent)
 		}
 	}
-	_ = plainStats
 }
 
 // TestBatchingPreservesQueryResults checks end-to-end equivalence: the
-// full query result set is identical with coalescing on and off, and
-// the replication fan-out still reaches replica stores.
+// full query result set and the replica population are identical whether
+// the records travelled in envelopes or one by one.
 func TestBatchingPreservesQueryResults(t *testing.T) {
+	const nrecs = 96
 	results := make(map[bool]int)
 	replicas := make(map[bool]int)
 	for _, batch := range []bool{false, true} {
-		c := mkCluster(t, 12, 9, func(o *cluster.Options) {
-			if batch {
-				o.Node.BatchMaxMsgs = 16
-				o.Node.BatchLinger = 2 * time.Millisecond
-			}
-		})
+		c := mkCluster(t, 12, 9, nil)
 		sch := testSchema()
 		if err := c.CreateIndex(sch); err != nil {
 			t.Fatal(err)
 		}
-		const nrecs = 96
-		if ok := insertRecords(t, c, sch.Tag, 21, nrecs, 16); ok != nrecs {
+		insert := insertRecordsSingly
+		if batch {
+			insert = insertRecords
+		}
+		if ok := insert(t, c, sch.Tag, 21, nrecs, 16); ok != nrecs {
 			t.Fatalf("batch=%v: acked %d/%d", batch, ok, nrecs)
 		}
 		c.Settle(3 * time.Second) // drain replication fan-out
@@ -195,89 +214,95 @@ func TestBatchingPreservesQueryResults(t *testing.T) {
 			replicas[batch] += nd.ReplicaRecords(sch.Tag)
 		}
 	}
-	if results[true] != results[false] {
-		t.Errorf("result sets differ: batched=%d plain=%d", results[true], results[false])
+	if results[true] != nrecs || results[false] != nrecs {
+		t.Errorf("result sets differ: batched=%d plain=%d want %d", results[true], results[false], nrecs)
 	}
-	if replicas[true] == 0 {
-		t.Error("no replicas stored with batching on")
-	}
-}
-
-// TestBatchLingerFlushesOnClock pins the clock-driven flush: with a
-// long linger and a threshold that is never reached, messages must not
-// leave before the linger elapses, and must leave after.
-func TestBatchLingerFlushesOnClock(t *testing.T) {
-	c := mkCluster(t, 8, 13, func(o *cluster.Options) {
-		o.Node.BatchMaxMsgs = 1000 // never reached
-		o.Node.BatchLinger = 500 * time.Millisecond
-	})
-	sch := testSchema()
-	if err := c.CreateIndex(sch); err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(31))
-	acked := 0
-	for i := 0; i < 10; i++ {
-		if err := c.Nodes[0].Insert(sch.Tag, randRec(r), func(res mind.InsertResult) {
-			if res.OK {
-				acked++
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Records owned by the origin itself ack synchronously without
-	// touching the network; everything else is stuck in the buffer.
-	local := acked
-	if local == 10 {
-		t.Skip("all records landed on the origin; nothing to coalesce")
-	}
-	// Well within the linger nothing has flushed, so no further acks.
-	c.Settle(100 * time.Millisecond)
-	if acked != local {
-		t.Fatalf("%d acks before linger elapsed (expected %d local)", acked, local)
-	}
-	c.Settle(5 * time.Second)
-	if acked != 10 {
-		t.Fatalf("acked %d/10 after linger", acked)
+	if replicas[true] != nrecs || replicas[false] != nrecs {
+		t.Errorf("replica populations differ: batched=%d plain=%d want %d", replicas[true], replicas[false], nrecs)
 	}
 }
 
-// TestFlushBatchesImmediate pins the manual flush path used on Close.
-func TestFlushBatchesImmediate(t *testing.T) {
-	c := mkCluster(t, 8, 17, func(o *cluster.Options) {
-		o.Node.BatchMaxMsgs = 1000
-		o.Node.BatchLinger = time.Hour // effectively never
-	})
+// TestEnvelopeLeavesOnReturn pins the scope rule's timing: an envelope
+// leaves when the call that filled it returns, never on a timer. Every
+// frame of an InsertBatch is on the wire before the clock moves, and the
+// acks are back after network latency alone — far inside the first
+// retransmission delay, the earliest timer the write path owns.
+func TestEnvelopeLeavesOnReturn(t *testing.T) {
+	c := mkCluster(t, 8, 17, nil)
 	sch := testSchema()
 	if err := c.CreateIndex(sch); err != nil {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(37))
-	acked := 0
-	for i := 0; i < 10; i++ {
-		if err := c.Nodes[0].Insert(sch.Tag, randRec(r), func(res mind.InsertResult) {
-			if res.OK {
-				acked++
-			}
-		}); err != nil {
-			t.Fatal(err)
+	recs := make([]schema.Record, 40)
+	for i := range recs {
+		recs[i] = randRec(r)
+	}
+	var results []mind.InsertResult
+	sentBefore, start := c.Net.Stats().Sent, c.Net.Now()
+	if err := c.Nodes[0].InsertBatch(sch.Tag, recs, func(rs []mind.InsertResult) { results = rs }); err != nil {
+		t.Fatal(err)
+	}
+	if c.Net.Now() != start {
+		t.Fatal("virtual clock moved inside InsertBatch")
+	}
+	if c.Net.Stats().Sent == sentBefore {
+		t.Fatal("nothing left the origin before the clock moved: 40 records cannot all be local on 8 nodes")
+	}
+	if !c.Net.RunUntil(func() bool { return results != nil }, 1_000_000) {
+		t.Fatal("batch never settled")
+	}
+	for i, res := range results {
+		if !res.OK || res.Attempts != 0 {
+			t.Fatalf("record %d: %+v", i, res)
 		}
 	}
-	local := acked // origin-owned records ack synchronously
+	if took := c.Net.Now().Sub(start); took >= 200*time.Millisecond {
+		t.Fatalf("acks took %v of virtual time: something waited on a timer (links are 5ms)", took)
+	}
+}
+
+// TestInsertBatchSurvivesLoss runs the envelope path at 10% frame loss
+// on a 12-node overlay: every record is acked, stored exactly once as
+// primary and at most once as a replica (a lost Replicate envelope is
+// not retransmitted — a dedup hit does not replicate again), and the
+// reliable layer visibly did the work.
+func TestInsertBatchSurvivesLoss(t *testing.T) {
+	c := mkCluster(t, 12, 23, func(o *cluster.Options) {
+		// Eight attempts put the odds of one record losing every
+		// multi-hop round trip far below one in a million.
+		o.Node.MaxRetries = 8
+		o.Node.InsertTimeout = 2 * time.Minute
+	})
+	sch := testSchema()
+	if err := c.CreateIndex(sch); err != nil {
+		t.Fatal(err)
+	}
+	c.Settle(3 * time.Second)
+	c.Net.SetLossProb(0.10)
+	const nrecs = 384
+	if ok := insertRecords(t, c, sch.Tag, 40, nrecs, 64); ok != nrecs {
+		t.Fatalf("acked %d/%d batched inserts under loss", ok, nrecs)
+	}
+	c.Net.SetLossProb(0)
 	c.Settle(time.Second)
-	if acked != local {
-		t.Fatalf("%d acks leaked past an hour-long linger (expected %d local)", acked, local)
+
+	var primary, replicas int
+	var retransmits, dedup uint64
+	for _, nd := range c.Nodes {
+		primary += nd.StoredRecords(sch.Tag)
+		replicas += nd.ReplicaRecords(sch.Tag)
+		st := nd.Stats()
+		retransmits += st.Retransmits
+		dedup += st.DedupHits
 	}
-	// Flush every node each round: acks and forwarded hops also buffer.
-	done := func() bool { return acked == 10 }
-	for i := 0; i < 20 && !done(); i++ {
-		for _, nd := range c.Nodes {
-			nd.FlushBatches()
-		}
-		c.Settle(time.Second)
+	if primary != nrecs {
+		t.Fatalf("%d primary records for %d acked inserts: a retransmission double-stored or an ack lied", primary, nrecs)
 	}
-	if !done() {
-		t.Fatalf("acked %d/10 after explicit flushes", acked)
+	if replicas == 0 || replicas > nrecs {
+		t.Fatalf("%d replica records for %d inserts", replicas, nrecs)
+	}
+	if retransmits == 0 || dedup == 0 {
+		t.Fatalf("retransmits=%d dedup hits=%d at 10%% loss: the reliable layer never engaged", retransmits, dedup)
 	}
 }

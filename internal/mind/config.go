@@ -59,22 +59,6 @@ type Config struct {
 	// The paper avoids data movement; this mode exists as an ablation.
 	TransferOnSplit bool
 
-	// BatchMaxMsgs enables per-destination message coalescing when > 1:
-	// outgoing messages to the same peer buffer until this many are
-	// pending (or BatchMaxBytes accumulate), then leave as one
-	// wire.Batch. Zero or one disables coalescing (every message is sent
-	// immediately and alone, the pre-batching behavior).
-	BatchMaxMsgs int
-	// BatchMaxBytes flushes a pending batch early once its encoded
-	// payload reaches this size; 0 means no byte-based flush.
-	BatchMaxBytes int
-	// BatchLinger bounds how long a pending batch may wait for more
-	// messages before flushing. The default 0 still coalesces — the
-	// flush fires on the next clock tick, capturing messages enqueued in
-	// the same synchronous burst (replication fan-out, InsertBatch
-	// groups) without delaying anything in wall/virtual time.
-	BatchLinger time.Duration
-
 	// QueryParallelism bounds the worker pool used for local query
 	// execution: sub-query decomposition fan-out and per-version k-d
 	// resolution. Zero or one executes inline in deterministic order —

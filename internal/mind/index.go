@@ -414,12 +414,24 @@ func (ix *index) storeRecord(v uint32, recID uint64, rec schema.Record) bool {
 	return true
 }
 
-// storeReplica inserts into replica storage.
-func (ix *index) storeReplica(owner bitstr.Code, v uint32, recID uint64, rec schema.Record) {
+// noteReplicaOwner records that this node backs up owner's region. The
+// set changes only when the overlay does, so the write lock (which
+// treeAndEpoch readers contend on) is taken for a new owner only.
+func (ix *index) noteReplicaOwner(owner bitstr.Code) {
+	ix.mu.RLock()
+	known := ix.replicaOwners[owner]
+	ix.mu.RUnlock()
+	if !known {
+		ix.mu.Lock()
+		ix.replicaOwners[owner] = true
+		ix.mu.Unlock()
+	}
+}
+
+// storeReplica inserts into replica storage; callers have noted the
+// record's owner (noteReplicaOwner).
+func (ix *index) storeReplica(v uint32, recID uint64, rec schema.Record) {
 	key := recID ^ 0x9e3779b97f4a7c15 // replica dedup namespace
-	ix.mu.Lock()
-	ix.replicaOwners[owner] = true
-	ix.mu.Unlock()
 	s := &ix.stripes[key%recStripes]
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -130,11 +130,11 @@ func TestStoreRecordDedup(t *testing.T) {
 		t.Fatalf("stored = %d", ix.primary.Len())
 	}
 	// A replica with the same id is in a different dedup namespace.
-	ix.storeReplica(bitstr.MustParse("01"), 0, 42, rec)
+	ix.storeReplica(0, 42, rec)
 	if ix.replicas.Len() != 1 {
 		t.Fatal("replica with same RecID rejected")
 	}
-	ix.storeReplica(bitstr.MustParse("01"), 0, 42, rec)
+	ix.storeReplica(0, 42, rec)
 	if ix.replicas.Len() != 1 {
 		t.Fatal("duplicate replica accepted")
 	}
@@ -153,8 +153,10 @@ func TestAbsorbReplicas(t *testing.T) {
 			break
 		}
 	}
-	ix.storeReplica(owner, 0, 1, inside)
-	ix.storeReplica(owner, 0, 2, outside)
+	ix.noteReplicaOwner(owner)
+	ix.noteReplicaOwner(owner) // idempotent: a known owner takes only the read lock
+	ix.storeReplica(0, 1, inside)
+	ix.storeReplica(0, 2, outside)
 	ix.absorbReplicas(owner)
 	if ix.primary.Len() != 1 {
 		t.Fatalf("absorbed %d records, want exactly the in-region one", ix.primary.Len())

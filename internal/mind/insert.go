@@ -91,7 +91,7 @@ func (n *Node) Insert(tag string, rec schema.Record, cb func(InsertResult)) erro
 		n.mu.Unlock()
 	}
 
-	n.handleInsert(n.ep.Addr(), msg)
+	n.handleInsert(n.ep.Addr(), msg, nil)
 	return nil
 }
 
@@ -118,13 +118,14 @@ func (a *batchInsertAgg) set(i int, res InsertResult) {
 }
 
 // InsertBatch inserts many records of one index in a single pass: every
-// record is hashed to its data-space code up front, records this node
-// owns store directly, and the rest are grouped by next overlay hop so
-// each neighbor receives one wire.Batch instead of one message per
-// record (§3.5's per-record stream is the hot path this collapses).
-// Individual acks still flow back per record; cb (which may be nil for
-// fire-and-forget) receives one InsertResult per input record, in input
-// order, once all have been acked or timed out.
+// record is hashed and routed up front, records this node owns store
+// directly, and everything the pass emits — forwarded Inserts, and the
+// Replicates of locally stored records — leaves through one outbox, so
+// each neighbor receives one wire.Batch instead of one message per record
+// (§3.5's per-record stream is the hot path this collapses). Acks still
+// flow back per record; cb (nil for fire-and-forget) receives one
+// InsertResult per input record, in input order, once all have been
+// acked or timed out.
 func (n *Node) InsertBatch(tag string, recs []schema.Record, cb func([]InsertResult)) error {
 	if len(recs) == 0 {
 		if cb != nil {
@@ -146,34 +147,23 @@ func (n *Node) InsertBatch(tag string, recs []schema.Record, cb func([]InsertRes
 		agg = &batchInsertAgg{results: make([]InsertResult, len(recs)), remaining: len(recs), cb: cb}
 	}
 	depth := clampDepth(n.ov.Code().Len() + n.cfg.InsertDepthSlack)
-	msgs := make([]*wire.Insert, len(recs))
 	tracked := cb != nil || n.retriesEnabled()
-	var grp *batchGroup
-	if tracked {
-		grp = &batchGroup{ids: make([]uint64, 0, len(recs))}
-	}
+
+	// Hash and route with no lock held — ~250 PointCodes must not block
+	// ack and query bookkeeping; n.mu is taken below only to register the
+	// finished ops. Nothing is shared yet, so m.Hops may still be written.
+	msgs := make([]wire.Insert, len(recs))
+	// An op's lastHop doubles as its routing decision ("" = stored here
+	// or ring-recovered); ops are registered only when tracked.
+	ops := make([]insertOp, len(recs))
+	grp := &batchGroup{ids: make([]uint64, len(recs))}
 	var scratch []uint64
-	n.mu.Lock()
 	for i, rec := range recs {
 		v := ix.version(rec, n.cfg.VersionSeconds)
 		tree, epoch := ix.treeAndEpoch(v)
-		var reqID uint64
-		var op *insertOp
-		if tracked {
-			reqID = n.nextReq()
-			op = &insertOp{}
-			if cb != nil {
-				slot := i
-				op.cb = func(res InsertResult) { agg.set(slot, res) }
-			}
-			n.inserts[reqID] = op
-			n.reqTracked.Add(1)
-			n.pendingGauge.Add(1)
-			grp.ids = append(grp.ids, reqID)
-		}
 		scratch = rec.PointInto(ix.sch, scratch)
-		msgs[i] = &wire.Insert{
-			ReqID:      reqID,
+		m, op := &msgs[i], &ops[i]
+		*m = wire.Insert{
 			OriginAddr: n.ep.Addr(),
 			Index:      tag,
 			Version:    v,
@@ -182,91 +172,60 @@ func (n *Node) InsertBatch(tag string, recs []schema.Record, cb func([]InsertRes
 			Target:     tree.PointCode(scratch, depth),
 			TreeEpoch:  epoch,
 		}
-		if op != nil {
-			op.msg = msgs[i]
+		op.msg = m
+		if !n.ov.Owns(m.Target) {
+			m.Hops = 1 // leaving the originator, as in the per-record path
+			op.lastHop, _ = n.ov.NextHop(m.Target)
+		}
+		if tracked {
+			m.ReqID = n.nextReq()
+			grp.ids[i] = m.ReqID
+		}
+		if cb != nil {
+			slot := i
+			op.cb = func(res InsertResult) { agg.set(slot, res) }
 		}
 	}
-	if grp != nil && len(grp.ids) > 0 {
+	if tracked {
+		n.reqTracked.Add(uint64(len(ops)))
+		n.pendingGauge.Add(int64(len(ops)))
+		n.mu.Lock()
+		for i := range ops {
+			n.inserts[grp.ids[i]] = &ops[i]
+		}
 		// One timeout for the whole batch (batchGroup): a
-		// no-longer-pending member makes it a no-op. The group's
-		// retransmission schedule is armed after the dispatch loop below —
-		// the loop still mutates the tracked messages (m.Hops) outside
-		// n.mu, and an armed schedule with a short RetryBase could fire
-		// concurrently and read them mid-write.
-		ids := grp.ids
+		// no-longer-pending member makes it a no-op.
 		n.clock.AfterFunc(n.cfg.InsertTimeout, func() {
-			for _, id := range ids {
+			for _, id := range grp.ids {
 				n.finishInsert(id, InsertResult{OK: false, Err: errTimeout})
 			}
 		})
+		n.mu.Unlock()
 	}
-	n.mu.Unlock()
 
-	// Group by next hop from the local routing view. Unlike per-record
-	// Insert, the grouping happens once at the originator; downstream
-	// hops recompute targets per sub-message as usual, because receivers
-	// unwrap the envelope through the normal dispatch loop.
-	groups := make(map[string][]*wire.Insert)
-	var order []string // deterministic flush order (map iteration is not)
-	for _, m := range msgs {
-		if n.ov.Owns(m.Target) {
-			n.handleInsert(n.ep.Addr(), m)
-			continue
-		}
-		m.Hops = 1 // leaving the originator, as in the per-record path
-		next, ok := n.ov.NextHop(m.Target)
-		if !ok {
+	ob := &outbox{n: n}
+	for i := range msgs {
+		m := &msgs[i]
+		switch next := ops[i].lastHop; {
+		case m.Hops == 0:
+			n.handleInsert(n.ep.Addr(), m, ob)
+		case next == "":
 			n.ov.RingRecover(m.Target, wire.Encode(m))
-			continue
+		default:
+			n.forwarded.Add(1)
+			n.countTuples(next, 1)
+			n.post(ob, outData, next, m)
 		}
-		if _, seen := groups[next]; !seen {
-			order = append(order, next)
-		}
-		groups[next] = append(groups[next], m)
 	}
-	for _, next := range order {
-		group := groups[next]
-		n.forwarded.Add(uint64(len(group)))
-		n.countTuples(next, uint64(len(group)))
-		if tracked {
-			n.mu.Lock()
-			for _, m := range group {
-				if op, ok := n.inserts[m.ReqID]; ok {
-					op.lastHop = next
-				}
-			}
-			n.mu.Unlock()
-		}
-		n.sendGrouped(next, group)
-	}
-	// Arm the group retransmission schedule only now that every message
-	// is dispatched and immutable: from here on the tracked msgs are only
-	// read (resendInsertGroup snapshots them under n.mu). Members that
-	// already settled inline (locally-owned stores) just make the resend
-	// skip them.
-	if grp != nil && len(grp.ids) > 0 && n.retriesEnabled() {
+	ob.flush()
+	// Arm the group retransmission schedule once everything is dispatched;
+	// members that settled inline (local stores) make the resend skip them.
+	if tracked && n.retriesEnabled() {
 		n.mu.Lock()
 		n.clock.AfterFunc(n.retryDelayLocked(1), func() { n.resendInsertGroup(grp) })
 		n.mu.Unlock()
 	}
 	return nil
-}
-
-// sendGrouped ships one next-hop group: through the coalescer when
-// enabled (merging with whatever else is bound for that peer), else
-// wrapped directly into a single envelope.
-func (n *Node) sendGrouped(to string, group []*wire.Insert) {
-	if n.batchingEnabled() {
-		for _, m := range group {
-			n.enqueueBatch(to, wire.Encode(m))
-		}
-		return
-	}
-	msgs := make([][]byte, len(group))
-	for i, m := range group {
-		msgs[i] = wire.Encode(m)
-	}
-	n.deliverBatch(to, msgs)
 }
 
 func clampDepth(d int) int {
@@ -279,12 +238,12 @@ func clampDepth(d int) int {
 	return d
 }
 
-func (n *Node) finishInsert(reqID uint64, res InsertResult) {
-	n.mu.Lock()
+// takeInsertLocked removes a tracked insert and disarms its timers; it
+// returns nil when the op already settled. Callers hold n.mu.
+func (n *Node) takeInsertLocked(reqID uint64) *insertOp {
 	op, ok := n.inserts[reqID]
 	if !ok {
-		n.mu.Unlock()
-		return
+		return nil
 	}
 	delete(n.inserts, reqID)
 	n.pendingGauge.Add(-1)
@@ -294,9 +253,21 @@ func (n *Node) finishInsert(reqID uint64, res InsertResult) {
 	if op.retry != nil {
 		op.retry.Stop()
 	}
-	res.Attempts = op.attempt
+	return op
+}
+
+func (n *Node) finishInsert(reqID uint64, res InsertResult) {
+	n.mu.Lock()
+	op := n.takeInsertLocked(reqID)
 	n.mu.Unlock()
-	if op.cb != nil {
+	op.settle(res)
+}
+
+// settle reports a taken op's outcome to its callback; a nil op (already
+// settled) is a no-op.
+func (op *insertOp) settle(res InsertResult) {
+	if op != nil && op.cb != nil {
+		res.Attempts = op.attempt
 		op.cb(res)
 	}
 }
@@ -305,7 +276,7 @@ func (n *Node) finishInsert(reqID uint64, res InsertResult) {
 // detection happens only here at the ownership point, never on pure
 // forwarding hops: routing needs no tree (Target travels with the
 // message), so an intermediate node's stale tree cannot misroute.
-func (n *Node) handleInsert(from string, m *wire.Insert) {
+func (n *Node) handleInsert(from string, m *wire.Insert, ob *outbox) {
 	if !n.ov.Joined() {
 		return
 	}
@@ -325,7 +296,7 @@ func (n *Node) handleInsert(from string, m *wire.Insert) {
 				// code discriminates at our depth; catch up in parallel.
 				n.treePull(m.OriginAddr, m.Index, m.Version)
 				if target.Len() >= myCode.Len() {
-					n.storeAsOwner(m)
+					n.storeAsOwner(m, ob)
 				}
 				// Too-shallow target: deepening would need the newer tree
 				// we don't have yet. Drop — the originator's
@@ -340,19 +311,7 @@ func (n *Node) handleInsert(from string, m *wire.Insert) {
 			if local&retiredEpochBit != 0 {
 				return // version retired here: the pushed marker stops the originator
 			}
-			tree, epoch := ix.treeAndEpoch(m.Version)
-			depth := clampDepth(myCode.Len() + n.cfg.InsertDepthSlack)
-			var pbuf [8]uint64
-			p := schema.Record(m.Rec).PointInto(ix.sch, pbuf[:0])
-			ext := *m
-			ext.Target = tree.PointCode(p, depth)
-			ext.TreeEpoch = epoch
-			if n.ov.Owns(ext.Target) {
-				n.storeAsOwner(&ext)
-			} else {
-				ext.Hops++
-				n.forwardInsert(&ext)
-			}
+			n.rehomeInsert(ix, m, myCode, ob)
 			return
 		}
 		if target.Len() < myCode.Len() {
@@ -361,30 +320,35 @@ func (n *Node) handleInsert(from string, m *wire.Insert) {
 			// (§3.5: the computed code may not exactly match a node's
 			// code). Point codes are prefix-stable, so the extension
 			// preserves routing progress.
-			tree := ix.tree(m.Version)
-			depth := clampDepth(myCode.Len() + n.cfg.InsertDepthSlack)
-			var pbuf [8]uint64
-			p := schema.Record(m.Rec).PointInto(ix.sch, pbuf[:0])
-			deeper := tree.PointCode(p, depth)
-			ext := *m
-			ext.Target = deeper
-			if n.ov.Owns(deeper) {
-				n.storeAsOwner(&ext)
-			} else {
-				ext.Hops++
-				n.forwardInsert(&ext)
-			}
+			n.rehomeInsert(ix, m, myCode, ob)
 			return
 		}
-		n.storeAsOwner(m)
+		n.storeAsOwner(m, ob)
 		return
 	}
 	fwd := *m
 	fwd.Hops++
-	n.forwardInsert(&fwd)
+	n.forwardInsert(&fwd, ob)
 }
 
-func (n *Node) forwardInsert(m *wire.Insert) {
+// rehomeInsert recomputes m's target from the record itself, under this
+// node's current tree and at its depth, then stores or re-routes it.
+func (n *Node) rehomeInsert(ix *index, m *wire.Insert, myCode bitstr.Code, ob *outbox) {
+	tree, epoch := ix.treeAndEpoch(m.Version)
+	var pbuf [8]uint64
+	p := schema.Record(m.Rec).PointInto(ix.sch, pbuf[:0])
+	ext := *m
+	ext.Target = tree.PointCode(p, clampDepth(myCode.Len()+n.cfg.InsertDepthSlack))
+	ext.TreeEpoch = epoch
+	if n.ov.Owns(ext.Target) {
+		n.storeAsOwner(&ext, ob)
+	} else {
+		ext.Hops++
+		n.forwardInsert(&ext, ob)
+	}
+}
+
+func (n *Node) forwardInsert(m *wire.Insert, ob *outbox) {
 	if next, ok := n.ov.NextHop(m.Target); ok {
 		n.forwarded.Add(1)
 		n.countTuples(next, 1)
@@ -396,18 +360,19 @@ func (n *Node) forwardInsert(m *wire.Insert) {
 			}
 			n.mu.Unlock()
 		}
-		n.send(next, m)
+		n.post(ob, outData, next, m)
 		return
 	}
 	// Dead end: recover via expanding-ring broadcast (§3.8).
 	n.ov.RingRecover(m.Target, wire.Encode(m))
 }
 
-// storeAsOwner stores the record, replicates it, and acks the origin.
-// It runs without any node-wide lock: the per-index dedup+insert is
-// atomic inside storeRecord, trigger matching locks the index, and the
-// sends happen lock-free.
-func (n *Node) storeAsOwner(m *wire.Insert) {
+// storeAsOwner stores the record, replicates it, and acks the origin —
+// through ob when the caller is envelope-scoped (batch.go), immediately
+// when ob is nil. It runs without any node-wide lock: the per-index
+// dedup+insert is atomic inside storeRecord, trigger matching locks the
+// index, and the sends happen lock-free.
+func (n *Node) storeAsOwner(m *wire.Insert, ob *outbox) {
 	ix, ok := n.getIndex(m.Index)
 	if !ok {
 		return
@@ -424,7 +389,7 @@ func (n *Node) storeAsOwner(m *wire.Insert) {
 		n.dedupHits.Add(1)
 	}
 	myInfo := n.ov.Info()
-	replicas := n.replicaTargets()
+	replicas := n.replicasFor(ob)
 
 	for _, tr := range fired {
 		fire := &wire.TriggerFire{
@@ -450,14 +415,14 @@ func (n *Node) storeAsOwner(m *wire.Insert) {
 			OwnerCode: myInfo.Code,
 		}
 		for _, addr := range replicas {
-			n.send(addr, rep)
+			n.post(ob, outData, addr, rep)
 		}
 	}
 	if m.ReqID != 0 {
 		if m.OriginAddr == n.ep.Addr() {
 			n.finishInsert(m.ReqID, InsertResult{OK: true, Hops: int(m.Hops), StoredAt: myInfo.Addr})
 		} else {
-			n.send(m.OriginAddr, &wire.InsertAck{ReqID: m.ReqID, StoredAt: myInfo, Hops: m.Hops})
+			n.post(ob, outAck, m.OriginAddr, &wire.InsertAck{ReqID: m.ReqID, StoredAt: myInfo, Hops: m.Hops})
 		}
 	}
 }
@@ -515,16 +480,41 @@ func replicaSet(myCode bitstr.Code, contacts []wire.NodeInfo, m int) []string {
 	return out
 }
 
-func (n *Node) handleInsertAck(m *wire.InsertAck) {
-	n.acksReceived.Add(1)
-	n.finishInsert(m.ReqID, InsertResult{OK: true, Hops: int(m.Hops), StoredAt: m.StoredAt.Addr})
-}
-
-func (n *Node) handleReplicate(m *wire.Replicate) {
-	ix, ok := n.getIndex(m.Index)
-	if !ok {
+// handleInsertAcks settles one envelope's acks under a single n.mu
+// acquisition; the callbacks run after the lock drops, as in
+// finishInsert.
+func (n *Node) handleInsertAcks(acks []*wire.InsertAck) {
+	if len(acks) == 0 {
 		return
 	}
-	ix.storeReplica(m.OwnerCode, m.Version, m.RecID, m.Rec)
+	n.acksReceived.Add(uint64(len(acks)))
+	ops := make([]*insertOp, len(acks))
+	n.mu.Lock()
+	for i, m := range acks {
+		ops[i] = n.takeInsertLocked(m.ReqID)
+	}
+	n.mu.Unlock()
+	for i, m := range acks {
+		ops[i].settle(InsertResult{OK: true, Hops: int(m.Hops), StoredAt: m.StoredAt.Addr})
+	}
+}
+
+// replicaRun remembers the index and owner of an envelope's previous
+// Replicate, so a run from one owner resolves and notes them once.
+type replicaRun struct {
+	ix    *index
+	owner bitstr.Code
+}
+
+func (n *Node) handleReplicate(m *wire.Replicate, run *replicaRun) {
+	if run.ix == nil || m.Index != run.ix.sch.Tag || m.OwnerCode != run.owner {
+		ix, ok := n.getIndex(m.Index)
+		if !ok {
+			return
+		}
+		ix.noteReplicaOwner(m.OwnerCode)
+		*run = replicaRun{ix, m.OwnerCode}
+	}
+	run.ix.storeReplica(m.Version, m.RecID, m.Rec)
 	n.replicated.Add(1)
 }

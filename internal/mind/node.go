@@ -40,8 +40,8 @@ import (
 //     behind each index's own mutex, and the stores are internally
 //     concurrent (single-writer k-d trees with lock-free snapshot reads).
 //   - Counters and id sequences are atomics.
-//   - linkMu (tupleLinks), ansMu (ansDedup) and batchMu (coalescer) are
-//     independent leaves.
+//   - linkMu (tupleLinks), ansMu (ansDedup) and batchMu (envelope
+//     counters) are independent leaves.
 //
 // Lock order: mu → ixMu → index.mu → store internals. A leaf mutex is
 // never held while acquiring an earlier lock, sending, or calling into
@@ -127,15 +127,13 @@ type Node struct {
 	shedInserts   atomic.Uint64
 	shedQueries   atomic.Uint64
 	shedGossip    atomic.Uint64
-	// tupleLinks counts insert tuples sent per outgoing overlay link
-	// ("self→peer"), the Fig 12 metric.
+	// tupleLinks counts insert tuples sent per outgoing overlay link,
+	// keyed by the peer's address — the Fig 12 metric.
 	linkMu     sync.Mutex
 	tupleLinks map[string]uint64
 
-	// Per-link coalescing state (batch.go). batchMu is independent of mu
-	// so send works both with and without mu held.
+	// Envelope counters (batch.go).
 	batchMu         sync.Mutex
-	batches         map[string]*peerBatch
 	sentBatches     metrics.Occupancy
 	recvBatches     metrics.Occupancy
 	batchBytesSaved uint64
@@ -159,7 +157,6 @@ func NewNode(ep transport.Endpoint, clock transport.Clock, cfg Config) *Node {
 		repairAt:      make(map[string]time.Time),
 		addrTag:       hashAddr(ep.Addr()) ^ mix64(uint64(clock.Now().UnixNano())),
 		tupleLinks:    make(map[string]uint64),
-		batches:       make(map[string]*peerBatch),
 		ansDedup:      newDedupSet(dedupCap),
 		clientSeen:    make(map[uint64]*clientOpState),
 		clientBuckets: newBucketMap(),
@@ -222,11 +219,8 @@ func (n *Node) Code() bitstr.Code { return n.ov.Code() }
 // the experiment harness).
 func (n *Node) Overlay() *hypercube.Overlay { return n.ov }
 
-// Close flushes any coalescing buffers and stops the node's timers.
-func (n *Node) Close() {
-	n.FlushBatches()
-	n.ov.Close()
-}
+// Close stops the node's timers.
+func (n *Node) Close() { n.ov.Close() }
 
 // getIndex looks an index up by tag.
 func (n *Node) getIndex(tag string) (*index, bool) {
@@ -317,37 +311,33 @@ func (n *Node) Stats() Stats {
 func (n *Node) PendingInserts() int { return int(n.pendingGauge.Load()) }
 
 // TupleLinkCounts snapshots how many insert tuples this node sent over
-// each outgoing overlay link (Fig 12's per-link traffic).
+// each outgoing overlay link, keyed "self→peer" (Fig 12's per-link
+// traffic).
 func (n *Node) TupleLinkCounts() map[string]uint64 {
+	prefix := n.ep.Addr() + "→"
 	n.linkMu.Lock()
 	defer n.linkMu.Unlock()
 	out := make(map[string]uint64, len(n.tupleLinks))
-	for k, v := range n.tupleLinks {
-		out[k] = v
+	for next, v := range n.tupleLinks {
+		out[prefix+next] = v
 	}
 	return out
 }
 
-// countTuples records insert tuples leaving over one overlay link.
+// countTuples records insert tuples leaving over the link to next.
 func (n *Node) countTuples(next string, k uint64) {
 	n.linkMu.Lock()
-	n.tupleLinks[n.ep.Addr()+"→"+next] += k
+	n.tupleLinks[next] += k
 	n.linkMu.Unlock()
 }
 
-// send encodes and transmits, ignoring transport-level errors. With
-// coalescing enabled the message buffers in the per-destination queue
-// instead of leaving immediately (batch.go). Both transports have
-// consumed the encoded bytes by the time Send returns (simnet copies,
-// tcpnet copies into its per-peer send queue), so the buffer recycles
-// immediately; the coalescer recycles after the envelope is built
-// (batch.go).
+// send encodes and transmits, ignoring transport-level errors. Both
+// transports have consumed the encoded bytes by the time Send returns
+// (simnet copies, tcpnet copies into its per-peer send queue), so the
+// buffer recycles immediately. Envelope-scoped callers go through post
+// instead (batch.go).
 func (n *Node) send(to string, m wire.Message) {
 	data := wire.Encode(m)
-	if n.batchingEnabled() {
-		n.enqueueBatch(to, data)
-		return
-	}
 	_ = n.ep.Send(to, data)
 	wire.RecycleBuf(data)
 }
@@ -394,11 +384,12 @@ func (n *Node) handleMessage(from string, m wire.Message) {
 	}
 	switch msg := m.(type) {
 	case *wire.Insert:
-		n.handleInsert(from, msg)
+		n.handleInsert(from, msg, nil)
 	case *wire.InsertAck:
-		n.handleInsertAck(msg)
+		n.acksReceived.Add(1)
+		n.finishInsert(msg.ReqID, InsertResult{OK: true, Hops: int(msg.Hops), StoredAt: msg.StoredAt.Addr})
 	case *wire.Replicate:
-		n.handleReplicate(msg)
+		n.handleReplicate(msg, &replicaRun{})
 	case *wire.Query:
 		n.handleQuery(from, msg)
 	case *wire.SubQuery:
@@ -531,7 +522,7 @@ func (n *Node) handleRegionRecall(m *wire.RegionRecall) {
 			Target:     o.target,
 			TreeEpoch:  o.epoch,
 		}
-		n.handleInsert(n.ep.Addr(), msg)
+		n.handleInsert(n.ep.Addr(), msg, nil)
 	}
 }
 

@@ -90,23 +90,31 @@ func (e *failEndpoint) Send(to string, msg []byte) error { return errors.New("se
 func (e *failEndpoint) SetHandler(h transport.Handler)   {}
 func (e *failEndpoint) Close() error                     { return nil }
 
-// TestBatchDeliverRecycleOnSendError audits the coalescer's buffer
+// TestBatchDeliverRecycleOnSendError audits the outbox's buffer
 // recycling when the transport rejects the send: the envelope and every
 // sub-message must go back to the pool exactly once — a double recycle
 // would hand the same buffer to two later Encode calls at once.
 func TestBatchDeliverRecycleOnSendError(t *testing.T) {
-	cfg := DefaultConfig(1)
-	cfg.BatchMaxMsgs = 4
-	n := NewNode(&failEndpoint{addr: "self"}, transport.RealClock{}, cfg)
+	n := NewNode(&failEndpoint{addr: "self"}, transport.RealClock{}, DefaultConfig(1))
 	defer n.Close()
 	n.Bootstrap()
 
-	// Two threshold flushes (4 messages each) and one single-message
-	// direct delivery, all through the failing Send.
-	for i := 0; i < 8; i++ {
-		n.send("peer", &wire.InsertAck{ReqID: uint64(i)})
+	// Two flushes of one outbox (a data and an ack envelope, then an ack
+	// envelope from the reused groups) and one single-message bare
+	// delivery, all through the failing Send.
+	ob := &outbox{n: n}
+	for i := 0; i < 4; i++ {
+		n.post(ob, outData, "peer", &wire.Replicate{Index: "x", RecID: uint64(i)})
+		n.post(ob, outAck, "peer", &wire.InsertAck{ReqID: uint64(i)})
 	}
-	n.deliverBatch("peer", [][]byte{wire.Encode(&wire.InsertAck{ReqID: 99})})
+	ob.flush()
+	for i := 4; i < 8; i++ {
+		n.post(ob, outAck, "peer", &wire.InsertAck{ReqID: uint64(i)})
+	}
+	ob.flush()
+	ob.flush() // nothing pending: must not re-deliver recycled buffers
+	n.post(ob, outAck, "peer", &wire.InsertAck{ReqID: 99})
+	ob.flush()
 
 	// Pool integrity: while previously-handed-out buffers are still
 	// held, no Encode may return the same backing array twice.

@@ -114,30 +114,38 @@ func (n *Node) resendInsert(reqID uint64) {
 		}
 		return
 	}
-	op.attempt++
 	n.retransmits.Add(1)
-	msg := *op.msg
-	// Deep-copy the record: op.msg.Rec may alias a caller-owned (e.g.
-	// ingest-pooled) buffer that is recycled the instant the op settles,
-	// and the settle can race with the encode/send below once n.mu is
-	// released. finishInsert removes the op under n.mu before running its
-	// callback, so while the op is still tracked here the buffer cannot
-	// have been recycled yet — the copy taken under the lock is stable.
-	msg.Rec = append([]uint64(nil), op.msg.Rec...)
-	msg.Attempt = uint8(op.attempt)
+	msg := op.resendCopyLocked(op.attempt + 1)
 	exclude := op.lastHop
 	op.retry = n.clock.AfterFunc(n.retryDelayLocked(op.attempt+1), func() { n.resendInsert(reqID) })
 	n.mu.Unlock()
 
-	n.retransmitInsert(reqID, &msg, exclude)
+	n.retransmitInsert(reqID, &msg, exclude, nil)
+}
+
+// resendCopyLocked moves op to the given retransmission attempt and
+// returns the message to send, with the record deep-copied: op.msg.Rec
+// may alias the submitter's buffer (the ingest engine recycles it the
+// instant the op settles, and a new producer then overwrites it), and a
+// settle can race with the encode once n.mu is released. finishInsert
+// removes the op under n.mu before its callback runs, so an op still
+// tracked cannot have been recycled yet — the copy taken under the lock
+// is stable. Callers hold n.mu.
+func (op *insertOp) resendCopyLocked(attempt int) wire.Insert {
+	op.attempt = attempt
+	msg := *op.msg
+	msg.Rec = append([]uint64(nil), op.msg.Rec...)
+	msg.Attempt = uint8(attempt)
+	return msg
 }
 
 // retransmitInsert re-routes one retransmitted insert: store locally if
 // ownership shifted to us (takeover) since the original attempt, else
-// leave through a first hop excluding the suspect one.
-func (n *Node) retransmitInsert(reqID uint64, msg *wire.Insert, exclude string) {
+// leave through a first hop excluding the suspect one (via ob when it is
+// part of a group resend).
+func (n *Node) retransmitInsert(reqID uint64, msg *wire.Insert, exclude string, ob *outbox) {
 	if n.ov.Owns(msg.Target) {
-		n.handleInsert(n.ep.Addr(), msg)
+		n.handleInsert(n.ep.Addr(), msg, ob)
 		return
 	}
 	next, ok := n.ov.NextHopExcluding(msg.Target, exclude)
@@ -156,15 +164,16 @@ func (n *Node) retransmitInsert(reqID uint64, msg *wire.Insert, exclude string) 
 	}
 	n.mu.Unlock()
 	msg.Hops++
-	n.send(next, msg)
+	n.post(ob, outData, next, msg)
 }
 
 // resendInsertGroup is the batchGroup retransmission schedule: one
 // clock-driven backoff for the whole InsertBatch, retransmitting only
-// the members still pending. The schedule ends when every member has
-// settled or the shared attempt budget is exhausted (which feeds the
-// remaining members' last hops to the overlay's suspicion machinery,
-// exactly like the per-record path).
+// the members still pending, one envelope per first hop like the
+// original. The schedule ends when every member has settled or the
+// shared attempt budget is exhausted (which feeds the remaining members'
+// last hops to the overlay's suspicion machinery, exactly like the
+// per-record path).
 func (n *Node) resendInsertGroup(g *batchGroup) {
 	type resend struct {
 		reqID   uint64
@@ -197,18 +206,7 @@ func (n *Node) resendInsertGroup(g *batchGroup) {
 		if !ok || op.msg == nil {
 			continue
 		}
-		op.attempt = attempt
-		msg := *op.msg
-		// Deep-copy the record while holding n.mu: op.msg.Rec aliases the
-		// submitter's buffer (the ingest engine recycles it through its
-		// record pool as soon as the op settles, and a new producer then
-		// overwrites it). A member can settle the moment the lock drops —
-		// finishInsert deletes the op under n.mu before its callback runs,
-		// so an op still tracked here cannot have been recycled yet, and
-		// the copy makes the retransmit immune to the settle that follows.
-		msg.Rec = append([]uint64(nil), op.msg.Rec...)
-		msg.Attempt = uint8(attempt)
-		work = append(work, resend{reqID: id, msg: msg, exclude: op.lastHop})
+		work = append(work, resend{reqID: id, msg: op.resendCopyLocked(attempt), exclude: op.lastHop})
 	}
 	if len(work) == 0 {
 		// Every member settled: the schedule dies here.
@@ -219,10 +217,12 @@ func (n *Node) resendInsertGroup(g *batchGroup) {
 	n.clock.AfterFunc(n.retryDelayLocked(attempt+1), func() { n.resendInsertGroup(g) })
 	n.mu.Unlock()
 
+	ob := &outbox{n: n}
 	for i := range work {
 		w := &work[i]
-		n.retransmitInsert(w.reqID, &w.msg, w.exclude)
+		n.retransmitInsert(w.reqID, &w.msg, w.exclude, ob)
 	}
+	ob.flush()
 }
 
 // armQueryRetryLocked schedules the first retransmission check for a

@@ -249,7 +249,7 @@ func (n *Node) sendTrackedInsert(msg *wire.Insert) {
 	} else {
 		msg.ReqID = 0
 	}
-	n.handleInsert(n.ep.Addr(), msg)
+	n.handleInsert(n.ep.Addr(), msg, nil)
 }
 
 // reshuffleVersion repairs mid-flip placement: records of the flipped

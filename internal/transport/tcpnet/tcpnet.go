@@ -15,6 +15,7 @@
 package tcpnet
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -188,9 +189,10 @@ func (e *Endpoint) readLoop(conn net.Conn) {
 		delete(e.inbound, conn)
 		e.mu.Unlock()
 	}()
+	fr := newFrameReader(conn, e.cfg.ReadTimeout)
 	peer := ""
 	for {
-		frame, err := readFrame(conn, e.cfg.ReadTimeout)
+		frame, err := fr.next()
 		if err != nil {
 			return
 		}
@@ -211,28 +213,51 @@ func (e *Endpoint) readLoop(conn net.Conn) {
 	}
 }
 
-// readFrame reads one length-prefixed frame. The header read has no
-// deadline (an idle connection is healthy); once the header arrives the
-// body must complete within bodyTimeout (0 disables the deadline, for
-// plain readers in tests).
-func readFrame(r io.Reader, bodyTimeout time.Duration) ([]byte, error) {
+// readBufSize is the per-connection read buffer. Small frames (acks,
+// single inserts, heartbeats) arrive header and body — and usually
+// several frames — in one read(2); a body larger than the buffer is
+// read straight into its own frame buffer, bypassing this one. Kept
+// small because every inbound connection holds one for its lifetime.
+const readBufSize = 4 << 10
+
+// frameReader reads length-prefixed frames from one connection through a
+// small buffer. The wait for a header carries no deadline (an idle
+// connection is healthy); once a header has arrived, a body that is not
+// already buffered must complete within bodyTimeout.
+type frameReader struct {
+	br          *bufio.Reader
+	conn        net.Conn // nil for plain readers (tests): no deadlines
+	bodyTimeout time.Duration
+	armed       bool // a read deadline is set on conn
+}
+
+func newFrameReader(r io.Reader, bodyTimeout time.Duration) *frameReader {
 	conn, _ := r.(net.Conn)
-	if conn != nil {
-		conn.SetReadDeadline(time.Time{})
+	return &frameReader{br: bufio.NewReaderSize(r, readBufSize), conn: conn, bodyTimeout: bodyTimeout}
+}
+
+// next returns the next frame in a freshly allocated buffer (handlers
+// keep decoded records that alias it).
+func (fr *frameReader) next() ([]byte, error) {
+	if fr.armed {
+		fr.conn.SetReadDeadline(time.Time{})
+		fr.armed = false
 	}
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr, err := fr.br.Peek(frameHeaderLen)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > MaxFrame {
 		return nil, fmt.Errorf("tcpnet: frame of %d bytes exceeds limit", n)
 	}
-	if conn != nil && bodyTimeout > 0 {
-		conn.SetReadDeadline(time.Now().Add(bodyTimeout))
+	fr.br.Discard(frameHeaderLen)
+	if fr.conn != nil && fr.bodyTimeout > 0 && fr.br.Buffered() < int(n) {
+		fr.conn.SetReadDeadline(time.Now().Add(fr.bodyTimeout))
+		fr.armed = true
 	}
 	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if _, err := io.ReadFull(fr.br, buf); err != nil {
 		return nil, err
 	}
 	return buf, nil

@@ -214,20 +214,20 @@ func TestFrameCodec(t *testing.T) {
 	if err := writeFrame(&buf, []byte("abc")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readFrame(&buf, 0)
+	got, err := newFrameReader(&buf, 0).next()
 	if err != nil || string(got) != "abc" {
 		t.Fatalf("frame = %q, %v", got, err)
 	}
 	// Oversized frame header rejected.
 	var huge bytes.Buffer
 	huge.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := readFrame(&huge, 0); err == nil {
+	if _, err := newFrameReader(&huge, 0).next(); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 	// Truncated payload.
 	var trunc bytes.Buffer
 	trunc.Write([]byte{0, 0, 0, 10, 1, 2})
-	if _, err := readFrame(&trunc, 0); err == nil {
+	if _, err := newFrameReader(&trunc, 0).next(); err == nil {
 		t.Fatal("truncated frame accepted")
 	}
 }

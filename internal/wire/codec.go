@@ -134,8 +134,10 @@ func getBuf(n int) []byte {
 		if cap(b) >= n {
 			return b[:0]
 		}
-		// Too small for this message: drop it back for a smaller one.
-		bufPool.Put(v)
+		// Too small for this message: leave it to the GC. Putting it back
+		// would park it in the pool's per-P fast slot, where the next Get
+		// finds it again — one small buffer (an ack recycled last after an
+		// envelope) then makes every larger Encode on that P allocate.
 	}
 	return make([]byte, 0, n)
 }
