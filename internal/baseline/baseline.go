@@ -141,7 +141,10 @@ func (n *FloodNode) dispatch(from string, data []byte) {
 		recs := n.local.Query(msg.Rect)
 		n.mu.Unlock()
 		resp := &wire.QueryResp{ReqID: msg.ReqID, From: wire.NodeInfo{Addr: n.ep.Addr()}}
-		for _, r := range recs {
+		for i, r := range recs {
+			// The wire format pairs every record with an id; these
+			// architectures never dedup, so the position serves.
+			resp.RecID = append(resp.RecID, uint64(i))
 			resp.Recs = append(resp.Recs, r)
 		}
 		_ = n.ep.Send(msg.OriginAddr, wire.Encode(resp))

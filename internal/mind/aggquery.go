@@ -2,39 +2,33 @@ package mind
 
 import (
 	"fmt"
-	"sort"
+	"sync/atomic"
 
-	"mind/internal/bitstr"
-	"mind/internal/embed"
 	"mind/internal/schema"
 	"mind/internal/store"
 	"mind/internal/summary"
-	"mind/internal/transport"
 	"mind/internal/wire"
 )
 
 // Aggregate query path (DESIGN.md §4i): COUNT/SUM/top-k over a rectangle
 // answered from the per-node summary layer instead of materializing
-// records. The overlay mechanics mirror the record query path — greedy
-// route to the first abutting node, decompose there against the cut
-// tree, answers return directly to the originator, coverage tries
-// detect completion — but the payloads are O(K) aggregates, so the
-// originator merges counters and sketches instead of deduplicating
-// records. Two consequences shape everything below:
+// records. It is the scatter-gather engine's (scatter.go) second
+// resolver: the payloads are O(K) aggregates, so the originator merges
+// counters and sketches instead of deduplicating records. Two
+// consequences shape everything below:
 //
 //   - Answers are geometry-dependent. A record is a record wherever it
 //     is found, but an aggregate answer restricts to rect ∩ the
 //     answered region's cell, so the answering side must agree with the
-//     originator's cut tree (checkQuerySkew runs on the answer path
-//     here, unlike the record path).
+//     originator's cut tree (epochOnAnswer is unconditional here).
 //
-//   - There is no per-record identity to dedup by. The record path
+//   - There is no per-record identity to dedup by. The record resolver
 //     tolerates overlapping answers (replica fail-over, retransmission
 //     races) by content-hash dedup; here the originator must instead
 //     accept each region's counters exactly once: covering answers are
 //     admitted only while they keep the per-version cover tries
 //     prefix-free, and non-covering partials are admitted once per
-//     (responder, region).
+//     (responder, group, region).
 
 // AggResult is delivered to the aggregate query callback.
 type AggResult struct {
@@ -70,27 +64,6 @@ type AggResult struct {
 	Uncovered []string
 }
 
-type aggOp struct {
-	cb         func(AggResult)
-	index      string
-	rect       schema.Rect
-	topK       int
-	tries      map[uint32]*coverSet
-	regions    map[uint32]bitstr.Code
-	trees      map[uint32]*embed.Tree
-	epochs     map[uint32]uint64
-	agg        summary.Agg     // accumulated counters and merged sketch
-	contrib    map[string]bool // (responder, region) pairs already counted
-	responders map[string]bool
-	maxHops    int
-	timer      transport.Timer
-
-	// Reliable-request state (mirrors queryOp).
-	attempt   int
-	retry     transport.Timer
-	retryHops map[string]string
-}
-
 // Agg resolves COUNT/SUM/top-k over a rectangle against an index from
 // the distributed summary layer: the query greedy-routes to the first
 // abutting node, splits into per-region pieces, and each region answers
@@ -99,284 +72,153 @@ type aggOp struct {
 // The callback fires once, with complete merged results or with
 // whatever arrived by the timeout.
 func (n *Node) Agg(tag string, rect schema.Rect, topK int, cb func(AggResult)) error {
-	if !rect.Valid() {
-		return fmt.Errorf("mind: invalid agg rect")
-	}
-	ix, ok := n.getIndex(tag)
-	if !ok {
-		return fmt.Errorf("mind: unknown index %q", tag)
-	}
-	if rect.Dims() != ix.sch.IndexDims {
-		return fmt.Errorf("mind: agg dims %d != index dims %d", rect.Dims(), ix.sch.IndexDims)
-	}
-	if topK <= 0 {
-		topK = n.summaryK()
-	}
-	versions := ix.queryVersions(rect, n.cfg.VersionSeconds)
-	groups := ix.groupVersionsByTree(versions)
-	reqID := n.nextReq()
-	op := &aggOp{
-		cb:         cb,
-		index:      tag,
-		rect:       rect.Clone(),
-		topK:       topK,
-		tries:      make(map[uint32]*coverSet),
-		regions:    make(map[uint32]bitstr.Code),
-		trees:      make(map[uint32]*embed.Tree),
-		epochs:     make(map[uint32]uint64),
-		agg:        summary.NewAgg(ix.sch.Arity(), topK),
-		contrib:    make(map[string]bool),
-		responders: make(map[string]bool),
-		retryHops:  make(map[string]string),
-	}
-	maxDepth := clampDepth(n.ov.Code().Len() + n.cfg.InsertDepthSlack)
-	var dispatches []*wire.AggQuery
-	// Dispatch in first-version tree order, as Query does: send order
-	// must not depend on map iteration for same-seed simnet replay.
-	var treeOrder []*embed.Tree
-	dispatched := make(map[*embed.Tree]bool)
-	for _, v := range versions {
-		if t := ix.tree(v); !dispatched[t] {
-			dispatched[t] = true
-			treeOrder = append(treeOrder, t)
+	topK = n.summaryK(topK)
+	return n.scatter(tag, rect, aggKind{}, uint32(topK), func(ix *index) accumulator {
+		return &aggAcc{
+			cb: cb, topK: topK, agg: summary.NewAgg(ix.sch.Arity(), topK),
+			contrib: make(map[string]bool), dropped: &n.aggCoverDropped,
 		}
-	}
-	for _, tree := range treeOrder {
-		vs := groups[tree]
-		qcode := tree.QueryCode(rect, maxDepth)
-		epoch := ix.epochOf(vs[0])
-		vlist := make([]uint64, len(vs))
-		for i, v := range vs {
-			op.tries[v] = newCoverSet()
-			op.regions[v] = qcode
-			op.trees[v] = tree
-			op.epochs[v] = epoch
-			vlist[i] = uint64(v)
-		}
-		dispatches = append(dispatches, &wire.AggQuery{
-			ReqID:      reqID,
-			OriginAddr: n.ep.Addr(),
-			Index:      tag,
-			Versions:   vlist,
-			Rect:       rect.Clone(),
-			RegionCode: qcode,
-			TopK:       uint32(topK),
-			TreeEpoch:  epoch,
-		})
-	}
-	n.reqTracked.Add(1)
-	n.mu.Lock()
-	n.aggs[reqID] = op
-	op.timer = n.clock.AfterFunc(n.cfg.QueryTimeout, func() { n.finishAgg(reqID, false) })
-	n.armAggRetryLocked(reqID, op)
-	n.mu.Unlock()
-
-	n.runSubTasks(len(dispatches), func(i int) {
-		n.handleAggQuery(n.ep.Addr(), dispatches[i])
 	})
-	return nil
 }
 
-func (n *Node) finishAgg(reqID uint64, complete bool) {
-	n.mu.Lock()
-	op, ok := n.aggs[reqID]
-	if !ok {
-		n.mu.Unlock()
-		return
-	}
-	delete(n.aggs, reqID)
-	if op.timer != nil {
-		op.timer.Stop()
-	}
-	if op.retry != nil {
-		op.retry.Stop()
-	}
-	sk := op.agg.Sketch
-	res := AggResult{
-		Count:      op.agg.Count,
-		Sums:       op.agg.Sums,
-		TopK:       sk.Top(),
-		SketchN:    sk.N(),
-		Floor:      sk.Floor(),
-		Exact:      sk.Exact(),
-		Complete:   complete,
-		Responders: len(op.responders),
-		MaxHops:    op.maxHops,
-		Retried:    op.attempt > 0,
-	}
-	if !complete {
-		for v, trie := range op.tries {
-			for _, miss := range trie.MissingRegions(op.trees[v], op.rect, op.regions[v], 4) {
-				res.Uncovered = append(res.Uncovered, fmt.Sprintf("v%d:%s", v, miss))
-			}
-		}
-	}
-	n.mu.Unlock()
-	if op.cb != nil {
-		op.cb(res)
+// aggKind is the aggregate resolver. One message, wire.AggQuery, carries
+// a piece whether or not it has been decomposed — an aggregate answer
+// has no record payload, so a separate whole-query envelope would buy
+// nothing — and the piece's arg is the requested top-k.
+type aggKind struct{}
+
+func (aggKind) request(p piece) wire.Message {
+	return &wire.AggQuery{
+		ReqID: p.reqID, OriginAddr: p.origin, Index: p.index, Versions: p.versions,
+		Rect: p.rect, RegionCode: p.region, TopK: p.arg, Hops: p.hops,
+		Historic: p.historic, Attempt: p.attempt, TreeEpoch: p.epoch,
 	}
 }
 
-// handleAggQuery processes an aggregate query (or decomposed piece) at
-// any hop: answer regions (inside) ours, re-split regions covering
-// several nodes here, route everything else. One message plays both the
-// Query and SubQuery roles of the record path — an aggregate answer
-// carries no record payload, so there is nothing to gain from a
-// separate whole-query envelope.
-func (n *Node) handleAggQuery(from string, m *wire.AggQuery) {
-	if !n.ov.Joined() {
-		return
-	}
-	if m.Historic {
-		// History-pointer forward: answer from local storage directly.
-		n.answerAggQuery(m)
-		return
-	}
-	myCode := n.ov.Code()
-	region := m.RegionCode
-	switch {
-	case myCode.IsPrefixOf(region) || myCode.Equal(region):
-		n.answerAggQuery(m)
-	case region.IsPrefixOf(myCode):
-		// The region covers several nodes here: re-split at our depth.
-		ix, ok := n.getIndex(m.Index)
-		if !ok || len(m.Versions) == 0 {
-			return
-		}
-		v0 := uint32(m.Versions[0])
-		if !n.checkQuerySkew(ix, v0, m.TreeEpoch, m.OriginAddr) {
-			return
-		}
-		tree := ix.tree(v0)
-		subs := tree.Decompose(m.Rect, myCode.Len())
-		n.runSubTasks(len(subs), func(i int) {
-			sub := subs[i]
-			aq := *m
-			aq.Rect = sub.Rect
-			aq.RegionCode = sub.Code
-			if sub.Code.Equal(myCode) {
-				n.answerAggQuery(&aq)
-			} else {
-				n.routeAggQuery(&aq)
-			}
-		})
-	default:
-		n.routeAggQuery(m)
+func pieceFromAggQuery(m *wire.AggQuery) piece {
+	return piece{
+		kind: aggKind{}, reqID: m.ReqID, origin: m.OriginAddr, index: m.Index,
+		versions: m.Versions, rect: m.Rect, region: m.RegionCode, arg: m.TopK,
+		hops: m.Hops, historic: m.Historic, attempt: m.Attempt, epoch: m.TreeEpoch,
 	}
 }
 
-// routeAggQuery forwards an aggregate piece toward its region, with
-// replica fail-over and ring recovery at dead ends. Origin-side first
-// hops are recorded so retransmissions can exclude them ("*" for the
-// whole-query dispatch, the region code for decomposed pieces).
-func (n *Node) routeAggQuery(m *wire.AggQuery) {
-	if next, ok := n.ov.NextHop(m.RegionCode); ok {
-		fwd := *m
-		fwd.Hops++
-		n.forwarded.Add(1)
-		if m.OriginAddr == n.ep.Addr() {
-			n.mu.Lock()
-			if op, ok := n.aggs[m.ReqID]; ok {
-				key := m.RegionCode.String()
-				for _, r := range op.regions {
-					if r.Equal(m.RegionCode) {
-						key = "*"
-						break
-					}
+func answerFromAggResp(m *wire.AggResp) answer {
+	return answer{
+		reqID: m.ReqID, from: m.From, hasCover: m.HasCover, cover: m.Cover,
+		versions: m.Versions, hops: m.Hops, body: m,
+	}
+}
+
+// epochOnAnswer: the restriction in resolve uses this node's tree to
+// reconstruct the region's cell, so the answering side must agree on the
+// tree epoch before its numbers can be merged blind.
+func (aggKind) epochOnAnswer(piece) bool { return true }
+
+// resolve computes the aggregate over rect ∩ the region's cell: local
+// storage may hold records geometrically outside the answered region
+// (reshuffle and step-down keep local copies; the record resolver
+// collapses those by content id, an aggregate has no per-record
+// identity), and a retransmitted piece carries the full query rect. The
+// primary side answers from the summary rollup with exact boundary
+// scans; the replica side scans the replica store.
+func (aggKind) resolve(n *Node, ix *index, p piece, a answer, replica bool) wire.Message {
+	versions := p.versions32()
+	out := summary.NewAgg(ix.sch.Arity(), n.summaryK(int(p.arg)))
+	if aggRect, ok := ix.tree(versions[0]).CodeRect(p.region).Intersect(p.rect); ok {
+		if !replica {
+			n.resolveLocalAgg(ix, versions, aggRect, &out)
+		} else {
+			for _, v := range versions {
+				if !ix.replicas.Has(v) {
+					continue
 				}
-				op.retryHops[key] = next
+				for _, rec := range ix.replicas.Version(v).Query(aggRect) {
+					out.Add(rec)
+				}
 			}
-			n.mu.Unlock()
 		}
-		n.send(next, &fwd)
-		return
 	}
-	if n.answerAggFromReplicas(m) {
-		return
+	if !replica {
+		n.aggAnswered.Add(1)
 	}
-	n.ov.RingRecover(m.RegionCode, wire.Encode(m))
+	resp := &wire.AggResp{
+		ReqID: a.reqID, From: a.from, HasCover: a.hasCover, Cover: a.cover,
+		Versions: a.versions, Hops: a.hops, Count: out.Count, Sums: out.Sums,
+	}
+	flattenSketch(resp, out.Sketch)
+	return resp
 }
 
-// summaryK is the node's configured heavy-hitter capacity.
-func (n *Node) summaryK() int {
+// aggAcc merges an aggregate query's answers. Counters are admitted
+// exactly once per (responder, version group, region) — the group must
+// be part of the key because after a reversion the same responder
+// answers once per cut tree for the same region code, and those are
+// disjoint record sets, not duplicates; covering answers are
+// additionally admitted only while they keep the cover tries
+// prefix-free — a cover nested inside accepted coverage duplicates
+// counters already merged, and a cover strictly containing accepted
+// covers would double-count its interior, so both are dropped and the
+// retransmission layer re-asks the genuinely missing remainder regions.
+type aggAcc struct {
+	cb      func(AggResult)
+	topK    int
+	agg     summary.Agg     // accumulated counters and merged sketch
+	contrib map[string]bool // (responder, group, region) keys already counted
+	dropped *atomic.Uint64  // the node's overlapping-coverage counter
+}
+
+func (g *aggAcc) admit(a answer, trie *coverSet) bool {
+	m, ok := a.body.(*wire.AggResp)
+	if !ok {
+		return false
+	}
+	if a.hasCover {
+		if trie == nil {
+			return false
+		}
+		if trie.Covers(a.cover) || trie.hasExtension(a.cover) {
+			g.dropped.Add(1)
+			return false
+		}
+	}
+	group := uint64(0)
+	if len(a.versions) > 0 {
+		group = a.versions[0]
+	}
+	key := fmt.Sprintf("%s|%d|%s", a.from.Addr, group, a.cover)
+	if !g.contrib[key] {
+		g.contrib[key] = true
+		g.agg.Merge(m.Count, m.Sums, sketchFromResp(m, g.topK))
+	}
+	return true
+}
+
+func (g *aggAcc) deliver(o outcome) {
+	if g.cb == nil {
+		return
+	}
+	sk := g.agg.Sketch
+	g.cb(AggResult{
+		Count: g.agg.Count, Sums: g.agg.Sums,
+		TopK: sk.Top(), SketchN: sk.N(), Floor: sk.Floor(), Exact: sk.Exact(),
+		Complete: o.complete, Responders: o.responders, MaxHops: o.maxHops,
+		Retried: o.retried, Uncovered: o.uncovered,
+	})
+}
+
+func (g *aggAcc) tally(s *Stats) { s.PendingAggs++ }
+
+// summaryK resolves a requested heavy-hitter count: non-positive asks
+// for the node's configured capacity.
+func (n *Node) summaryK(requested int) int {
+	if requested > 0 {
+		return requested
+	}
 	if n.cfg.SummaryTopK > 0 {
 		return n.cfg.SummaryTopK
 	}
 	return summary.DefaultK
-}
-
-// answerAggQuery resolves an aggregate piece from the local summary
-// layer (boundary cells fall back to exact store scans) and responds
-// directly to the originator. With an active history pointer the local
-// partial goes back without a coverage claim and the pointer target
-// provides the covering aggregate for pre-split data, mirroring the
-// record path's §3.4 delegation — the two sides' record sets are
-// disjoint (stored after vs before the split), so their counters add
-// exactly.
-func (n *Node) answerAggQuery(m *wire.AggQuery) {
-	ix, ok := n.getIndex(m.Index)
-	if !ok || len(m.Versions) == 0 {
-		return
-	}
-	v0 := uint32(m.Versions[0])
-	// Aggregate answers are geometry-dependent — the restriction below
-	// uses this node's tree to reconstruct the region's cell — so unlike
-	// the record path the answering side must also agree on the tree
-	// epoch before its numbers can be merged blind (the documented
-	// exception to "answer paths never call checkQuerySkew").
-	if !n.checkQuerySkew(ix, v0, m.TreeEpoch, m.OriginAddr) {
-		return
-	}
-	versions := make([]uint32, len(m.Versions))
-	for i, v := range m.Versions {
-		versions[i] = uint32(v)
-	}
-	tree := ix.tree(v0)
-	k := int(m.TopK)
-	if k <= 0 {
-		k = n.summaryK()
-	}
-	out := summary.NewAgg(ix.sch.Arity(), k)
-	// Restrict to rect ∩ the region's cell: local storage may hold
-	// records geometrically outside the answered region (reshuffle and
-	// step-down keep local copies; the record path collapses those by
-	// content id, an aggregate answer has no per-record identity), and
-	// a retransmitted piece carries the full query rect.
-	if aggRect, ok := tree.CodeRect(m.RegionCode).Intersect(m.Rect); ok {
-		n.resolveLocalAgg(ix, versions, aggRect, &out)
-	}
-	histActive, histAddr := ix.history(n.clock.Now())
-	self := n.ov.Info()
-	n.ansMu.Lock()
-	dup := n.ansDedup.Seen(aggQueryKey(m))
-	n.ansMu.Unlock()
-	if dup {
-		// Retransmitted piece: still answer — the previous response may
-		// be the message that was lost. The originator's (responder,
-		// region) admission makes the re-answer idempotent.
-		n.dedupHits.Add(1)
-	}
-	n.aggAnswered.Add(1)
-
-	resp := &wire.AggResp{
-		ReqID:    m.ReqID,
-		From:     self,
-		HasCover: !histActive,
-		Cover:    m.RegionCode,
-		Versions: m.Versions,
-		Hops:     m.Hops,
-		Count:    out.Count,
-		Sums:     out.Sums,
-	}
-	flattenSketch(resp, out.Sketch)
-	n.respondAgg(m.OriginAddr, resp)
-
-	if histActive {
-		fwd := *m
-		fwd.Historic = true
-		fwd.Hops++
-		n.send(histAddr, &fwd)
-	}
 }
 
 // resolveLocalAgg assembles one node's aggregate over rect for the
@@ -438,102 +280,6 @@ func (n *Node) resolveLocalAgg(ix *index, versions []uint32, rect schema.Rect, o
 	out.Sketch.MergeMany(sks)
 }
 
-// answerAggFromReplicas serves a dead region's aggregate piece from
-// replicated data, scanning the replica store with the same geometric
-// restriction the owner would have applied; it reports whether it
-// produced a covering answer.
-func (n *Node) answerAggFromReplicas(m *wire.AggQuery) bool {
-	ix, ok := n.getIndex(m.Index)
-	if !ok || len(m.Versions) == 0 {
-		return false
-	}
-	region := m.RegionCode
-	var coveringOwner *bitstr.Code
-	var within []bitstr.Code
-	for _, owner := range ix.ownerCodes() {
-		switch {
-		case owner.IsPrefixOf(region):
-			o := owner
-			coveringOwner = &o
-		case region.IsPrefixOf(owner):
-			within = append(within, owner)
-		}
-	}
-	if coveringOwner == nil && len(within) == 0 {
-		return false
-	}
-	versions := make([]uint32, len(m.Versions))
-	for i, v := range m.Versions {
-		versions[i] = uint32(v)
-	}
-	self := n.ov.Info()
-	k := int(m.TopK)
-	if k <= 0 {
-		k = n.summaryK()
-	}
-	tree := ix.tree(versions[0])
-
-	aggFor := func(code bitstr.Code, rect schema.Rect, hops uint8) *wire.AggResp {
-		out := summary.NewAgg(ix.sch.Arity(), k)
-		if aggRect, ok := tree.CodeRect(code).Intersect(rect); ok {
-			for _, v := range versions {
-				if !ix.replicas.Has(v) {
-					continue
-				}
-				for _, rec := range ix.replicas.Version(v).Query(aggRect) {
-					out.Add(rec)
-				}
-			}
-		}
-		resp := &wire.AggResp{
-			ReqID: m.ReqID, From: self, HasCover: true, Cover: code,
-			Versions: m.Versions, Hops: hops, Count: out.Count, Sums: out.Sums,
-		}
-		flattenSketch(resp, out.Sketch)
-		return resp
-	}
-
-	if coveringOwner != nil {
-		n.respondAgg(m.OriginAddr, aggFor(region, m.Rect, m.Hops))
-		return true
-	}
-
-	// Replicas cover only parts of the region: answer those parts and
-	// re-dispatch the rest through the full aggregate logic.
-	depth := within[0].Len()
-	for _, o := range within {
-		if o.Len() < depth {
-			depth = o.Len()
-		}
-	}
-	ownerSet := make(map[bitstr.Code]bool, len(within))
-	for _, o := range within {
-		ownerSet[o.Prefix(depth)] = true
-	}
-	subs := tree.Decompose(m.Rect, depth)
-	for _, sub := range subs {
-		if ownerSet[sub.Code] {
-			n.respondAgg(m.OriginAddr, aggFor(sub.Code, sub.Rect, m.Hops))
-		} else {
-			aq := *m
-			aq.Rect = sub.Rect
-			aq.RegionCode = sub.Code
-			n.handleAggQuery(n.ep.Addr(), &aq)
-		}
-	}
-	return true
-}
-
-// respondAgg delivers an aggregate response, short-circuiting
-// self-addressed ones.
-func (n *Node) respondAgg(origin string, resp *wire.AggResp) {
-	if origin == n.ep.Addr() {
-		n.handleAggResp(resp)
-		return
-	}
-	n.send(origin, resp)
-}
-
 // flattenSketch encodes a sketch into a response's parallel slices.
 func flattenSketch(resp *wire.AggResp, sk *summary.Sketch) {
 	resp.SketchK = uint32(sk.K())
@@ -564,200 +310,4 @@ func sketchFromResp(m *wire.AggResp, fallbackK int) *summary.Sketch {
 		entries[i] = summary.Entry{Key: m.Keys[i], Count: m.Counts[i], Err: m.Errs[i]}
 	}
 	return summary.FromParts(k, m.SketchN, m.Floor, entries)
-}
-
-// handleAggResp merges responses at the originator. Counters are
-// admitted exactly once per (responder, version group, region) — the
-// group must be part of the key because after a reversion the same
-// responder answers once per cut tree for the same region code, and
-// those are disjoint record sets, not duplicates; covering answers are
-// additionally admitted only while they keep the cover tries
-// prefix-free — a cover nested inside accepted coverage duplicates
-// counters already merged, and a cover strictly containing accepted
-// covers would double-count its interior, so both are dropped and the
-// retransmission layer re-asks the genuinely missing remainder regions.
-func (n *Node) handleAggResp(m *wire.AggResp) {
-	n.mu.Lock()
-	op, ok := n.aggs[m.ReqID]
-	if !ok {
-		n.mu.Unlock()
-		return // late or duplicate completion
-	}
-	op.responders[m.From.Addr] = true
-	if int(m.Hops) > op.maxHops {
-		op.maxHops = int(m.Hops)
-	}
-	group := uint64(0)
-	var trie *coverSet
-	if len(m.Versions) > 0 {
-		group = m.Versions[0]
-		trie = op.tries[uint32(m.Versions[0])]
-	}
-	key := fmt.Sprintf("%s|%d|%s", m.From.Addr, group, m.Cover)
-	complete := false
-	switch {
-	case m.HasCover && trie != nil:
-		if trie.Covers(m.Cover) || trie.hasExtension(m.Cover) {
-			// Overlapping coverage: counters not admissible (see above).
-			n.aggCoverDropped.Add(1)
-		} else {
-			if !op.contrib[key] {
-				op.contrib[key] = true
-				op.agg.Merge(m.Count, m.Sums, sketchFromResp(m, op.topK))
-			}
-			for _, v64 := range m.Versions {
-				if t := op.tries[uint32(v64)]; t != nil {
-					t.Add(m.Cover)
-				}
-			}
-			complete = true
-			for v, t := range op.tries {
-				if !t.CoversRect(op.trees[v], op.rect, op.regions[v]) {
-					complete = false
-					break
-				}
-			}
-		}
-	case !m.HasCover:
-		// History-delegating partial: counters only, no coverage claim.
-		if !op.contrib[key] {
-			op.contrib[key] = true
-			op.agg.Merge(m.Count, m.Sums, sketchFromResp(m, op.topK))
-		}
-	}
-	n.mu.Unlock()
-	if complete {
-		n.finishAgg(m.ReqID, true)
-	}
-}
-
-// armAggRetryLocked schedules the first retransmission check for an
-// aggregate query. Callers hold n.mu.
-func (n *Node) armAggRetryLocked(reqID uint64, op *aggOp) {
-	if !n.retriesEnabled() {
-		return
-	}
-	op.retry = n.clock.AfterFunc(n.retryDelayLocked(1), func() { n.resendAgg(reqID) })
-}
-
-// resendAgg re-issues targeted pieces for the still-uncovered regions of
-// an aggregate query, mirroring resendQuery's schedule: exclude each
-// region's last first hop, suspect those hops on exhaustion, leave the
-// op to its QueryTimeout.
-func (n *Node) resendAgg(reqID uint64) {
-	n.mu.Lock()
-	op, ok := n.aggs[reqID]
-	if !ok {
-		n.mu.Unlock()
-		return
-	}
-	if op.attempt >= n.cfg.MaxRetries {
-		seen := make(map[string]bool)
-		var suspects []string
-		for _, hop := range op.retryHops {
-			if hop != "" && !seen[hop] {
-				seen[hop] = true
-				suspects = append(suspects, hop)
-			}
-		}
-		n.mu.Unlock()
-		sort.Strings(suspects)
-		for _, hop := range suspects {
-			n.ov.SuspectContact(hop)
-		}
-		return
-	}
-	op.attempt++
-	attempt := op.attempt
-
-	type group struct {
-		versions []uint64
-		missing  []bitstr.Code
-		seen     map[string]bool
-	}
-	groups := make(map[*embed.Tree]*group)
-	var order []*embed.Tree
-	for _, v := range sortedVersions(op.tries) {
-		tree := op.trees[v]
-		g, ok := groups[tree]
-		if !ok {
-			g = &group{seen: make(map[string]bool)}
-			groups[tree] = g
-			order = append(order, tree)
-		}
-		g.versions = append(g.versions, uint64(v))
-		for _, miss := range op.tries[v].MissingRegions(tree, op.rect, op.regions[v], 64) {
-			if !g.seen[miss.String()] {
-				g.seen[miss.String()] = true
-				g.missing = append(g.missing, miss)
-			}
-		}
-	}
-	type resend struct {
-		aq      *wire.AggQuery
-		exclude string
-	}
-	var work []resend
-	for _, tree := range order {
-		g := groups[tree]
-		for _, region := range g.missing {
-			aq := &wire.AggQuery{
-				ReqID:      reqID,
-				OriginAddr: n.ep.Addr(),
-				Index:      op.index,
-				Versions:   g.versions,
-				Rect:       op.rect,
-				RegionCode: region,
-				TopK:       uint32(op.topK),
-				Attempt:    uint8(attempt),
-				TreeEpoch:  op.epochs[uint32(g.versions[0])],
-			}
-			exclude := op.retryHops[region.String()]
-			if exclude == "" {
-				exclude = op.retryHops["*"]
-			}
-			work = append(work, resend{aq: aq, exclude: exclude})
-		}
-	}
-	n.retransmits.Add(uint64(len(work)))
-	op.retry = n.clock.AfterFunc(n.retryDelayLocked(attempt+1), func() { n.resendAgg(reqID) })
-	n.mu.Unlock()
-
-	for _, w := range work {
-		if n.ov.Owns(w.aq.RegionCode) {
-			n.handleAggQuery(n.ep.Addr(), w.aq)
-			continue
-		}
-		next, ok := n.ov.NextHopExcluding(w.aq.RegionCode, w.exclude)
-		if !ok {
-			next, ok = n.ov.NextHop(w.aq.RegionCode)
-		}
-		if !ok {
-			if !n.answerAggFromReplicas(w.aq) {
-				n.ov.RingRecover(w.aq.RegionCode, wire.Encode(w.aq))
-			}
-			continue
-		}
-		n.mu.Lock()
-		if cur, still := n.aggs[reqID]; still {
-			cur.retryHops[w.aq.RegionCode.String()] = next
-		}
-		n.mu.Unlock()
-		fwd := *w.aq
-		fwd.Hops++
-		n.send(next, &fwd)
-	}
-}
-
-// aggQueryKey identifies one unit of aggregate answering work, for the
-// answerer-side duplicate counter.
-func aggQueryKey(m *wire.AggQuery) uint64 {
-	h := m.ReqID*0x9e3779b97f4a7c15 + 0xc2b2ae35
-	for _, c := range m.RegionCode.String() {
-		h = h*1099511628211 ^ uint64(c)
-	}
-	if m.Historic {
-		h ^= 0xabcdef
-	}
-	return h
 }

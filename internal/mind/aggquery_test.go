@@ -220,7 +220,9 @@ func TestAggSurvivesKillWithReplication(t *testing.T) {
 	// under fresh record ids, the record path collapses those duplicates
 	// by content hash, and aggregates count geometrically (the documented
 	// DESIGN.md §4i duplicate-copy caveat) — so the upper bound is the
-	// total primary copies actually stored across live nodes.
+	// total primary copies actually stored across live nodes, and the
+	// three counts (aggregate, record answer, distinct stored) coincide
+	// exactly when no duplicate copy exists.
 	c := mkCluster(t, 12, 39, func(o *cluster.Options) {
 		o.Node.Replication = 1
 		o.Node.QueryTimeout = 8 * time.Second
@@ -240,28 +242,24 @@ func TestAggSurvivesKillWithReplication(t *testing.T) {
 	c.Kill(3)
 	c.Settle(30 * time.Second)
 
-	qr, _, err := c.QueryWait(5, "test-index", fullRect())
-	if err != nil || !qr.Complete {
-		t.Fatalf("exact query after kill: %v %+v", err, qr)
+	got := gatherComplete(t, c, 5, "test-index", fullRect())
+	if t.Failed() {
+		return
 	}
-	ar, _, err := c.AggWait(5, "test-index", fullRect(), 0)
-	if err != nil {
-		t.Fatal(err)
+	exact, aggCount := uint64(got[0].count), uint64(got[1].count)
+	if want := bruteCount(c, "test-index", fullRect()); got[0].count != want {
+		t.Fatalf("record answer has %d records, live nodes store %d distinct", got[0].count, want)
 	}
-	if !ar.Complete {
-		t.Fatalf("agg incomplete after kill: %+v", ar)
-	}
-	exact := uint64(len(qr.Records))
 	totalPrimary := uint64(0)
 	for i, nd := range c.Nodes {
 		if !c.IsDead(i) {
 			totalPrimary += uint64(nd.StoredRecords("test-index"))
 		}
 	}
-	if ar.Count < exact {
-		t.Fatalf("agg undercounts after kill: %d < exact %d", ar.Count, exact)
+	if aggCount < exact {
+		t.Fatalf("agg undercounts after kill: %d < exact %d", aggCount, exact)
 	}
-	if ar.Count > totalPrimary {
-		t.Fatalf("agg count %d exceeds total primary copies %d", ar.Count, totalPrimary)
+	if aggCount > totalPrimary {
+		t.Fatalf("agg count %d exceeds total primary copies %d", aggCount, totalPrimary)
 	}
 }

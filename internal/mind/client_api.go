@@ -104,16 +104,18 @@ func (n *Node) handleClientInsert(from string, m *wire.ClientInsert) {
 	}
 }
 
-func (n *Node) handleClientQuery(from string, m *wire.ClientQuery) {
+// serveClientRead is the skeleton of every client read RPC: admit, absorb
+// a duplicate of a request still in flight (its callback will respond),
+// run, and mark the request done as the reply leaves. refuse builds the
+// kind's empty incomplete response, flagged Shed for overload refusal.
+func (n *Node) serveClientRead(from string, key uint64, refuse func(shed bool) wire.Message, run func(reply func(wire.Message)) error) {
 	if !n.admitClient(from, false) {
 		n.shedQueries.Add(1)
-		n.send(from, &wire.ClientQueryResp{ReqID: m.ReqID, Complete: false, Shed: true})
+		n.send(from, refuse(true))
 		return
 	}
-	key := clientOpKey(from, m.ReqID) ^ clientQueryKeyMix
 	n.mu.Lock()
 	if st := n.clientOpLocked(key); st != nil && !st.done {
-		// Still answering the first copy; its callback will respond.
 		n.dedupHits.Add(1)
 		n.mu.Unlock()
 		return
@@ -122,73 +124,58 @@ func (n *Node) handleClientQuery(from string, m *wire.ClientQuery) {
 	n.storeClientOpLocked(key, st)
 	n.mu.Unlock()
 
-	err := n.Query(m.Index, m.Rect, func(res QueryResult) {
-		resp := &wire.ClientQueryResp{
-			ReqID:      m.ReqID,
-			Complete:   res.Complete,
-			Responders: uint32(res.Responders),
-		}
-		for _, rec := range res.Records {
-			resp.Recs = append(resp.Recs, rec)
-		}
+	reply := func(resp wire.Message) {
 		n.mu.Lock()
 		st.done = true
 		n.mu.Unlock()
 		n.send(from, resp)
-	})
-	if err != nil {
-		n.mu.Lock()
-		st.done = true
-		n.mu.Unlock()
-		n.send(from, &wire.ClientQueryResp{ReqID: m.ReqID, Complete: false})
+	}
+	if err := run(reply); err != nil {
+		reply(refuse(false))
 	}
 }
 
-func (n *Node) handleClientAgg(from string, m *wire.ClientAgg) {
-	if !n.admitClient(from, false) {
-		n.shedQueries.Add(1)
-		n.send(from, &wire.ClientAggResp{ReqID: m.ReqID, Complete: false, Shed: true})
-		return
-	}
-	key := clientOpKey(from, m.ReqID) ^ clientAggKeyMix
-	n.mu.Lock()
-	if st := n.clientOpLocked(key); st != nil && !st.done {
-		// Still answering the first copy; its callback will respond.
-		n.dedupHits.Add(1)
-		n.mu.Unlock()
-		return
-	}
-	st := &clientOpState{}
-	n.storeClientOpLocked(key, st)
-	n.mu.Unlock()
+func (n *Node) handleClientQuery(from string, m *wire.ClientQuery) {
+	n.serveClientRead(from, clientOpKey(from, m.ReqID)^clientQueryKeyMix,
+		func(shed bool) wire.Message { return &wire.ClientQueryResp{ReqID: m.ReqID, Shed: shed} },
+		func(reply func(wire.Message)) error {
+			return n.Query(m.Index, m.Rect, func(res QueryResult) {
+				resp := &wire.ClientQueryResp{
+					ReqID:      m.ReqID,
+					Complete:   res.Complete,
+					Responders: uint32(res.Responders),
+				}
+				for _, rec := range res.Records {
+					resp.Recs = append(resp.Recs, rec)
+				}
+				reply(resp)
+			})
+		})
+}
 
-	err := n.Agg(m.Index, m.Rect, int(m.TopK), func(res AggResult) {
-		resp := &wire.ClientAggResp{
-			ReqID:      m.ReqID,
-			Complete:   res.Complete,
-			Responders: uint32(res.Responders),
-			Count:      res.Count,
-			Sums:       res.Sums,
-			Exact:      res.Exact,
-			SketchN:    res.SketchN,
-			Floor:      res.Floor,
-		}
-		for _, e := range res.TopK {
-			resp.Keys = append(resp.Keys, e.Key)
-			resp.Counts = append(resp.Counts, e.Count)
-			resp.Errs = append(resp.Errs, e.Err)
-		}
-		n.mu.Lock()
-		st.done = true
-		n.mu.Unlock()
-		n.send(from, resp)
-	})
-	if err != nil {
-		n.mu.Lock()
-		st.done = true
-		n.mu.Unlock()
-		n.send(from, &wire.ClientAggResp{ReqID: m.ReqID, Complete: false})
-	}
+func (n *Node) handleClientAgg(from string, m *wire.ClientAgg) {
+	n.serveClientRead(from, clientOpKey(from, m.ReqID)^clientAggKeyMix,
+		func(shed bool) wire.Message { return &wire.ClientAggResp{ReqID: m.ReqID, Shed: shed} },
+		func(reply func(wire.Message)) error {
+			return n.Agg(m.Index, m.Rect, int(m.TopK), func(res AggResult) {
+				resp := &wire.ClientAggResp{
+					ReqID:      m.ReqID,
+					Complete:   res.Complete,
+					Responders: uint32(res.Responders),
+					Count:      res.Count,
+					Sums:       res.Sums,
+					Exact:      res.Exact,
+					SketchN:    res.SketchN,
+					Floor:      res.Floor,
+				}
+				for _, e := range res.TopK {
+					resp.Keys = append(resp.Keys, e.Key)
+					resp.Counts = append(resp.Counts, e.Count)
+					resp.Errs = append(resp.Errs, e.Err)
+				}
+				reply(resp)
+			})
+		})
 }
 
 func (n *Node) handleClientCreateIndex(from string, m *wire.ClientCreateIndex) {

@@ -44,20 +44,33 @@ func runLossyInserts(t *testing.T, loss float64, n int) (ok, recall int, c *clus
 			ok++
 		}
 	}
-	// Dedup check: a full-rect query counts every distinct stored record
-	// — retransmissions must not have double-stored any. Query-side
-	// retries make completion likely, but under loss a single try can
-	// still time out; take the best of a few.
-	for i := 0; i < 3; i++ {
-		qr, _, err := c.QueryWait(i, "test-index", fullRect())
-		if err != nil {
-			t.Fatal(err)
+	// Recall check, one row per resolver, the loss still on: a full-rect
+	// answer counts every distinct stored record — retransmissions must
+	// not have double-stored any. Retries make completion likely, but
+	// under loss a single try can still time out, so each resolver gets a
+	// few and one of them must complete. A complete answer the originator
+	// did not have to retransmit for (the overlapping-answer caveat of
+	// AggResult.Retried) counts exactly what the nodes store.
+	for _, kind := range gatherKinds {
+		best, complete := 0, false
+		for i := 0; i < 3 && !complete; i++ {
+			g, err := kind.run(c, i, "test-index", fullRect())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.count > best {
+				best = g.count
+			}
+			complete = g.complete
+			if want := bruteCount(c, "test-index", fullRect()); g.complete && !g.retried && g.count != want {
+				t.Errorf("%s: complete full-rect answer counts %d, nodes store %d", kind.name, g.count, want)
+			}
 		}
-		if len(qr.Records) > recall {
-			recall = len(qr.Records)
+		if !complete {
+			t.Errorf("%s: no complete full-rect answer in 3 tries at %.0f%% loss", kind.name, loss*100)
 		}
-		if qr.Complete {
-			break
+		if kind.name == "record" {
+			recall = best
 		}
 	}
 	return ok, recall, c
@@ -146,18 +159,25 @@ func TestQueriesCompleteAfterLinkCut(t *testing.T) {
 	c.Net.CutLink(c.Nodes[2].Addr(), c.Nodes[1].Addr())
 	// Let unreachability detection mark the cut links.
 	c.Settle(8 * time.Second)
-	ok := 0
-	for i := 0; i < 10; i++ {
-		qr, _, err := c.QueryWait(origin, "test-index", fullRect())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if qr.Complete && len(qr.Records) == 100 {
-			ok++
-		}
-	}
-	if ok < 8 {
-		t.Fatalf("only %d/10 full-recall queries with two links cut", ok)
+	for _, kind := range gatherKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			ok := 0
+			for i := 0; i < 10; i++ {
+				g, err := kind.run(c, origin, "test-index", fullRect())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g.complete && g.count == 100 {
+					ok++
+				}
+				if want := bruteCount(c, "test-index", fullRect()); g.complete && !g.retried && g.count != want {
+					t.Errorf("try %d: complete answer counts %d, nodes store %d", i, g.count, want)
+				}
+			}
+			if ok < 8 {
+				t.Fatalf("only %d/10 full-recall answers with two links cut", ok)
+			}
+		})
 	}
 }
 

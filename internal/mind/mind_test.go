@@ -1,6 +1,7 @@
 package mind_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -71,6 +72,65 @@ func fullRect() schema.Rect {
 
 func randRec(r *rand.Rand) schema.Record {
 	return schema.Record{r.Uint64() % 10000, r.Uint64() % 86401, r.Uint64() % 10000, r.Uint64()}
+}
+
+// gathered is the kind-independent view of one scatter-gather answer.
+type gathered struct {
+	complete  bool
+	retried   bool // the originator retransmitted (aggregates report it)
+	count     int  // matching records: returned (record) or counted (aggregate)
+	uncovered []string
+	records   []schema.Record // record row only
+}
+
+// gatherKinds are the two resolvers of the scatter-gather engine as
+// table rows: failure-path tests run every row through the same
+// scenario instead of keeping an aggregate copy of each record test.
+var gatherKinds = []struct {
+	name string
+	run  func(c *cluster.Cluster, origin int, tag string, rect schema.Rect) (gathered, error)
+}{
+	{"record", func(c *cluster.Cluster, origin int, tag string, rect schema.Rect) (gathered, error) {
+		qr, _, err := c.QueryWait(origin, tag, rect)
+		return gathered{complete: qr.Complete, count: len(qr.Records), uncovered: qr.Uncovered, records: qr.Records}, err
+	}},
+	{"aggregate", func(c *cluster.Cluster, origin int, tag string, rect schema.Rect) (gathered, error) {
+		ar, _, err := c.AggWait(origin, tag, rect, 0)
+		return gathered{complete: ar.Complete, retried: ar.Retried, count: int(ar.Count), uncovered: ar.Uncovered}, err
+	}},
+}
+
+// bruteCount is the reference both resolvers answer to: the distinct
+// records inside rect held as primary by any live node.
+func bruteCount(c *cluster.Cluster, tag string, rect schema.Rect) int {
+	seen := make(map[string]bool)
+	for _, i := range c.LiveIndices() {
+		for _, rec := range c.Nodes[i].LocalQuery(tag, rect) {
+			seen[fmt.Sprint(rec)] = true
+		}
+	}
+	return len(seen)
+}
+
+// gatherComplete runs rect through every resolver from origin, one
+// subtest each, and requires a complete answer. The results come back in
+// gatherKinds order for the caller's scenario-specific assertions.
+func gatherComplete(t *testing.T, c *cluster.Cluster, origin int, tag string, rect schema.Rect) []gathered {
+	t.Helper()
+	out := make([]gathered, len(gatherKinds))
+	for i, kind := range gatherKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			g, err := kind.run(c, origin, tag, rect)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !g.complete {
+				t.Fatalf("incomplete (uncovered: %v)", g.uncovered)
+			}
+			out[i] = g
+		})
+	}
+	return out
 }
 
 func TestCreateIndexPropagates(t *testing.T) {

@@ -35,7 +35,7 @@ import (
 // "Concurrency model").
 //
 //   - mu guards operation tracking and node-wide control maps: inserts,
-//     queries, seenOps, collect, triggerSubs, clientSeen/clientPrev, rng.
+//     scatters, seenOps, collect, triggerSubs, clientSeen/clientPrev, rng.
 //   - ixMu guards the indices map only; per-index mutable state is
 //     behind each index's own mutex, and the stores are internally
 //     concurrent (single-writer k-d trees with lock-free snapshot reads).
@@ -57,10 +57,9 @@ type Node struct {
 	ixMu    sync.RWMutex
 	indices map[string]*index
 
-	inserts map[uint64]*insertOp // mu
-	queries map[uint64]*queryOp  // mu
-	aggs    map[uint64]*aggOp    // mu; aggregate queries (aggquery.go)
-	seenOps map[uint64]bool      // mu; flood dedup (create/drop/hist-install)
+	inserts  map[uint64]*insertOp  // mu
+	scatters map[uint64]*scatterOp // mu; in-flight queries and aggregates (scatter.go)
+	seenOps  map[uint64]bool       // mu; flood dedup (create/drop/hist-install)
 
 	collect map[string]*histCollect  // mu; designated-node histogram state
 	reports map[uint64]*histReportOp // mu; originator-side tracked reports
@@ -105,10 +104,13 @@ type Node struct {
 	treePushes         atomic.Uint64 // TreePush messages sent
 	treeSyncs          atomic.Uint64 // TreeSyncReq exchanges initiated
 	skewInserts        atomic.Uint64 // inserts that hit a tree-epoch mismatch
-	skewQueries        atomic.Uint64 // queries/sub-queries dropped on mismatch
+	skewQueries        atomic.Uint64 // query/aggregate pieces dropped on mismatch
 	reshuffled         atomic.Uint64 // records re-inserted after a mid-flip install
 	stepDowns          atomic.Uint64 // lost split-brain disputes
 	reinserted         atomic.Uint64 // records re-inserted after a step-down rejoin
+	// droppedPieces counts query/aggregate pieces refused at handlePiece's
+	// guard: unknown index, no versions, invalid or wrong-dimension rect.
+	droppedPieces atomic.Uint64
 	// Aggregate-path counters (aggquery.go).
 	aggAnswered     atomic.Uint64 // aggregate pieces answered from local summaries
 	aggCoverDropped atomic.Uint64 // aggregate responses dropped for overlapping coverage
@@ -149,8 +151,7 @@ func NewNode(ep transport.Endpoint, clock transport.Clock, cfg Config) *Node {
 		rng:           rand.New(rand.NewSource(cfg.Seed)),
 		indices:       make(map[string]*index),
 		inserts:       make(map[uint64]*insertOp),
-		queries:       make(map[uint64]*queryOp),
-		aggs:          make(map[uint64]*aggOp),
+		scatters:      make(map[uint64]*scatterOp),
 		seenOps:       make(map[uint64]bool),
 		collect:       make(map[string]*histCollect),
 		reports:       make(map[uint64]*histReportOp),
@@ -274,6 +275,10 @@ type Stats struct {
 	AggAnswered     uint64
 	AggCoverDropped uint64
 
+	// DroppedPieces counts query/aggregate pieces refused as malformed
+	// (unknown index, no versions, invalid or wrong-dimension rectangle).
+	DroppedPieces uint64
+
 	// In-flight originator-side operations still awaiting an ack, a
 	// covering response, or their timeout. All are zero at quiescence;
 	// the chaos harness asserts that after every settled epoch.
@@ -289,11 +294,13 @@ func (n *Node) Stats() Stats {
 		Retransmits: n.retransmits.Load(), AcksReceived: n.acksReceived.Load(), DedupHits: n.dedupHits.Load(),
 		ShedInserts: n.shedInserts.Load(), ShedQueries: n.shedQueries.Load(), ShedGossip: n.shedGossip.Load(),
 		AggAnswered: n.aggAnswered.Load(), AggCoverDropped: n.aggCoverDropped.Load(),
+		DroppedPieces: n.droppedPieces.Load(),
 	}
 	n.mu.Lock()
 	s.PendingInserts = len(n.inserts)
-	s.PendingQueries = len(n.queries)
-	s.PendingAggs = len(n.aggs)
+	for _, op := range n.scatters {
+		op.acc.tally(&s)
+	}
 	n.mu.Unlock()
 	b := n.BatchStats()
 	s.BatchesSent = b.Sent.Batches
@@ -391,27 +398,15 @@ func (n *Node) handleMessage(from string, m wire.Message) {
 	case *wire.Replicate:
 		n.handleReplicate(msg, &replicaRun{})
 	case *wire.Query:
-		n.handleQuery(from, msg)
+		n.handlePiece(pieceFromQuery(msg))
 	case *wire.SubQuery:
-		n.handleSubQuery(from, msg)
-	case *wire.QueryResp:
-		if msg.HasCover {
-			// A covering response is the sub-query's end-to-end ack; this
-			// arm only sees wire deliveries (self-answers short-circuit
-			// through respond), so the counter stays wire-only like
-			// InsertAck's.
-			n.acksReceived.Add(1)
-		}
-		n.handleQueryResp(msg)
+		n.handlePiece(pieceFromSubQuery(msg))
 	case *wire.AggQuery:
-		n.handleAggQuery(from, msg)
+		n.handlePiece(pieceFromAggQuery(msg))
+	case *wire.QueryResp:
+		n.answerArrived(answerFromQueryResp(msg))
 	case *wire.AggResp:
-		if msg.HasCover {
-			// Covering aggregate responses are end-to-end acks, exactly
-			// like covering QueryResps.
-			n.acksReceived.Add(1)
-		}
-		n.handleAggResp(msg)
+		n.answerArrived(answerFromAggResp(msg))
 	case *wire.CreateIndex:
 		n.handleCreateIndex(msg)
 	case *wire.DropIndex:

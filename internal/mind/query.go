@@ -1,12 +1,8 @@
 package mind
 
 import (
-	"fmt"
-
 	"mind/internal/bitstr"
-	"mind/internal/embed"
 	"mind/internal/schema"
-	"mind/internal/transport"
 	"mind/internal/wire"
 )
 
@@ -31,340 +27,77 @@ type QueryResult struct {
 	Uncovered []string
 }
 
-type queryOp struct {
-	cb         func(QueryResult)
-	index      string
-	rect       schema.Rect
-	tries      map[uint32]*coverSet
-	regions    map[uint32]bitstr.Code // region each version's trie must cover
-	trees      map[uint32]*embed.Tree // embedding per version, for the coverage walk
-	epochs     map[uint32]uint64      // tree epoch stamped per version's dispatch
-	recIDs     map[uint64]bool
-	records    []schema.Record
-	responders map[string]bool
-	maxHops    int
-	timer      transport.Timer // overall QueryTimeout bound
-
-	// Reliable-request state (reliable.go): uncovered regions are
-	// re-queried on the backoff schedule, excluding the first hop their
-	// last attempt used.
-	attempt   int
-	retry     transport.Timer
-	retryHops map[string]string // region code (or "*": whole query) → last first hop
-}
-
 // Query resolves a multi-dimensional range query against an index
 // (§3.6): the query is greedy-routed to the first node whose region
 // abuts it, split there into per-region sub-queries, and all results
 // return directly to this node. The callback fires once, with complete
 // results or with whatever arrived by the timeout.
 func (n *Node) Query(tag string, rect schema.Rect, cb func(QueryResult)) error {
-	if !rect.Valid() {
-		return fmt.Errorf("mind: invalid query rect")
-	}
-	ix, ok := n.getIndex(tag)
-	if !ok {
-		return fmt.Errorf("mind: unknown index %q", tag)
-	}
-	if rect.Dims() != ix.sch.IndexDims {
-		return fmt.Errorf("mind: query dims %d != index dims %d", rect.Dims(), ix.sch.IndexDims)
-	}
-	versions := ix.queryVersions(rect, n.cfg.VersionSeconds)
-	groups := ix.groupVersionsByTree(versions)
-	reqID := n.nextReq()
-	op := &queryOp{
-		cb:         cb,
-		index:      tag,
-		rect:       rect.Clone(),
-		tries:      make(map[uint32]*coverSet),
-		regions:    make(map[uint32]bitstr.Code),
-		trees:      make(map[uint32]*embed.Tree),
-		epochs:     make(map[uint32]uint64),
-		recIDs:     make(map[uint64]bool),
-		responders: make(map[string]bool),
-		retryHops:  make(map[string]string),
-	}
-	maxDepth := clampDepth(n.ov.Code().Len() + n.cfg.InsertDepthSlack)
-	var dispatches []*wire.Query
-	// Dispatch groups in ascending first-version order: the grouping map
-	// is keyed by tree pointer, and send order must not depend on map
-	// iteration for same-seed simnet runs to reproduce exactly.
-	var treeOrder []*embed.Tree
-	dispatched := make(map[*embed.Tree]bool)
-	for _, v := range versions {
-		if t := ix.tree(v); !dispatched[t] {
-			dispatched[t] = true
-			treeOrder = append(treeOrder, t)
-		}
-	}
-	for _, tree := range treeOrder {
-		vs := groups[tree]
-		qcode := tree.QueryCode(rect, maxDepth)
-		// One epoch per tree group: versions sharing a tree share its
-		// install state, so the first version's epoch represents the
-		// group (base-tree groups are all epoch 0 by construction).
-		epoch := ix.epochOf(vs[0])
-		vlist := make([]uint64, len(vs))
-		for i, v := range vs {
-			op.tries[v] = newCoverSet()
-			op.regions[v] = qcode
-			op.trees[v] = tree
-			op.epochs[v] = epoch
-			vlist[i] = uint64(v)
-		}
-		dispatches = append(dispatches, &wire.Query{
-			ReqID:      reqID,
-			OriginAddr: n.ep.Addr(),
-			Index:      tag,
-			Versions:   vlist,
-			Rect:       rect.Clone(),
-			Target:     qcode,
-			TreeEpoch:  epoch,
-		})
-	}
-	n.reqTracked.Add(1)
-	n.mu.Lock()
-	n.queries[reqID] = op
-	op.timer = n.clock.AfterFunc(n.cfg.QueryTimeout, func() { n.finishQuery(reqID, false) })
-	n.armQueryRetryLocked(reqID, op)
-	n.mu.Unlock()
-
-	// Per-tree dispatch fans out to the worker pool; inline and in order
-	// when parallelism is off.
-	n.runSubTasks(len(dispatches), func(i int) {
-		n.handleQuery(n.ep.Addr(), dispatches[i])
-	})
-	return nil
-}
-
-func (n *Node) finishQuery(reqID uint64, complete bool) {
-	n.mu.Lock()
-	op, ok := n.queries[reqID]
-	if !ok {
-		n.mu.Unlock()
-		return
-	}
-	delete(n.queries, reqID)
-	if op.timer != nil {
-		op.timer.Stop()
-	}
-	if op.retry != nil {
-		op.retry.Stop()
-	}
-	res := QueryResult{
-		Records:    op.records,
-		Complete:   complete,
-		Responders: len(op.responders),
-		MaxHops:    op.maxHops,
-	}
-	if !complete {
-		for v, trie := range op.tries {
-			for _, miss := range trie.MissingRegions(op.trees[v], op.rect, op.regions[v], 4) {
-				res.Uncovered = append(res.Uncovered, fmt.Sprintf("v%d:%s", v, miss))
-			}
-		}
-	}
-	n.mu.Unlock()
-	if op.cb != nil {
-		op.cb(res)
-	}
-}
-
-// handleQuery processes a routed query at any hop; the owner of the
-// query code splits it.
-func (n *Node) handleQuery(from string, m *wire.Query) {
-	if !n.ov.Joined() {
-		return
-	}
-	if !n.ov.Owns(m.Target) {
-		fwd := *m
-		fwd.Hops++
-		if next, ok := n.ov.NextHop(m.Target); ok {
-			n.forwarded.Add(1)
-			if m.OriginAddr == n.ep.Addr() {
-				// Record the whole-query first hop so retransmissions of
-				// still-uncovered regions can exclude it.
-				n.mu.Lock()
-				if op, ok := n.queries[m.ReqID]; ok {
-					op.retryHops["*"] = next
-				}
-				n.mu.Unlock()
-			}
-			n.send(next, &fwd)
-		} else {
-			n.ov.RingRecover(m.Target, wire.Encode(&fwd))
-		}
-		return
-	}
-	// First abutting node: split into sub-queries (§3.6).
-	ix, ok := n.getIndex(m.Index)
-	if !ok || len(m.Versions) == 0 {
-		return
-	}
-	v0 := uint32(m.Versions[0])
-	if !n.checkQuerySkew(ix, v0, m.TreeEpoch, m.OriginAddr) {
-		return
-	}
-	tree := ix.tree(v0)
-	myCode := n.ov.Code()
-	if myCode.Len() <= m.Target.Len() {
-		// The whole query fits inside this node's region.
-		n.answerSubQuery(&wire.SubQuery{
-			ReqID: m.ReqID, OriginAddr: m.OriginAddr, Index: m.Index,
-			Versions: m.Versions, Rect: m.Rect, RegionCode: m.Target, Hops: m.Hops,
-			TreeEpoch: m.TreeEpoch,
-		})
-		return
-	}
-	subs := tree.Decompose(m.Rect, myCode.Len())
-	n.runSubTasks(len(subs), func(i int) {
-		sub := subs[i]
-		sq := &wire.SubQuery{
-			ReqID:      m.ReqID,
-			OriginAddr: m.OriginAddr,
-			Index:      m.Index,
-			Versions:   m.Versions,
-			Rect:       sub.Rect,
-			RegionCode: sub.Code,
-			Hops:       m.Hops,
-			TreeEpoch:  m.TreeEpoch,
-		}
-		if sub.Code.Equal(myCode) {
-			n.answerSubQuery(sq)
-		} else {
-			n.routeSubQuery(sq)
-		}
+	return n.scatter(tag, rect, recordKind{}, 0, func(*index) accumulator {
+		return &recordAcc{cb: cb, ids: make(map[uint64]bool)}
 	})
 }
 
-// checkQuerySkew guards every tree-dependent query decomposition: the
-// decomposition is only valid against the exact tree the originator
-// used, so an epoch mismatch drops the message and repairs whichever
-// side is behind (pull if us, push if them). The originator's
-// retransmission or a fresh query converges once the trees agree; a
-// dropped stale query can at worst time out incomplete, never complete
-// falsely. Record answer paths are rect-based and never call this — a
-// node always answers honestly from what it stores. The one exception
-// is the aggregate path (aggquery.go): aggregate answers restrict to
-// the answered region's cell rect, which is tree geometry, so
-// answerAggQuery re-checks epoch agreement before answering.
-func (n *Node) checkQuerySkew(ix *index, version uint32, msgEpoch uint64, origin string) bool {
-	local := ix.epochOf(version)
-	if msgEpoch == local {
-		return true
+// recordKind is the record-query resolver: pieces travel as wire.Query
+// while undecomposed and as wire.SubQuery afterwards, and answers carry
+// the matching records with content-hash ids.
+type recordKind struct{}
+
+func (recordKind) request(p piece) wire.Message {
+	if p.whole {
+		return &wire.Query{
+			ReqID: p.reqID, OriginAddr: p.origin, Index: p.index, Versions: p.versions,
+			Rect: p.rect, Target: p.region, Hops: p.hops, TreeEpoch: p.epoch,
+		}
 	}
-	n.skewQueries.Add(1)
-	if msgEpoch > local {
-		n.treePull(origin, ix.sch.Tag, version)
+	return &wire.SubQuery{
+		ReqID: p.reqID, OriginAddr: p.origin, Index: p.index, Versions: p.versions,
+		Rect: p.rect, RegionCode: p.region, Hops: p.hops, Historic: p.historic,
+		Attempt: p.attempt, TreeEpoch: p.epoch,
+	}
+}
+
+func pieceFromQuery(m *wire.Query) piece {
+	return piece{
+		kind: recordKind{}, reqID: m.ReqID, origin: m.OriginAddr, index: m.Index,
+		versions: m.Versions, rect: m.Rect, region: m.Target, hops: m.Hops,
+		epoch: m.TreeEpoch, whole: true,
+	}
+}
+
+func pieceFromSubQuery(m *wire.SubQuery) piece {
+	return piece{
+		kind: recordKind{}, reqID: m.ReqID, origin: m.OriginAddr, index: m.Index,
+		versions: m.Versions, rect: m.Rect, region: m.RegionCode, hops: m.Hops,
+		historic: m.Historic, attempt: m.Attempt, epoch: m.TreeEpoch,
+	}
+}
+
+func answerFromQueryResp(m *wire.QueryResp) answer {
+	return answer{
+		reqID: m.ReqID, from: m.From, hasCover: m.HasCover, cover: m.Cover,
+		versions: m.Versions, hops: m.Hops, body: m,
+	}
+}
+
+// epochOnAnswer: record answers are rect-based — a record is a record
+// wherever it is found, and a node always answers honestly from what it
+// stores — so decomposed pieces never re-check the tree. The undecomposed
+// query does: its receiver is the first node to compare trees with the
+// originator, and dropping a stale one there (with the repair that
+// follows) keeps a lagging node from claiming the whole query region.
+func (recordKind) epochOnAnswer(p piece) bool { return p.whole }
+
+func (recordKind) resolve(n *Node, ix *index, p piece, a answer, replica bool) wire.Message {
+	var recs []schema.Record
+	if replica {
+		recs = filterToRegion(ix, p.versions32(), p.rect, p.region)
 	} else {
-		n.treePushTo(origin, ix, version)
+		recs = n.resolveLocal(ix.primary, p.versions32(), p.rect)
 	}
-	return false
-}
-
-// routeSubQuery forwards a sub-query toward its region, with replica
-// fail-over and ring recovery at dead ends.
-func (n *Node) routeSubQuery(m *wire.SubQuery) {
-	if next, ok := n.ov.NextHop(m.RegionCode); ok {
-		fwd := *m
-		fwd.Hops++
-		n.forwarded.Add(1)
-		n.send(next, &fwd)
-		return
-	}
-	// Dead end: the region's nodes are unreachable. Serve from replicas
-	// if this node backs the region up (§3.8), else probe the ring.
-	if n.answerFromReplicas(m) {
-		return
-	}
-	n.ov.RingRecover(m.RegionCode, wire.Encode(m))
-}
-
-// handleSubQuery processes a sub-query at any hop.
-func (n *Node) handleSubQuery(from string, m *wire.SubQuery) {
-	if !n.ov.Joined() {
-		return
-	}
-	if m.Historic {
-		// History-pointer forward: answer from local storage directly.
-		n.answerSubQuery(m)
-		return
-	}
-	myCode := n.ov.Code()
-	region := m.RegionCode
-	switch {
-	case myCode.IsPrefixOf(region) || myCode.Equal(region):
-		// The region is (inside) ours.
-		n.answerSubQuery(m)
-	case region.IsPrefixOf(myCode):
-		// The region covers several nodes here: re-split at our depth.
-		ix, ok := n.getIndex(m.Index)
-		if !ok || len(m.Versions) == 0 {
-			return
-		}
-		v0 := uint32(m.Versions[0])
-		if !n.checkQuerySkew(ix, v0, m.TreeEpoch, m.OriginAddr) {
-			return
-		}
-		tree := ix.tree(v0)
-		subs := tree.Decompose(m.Rect, myCode.Len())
-		n.runSubTasks(len(subs), func(i int) {
-			sub := subs[i]
-			sq := &wire.SubQuery{
-				ReqID:      m.ReqID,
-				OriginAddr: m.OriginAddr,
-				Index:      m.Index,
-				Versions:   m.Versions,
-				Rect:       sub.Rect,
-				RegionCode: sub.Code,
-				Hops:       m.Hops,
-				TreeEpoch:  m.TreeEpoch,
-			}
-			if sub.Code.Equal(myCode) {
-				n.answerSubQuery(sq)
-			} else {
-				n.routeSubQuery(sq)
-			}
-		})
-	default:
-		n.routeSubQuery(m)
-	}
-}
-
-// answerSubQuery resolves a sub-query from local storage and responds
-// directly to the originator. With an active history pointer the local
-// records go back without a coverage claim and the pointer target
-// provides the covering answer for pre-split data (§3.4). Storage reads
-// run against lock-free k-d snapshots; no node-wide lock is held.
-func (n *Node) answerSubQuery(m *wire.SubQuery) {
-	ix, ok := n.getIndex(m.Index)
-	if !ok {
-		return
-	}
-	versions := make([]uint32, len(m.Versions))
-	for i, v := range m.Versions {
-		versions[i] = uint32(v)
-	}
-	recs := n.resolveLocal(ix.primary, versions, m.Rect)
-	histActive, histAddr := ix.history(n.clock.Now())
-	self := n.ov.Info()
-	n.ansMu.Lock()
-	dup := n.ansDedup.Seen(subQueryKey(m))
-	n.ansMu.Unlock()
-	if dup {
-		// Repeated answering work for the same (request, region): the
-		// originator's retransmission reached us again. Still answer —
-		// the previous response may be the message that was lost.
-		n.dedupHits.Add(1)
-	}
-
 	resp := &wire.QueryResp{
-		ReqID:    m.ReqID,
-		From:     self,
-		HasCover: !histActive,
-		Cover:    m.RegionCode,
-		Versions: m.Versions,
-		Hops:     m.Hops,
+		ReqID: a.reqID, From: a.from, HasCover: a.hasCover, Cover: a.cover,
+		Versions: a.versions, Hops: a.hops,
 	}
 	if len(recs) > 0 {
 		resp.RecID = make([]uint64, 0, len(recs))
@@ -374,109 +107,42 @@ func (n *Node) answerSubQuery(m *wire.SubQuery) {
 			resp.Recs = append(resp.Recs, r)
 		}
 	}
-	n.respond(m.OriginAddr, resp)
-
-	if histActive {
-		// Delegate coverage to the split sibling, which still holds the
-		// pre-split records of this region.
-		fwd := *m
-		fwd.Historic = true
-		fwd.Hops++
-		n.send(histAddr, &fwd)
-	}
+	return resp
 }
 
-// answerFromReplicas serves a dead region's sub-query from replicated
-// data; it reports whether it produced a covering answer.
-func (n *Node) answerFromReplicas(m *wire.SubQuery) bool {
-	ix, ok := n.getIndex(m.Index)
+// recordAcc gathers a record query's answers. Overlapping answers
+// (replica fail-over, ring double-delivery, retransmission races) are
+// harmless: records dedup by content id, so every response is admitted.
+type recordAcc struct {
+	cb      func(QueryResult)
+	ids     map[uint64]bool
+	records []schema.Record
+}
+
+func (r *recordAcc) admit(a answer, _ *coverSet) bool {
+	m, ok := a.body.(*wire.QueryResp)
 	if !ok {
 		return false
 	}
-	region := m.RegionCode
-	var coveringOwner *bitstr.Code
-	var within []bitstr.Code // owners strictly inside the region
-	for _, owner := range ix.ownerCodes() {
-		switch {
-		case owner.IsPrefixOf(region):
-			o := owner
-			coveringOwner = &o
-		case region.IsPrefixOf(owner):
-			within = append(within, owner)
-		}
-	}
-	if coveringOwner == nil && len(within) == 0 {
-		return false
-	}
-	versions := make([]uint32, len(m.Versions))
-	for i, v := range m.Versions {
-		versions[i] = uint32(v)
-	}
-	self := n.ov.Info()
-
-	if coveringOwner != nil {
-		// Our replica of the owner includes everything in the region.
-		recs := filterToRegion(ix, versions, m.Rect, region)
-		resp := &wire.QueryResp{
-			ReqID: m.ReqID, From: self, HasCover: true, Cover: region,
-			Versions: m.Versions, Hops: m.Hops,
-		}
-		if len(recs) > 0 {
-			resp.RecID = make([]uint64, 0, len(recs))
-			resp.Recs = make([][]uint64, 0, len(recs))
-			for _, r := range recs {
-				resp.RecID = append(resp.RecID, recHash(r))
-				resp.Recs = append(resp.Recs, r)
-			}
-		}
-		n.respond(m.OriginAddr, resp)
-		return true
-	}
-
-	// Replicas cover only parts of the region: answer those parts and
-	// re-route the rest (which will recurse through fail-over/ring).
-	depth := within[0].Len()
-	for _, o := range within {
-		if o.Len() < depth {
-			depth = o.Len()
-		}
-	}
-	ownerSet := make(map[bitstr.Code]bool, len(within))
-	for _, o := range within {
-		ownerSet[o.Prefix(depth)] = true
-	}
-	tree := ix.tree(versions[0])
-	subs := tree.Decompose(m.Rect, depth)
-	for _, sub := range subs {
-		sq := &wire.SubQuery{
-			ReqID: m.ReqID, OriginAddr: m.OriginAddr, Index: m.Index,
-			Versions: m.Versions, Rect: sub.Rect, RegionCode: sub.Code, Hops: m.Hops,
-		}
-		if ownerSet[sub.Code] {
-			recs := filterToRegion(ix, versions, sub.Rect, sub.Code)
-			resp := &wire.QueryResp{
-				ReqID: sq.ReqID, From: self, HasCover: true, Cover: sq.RegionCode,
-				Versions: sq.Versions, Hops: sq.Hops,
-			}
-			if len(recs) > 0 {
-				resp.RecID = make([]uint64, 0, len(recs))
-				resp.Recs = make([][]uint64, 0, len(recs))
-				for _, r := range recs {
-					resp.RecID = append(resp.RecID, recHash(r))
-					resp.Recs = append(resp.Recs, r)
-				}
-			}
-			n.respond(sq.OriginAddr, resp)
-		} else {
-			// Re-dispatch through the full sub-query logic: the piece
-			// may be (inside) this node's own region, in which case it
-			// must be answered from primary storage, not re-routed into
-			// a dead end.
-			n.handleSubQuery(n.ep.Addr(), sq)
+	for i, id := range m.RecID {
+		if !r.ids[id] {
+			r.ids[id] = true
+			r.records = append(r.records, schema.Record(m.Recs[i]))
 		}
 	}
 	return true
 }
+
+func (r *recordAcc) deliver(o outcome) {
+	if r.cb != nil {
+		r.cb(QueryResult{
+			Records: r.records, Complete: o.complete, Responders: o.responders,
+			MaxHops: o.maxHops, Uncovered: o.uncovered,
+		})
+	}
+}
+
+func (r *recordAcc) tally(s *Stats) { s.PendingQueries++ }
 
 // filterToRegion queries the replica store and keeps records inside the
 // region. The replica store reads are snapshot-consistent; no lock is
@@ -499,16 +165,6 @@ func filterToRegion(ix *index, versions []uint32, rect schema.Rect, region bitst
 	return out
 }
 
-// respond delivers a query response, short-circuiting self-addressed
-// ones.
-func (n *Node) respond(origin string, resp *wire.QueryResp) {
-	if origin == n.ep.Addr() {
-		n.handleQueryResp(resp)
-		return
-	}
-	n.send(origin, resp)
-}
-
 // recHash derives a content id for record-level dedup across duplicate
 // responses (replica fail-over, ring double-delivery).
 func recHash(r []uint64) uint64 {
@@ -520,44 +176,4 @@ func recHash(r []uint64) uint64 {
 		}
 	}
 	return h
-}
-
-// handleQueryResp assembles responses at the originator.
-func (n *Node) handleQueryResp(m *wire.QueryResp) {
-	n.mu.Lock()
-	op, ok := n.queries[m.ReqID]
-	if !ok {
-		n.mu.Unlock()
-		return // late or duplicate completion
-	}
-	op.responders[m.From.Addr] = true
-	if int(m.Hops) > op.maxHops {
-		op.maxHops = int(m.Hops)
-	}
-	for i, id := range m.RecID {
-		if !op.recIDs[id] {
-			op.recIDs[id] = true
-			op.records = append(op.records, schema.Record(m.Recs[i]))
-		}
-	}
-	complete := false
-	if m.HasCover {
-		for _, v64 := range m.Versions {
-			v := uint32(v64)
-			if trie, ok := op.tries[v]; ok {
-				trie.Add(m.Cover)
-			}
-		}
-		complete = true
-		for v, trie := range op.tries {
-			if !trie.CoversRect(op.trees[v], op.rect, op.regions[v]) {
-				complete = false
-				break
-			}
-		}
-	}
-	n.mu.Unlock()
-	if complete {
-		n.finishQuery(m.ReqID, true)
-	}
 }

@@ -4,8 +4,6 @@ import (
 	"sort"
 	"time"
 
-	"mind/internal/bitstr"
-	"mind/internal/embed"
 	"mind/internal/metrics"
 	"mind/internal/wire"
 )
@@ -20,7 +18,9 @@ import (
 // Retransmissions re-resolve the first hop excluding the previously-used
 // contact, so they route around a node that died mid-operation, and
 // retry exhaustion feeds the overlay's suspicion machinery
-// (Overlay.SuspectContact). Everything runs off transport.Clock, so the
+// (Overlay.SuspectContact). This file holds the shared primitives and the
+// insert schedule; queries and aggregates retransmit from the
+// scatter-gather engine (scatter.go: resendScatter). Everything runs off transport.Clock, so the
 // schedule is identical under simnet's virtual clock and tcpnet's real
 // clock — and bit-reproducible for a given seed under simnet.
 
@@ -182,20 +182,14 @@ func (n *Node) resendInsertGroup(g *batchGroup) {
 	}
 	n.mu.Lock()
 	if g.attempt >= n.cfg.MaxRetries {
-		seen := make(map[string]bool)
 		var suspects []string
 		for _, id := range g.ids {
-			if op, ok := n.inserts[id]; ok && op.lastHop != "" && !seen[op.lastHop] {
-				seen[op.lastHop] = true
+			if op, ok := n.inserts[id]; ok {
 				suspects = append(suspects, op.lastHop)
 			}
 		}
 		n.mu.Unlock()
-		// Sorted so probe sends consume the simulator RNG reproducibly.
-		sort.Strings(suspects)
-		for _, hop := range suspects {
-			n.ov.SuspectContact(hop)
-		}
+		n.suspectHops(suspects)
 		return
 	}
 	g.attempt++
@@ -225,156 +219,16 @@ func (n *Node) resendInsertGroup(g *batchGroup) {
 	ob.flush()
 }
 
-// armQueryRetryLocked schedules the first retransmission check for a
-// query. Callers hold n.mu.
-func (n *Node) armQueryRetryLocked(reqID uint64, op *queryOp) {
-	if !n.retriesEnabled() {
-		return
-	}
-	op.retry = n.clock.AfterFunc(n.retryDelayLocked(1), func() { n.resendQuery(reqID) })
-}
-
-// resendQuery fires when a query's retry timer elapses before full
-// coverage: the coverage tries know exactly which regions never
-// answered, so instead of replaying the whole query the originator
-// re-issues targeted sub-queries for the missing regions, excluding the
-// first hop each region's last attempt used. Exhaustion suspects the
-// last hops of the still-missing regions and leaves the op to its
-// QueryTimeout.
-func (n *Node) resendQuery(reqID uint64) {
-	n.mu.Lock()
-	op, ok := n.queries[reqID]
-	if !ok {
-		n.mu.Unlock()
-		return
-	}
-	if op.attempt >= n.cfg.MaxRetries {
-		seen := make(map[string]bool)
-		var suspects []string
-		for _, hop := range op.retryHops {
-			if hop != "" && !seen[hop] {
-				seen[hop] = true
-				suspects = append(suspects, hop)
-			}
-		}
-		n.mu.Unlock()
-		// Sorted so probe sends consume the simulator RNG in a
-		// reproducible order.
-		sort.Strings(suspects)
-		for _, hop := range suspects {
+// suspectHops reports the distinct non-empty hops to the overlay's
+// suspicion machinery, sorted so the probe sends consume the simulator
+// RNG in a reproducible order.
+func (n *Node) suspectHops(hops []string) {
+	sort.Strings(hops)
+	for i, hop := range hops {
+		if hop != "" && (i == 0 || hop != hops[i-1]) {
 			n.ov.SuspectContact(hop)
 		}
-		return
 	}
-	op.attempt++
-	attempt := op.attempt
-
-	// Group versions sharing an embedding (as Query did) and collect
-	// each group's still-uncovered regions from its coverage tries;
-	// versions of a group travel in the same sub-queries, so their tries
-	// agree, but the union is taken to be safe.
-	type group struct {
-		versions []uint64
-		missing  []bitstr.Code
-		seen     map[string]bool
-	}
-	groups := make(map[*embed.Tree]*group)
-	var order []*embed.Tree
-	for _, v := range sortedVersions(op.tries) {
-		tree := op.trees[v]
-		g, ok := groups[tree]
-		if !ok {
-			g = &group{seen: make(map[string]bool)}
-			groups[tree] = g
-			order = append(order, tree)
-		}
-		g.versions = append(g.versions, uint64(v))
-		for _, miss := range op.tries[v].MissingRegions(tree, op.rect, op.regions[v], 64) {
-			if !g.seen[miss.String()] {
-				g.seen[miss.String()] = true
-				g.missing = append(g.missing, miss)
-			}
-		}
-	}
-	type resend struct {
-		sq      *wire.SubQuery
-		exclude string
-	}
-	var work []resend
-	for _, tree := range order {
-		g := groups[tree]
-		for _, region := range g.missing {
-			sq := &wire.SubQuery{
-				ReqID:      reqID,
-				OriginAddr: n.ep.Addr(),
-				Index:      op.index,
-				Versions:   g.versions,
-				Rect:       op.rect,
-				RegionCode: region,
-				Attempt:    uint8(attempt),
-				TreeEpoch:  op.epochs[uint32(g.versions[0])],
-			}
-			exclude := op.retryHops[region.String()]
-			if exclude == "" {
-				// No region-specific attempt yet: exclude the whole-query
-				// first hop, the only path the original dispatch used.
-				exclude = op.retryHops["*"]
-			}
-			work = append(work, resend{sq: sq, exclude: exclude})
-		}
-	}
-	n.retransmits.Add(uint64(len(work)))
-	op.retry = n.clock.AfterFunc(n.retryDelayLocked(attempt+1), func() { n.resendQuery(reqID) })
-	n.mu.Unlock()
-
-	for _, w := range work {
-		if n.ov.Owns(w.sq.RegionCode) {
-			n.handleSubQuery(n.ep.Addr(), w.sq)
-			continue
-		}
-		next, ok := n.ov.NextHopExcluding(w.sq.RegionCode, w.exclude)
-		if !ok {
-			next, ok = n.ov.NextHop(w.sq.RegionCode)
-		}
-		if !ok {
-			if !n.answerFromReplicas(w.sq) {
-				n.ov.RingRecover(w.sq.RegionCode, wire.Encode(w.sq))
-			}
-			continue
-		}
-		n.mu.Lock()
-		if cur, still := n.queries[reqID]; still {
-			cur.retryHops[w.sq.RegionCode.String()] = next
-		}
-		n.mu.Unlock()
-		fwd := *w.sq
-		fwd.Hops++
-		n.send(next, &fwd)
-	}
-}
-
-// sortedVersions returns a coverage map's version keys in ascending
-// order, for deterministic retransmission.
-func sortedVersions(tries map[uint32]*coverSet) []uint32 {
-	out := make([]uint32, 0, len(tries))
-	for v := range tries {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// subQueryKey identifies one unit of sub-query answering work, for the
-// answerer-side duplicate counter.
-func subQueryKey(m *wire.SubQuery) uint64 {
-	h := m.ReqID*0x9e3779b97f4a7c15 + 0x85ebca6b
-	for _, c := range m.RegionCode.String() {
-		h = h*1099511628211 ^ uint64(c)
-	}
-	if m.Historic {
-		h ^= 0xabcdef
-	}
-	return h
 }
 
 // ReliabilityStats snapshots the reliable-request-layer counters.

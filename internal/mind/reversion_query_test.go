@@ -74,19 +74,19 @@ func TestQueryFanoutAtVersionRollover(t *testing.T) {
 	c.Settle(2 * time.Second)
 
 	rect := schema.Rect{Lo: []uint64{0, lastT, 0}, Hi: []uint64{9999, firstT, 9999}}
-	qr, _, err := c.QueryWait(1, sch.Tag, rect)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !qr.Complete {
-		t.Fatalf("rollover-spanning query incomplete (uncovered: %v)", qr.Uncovered)
+	res := gatherComplete(t, c, 1, sch.Tag, rect)
+	if t.Failed() {
+		return
 	}
 	got := map[uint64]bool{}
-	for _, r := range qr.Records {
+	for _, r := range res[0].records {
 		got[r[3]] = true
 	}
-	if !got[100] || !got[200] || len(qr.Records) != 2 {
-		t.Fatalf("rollover-spanning query returned %v, want payloads {100, 200}", qr.Records)
+	if !got[100] || !got[200] || res[0].count != 2 {
+		t.Fatalf("rollover-spanning query returned %v, want payloads {100, 200}", res[0].records)
+	}
+	if want := bruteCount(c, sch.Tag, rect); res[1].count != res[0].count || res[1].count != want {
+		t.Fatalf("rollover-spanning aggregate counts %d, query %d, nodes store %d", res[1].count, res[0].count, want)
 	}
 }
 

@@ -1,0 +1,596 @@
+package mind
+
+import (
+	"fmt"
+	"sort"
+
+	"mind/internal/bitstr"
+	"mind/internal/embed"
+	"mind/internal/schema"
+	"mind/internal/transport"
+	"mind/internal/wire"
+)
+
+// Scatter-gather engine (§3.6, DESIGN.md §4c): a rectangle is
+// greedy-routed to the first node whose region abuts it, decomposed
+// there against the cut tree, and every region answers straight back to
+// the originator, which detects completion from covering (including
+// negative) responses and re-asks the regions still missing on the
+// reliable layer's backoff schedule. Record queries (query.go) and
+// aggregate queries (aggquery.go) are two resolvers over this one
+// machine; whatever differs between them sits behind the resolver and
+// accumulator interfaces below, and nothing in this file knows which of
+// the two it is serving.
+
+// piece is one rectangle of an operation travelling toward the region
+// that answers it: the undecomposed dispatch, a decomposed sub-rectangle,
+// a history-pointer forward or a retransmission.
+type piece struct {
+	kind     resolver
+	reqID    uint64
+	origin   string
+	index    string
+	versions []uint64 // one tree group; versions[0] names the group
+	rect     schema.Rect
+	region   bitstr.Code // the coverage unit the answer will claim
+	arg      uint32      // kind-specific request parameter, carried verbatim
+	epoch    uint64      // cut tree the originator decomposed with
+	hops     uint8
+	attempt  uint8 // 0 on first dispatch, counts originator re-issues
+	historic bool  // forwarded along a §3.4 history pointer: answer, skip ownership
+	whole    bool  // the originator's dispatch, before any node decomposed it
+}
+
+// child derives the piece for one sub-rectangle of p. Everything but the
+// rectangle and the region it is answerable for is inherited — the
+// originator's address, epoch and attempt are what the receiving side's
+// skew check, reply and dedup depend on.
+func (p *piece) child(rect schema.Rect, region bitstr.Code) piece {
+	c := *p
+	c.rect, c.region, c.whole = rect, region, false
+	return c
+}
+
+func (p *piece) versions32() []uint32 {
+	out := make([]uint32, len(p.versions))
+	for i, v := range p.versions {
+		out[i] = uint32(v)
+	}
+	return out
+}
+
+// answer is one region's response on its way back to the originator: the
+// coverage claim the engine tracks, plus the kind's wire response, whose
+// payload only that kind's accumulator reads.
+type answer struct {
+	reqID    uint64
+	from     wire.NodeInfo
+	hasCover bool // false: a history-delegating node contributes without claiming its region
+	cover    bitstr.Code
+	versions []uint64
+	hops     uint8
+	body     wire.Message
+}
+
+// resolver is what one kind of scatter-gather operation supplies on the
+// routing and answering side. Pieces and answers pass by value so the
+// dynamic calls do not force them onto the heap.
+type resolver interface {
+	// request builds the wire message that carries p to another node.
+	request(p piece) wire.Message
+	// resolve evaluates p against the primary stores, or the replica
+	// store restricted to p.region, and returns the wire response
+	// stamped with a's header.
+	resolve(n *Node, ix *index, p piece, a answer, replica bool) wire.Message
+	// epochOnAnswer reports whether answering p, not just decomposing
+	// it, requires agreeing with the originator's cut tree.
+	epochOnAnswer(p piece) bool
+}
+
+// accumulator is the originator-side half of a kind: it merges admitted
+// answers and builds the result. Methods run under n.mu, except deliver.
+type accumulator interface {
+	// admit merges a's payload and reports whether a's coverage claim
+	// may enter the cover tries. trie is the cover set of a's version
+	// group (nil when the op has none).
+	admit(a answer, trie *coverSet) bool
+	// deliver fires the operation's callback.
+	deliver(o outcome)
+	// tally counts the op into the kind's pending gauge.
+	tally(s *Stats)
+}
+
+// outcome is the kind-independent part of a finished operation.
+type outcome struct {
+	complete   bool
+	responders int
+	maxHops    int
+	retried    bool
+	uncovered  []string // sample "v<version>:<region>" pairs never covered (incomplete only)
+}
+
+type scatterOp struct {
+	kind       resolver
+	acc        accumulator
+	index      string
+	rect       schema.Rect
+	arg        uint32
+	tries      map[uint32]*coverSet
+	regions    map[uint32]bitstr.Code // region each version's trie must cover
+	trees      map[uint32]*embed.Tree // embedding per version, for the coverage walk
+	epochs     map[uint32]uint64      // tree epoch stamped per version's dispatch
+	responders map[string]bool
+	maxHops    int
+	timer      transport.Timer // overall QueryTimeout bound
+
+	// Reliable-request state (reliable.go): uncovered regions are re-asked
+	// on the backoff schedule, excluding the first hop their last attempt
+	// used.
+	attempt   int
+	retry     transport.Timer
+	retryHops map[string]string // region code (or "*": whole dispatch) → last first hop
+}
+
+// scatter starts one operation: one whole piece per cut tree the
+// rectangle's versions embed with, all tracked by a single op. The
+// accumulator's callback fires once, with complete results or with
+// whatever arrived by QueryTimeout.
+func (n *Node) scatter(tag string, rect schema.Rect, kind resolver, arg uint32, newAcc func(*index) accumulator) error {
+	if !rect.Valid() {
+		return fmt.Errorf("mind: invalid query rect")
+	}
+	ix, ok := n.getIndex(tag)
+	if !ok {
+		return fmt.Errorf("mind: unknown index %q", tag)
+	}
+	if rect.Dims() != ix.sch.IndexDims {
+		return fmt.Errorf("mind: query dims %d != index dims %d", rect.Dims(), ix.sch.IndexDims)
+	}
+	versions := ix.queryVersions(rect, n.cfg.VersionSeconds)
+	groups := ix.groupVersionsByTree(versions)
+	reqID := n.nextReq()
+	op := &scatterOp{
+		kind:       kind,
+		acc:        newAcc(ix),
+		index:      tag,
+		rect:       rect.Clone(),
+		arg:        arg,
+		tries:      make(map[uint32]*coverSet),
+		regions:    make(map[uint32]bitstr.Code),
+		trees:      make(map[uint32]*embed.Tree),
+		epochs:     make(map[uint32]uint64),
+		responders: make(map[string]bool),
+		retryHops:  make(map[string]string),
+	}
+	maxDepth := clampDepth(n.ov.Code().Len() + n.cfg.InsertDepthSlack)
+	// Dispatch groups in ascending first-version order: the grouping map
+	// is keyed by tree pointer, and send order must not depend on map
+	// iteration for same-seed simnet runs to reproduce exactly.
+	var pieces []piece
+	dispatched := make(map[*embed.Tree]bool)
+	for _, v := range versions {
+		tree := ix.tree(v)
+		if dispatched[tree] {
+			continue
+		}
+		dispatched[tree] = true
+		vs := groups[tree]
+		qcode := tree.QueryCode(rect, maxDepth)
+		// One epoch per tree group: versions sharing a tree share its
+		// install state, so the first version's epoch represents the
+		// group (base-tree groups are all epoch 0 by construction).
+		epoch := ix.epochOf(vs[0])
+		vlist := make([]uint64, len(vs))
+		for i, v := range vs {
+			op.tries[v] = newCoverSet()
+			op.regions[v] = qcode
+			op.trees[v] = tree
+			op.epochs[v] = epoch
+			vlist[i] = uint64(v)
+		}
+		pieces = append(pieces, piece{
+			kind: kind, reqID: reqID, origin: n.ep.Addr(), index: tag, versions: vlist,
+			rect: op.rect, region: qcode, arg: arg, epoch: epoch, whole: true,
+		})
+	}
+	n.reqTracked.Add(1)
+	n.mu.Lock()
+	n.scatters[reqID] = op
+	op.timer = n.clock.AfterFunc(n.cfg.QueryTimeout, func() { n.finishScatter(reqID, false) })
+	if n.retriesEnabled() {
+		op.retry = n.clock.AfterFunc(n.retryDelayLocked(1), func() { n.resendScatter(reqID) })
+	}
+	n.mu.Unlock()
+
+	// Per-tree dispatch fans out to the worker pool; inline and in order
+	// when parallelism is off.
+	n.runSubTasks(len(pieces), func(i int) { n.handlePiece(pieces[i]) })
+	return nil
+}
+
+func (n *Node) finishScatter(reqID uint64, complete bool) {
+	n.mu.Lock()
+	op, ok := n.scatters[reqID]
+	if !ok {
+		n.mu.Unlock()
+		return
+	}
+	delete(n.scatters, reqID)
+	op.timer.Stop()
+	if op.retry != nil {
+		op.retry.Stop()
+	}
+	o := outcome{
+		complete:   complete,
+		responders: len(op.responders),
+		maxHops:    op.maxHops,
+		retried:    op.attempt > 0,
+	}
+	if !complete {
+		for _, v := range sortedVersions(op.tries) {
+			for _, miss := range op.tries[v].MissingRegions(op.trees[v], op.rect, op.regions[v], 4) {
+				o.uncovered = append(o.uncovered, fmt.Sprintf("v%d:%s", v, miss))
+			}
+		}
+	}
+	n.mu.Unlock()
+	op.acc.deliver(o)
+}
+
+// handlePiece processes a piece at any hop, local dispatch or wire
+// arrival alike: answer what is (inside) this node's region, re-split
+// what covers several nodes here, route everything else. Pieces arrive
+// from peers, so the fields the decomposition indexes by are validated
+// here, once, before anything trusts them.
+func (n *Node) handlePiece(p piece) {
+	if !n.ov.Joined() {
+		return
+	}
+	ix, ok := n.getIndex(p.index)
+	if !ok || len(p.versions) == 0 || !p.rect.Valid() || p.rect.Dims() != ix.sch.IndexDims {
+		n.droppedPieces.Add(1)
+		return
+	}
+	myCode := n.ov.Code()
+	switch {
+	case p.historic || myCode.IsPrefixOf(p.region):
+		n.answerPiece(ix, &p)
+	case p.region.IsPrefixOf(myCode):
+		// The region covers several nodes here: re-split at our depth.
+		if !n.checkQuerySkew(ix, &p) {
+			return
+		}
+		// The closure captures a copy: capturing p itself would put every
+		// call's piece on the heap, split or not.
+		parent := p
+		subs := ix.tree(uint32(p.versions[0])).Decompose(p.rect, myCode.Len())
+		n.runSubTasks(len(subs), func(i int) {
+			c := parent.child(subs[i].Rect, subs[i].Code)
+			if c.region.Equal(myCode) {
+				n.answerPiece(ix, &c)
+			} else {
+				n.routePiece(&c, "")
+			}
+		})
+	default:
+		n.routePiece(&p, "")
+	}
+}
+
+// checkQuerySkew guards every tree-dependent step: a decomposition is
+// only valid against the exact tree the originator used, so an epoch
+// mismatch drops the piece and repairs whichever side is behind (pull if
+// us, push if them). The originator's retransmission or a fresh query
+// converges once the trees agree; a dropped stale piece can at worst
+// time out incomplete, never complete falsely. Whether the answer step
+// is tree-dependent too is the resolver's call (epochOnAnswer).
+func (n *Node) checkQuerySkew(ix *index, p *piece) bool {
+	version := uint32(p.versions[0])
+	local := ix.epochOf(version)
+	if p.epoch == local {
+		return true
+	}
+	n.skewQueries.Add(1)
+	if p.epoch > local {
+		n.treePull(p.origin, ix.sch.Tag, version)
+	} else {
+		n.treePushTo(p.origin, ix, version)
+	}
+	return false
+}
+
+// routePiece forwards a piece one hop toward its region, avoiding the
+// exclude contact when another exit exists, with replica fail-over and
+// ring recovery at dead ends. The originator records each first hop so
+// a retransmission can leave through a different one.
+func (n *Node) routePiece(p *piece, exclude string) {
+	next, ok := n.ov.NextHopExcluding(p.region, exclude)
+	if !ok && exclude != "" {
+		// The excluded contact may be the only exit; better a repeat of a
+		// possibly-fine path than a guaranteed dead end.
+		next, ok = n.ov.NextHop(p.region)
+	}
+	if !ok {
+		// Dead end: the region's nodes are unreachable. Serve from
+		// replicas if this node backs the region up (§3.8), else probe
+		// the ring.
+		if !n.serveFromReplicas(p) {
+			n.ov.RingRecover(p.region, wire.Encode(p.kind.request(*p)))
+		}
+		return
+	}
+	n.forwarded.Add(1)
+	if p.origin == n.ep.Addr() {
+		key := p.region.String()
+		if p.whole {
+			key = "*"
+		}
+		n.mu.Lock()
+		if op, ok := n.scatters[p.reqID]; ok {
+			op.retryHops[key] = next
+		}
+		n.mu.Unlock()
+	}
+	fwd := *p
+	fwd.hops++
+	n.send(next, fwd.kind.request(fwd))
+}
+
+// answerPiece resolves a piece from local storage and responds directly
+// to the originator. With an active history pointer the local answer
+// goes back without a coverage claim and the pointer target provides the
+// covering answer for pre-split data (§3.4) — the two sides' record sets
+// are disjoint (stored after vs before the split). Storage reads run
+// against lock-free snapshots; no node-wide lock is held.
+func (n *Node) answerPiece(ix *index, p *piece) {
+	if p.kind.epochOnAnswer(*p) && !n.checkQuerySkew(ix, p) {
+		return
+	}
+	histActive, histAddr := ix.history(n.clock.Now())
+	n.ansMu.Lock()
+	dup := n.ansDedup.Seen(pieceKey(p))
+	n.ansMu.Unlock()
+	if dup {
+		// The originator's retransmission reached us again. Still answer —
+		// the previous response may be the message that was lost; the
+		// originator's admission makes the re-answer idempotent.
+		n.dedupHits.Add(1)
+	}
+	n.reply(ix, p, !histActive, false)
+	if histActive {
+		// Delegate coverage to the split sibling, which still holds the
+		// pre-split records of this region.
+		fwd := p.child(p.rect, p.region)
+		fwd.historic = true
+		fwd.hops++
+		n.send(histAddr, fwd.kind.request(fwd))
+	}
+}
+
+// reply resolves p and delivers the answer to the originator,
+// short-circuiting when that is this node.
+func (n *Node) reply(ix *index, p *piece, hasCover, replica bool) {
+	a := answer{
+		reqID: p.reqID, from: n.ov.Info(), hasCover: hasCover,
+		cover: p.region, versions: p.versions, hops: p.hops,
+	}
+	a.body = p.kind.resolve(n, ix, *p, a, replica)
+	if p.origin == n.ep.Addr() {
+		n.handleAnswer(a)
+		return
+	}
+	n.send(p.origin, a.body)
+}
+
+// serveFromReplicas serves a dead region's piece from replicated data;
+// it reports whether it took responsibility for the piece.
+func (n *Node) serveFromReplicas(p *piece) bool {
+	ix, ok := n.getIndex(p.index)
+	if !ok {
+		return false
+	}
+	covered := false         // some owner we replicate contains the whole region
+	var within []bitstr.Code // owners strictly inside the region
+	for _, owner := range ix.ownerCodes() {
+		switch {
+		case owner.IsPrefixOf(p.region):
+			covered = true
+		case p.region.IsPrefixOf(owner):
+			within = append(within, owner)
+		}
+	}
+	if covered {
+		n.reply(ix, p, true, true)
+		return true
+	}
+	if len(within) == 0 {
+		return false
+	}
+	// Replicas cover only parts of the region: answer those parts and
+	// re-dispatch the rest through the full piece logic — a part may be
+	// (inside) this node's own region, in which case it must be answered
+	// from primary storage, not re-routed into a dead end.
+	depth := within[0].Len()
+	for _, o := range within {
+		if o.Len() < depth {
+			depth = o.Len()
+		}
+	}
+	owned := make(map[bitstr.Code]bool, len(within))
+	for _, o := range within {
+		owned[o.Prefix(depth)] = true
+	}
+	for _, sub := range ix.tree(uint32(p.versions[0])).Decompose(p.rect, depth) {
+		c := p.child(sub.Rect, sub.Code)
+		if owned[sub.Code] {
+			n.reply(ix, &c, true, true)
+		} else {
+			n.handlePiece(c)
+		}
+	}
+	return true
+}
+
+// answerArrived is the wire entry for responses. A covering response is
+// its region's end-to-end ack; self-answers short-circuit through reply,
+// so the counter stays wire-only like InsertAck's.
+func (n *Node) answerArrived(a answer) {
+	if a.hasCover {
+		n.acksReceived.Add(1)
+	}
+	n.handleAnswer(a)
+}
+
+// handleAnswer assembles responses at the originator: the accumulator
+// decides whether the payload and its coverage claim are admissible, the
+// cover tries decide completion.
+func (n *Node) handleAnswer(a answer) {
+	n.mu.Lock()
+	op, ok := n.scatters[a.reqID]
+	if !ok {
+		n.mu.Unlock()
+		return // late or duplicate completion
+	}
+	op.responders[a.from.Addr] = true
+	if int(a.hops) > op.maxHops {
+		op.maxHops = int(a.hops)
+	}
+	var trie *coverSet
+	if len(a.versions) > 0 {
+		trie = op.tries[uint32(a.versions[0])]
+	}
+	complete := false
+	if op.acc.admit(a, trie) && a.hasCover {
+		for _, v := range a.versions {
+			if t := op.tries[uint32(v)]; t != nil {
+				t.Add(a.cover)
+			}
+		}
+		complete = true
+		for v, t := range op.tries {
+			if !t.CoversRect(op.trees[v], op.rect, op.regions[v]) {
+				complete = false
+				break
+			}
+		}
+	}
+	n.mu.Unlock()
+	if complete {
+		n.finishScatter(a.reqID, true)
+	}
+}
+
+// resendScatter fires when an operation's retry timer elapses before
+// full coverage: the cover tries know exactly which regions never
+// answered, so instead of replaying the whole operation the originator
+// re-issues targeted pieces for the missing regions, excluding the first
+// hop each region's last attempt used. Exhaustion suspects the recorded
+// hops and leaves the op to its QueryTimeout.
+func (n *Node) resendScatter(reqID uint64) {
+	n.mu.Lock()
+	op, ok := n.scatters[reqID]
+	if !ok {
+		n.mu.Unlock()
+		return
+	}
+	if op.attempt >= n.cfg.MaxRetries {
+		hops := make([]string, 0, len(op.retryHops))
+		for _, hop := range op.retryHops {
+			hops = append(hops, hop)
+		}
+		n.mu.Unlock()
+		n.suspectHops(hops)
+		return
+	}
+	op.attempt++
+
+	type resend struct {
+		p       piece
+		exclude string
+	}
+	var work []resend
+	for _, g := range op.missing() {
+		for _, region := range g.regions {
+			exclude := op.retryHops[region.String()]
+			if exclude == "" {
+				// No region-specific attempt yet: exclude the whole
+				// dispatch's first hop, the only path tried so far.
+				exclude = op.retryHops["*"]
+			}
+			work = append(work, resend{exclude: exclude, p: piece{
+				kind: op.kind, reqID: reqID, origin: n.ep.Addr(), index: op.index,
+				versions: g.versions, rect: op.rect, region: region, arg: op.arg,
+				epoch: op.epochs[uint32(g.versions[0])], attempt: uint8(op.attempt),
+			}})
+		}
+	}
+	n.retransmits.Add(uint64(len(work)))
+	op.retry = n.clock.AfterFunc(n.retryDelayLocked(op.attempt+1), func() { n.resendScatter(reqID) })
+	n.mu.Unlock()
+
+	for i := range work {
+		w := &work[i]
+		if n.ov.Owns(w.p.region) {
+			// Ownership shifted to us (takeover) since the last attempt.
+			n.handlePiece(w.p)
+		} else {
+			n.routePiece(&w.p, w.exclude)
+		}
+	}
+}
+
+// missingGroup is one tree group's versions and the regions none of
+// their tries has seen covered.
+type missingGroup struct {
+	versions []uint64
+	regions  []bitstr.Code
+	seen     map[bitstr.Code]bool
+}
+
+// missing lists what is left to re-ask, per tree group in ascending
+// first-version order. Versions sharing an embedding travelled in the
+// same pieces, so their tries agree; the union is taken to be safe.
+func (op *scatterOp) missing() []*missingGroup {
+	var out []*missingGroup
+	groups := make(map[*embed.Tree]*missingGroup)
+	for _, v := range sortedVersions(op.tries) {
+		g := groups[op.trees[v]]
+		if g == nil {
+			g = &missingGroup{seen: make(map[bitstr.Code]bool)}
+			groups[op.trees[v]] = g
+			out = append(out, g)
+		}
+		g.versions = append(g.versions, uint64(v))
+		for _, region := range op.tries[v].MissingRegions(op.trees[v], op.rect, op.regions[v], 64) {
+			if !g.seen[region] {
+				g.seen[region] = true
+				g.regions = append(g.regions, region)
+			}
+		}
+	}
+	return out
+}
+
+// sortedVersions returns a coverage map's version keys in ascending
+// order, for deterministic retransmission.
+func sortedVersions(tries map[uint32]*coverSet) []uint32 {
+	out := make([]uint32, 0, len(tries))
+	for v := range tries {
+		out = append(out, v)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// pieceKey identifies one unit of answering work, for the answerer-side
+// duplicate counter.
+func pieceKey(p *piece) uint64 {
+	h := p.reqID*0x9e3779b97f4a7c15 + 0x85ebca6b
+	for _, c := range p.region.String() {
+		h = h*1099511628211 ^ uint64(c)
+	}
+	if p.historic {
+		h ^= 0xabcdef
+	}
+	return h
+}

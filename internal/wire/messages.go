@@ -944,6 +944,11 @@ func (m *QueryResp) decode(r *Reader) {
 		r.fail("too many records: %d", n)
 		return
 	}
+	if n != uint64(len(m.RecID)) {
+		// The originator indexes Recs by RecID position.
+		r.fail("record slices disagree: %d ids, %d records", len(m.RecID), n)
+		return
+	}
 	m.Recs = make([][]uint64, n)
 	for i := range m.Recs {
 		m.Recs[i] = r.U64Slice()

@@ -280,6 +280,22 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// TestQueryRespRejectsDisagreeingRecords: the originator indexes Recs by
+// RecID position, so a response whose two counts differ must not decode
+// (AggResp's sketch slices are held to the same rule).
+func TestQueryRespRejectsDisagreeingRecords(t *testing.T) {
+	ni := NodeInfo{Addr: "n", Code: bitstr.MustParse("01")}
+	for _, m := range []*QueryResp{
+		{ReqID: 1, From: ni, RecID: []uint64{5, 6, 7}, Recs: [][]uint64{{1, 2}}},
+		{ReqID: 1, From: ni, RecID: []uint64{5}, Recs: [][]uint64{{1, 2}, {3, 4}}},
+		{ReqID: 1, From: ni, RecID: []uint64{5}},
+	} {
+		if got, err := Decode(Encode(m)); err == nil {
+			t.Errorf("decoded %d ids with %d records: %#v", len(m.RecID), len(m.Recs), got)
+		}
+	}
+}
+
 func TestDecodeFuzzNoPanic(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	f := func() bool {
