@@ -22,6 +22,8 @@ import (
 	"mind/internal/experiments"
 	"mind/internal/mind"
 	"mind/internal/schema"
+	"mind/internal/store"
+	"mind/internal/summary"
 	"mind/internal/transport/simnet"
 )
 
@@ -309,6 +311,56 @@ func BenchmarkQueryPathParallel(b *testing.B) {
 			b.Fatalf("query %d incomplete: %v %+v", i, err, res)
 		}
 	}
+}
+
+// BenchmarkAggBoundaryFold measures one node's share of an unaligned
+// aggregate: 37,500 Index-2 records of one day over 4,096 destination
+// prefixes (an eighth of the benchmark module's scan_agg preload) in a
+// default store shard with its lockstep summary, and a 6 h window that
+// starts off the summary's 3 h time cells, so half the window is
+// boundary cells folded record by record. The loop is the shipped path
+// (mind.resolveLocalAgg's calls): summary.ResolveShard over the store
+// visitor, closed by Agg.MergeShards, at the requested top-8.
+func BenchmarkAggBoundaryFold(b *testing.B) {
+	sch := schema.Index2(86400)
+	eng := store.NewSharded(sch, store.Options{})
+	sum := summary.New(sch, summary.Options{})
+	rng := uint64(11)
+	next := func() uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng
+	}
+	for i := 0; i < 37500; i++ {
+		prefix := (next() % 4096 * 0x9E3779B1) & 0xffffff00
+		rec := schema.Record{prefix, next() % 86400, next() % (1 << 20), next() % (1 << 32), next() % 64}
+		eng.Insert(rec)
+		sum.Insert(rec)
+	}
+	eng.Compact()
+	sum.Fold()
+	bounds := sch.Bounds()
+	visit := func(cell schema.Rect, fn func(schema.Record)) { eng.VisitShard(0, cell, fn) }
+	folded := uint64(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := next() % (18 * 3600) / 30 * 30 // 30 s windows, as the aggregator emits
+		if lo%(3*3600) == 0 {
+			lo += 30 // keep it unaligned
+		}
+		rect := schema.Rect{Lo: []uint64{0, lo, 0}, Hi: []uint64{bounds[0], lo + 6*3600, bounds[2]}}
+		out := summary.NewAgg(sch.Arity(), 8)
+		fold := summary.NewFold(sch.Arity())
+		cover := summary.ResolveShard(sum, rect, visit, fold)
+		folded += fold.Count - cover.N()
+		out.MergeShards([]*summary.Sketch{cover}, fold)
+		if out.Count == 0 {
+			b.Fatal("empty aggregate")
+		}
+	}
+	b.ReportMetric(float64(folded)/float64(b.N), "boundary-recs/op")
 }
 
 // BenchmarkJoinProtocol measures the full join handshake cost as the

@@ -144,24 +144,20 @@ func WhaleAgg(seed int64, scale float64) (*Report, error) {
 		}
 		return out, buf
 	}
-	// rollupFold resolves the summary cover and drills into only the
-	// boundary cells — resolveLocalAgg's per-shard answer path.
+	// rollupFold is a node's shipped answer path (mind.resolveLocalAgg):
+	// per shard, summary.ResolveShard resolves the cover and folds the
+	// boundary cells in place through the store visitor; MergeShards
+	// closes the answer.
 	rollupFold := func(rect schema.Rect) summary.Agg {
 		out := summary.NewAgg(arity, sketchK)
-		var bbuf []schema.Record
-		parts := make([]*summary.Sketch, 0, sums.NumShards())
+		fold := summary.NewFold(arity)
+		covers := make([]*summary.Sketch, 0, sums.NumShards()+1)
 		for i := 0; i < sums.NumShards(); i++ {
-			part := sums.Shard(i).Resolve(rect)
-			out.Merge(part.Count, part.Sums, nil)
-			parts = append(parts, part.Sketch)
-			for _, br := range part.Boundary {
-				bbuf = eng.QueryShardAppend(i, br, bbuf[:0])
-				for _, rec := range bbuf {
-					out.Add(rec)
-				}
-			}
+			covers = append(covers, summary.ResolveShard(sums.Shard(i), rect, func(cell schema.Rect, fn func(schema.Record)) {
+				eng.VisitShard(i, cell, fn)
+			}, fold))
 		}
-		out.Sketch.MergeMany(parts)
+		out.MergeShards(covers, fold)
 		return out
 	}
 

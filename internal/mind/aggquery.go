@@ -120,23 +120,18 @@ func (aggKind) epochOnAnswer(piece) bool { return true }
 // (reshuffle and step-down keep local copies; the record resolver
 // collapses those by content id, an aggregate has no per-record
 // identity), and a retransmitted piece carries the full query rect. The
-// primary side answers from the summary rollup with exact boundary
-// scans; the replica side scans the replica store.
+// primary side answers from the summary rollup with boundary cells
+// folded in place; the replica store has no rollup, so the replica side
+// folds the whole rectangle the same way — a fail-over answer carries
+// the same exact-count brackets as a primary one.
 func (aggKind) resolve(n *Node, ix *index, p piece, a answer, replica bool) wire.Message {
 	versions := p.versions32()
 	out := summary.NewAgg(ix.sch.Arity(), n.summaryK(int(p.arg)))
 	if aggRect, ok := ix.tree(versions[0]).CodeRect(p.region).Intersect(p.rect); ok {
-		if !replica {
-			n.resolveLocalAgg(ix, versions, aggRect, &out)
+		if replica {
+			n.resolveLocalAgg(ix.replicas, nil, versions, aggRect, &out)
 		} else {
-			for _, v := range versions {
-				if !ix.replicas.Has(v) {
-					continue
-				}
-				for _, rec := range ix.replicas.Version(v).Query(aggRect) {
-					out.Add(rec)
-				}
-			}
+			n.resolveLocalAgg(ix.primary, ix.sums, versions, aggRect, &out)
 		}
 	}
 	if !replica {
@@ -222,28 +217,32 @@ func (n *Node) summaryK(requested int) int {
 }
 
 // resolveLocalAgg assembles one node's aggregate over rect for the
-// given versions: per (version, shard), the summary rollup answers the
-// covered cells in O(cover) and the boundary cells are scanned exactly
-// against the same shard of the record store (summary shards are
+// given versions of vs: per (version, shard), the summary rollup answers
+// the covered cells in O(cover) and the boundary cells are folded in
+// place from the same shard of the record store (summary shards are
 // aligned one-to-one with store shards, so each pair sees the same
-// record subset). Fans onto the worker pool when parallelism is
-// enabled; the partial sketches combine in one MergeMany batch, whose
-// result is a pure function of the multiset of partials — the response
-// cannot depend on scheduling even though sketch truncation makes
-// pairwise merge order observable.
-func (n *Node) resolveLocalAgg(ix *index, versions []uint32, rect schema.Rect, out *summary.Agg) {
+// record subset) — summary.ResolveShard, one store visit per cell, no
+// record slice. A version with no aligned summary (sums nil: the
+// replica store) folds the rectangle whole. Fans onto the worker pool
+// when parallelism is enabled; the per-task folds add up exactly and
+// the sketch parts combine in one MergeMany batch, so the response
+// cannot depend on scheduling.
+func (n *Node) resolveLocalAgg(vs *store.Versioned, sums *summary.Versioned, versions []uint32, rect schema.Rect, out *summary.Agg) {
 	type task struct {
 		eng   *store.Sharded
-		sums  *summary.Summary // nil: full store scan of the shard
+		sums  *summary.Summary // nil: fold the shard's whole share of rect
 		shard int
 	}
 	var tasks []task
 	for _, v := range versions {
-		eng := ix.primary.Get(v)
+		eng := vs.Get(v)
 		if eng == nil {
 			continue
 		}
-		ss := ix.sums.Get(v)
+		var ss *summary.Sharded
+		if sums != nil {
+			ss = sums.Get(v)
+		}
 		aligned := ss != nil && ss.NumShards() == eng.NumShards()
 		for s := 0; s < eng.NumShards(); s++ {
 			t := task{eng: eng, shard: s}
@@ -253,31 +252,22 @@ func (n *Node) resolveLocalAgg(ix *index, versions []uint32, rect schema.Rect, o
 			tasks = append(tasks, t)
 		}
 	}
-	parts := make([]summary.Agg, len(tasks))
+	if len(tasks) == 0 {
+		return
+	}
+	folds := make([]*summary.Fold, len(tasks))
+	covers := make([]*summary.Sketch, len(tasks), len(tasks)+1)
 	n.runSubTasks(len(tasks), func(i int) {
 		t := tasks[i]
-		a := summary.NewAgg(len(out.Sums), out.Sketch.K())
-		if t.sums == nil {
-			for _, rec := range t.eng.QueryShardAppend(t.shard, rect, nil) {
-				a.Add(rec)
-			}
-		} else {
-			r := t.sums.Resolve(rect)
-			a.Merge(r.Count, r.Sums, r.Sketch)
-			for _, brect := range r.Boundary {
-				for _, rec := range t.eng.QueryShardAppend(t.shard, brect, nil) {
-					a.Add(rec)
-				}
-			}
-		}
-		parts[i] = a
+		folds[i] = summary.NewFold(len(out.Sums))
+		covers[i] = summary.ResolveShard(t.sums, rect, func(cell schema.Rect, fn func(schema.Record)) {
+			t.eng.VisitShard(t.shard, cell, fn)
+		}, folds[i])
 	})
-	sks := make([]*summary.Sketch, 0, len(parts))
-	for i := range parts {
-		out.Merge(parts[i].Count, parts[i].Sums, nil)
-		sks = append(sks, parts[i].Sketch)
+	for _, f := range folds[1:] {
+		folds[0].Merge(f)
 	}
-	out.Sketch.MergeMany(sks)
+	out.MergeShards(covers, folds[0])
 }
 
 // flattenSketch encodes a sketch into a response's parallel slices.

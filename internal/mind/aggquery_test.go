@@ -262,4 +262,37 @@ func TestAggSurvivesKillWithReplication(t *testing.T) {
 	if aggCount > totalPrimary {
 		t.Fatalf("agg count %d exceeds total primary copies %d", aggCount, totalPrimary)
 	}
+	// Top-k brackets against brute force over what the live nodes store.
+	// A key's geometric count t obeys Count-Err <= t <= Count and lies
+	// between its distinct records and its primary copies (the same
+	// duplicate-copy caveat), so each bracket must reach up to the
+	// distinct count and start at or below the copy count, and a key left
+	// out of the top-k may not have more distinct records than Floor.
+	// The boundary cells and the fail-over pieces are folded exactly, so
+	// with no duplicate copy these are the true-count brackets.
+	distinct, copies := make(map[uint64]uint64), make(map[uint64]uint64)
+	for _, rec := range got[0].records {
+		distinct[rec[0]]++
+	}
+	for _, i := range c.LiveIndices() {
+		for _, rec := range c.Nodes[i].LocalQuery("test-index", fullRect()) {
+			copies[rec[0]]++
+		}
+	}
+	if len(got[1].topK) == 0 {
+		t.Fatal("aggregate answer carries no top-k entries")
+	}
+	inTop := make(map[uint64]bool)
+	for _, e := range got[1].topK {
+		inTop[e.Key] = true
+		if e.Count < distinct[e.Key] || e.Count-e.Err > copies[e.Key] {
+			t.Fatalf("key %d: bracket [%d, %d] misses its %d distinct records / %d copies",
+				e.Key, e.Count-e.Err, e.Count, distinct[e.Key], copies[e.Key])
+		}
+	}
+	for k, d := range distinct {
+		if !inTop[k] && d > got[1].floor {
+			t.Fatalf("key %d has %d records but is absent with floor %d", k, d, got[1].floor)
+		}
+	}
 }

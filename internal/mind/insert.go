@@ -287,6 +287,15 @@ func (n *Node) handleInsert(from string, m *wire.Insert, ob *outbox) {
 		if !ok {
 			return
 		}
+		// The one place a wire record enters the primary store (and the
+		// re-homing point computation): originators arity-check their
+		// own records, a peer's bytes are checked here. The store keeps
+		// fixed-stride rows, so a short record would panic and a long
+		// one be truncated.
+		if ix.sch.CheckRecord(m.Rec) != nil {
+			n.droppedRecords.Add(1)
+			return
+		}
 		if local := ix.epochOf(m.Version); m.TreeEpoch != local {
 			n.skewInserts.Add(1)
 			if m.TreeEpoch > local {
@@ -514,6 +523,10 @@ func (n *Node) handleReplicate(m *wire.Replicate, run *replicaRun) {
 		}
 		ix.noteReplicaOwner(m.OwnerCode)
 		*run = replicaRun{ix, m.OwnerCode}
+	}
+	if run.ix.sch.CheckRecord(m.Rec) != nil {
+		n.droppedRecords.Add(1) // as at the owner: see handleInsert
+		return
 	}
 	run.ix.storeReplica(m.Version, m.RecID, m.Rec)
 	n.replicated.Add(1)

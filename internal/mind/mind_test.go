@@ -12,6 +12,7 @@ import (
 	"mind/internal/hypercube"
 	"mind/internal/mind"
 	"mind/internal/schema"
+	"mind/internal/summary"
 	"mind/internal/topo"
 	"mind/internal/transport/simnet"
 )
@@ -81,6 +82,8 @@ type gathered struct {
 	count     int  // matching records: returned (record) or counted (aggregate)
 	uncovered []string
 	records   []schema.Record // record row only
+	topK      []summary.Entry // aggregate row only, with floor
+	floor     uint64
 }
 
 // gatherKinds are the two resolvers of the scatter-gather engine as
@@ -96,7 +99,10 @@ var gatherKinds = []struct {
 	}},
 	{"aggregate", func(c *cluster.Cluster, origin int, tag string, rect schema.Rect) (gathered, error) {
 		ar, _, err := c.AggWait(origin, tag, rect, 0)
-		return gathered{complete: ar.Complete, retried: ar.Retried, count: int(ar.Count), uncovered: ar.Uncovered}, err
+		return gathered{
+			complete: ar.Complete, retried: ar.Retried, count: int(ar.Count), uncovered: ar.Uncovered,
+			topK: ar.TopK, floor: ar.Floor,
+		}, err
 	}},
 }
 

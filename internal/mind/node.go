@@ -111,6 +111,10 @@ type Node struct {
 	// droppedPieces counts query/aggregate pieces refused at handlePiece's
 	// guard: unknown index, no versions, invalid or wrong-dimension rect.
 	droppedPieces atomic.Uint64
+	// droppedRecords counts peer-supplied records refused where they
+	// would enter a store (handleInsert at the owner, handleReplicate):
+	// wrong arity for the index schema.
+	droppedRecords atomic.Uint64
 	// Aggregate-path counters (aggquery.go).
 	aggAnswered     atomic.Uint64 // aggregate pieces answered from local summaries
 	aggCoverDropped atomic.Uint64 // aggregate responses dropped for overlapping coverage
@@ -278,6 +282,10 @@ type Stats struct {
 	// DroppedPieces counts query/aggregate pieces refused as malformed
 	// (unknown index, no versions, invalid or wrong-dimension rectangle).
 	DroppedPieces uint64
+	// DroppedRecords counts Insert/Replicate records refused at the owner
+	// or replica store for not having the index schema's arity. Such a
+	// record is neither stored, acked nor replicated.
+	DroppedRecords uint64
 
 	// In-flight originator-side operations still awaiting an ack, a
 	// covering response, or their timeout. All are zero at quiescence;
@@ -294,7 +302,7 @@ func (n *Node) Stats() Stats {
 		Retransmits: n.retransmits.Load(), AcksReceived: n.acksReceived.Load(), DedupHits: n.dedupHits.Load(),
 		ShedInserts: n.shedInserts.Load(), ShedQueries: n.shedQueries.Load(), ShedGossip: n.shedGossip.Load(),
 		AggAnswered: n.aggAnswered.Load(), AggCoverDropped: n.aggCoverDropped.Load(),
-		DroppedPieces: n.droppedPieces.Load(),
+		DroppedPieces: n.droppedPieces.Load(), DroppedRecords: n.droppedRecords.Load(),
 	}
 	n.mu.Lock()
 	s.PendingInserts = len(n.inserts)

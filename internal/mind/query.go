@@ -144,23 +144,24 @@ func (r *recordAcc) deliver(o outcome) {
 
 func (r *recordAcc) tally(s *Stats) { s.PendingQueries++ }
 
-// filterToRegion queries the replica store and keeps records inside the
-// region. The replica store reads are snapshot-consistent; no lock is
-// required.
+// filterToRegion visits the replica store and keeps the records inside
+// the region. The replica store reads are snapshot-consistent; no lock
+// is required.
 func filterToRegion(ix *index, versions []uint32, rect schema.Rect, region bitstr.Code) []schema.Record {
 	var out []schema.Record
 	var scratch []uint64
 	for _, v := range versions {
-		tree := ix.tree(v)
-		if !ix.replicas.Has(v) {
+		eng := ix.replicas.Get(v)
+		if eng == nil {
 			continue
 		}
-		for _, r := range ix.replicas.Version(v).Query(rect) {
+		tree := ix.tree(v)
+		eng.Visit(rect, func(r schema.Record) {
 			scratch = r.PointInto(ix.sch, scratch)
 			if region.IsPrefixOf(tree.PointCode(scratch, region.Len())) {
 				out = append(out, r)
 			}
-		}
+		})
 	}
 	return out
 }

@@ -1,10 +1,12 @@
 package mind
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"mind/internal/bitstr"
+	"mind/internal/schema"
 	"mind/internal/wire"
 )
 
@@ -129,5 +131,67 @@ func TestReplicaSetSelection(t *testing.T) {
 				t.Errorf("replicaSet = %v, want %v", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestReplicaServedAggIsExact: a fail-over aggregate answer folds the
+// replica store through the same visitor and key tally as a primary
+// boundary cell, so it carries exact brackets — every top-k count is the
+// true count with Err 0 and Floor is the heaviest key left out — over
+// exactly rect ∩ the answered region's cell, checked against brute force.
+func TestReplicaServedAggIsExact(t *testing.T) {
+	_, nodes, _, sch := tapCluster(t, 4)
+	n, owner := nodes[2], nodes[1].Code()
+	ix, _ := n.getIndex(sch.Tag)
+	r := rand.New(rand.NewSource(12))
+	var recs []schema.Record
+	region := ix.tree(0).CodeRect(owner)
+	step := (region.Hi[0] - region.Lo[0]) / 20
+	for i := 0; i < 2000; i++ {
+		// 20 skewed keys inside the owner's cell, the other dims anywhere:
+		// most records fall outside rect ∩ cell and must not be counted.
+		key := region.Lo[0] + uint64(r.Intn(r.Intn(20)+1))*step
+		rec := schema.Record{key, uint64(r.Intn(86401)), uint64(r.Intn(10000))}
+		recs = append(recs, rec)
+		n.dispatch("n1", wire.Encode(&wire.Replicate{Index: sch.Tag, RecID: uint64(i + 1), Rec: rec, OwnerCode: owner}))
+	}
+	rect := schema.Rect{Lo: []uint64{3, 1000, 17}, Hi: []uint64{9000, 80000, 9990}}
+	const topK = 4
+	p := piece{kind: aggKind{}, reqID: 9, origin: "n0", index: sch.Tag, versions: []uint64{0}, rect: rect, region: owner, arg: topK}
+	resp := aggKind{}.resolve(n, ix, p, answer{reqID: 9}, true).(*wire.AggResp)
+
+	cell, ok := ix.tree(0).CodeRect(owner).Intersect(rect)
+	if !ok {
+		t.Fatal("the owner's region misses the query rectangle")
+	}
+	var count uint64
+	truth := make(map[uint64]uint64)
+	for _, rec := range recs {
+		if cell.ContainsRecord(sch, rec) {
+			count++
+			truth[rec[0]]++
+		}
+	}
+	if count < 100 || len(truth) <= topK {
+		t.Fatalf("fixture too thin: %d records over %d keys in the cell", count, len(truth))
+	}
+	if resp.Count != count {
+		t.Fatalf("replica-served count %d, brute force %d", resp.Count, count)
+	}
+	if len(resp.Keys) != topK {
+		t.Fatalf("%d top-k entries, want %d", len(resp.Keys), topK)
+	}
+	for i, key := range resp.Keys {
+		if resp.Errs[i] != 0 || resp.Counts[i] != truth[key] {
+			t.Errorf("key %d: count %d err %d, true count %d", key, resp.Counts[i], resp.Errs[i], truth[key])
+		}
+		delete(truth, key)
+	}
+	var heaviestLeft uint64
+	for _, c := range truth {
+		heaviestLeft = max(heaviestLeft, c)
+	}
+	if resp.Floor != heaviestLeft {
+		t.Errorf("floor %d, heaviest key left out has %d", resp.Floor, heaviestLeft)
 	}
 }

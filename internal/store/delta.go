@@ -260,71 +260,57 @@ func selectNth(recs []schema.Record, n, dim int, bounds []uint64) {
 	}
 }
 
-// selectNth is the method form kept for the white-box tests.
-func (t *KD) selectNth(recs []schema.Record, n, dim int) {
-	selectNth(recs, n, dim, t.bounds)
+// Visit calls fn with every record inside rect. It is THE tree
+// traversal — Query, QueryAppend and Count are wrappers.
+func (t *KD) Visit(rect schema.Rect, fn func(schema.Record)) {
+	var buf [maxStackDims]uint64
+	if hi, ok := unclamp(t.bounds, rect, buf[:0]); ok {
+		t.visit(t.root.Load(), 0, rect.Lo, hi, fn)
+	}
 }
 
-// Query resolves an orthogonal range query.
-func (t *KD) Query(rect schema.Rect) []schema.Record {
-	var out []schema.Record
-	t.query(t.root.Load(), 0, rect, &out)
-	return out
-}
-
-// QueryAppend resolves rect and appends matches to out, returning the
-// extended slice. Callers that presize out (e.g. from Count) resolve the
-// query with zero result-slice reallocations.
-func (t *KD) QueryAppend(rect schema.Rect, out []schema.Record) []schema.Record {
-	t.query(t.root.Load(), 0, rect, &out)
-	return out
-}
-
-func (t *KD) query(n *kdNode, depth int, rect schema.Rect, out *[]schema.Record) {
+// visit descends from n (split dimension dim) on an already unclamped
+// rectangle [lo, hi]: raw record values are compared, never clamped.
+func (t *KD) visit(n *kdNode, dim int, lo, hi []uint64, fn func(schema.Record)) {
 	if n == nil {
 		return
 	}
-	dims := t.sch.Dims()
-	dim := depth % dims
-	if rectContains(t.bounds, rect, n.rec) {
-		*out = append(*out, n.rec)
+	if inside(lo, hi, n.rec) {
+		fn(n.rec)
 	}
 	// Insertion alternates equal coordinates between sides (t.tick), and
 	// median rebuilds may also leave equal coordinates on either side —
 	// so both prunes must admit equality.
-	v := t.coord(n.rec, dim)
-	if rect.Lo[dim] <= v {
-		t.query(n.left.Load(), depth+1, rect, out)
+	v := n.rec[dim]
+	nd := dim + 1
+	if nd == len(hi) {
+		nd = 0
 	}
-	if rect.Hi[dim] >= v {
-		t.query(n.right.Load(), depth+1, rect, out)
+	if lo[dim] <= v {
+		t.visit(n.left.Load(), nd, lo, hi, fn)
+	}
+	if hi[dim] >= v {
+		t.visit(n.right.Load(), nd, lo, hi, fn)
 	}
 }
 
-// Count returns the number of records inside rect without materializing
-// them.
+// QueryAppend resolves rect and appends matches to out, returning the
+// extended slice.
+func (t *KD) QueryAppend(rect schema.Rect, out []schema.Record) []schema.Record {
+	t.Visit(rect, func(rec schema.Record) { out = append(out, rec) })
+	return out
+}
+
+// Query resolves an orthogonal range query.
+func (t *KD) Query(rect schema.Rect) []schema.Record {
+	return t.QueryAppend(rect, nil)
+}
+
+// Count returns the number of records inside rect: a Visit that counts.
 func (t *KD) Count(rect schema.Rect) int {
 	n := 0
-	t.countIn(t.root.Load(), 0, rect, &n)
+	t.Visit(rect, func(schema.Record) { n++ })
 	return n
-}
-
-func (t *KD) countIn(n *kdNode, depth int, rect schema.Rect, acc *int) {
-	if n == nil {
-		return
-	}
-	dims := t.sch.Dims()
-	dim := depth % dims
-	if rectContains(t.bounds, rect, n.rec) {
-		*acc++
-	}
-	v := t.coord(n.rec, dim)
-	if rect.Lo[dim] <= v {
-		t.countIn(n.left.Load(), depth+1, rect, acc)
-	}
-	if rect.Hi[dim] >= v {
-		t.countIn(n.right.Load(), depth+1, rect, acc)
-	}
 }
 
 // All streams every record in-order; stops early if yield returns false.

@@ -1,0 +1,241 @@
+package store
+
+import (
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"mind/internal/schema"
+)
+
+// fuzzVal maps two fuzz bytes to an attribute value or rectangle edge
+// that stresses the unclamp identity (sch3's bound is 9999): spread over
+// and past the bound, hugging it from both sides, near MaxUint64, and
+// tiny (duplicate-heavy).
+func fuzzVal(mode, b byte) uint64 {
+	switch mode % 4 {
+	case 0:
+		return uint64(b) * 41 // 0 … 10455: crosses the bound
+	case 1:
+		return 9999 - 128 + uint64(b) // bound-128 … bound+127
+	case 2:
+		return math.MaxUint64 - uint64(b)
+	default:
+		return uint64(b % 8)
+	}
+}
+
+// FuzzStoreOracle is the differential contract of the indexed engines:
+// whatever the stream — attribute values above the schema bound,
+// rectangle edges at, just below and above it, Lo above the bound (must
+// be empty), inverted rectangles, records straddling delta → static
+// merges — Static, KD and Sharded must answer Visit, Query and Count
+// exactly as the Scan oracle, which clamps every record the slow way.
+// The engines test RAW values against an unclamped rectangle; this is
+// the test that breaks if that identity does.
+func FuzzStoreOracle(f *testing.F) {
+	// Insert = op, then (mode, byte) per coordinate; query = op 3, then
+	// (mode, byte) for Lo and Hi per dim. One in-range record and the full
+	// space:
+	f.Add([]byte{0, 0, 10, 0, 20, 0, 30, 3, 0, 0, 0, 255, 0, 0, 0, 255, 0, 0, 0, 255}, uint8(0))
+	// A record far above the bound on every dim, then [b, b]³, [b-1, b-1]³,
+	// [b+1, b+1]³ (Lo above the bound) and a rectangle up at MaxUint64.
+	f.Add([]byte{0, 2, 9, 2, 0, 2, 200,
+		3, 1, 128, 1, 128, 1, 128, 1, 128, 1, 128, 1, 128,
+		3, 1, 127, 1, 127, 1, 127, 1, 127, 1, 127, 1, 127,
+		3, 1, 129, 1, 129, 1, 129, 1, 129, 1, 129, 1, 129,
+		3, 2, 9, 2, 0, 2, 9, 2, 0, 2, 9, 2, 0}, uint8(1))
+	for seed := int64(1); seed <= 4; seed++ { // the former seeded differential streams
+		blob := make([]byte, 1000)
+		rand.New(rand.NewSource(seed)).Read(blob)
+		f.Add(blob, uint8(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, shardsRaw uint8) {
+		sch := sch3()
+		opts := smallOpts()
+		opts.Shards = 1 << (shardsRaw % 3)
+		opts.DeltaMin = 4 + int(shardsRaw%13) // merges every few records
+		eng := NewSharded(sch, opts)
+		kd := NewKD(sch)
+		sc := NewScan(sch)
+		check := func(rect schema.Rect) {
+			want := sc.Query(rect)
+			st := NewStatic(sch, append([]schema.Record(nil), sc.recs...))
+			for name, e := range map[string]interface {
+				Visit(schema.Rect, func(schema.Record))
+				Query(schema.Rect) []schema.Record
+				Count(schema.Rect) int
+			}{"static": st, "kd": kd, "sharded": eng} {
+				var visited []schema.Record
+				e.Visit(rect, func(rec schema.Record) { visited = append(visited, rec) })
+				if !sameRecs(visited, want) {
+					t.Fatalf("%s Visit %v: %d records, oracle %d", name, rect, len(visited), len(want))
+				}
+				if got := e.Query(rect); !sameRecs(got, want) {
+					t.Fatalf("%s Query %v: %d records, oracle %d", name, rect, len(got), len(want))
+				}
+				if got := e.Count(rect); got != len(want) {
+					t.Fatalf("%s Count %v = %d, oracle %d", name, rect, got, len(want))
+				}
+			}
+		}
+		for i := 0; i+7 <= len(data); {
+			if data[i]%4 != 3 { // insert: 3 coordinates, payload = ordinal
+				rec := schema.Record{
+					fuzzVal(data[i+1], data[i+2]), fuzzVal(data[i+3], data[i+4]),
+					fuzzVal(data[i+5], data[i+6]), uint64(i),
+				}
+				eng.Insert(rec)
+				kd.Insert(rec)
+				sc.Insert(rec)
+				i += 7
+				continue
+			}
+			if i+13 > len(data) {
+				break
+			}
+			rect := schema.Rect{Lo: make([]uint64, 3), Hi: make([]uint64, 3)}
+			for d := 0; d < 3; d++ {
+				rect.Lo[d] = fuzzVal(data[i+1+4*d], data[i+2+4*d])
+				rect.Hi[d] = fuzzVal(data[i+3+4*d], data[i+4+4*d])
+				if data[i]&4 == 0 && rect.Lo[d] > rect.Hi[d] { // mostly well-formed
+					rect.Lo[d], rect.Hi[d] = rect.Hi[d], rect.Lo[d]
+				}
+			}
+			check(rect)
+			i += 13
+		}
+		// Fixed probes on the final state: everything, the top corner the
+		// clamp folds out-of-range values into, one past it, and edges
+		// straddling the bound on one dim.
+		const b = 9999
+		m := uint64(math.MaxUint64)
+		for _, rc := range []schema.Rect{
+			{Lo: []uint64{0, 0, 0}, Hi: []uint64{b, b, b}},
+			{Lo: []uint64{0, 0, 0}, Hi: []uint64{m, m, m}},
+			{Lo: []uint64{b, b, b}, Hi: []uint64{b, b, b}},
+			{Lo: []uint64{b, 0, 0}, Hi: []uint64{b + 1, b - 1, b}},
+			{Lo: []uint64{b + 1, 0, 0}, Hi: []uint64{m, m, m}}, // Lo above the bound: empty
+			{Lo: []uint64{0, b - 1, 0}, Hi: []uint64{b - 1, b - 1, m}},
+		} {
+			check(rc)
+		}
+		if got := eng.Count(schema.Rect{Lo: []uint64{b + 1, 0, 0}, Hi: []uint64{m, m, m}}); got != 0 {
+			t.Fatalf("Lo above the bound matched %d records", got)
+		}
+		if eng.Len() != sc.Len() || kd.Len() != sc.Len() {
+			t.Fatalf("Len: sharded %d kd %d oracle %d", eng.Len(), kd.Len(), sc.Len())
+		}
+	})
+}
+
+// TestViewContract pins what a record handed out by the arena engine is:
+// a capped, read-only view that survives everything the engine does
+// afterwards.
+func TestViewContract(t *testing.T) {
+	r := rand.New(rand.NewSource(81))
+	recs := make([]schema.Record, 500)
+	for i := range recs {
+		recs[i] = randRec(r)
+	}
+	t.Run("append cannot touch the neighbour row", func(t *testing.T) {
+		s := NewStatic(sch3(), append([]schema.Record(nil), recs...))
+		before := append([]uint64(nil), s.rows...)
+		visit := func(rec schema.Record) {
+			if len(rec) != 4 || cap(rec) != 4 {
+				t.Fatalf("view len %d cap %d, want 4/4", len(rec), cap(rec))
+			}
+			grown := append(rec, 0xdead, 0xbeef)
+			grown[len(grown)-1]++
+		}
+		s.Visit(fullRect(), visit)
+		s.All(func(rec schema.Record) bool { visit(rec); return true })
+		for i, v := range s.rows {
+			if v != before[i] {
+				t.Fatalf("rows[%d] changed from %d to %d by an append to a view", i, before[i], v)
+			}
+		}
+	})
+	t.Run("records returned before a merge read the same after it", func(t *testing.T) {
+		e := NewSharded(sch3(), smallOpts())
+		for _, rec := range recs {
+			e.Insert(rec)
+		}
+		e.Compact()
+		held := e.Query(fullRect())
+		want := make([]schema.Record, len(held))
+		for i, rec := range held {
+			want[i] = rec.Clone()
+		}
+		for i := 0; i < 5000; i++ { // many merges: every arena is rebuilt several times
+			e.Insert(randRec(r))
+		}
+		e.Compact()
+		for i := range held {
+			for k := range held[i] {
+				if held[i][k] != want[i][k] {
+					t.Fatalf("held record %d attr %d reads %d after merges, was %d", i, k, held[i][k], want[i][k])
+				}
+			}
+		}
+	})
+}
+
+// TestVisitConcurrentWithMerges runs Visit (and the wrappers over it)
+// against writers that push every shard through merge after merge.
+// Every record carries a checksum of its coordinates as payload, so a
+// torn or recycled row cannot pass for a record. Meaningful under -race.
+func TestVisitConcurrentWithMerges(t *testing.T) {
+	const writers, readers, perWriter = 4, 4, 3000
+	sch := sch3()
+	e := NewSharded(sch, smallOpts())
+	sum := func(rec schema.Record) uint64 { return rec[0]*31 + rec[1]*17 + rec[2] + 5 }
+	stop := make(chan struct{})
+	var rg, wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		rg.Add(1)
+		go func(seed int64) {
+			defer rg.Done()
+			r := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				q := randRect(r)
+				n := 0
+				e.Visit(q, func(rec schema.Record) {
+					n++
+					if len(rec) != 4 || rec[3] != sum(rec) || !q.ContainsRecord(sch, rec) {
+						t.Errorf("Visit %v yielded a bad record %v", q, rec)
+					}
+				})
+				// Inserts only add, so a later count can only be larger.
+				if c := e.Count(q); c < n {
+					t.Errorf("Count %d after a Visit of %d", c, n)
+				}
+			}
+		}(int64(600 + g))
+	}
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(seed))
+			for i := 0; i < perWriter; i++ {
+				rec := randRec(r)
+				rec[0] += uint64(i%3) * 6000 // a third above the bound
+				rec[3] = sum(rec)
+				e.Insert(rec)
+			}
+		}(int64(700 + w))
+	}
+	wg.Wait()
+	close(stop)
+	rg.Wait()
+	if e.Len() != writers*perWriter {
+		t.Fatalf("Len = %d, want %d", e.Len(), writers*perWriter)
+	}
+}

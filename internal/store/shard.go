@@ -192,12 +192,16 @@ func (e *Sharded) Insert(rec schema.Record) {
 // The old snapshot's parts are never mutated: in-flight readers drain
 // on them and the GC reclaims them after.
 func (e *Sharded) mergeLocked(i int, sh *engineShard, snap *shardSnap) {
+	// The old static's records enter the merge as views of its arena;
+	// the new arena copies them, so the old one is free once readers
+	// holding its views let go.
 	recs := make([]schema.Record, 0, snap.static.Len()+snap.delta.Len())
-	recs = snap.static.appendRecs(recs)
-	snap.delta.All(func(rec schema.Record) bool {
+	collect := func(rec schema.Record) bool {
 		recs = append(recs, rec)
 		return true
-	})
+	}
+	snap.static.All(collect)
+	snap.delta.All(collect)
 	st := newStatic(e.sch, e.bounds, recs)
 	mergeAt := int(e.opts.DeltaMergeFrac * float64(st.Len()))
 	if mergeAt < e.opts.DeltaMin {
@@ -227,6 +231,31 @@ func (e *Sharded) Compact() {
 	}
 }
 
+// VisitShard calls fn with every record of shard i inside rect: the
+// shard's static index, then its delta, on one published snapshot and
+// one unclamped rectangle. It is the read primitive everything else
+// wraps — the parallel local execution layer (mind.resolveLocal) fans
+// (version, shard) tasks over it, and the aggregate path folds boundary
+// cells through it without materializing a record slice. The records
+// are read-only views (Static's view contract).
+func (e *Sharded) VisitShard(i int, rect schema.Rect, fn func(schema.Record)) {
+	var buf [maxStackDims]uint64
+	hi, ok := unclamp(e.bounds, rect, buf[:0])
+	if !ok {
+		return
+	}
+	snap := e.shards[i].snap.Load()
+	snap.static.visit(rect.Lo, hi, fn)
+	snap.delta.visit(snap.delta.root.Load(), 0, rect.Lo, hi, fn)
+}
+
+// Visit calls fn with every record inside rect, shard by shard.
+func (e *Sharded) Visit(rect schema.Rect, fn func(schema.Record)) {
+	for i := range e.shards {
+		e.VisitShard(i, rect, fn)
+	}
+}
+
 // Query resolves an orthogonal range query across all shards.
 func (e *Sharded) Query(rect schema.Rect) []schema.Record {
 	return e.QueryAppend(rect, nil)
@@ -235,31 +264,21 @@ func (e *Sharded) Query(rect schema.Rect) []schema.Record {
 // QueryAppend resolves rect and appends matches to out, returning the
 // extended slice.
 func (e *Sharded) QueryAppend(rect schema.Rect, out []schema.Record) []schema.Record {
-	for i := range e.shards {
-		out = e.QueryShardAppend(i, rect, out)
-	}
+	e.Visit(rect, func(rec schema.Record) { out = append(out, rec) })
 	return out
 }
 
 // QueryShardAppend resolves rect against one shard only, appending
-// matches to out. The parallel local execution layer (mind.resolveLocal)
-// fans (version, shard) tasks across its worker pool with this.
+// matches to out.
 func (e *Sharded) QueryShardAppend(i int, rect schema.Rect, out []schema.Record) []schema.Record {
-	snap := e.shards[i].snap.Load()
-	out = snap.static.QueryAppend(rect, out)
-	out = snap.delta.QueryAppend(rect, out)
+	e.VisitShard(i, rect, func(rec schema.Record) { out = append(out, rec) })
 	return out
 }
 
-// Count returns the number of records inside rect without materializing
-// them.
+// Count returns the number of records inside rect: a Visit that counts.
 func (e *Sharded) Count(rect schema.Rect) int {
 	n := 0
-	for i := range e.shards {
-		snap := e.shards[i].snap.Load()
-		n += snap.static.Count(rect)
-		n += snap.delta.Count(rect)
-	}
+	e.Visit(rect, func(schema.Record) { n++ })
 	return n
 }
 
@@ -278,27 +297,17 @@ func (e *Sharded) Len() int {
 // a deterministic op history, which the simnet reproducibility contract
 // requires of the replication and rebalance hand-off paths built on All.
 func (e *Sharded) All(yield func(rec schema.Record) bool) {
+	more := true
+	each := func(rec schema.Record) bool {
+		more = yield(rec)
+		return more
+	}
 	for i := range e.shards {
 		snap := e.shards[i].snap.Load()
-		stop := false
-		snap.static.All(func(rec schema.Record) bool {
-			if !yield(rec) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		if stop {
+		if snap.static.All(each); !more {
 			return
 		}
-		snap.delta.All(func(rec schema.Record) bool {
-			if !yield(rec) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		if stop {
+		if snap.delta.All(each); !more {
 			return
 		}
 	}

@@ -5,16 +5,25 @@ import "mind/internal/schema"
 // Static is a bulk-loaded, immutable k-d index over a flat node array —
 // the cache-conscious half of the static+delta engine (DESIGN.md §4h).
 // Where KD chases heap pointers (one cache miss per visited node on a
-// cold tree), Static keeps everything the traversal touches in three
-// dense slices:
+// cold tree), Static keeps everything a traversal touches in two dense,
+// pointer-free slices the garbage collector never scans:
 //
-//   - coords: the clamped indexed point of every node, node-major with
-//     stride dims — the inside-rect test and the prune test read only
-//     this arena;
+//   - rows: the full record of every node (indexed attributes first,
+//     payload after), node-major with stride arity — the inside-rect
+//     test, the prune test and the answer all read the same cache line;
 //   - kids: two int32 child slot indices per node (-1 = none) — indices
 //     into the same arrays, not pointers, so the whole index relocates
-//     and shares cleanly and costs no GC scanning of node graphs;
-//   - recs: the record of each node, touched only when a node matches.
+//     and shares cleanly.
+//
+// Rows hold RAW attribute values. The tree is built on coordinates
+// clamped to the schema bounds; a traversal never clamps a node, it
+// unclamps the query rectangle once instead (unclamp, store.go).
+//
+// View contract: a record handed out (Visit, Query, All) is a capped
+// view rows[b : b+arity : b+arity] of the immutable arena. It is
+// read-only, may be retained for any length of time (it pins its whole
+// arena until dropped), and appending to it reallocates instead of
+// touching the neighbouring row.
 //
 // Nodes are laid out in the van Emde Boas (cache-oblivious) order: the
 // tree of height h is split into a top subtree of height h/2 and its
@@ -27,15 +36,14 @@ import "mind/internal/schema"
 // Static is immutable after construction and therefore trivially safe
 // for any number of concurrent readers. Median bulk loading makes the
 // tree perfectly balanced: height <= floor(log2 n)+1 regardless of
-// insertion order, so the fixed traversal stacks below are provably
+// insertion order, so the fixed traversal stack below is provably
 // sufficient for any n representable in an int32 slot.
 type Static struct {
-	sch    *schema.Schema
 	bounds []uint64
 	dims   int
-	coords []uint64 // clamped points, node-major, stride dims
+	arity  int
+	rows   []uint64 // raw records, node-major, stride arity
 	kids   []int32  // 2 per node: left, right (-1 = none); root is slot 0
-	recs   []schema.Record
 }
 
 // staticStackCap bounds the iterative traversal stack. DFS over a binary
@@ -50,19 +58,19 @@ type sframe struct {
 	dim  int32
 }
 
-// NewStatic bulk-loads a static index from recs. It takes ownership of
-// the slice (the loader permutes it in place); pass a copy if the caller
-// retains it. An empty or nil recs yields an empty index.
+// NewStatic bulk-loads a static index from recs, copying every record
+// into the arena (exactly sch.Arity() attributes each — callers
+// arity-check what they store). The loader permutes recs in place; the
+// records themselves are not retained. An empty or nil recs yields an
+// empty index.
 func NewStatic(sch *schema.Schema, recs []schema.Record) *Static {
-	s := &Static{sch: sch, bounds: sch.Bounds(), dims: sch.Dims()}
-	s.load(recs)
-	return s
+	return newStatic(sch, sch.Bounds(), recs)
 }
 
 // newStatic is the engine-internal constructor reusing a precomputed
 // bounds slice.
 func newStatic(sch *schema.Schema, bounds []uint64, recs []schema.Record) *Static {
-	s := &Static{sch: sch, bounds: bounds, dims: sch.Dims()}
+	s := &Static{bounds: bounds, dims: sch.Dims(), arity: sch.Arity()}
 	s.load(recs)
 	return s
 }
@@ -90,21 +98,11 @@ func (s *Static) load(recs []schema.Record) {
 	b.place(root, height)
 
 	// Materialize the physical arrays from the logical tree.
-	s.coords = make([]uint64, n*s.dims)
+	s.rows = make([]uint64, n*s.arity)
 	s.kids = make([]int32, 2*n)
-	s.recs = make([]schema.Record, n)
-	for logical := 0; logical < n; logical++ {
-		p := b.phys[logical]
-		rec := recs[logical]
-		s.recs[p] = rec
-		base := int(p) * s.dims
-		for d := 0; d < s.dims; d++ {
-			v := rec[d]
-			if v > s.bounds[d] {
-				v = s.bounds[d]
-			}
-			s.coords[base+d] = v
-		}
+	for logical, rec := range recs {
+		p := int(b.phys[logical])
+		copy(s.rows[p*s.arity:(p+1)*s.arity], rec)
 		s.kids[2*p] = b.physOf(b.lkid[logical])
 		s.kids[2*p+1] = b.physOf(b.rkid[logical])
 	}
@@ -179,14 +177,29 @@ func (b *staticBuilder) frontier(v int32, down, h int) {
 }
 
 // Len returns the number of stored records.
-func (s *Static) Len() int { return len(s.recs) }
+func (s *Static) Len() int { return len(s.kids) / 2 }
 
-// QueryAppend resolves rect iteratively over the flat arrays, appending
-// matches to out. Beyond out's growth it performs no allocation: the
-// traversal stack is a fixed local array.
-func (s *Static) QueryAppend(rect schema.Rect, out []schema.Record) []schema.Record {
-	if len(s.recs) == 0 {
-		return out
+// row returns slot p's record as a capped view of the arena.
+func (s *Static) row(p int) schema.Record {
+	b := p * s.arity
+	return s.rows[b : b+s.arity : b+s.arity]
+}
+
+// Visit calls fn with every record inside rect, in traversal order. It
+// is THE static traversal — Query, QueryAppend and Count are wrappers —
+// and performs no allocation: the stack is a fixed local array and the
+// records are views (see the view contract above).
+func (s *Static) Visit(rect schema.Rect, fn func(schema.Record)) {
+	var buf [maxStackDims]uint64
+	if hi, ok := unclamp(s.bounds, rect, buf[:0]); ok {
+		s.visit(rect.Lo, hi, fn)
+	}
+}
+
+// visit is Visit on an already unclamped rectangle [lo, hi].
+func (s *Static) visit(lo, hi []uint64, fn func(schema.Record)) {
+	if len(s.kids) == 0 {
+		return
 	}
 	dims := int32(s.dims)
 	var stack [staticStackCap]sframe
@@ -195,34 +208,33 @@ func (s *Static) QueryAppend(rect schema.Rect, out []schema.Record) []schema.Rec
 	for sp > 0 {
 		sp--
 		f := stack[sp]
-		base := int(f.node) * s.dims
-		inside := true
-		for i := 0; i < s.dims; i++ {
-			if v := s.coords[base+i]; v < rect.Lo[i] || v > rect.Hi[i] {
-				inside = false
-				break
-			}
-		}
-		if inside {
-			out = append(out, s.recs[f.node])
+		rec := s.row(int(f.node))
+		if inside(lo, hi, rec) {
+			fn(rec)
 		}
 		// Equal coordinates may sit on either side of a median split, so
 		// both prunes admit equality.
 		d := int(f.dim)
-		v := s.coords[base+d]
+		v := rec[d]
 		nd := f.dim + 1
 		if nd == dims {
 			nd = 0
 		}
-		if l := s.kids[2*f.node]; l >= 0 && rect.Lo[d] <= v {
+		if l := s.kids[2*f.node]; l >= 0 && lo[d] <= v {
 			stack[sp] = sframe{l, nd}
 			sp++
 		}
-		if r := s.kids[2*f.node+1]; r >= 0 && rect.Hi[d] >= v {
+		if r := s.kids[2*f.node+1]; r >= 0 && hi[d] >= v {
 			stack[sp] = sframe{r, nd}
 			sp++
 		}
 	}
+}
+
+// QueryAppend resolves rect, appending matches to out. Beyond out's
+// growth it performs no allocation.
+func (s *Static) QueryAppend(rect schema.Rect, out []schema.Record) []schema.Record {
+	s.Visit(rect, func(rec schema.Record) { out = append(out, rec) })
 	return out
 }
 
@@ -231,60 +243,19 @@ func (s *Static) Query(rect schema.Rect) []schema.Record {
 	return s.QueryAppend(rect, nil)
 }
 
-// Count returns the number of records inside rect. The traversal reads
-// only the coords arena — records are never touched.
+// Count returns the number of records inside rect: a Visit that counts.
 func (s *Static) Count(rect schema.Rect) int {
-	if len(s.recs) == 0 {
-		return 0
-	}
-	dims := int32(s.dims)
-	var stack [staticStackCap]sframe
-	stack[0] = sframe{0, 0}
-	sp := 1
 	n := 0
-	for sp > 0 {
-		sp--
-		f := stack[sp]
-		base := int(f.node) * s.dims
-		inside := true
-		for i := 0; i < s.dims; i++ {
-			if v := s.coords[base+i]; v < rect.Lo[i] || v > rect.Hi[i] {
-				inside = false
-				break
-			}
-		}
-		if inside {
-			n++
-		}
-		d := int(f.dim)
-		v := s.coords[base+d]
-		nd := f.dim + 1
-		if nd == dims {
-			nd = 0
-		}
-		if l := s.kids[2*f.node]; l >= 0 && rect.Lo[d] <= v {
-			stack[sp] = sframe{l, nd}
-			sp++
-		}
-		if r := s.kids[2*f.node+1]; r >= 0 && rect.Hi[d] >= v {
-			stack[sp] = sframe{r, nd}
-			sp++
-		}
-	}
+	s.Visit(rect, func(schema.Record) { n++ })
 	return n
 }
 
 // All streams every record in slot order; stops early if yield returns
 // false.
 func (s *Static) All(yield func(rec schema.Record) bool) {
-	for _, rec := range s.recs {
-		if !yield(rec) {
+	for p, n := 0, s.Len(); p < n; p++ {
+		if !yield(s.row(p)) {
 			return
 		}
 	}
-}
-
-// appendRecs appends every stored record to dst (merge hand-off).
-func (s *Static) appendRecs(dst []schema.Record) []schema.Record {
-	return append(dst, s.recs...)
 }

@@ -105,10 +105,15 @@ func TestStaticVEBLayout(t *testing.T) {
 		recs := make([]schema.Record, n)
 		for i := range recs {
 			recs[i] = randRec(r)
+			recs[i][i%3] += uint64(i%4) * 5000 // some coordinates above the bound
 		}
 		s := NewStatic(sch3(), recs)
-		if len(s.recs) != n || len(s.kids) != 2*n || len(s.coords) != n*s.dims {
-			t.Fatalf("n=%d: array sizes recs=%d kids=%d coords=%d", n, len(s.recs), len(s.kids), len(s.coords))
+		if s.Len() != n || len(s.kids) != 2*n || len(s.rows) != n*s.arity {
+			t.Fatalf("n=%d: array sizes Len=%d kids=%d rows=%d", n, s.Len(), len(s.kids), len(s.rows))
+		}
+		// The k-d invariant holds on CLAMPED coordinates; rows are raw.
+		coord := func(node int32, dim int) uint64 {
+			return min(s.rows[int(node)*s.arity+dim], s.bounds[dim])
 		}
 		seen := make([]bool, n)
 		depth := 0
@@ -127,16 +132,16 @@ func TestStaticVEBLayout(t *testing.T) {
 			if d > depth {
 				depth = d
 			}
-			v := s.coords[int(node)*s.dims+dim]
+			v := coord(node, dim)
 			nd := (dim + 1) % s.dims
 			if l := s.kids[2*node]; l >= 0 {
-				if lv := s.coords[int(l)*s.dims+dim]; lv > v {
+				if lv := coord(l, dim); lv > v {
 					t.Fatalf("n=%d: left child coord %d > parent %d on dim %d", n, lv, v, dim)
 				}
 				walk(l, nd, d+1)
 			}
 			if rt := s.kids[2*node+1]; rt >= 0 {
-				if rv := s.coords[int(rt)*s.dims+dim]; rv < v {
+				if rv := coord(rt, dim); rv < v {
 					t.Fatalf("n=%d: right child coord %d < parent %d on dim %d", n, rv, v, dim)
 				}
 				walk(rt, nd, d+1)

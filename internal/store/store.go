@@ -8,9 +8,10 @@
 // The engine is a hybrid static+delta design, sharded per core
 // (DESIGN.md §4h):
 //
-//   - Static (static.go) is a bulk-loaded k-d index over a flat node
-//     array in a cache-oblivious van Emde Boas layout: no per-node
-//     pointers, no per-query allocations, iterative traversal.
+//   - Static (static.go) is a bulk-loaded k-d index over one pointer-free
+//     arena of full records in a cache-oblivious van Emde Boas layout:
+//     no per-node pointers, no per-query allocations, one iterative
+//     traversal (Visit) that every read is a wrapper over.
 //   - KD (delta.go) is the mutable copy-on-write k-d tree. It serves
 //     standalone (the pre-PR9 engine, still used by the differential
 //     baselines) and as the bounded delta buffer in front of a Static.
@@ -25,7 +26,11 @@
 // single-threaded contract and must be serialized by its caller.
 package store
 
-import "mind/internal/schema"
+import (
+	"math"
+
+	"mind/internal/schema"
+)
 
 // Store is the contract the MIND node requires of its storage engine.
 type Store interface {
@@ -34,7 +39,8 @@ type Store interface {
 	// not mutate the record after handing it over.
 	Insert(rec schema.Record)
 	// Query returns all records whose indexed point (clamped to the
-	// schema bounds) falls inside rect.
+	// schema bounds) falls inside rect. The records are read-only and
+	// may be views of an engine arena (Static's view contract).
 	Query(rect schema.Rect) []schema.Record
 	// Count returns the number of records inside rect without
 	// materializing them.
@@ -47,10 +53,10 @@ type Store interface {
 
 // rectContains reports whether the record's indexed point — clamped
 // per-dimension to bounds, the schema's precomputed sch.Bounds() — lies
-// inside rect. This is THE inside-rect test: every engine (KD, Scan,
-// Static's bulk loader, Sharded) routes record membership through it or
-// through coordinates produced by the same clamp, so a future change to
-// the clamping rule cannot desynchronize the engines from the oracle.
+// inside rect. This is the DEFINITION of membership, and only the Scan
+// oracle evaluates it record by record; the indexed engines test raw
+// values against the unclamped rectangle instead (unclamp, inside), and
+// FuzzStoreOracle holds the two to the same answers.
 func rectContains(bounds []uint64, rect schema.Rect, rec schema.Record) bool {
 	for i, b := range bounds {
 		v := rec[i]
@@ -58,6 +64,47 @@ func rectContains(bounds []uint64, rect schema.Rect, rec schema.Record) bool {
 			v = b
 		}
 		if v < rect.Lo[i] || v > rect.Hi[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// maxStackDims is the dimensionality up to which a traversal keeps its
+// unclamped upper bounds in a stack buffer (more dims allocate once per
+// traversal, nothing else changes).
+const maxStackDims = 8
+
+// unclamp moves the schema clamp from every stored point to the query
+// rectangle, once per traversal. For a bound b and a raw value v,
+// min(v, b) ∈ [lo, hi] ⇔ v ∈ [lo, hi'] where hi' = MaxUint64 if hi >= b
+// and hi otherwise, provided lo <= b; when lo > b nothing matches
+// (ok = false). Proof: if hi >= b the upper test always passes for a
+// clamped value, and v >= lo ⇔ min(v, b) >= lo because lo <= b; if
+// hi < b then v <= hi ⇔ min(v, b) <= hi because a value above b fails
+// both sides. The same two equivalences cover the split-plane prunes
+// (lo <= coord, hi >= coord), so a tree built on clamped medians is
+// traversed on raw rows. The lower bounds are rect.Lo unchanged; the
+// upper bounds are appended to buf.
+func unclamp(bounds []uint64, rect schema.Rect, buf []uint64) (hi []uint64, ok bool) {
+	for d, b := range bounds {
+		if rect.Lo[d] > b {
+			return nil, false
+		}
+		h := rect.Hi[d]
+		if h >= b {
+			h = math.MaxUint64
+		}
+		buf = append(buf, h)
+	}
+	return buf, true
+}
+
+// inside reports whether rec's raw indexed values lie in the unclamped
+// rectangle [lo, hi].
+func inside(lo, hi []uint64, rec schema.Record) bool {
+	for i, h := range hi {
+		if v := rec[i]; v < lo[i] || v > h {
 			return false
 		}
 	}

@@ -225,7 +225,7 @@ func TestSelectNth(t *testing.T) {
 			recs[i] = randRec(r)
 		}
 		k := r.Intn(n)
-		kd.selectNth(recs, k, 0)
+		selectNth(recs, k, 0, kd.bounds)
 		kth := recs[k][0]
 		for i := 0; i < k; i++ {
 			if recs[i][0] > kth {

@@ -56,20 +56,17 @@ func (vs *Versioned) Version(v uint32) *Sharded {
 	return s
 }
 
-// get returns the store for version v, or nil.
-func (vs *Versioned) get(v uint32) *Sharded {
+// Get returns the store for version v, or nil if absent. Unlike
+// Version it never creates the version — read paths (parallel shard
+// fan-out) use it to enumerate shards without materializing stores.
+func (vs *Versioned) Get(v uint32) *Sharded {
 	vs.mu.RLock()
 	defer vs.mu.RUnlock()
 	return vs.versions[v]
 }
 
-// Get returns the store for version v, or nil if absent. Unlike
-// Version it never creates the version — read paths (parallel shard
-// fan-out) use it to enumerate shards without materializing stores.
-func (vs *Versioned) Get(v uint32) *Sharded { return vs.get(v) }
-
 // Has reports whether version v exists.
-func (vs *Versioned) Has(v uint32) bool { return vs.get(v) != nil }
+func (vs *Versioned) Has(v uint32) bool { return vs.Get(v) != nil }
 
 // Versions lists existing version ids in ascending order.
 func (vs *Versioned) Versions() []uint32 {
@@ -89,28 +86,15 @@ func (vs *Versioned) Insert(v uint32, rec schema.Record) {
 }
 
 // Query resolves rect against the given versions (missing versions are
-// skipped) and concatenates the results. The result slice is presized
-// from per-version counts, so the concatenation performs exactly one
-// allocation regardless of result size.
+// skipped) and concatenates the results in argument order. Each store is
+// descended once; a presizing Count would be a second descent, which
+// costs more than the amortized append it saves.
 func (vs *Versioned) Query(versions []uint32, rect schema.Rect) []schema.Record {
-	stores := make([]*Sharded, 0, len(versions))
-	vs.mu.RLock()
+	var out []schema.Record
 	for _, v := range versions {
-		if s, ok := vs.versions[v]; ok {
-			stores = append(stores, s)
+		if s := vs.Get(v); s != nil {
+			out = s.QueryAppend(rect, out)
 		}
-	}
-	vs.mu.RUnlock()
-	total := 0
-	for _, s := range stores {
-		total += s.Count(rect)
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]schema.Record, 0, total)
-	for _, s := range stores {
-		out = s.QueryAppend(rect, out)
 	}
 	return out
 }

@@ -1,0 +1,166 @@
+package summary
+
+import "mind/internal/schema"
+
+// Tally is an exact key → weight table: flat, open-addressed, linear
+// probing on a multiply-shift hash. It is what records a node sees one
+// at a time are counted in — a boundary cell holds thousands of records
+// over thousands of distinct keys, and pushing each through a
+// capacity-K space-saving sketch costs a min-scan and an eviction per
+// record to end up with worse brackets than simply counting. The zero
+// Tally is empty and ready; it allocates on first use and then only
+// when the number of DISTINCT keys doubles.
+type Tally struct {
+	slots []tallySlot // len is a power of two; w == 0 marks an empty slot
+	used  int
+	shift uint   // 64 - log2(len(slots))
+	total uint64 // Σ weights
+}
+
+type tallySlot struct{ key, w uint64 }
+
+const tallyMinSlots = 64
+
+// AddN adds weight w to key.
+func (t *Tally) AddN(key, w uint64) {
+	if w == 0 {
+		return
+	}
+	if 2*(t.used+1) > len(t.slots) {
+		t.grow()
+	}
+	t.total += w
+	mask := uint64(len(t.slots) - 1)
+	for i := key * 0x9E3779B97F4A7C15 >> t.shift; ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.w == 0 {
+			*s = tallySlot{key, w}
+			t.used++
+			return
+		}
+		if s.key == key {
+			s.w += w
+			return
+		}
+	}
+}
+
+// grow doubles the table (load stays at or below 1/2) and reinserts.
+func (t *Tally) grow() {
+	old := t.slots
+	n := max(2*len(old), tallyMinSlots)
+	t.slots = make([]tallySlot, n)
+	t.shift = 64
+	for ; n > 1; n >>= 1 {
+		t.shift--
+	}
+	t.used, t.total = 0, 0
+	t.Merge(&Tally{slots: old})
+}
+
+// Merge adds every weight of o into t.
+func (t *Tally) Merge(o *Tally) {
+	for _, s := range o.slots {
+		t.AddN(s.key, s.w)
+	}
+}
+
+// Part turns the tally into one EXACT sketch part of capacity k: the k
+// heaviest keys (canonical order) with their true weights and Err = 0,
+// and Floor = the largest truncated weight (0 when nothing was cut, so
+// the part is then Exact). Every bracket is valid by construction —
+// a kept key's weight is its Count, an absent key weighs at most Floor —
+// and both are at least as tight as any sketch of the same capacity
+// offered the same stream: its Errs are >= 0, and one of the k+1
+// heaviest keys is absent from it, so its own floor contract puts its
+// Floor at or above that key's weight. The part joins the rollup parts
+// in MergeMany like any other contributor; truncating once here, after
+// the last record, is what keeps the brackets exact up to that point.
+func (t *Tally) Part(k int) *Sketch {
+	entries := make([]Entry, 0, t.used)
+	for _, s := range t.slots {
+		if s.w != 0 {
+			entries = append(entries, Entry{Key: s.key, Count: s.w})
+		}
+	}
+	k = max(k, 1)
+	var floor uint64
+	if len(entries) > k {
+		selectTopK(entries, k)
+		for _, e := range entries[k:] {
+			floor = max(floor, e.Count)
+		}
+		entries = entries[:k:k]
+	}
+	sortEntries(entries)
+	return FromParts(k, t.total, floor, entries)
+}
+
+// Fold is the exact half of an aggregate under assembly: records
+// streamed by a store visit (boundary cells, shards without a summary,
+// replica stores) add to the count, the per-attribute sums and a key
+// Tally, in place — no record slice, no sketch offer. Add has the
+// visitor callback's signature.
+type Fold struct {
+	Count uint64
+	Sums  []uint64
+	Keys  Tally
+}
+
+// NewFold creates an empty fold for records of the given arity.
+func NewFold(arity int) *Fold { return &Fold{Sums: make([]uint64, arity)} }
+
+// Add folds one record.
+func (f *Fold) Add(rec schema.Record) {
+	f.Count++
+	for i := range min(len(f.Sums), len(rec)) {
+		f.Sums[i] += rec[i]
+	}
+	f.Keys.AddN(keyOf(rec), 1)
+}
+
+// Merge folds o into f (per-task folds of a parallel fan-out).
+func (f *Fold) Merge(o *Fold) {
+	f.Count += o.Count
+	for i, v := range o.Sums {
+		f.Sums[i] += v
+	}
+	f.Keys.Merge(&o.Keys)
+}
+
+// Visitor streams every stored record inside rect to fn. The production
+// implementation is store.Sharded.VisitShard curried on its shard.
+type Visitor func(rect schema.Rect, fn func(schema.Record))
+
+// ResolveShard answers rect for one (summary shard, store shard) pair:
+// the rollup contributes the cells fully inside rect — counters into f,
+// its merged sketch returned as the cover part — and every boundary
+// cell is folded exactly where it stands, visit streaming its records
+// into f. A nil summary (a shard set not aligned with the store, a
+// replica store) folds the whole rectangle and returns no cover part.
+// This is the one implementation of "resolve the cover, drill the
+// boundary"; Agg.MergeShards closes the answer.
+func ResolveShard(s *Summary, rect schema.Rect, visit Visitor, f *Fold) *Sketch {
+	if s == nil {
+		visit(rect, f.Add)
+		return nil
+	}
+	r := s.Resolve(rect)
+	f.Count += r.Count
+	for i, v := range r.Sums {
+		f.Sums[i] += v
+	}
+	for _, cell := range r.Boundary {
+		visit(cell, f.Add)
+	}
+	return r.Sketch
+}
+
+// MergeShards closes a node's aggregate: f's exact counters are added,
+// and the shards' cover parts and f's one exact key part combine in a
+// single MergeMany, whose result is a pure function of the multiset of
+// parts — the answer cannot depend on task scheduling.
+func (a *Agg) MergeShards(covers []*Sketch, f *Fold) {
+	a.Merge(f.Count, f.Sums, nil)
+	a.Sketch.MergeMany(append(covers, f.Keys.Part(a.Sketch.K())))
+}

@@ -291,9 +291,21 @@ func FuzzSketchOracle(f *testing.F) {
 		side := NewSketch(k)
 		oracle := make(map[uint64]uint64)
 		sideOracle := make(map[uint64]uint64)
+		// The exact part (Tally.Part): the whole stream counted, truncated
+		// once — against the same stream offered to one sketch.
+		var tally, half Tally
+		offered := NewSketch(k)
+		stream := make(map[uint64]uint64)
 		for i := 0; i+1 < len(data); i += 2 {
 			key := uint64(data[i])
 			w := uint64(data[i+1]%7) + 1
+			offered.OfferN(key, w)
+			stream[key] += w
+			if i%4 == 0 {
+				tally.AddN(key, w)
+			} else {
+				half.AddN(key, w) // merged in below, as per-task folds are
+			}
 			switch data[i] % 3 {
 			case 0, 1:
 				s.OfferN(key, w)
@@ -319,6 +331,28 @@ func FuzzSketchOracle(f *testing.F) {
 			t.Fatalf("N = %d, oracle total %d", s.N(), total)
 		}
 		checkBoundsFuzz(t, s, oracle)
+
+		tally.Merge(&half)
+		part := tally.Part(k)
+		if part.N() != offered.N() {
+			t.Fatalf("exact part N = %d, stream weight %d", part.N(), offered.N())
+		}
+		checkBoundsFuzz(t, part, stream)
+		checkBoundsFuzz(t, offered, stream)
+		for _, e := range part.Top() {
+			if e.Err != 0 || e.Count != stream[e.Key] {
+				t.Fatalf("exact part key %d: count %d err %d, true %d", e.Key, e.Count, e.Err, stream[e.Key])
+			}
+		}
+		if part.Len() != min(k, len(stream)) {
+			t.Fatalf("exact part keeps %d of %d keys at capacity %d", part.Len(), len(stream), k)
+		}
+		if part.Floor() > offered.Floor() {
+			t.Fatalf("exact part floor %d above the offer-built sketch's %d", part.Floor(), offered.Floor())
+		}
+		if part.Exact() != (len(stream) <= k) {
+			t.Fatalf("exact part Exact() = %v with %d keys at capacity %d", part.Exact(), len(stream), k)
+		}
 	})
 }
 

@@ -47,6 +47,12 @@ func randRect(r *rand.Rand) schema.Rect {
 	return rc
 }
 
+// shardVisitor curries the store's VisitShard on one shard: the
+// production Visitor.
+func shardVisitor(eng *store.Sharded, sh int) Visitor {
+	return func(rect schema.Rect, fn func(schema.Record)) { eng.VisitShard(sh, rect, fn) }
+}
+
 // resolveExact finishes a Resolve the way the mind layer does: boundary
 // cells are scanned exactly against the record set (here the flat
 // slice standing in for the store shard) and folded in via Add.
@@ -190,9 +196,9 @@ func TestSummaryFoldBoundaries(t *testing.T) {
 // table test: records stream into a store.Sharded and shard-aligned
 // summaries, with the store's OnMerge hook folding the matching summary
 // shard. At offsets straddling every store merge boundary the aggregate
-// read path (per-shard Resolve + exact boundary scan via
-// QueryShardAppend — exactly what mind.resolveLocalAgg does) must agree
-// with store.Count and a flat oracle.
+// read path (per-shard ResolveShard folding boundary cells through the
+// store visitor, closed by MergeShards — the calls mind.resolveLocalAgg
+// makes) must agree with store.Count and a flat oracle.
 func TestSummaryStoreMergeBoundary(t *testing.T) {
 	sch := testSchema()
 	opts := store.Options{Shards: 4, DeltaMergeFrac: 0.25, DeltaMin: 16}
@@ -211,15 +217,12 @@ func TestSummaryStoreMergeBoundary(t *testing.T) {
 		for q := 0; q < 8; q++ {
 			rect := randRect(r)
 			agg := NewAgg(sch.Arity(), 16)
+			fold := NewFold(sch.Arity())
+			var covers []*Sketch
 			for sh := 0; sh < eng.NumShards(); sh++ {
-				part := sums.Shard(sh).Resolve(rect)
-				agg.Merge(part.Count, part.Sums, part.Sketch)
-				for _, b := range part.Boundary {
-					for _, rec := range eng.QueryShardAppend(sh, b, nil) {
-						agg.Add(rec)
-					}
-				}
+				covers = append(covers, ResolveShard(sums.Shard(sh), rect, shardVisitor(eng, sh), fold))
 			}
+			agg.MergeShards(covers, fold)
 			count, wsums, hist := flatAgg(sch, rect, recs)
 			if uint64(eng.Count(rect)) != count {
 				t.Fatalf("%s: store count diverged from oracle", tag)
