@@ -41,31 +41,18 @@ type AggQuery struct {
 }
 
 func (m *AggQuery) Kind() Kind { return KindAggQuery }
-func (m *AggQuery) encode(w *Writer) {
-	w.Uvarint(m.ReqID)
-	w.String(m.OriginAddr)
-	w.String(m.Index)
-	w.U64Slice(m.Versions)
-	encodeRect(w, m.Rect)
-	w.Code(m.RegionCode)
-	w.Uvarint(uint64(m.TopK))
-	w.U8(m.Hops)
-	w.Bool(m.Historic)
-	w.U8(m.Attempt)
-	w.Uvarint(m.TreeEpoch)
-}
-func (m *AggQuery) decode(r *Reader) {
-	m.ReqID = r.Uvarint()
-	m.OriginAddr = r.String()
-	m.Index = r.String()
-	m.Versions = r.U64Slice()
-	m.Rect = decodeRect(r)
-	m.RegionCode = r.Code()
-	m.TopK = uint32(r.Uvarint())
-	m.Hops = r.U8()
-	m.Historic = r.Bool()
-	m.Attempt = r.U8()
-	m.TreeEpoch = r.Uvarint()
+func (m *AggQuery) fields(c *codec) {
+	c.Uvarint(&m.ReqID)
+	c.String(&m.OriginAddr)
+	c.String(&m.Index)
+	c.U64s(&m.Versions)
+	c.Rect(&m.Rect)
+	c.Code(&m.RegionCode)
+	c.U32(&m.TopK)
+	c.U8(&m.Hops)
+	c.Bool(&m.Historic)
+	c.U8(&m.Attempt)
+	c.Uvarint(&m.TreeEpoch)
 }
 
 // AggResp carries one region's partial aggregate back to the
@@ -98,41 +85,19 @@ type AggResp struct {
 }
 
 func (m *AggResp) Kind() Kind { return KindAggResp }
-func (m *AggResp) encode(w *Writer) {
-	w.Uvarint(m.ReqID)
-	m.From.encode(w)
-	w.Bool(m.HasCover)
-	w.Code(m.Cover)
-	w.U64Slice(m.Versions)
-	w.U8(m.Hops)
-	w.U64(m.Count)
-	w.U64Slice(m.Sums)
-	w.Uvarint(uint64(m.SketchK))
-	w.U64(m.SketchN)
-	w.U64(m.Floor)
-	w.U64Slice(m.Keys)
-	w.U64Slice(m.Counts)
-	w.U64Slice(m.Errs)
-}
-func (m *AggResp) decode(r *Reader) {
-	m.ReqID = r.Uvarint()
-	m.From.decode(r)
-	m.HasCover = r.Bool()
-	m.Cover = r.Code()
-	m.Versions = r.U64Slice()
-	m.Hops = r.U8()
-	m.Count = r.U64()
-	m.Sums = r.U64Slice()
-	m.SketchK = uint32(r.Uvarint())
-	m.SketchN = r.U64()
-	m.Floor = r.U64()
-	m.Keys = r.U64Slice()
-	m.Counts = r.U64Slice()
-	m.Errs = r.U64Slice()
-	if len(m.Counts) != len(m.Keys) || len(m.Errs) != len(m.Keys) {
-		r.fail("sketch slices disagree: %d keys, %d counts, %d errs",
-			len(m.Keys), len(m.Counts), len(m.Errs))
-	}
+func (m *AggResp) fields(c *codec) {
+	c.Uvarint(&m.ReqID)
+	c.Node(&m.From)
+	c.Bool(&m.HasCover)
+	c.Code(&m.Cover)
+	c.U64s(&m.Versions)
+	c.U8(&m.Hops)
+	c.U64(&m.Count)
+	c.U64s(&m.Sums)
+	c.U32(&m.SketchK)
+	c.U64(&m.SketchN)
+	c.U64(&m.Floor)
+	c.Sketch(&m.Keys, &m.Counts, &m.Errs)
 }
 
 // ClientAgg asks the receiving node to resolve an aggregate query on
@@ -145,17 +110,11 @@ type ClientAgg struct {
 }
 
 func (m *ClientAgg) Kind() Kind { return KindClientAgg }
-func (m *ClientAgg) encode(w *Writer) {
-	w.Uvarint(m.ReqID)
-	w.String(m.Index)
-	encodeRect(w, m.Rect)
-	w.Uvarint(uint64(m.TopK))
-}
-func (m *ClientAgg) decode(r *Reader) {
-	m.ReqID = r.Uvarint()
-	m.Index = r.String()
-	m.Rect = decodeRect(r)
-	m.TopK = uint32(r.Uvarint())
+func (m *ClientAgg) fields(c *codec) {
+	c.Uvarint(&m.ReqID)
+	c.String(&m.Index)
+	c.Rect(&m.Rect)
+	c.U32(&m.TopK)
 }
 
 // ClientAggResp answers ClientAgg with the merged aggregate.
@@ -179,35 +138,15 @@ type ClientAggResp struct {
 }
 
 func (m *ClientAggResp) Kind() Kind { return KindClientAggResp }
-func (m *ClientAggResp) encode(w *Writer) {
-	w.Uvarint(m.ReqID)
-	w.Bool(m.Complete)
-	w.Bool(m.Shed)
-	w.Bool(m.Exact)
-	w.Uvarint(uint64(m.Responders))
-	w.U64(m.Count)
-	w.U64Slice(m.Sums)
-	w.U64(m.SketchN)
-	w.U64(m.Floor)
-	w.U64Slice(m.Keys)
-	w.U64Slice(m.Counts)
-	w.U64Slice(m.Errs)
-}
-func (m *ClientAggResp) decode(r *Reader) {
-	m.ReqID = r.Uvarint()
-	m.Complete = r.Bool()
-	m.Shed = r.Bool()
-	m.Exact = r.Bool()
-	m.Responders = uint32(r.Uvarint())
-	m.Count = r.U64()
-	m.Sums = r.U64Slice()
-	m.SketchN = r.U64()
-	m.Floor = r.U64()
-	m.Keys = r.U64Slice()
-	m.Counts = r.U64Slice()
-	m.Errs = r.U64Slice()
-	if len(m.Counts) != len(m.Keys) || len(m.Errs) != len(m.Keys) {
-		r.fail("sketch slices disagree: %d keys, %d counts, %d errs",
-			len(m.Keys), len(m.Counts), len(m.Errs))
-	}
+func (m *ClientAggResp) fields(c *codec) {
+	c.Uvarint(&m.ReqID)
+	c.Bool(&m.Complete)
+	c.Bool(&m.Shed)
+	c.Bool(&m.Exact)
+	c.U32(&m.Responders)
+	c.U64(&m.Count)
+	c.U64s(&m.Sums)
+	c.U64(&m.SketchN)
+	c.U64(&m.Floor)
+	c.Sketch(&m.Keys, &m.Counts, &m.Errs)
 }

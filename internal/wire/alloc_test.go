@@ -1,14 +1,21 @@
 //go:build !race
 
-// Alloc-budget gates (CI runs these with -run AllocBudget and no race
-// detector, whose instrumentation would skew the counts). The budgets
-// guard the two hot paths the streaming ingest engine leans on: frame
-// parsing must not allocate at all, and pooled encode must stay at most
-// one allocation per message once the pool is warm.
+// Alloc-budget gates (CI runs these with -run
+// 'AllocBudget|DecodeAllocationBounded' and no race detector, whose
+// instrumentation would skew the counts). The budgets guard the hot
+// paths the streaming ingest engine leans on — frame parsing must not
+// allocate at all, pooled encode must stay at most one allocation per
+// message once the pool is warm, an Insert decodes in five — and the
+// hostile-input bound: Decode never allocates more than a constant
+// multiple of its input.
 
 package wire
 
-import "testing"
+import (
+	"encoding/binary"
+	"runtime"
+	"testing"
+)
 
 func TestAllocBudgetFlowFrameParse(t *testing.T) {
 	recs := make([][]uint64, 64)
@@ -65,5 +72,51 @@ func TestAllocBudgetEncodePooled(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Fatalf("pooled encode allocates %.1f times per message, want <= 1", allocs)
+	}
+}
+
+func TestAllocBudgetDecodeInsert(t *testing.T) {
+	data := Encode(&Insert{
+		ReqID:      7,
+		OriginAddr: "n000",
+		Index:      "index2-octets",
+		RecID:      9,
+		Rec:        []uint64{1, 2, 3, 4, 5},
+	})
+	// The message, the codec, two strings and the record.
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := Decode(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 5 {
+		t.Fatalf("insert decode allocates %.1f times per message, want <= 5", allocs)
+	}
+}
+
+// TestDecodeAllocationBounded feeds every registered kind every prefix
+// of a valid encoding followed by a length prefix of MaxSliceLen — the
+// largest any cap admits — wherever the next field happens to start.
+// Whatever Decode makes of it, it may not allocate more than 64 bytes
+// per input byte plus a fixed 4 KiB, and it must fail unless the bytes
+// happen to be a complete valid encoding.
+func TestDecodeAllocationBounded(t *testing.T) {
+	hostile := binary.AppendUvarint(nil, MaxSliceLen)
+	var before, after runtime.MemStats
+	for _, k := range registered() {
+		valid := Encode(sample(t, k))
+		for cut := 1; cut <= len(valid); cut++ {
+			input := append(valid[:cut:cut], hostile...)
+			runtime.ReadMemStats(&before)
+			m, err := Decode(input)
+			runtime.ReadMemStats(&after)
+			if got, max := after.TotalAlloc-before.TotalAlloc, uint64(64*len(input)+4<<10); got > max {
+				t.Errorf("%s: %d-byte input (prefix %d + hostile length) made Decode allocate %d bytes, bound %d",
+					k, len(input), cut, got, max)
+			}
+			if err == nil && len(Encode(m)) != len(input) {
+				t.Errorf("%s: prefix %d + hostile length decoded without error", k, cut)
+			}
+		}
 	}
 }

@@ -20,54 +20,7 @@ const (
 	KindClientVersionsResp
 	KindClientAgg
 	KindClientAggResp
-
-	clientKindSentinel
 )
-
-func init() {
-	for k, name := range map[Kind]string{
-		KindClientInsert:       "client-insert",
-		KindClientQuery:        "client-query",
-		KindClientCreateIndex:  "client-create-index",
-		KindClientDropIndex:    "client-drop-index",
-		KindClientAck:          "client-ack",
-		KindClientQueryResp:    "client-query-resp",
-		KindClientVersions:     "client-versions",
-		KindClientVersionsResp: "client-versions-resp",
-		KindClientAgg:          "client-agg",
-		KindClientAggResp:      "client-agg-resp",
-	} {
-		clientKindNames[k] = name
-	}
-}
-
-var clientKindNames = map[Kind]string{}
-
-func newClientMessage(k Kind) Message {
-	switch k {
-	case KindClientInsert:
-		return &ClientInsert{}
-	case KindClientQuery:
-		return &ClientQuery{}
-	case KindClientCreateIndex:
-		return &ClientCreateIndex{}
-	case KindClientDropIndex:
-		return &ClientDropIndex{}
-	case KindClientAck:
-		return &ClientAck{}
-	case KindClientQueryResp:
-		return &ClientQueryResp{}
-	case KindClientVersions:
-		return &ClientVersions{}
-	case KindClientVersionsResp:
-		return &ClientVersionsResp{}
-	case KindClientAgg:
-		return &ClientAgg{}
-	case KindClientAggResp:
-		return &ClientAggResp{}
-	}
-	return nil
-}
 
 // ClientInsert asks the receiving node to insert a record.
 type ClientInsert struct {
@@ -77,15 +30,10 @@ type ClientInsert struct {
 }
 
 func (m *ClientInsert) Kind() Kind { return KindClientInsert }
-func (m *ClientInsert) encode(w *Writer) {
-	w.Uvarint(m.ReqID)
-	w.String(m.Index)
-	w.U64Slice(m.Rec)
-}
-func (m *ClientInsert) decode(r *Reader) {
-	m.ReqID = r.Uvarint()
-	m.Index = r.String()
-	m.Rec = r.U64Slice()
+func (m *ClientInsert) fields(c *codec) {
+	c.Uvarint(&m.ReqID)
+	c.String(&m.Index)
+	c.U64s(&m.Rec)
 }
 
 // ClientQuery asks the receiving node to resolve a range query.
@@ -96,15 +44,10 @@ type ClientQuery struct {
 }
 
 func (m *ClientQuery) Kind() Kind { return KindClientQuery }
-func (m *ClientQuery) encode(w *Writer) {
-	w.Uvarint(m.ReqID)
-	w.String(m.Index)
-	encodeRect(w, m.Rect)
-}
-func (m *ClientQuery) decode(r *Reader) {
-	m.ReqID = r.Uvarint()
-	m.Index = r.String()
-	m.Rect = decodeRect(r)
+func (m *ClientQuery) fields(c *codec) {
+	c.Uvarint(&m.ReqID)
+	c.String(&m.Index)
+	c.Rect(&m.Rect)
 }
 
 // ClientCreateIndex asks the receiving node to create an index with a
@@ -115,13 +58,9 @@ type ClientCreateIndex struct {
 }
 
 func (m *ClientCreateIndex) Kind() Kind { return KindClientCreateIndex }
-func (m *ClientCreateIndex) encode(w *Writer) {
-	w.Uvarint(m.ReqID)
-	EncodeSchema(w, m.Schema)
-}
-func (m *ClientCreateIndex) decode(r *Reader) {
-	m.ReqID = r.Uvarint()
-	m.Schema = DecodeSchema(r)
+func (m *ClientCreateIndex) fields(c *codec) {
+	c.Uvarint(&m.ReqID)
+	c.Schema(&m.Schema)
 }
 
 // ClientDropIndex asks the receiving node to drop an index.
@@ -131,13 +70,9 @@ type ClientDropIndex struct {
 }
 
 func (m *ClientDropIndex) Kind() Kind { return KindClientDropIndex }
-func (m *ClientDropIndex) encode(w *Writer) {
-	w.Uvarint(m.ReqID)
-	w.String(m.Tag)
-}
-func (m *ClientDropIndex) decode(r *Reader) {
-	m.ReqID = r.Uvarint()
-	m.Tag = r.String()
+func (m *ClientDropIndex) fields(c *codec) {
+	c.Uvarint(&m.ReqID)
+	c.String(&m.Tag)
 }
 
 // ClientAck answers ClientInsert / ClientCreateIndex / ClientDropIndex.
@@ -154,19 +89,12 @@ type ClientAck struct {
 }
 
 func (m *ClientAck) Kind() Kind { return KindClientAck }
-func (m *ClientAck) encode(w *Writer) {
-	w.Uvarint(m.ReqID)
-	w.Bool(m.OK)
-	w.String(m.Error)
-	w.U8(m.Hops)
-	w.Bool(m.Shed)
-}
-func (m *ClientAck) decode(r *Reader) {
-	m.ReqID = r.Uvarint()
-	m.OK = r.Bool()
-	m.Error = r.String()
-	m.Hops = r.U8()
-	m.Shed = r.Bool()
+func (m *ClientAck) fields(c *codec) {
+	c.Uvarint(&m.ReqID)
+	c.Bool(&m.OK)
+	c.String(&m.Error)
+	c.U8(&m.Hops)
+	c.Bool(&m.Shed)
 }
 
 // ClientQueryResp answers ClientQuery with the assembled results.
@@ -180,30 +108,12 @@ type ClientQueryResp struct {
 }
 
 func (m *ClientQueryResp) Kind() Kind { return KindClientQueryResp }
-func (m *ClientQueryResp) encode(w *Writer) {
-	w.Uvarint(m.ReqID)
-	w.Bool(m.Complete)
-	w.Bool(m.Shed)
-	w.Uvarint(uint64(m.Responders))
-	w.Uvarint(uint64(len(m.Recs)))
-	for _, rec := range m.Recs {
-		w.U64Slice(rec)
-	}
-}
-func (m *ClientQueryResp) decode(r *Reader) {
-	m.ReqID = r.Uvarint()
-	m.Complete = r.Bool()
-	m.Shed = r.Bool()
-	m.Responders = uint32(r.Uvarint())
-	n := r.Uvarint()
-	if n > MaxSliceLen {
-		r.fail("too many records: %d", n)
-		return
-	}
-	m.Recs = make([][]uint64, n)
-	for i := range m.Recs {
-		m.Recs[i] = r.U64Slice()
-	}
+func (m *ClientQueryResp) fields(c *codec) {
+	c.Uvarint(&m.ReqID)
+	c.Bool(&m.Complete)
+	c.Bool(&m.Shed)
+	c.U32(&m.Responders)
+	c.Recs(&m.Recs)
 }
 
 // ClientVersions asks the receiving node for its per-index installed
@@ -215,11 +125,8 @@ type ClientVersions struct {
 }
 
 func (m *ClientVersions) Kind() Kind { return KindClientVersions }
-func (m *ClientVersions) encode(w *Writer) {
-	w.Uvarint(m.ReqID)
-}
-func (m *ClientVersions) decode(r *Reader) {
-	m.ReqID = r.Uvarint()
+func (m *ClientVersions) fields(c *codec) {
+	c.Uvarint(&m.ReqID)
 }
 
 // ClientVersionsResp answers ClientVersions.
@@ -232,32 +139,10 @@ type ClientVersionsResp struct {
 }
 
 func (m *ClientVersionsResp) Kind() Kind { return KindClientVersionsResp }
-func (m *ClientVersionsResp) encode(w *Writer) {
-	w.Uvarint(m.ReqID)
-	w.String(m.Addr)
-	w.String(m.Code)
-	w.Uvarint(m.Epoch)
-	w.Uvarint(uint64(len(m.Entries)))
-	for _, e := range m.Entries {
-		w.String(e.Index)
-		w.Uvarint(uint64(e.Version))
-		w.Uvarint(e.Epoch)
-	}
-}
-func (m *ClientVersionsResp) decode(r *Reader) {
-	m.ReqID = r.Uvarint()
-	m.Addr = r.String()
-	m.Code = r.String()
-	m.Epoch = r.Uvarint()
-	n := r.Uvarint()
-	if n > 1<<16 {
-		r.fail("too many version entries: %d", n)
-		return
-	}
-	m.Entries = make([]TreeSyncEntry, n)
-	for i := range m.Entries {
-		m.Entries[i].Index = r.String()
-		m.Entries[i].Version = uint32(r.Uvarint())
-		m.Entries[i].Epoch = r.Uvarint()
-	}
+func (m *ClientVersionsResp) fields(c *codec) {
+	c.Uvarint(&m.ReqID)
+	c.String(&m.Addr)
+	c.String(&m.Code)
+	c.Uvarint(&m.Epoch)
+	c.Entries(&m.Entries)
 }

@@ -1,17 +1,22 @@
 // Package wire defines the binary message format spoken between MIND
-// nodes: a small hand-rolled codec (varint-based, no reflection) and one
-// struct per protocol message. Both the in-process simulated transport
-// and the TCP transport carry exactly these encoded messages, so every
-// experiment exercises the real protocol encoding.
+// nodes: one struct and one field walk per message. A message's
+// fields(c *codec) method names its fields once, in wire order; the
+// codec writes them when encoding and reads them when decoding, so the
+// two directions cannot drift apart, and every length prefix passes
+// through one guard (codec.count). Plain Go, no reflection. Both the
+// in-process simulated transport and the TCP transport carry exactly
+// these encoded messages, so every experiment exercises the real
+// protocol encoding. DESIGN.md §6 lists the kinds and the primitive
+// encodings.
 package wire
 
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 
 	"mind/internal/bitstr"
+	"mind/internal/schema"
 )
 
 // MaxSliceLen caps decoded slice lengths to keep malformed or hostile
@@ -40,73 +45,44 @@ type Batch struct {
 // Kind returns KindBatch.
 func (m *Batch) Kind() Kind { return KindBatch }
 
-func (m *Batch) encode(w *Writer) {
-	// Presize: the envelope body is dominated by the sub-message bytes,
-	// so one Grow avoids the append-doubling copies for large batches.
-	total := 0
-	for _, sub := range m.Msgs {
-		total += len(sub) + binary.MaxVarintLen32
+func (m *Batch) fields(c *codec) {
+	if !c.dec {
+		// Presize: the envelope body is dominated by the sub-message bytes,
+		// so making room once avoids the doubling copies for large batches
+		// (each length prefix asks for a full varint's room).
+		total := binary.MaxVarintLen64
+		for _, sub := range m.Msgs {
+			total += len(sub) + binary.MaxVarintLen64
+		}
+		c.room(total)
 	}
-	w.Grow(total + binary.MaxVarintLen32)
-	w.Uvarint(uint64(len(m.Msgs)))
-	for _, sub := range m.Msgs {
-		w.BytesField(sub)
-	}
-}
-
-func (m *Batch) decode(r *Reader) {
-	n := r.Uvarint()
-	if n > MaxBatchMsgs || n > uint64(r.Remaining()) {
-		r.fail("batch of %d messages implausible", n)
-		return
-	}
-	m.Msgs = make([][]byte, 0, n)
-	for i := uint64(0); i < n; i++ {
-		sub := r.BytesField()
-		if r.err != nil {
+	slice(c, &m.Msgs, MaxBatchMsgs, func(c *codec, sub *[]byte) {
+		c.Bytes(sub)
+		if !c.dec || c.err != nil {
 			return
 		}
-		if len(sub) == 0 {
-			r.fail("empty sub-message in batch")
-			return
+		if len(*sub) == 0 {
+			c.fail("empty sub-message in batch")
+		} else if Kind((*sub)[0]) == KindBatch {
+			c.fail("nested batch")
 		}
-		if Kind(sub[0]) == KindBatch {
-			r.fail("nested batch")
-			return
-		}
-		m.Msgs = append(m.Msgs, sub)
-	}
+	})
 }
 
-func init() { clientKindNames[KindBatch] = "batch" }
-
-func newBatchMessage(k Kind) Message {
-	if k == KindBatch {
-		return &Batch{}
-	}
-	return nil
-}
-
-// Writer accumulates an encoded message.
-type Writer struct {
+// codec walks a message's fields in wire order, in one of two
+// directions, over one cursor: encoding (dec false) writes each field at
+// buf[off:], growing buf as needed, so buf[:off] is the output so far;
+// decoding (dec true) reads each field from buf[off:] into the message.
+// Decode errors are sticky: the first failure keeps its error and
+// discards the rest of the input, so every later read comes up short and
+// leaves its target alone, and Decode reports the failure once at the
+// end. Encoding only reads through the pointers it is handed, so a
+// message may be encoded from several goroutines at once.
+type codec struct {
 	buf []byte
-}
-
-// NewWriter returns a Writer with a small preallocated buffer.
-func NewWriter() *Writer { return &Writer{buf: make([]byte, 0, 128)} }
-
-// Bytes returns the encoded buffer.
-func (w *Writer) Bytes() []byte { return w.buf }
-
-// Grow ensures at least n more bytes of capacity, so a sequence of
-// appends totalling n proceeds without reallocating.
-func (w *Writer) Grow(n int) {
-	if cap(w.buf)-len(w.buf) >= n {
-		return
-	}
-	grown := make([]byte, len(w.buf), len(w.buf)+n)
-	copy(grown, w.buf)
-	w.buf = grown
+	off int
+	err error
+	dec bool
 }
 
 // maxPooledBuf bounds the capacity of buffers kept in the encode pools;
@@ -114,11 +90,12 @@ func (w *Writer) Grow(n int) {
 // left for the GC rather than pinning their memory indefinitely.
 const maxPooledBuf = 64 << 10
 
-// writerPool recycles Writers (and their backing arrays) across Encode
-// calls. Encode copies the finished message into an exactly sized output
-// buffer before returning the Writer, so pooled state never escapes.
-var writerPool = sync.Pool{
-	New: func() any { return &Writer{buf: make([]byte, 0, 512)} },
+// encoderPool recycles encoding codecs (and their backing arrays) across
+// Encode calls. Encode copies the finished message into an exactly sized
+// output buffer before returning the codec, so pooled state never
+// escapes.
+var encoderPool = sync.Pool{
+	New: func() any { return &codec{buf: make([]byte, 512)} },
 }
 
 // bufPool recycles the exactly sized output buffers that Encode returns.
@@ -158,219 +135,264 @@ func RecycleBuf(b []byte) {
 	bufPool.Put(&b)
 }
 
-// getWriter returns a pooled Writer with an empty buffer.
-func getWriter() *Writer {
-	w := writerPool.Get().(*Writer)
-	w.buf = w.buf[:0]
-	return w
+// fail records a decode's first error and discards the unread input.
+func (c *codec) fail(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf("wire: "+format, args...)
+	}
+	c.off = len(c.buf)
 }
 
-// putWriter returns a Writer to the pool unless its buffer has grown
-// past the pooling bound.
-func putWriter(w *Writer) {
-	if cap(w.buf) > maxPooledBuf {
+// remaining returns the number of unread bytes.
+func (c *codec) remaining() int { return len(c.buf) - c.off }
+
+// room returns buf[off:], the unwritten part of an encoding's buffer,
+// first growing it to hold at least n more bytes. Writing there and
+// advancing off stores bytes and an integer, never a slice header — an
+// append would rewrite buf's pointer on every field, a GC write barrier
+// each while a mark phase runs. Small enough to inline, so an encode
+// step makes no call unless the buffer grows.
+func (c *codec) room(n int) []byte {
+	if len(c.buf)-c.off < n {
+		c.grow(n)
+	}
+	return c.buf[c.off:]
+}
+
+// grow reallocates an encoding's buffer with room for n more bytes,
+// leaving the amortised growth to append.
+func (c *codec) grow(n int) {
+	c.buf = append(c.buf[:c.off], make([]byte, n)...)
+	c.buf = c.buf[:cap(c.buf)]
+}
+
+// U8 walks one byte.
+func (c *codec) U8(v *uint8) {
+	if !c.dec {
+		c.room(1)[0] = *v
+		c.off++
+	} else if c.off < len(c.buf) {
+		*v = c.buf[c.off]
+		c.off++
+	} else {
+		c.fail("short read (u8)")
+	}
+}
+
+// Bool walks a boolean as one byte (any non-zero byte decodes true).
+func (c *codec) Bool(v *bool) {
+	var b uint8
+	if *v {
+		b = 1
+	}
+	c.U8(&b)
+	if c.dec {
+		*v = b != 0
+	}
+}
+
+// Uvarint walks an unsigned varint.
+func (c *codec) Uvarint(v *uint64) {
+	if !c.dec {
+		c.off += binary.PutUvarint(c.room(binary.MaxVarintLen64), *v)
 		return
 	}
-	writerPool.Put(w)
-}
-
-// U8 appends one byte.
-func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
-
-// Bool appends a boolean as one byte.
-func (w *Writer) Bool(v bool) {
-	if v {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
-}
-
-// Uvarint appends an unsigned varint.
-func (w *Writer) Uvarint(v uint64) {
-	w.buf = binary.AppendUvarint(w.buf, v)
-}
-
-// U64 appends a fixed-width little-endian uint64 (used where varints
-// would bloat high-entropy values such as histogram bits).
-func (w *Writer) U64(v uint64) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
-}
-
-// F64 appends a float64.
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
-
-// Bytes appends a length-prefixed byte slice.
-func (w *Writer) BytesField(b []byte) {
-	w.Uvarint(uint64(len(b)))
-	w.buf = append(w.buf, b...)
-}
-
-// String appends a length-prefixed string.
-func (w *Writer) String(s string) {
-	w.Uvarint(uint64(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
-// Code appends a bit-string code.
-func (w *Writer) Code(c bitstr.Code) {
-	b, n := c.Pack()
-	w.U8(n)
-	w.U64(b)
-}
-
-// U64Slice appends a length-prefixed slice of varint values.
-func (w *Writer) U64Slice(vs []uint64) {
-	w.Uvarint(uint64(len(vs)))
-	for _, v := range vs {
-		w.Uvarint(v)
-	}
-}
-
-// Reader decodes an encoded message with a sticky error: after the first
-// failure every subsequent read returns zero values, and Err reports the
-// failure once at the end.
-type Reader struct {
-	buf []byte
-	off int
-	err error
-}
-
-// NewReader wraps an encoded buffer.
-func NewReader(b []byte) *Reader { return &Reader{buf: b} }
-
-// Err returns the first decode error, if any.
-func (r *Reader) Err() error { return r.err }
-
-// Remaining returns the number of unread bytes.
-func (r *Reader) Remaining() int { return len(r.buf) - r.off }
-
-// Finish returns an error if decoding failed or bytes remain.
-func (r *Reader) Finish() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(r.buf) {
-		return fmt.Errorf("wire: %d trailing bytes", len(r.buf)-r.off)
-	}
-	return nil
-}
-
-func (r *Reader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("wire: "+format, args...)
-	}
-}
-
-// U8 reads one byte.
-func (r *Reader) U8() uint8 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off >= len(r.buf) {
-		r.fail("short read (u8)")
-		return 0
-	}
-	v := r.buf[r.off]
-	r.off++
-	return v
-}
-
-// Bool reads a boolean.
-func (r *Reader) Bool() bool { return r.U8() != 0 }
-
-// Uvarint reads an unsigned varint.
-func (r *Reader) Uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf[r.off:])
+	x, n := binary.Uvarint(c.buf[c.off:])
 	if n <= 0 {
-		r.fail("bad uvarint")
+		c.fail("bad uvarint")
+		return
+	}
+	*v = x
+	c.off += n
+}
+
+// U32 walks a uint32 as an unsigned varint; decoding keeps the low 32
+// bits.
+func (c *codec) U32(v *uint32) {
+	x := uint64(*v)
+	c.Uvarint(&x)
+	if c.dec {
+		*v = uint32(x)
+	}
+}
+
+// U64 walks a fixed-width little-endian uint64 (used where varints
+// would bloat high-entropy values such as record ids and digests).
+func (c *codec) U64(v *uint64) {
+	if !c.dec {
+		binary.LittleEndian.PutUint64(c.room(8), *v)
+		c.off += 8
+	} else if c.remaining() >= 8 {
+		*v = binary.LittleEndian.Uint64(c.buf[c.off:])
+		c.off += 8
+	} else {
+		c.fail("short read (u64)")
+	}
+}
+
+// count walks a length prefix (an unsigned varint): n is what encoding
+// writes; decoding ignores it and returns the length it read, or 0 after
+// a failure. Every length in every message passes through here, and a
+// decoded one fails unless it is at most max and at most the bytes that
+// remain — each element of every repeated shape encodes to at least one
+// byte — so no input makes Decode allocate more than a constant
+// multiple of its own size.
+func (c *codec) count(n, max int) int {
+	if !c.dec {
+		// Uvarint's encode step, repeated here rather than called: a
+		// length sits in front of every string, record and sub-message.
+		c.off += binary.PutUvarint(c.room(binary.MaxVarintLen64), uint64(n))
+		return n
+	}
+	var x uint64
+	c.Uvarint(&x)
+	if c.err == nil && (x > uint64(max) || x > uint64(c.remaining())) {
+		c.fail("length %d exceeds cap %d or the %d bytes remaining", x, max, c.remaining())
+	}
+	if c.err != nil {
 		return 0
 	}
-	r.off += n
-	return v
+	return int(x)
 }
 
-// U64 reads a fixed-width uint64.
-func (r *Reader) U64() uint64 {
-	if r.err != nil {
-		return 0
+// Bytes walks a length-prefixed byte slice (decoding copies it).
+func (c *codec) Bytes(v *[]byte) {
+	n := c.count(len(*v), MaxSliceLen)
+	if !c.dec {
+		c.off += copy(c.room(n), *v)
+	} else if c.err == nil {
+		*v = make([]byte, n)
+		c.off += copy(*v, c.buf[c.off:])
 	}
-	if r.off+8 > len(r.buf) {
-		r.fail("short read (u64)")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
 }
 
-// F64 reads a float64.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
-
-// BytesField reads a length-prefixed byte slice (copied).
-func (r *Reader) BytesField() []byte {
-	n := r.Uvarint()
-	if r.err != nil {
-		return nil
+// String walks a length-prefixed string.
+func (c *codec) String(v *string) {
+	n := c.count(len(*v), MaxSliceLen)
+	if !c.dec {
+		c.off += copy(c.room(n), *v)
+	} else if c.err == nil {
+		*v = string(c.buf[c.off : c.off+n])
+		c.off += n
 	}
-	if n > MaxSliceLen || int(n) > r.Remaining() {
-		r.fail("bytes length %d exceeds remaining %d", n, r.Remaining())
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, r.buf[r.off:])
-	r.off += int(n)
-	return out
 }
 
-// String reads a length-prefixed string.
-func (r *Reader) String() string {
-	n := r.Uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > MaxSliceLen || int(n) > r.Remaining() {
-		r.fail("string length %d exceeds remaining %d", n, r.Remaining())
-		return ""
-	}
-	s := string(r.buf[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
-}
-
-// Code reads a bit-string code.
-func (r *Reader) Code() bitstr.Code {
-	n := r.U8()
-	b := r.U64()
-	if r.err != nil {
-		return bitstr.Empty
+// Code walks a bit-string code packed as a length byte plus a fixed u64
+// of left-aligned bits; decoding rejects lengths over bitstr.MaxLen and
+// zeroes stray bits past the length.
+func (c *codec) Code(v *bitstr.Code) {
+	bits, n := v.Pack()
+	c.U8(&n)
+	c.U64(&bits)
+	if !c.dec || c.err != nil {
+		return
 	}
 	if n > bitstr.MaxLen {
-		r.fail("code length %d exceeds max %d", n, bitstr.MaxLen)
-		return bitstr.Empty
+		c.fail("code length %d exceeds max %d", n, bitstr.MaxLen)
+		return
 	}
-	return bitstr.Unpack(b, n)
+	*v = bitstr.Unpack(bits, n)
 }
 
-// U64Slice reads a length-prefixed slice of varint values.
-func (r *Reader) U64Slice() []uint64 {
-	n := r.Uvarint()
-	if r.err != nil {
-		return nil
+// U64s walks a length-prefixed slice of varint values (a record, a
+// version list, one side of a rectangle).
+func (c *codec) U64s(v *[]uint64) {
+	n := c.count(len(*v), MaxSliceLen)
+	if !c.dec {
+		// Records are the bulk of every query answer: reserve the worst
+		// case once and fill it without a call per element.
+		b := c.room(n * binary.MaxVarintLen64)
+		for _, x := range *v {
+			b = b[binary.PutUvarint(b, x):]
+		}
+		c.off = len(c.buf) - len(b)
+		return
 	}
-	if n > MaxSliceLen || int(n) > r.Remaining() {
-		r.fail("slice length %d implausible", n)
-		return nil
+	if c.err == nil {
+		*v = make([]uint64, n)
 	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = r.Uvarint()
+	for i := range *v {
+		c.Uvarint(&(*v)[i])
 	}
-	if r.err != nil {
-		return nil
+}
+
+// slice walks a length-prefixed sequence of at most max elements, each
+// walked by elem.
+func slice[T any](c *codec, v *[]T, max int, elem func(*codec, *T)) {
+	n := c.count(len(*v), max)
+	if c.dec && c.err == nil {
+		*v = make([]T, n)
 	}
-	return out
+	for i := 0; i < len(*v) && c.err == nil; i++ {
+		elem(c, &(*v)[i])
+	}
+}
+
+// Rect walks a query rectangle.
+func (c *codec) Rect(v *schema.Rect) {
+	c.U64s(&v.Lo)
+	c.U64s(&v.Hi)
+}
+
+// Recs walks a sequence of records.
+func (c *codec) Recs(v *[][]uint64) { slice(c, v, MaxSliceLen, (*codec).U64s) }
+
+// Node walks a NodeInfo.
+func (c *codec) Node(v *NodeInfo) {
+	c.String(&v.Addr)
+	c.Code(&v.Code)
+}
+
+// Nodes walks a sequence of NodeInfos.
+func (c *codec) Nodes(v *[]NodeInfo) { slice(c, v, 1<<16, (*codec).Node) }
+
+// Entries walks a sequence of tree identities.
+func (c *codec) Entries(v *[]TreeSyncEntry) {
+	slice(c, v, 1<<16, func(c *codec, e *TreeSyncEntry) {
+		c.String(&e.Index)
+		c.U32(&e.Version)
+		c.Uvarint(&e.Epoch)
+	})
+}
+
+// Sketch walks a flattened summary.Sketch's parallel slices; a decoded
+// triple whose lengths disagree fails, because receivers index Counts
+// and Errs by Keys position.
+func (c *codec) Sketch(keys, counts, errs *[]uint64) {
+	c.U64s(keys)
+	c.U64s(counts)
+	c.U64s(errs)
+	if c.dec && (len(*counts) != len(*keys) || len(*errs) != len(*keys)) {
+		c.fail("sketch slices disagree: %d keys, %d counts, %d errs",
+			len(*keys), len(*counts), len(*errs))
+	}
+}
+
+// Schema walks an index schema; decoding allocates it.
+func (c *codec) Schema(v **schema.Schema) {
+	if c.dec {
+		*v = new(schema.Schema)
+	}
+	s := *v
+	c.String(&s.Tag)
+	dims := uint64(s.IndexDims)
+	c.Uvarint(&dims)
+	if c.dec {
+		s.IndexDims = int(dims)
+	}
+	slice(c, &s.Attrs, 256, func(c *codec, a *schema.Attr) {
+		c.String(&a.Name)
+		c.U8((*uint8)(&a.Kind))
+		c.U64(&a.Max)
+	})
+}
+
+// IndexDef walks a full index definition.
+func (c *codec) IndexDef(v *IndexDef) {
+	c.Schema(&v.Schema)
+	slice(c, &v.Versions, 1<<16, func(c *codec, d *VersionDef) {
+		c.U32(&d.Version)
+		c.Bytes(&d.Tree)
+		c.Uvarint(&d.Epoch)
+	})
 }

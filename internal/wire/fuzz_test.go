@@ -4,19 +4,18 @@ import (
 	"bytes"
 	"hash/fnv"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mind/internal/bitstr"
 	"mind/internal/schema"
 )
 
-// scatterKinds are the five messages of the scatter-gather path — the
-// only ones whose payloads a peer fully controls on the query side.
-var scatterKinds = []Kind{KindQuery, KindSubQuery, KindQueryResp, KindAggQuery, KindAggResp}
-
-// genScatterMessage builds a well-formed message of scatterKinds[k] from
-// the random stream: every field populated, parallel slices agreeing.
-func genScatterMessage(k int, r *rand.Rand) Message {
+// genScatterMessage builds a well-formed message of kind k — one of the
+// five messages of the scatter-gather path, whose payloads a peer fully
+// controls on the query side — from the random stream: every field
+// populated, parallel slices agreeing. Other kinds yield nil.
+func genScatterMessage(k Kind, r *rand.Rand) Message {
 	u64s := func(max int) []uint64 {
 		out := make([]uint64, r.Intn(max+1))
 		for i := range out {
@@ -33,7 +32,7 @@ func genScatterMessage(k int, r *rand.Rand) Message {
 	}
 	rect := schema.Rect{Lo: u64s(4), Hi: u64s(4)}
 	ni := NodeInfo{Addr: string(rune('a' + r.Intn(26))), Code: code()}
-	switch scatterKinds[k] {
+	switch k {
 	case KindQuery:
 		return &Query{ReqID: r.Uint64(), OriginAddr: ni.Addr, Index: "idx", Versions: u64s(3),
 			Rect: rect, Target: code(), Hops: uint8(r.Intn(256)), TreeEpoch: r.Uint64()}
@@ -53,7 +52,7 @@ func genScatterMessage(k int, r *rand.Rand) Message {
 		return &AggQuery{ReqID: r.Uint64(), OriginAddr: ni.Addr, Index: "idx", Versions: u64s(3),
 			Rect: rect, RegionCode: code(), TopK: r.Uint32(), Hops: uint8(r.Intn(256)),
 			Historic: r.Intn(2) == 1, Attempt: uint8(r.Intn(256)), TreeEpoch: r.Uint64()}
-	default:
+	case KindAggResp:
 		m := &AggResp{ReqID: r.Uint64(), From: ni, HasCover: r.Intn(2) == 1, Cover: code(),
 			Versions: u64s(3), Hops: uint8(r.Intn(256)), Count: r.Uint64(), Sums: u64s(5),
 			SketchK: r.Uint32(), SketchN: r.Uint64(), Floor: r.Uint64(), Keys: u64s(6)}
@@ -64,39 +63,45 @@ func genScatterMessage(k int, r *rand.Rand) Message {
 		}
 		return m
 	}
+	return nil
 }
 
-// FuzzScatterWire holds the scatter-gather codecs to two contracts. A
-// generated message survives encode→decode→encode byte-identically; and
-// arbitrary bytes under each kind tag either fail to decode or decode to
-// a message the node can safely index (parallel slices agree) whose
-// re-encoding is a fixed point.
-func FuzzScatterWire(f *testing.F) {
-	for _, m := range allMessages() {
-		for k, kind := range scatterKinds {
-			if m.Kind() == kind {
-				f.Add(uint8(k), Encode(m)[1:])
-			}
-		}
+// FuzzEveryKind holds every registered kind to one contract. Arbitrary
+// bytes under the kind's tag either fail to decode or decode to a
+// message the node can safely index (parallel slices agree, a batch
+// holds only non-empty non-batch sub-messages) that survives
+// encode→decode unchanged, with a re-encoding that is a fixed point;
+// nothing panics. For the five scatter-gather kinds a generated
+// well-formed message also survives encode→decode→encode
+// byte-identically. kind indexes the registry modulo its size, so every
+// input lands on a real kind; the seeds are the registry's samples.
+func FuzzEveryKind(f *testing.F) {
+	ks := registered()
+	for i, k := range ks {
+		f.Add(uint8(i), Encode(sample(f, k))[1:])
 	}
-	f.Fuzz(func(t *testing.T, k uint8, payload []byte) {
-		ki := int(k) % len(scatterKinds)
+	f.Fuzz(func(t *testing.T, kind uint8, payload []byte) {
+		k := ks[int(kind)%len(ks)]
 
 		h := fnv.New64a()
 		h.Write(payload)
-		gen := genScatterMessage(ki, rand.New(rand.NewSource(int64(h.Sum64()))))
-		enc := Encode(gen)
-		dec, err := Decode(enc)
-		if err != nil {
-			t.Fatalf("generated %s does not decode: %v\n%#v", gen.Kind(), err, gen)
-		}
-		if again := Encode(dec); !bytes.Equal(again, enc) {
-			t.Fatalf("%s round trip not byte-identical:\n first %x\nsecond %x", gen.Kind(), enc, again)
+		if gen := genScatterMessage(k, rand.New(rand.NewSource(int64(h.Sum64())))); gen != nil {
+			enc := Encode(gen)
+			dec, err := Decode(enc)
+			if err != nil {
+				t.Fatalf("generated %s does not decode: %v\n%#v", k, err, gen)
+			}
+			if again := Encode(dec); !bytes.Equal(again, enc) {
+				t.Fatalf("%s round trip not byte-identical:\n first %x\nsecond %x", k, enc, again)
+			}
 		}
 
-		m, err := Decode(append([]byte{byte(scatterKinds[ki])}, payload...))
+		m, err := Decode(append([]byte{byte(k)}, payload...))
 		if err != nil {
 			return
+		}
+		if m.Kind() != k {
+			t.Fatalf("kind byte %s decoded to a %s", k, m.Kind())
 		}
 		switch m := m.(type) {
 		case *QueryResp:
@@ -107,14 +112,27 @@ func FuzzScatterWire(f *testing.F) {
 			if len(m.Counts) != len(m.Keys) || len(m.Errs) != len(m.Keys) {
 				t.Fatalf("AggResp decoded with disagreeing sketch slices")
 			}
+		case *ClientAggResp:
+			if len(m.Counts) != len(m.Keys) || len(m.Errs) != len(m.Keys) {
+				t.Fatalf("ClientAggResp decoded with disagreeing sketch slices")
+			}
+		case *Batch:
+			for i, sub := range m.Msgs {
+				if len(sub) == 0 || Kind(sub[0]) == KindBatch {
+					t.Fatalf("Batch decoded with empty or nested sub-message %d", i)
+				}
+			}
 		}
 		canon := Encode(m)
 		m2, err := Decode(canon)
 		if err != nil {
-			t.Fatalf("re-encoded %s does not decode: %v", m.Kind(), err)
+			t.Fatalf("re-encoded %s does not decode: %v", k, err)
+		}
+		if !reflect.DeepEqual(m2, m) {
+			t.Fatalf("%s changed through encode→decode:\n first %#v\nsecond %#v", k, m, m2)
 		}
 		if !bytes.Equal(Encode(m2), canon) {
-			t.Fatalf("%s re-encoding is not a fixed point", m.Kind())
+			t.Fatalf("%s re-encoding is not a fixed point", k)
 		}
 	})
 }

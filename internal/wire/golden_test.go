@@ -41,3 +41,23 @@ func TestGoldenEncodings(t *testing.T) {
 		}
 	}
 }
+
+// TestDesignListsEveryKind keeps DESIGN.md §6 — the protocol reference —
+// in step with the registry: every named kind appears there in
+// backticks.
+func TestDesignListsEveryKind(t *testing.T) {
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sec, ok := strings.Cut(string(doc), "\n## 6. ")
+	if !ok {
+		t.Fatal("DESIGN.md has no section 6")
+	}
+	sec, _, _ = strings.Cut(sec, "\n## ")
+	for k, e := range kinds {
+		if e.name != "" && !strings.Contains(sec, "`"+e.name+"`") {
+			t.Errorf("kind %d (%s) is missing from DESIGN.md §6", k, e.name)
+		}
+	}
+}

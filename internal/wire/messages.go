@@ -70,76 +70,112 @@ const (
 	// (DESIGN.md §4i).
 	KindAggQuery
 	KindAggResp
-
-	kindSentinel
 )
 
-var kindNames = [...]string{
-	KindInvalid:         "invalid",
-	KindJoinLookup:      "join-lookup",
-	KindJoinLookupResp:  "join-lookup-resp",
-	KindJoinRequest:     "join-request",
-	KindJoinPrepare:     "join-prepare",
-	KindJoinPrepareResp: "join-prepare-resp",
-	KindJoinAbort:       "join-abort",
-	KindJoinAccept:      "join-accept",
-	KindJoinReject:      "join-reject",
-	KindJoinCommit:      "join-commit",
-	KindHeartbeat:       "heartbeat",
-	KindHeartbeatAck:    "heartbeat-ack",
-	KindTakeover:        "takeover",
-	KindRingProbe:       "ring-probe",
-	KindLivenessProbe:   "liveness-probe",
-	KindLivenessReply:   "liveness-reply",
-	KindRingResumed:     "ring-resumed",
-	KindInsert:          "insert",
-	KindInsertAck:       "insert-ack",
-	KindReplicate:       "replicate",
-	KindQuery:           "query",
-	KindSubQuery:        "sub-query",
-	KindQueryResp:       "query-resp",
-	KindCreateIndex:     "create-index",
-	KindDropIndex:       "drop-index",
-	KindHistReport:      "hist-report",
-	KindHistInstall:     "hist-install",
-	KindHistReportAck:   "hist-report-ack",
-	KindTreePull:        "tree-pull",
-	KindTreePush:        "tree-push",
-	KindTreeSyncReq:     "tree-sync-req",
-	KindTreeSyncResp:    "tree-sync-resp",
-	KindCollisionProbe:  "collision-probe",
-	KindCollisionReply:  "collision-reply",
-	KindCollisionHint:   "collision-hint",
-	KindAggQuery:        "agg-query",
-	KindAggResp:         "agg-resp",
+// kinds is the registry: every kind's name and, for the kinds Decode
+// accepts, the constructor of its message. Kind.String, Decode and the
+// tests all read this one table (DESIGN.md §6 lists it, and a test holds
+// the two together). KindInvalid and KindFlowFrame have names only: the
+// first is no message, the second is parsed by ParseFlowFrame.
+var kinds = [256]struct {
+	name string
+	new  func() Message
+}{
+	KindInvalid: {name: "invalid"},
+
+	KindJoinLookup:      {"join-lookup", func() Message { return new(JoinLookup) }},
+	KindJoinLookupResp:  {"join-lookup-resp", func() Message { return new(JoinLookupResp) }},
+	KindJoinRequest:     {"join-request", func() Message { return new(JoinRequest) }},
+	KindJoinPrepare:     {"join-prepare", func() Message { return new(JoinPrepare) }},
+	KindJoinPrepareResp: {"join-prepare-resp", func() Message { return new(JoinPrepareResp) }},
+	KindJoinAbort:       {"join-abort", func() Message { return new(JoinAbort) }},
+	KindJoinAccept:      {"join-accept", func() Message { return new(JoinAccept) }},
+	KindJoinReject:      {"join-reject", func() Message { return new(JoinReject) }},
+	KindJoinCommit:      {"join-commit", func() Message { return new(JoinCommit) }},
+
+	KindHeartbeat:     {"heartbeat", func() Message { return new(Heartbeat) }},
+	KindHeartbeatAck:  {"heartbeat-ack", func() Message { return new(HeartbeatAck) }},
+	KindTakeover:      {"takeover", func() Message { return new(Takeover) }},
+	KindRingProbe:     {"ring-probe", func() Message { return new(RingProbe) }},
+	KindLivenessProbe: {"liveness-probe", func() Message { return new(LivenessProbe) }},
+	KindLivenessReply: {"liveness-reply", func() Message { return new(LivenessReply) }},
+	KindRingResumed:   {"ring-resumed", func() Message { return new(RingResumed) }},
+
+	KindInsert:    {"insert", func() Message { return new(Insert) }},
+	KindInsertAck: {"insert-ack", func() Message { return new(InsertAck) }},
+	KindReplicate: {"replicate", func() Message { return new(Replicate) }},
+	KindQuery:     {"query", func() Message { return new(Query) }},
+	KindSubQuery:  {"sub-query", func() Message { return new(SubQuery) }},
+	KindQueryResp: {"query-resp", func() Message { return new(QueryResp) }},
+
+	KindCreateIndex: {"create-index", func() Message { return new(CreateIndex) }},
+	KindDropIndex:   {"drop-index", func() Message { return new(DropIndex) }},
+	KindHistReport:  {"hist-report", func() Message { return new(HistReport) }},
+	KindHistInstall: {"hist-install", func() Message { return new(HistInstall) }},
+
+	KindHistReportAck: {"hist-report-ack", func() Message { return new(HistReportAck) }},
+	KindTreePull:      {"tree-pull", func() Message { return new(TreePull) }},
+	KindTreePush:      {"tree-push", func() Message { return new(TreePush) }},
+	KindTreeSyncReq:   {"tree-sync-req", func() Message { return new(TreeSyncReq) }},
+	KindTreeSyncResp:  {"tree-sync-resp", func() Message { return new(TreeSyncResp) }},
+
+	KindCollisionProbe: {"collision-probe", func() Message { return new(CollisionProbe) }},
+	KindCollisionReply: {"collision-reply", func() Message { return new(CollisionReply) }},
+	KindCollisionHint:  {"collision-hint", func() Message { return new(CollisionHint) }},
+
+	KindAggQuery: {"agg-query", func() Message { return new(AggQuery) }},
+	KindAggResp:  {"agg-resp", func() Message { return new(AggResp) }},
+
+	KindClientInsert:       {"client-insert", func() Message { return new(ClientInsert) }},
+	KindClientQuery:        {"client-query", func() Message { return new(ClientQuery) }},
+	KindClientCreateIndex:  {"client-create-index", func() Message { return new(ClientCreateIndex) }},
+	KindClientDropIndex:    {"client-drop-index", func() Message { return new(ClientDropIndex) }},
+	KindClientAck:          {"client-ack", func() Message { return new(ClientAck) }},
+	KindClientQueryResp:    {"client-query-resp", func() Message { return new(ClientQueryResp) }},
+	KindClientVersions:     {"client-versions", func() Message { return new(ClientVersions) }},
+	KindClientVersionsResp: {"client-versions-resp", func() Message { return new(ClientVersionsResp) }},
+	KindClientAgg:          {"client-agg", func() Message { return new(ClientAgg) }},
+	KindClientAggResp:      {"client-agg-resp", func() Message { return new(ClientAggResp) }},
+
+	KindTriggerInstall: {"trigger-install", func() Message { return new(TriggerInstall) }},
+	KindTriggerFire:    {"trigger-fire", func() Message { return new(TriggerFire) }},
+	KindTriggerRemove:  {"trigger-remove", func() Message { return new(TriggerRemove) }},
+	KindRetireVersion:  {"retire-version", func() Message { return new(RetireVersion) }},
+	KindRegionRecall:   {"region-recall", func() Message { return new(RegionRecall) }},
+
+	KindBatch:        {"batch", func() Message { return new(Batch) }},
+	KindFlowFrame:    {name: "flow-frame"},
+	KindStreamStatus: {"stream-status", func() Message { return new(StreamStatus) }},
 }
 
 func (k Kind) String() string {
-	if int(k) < len(kindNames) && kindNames[k] != "" {
-		return kindNames[k]
-	}
-	if s, ok := clientKindNames[k]; ok {
-		return s
+	if name := kinds[k].name; name != "" {
+		return name
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Message is the contract every protocol message implements.
+// Message is the contract every protocol message implements. fields
+// names the message's fields once, in wire order, to a codec that
+// writes them when encoding and reads them when decoding.
 type Message interface {
 	Kind() Kind
-	encode(w *Writer)
-	decode(r *Reader)
+	fields(c *codec)
 }
 
 // Encode frames a message as kind byte + payload. The returned buffer
 // is exactly sized and owned by the caller; passing it to RecycleBuf
 // once the bytes have been consumed lets subsequent Encodes reuse it.
 func Encode(m Message) []byte {
-	w := getWriter()
-	w.U8(uint8(m.Kind()))
-	m.encode(w)
-	out := append(getBuf(len(w.buf)), w.buf...)
-	putWriter(w)
+	c := encoderPool.Get().(*codec)
+	c.off = 0
+	k := uint8(m.Kind())
+	c.U8(&k)
+	m.fields(c)
+	out := append(getBuf(c.off), c.buf[:c.off]...)
+	if len(c.buf) <= maxPooledBuf {
+		encoderPool.Put(c)
+	}
 	return out
 }
 
@@ -149,181 +185,25 @@ func Decode(data []byte) (Message, error) {
 		return nil, fmt.Errorf("wire: empty message")
 	}
 	k := Kind(data[0])
-	m := newMessage(k)
-	if m == nil {
-		m = newClientMessage(k)
-	}
-	if m == nil {
-		m = newTriggerMessage(k)
-	}
-	if m == nil {
-		m = newBatchMessage(k)
-	}
-	if m == nil {
-		m = newStreamMessage(k)
-	}
-	if m == nil {
+	if kinds[k].new == nil {
 		return nil, fmt.Errorf("wire: unknown message kind %d", data[0])
 	}
-	r := NewReader(data[1:])
-	m.decode(r)
-	if err := r.Finish(); err != nil {
-		return nil, fmt.Errorf("wire: decoding %s: %w", k, err)
+	m := kinds[k].new()
+	c := codec{buf: data, off: 1, dec: true}
+	m.fields(&c)
+	if c.err == nil && c.remaining() != 0 {
+		c.fail("%d trailing bytes", c.remaining())
+	}
+	if c.err != nil {
+		return nil, fmt.Errorf("wire: decoding %s: %w", k, c.err)
 	}
 	return m, nil
-}
-
-func newMessage(k Kind) Message {
-	switch k {
-	case KindJoinLookup:
-		return &JoinLookup{}
-	case KindJoinLookupResp:
-		return &JoinLookupResp{}
-	case KindJoinRequest:
-		return &JoinRequest{}
-	case KindJoinPrepare:
-		return &JoinPrepare{}
-	case KindJoinPrepareResp:
-		return &JoinPrepareResp{}
-	case KindJoinAbort:
-		return &JoinAbort{}
-	case KindJoinAccept:
-		return &JoinAccept{}
-	case KindJoinReject:
-		return &JoinReject{}
-	case KindJoinCommit:
-		return &JoinCommit{}
-	case KindHeartbeat:
-		return &Heartbeat{}
-	case KindHeartbeatAck:
-		return &HeartbeatAck{}
-	case KindTakeover:
-		return &Takeover{}
-	case KindRingProbe:
-		return &RingProbe{}
-	case KindLivenessProbe:
-		return &LivenessProbe{}
-	case KindLivenessReply:
-		return &LivenessReply{}
-	case KindRingResumed:
-		return &RingResumed{}
-	case KindInsert:
-		return &Insert{}
-	case KindInsertAck:
-		return &InsertAck{}
-	case KindReplicate:
-		return &Replicate{}
-	case KindQuery:
-		return &Query{}
-	case KindSubQuery:
-		return &SubQuery{}
-	case KindQueryResp:
-		return &QueryResp{}
-	case KindCreateIndex:
-		return &CreateIndex{}
-	case KindDropIndex:
-		return &DropIndex{}
-	case KindHistReport:
-		return &HistReport{}
-	case KindHistInstall:
-		return &HistInstall{}
-	case KindHistReportAck:
-		return &HistReportAck{}
-	case KindTreePull:
-		return &TreePull{}
-	case KindTreePush:
-		return &TreePush{}
-	case KindTreeSyncReq:
-		return &TreeSyncReq{}
-	case KindTreeSyncResp:
-		return &TreeSyncResp{}
-	case KindCollisionProbe:
-		return &CollisionProbe{}
-	case KindCollisionReply:
-		return &CollisionReply{}
-	case KindCollisionHint:
-		return &CollisionHint{}
-	case KindAggQuery:
-		return &AggQuery{}
-	case KindAggResp:
-		return &AggResp{}
-	}
-	return nil
 }
 
 // NodeInfo identifies a node by transport address and overlay code.
 type NodeInfo struct {
 	Addr string
 	Code bitstr.Code
-}
-
-func (n NodeInfo) encode(w *Writer) {
-	w.String(n.Addr)
-	w.Code(n.Code)
-}
-
-func (n *NodeInfo) decode(r *Reader) {
-	n.Addr = r.String()
-	n.Code = r.Code()
-}
-
-func encodeNodeInfos(w *Writer, ns []NodeInfo) {
-	w.Uvarint(uint64(len(ns)))
-	for _, n := range ns {
-		n.encode(w)
-	}
-}
-
-func decodeNodeInfos(r *Reader) []NodeInfo {
-	n := r.Uvarint()
-	if n > 1<<16 {
-		r.fail("too many node infos: %d", n)
-		return nil
-	}
-	out := make([]NodeInfo, n)
-	for i := range out {
-		out[i].decode(r)
-	}
-	return out
-}
-
-// encodeRect / decodeRect serialize a query rectangle.
-func encodeRect(w *Writer, rc schema.Rect) {
-	w.U64Slice(rc.Lo)
-	w.U64Slice(rc.Hi)
-}
-
-func decodeRect(r *Reader) schema.Rect {
-	return schema.Rect{Lo: r.U64Slice(), Hi: r.U64Slice()}
-}
-
-// EncodeSchema serializes an index schema.
-func EncodeSchema(w *Writer, s *schema.Schema) {
-	w.String(s.Tag)
-	w.Uvarint(uint64(s.IndexDims))
-	w.Uvarint(uint64(len(s.Attrs)))
-	for _, a := range s.Attrs {
-		w.String(a.Name)
-		w.U8(uint8(a.Kind))
-		w.U64(a.Max)
-	}
-}
-
-// DecodeSchema deserializes an index schema.
-func DecodeSchema(r *Reader) *schema.Schema {
-	s := &schema.Schema{Tag: r.String(), IndexDims: int(r.Uvarint())}
-	n := r.Uvarint()
-	if n > 256 {
-		r.fail("too many attributes: %d", n)
-		return s
-	}
-	s.Attrs = make([]schema.Attr, n)
-	for i := range s.Attrs {
-		s.Attrs[i].Name = r.String()
-		s.Attrs[i].Kind = schema.Kind(r.U8())
-		s.Attrs[i].Max = r.U64()
-	}
-	return s
 }
 
 // VersionDef carries one index version's cut tree and its install
@@ -342,31 +222,6 @@ type IndexDef struct {
 	Versions []VersionDef
 }
 
-func (d IndexDef) encode(w *Writer) {
-	EncodeSchema(w, d.Schema)
-	w.Uvarint(uint64(len(d.Versions)))
-	for _, v := range d.Versions {
-		w.Uvarint(uint64(v.Version))
-		w.BytesField(v.Tree)
-		w.Uvarint(v.Epoch)
-	}
-}
-
-func (d *IndexDef) decode(r *Reader) {
-	d.Schema = DecodeSchema(r)
-	n := r.Uvarint()
-	if n > 1<<16 {
-		r.fail("too many versions: %d", n)
-		return
-	}
-	d.Versions = make([]VersionDef, n)
-	for i := range d.Versions {
-		d.Versions[i].Version = uint32(r.Uvarint())
-		d.Versions[i].Tree = r.BytesField()
-		d.Versions[i].Epoch = r.Uvarint()
-	}
-}
-
 // --- Join protocol -----------------------------------------------------
 
 // JoinLookup asks the owner of a random code for its neighborhood; it is
@@ -380,17 +235,11 @@ type JoinLookup struct {
 }
 
 func (m *JoinLookup) Kind() Kind { return KindJoinLookup }
-func (m *JoinLookup) encode(w *Writer) {
-	w.Uvarint(m.ReqID)
-	w.String(m.JoinerAddr)
-	w.Code(m.Target)
-	w.U8(m.Hops)
-}
-func (m *JoinLookup) decode(r *Reader) {
-	m.ReqID = r.Uvarint()
-	m.JoinerAddr = r.String()
-	m.Target = r.Code()
-	m.Hops = r.U8()
+func (m *JoinLookup) fields(c *codec) {
+	c.Uvarint(&m.ReqID)
+	c.String(&m.JoinerAddr)
+	c.Code(&m.Target)
+	c.U8(&m.Hops)
 }
 
 // JoinLookupResp returns the sampled node and its neighborhood.
@@ -401,15 +250,10 @@ type JoinLookupResp struct {
 }
 
 func (m *JoinLookupResp) Kind() Kind { return KindJoinLookupResp }
-func (m *JoinLookupResp) encode(w *Writer) {
-	w.Uvarint(m.ReqID)
-	m.Self.encode(w)
-	encodeNodeInfos(w, m.Neighbors)
-}
-func (m *JoinLookupResp) decode(r *Reader) {
-	m.ReqID = r.Uvarint()
-	m.Self.decode(r)
-	m.Neighbors = decodeNodeInfos(r)
+func (m *JoinLookupResp) fields(c *codec) {
+	c.Uvarint(&m.ReqID)
+	c.Node(&m.Self)
+	c.Nodes(&m.Neighbors)
 }
 
 // JoinRequest asks the target node to split its code and adopt the
@@ -420,13 +264,9 @@ type JoinRequest struct {
 }
 
 func (m *JoinRequest) Kind() Kind { return KindJoinRequest }
-func (m *JoinRequest) encode(w *Writer) {
-	w.Uvarint(m.ReqID)
-	w.String(m.JoinerAddr)
-}
-func (m *JoinRequest) decode(r *Reader) {
-	m.ReqID = r.Uvarint()
-	m.JoinerAddr = r.String()
+func (m *JoinRequest) fields(c *codec) {
+	c.Uvarint(&m.ReqID)
+	c.String(&m.JoinerAddr)
 }
 
 // JoinPrepare is the optimistic-accept first phase: the splitting target
@@ -437,9 +277,8 @@ type JoinPrepare struct {
 	Target NodeInfo // the node that intends to split (current code)
 }
 
-func (m *JoinPrepare) Kind() Kind       { return KindJoinPrepare }
-func (m *JoinPrepare) encode(w *Writer) { m.Target.encode(w) }
-func (m *JoinPrepare) decode(r *Reader) { m.Target.decode(r) }
+func (m *JoinPrepare) Kind() Kind      { return KindJoinPrepare }
+func (m *JoinPrepare) fields(c *codec) { c.Node(&m.Target) }
 
 // JoinPrepareResp approves or rejects a prepare. A rejection may also be
 // sent later to revoke a previously granted approval when a shallower
@@ -451,15 +290,10 @@ type JoinPrepareResp struct {
 }
 
 func (m *JoinPrepareResp) Kind() Kind { return KindJoinPrepareResp }
-func (m *JoinPrepareResp) encode(w *Writer) {
-	m.From.encode(w)
-	w.Code(m.TargetCode)
-	w.Bool(m.Approve)
-}
-func (m *JoinPrepareResp) decode(r *Reader) {
-	m.From.decode(r)
-	m.TargetCode = r.Code()
-	m.Approve = r.Bool()
+func (m *JoinPrepareResp) fields(c *codec) {
+	c.Node(&m.From)
+	c.Code(&m.TargetCode)
+	c.Bool(&m.Approve)
 }
 
 // JoinAbort clears a pending prepare at the neighbors after the target
@@ -468,9 +302,8 @@ type JoinAbort struct {
 	Target NodeInfo
 }
 
-func (m *JoinAbort) Kind() Kind       { return KindJoinAbort }
-func (m *JoinAbort) encode(w *Writer) { m.Target.encode(w) }
-func (m *JoinAbort) decode(r *Reader) { m.Target.decode(r) }
+func (m *JoinAbort) Kind() Kind      { return KindJoinAbort }
+func (m *JoinAbort) fields(c *codec) { c.Node(&m.Target) }
 
 // JoinAccept completes a join from the target's side: the joiner learns
 // its code, its new sibling, its initial neighbor table and all index
@@ -487,32 +320,13 @@ type JoinAccept struct {
 }
 
 func (m *JoinAccept) Kind() Kind { return KindJoinAccept }
-func (m *JoinAccept) encode(w *Writer) {
-	w.Uvarint(m.ReqID)
-	w.Code(m.NewCode)
-	m.Sibling.encode(w)
-	encodeNodeInfos(w, m.Neighbors)
-	w.Uvarint(m.Epoch)
-	w.Uvarint(uint64(len(m.Indices)))
-	for _, d := range m.Indices {
-		d.encode(w)
-	}
-}
-func (m *JoinAccept) decode(r *Reader) {
-	m.ReqID = r.Uvarint()
-	m.NewCode = r.Code()
-	m.Sibling.decode(r)
-	m.Neighbors = decodeNodeInfos(r)
-	m.Epoch = r.Uvarint()
-	n := r.Uvarint()
-	if n > 1<<12 {
-		r.fail("too many indices: %d", n)
-		return
-	}
-	m.Indices = make([]IndexDef, n)
-	for i := range m.Indices {
-		m.Indices[i].decode(r)
-	}
+func (m *JoinAccept) fields(c *codec) {
+	c.Uvarint(&m.ReqID)
+	c.Code(&m.NewCode)
+	c.Node(&m.Sibling)
+	c.Nodes(&m.Neighbors)
+	c.Uvarint(&m.Epoch)
+	slice(c, &m.Indices, 1<<12, (*codec).IndexDef)
 }
 
 // JoinReject tells the joiner to retry (target busy or preempted).
@@ -522,13 +336,9 @@ type JoinReject struct {
 }
 
 func (m *JoinReject) Kind() Kind { return KindJoinReject }
-func (m *JoinReject) encode(w *Writer) {
-	w.Uvarint(m.ReqID)
-	w.String(m.Reason)
-}
-func (m *JoinReject) decode(r *Reader) {
-	m.ReqID = r.Uvarint()
-	m.Reason = r.String()
+func (m *JoinReject) fields(c *codec) {
+	c.Uvarint(&m.ReqID)
+	c.String(&m.Reason)
 }
 
 // JoinCommit tells the split target's neighbors about the committed
@@ -540,15 +350,10 @@ type JoinCommit struct {
 }
 
 func (m *JoinCommit) Kind() Kind { return KindJoinCommit }
-func (m *JoinCommit) encode(w *Writer) {
-	w.Code(m.OldCode)
-	m.Target.encode(w)
-	m.Joiner.encode(w)
-}
-func (m *JoinCommit) decode(r *Reader) {
-	m.OldCode = r.Code()
-	m.Target.decode(r)
-	m.Joiner.decode(r)
+func (m *JoinCommit) fields(c *codec) {
+	c.Code(&m.OldCode)
+	c.Node(&m.Target)
+	c.Node(&m.Joiner)
 }
 
 // --- Overlay maintenance -----------------------------------------------
@@ -566,15 +371,10 @@ type Heartbeat struct {
 }
 
 func (m *Heartbeat) Kind() Kind { return KindHeartbeat }
-func (m *Heartbeat) encode(w *Writer) {
-	m.From.encode(w)
-	w.Uvarint(m.Seq)
-	w.U64(m.VerDigest)
-}
-func (m *Heartbeat) decode(r *Reader) {
-	m.From.decode(r)
-	m.Seq = r.Uvarint()
-	m.VerDigest = r.U64()
+func (m *Heartbeat) fields(c *codec) {
+	c.Node(&m.From)
+	c.Uvarint(&m.Seq)
+	c.U64(&m.VerDigest)
 }
 
 // HeartbeatAck answers a heartbeat.
@@ -585,15 +385,10 @@ type HeartbeatAck struct {
 }
 
 func (m *HeartbeatAck) Kind() Kind { return KindHeartbeatAck }
-func (m *HeartbeatAck) encode(w *Writer) {
-	m.From.encode(w)
-	w.Uvarint(m.Seq)
-	w.U64(m.VerDigest)
-}
-func (m *HeartbeatAck) decode(r *Reader) {
-	m.From.decode(r)
-	m.Seq = r.Uvarint()
-	m.VerDigest = r.U64()
+func (m *HeartbeatAck) fields(c *codec) {
+	c.Node(&m.From)
+	c.Uvarint(&m.Seq)
+	c.U64(&m.VerDigest)
 }
 
 // Takeover announces that the sender shortened its code to absorb a
@@ -616,19 +411,12 @@ type Takeover struct {
 }
 
 func (m *Takeover) Kind() Kind { return KindTakeover }
-func (m *Takeover) encode(w *Writer) {
-	m.From.encode(w)
-	w.Code(m.OldCode)
-	w.Code(m.Dead)
-	w.Uvarint(m.Epoch)
-	w.String(m.DeadAddr)
-}
-func (m *Takeover) decode(r *Reader) {
-	m.From.decode(r)
-	m.OldCode = r.Code()
-	m.Dead = r.Code()
-	m.Epoch = r.Uvarint()
-	m.DeadAddr = r.String()
+func (m *Takeover) fields(c *codec) {
+	c.Node(&m.From)
+	c.Code(&m.OldCode)
+	c.Code(&m.Dead)
+	c.Uvarint(&m.Epoch)
+	c.String(&m.DeadAddr)
 }
 
 // RingProbe is the expanding-ring scoped broadcast used when greedy
@@ -650,23 +438,14 @@ type RingProbe struct {
 }
 
 func (m *RingProbe) Kind() Kind { return KindRingProbe }
-func (m *RingProbe) encode(w *Writer) {
-	w.Uvarint(m.ProbeID)
-	m.Origin.encode(w)
-	w.Code(m.Target)
-	w.U8(m.MatchLen)
-	w.U8(m.TTL)
-	w.U8(m.Ring)
-	w.BytesField(m.Payload)
-}
-func (m *RingProbe) decode(r *Reader) {
-	m.ProbeID = r.Uvarint()
-	m.Origin.decode(r)
-	m.Target = r.Code()
-	m.MatchLen = r.U8()
-	m.TTL = r.U8()
-	m.Ring = r.U8()
-	m.Payload = r.BytesField()
+func (m *RingProbe) fields(c *codec) {
+	c.Uvarint(&m.ProbeID)
+	c.Node(&m.Origin)
+	c.Code(&m.Target)
+	c.U8(&m.MatchLen)
+	c.U8(&m.TTL)
+	c.U8(&m.Ring)
+	c.Bytes(&m.Payload)
 }
 
 // LivenessProbe is overlay-routed toward a suspect peer's code to ask
@@ -679,17 +458,11 @@ type LivenessProbe struct {
 }
 
 func (m *LivenessProbe) Kind() Kind { return KindLivenessProbe }
-func (m *LivenessProbe) encode(w *Writer) {
-	w.Uvarint(m.ReqID)
-	m.Asker.encode(w)
-	m.Suspect.encode(w)
-	w.U8(m.Hops)
-}
-func (m *LivenessProbe) decode(r *Reader) {
-	m.ReqID = r.Uvarint()
-	m.Asker.decode(r)
-	m.Suspect.decode(r)
-	m.Hops = r.U8()
+func (m *LivenessProbe) fields(c *codec) {
+	c.Uvarint(&m.ReqID)
+	c.Node(&m.Asker)
+	c.Node(&m.Suspect)
+	c.U8(&m.Hops)
 }
 
 // LivenessReply attests to the suspect's liveness.
@@ -699,13 +472,9 @@ type LivenessReply struct {
 }
 
 func (m *LivenessReply) Kind() Kind { return KindLivenessReply }
-func (m *LivenessReply) encode(w *Writer) {
-	w.Uvarint(m.ReqID)
-	w.Bool(m.Alive)
-}
-func (m *LivenessReply) decode(r *Reader) {
-	m.ReqID = r.Uvarint()
-	m.Alive = r.Bool()
+func (m *LivenessReply) fields(c *codec) {
+	c.Uvarint(&m.ReqID)
+	c.Bool(&m.Alive)
 }
 
 // RingResumed tells a ring probe's origin that some node resumed the
@@ -715,11 +484,8 @@ type RingResumed struct {
 }
 
 func (m *RingResumed) Kind() Kind { return KindRingResumed }
-func (m *RingResumed) encode(w *Writer) {
-	w.Uvarint(m.ProbeID)
-}
-func (m *RingResumed) decode(r *Reader) {
-	m.ProbeID = r.Uvarint()
+func (m *RingResumed) fields(c *codec) {
+	c.Uvarint(&m.ProbeID)
 }
 
 // --- Data path ----------------------------------------------------------
@@ -744,29 +510,17 @@ type Insert struct {
 }
 
 func (m *Insert) Kind() Kind { return KindInsert }
-func (m *Insert) encode(w *Writer) {
-	w.Uvarint(m.ReqID)
-	w.String(m.OriginAddr)
-	w.String(m.Index)
-	w.Uvarint(uint64(m.Version))
-	w.U64(m.RecID)
-	w.U64Slice(m.Rec)
-	w.Code(m.Target)
-	w.U8(m.Hops)
-	w.U8(m.Attempt)
-	w.Uvarint(m.TreeEpoch)
-}
-func (m *Insert) decode(r *Reader) {
-	m.ReqID = r.Uvarint()
-	m.OriginAddr = r.String()
-	m.Index = r.String()
-	m.Version = uint32(r.Uvarint())
-	m.RecID = r.U64()
-	m.Rec = r.U64Slice()
-	m.Target = r.Code()
-	m.Hops = r.U8()
-	m.Attempt = r.U8()
-	m.TreeEpoch = r.Uvarint()
+func (m *Insert) fields(c *codec) {
+	c.Uvarint(&m.ReqID)
+	c.String(&m.OriginAddr)
+	c.String(&m.Index)
+	c.U32(&m.Version)
+	c.U64(&m.RecID)
+	c.U64s(&m.Rec)
+	c.Code(&m.Target)
+	c.U8(&m.Hops)
+	c.U8(&m.Attempt)
+	c.Uvarint(&m.TreeEpoch)
 }
 
 // InsertAck confirms storage directly to the originator.
@@ -777,15 +531,10 @@ type InsertAck struct {
 }
 
 func (m *InsertAck) Kind() Kind { return KindInsertAck }
-func (m *InsertAck) encode(w *Writer) {
-	w.Uvarint(m.ReqID)
-	m.StoredAt.encode(w)
-	w.U8(m.Hops)
-}
-func (m *InsertAck) decode(r *Reader) {
-	m.ReqID = r.Uvarint()
-	m.StoredAt.decode(r)
-	m.Hops = r.U8()
+func (m *InsertAck) fields(c *codec) {
+	c.Uvarint(&m.ReqID)
+	c.Node(&m.StoredAt)
+	c.U8(&m.Hops)
 }
 
 // Replicate copies a stored record to a replica-set neighbor (§3.8).
@@ -798,19 +547,12 @@ type Replicate struct {
 }
 
 func (m *Replicate) Kind() Kind { return KindReplicate }
-func (m *Replicate) encode(w *Writer) {
-	w.String(m.Index)
-	w.Uvarint(uint64(m.Version))
-	w.U64(m.RecID)
-	w.U64Slice(m.Rec)
-	w.Code(m.OwnerCode)
-}
-func (m *Replicate) decode(r *Reader) {
-	m.Index = r.String()
-	m.Version = uint32(r.Uvarint())
-	m.RecID = r.U64()
-	m.Rec = r.U64Slice()
-	m.OwnerCode = r.Code()
+func (m *Replicate) fields(c *codec) {
+	c.String(&m.Index)
+	c.U32(&m.Version)
+	c.U64(&m.RecID)
+	c.U64s(&m.Rec)
+	c.Code(&m.OwnerCode)
 }
 
 // Query is a multi-dimensional range query greedy-routed toward the code
@@ -829,25 +571,15 @@ type Query struct {
 }
 
 func (m *Query) Kind() Kind { return KindQuery }
-func (m *Query) encode(w *Writer) {
-	w.Uvarint(m.ReqID)
-	w.String(m.OriginAddr)
-	w.String(m.Index)
-	w.U64Slice(m.Versions)
-	encodeRect(w, m.Rect)
-	w.Code(m.Target)
-	w.U8(m.Hops)
-	w.Uvarint(m.TreeEpoch)
-}
-func (m *Query) decode(r *Reader) {
-	m.ReqID = r.Uvarint()
-	m.OriginAddr = r.String()
-	m.Index = r.String()
-	m.Versions = r.U64Slice()
-	m.Rect = decodeRect(r)
-	m.Target = r.Code()
-	m.Hops = r.U8()
-	m.TreeEpoch = r.Uvarint()
+func (m *Query) fields(c *codec) {
+	c.Uvarint(&m.ReqID)
+	c.String(&m.OriginAddr)
+	c.String(&m.Index)
+	c.U64s(&m.Versions)
+	c.Rect(&m.Rect)
+	c.Code(&m.Target)
+	c.U8(&m.Hops)
+	c.Uvarint(&m.TreeEpoch)
 }
 
 // SubQuery is one decomposed piece of a query, routed to the region code
@@ -875,29 +607,17 @@ type SubQuery struct {
 }
 
 func (m *SubQuery) Kind() Kind { return KindSubQuery }
-func (m *SubQuery) encode(w *Writer) {
-	w.Uvarint(m.ReqID)
-	w.String(m.OriginAddr)
-	w.String(m.Index)
-	w.U64Slice(m.Versions)
-	encodeRect(w, m.Rect)
-	w.Code(m.RegionCode)
-	w.U8(m.Hops)
-	w.Bool(m.Historic)
-	w.U8(m.Attempt)
-	w.Uvarint(m.TreeEpoch)
-}
-func (m *SubQuery) decode(r *Reader) {
-	m.ReqID = r.Uvarint()
-	m.OriginAddr = r.String()
-	m.Index = r.String()
-	m.Versions = r.U64Slice()
-	m.Rect = decodeRect(r)
-	m.RegionCode = r.Code()
-	m.Hops = r.U8()
-	m.Historic = r.Bool()
-	m.Attempt = r.U8()
-	m.TreeEpoch = r.Uvarint()
+func (m *SubQuery) fields(c *codec) {
+	c.Uvarint(&m.ReqID)
+	c.String(&m.OriginAddr)
+	c.String(&m.Index)
+	c.U64s(&m.Versions)
+	c.Rect(&m.Rect)
+	c.Code(&m.RegionCode)
+	c.U8(&m.Hops)
+	c.Bool(&m.Historic)
+	c.U8(&m.Attempt)
+	c.Uvarint(&m.TreeEpoch)
 }
 
 // QueryResp carries matching records straight back to the originator.
@@ -919,41 +639,19 @@ type QueryResp struct {
 }
 
 func (m *QueryResp) Kind() Kind { return KindQueryResp }
-func (m *QueryResp) encode(w *Writer) {
-	w.Uvarint(m.ReqID)
-	m.From.encode(w)
-	w.Bool(m.HasCover)
-	w.Code(m.Cover)
-	w.U64Slice(m.Versions)
-	w.U64Slice(m.RecID)
-	w.Uvarint(uint64(len(m.Recs)))
-	for _, rec := range m.Recs {
-		w.U64Slice(rec)
-	}
-	w.U8(m.Hops)
-}
-func (m *QueryResp) decode(r *Reader) {
-	m.ReqID = r.Uvarint()
-	m.From.decode(r)
-	m.HasCover = r.Bool()
-	m.Cover = r.Code()
-	m.Versions = r.U64Slice()
-	m.RecID = r.U64Slice()
-	n := r.Uvarint()
-	if n > MaxSliceLen {
-		r.fail("too many records: %d", n)
-		return
-	}
-	if n != uint64(len(m.RecID)) {
+func (m *QueryResp) fields(c *codec) {
+	c.Uvarint(&m.ReqID)
+	c.Node(&m.From)
+	c.Bool(&m.HasCover)
+	c.Code(&m.Cover)
+	c.U64s(&m.Versions)
+	c.U64s(&m.RecID)
+	c.Recs(&m.Recs)
+	if c.dec && len(m.Recs) != len(m.RecID) {
 		// The originator indexes Recs by RecID position.
-		r.fail("record slices disagree: %d ids, %d records", len(m.RecID), n)
-		return
+		c.fail("record slices disagree: %d ids, %d records", len(m.RecID), len(m.Recs))
 	}
-	m.Recs = make([][]uint64, n)
-	for i := range m.Recs {
-		m.Recs[i] = r.U64Slice()
-	}
-	m.Hops = r.U8()
+	c.U8(&m.Hops)
 }
 
 // --- Control path -------------------------------------------------------
@@ -965,13 +663,9 @@ type CreateIndex struct {
 }
 
 func (m *CreateIndex) Kind() Kind { return KindCreateIndex }
-func (m *CreateIndex) encode(w *Writer) {
-	w.Uvarint(m.OpID)
-	m.Def.encode(w)
-}
-func (m *CreateIndex) decode(r *Reader) {
-	m.OpID = r.Uvarint()
-	m.Def.decode(r)
+func (m *CreateIndex) fields(c *codec) {
+	c.Uvarint(&m.OpID)
+	c.IndexDef(&m.Def)
 }
 
 // DropIndex floods an index removal.
@@ -981,13 +675,9 @@ type DropIndex struct {
 }
 
 func (m *DropIndex) Kind() Kind { return KindDropIndex }
-func (m *DropIndex) encode(w *Writer) {
-	w.Uvarint(m.OpID)
-	w.String(m.Tag)
-}
-func (m *DropIndex) decode(r *Reader) {
-	m.OpID = r.Uvarint()
-	m.Tag = r.String()
+func (m *DropIndex) fields(c *codec) {
+	c.Uvarint(&m.OpID)
+	c.String(&m.Tag)
 }
 
 // HistReport routes a node's local data-distribution histogram toward
@@ -1006,21 +696,13 @@ type HistReport struct {
 }
 
 func (m *HistReport) Kind() Kind { return KindHistReport }
-func (m *HistReport) encode(w *Writer) {
-	w.String(m.Index)
-	w.Uvarint(uint64(m.Day))
-	w.String(m.NodeAddr)
-	w.BytesField(m.Hist)
-	w.U8(m.Hops)
-	w.Uvarint(m.ReqID)
-}
-func (m *HistReport) decode(r *Reader) {
-	m.Index = r.String()
-	m.Day = uint32(r.Uvarint())
-	m.NodeAddr = r.String()
-	m.Hist = r.BytesField()
-	m.Hops = r.U8()
-	m.ReqID = r.Uvarint()
+func (m *HistReport) fields(c *codec) {
+	c.String(&m.Index)
+	c.U32(&m.Day)
+	c.String(&m.NodeAddr)
+	c.Bytes(&m.Hist)
+	c.U8(&m.Hops)
+	c.Uvarint(&m.ReqID)
 }
 
 // HistReportAck confirms that the designated aggregator merged (or
@@ -1030,11 +712,8 @@ type HistReportAck struct {
 }
 
 func (m *HistReportAck) Kind() Kind { return KindHistReportAck }
-func (m *HistReportAck) encode(w *Writer) {
-	w.Uvarint(m.ReqID)
-}
-func (m *HistReportAck) decode(r *Reader) {
-	m.ReqID = r.Uvarint()
+func (m *HistReportAck) fields(c *codec) {
+	c.Uvarint(&m.ReqID)
 }
 
 // HistInstall floods the next index version's balanced cut tree. Epoch
@@ -1051,19 +730,12 @@ type HistInstall struct {
 }
 
 func (m *HistInstall) Kind() Kind { return KindHistInstall }
-func (m *HistInstall) encode(w *Writer) {
-	w.Uvarint(m.OpID)
-	w.String(m.Index)
-	w.Uvarint(uint64(m.Version))
-	w.BytesField(m.Tree)
-	w.Uvarint(m.Epoch)
-}
-func (m *HistInstall) decode(r *Reader) {
-	m.OpID = r.Uvarint()
-	m.Index = r.String()
-	m.Version = uint32(r.Uvarint())
-	m.Tree = r.BytesField()
-	m.Epoch = r.Uvarint()
+func (m *HistInstall) fields(c *codec) {
+	c.Uvarint(&m.OpID)
+	c.String(&m.Index)
+	c.U32(&m.Version)
+	c.Bytes(&m.Tree)
+	c.Uvarint(&m.Epoch)
 }
 
 // TreePull asks a peer (unicast) for one version's installed cut tree —
@@ -1078,15 +750,10 @@ type TreePull struct {
 }
 
 func (m *TreePull) Kind() Kind { return KindTreePull }
-func (m *TreePull) encode(w *Writer) {
-	w.String(m.From)
-	w.String(m.Index)
-	w.Uvarint(uint64(m.Version))
-}
-func (m *TreePull) decode(r *Reader) {
-	m.From = r.String()
-	m.Index = r.String()
-	m.Version = uint32(r.Uvarint())
+func (m *TreePull) fields(c *codec) {
+	c.String(&m.From)
+	c.String(&m.Index)
+	c.U32(&m.Version)
 }
 
 // TreePush delivers one version's cut tree (answer to TreePull, or an
@@ -1101,17 +768,11 @@ type TreePush struct {
 }
 
 func (m *TreePush) Kind() Kind { return KindTreePush }
-func (m *TreePush) encode(w *Writer) {
-	w.String(m.Index)
-	w.Uvarint(uint64(m.Version))
-	w.Uvarint(m.Epoch)
-	w.BytesField(m.Tree)
-}
-func (m *TreePush) decode(r *Reader) {
-	m.Index = r.String()
-	m.Version = uint32(r.Uvarint())
-	m.Epoch = r.Uvarint()
-	m.Tree = r.BytesField()
+func (m *TreePush) fields(c *codec) {
+	c.String(&m.Index)
+	c.U32(&m.Version)
+	c.Uvarint(&m.Epoch)
+	c.Bytes(&m.Tree)
 }
 
 // TreeSyncReq asks a peer for its installed-tree summary after a
@@ -1121,11 +782,8 @@ type TreeSyncReq struct {
 }
 
 func (m *TreeSyncReq) Kind() Kind { return KindTreeSyncReq }
-func (m *TreeSyncReq) encode(w *Writer) {
-	w.String(m.From)
-}
-func (m *TreeSyncReq) decode(r *Reader) {
-	m.From = r.String()
+func (m *TreeSyncReq) fields(c *codec) {
+	c.String(&m.From)
 }
 
 // TreeSyncEntry is one (index, version) tree identity.
@@ -1143,28 +801,9 @@ type TreeSyncResp struct {
 }
 
 func (m *TreeSyncResp) Kind() Kind { return KindTreeSyncResp }
-func (m *TreeSyncResp) encode(w *Writer) {
-	w.String(m.From)
-	w.Uvarint(uint64(len(m.Entries)))
-	for _, e := range m.Entries {
-		w.String(e.Index)
-		w.Uvarint(uint64(e.Version))
-		w.Uvarint(e.Epoch)
-	}
-}
-func (m *TreeSyncResp) decode(r *Reader) {
-	m.From = r.String()
-	n := r.Uvarint()
-	if n > 1<<16 {
-		r.fail("too many tree-sync entries: %d", n)
-		return
-	}
-	m.Entries = make([]TreeSyncEntry, n)
-	for i := range m.Entries {
-		m.Entries[i].Index = r.String()
-		m.Entries[i].Version = uint32(r.Uvarint())
-		m.Entries[i].Epoch = r.Uvarint()
-	}
+func (m *TreeSyncResp) fields(c *codec) {
+	c.String(&m.From)
+	c.Entries(&m.Entries)
 }
 
 // --- Membership reconciliation ------------------------------------------
@@ -1181,13 +820,9 @@ type CollisionProbe struct {
 }
 
 func (m *CollisionProbe) Kind() Kind { return KindCollisionProbe }
-func (m *CollisionProbe) encode(w *Writer) {
-	m.From.encode(w)
-	w.Uvarint(m.Epoch)
-}
-func (m *CollisionProbe) decode(r *Reader) {
-	m.From.decode(r)
-	m.Epoch = r.Uvarint()
+func (m *CollisionProbe) fields(c *codec) {
+	c.Node(&m.From)
+	c.Uvarint(&m.Epoch)
 }
 
 // CollisionReply answers a collision probe the sender won, telling the
@@ -1198,13 +833,9 @@ type CollisionReply struct {
 }
 
 func (m *CollisionReply) Kind() Kind { return KindCollisionReply }
-func (m *CollisionReply) encode(w *Writer) {
-	m.From.encode(w)
-	w.Uvarint(m.Epoch)
-}
-func (m *CollisionReply) decode(r *Reader) {
-	m.From.decode(r)
-	m.Epoch = r.Uvarint()
+func (m *CollisionReply) fields(c *codec) {
+	c.Node(&m.From)
+	c.Uvarint(&m.Epoch)
 }
 
 // CollisionHint is third-party dispute detection: a node that observes
@@ -1219,9 +850,6 @@ type CollisionHint struct {
 }
 
 func (m *CollisionHint) Kind() Kind { return KindCollisionHint }
-func (m *CollisionHint) encode(w *Writer) {
-	m.Peer.encode(w)
-}
-func (m *CollisionHint) decode(r *Reader) {
-	m.Peer.decode(r)
+func (m *CollisionHint) fields(c *codec) {
+	c.Node(&m.Peer)
 }

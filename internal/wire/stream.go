@@ -25,11 +25,6 @@ const KindFlowFrame Kind = 251
 // KindStreamStatus identifies the ingest listener's status frame.
 const KindStreamStatus Kind = 252
 
-func init() {
-	clientKindNames[KindFlowFrame] = "flow-frame"
-	clientKindNames[KindStreamStatus] = "stream-status"
-}
-
 // MaxFlowFrameRecords caps the records one flow frame may carry, so a
 // malformed header cannot provoke a huge parse loop.
 const MaxFlowFrameRecords = 1 << 16
@@ -147,31 +142,13 @@ type StreamStatus struct {
 // Kind returns KindStreamStatus.
 func (m *StreamStatus) Kind() Kind { return KindStreamStatus }
 
-func (m *StreamStatus) encode(w *Writer) {
-	w.Uvarint(m.Seq)
-	w.Uvarint(m.Received)
-	w.Uvarint(m.Accepted)
-	w.Uvarint(m.Dropped)
-	w.Uvarint(m.Acked)
-	w.Uvarint(m.Failed)
-	w.Uvarint(m.Queued)
-	w.Bool(m.Backpressure)
-}
-
-func (m *StreamStatus) decode(r *Reader) {
-	m.Seq = r.Uvarint()
-	m.Received = r.Uvarint()
-	m.Accepted = r.Uvarint()
-	m.Dropped = r.Uvarint()
-	m.Acked = r.Uvarint()
-	m.Failed = r.Uvarint()
-	m.Queued = r.Uvarint()
-	m.Backpressure = r.Bool()
-}
-
-func newStreamMessage(k Kind) Message {
-	if k == KindStreamStatus {
-		return &StreamStatus{}
-	}
-	return nil
+func (m *StreamStatus) fields(c *codec) {
+	c.Uvarint(&m.Seq)
+	c.Uvarint(&m.Received)
+	c.Uvarint(&m.Accepted)
+	c.Uvarint(&m.Dropped)
+	c.Uvarint(&m.Acked)
+	c.Uvarint(&m.Failed)
+	c.Uvarint(&m.Queued)
+	c.Bool(&m.Backpressure)
 }

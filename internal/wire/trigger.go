@@ -31,30 +31,6 @@ const (
 	KindRegionRecall
 )
 
-func init() {
-	clientKindNames[KindTriggerInstall] = "trigger-install"
-	clientKindNames[KindTriggerFire] = "trigger-fire"
-	clientKindNames[KindTriggerRemove] = "trigger-remove"
-	clientKindNames[KindRetireVersion] = "retire-version"
-	clientKindNames[KindRegionRecall] = "region-recall"
-}
-
-func newTriggerMessage(k Kind) Message {
-	switch k {
-	case KindTriggerInstall:
-		return &TriggerInstall{}
-	case KindTriggerFire:
-		return &TriggerFire{}
-	case KindTriggerRemove:
-		return &TriggerRemove{}
-	case KindRetireVersion:
-		return &RetireVersion{}
-	case KindRegionRecall:
-		return &RegionRecall{}
-	}
-	return nil
-}
-
 // RegionRecall floods a request to re-insert replica records falling
 // inside a region whose ownership just changed hands.
 type RegionRecall struct {
@@ -63,13 +39,9 @@ type RegionRecall struct {
 }
 
 func (m *RegionRecall) Kind() Kind { return KindRegionRecall }
-func (m *RegionRecall) encode(w *Writer) {
-	w.Uvarint(m.OpID)
-	w.Code(m.Region)
-}
-func (m *RegionRecall) decode(r *Reader) {
-	m.OpID = r.Uvarint()
-	m.Region = r.Code()
+func (m *RegionRecall) fields(c *codec) {
+	c.Uvarint(&m.OpID)
+	c.Code(&m.Region)
 }
 
 // RetireVersion floods the deletion of an index version (its records and
@@ -81,15 +53,10 @@ type RetireVersion struct {
 }
 
 func (m *RetireVersion) Kind() Kind { return KindRetireVersion }
-func (m *RetireVersion) encode(w *Writer) {
-	w.Uvarint(m.OpID)
-	w.String(m.Index)
-	w.Uvarint(uint64(m.Version))
-}
-func (m *RetireVersion) decode(r *Reader) {
-	m.OpID = r.Uvarint()
-	m.Index = r.String()
-	m.Version = uint32(r.Uvarint())
+func (m *RetireVersion) fields(c *codec) {
+	c.Uvarint(&m.OpID)
+	c.String(&m.Index)
+	c.U32(&m.Version)
 }
 
 // TriggerInstall is greedy-routed toward the trigger rectangle's region
@@ -105,21 +72,13 @@ type TriggerInstall struct {
 }
 
 func (m *TriggerInstall) Kind() Kind { return KindTriggerInstall }
-func (m *TriggerInstall) encode(w *Writer) {
-	w.Uvarint(m.TriggerID)
-	w.String(m.Subscriber)
-	w.String(m.Index)
-	encodeRect(w, m.Rect)
-	w.Code(m.Target)
-	w.U8(m.Hops)
-}
-func (m *TriggerInstall) decode(r *Reader) {
-	m.TriggerID = r.Uvarint()
-	m.Subscriber = r.String()
-	m.Index = r.String()
-	m.Rect = decodeRect(r)
-	m.Target = r.Code()
-	m.Hops = r.U8()
+func (m *TriggerInstall) fields(c *codec) {
+	c.Uvarint(&m.TriggerID)
+	c.String(&m.Subscriber)
+	c.String(&m.Index)
+	c.Rect(&m.Rect)
+	c.Code(&m.Target)
+	c.U8(&m.Hops)
 }
 
 // TriggerFire delivers one matching record to the subscriber.
@@ -132,19 +91,12 @@ type TriggerFire struct {
 }
 
 func (m *TriggerFire) Kind() Kind { return KindTriggerFire }
-func (m *TriggerFire) encode(w *Writer) {
-	w.Uvarint(m.TriggerID)
-	w.String(m.Index)
-	m.From.encode(w)
-	w.U64(m.RecID)
-	w.U64Slice(m.Rec)
-}
-func (m *TriggerFire) decode(r *Reader) {
-	m.TriggerID = r.Uvarint()
-	m.Index = r.String()
-	m.From.decode(r)
-	m.RecID = r.U64()
-	m.Rec = r.U64Slice()
+func (m *TriggerFire) fields(c *codec) {
+	c.Uvarint(&m.TriggerID)
+	c.String(&m.Index)
+	c.Node(&m.From)
+	c.U64(&m.RecID)
+	c.U64s(&m.Rec)
 }
 
 // TriggerRemove floods a trigger removal across the overlay.
@@ -154,11 +106,7 @@ type TriggerRemove struct {
 }
 
 func (m *TriggerRemove) Kind() Kind { return KindTriggerRemove }
-func (m *TriggerRemove) encode(w *Writer) {
-	w.Uvarint(m.OpID)
-	w.Uvarint(m.TriggerID)
-}
-func (m *TriggerRemove) decode(r *Reader) {
-	m.OpID = r.Uvarint()
-	m.TriggerID = r.Uvarint()
+func (m *TriggerRemove) fields(c *codec) {
+	c.Uvarint(&m.OpID)
+	c.Uvarint(&m.TriggerID)
 }

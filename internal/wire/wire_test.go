@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -10,105 +11,112 @@ import (
 	"mind/internal/schema"
 )
 
-func TestCodecPrimitives(t *testing.T) {
-	w := NewWriter()
-	w.U8(7)
-	w.Bool(true)
-	w.Bool(false)
-	w.Uvarint(1234567890123)
-	w.U64(^uint64(0))
-	w.F64(3.5)
-	w.BytesField([]byte{1, 2, 3})
-	w.String("héllo")
-	w.Code(bitstr.MustParse("0110"))
-	w.U64Slice([]uint64{9, 8, 7})
+// prims is one of each primitive the codec walks.
+type prims struct {
+	u8      uint8
+	yes, no bool
+	uv      uint64
+	u32     uint32
+	u64     uint64
+	b       []byte
+	s       string
+	code    bitstr.Code
+	vs      []uint64
+}
 
-	r := NewReader(w.Bytes())
-	if r.U8() != 7 || !r.Bool() || r.Bool() {
-		t.Fatal("u8/bool wrong")
+func (p *prims) fields(c *codec) {
+	c.U8(&p.u8)
+	c.Bool(&p.yes)
+	c.Bool(&p.no)
+	c.Uvarint(&p.uv)
+	c.U32(&p.u32)
+	c.U64(&p.u64)
+	c.Bytes(&p.b)
+	c.String(&p.s)
+	c.Code(&p.code)
+	c.U64s(&p.vs)
+}
+
+// decoder returns a codec reading buf.
+func decoder(buf []byte) *codec { return &codec{buf: buf, dec: true} }
+
+func TestCodecPrimitives(t *testing.T) {
+	in := prims{u8: 7, yes: true, uv: 1234567890123, u32: 1 << 31, u64: ^uint64(0),
+		b: []byte{1, 2, 3}, s: "héllo", code: bitstr.MustParse("0110"), vs: []uint64{9, 8, 7}}
+	enc := &codec{}
+	in.fields(enc)
+	var out prims
+	dec := decoder(enc.buf[:enc.off])
+	out.fields(dec)
+	if dec.err != nil || dec.remaining() != 0 {
+		t.Fatalf("decode: err %v, %d bytes left", dec.err, dec.remaining())
 	}
-	if r.Uvarint() != 1234567890123 || r.U64() != ^uint64(0) || r.F64() != 3.5 {
-		t.Fatal("numeric wrong")
-	}
-	if b := r.BytesField(); len(b) != 3 || b[2] != 3 {
-		t.Fatal("bytes wrong")
-	}
-	if r.String() != "héllo" {
-		t.Fatal("string wrong")
-	}
-	if r.Code().String() != "0110" {
-		t.Fatal("code wrong")
-	}
-	if s := r.U64Slice(); len(s) != 3 || s[0] != 9 {
-		t.Fatal("slice wrong")
-	}
-	if err := r.Finish(); err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(out, in) {
+		t.Fatalf("one walk, two directions:\n got %+v\nwant %+v", out, in)
 	}
 }
 
 func TestReaderStickyError(t *testing.T) {
-	r := NewReader([]byte{1})
-	_ = r.U64() // fails: short
-	if r.Err() == nil {
+	c := decoder([]byte{1})
+	var u64 uint64
+	c.U64(&u64) // fails: short
+	if c.err == nil {
 		t.Fatal("no error on short read")
 	}
-	// Subsequent reads return zero values without panicking.
-	if r.U8() != 0 || r.Uvarint() != 0 || r.String() != "" || r.BytesField() != nil {
-		t.Fatal("post-error reads not zero")
+	// Subsequent reads leave their targets zero without panicking.
+	var out prims
+	out.fields(c)
+	if !reflect.DeepEqual(out, prims{}) {
+		t.Fatalf("post-error reads not zero: %+v", out)
 	}
-	if r.Finish() == nil {
-		t.Fatal("Finish must report error")
+	if _, err := Decode([]byte{byte(KindHeartbeat), 1}); err == nil {
+		t.Fatal("Decode must report the error")
 	}
 }
 
 func TestReaderTrailingBytes(t *testing.T) {
-	w := NewWriter()
-	w.U8(1)
-	w.U8(2)
-	r := NewReader(w.Bytes())
-	r.U8()
-	if err := r.Finish(); err == nil {
+	data := append(Encode(&RingResumed{ProbeID: 1}), 2)
+	if _, err := Decode(data); err == nil {
 		t.Fatal("trailing bytes not reported")
 	}
 }
 
 func TestReaderHostileLengths(t *testing.T) {
 	// A huge declared length must not allocate.
-	w := NewWriter()
-	w.Uvarint(1 << 40)
-	r := NewReader(w.Bytes())
-	if b := r.BytesField(); b != nil || r.Err() == nil {
+	huge := binary.AppendUvarint(nil, 1<<40)
+	var out prims
+	c := decoder(huge)
+	if c.Bytes(&out.b); out.b != nil || c.err == nil {
 		t.Fatal("hostile bytes length accepted")
 	}
-	r2 := NewReader(w.Bytes())
-	if s := r2.U64Slice(); s != nil || r2.Err() == nil {
+	c = decoder(huge)
+	if c.U64s(&out.vs); len(out.vs) != 0 || c.err == nil {
 		t.Fatal("hostile slice length accepted")
 	}
-	r3 := NewReader(w.Bytes())
-	if s := r3.String(); s != "" || r3.Err() == nil {
+	c = decoder(huge)
+	if c.String(&out.s); out.s != "" || c.err == nil {
 		t.Fatal("hostile string length accepted")
+	}
+	// Within the cap but past the input is refused the same way.
+	c = decoder(append(binary.AppendUvarint(nil, 5), 1, 2, 3, 4))
+	if c.U64s(&out.vs); len(out.vs) != 0 || c.err == nil {
+		t.Fatal("slice longer than its input accepted")
 	}
 }
 
 func TestCodeSanitizedOnDecode(t *testing.T) {
 	// A code with stray bits past its length must decode equal to the
 	// clean code.
-	w := NewWriter()
-	w.U8(3)
-	w.U64(^uint64(0))
-	r := NewReader(w.Bytes())
-	c := r.Code()
-	if !c.Equal(bitstr.MustParse("111")) {
-		t.Fatalf("decoded dirty code = %v", c)
+	var code bitstr.Code
+	c := decoder([]byte{3, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	c.Code(&code)
+	if c.err != nil || !code.Equal(bitstr.MustParse("111")) {
+		t.Fatalf("decoded dirty code = %v (err %v)", code, c.err)
 	}
 	// Overlong code length is an error.
-	w2 := NewWriter()
-	w2.U8(200)
-	w2.U64(0)
-	r2 := NewReader(w2.Bytes())
-	r2.Code()
-	if r2.Err() == nil {
+	c = decoder([]byte{200, 0, 0, 0, 0, 0, 0, 0, 0})
+	c.Code(&code)
+	if c.err == nil {
 		t.Fatal("overlong code accepted")
 	}
 }
@@ -128,15 +136,24 @@ func testSchema() *schema.Schema {
 
 func TestSchemaRoundTrip(t *testing.T) {
 	s := testSchema()
-	w := NewWriter()
-	EncodeSchema(w, s)
-	r := NewReader(w.Bytes())
-	got := DecodeSchema(r)
-	if err := r.Finish(); err != nil {
-		t.Fatal(err)
+	enc := &codec{}
+	enc.Schema(&s)
+	var got *schema.Schema
+	dec := decoder(enc.buf[:enc.off])
+	dec.Schema(&got)
+	if dec.err != nil || dec.remaining() != 0 {
+		t.Fatalf("decode: err %v, %d bytes left", dec.err, dec.remaining())
 	}
 	if !reflect.DeepEqual(got, s) {
 		t.Fatalf("schema round trip: %+v != %+v", got, s)
+	}
+	// The attribute cap is a schema rule, not only an allocation guard.
+	wide := &schema.Schema{Tag: "w", Attrs: make([]schema.Attr, 257)}
+	enc = &codec{}
+	enc.Schema(&wide)
+	dec = decoder(enc.buf[:enc.off])
+	if dec.Schema(&got); dec.err == nil {
+		t.Fatal("257-attribute schema accepted")
 	}
 }
 
@@ -209,49 +226,76 @@ func allMessages() []Message {
 	}
 }
 
-func TestClientAndTriggerKindsCovered(t *testing.T) {
-	for k := KindClientInsert; k < clientKindSentinel; k++ {
-		if newClientMessage(k) == nil {
-			t.Errorf("newClientMessage(%s) = nil", k)
+// registered lists every kind Decode accepts, in kind order.
+func registered() []Kind {
+	var ks []Kind
+	for k, e := range kinds {
+		if e.new != nil {
+			ks = append(ks, Kind(k))
 		}
 	}
-	for _, k := range []Kind{KindTriggerInstall, KindTriggerFire, KindTriggerRemove, KindRetireVersion} {
-		if newTriggerMessage(k) == nil {
-			t.Errorf("newTriggerMessage(%s) = nil", k)
+	return ks
+}
+
+// sample returns the allMessages instance of kind k.
+func sample(t testing.TB, k Kind) Message {
+	for _, m := range allMessages() {
+		if m.Kind() == k {
+			return m
 		}
-		if k.String() == "" {
-			t.Errorf("kind %d has no name", k)
+	}
+	t.Fatalf("registered kind %s has no sample in allMessages", k)
+	return nil
+}
+
+// TestAllKindsCovered holds the registry and the samples together: every
+// registered kind has a sample and a constructor that builds that kind,
+// every sample is of a registered kind, and names are unique.
+func TestAllKindsCovered(t *testing.T) {
+	for _, k := range registered() {
+		sample(t, k)
+		if got := kinds[k].new().Kind(); got != k {
+			t.Errorf("kinds[%s] constructs a %s", k, got)
 		}
+	}
+	seen := map[Kind]bool{}
+	for _, m := range allMessages() {
+		if kinds[m.Kind()].new == nil {
+			t.Errorf("sample %T is of unregistered kind %d", m, m.Kind())
+		}
+		if seen[m.Kind()] {
+			t.Errorf("kind %s has two samples", m.Kind())
+		}
+		seen[m.Kind()] = true
+	}
+	named := map[string]Kind{}
+	for k, e := range kinds {
+		if e.name == "" {
+			if e.new != nil {
+				t.Errorf("registered kind %d has no name", k)
+			}
+			continue
+		}
+		if prev, dup := named[e.name]; dup {
+			t.Errorf("kinds %d and %d share the name %q", prev, k, e.name)
+		}
+		named[e.name] = Kind(k)
 	}
 }
 
 func TestAllMessagesRoundTrip(t *testing.T) {
-	for _, m := range allMessages() {
+	for _, k := range registered() {
+		m := sample(t, k)
 		data := Encode(m)
 		got, err := Decode(data)
 		if err != nil {
-			t.Fatalf("%s: decode: %v", m.Kind(), err)
+			t.Fatalf("%s: decode: %v", k, err)
 		}
-		if got.Kind() != m.Kind() {
-			t.Fatalf("%s: kind changed to %s", m.Kind(), got.Kind())
+		if got.Kind() != k {
+			t.Fatalf("%s: kind changed to %s", k, got.Kind())
 		}
 		if !reflect.DeepEqual(got, m) {
-			t.Errorf("%s round trip:\n got %#v\nwant %#v", m.Kind(), got, m)
-		}
-	}
-}
-
-func TestAllKindsCovered(t *testing.T) {
-	seen := map[Kind]bool{}
-	for _, m := range allMessages() {
-		seen[m.Kind()] = true
-	}
-	for k := KindInvalid + 1; k < kindSentinel; k++ {
-		if !seen[k] {
-			t.Errorf("message kind %s has no round-trip coverage", k)
-		}
-		if newMessage(k) == nil {
-			t.Errorf("newMessage(%s) = nil", k)
+			t.Errorf("%s round trip:\n got %#v\nwant %#v", k, got, m)
 		}
 	}
 }
@@ -260,16 +304,20 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode(nil); err == nil {
 		t.Error("empty message accepted")
 	}
-	if _, err := Decode([]byte{255, 0, 0}); err == nil {
-		t.Error("unknown kind accepted")
+	for k, e := range kinds {
+		if e.new == nil {
+			if _, err := Decode([]byte{byte(k), 0, 0}); err == nil {
+				t.Errorf("unregistered kind %d accepted", k)
+			}
+		}
 	}
 	// Truncated payload of every message type must error, not panic.
-	for _, m := range allMessages() {
-		data := Encode(m)
+	for _, k := range registered() {
+		data := Encode(sample(t, k))
 		for cut := 1; cut < len(data); cut += 1 + len(data)/7 {
 			if _, err := Decode(data[:cut]); err == nil {
 				// Some prefixes may legitimately decode if trailing
-				// fields are zero-valued — but Finish catches trailing
+				// fields are zero-valued — but Decode rejects trailing
 				// garbage, so a clean decode of a strict prefix means the
 				// prefix was a complete valid encoding. Verify by
 				// re-encoding.
@@ -277,7 +325,7 @@ func TestDecodeErrors(t *testing.T) {
 				if got != nil && len(Encode(got)) == cut {
 					continue
 				}
-				t.Errorf("%s: truncation at %d/%d accepted", m.Kind(), cut, len(data))
+				t.Errorf("%s: truncation at %d/%d accepted", k, cut, len(data))
 			}
 		}
 	}
@@ -359,18 +407,11 @@ func TestBatchRejectsNesting(t *testing.T) {
 
 func TestBatchRejectsHostileInput(t *testing.T) {
 	// Huge declared count must not allocate.
-	w := NewWriter()
-	w.U8(uint8(KindBatch))
-	w.Uvarint(1 << 40)
-	if _, err := Decode(w.Bytes()); err == nil {
+	if _, err := Decode(binary.AppendUvarint([]byte{byte(KindBatch)}, 1<<40)); err == nil {
 		t.Fatal("hostile batch count accepted")
 	}
 	// Empty sub-message is invalid.
-	w2 := NewWriter()
-	w2.U8(uint8(KindBatch))
-	w2.Uvarint(1)
-	w2.BytesField(nil)
-	if _, err := Decode(w2.Bytes()); err == nil {
+	if _, err := Decode([]byte{byte(KindBatch), 1, 0}); err == nil {
 		t.Fatal("empty sub-message accepted")
 	}
 	// Truncated sub-message list is invalid.
@@ -404,8 +445,13 @@ func TestKindString(t *testing.T) {
 	if KindInsert.String() != "insert" {
 		t.Errorf("KindInsert = %s", KindInsert)
 	}
-	if Kind(250).String() == "" {
-		t.Error("unknown kind has empty name")
+	for _, k := range registered() {
+		if k.String() == "" || k.String() != kinds[k].name {
+			t.Errorf("kind %d prints %q, registered as %q", k, k.String(), kinds[k].name)
+		}
+	}
+	if got := Kind(200).String(); got != "kind(200)" {
+		t.Errorf("unregistered kind prints %q", got)
 	}
 }
 
