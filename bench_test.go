@@ -352,10 +352,11 @@ func BenchmarkAggBoundaryFold(b *testing.B) {
 		}
 		rect := schema.Rect{Lo: []uint64{0, lo, 0}, Hi: []uint64{bounds[0], lo + 6*3600, bounds[2]}}
 		out := summary.NewAgg(sch.Arity(), 8)
-		fold := summary.NewFold(sch.Arity())
+		fold := summary.GetFold(sch.Arity())
 		cover := summary.ResolveShard(sum, rect, visit, fold)
 		folded += fold.Count - cover.N()
 		out.MergeShards([]*summary.Sketch{cover}, fold)
+		summary.PutFold(fold)
 		if out.Count == 0 {
 			b.Fatal("empty aggregate")
 		}

@@ -40,7 +40,6 @@ func main() {
 		seed        = flag.Int64("seed", time.Now().UnixNano(), "randomness seed")
 		parallelism = flag.Int("query-parallelism", runtime.GOMAXPROCS(0), "worker pool size for local query execution (<=1 = inline)")
 		storeShards = flag.Int("store-shards", runtime.GOMAXPROCS(0), "per-core store shards per index version (0 = deterministic default)")
-		deltaFrac   = flag.Float64("delta-merge-frac", 0, "store delta-buffer bound as a fraction of the static size (0 = default 0.25)")
 		quiet       = flag.Bool("quiet", false, "suppress periodic status lines")
 
 		ingestListen = flag.String("ingest-listen", "", "TCP address for streaming flow-frame ingest (empty = disabled)")
@@ -75,7 +74,6 @@ func main() {
 	cfg.Replication = *replication
 	cfg.QueryParallelism = *parallelism
 	cfg.StoreShards = *storeShards
-	cfg.DeltaMergeFrac = *deltaFrac
 	cfg.ClientRateLimit = *clientRate
 	cfg.ClientRateBurst = *clientBurst
 	cfg.GossipRateLimit = *gossipRate

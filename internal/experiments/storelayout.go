@@ -11,12 +11,12 @@ import (
 )
 
 // StoreLayout measures the store engine's per-layout throughput on one
-// machine: bulk load, insert and query rates of the sharded
-// static+delta engine against the pointer k-d tree and the linear scan,
-// over Index-2-shaped records and the §4.1 selective window queries.
-// The headline is query records/sec/core — the per-core read bandwidth
-// the cache-oblivious static layout buys, which is what per-core
-// sharding multiplies across a machine.
+// machine: bulk load, insert and query rates of the sharded ladder
+// engine against the pointer k-d tree and the linear scan, over
+// Index-2-shaped records and the §4.1 selective window queries. The
+// headline is query records/sec/core — the per-core read bandwidth the
+// leaf-bucketed arena layout buys, which is what per-core sharding
+// multiplies across a machine.
 //
 // Like ingest-stream this experiment runs on the wall clock, so every
 // load-dependent value carries the rt_ prefix the bench-gate comparator
@@ -92,9 +92,9 @@ func StoreLayout(seed int64, scale float64) (*Report, error) {
 	shInsert := time.Since(shStart)
 
 	blStart := time.Now()
-	static := store.NewStatic(sch, append([]schema.Record(nil), recs...))
+	static := store.NewStatic(sch, recs)
 	bulkLoad := time.Since(blStart)
-	sh.Compact() // steady-state layout: everything in the static arrays
+	sh.Compact() // steady-state layout: one level per shard
 
 	// Differential gate before timing: the layouts must agree with the
 	// oracle on every sampled rect.
@@ -148,8 +148,8 @@ func StoreLayout(seed int64, scale float64) (*Report, error) {
 	t := metrics.NewTable("layout", "populate(s)", "queries/s/core", "result recs/s/core")
 	t.Row("scan", "-", int(scQPS), "-")
 	t.Row("kd-pointer", kdInsert.Seconds(), int(kdQPS), int(kdRPS))
-	t.Row("static-veb", bulkLoad.Seconds(), int(stQPS), "-")
-	t.Row("sharded-hybrid", shInsert.Seconds(), int(shQPS), int(shRPS))
+	t.Row("static-arena", bulkLoad.Seconds(), int(stQPS), "-")
+	t.Row("sharded-ladder", shInsert.Seconds(), int(shQPS), int(shRPS))
 	r.table(t)
 
 	r.Values["oracle_ok"] = oracleOK

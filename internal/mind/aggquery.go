@@ -259,7 +259,7 @@ func (n *Node) resolveLocalAgg(vs *store.Versioned, sums *summary.Versioned, ver
 	covers := make([]*summary.Sketch, len(tasks), len(tasks)+1)
 	n.runSubTasks(len(tasks), func(i int) {
 		t := tasks[i]
-		folds[i] = summary.NewFold(len(out.Sums))
+		folds[i] = summary.GetFold(len(out.Sums))
 		covers[i] = summary.ResolveShard(t.sums, rect, func(cell schema.Rect, fn func(schema.Record)) {
 			t.eng.VisitShard(t.shard, cell, fn)
 		}, folds[i])
@@ -268,6 +268,9 @@ func (n *Node) resolveLocalAgg(vs *store.Versioned, sums *summary.Versioned, ver
 		folds[0].Merge(f)
 	}
 	out.MergeShards(covers, folds[0])
+	for _, f := range folds {
+		summary.PutFold(f)
+	}
 }
 
 // flattenSketch encodes a sketch into a response's parallel slices.

@@ -69,7 +69,7 @@ type Config struct {
 
 	// StoreShards is the per-core shard count of each index's store
 	// engine (internal/store.Options.Shards): every shard owns its own
-	// writer mutex and static+delta pair, so insert throughput scales to
+	// writer mutex and ladder of arenas, so insert throughput scales to
 	// the shard count and each shard's working set stays cache-sized.
 	// Zero selects the store's deterministic default (1) — like
 	// QueryParallelism, the default must not probe the hardware, because
@@ -79,11 +79,6 @@ type Config struct {
 	// mindnode sizes it to the machine via -store-shards (default
 	// GOMAXPROCS).
 	StoreShards int
-	// DeltaMergeFrac bounds each store shard's delta buffer as a
-	// fraction of its static partner's size before a merge rebuild
-	// (internal/store.Options.DeltaMergeFrac). Zero selects the store
-	// default (0.25).
-	DeltaMergeFrac float64
 
 	// SummaryDepth is the per-node aggregate rollup's cut depth
 	// (internal/summary.Options.Depth): aggregate answers touch at most

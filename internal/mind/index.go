@@ -100,11 +100,11 @@ func newIndex(sch *schema.Schema, base *embed.Tree) *index {
 }
 
 // newIndexOpts creates an index whose versioned stores use the given
-// engine options (Config.StoreShards / Config.DeltaMergeFrac) and whose
-// summary layer uses the given rollup options. The summary is sharded
-// identically to the primary store (store.ResolveShards), and the
-// primary's merge hook folds the matching summary shard so the rollup
-// tracks the store's static/delta rhythm.
+// engine options (Config.StoreShards) and whose summary layer uses the
+// given rollup options. The summary is sharded identically to the
+// primary store (store.ResolveShards), and the primary's carry hook
+// folds the matching summary shard so the rollup tracks the store's
+// carry rhythm.
 func newIndexOpts(sch *schema.Schema, base *embed.Tree, opts store.Options, sopts summary.Options) *index {
 	sums := summary.NewVersioned(sch, store.ResolveShards(opts.Shards), sopts)
 	popts := opts

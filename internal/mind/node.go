@@ -11,6 +11,7 @@ package mind
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -817,12 +818,12 @@ func (n *Node) onTakeover(dead, oldCode bitstr.Code) {
 
 // --- Index lifecycle -----------------------------------------------------
 
-// storeOpts maps the node config's store engine knobs onto
+// storeOpts maps the node config's store engine knob onto
 // store.Options. Every index this node builds — created locally,
 // reconstructed from a flood, or received in a split transfer — uses
 // the same engine shape.
 func (n *Node) storeOpts() store.Options {
-	return store.Options{Shards: n.cfg.StoreShards, DeltaMergeFrac: n.cfg.DeltaMergeFrac}
+	return store.Options{Shards: n.cfg.StoreShards}
 }
 
 // summaryOpts maps the node config's summary-layer knobs onto
@@ -919,6 +920,18 @@ type IndexInfo struct {
 	// counters plus heavy-hitter sketches), maintained in lockstep with
 	// the primary store.
 	Summary SummaryInfo `json:"summary"`
+	// Stores is the shape of every stored version's engines, shard by
+	// shard: ladder levels, tail fill and carry counters.
+	Stores []StoreInfo `json:"stores,omitempty"`
+}
+
+// StoreInfo is one index version's store engines as the ladder sees
+// them (store.Sharded.Shape); a shard's CarriedRows over the records it
+// holds is its write amplification.
+type StoreInfo struct {
+	Version  uint32             `json:"version"`
+	Primary  []store.ShardShape `json:"primary,omitempty"`
+	Replicas []store.ShardShape `json:"replicas,omitempty"`
 }
 
 // SummaryInfo is one index's rollup maintenance state: how many records
@@ -963,6 +976,18 @@ func (n *Node) IndexInfos() []IndexInfo {
 		}
 		staticN, deltaN, folds := ix.sums.Stats()
 		info.Summary = SummaryInfo{StaticRecords: staticN, DeltaRecords: deltaN, Folds: folds}
+		versions := slices.Concat(info.Versions, ix.replicas.Versions())
+		slices.Sort(versions)
+		for _, v := range slices.Compact(versions) {
+			si := StoreInfo{Version: v}
+			if eng := ix.primary.Get(v); eng != nil {
+				si.Primary = eng.Shape()
+			}
+			if eng := ix.replicas.Get(v); eng != nil {
+				si.Replicas = eng.Shape()
+			}
+			info.Stores = append(info.Stores, si)
+		}
 		out = append(out, info)
 	}
 	return out

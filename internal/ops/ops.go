@@ -19,7 +19,9 @@
 //	              connection count, and the overlay contact table
 //	GET /indices  JSON: installed indices with versions, per-version
 //	              tree epochs (and retirement markers), history-pointer
-//	              targets, and record counts
+//	              targets, record counts, and per version the shape of
+//	              every store shard (ladder level lengths, tail fill,
+//	              carries and rows carried — the write amplification)
 //
 // Everything is read-only; the server never mutates node state.
 package ops

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 	"testing"
 	"time"
 
@@ -229,6 +230,26 @@ func TestOperatorSurface(t *testing.T) {
 				info.Tag, info.Summary.StaticRecords, info.Summary.DeltaRecords, info.PrimaryRecords)
 		}
 		total += got
+		// The store shape is served per version and accounts for every
+		// record: ten inserts sit in tails, no carry has fired yet.
+		primary, replicas := 0, 0
+		for _, st := range info.Stores {
+			for _, sh := range slices.Concat(st.Primary, st.Replicas) {
+				if len(sh.Levels) != 0 || sh.Carries != 0 {
+					t.Fatalf("store shape of %s v%d after %d inserts: %+v", info.Tag, st.Version, inserts, sh)
+				}
+			}
+			for _, sh := range st.Primary {
+				primary += sh.TailRecords
+			}
+			for _, sh := range st.Replicas {
+				replicas += sh.TailRecords
+			}
+		}
+		if primary != info.PrimaryRecords || replicas != info.ReplicaRecords {
+			t.Fatalf("store shapes of %s hold %d+%d records, counts say %d+%d",
+				info.Tag, primary, replicas, info.PrimaryRecords, info.ReplicaRecords)
+		}
 	}
 	if total != inserts {
 		t.Fatalf("summaries cover %d records, want %d", total, inserts)

@@ -87,13 +87,13 @@ func TestKDConcurrentInsertQuery(t *testing.T) {
 }
 
 // BenchmarkStoreConcurrentQuery compares parallel read throughput of
-// three read disciplines over the same 100k records: the sharded
-// static+delta engine (compacted: all records in cache-oblivious flat
-// arrays), the snapshot-reading pointer KD, and the old single-big-lock
-// discipline (every query serialized behind one mutex, as Node.mu used
-// to impose). Run with -cpu 1,4,16: the lock-free paths must scale with
-// readers while the single-lock path stays flat, and sharded must beat
-// snapshot per-op from its vEB layout.
+// three read disciplines over the same 100k records: the sharded ladder
+// engine (compacted: all records in one leaf-bucketed arena), the
+// snapshot-reading pointer KD, and the old single-big-lock discipline
+// (every query serialized behind one mutex, as Node.mu used to impose).
+// Run with -cpu 1,4,16: the lock-free paths must scale with readers
+// while the single-lock path stays flat, and sharded must beat snapshot
+// per-op from its arena layout.
 func BenchmarkStoreConcurrentQuery(b *testing.B) {
 	r := rand.New(rand.NewSource(37))
 	kd := NewKD(sch3())

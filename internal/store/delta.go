@@ -14,13 +14,10 @@ import (
 // bound, which keeps monotone insertion orders (timestamps, sequential
 // prefixes) from degrading the tree into a list.
 //
-// KD plays two roles: the standalone store it always was (the
-// differential baselines in internal/baseline still run on it), and the
-// mutable DELTA BUFFER of the Sharded static+delta engine (shard.go). In
-// the delta role it is bounded — the shard merges it into a fresh Static
-// before it grows past a size fraction — and allocates its nodes from a
-// preallocated arena, so the insert fast path costs zero heap
-// allocations per record.
+// KD is the pointer tree the store engine used before the ladder of
+// Static arenas (shard.go). The engine no longer builds one; the type
+// stays only as the standalone store the differential baselines in
+// internal/baseline and two experiments still run on.
 //
 // Concurrency: KD is a single-writer / multi-reader structure. Insert
 // serializes on wmu and only ever publishes fully initialized nodes
@@ -42,15 +39,6 @@ type KD struct {
 	root   atomic.Pointer[kdNode]
 	size   atomic.Int64
 	tick   uint64 // equal-coordinate tie-break state (under wmu)
-
-	// arena, when non-nil, is the preallocated node pool of a delta
-	// buffer: nodes are handed out sequentially (used, under wmu) and a
-	// COW rebuild swaps in a fresh arena, leaving the old one alive for
-	// in-flight readers until they drain. A full arena falls back to
-	// heap nodes rather than failing — the shard merges the delta before
-	// that can happen in the engine.
-	arena []kdNode
-	used  int
 }
 
 // kdNode carries no materialized point: coordinates are computed on the
@@ -65,27 +53,6 @@ type kdNode struct {
 // NewKD creates an empty k-d store for the schema.
 func NewKD(sch *schema.Schema) *KD {
 	return &KD{sch: sch, bounds: sch.Bounds()}
-}
-
-// newDelta creates a KD sized as a delta buffer: an arena of capacity
-// nodes backs inserts so the fast path performs no heap allocation.
-func newDelta(sch *schema.Schema, bounds []uint64, capacity int) *KD {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &KD{sch: sch, bounds: bounds, arena: make([]kdNode, capacity)}
-}
-
-// newNode hands out one node, from the arena when present. Caller holds
-// wmu.
-func (t *KD) newNode(rec schema.Record) *kdNode {
-	if t.used < len(t.arena) {
-		n := &t.arena[t.used]
-		t.used++
-		n.rec = rec
-		return n
-	}
-	return &kdNode{rec: rec}
 }
 
 // coord returns the record's clamped coordinate on dim.
@@ -115,7 +82,7 @@ func (t *KD) Insert(rec schema.Record) {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
 	dims := t.sch.Dims()
-	n := t.newNode(rec)
+	n := &kdNode{rec: rec}
 	// size only moves under wmu, so Load+1 is this insert's ordinal; the
 	// atomic publish happens AFTER the node is linked (below), so a
 	// concurrent reader's Len() never exceeds the reachable record count.
@@ -168,8 +135,7 @@ func (t *KD) Insert(rec schema.Record) {
 
 // rebuildLocked reconstructs a balanced tree with median splits and
 // publishes it with one atomic root swap. Caller holds wmu. The old
-// nodes are left untouched for in-flight readers; an arena-backed delta
-// swaps in a fresh arena the same way.
+// nodes are left untouched for in-flight readers.
 func (t *KD) rebuildLocked() {
 	recs := make([]schema.Record, 0, t.size.Load())
 	var collect func(n *kdNode)
@@ -182,20 +148,11 @@ func (t *KD) rebuildLocked() {
 		collect(n.right.Load())
 	}
 	collect(t.root.Load())
-	if t.arena != nil {
-		capacity := len(t.arena)
-		if capacity < len(recs) {
-			capacity = len(recs)
-		}
-		t.arena = make([]kdNode, capacity)
-		t.used = 0
-	}
 	t.root.Store(t.build(recs, 0))
 }
 
 // build constructs a balanced subtree from fresh nodes at the given
 // depth by median partitioning (quickselect) on the cycling dimension.
-// Caller holds wmu (newNode).
 func (t *KD) build(recs []schema.Record, depth int) *kdNode {
 	if len(recs) == 0 {
 		return nil
@@ -203,7 +160,7 @@ func (t *KD) build(recs []schema.Record, depth int) *kdNode {
 	dim := depth % t.sch.Dims()
 	mid := len(recs) / 2
 	selectNth(recs, mid, dim, t.bounds)
-	root := t.newNode(recs[mid])
+	root := &kdNode{rec: recs[mid]}
 	root.left.Store(t.build(recs[:mid], depth+1))
 	root.right.Store(t.build(recs[mid+1:], depth+1))
 	return root
@@ -211,8 +168,7 @@ func (t *KD) build(recs []schema.Record, depth int) *kdNode {
 
 // selectNth partially sorts recs so recs[n] is the n-th smallest by the
 // bounds-clamped coordinate on dim, everything before it is <= and
-// everything after is >=. Shared by the KD rebuild and the Static bulk
-// loader.
+// everything after is >=.
 func selectNth(recs []schema.Record, n, dim int, bounds []uint64) {
 	b := bounds[dim]
 	at := func(i int) uint64 {
@@ -292,6 +248,17 @@ func (t *KD) visit(n *kdNode, dim int, lo, hi []uint64, fn func(schema.Record)) 
 	if hi[dim] >= v {
 		t.visit(n.right.Load(), nd, lo, hi, fn)
 	}
+}
+
+// inside reports whether rec's raw indexed values lie in the unclamped
+// rectangle [lo, hi].
+func inside(lo, hi []uint64, rec schema.Record) bool {
+	for i, h := range hi {
+		if v := rec[i]; v < lo[i] || v > h {
+			return false
+		}
+	}
+	return true
 }
 
 // QueryAppend resolves rect and appends matches to out, returning the

@@ -21,12 +21,12 @@ func benchRects(r *rand.Rand) []schema.Rect {
 }
 
 // BenchmarkStoreLayout runs the same selective range queries against
-// each layout on identical data: the pointer KD tree, the bare static
-// vEB array, and the Sharded engine at 1 and 4 shards. It is the
-// measured basis for the engine's defaults — static beats KD by the
-// cache-layout margin, sharded1 matches static, and sharded4 shows the
-// per-shard traversal cost hash routing imposes on every read (why
-// defaultShards is 1).
+// each layout on identical data: the pointer KD tree, the bare Static
+// arena, and the Sharded engine at 1 and 4 shards. It is the measured
+// basis for the engine's constants — static beats KD by the cache-layout
+// margin at the leafRows that shipped, sharded1 matches static, and
+// sharded4 shows the per-shard traversal cost hash routing imposes on
+// every read (why defaultShards is 1).
 func BenchmarkStoreLayout(b *testing.B) {
 	r := rand.New(rand.NewSource(37))
 	kd := NewKD(sch3())

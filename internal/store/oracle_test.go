@@ -3,7 +3,10 @@ package store
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"mind/internal/schema"
@@ -29,11 +32,12 @@ func fuzzVal(mode, b byte) uint64 {
 // FuzzStoreOracle is the differential contract of the indexed engines:
 // whatever the stream — attribute values above the schema bound,
 // rectangle edges at, just below and above it, Lo above the bound (must
-// be empty), inverted rectangles, records straddling delta → static
-// merges — Static, KD and Sharded must answer Visit, Query and Count
-// exactly as the Scan oracle, which clamps every record the slow way.
-// The engines test RAW values against an unclamped rectangle; this is
-// the test that breaks if that identity does.
+// be empty), inverted rectangles, records straddling tail → ladder
+// carries — Static, KD and Sharded must answer Visit, Query and Count
+// exactly as the Scan oracle, which clamps every record the slow way,
+// and Sharded's Len and All must track it after every op. The engines
+// test RAW values against an unclamped rectangle; this is the test that
+// breaks if that identity does.
 func FuzzStoreOracle(f *testing.F) {
 	// Insert = op, then (mode, byte) per coordinate; query = op 3, then
 	// (mode, byte) for Lo and Hi per dim. One in-range record and the full
@@ -53,15 +57,12 @@ func FuzzStoreOracle(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte, shardsRaw uint8) {
 		sch := sch3()
-		opts := smallOpts()
-		opts.Shards = 1 << (shardsRaw % 3)
-		opts.DeltaMin = 4 + int(shardsRaw%13) // merges every few records
-		eng := NewSharded(sch, opts)
+		eng := smallTail(1<<(shardsRaw%3), 4+int(shardsRaw%13)) // carries every few records
 		kd := NewKD(sch)
 		sc := NewScan(sch)
 		check := func(rect schema.Rect) {
 			want := sc.Query(rect)
-			st := NewStatic(sch, append([]schema.Record(nil), sc.recs...))
+			st := NewStatic(sch, sc.recs)
 			for name, e := range map[string]interface {
 				Visit(schema.Rect, func(schema.Record))
 				Query(schema.Rect) []schema.Record
@@ -89,6 +90,11 @@ func FuzzStoreOracle(f *testing.F) {
 				eng.Insert(rec)
 				kd.Insert(rec)
 				sc.Insert(rec)
+				var all []schema.Record
+				eng.All(func(rec schema.Record) bool { all = append(all, rec); return true })
+				if eng.Len() != sc.Len() || !sameRecs(all, append([]schema.Record(nil), sc.recs...)) {
+					t.Fatalf("after insert %d: Len %d, All streams %d, oracle %d", i, eng.Len(), len(all), sc.Len())
+				}
 				i += 7
 				continue
 			}
@@ -140,7 +146,7 @@ func TestViewContract(t *testing.T) {
 		recs[i] = randRec(r)
 	}
 	t.Run("append cannot touch the neighbour row", func(t *testing.T) {
-		s := NewStatic(sch3(), append([]schema.Record(nil), recs...))
+		s := NewStatic(sch3(), recs)
 		before := append([]uint64(nil), s.rows...)
 		visit := func(rec schema.Record) {
 			if len(rec) != 4 || cap(rec) != 4 {
@@ -158,17 +164,21 @@ func TestViewContract(t *testing.T) {
 		}
 	})
 	t.Run("records returned before a merge read the same after it", func(t *testing.T) {
-		e := NewSharded(sch3(), smallOpts())
+		e := smallTail(4, 16)
 		for _, rec := range recs {
 			e.Insert(rec)
 		}
-		e.Compact()
-		held := e.Query(fullRect())
+		held := e.Query(fullRect()) // views into every level and every tail
+		for _, rec := range held {
+			if len(rec) != 4 || cap(rec) != 4 {
+				t.Fatalf("view len %d cap %d, want 4/4", len(rec), cap(rec))
+			}
+		}
 		want := make([]schema.Record, len(held))
 		for i, rec := range held {
 			want[i] = rec.Clone()
 		}
-		for i := 0; i < 5000; i++ { // many merges: every arena is rebuilt several times
+		for i := 0; i < 5000; i++ { // many carries: every tail is retired, every arena rebuilt several times
 			e.Insert(randRec(r))
 		}
 		e.Compact()
@@ -180,17 +190,56 @@ func TestViewContract(t *testing.T) {
 			}
 		}
 	})
+	t.Run("a tail view survives its carry and append cannot touch the next row", func(t *testing.T) {
+		e := smallTail(1, 16)
+		for _, rec := range recs[:10] { // all ten sit in the tail: no level exists yet
+			e.Insert(rec)
+		}
+		if s := e.Shape()[0]; len(s.Levels) != 0 || s.TailRecords != 10 {
+			t.Fatalf("fixture: %+v, want ten tail records and no level", s)
+		}
+		held := e.Query(fullRect())
+		for i, rec := range held { // the tail streams in insertion order
+			if len(rec) != 4 || cap(rec) != 4 || !slices.Equal(rec, recs[i]) {
+				t.Fatalf("tail view %d = %v (cap %d), inserted %v", i, rec, cap(rec), recs[i])
+			}
+			grown := append(rec, 0xdead, 0xbeef)
+			grown[len(grown)-1]++
+		}
+		for _, rec := range recs[10:400] { // retires that tail, then carries what it became, many times
+			e.Insert(rec)
+		}
+		e.Compact()
+		for i, rec := range held {
+			if !slices.Equal(rec, recs[i]) {
+				t.Fatalf("tail view %d reads %v after its carry, was %v", i, rec, recs[i])
+			}
+		}
+		if got := e.Query(fullRect()); !sameRecs(got, append([]schema.Record(nil), recs[:400]...)) {
+			t.Fatalf("engine holds %d records after appends to tail views, want the 400 inserted", len(got))
+		}
+	})
 }
 
 // TestVisitConcurrentWithMerges runs Visit (and the wrappers over it)
-// against writers that push every shard through merge after merge.
-// Every record carries a checksum of its coordinates as payload, so a
-// torn or recycled row cannot pass for a record. Meaningful under -race.
+// against writers that push every shard through carry after carry, and
+// asserts the snapshot contract: a visit sees every record acknowledged
+// before it began exactly once, and no record twice. Record (w, i) is a
+// pure function of its writer and ordinal, so a reader knows what it
+// must find, and every record carries a checksum of its coordinates as
+// payload, so a torn or recycled row cannot pass for a record.
+// Meaningful under -race.
 func TestVisitConcurrentWithMerges(t *testing.T) {
 	const writers, readers, perWriter = 4, 4, 3000
 	sch := sch3()
-	e := NewSharded(sch, smallOpts())
-	sum := func(rec schema.Record) uint64 { return rec[0]*31 + rec[1]*17 + rec[2] + 5 }
+	e := smallTail(4, 16)
+	mk := func(w, i int) schema.Record {
+		rec := schema.Record{uint64(i*7919+w*13)%10000 + uint64(i%3)*6000, uint64(i), uint64(w), 0} // a third above the bound
+		rec[3] = rec[0]*31 + rec[1]*17 + rec[2] + 5
+		return rec
+	}
+	var acked [writers]atomic.Int64
+	var rounds atomic.Int64 // completed reader rounds: writers pace on it so visits overlap carries
 	stop := make(chan struct{})
 	var rg, wg sync.WaitGroup
 	for g := 0; g < readers; g++ {
@@ -198,39 +247,65 @@ func TestVisitConcurrentWithMerges(t *testing.T) {
 		go func(seed int64) {
 			defer rg.Done()
 			r := rand.New(rand.NewSource(seed))
-			for {
+			seen := make([]int, writers*perWriter)
+			for round := 0; ; round++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				q := randRect(r)
+				var floor [writers]int
+				for w := range floor {
+					floor[w] = int(acked[w].Load())
+				}
+				q := fullRect()
+				if round%2 == 1 {
+					q = randRect(r)
+				}
+				clear(seen)
 				n := 0
 				e.Visit(q, func(rec schema.Record) {
 					n++
-					if len(rec) != 4 || rec[3] != sum(rec) || !q.ContainsRecord(sch, rec) {
+					if len(rec) != 4 || rec[2] >= writers || rec[1] >= perWriter ||
+						!slices.Equal(rec, mk(int(rec[2]), int(rec[1]))) ||
+						!q.ContainsRecord(sch, rec) {
 						t.Errorf("Visit %v yielded a bad record %v", q, rec)
+						return
 					}
+					seen[int(rec[2])*perWriter+int(rec[1])]++
 				})
+				for w := 0; w < writers; w++ {
+					for i := 0; i < perWriter; i++ {
+						switch c := seen[w*perWriter+i]; {
+						case c > 1:
+							t.Errorf("Visit %v saw record (%d, %d) %d times", q, w, i, c)
+						case c == 0 && i < floor[w] && q.ContainsRecord(sch, mk(w, i)):
+							t.Errorf("Visit %v missed acknowledged record (%d, %d)", q, w, i)
+						}
+					}
+				}
 				// Inserts only add, so a later count can only be larger.
 				if c := e.Count(q); c < n {
 					t.Errorf("Count %d after a Visit of %d", c, n)
 				}
+				rounds.Add(1)
 			}
 		}(int64(600 + g))
 	}
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
-		go func(seed int64) {
+		go func(w int) {
 			defer wg.Done()
-			r := rand.New(rand.NewSource(seed))
 			for i := 0; i < perWriter; i++ {
-				rec := randRec(r)
-				rec[0] += uint64(i%3) * 6000 // a third above the bound
-				rec[3] = sum(rec)
-				e.Insert(rec)
+				e.Insert(mk(w, i))
+				acked[w].Store(int64(i + 1))
+				if i%100 == 99 {
+					for at := rounds.Load(); rounds.Load() == at; {
+						runtime.Gosched()
+					}
+				}
 			}
-		}(int64(700 + w))
+		}(w)
 	}
 	wg.Wait()
 	close(stop)

@@ -7,50 +7,46 @@ import (
 	"mind/internal/schema"
 )
 
-// Defaults for Options zero values. The shard count default is a fixed
-// constant, NOT a hardware probe: simnet experiments require identical
-// behavior for a seed on every machine, and the shard layout shapes
-// result ordering and merge timing. It defaults to 1 because hash
-// routing spreads every region across all shards, so a selective range
-// query pays a near-full traversal per shard — sharding is a
-// write-scaling trade (per-shard writer mutexes, per-(version, shard)
-// query fan-out) that deployments opt into by sizing it to the machine
-// via Config.StoreShards (mindnode -store-shards defaults to
-// GOMAXPROCS); see BenchmarkStoreLayout for the measured cost curve.
+// The engine's sizes are fixed constants, NOT hardware probes or knobs:
+// simnet experiments require identical behavior for a seed on every
+// machine, and the shard layout and carry schedule shape result
+// ordering and merge timing.
+//
+// defaultShards is 1 because hash routing spreads every region across
+// all shards, so a selective range query pays a near-full traversal per
+// shard — sharding is a write-scaling trade (per-shard writer mutexes,
+// per-(version, shard) query fan-out) that deployments opt into by
+// sizing it to the machine via Config.StoreShards (mindnode
+// -store-shards defaults to GOMAXPROCS); see BenchmarkStoreLayout for
+// the measured cost curve.
+//
+// tailRows is the insert buffer every read of a shard scans linearly:
+// large enough that a carry's handful of allocations amortises to
+// nothing per record, small enough (10 KB of 40 B rows, half full on
+// average) that the scan costs about what one level's descent does.
 const (
-	defaultShards    = 1
-	defaultMergeFrac = 0.25
-	defaultDeltaMin  = 512
+	defaultShards = 1
+	tailRows      = 256
 )
 
 // Options tunes the Sharded engine.
 type Options struct {
 	// Shards is the number of per-core shards (rounded up to a power of
-	// two, capped at 256). Each shard has its own writer mutex and
-	// static+delta pair, so concurrent writers scale to the shard count
-	// and each shard's working set stays cache-sized (the Ma & Cooperman
+	// two, capped at 256). Each shard has its own writer mutex and its
+	// own ladder, so concurrent writers scale to the shard count and each
+	// shard's working set stays cache-sized (the Ma & Cooperman
 	// "distribute the index over CPU caches" partitioning). Hash routing
 	// cannot prune shards on reads, so every shard pays a traversal per
 	// query — leave it at the single-shard default unless writers
 	// contend. 0 selects the deterministic default (1).
 	Shards int
-	// DeltaMergeFrac is the delta-buffer size bound as a fraction of the
-	// shard's static size: when the delta exceeds
-	// max(DeltaMin, frac*staticLen) records it is merged into a freshly
-	// bulk-loaded static array. Smaller fractions keep more of the data
-	// in the fast static layout at a higher amortized merge cost
-	// (O(1/frac) merge work per record). 0 selects 0.25.
-	DeltaMergeFrac float64
-	// DeltaMin is the merge-threshold floor, so small shards do not
-	// thrash merges. 0 selects 512.
-	DeltaMin int
-	// OnMerge, when set, observes each delta→static merge with the shard
-	// index and the merged static length. It is invoked at the end of
-	// the merge while the shard writer mutex is held, so the callback
+	// OnMerge, when set, observes each carry with the shard index and
+	// the length of the level the carry formed. It is invoked at the end
+	// of the carry while the shard writer mutex is held, so the callback
 	// must be fast and must not re-enter the store. The mind layer hooks
 	// the per-shard summary fold here so the aggregate layer tracks the
-	// store's static/delta rhythm.
-	OnMerge func(shard, staticLen int)
+	// store's carry rhythm.
+	OnMerge func(shard, levelLen int)
 }
 
 func (o Options) withDefaults() Options {
@@ -65,12 +61,6 @@ func (o Options) withDefaults() Options {
 		n <<= 1
 	}
 	o.Shards = n
-	if o.DeltaMergeFrac <= 0 {
-		o.DeltaMergeFrac = defaultMergeFrac
-	}
-	if o.DeltaMin <= 0 {
-		o.DeltaMin = defaultDeltaMin
-	}
 	return o
 }
 
@@ -82,66 +72,91 @@ func ResolveShards(n int) int {
 	return Options{Shards: n}.withDefaults().Shards
 }
 
-// shardSnap is one shard's published state: an immutable static index
-// plus the mutable delta absorbing inserts. Readers load the pointer
-// once and resolve against both parts; a merge publishes a replacement
-// snap without mutating either old part, so in-flight readers finish on
-// a consistent view.
+// tail is a shard's insert buffer: one fixed-capacity arena of unsorted
+// rows, append-only. The writer copies a row in and then publishes it by
+// storing the new length; readers scan the published prefix. A row, once
+// published, is never rewritten — the carry that retires a tail copies
+// out of it — so views into a tail obey Static's view contract.
+type tail struct {
+	rows []uint64     // stride arity; len is the fixed capacity
+	n    atomic.Int64 // published rows
+}
+
+// published returns the rows readers may see; a nil tail has none.
+func (t *tail) published(arity int) []uint64 {
+	if t == nil {
+		return nil
+	}
+	return t.rows[:int(t.n.Load())*arity]
+}
+
+// shardSnap is one shard's published state: the ladder's immutable
+// levels, oldest and largest first with strictly decreasing lengths,
+// and the tail absorbing inserts (nil until the first insert and after
+// Compact). Readers load the pointer once and resolve against all of
+// it; a carry publishes a replacement snap without mutating any old
+// part, so in-flight readers finish on a consistent view.
 type shardSnap struct {
-	static  *Static
-	delta   *KD
-	mergeAt int // delta Len() that triggers the next merge
+	levels []*Static
+	tail   *tail
 }
 
 // engineShard is one writer domain. The pad keeps adjacent shards' hot
 // fields (mu, snap) on separate cache lines so writer traffic on one
 // shard does not false-share with readers of its neighbors.
 type engineShard struct {
-	mu   sync.Mutex
-	snap atomic.Pointer[shardSnap]
-	_    [48]byte
+	mu          sync.Mutex
+	snap        atomic.Pointer[shardSnap]
+	carries     atomic.Uint64 // lifetime carries
+	carriedRows atomic.Uint64 // Σ rows written into a new level
+	_           [32]byte
 }
 
-// Sharded is the hybrid static+delta store engine, partitioned into
-// per-core shards routed by a hash of the record's indexed point
-// (DESIGN.md §4h). Each shard holds a bulk-loaded Static index (the
-// bulk of the data, cache-oblivious flat arrays) plus a small KD delta
-// buffer (arena-backed, zero-alloc inserts); when a delta outgrows
-// DeltaMergeFrac of its static partner the shard rebuilds the static
-// array from both — an amortized, size-proportional merge that replaces
-// the old engine's depth-triggered full rebuilds.
+// Sharded is the store engine, partitioned into per-core shards routed
+// by a hash of the record's indexed point (DESIGN.md §4h). Each shard is
+// a logarithmic-method ladder: inserts copy their row into the tail, and
+// a full tail is carried — binary-counter style — together with every
+// level no larger than the run being formed into ONE new Static arena,
+// built by appending the source arenas and partitioning in place. A
+// record is therefore rebuilt O(log(n/tailRows)) times over its life,
+// no insert ever pays for more than the levels it absorbs, and there is
+// one index structure at every size.
 //
 // Concurrency: inserts serialize per shard on the shard writer mutex;
 // writers to different shards never touch the same cache lines. Readers
 // (Query, Count, All, Len) are lock-free: they load each shard's
-// published snapshot and resolve against the immutable static plus the
-// COW delta. Visibility matches the KD contract — a concurrent insert
-// may or may not be visible, an acknowledged one always is.
+// published snapshot and resolve against its immutable levels plus the
+// tail's published prefix, so a record is seen at most once. A
+// concurrent insert may or may not be visible, an acknowledged one
+// always is.
 type Sharded struct {
-	sch    *schema.Schema
 	bounds []uint64
+	dims   int
+	arity  int
 	opts   Options
-	mask   uint64
-	shards []engineShard
+	// tailCap is the tail capacity in rows: tailRows, except that tests
+	// shrink it before the first insert so carries fire every few records.
+	tailCap int
+	mask    uint64
+	shards  []engineShard
 }
 
-// NewSharded creates an empty sharded static+delta engine.
+// NewSharded creates an empty engine. It holds no arena until the first
+// insert: an empty store is a few words per shard.
 func NewSharded(sch *schema.Schema, opts Options) *Sharded {
 	opts = opts.withDefaults()
 	e := &Sharded{
-		sch:    sch,
-		bounds: sch.Bounds(),
-		opts:   opts,
-		mask:   uint64(opts.Shards - 1),
-		shards: make([]engineShard, opts.Shards),
+		bounds:  sch.Bounds(),
+		dims:    sch.Dims(),
+		arity:   sch.Arity(),
+		opts:    opts,
+		tailCap: tailRows,
+		mask:    uint64(opts.Shards - 1),
+		shards:  make([]engineShard, opts.Shards),
 	}
-	empty := newStatic(sch, e.bounds, nil)
+	empty := &shardSnap{}
 	for i := range e.shards {
-		e.shards[i].snap.Store(&shardSnap{
-			static:  empty,
-			delta:   newDelta(sch, e.bounds, opts.DeltaMin),
-			mergeAt: opts.DeltaMin,
-		})
+		e.shards[i].snap.Store(empty)
 	}
 	return e
 }
@@ -172,81 +187,102 @@ func (e *Sharded) shardOf(rec schema.Record) int {
 // partitions stay identical.
 func (e *Sharded) ShardOf(rec schema.Record) int { return e.shardOf(rec) }
 
-// Insert adds a record to its shard's delta buffer, merging the shard
-// when the delta crosses its bound. The non-merge fast path performs
-// zero heap allocations (hash + arena node + atomic link).
+// newTail allocates an empty tail arena.
+func (e *Sharded) newTail() *tail {
+	return &tail{rows: make([]uint64, e.tailCap*e.arity)}
+}
+
+// Insert copies the record into its shard's tail and carries the tail
+// into the ladder when that fills it. Between carries it performs zero
+// heap allocations (hash + row copy + atomic length store); the caller
+// keeps ownership of rec.
 func (e *Sharded) Insert(rec schema.Record) {
 	i := e.shardOf(rec)
 	sh := &e.shards[i]
 	sh.mu.Lock()
 	snap := sh.snap.Load()
-	snap.delta.Insert(rec)
-	if snap.delta.Len() >= snap.mergeAt {
-		e.mergeLocked(i, sh, snap)
+	if snap.tail == nil {
+		snap = &shardSnap{levels: snap.levels, tail: e.newTail()}
+		sh.snap.Store(snap)
+	}
+	t := snap.tail
+	n := int(t.n.Load())
+	copy(t.rows[n*e.arity:(n+1)*e.arity], rec)
+	t.n.Store(int64(n + 1))
+	if n+1 == e.tailCap {
+		e.carryLocked(i, sh, snap, false)
 	}
 	sh.mu.Unlock()
 }
 
-// mergeLocked rebuilds the shard's static index from static+delta and
-// publishes a fresh snapshot with an empty delta. Caller holds sh.mu.
-// The old snapshot's parts are never mutated: in-flight readers drain
-// on them and the GC reclaims them after.
-func (e *Sharded) mergeLocked(i int, sh *engineShard, snap *shardSnap) {
-	// The old static's records enter the merge as views of its arena;
-	// the new arena copies them, so the old one is free once readers
-	// holding its views let go.
-	recs := make([]schema.Record, 0, snap.static.Len()+snap.delta.Len())
-	collect := func(rec schema.Record) bool {
-		recs = append(recs, rec)
-		return true
+// carryLocked retires the shard's tail into the ladder and publishes
+// the result with a fresh tail. The run being formed starts as the tail
+// and absorbs, newest first, every level no longer than itself (all of
+// them when everything is set) — the binary-counter carry, which keeps
+// level lengths strictly decreasing. The new level's arena is the
+// absorbed arenas and the tail appended oldest first, then partitioned
+// in place. Caller holds sh.mu. The old snapshot's parts are never
+// mutated: in-flight readers drain on them and the GC reclaims them
+// after.
+func (e *Sharded) carryLocked(i int, sh *engineShard, snap *shardSnap, everything bool) {
+	tailRun := snap.tail.published(e.arity)
+	run, keep := len(tailRun), len(snap.levels)
+	for keep > 0 && (everything || len(snap.levels[keep-1].rows) <= run) {
+		keep--
+		run += len(snap.levels[keep].rows)
 	}
-	snap.static.All(collect)
-	snap.delta.All(collect)
-	st := newStatic(e.sch, e.bounds, recs)
-	mergeAt := int(e.opts.DeltaMergeFrac * float64(st.Len()))
-	if mergeAt < e.opts.DeltaMin {
-		mergeAt = e.opts.DeltaMin
+	rows := make([]uint64, 0, run)
+	for _, l := range snap.levels[keep:] {
+		rows = append(rows, l.rows...)
 	}
-	sh.snap.Store(&shardSnap{
-		static:  st,
-		delta:   newDelta(e.sch, e.bounds, mergeAt),
-		mergeAt: mergeAt,
-	})
+	rows = append(rows, tailRun...)
+	next := &shardSnap{levels: make([]*Static, keep+1)}
+	copy(next.levels, snap.levels[:keep])
+	next.levels[keep] = buildStatic(e.bounds, e.dims, e.arity, rows)
+	if !everything {
+		next.tail = e.newTail()
+	}
+	sh.snap.Store(next)
+	sh.carries.Add(1)
+	sh.carriedRows.Add(uint64(run / e.arity))
 	if e.opts.OnMerge != nil {
-		e.opts.OnMerge(i, st.Len())
+		e.opts.OnMerge(i, run/e.arity)
 	}
 }
 
-// Compact force-merges every shard, leaving all records in the static
-// arrays and every delta empty. Used after bulk loads (and by tests) to
-// pin the engine in its steady-state layout.
+// Compact carries every shard's tail and levels into one level, leaving
+// no tail. Used after bulk loads (and by tests) to pin the engine in its
+// steady-state layout.
 func (e *Sharded) Compact() {
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.mu.Lock()
-		if snap := sh.snap.Load(); snap.delta.Len() > 0 {
-			e.mergeLocked(i, sh, snap)
+		snap := sh.snap.Load()
+		if len(snap.levels) > 1 || len(snap.tail.published(e.arity)) > 0 {
+			e.carryLocked(i, sh, snap, true)
 		}
 		sh.mu.Unlock()
 	}
 }
 
 // VisitShard calls fn with every record of shard i inside rect: the
-// shard's static index, then its delta, on one published snapshot and
-// one unclamped rectangle. It is the read primitive everything else
-// wraps — the parallel local execution layer (mind.resolveLocal) fans
-// (version, shard) tasks over it, and the aggregate path folds boundary
-// cells through it without materializing a record slice. The records
-// are read-only views (Static's view contract).
+// shard's levels, oldest first, then its tail, on one published
+// snapshot and one opened window. It is the read primitive everything
+// else wraps — the parallel local execution layer (mind.resolveLocal)
+// fans (version, shard) tasks over it, and the aggregate path folds
+// boundary cells through it without materializing a record slice. The
+// records are read-only views (Static's view contract).
 func (e *Sharded) VisitShard(i int, rect schema.Rect, fn func(schema.Record)) {
-	var buf [maxStackDims]uint64
-	hi, ok := unclamp(e.bounds, rect, buf[:0])
+	var buf windowBuf
+	w, ok := openWindow(e.bounds, rect, &buf)
 	if !ok {
 		return
 	}
 	snap := e.shards[i].snap.Load()
-	snap.static.visit(rect.Lo, hi, fn)
-	snap.delta.visit(snap.delta.root.Load(), 0, rect.Lo, hi, fn)
+	for _, l := range snap.levels {
+		l.visit(&w, fn)
+	}
+	scanRows(snap.tail.published(e.arity), e.arity, w.con, fn)
 }
 
 // Visit calls fn with every record inside rect, shard by shard.
@@ -282,50 +318,79 @@ func (e *Sharded) Count(rect schema.Rect) int {
 	return n
 }
 
-// Len returns the number of stored records.
-func (e *Sharded) Len() int {
-	n := 0
+// ShardShape is one shard's ladder as an operator sees it.
+// CarriedRows ÷ records inserted is the shard's write amplification.
+type ShardShape struct {
+	Levels      []int  `json:"levels"` // level lengths, oldest first
+	TailRecords int    `json:"tail_records"`
+	Carries     uint64 `json:"carries"`
+	CarriedRows uint64 `json:"carried_rows"`
+}
+
+// Shape snapshots every shard's ladder (ops surface, tests).
+func (e *Sharded) Shape() []ShardShape {
+	out := make([]ShardShape, len(e.shards))
+	for i := range e.shards {
+		sh := &e.shards[i]
+		snap := sh.snap.Load()
+		levels := make([]int, len(snap.levels))
+		for k, l := range snap.levels {
+			levels[k] = l.Len()
+		}
+		out[i] = ShardShape{
+			Levels:      levels,
+			TailRecords: len(snap.tail.published(e.arity)) / e.arity,
+			Carries:     sh.carries.Load(),
+			CarriedRows: sh.carriedRows.Load(),
+		}
+	}
+	return out
+}
+
+// count returns the records held in levels and in tails.
+func (e *Sharded) count() (levels, tails int) {
 	for i := range e.shards {
 		snap := e.shards[i].snap.Load()
-		n += snap.static.Len() + snap.delta.Len()
+		for _, l := range snap.levels {
+			levels += l.Len()
+		}
+		tails += len(snap.tail.published(e.arity)) / e.arity
 	}
-	return n
+	return levels, tails
+}
+
+// Len returns the number of stored records.
+func (e *Sharded) Len() int {
+	levels, tails := e.count()
+	return levels + tails
 }
 
 // All streams every stored record; stops early if yield returns false.
-// Shards stream in order, static part first — a deterministic order for
-// a deterministic op history, which the simnet reproducibility contract
-// requires of the replication and rebalance hand-off paths built on All.
+// Shards stream in order, each shard's levels oldest first and then its
+// tail in insertion order — a deterministic order for a deterministic op
+// history, which the simnet reproducibility contract requires of the
+// replication and rebalance hand-off paths built on All.
 func (e *Sharded) All(yield func(rec schema.Record) bool) {
-	more := true
-	each := func(rec schema.Record) bool {
-		more = yield(rec)
-		return more
-	}
 	for i := range e.shards {
 		snap := e.shards[i].snap.Load()
-		if snap.static.All(each); !more {
-			return
+		for _, l := range snap.levels {
+			if !eachRow(l.rows, e.arity, yield) {
+				return
+			}
 		}
-		if snap.delta.All(each); !more {
+		if !eachRow(snap.tail.published(e.arity), e.arity, yield) {
 			return
 		}
 	}
 }
 
 // StaticFrac reports the fraction of records currently resident in the
-// static arrays (diagnostics: 1.0 right after Compact, trending down as
-// deltas fill).
+// ladder's levels (diagnostics: 1.0 right after Compact, dipping as
+// tails fill).
 func (e *Sharded) StaticFrac() float64 {
-	static, total := 0, 0
-	for i := range e.shards {
-		snap := e.shards[i].snap.Load()
-		s := snap.static.Len()
-		static += s
-		total += s + snap.delta.Len()
-	}
-	if total == 0 {
+	levels, tails := e.count()
+	if levels+tails == 0 {
 		return 1
 	}
-	return float64(static) / float64(total)
+	return float64(levels) / float64(levels+tails)
 }

@@ -2,16 +2,20 @@ package store
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"mind/internal/schema"
 )
 
-// smallOpts forces merges early and often so differential tests cross
-// many merge boundaries with modest record counts.
-func smallOpts() Options {
-	return Options{Shards: 4, DeltaMergeFrac: 0.25, DeltaMin: 16}
+// smallTail builds an engine whose tails hold tailCap rows instead of
+// tailRows, so differential tests cross many carries with modest record
+// counts.
+func smallTail(shards, tailCap int) *Sharded {
+	e := NewSharded(sch3(), Options{Shards: shards})
+	e.tailCap = tailCap
+	return e
 }
 
 func TestShardedEmpty(t *testing.T) {
@@ -28,9 +32,11 @@ func TestShardedEmpty(t *testing.T) {
 }
 
 func TestShardedOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.Shards != defaultShards || o.DeltaMergeFrac != defaultMergeFrac || o.DeltaMin != defaultDeltaMin {
+	if o := (Options{}).withDefaults(); o.Shards != defaultShards {
 		t.Fatalf("defaults = %+v", o)
+	}
+	if e := NewSharded(sch3(), Options{}); e.tailCap != tailRows || e.NumShards() != defaultShards {
+		t.Fatalf("engine defaults: tail %d, shards %d", e.tailCap, e.NumShards())
 	}
 	if got := (Options{Shards: 5}).withDefaults().Shards; got != 8 {
 		t.Fatalf("shards rounded to %d, want 8", got)
@@ -42,8 +48,8 @@ func TestShardedOptionsDefaults(t *testing.T) {
 
 // TestShardedDifferentialFuzz runs random insert streams — uniform,
 // duplicate-heavy, and monotone orders — against the Scan oracle,
-// interleaving Query/Count/All checks so merge boundaries are crossed
-// mid-stream, not just at the end.
+// interleaving Query/Count/All checks so carries are crossed mid-stream,
+// not just at the end.
 func TestShardedDifferentialFuzz(t *testing.T) {
 	gens := map[string]func(r *rand.Rand, i int) schema.Record{
 		"uniform": func(r *rand.Rand, i int) schema.Record { return randRec(r) },
@@ -64,7 +70,7 @@ func TestShardedDifferentialFuzz(t *testing.T) {
 	for name, gen := range gens {
 		t.Run(name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(len(name))*1000 + 9))
-			e := NewSharded(sch3(), smallOpts())
+			e := smallTail(4, 16)
 			sc := NewScan(sch3())
 			const total = 4000
 			for i := 0; i < total; i++ {
@@ -72,7 +78,7 @@ func TestShardedDifferentialFuzz(t *testing.T) {
 				e.Insert(rec)
 				sc.Insert(rec)
 				// Check at a non-power-of-two cadence so checks land on
-				// both sides of merge thresholds.
+				// both sides of carries.
 				if i%37 == 0 {
 					q := randRect(r)
 					a, b := e.Query(q), sc.Query(q)
@@ -121,7 +127,7 @@ func TestShardedDifferentialFuzz(t *testing.T) {
 // the whole-engine query.
 func TestShardedQueryShardAppendPartition(t *testing.T) {
 	r := rand.New(rand.NewSource(91))
-	e := NewSharded(sch3(), smallOpts())
+	e := smallTail(4, 16)
 	for i := 0; i < 3000; i++ {
 		e.Insert(randRec(r))
 	}
@@ -142,8 +148,8 @@ func TestShardedQueryShardAppendPartition(t *testing.T) {
 // shard — the property simnet reproducibility rests on.
 func TestShardedDeterministicPlacement(t *testing.T) {
 	r := rand.New(rand.NewSource(92))
-	a := NewSharded(sch3(), smallOpts())
-	b := NewSharded(sch3(), smallOpts())
+	a := smallTail(4, 16)
+	b := smallTail(4, 16)
 	recs := make([]schema.Record, 2000)
 	for i := range recs {
 		recs[i] = randRec(r)
@@ -164,8 +170,8 @@ func TestShardedDeterministicPlacement(t *testing.T) {
 }
 
 // TestShardedConcurrentInsertQuery mirrors TestKDConcurrentInsertQuery
-// for the sharded engine under -race: concurrent writers drive deltas
-// across merge boundaries while readers query, count and stream, then a
+// for the sharded engine under -race: concurrent writers drive tails
+// through carry after carry while readers query, count and stream, then a
 // differential sweep against the oracle proves nothing was lost or
 // duplicated.
 func TestShardedConcurrentInsertQuery(t *testing.T) {
@@ -174,7 +180,7 @@ func TestShardedConcurrentInsertQuery(t *testing.T) {
 		readers       = 4
 		recsPerWriter = 2000
 	)
-	e := NewSharded(sch3(), smallOpts()) // DeltaMin 16: merges constantly
+	e := smallTail(4, 16) // carries constantly
 	recs := make([][]schema.Record, writers)
 	for w := range recs {
 		r := rand.New(rand.NewSource(int64(300 + w)))
@@ -280,27 +286,77 @@ func TestKDLenNeverLeadsVisible(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDeltaArenaRecycle checks the arena-backed delta across COW
-// rebuilds: records survive, and the arena keeps absorbing inserts
-// without heap fallback until capacity.
-func TestDeltaArenaRecycle(t *testing.T) {
-	sch := sch3()
-	d := newDelta(sch, sch.Bounds(), 64)
-	sc := NewScan(sch)
-	// Monotone order trips depth-triggered rebuilds inside the delta.
-	for i := 0; i < 200; i++ {
-		rec := schema.Record{uint64(i), uint64(i), uint64(i), uint64(i)}
-		d.Insert(rec)
-		sc.Insert(rec)
-	}
-	if d.Len() != 200 {
-		t.Fatalf("Len = %d", d.Len())
-	}
-	r := rand.New(rand.NewSource(45))
-	for q := 0; q < 30; q++ {
-		rect := randRect(r)
-		if !sameRecs(d.Query(rect), sc.Query(rect)) {
-			t.Fatalf("arena delta mismatch for %v", rect)
+// TestLadderShape pins the logarithmic method after every insert: level
+// lengths strictly decrease, levels + tail account for every record,
+// the level count and the rows ever carried stay within the binary
+// counter's bounds, Compact leaves one level and an empty tail, and All
+// streams the stored multiset levels first, then the tail in insertion
+// order.
+func TestLadderShape(t *testing.T) {
+	for _, tailCap := range []int{tailRows, 8} {
+		e := smallTail(1, tailCap)
+		r := rand.New(rand.NewSource(93))
+		var recs []schema.Record
+		check := func(tag string) {
+			t.Helper()
+			n := len(recs)
+			s := e.Shape()[0]
+			inLevels := 0
+			for k, l := range s.Levels {
+				if k > 0 && l >= s.Levels[k-1] {
+					t.Fatalf("tail %d %s n=%d: levels %v do not strictly decrease", tailCap, tag, n, s.Levels)
+				}
+				inLevels += l
+			}
+			if inLevels+s.TailRecords != n || e.Len() != n {
+				t.Fatalf("tail %d %s n=%d: levels %v + tail %d, Len %d", tailCap, tag, n, s.Levels, s.TailRecords, e.Len())
+			}
+			bound := 1 // ceil(log2(n/tail)) + 1
+			for m := tailCap; m < n; m *= 2 {
+				bound++
+			}
+			if len(s.Levels) > bound {
+				t.Fatalf("tail %d %s n=%d: %d levels %v, bound %d", tailCap, tag, n, len(s.Levels), s.Levels, bound)
+			}
+			if s.CarriedRows > uint64(n*bound) {
+				t.Fatalf("tail %d %s n=%d: %d rows carried in %d carries, bound %d", tailCap, tag, n, s.CarriedRows, s.Carries, n*bound)
+			}
+		}
+		for i := 0; i < 10000; i++ {
+			recs = append(recs, randRec(r))
+			e.Insert(recs[i])
+			check("insert")
+		}
+		if s := e.Shape()[0]; s.Carries != uint64(len(recs)/tailCap) {
+			t.Fatalf("tail %d: %d carries over %d inserts", tailCap, s.Carries, len(recs))
+		}
+		var streamed []schema.Record
+		e.All(func(rec schema.Record) bool {
+			streamed = append(streamed, rec.Clone())
+			return true
+		})
+		s := e.Shape()[0]
+		for i, rec := range recs[len(recs)-s.TailRecords:] { // the tail streams last, in insertion order
+			if got := streamed[len(streamed)-s.TailRecords+i]; !slices.Equal(got, rec) {
+				t.Fatalf("tail %d: All tail position %d = %v, inserted %v", tailCap, i, got, rec)
+			}
+		}
+		lo := 0
+		for k, l := range s.Levels { // level k holds the oldest not yet streamed records, in partition order
+			if !sameRecs(streamed[lo:lo+l], append([]schema.Record(nil), recs[lo:lo+l]...)) {
+				t.Fatalf("tail %d: level %d of %v does not hold records [%d, %d)", tailCap, k, s.Levels, lo, lo+l)
+			}
+			lo += l
+		}
+		e.Compact()
+		check("compact")
+		compacted := e.Shape()[0]
+		if len(compacted.Levels) != 1 || compacted.Levels[0] != len(recs) || compacted.TailRecords != 0 || compacted.Carries != s.Carries+1 {
+			t.Fatalf("tail %d: Compact left %+v after %+v", tailCap, compacted, s)
+		}
+		e.Compact() // nothing to carry: no new arena
+		if again := e.Shape()[0]; again.Carries != compacted.Carries {
+			t.Fatalf("tail %d: an idle Compact carried (%d → %d)", tailCap, compacted.Carries, again.Carries)
 		}
 	}
 }

@@ -2,22 +2,24 @@ package store
 
 import "mind/internal/schema"
 
-// Static is a bulk-loaded, immutable k-d index over a flat node array —
-// the cache-conscious half of the static+delta engine (DESIGN.md §4h).
-// Where KD chases heap pointers (one cache miss per visited node on a
-// cold tree), Static keeps everything a traversal touches in two dense,
-// pointer-free slices the garbage collector never scans:
+// Static is a bulk-loaded, immutable k-d index over one flat arena — the
+// one index structure of the store engine (DESIGN.md §4h): every level
+// of a shard's ladder is a Static. Everything a traversal touches lives
+// in two dense, pointer-free slices the garbage collector never scans:
 //
-//   - rows: the full record of every node (indexed attributes first,
-//     payload after), node-major with stride arity — the inside-rect
-//     test, the prune test and the answer all read the same cache line;
-//   - kids: two int32 child slot indices per node (-1 = none) — indices
-//     into the same arrays, not pointers, so the whole index relocates
-//     and shares cleanly.
+//   - rows: the full records (indexed attributes first, payload after),
+//     stride arity, in k-d PARTITION ORDER — every subtree of the index
+//     is one contiguous row range, and recursion stops at leaves of at
+//     most leafRows rows that a visit scans linearly;
+//   - cuts: the split values as an implicit BFS tree — root at 1, the
+//     children of node i at 2i and 2i+1. Node i over rows [lo, hi) splits
+//     at mid = lo+(hi-lo)/2 into [lo, mid) and [mid, hi), so a descent
+//     re-derives every row range from n alone and the tree costs about
+//     one word per leaf, not per record.
 //
-// Rows hold RAW attribute values. The tree is built on coordinates
-// clamped to the schema bounds; a traversal never clamps a node, it
-// unclamps the query rectangle once instead (unclamp, store.go).
+// Rows hold RAW attribute values. The cuts are coordinates clamped to
+// the schema bounds; a traversal never clamps a row, it unclamps the
+// query rectangle once instead (window, store.go).
 //
 // View contract: a record handed out (Visit, Query, All) is a capped
 // view rows[b : b+arity : b+arity] of the immutable arena. It is
@@ -25,209 +27,180 @@ import "mind/internal/schema"
 // arena until dropped), and appending to it reallocates instead of
 // touching the neighbouring row.
 //
-// Nodes are laid out in the van Emde Boas (cache-oblivious) order: the
-// tree of height h is split into a top subtree of height h/2 and its
-// bottom subtrees, each laid out contiguously and recursively. Any
-// root-to-leaf walk then crosses O(log_B n) cache blocks for every block
-// size B simultaneously — without knowing B — instead of the O(log n)
-// misses of a pointer tree. The top of the tree, which every query
-// traverses, occupies one contiguous prefix that stays resident in L1.
-//
 // Static is immutable after construction and therefore trivially safe
-// for any number of concurrent readers. Median bulk loading makes the
-// tree perfectly balanced: height <= floor(log2 n)+1 regardless of
-// insertion order, so the fixed traversal stack below is provably
-// sufficient for any n representable in an int32 slot.
+// for any number of concurrent readers. Exact median splits halve the
+// row range at every step whatever the insertion order, so the depth is
+// at most ceil(log2(n/leafRows)) and the fixed traversal stack below is
+// provably sufficient for any n an int32 row index can address.
 type Static struct {
 	bounds []uint64
 	dims   int
 	arity  int
-	rows   []uint64 // raw records, node-major, stride arity
-	kids   []int32  // 2 per node: left, right (-1 = none); root is slot 0
+	rows   []uint64 // raw records in partition order, stride arity
+	cuts   []uint64 // implicit BFS split values; cuts[0] is unused
 }
 
-// staticStackCap bounds the iterative traversal stack. DFS over a binary
-// tree pushing both children holds at most height+1 frames, and the
-// median-built height is <= floor(log2 n)+1 <= 32 for n <= 2^31 (the
-// int32 slot range).
+// leafRows is the largest row range a traversal scans instead of
+// splitting. Like defaultShards it is a fixed constant: 16, 32 and 64
+// were measured once (EXPERIMENTS.md "Ladder of leaf-bucketed arenas")
+// and 32 kept — a leaf of 40 B rows is 20 cache lines read in order.
+const leafRows = 32
+
+// staticStackCap bounds the iterative traversal stack. The descent
+// stacks at most one right child per level, and the depth is
+// <= ceil(log2(n/leafRows)) <= 26 for n <= 2^31 (the int32 row range).
 const staticStackCap = 40
 
-// sframe is one pending subtree of the iterative traversal.
+// sframe is one pending subtree of the iterative traversal: node i of
+// the implicit tree and the row range it covers.
 type sframe struct {
-	node int32
-	dim  int32
+	node, lo, hi, dim int32
 }
 
 // NewStatic bulk-loads a static index from recs, copying every record
 // into the arena (exactly sch.Arity() attributes each — callers
-// arity-check what they store). The loader permutes recs in place; the
-// records themselves are not retained. An empty or nil recs yields an
-// empty index.
+// arity-check what they store). recs is neither retained nor reordered.
+// An empty or nil recs yields an empty index.
 func NewStatic(sch *schema.Schema, recs []schema.Record) *Static {
-	return newStatic(sch, sch.Bounds(), recs)
+	arity := sch.Arity()
+	rows := make([]uint64, len(recs)*arity)
+	for i, rec := range recs {
+		copy(rows[i*arity:(i+1)*arity], rec)
+	}
+	return buildStatic(sch.Bounds(), sch.Dims(), arity, rows)
 }
 
-// newStatic is the engine-internal constructor reusing a precomputed
-// bounds slice.
-func newStatic(sch *schema.Schema, bounds []uint64, recs []schema.Record) *Static {
-	s := &Static{bounds: bounds, dims: sch.Dims(), arity: sch.Arity()}
-	s.load(recs)
+// buildStatic indexes rows IN PLACE — it takes ownership of the arena,
+// permutes it into partition order and records the cuts. There is no
+// scratch beyond the cuts themselves.
+func buildStatic(bounds []uint64, dims, arity int, rows []uint64) *Static {
+	s := &Static{bounds: bounds, dims: dims, arity: arity, rows: rows}
+	if n := s.Len(); n > leafRows {
+		s.cuts = make([]uint64, cutsLen(n))
+		s.partition(1, 0, n, 0)
+	}
 	return s
 }
 
-// load builds the arrays: median-partition recs into a balanced logical
-// k-d tree, then assign physical slots in van Emde Boas order.
-func (s *Static) load(recs []schema.Record) {
-	n := len(recs)
-	if n == 0 {
+// cutsLen is the implicit tree's size for n rows: internal nodes sit at
+// depths whose largest range ceil(n/2^depth) still exceeds a leaf, and
+// depth k occupies the indices [2^k, 2^(k+1)).
+func cutsLen(n int) int {
+	size := 1
+	for ; n > leafRows; n = (n + 1) / 2 {
+		size *= 2
+	}
+	return size
+}
+
+// partition median-splits rows [lo, hi) on the cycling dimension and
+// recurses: afterwards every row of [lo, mid) is <= cuts[node] <= every
+// row of [mid, hi) on dim's clamped coordinate.
+func (s *Static) partition(node, lo, hi, dim int) {
+	if hi-lo <= leafRows {
 		return
 	}
-	b := &staticBuilder{
-		recs:   recs,
-		bounds: s.bounds,
-		dims:   s.dims,
-		lkid:   make([]int32, n),
-		rkid:   make([]int32, n),
-		phys:   make([]int32, n),
-	}
-	root := b.buildSeg(0, n, 0)
-	height := 0
-	for m := n; m > 0; m >>= 1 {
-		height++
-	}
-	b.place(root, height)
-
-	// Materialize the physical arrays from the logical tree.
-	s.rows = make([]uint64, n*s.arity)
-	s.kids = make([]int32, 2*n)
-	for logical, rec := range recs {
-		p := int(b.phys[logical])
-		copy(s.rows[p*s.arity:(p+1)*s.arity], rec)
-		s.kids[2*p] = b.physOf(b.lkid[logical])
-		s.kids[2*p+1] = b.physOf(b.rkid[logical])
-	}
-}
-
-// staticBuilder holds the bulk-load scratch state. Logical node ids are
-// positions in recs after partitioning; phys maps them to vEB slots.
-type staticBuilder struct {
-	recs   []schema.Record
-	bounds []uint64
-	dims   int
-	lkid   []int32 // logical left child, -1 = none
-	rkid   []int32
-	phys   []int32
-	next   int32
-}
-
-func (b *staticBuilder) physOf(logical int32) int32 {
-	if logical < 0 {
-		return -1
-	}
-	return b.phys[logical]
-}
-
-// buildSeg median-partitions recs[lo:hi) on the cycling dimension and
-// returns the logical root (the median's position). Exact median splits
-// give a perfectly balanced shape: both children hold at most
-// ceil((len-1)/2) records.
-func (b *staticBuilder) buildSeg(lo, hi, depth int) int32 {
-	if lo >= hi {
-		return -1
-	}
-	dim := depth % b.dims
 	mid := lo + (hi-lo)/2
-	selectNth(b.recs[lo:hi], mid-lo, dim, b.bounds)
-	b.lkid[mid] = b.buildSeg(lo, mid, depth+1)
-	b.rkid[mid] = b.buildSeg(mid+1, hi, depth+1)
-	return int32(mid)
+	s.selectRow(lo, hi-1, mid, dim)
+	s.cuts[node] = min(s.rows[mid*s.arity+dim], s.bounds[dim])
+	nd := dim + 1
+	if nd == s.dims {
+		nd = 0
+	}
+	s.partition(2*node, lo, mid, nd)
+	s.partition(2*node+1, mid, hi, nd)
 }
 
-// place assigns vEB-order physical slots to the h levels of the logical
-// subtree rooted at v: the top h/2 levels are placed (recursively vEB)
-// first and contiguously, then each frontier subtree below them. The
-// root of the whole index therefore lands in slot 0, and every
-// recursive block occupies one contiguous slot range.
-func (b *staticBuilder) place(v int32, h int) {
-	if v < 0 {
-		return
+// selectRow is quickselect over the rows lo..hi (inclusive) of the
+// arena, swapping whole rows in place: afterwards row n holds the n-th
+// smallest bounds-clamped coordinate on dim, every row before it is <=
+// and every row after it >=.
+func (s *Static) selectRow(lo, hi, n, dim int) {
+	b, a, rows := s.bounds[dim], s.arity, s.rows
+	at := func(i int) uint64 { return min(rows[i*a+dim], b) }
+	for lo < hi {
+		// Median-of-three pivot to dodge sorted-input quadratic blowup.
+		x, y, z := at(lo), at(lo+(hi-lo)/2), at(hi)
+		pivot := max(min(x, y), min(max(x, y), z))
+		i, j := lo, hi
+		for i <= j {
+			for at(i) < pivot {
+				i++
+			}
+			for at(j) > pivot {
+				j--
+			}
+			if i <= j {
+				ri, rj := rows[i*a:i*a+a], rows[j*a:j*a+a]
+				for k := range ri {
+					ri[k], rj[k] = rj[k], ri[k]
+				}
+				i++
+				j--
+			}
+		}
+		if n <= j {
+			hi = j
+		} else if n >= i {
+			lo = i
+		} else {
+			return
+		}
 	}
-	if h <= 1 {
-		b.phys[v] = b.next
-		b.next++
-		return
-	}
-	top := h / 2
-	b.place(v, top)
-	b.frontier(v, top, h-top)
-}
-
-// frontier recurses to the nodes exactly `down` levels below v and
-// places each as a bottom subtree of height h.
-func (b *staticBuilder) frontier(v int32, down, h int) {
-	if v < 0 {
-		return
-	}
-	if down == 0 {
-		b.place(v, h)
-		return
-	}
-	b.frontier(b.lkid[v], down-1, h)
-	b.frontier(b.rkid[v], down-1, h)
 }
 
 // Len returns the number of stored records.
-func (s *Static) Len() int { return len(s.kids) / 2 }
+func (s *Static) Len() int { return len(s.rows) / s.arity }
 
-// row returns slot p's record as a capped view of the arena.
-func (s *Static) row(p int) schema.Record {
-	b := p * s.arity
-	return s.rows[b : b+s.arity : b+s.arity]
-}
-
-// Visit calls fn with every record inside rect, in traversal order. It
+// Visit calls fn with every record inside rect, in partition order. It
 // is THE static traversal — Query, QueryAppend and Count are wrappers —
 // and performs no allocation: the stack is a fixed local array and the
 // records are views (see the view contract above).
 func (s *Static) Visit(rect schema.Rect, fn func(schema.Record)) {
-	var buf [maxStackDims]uint64
-	if hi, ok := unclamp(s.bounds, rect, buf[:0]); ok {
-		s.visit(rect.Lo, hi, fn)
+	var buf windowBuf
+	if w, ok := openWindow(s.bounds, rect, &buf); ok {
+		s.visit(&w, fn)
 	}
 }
 
-// visit is Visit on an already unclamped rectangle [lo, hi].
-func (s *Static) visit(lo, hi []uint64, fn func(schema.Record)) {
-	if len(s.kids) == 0 {
+// visit is Visit on an already opened window: a depth-first descent
+// that follows a lone surviving child in place and stacks the right
+// child only where both survive. An open window is never inverted, so
+// at least one child always survives.
+func (s *Static) visit(w *window, fn func(schema.Record)) {
+	if len(s.rows) == 0 {
 		return
 	}
 	dims := int32(s.dims)
 	var stack [staticStackCap]sframe
-	stack[0] = sframe{0, 0}
-	sp := 1
-	for sp > 0 {
+	sp := 0
+	f := sframe{node: 1, hi: int32(s.Len())}
+	for {
+		for f.hi-f.lo > leafRows {
+			cut, mid := s.cuts[f.node], f.lo+(f.hi-f.lo)/2
+			nd := f.dim + 1
+			if nd == dims {
+				nd = 0
+			}
+			// Equal coordinates may sit on either side of a median split,
+			// so both prunes admit equality.
+			right := sframe{2*f.node + 1, mid, f.hi, nd}
+			if w.lo[f.dim] > cut {
+				f = right
+				continue
+			}
+			if w.hi[f.dim] >= cut {
+				stack[sp] = right
+				sp++
+			}
+			f = sframe{2 * f.node, f.lo, mid, nd}
+		}
+		scanRows(s.rows[int(f.lo)*s.arity:int(f.hi)*s.arity], s.arity, w.con, fn)
+		if sp == 0 {
+			return
+		}
 		sp--
-		f := stack[sp]
-		rec := s.row(int(f.node))
-		if inside(lo, hi, rec) {
-			fn(rec)
-		}
-		// Equal coordinates may sit on either side of a median split, so
-		// both prunes admit equality.
-		d := int(f.dim)
-		v := rec[d]
-		nd := f.dim + 1
-		if nd == dims {
-			nd = 0
-		}
-		if l := s.kids[2*f.node]; l >= 0 && lo[d] <= v {
-			stack[sp] = sframe{l, nd}
-			sp++
-		}
-		if r := s.kids[2*f.node+1]; r >= 0 && hi[d] >= v {
-			stack[sp] = sframe{r, nd}
-			sp++
-		}
+		f = stack[sp]
 	}
 }
 
@@ -250,12 +223,8 @@ func (s *Static) Count(rect schema.Rect) int {
 	return n
 }
 
-// All streams every record in slot order; stops early if yield returns
+// All streams every record in row order; stops early if yield returns
 // false.
 func (s *Static) All(yield func(rec schema.Record) bool) {
-	for p, n := 0, s.Len(); p < n; p++ {
-		if !yield(s.row(p)) {
-			return
-		}
-	}
+	eachRow(s.rows, s.arity, yield)
 }

@@ -52,7 +52,7 @@ func TestStaticMatchesScan(t *testing.T) {
 			recs[i] = randRec(r)
 			sc.Insert(recs[i])
 		}
-		s := NewStatic(sch3(), recs) // takes ownership; sc holds its own copies
+		s := NewStatic(sch3(), recs)
 		if s.Len() != n {
 			t.Fatalf("n=%d: Len = %d", n, s.Len())
 		}
@@ -94,76 +94,70 @@ func TestStaticClampedRecords(t *testing.T) {
 	}
 }
 
-// TestStaticVEBLayout checks structural invariants of the van Emde Boas
-// placement: the root occupies slot 0, every slot is used exactly once,
-// child links are in range and acyclic, and the k-d ordering invariant
-// holds on every edge (left subtree <= node on the split dim, right
-// subtree >= node).
-func TestStaticVEBLayout(t *testing.T) {
+// TestStaticPartitionLayout checks the structural invariants of the
+// leaf-bucketed arena: rows are a permutation of the input, every
+// internal node's cut separates its row range on CLAMPED coordinates
+// (left <= cut <= right), every leaf holds at most leafRows rows, cuts
+// is exactly the implicit tree's size, and the deepest path fits the
+// fixed traversal stack.
+func TestStaticPartitionLayout(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
-	for _, n := range []int{1, 2, 5, 31, 32, 33, 1000} {
-		recs := make([]schema.Record, n)
-		for i := range recs {
-			recs[i] = randRec(r)
-			recs[i][i%3] += uint64(i%4) * 5000 // some coordinates above the bound
-		}
-		s := NewStatic(sch3(), recs)
-		if s.Len() != n || len(s.kids) != 2*n || len(s.rows) != n*s.arity {
-			t.Fatalf("n=%d: array sizes Len=%d kids=%d rows=%d", n, s.Len(), len(s.kids), len(s.rows))
-		}
-		// The k-d invariant holds on CLAMPED coordinates; rows are raw.
-		coord := func(node int32, dim int) uint64 {
-			return min(s.rows[int(node)*s.arity+dim], s.bounds[dim])
-		}
-		seen := make([]bool, n)
-		depth := 0
-		var walk func(node int32, dim, d int)
-		walk = func(node int32, dim, d int) {
-			if node < 0 {
-				return
+	gens := map[string]func(i int) schema.Record{
+		"above-bound": func(i int) schema.Record {
+			rec := randRec(r)
+			rec[i%3] += uint64(i%4) * 5000 // some coordinates above the bound
+			return rec
+		},
+		"dupheavy": func(i int) schema.Record {
+			k := uint64(r.Intn(5))
+			return schema.Record{k * 3000, k * 3000, uint64(r.Intn(2)) * 20000, uint64(i)}
+		},
+	}
+	for name, gen := range gens {
+		for _, n := range []int{0, 1, 2, 31, 32, 33, 1000, 4097} {
+			recs := make([]schema.Record, n)
+			for i := range recs {
+				recs[i] = gen(i)
 			}
-			if node >= int32(n) {
-				t.Fatalf("n=%d: child slot %d out of range", n, node)
+			s := NewStatic(sch3(), recs)
+			if s.Len() != n || len(s.rows) != n*s.arity {
+				t.Fatalf("%s n=%d: Len=%d rows=%d", name, n, s.Len(), len(s.rows))
 			}
-			if seen[node] {
-				t.Fatalf("n=%d: slot %d reached twice (cycle or shared child)", n, node)
+			var stored []schema.Record
+			s.All(func(rec schema.Record) bool { stored = append(stored, rec); return true })
+			if !sameRecs(stored, recs) {
+				t.Fatalf("%s n=%d: rows are not a permutation of the input", name, n)
 			}
-			seen[node] = true
-			if d > depth {
-				depth = d
-			}
-			v := coord(node, dim)
-			nd := (dim + 1) % s.dims
-			if l := s.kids[2*node]; l >= 0 {
-				if lv := coord(l, dim); lv > v {
-					t.Fatalf("n=%d: left child coord %d > parent %d on dim %d", n, lv, v, dim)
+			want := 0
+			if n > leafRows {
+				for want = 1; (n+want-1)/want > leafRows; want *= 2 {
 				}
-				walk(l, nd, d+1)
 			}
-			if rt := s.kids[2*node+1]; rt >= 0 {
-				if rv := coord(rt, dim); rv < v {
-					t.Fatalf("n=%d: right child coord %d < parent %d on dim %d", n, rv, v, dim)
+			if len(s.cuts) != want {
+				t.Fatalf("%s n=%d: len(cuts) = %d, want %d", name, n, len(s.cuts), want)
+			}
+			coord := func(row, dim int) uint64 { return min(s.rows[row*s.arity+dim], s.bounds[dim]) }
+			depth := 0
+			var walk func(node, lo, hi, dim, d int)
+			walk = func(node, lo, hi, dim, d int) {
+				depth = max(depth, d)
+				if hi-lo <= leafRows {
+					return
 				}
-				walk(rt, nd, d+1)
+				cut, mid := s.cuts[node], lo+(hi-lo)/2
+				for row := lo; row < hi; row++ {
+					if v := coord(row, dim); (row < mid && v > cut) || (row >= mid && v < cut) {
+						t.Fatalf("%s n=%d: node %d rows [%d,%d) cut %d on dim %d: row %d has %d on the wrong side",
+							name, n, node, lo, hi, cut, dim, row, v)
+					}
+				}
+				walk(2*node, lo, mid, (dim+1)%s.dims, d+1)
+				walk(2*node+1, mid, hi, (dim+1)%s.dims, d+1)
 			}
-		}
-		walk(0, 0, 1)
-		for i, ok := range seen {
-			if !ok {
-				t.Fatalf("n=%d: slot %d unreachable from root", n, i)
+			walk(1, 0, n, 0, 1)
+			if depth+1 > staticStackCap {
+				t.Fatalf("%s n=%d: depth %d would overflow the traversal stack", name, n, depth)
 			}
-		}
-		// Median builds are perfectly balanced; the fixed traversal stack
-		// depends on this bound.
-		limit := 0
-		for m := n; m > 0; m >>= 1 {
-			limit++
-		}
-		if depth > limit {
-			t.Fatalf("n=%d: height %d exceeds floor(log2 n)+1 = %d", n, depth, limit)
-		}
-		if depth+1 > staticStackCap {
-			t.Fatalf("n=%d: height %d would overflow the traversal stack", n, depth)
 		}
 	}
 }
@@ -206,10 +200,8 @@ func BenchmarkStaticBulkLoad(b *testing.B) {
 	for i := range src {
 		src[i] = randRec(r)
 	}
-	recs := make([]schema.Record, len(src))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		copy(recs, src)
-		_ = NewStatic(sch3(), recs)
+		_ = NewStatic(sch3(), src)
 	}
 }

@@ -5,21 +5,23 @@
 // records, resolve orthogonal range queries — fully in memory and
 // concurrent.
 //
-// The engine is a hybrid static+delta design, sharded per core
+// The engine is one structure at every size, sharded per core
 // (DESIGN.md §4h):
 //
-//   - Static (static.go) is a bulk-loaded k-d index over one pointer-free
-//     arena of full records in a cache-oblivious van Emde Boas layout:
-//     no per-node pointers, no per-query allocations, one iterative
-//     traversal (Visit) that every read is a wrapper over.
-//   - KD (delta.go) is the mutable copy-on-write k-d tree. It serves
-//     standalone (the pre-PR9 engine, still used by the differential
-//     baselines) and as the bounded delta buffer in front of a Static.
-//   - Sharded (shard.go) composes the two: per-core shards routed by a
-//     hash of the record's indexed point, each with its own writer
-//     mutex and static+delta pair, merged amortizedly.
+//   - Static (static.go) is a bulk-built, immutable k-d index over one
+//     pointer-free arena of full records in partition order, bucketed
+//     into leaves a visit scans linearly: no per-node pointers, no
+//     per-query allocations, one iterative traversal (Visit) that every
+//     read is a wrapper over.
+//   - Sharded (shard.go) is the engine: per-core shards routed by a
+//     hash of the record's indexed point, each a logarithmic-method
+//     ladder of Static arenas behind a small unsorted tail arena that
+//     absorbs inserts and is carried into the ladder when it fills.
 //   - Versioned (versioned.go) keeps one Sharded engine per index
 //     version (§3.7).
+//   - KD (delta.go) is the mutable copy-on-write pointer k-d tree the
+//     engine used before the ladder. It is no part of the engine any
+//     more; internal/baseline and two experiments still build it.
 //
 // A Store holds the records of one index (or one daily version of one
 // index) at one node. Scan, the differential-test oracle, keeps the old
@@ -55,7 +57,7 @@ type Store interface {
 // per-dimension to bounds, the schema's precomputed sch.Bounds() — lies
 // inside rect. This is the DEFINITION of membership, and only the Scan
 // oracle evaluates it record by record; the indexed engines test raw
-// values against the unclamped rectangle instead (unclamp, inside), and
+// values against the unclamped rectangle instead (unclamp, window), and
 // FuzzStoreOracle holds the two to the same answers.
 func rectContains(bounds []uint64, rect schema.Rect, rec schema.Record) bool {
 	for i, b := range bounds {
@@ -100,11 +102,72 @@ func unclamp(bounds []uint64, rect schema.Rect, buf []uint64) (hi []uint64, ok b
 	return buf, true
 }
 
-// inside reports whether rec's raw indexed values lie in the unclamped
-// rectangle [lo, hi].
-func inside(lo, hi []uint64, rec schema.Record) bool {
-	for i, h := range hi {
-		if v := rec[i]; v < lo[i] || v > h {
+// bound is one dimension a window actually constrains: a raw value v is
+// inside iff v-lo <= span in wrapping arithmetic (one compare — a value
+// below lo wraps far above any span).
+type bound struct {
+	dim      int
+	lo, span uint64
+}
+
+// window is a query rectangle opened for raw rows, once per traversal:
+// the unclamped bounds [lo, hi] the descent prunes on, and con, the
+// dimensions they constrain at all — a row scan tests only those, so a
+// time-window query over an unconstrained prefix space compares one
+// column per row, not three.
+type window struct {
+	lo, hi []uint64
+	con    []bound
+}
+
+// windowBuf is the stack scratch a traversal opens its window into
+// (more than maxStackDims dims allocate once per traversal).
+type windowBuf struct {
+	hi  [maxStackDims]uint64
+	con [maxStackDims]bound
+}
+
+// openWindow prepares rect for raw rows; false means nothing can match:
+// unclamp says so, or the rectangle is inverted on some dimension.
+func openWindow(bounds []uint64, rect schema.Rect, buf *windowBuf) (w window, ok bool) {
+	w.lo = rect.Lo
+	if w.hi, ok = unclamp(bounds, rect, buf.hi[:0]); !ok {
+		return w, false
+	}
+	w.con = buf.con[:0]
+	for d, h := range w.hi {
+		l := w.lo[d]
+		if l > h {
+			return w, false
+		}
+		if l > 0 || h < math.MaxUint64 {
+			w.con = append(w.con, bound{d, l, h - l})
+		}
+	}
+	return w, true
+}
+
+// scanRows calls fn with every record of rows (stride arity) that
+// satisfies every bound, in row order — the leaf scan of a Static and
+// the whole read path of a tail. Records are capped views.
+func scanRows(rows []uint64, arity int, con []bound, fn func(schema.Record)) {
+next:
+	for b := 0; b+arity <= len(rows); b += arity {
+		rec := rows[b : b+arity : b+arity]
+		for _, c := range con {
+			if rec[c.dim]-c.lo > c.span {
+				continue next
+			}
+		}
+		fn(rec)
+	}
+}
+
+// eachRow streams rows (stride arity) as capped views until yield
+// returns false, and reports whether it ran to the end.
+func eachRow(rows []uint64, arity int, yield func(schema.Record) bool) bool {
+	for b := 0; b+arity <= len(rows); b += arity {
+		if !yield(rows[b : b+arity : b+arity]) {
 			return false
 		}
 	}

@@ -14,7 +14,7 @@ import (
 // (§3.7). The version id is the day number (timestamp / 86400) by
 // convention, but Versioned itself treats it as opaque.
 //
-// Each version's store is a Sharded static+delta engine (shard.go),
+// Each version's store is a Sharded ladder engine (shard.go),
 // constructed with the Options the Versioned was built with.
 //
 // Versioned is safe for concurrent use: an RWMutex guards the version
@@ -34,7 +34,7 @@ func NewVersioned(sch *schema.Schema) *Versioned {
 }
 
 // NewVersionedOpts creates an empty versioned store with explicit
-// engine options (shard count, delta merge policy).
+// engine options (shard count, carry hook).
 func NewVersionedOpts(sch *schema.Schema, opts Options) *Versioned {
 	return &Versioned{sch: sch, opts: opts.withDefaults(), versions: make(map[uint32]*Sharded)}
 }

@@ -1,6 +1,10 @@
 package summary
 
-import "mind/internal/schema"
+import (
+	"sync"
+
+	"mind/internal/schema"
+)
 
 // Tally is an exact key → weight table: flat, open-addressed, linear
 // probing on a multiply-shift hash. It is what records a node sees one
@@ -58,6 +62,12 @@ func (t *Tally) grow() {
 	t.Merge(&Tally{slots: old})
 }
 
+// Reset empties the tally in place, keeping its table.
+func (t *Tally) Reset() {
+	clear(t.slots)
+	t.used, t.total = 0, 0
+}
+
 // Merge adds every weight of o into t.
 func (t *Tally) Merge(o *Tally) {
 	for _, s := range o.slots {
@@ -109,6 +119,38 @@ type Fold struct {
 
 // NewFold creates an empty fold for records of the given arity.
 func NewFold(arity int) *Fold { return &Fold{Sums: make([]uint64, arity)} }
+
+// foldPool recycles folds between aggregates: an unaligned aggregate's
+// few thousand distinct keys would otherwise double a fresh Tally from
+// tallyMinSlots seven times per query per node.
+var foldPool sync.Pool
+
+// GetFold returns an empty fold for records of the given arity, reusing
+// a released fold's tables when one is at hand. Hand it back with
+// PutFold once nothing reads it any more.
+func GetFold(arity int) *Fold {
+	f, _ := foldPool.Get().(*Fold)
+	if f == nil || len(f.Sums) != arity {
+		return NewFold(arity)
+	}
+	return f
+}
+
+// PutFold resets f and releases it for reuse. Nothing may retain f or
+// its slices; Tally.Part copies what it returns, so a closed aggregate
+// does not.
+func PutFold(f *Fold) {
+	f.Reset()
+	foldPool.Put(f)
+}
+
+// Reset empties the fold in place: counters and key slots are zeroed,
+// capacity is kept.
+func (f *Fold) Reset() {
+	f.Count = 0
+	clear(f.Sums)
+	f.Keys.Reset()
+}
 
 // Add folds one record.
 func (f *Fold) Add(rec schema.Record) {

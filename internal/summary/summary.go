@@ -110,8 +110,8 @@ func (s *Summary) Insert(rec schema.Record) {
 }
 
 // Fold force-folds any buffered delta into the static tree. The mind
-// layer calls this from the store's merge hook so the summary tracks
-// the store's static/delta rhythm.
+// layer calls this from the store's carry hook so the summary tracks
+// the store's carry rhythm.
 func (s *Summary) Fold() {
 	s.mu.Lock()
 	sn := s.snap.Load()

@@ -2,6 +2,7 @@ package summary
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -192,16 +193,16 @@ func TestSummaryFoldBoundaries(t *testing.T) {
 	}
 }
 
-// TestSummaryStoreMergeBoundary is the delta→static merge interaction
+// TestSummaryStoreMergeBoundary is the tail→ladder carry interaction
 // table test: records stream into a store.Sharded and shard-aligned
 // summaries, with the store's OnMerge hook folding the matching summary
-// shard. At offsets straddling every store merge boundary the aggregate
+// shard. At offsets straddling every store carry the aggregate
 // read path (per-shard ResolveShard folding boundary cells through the
 // store visitor, closed by MergeShards — the calls mind.resolveLocalAgg
 // makes) must agree with store.Count and a flat oracle.
 func TestSummaryStoreMergeBoundary(t *testing.T) {
 	sch := testSchema()
-	opts := store.Options{Shards: 4, DeltaMergeFrac: 0.25, DeltaMin: 16}
+	opts := store.Options{Shards: 4}
 	var sums *Sharded
 	var merges []int
 	opts.OnMerge = func(shard, staticLen int) {
@@ -230,7 +231,7 @@ func TestSummaryStoreMergeBoundary(t *testing.T) {
 			checkAgg(t, tag, agg, count, wsums, hist)
 		}
 	}
-	for i := 0; i < 2000; i++ {
+	for i := 0; i < 6000; i++ { // ~1500 per shard: five carries each, three ladder shapes
 		rec := randRec(r)
 		eng.Insert(rec)
 		sums.Insert(eng.ShardOf(rec), rec)
@@ -241,8 +242,8 @@ func TestSummaryStoreMergeBoundary(t *testing.T) {
 			check("merge-cadence")
 		}
 	}
-	if len(merges) == 0 {
-		t.Fatal("no store merges fired; DeltaMin too high for stream")
+	if len(merges) < 4*eng.NumShards() {
+		t.Fatalf("%d store carries fired; the stream is too short to cross the ladder's shapes", len(merges))
 	}
 	check("final")
 	eng.Compact() // fires OnMerge → folds summaries
@@ -356,4 +357,40 @@ func FuzzSummaryRollup(f *testing.F) {
 			checkAgg(t, "fuzz", agg, count, sums, hist)
 		}
 	})
+}
+
+// TestFoldReuseIsExact pins what the aggregate path's fold pool relies
+// on: a fold that held a larger, different stream and was Reset answers
+// a new stream exactly as a fresh fold does — same count, sums and key
+// part — and GetFold never hands out a fold of another arity.
+func TestFoldReuseIsExact(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	used := NewFold(4)
+	for i := 0; i < 5000; i++ { // ~5000 distinct keys: the table grows well past the second stream's
+		used.Add(schema.Record{uint64(r.Intn(1 << 30)), 1, 2, 3})
+	}
+	used.Reset()
+	fresh := NewFold(4)
+	for i := 0; i < 700; i++ {
+		rec := randRec(r)
+		used.Add(rec)
+		fresh.Add(rec)
+	}
+	if used.Count != fresh.Count || !slices.Equal(used.Sums, fresh.Sums) {
+		t.Fatalf("reused fold: count %d sums %v, fresh %d %v", used.Count, used.Sums, fresh.Count, fresh.Sums)
+	}
+	for _, k := range []int{1, 8, 1000} {
+		a, b := used.Keys.Part(k), fresh.Keys.Part(k)
+		if a.N() != b.N() || a.Floor() != b.Floor() || !slices.Equal(a.Top(), b.Top()) {
+			t.Fatalf("k=%d: reused fold's key part differs from a fresh fold's", k)
+		}
+	}
+	PutFold(used)
+	for _, arity := range []int{3, 4, 4, 6} {
+		f := GetFold(arity)
+		if len(f.Sums) != arity || f.Count != 0 || f.Keys.used != 0 {
+			t.Fatalf("GetFold(%d) = %d sums, count %d, %d keys", arity, len(f.Sums), f.Count, f.Keys.used)
+		}
+		PutFold(f)
+	}
 }

@@ -44,8 +44,8 @@ func (s *Sharded) Fold() {
 	}
 }
 
-// FoldShard force-folds one shard's delta — the store merge hook, so a
-// shard's summary folds whenever its record shard merges delta→static.
+// FoldShard force-folds one shard's delta — the store carry hook, so a
+// shard's summary folds whenever its record shard carries its tail.
 func (s *Sharded) FoldShard(i int) {
 	if i >= 0 && i < len(s.shards) {
 		s.shards[i].Fold()
