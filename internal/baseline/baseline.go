@@ -140,12 +140,11 @@ func (n *FloodNode) dispatch(from string, data []byte) {
 		n.mu.Lock()
 		recs := n.local.Query(msg.Rect)
 		n.mu.Unlock()
-		resp := &wire.QueryResp{ReqID: msg.ReqID, From: wire.NodeInfo{Addr: n.ep.Addr()}}
-		for i, r := range recs {
+		resp := &wire.QueryResp{ReqID: msg.ReqID, From: wire.NodeInfo{Addr: n.ep.Addr()}, Recs: recs}
+		for i := range recs {
 			// The wire format pairs every record with an id; these
 			// architectures never dedup, so the position serves.
 			resp.RecID = append(resp.RecID, uint64(i))
-			resp.Recs = append(resp.Recs, r)
 		}
 		_ = n.ep.Send(msg.OriginAddr, wire.Encode(resp))
 	case *wire.QueryResp:
@@ -157,9 +156,7 @@ func (n *FloodNode) dispatch(from string, data []byte) {
 		}
 		if !q.responses[msg.From.Addr] {
 			q.responses[msg.From.Addr] = true
-			for _, r := range msg.Recs {
-				q.records = append(q.records, schema.Record(r))
-			}
+			q.records = append(q.records, msg.Recs...)
 		}
 		done := len(q.responses) >= q.expected
 		n.mu.Unlock()

@@ -51,12 +51,11 @@ func (s *CentralServer) dispatch(from string, data []byte) {
 		s.mu.Lock()
 		recs := s.data.Query(msg.Rect)
 		s.mu.Unlock()
-		resp := &wire.QueryResp{ReqID: msg.ReqID, From: wire.NodeInfo{Addr: s.ep.Addr()}, HasCover: true}
-		for i, r := range recs {
+		resp := &wire.QueryResp{ReqID: msg.ReqID, From: wire.NodeInfo{Addr: s.ep.Addr()}, HasCover: true, Recs: recs}
+		for i := range recs {
 			// The wire format pairs every record with an id; these
 			// architectures never dedup, so the position serves.
 			resp.RecID = append(resp.RecID, uint64(i))
-			resp.Recs = append(resp.Recs, r)
 		}
 		_ = s.ep.Send(msg.OriginAddr, wire.Encode(resp))
 	}
@@ -163,10 +162,6 @@ func (c *CentralClient) dispatch(from string, data []byte) {
 	case *wire.InsertAck:
 		c.finishInsert(msg.ReqID, true)
 	case *wire.QueryResp:
-		res := QueryResult{Complete: true, Responders: 1}
-		for _, r := range msg.Recs {
-			res.Records = append(res.Records, schema.Record(r))
-		}
-		c.finishQuery(msg.ReqID, res)
+		c.finishQuery(msg.ReqID, QueryResult{Complete: true, Responders: 1, Records: msg.Recs})
 	}
 }

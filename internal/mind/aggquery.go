@@ -1,9 +1,9 @@
 package mind
 
 import (
-	"fmt"
 	"sync/atomic"
 
+	"mind/internal/bitstr"
 	"mind/internal/schema"
 	"mind/internal/store"
 	"mind/internal/summary"
@@ -76,7 +76,7 @@ func (n *Node) Agg(tag string, rect schema.Rect, topK int, cb func(AggResult)) e
 	return n.scatter(tag, rect, aggKind{}, uint32(topK), func(ix *index) accumulator {
 		return &aggAcc{
 			cb: cb, topK: topK, agg: summary.NewAgg(ix.sch.Arity(), topK),
-			contrib: make(map[string]bool), dropped: &n.aggCoverDropped,
+			contrib: make(map[aggContrib]bool), dropped: &n.aggCoverDropped,
 		}
 	})
 }
@@ -158,9 +158,16 @@ func (aggKind) resolve(n *Node, ix *index, p piece, a answer, replica bool) wire
 type aggAcc struct {
 	cb      func(AggResult)
 	topK    int
-	agg     summary.Agg     // accumulated counters and merged sketch
-	contrib map[string]bool // (responder, group, region) keys already counted
-	dropped *atomic.Uint64  // the node's overlapping-coverage counter
+	agg     summary.Agg         // accumulated counters and merged sketch
+	contrib map[aggContrib]bool // contributions already counted
+	dropped *atomic.Uint64      // the node's overlapping-coverage counter
+}
+
+// aggContrib names one contribution: (responder, version group, region).
+type aggContrib struct {
+	addr  string
+	group uint64
+	cover bitstr.Code
 }
 
 func (g *aggAcc) admit(a answer, trie *coverSet) bool {
@@ -181,7 +188,7 @@ func (g *aggAcc) admit(a answer, trie *coverSet) bool {
 	if len(a.versions) > 0 {
 		group = a.versions[0]
 	}
-	key := fmt.Sprintf("%s|%d|%s", a.from.Addr, group, a.cover)
+	key := aggContrib{a.from.Addr, group, a.cover}
 	if !g.contrib[key] {
 		g.contrib[key] = true
 		g.agg.Merge(m.Count, m.Sums, sketchFromResp(m, g.topK))

@@ -140,15 +140,12 @@ func (n *Node) handleClientQuery(from string, m *wire.ClientQuery) {
 		func(shed bool) wire.Message { return &wire.ClientQueryResp{ReqID: m.ReqID, Shed: shed} },
 		func(reply func(wire.Message)) error {
 			return n.Query(m.Index, m.Rect, func(res QueryResult) {
-				resp := &wire.ClientQueryResp{
+				reply(&wire.ClientQueryResp{
 					ReqID:      m.ReqID,
 					Complete:   res.Complete,
 					Responders: uint32(res.Responders),
-				}
-				for _, rec := range res.Records {
-					resp.Recs = append(resp.Recs, rec)
-				}
-				reply(resp)
+					Recs:       res.Records,
+				})
 			})
 		})
 }

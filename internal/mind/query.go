@@ -1,6 +1,9 @@
 package mind
 
 import (
+	"math/bits"
+	"slices"
+
 	"mind/internal/bitstr"
 	"mind/internal/schema"
 	"mind/internal/wire"
@@ -8,7 +11,11 @@ import (
 
 // QueryResult is delivered to the query callback.
 type QueryResult struct {
-	// Records are the deduplicated matching records.
+	// Records are the deduplicated matching records, in arrival order.
+	// Each is a read-only capped view into the arena its answer was
+	// decoded into (or, for this node's own share, into the store): it
+	// may be retained, and a retained record pins that whole arena;
+	// Clone what must outlive the rest.
 	Records []schema.Record
 	// Complete is true when every region of the query space was covered
 	// by a response (§3.6: negative responses count, so completeness is
@@ -34,7 +41,7 @@ type QueryResult struct {
 // results or with whatever arrived by the timeout.
 func (n *Node) Query(tag string, rect schema.Rect, cb func(QueryResult)) error {
 	return n.scatter(tag, rect, recordKind{}, 0, func(*index) accumulator {
-		return &recordAcc{cb: cb, ids: make(map[uint64]bool)}
+		return &recordAcc{cb: cb}
 	})
 }
 
@@ -100,11 +107,10 @@ func (recordKind) resolve(n *Node, ix *index, p piece, a answer, replica bool) w
 		Versions: a.versions, Hops: a.hops,
 	}
 	if len(recs) > 0 {
-		resp.RecID = make([]uint64, 0, len(recs))
-		resp.Recs = make([][]uint64, 0, len(recs))
-		for _, r := range recs {
-			resp.RecID = append(resp.RecID, recHash(r))
-			resp.Recs = append(resp.Recs, r)
+		resp.Recs = recs
+		resp.RecID = make([]uint64, len(recs))
+		for i, r := range recs {
+			resp.RecID[i] = recHash(r)
 		}
 	}
 	return resp
@@ -113,10 +119,14 @@ func (recordKind) resolve(n *Node, ix *index, p piece, a answer, replica bool) w
 // recordAcc gathers a record query's answers. Overlapping answers
 // (replica fail-over, ring double-delivery, retransmission races) are
 // harmless: records dedup by content id, so every response is admitted.
+// An answer's record list is kept where it was decoded, with the records
+// already seen squeezed out in place; deliver concatenates the lists
+// once, at their exact total, and an operation one answer resolved hands
+// that answer's list on as it stands.
 type recordAcc struct {
-	cb      func(QueryResult)
-	ids     map[uint64]bool
-	records []schema.Record
+	cb    func(QueryResult)
+	ids   idSet
+	parts [][]schema.Record
 }
 
 func (r *recordAcc) admit(a answer, _ *coverSet) bool {
@@ -124,22 +134,33 @@ func (r *recordAcc) admit(a answer, _ *coverSet) bool {
 	if !ok {
 		return false
 	}
+	r.ids.reserve(len(m.RecID))
+	fresh := m.Recs[:0]
 	for i, id := range m.RecID {
-		if !r.ids[id] {
-			r.ids[id] = true
-			r.records = append(r.records, schema.Record(m.Recs[i]))
+		if r.ids.add(id) {
+			fresh = append(fresh, m.Recs[i])
 		}
+	}
+	if len(fresh) > 0 {
+		r.parts = append(r.parts, fresh)
 	}
 	return true
 }
 
 func (r *recordAcc) deliver(o outcome) {
-	if r.cb != nil {
-		r.cb(QueryResult{
-			Records: r.records, Complete: o.complete, Responders: o.responders,
-			MaxHops: o.maxHops, Uncovered: o.uncovered,
-		})
+	if r.cb == nil {
+		return
 	}
+	var records []schema.Record
+	if len(r.parts) == 1 {
+		records = r.parts[0]
+	} else {
+		records = slices.Concat(r.parts...)
+	}
+	r.cb(QueryResult{
+		Records: records, Complete: o.complete, Responders: o.responders,
+		MaxHops: o.maxHops, Uncovered: o.uncovered,
+	})
 }
 
 func (r *recordAcc) tally(s *Stats) { s.PendingQueries++ }
@@ -166,15 +187,78 @@ func filterToRegion(ix *index, versions []uint32, rect schema.Rect, region bitst
 	return out
 }
 
-// recHash derives a content id for record-level dedup across duplicate
-// responses (replica fail-over, ring double-delivery).
+// recHash derives a record's content id, the key duplicate answers
+// (replica fail-over, ring double-delivery) dedup by — a collision would
+// silently drop a record, so every attribute is folded in by a bijective
+// xorshift-multiply round and one more round closes the chain: each
+// attribute passes through at least the two rounds of a full-avalanche
+// 64-bit finaliser before the id leaves, and two records of one arity
+// that differ in a single attribute cannot collide at all. The arity
+// seeds the chain, so a trailing zero attribute changes the id. Ids only
+// have to agree between the responders of one build.
 func recHash(r []uint64) uint64 {
-	var h uint64 = 14695981039346656037
+	const m = 0xd6e8feb86659fd93
+	h := uint64(len(r)+1) * 0x9e3779b97f4a7c15
 	for _, v := range r {
-		for i := 0; i < 8; i++ {
-			h ^= v >> (8 * uint(i)) & 0xff
-			h *= 1099511628211
+		h ^= v
+		h ^= h >> 32
+		h *= m
+		h ^= h >> 32
+	}
+	h *= m
+	return h ^ h>>32
+}
+
+// idSet is the set of record ids an operation has admitted: flat,
+// open-addressed, linear probing on a multiply-shift hash, in the style
+// of summary.Tally. 0 marks an empty slot, so id 0 has a flag of its own.
+// The zero idSet is empty; reserve sizes it.
+type idSet struct {
+	slots []uint64 // len is a power of two
+	used  int
+	shift uint // 64 - log2(len(slots))
+	zero  bool // id 0 is in the set
+}
+
+const idSetMinSlots = 64
+
+// reserve makes room for n more ids at a load of at most 1/2, so an
+// answer rehashes the set at most once, to a size set by the ids that
+// have arrived.
+func (s *idSet) reserve(n int) {
+	need := 2 * (s.used + n)
+	if need <= len(s.slots) {
+		return
+	}
+	old := s.slots
+	size := max(1<<bits.Len(uint(need-1)), idSetMinSlots)
+	s.slots = make([]uint64, size)
+	s.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	s.used = 0
+	for _, id := range old {
+		if id != 0 {
+			s.add(id)
 		}
 	}
-	return h
+}
+
+// add puts id in the set and reports whether it was new. The caller has
+// reserved room for it.
+func (s *idSet) add(id uint64) bool {
+	if id == 0 {
+		was := s.zero
+		s.zero = true
+		return !was
+	}
+	mask := uint64(len(s.slots) - 1)
+	for i := id * 0x9e3779b97f4a7c15 >> s.shift; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case 0:
+			s.slots[i] = id
+			s.used++
+			return true
+		case id:
+			return false
+		}
+	}
 }

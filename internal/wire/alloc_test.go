@@ -5,7 +5,8 @@
 // instrumentation would skew the counts). The budgets guard the hot
 // paths the streaming ingest engine leans on — frame parsing must not
 // allocate at all, pooled encode must stay at most one allocation per
-// message once the pool is warm, an Insert decodes in five — and the
+// message once the pool is warm, an Insert decodes in five, a wide
+// answer in a handful whatever its record count — and the
 // hostile-input bound: Decode never allocates more than a constant
 // multiple of its input.
 
@@ -117,6 +118,28 @@ func TestDecodeAllocationBounded(t *testing.T) {
 			if err == nil && len(Encode(m)) != len(input) {
 				t.Errorf("%s: prefix %d + hostile length decoded without error", k, cut)
 			}
+		}
+	}
+}
+
+// TestAllocBudgetDecodeQueryResp: a wide answer decodes into shared
+// arenas, not one slice per record — the message, the codec, the
+// sender's address, the versions, the ids, the record list and its arena
+// for a QueryResp; the first, second and last two for a ClientQueryResp.
+// Kept last in this file: the megabytes of garbage it leaves put a
+// collection in flight, and what the runtime allocates meanwhile would
+// land in TestDecodeAllocationBounded's counters.
+func TestAllocBudgetDecodeQueryResp(t *testing.T) {
+	answer := wideAnswer(2000)
+	for _, m := range []Message{answer, &ClientQueryResp{ReqID: 1, Complete: true, Responders: 4, Recs: answer.Recs}} {
+		data := Encode(m)
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := Decode(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 8 {
+			t.Errorf("%s of 2000 records decodes in %.0f allocations, want <= 8", m.Kind(), allocs)
 		}
 	}
 }

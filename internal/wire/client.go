@@ -102,7 +102,7 @@ type ClientQueryResp struct {
 	ReqID      uint64
 	Complete   bool
 	Responders uint32
-	Recs       [][]uint64
+	Recs       []schema.Record
 	// Shed reports overload refusal, as in ClientAck.
 	Shed bool
 }

@@ -13,6 +13,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"mind/internal/bitstr"
@@ -310,10 +311,59 @@ func (c *codec) U64s(v *[]uint64) {
 	}
 	if c.err == nil {
 		*v = make([]uint64, n)
+		c.uvarints(*v)
 	}
-	for i := range *v {
-		c.Uvarint(&(*v)[i])
+}
+
+// uvarints decodes len(dst) varints into dst: one loop over locals, not
+// a sticky-error method call per value — record values and ids are the
+// bulk of every query answer. With ten bytes in hand (the longest
+// varint) a value is decoded a word at a time: its length is the
+// position of the first clear continuation bit in the next eight bytes,
+// and three mask-and-shift steps squeeze those bytes' 7-bit groups
+// together (bytes → 14-bit pairs → 28-bit quads → 56 bits); a ninth and
+// tenth byte are added by hand. Anything else — the last bytes of the
+// input, an overlong or overflowing varint — is binary.Uvarint's to
+// accept or refuse, so the loop decodes exactly what Uvarint decodes.
+func (c *codec) uvarints(dst []uint64) {
+	const msb = 0x8080808080808080
+	buf, off := c.buf, c.off
+	for i := range dst {
+		if len(buf)-off >= binary.MaxVarintLen64 {
+			w := binary.LittleEndian.Uint64(buf[off:])
+			stop := ^w & msb
+			n := 8
+			if stop != 0 {
+				n = (bits.TrailingZeros64(stop) + 1) / 8
+				w &= ^uint64(0) >> (64 - 8*uint(n))
+			}
+			w = w&0x007f007f007f007f | w&0x7f007f007f007f00>>1
+			w = w&0x00003fff00003fff | w&0x3fff00003fff0000>>2
+			w = w&0x000000000fffffff | w&0x0fffffff00000000>>4
+			if stop != 0 {
+				dst[i] = w
+				off += n
+				continue
+			}
+			if b := buf[off+8]; b < 0x80 {
+				dst[i] = w | uint64(b)<<56
+				off += 9
+				continue
+			} else if last := buf[off+9]; last <= 1 {
+				dst[i] = w | uint64(b&0x7f)<<56 | uint64(last)<<63
+				off += 10
+				continue
+			}
+		}
+		x, n := binary.Uvarint(buf[off:])
+		if n <= 0 {
+			c.fail("bad uvarint")
+			return
+		}
+		dst[i] = x
+		off += n
 	}
+	c.off = off
 }
 
 // slice walks a length-prefixed sequence of at most max elements, each
@@ -334,8 +384,41 @@ func (c *codec) Rect(v *schema.Rect) {
 	c.U64s(&v.Hi)
 }
 
-// Recs walks a sequence of records.
-func (c *codec) Recs(v *[][]uint64) { slice(c, v, MaxSliceLen, (*codec).U64s) }
+// Recs walks a sequence of records. Decoding carves every record out of
+// a shared arena as a capped read-only view arena[b:b+k:b+k] (the
+// store's view contract: a retained record pins its arena, an append
+// reallocates instead of running into the next record). The arena is
+// sized from the first record's arity times the records still to come; a
+// record that does not fit opens a fresh one, sized the same way from
+// its own arity. An arena is never longer than the bytes that remain —
+// every value encodes to at least one byte — and one is abandoned only
+// for a record longer than what it had left, so count's rule holds:
+// decode allocation stays a constant multiple of the input.
+func (c *codec) Recs(v *[]schema.Record) {
+	n := c.count(len(*v), MaxSliceLen)
+	if !c.dec {
+		for i := range *v {
+			c.U64s((*[]uint64)(&(*v)[i]))
+		}
+		return
+	}
+	if c.err != nil {
+		return
+	}
+	recs := make([]schema.Record, n)
+	arena := []uint64{} // non-nil: a zero-arity record decodes empty, not nil
+	for i := range recs {
+		k := c.count(0, MaxSliceLen)
+		if k > len(arena) {
+			arena = make([]uint64, min(uint64(k)*uint64(n-i), uint64(c.remaining())))
+		}
+		recs[i], arena = arena[:k:k], arena[k:]
+		if c.uvarints(recs[i]); c.err != nil {
+			return
+		}
+	}
+	*v = recs
+}
 
 // Node walks a NodeInfo.
 func (c *codec) Node(v *NodeInfo) {

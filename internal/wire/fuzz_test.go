@@ -43,7 +43,7 @@ func genScatterMessage(k Kind, r *rand.Rand) Message {
 	case KindQueryResp:
 		m := &QueryResp{ReqID: r.Uint64(), From: ni, HasCover: r.Intn(2) == 1, Cover: code(),
 			Versions: u64s(3), RecID: u64s(6), Hops: uint8(r.Intn(256))}
-		m.Recs = make([][]uint64, len(m.RecID))
+		m.Recs = make([]schema.Record, len(m.RecID))
 		for i := range m.Recs {
 			m.Recs[i] = u64s(5)
 		}
@@ -74,11 +74,16 @@ func genScatterMessage(k Kind, r *rand.Rand) Message {
 // nothing panics. For the five scatter-gather kinds a generated
 // well-formed message also survives encode→decode→encode
 // byte-identically. kind indexes the registry modulo its size, so every
-// input lands on a real kind; the seeds are the registry's samples.
+// input lands on a real kind; the seeds are the registry's samples and
+// an answer whose records alternate between two arities.
 func FuzzEveryKind(f *testing.F) {
 	ks := registered()
 	for i, k := range ks {
 		f.Add(uint8(i), Encode(sample(f, k))[1:])
+		if k == KindQueryResp {
+			// Records the decoder's shared arena was not sized for.
+			f.Add(uint8(i), Encode(alternatingAnswer(8))[1:])
+		}
 	}
 	f.Fuzz(func(t *testing.T, kind uint8, payload []byte) {
 		k := ks[int(kind)%len(ks)]

@@ -634,7 +634,7 @@ type QueryResp struct {
 	Cover    bitstr.Code
 	Versions []uint64 // versions this response pertains to (echo of the sub-query)
 	RecID    []uint64
-	Recs     [][]uint64
+	Recs     []schema.Record
 	Hops     uint8 // overlay hops the sub-query travelled
 }
 
