@@ -6,14 +6,15 @@ import (
 )
 
 // Envelope-scoped coalescing: while a node handles one inbound
-// wire.Batch, one InsertBatch call or one group retransmission, every
-// message the write path emits — forwarded Insert, Replicate, InsertAck —
-// is encoded at once into a per-call outbox keyed by destination, and
-// when the handler returns each destination gets one frame: one envelope
-// in, at most one envelope out per peer and class, with no timer and
-// nothing to configure. Everything outside such a scope — Node.Insert,
-// client RPCs, queries, control traffic — passes a nil outbox and sends
-// immediately. A lost envelope is N lost datagrams to the reliable layer.
+// wire.Batch, one insert group's dispatch or one group retransmission,
+// every message the write path emits — forwarded Insert, Replicate,
+// InsertAck — is encoded at once into a per-call outbox keyed by
+// destination, and when the handler returns each destination gets one
+// frame: one envelope in, at most one envelope out per peer and class,
+// with no timer and nothing to configure (a lone message leaves bare).
+// Everything outside such a scope — messages arriving unbatched, recalls,
+// queries, control traffic — passes a nil outbox and sends immediately.
+// A lost envelope is N lost datagrams to the reliable layer.
 //
 // Locking: an outbox belongs to the one call that created it and needs
 // no lock. batchMu guards only the occupancy counters.

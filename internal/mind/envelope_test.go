@@ -67,6 +67,13 @@ func (e *frameTap) Send(to string, msg []byte) error {
 // owned one hop away.
 func tapPair(t *testing.T) (net *simnet.Network, a, b *Node, ta, tb *frameTap, sch *schema.Schema) {
 	t.Helper()
+	return tapPairWith(t, nil, nil)
+}
+
+// tapPairWith is tapPair with the config adjusted by mut and a's clock
+// wrapped by clockOfA (either may be nil).
+func tapPairWith(t *testing.T, clockOfA func(transport.Clock) transport.Clock, mut func(*Config)) (net *simnet.Network, a, b *Node, ta, tb *frameTap, sch *schema.Schema) {
+	t.Helper()
 	net = simnet.New(simnet.Config{Seed: 5, DefaultLatency: 5 * time.Millisecond})
 	mk := func(addr string, seed int64) (*Node, *frameTap) {
 		ep, err := net.Endpoint(addr)
@@ -74,7 +81,14 @@ func tapPair(t *testing.T) (net *simnet.Network, a, b *Node, ta, tb *frameTap, s
 			t.Fatal(err)
 		}
 		tap := &frameTap{Endpoint: ep, total: make(map[string]int), frames: make(map[tapKey]int), msgs: make(map[tapKey]int)}
-		n := NewNode(tap, net.Clock(), DefaultConfig(seed))
+		cfg, clock := DefaultConfig(seed), net.Clock()
+		if mut != nil {
+			mut(&cfg)
+		}
+		if addr == "a" && clockOfA != nil {
+			clock = clockOfA(clock)
+		}
+		n := NewNode(tap, clock, cfg)
 		t.Cleanup(n.Close)
 		return n, tap
 	}
@@ -249,5 +263,77 @@ func TestEnvelopeEarlyFlush(t *testing.T) {
 	// one per record.
 	if f := tb.frames[tapKey{"a", wire.KindInsertAck}]; f > 2*ins {
 		t.Fatalf("%d ack frames for %d inbound envelopes", f, ins)
+	}
+}
+
+// TestEnvelopeRetransmitCountsHopsOnce pins what a retransmitted insert
+// reports: every attempt starts from the originator again, so the hop
+// count of the attempt that got through does not depend on which entry
+// point built the kept message — and a retransmission that finds its
+// origin owning the target (takeover) travelled no hop at all.
+func TestEnvelopeRetransmitCountsHopsOnce(t *testing.T) {
+	net, a, _, ta, _, sch := tapPair(t)
+	remote := ownedRecs(t, a, sch.Tag, 13, false, 1)[0]
+	// The same record through each entry point; in the N-member batch it
+	// rides last, behind members of either owner.
+	batch := append(envelopeRecs(14, 7), remote)
+	ways := []struct {
+		name string
+		send func(done func(InsertResult)) error
+	}{
+		{"Insert", func(done func(InsertResult)) error { return a.Insert(sch.Tag, remote, done) }},
+		{"InsertBatch/1", func(done func(InsertResult)) error {
+			return a.InsertBatch(sch.Tag, []schema.Record{remote}, func(rs []InsertResult) { done(rs[0]) })
+		}},
+		{"InsertBatch/N", func(done func(InsertResult)) error {
+			return a.InsertBatch(sch.Tag, batch, func(rs []InsertResult) { done(rs[len(rs)-1]) })
+		}},
+	}
+
+	// First attempt lost on its first hop: the retransmission is one hop
+	// from its owner, whoever sent it.
+	for _, w := range ways {
+		dropped := false
+		ta.drop = func(to string, carries map[wire.Kind]int) bool {
+			if carries[wire.KindInsert] == 0 || dropped {
+				return false
+			}
+			dropped = true
+			return true
+		}
+		var res *InsertResult
+		if err := w.send(func(r InsertResult) { res = &r }); err != nil {
+			t.Fatal(err)
+		}
+		if !net.RunUntil(func() bool { return res != nil }, 10_000_000) {
+			t.Fatalf("%s never settled", w.name)
+		}
+		if !res.OK || res.StoredAt != "b" || res.Attempts != 1 || res.Hops != 1 {
+			t.Errorf("%s, first attempt lost: %+v, want one hop to b on retransmission 1", w.name, *res)
+		}
+	}
+	ta.drop = nil
+
+	// Owner dead: every attempt is lost until a takes its region over
+	// (≈ 17 s after the kill under the default overlay timing), and the
+	// retransmission after that is stored where it starts. Sent 8 s in, the
+	// inserts retransmit at least once before the takeover and keep their
+	// last retransmission (≈ 17 s after the send) for well after it.
+	net.Kill("b")
+	net.RunFor(8 * time.Second)
+	results := make([]*InsertResult, len(ways))
+	for i, w := range ways {
+		if err := w.send(func(r InsertResult) { results[i] = &r }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settled := func() bool { return results[0] != nil && results[1] != nil && results[2] != nil }
+	if !net.RunUntil(settled, 10_000_000) {
+		t.Fatal("inserts toward the dead owner never settled")
+	}
+	for i, w := range ways {
+		if res := results[i]; !res.OK || res.StoredAt != "a" || res.Attempts == 0 || res.Hops != 0 {
+			t.Errorf("%s, stored by its origin after takeover: %+v, want a retransmission with 0 hops", w.name, *res)
+		}
 	}
 }

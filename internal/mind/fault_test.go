@@ -5,8 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"mind/internal/bitstr"
 	"mind/internal/cluster"
 	"mind/internal/mind"
+	"mind/internal/schema"
 	"mind/internal/transport/simnet"
 )
 
@@ -132,6 +134,144 @@ func TestRetransmissionDeterministic(t *testing.T) {
 	if rt1 == 0 {
 		t.Fatal("no retransmissions at 5% loss: reliable layer inactive")
 	}
+}
+
+// TestRetryExhaustion covers the one place exhaustion is decided
+// (retrySchedule.advanceLocked) through each of its users: an operation
+// whose first hop silently drops everything retransmits MaxRetries times,
+// then feeds that hop to the overlay's suspicion machinery and is left to
+// its timeout; an un-ackable histogram report is dropped instead. Two
+// nodes, so the dead owner is the only exit an attempt can leave through,
+// and failure detection too slow to suspect it first.
+func TestRetryExhaustion(t *testing.T) {
+	const maxRetries = 3
+	boot := func(t *testing.T) (c *cluster.Cluster, origin, victim int, local []schema.Record, remote schema.Record) {
+		c = mkCluster(t, 2, 57, func(o *cluster.Options) {
+			o.Node.Replication = 0
+			o.Node.Overlay.FailAfter = 10 * time.Minute
+			// The last check falls ≈ 6–7 s in, well inside the 20 s timeouts.
+			o.Node.RetryBase = 500 * time.Millisecond
+			o.Node.RetryMax = 2 * time.Second
+			o.Node.MaxRetries = maxRetries
+		})
+		if err := c.CreateIndex(testSchema()); err != nil {
+			t.Fatal(err)
+		}
+		c.Settle(2 * time.Second)
+		// The victim owns the all-zero corner, where histogram reports go.
+		if origin, victim = 0, 1; c.Nodes[0].Overlay().Owns(bitstr.New(0, 24)) {
+			origin, victim = 1, 0
+		}
+		r := rand.New(rand.NewSource(58))
+		for len(local) < 3 || remote == nil {
+			rec := randRec(r)
+			res, _, err := c.InsertWait(origin, "test-index", rec)
+			if err != nil || !res.OK {
+				t.Fatalf("insert: %v %+v", err, res)
+			}
+			if res.StoredAt == c.Nodes[victim].Addr() {
+				remote = rec
+			} else {
+				local = append(local, rec)
+			}
+		}
+		c.Kill(victim)
+		return
+	}
+	// suspected reports whether origin's overlay holds the victim under
+	// suspicion: suspended from routing with a probe out, or already evicted.
+	suspected := func(c *cluster.Cluster, origin, victim int) bool {
+		for _, ct := range c.Nodes[origin].Overlay().Snapshot().Contacts {
+			if ct.Addr == c.Nodes[victim].Addr() {
+				return ct.Probing || ct.Unreachable
+			}
+		}
+		return true
+	}
+
+	for _, row := range []struct {
+		name    string
+		timeout func(mind.Config) time.Duration
+		// start issues the operation from n; failed reports, once it has
+		// settled, whether it settled as a failure.
+		start func(n *mind.Node, local []schema.Record, remote schema.Record) (settled, failed func() bool, err error)
+	}{
+		{"insert", func(c mind.Config) time.Duration { return c.InsertTimeout },
+			func(n *mind.Node, _ []schema.Record, remote schema.Record) (func() bool, func() bool, error) {
+				var res *mind.InsertResult
+				err := n.Insert("test-index", remote, func(r mind.InsertResult) { res = &r })
+				return func() bool { return res != nil }, func() bool { return !res.OK && res.Err != nil && res.Attempts == maxRetries }, err
+			}},
+		{"batch member", func(c mind.Config) time.Duration { return c.InsertTimeout },
+			func(n *mind.Node, local []schema.Record, remote schema.Record) (func() bool, func() bool, error) {
+				var res []mind.InsertResult
+				err := n.InsertBatch("test-index", append(local[:2:2], remote, local[2]), func(rs []mind.InsertResult) { res = rs })
+				return func() bool { return res != nil }, func() bool {
+					return res[0].OK && res[1].OK && res[3].OK && !res[2].OK && res[2].Err != nil && res[2].Attempts == maxRetries
+				}, err
+			}},
+		{"query region", func(c mind.Config) time.Duration { return c.QueryTimeout },
+			func(n *mind.Node, _ []schema.Record, _ schema.Record) (func() bool, func() bool, error) {
+				var res *mind.QueryResult
+				err := n.Query("test-index", fullRect(), func(r mind.QueryResult) { res = &r })
+				return func() bool { return res != nil }, func() bool { return !res.Complete && len(res.Uncovered) > 0 }, err
+			}},
+		{"aggregate region", func(c mind.Config) time.Duration { return c.QueryTimeout },
+			func(n *mind.Node, _ []schema.Record, _ schema.Record) (func() bool, func() bool, error) {
+				var res *mind.AggResult
+				err := n.Agg("test-index", fullRect(), 0, func(r mind.AggResult) { res = &r })
+				return func() bool { return res != nil }, func() bool { return !res.Complete && res.Retried }, err
+			}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			c, origin, victim, local, remote := boot(t)
+			n := c.Nodes[origin]
+			if suspected(c, origin, victim) {
+				t.Fatal("victim suspected before the operation started")
+			}
+			start := c.Net.Now()
+			settled, failed, err := row.start(n, local, remote)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !c.Net.RunUntil(func() bool { return settled() || suspected(c, origin, victim) }, 50_000_000) || settled() {
+				t.Fatalf("operation settled (%v) before its retries fed the first hop to the overlay", settled())
+			}
+			// The budget was spent first, and nothing is retransmitted after.
+			spent := n.Stats().Retransmits
+			if spent < maxRetries {
+				t.Fatalf("first hop suspected after %d retransmissions, want the budget of %d spent", spent, maxRetries)
+			}
+			if !c.Net.RunUntil(settled, 50_000_000) {
+				t.Fatal("operation never settled")
+			}
+			if took, want := c.Net.Now().Sub(start), row.timeout(testNodeCfg(0)); !failed() || took != want {
+				t.Fatalf("settled after %v (failed as expected: %v), want left to its %v timeout", took, failed(), want)
+			}
+			if got := n.Stats().Retransmits; got != spent {
+				t.Fatalf("%d retransmissions after exhaustion", got-spent)
+			}
+		})
+	}
+
+	t.Run("histogram report", func(t *testing.T) {
+		c, origin, victim, _, _ := boot(t)
+		n := c.Nodes[origin]
+		if err := n.ReportHistogram("test-index", 0, 4); err != nil {
+			t.Fatal(err)
+		}
+		if n.PendingReports() != 1 {
+			t.Fatalf("%d reports tracked after ReportHistogram, want 1", n.PendingReports())
+		}
+		c.Net.RunFor(20 * time.Second)
+		if st := n.Stats(); n.PendingReports() != 0 || st.Retransmits != maxRetries {
+			t.Fatalf("%d reports still tracked after %d retransmissions, want the op dropped after %d", n.PendingReports(), st.Retransmits, maxRetries)
+		}
+		// Giving up on a report is nobody's fault in particular.
+		if suspected(c, origin, victim) {
+			t.Fatal("a dropped report suspected its first hop")
+		}
+	})
 }
 
 func TestQueriesCompleteAfterLinkCut(t *testing.T) {

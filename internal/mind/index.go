@@ -150,15 +150,6 @@ func (ix *index) treeLocked(v uint32) *embed.Tree {
 	return ix.base
 }
 
-// setTree installs a per-version embedding without touching its epoch —
-// the raw pre-epoch behavior, kept for tests that simulate a node whose
-// tree state diverged from the flood (missed installs, fenced halves).
-func (ix *index) setTree(v uint32, t *embed.Tree) {
-	ix.mu.Lock()
-	ix.vers[v] = t
-	ix.mu.Unlock()
-}
-
 // setTreeEpoch force-sets a version's epoch (tests only).
 func (ix *index) setTreeEpoch(v uint32, epoch uint64) {
 	ix.mu.Lock()
@@ -222,13 +213,6 @@ func (ix *index) setHistory(addr string, region bitstr.Code, until time.Time) {
 	ix.histAddr = addr
 	ix.histRegion = region
 	ix.histUntil = until
-	ix.mu.Unlock()
-}
-
-// dropTree removes a per-version embedding (version retirement).
-func (ix *index) dropTree(v uint32) {
-	ix.mu.Lock()
-	delete(ix.vers, v)
 	ix.mu.Unlock()
 }
 
@@ -335,7 +319,7 @@ func (ix *index) def() wire.IndexDef {
 		d.Versions = append(d.Versions, vd)
 	}
 	for v, t := range ix.vers {
-		if _, ok := ix.epochs[v]; !ok { // raw setTree state (tests)
+		if _, ok := ix.epochs[v]; !ok { // a tree with no epoch: indexFromDefOpts accepts one from the wire
 			d.Versions = append(d.Versions, wire.VersionDef{Version: v, Tree: t.Marshal()})
 		}
 	}
@@ -469,19 +453,14 @@ func (ix *index) absorbReplicas(dead bitstr.Code) {
 	}
 	// Replica stores are not segregated by owner; absorbing moves every
 	// replicated record whose point falls inside the dead region.
-	var scratch []uint64
 	for _, v := range ix.replicas.Versions() {
-		rs := ix.replicas.Version(v)
-		tree := ix.treeLocked(v)
 		eng := ix.primary.Version(v)
 		ss := ix.sums.Version(v)
-		rs.All(func(rec schema.Record) bool {
-			scratch = rec.PointInto(ix.sch, scratch)
-			if dead.IsPrefixOf(tree.PointCode(scratch, dead.Len())) {
+		placed(ix.sch, ix.treeLocked(v), ix.replicas.Version(v), dead.Len(), func(rec schema.Record, pc bitstr.Code) {
+			if dead.IsPrefixOf(pc) {
 				eng.Insert(rec)
 				ss.Insert(eng.ShardOf(rec), rec)
 			}
-			return true
 		})
 	}
 }
@@ -503,11 +482,16 @@ func (ix *index) history(now time.Time) (bool, string) {
 func (ix *index) clearHistory(addr string) {
 	ix.mu.Lock()
 	if ix.histAddr == addr {
-		ix.histAddr = ""
-		ix.histRegion = bitstr.Empty
-		ix.histUntil = time.Time{}
+		ix.dropHistoryLocked()
 	}
 	ix.mu.Unlock()
+}
+
+// dropHistoryLocked disarms the history pointer. Callers hold ix.mu.
+func (ix *index) dropHistoryLocked() {
+	ix.histAddr = ""
+	ix.histRegion = bitstr.Empty
+	ix.histUntil = time.Time{}
 }
 
 // observeHistoryTarget tracks the pointer target's position. A code
@@ -528,9 +512,7 @@ func (ix *index) observeHistoryTarget(addr string, newCode bitstr.Code) {
 		if ix.histRegion.IsPrefixOf(newCode) || newCode.IsPrefixOf(ix.histRegion) {
 			ix.histRegion = newCode
 		} else {
-			ix.histAddr = ""
-			ix.histRegion = bitstr.Empty
-			ix.histUntil = time.Time{}
+			ix.dropHistoryLocked()
 		}
 	}
 	ix.mu.Unlock()
@@ -549,9 +531,7 @@ func (ix *index) observeHistoryTarget(addr string, newCode bitstr.Code) {
 func (ix *index) clearHistoryRegion(dead bitstr.Code) {
 	ix.mu.Lock()
 	if ix.histAddr != "" && dead.IsPrefixOf(ix.histRegion) {
-		ix.histAddr = ""
-		ix.histRegion = bitstr.Empty
-		ix.histUntil = time.Time{}
+		ix.dropHistoryLocked()
 	}
 	ix.mu.Unlock()
 }

@@ -3,7 +3,6 @@ package mind
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"mind/internal/bitstr"
 	"mind/internal/transport"
@@ -26,96 +25,45 @@ type InsertResult struct {
 	Err      error
 }
 
+// insertOp is one tracked insert: a member of the insertGroup it settles
+// into. The message is kept for retransmission (reliable.go) until the ack
+// arrives or the group times out.
 type insertOp struct {
-	cb    func(InsertResult)
-	timer transport.Timer // overall InsertTimeout bound (nil for batch members)
-
-	// Reliable-request state (reliable.go): the message is kept for
-	// retransmission until the ack arrives or retries exhaust.
-	msg     *wire.Insert
+	grp     *insertGroup
+	slot    int // position in the group, and in its results
+	msg     wire.Insert
 	lastHop string // first hop the latest attempt left through
-	attempt int
-	retry   transport.Timer
 }
 
-// batchGroup shares one timeout timer and one retransmission schedule
-// across every tracked op of one InsertBatch call. Per-record timers
-// are the dominant originator-side cost at streaming-ingest rates (two
-// timer allocations and heap operations per record); the group replaces
-// them with two timers per batch while keeping per-record ack tracking,
-// retransmission targeting and timeout semantics identical.
-type batchGroup struct {
-	ids     []uint64 // member request ids, in input order
-	attempt int      // shared retransmission attempt counter (mu)
+// insertGroup is what every tracked insert is a member of: the ops of
+// one sendInserts call — one for Insert and for each repair re-insertion
+// (rehome.go), N for InsertBatch — sharing one InsertTimeout timer, one
+// retransmission schedule and one callback. Per-record timers are the
+// dominant originator-side cost at streaming-ingest rates (two timer
+// allocations and heap operations per record); the group keeps per-record
+// ack tracking, retransmission targeting and timeout semantics and owns
+// the two timers, which end with its last member. n.mu guards it.
+type insertGroup struct {
+	ops     []insertOp           // members, in input order
+	pending int                  // members still in n.inserts
+	timeout transport.Timer      // InsertTimeout bound of every member
+	retry   retrySchedule        // shared by the pending members
+	done    func([]InsertResult) // nil: nobody waits for the outcome
+	results []InsertResult       // one per member, filled in as each settles
 }
 
 // Insert hashes the record to its data-space code and greedy-routes it
 // to the owner node (§3.5). The callback fires on ack or timeout; it may
 // be nil for fire-and-forget insertion.
 func (n *Node) Insert(tag string, rec schema.Record, cb func(InsertResult)) error {
-	ix, ok := n.getIndex(tag)
-	if !ok {
-		return fmt.Errorf("mind: unknown index %q", tag)
+	var done func([]InsertResult)
+	if cb != nil {
+		done = func(rs []InsertResult) { cb(rs[0]) }
 	}
-	if err := ix.sch.CheckRecord(rec); err != nil {
-		return err
-	}
-	v := ix.version(rec, n.cfg.VersionSeconds)
-	tree, epoch := ix.treeAndEpoch(v)
-	depth := clampDepth(n.ov.Code().Len() + n.cfg.InsertDepthSlack)
-	var pbuf [8]uint64
-	target := tree.PointCode(rec.PointInto(ix.sch, pbuf[:0]), depth)
-	reqID := n.nextReq()
-	recID := n.nextRecID()
-	msg := &wire.Insert{
-		ReqID:      reqID,
-		OriginAddr: n.ep.Addr(),
-		Index:      tag,
-		Version:    v,
-		RecID:      recID,
-		Rec:        rec,
-		Target:     target,
-		TreeEpoch:  epoch,
-	}
-	// Track the op whenever the reliable layer is on, even fire-and-forget
-	// inserts: retransmission needs the pending-ack state. The InsertTimeout
-	// timer then bounds how long the entry can linger.
-	if cb != nil || n.retriesEnabled() {
-		op := &insertOp{cb: cb, msg: msg}
-		n.reqTracked.Add(1)
-		n.pendingGauge.Add(1)
-		n.mu.Lock()
-		n.inserts[reqID] = op
-		op.timer = n.clock.AfterFunc(n.cfg.InsertTimeout, func() { n.finishInsert(reqID, InsertResult{OK: false, Err: errTimeout}) })
-		n.armInsertRetryLocked(reqID, op)
-		n.mu.Unlock()
-	}
-
-	n.handleInsert(n.ep.Addr(), msg, nil)
-	return nil
+	return n.InsertBatch(tag, []schema.Record{rec}, done)
 }
 
 var errTimeout = fmt.Errorf("mind: operation timed out")
-
-// batchInsertAgg assembles the per-record results of one InsertBatch
-// and fires the batch callback once every slot is settled.
-type batchInsertAgg struct {
-	mu        sync.Mutex
-	results   []InsertResult
-	remaining int
-	cb        func([]InsertResult)
-}
-
-func (a *batchInsertAgg) set(i int, res InsertResult) {
-	a.mu.Lock()
-	a.results[i] = res
-	a.remaining--
-	done := a.remaining == 0
-	a.mu.Unlock()
-	if done {
-		a.cb(a.results)
-	}
-}
 
 // InsertBatch inserts many records of one index in a single pass: every
 // record is hashed and routed up front, records this node owns store
@@ -142,28 +90,17 @@ func (n *Node) InsertBatch(tag string, recs []schema.Record, cb func([]InsertRes
 			return err
 		}
 	}
-	var agg *batchInsertAgg
-	if cb != nil {
-		agg = &batchInsertAgg{results: make([]InsertResult, len(recs)), remaining: len(recs), cb: cb}
-	}
+	// Hash with no lock held — ~250 PointCodes must not block ack and query
+	// bookkeeping. Ops and their messages are one slab allocation.
 	depth := clampDepth(n.ov.Code().Len() + n.cfg.InsertDepthSlack)
-	tracked := cb != nil || n.retriesEnabled()
-
-	// Hash and route with no lock held — ~250 PointCodes must not block
-	// ack and query bookkeeping; n.mu is taken below only to register the
-	// finished ops. Nothing is shared yet, so m.Hops may still be written.
-	msgs := make([]wire.Insert, len(recs))
-	// An op's lastHop doubles as its routing decision ("" = stored here
-	// or ring-recovered); ops are registered only when tracked.
 	ops := make([]insertOp, len(recs))
-	grp := &batchGroup{ids: make([]uint64, len(recs))}
-	var scratch []uint64
+	var pbuf [8]uint64
+	scratch := pbuf[:0]
 	for i, rec := range recs {
 		v := ix.version(rec, n.cfg.VersionSeconds)
 		tree, epoch := ix.treeAndEpoch(v)
 		scratch = rec.PointInto(ix.sch, scratch)
-		m, op := &msgs[i], &ops[i]
-		*m = wire.Insert{
+		ops[i].msg = wire.Insert{
 			OriginAddr: n.ep.Addr(),
 			Index:      tag,
 			Version:    v,
@@ -172,40 +109,55 @@ func (n *Node) InsertBatch(tag string, recs []schema.Record, cb func([]InsertRes
 			Target:     tree.PointCode(scratch, depth),
 			TreeEpoch:  epoch,
 		}
-		op.msg = m
-		if !n.ov.Owns(m.Target) {
-			m.Hops = 1 // leaving the originator, as in the per-record path
-			op.lastHop, _ = n.ov.NextHop(m.Target)
-		}
-		if tracked {
-			m.ReqID = n.nextReq()
-			grp.ids[i] = m.ReqID
-		}
-		if cb != nil {
-			slot := i
-			op.cb = func(res InsertResult) { agg.set(slot, res) }
+	}
+	n.sendInserts(ops, cb)
+	return nil
+}
+
+// sendInserts is the one way an insert leaves its originator: the hashed
+// ops of one call are routed, registered as one insertGroup, dispatched
+// through one outbox and put on one retransmission schedule; done (nil for
+// fire-and-forget) receives every member's outcome once the last settles.
+func (n *Node) sendInserts(ops []insertOp, done func([]InsertResult)) {
+	// Track the ops whenever the reliable layer is on, even fire-and-forget
+	// inserts: retransmission needs the pending-ack state, and InsertTimeout
+	// bounds how long an entry can linger. An untracked insert carries
+	// ReqID 0, which solicits no ack.
+	tracked := done != nil || n.retriesEnabled()
+	// Route with no lock held. Nothing is shared yet, so the messages may
+	// still be written; an op's lastHop doubles as its routing decision
+	// ("" = stored here or ring-recovered).
+	for i := range ops {
+		if op := &ops[i]; !n.ov.Owns(op.msg.Target) {
+			op.msg.Hops = 1 // leaving the originator
+			op.lastHop, _ = n.ov.NextHop(op.msg.Target)
 		}
 	}
+	var grp *insertGroup
 	if tracked {
+		grp = &insertGroup{ops: ops, pending: len(ops), done: done}
+		if done != nil {
+			grp.results = make([]InsertResult, len(ops))
+		}
 		n.reqTracked.Add(uint64(len(ops)))
 		n.pendingGauge.Add(int64(len(ops)))
 		n.mu.Lock()
 		for i := range ops {
-			n.inserts[grp.ids[i]] = &ops[i]
+			op := &ops[i]
+			op.grp, op.slot, op.msg.ReqID = grp, i, n.nextReq()
+			n.inserts[op.msg.ReqID] = op
 		}
-		// One timeout for the whole batch (batchGroup): a
-		// no-longer-pending member makes it a no-op.
-		n.clock.AfterFunc(n.cfg.InsertTimeout, func() {
-			for _, id := range grp.ids {
-				n.finishInsert(id, InsertResult{OK: false, Err: errTimeout})
+		grp.timeout = n.clock.AfterFunc(n.cfg.InsertTimeout, func() {
+			for i := range grp.ops {
+				n.finishInsert(grp.ops[i].msg.ReqID, InsertResult{OK: false, Err: errTimeout})
 			}
 		})
 		n.mu.Unlock()
 	}
 
 	ob := &outbox{n: n}
-	for i := range msgs {
-		m := &msgs[i]
+	for i := range ops {
+		m := &ops[i].msg
 		switch next := ops[i].lastHop; {
 		case m.Hops == 0:
 			n.handleInsert(n.ep.Addr(), m, ob)
@@ -218,14 +170,19 @@ func (n *Node) InsertBatch(tag string, recs []schema.Record, cb func([]InsertRes
 		}
 	}
 	ob.flush()
-	// Arm the group retransmission schedule once everything is dispatched;
-	// members that settled inline (local stores) make the resend skip them.
-	if tracked && n.retriesEnabled() {
+	if tracked {
+		// The schedule is armed only now: the loop above reads lastHop with
+		// no lock, and a check firing on a short RetryBase writes it. The
+		// backoff is drawn even when every member has already settled (local
+		// stores), so a node's jitter sequence depends on how many groups it
+		// sent, not on where their records landed.
 		n.mu.Lock()
-		n.clock.AfterFunc(n.retryDelayLocked(1), func() { n.resendInsertGroup(grp) })
+		grp.retry.armLocked(n, func() { n.resendInsertGroup(grp) })
+		if grp.pending == 0 {
+			grp.retry.stop()
+		}
 		n.mu.Unlock()
 	}
-	return nil
 }
 
 func clampDepth(d int) int {
@@ -238,37 +195,40 @@ func clampDepth(d int) int {
 	return d
 }
 
-// takeInsertLocked removes a tracked insert and disarms its timers; it
-// returns nil when the op already settled. Callers hold n.mu.
-func (n *Node) takeInsertLocked(reqID uint64) *insertOp {
+// takeInsertLocked settles a tracked insert: the op leaves the table with
+// its outcome recorded in its group, and a last pending member stops the
+// group's timers. It returns the group when its callback is now due — the
+// caller fires it once n.mu is released — and nil otherwise, also for an
+// op that already settled. Callers hold n.mu.
+func (n *Node) takeInsertLocked(reqID uint64, res InsertResult) *insertGroup {
 	op, ok := n.inserts[reqID]
 	if !ok {
 		return nil
 	}
 	delete(n.inserts, reqID)
 	n.pendingGauge.Add(-1)
-	if op.timer != nil {
-		op.timer.Stop()
+	g := op.grp
+	if g.done != nil {
+		// Every pending member was part of every group retransmission.
+		res.Attempts = g.retry.attempt
+		g.results[op.slot] = res
 	}
-	if op.retry != nil {
-		op.retry.Stop()
+	if g.pending--; g.pending == 0 {
+		g.timeout.Stop()
+		g.retry.stop()
+		if g.done != nil {
+			return g
+		}
 	}
-	return op
+	return nil
 }
 
 func (n *Node) finishInsert(reqID uint64, res InsertResult) {
 	n.mu.Lock()
-	op := n.takeInsertLocked(reqID)
+	g := n.takeInsertLocked(reqID, res)
 	n.mu.Unlock()
-	op.settle(res)
-}
-
-// settle reports a taken op's outcome to its callback; a nil op (already
-// settled) is a no-op.
-func (op *insertOp) settle(res InsertResult) {
-	if op != nil && op.cb != nil {
-		res.Attempts = op.attempt
-		op.cb(res)
+	if g != nil {
+		g.done(g.results)
 	}
 }
 
@@ -336,7 +296,6 @@ func (n *Node) handleInsert(from string, m *wire.Insert, ob *outbox) {
 		return
 	}
 	fwd := *m
-	fwd.Hops++
 	n.forwardInsert(&fwd, ob)
 }
 
@@ -352,12 +311,13 @@ func (n *Node) rehomeInsert(ix *index, m *wire.Insert, myCode bitstr.Code, ob *o
 	if n.ov.Owns(ext.Target) {
 		n.storeAsOwner(&ext, ob)
 	} else {
-		ext.Hops++
 		n.forwardInsert(&ext, ob)
 	}
 }
 
+// forwardInsert sends the caller's copy of a routed insert one hop on.
 func (n *Node) forwardInsert(m *wire.Insert, ob *outbox) {
+	m.Hops++
 	if next, ok := n.ov.NextHop(m.Target); ok {
 		n.forwarded.Add(1)
 		n.countTuples(next, 1)
@@ -497,14 +457,16 @@ func (n *Node) handleInsertAcks(acks []*wire.InsertAck) {
 		return
 	}
 	n.acksReceived.Add(uint64(len(acks)))
-	ops := make([]*insertOp, len(acks))
+	var settled []*insertGroup
 	n.mu.Lock()
-	for i, m := range acks {
-		ops[i] = n.takeInsertLocked(m.ReqID)
+	for _, m := range acks {
+		if g := n.takeInsertLocked(m.ReqID, InsertResult{OK: true, Hops: int(m.Hops), StoredAt: m.StoredAt.Addr}); g != nil {
+			settled = append(settled, g)
+		}
 	}
 	n.mu.Unlock()
-	for i, m := range acks {
-		ops[i].settle(InsertResult{OK: true, Hops: int(m.Hops), StoredAt: m.StoredAt.Addr})
+	for _, g := range settled {
+		g.done(g.results)
 	}
 }
 

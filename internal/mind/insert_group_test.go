@@ -1,0 +1,194 @@
+package mind
+
+import (
+	"testing"
+	"time"
+
+	"mind/internal/schema"
+	"mind/internal/transport"
+)
+
+// Tests for the insert group (insert.go): every tracked insert settles
+// into one, and the group owns the timers.
+
+// timerLog is what recordingClock keeps of one AfterFunc.
+type timerLog struct {
+	delay        time.Duration
+	ran, stopped bool
+}
+
+// recordingClock books every timer a node arms. simnet runs everything
+// on one goroutine, so the log needs no lock.
+type recordingClock struct {
+	transport.Clock
+	timers []*timerLog
+}
+
+func (c *recordingClock) AfterFunc(d time.Duration, f func()) transport.Timer {
+	l := &timerLog{delay: d}
+	c.timers = append(c.timers, l)
+	return recordedTimer{c.Clock.AfterFunc(d, func() { l.ran = true; f() }), l}
+}
+
+type recordedTimer struct {
+	transport.Timer
+	log *timerLog
+}
+
+func (t recordedTimer) Stop() bool {
+	t.log.stopped = true
+	return t.Timer.Stop()
+}
+
+// ownedRecs returns n records whose owner, as a sees the overlay, is a
+// (local) or its peer.
+func ownedRecs(t *testing.T, a *Node, tag string, seed int64, local bool, n int) []schema.Record {
+	t.Helper()
+	ix, _ := a.getIndex(tag)
+	var out []schema.Record
+	for _, rec := range envelopeRecs(seed, 64*n) {
+		if a.ov.Owns(ix.base.PointCode(rec.PointInto(ix.sch, nil), 8)) == local {
+			if out = append(out, rec); len(out) == n {
+				return out
+			}
+		}
+	}
+	t.Fatalf("only %d of %d records with local=%v", len(out), n, local)
+	return nil
+}
+
+// TestInsertGroupTimers: a settled group leaves no live timer behind, and
+// an unsettled one still times out — each member once, at InsertTimeout.
+func TestInsertGroupTimers(t *testing.T) {
+	// No other timer of the node or its overlay runs 31 s.
+	const insertTimeout = 31 * time.Second
+	clock := &recordingClock{}
+	wrap := func(c transport.Clock) transport.Clock { clock.Clock = c; return clock }
+	insertTimers := func() (armed, live int) {
+		for _, l := range clock.timers {
+			if l.delay == insertTimeout {
+				armed++
+				if !l.stopped && !l.ran {
+					live++
+				}
+			}
+		}
+		return
+	}
+
+	t.Run("settled", func(t *testing.T) {
+		clock.timers = nil
+		net, a, _, _, _, sch := tapPairWith(t, wrap, func(c *Config) { c.InsertTimeout = insertTimeout })
+		for i, res := range insertBatchSettled(t, net, a, sch.Tag, envelopeRecs(21, 64)) {
+			if !res.OK {
+				t.Fatalf("record %d: %+v", i, res)
+			}
+		}
+		var single *InsertResult
+		if err := a.Insert(sch.Tag, ownedRecs(t, a, sch.Tag, 22, false, 1)[0], func(r InsertResult) { single = &r }); err != nil {
+			t.Fatal(err)
+		}
+		if !net.RunUntil(func() bool { return single != nil }, 10_000_000) || !single.OK {
+			t.Fatalf("single insert: %+v", single)
+		}
+		if armed, live := insertTimers(); armed != 2 || live != 0 {
+			t.Errorf("%d InsertTimeout timers armed, %d still live after every member acked; want 2 and 0", armed, live)
+		}
+		if p := a.PendingInserts(); p != 0 {
+			t.Errorf("PendingInserts = %d after every member acked", p)
+		}
+	})
+
+	t.Run("orphaned", func(t *testing.T) {
+		clock.timers = nil
+		var maxRetries int
+		net, a, _, _, _, sch := tapPairWith(t, wrap, func(c *Config) {
+			c.InsertTimeout = insertTimeout
+			c.Replication = 0
+			// Slow failure detection: nobody takes the dead owner's region
+			// over while the retries run.
+			c.Overlay.FailAfter = 10 * time.Minute
+			maxRetries = c.MaxRetries
+		})
+		// One member's owner is dead; it rides in the middle of the batch.
+		local := ownedRecs(t, a, sch.Tag, 23, true, 6)
+		orphan := ownedRecs(t, a, sch.Tag, 24, false, 1)[0]
+		const at = 3
+		batch := append(append(append([]schema.Record(nil), local[:at]...), orphan), local[at:]...)
+		net.Kill("b")
+
+		start := net.Now()
+		type fired struct {
+			n  int
+			at time.Duration
+		}
+		var batchFired, singleFired fired
+		var batchRes []InsertResult
+		var singleRes InsertResult
+		if err := a.InsertBatch(sch.Tag, batch, func(rs []InsertResult) {
+			batchRes, batchFired = rs, fired{batchFired.n + 1, net.Now().Sub(start)}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Insert(sch.Tag, orphan, func(r InsertResult) {
+			singleRes, singleFired = r, fired{singleFired.n + 1, net.Now().Sub(start)}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		// The locally owned members settled inside the call.
+		if p := a.PendingInserts(); p != 2 {
+			t.Fatalf("PendingInserts = %d right after dispatch, want the two orphans", p)
+		}
+		net.RunFor(3 * insertTimeout)
+		if want := (fired{1, insertTimeout}); batchFired != want || singleFired != want {
+			t.Fatalf("callbacks fired %+v (batch) and %+v (single), want each once at %v", batchFired, singleFired, insertTimeout)
+		}
+		timedOut := func(r InsertResult) bool {
+			return !r.OK && r.Err == errTimeout && r.Attempts == maxRetries
+		}
+		if !timedOut(singleRes) {
+			t.Errorf("orphaned Insert: %+v, want a timeout after %d retransmissions", singleRes, maxRetries)
+		}
+		if len(batchRes) != len(batch) {
+			t.Fatalf("%d batch results for %d records", len(batchRes), len(batch))
+		}
+		for i, r := range batchRes {
+			if i == at {
+				if !timedOut(r) {
+					t.Errorf("orphaned batch member: %+v, want a timeout after %d retransmissions", r, maxRetries)
+				}
+			} else if !r.OK || r.StoredAt != "a" || r.Attempts != 0 {
+				t.Errorf("batch member %d: %+v, want stored at a at once", i, r)
+			}
+		}
+		if armed, live := insertTimers(); armed != 2 || live != 0 {
+			t.Errorf("%d InsertTimeout timers armed, %d still live after the timeout; want 2 and 0", armed, live)
+		}
+		if p := a.PendingInserts(); p != 0 {
+			t.Errorf("PendingInserts = %d after the timeout", p)
+		}
+	})
+}
+
+// TestUntrackedInsertSolicitsNoAck: with the reliable layer off and no
+// callback nothing tracks the insert, so it carries no request id and its
+// owner sends no InsertAck for nobody to receive.
+func TestUntrackedInsertSolicitsNoAck(t *testing.T) {
+	net, a, b, _, _, sch := tapPairWith(t, nil, func(c *Config) { c.RetryBase = 0 })
+	const nrecs = 50
+	for _, rec := range envelopeRecs(31, nrecs) {
+		if err := a.Insert(sch.Tag, rec, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net.RunFor(time.Second)
+	remote := b.StoredRecords(sch.Tag)
+	if got := a.StoredRecords(sch.Tag) + remote; got != nrecs || remote == 0 {
+		t.Fatalf("stored %d records (%d remote), want %d", got, remote, nrecs)
+	}
+	for _, n := range []*Node{a, b} {
+		if acks := n.Stats().AcksReceived; acks != 0 || n.PendingInserts() != 0 {
+			t.Errorf("%s: %d acks received, %d inserts pending; fire-and-forget inserts want neither", n.Addr(), acks, n.PendingInserts())
+		}
+	}
+}

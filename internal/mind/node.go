@@ -35,8 +35,9 @@ import (
 // local execution through a single DAC queue; see DESIGN.md,
 // "Concurrency model").
 //
-//   - mu guards operation tracking and node-wide control maps: inserts,
-//     scatters, seenOps, collect, triggerSubs, clientSeen/clientPrev, rng.
+//   - mu guards operation tracking and node-wide control maps: inserts
+//     and their groups, scatters, reports, every retrySchedule, seenOps,
+//     collect, triggerSubs, clientSeen/clientPrev, rng.
 //   - ixMu guards the indices map only; per-index mutable state is
 //     behind each index's own mutex, and the stores are internally
 //     concurrent (single-writer k-d trees with lock-free snapshot reads).
@@ -58,7 +59,7 @@ type Node struct {
 	ixMu    sync.RWMutex
 	indices map[string]*index
 
-	inserts  map[uint64]*insertOp  // mu
+	inserts  map[uint64]*insertOp  // mu; registered by sendInserts only (insert.go)
 	scatters map[uint64]*scatterOp // mu; in-flight queries and aggregates (scatter.go)
 	seenOps  map[uint64]bool       // mu; flood dedup (create/drop/hist-install)
 
@@ -459,77 +460,6 @@ func (n *Node) handleMessage(from string, m wire.Message) {
 	}
 }
 
-// handleRegionRecall re-inserts replica records (and stranded primary
-// records of regions this node no longer owns) that fall inside the
-// recalled region; normal greedy routing delivers them to the region's
-// new owner. Content-identical duplicates from multiple replica holders
-// are collapsed by the originator-side dedup on queries.
-func (n *Node) handleRegionRecall(m *wire.RegionRecall) {
-	if !n.markOp(m.OpID) {
-		return
-	}
-	n.flood(m)
-
-	myCode := n.ov.Code()
-	type out struct {
-		ix      *index
-		version uint32
-		rec     schema.Record
-		target  bitstr.Code
-		epoch   uint64
-	}
-	var outs []out
-	var scratch []uint64
-	for _, ix := range n.sortedIndices() {
-		ix := ix
-		scan := func(vs *store.Versioned, includeOwned bool) {
-			for _, v := range vs.Versions() {
-				tree, epoch := ix.treeAndEpoch(v)
-				vs.Version(v).All(func(rec schema.Record) bool {
-					scratch = rec.PointInto(ix.sch, scratch)
-					pc := tree.PointCode(scratch, clampDepth(m.Region.Len()+n.cfg.InsertDepthSlack))
-					if !m.Region.IsPrefixOf(pc) {
-						return true
-					}
-					if !includeOwned && myCode.IsPrefixOf(pc) {
-						return true // we already serve it
-					}
-					outs = append(outs, out{ix: ix, version: v, rec: rec, target: pc, epoch: epoch})
-					return true
-				})
-			}
-		}
-		scan(ix.replicas, false)
-		// Stranded primary data: records this node still holds for a
-		// region it relocated away from.
-		for _, v := range ix.primary.Versions() {
-			tree, epoch := ix.treeAndEpoch(v)
-			ix.primary.Version(v).All(func(rec schema.Record) bool {
-				scratch = rec.PointInto(ix.sch, scratch)
-				pc := tree.PointCode(scratch, clampDepth(m.Region.Len()+n.cfg.InsertDepthSlack))
-				if m.Region.IsPrefixOf(pc) && !myCode.IsPrefixOf(pc) {
-					outs = append(outs, out{ix: ix, version: v, rec: rec, target: pc, epoch: epoch})
-				}
-				return true
-			})
-		}
-	}
-
-	for _, o := range outs {
-		msg := &wire.Insert{
-			ReqID:      0, // recall: no ack
-			OriginAddr: n.ep.Addr(),
-			Index:      o.ix.sch.Tag,
-			Version:    o.version,
-			RecID:      n.nextRecID(),
-			Rec:        o.rec,
-			Target:     o.target,
-			TreeEpoch:  o.epoch,
-		}
-		n.handleInsert(n.ep.Addr(), msg, nil)
-	}
-}
-
 // RetireVersion deletes one index version's records and cut tree on
 // every node — the §3.7 version-management operation the paper deferred
 // to future work. Old daily versions are retired once their data has
@@ -693,127 +623,6 @@ func (n *Node) onRegionDead(dead bitstr.Code) {
 	for _, ix := range n.sortedIndices() {
 		ix.clearHistoryRegion(dead)
 	}
-}
-
-// onSplit runs on the split-target side. In TransferOnSplit mode the
-// joiner-region records move to the joiner; otherwise they stay here and
-// the joiner's history pointer finds them.
-func (n *Node) onSplit(oldCode, newCode bitstr.Code, joiner wire.NodeInfo) {
-	if !n.cfg.TransferOnSplit {
-		return
-	}
-	type push struct {
-		tag     string
-		version uint32
-		rec     schema.Record
-		epoch   uint64
-	}
-	var pushes []push
-	var scratch []uint64
-	for _, ix := range n.sortedIndices() {
-		for _, v := range ix.primary.Versions() {
-			tree, epoch := ix.treeAndEpoch(v)
-			st := ix.primary.Version(v)
-			var keep []schema.Record
-			st.All(func(rec schema.Record) bool {
-				scratch = rec.PointInto(ix.sch, scratch)
-				if joiner.Code.IsPrefixOf(tree.PointCode(scratch, joiner.Code.Len())) {
-					pushes = append(pushes, push{ix.sch.Tag, v, rec, epoch})
-				} else {
-					keep = append(keep, rec)
-				}
-				return true
-			})
-			if len(keep) < st.Len() {
-				ix.primary.Drop(v)
-				ix.sums.Drop(v)
-				eng := ix.primary.Version(v)
-				ss := ix.sums.Version(v)
-				for _, rec := range keep {
-					eng.Insert(rec)
-					ss.Insert(eng.ShardOf(rec), rec)
-				}
-			}
-		}
-	}
-	for _, p := range pushes {
-		n.send(joiner.Addr, &wire.Insert{
-			ReqID:      0, // transfer: no ack expected
-			OriginAddr: n.ep.Addr(),
-			Index:      p.tag,
-			Version:    p.version,
-			RecID:      n.nextRecID(),
-			Rec:        p.rec,
-			Target:     joiner.Code,
-			TreeEpoch:  p.epoch,
-		})
-	}
-}
-
-// onTakeover absorbs replicated data for the dead sibling region into
-// primary storage, then re-replicates the merged store to the node's
-// new replica set. Without re-replication, a node that absorbed its
-// sibling's data holds the only copy (its own replica target WAS the
-// dead sibling), so a later failure would lose both — re-replication is
-// what lets one-replica MIND ride out gradual failures (§3.8, Fig 16).
-func (n *Node) onTakeover(dead, oldCode bitstr.Code) {
-	type pushRec struct {
-		tag     string
-		version uint32
-		rec     schema.Record
-	}
-	var pushes []pushRec
-	var scratch []uint64
-	for _, ix := range n.sortedIndices() {
-		ix.absorbReplicas(dead)
-		if n.cfg.Replication == 0 {
-			continue
-		}
-		// Re-replicate only the absorbed region's records: the rest of
-		// the store was replicated when it was stored, and re-pushing
-		// everything on every takeover would storm the network during
-		// failure cascades.
-		for _, v := range ix.primary.Versions() {
-			tree := ix.tree(v)
-			ix.primary.Version(v).All(func(rec schema.Record) bool {
-				if dead.Len() > 0 {
-					scratch = rec.PointInto(ix.sch, scratch)
-					pc := tree.PointCode(scratch, dead.Len())
-					if !dead.IsPrefixOf(pc) {
-						return true
-					}
-				}
-				pushes = append(pushes, pushRec{tag: ix.sch.Tag, version: v, rec: rec})
-				return true
-			})
-		}
-	}
-	replicas := n.replicaTargets()
-	owner := n.ov.Code()
-
-	for _, p := range pushes {
-		rep := &wire.Replicate{
-			Index:     p.tag,
-			Version:   p.version,
-			RecID:     n.nextRecID(),
-			Rec:       p.rec,
-			OwnerCode: owner,
-		}
-		for _, addr := range replicas {
-			n.send(addr, rep)
-		}
-	}
-
-	// Recall any surviving replicas of the adopted region from the rest
-	// of the overlay: after a relocation takeover this node starts with
-	// an empty store for the region, and even after a sibling takeover
-	// stragglers may exist at other replica levels.
-	opID := n.nextReq()
-	n.mu.Lock()
-	n.seenOps[opID] = true
-	n.mu.Unlock()
-	recall := &wire.RegionRecall{OpID: opID, Region: dead}
-	n.flood(recall)
 }
 
 // --- Index lifecycle -----------------------------------------------------

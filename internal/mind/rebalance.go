@@ -46,9 +46,8 @@ type histCollect struct {
 // designated node acks, so a report (or its aggregator) lost mid-cycle
 // still reaches whoever owns the all-zero region by then.
 type histReportOp struct {
-	msg     *wire.HistReport
-	attempt int
-	retry   transport.Timer
+	msg   *wire.HistReport
+	retry retrySchedule
 }
 
 // LocalHistogram builds the k-granularity histogram of one version of an
@@ -112,7 +111,7 @@ func (n *Node) ReportHistogram(tag string, day uint32, k int) error {
 		n.reqTracked.Add(1)
 		n.mu.Lock()
 		n.reports[reqID] = op
-		op.retry = n.clock.AfterFunc(n.retryDelayLocked(1), func() { n.resendReport(reqID) })
+		op.retry.armLocked(n, func() { n.resendReport(reqID) })
 		n.mu.Unlock()
 	}
 	n.handleHistReport(n.ep.Addr(), msg)
@@ -130,18 +129,16 @@ func (n *Node) resendReport(reqID uint64) {
 		n.mu.Unlock()
 		return
 	}
-	if op.attempt >= n.cfg.MaxRetries {
+	if !op.retry.advanceLocked(n) {
 		// Exhausted: the cycle proceeds with the reports that arrived
 		// (the merge is approximate anyway); drop the op.
 		delete(n.reports, reqID)
 		n.mu.Unlock()
 		return
 	}
-	op.attempt++
 	n.retransmits.Add(1)
 	msg := *op.msg
 	msg.Hops = 0
-	op.retry = n.clock.AfterFunc(n.retryDelayLocked(op.attempt+1), func() { n.resendReport(reqID) })
 	n.mu.Unlock()
 
 	n.handleHistReport(n.ep.Addr(), &msg)
@@ -152,9 +149,7 @@ func (n *Node) handleHistReportAck(m *wire.HistReportAck) {
 	n.mu.Lock()
 	if op, ok := n.reports[m.ReqID]; ok {
 		delete(n.reports, m.ReqID)
-		if op.retry != nil {
-			op.retry.Stop()
-		}
+		op.retry.stop()
 	}
 	n.mu.Unlock()
 }

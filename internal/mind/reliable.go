@@ -4,7 +4,9 @@ import (
 	"sort"
 	"time"
 
+	"mind/internal/bitstr"
 	"mind/internal/metrics"
+	"mind/internal/transport"
 	"mind/internal/wire"
 )
 
@@ -18,11 +20,13 @@ import (
 // Retransmissions re-resolve the first hop excluding the previously-used
 // contact, so they route around a node that died mid-operation, and
 // retry exhaustion feeds the overlay's suspicion machinery
-// (Overlay.SuspectContact). This file holds the shared primitives and the
-// insert schedule; queries and aggregates retransmit from the
-// scatter-gather engine (scatter.go: resendScatter). Everything runs off transport.Clock, so the
-// schedule is identical under simnet's virtual clock and tcpnet's real
-// clock — and bit-reproducible for a given seed under simnet.
+// (Overlay.SuspectContact). This file holds the shared primitives — the
+// dedup set, the one retrySchedule, suspectHops — and the insert group's
+// check; queries and aggregates retransmit from the scatter-gather engine
+// (scatter.go: resendScatter), histogram reports from rebalance.go.
+// Everything runs off transport.Clock, so the schedule is identical under
+// simnet's virtual clock and tcpnet's real clock — and bit-reproducible
+// for a given seed under simnet.
 
 // dedupCap bounds each dedup generation; a receiver remembers between
 // dedupCap and 2·dedupCap of the most recent keys.
@@ -85,81 +89,79 @@ func (n *Node) retryDelayLocked(attempt int) time.Duration {
 	return d + time.Duration(n.rng.Float64()*0.25*float64(d))
 }
 
-// armInsertRetryLocked schedules the first retransmission check for a
-// tracked insert. Callers hold n.mu.
-func (n *Node) armInsertRetryLocked(reqID uint64, op *insertOp) {
-	if !n.retriesEnabled() {
-		return
-	}
-	op.retry = n.clock.AfterFunc(n.retryDelayLocked(1), func() { n.resendInsert(reqID) })
+// retrySchedule is the one retransmission schedule: the attempt counter
+// and the timer of the next check. Insert groups (insert.go), scatter-gather
+// operations (scatter.go) and tracked histogram reports (rebalance.go) each
+// hold one; a check looks its operation up, advances the schedule, builds
+// what is still un-acked and sends it, and the three differ only in what
+// exhaustion means to them. n.mu guards the value.
+type retrySchedule struct {
+	attempt int // retransmissions so far
+	timer   transport.Timer
+	check   func()
 }
 
-// resendInsert fires when a tracked insert's retry timer elapses without
-// an ack: retransmit through a first hop excluding the one used last
-// (the un-acked attempt's path is the prime suspect), or — once
-// MaxRetries attempts are exhausted — report the last hop to the
-// overlay's suspicion machinery and leave the op to its InsertTimeout.
-func (n *Node) resendInsert(reqID uint64) {
-	n.mu.Lock()
-	op, ok := n.inserts[reqID]
-	if !ok || op.msg == nil {
-		n.mu.Unlock()
-		return
+// armLocked schedules the first check, or nothing with the reliable layer
+// off. Callers hold n.mu.
+func (s *retrySchedule) armLocked(n *Node, check func()) {
+	if n.retriesEnabled() {
+		s.check = check
+		s.timer = n.clock.AfterFunc(n.retryDelayLocked(1), check)
 	}
-	if op.attempt >= n.cfg.MaxRetries {
-		suspect := op.lastHop
-		n.mu.Unlock()
-		if suspect != "" {
-			n.ov.SuspectContact(suspect)
-		}
-		return
-	}
-	n.retransmits.Add(1)
-	msg := op.resendCopyLocked(op.attempt + 1)
-	exclude := op.lastHop
-	op.retry = n.clock.AfterFunc(n.retryDelayLocked(op.attempt+1), func() { n.resendInsert(reqID) })
-	n.mu.Unlock()
-
-	n.retransmitInsert(reqID, &msg, exclude, nil)
 }
 
-// resendCopyLocked moves op to the given retransmission attempt and
-// returns the message to send, with the record deep-copied: op.msg.Rec
-// may alias the submitter's buffer (the ingest engine recycles it the
-// instant the op settles, and a new producer then overwrites it), and a
-// settle can race with the encode once n.mu is released. finishInsert
-// removes the op under n.mu before its callback runs, so an op still
-// tracked cannot have been recycled yet — the copy taken under the lock
-// is stable. Callers hold n.mu.
-func (op *insertOp) resendCopyLocked(attempt int) wire.Insert {
-	op.attempt = attempt
-	msg := *op.msg
+// advanceLocked is a check that found un-acked work: it reports false
+// once the MaxRetries budget is spent — the caller takes its exhaustion
+// action and leaves the operation to its timeout — and otherwise moves to
+// the next attempt and re-arms the timer. A check with nothing to resend
+// returns before calling this, so it draws no jitter. Callers hold n.mu.
+func (s *retrySchedule) advanceLocked(n *Node) bool {
+	if s.attempt >= n.cfg.MaxRetries {
+		return false
+	}
+	s.attempt++
+	s.timer = n.clock.AfterFunc(n.retryDelayLocked(s.attempt+1), s.check)
+	return true
+}
+
+// stop ends the schedule: its operation settled.
+func (s *retrySchedule) stop() {
+	if s.timer != nil {
+		s.timer.Stop()
+	}
+}
+
+// resendCopyLocked returns the message a retransmission sends, with the
+// record deep-copied: op.msg.Rec may alias the submitter's buffer (the
+// ingest engine recycles it the instant the op settles, and a new producer
+// then overwrites it), and a settle can race with the encode once n.mu is
+// released. finishInsert removes the op under n.mu before its callback
+// runs, so an op still tracked cannot have been recycled yet — the copy
+// taken under the lock is stable. Every attempt starts from the originator
+// again, so the copy counts its hops from zero whatever the first dispatch
+// recorded. Callers hold n.mu.
+func (op *insertOp) resendCopyLocked() wire.Insert {
+	msg := op.msg
 	msg.Rec = append([]uint64(nil), op.msg.Rec...)
-	msg.Attempt = uint8(attempt)
+	msg.Hops = 0
 	return msg
 }
 
 // retransmitInsert re-routes one retransmitted insert: store locally if
 // ownership shifted to us (takeover) since the original attempt, else
-// leave through a first hop excluding the suspect one (via ob when it is
-// part of a group resend).
-func (n *Node) retransmitInsert(reqID uint64, msg *wire.Insert, exclude string, ob *outbox) {
+// leave through a first hop excluding the suspect one.
+func (n *Node) retransmitInsert(msg *wire.Insert, exclude string, ob *outbox) {
 	if n.ov.Owns(msg.Target) {
 		n.handleInsert(n.ep.Addr(), msg, ob)
 		return
 	}
-	next, ok := n.ov.NextHopExcluding(msg.Target, exclude)
-	if !ok {
-		// The excluded contact may be the only exit; better a repeat of a
-		// possibly-fine path than a guaranteed dead end.
-		next, ok = n.ov.NextHop(msg.Target)
-	}
+	next, ok := n.nextHopAvoiding(msg.Target, exclude)
 	if !ok {
 		n.ov.RingRecover(msg.Target, wire.Encode(msg))
 		return
 	}
 	n.mu.Lock()
-	if cur, still := n.inserts[reqID]; still {
+	if cur, still := n.inserts[msg.ReqID]; still {
 		cur.lastHop = next
 	}
 	n.mu.Unlock()
@@ -167,56 +169,50 @@ func (n *Node) retransmitInsert(reqID uint64, msg *wire.Insert, exclude string, 
 	n.post(ob, outData, next, msg)
 }
 
-// resendInsertGroup is the batchGroup retransmission schedule: one
-// clock-driven backoff for the whole InsertBatch, retransmitting only
-// the members still pending, one envelope per first hop like the
-// original. The schedule ends when every member has settled or the
-// shared attempt budget is exhausted (which feeds the remaining members'
-// last hops to the overlay's suspicion machinery, exactly like the
-// per-record path).
-func (n *Node) resendInsertGroup(g *batchGroup) {
-	type resend struct {
-		reqID   uint64
-		msg     wire.Insert
-		exclude string
-	}
+// resendInsertGroup is an insert group's retransmission check: the
+// members still pending leave again, one envelope per first hop like the
+// original, each through a first hop excluding the one its un-acked
+// attempt used (that path is the prime suspect). Once the group's budget
+// is spent the pending members' last hops go to the overlay's suspicion
+// machinery and the members are left to InsertTimeout.
+func (n *Node) resendInsertGroup(g *insertGroup) {
 	n.mu.Lock()
-	if g.attempt >= n.cfg.MaxRetries {
-		var suspects []string
-		for _, id := range g.ids {
-			if op, ok := n.inserts[id]; ok {
-				suspects = append(suspects, op.lastHop)
-			}
+	var msgs []wire.Insert
+	var hops []string // each pending member's last first hop
+	for i := range g.ops {
+		if op := &g.ops[i]; n.inserts[op.msg.ReqID] == op {
+			msgs, hops = append(msgs, op.resendCopyLocked()), append(hops, op.lastHop)
 		}
+	}
+	if len(msgs) == 0 || !g.retry.advanceLocked(n) {
+		// The budget is spent — or the last member settled as the timer
+		// fired, and there is nobody to suspect either.
 		n.mu.Unlock()
-		n.suspectHops(suspects)
+		n.suspectHops(hops)
 		return
 	}
-	g.attempt++
-	attempt := g.attempt
-	var work []resend
-	for _, id := range g.ids {
-		op, ok := n.inserts[id]
-		if !ok || op.msg == nil {
-			continue
-		}
-		work = append(work, resend{reqID: id, msg: op.resendCopyLocked(attempt), exclude: op.lastHop})
-	}
-	if len(work) == 0 {
-		// Every member settled: the schedule dies here.
-		n.mu.Unlock()
-		return
-	}
-	n.retransmits.Add(uint64(len(work)))
-	n.clock.AfterFunc(n.retryDelayLocked(attempt+1), func() { n.resendInsertGroup(g) })
+	attempt := uint8(g.retry.attempt)
 	n.mu.Unlock()
 
+	n.retransmits.Add(uint64(len(msgs)))
 	ob := &outbox{n: n}
-	for i := range work {
-		w := &work[i]
-		n.retransmitInsert(w.reqID, &w.msg, w.exclude, ob)
+	for i := range msgs {
+		msgs[i].Attempt = attempt
+		n.retransmitInsert(&msgs[i], hops[i], ob)
 	}
 	ob.flush()
+}
+
+// nextHopAvoiding resolves the next hop toward target, avoiding exclude —
+// the first hop an un-acked attempt left through — while another exit
+// exists: the excluded contact may be the only one, and a repeat of a
+// possibly-fine path is better than a guaranteed dead end.
+func (n *Node) nextHopAvoiding(target bitstr.Code, exclude string) (string, bool) {
+	next, ok := n.ov.NextHopExcluding(target, exclude)
+	if !ok && exclude != "" {
+		next, ok = n.ov.NextHop(target)
+	}
+	return next, ok
 }
 
 // suspectHops reports the distinct non-empty hops to the overlay's

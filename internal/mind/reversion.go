@@ -6,7 +6,6 @@ import (
 
 	"mind/internal/embed"
 	"mind/internal/metrics"
-	"mind/internal/schema"
 	"mind/internal/wire"
 )
 
@@ -116,12 +115,17 @@ func (n *Node) treePushTo(addr string, ix *index, version uint32) {
 	if addr == "" || addr == n.ep.Addr() {
 		return
 	}
-	if !n.rateOnce(fmt.Sprintf("push|%s|%s|%d", addr, ix.sch.Tag, version), n.repairInterval()) {
-		return
+	if n.rateOnce(fmt.Sprintf("push|%s|%s|%d", addr, ix.sch.Tag, version), n.repairInterval()) {
+		n.sendTreePush(addr, ix, version)
 	}
+}
+
+// sendTreePush ships one version's tree, or its bare retirement marker;
+// a version still on the base tree has nothing authoritative to share.
+func (n *Node) sendTreePush(addr string, ix *index, version uint32) {
 	tree, epoch := ix.treeAndEpoch(version)
 	if epoch == 0 {
-		return // nothing authoritative to share
+		return
 	}
 	msg := &wire.TreePush{Index: ix.sch.Tag, Version: version, Epoch: epoch}
 	if epoch&retiredEpochBit == 0 {
@@ -132,20 +136,9 @@ func (n *Node) treePushTo(addr string, ix *index, version uint32) {
 }
 
 func (n *Node) handleTreePull(m *wire.TreePull) {
-	ix, ok := n.getIndex(m.Index)
-	if !ok {
-		return
+	if ix, ok := n.getIndex(m.Index); ok {
+		n.sendTreePush(m.From, ix, m.Version)
 	}
-	tree, epoch := ix.treeAndEpoch(m.Version)
-	if epoch == 0 {
-		return
-	}
-	msg := &wire.TreePush{Index: m.Index, Version: m.Version, Epoch: epoch}
-	if epoch&retiredEpochBit == 0 {
-		msg.Tree = tree.Marshal()
-	}
-	n.treePushes.Add(1)
-	n.send(m.From, msg)
 }
 
 func (n *Node) handleTreePush(m *wire.TreePush) {
@@ -212,7 +205,13 @@ func (n *Node) applyInstall(ix *index, version uint32, tree *embed.Tree, epoch u
 		return false
 	}
 	n.verInstalls.Add(1)
-	n.reshuffleVersion(ix, version)
+	// Repair mid-flip placement: records of the flipped version inserted
+	// before this node saw the install were placed by the old tree, so
+	// under the new cuts some of them belong elsewhere and queries
+	// decomposed with the new tree would never visit them here.
+	if n.ov.Joined() {
+		n.reshuffled.Add(uint64(n.rehomeForeign(ix, version)))
+	}
 	n.autoRetire(ix, version)
 	return true
 }
@@ -227,70 +226,6 @@ func (n *Node) applyRetire(ix *index, version uint32, marker uint64) {
 	ix.replicas.Drop(version)
 	ix.sums.Drop(version)
 	n.verRetired.Add(1)
-}
-
-// sendTrackedInsert dispatches one locally-originated repair insert
-// (reshuffle, post-step-down re-insertion) through the normal reliable
-// path: tracked with retransmission when the reliable layer is on,
-// fire-and-forget otherwise.
-func (n *Node) sendTrackedInsert(msg *wire.Insert) {
-	if n.retriesEnabled() {
-		reqID := msg.ReqID
-		op := &insertOp{msg: msg}
-		n.reqTracked.Add(1)
-		n.pendingGauge.Add(1)
-		n.mu.Lock()
-		n.inserts[reqID] = op
-		op.timer = n.clock.AfterFunc(n.cfg.InsertTimeout, func() {
-			n.finishInsert(reqID, InsertResult{OK: false, Err: errTimeout})
-		})
-		n.armInsertRetryLocked(reqID, op)
-		n.mu.Unlock()
-	} else {
-		msg.ReqID = 0
-	}
-	n.handleInsert(n.ep.Addr(), msg, nil)
-}
-
-// reshuffleVersion repairs mid-flip placement: records of the flipped
-// version inserted before this node saw the install were placed by the
-// old tree, so under the new cuts some of them belong elsewhere and
-// queries decomposed with the new tree would never visit them here.
-// Re-insert those through normal routing (tracked, so the reliable
-// layer retransmits). The local copies stay — content-hash dedup
-// collapses duplicates at query originators, and keeping them is the
-// conservative side of a lost re-insert.
-func (n *Node) reshuffleVersion(ix *index, version uint32) {
-	if !n.ov.Joined() || !ix.primary.Has(version) {
-		return
-	}
-	myCode := n.ov.Code()
-	tree, epoch := ix.treeAndEpoch(version)
-	depth := clampDepth(myCode.Len() + n.cfg.InsertDepthSlack)
-	var outs []*wire.Insert
-	var scratch []uint64
-	ix.primary.Version(version).All(func(rec schema.Record) bool {
-		scratch = rec.PointInto(ix.sch, scratch)
-		pc := tree.PointCode(scratch, depth)
-		if myCode.IsPrefixOf(pc) {
-			return true // still ours under the new cuts
-		}
-		outs = append(outs, &wire.Insert{
-			ReqID:      n.nextReq(),
-			OriginAddr: n.ep.Addr(),
-			Index:      ix.sch.Tag,
-			Version:    version,
-			RecID:      n.nextRecID(),
-			Rec:        append(schema.Record(nil), rec...),
-			Target:     pc,
-			TreeEpoch:  epoch,
-		})
-		return true
-	})
-	n.reshuffled.Add(uint64(len(outs)))
-	for _, msg := range outs {
-		n.sendTrackedInsert(msg)
-	}
 }
 
 // autoRetire closes the dual-version window: after version V installs,
@@ -344,46 +279,15 @@ func (n *Node) onStepDown(winner wire.NodeInfo) {
 	n.mu.Unlock()
 }
 
-// reinsertForeignPrimaries walks primary storage after a post-step-down
-// rejoin and re-inserts every record whose placement no longer falls
-// inside this node's (new, usually deeper) region — the loser's half of
-// the reconciliation contract: no acked record may be lost to the
-// fence. Local copies stay; query-side content dedup collapses the
-// duplicates.
+// reinsertForeignPrimaries runs after a post-step-down rejoin: every
+// primary record whose placement no longer falls inside this node's (new,
+// usually deeper) region is re-inserted — the loser's half of the
+// reconciliation contract: no acked record may be lost to the fence.
 func (n *Node) reinsertForeignPrimaries() {
-	myCode := n.ov.Code()
-	var outs []*wire.Insert
-	var scratch []uint64
 	for _, ix := range n.sortedIndices() {
 		for _, v := range ix.primary.Versions() {
-			tree, epoch := ix.treeAndEpoch(v)
-			if epoch&retiredEpochBit != 0 {
-				continue
-			}
-			depth := clampDepth(myCode.Len() + n.cfg.InsertDepthSlack)
-			ix.primary.Version(v).All(func(rec schema.Record) bool {
-				scratch = rec.PointInto(ix.sch, scratch)
-				pc := tree.PointCode(scratch, depth)
-				if myCode.IsPrefixOf(pc) {
-					return true
-				}
-				outs = append(outs, &wire.Insert{
-					ReqID:      n.nextReq(),
-					OriginAddr: n.ep.Addr(),
-					Index:      ix.sch.Tag,
-					Version:    v,
-					RecID:      n.nextRecID(),
-					Rec:        append(schema.Record(nil), rec...),
-					Target:     pc,
-					TreeEpoch:  epoch,
-				})
-				return true
-			})
+			n.reinserted.Add(uint64(n.rehomeForeign(ix, v)))
 		}
-	}
-	n.reinserted.Add(uint64(len(outs)))
-	for _, msg := range outs {
-		n.sendTrackedInsert(msg)
 	}
 }
 

@@ -126,8 +126,7 @@ type scatterOp struct {
 	// Reliable-request state (reliable.go): uncovered regions are re-asked
 	// on the backoff schedule, excluding the first hop their last attempt
 	// used.
-	attempt   int
-	retry     transport.Timer
+	retry     retrySchedule
 	retryHops map[string]string // region code (or "*": whole dispatch) → last first hop
 }
 
@@ -197,9 +196,7 @@ func (n *Node) scatter(tag string, rect schema.Rect, kind resolver, arg uint32, 
 	n.mu.Lock()
 	n.scatters[reqID] = op
 	op.timer = n.clock.AfterFunc(n.cfg.QueryTimeout, func() { n.finishScatter(reqID, false) })
-	if n.retriesEnabled() {
-		op.retry = n.clock.AfterFunc(n.retryDelayLocked(1), func() { n.resendScatter(reqID) })
-	}
+	op.retry.armLocked(n, func() { n.resendScatter(reqID) })
 	n.mu.Unlock()
 
 	// Per-tree dispatch fans out to the worker pool; inline and in order
@@ -217,14 +214,12 @@ func (n *Node) finishScatter(reqID uint64, complete bool) {
 	}
 	delete(n.scatters, reqID)
 	op.timer.Stop()
-	if op.retry != nil {
-		op.retry.Stop()
-	}
+	op.retry.stop()
 	o := outcome{
 		complete:   complete,
 		responders: len(op.responders),
 		maxHops:    op.maxHops,
-		retried:    op.attempt > 0,
+		retried:    op.retry.attempt > 0,
 	}
 	if !complete {
 		for _, v := range sortedVersions(op.tries) {
@@ -304,12 +299,7 @@ func (n *Node) checkQuerySkew(ix *index, p *piece) bool {
 // ring recovery at dead ends. The originator records each first hop so
 // a retransmission can leave through a different one.
 func (n *Node) routePiece(p *piece, exclude string) {
-	next, ok := n.ov.NextHopExcluding(p.region, exclude)
-	if !ok && exclude != "" {
-		// The excluded contact may be the only exit; better a repeat of a
-		// possibly-fine path than a guaranteed dead end.
-		next, ok = n.ov.NextHop(p.region)
-	}
+	next, ok := n.nextHopAvoiding(p.region, exclude)
 	if !ok {
 		// Dead end: the region's nodes are unreachable. Serve from
 		// replicas if this node backs the region up (§3.8), else probe
@@ -493,7 +483,7 @@ func (n *Node) resendScatter(reqID uint64) {
 		n.mu.Unlock()
 		return
 	}
-	if op.attempt >= n.cfg.MaxRetries {
+	if !op.retry.advanceLocked(n) {
 		hops := make([]string, 0, len(op.retryHops))
 		for _, hop := range op.retryHops {
 			hops = append(hops, hop)
@@ -502,7 +492,6 @@ func (n *Node) resendScatter(reqID uint64) {
 		n.suspectHops(hops)
 		return
 	}
-	op.attempt++
 
 	type resend struct {
 		p       piece
@@ -520,12 +509,11 @@ func (n *Node) resendScatter(reqID uint64) {
 			work = append(work, resend{exclude: exclude, p: piece{
 				kind: op.kind, reqID: reqID, origin: n.ep.Addr(), index: op.index,
 				versions: g.versions, rect: op.rect, region: region, arg: op.arg,
-				epoch: op.epochs[uint32(g.versions[0])], attempt: uint8(op.attempt),
+				epoch: op.epochs[uint32(g.versions[0])], attempt: uint8(op.retry.attempt),
 			}})
 		}
 	}
 	n.retransmits.Add(uint64(len(work)))
-	op.retry = n.clock.AfterFunc(n.retryDelayLocked(op.attempt+1), func() { n.resendScatter(reqID) })
 	n.mu.Unlock()
 
 	for i := range work {

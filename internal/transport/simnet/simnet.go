@@ -585,32 +585,29 @@ func (c simClock) Now() time.Time { return c.n.Now() }
 func (c simClock) AfterFunc(d time.Duration, f func()) transport.Timer {
 	c.n.mu.Lock()
 	defer c.n.mu.Unlock()
-	t := &simTimer{}
-	t.ev = c.n.schedule(c.n.now.Add(d), func() {
-		t.mu.Lock()
-		stopped := t.stopped
-		t.fired = true
-		t.mu.Unlock()
-		if !stopped {
+	t := &simTimer{f: f}
+	c.n.schedule(c.n.now.Add(d), func() {
+		if f := t.take(); f != nil {
 			f()
 		}
 	})
 	return t
 }
 
+// simTimer holds its callback only while it can still run: the event of
+// a stopped timer stays queued until its time comes, and must not keep
+// alive what the callback references (time.Timer.Stop drops it at once).
 type simTimer struct {
-	mu      sync.Mutex
-	ev      *event
-	stopped bool
-	fired   bool
+	mu sync.Mutex
+	f  func() // nil once fired or stopped
 }
 
-func (t *simTimer) Stop() bool {
+func (t *simTimer) take() func() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.fired || t.stopped {
-		return false
-	}
-	t.stopped = true
-	return true
+	f := t.f
+	t.f = nil
+	return f
 }
+
+func (t *simTimer) Stop() bool { return t.take() != nil }

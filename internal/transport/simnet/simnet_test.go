@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -282,6 +283,30 @@ func TestTimerStopAfterFire(t *testing.T) {
 	n.Run(0)
 	if tm.Stop() {
 		t.Fatal("Stop after fire returned true")
+	}
+}
+
+// TestStoppedTimerReleasesCallback: a stopped timer's event stays queued
+// until its time comes, but what the callback references must not — an
+// insert group stops a 30 s timer per batch and would otherwise stay
+// reachable from the event queue for 30 virtual seconds each.
+func TestStoppedTimerReleasesCallback(t *testing.T) {
+	n := New(Config{Seed: 1})
+	var freed atomic.Bool
+	func() {
+		held := new([64]byte)
+		runtime.SetFinalizer(held, func(*[64]byte) { freed.Store(true) })
+		n.Clock().AfterFunc(time.Hour, func() { held[0]++ }).Stop()
+	}()
+	for i := 0; i < 20 && !freed.Load(); i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if !freed.Load() {
+		t.Fatal("a stopped timer still pins what its callback references")
+	}
+	if n.Pending() == 0 {
+		t.Fatal("the stopped timer's event left the queue: the test no longer shows what it claims")
 	}
 }
 
