@@ -36,7 +36,7 @@ type FloodNode struct {
 	ep      transport.Endpoint
 	clock   transport.Clock
 	sch     *schema.Schema
-	local   *store.KD
+	local   *store.Sharded
 	peers   []string
 	queries map[uint64]*floodQuery
 	reqSeq  uint64
@@ -57,7 +57,7 @@ func NewFloodNode(ep transport.Endpoint, clock transport.Clock, sch *schema.Sche
 		ep:      ep,
 		clock:   clock,
 		sch:     sch,
-		local:   store.NewKD(sch),
+		local:   store.NewSharded(sch, store.Options{}),
 		peers:   append([]string(nil), peers...),
 		queries: make(map[uint64]*floodQuery),
 	}

@@ -17,13 +17,13 @@ type CentralServer struct {
 	mu    sync.Mutex
 	ep    transport.Endpoint
 	sch   *schema.Schema
-	data  *store.KD
+	data  *store.Sharded
 	acked uint64
 }
 
 // NewCentralServer creates the server on an endpoint.
 func NewCentralServer(ep transport.Endpoint, sch *schema.Schema) *CentralServer {
-	s := &CentralServer{ep: ep, sch: sch, data: store.NewKD(sch)}
+	s := &CentralServer{ep: ep, sch: sch, data: store.NewSharded(sch, store.Options{})}
 	ep.SetHandler(s.dispatch)
 	return s
 }

@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mind/internal/cluster"
+	"mind/internal/mind"
 )
 
 // -seeds widens the generated-schedule matrix: `go test ./internal/chaos
@@ -430,5 +433,24 @@ func TestGenerateValid(t *testing.T) {
 				delete(dead, e.A)
 			}
 		}
+	}
+}
+
+// TestCheckRollupFlagsDrift: the rollup invariant passes a node whose
+// rollups account for every primary record, names the node and index of
+// one whose do not, and ignores dead slots.
+func TestCheckRollupFlagsDrift(t *testing.T) {
+	ix := func(primary int, folded uint64, delta int) []mind.IndexInfo {
+		return []mind.IndexInfo{{Tag: "ix", PrimaryRecords: primary,
+			Summary: mind.SummaryInfo{StaticRecords: folded, DeltaRecords: delta}}}
+	}
+	snaps := []cluster.NodeState{
+		{Addr: "a", Joined: true, Indices: ix(300, 256, 44)},
+		{Addr: "b", Joined: true, Indices: ix(300, 256, 43)},
+		{Addr: "c", Dead: true},
+	}
+	got := CheckRollup(snaps)
+	if len(got) != 1 || !strings.Contains(got[0], "b index ix") {
+		t.Fatalf("CheckRollup = %q, want one violation naming node b", got)
 	}
 }

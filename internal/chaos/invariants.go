@@ -289,6 +289,25 @@ func CheckVersionAgreement(snaps []cluster.NodeState) []string {
 	return out
 }
 
+// CheckRollup: on every live node and index the aggregate rollups must
+// summarize exactly the primary records — each store shard owns the
+// rollup of its own records, so takeover absorbs, split transfers,
+// reshuffles and retirements, which insert into, rebuild and drop
+// engines, must never leave a record in one and not the other. An
+// aggregate answer's count is exact only while this holds.
+func CheckRollup(snaps []cluster.NodeState) []string {
+	var out []string
+	for _, s := range snaps {
+		for _, info := range s.Indices {
+			if got := int(info.Summary.StaticRecords) + info.Summary.DeltaRecords; got != info.PrimaryRecords {
+				out = append(out, fmt.Sprintf("%s index %s: rollups summarize %d records (%d folded + %d delta), primary store holds %d",
+					s.Addr, info.Tag, got, info.Summary.StaticRecords, info.Summary.DeltaRecords, info.PrimaryRecords))
+			}
+		}
+	}
+	return out
+}
+
 // CheckQuiescence: once the workload has drained and the network has
 // settled, no live node may still be tracking in-flight originator-side
 // inserts or queries — a nonzero count means a callback leaked or a
@@ -323,6 +342,7 @@ func CheckAll(snaps []cluster.NodeState, cfg CheckConfig) []Violation {
 		{"routability", CheckRoutability(snaps, cfg)},
 		{"replica-set", CheckReplicaSets(snaps, cfg)},
 		{"version-agreement", CheckVersionAgreement(snaps)},
+		{"rollup", CheckRollup(snaps)},
 	} {
 		for _, d := range c.details {
 			out = append(out, Violation{Invariant: c.name, Detail: d})

@@ -274,7 +274,7 @@ func AblationStore(seed int64, scale float64) (*Report, error) {
 		n = 20000
 	}
 	rng := xorshift(uint64(seed) + 23)
-	kd := store.NewKD(ix.i2)
+	kd := store.NewSharded(ix.i2, store.Options{})
 	sc := store.NewScan(ix.i2)
 	for i := 0; i < n; i++ {
 		rec := schema.Record{rng.next() % (1 << 32), rng.next() % 86400, rng.next() % schema.OctetsBound, rng.next() % (1 << 32), rng.next() % 34}

@@ -86,7 +86,6 @@ func Registry() map[string]Runner {
 
 		"ingest-stream": IngestStream,
 		"overload":      Overload,
-		"store-layout":  StoreLayout,
 		"whale-agg":     WhaleAgg,
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"flag"
 	"fmt"
 	"strings"
 	"testing"
@@ -9,6 +10,21 @@ import (
 // The experiment smoke tests run every figure/table regeneration at a
 // small scale and assert the paper's qualitative claims (the "shape"),
 // not absolute numbers.
+
+// -full adds the two shape tests that take minutes, not seconds — fig16's
+// 3 × 102-node failure escalation (≈ 180 s: the expanding-ring flood at
+// 30–50 % failures) and fig3's multi-day generation (≈ 17 s): `go test
+// ./internal/experiments -full`. CI runs them in their own job; without
+// the flag `go test ./...` stays under a minute.
+var full = flag.Bool("full", false, "also run the minutes-long shape tests (fig3, fig16)")
+
+func TestFull(t *testing.T) {
+	if !*full {
+		t.Skip("pass -full to run the fig3 and fig16 shape tests")
+	}
+	t.Run("Fig3Shape", testFig3Shape)
+	t.Run("Fig16Shape", testFig16Shape)
+}
 
 const testSeed = 20050405 // ICDE 2005
 
@@ -76,10 +92,7 @@ func TestFig2Shape(t *testing.T) {
 	}
 }
 
-func TestFig3Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-day generation")
-	}
+func testFig3Shape(t *testing.T) {
 	r, err := Fig3(testSeed, 0.22)
 	if err != nil {
 		t.Fatal(err)
@@ -236,10 +249,7 @@ func TestFig14Fig15Shape(t *testing.T) {
 	}
 }
 
-func TestFig16Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("3 × 102-node escalation runs")
-	}
+func testFig16Shape(t *testing.T) {
 	r, err := Fig16(testSeed, 0.05)
 	if err != nil {
 		t.Fatal(err)

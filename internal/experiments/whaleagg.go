@@ -14,8 +14,8 @@ import (
 // triage query: "how much traffic, and which destinations dominate it,
 // inside this wide rectangle?" A million Index-2-shaped records with a
 // handful of whale destinations hiding in uniform background land in
-// the sharded store and its lockstep rollup; each wide rectangle is
-// then answered two ways — exact (materialize every matching record
+// the sharded store, whose shards roll up their own records; each wide
+// rectangle is then answered two ways — exact (materialize every matching record
 // and fold it, what a coordinator without summaries must do) and
 // rollup (Resolve the cover, drill into only the boundary cells). The
 // headline rt_agg_speedup is the exact/rollup latency ratio; the
@@ -24,9 +24,9 @@ import (
 // every whale must surface in the sketch's top entries with its true
 // count inside the [count-err, count] interval.
 //
-// Like store-layout this runs on the wall clock, so the latency-derived
-// values carry the rt_ prefix benchdiff treats as informational; the
-// agg_ok and whale_found values are exact and gated.
+// This runs on the wall clock, so the latency-derived values carry the
+// rt_ prefix benchdiff treats as informational; the agg_ok and
+// whale_found values are exact and gated.
 func WhaleAgg(seed int64, scale float64) (*Report, error) {
 	r := newReport("whale-agg", "Summary rollup vs exact scan on wide aggregate rectangles (real-time)")
 
@@ -71,18 +71,13 @@ func WhaleAgg(seed int64, scale float64) (*Report, error) {
 	// whale's count at the 50k CI scale. K=128 keeps the low tree levels
 	// exact (leaf cells hold ~n/2^Depth/shards unique keys) so the floor
 	// stays an order of magnitude under the whales.
-	shards := store.ResolveShards(8)
 	const sketchK = 128
-	eng := store.NewSharded(sch, store.Options{Shards: shards})
-	sums := summary.NewShardedSummary(sch, shards, summary.Options{K: sketchK})
+	eng := store.NewSharded(sch, store.Options{Shards: 8, Rollup: &summary.Options{K: sketchK}})
 	loadStart := time.Now()
 	for i := 0; i < n; i++ {
-		rec := mkRec(i)
-		eng.Insert(rec)
-		sums.Insert(eng.ShardOf(rec), rec)
+		eng.Insert(mkRec(i))
 	}
 	eng.Compact()
-	sums.Fold()
 	load := time.Since(loadStart)
 
 	// Wide rectangles: the full space, then half/quarter/eighth windows of
@@ -151,9 +146,9 @@ func WhaleAgg(seed int64, scale float64) (*Report, error) {
 	rollupFold := func(rect schema.Rect) summary.Agg {
 		out := summary.NewAgg(arity, sketchK)
 		fold := summary.NewFold(arity)
-		covers := make([]*summary.Sketch, 0, sums.NumShards()+1)
-		for i := 0; i < sums.NumShards(); i++ {
-			covers = append(covers, summary.ResolveShard(sums.Shard(i), rect, func(cell schema.Rect, fn func(schema.Record)) {
+		covers := make([]*summary.Sketch, 0, eng.NumShards()+1)
+		for i := 0; i < eng.NumShards(); i++ {
+			covers = append(covers, summary.ResolveShard(eng.Rollup(i), rect, func(cell schema.Rect, fn func(schema.Record)) {
 				eng.VisitShard(i, cell, fn)
 			}, fold))
 		}
@@ -254,10 +249,16 @@ func WhaleAgg(seed int64, scale float64) (*Report, error) {
 			minSp = s
 		}
 	}
-	staticN, deltaN, folds := sums.Stats()
+	var summarized int
+	var folds uint64
+	for i := 0; i < eng.NumShards(); i++ {
+		_, _, f := eng.Rollup(i).Stats()
+		summarized += eng.Rollup(i).Len()
+		folds += f
+	}
 	r.Values["agg_ok"] = aggOK
 	r.Values["whale_found"] = whaleFound
-	r.Values["summary_records"] = float64(staticN) + float64(deltaN)
+	r.Values["summary_records"] = float64(summarized)
 	r.Values["summary_folds"] = float64(folds)
 	r.Values["whales_surfaced"] = float64(whalesSurfaced)
 	r.Values["rt_agg_speedup"] = speedup
@@ -265,6 +266,6 @@ func WhaleAgg(seed int64, scale float64) (*Report, error) {
 	r.Values["rt_agg_speedup_unaligned"] = unalignedSp
 	r.Values["rt_load_recs_per_sec"] = float64(n) / load.Seconds()
 	r.notef("n=%d records over %d shards; rollup answers aligned rects %.0fx faster than exact overall (worst %.0fx); unaligned window degrades to boundary scan (%.1fx)",
-		n, shards, speedup, minSp, unalignedSp)
+		n, eng.NumShards(), speedup, minSp, unalignedSp)
 	return r, nil
 }

@@ -68,11 +68,11 @@ type AggResult struct {
 // the distributed summary layer: the query greedy-routes to the first
 // abutting node, splits into per-region pieces, and each region answers
 // its partial aggregate in O(cover + boundary) from its rollup. topK
-// caps the heavy-hitter entries (0: the node's configured capacity).
+// caps the heavy-hitter entries (0: the summary layer's sketch capacity).
 // The callback fires once, with complete merged results or with
 // whatever arrived by the timeout.
 func (n *Node) Agg(tag string, rect schema.Rect, topK int, cb func(AggResult)) error {
-	topK = n.summaryK(topK)
+	topK = summaryK(topK)
 	return n.scatter(tag, rect, aggKind{}, uint32(topK), func(ix *index) accumulator {
 		return &aggAcc{
 			cb: cb, topK: topK, agg: summary.NewAgg(ix.sch.Arity(), topK),
@@ -126,13 +126,13 @@ func (aggKind) epochOnAnswer(piece) bool { return true }
 // the same exact-count brackets as a primary one.
 func (aggKind) resolve(n *Node, ix *index, p piece, a answer, replica bool) wire.Message {
 	versions := p.versions32()
-	out := summary.NewAgg(ix.sch.Arity(), n.summaryK(int(p.arg)))
+	out := summary.NewAgg(ix.sch.Arity(), summaryK(int(p.arg)))
 	if aggRect, ok := ix.tree(versions[0]).CodeRect(p.region).Intersect(p.rect); ok {
+		vs := ix.primary
 		if replica {
-			n.resolveLocalAgg(ix.replicas, nil, versions, aggRect, &out)
-		} else {
-			n.resolveLocalAgg(ix.primary, ix.sums, versions, aggRect, &out)
+			vs = ix.replicas
 		}
+		n.resolveLocalAgg(vs, versions, aggRect, &out)
 	}
 	if !replica {
 		n.aggAnswered.Add(1)
@@ -212,32 +212,26 @@ func (g *aggAcc) deliver(o outcome) {
 func (g *aggAcc) tally(s *Stats) { s.PendingAggs++ }
 
 // summaryK resolves a requested heavy-hitter count: non-positive asks
-// for the node's configured capacity.
-func (n *Node) summaryK(requested int) int {
+// for the summary layer's sketch capacity.
+func summaryK(requested int) int {
 	if requested > 0 {
 		return requested
-	}
-	if n.cfg.SummaryTopK > 0 {
-		return n.cfg.SummaryTopK
 	}
 	return summary.DefaultK
 }
 
 // resolveLocalAgg assembles one node's aggregate over rect for the
-// given versions of vs: per (version, shard), the summary rollup answers
-// the covered cells in O(cover) and the boundary cells are folded in
-// place from the same shard of the record store (summary shards are
-// aligned one-to-one with store shards, so each pair sees the same
-// record subset) — summary.ResolveShard, one store visit per cell, no
-// record slice. A version with no aligned summary (sums nil: the
+// given versions of vs: per (version, shard), the shard's own rollup
+// answers the covered cells in O(cover) and the boundary cells are
+// folded in place from the shard's records — summary.ResolveShard, one
+// store visit per cell, no record slice. A shard without a rollup (the
 // replica store) folds the rectangle whole. Fans onto the worker pool
 // when parallelism is enabled; the per-task folds add up exactly and
 // the sketch parts combine in one MergeMany batch, so the response
 // cannot depend on scheduling.
-func (n *Node) resolveLocalAgg(vs *store.Versioned, sums *summary.Versioned, versions []uint32, rect schema.Rect, out *summary.Agg) {
+func (n *Node) resolveLocalAgg(vs *store.Versioned, versions []uint32, rect schema.Rect, out *summary.Agg) {
 	type task struct {
 		eng   *store.Sharded
-		sums  *summary.Summary // nil: fold the shard's whole share of rect
 		shard int
 	}
 	var tasks []task
@@ -246,17 +240,8 @@ func (n *Node) resolveLocalAgg(vs *store.Versioned, sums *summary.Versioned, ver
 		if eng == nil {
 			continue
 		}
-		var ss *summary.Sharded
-		if sums != nil {
-			ss = sums.Get(v)
-		}
-		aligned := ss != nil && ss.NumShards() == eng.NumShards()
 		for s := 0; s < eng.NumShards(); s++ {
-			t := task{eng: eng, shard: s}
-			if aligned {
-				t.sums = ss.Shard(s)
-			}
-			tasks = append(tasks, t)
+			tasks = append(tasks, task{eng, s})
 		}
 	}
 	if len(tasks) == 0 {
@@ -267,7 +252,7 @@ func (n *Node) resolveLocalAgg(vs *store.Versioned, sums *summary.Versioned, ver
 	n.runSubTasks(len(tasks), func(i int) {
 		t := tasks[i]
 		folds[i] = summary.GetFold(len(out.Sums))
-		covers[i] = summary.ResolveShard(t.sums, rect, func(cell schema.Rect, fn func(schema.Record)) {
+		covers[i] = summary.ResolveShard(t.eng.Rollup(t.shard), rect, func(cell schema.Rect, fn func(schema.Record)) {
 			t.eng.VisitShard(t.shard, cell, fn)
 		}, folds[i])
 	})

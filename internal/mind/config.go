@@ -80,20 +80,6 @@ type Config struct {
 	// GOMAXPROCS).
 	StoreShards int
 
-	// SummaryDepth is the per-node aggregate rollup's cut depth
-	// (internal/summary.Options.Depth): aggregate answers touch at most
-	// O(2·Depth) rollup cells plus the boundary-cell store scans. Zero
-	// selects the summary default (8).
-	SummaryDepth int
-	// SummaryTopK is the heavy-hitter sketch capacity per rollup level
-	// (internal/summary.Options.K) and the default top-k width of Agg
-	// answers. Zero selects the summary default (32).
-	SummaryTopK int
-	// SummaryDeltaMax bounds each summary's insert delta before it folds
-	// into the static rollup (internal/summary.Options.DeltaMax). Zero
-	// selects the summary default (256).
-	SummaryDeltaMax int
-
 	// ClientRateLimit enables per-client token-bucket admission control
 	// on inbound client RPCs (ClientInsert / ClientQuery / index
 	// control), in requests per second per client address. A refused

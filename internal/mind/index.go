@@ -39,15 +39,14 @@ type index struct {
 	// re-flooding the old install. Absent means epoch 0 (base tree).
 	epochs map[uint32]uint64
 
+	// primary's engines carry the aggregate summary layer (DESIGN.md
+	// §4i): every (version, shard) owns the rollup of its own records
+	// (store.Options.Rollup), so inserting into, dropping or rebuilding a
+	// version's engine is all it takes to keep the two equal. Replica
+	// storage is NOT summarized: fail-over aggregate answers are rare and
+	// scan the replica store exactly.
 	primary  *store.Versioned
 	replicas *store.Versioned
-	// sums is the aggregate summary layer (DESIGN.md §4i): one rollup per
-	// (version, shard), maintained in lockstep with primary — inserted
-	// under the same stripe lock, sharded by the same routing function,
-	// folded by the store's merge hook, dropped on the same retirements.
-	// Replica storage is NOT summarized: fail-over aggregate answers are
-	// rare and scan the replica store exactly.
-	sums *summary.Versioned
 	// replicaOwners records the owner codes whose data we replicate,
 	// enabling fail-over answers for their regions.
 	replicaOwners map[bitstr.Code]bool
@@ -93,24 +92,17 @@ type recStripe struct {
 	seen *dedupSet
 }
 
-// newIndex creates an index with default store-engine and summary
-// options (tests).
+// newIndex creates an index with default store-engine options (tests).
 func newIndex(sch *schema.Schema, base *embed.Tree) *index {
-	return newIndexOpts(sch, base, store.Options{}, summary.Options{})
+	return newIndexOpts(sch, base, store.Options{})
 }
 
 // newIndexOpts creates an index whose versioned stores use the given
-// engine options (Config.StoreShards) and whose summary layer uses the
-// given rollup options. The summary is sharded identically to the
-// primary store (store.ResolveShards), and the primary's carry hook
-// folds the matching summary shard so the rollup tracks the store's
-// carry rhythm.
-func newIndexOpts(sch *schema.Schema, base *embed.Tree, opts store.Options, sopts summary.Options) *index {
-	sums := summary.NewVersioned(sch, store.ResolveShards(opts.Shards), sopts)
+// engine options (Config.StoreShards); the primary's engines also carry
+// a rollup with the summary layer's default options.
+func newIndexOpts(sch *schema.Schema, base *embed.Tree, opts store.Options) *index {
 	popts := opts
-	if popts.OnMerge == nil {
-		popts.OnMerge = func(shard, _ int) { sums.FoldShard(shard) }
-	}
+	popts.Rollup = &summary.Options{}
 	ix := &index{
 		sch:           sch,
 		base:          base,
@@ -118,7 +110,6 @@ func newIndexOpts(sch *schema.Schema, base *embed.Tree, opts store.Options, sopt
 		epochs:        make(map[uint32]uint64),
 		primary:       store.NewVersionedOpts(sch, popts),
 		replicas:      store.NewVersionedOpts(sch, opts),
-		sums:          sums,
 		replicaOwners: make(map[bitstr.Code]bool),
 		timeAttr:      -1,
 	}
@@ -333,14 +324,14 @@ func (ix *index) def() wire.IndexDef {
 const baseVersionSentinel = ^uint32(0)
 
 // indexFromDef reconstructs an index from a wire definition with
-// default store and summary options (tests and standalone callers).
+// default store options (tests and standalone callers).
 func indexFromDef(d wire.IndexDef) (*index, error) {
-	return indexFromDefOpts(d, store.Options{}, summary.Options{})
+	return indexFromDefOpts(d, store.Options{})
 }
 
 // indexFromDefOpts reconstructs an index from a wire definition, with
-// the node's store engine and summary options.
-func indexFromDefOpts(d wire.IndexDef, opts store.Options, sopts summary.Options) (*index, error) {
+// the node's store engine options.
+func indexFromDefOpts(d wire.IndexDef, opts store.Options) (*index, error) {
 	if err := d.Schema.Validate(); err != nil {
 		return nil, err
 	}
@@ -368,7 +359,7 @@ func indexFromDefOpts(d wire.IndexDef, opts store.Options, sopts summary.Options
 	if base == nil {
 		base = embed.Uniform(d.Schema.Bounds())
 	}
-	ix := newIndexOpts(d.Schema, base, opts, sopts)
+	ix := newIndexOpts(d.Schema, base, opts)
 	ix.vers = vers
 	ix.epochs = epochs
 	return ix, nil
@@ -387,14 +378,7 @@ func (ix *index) storeRecord(v uint32, recID uint64, rec schema.Record) bool {
 	if s.seen.Seen(recID) {
 		return false
 	}
-	// Store and summary mutate under the same stripe lock, so the two
-	// multisets advance in lockstep per record id: any record the store
-	// acknowledges is summarized, and vice versa. The summary shard is
-	// the store's own routing, keeping the (version, shard) partitions
-	// identical for the aggregate fan-out.
-	eng := ix.primary.Version(v)
-	eng.Insert(rec)
-	ix.sums.Version(v).Insert(eng.ShardOf(rec), rec)
+	ix.primary.Insert(v, rec)
 	return true
 }
 
@@ -455,11 +439,9 @@ func (ix *index) absorbReplicas(dead bitstr.Code) {
 	// replicated record whose point falls inside the dead region.
 	for _, v := range ix.replicas.Versions() {
 		eng := ix.primary.Version(v)
-		ss := ix.sums.Version(v)
 		placed(ix.sch, ix.treeLocked(v), ix.replicas.Version(v), dead.Len(), func(rec schema.Record, pc bitstr.Code) {
 			if dead.IsPrefixOf(pc) {
 				eng.Insert(rec)
-				ss.Insert(eng.ShardOf(rec), rec)
 			}
 		})
 	}

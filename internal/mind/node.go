@@ -23,7 +23,6 @@ import (
 	"mind/internal/metrics"
 	"mind/internal/schema"
 	"mind/internal/store"
-	"mind/internal/summary"
 	"mind/internal/transport"
 	"mind/internal/wire"
 )
@@ -562,7 +561,7 @@ func (n *Node) onJoined(accept *wire.JoinAccept) {
 			}
 			continue
 		}
-		ix, err := indexFromDefOpts(d, n.storeOpts(), n.summaryOpts())
+		ix, err := indexFromDefOpts(d, n.storeOpts())
 		if err != nil {
 			continue
 		}
@@ -635,16 +634,6 @@ func (n *Node) storeOpts() store.Options {
 	return store.Options{Shards: n.cfg.StoreShards}
 }
 
-// summaryOpts maps the node config's summary-layer knobs onto
-// summary.Options (zeros select the summary defaults).
-func (n *Node) summaryOpts() summary.Options {
-	return summary.Options{
-		Depth:    n.cfg.SummaryDepth,
-		K:        n.cfg.SummaryTopK,
-		DeltaMax: n.cfg.SummaryDeltaMax,
-	}
-}
-
 // CreateIndex installs a new index locally and floods its definition
 // across the overlay (§3.4). A nil tree gets the uniform embedding; pass
 // a histogram-balanced tree to start balanced (§3.7).
@@ -663,7 +652,7 @@ func (n *Node) CreateIndex(sch *schema.Schema, tree *embed.Tree) error {
 		n.ixMu.Unlock()
 		return fmt.Errorf("mind: index %q already exists", sch.Tag)
 	}
-	ix := newIndexOpts(sch.Clone(), tree, n.storeOpts(), n.summaryOpts())
+	ix := newIndexOpts(sch.Clone(), tree, n.storeOpts())
 	n.indices[sch.Tag] = ix
 	n.ixMu.Unlock()
 	def := ix.def()
@@ -726,8 +715,8 @@ type IndexInfo struct {
 	// records.
 	HistoryAddr string `json:"history_addr,omitempty"`
 	// Summary is the per-index aggregate rollup state (hierarchical
-	// counters plus heavy-hitter sketches), maintained in lockstep with
-	// the primary store.
+	// counters plus heavy-hitter sketches), summed over the primary
+	// store's shards, each of which owns its rollup.
 	Summary SummaryInfo `json:"summary"`
 	// Stores is the shape of every stored version's engines, shard by
 	// shard: ladder levels, tail fill and carry counters.
@@ -746,8 +735,10 @@ type StoreInfo struct {
 // SummaryInfo is one index's rollup maintenance state: how many records
 // the folded (static) and unfolded (delta) rollup halves hold across
 // all versions, and how many delta folds have run. StaticRecords +
-// DeltaRecords always equals PrimaryRecords — the rollup advances in
-// lockstep with the store under the same stripe locks.
+// DeltaRecords equals PrimaryRecords at quiescence — every rollup is
+// owned by the store shard whose records it summarizes, fed by that
+// shard's inserts and dropped with it (chaos.CheckRollup holds nodes to
+// it).
 type SummaryInfo struct {
 	StaticRecords uint64 `json:"static_records"`
 	DeltaRecords  int    `json:"delta_records"`
@@ -783,14 +774,18 @@ func (n *Node) IndexInfos() []IndexInfo {
 		if active, addr := ix.history(n.clock.Now()); active {
 			info.HistoryAddr = addr
 		}
-		staticN, deltaN, folds := ix.sums.Stats()
-		info.Summary = SummaryInfo{StaticRecords: staticN, DeltaRecords: deltaN, Folds: folds}
 		versions := slices.Concat(info.Versions, ix.replicas.Versions())
 		slices.Sort(versions)
 		for _, v := range slices.Compact(versions) {
 			si := StoreInfo{Version: v}
 			if eng := ix.primary.Get(v); eng != nil {
 				si.Primary = eng.Shape()
+				for s := range si.Primary {
+					staticN, deltaN, folds := eng.Rollup(s).Stats()
+					info.Summary.StaticRecords += staticN
+					info.Summary.DeltaRecords += deltaN
+					info.Summary.Folds += folds
+				}
 			}
 			if eng := ix.replicas.Get(v); eng != nil {
 				si.Replicas = eng.Shape()
@@ -872,7 +867,7 @@ func (n *Node) handleCreateIndex(m *wire.CreateIndex) {
 	}
 	n.ixMu.Lock()
 	if _, exists := n.indices[m.Def.Schema.Tag]; !exists {
-		if ix, err := indexFromDefOpts(m.Def, n.storeOpts(), n.summaryOpts()); err == nil {
+		if ix, err := indexFromDefOpts(m.Def, n.storeOpts()); err == nil {
 			n.indices[m.Def.Schema.Tag] = ix
 		}
 	}

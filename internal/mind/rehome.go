@@ -127,12 +127,9 @@ func (n *Node) onSplit(oldCode, newCode bitstr.Code, joiner wire.NodeInfo) {
 			})
 			if len(keep) < st.Len() {
 				ix.primary.Drop(v)
-				ix.sums.Drop(v)
 				eng := ix.primary.Version(v)
-				ss := ix.sums.Version(v)
 				for _, rec := range keep {
 					eng.Insert(rec)
-					ss.Insert(eng.ShardOf(rec), rec)
 				}
 			}
 		}

@@ -224,7 +224,6 @@ func (n *Node) applyRetire(ix *index, version uint32, marker uint64) {
 	}
 	ix.primary.Drop(version)
 	ix.replicas.Drop(version)
-	ix.sums.Drop(version)
 	n.verRetired.Add(1)
 }
 
@@ -252,7 +251,6 @@ func (n *Node) autoRetire(ix *index, installed uint32) {
 			n.verRetired.Add(1)
 		}
 		ix.replicas.Drop(v)
-		ix.sums.Drop(v)
 	}
 	// Tree-only versions (no local data) retire too.
 	for _, v := range ix.treeVersions() {
@@ -262,7 +260,6 @@ func (n *Node) autoRetire(ix *index, installed uint32) {
 		}
 		if ix.retire(v, retiredEpochBit|e&^retiredEpochBit) {
 			ix.replicas.Drop(v)
-			ix.sums.Drop(v)
 			n.verRetired.Add(1)
 		}
 	}

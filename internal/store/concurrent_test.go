@@ -8,9 +8,11 @@ import (
 	"mind/internal/schema"
 )
 
-// TestKDConcurrentInsertQuery exercises the single-writer/multi-reader
-// contract under -race: writers insert while readers query, count and
-// stream concurrently, then a final differential check against the
+// TestKDConcurrentInsertQuery exercises the writer-mutex/lock-free-reader
+// contract under -race on ONE shard (TestShardedConcurrentInsertQuery
+// spreads the writers over four): every writer contends on the same
+// mutex and every carry lands beside the same readers, which query,
+// count and stream concurrently; a final differential check against the
 // oracle proves no record was lost or duplicated.
 func TestKDConcurrentInsertQuery(t *testing.T) {
 	const (
@@ -18,7 +20,7 @@ func TestKDConcurrentInsertQuery(t *testing.T) {
 		readers       = 4
 		recsPerWriter = 2000
 	)
-	kd := NewKD(sch3())
+	kd := contractStore()
 	recs := make([][]schema.Record, writers)
 	for w := range recs {
 		r := rand.New(rand.NewSource(int64(100 + w)))
@@ -87,21 +89,17 @@ func TestKDConcurrentInsertQuery(t *testing.T) {
 }
 
 // BenchmarkStoreConcurrentQuery compares parallel read throughput of
-// three read disciplines over the same 100k records: the sharded ladder
-// engine (compacted: all records in one leaf-bucketed arena), the
-// snapshot-reading pointer KD, and the old single-big-lock discipline
+// two read disciplines over the same 100k records in the sharded ladder
+// engine (compacted: all records in one leaf-bucketed arena): its own
+// lock-free snapshot reads, and the old single-big-lock discipline
 // (every query serialized behind one mutex, as Node.mu used to impose).
-// Run with -cpu 1,4,16: the lock-free paths must scale with readers
-// while the single-lock path stays flat, and sharded must beat snapshot
-// per-op from its arena layout.
+// Run with -cpu 1,4,16: the lock-free path must scale with readers
+// while the single-lock path stays flat.
 func BenchmarkStoreConcurrentQuery(b *testing.B) {
 	r := rand.New(rand.NewSource(37))
-	kd := NewKD(sch3())
 	sharded := NewSharded(sch3(), Options{})
 	for i := 0; i < 100000; i++ {
-		rec := randRec(r)
-		kd.Insert(rec)
-		sharded.Insert(rec)
+		sharded.Insert(randRec(r))
 	}
 	sharded.Compact()
 	// Selective window rects (≈1% of each dimension), the shape of the
@@ -134,18 +132,6 @@ func BenchmarkStoreConcurrentQuery(b *testing.B) {
 		})
 	})
 
-	b.Run("snapshot", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetParallelism(8)
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				_ = kd.Query(rects[i%len(rects)])
-				i++
-			}
-		})
-	})
-
 	b.Run("singlelock", func(b *testing.B) {
 		var mu sync.Mutex
 		b.ReportAllocs()
@@ -154,7 +140,7 @@ func BenchmarkStoreConcurrentQuery(b *testing.B) {
 			i := 0
 			for pb.Next() {
 				mu.Lock()
-				_ = kd.Query(rects[i%len(rects)])
+				_ = sharded.Query(rects[i%len(rects)])
 				mu.Unlock()
 				i++
 			}

@@ -7,7 +7,7 @@ import (
 
 func TestKDDuplicateHeavy(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
-	kd, sc := NewKD(sch3()), NewScan(sch3())
+	kd, sc := contractStore(), NewScan(sch3())
 	// Hot-pair-like workload: many records sharing identical or
 	// near-identical indexed coordinates, timestamps monotone.
 	for i := 0; i < 3000; i++ {

@@ -21,19 +21,16 @@ func benchRects(r *rand.Rand) []schema.Rect {
 }
 
 // BenchmarkStoreLayout runs the same selective range queries against
-// each layout on identical data: the pointer KD tree, the bare Static
-// arena, and the Sharded engine at 1 and 4 shards. It is the measured
-// basis for the engine's constants — static beats KD by the cache-layout
-// margin at the leafRows that shipped, sharded1 matches static, and
-// sharded4 shows the per-shard traversal cost hash routing imposes on
-// every read (why defaultShards is 1).
+// each layout on identical data: the bare Static arena and the Sharded
+// engine at 1 and 4 shards. It is the measured basis for the engine's
+// constants — sharded1 matches static, and sharded4 shows the per-shard
+// traversal cost hash routing imposes on every read (why defaultShards
+// is 1).
 func BenchmarkStoreLayout(b *testing.B) {
 	r := rand.New(rand.NewSource(37))
-	kd := NewKD(sch3())
 	recs := make([]schema.Record, 100000)
 	for i := range recs {
 		recs[i] = randRec(r)
-		kd.Insert(recs[i])
 	}
 	st := NewStatic(sch3(), append([]schema.Record(nil), recs...))
 	sh1 := NewSharded(sch3(), Options{Shards: 1})
@@ -45,12 +42,6 @@ func BenchmarkStoreLayout(b *testing.B) {
 	sh1.Compact()
 	sh4.Compact()
 	rects := benchRects(r)
-	b.Run("kd", func(b *testing.B) {
-		var out []schema.Record
-		for i := 0; i < b.N; i++ {
-			out = kd.QueryAppend(rects[i%256], out[:0])
-		}
-	})
 	b.Run("static", func(b *testing.B) {
 		var out []schema.Record
 		for i := 0; i < b.N; i++ {

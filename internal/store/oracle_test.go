@@ -33,7 +33,7 @@ func fuzzVal(mode, b byte) uint64 {
 // whatever the stream — attribute values above the schema bound,
 // rectangle edges at, just below and above it, Lo above the bound (must
 // be empty), inverted rectangles, records straddling tail → ladder
-// carries — Static, KD and Sharded must answer Visit, Query and Count
+// carries — Static and Sharded must answer Visit, Query and Count
 // exactly as the Scan oracle, which clamps every record the slow way,
 // and Sharded's Len and All must track it after every op. The engines
 // test RAW values against an unclamped rectangle; this is the test that
@@ -58,7 +58,6 @@ func FuzzStoreOracle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, shardsRaw uint8) {
 		sch := sch3()
 		eng := smallTail(1<<(shardsRaw%3), 4+int(shardsRaw%13)) // carries every few records
-		kd := NewKD(sch)
 		sc := NewScan(sch)
 		check := func(rect schema.Rect) {
 			want := sc.Query(rect)
@@ -67,7 +66,7 @@ func FuzzStoreOracle(f *testing.F) {
 				Visit(schema.Rect, func(schema.Record))
 				Query(schema.Rect) []schema.Record
 				Count(schema.Rect) int
-			}{"static": st, "kd": kd, "sharded": eng} {
+			}{"static": st, "sharded": eng} {
 				var visited []schema.Record
 				e.Visit(rect, func(rec schema.Record) { visited = append(visited, rec) })
 				if !sameRecs(visited, want) {
@@ -88,7 +87,6 @@ func FuzzStoreOracle(f *testing.F) {
 					fuzzVal(data[i+5], data[i+6]), uint64(i),
 				}
 				eng.Insert(rec)
-				kd.Insert(rec)
 				sc.Insert(rec)
 				var all []schema.Record
 				eng.All(func(rec schema.Record) bool { all = append(all, rec); return true })
@@ -130,8 +128,8 @@ func FuzzStoreOracle(f *testing.F) {
 		if got := eng.Count(schema.Rect{Lo: []uint64{b + 1, 0, 0}, Hi: []uint64{m, m, m}}); got != 0 {
 			t.Fatalf("Lo above the bound matched %d records", got)
 		}
-		if eng.Len() != sc.Len() || kd.Len() != sc.Len() {
-			t.Fatalf("Len: sharded %d kd %d oracle %d", eng.Len(), kd.Len(), sc.Len())
+		if eng.Len() != sc.Len() {
+			t.Fatalf("Len: sharded %d oracle %d", eng.Len(), sc.Len())
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"mind/internal/schema"
+	"mind/internal/summary"
 )
 
 // The engine's sizes are fixed constants, NOT hardware probes or knobs:
@@ -40,13 +41,12 @@ type Options struct {
 	// query — leave it at the single-shard default unless writers
 	// contend. 0 selects the deterministic default (1).
 	Shards int
-	// OnMerge, when set, observes each carry with the shard index and
-	// the length of the level the carry formed. It is invoked at the end
-	// of the carry while the shard writer mutex is held, so the callback
-	// must be fast and must not re-enter the store. The mind layer hooks
-	// the per-shard summary fold here so the aggregate layer tracks the
-	// store's carry rhythm.
-	OnMerge func(shard, levelLen int)
+	// Rollup, when non-nil, gives every shard its own aggregate summary
+	// (DESIGN.md §4i) built with these options: Insert feeds it the row
+	// it just published, every carry folds it, and Rollup(i) reads it —
+	// the shard and its rollup hold the same records by construction.
+	// Nil (replica stores) keeps no rollup.
+	Rollup *summary.Options
 }
 
 func (o Options) withDefaults() Options {
@@ -62,14 +62,6 @@ func (o Options) withDefaults() Options {
 	}
 	o.Shards = n
 	return o
-}
-
-// ResolveShards reports the shard count Options{Shards: n} resolves to
-// after defaulting, power-of-two rounding and capping — for callers (the
-// summary layer) that must partition a side structure identically to the
-// store engine.
-func ResolveShards(n int) int {
-	return Options{Shards: n}.withDefaults().Shards
 }
 
 // tail is a shard's insert buffer: one fixed-capacity arena of unsorted
@@ -107,9 +99,10 @@ type shardSnap struct {
 type engineShard struct {
 	mu          sync.Mutex
 	snap        atomic.Pointer[shardSnap]
-	carries     atomic.Uint64 // lifetime carries
-	carriedRows atomic.Uint64 // Σ rows written into a new level
-	_           [32]byte
+	roll        *summary.Summary // nil without Options.Rollup; fed and folded under mu
+	carries     atomic.Uint64    // lifetime carries
+	carriedRows atomic.Uint64    // Σ rows written into a new level
+	_           [24]byte
 }
 
 // Sharded is the store engine, partitioned into per-core shards routed
@@ -133,7 +126,6 @@ type Sharded struct {
 	bounds []uint64
 	dims   int
 	arity  int
-	opts   Options
 	// tailCap is the tail capacity in rows: tailRows, except that tests
 	// shrink it before the first insert so carries fire every few records.
 	tailCap int
@@ -149,7 +141,6 @@ func NewSharded(sch *schema.Schema, opts Options) *Sharded {
 		bounds:  sch.Bounds(),
 		dims:    sch.Dims(),
 		arity:   sch.Arity(),
-		opts:    opts,
 		tailCap: tailRows,
 		mask:    uint64(opts.Shards - 1),
 		shards:  make([]engineShard, opts.Shards),
@@ -157,6 +148,9 @@ func NewSharded(sch *schema.Schema, opts Options) *Sharded {
 	empty := &shardSnap{}
 	for i := range e.shards {
 		e.shards[i].snap.Store(empty)
+		if opts.Rollup != nil {
+			e.shards[i].roll = summary.New(sch, *opts.Rollup)
+		}
 	}
 	return e
 }
@@ -181,11 +175,10 @@ func (e *Sharded) shardOf(rec schema.Record) int {
 	return int((h ^ h>>32) & e.mask)
 }
 
-// ShardOf exposes the shard routing function: the shard index a record
-// resolves to. Callers that maintain side structures partitioned in
-// lockstep with the store (the summary layer) route with this so both
-// partitions stay identical.
-func (e *Sharded) ShardOf(rec schema.Record) int { return e.shardOf(rec) }
+// Rollup returns shard i's summary, or nil when the engine was built
+// without Options.Rollup. It summarizes exactly the records VisitShard(i)
+// streams, so the aggregate path pairs the two per shard.
+func (e *Sharded) Rollup(i int) *summary.Summary { return e.shards[i].roll }
 
 // newTail allocates an empty tail arena.
 func (e *Sharded) newTail() *tail {
@@ -193,9 +186,11 @@ func (e *Sharded) newTail() *tail {
 }
 
 // Insert copies the record into its shard's tail and carries the tail
-// into the ladder when that fills it. Between carries it performs zero
-// heap allocations (hash + row copy + atomic length store); the caller
-// keeps ownership of rec.
+// into the ladder when that fills it. Between carries the store itself
+// performs zero heap allocations (hash + row copy + atomic length store);
+// the caller keeps ownership of rec. The shard's rollup, if any, is
+// handed the published tail row — immutable from here on — so its delta
+// is views of the tail, not a second copy.
 func (e *Sharded) Insert(rec schema.Record) {
 	i := e.shardOf(rec)
 	sh := &e.shards[i]
@@ -207,10 +202,14 @@ func (e *Sharded) Insert(rec schema.Record) {
 	}
 	t := snap.tail
 	n := int(t.n.Load())
-	copy(t.rows[n*e.arity:(n+1)*e.arity], rec)
+	row := t.rows[n*e.arity : (n+1)*e.arity : (n+1)*e.arity]
+	copy(row, rec)
 	t.n.Store(int64(n + 1))
+	if sh.roll != nil {
+		sh.roll.Insert(row)
+	}
 	if n+1 == e.tailCap {
-		e.carryLocked(i, sh, snap, false)
+		e.carryLocked(sh, snap, false)
 	}
 	sh.mu.Unlock()
 }
@@ -221,10 +220,11 @@ func (e *Sharded) Insert(rec schema.Record) {
 // them when everything is set) — the binary-counter carry, which keeps
 // level lengths strictly decreasing. The new level's arena is the
 // absorbed arenas and the tail appended oldest first, then partitioned
-// in place. Caller holds sh.mu. The old snapshot's parts are never
-// mutated: in-flight readers drain on them and the GC reclaims them
-// after.
-func (e *Sharded) carryLocked(i int, sh *engineShard, snap *shardSnap, everything bool) {
+// in place, and the shard's rollup folds last, so its delta never
+// outlives the tail it views. Caller holds sh.mu. The old snapshot's
+// parts are never mutated: in-flight readers drain on them and the GC
+// reclaims them after.
+func (e *Sharded) carryLocked(sh *engineShard, snap *shardSnap, everything bool) {
 	tailRun := snap.tail.published(e.arity)
 	run, keep := len(tailRun), len(snap.levels)
 	for keep > 0 && (everything || len(snap.levels[keep-1].rows) <= run) {
@@ -245,8 +245,8 @@ func (e *Sharded) carryLocked(i int, sh *engineShard, snap *shardSnap, everythin
 	sh.snap.Store(next)
 	sh.carries.Add(1)
 	sh.carriedRows.Add(uint64(run / e.arity))
-	if e.opts.OnMerge != nil {
-		e.opts.OnMerge(i, run/e.arity)
+	if sh.roll != nil {
+		sh.roll.Fold()
 	}
 }
 
@@ -259,7 +259,7 @@ func (e *Sharded) Compact() {
 		sh.mu.Lock()
 		snap := sh.snap.Load()
 		if len(snap.levels) > 1 || len(snap.tail.published(e.arity)) > 0 {
-			e.carryLocked(i, sh, snap, true)
+			e.carryLocked(sh, snap, true)
 		}
 		sh.mu.Unlock()
 	}

@@ -169,8 +169,8 @@ func TestShardedDeterministicPlacement(t *testing.T) {
 	}
 }
 
-// TestShardedConcurrentInsertQuery mirrors TestKDConcurrentInsertQuery
-// for the sharded engine under -race: concurrent writers drive tails
+// TestShardedConcurrentInsertQuery is TestKDConcurrentInsertQuery over
+// four shards under -race: concurrent writers drive tails
 // through carry after carry while readers query, count and stream, then a
 // differential sweep against the oracle proves nothing was lost or
 // duplicated.
@@ -249,14 +249,12 @@ func TestShardedConcurrentInsertQuery(t *testing.T) {
 	}
 }
 
-// TestKDLenNeverLeadsVisible pins the Insert publish order: size is
-// incremented only after the node is linked, so a reader that observes
-// Len() == n can always count at least n records. (The regression this
-// guards: publishing size before the child-pointer store let a
-// concurrent Count momentarily trail Len with no insert in flight
-// anymore.)
+// TestKDLenNeverLeadsVisible pins the Insert publish order: a tail row
+// is written before the length that publishes it, and a carry publishes
+// its level and fresh tail in one snapshot, so a reader that observes
+// Len() == n can always count at least n records afterwards.
 func TestKDLenNeverLeadsVisible(t *testing.T) {
-	kd := NewKD(sch3())
+	kd := contractStore()
 	full := fullRect()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

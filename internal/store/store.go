@@ -17,11 +17,12 @@
 //     hash of the record's indexed point, each a logarithmic-method
 //     ladder of Static arenas behind a small unsorted tail arena that
 //     absorbs inserts and is carried into the ladder when it fills.
+//     A shard built with Options.Rollup also owns the aggregate summary
+//     of its records (internal/summary, DESIGN.md §4i): it feeds it on
+//     insert and folds it on carry, so nothing outside this package
+//     knows how a version's records are partitioned.
 //   - Versioned (versioned.go) keeps one Sharded engine per index
 //     version (§3.7).
-//   - KD (delta.go) is the mutable copy-on-write pointer k-d tree the
-//     engine used before the ladder. It is no part of the engine any
-//     more; internal/baseline and two experiments still build it.
 //
 // A Store holds the records of one index (or one daily version of one
 // index) at one node. Scan, the differential-test oracle, keeps the old
@@ -224,7 +225,6 @@ func (s *Scan) All(yield func(rec schema.Record) bool) {
 }
 
 var (
-	_ Store = (*KD)(nil)
 	_ Store = (*Scan)(nil)
 	_ Store = (*Sharded)(nil)
 )

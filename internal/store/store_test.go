@@ -65,8 +65,14 @@ func sameRecs(a, b []schema.Record) bool {
 	return true
 }
 
+// contractStore is the engine the Store-contract tests below run on: one
+// shard whose tail holds 16 rows, so a few dozen inserts already cross
+// carries of several sizes. The tests' TestKD names are historical —
+// they were written against the pointer k-d tree the ladder replaced.
+func contractStore() *Sharded { return smallTail(1, 16) }
+
 func TestKDEmptyQuery(t *testing.T) {
-	kd := NewKD(sch3())
+	kd := contractStore()
 	if kd.Len() != 0 {
 		t.Fatal("new store not empty")
 	}
@@ -76,7 +82,7 @@ func TestKDEmptyQuery(t *testing.T) {
 }
 
 func TestKDInsertQueryBasic(t *testing.T) {
-	kd := NewKD(sch3())
+	kd := contractStore()
 	kd.Insert(schema.Record{10, 20, 30, 111})
 	kd.Insert(schema.Record{50, 60, 70, 222})
 	kd.Insert(schema.Record{10, 20, 30, 333}) // duplicate point, distinct payload
@@ -98,7 +104,7 @@ func TestKDInsertQueryBasic(t *testing.T) {
 }
 
 func TestKDBoundaryInclusive(t *testing.T) {
-	kd := NewKD(sch3())
+	kd := contractStore()
 	kd.Insert(schema.Record{100, 200, 300, 0})
 	q := schema.Rect{Lo: []uint64{100, 200, 300}, Hi: []uint64{100, 200, 300}}
 	if len(kd.Query(q)) != 1 {
@@ -112,7 +118,7 @@ func TestKDBoundaryInclusive(t *testing.T) {
 
 func TestKDClampedRecords(t *testing.T) {
 	// Records above the attribute bound land in the topmost coordinate.
-	kd := NewKD(sch3())
+	kd := contractStore()
 	kd.Insert(schema.Record{50000, 1, 1, 0}) // x clamps to 9999
 	q := schema.Rect{Lo: []uint64{9999, 0, 0}, Hi: []uint64{9999, 9999, 9999}}
 	if len(kd.Query(q)) != 1 {
@@ -122,7 +128,7 @@ func TestKDClampedRecords(t *testing.T) {
 
 func TestKDMatchesScanRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
-	kd, sc := NewKD(sch3()), NewScan(sch3())
+	kd, sc := contractStore(), NewScan(sch3())
 	for i := 0; i < 3000; i++ {
 		rec := randRec(r)
 		kd.Insert(rec)
@@ -145,14 +151,14 @@ func TestKDMatchesScanRandom(t *testing.T) {
 
 func TestKDRebalanceMonotoneInsert(t *testing.T) {
 	// Monotone insertion order (sorted timestamps) must not degrade the
-	// tree to a list.
-	kd := NewKD(sch3())
+	// ladder to a list of tail-sized levels.
+	kd := contractStore()
 	n := 20000
 	for i := 0; i < n; i++ {
 		kd.Insert(schema.Record{uint64(i % 9999), uint64(i % 9999), uint64(i % 9999), uint64(i)})
 	}
-	if d := kd.Depth(); d > 60 {
-		t.Errorf("depth %d after monotone insert of %d records", d, n)
+	if levels := kd.Shape()[0].Levels; len(levels) > 12 { // ceil(log2(20000/16)) + 1
+		t.Errorf("%d levels %v after monotone insert of %d records", len(levels), levels, n)
 	}
 	// Queries must still be correct after rebuilds.
 	sc := NewScan(sch3())
@@ -170,7 +176,7 @@ func TestKDRebalanceMonotoneInsert(t *testing.T) {
 
 func TestKDAllStreams(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
-	kd := NewKD(sch3())
+	kd := contractStore()
 	want := map[uint64]bool{}
 	for i := 0; i < 500; i++ {
 		rec := randRec(r)
@@ -215,31 +221,6 @@ func TestScanAll(t *testing.T) {
 	}
 }
 
-func TestSelectNth(t *testing.T) {
-	r := rand.New(rand.NewSource(34))
-	kd := NewKD(sch3())
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + r.Intn(200)
-		recs := make([]schema.Record, n)
-		for i := range recs {
-			recs[i] = randRec(r)
-		}
-		k := r.Intn(n)
-		selectNth(recs, k, 0, kd.bounds)
-		kth := recs[k][0]
-		for i := 0; i < k; i++ {
-			if recs[i][0] > kth {
-				t.Fatalf("selectNth: left[%d]=%d > kth=%d", i, recs[i][0], kth)
-			}
-		}
-		for i := k + 1; i < n; i++ {
-			if recs[i][0] < kth {
-				t.Fatalf("selectNth: right[%d]=%d < kth=%d", i, recs[i][0], kth)
-			}
-		}
-	}
-}
-
 func TestVersioned(t *testing.T) {
 	vs := NewVersioned(sch3())
 	vs.Insert(1, schema.Record{10, 10, 10, 1})
@@ -273,7 +254,7 @@ func TestVersioned(t *testing.T) {
 func TestQuickKDEqualsScan(t *testing.T) {
 	r := rand.New(rand.NewSource(35))
 	f := func() bool {
-		kd, sc := NewKD(sch3()), NewScan(sch3())
+		kd, sc := contractStore(), NewScan(sch3())
 		n := r.Intn(300)
 		for i := 0; i < n; i++ {
 			rec := randRec(r)
@@ -298,24 +279,24 @@ func TestQuickKDEqualsScan(t *testing.T) {
 	}
 }
 
-func BenchmarkKDInsert(b *testing.B) {
+func BenchmarkShardedInsert(b *testing.B) {
 	r := rand.New(rand.NewSource(36))
-	kd := NewKD(sch3())
+	e := NewSharded(sch3(), Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		kd.Insert(randRec(r))
+		e.Insert(randRec(r))
 	}
 }
 
-func BenchmarkKDQuery(b *testing.B) {
+func BenchmarkShardedQuery(b *testing.B) {
 	r := rand.New(rand.NewSource(37))
-	kd := NewKD(sch3())
+	e := NewSharded(sch3(), Options{})
 	for i := 0; i < 100000; i++ {
-		kd.Insert(randRec(r))
+		e.Insert(randRec(r))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = kd.Query(randRect(r))
+		_ = e.Query(randRect(r))
 	}
 }
 

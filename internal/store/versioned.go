@@ -34,7 +34,7 @@ func NewVersioned(sch *schema.Schema) *Versioned {
 }
 
 // NewVersionedOpts creates an empty versioned store with explicit
-// engine options (shard count, carry hook).
+// engine options (shard count, rollup).
 func NewVersionedOpts(sch *schema.Schema, opts Options) *Versioned {
 	return &Versioned{sch: sch, opts: opts.withDefaults(), versions: make(map[uint32]*Sharded)}
 }

@@ -7,7 +7,10 @@
 // instead of touching every record (DESIGN.md §4i).
 package summary
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Sketch is a deterministic space-saving heavy-hitter sketch with a
 // fixed capacity of K monitored keys. Estimates are overestimates that
@@ -270,19 +273,19 @@ func (s *Sketch) MergeMany(parts []*Sketch) {
 	}
 }
 
-func sortEntries(es []Entry) {
-	sort.Slice(es, func(i, j int) bool { return entryBefore(es[i], es[j]) })
-}
+func sortEntries(es []Entry) { slices.SortFunc(es, entryCmp) }
 
-// entryBefore is the canonical entry order: count descending, key
+// entryCmp is the canonical entry order: count descending, key
 // ascending. It is total (keys are distinct), which is what makes the
 // selectTopK split deterministic.
-func entryBefore(a, b Entry) bool {
-	if a.Count != b.Count {
-		return a.Count > b.Count
+func entryCmp(a, b Entry) int {
+	if c := cmp.Compare(b.Count, a.Count); c != 0 {
+		return c
 	}
-	return a.Key < b.Key
+	return cmp.Compare(a.Key, b.Key)
 }
+
+func entryBefore(a, b Entry) bool { return entryCmp(a, b) < 0 }
 
 // selectTopK partially partitions es so es[:k] holds the k first
 // entries under the canonical order, in expected O(len(es)) — the

@@ -1,7 +1,8 @@
 package summary
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -68,9 +69,10 @@ type snap struct {
 }
 
 // Summary is one shard's hierarchical aggregate summary, maintained
-// incrementally on insert alongside the shard's record store. Writes
-// serialize on a writer mutex; reads are lock-free against the last
-// published snapshot, so a Resolve never blocks inserts.
+// incrementally on insert — in production by the store shard that owns
+// it (store.Options.Rollup). Writes serialize on a writer mutex; reads
+// are lock-free against the last published snapshot, so a Resolve never
+// blocks inserts.
 //
 // The sketch key is the record's first attribute (the paper's Index-1/2
 // destination prefix) — "top destinations by record count" per cell.
@@ -92,12 +94,15 @@ func New(sch *schema.Schema, opts Options) *Summary {
 	return s
 }
 
-// Insert adds one record. The record is copied; crossing DeltaMax folds
-// the delta into a fresh static tree.
+// Insert adds one record. The summary keeps rec in its delta until the
+// next fold, so — store.Store.Insert's contract — the caller must not
+// mutate it after handing it over (a store shard hands over its
+// immutable tail row). Crossing DeltaMax folds the delta into a fresh
+// static tree.
 func (s *Summary) Insert(rec schema.Record) {
 	s.mu.Lock()
 	sn := s.snap.Load()
-	delta := append(sn.delta, rec.Clone())
+	delta := append(sn.delta, rec)
 	if len(delta) >= s.opts.DeltaMax {
 		s.snap.Store(&snap{root: s.foldRecs(sn.root, delta)})
 		s.folds.Add(1)
@@ -109,9 +114,9 @@ func (s *Summary) Insert(rec schema.Record) {
 	s.mu.Unlock()
 }
 
-// Fold force-folds any buffered delta into the static tree. The mind
-// layer calls this from the store's carry hook so the summary tracks
-// the store's carry rhythm.
+// Fold force-folds any buffered delta into the static tree. A store
+// shard ends every carry with it, so its rollup folds at the shard's own
+// carry rhythm and lets go of the retired tail.
 func (s *Summary) Fold() {
 	s.mu.Lock()
 	sn := s.snap.Load()
@@ -302,21 +307,19 @@ func coalesceRects(rects []schema.Rect) []schema.Rect {
 	for changed := true; changed; {
 		changed = false
 		for d := 0; d < dims && len(rects) > 1; d++ {
-			d := d
-			sort.Slice(rects, func(i, j int) bool {
-				a, b := rects[i], rects[j]
+			slices.SortFunc(rects, func(a, b schema.Rect) int {
 				for x := 0; x < dims; x++ {
 					if x == d {
 						continue
 					}
-					if a.Lo[x] != b.Lo[x] {
-						return a.Lo[x] < b.Lo[x]
+					if c := cmp.Compare(a.Lo[x], b.Lo[x]); c != 0 {
+						return c
 					}
-					if a.Hi[x] != b.Hi[x] {
-						return a.Hi[x] < b.Hi[x]
+					if c := cmp.Compare(a.Hi[x], b.Hi[x]); c != 0 {
+						return c
 					}
 				}
-				return a.Lo[d] < b.Lo[d]
+				return cmp.Compare(a.Lo[d], b.Lo[d])
 			})
 			out := rects[:1]
 			for _, rc := range rects[1:] {

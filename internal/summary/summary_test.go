@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mind/internal/schema"
-	"mind/internal/store"
 )
 
 // testSchema mirrors the store tests' shape: three indexed dims with
@@ -46,12 +45,6 @@ func randRect(r *rand.Rand) schema.Rect {
 		}
 	}
 	return rc
-}
-
-// shardVisitor curries the store's VisitShard on one shard: the
-// production Visitor.
-func shardVisitor(eng *store.Sharded, sh int) Visitor {
-	return func(rect schema.Rect, fn func(schema.Record)) { eng.VisitShard(sh, rect, fn) }
 }
 
 // resolveExact finishes a Resolve the way the mind layer does: boundary
@@ -178,7 +171,7 @@ func TestSummaryFoldBoundaries(t *testing.T) {
 			count, sums, hist := flatAgg(sch, rect, recs)
 			checkAgg(t, "boundary", agg, count, sums, hist)
 		}
-		// A forced fold (the store merge hook path) must not change
+		// A forced fold (what a store shard's carry ends with) must not change
 		// answers.
 		s.Fold()
 		if _, deltaN, _ := s.Stats(); deltaN != 0 {
@@ -191,63 +184,6 @@ func TestSummaryFoldBoundaries(t *testing.T) {
 			checkAgg(t, "post-fold", agg, count, sums, hist)
 		}
 	}
-}
-
-// TestSummaryStoreMergeBoundary is the tail→ladder carry interaction
-// table test: records stream into a store.Sharded and shard-aligned
-// summaries, with the store's OnMerge hook folding the matching summary
-// shard. At offsets straddling every store carry the aggregate
-// read path (per-shard ResolveShard folding boundary cells through the
-// store visitor, closed by MergeShards — the calls mind.resolveLocalAgg
-// makes) must agree with store.Count and a flat oracle.
-func TestSummaryStoreMergeBoundary(t *testing.T) {
-	sch := testSchema()
-	opts := store.Options{Shards: 4}
-	var sums *Sharded
-	var merges []int
-	opts.OnMerge = func(shard, staticLen int) {
-		sums.Shard(shard).Fold()
-		merges = append(merges, shard)
-	}
-	eng := store.NewSharded(sch, opts)
-	sums = NewShardedSummary(sch, eng.NumShards(), Options{Depth: 6, K: 16, DeltaMax: 64})
-
-	r := rand.New(rand.NewSource(7))
-	var recs []schema.Record
-	check := func(tag string) {
-		for q := 0; q < 8; q++ {
-			rect := randRect(r)
-			agg := NewAgg(sch.Arity(), 16)
-			fold := NewFold(sch.Arity())
-			var covers []*Sketch
-			for sh := 0; sh < eng.NumShards(); sh++ {
-				covers = append(covers, ResolveShard(sums.Shard(sh), rect, shardVisitor(eng, sh), fold))
-			}
-			agg.MergeShards(covers, fold)
-			count, wsums, hist := flatAgg(sch, rect, recs)
-			if uint64(eng.Count(rect)) != count {
-				t.Fatalf("%s: store count diverged from oracle", tag)
-			}
-			checkAgg(t, tag, agg, count, wsums, hist)
-		}
-	}
-	for i := 0; i < 6000; i++ { // ~1500 per shard: five carries each, three ladder shapes
-		rec := randRec(r)
-		eng.Insert(rec)
-		sums.Insert(eng.ShardOf(rec), rec)
-		recs = append(recs, rec)
-		// Check exactly at and next to each merge: the hook appends per
-		// merge, so a length change marks a boundary insert.
-		if n := len(merges); n > 0 && merges[n-1] >= 0 && i%16 == 15 {
-			check("merge-cadence")
-		}
-	}
-	if len(merges) < 4*eng.NumShards() {
-		t.Fatalf("%d store carries fired; the stream is too short to cross the ladder's shapes", len(merges))
-	}
-	check("final")
-	eng.Compact() // fires OnMerge → folds summaries
-	check("post-compact")
 }
 
 // TestSummaryCOWConsistency hammers concurrent inserts and resolves
@@ -302,32 +238,6 @@ func TestSummaryCOWConsistency(t *testing.T) {
 	agg := s.Resolve(full)
 	if agg.Count != n || agg.Sums[3] != n {
 		t.Fatalf("final full resolve: count %d sum %d, want %d", agg.Count, agg.Sums[3], n)
-	}
-}
-
-func TestVersionedSummaryLifecycle(t *testing.T) {
-	sch := testSchema()
-	v := NewVersioned(sch, 4, Options{Depth: 4, K: 8, DeltaMax: 16})
-	if v.Get(3) != nil {
-		t.Fatal("Get created a version")
-	}
-	r := rand.New(rand.NewSource(11))
-	for i := 0; i < 100; i++ {
-		rec := randRec(r)
-		v.Version(uint32(i%3)).Insert(i%4, rec)
-	}
-	if got := v.Versions(); len(got) != 3 || got[0] != 0 || got[2] != 2 {
-		t.Fatalf("Versions = %v", got)
-	}
-	if v.Len() != 100 {
-		t.Fatalf("Len = %d", v.Len())
-	}
-	v.Drop(1)
-	if v.Get(1) != nil || len(v.Versions()) != 2 {
-		t.Fatal("Drop did not remove version 1")
-	}
-	if v.Len() >= 100 {
-		t.Fatalf("Len after drop = %d", v.Len())
 	}
 }
 
