@@ -15,6 +15,10 @@
 // day's distribution); below the explicit depth, cuts fall back to
 // midpoints of the enclosing region. A Tree with explicit depth zero is
 // the uniform (unbalanced) embedding of Fig 5 top-left.
+//
+// There is one descent of the tree, Cursor: every mapping above, the
+// balanced build and the query originator's coverage walk step it with
+// Cut, Descend and Ascend, so the cut rule exists once.
 package embed
 
 import (
@@ -60,46 +64,30 @@ func Balanced(h *histogram.Hist, depth int) (*Tree, error) {
 		expDepth: depth,
 		cuts:     make([]uint64, (1<<uint(depth))-1),
 	}
-	if depth == 0 {
-		return t, nil
-	}
-	dims := len(bounds)
-	lo := make([]uint64, dims)
-	hi := append([]uint64(nil), bounds...)
-	t.build(h, 0, 0, lo, hi, dims)
+	var buf Scratch
+	c := t.Root(&buf)
+	t.build(h, &c)
 	return t, nil
 }
 
-// build fills cuts[] for the subtree rooted at BFS index idx, level d,
-// owning the region [lo, hi].
-func (t *Tree) build(h *histogram.Hist, idx, d int, lo, hi []uint64, dims int) {
-	if d >= t.expDepth {
+// build fills cuts[] for the subtree under the cursor's region, stepping
+// down through each cut it has just stored as a lookup will read it. The
+// degenerate right half of a pinned cut is filled too, with that region's
+// own midpoints, so lookups stay total.
+func (t *Tree) build(h *histogram.Hist, c *Cursor) {
+	if c.depth >= t.expDepth {
 		return
 	}
-	dim := d % dims
-	cut, ok := h.SplitValue(lo, hi, dim)
+	at, ok := h.SplitValue(c.lo, c.hi, c.dim)
 	if !ok {
-		cut = midpoint(lo[dim], hi[dim])
+		at = midpoint(c.lo[c.dim], c.hi[c.dim])
 	}
-	t.cuts[idx] = cut
-	// Left child: region with x_dim <= cut.
-	oldLo, oldHi := lo[dim], hi[dim]
-	hi[dim] = cut
-	t.build(h, 2*idx+1, d+1, lo, hi, dims)
-	hi[dim] = oldHi
-	// Right child: region with x_dim > cut. It can be empty when the cut
-	// pinned to the top of a degenerate interval; keep the midpoint
-	// convention (cut < hi guaranteed unless lo == hi).
-	if cut < oldHi {
-		lo[dim] = cut + 1
-		t.build(h, 2*idx+2, d+1, lo, hi, dims)
-		lo[dim] = oldLo
-	} else {
-		// Degenerate: fill the right subtree with the same degenerate
-		// region's midpoints so lookups stay total.
-		lo[dim] = oldHi
-		t.build(h, 2*idx+2, d+1, lo, hi, dims)
-		lo[dim] = oldLo
+	t.cuts[c.slot()] = at
+	cut := c.Cut()
+	for bit := 0; bit <= 1; bit++ {
+		undo := c.Descend(cut, bit)
+		t.build(h, c)
+		c.Ascend(undo)
 	}
 }
 
@@ -114,24 +102,122 @@ func (t *Tree) Bounds() []uint64 { return append([]uint64(nil), t.bounds...) }
 // ExplicitDepth returns the number of histogram-balanced levels.
 func (t *Tree) ExplicitDepth() int { return t.expDepth }
 
-// cutValue returns the cut coordinate for the region at level d reached
-// by the code prefix path (the first d bits of the path), given the
-// region's current interval [lo, hi] along the cut dimension.
-func (t *Tree) cutValue(path bitstr.Code, d int, lo, hi uint64) uint64 {
-	if d < t.expDepth {
-		idx := (1 << uint(d)) - 1 + int(path.Prefix(d).Uint64())
-		c := t.cuts[idx]
-		// Clamp a stale/degenerate explicit cut into the interval so both
-		// halves stay well-formed.
-		if c < lo {
-			c = lo
-		}
-		if c > hi {
-			c = hi
-		}
-		return c
+// scratchDims is the dimensionality a Scratch holds inline; wider trees
+// put the cursor's rectangle on the heap.
+const scratchDims = 8
+
+// Scratch is the caller-owned storage a Cursor keeps its rectangle in.
+// Declared as a local beside the cursor, it stays on the caller's stack.
+type Scratch struct{ lo, hi [scratchDims]uint64 }
+
+// Cursor is a position in the cut tree: a region code and that region's
+// rectangle, carried down and back up in place. Every walk of the
+// embedding is a loop over Cut, Descend and Ascend.
+type Cursor struct {
+	t      *Tree
+	bits   uint64 // the region code, left-aligned as bitstr packs it
+	depth  int
+	dim    int // depth mod dims: the dimension this region is cut along
+	lo, hi []uint64
+}
+
+// Cut is the hyper-plane dividing a cursor's region: coordinates at or
+// below At along Dim are the left half (bit 0), those above it the right
+// half (bit 1). Right is false when the cut is pinned to the region's
+// top coordinate, which leaves the right half empty: no point maps
+// there, and no walk needs to visit it.
+type Cut struct {
+	Dim   int
+	At    uint64
+	Right bool
+	next  int // the dimension the halves are cut along, found here so that Descend stays small enough to inline
+}
+
+// Undo is what Descend overwrote, for Ascend to put back.
+type Undo struct {
+	dim    int
+	lo, hi uint64
+}
+
+// Root returns a cursor on the whole data space. It is returned by value
+// and keeps its rectangle in buf, so a walk allocates nothing.
+func (t *Tree) Root(buf *Scratch) Cursor {
+	dims := len(t.bounds)
+	var lo, hi []uint64
+	if dims <= scratchDims {
+		lo, hi = buf.lo[:dims:dims], buf.hi[:dims:dims]
+		clear(lo)
+	} else {
+		lo, hi = make([]uint64, dims), make([]uint64, dims)
 	}
-	return midpoint(lo, hi)
+	copy(hi, t.bounds)
+	return Cursor{t: t, lo: lo, hi: hi}
+}
+
+// At returns a cursor on the region of the given code.
+func (t *Tree) At(buf *Scratch, region bitstr.Code) Cursor {
+	c := t.Root(buf)
+	for d := 0; d < region.Len(); d++ {
+		c.Descend(c.Cut(), region.Bit(d))
+	}
+	return c
+}
+
+// Code returns the code of the cursor's region.
+func (c *Cursor) Code() bitstr.Code { return bitstr.Unpack(c.bits, uint8(c.depth)) }
+
+// Rect returns the cursor's region as a view of its scratch: it changes
+// with the next Descend or Ascend, so Clone it to keep it.
+func (c *Cursor) Rect() schema.Rect { return schema.Rect{Lo: c.lo, Hi: c.hi} }
+
+// slot is the breadth-first index of the cursor's region, its place among
+// the explicit cuts.
+func (c *Cursor) slot() int { return 1<<uint(c.depth) - 1 + int(c.bits>>uint(64-c.depth)) }
+
+// Cut returns the cut of the cursor's region: the explicit cut where
+// the tree has one, clamped into the region so that a stale or degenerate
+// value still leaves both halves well-formed, the midpoint below the
+// explicit depth. The region must be shallower than MaxDepth.
+func (c *Cursor) Cut() Cut {
+	d, dim := c.depth, c.dim
+	lo, hi := c.lo[dim], c.hi[dim]
+	at := midpoint(lo, hi)
+	if d < c.t.expDepth {
+		at = min(max(c.t.cuts[c.slot()], lo), hi)
+	}
+	next := dim + 1
+	if next == len(c.lo) {
+		next = 0
+	}
+	return Cut{Dim: dim, At: at, Right: at < hi, next: next}
+}
+
+// Descend moves the cursor into the half of cut, its region's Cut, that
+// bit names. The empty right half of a pinned cut is represented as the
+// region's top coordinate alone.
+func (c *Cursor) Descend(cut Cut, bit int) Undo {
+	undo := Undo{dim: cut.Dim, lo: c.lo[cut.Dim], hi: c.hi[cut.Dim]}
+	if bit == 0 {
+		c.hi[cut.Dim] = cut.At
+	} else {
+		c.bits |= 1 << uint(63-c.depth)
+		c.lo[cut.Dim] = cut.At // a pinned cut is the top coordinate itself
+		if cut.Right {
+			c.lo[cut.Dim]++
+		}
+	}
+	c.depth++
+	c.dim = cut.next
+	return undo
+}
+
+// Ascend moves the cursor back to where the Descend that returned undo
+// left from.
+func (c *Cursor) Ascend(undo Undo) {
+	c.depth--
+	c.dim = undo.dim
+	c.bits &^= 1 << uint(63-c.depth)
+	c.lo[undo.dim], c.hi[undo.dim] = undo.lo, undo.hi
 }
 
 // PointCode maps point p to its depth-bit code. Out-of-bound coordinates
@@ -144,50 +230,24 @@ func (t *Tree) PointCode(p []uint64, depth int) bitstr.Code {
 	if depth < 0 || depth > MaxDepth {
 		panic(fmt.Sprintf("embed: depth %d out of range", depth))
 	}
-	dims := len(t.bounds)
-	lo := make([]uint64, dims)
-	hi := append([]uint64(nil), t.bounds...)
-	code := bitstr.Empty
+	var buf Scratch
+	c := t.Root(&buf)
 	for d := 0; d < depth; d++ {
-		dim := d % dims
-		v := p[dim]
-		if v > t.bounds[dim] {
-			v = t.bounds[dim]
+		cut := c.Cut()
+		bit := 0
+		if cut.Right && min(p[cut.Dim], t.bounds[cut.Dim]) > cut.At {
+			bit = 1
 		}
-		cut := t.cutValue(code, d, lo[dim], hi[dim])
-		if v <= cut || cut == hi[dim] {
-			// cut == hi means the right half is empty; everything left.
-			code = code.Append(0)
-			hi[dim] = cut
-		} else {
-			code = code.Append(1)
-			lo[dim] = cut + 1
-		}
+		c.Descend(cut, bit)
 	}
-	return code
+	return c.Code()
 }
 
 // CodeRect returns the region of the data space owned by code c.
 func (t *Tree) CodeRect(c bitstr.Code) schema.Rect {
-	dims := len(t.bounds)
-	lo := make([]uint64, dims)
-	hi := append([]uint64(nil), t.bounds...)
-	for d := 0; d < c.Len(); d++ {
-		dim := d % dims
-		cut := t.cutValue(c.Prefix(d), d, lo[dim], hi[dim])
-		if c.Bit(d) == 0 {
-			hi[dim] = cut
-		} else {
-			if cut >= hi[dim] {
-				// Degenerate right branch of a pinned cut: empty region,
-				// represented as the top coordinate alone.
-				lo[dim] = hi[dim]
-			} else {
-				lo[dim] = cut + 1
-			}
-		}
-	}
-	return schema.Rect{Lo: lo, Hi: hi}
+	var buf Scratch
+	cur := t.At(&buf, c)
+	return cur.Rect().Clone()
 }
 
 // QueryCode maps query rectangle q to the code of the smallest region
@@ -197,35 +257,21 @@ func (t *Tree) QueryCode(q schema.Rect, maxDepth int) bitstr.Code {
 	if len(q.Lo) != len(t.bounds) {
 		panic("embed: query dims mismatch")
 	}
-	if maxDepth > MaxDepth {
-		maxDepth = MaxDepth
-	}
-	dims := len(t.bounds)
-	lo := make([]uint64, dims)
-	hi := append([]uint64(nil), t.bounds...)
-	code := bitstr.Empty
-	for d := 0; d < maxDepth; d++ {
-		dim := d % dims
-		qLo, qHi := q.Lo[dim], q.Hi[dim]
-		if qHi > t.bounds[dim] {
-			qHi = t.bounds[dim]
-		}
-		if qLo > t.bounds[dim] {
-			qLo = t.bounds[dim]
-		}
-		cut := t.cutValue(code, d, lo[dim], hi[dim])
+	var buf Scratch
+	c := t.Root(&buf)
+	for d := 0; d < maxDepth && d < MaxDepth; d++ {
+		cut := c.Cut()
+		bound := t.bounds[cut.Dim]
 		switch {
-		case qHi <= cut || cut == hi[dim]:
-			code = code.Append(0)
-			hi[dim] = cut
-		case qLo > cut:
-			code = code.Append(1)
-			lo[dim] = cut + 1
+		case !cut.Right || min(q.Hi[cut.Dim], bound) <= cut.At:
+			c.Descend(cut, 0)
+		case min(q.Lo[cut.Dim], bound) > cut.At:
+			c.Descend(cut, 1)
 		default:
-			return code // query straddles the cut
+			return c.Code() // query straddles the cut
 		}
 	}
-	return code
+	return c.Code()
 }
 
 // SubQuery is one piece of a decomposed query: the region code to route
@@ -235,44 +281,15 @@ type SubQuery struct {
 	Rect schema.Rect
 }
 
-// Children returns the non-empty child regions of a region code with
-// their rects, mirroring the rule Decompose applies: the right branch of
-// a cut pinned to the region's top coordinate is empty and omitted.
-func (t *Tree) Children(region bitstr.Code) []SubQuery {
-	if region.Len() >= MaxDepth {
-		return nil
+// Clamp returns a copy of q with every edge beyond a bound pulled onto
+// it: an out-of-bound query edge behaves as the topmost coordinate, like
+// a clamped record.
+func Clamp(q schema.Rect, bounds []uint64) schema.Rect {
+	q = q.Clone()
+	for i, b := range bounds {
+		q.Lo[i], q.Hi[i] = min(q.Lo[i], b), min(q.Hi[i], b)
 	}
-	dims := len(t.bounds)
-	lo := make([]uint64, dims)
-	hi := append([]uint64(nil), t.bounds...)
-	for d := 0; d < region.Len(); d++ {
-		dim := d % dims
-		cut := t.cutValue(region.Prefix(d), d, lo[dim], hi[dim])
-		if region.Bit(d) == 0 {
-			hi[dim] = cut
-		} else {
-			if cut >= hi[dim] {
-				lo[dim] = hi[dim]
-			} else {
-				lo[dim] = cut + 1
-			}
-		}
-	}
-	d := region.Len()
-	dim := d % dims
-	cut := t.cutValue(region, d, lo[dim], hi[dim])
-	var out []SubQuery
-	leftLo := append([]uint64(nil), lo...)
-	leftHi := append([]uint64(nil), hi...)
-	leftHi[dim] = cut
-	out = append(out, SubQuery{Code: region.Append(0), Rect: schema.Rect{Lo: leftLo, Hi: leftHi}})
-	if cut < hi[dim] {
-		rightLo := append([]uint64(nil), lo...)
-		rightHi := append([]uint64(nil), hi...)
-		rightLo[dim] = cut + 1
-		out = append(out, SubQuery{Code: region.Append(1), Rect: schema.Rect{Lo: rightLo, Hi: rightHi}})
-	}
-	return out
+	return q
 }
 
 // Decompose splits query rectangle q into sub-queries at code depth
@@ -287,52 +304,31 @@ func (t *Tree) Decompose(q schema.Rect, depth int) []SubQuery {
 	if depth < 0 || depth > MaxDepth {
 		panic(fmt.Sprintf("embed: depth %d out of range", depth))
 	}
-	// Clamp the query into bounds once.
-	qc := q.Clone()
-	for i := range qc.Lo {
-		if qc.Lo[i] > t.bounds[i] {
-			qc.Lo[i] = t.bounds[i]
-		}
-		if qc.Hi[i] > t.bounds[i] {
-			qc.Hi[i] = t.bounds[i]
-		}
-	}
-	dims := len(t.bounds)
-	lo := make([]uint64, dims)
-	hi := append([]uint64(nil), t.bounds...)
-	var out []SubQuery
-	t.decompose(qc, bitstr.Empty, 0, depth, lo, hi, dims, &out)
-	return out
+	var buf Scratch
+	c := t.Root(&buf)
+	return c.decompose(Clamp(q, t.bounds), depth, nil)
 }
 
-func (t *Tree) decompose(q schema.Rect, code bitstr.Code, d, depth int, lo, hi []uint64, dims int, out *[]SubQuery) {
-	if d == depth {
-		// Clip q to the region [lo, hi].
+// decompose appends the pieces of q, which intersects the cursor's
+// region, under that region.
+func (c *Cursor) decompose(q schema.Rect, depth int, out []SubQuery) []SubQuery {
+	if c.depth == depth {
 		sub := q.Clone()
-		for i := 0; i < dims; i++ {
-			if sub.Lo[i] < lo[i] {
-				sub.Lo[i] = lo[i]
-			}
-			if sub.Hi[i] > hi[i] {
-				sub.Hi[i] = hi[i]
-			}
+		for i := range sub.Lo {
+			sub.Lo[i], sub.Hi[i] = max(sub.Lo[i], c.lo[i]), min(sub.Hi[i], c.hi[i])
 		}
-		*out = append(*out, SubQuery{Code: code, Rect: sub})
-		return
+		return append(out, SubQuery{Code: c.Code(), Rect: sub})
 	}
-	dim := d % dims
-	cut := t.cutValue(code, d, lo[dim], hi[dim])
-	oldLo, oldHi := lo[dim], hi[dim]
-	// Left side: region x_dim in [lo, cut].
-	if q.Lo[dim] <= cut {
-		hi[dim] = cut
-		t.decompose(q, code.Append(0), d+1, depth, lo, hi, dims, out)
-		hi[dim] = oldHi
+	cut := c.Cut()
+	if q.Lo[cut.Dim] <= cut.At {
+		undo := c.Descend(cut, 0)
+		out = c.decompose(q, depth, out)
+		c.Ascend(undo)
 	}
-	// Right side: region x_dim in [cut+1, hi]; empty when cut == hi.
-	if cut < oldHi && q.Hi[dim] > cut {
-		lo[dim] = cut + 1
-		t.decompose(q, code.Append(1), d+1, depth, lo, hi, dims, out)
-		lo[dim] = oldLo
+	if cut.Right && q.Hi[cut.Dim] > cut.At {
+		undo := c.Descend(cut, 1)
+		out = c.decompose(q, depth, out)
+		c.Ascend(undo)
 	}
+	return out
 }

@@ -1,6 +1,7 @@
 package embed
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -267,9 +268,25 @@ func TestDegenerateDimension(t *testing.T) {
 	}
 }
 
+// cursorChildren steps the cursor into each non-empty half of its region
+// and back, returning what it stood on.
+func cursorChildren(c *Cursor) []SubQuery {
+	var kids []SubQuery
+	cut := c.Cut()
+	for bit := 0; bit <= 1; bit++ {
+		if bit == 1 && !cut.Right {
+			break
+		}
+		undo := c.Descend(cut, bit)
+		kids = append(kids, SubQuery{Code: c.Code(), Rect: c.Rect().Clone()})
+		c.Ascend(undo)
+	}
+	return kids
+}
+
 func TestChildrenMirrorsDecompose(t *testing.T) {
-	// Children's regions at each node must be disjoint, cover the
-	// parent, and match CodeRect.
+	// The halves a cursor steps into must be disjoint, cover the parent,
+	// match CodeRect, and be the regions Decompose cuts the parent into.
 	tr := uniform2D()
 	codes := []string{"", "0", "01", "0110", "111"}
 	for _, s := range codes {
@@ -278,41 +295,73 @@ func TestChildrenMirrorsDecompose(t *testing.T) {
 			c = bitstr.MustParse(s)
 		}
 		parent := tr.CodeRect(c)
-		kids := tr.Children(c)
-		if len(kids) == 0 {
-			t.Fatalf("no children for %q", s)
+		var buf Scratch
+		cur := tr.At(&buf, c)
+		kids := cursorChildren(&cur)
+		if len(kids) != 2 {
+			t.Fatalf("%d children for %q", len(kids), s)
+		}
+		if !cur.Code().Equal(c) || !sameRect(cur.Rect(), parent) {
+			t.Errorf("cursor left at %s %v, want %q %v", cur.Code(), cur.Rect(), s, parent)
 		}
 		for _, k := range kids {
 			if !parent.ContainsRect(k.Rect) {
 				t.Errorf("child %s escapes parent %q", k.Code, s)
 			}
-			got := tr.CodeRect(k.Code)
-			for d := range got.Lo {
-				if got.Lo[d] != k.Rect.Lo[d] || got.Hi[d] != k.Rect.Hi[d] {
-					t.Errorf("child %s rect %v != CodeRect %v", k.Code, k.Rect, got)
-				}
+			if got := tr.CodeRect(k.Code); !sameRect(got, k.Rect) {
+				t.Errorf("child %s rect %v != CodeRect %v", k.Code, k.Rect, got)
 			}
 		}
-		if len(kids) == 2 && kids[0].Rect.Intersects(kids[1].Rect) {
+		if kids[0].Rect.Intersects(kids[1].Rect) {
 			t.Errorf("children of %q intersect", s)
+		}
+		dim := c.Len() % tr.Dims()
+		if kids[0].Rect.Lo[dim] != parent.Lo[dim] || kids[0].Rect.Hi[dim]+1 != kids[1].Rect.Lo[dim] || kids[1].Rect.Hi[dim] != parent.Hi[dim] {
+			t.Errorf("children of %q %v, %v do not cover %v", s, kids[0].Rect, kids[1].Rect, parent)
+		}
+		subs := tr.Decompose(parent, c.Len()+1)
+		if len(subs) != 2 {
+			t.Fatalf("Decompose cut %q into %d pieces", s, len(subs))
+		}
+		for i, sub := range subs {
+			if !sub.Code.Equal(kids[i].Code) || !sameRect(sub.Rect, kids[i].Rect) {
+				t.Errorf("Decompose piece %s %v != child %s %v", sub.Code, sub.Rect, kids[i].Code, kids[i].Rect)
+			}
 		}
 	}
 }
 
 func TestChildrenDegenerate(t *testing.T) {
-	// A single-coordinate dimension pins cuts: the right branch is
-	// omitted, exactly as Decompose skips it.
+	// A single-coordinate dimension pins cuts: the right half is empty and
+	// no walk visits it, exactly as Decompose skips it.
 	tr := Uniform([]uint64{0, 99})
-	// Descend the dim-0 (degenerate) levels: at depth 0 the cut dim is 0
-	// with interval [0,0] → only a left child.
-	kids := tr.Children(bitstr.Empty)
+	// At depth 0 the cut dim is 0 with interval [0,0] → only a left child.
+	var buf Scratch
+	cur := tr.Root(&buf)
+	if cut := cur.Cut(); cut.Right || cut.Dim != 0 || cut.At != 0 {
+		t.Fatalf("degenerate cut = %+v", cut)
+	}
+	kids := cursorChildren(&cur)
 	if len(kids) != 1 || kids[0].Code.String() != "0" {
 		t.Fatalf("degenerate children = %v", kids)
 	}
-	// Max-depth region returns nothing.
-	deep := bitstr.New(0, 64)
-	if got := tr.Children(deep); got != nil {
-		t.Fatalf("children at max depth = %v", got)
+	for _, sub := range tr.Decompose(schema.NewRect(tr.Bounds()), 5) {
+		for d := 0; d < sub.Code.Len(); d += 2 {
+			if sub.Code.Bit(d) != 0 {
+				t.Fatalf("Decompose visited the empty right half: %s", sub.Code)
+			}
+		}
+	}
+	// A cursor can still be placed on the empty half a hostile code names:
+	// it is the region's top coordinate alone.
+	empty := tr.At(&buf, bitstr.MustParse("1"))
+	if !sameRect(empty.Rect(), schema.Rect{Lo: []uint64{0, 0}, Hi: []uint64{0, 99}}) {
+		t.Fatalf("empty right half = %v", empty.Rect())
+	}
+	// A walk can reach the deepest code and stops there.
+	deep := tr.At(&buf, bitstr.New(0, MaxDepth))
+	if deep.Code().Len() != MaxDepth || !deep.Rect().Valid() {
+		t.Fatalf("cursor at max depth = %s %v", deep.Code(), deep.Rect())
 	}
 }
 
@@ -449,18 +498,26 @@ func TestQuickDecomposeDisjointCover(t *testing.T) {
 func BenchmarkPointCodeUniform(b *testing.B) {
 	tr := Uniform([]uint64{^uint64(0), 86400, 5024})
 	p := []uint64{123456789123, 4242, 100}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = tr.PointCode(p, 16)
+	for _, depth := range []int{16, 19} {
+		b.Run(fmt.Sprint("depth", depth), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = tr.PointCode(p, depth)
+			}
+		})
+	}
+}
+
+func decomposeFixture() (*Tree, schema.Rect) {
+	return Uniform([]uint64{^uint64(0), 86400, 5024}), schema.Rect{
+		Lo: []uint64{1 << 32, 1000, 16},
+		Hi: []uint64{1 << 33, 1300, 5024},
 	}
 }
 
 func BenchmarkDecompose(b *testing.B) {
-	tr := Uniform([]uint64{^uint64(0), 86400, 5024})
-	q := schema.Rect{
-		Lo: []uint64{1 << 32, 1000, 16},
-		Hi: []uint64{1 << 33, 1300, 5024},
-	}
+	tr, q := decomposeFixture()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = tr.Decompose(q, 7)

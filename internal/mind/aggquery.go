@@ -26,7 +26,7 @@ import (
 //     tolerates overlapping answers (replica fail-over, retransmission
 //     races) by content-hash dedup; here the originator must instead
 //     accept each region's counters exactly once: covering answers are
-//     admitted only while they keep the per-version cover tries
+//     admitted only while they keep their group's cover trie
 //     prefix-free, and non-covering partials are admitted once per
 //     (responder, group, region).
 
@@ -150,7 +150,7 @@ func (aggKind) resolve(n *Node, ix *index, p piece, a answer, replica bool) wire
 // be part of the key because after a reversion the same responder
 // answers once per cut tree for the same region code, and those are
 // disjoint record sets, not duplicates; covering answers are
-// additionally admitted only while they keep the cover tries
+// additionally admitted only while they keep the cover trie
 // prefix-free — a cover nested inside accepted coverage duplicates
 // counters already merged, and a cover strictly containing accepted
 // covers would double-count its interior, so both are dropped and the

@@ -74,64 +74,52 @@ func (c *coverSet) hasExtension(region bitstr.Code) bool {
 }
 
 // CoversRect reports whether the covered codes account for every part of
-// the region that intersects the query rectangle. Sub-queries are only
-// issued for rect-intersecting regions (§3.6), so regions disjoint from
-// the rect are complete by vacuity; this walk descends the cut tree,
-// skipping such regions, until every intersecting branch hits a covered
-// code.
+// the region that intersects the query rectangle: no region is missing.
 func (c *coverSet) CoversRect(tree *embed.Tree, rect schema.Rect, region bitstr.Code) bool {
-	// Clamp the rect into the tree bounds once (out-of-bound query edges
-	// behave as the topmost coordinate, like clamped records).
-	q := rect.Clone()
-	bounds := tree.Bounds()
-	for i := range q.Lo {
-		if q.Lo[i] > bounds[i] {
-			q.Lo[i] = bounds[i]
-		}
-		if q.Hi[i] > bounds[i] {
-			q.Hi[i] = bounds[i]
-		}
-	}
-	return c.coversRect(tree, q, region)
+	var first [1]bitstr.Code // keeps the one-region answer off the heap
+	return len(c.missing(first[:0], 1, tree, rect, region)) == 0
 }
 
 // MissingRegions collects up to limit uncovered rect-intersecting
-// regions under the given region — diagnostics for incomplete queries.
+// regions at or under the given region: what a retransmission re-asks,
+// and the diagnostics of an incomplete query.
 func (c *coverSet) MissingRegions(tree *embed.Tree, rect schema.Rect, region bitstr.Code, limit int) []bitstr.Code {
-	var out []bitstr.Code
-	var walk func(r bitstr.Code)
-	walk = func(r bitstr.Code) {
-		if len(out) >= limit || c.Covers(r) {
-			return
-		}
-		if r.Len() >= bitstr.MaxLen || !c.hasExtension(r) {
-			out = append(out, r)
-			return
-		}
-		for _, child := range tree.Children(r) {
-			if child.Rect.Intersects(rect) {
-				walk(child.Code)
-			}
-		}
-	}
-	walk(region)
-	return out
+	return c.missing(nil, limit, tree, rect, region)
 }
 
-func (c *coverSet) coversRect(tree *embed.Tree, rect schema.Rect, region bitstr.Code) bool {
-	if c.Covers(region) {
-		return true
+// missing is the one coverage walk: it appends to out, up to limit, the
+// regions that descending the cut tree from region finds uncovered.
+// Sub-queries are only issued for rect-intersecting regions (§3.6), so a
+// region disjoint from the rect is complete by vacuity and the walk
+// skips it; every other branch ends at a covered code, or at a region no
+// covered code lies inside, which is missing whole. rect must lie inside
+// the tree's bounds (embed.Clamp): an edge beyond a bound would intersect
+// nothing, while the pieces sent for it treat it as the topmost
+// coordinate.
+func (c *coverSet) missing(out []bitstr.Code, limit int, tree *embed.Tree, rect schema.Rect, region bitstr.Code) []bitstr.Code {
+	var buf embed.Scratch
+	cur := tree.At(&buf, region)
+	return c.missingUnder(out, limit, &cur, rect)
+}
+
+func (c *coverSet) missingUnder(out []bitstr.Code, limit int, cur *embed.Cursor, rect schema.Rect) []bitstr.Code {
+	region := cur.Code()
+	if len(out) >= limit || c.Covers(region) {
+		return out
 	}
 	if region.Len() >= bitstr.MaxLen || !c.hasExtension(region) {
-		return false
+		return append(out, region)
 	}
-	for _, child := range tree.Children(region) {
-		if !child.Rect.Intersects(rect) {
-			continue
+	cut := cur.Cut()
+	for bit := 0; bit <= 1; bit++ {
+		if bit == 1 && !cut.Right {
+			break // the right half of a pinned cut is empty
 		}
-		if !c.coversRect(tree, rect, child.Code) {
-			return false
+		undo := cur.Descend(cut, bit)
+		if rect.Intersects(cur.Rect()) {
+			out = c.missingUnder(out, limit, cur, rect)
 		}
+		cur.Ascend(undo)
 	}
-	return true
+	return out
 }

@@ -11,6 +11,7 @@ import (
 	"mind/internal/bitstr"
 	"mind/internal/embed"
 	"mind/internal/flowgen"
+	"mind/internal/histogram"
 	"mind/internal/schema"
 )
 
@@ -158,6 +159,122 @@ func TestMissingRegionsDiagnostics(t *testing.T) {
 	empty := newCoverSet()
 	if got := empty.MissingRegions(tr, wide, bitstr.Empty, 1); len(got) != 1 {
 		t.Fatalf("limit ignored: %v", got)
+	}
+}
+
+// refMissing is the coverage walk spelled with CodeRect alone: every
+// step re-descends from the root, and the right half of a pinned cut is
+// the one whose rectangle does not clear its sibling's.
+func refMissing(c *coverSet, tree *embed.Tree, rect schema.Rect, region bitstr.Code, limit int) []bitstr.Code {
+	var out []bitstr.Code
+	var walk func(r bitstr.Code)
+	walk = func(r bitstr.Code) {
+		if len(out) >= limit || c.Covers(r) {
+			return
+		}
+		if r.Len() >= bitstr.MaxLen || !c.hasExtension(r) {
+			out = append(out, r)
+			return
+		}
+		dim := r.Len() % tree.Dims()
+		left, right := tree.CodeRect(r.Append(0)), tree.CodeRect(r.Append(1))
+		if left.Intersects(rect) {
+			walk(r.Append(0))
+		}
+		if right.Lo[dim] > left.Hi[dim] && right.Intersects(rect) {
+			walk(r.Append(1))
+		}
+	}
+	walk(region)
+	return out
+}
+
+// TestPropCoverWalksAgree: over random embeddings (uniform, balanced, a
+// single-coordinate dimension), random cover sets and rectangles with
+// edges beyond the bounds, "complete" means exactly "nothing left to
+// re-ask" — an op the first holds incomplete while the second lists
+// nothing never finishes and never retransmits — and what is left to
+// re-ask is what the root-restarting walk finds.
+func TestPropCoverWalksAgree(t *testing.T) {
+	r := rand.New(rand.NewSource(77))
+	coord := func(bound uint64) uint64 {
+		if r.Intn(5) == 0 {
+			return bound + 1 + r.Uint64()%(bound+2) // beyond the bound
+		}
+		return r.Uint64() % (bound + 1)
+	}
+	for i := 0; i < 3000; i++ {
+		bounds := []uint64{255, 1023, 63}[:2+r.Intn(2)]
+		if r.Intn(4) == 0 {
+			bounds[r.Intn(len(bounds))] = 0
+		}
+		tree := embed.Uniform(bounds)
+		if r.Intn(2) == 0 {
+			h := histogram.MustNew(4, bounds)
+			for k := 0; k < 100; k++ {
+				p := make([]uint64, len(bounds))
+				for d, b := range bounds {
+					p[d] = r.Uint64() % (b/4 + 1)
+				}
+				h.AddPoint(p)
+			}
+			var err error
+			if tree, err = embed.Balanced(h, 1+r.Intn(5)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rect := schema.Rect{Lo: make([]uint64, len(bounds)), Hi: make([]uint64, len(bounds))}
+		for d, b := range bounds {
+			lo, hi := coord(b), coord(b)
+			if lo > hi {
+				lo, hi = hi, lo
+			}
+			rect.Lo[d], rect.Hi[d] = lo, hi
+		}
+		region := tree.QueryCode(rect, r.Intn(4))
+		// The answers of a query in flight: most pieces of a decomposition
+		// under the region, and a few codes from anywhere.
+		c := newCoverSet()
+		for _, sub := range tree.Decompose(rect, region.Len()+r.Intn(5)) {
+			if r.Intn(4) != 0 {
+				c.Add(sub.Code)
+			}
+		}
+		for k := r.Intn(3); k > 0; k-- {
+			c.Add(bitstr.New(r.Uint64(), r.Intn(8)))
+		}
+
+		missing := c.MissingRegions(tree, rect, region, 64)
+		if covers := c.CoversRect(tree, rect, region); covers != (len(missing) == 0) {
+			t.Fatalf("case %d: bounds %v rect %v region %q cover %v: CoversRect = %v, MissingRegions = %v",
+				i, bounds, rect, region, c.covered, covers, missing)
+		}
+		clamped := embed.Clamp(rect, bounds)
+		got, want := c.MissingRegions(tree, clamped, region, 64), refMissing(c, tree, clamped, region, 64)
+		if !slices.Equal(got, want) {
+			t.Fatalf("case %d: bounds %v rect %v region %q cover %v: MissingRegions = %v, reference %v",
+				i, bounds, clamped, region, c.covered, got, want)
+		}
+		if limit := 1 + r.Intn(3); len(c.MissingRegions(tree, clamped, region, limit)) != min(limit, len(want)) {
+			t.Fatalf("case %d: limit %d not honoured", i, limit)
+		}
+	}
+}
+
+// BenchmarkCoversRect is the originator's completion check as most
+// answers find it: seven of the eight depth-3 regions in, one to go.
+func BenchmarkCoversRect(b *testing.B) {
+	tree := embed.Uniform([]uint64{9999, 86400, 9999})
+	rect := schema.NewRect(tree.Bounds())
+	c := newCoverSet()
+	for i := 0; i < 7; i++ {
+		c.Add(bitstr.New(uint64(i), 3))
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if c.CoversRect(tree, rect, bitstr.Empty) {
+			b.Fatal("covered with a region missing")
+		}
 	}
 }
 

@@ -9,7 +9,9 @@ import (
 	"mind/internal/cluster"
 	"mind/internal/mind"
 	"mind/internal/schema"
+	"mind/internal/transport"
 	"mind/internal/transport/simnet"
+	"mind/internal/wire"
 )
 
 // newTestNode attaches a fresh MIND node to a cluster's network.
@@ -413,5 +415,79 @@ func TestChurnJoinDuringInserts(t *testing.T) {
 	}
 	if len(qr.Records) != total {
 		t.Fatalf("recall %d/%d across mid-stream joins", len(qr.Records), total)
+	}
+}
+
+// lossyInbox wraps an originator's endpoint and swallows the first
+// covering answer addressed to it — to the originator, loss in transit.
+type lossyInbox struct {
+	transport.Endpoint
+	covering int // covering answers that arrived, the swallowed one included
+}
+
+func (e *lossyInbox) SetHandler(h transport.Handler) {
+	e.Endpoint.SetHandler(func(from string, msg []byte) {
+		covering := false
+		switch m, _ := wire.Decode(msg); m := m.(type) {
+		case *wire.QueryResp:
+			covering = m.HasCover
+		case *wire.AggResp:
+			covering = m.HasCover
+		}
+		if covering {
+			if e.covering++; e.covering == 1 {
+				return
+			}
+		}
+		h(from, msg)
+	})
+}
+
+// TestOutOfBoundQueryEdgeRetransmits: a rectangle with an edge beyond a
+// schema bound is answered as if the edge sat on the bound, by every
+// region that touches it. When one of those answers is lost the
+// originator must re-ask exactly that region: the walk that says "not
+// complete" and the walk that lists what to re-ask see the same clamped
+// rectangle. (Kept apart, one clamped and one did not: the op was
+// incomplete with nothing to re-ask and sat out its QueryTimeout.)
+func TestOutOfBoundQueryEdgeRetransmits(t *testing.T) {
+	for _, kind := range gatherKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			c := mkCluster(t, 8, 61, nil)
+			ep, err := c.Net.Endpoint("lossy-origin")
+			if err != nil {
+				t.Fatal(err)
+			}
+			inbox := &lossyInbox{Endpoint: ep}
+			nd := mind.NewNode(inbox, c.Net.Clock(), testNodeCfg(556))
+			t.Cleanup(nd.Close)
+			nd.Join(c.Nodes[0].Addr())
+			if !c.Net.RunUntil(nd.Joined, 10_000_000) {
+				t.Fatal("originator never joined")
+			}
+			c.Nodes = append(c.Nodes, nd)
+			origin := len(c.Nodes) - 1
+			if err := c.CreateIndex(testSchema()); err != nil {
+				t.Fatal(err)
+			}
+			c.Settle(3 * time.Second)
+
+			// x lies wholly beyond its bound of 9999; y spans every cut, so
+			// several regions answer.
+			rect := schema.Rect{Lo: []uint64{20000, 0, 0}, Hi: []uint64{30000, 3599, 9999}}
+			g, err := kind.run(c, origin, "test-index", rect)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if inbox.covering < 2 {
+				t.Fatalf("scenario needs one lost answer and a second region's answer: %d covering answers arrived", inbox.covering)
+			}
+			if !g.complete {
+				t.Fatalf("incomplete after a single lost answer (uncovered: %v)", g.uncovered)
+			}
+			if st := nd.Stats(); st.Retransmits == 0 {
+				t.Fatal("completed without re-asking the region whose answer was lost")
+			}
+		})
 	}
 }

@@ -2,7 +2,7 @@ package mind
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"mind/internal/bitstr"
 	"mind/internal/embed"
@@ -91,7 +91,7 @@ type resolver interface {
 // answers and builds the result. Methods run under n.mu, except deliver.
 type accumulator interface {
 	// admit merges a's payload and reports whether a's coverage claim
-	// may enter the cover tries. trie is the cover set of a's version
+	// may enter the cover trie. trie is the cover set of a's version
 	// group (nil when the op has none).
 	admit(a answer, trie *coverSet) bool
 	// deliver fires the operation's callback.
@@ -109,16 +109,25 @@ type outcome struct {
 	uncovered  []string // sample "v<version>:<region>" pairs never covered (incomplete only)
 }
 
+// coverGroup is what an operation tracks per cut tree: the versions that
+// embed with one tree travel in the same pieces, so one trie answers for
+// all of them.
+type coverGroup struct {
+	versions []uint64 // as every piece and answer of the group carries them
+	tree     *embed.Tree
+	region   bitstr.Code // region the trie must cover
+	epoch    uint64      // tree epoch stamped on the group's pieces
+	cover    *coverSet
+}
+
 type scatterOp struct {
 	kind       resolver
 	acc        accumulator
 	index      string
-	rect       schema.Rect
+	rect       schema.Rect // as asked; every piece carries it
+	clamped    schema.Rect // rect pulled inside the schema bounds, once, for the coverage walks
 	arg        uint32
-	tries      map[uint32]*coverSet
-	regions    map[uint32]bitstr.Code // region each version's trie must cover
-	trees      map[uint32]*embed.Tree // embedding per version, for the coverage walk
-	epochs     map[uint32]uint64      // tree epoch stamped per version's dispatch
+	groups     []coverGroup // ascending first-version order
 	responders map[string]bool
 	maxHops    int
 	timer      transport.Timer // overall QueryTimeout bound
@@ -127,7 +136,8 @@ type scatterOp struct {
 	// on the backoff schedule, excluding the first hop their last attempt
 	// used.
 	retry     retrySchedule
-	retryHops map[string]string // region code (or "*": whole dispatch) → last first hop
+	retryHops map[bitstr.Code]string // region → first hop of its last attempt
+	wholeHop  string                 // first hop of the whole dispatch
 }
 
 // scatter starts one operation: one whole piece per cut tree the
@@ -153,13 +163,10 @@ func (n *Node) scatter(tag string, rect schema.Rect, kind resolver, arg uint32, 
 		acc:        newAcc(ix),
 		index:      tag,
 		rect:       rect.Clone(),
+		clamped:    embed.Clamp(rect, ix.sch.Bounds()),
 		arg:        arg,
-		tries:      make(map[uint32]*coverSet),
-		regions:    make(map[uint32]bitstr.Code),
-		trees:      make(map[uint32]*embed.Tree),
-		epochs:     make(map[uint32]uint64),
 		responders: make(map[string]bool),
-		retryHops:  make(map[string]string),
+		retryHops:  make(map[bitstr.Code]string),
 	}
 	maxDepth := clampDepth(n.ov.Code().Len() + n.cfg.InsertDepthSlack)
 	// Dispatch groups in ascending first-version order: the grouping map
@@ -181,12 +188,9 @@ func (n *Node) scatter(tag string, rect schema.Rect, kind resolver, arg uint32, 
 		epoch := ix.epochOf(vs[0])
 		vlist := make([]uint64, len(vs))
 		for i, v := range vs {
-			op.tries[v] = newCoverSet()
-			op.regions[v] = qcode
-			op.trees[v] = tree
-			op.epochs[v] = epoch
 			vlist[i] = uint64(v)
 		}
+		op.groups = append(op.groups, coverGroup{versions: vlist, tree: tree, region: qcode, epoch: epoch, cover: newCoverSet()})
 		pieces = append(pieces, piece{
 			kind: kind, reqID: reqID, origin: n.ep.Addr(), index: tag, versions: vlist,
 			rect: op.rect, region: qcode, arg: arg, epoch: epoch, whole: true,
@@ -222,9 +226,12 @@ func (n *Node) finishScatter(reqID uint64, complete bool) {
 		retried:    op.retry.attempt > 0,
 	}
 	if !complete {
-		for _, v := range sortedVersions(op.tries) {
-			for _, miss := range op.tries[v].MissingRegions(op.trees[v], op.rect, op.regions[v], 4) {
-				o.uncovered = append(o.uncovered, fmt.Sprintf("v%d:%s", v, miss))
+		for _, g := range op.groups {
+			missing := g.cover.MissingRegions(g.tree, op.clamped, g.region, 4)
+			for _, v := range g.versions {
+				for _, miss := range missing {
+					o.uncovered = append(o.uncovered, fmt.Sprintf("v%d:%s", v, miss))
+				}
 			}
 		}
 	}
@@ -311,13 +318,13 @@ func (n *Node) routePiece(p *piece, exclude string) {
 	}
 	n.forwarded.Add(1)
 	if p.origin == n.ep.Addr() {
-		key := p.region.String()
-		if p.whole {
-			key = "*"
-		}
 		n.mu.Lock()
 		if op, ok := n.scatters[p.reqID]; ok {
-			op.retryHops[key] = next
+			if p.whole {
+				op.wholeHop = next
+			} else {
+				op.retryHops[p.region] = next
+			}
 		}
 		n.mu.Unlock()
 	}
@@ -445,20 +452,21 @@ func (n *Node) handleAnswer(a answer) {
 	if int(a.hops) > op.maxHops {
 		op.maxHops = int(a.hops)
 	}
+	// An answer names a group only by carrying exactly its versions: a
+	// stale or hostile subset must not complete the versions it leaves out.
 	var trie *coverSet
-	if len(a.versions) > 0 {
-		trie = op.tries[uint32(a.versions[0])]
+	for i := range op.groups {
+		if slices.Equal(op.groups[i].versions, a.versions) {
+			trie = op.groups[i].cover
+			break
+		}
 	}
 	complete := false
-	if op.acc.admit(a, trie) && a.hasCover {
-		for _, v := range a.versions {
-			if t := op.tries[uint32(v)]; t != nil {
-				t.Add(a.cover)
-			}
-		}
+	if op.acc.admit(a, trie) && a.hasCover && trie != nil {
+		trie.Add(a.cover)
 		complete = true
-		for v, t := range op.tries {
-			if !t.CoversRect(op.trees[v], op.rect, op.regions[v]) {
+		for _, g := range op.groups {
+			if !g.cover.CoversRect(g.tree, op.clamped, g.region) {
 				complete = false
 				break
 			}
@@ -484,7 +492,7 @@ func (n *Node) resendScatter(reqID uint64) {
 		return
 	}
 	if !op.retry.advanceLocked(n) {
-		hops := make([]string, 0, len(op.retryHops))
+		hops := []string{op.wholeHop}
 		for _, hop := range op.retryHops {
 			hops = append(hops, hop)
 		}
@@ -498,18 +506,18 @@ func (n *Node) resendScatter(reqID uint64) {
 		exclude string
 	}
 	var work []resend
-	for _, g := range op.missing() {
-		for _, region := range g.regions {
-			exclude := op.retryHops[region.String()]
+	for _, g := range op.groups {
+		for _, region := range g.cover.MissingRegions(g.tree, op.clamped, g.region, 64) {
+			exclude := op.retryHops[region]
 			if exclude == "" {
 				// No region-specific attempt yet: exclude the whole
 				// dispatch's first hop, the only path tried so far.
-				exclude = op.retryHops["*"]
+				exclude = op.wholeHop
 			}
 			work = append(work, resend{exclude: exclude, p: piece{
 				kind: op.kind, reqID: reqID, origin: n.ep.Addr(), index: op.index,
 				versions: g.versions, rect: op.rect, region: region, arg: op.arg,
-				epoch: op.epochs[uint32(g.versions[0])], attempt: uint8(op.retry.attempt),
+				epoch: g.epoch, attempt: uint8(op.retry.attempt),
 			}})
 		}
 	}
@@ -527,56 +535,12 @@ func (n *Node) resendScatter(reqID uint64) {
 	}
 }
 
-// missingGroup is one tree group's versions and the regions none of
-// their tries has seen covered.
-type missingGroup struct {
-	versions []uint64
-	regions  []bitstr.Code
-	seen     map[bitstr.Code]bool
-}
-
-// missing lists what is left to re-ask, per tree group in ascending
-// first-version order. Versions sharing an embedding travelled in the
-// same pieces, so their tries agree; the union is taken to be safe.
-func (op *scatterOp) missing() []*missingGroup {
-	var out []*missingGroup
-	groups := make(map[*embed.Tree]*missingGroup)
-	for _, v := range sortedVersions(op.tries) {
-		g := groups[op.trees[v]]
-		if g == nil {
-			g = &missingGroup{seen: make(map[bitstr.Code]bool)}
-			groups[op.trees[v]] = g
-			out = append(out, g)
-		}
-		g.versions = append(g.versions, uint64(v))
-		for _, region := range op.tries[v].MissingRegions(op.trees[v], op.rect, op.regions[v], 64) {
-			if !g.seen[region] {
-				g.seen[region] = true
-				g.regions = append(g.regions, region)
-			}
-		}
-	}
-	return out
-}
-
-// sortedVersions returns a coverage map's version keys in ascending
-// order, for deterministic retransmission.
-func sortedVersions(tries map[uint32]*coverSet) []uint32 {
-	out := make([]uint32, 0, len(tries))
-	for v := range tries {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // pieceKey identifies one unit of answering work, for the answerer-side
 // duplicate counter.
 func pieceKey(p *piece) uint64 {
+	bits, length := p.region.Pack()
 	h := p.reqID*0x9e3779b97f4a7c15 + 0x85ebca6b
-	for _, c := range p.region.String() {
-		h = h*1099511628211 ^ uint64(c)
-	}
+	h = (h*1099511628211^bits)*1099511628211 ^ uint64(length)
 	if p.historic {
 		h ^= 0xabcdef
 	}

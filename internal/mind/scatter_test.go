@@ -170,11 +170,11 @@ func TestOriginatorRecordsFirstHops(t *testing.T) {
 			}
 			for _, op := range n.scatters {
 				for _, sub := range ix.tree(0).Decompose(rect, n.Code().Len()) {
-					if !n.ov.Owns(sub.Code) && op.retryHops[sub.Code.String()] == "" {
+					if !n.ov.Owns(sub.Code) && op.retryHops[sub.Code] == "" {
 						t.Errorf("region %s routed with no first hop recorded", sub.Code)
 					}
 				}
-				if got := op.retryHops[victim.String()]; got != first {
+				if got := op.retryHops[victim]; got != first {
 					t.Errorf("victim %s first hop recorded as %q, want %q", victim, got, first)
 				}
 			}
@@ -194,6 +194,69 @@ func TestOriginatorRecordsFirstHops(t *testing.T) {
 			}
 			if reissued[0].to != alt {
 				t.Errorf("re-issue left through %s, want %s (first attempt used %s)", reissued[0].to, alt, first)
+			}
+		})
+	}
+}
+
+// TestAnswerVersionSubsetDoesNotComplete: coverage is kept per cut tree,
+// for all the versions that embed with it at once, so an answer speaks
+// for a group only by carrying exactly the group's versions. One that
+// names a strict subset — stale, or hostile — must leave the versions it
+// omits uncovered.
+func TestAnswerVersionSubsetDoesNotComplete(t *testing.T) {
+	bodies := map[string]func() wire.Message{
+		"record":    func() wire.Message { return &wire.QueryResp{} },
+		"aggregate": func() wire.Message { return &wire.AggResp{} },
+	}
+	for _, row := range scatterKinds {
+		t.Run(row.name, func(t *testing.T) {
+			_, nodes, taps, sch := tapCluster(t, 4)
+			n := nodes[0]
+			// Nothing leaves the originator: every remote region stays open.
+			taps[0].drop = func(string, *piece) bool { return true }
+			// The time range spans versions 0 and 1, both on the base tree.
+			rect := schema.Rect{Lo: []uint64{0, 0, 0}, Hi: []uint64{9999, 86400, 9999}}
+			var done bool
+			if err := row.start(n, sch.Tag, rect, &done); err != nil {
+				t.Fatal(err)
+			}
+			open := func() (reqID uint64, versions []uint64, missing []bitstr.Code) {
+				n.mu.Lock()
+				defer n.mu.Unlock()
+				for id, op := range n.scatters {
+					if len(op.groups) != 1 || len(op.groups[0].versions) != 2 {
+						t.Fatalf("groups %+v, want one group of two versions", op.groups)
+					}
+					g := op.groups[0]
+					return id, g.versions, g.cover.MissingRegions(g.tree, op.clamped, g.region, 64)
+				}
+				t.Fatal("no op in flight")
+				return
+			}
+			reqID, versions, missing := open()
+			if len(missing) == 0 {
+				t.Fatal("nothing left to answer; topology too small for this test")
+			}
+			forge := func(versions []uint64) {
+				for _, region := range missing {
+					n.handleAnswer(answer{
+						reqID: reqID, from: wire.NodeInfo{Addr: "forger"}, hasCover: true,
+						cover: region, versions: versions, body: bodies[row.name](),
+					})
+				}
+			}
+			forge(versions[:1])
+			forge(versions[1:])
+			if done {
+				t.Fatal("answers for version subsets, taken together, completed the op")
+			}
+			if _, _, still := open(); !reflect.DeepEqual(still, missing) {
+				t.Fatalf("answers for version subsets were admitted as coverage: missing %v → %v", missing, still)
+			}
+			forge(versions)
+			if !done {
+				t.Fatal("answers carrying the group's exact versions did not complete the op")
 			}
 		})
 	}
