@@ -341,7 +341,7 @@ func BenchmarkAggBoundaryFold(b *testing.B) {
 	eng.Compact()
 	sum.Fold()
 	bounds := sch.Bounds()
-	visit := func(cell schema.Rect, fn func(schema.Record)) { eng.VisitShard(0, cell, fn) }
+	visit := func(cell schema.Rect, fn func([]uint64, []int32)) { eng.VisitShardBatches(0, cell, fn) }
 	folded := uint64(0)
 	b.ReportAllocs()
 	b.ResetTimer()

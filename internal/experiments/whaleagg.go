@@ -141,15 +141,15 @@ func WhaleAgg(seed int64, scale float64) (*Report, error) {
 	}
 	// rollupFold is a node's shipped answer path (mind.resolveLocalAgg):
 	// per shard, summary.ResolveShard resolves the cover and folds the
-	// boundary cells in place through the store visitor; MergeShards
-	// closes the answer.
+	// boundary cells in place through the store's batch visitor;
+	// MergeShards closes the answer.
 	rollupFold := func(rect schema.Rect) summary.Agg {
 		out := summary.NewAgg(arity, sketchK)
 		fold := summary.NewFold(arity)
 		covers := make([]*summary.Sketch, 0, eng.NumShards()+1)
 		for i := 0; i < eng.NumShards(); i++ {
-			covers = append(covers, summary.ResolveShard(eng.Rollup(i), rect, func(cell schema.Rect, fn func(schema.Record)) {
-				eng.VisitShard(i, cell, fn)
+			covers = append(covers, summary.ResolveShard(eng.Rollup(i), rect, func(cell schema.Rect, fn func([]uint64, []int32)) {
+				eng.VisitShardBatches(i, cell, fn)
 			}, fold))
 		}
 		out.MergeShards(covers, fold)

@@ -224,11 +224,11 @@ func summaryK(requested int) int {
 // given versions of vs: per (version, shard), the shard's own rollup
 // answers the covered cells in O(cover) and the boundary cells are
 // folded in place from the shard's records — summary.ResolveShard, one
-// store visit per cell, no record slice. A shard without a rollup (the
-// replica store) folds the rectangle whole. Fans onto the worker pool
-// when parallelism is enabled; the per-task folds add up exactly and
-// the sketch parts combine in one MergeMany batch, so the response
-// cannot depend on scheduling.
+// store visit per cell handing over a batch per leaf, no record slice.
+// A shard without a rollup (the replica store) folds the rectangle
+// whole. Fans onto the worker pool when parallelism is enabled; the
+// per-task folds add up exactly and the sketch parts combine in one
+// MergeMany batch, so the response cannot depend on scheduling.
 func (n *Node) resolveLocalAgg(vs *store.Versioned, versions []uint32, rect schema.Rect, out *summary.Agg) {
 	type task struct {
 		eng   *store.Sharded
@@ -252,8 +252,8 @@ func (n *Node) resolveLocalAgg(vs *store.Versioned, versions []uint32, rect sche
 	n.runSubTasks(len(tasks), func(i int) {
 		t := tasks[i]
 		folds[i] = summary.GetFold(len(out.Sums))
-		covers[i] = summary.ResolveShard(t.eng.Rollup(t.shard), rect, func(cell schema.Rect, fn func(schema.Record)) {
-			t.eng.VisitShard(t.shard, cell, fn)
+		covers[i] = summary.ResolveShard(t.eng.Rollup(t.shard), rect, func(cell schema.Rect, fn func([]uint64, []int32)) {
+			t.eng.VisitShardBatches(t.shard, cell, fn)
 		}, folds[i])
 	})
 	for _, f := range folds[1:] {

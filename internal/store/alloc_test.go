@@ -80,8 +80,8 @@ func TestAllocBudgetBoundaryFold(t *testing.T) {
 		resolve := func() uint64 {
 			out := summary.NewAgg(sch.Arity(), 8)
 			fold := summary.NewFold(sch.Arity())
-			cover := summary.ResolveShard(eng.Rollup(0), rect, func(cell schema.Rect, fn func(schema.Record)) {
-				eng.VisitShard(0, cell, fn)
+			cover := summary.ResolveShard(eng.Rollup(0), rect, func(cell schema.Rect, fn func([]uint64, []int32)) {
+				eng.VisitShardBatches(0, cell, fn)
 			}, fold)
 			boundary := fold.Count - cover.N()
 			out.MergeShards([]*summary.Sketch{cover}, fold)

@@ -33,8 +33,10 @@ func fuzzVal(mode, b byte) uint64 {
 // whatever the stream — attribute values above the schema bound,
 // rectangle edges at, just below and above it, Lo above the bound (must
 // be empty), inverted rectangles, records straddling tail → ladder
-// carries — Static and Sharded must answer Visit, Query and Count
-// exactly as the Scan oracle, which clamps every record the slow way,
+// carries — Static and Sharded must answer VisitBatches, Visit, Query
+// and Count exactly as the Scan oracle, which clamps every record the
+// slow way (a batch must also hold whole rows, at most a leaf of them,
+// and select ascending row starts inside the rectangle),
 // and Sharded's Len and All must track it after every op. The engines
 // test RAW values against an unclamped rectangle; this is the test that
 // breaks if that identity does.
@@ -63,10 +65,31 @@ func FuzzStoreOracle(f *testing.F) {
 			want := sc.Query(rect)
 			st := NewStatic(sch, sc.recs)
 			for name, e := range map[string]interface {
+				VisitBatches(schema.Rect, func([]uint64, []int32))
 				Visit(schema.Rect, func(schema.Record))
 				Query(schema.Rect) []schema.Record
 				Count(schema.Rect) int
 			}{"static": st, "sharded": eng} {
+				var batched []schema.Record
+				e.VisitBatches(rect, func(rows []uint64, sel []int32) {
+					const arity = 4
+					if len(rows)%arity != 0 || len(rows) > leafRows*arity || len(sel) == 0 {
+						t.Fatalf("%s batch over %v: %d words, %d selected", name, rect, len(rows), len(sel))
+					}
+					for j, o := range sel {
+						if o%arity != 0 || int(o) >= len(rows) || (j > 0 && o <= sel[j-1]) {
+							t.Fatalf("%s batch over %v: offsets %v in %d words are not ascending row starts", name, rect, sel, len(rows))
+						}
+						rec := rows[o : o+arity]
+						if !rectContains(sc.bounds, rect, rec) {
+							t.Fatalf("%s batch over %v selected %v, outside it", name, rect, rec)
+						}
+						batched = append(batched, rec)
+					}
+				})
+				if !sameRecs(batched, want) {
+					t.Fatalf("%s VisitBatches %v: %d records, oracle %d", name, rect, len(batched), len(want))
+				}
 				var visited []schema.Record
 				e.Visit(rect, func(rec schema.Record) { visited = append(visited, rec) })
 				if !sameRecs(visited, want) {

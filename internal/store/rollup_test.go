@@ -21,14 +21,14 @@ func skewRec(r *rand.Rand) schema.Record {
 
 // resolveRollup answers rect the way mind.resolveLocalAgg does: per
 // shard, the shard's own rollup resolves the cover and its boundary
-// cells fold through VisitShard; MergeShards closes the answer.
+// cells fold through VisitShardBatches; MergeShards closes the answer.
 func resolveRollup(e *Sharded, rect schema.Rect, k int) summary.Agg {
 	agg := summary.NewAgg(e.arity, k)
 	fold := summary.NewFold(e.arity)
 	var covers []*summary.Sketch
 	for sh := 0; sh < e.NumShards(); sh++ {
-		covers = append(covers, summary.ResolveShard(e.Rollup(sh), rect, func(cell schema.Rect, fn func(schema.Record)) {
-			e.VisitShard(sh, cell, fn)
+		covers = append(covers, summary.ResolveShard(e.Rollup(sh), rect, func(cell schema.Rect, fn func([]uint64, []int32)) {
+			e.VisitShardBatches(sh, cell, fn)
 		}, fold))
 	}
 	agg.MergeShards(covers, fold)

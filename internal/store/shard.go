@@ -176,8 +176,9 @@ func (e *Sharded) shardOf(rec schema.Record) int {
 }
 
 // Rollup returns shard i's summary, or nil when the engine was built
-// without Options.Rollup. It summarizes exactly the records VisitShard(i)
-// streams, so the aggregate path pairs the two per shard.
+// without Options.Rollup. It summarizes exactly the records
+// VisitShardBatches(i) streams, so the aggregate path pairs the two per
+// shard.
 func (e *Sharded) Rollup(i int) *summary.Summary { return e.shards[i].roll }
 
 // newTail allocates an empty tail arena.
@@ -265,31 +266,47 @@ func (e *Sharded) Compact() {
 	}
 }
 
-// VisitShard calls fn with every record of shard i inside rect: the
-// shard's levels, oldest first, then its tail, on one published
+// VisitShardBatches calls fn with every record of shard i inside rect,
+// a batch at a time (Static.VisitBatches' contract): the shard's levels,
+// oldest first, then its tail in leaf-sized runs, on one published
 // snapshot and one opened window. It is the read primitive everything
 // else wraps — the parallel local execution layer (mind.resolveLocal)
 // fans (version, shard) tasks over it, and the aggregate path folds
-// boundary cells through it without materializing a record slice. The
-// records are read-only views (Static's view contract).
-func (e *Sharded) VisitShard(i int, rect schema.Rect, fn func(schema.Record)) {
+// boundary cells through it batch by batch (summary.Fold.AddBatch)
+// without materializing a record slice.
+func (e *Sharded) VisitShardBatches(i int, rect schema.Rect, fn func(rows []uint64, sel []int32)) {
+	e.visitBatches(i, i+1, rect, fn)
+}
+
+// VisitBatches calls fn with every record inside rect, a batch at a
+// time, shard by shard.
+func (e *Sharded) VisitBatches(rect schema.Rect, fn func(rows []uint64, sel []int32)) {
+	e.visitBatches(0, len(e.shards), rect, fn)
+}
+
+// visitBatches visits shards [from, to) on one opened window and one
+// selection.
+func (e *Sharded) visitBatches(from, to int, rect schema.Rect, fn func(rows []uint64, sel []int32)) {
 	var buf windowBuf
 	w, ok := openWindow(e.bounds, rect, &buf)
 	if !ok {
 		return
 	}
-	snap := e.shards[i].snap.Load()
-	for _, l := range snap.levels {
-		l.visit(&w, fn)
+	sel := selPool.Get().(*selection)
+	for i := from; i < to; i++ {
+		snap := e.shards[i].snap.Load()
+		for _, l := range snap.levels {
+			l.visit(&w, sel, fn)
+		}
+		scanBatches(snap.tail.published(e.arity), e.arity, w.con, sel, fn)
 	}
-	scanRows(snap.tail.published(e.arity), e.arity, w.con, fn)
+	selPool.Put(sel)
 }
 
-// Visit calls fn with every record inside rect, shard by shard.
+// Visit calls fn with every record inside rect, shard by shard. The
+// records are read-only views (Static's view contract).
 func (e *Sharded) Visit(rect schema.Rect, fn func(schema.Record)) {
-	for i := range e.shards {
-		e.VisitShard(i, rect, fn)
-	}
+	e.VisitBatches(rect, recordsOf(e.arity, fn))
 }
 
 // Query resolves an orthogonal range query across all shards.
@@ -298,23 +315,24 @@ func (e *Sharded) Query(rect schema.Rect) []schema.Record {
 }
 
 // QueryAppend resolves rect and appends matches to out, returning the
-// extended slice.
+// extended slice; out grows at most once per batch.
 func (e *Sharded) QueryAppend(rect schema.Rect, out []schema.Record) []schema.Record {
-	e.Visit(rect, func(rec schema.Record) { out = append(out, rec) })
+	e.VisitBatches(rect, func(rows []uint64, sel []int32) { out = appendRecords(out, rows, sel, e.arity) })
 	return out
 }
 
 // QueryShardAppend resolves rect against one shard only, appending
 // matches to out.
 func (e *Sharded) QueryShardAppend(i int, rect schema.Rect, out []schema.Record) []schema.Record {
-	e.VisitShard(i, rect, func(rec schema.Record) { out = append(out, rec) })
+	e.VisitShardBatches(i, rect, func(rows []uint64, sel []int32) { out = appendRecords(out, rows, sel, e.arity) })
 	return out
 }
 
-// Count returns the number of records inside rect: a Visit that counts.
+// Count returns the number of records inside rect without materializing
+// them.
 func (e *Sharded) Count(rect schema.Rect) int {
 	n := 0
-	e.Visit(rect, func(schema.Record) { n++ })
+	e.VisitBatches(rect, func(_ []uint64, sel []int32) { n += len(sel) })
 	return n
 }
 

@@ -10,7 +10,8 @@ import "mind/internal/schema"
 //   - rows: the full records (indexed attributes first, payload after),
 //     stride arity, in k-d PARTITION ORDER — every subtree of the index
 //     is one contiguous row range, and recursion stops at leaves of at
-//     most leafRows rows that a visit scans linearly;
+//     most leafRows rows, the unit a visit selects from and hands over
+//     as one batch;
 //   - cuts: the split values as an implicit BFS tree — root at 1, the
 //     children of node i at 2i and 2i+1. Node i over rows [lo, hi) splits
 //     at mid = lo+(hi-lo)/2 into [lo, mid) and [mid, hi), so a descent
@@ -22,7 +23,8 @@ import "mind/internal/schema"
 // query rectangle once instead (window, store.go).
 //
 // View contract: a record handed out (Visit, Query, All) is a capped
-// view rows[b : b+arity : b+arity] of the immutable arena. It is
+// view rows[b : b+arity : b+arity] of the immutable arena, and a batch's
+// rows (VisitBatches) a view of a run of whole records. It is
 // read-only, may be retained for any length of time (it pins its whole
 // arena until dropped), and appending to it reallocates instead of
 // touching the neighbouring row.
@@ -43,7 +45,10 @@ type Static struct {
 // leafRows is the largest row range a traversal scans instead of
 // splitting. Like defaultShards it is a fixed constant: 16, 32 and 64
 // were measured once (EXPERIMENTS.md "Ladder of leaf-bucketed arenas")
-// and 32 kept — a leaf of 40 B rows is 20 cache lines read in order.
+// and 32 kept — a leaf of 40 B rows is 20 cache lines read in order —
+// and 16 read worse again once leaves were selected in batches
+// (EXPERIMENTS.md "One scan per leaf"). It also sizes a visit's
+// selection scratch.
 const leafRows = 32
 
 // staticStackCap bounds the iterative traversal stack. The descent
@@ -152,22 +157,33 @@ func (s *Static) selectRow(lo, hi, n, dim int) {
 // Len returns the number of stored records.
 func (s *Static) Len() int { return len(s.rows) / s.arity }
 
-// Visit calls fn with every record inside rect, in partition order. It
-// is THE static traversal — Query, QueryAppend and Count are wrappers —
-// and performs no allocation: the stack is a fixed local array and the
-// records are views (see the view contract above).
-func (s *Static) Visit(rect schema.Rect, fn func(schema.Record)) {
+// VisitBatches calls fn once per leaf that holds records inside rect, in
+// partition order, with the leaf's rows and the ascending word offsets of
+// those records among them: record j is rows[sel[j] : sel[j]+arity]. It
+// is THE static traversal — Visit, Query, QueryAppend and Count are
+// wrappers — and performs no allocation: the stack is a fixed local
+// array, the selection is recycled and rows is a view of the arena (see
+// the view contract above). sel is reused for the next batch, so fn must
+// not retain it.
+func (s *Static) VisitBatches(rect schema.Rect, fn func(rows []uint64, sel []int32)) {
 	var buf windowBuf
 	if w, ok := openWindow(s.bounds, rect, &buf); ok {
-		s.visit(&w, fn)
+		sel := selPool.Get().(*selection)
+		s.visit(&w, sel, fn)
+		selPool.Put(sel)
 	}
 }
 
-// visit is Visit on an already opened window: a depth-first descent
-// that follows a lone surviving child in place and stacks the right
-// child only where both survive. An open window is never inverted, so
-// at least one child always survives.
-func (s *Static) visit(w *window, fn func(schema.Record)) {
+// Visit calls fn with every record inside rect, in partition order.
+func (s *Static) Visit(rect schema.Rect, fn func(schema.Record)) {
+	s.VisitBatches(rect, recordsOf(s.arity, fn))
+}
+
+// visit is VisitBatches on an already opened window: a depth-first
+// descent that follows a lone surviving child in place and stacks the
+// right child only where both survive. An open window is never
+// inverted, so at least one child always survives.
+func (s *Static) visit(w *window, sel *selection, fn func(rows []uint64, sel []int32)) {
 	if len(s.rows) == 0 {
 		return
 	}
@@ -195,7 +211,7 @@ func (s *Static) visit(w *window, fn func(schema.Record)) {
 			}
 			f = sframe{2 * f.node, f.lo, mid, nd}
 		}
-		scanRows(s.rows[int(f.lo)*s.arity:int(f.hi)*s.arity], s.arity, w.con, fn)
+		scanBatches(s.rows[int(f.lo)*s.arity:int(f.hi)*s.arity], s.arity, w.con, sel, fn)
 		if sp == 0 {
 			return
 		}
@@ -205,9 +221,9 @@ func (s *Static) visit(w *window, fn func(schema.Record)) {
 }
 
 // QueryAppend resolves rect, appending matches to out. Beyond out's
-// growth it performs no allocation.
+// growth — at most once per batch — it performs no allocation.
 func (s *Static) QueryAppend(rect schema.Rect, out []schema.Record) []schema.Record {
-	s.Visit(rect, func(rec schema.Record) { out = append(out, rec) })
+	s.VisitBatches(rect, func(rows []uint64, sel []int32) { out = appendRecords(out, rows, sel, s.arity) })
 	return out
 }
 
@@ -216,10 +232,11 @@ func (s *Static) Query(rect schema.Rect) []schema.Record {
 	return s.QueryAppend(rect, nil)
 }
 
-// Count returns the number of records inside rect: a Visit that counts.
+// Count returns the number of records inside rect without materializing
+// them.
 func (s *Static) Count(rect schema.Rect) int {
 	n := 0
-	s.Visit(rect, func(schema.Record) { n++ })
+	s.VisitBatches(rect, func(_ []uint64, sel []int32) { n += len(sel) })
 	return n
 }
 

@@ -10,9 +10,9 @@
 //
 //   - Static (static.go) is a bulk-built, immutable k-d index over one
 //     pointer-free arena of full records in partition order, bucketed
-//     into leaves a visit scans linearly: no per-node pointers, no
-//     per-query allocations, one iterative traversal (Visit) that every
-//     read is a wrapper over.
+//     into leaves of at most leafRows rows: no per-node pointers, no
+//     per-query allocations, one iterative traversal (VisitBatches) that
+//     every read is a wrapper over.
 //   - Sharded (shard.go) is the engine: per-core shards routed by a
 //     hash of the record's indexed point, each a logarithmic-method
 //     ladder of Static arenas behind a small unsorted tail arena that
@@ -24,6 +24,17 @@
 //   - Versioned (versioned.go) keeps one Sharded engine per index
 //     version (§3.7).
 //
+// Every read hands its matches over a batch at a time: one leaf's row
+// slice (a tail is cut into leaf-sized runs) plus a selection, the
+// ascending word offsets of the rows inside the query window.
+// selectRows picks them without a data-dependent branch, one column at
+// a time — the first constrained column over every row, each later one
+// over the rows that survived — so a leaf that straddles a window edge
+// costs the same whatever its rows hold, and a consumer such as the
+// aggregate fold (summary.Fold.AddBatch) takes a whole leaf per call
+// instead of one call per record. Visit, Query, QueryAppend and Count
+// adapt the batches back to records.
+//
 // A Store holds the records of one index (or one daily version of one
 // index) at one node. Scan, the differential-test oracle, keeps the old
 // single-threaded contract and must be serialized by its caller.
@@ -31,6 +42,9 @@ package store
 
 import (
 	"math"
+	"math/bits"
+	"slices"
+	"sync"
 
 	"mind/internal/schema"
 )
@@ -148,20 +162,90 @@ func openWindow(bounds []uint64, rect schema.Rect, buf *windowBuf) (w window, ok
 	return w, true
 }
 
-// scanRows calls fn with every record of rows (stride arity) that
-// satisfies every bound, in row order — the leaf scan of a Static and
-// the whole read path of a tail. Records are capped views.
-func scanRows(rows []uint64, arity int, con []bound, fn func(schema.Record)) {
-next:
-	for b := 0; b+arity <= len(rows); b += arity {
-		rec := rows[b : b+arity : b+arity]
-		for _, c := range con {
-			if rec[c.dim]-c.lo > c.span {
-				continue next
-			}
+// selection is the scratch a visit selects one leaf's rows into.
+type selection [leafRows]int32
+
+// selPool recycles selections between visits. A batch callback keeps
+// nothing it is handed, but the compiler cannot see that through a func
+// value, so a selection on the visit's stack would move to the heap on
+// every visit.
+var selPool = sync.Pool{New: func() any { return new(selection) }}
+
+// selectRows returns, in a prefix of sel, the ascending word offsets into
+// rows (stride arity, at most leafRows rows) of the rows that satisfy
+// every bound. It takes no data-dependent branch: every candidate's
+// offset is written and the write position advances by the 0 or 1 its
+// test computes (sel[k] = b; k += in). The first bound is tested over every
+// row and each later bound only over the rows that survived, so a
+// selective first column (a destination prefix) leaves little for the
+// others to test, as the early exit of a row-at-a-time scan did. With no
+// bound at all every row is selected.
+func selectRows(rows []uint64, arity int, con []bound, sel *selection) []int32 {
+	k := 0
+	if len(con) == 0 {
+		for b := 0; b < len(rows); b += arity {
+			sel[k] = int32(b)
+			k++
 		}
-		fn(rec)
+		return sel[:k]
 	}
+	c := con[0]
+	for b := 0; b < len(rows); b += arity {
+		sel[k] = int32(b)
+		k += inside(rows[b+c.dim], c)
+	}
+	for _, c := range con[1:] {
+		n := 0
+		for _, b := range sel[:k] {
+			sel[n] = b
+			n += inside(rows[int(b)+c.dim], c)
+		}
+		k = n
+	}
+	return sel[:k]
+}
+
+// inside is 1 if v lies inside c and 0 otherwise: v-lo <= span is the
+// absence of a borrow from span - (v-lo), which compiles to a subtract
+// with borrow instead of a branch.
+func inside(v uint64, c bound) int {
+	_, out := bits.Sub64(c.span, v-c.lo, 0)
+	return int(out ^ 1)
+}
+
+// scanBatches hands fn, one leaf-sized run at a time, the rows of rows
+// (stride arity) that satisfy every bound; a run with none is skipped.
+// It is the one row scan: a Static leaf is a single run, a tail several.
+func scanBatches(rows []uint64, arity int, con []bound, sel *selection, fn func(rows []uint64, sel []int32)) {
+	for step := leafRows * arity; len(rows) > 0; {
+		run := rows[:min(step, len(rows))]
+		rows = rows[len(run):]
+		if in := selectRows(run, arity, con, sel); len(in) > 0 {
+			fn(run, in)
+		}
+	}
+}
+
+// recordsOf adapts a record callback to batches: fn sees every selected
+// row as a capped view.
+func recordsOf(arity int, fn func(schema.Record)) func(rows []uint64, sel []int32) {
+	return func(rows []uint64, sel []int32) {
+		for _, o := range sel {
+			b := int(o)
+			fn(rows[b : b+arity : b+arity])
+		}
+	}
+}
+
+// appendRecords appends every selected row of a batch to out as a capped
+// view, growing out once per batch.
+func appendRecords(out []schema.Record, rows []uint64, sel []int32, arity int) []schema.Record {
+	out = slices.Grow(out, len(sel))
+	for _, o := range sel {
+		b := int(o)
+		out = append(out, rows[b:b+arity:b+arity])
+	}
+	return out
 }
 
 // eachRow streams rows (stride arity) as capped views until yield

@@ -86,31 +86,71 @@ func (t *Tally) Merge(o *Tally) {
 // Floor at or above that key's weight. The part joins the rollup parts
 // in MergeMany like any other contributor; truncating once here, after
 // the last record, is what keeps the brackets exact up to that point.
+//
+// The selection is one pass over the table into a k-entry heap whose
+// root is the last kept entry in canonical order: a key that does not
+// beat the root is truncated on the spot, so nothing but the k kept
+// entries is ever copied out.
 func (t *Tally) Part(k int) *Sketch {
-	entries := make([]Entry, 0, t.used)
-	for _, s := range t.slots {
-		if s.w != 0 {
-			entries = append(entries, Entry{Key: s.key, Count: s.w})
-		}
-	}
 	k = max(k, 1)
+	top := make([]Entry, 0, min(k, t.used))
 	var floor uint64
-	if len(entries) > k {
-		selectTopK(entries, k)
-		for _, e := range entries[k:] {
+	for _, s := range t.slots {
+		if s.w == 0 {
+			continue
+		}
+		e := Entry{Key: s.key, Count: s.w}
+		switch {
+		case len(top) < k:
+			top = append(top, e)
+			heapUp(top, len(top)-1)
+		case entryBefore(e, top[0]):
+			floor = max(floor, top[0].Count)
+			top[0] = e
+			heapDown(top, 0)
+		default:
 			floor = max(floor, e.Count)
 		}
-		entries = entries[:k:k]
 	}
-	sortEntries(entries)
-	return FromParts(k, t.total, floor, entries)
+	sortEntries(top)
+	return FromParts(k, t.total, floor, top)
+}
+
+// heapUp and heapDown keep h a heap whose root is its last entry in
+// canonical order: no child is after its parent.
+func heapUp(h []Entry, i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !entryBefore(h[p], h[i]) {
+			return
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+}
+
+func heapDown(h []Entry, i int) {
+	for {
+		last, l := i, 2*i+1
+		if l < len(h) && entryBefore(h[last], h[l]) {
+			last = l
+		}
+		if r := l + 1; r < len(h) && entryBefore(h[last], h[r]) {
+			last = r
+		}
+		if last == i {
+			return
+		}
+		h[i], h[last] = h[last], h[i]
+		i = last
+	}
 }
 
 // Fold is the exact half of an aggregate under assembly: records
 // streamed by a store visit (boundary cells, shards without a summary,
 // replica stores) add to the count, the per-attribute sums and a key
-// Tally, in place — no record slice, no sketch offer. Add has the
-// visitor callback's signature.
+// Tally, in place — no record slice, no sketch offer. AddBatch has the
+// store's batch callback signature.
 type Fold struct {
 	Count uint64
 	Sums  []uint64
@@ -152,13 +192,19 @@ func (f *Fold) Reset() {
 	f.Keys.Reset()
 }
 
-// Add folds one record.
-func (f *Fold) Add(rec schema.Record) {
-	f.Count++
-	for i := range min(len(f.Sums), len(rec)) {
-		f.Sums[i] += rec[i]
+// AddBatch folds the selected records of one store batch: rows is a run
+// of records and sel the word offsets into rows of those to fold, each
+// starting a record at least len(f.Sums) words long.
+func (f *Fold) AddBatch(rows []uint64, sel []int32) {
+	f.Count += uint64(len(sel))
+	sums := f.Sums
+	for _, o := range sel {
+		rec := rows[o : int(o)+len(sums)]
+		for i, v := range rec {
+			sums[i] += v
+		}
+		f.Keys.AddN(keyOf(rec), 1)
 	}
-	f.Keys.AddN(keyOf(rec), 1)
 }
 
 // Merge folds o into f (per-task folds of a parallel fan-out).
@@ -170,21 +216,24 @@ func (f *Fold) Merge(o *Fold) {
 	f.Keys.Merge(&o.Keys)
 }
 
-// Visitor streams every stored record inside rect to fn. The production
-// implementation is store.Sharded.VisitShard curried on its shard.
-type Visitor func(rect schema.Rect, fn func(schema.Record))
+// Visitor streams every stored record inside rect to fn a batch at a
+// time: rows is a run of records and sel the word offsets into rows of
+// those inside rect. The production implementation is
+// store.Sharded.VisitShardBatches curried on its shard.
+type Visitor func(rect schema.Rect, fn func(rows []uint64, sel []int32))
 
 // ResolveShard answers rect for one (summary shard, store shard) pair:
 // the rollup contributes the cells fully inside rect — counters into f,
 // its merged sketch returned as the cover part — and every boundary
 // cell is folded exactly where it stands, visit streaming its records
-// into f. A nil summary (a shard set not aligned with the store, a
-// replica store) folds the whole rectangle and returns no cover part.
-// This is the one implementation of "resolve the cover, drill the
+// into f batch by batch. A nil summary (a shard set not aligned with the
+// store, a replica store) folds the whole rectangle and returns no cover
+// part. This is the one implementation of "resolve the cover, drill the
 // boundary"; Agg.MergeShards closes the answer.
 func ResolveShard(s *Summary, rect schema.Rect, visit Visitor, f *Fold) *Sketch {
+	add := f.AddBatch
 	if s == nil {
-		visit(rect, f.Add)
+		visit(rect, add)
 		return nil
 	}
 	r := s.Resolve(rect)
@@ -193,7 +242,7 @@ func ResolveShard(s *Summary, rect schema.Rect, visit Visitor, f *Fold) *Sketch 
 		f.Sums[i] += v
 	}
 	for _, cell := range r.Boundary {
-		visit(cell, f.Add)
+		visit(cell, add)
 	}
 	return r.Sketch
 }

@@ -272,20 +272,28 @@ func FuzzSummaryRollup(f *testing.F) {
 // TestFoldReuseIsExact pins what the aggregate path's fold pool relies
 // on: a fold that held a larger, different stream and was Reset answers
 // a new stream exactly as a fresh fold does — same count, sums and key
-// part — and GetFold never hands out a fold of another arity.
+// part — and GetFold never hands out a fold of another arity. The
+// fresh fold takes the stream as one batch whose selection skips a decoy
+// row after every record, so it also pins that AddBatch folds exactly
+// the selected rows.
 func TestFoldReuseIsExact(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	used := NewFold(4)
 	for i := 0; i < 5000; i++ { // ~5000 distinct keys: the table grows well past the second stream's
-		used.Add(schema.Record{uint64(r.Intn(1 << 30)), 1, 2, 3})
+		used.AddBatch([]uint64{uint64(r.Intn(1 << 30)), 1, 2, 3}, []int32{0})
 	}
 	used.Reset()
 	fresh := NewFold(4)
+	var rows []uint64
+	var sel []int32
 	for i := 0; i < 700; i++ {
 		rec := randRec(r)
-		used.Add(rec)
-		fresh.Add(rec)
+		used.AddBatch(rec, []int32{0})
+		sel = append(sel, int32(len(rows)))
+		rows = append(rows, rec...)
+		rows = append(rows, 1<<40, 7, 7, 7)
 	}
+	fresh.AddBatch(rows, sel)
 	if used.Count != fresh.Count || !slices.Equal(used.Sums, fresh.Sums) {
 		t.Fatalf("reused fold: count %d sums %v, fresh %d %v", used.Count, used.Sums, fresh.Count, fresh.Sums)
 	}
