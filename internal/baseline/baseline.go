@@ -141,11 +141,6 @@ func (n *FloodNode) dispatch(from string, data []byte) {
 		recs := n.local.Query(msg.Rect)
 		n.mu.Unlock()
 		resp := &wire.QueryResp{ReqID: msg.ReqID, From: wire.NodeInfo{Addr: n.ep.Addr()}, Recs: recs}
-		for i := range recs {
-			// The wire format pairs every record with an id; these
-			// architectures never dedup, so the position serves.
-			resp.RecID = append(resp.RecID, uint64(i))
-		}
 		_ = n.ep.Send(msg.OriginAddr, wire.Encode(resp))
 	case *wire.QueryResp:
 		n.mu.Lock()

@@ -52,11 +52,6 @@ func (s *CentralServer) dispatch(from string, data []byte) {
 		recs := s.data.Query(msg.Rect)
 		s.mu.Unlock()
 		resp := &wire.QueryResp{ReqID: msg.ReqID, From: wire.NodeInfo{Addr: s.ep.Addr()}, HasCover: true, Recs: recs}
-		for i := range recs {
-			// The wire format pairs every record with an id; these
-			// architectures never dedup, so the position serves.
-			resp.RecID = append(resp.RecID, uint64(i))
-		}
 		_ = s.ep.Send(msg.OriginAddr, wire.Encode(resp))
 	}
 }

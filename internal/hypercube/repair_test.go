@@ -64,7 +64,7 @@ func TestLinkOutageDoesNotKillAliveNode(t *testing.T) {
 		}
 	}
 	if a == nil {
-		t.Skip("no exact sibling pair")
+		t.Fatal("seed 63 builds no exact sibling pair: pick a seed that does")
 	}
 	codeA, codeB := a.ov.Code(), b.ov.Code()
 	net.CutLink(a.name, b.name)
@@ -148,7 +148,7 @@ func TestRelocationTakeoverCoversDeadPair(t *testing.T) {
 		}
 	}
 	if killed != 2 || len(survivors) != 2 {
-		t.Skipf("topology lacked a clean half split (killed=%d)", killed)
+		t.Fatalf("seed 71 builds no clean half split (killed=%d): pick a seed that does", killed)
 	}
 	net.RunFor(40 * cfg.FailAfter)
 

@@ -111,16 +111,10 @@ func newIndexOpts(sch *schema.Schema, base *embed.Tree, opts store.Options) *ind
 		primary:       store.NewVersionedOpts(sch, popts),
 		replicas:      store.NewVersionedOpts(sch, opts),
 		replicaOwners: make(map[bitstr.Code]bool),
-		timeAttr:      -1,
+		timeAttr:      sch.TimeDim(),
 	}
 	for i := range ix.stripes {
 		ix.stripes[i].seen = newDedupSet(dedupCap / recStripes)
-	}
-	for i := 0; i < sch.IndexDims; i++ {
-		if sch.Attrs[i].Kind == schema.KindTime {
-			ix.timeAttr = i
-			break
-		}
 	}
 	return ix
 }

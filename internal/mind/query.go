@@ -47,7 +47,7 @@ func (n *Node) Query(tag string, rect schema.Rect, cb func(QueryResult)) error {
 
 // recordKind is the record-query resolver: pieces travel as wire.Query
 // while undecomposed and as wire.SubQuery afterwards, and answers carry
-// the matching records with content-hash ids.
+// the matching records alone — the originator derives their ids.
 type recordKind struct{}
 
 func (recordKind) request(p piece) wire.Message {
@@ -102,23 +102,16 @@ func (recordKind) resolve(n *Node, ix *index, p piece, a answer, replica bool) w
 	} else {
 		recs = n.resolveLocal(ix.primary, p.versions32(), p.rect)
 	}
-	resp := &wire.QueryResp{
+	return &wire.QueryResp{
 		ReqID: a.reqID, From: a.from, HasCover: a.hasCover, Cover: a.cover,
-		Versions: a.versions, Hops: a.hops,
+		Versions: a.versions, Recs: recs, Hops: a.hops,
 	}
-	if len(recs) > 0 {
-		resp.Recs = recs
-		resp.RecID = make([]uint64, len(recs))
-		for i, r := range recs {
-			resp.RecID[i] = recHash(r)
-		}
-	}
-	return resp
 }
 
 // recordAcc gathers a record query's answers. Overlapping answers
 // (replica fail-over, ring double-delivery, retransmission races) are
-// harmless: records dedup by content id, so every response is admitted.
+// harmless: records dedup by content id (recHash, computed here as each
+// answer is admitted), so every response is admitted.
 // An answer's record list is kept where it was decoded, with the records
 // already seen squeezed out in place; deliver concatenates the lists
 // once, at their exact total, and an operation one answer resolved hands
@@ -134,11 +127,11 @@ func (r *recordAcc) admit(a answer, _ *coverSet) bool {
 	if !ok {
 		return false
 	}
-	r.ids.reserve(len(m.RecID))
+	r.ids.reserve(len(m.Recs))
 	fresh := m.Recs[:0]
-	for i, id := range m.RecID {
-		if r.ids.add(id) {
-			fresh = append(fresh, m.Recs[i])
+	for _, rec := range m.Recs {
+		if r.ids.add(recHash(rec)) {
+			fresh = append(fresh, rec)
 		}
 	}
 	if len(fresh) > 0 {
@@ -194,8 +187,9 @@ func filterToRegion(ix *index, versions []uint32, rect schema.Rect, region bitst
 // attribute passes through at least the two rounds of a full-avalanche
 // 64-bit finaliser before the id leaves, and two records of one arity
 // that differ in a single attribute cannot collide at all. The arity
-// seeds the chain, so a trailing zero attribute changes the id. Ids only
-// have to agree between the responders of one build.
+// seeds the chain, so a trailing zero attribute changes the id. Ids are
+// computed only at the originator, from the records it decoded, and never
+// cross the wire, so no two builds ever have to agree on them.
 func recHash(r []uint64) uint64 {
 	const m = 0xd6e8feb86659fd93
 	h := uint64(len(r)+1) * 0x9e3779b97f4a7c15

@@ -34,19 +34,18 @@ func TestIDSet(t *testing.T) {
 	}
 }
 
-// wideAnswers splits n distinct Index-2-shaped records, with their ids,
-// evenly over parts responders' answers.
+// wideAnswers splits n distinct Index-2-shaped records evenly over parts
+// responders' answers.
 func wideAnswers(parts, n int) []*wire.QueryResp {
 	r := rand.New(rand.NewSource(21))
 	out := make([]*wire.QueryResp, parts)
 	for p := range out {
-		m := &wire.QueryResp{RecID: make([]uint64, n/parts), Recs: make([]schema.Record, n/parts)}
+		m := &wire.QueryResp{Recs: make([]schema.Record, n/parts)}
 		for i := range m.Recs {
 			m.Recs[i] = schema.Record{
 				uint64(r.Uint32()) &^ 0xff, uint64(r.Intn(86400)), 1<<20 + uint64(r.Intn(1<<30)),
 				uint64(r.Uint32()) &^ 0xff, uint64(r.Intn(8)),
 			}
-			m.RecID[i] = recHash(m.Recs[i])
 		}
 		out[p] = m
 	}
@@ -65,7 +64,6 @@ func TestRecordAccDedups(t *testing.T) {
 	again := *answers[0]
 	again.Recs = append([]schema.Record(nil), again.Recs...)
 	answers[1].Recs = append(answers[1].Recs, answers[1].Recs[7])
-	answers[1].RecID = append(answers[1].RecID, answers[1].RecID[7])
 
 	var got QueryResult
 	acc := &recordAcc{cb: func(res QueryResult) { got = res }}

@@ -21,8 +21,12 @@ import (
 	"strings"
 )
 
-// Kind documents how an attribute should be interpreted and rendered. It
-// has no effect on indexing; all values are uint64.
+// Kind documents how an attribute should be interpreted and rendered;
+// all values are uint64. It never shapes the data-space embedding, whose
+// cuts cycle through the indexed dimensions whatever their kinds. It
+// does shape each node's local store: the first indexed KindTime
+// attribute is cut on two levels of every three of the store's k-d
+// partition, because monitoring queries are windows in time.
 type Kind uint8
 
 const (
@@ -112,6 +116,18 @@ func (s *Schema) AttrIndex(name string) int {
 
 // Dims returns the number of indexed dimensions.
 func (s *Schema) Dims() int { return s.IndexDims }
+
+// TimeDim returns the position of the first indexed KindTime attribute,
+// or -1 when no indexed attribute is a time: the dimension versioning
+// (§3.7) buckets by and the local store's partition cuts most often.
+func (s *Schema) TimeDim() int {
+	for i := 0; i < s.IndexDims; i++ {
+		if s.Attrs[i].Kind == KindTime {
+			return i
+		}
+	}
+	return -1
+}
 
 // Arity returns the total number of attributes per record.
 func (s *Schema) Arity() int { return len(s.Attrs) }

@@ -62,34 +62,65 @@ func BenchmarkStoreLayout(b *testing.B) {
 	})
 }
 
-// BenchmarkStoreSlab is the read a node's aggregate boundary fold and
-// time-window queries make: one shard of 37,500 Index-2 records inserted
-// in time order over one day and left as the live ladder inserts build
-// (no Compact), queried with time-only windows — every destination and
-// every octet count. The k-d descent cuts dest, time and octets in turn,
-// so such a slab descends into many leaves that straddle its edges and
-// selects a fraction of their rows; matches/op is the answer size.
-func BenchmarkStoreSlab(b *testing.B) {
+// slabLadder is the live ladder BenchmarkStoreSlab and
+// TestTimeWindowOverscan read: one shard of 37,500 Index-2 records
+// inserted in time order over one day and left as the inserts build it
+// (no Compact) — 4 096 /24 destination prefixes, octets uniform below
+// 1 MB. prefix draws one of those prefixes from r.
+func slabLadder() (e *Sharded, bounds []uint64, prefix func(r *rand.Rand) uint64) {
 	sch := schema.Index2(86400)
-	bounds := sch.Bounds()
-	e := NewSharded(sch, Options{Shards: 1})
+	e = NewSharded(sch, Options{Shards: 1})
+	prefix = func(r *rand.Rand) uint64 { return uint64(r.Intn(4096)) * 0x9E3779B1 & 0xffffff00 }
 	r := rand.New(rand.NewSource(41))
 	const n = 37500
 	for i := 0; i < n; i++ {
-		prefix := uint64(r.Intn(4096)) * 0x9E3779B1 & 0xffffff00
-		e.Insert(schema.Record{prefix, uint64(i) * 86400 / n, uint64(r.Intn(1 << 20)), r.Uint64() >> 32, uint64(r.Intn(64))})
+		e.Insert(schema.Record{prefix(r), uint64(i) * 86400 / n, uint64(r.Intn(1 << 20)), r.Uint64() >> 32, uint64(r.Intn(64))})
+	}
+	return e, sch.Bounds(), prefix
+}
+
+// handedRows counts what one read of rect hands over: the rows of every
+// batch (the leaves and tail runs holding a match) and the matches among
+// them. rows ÷ matches is the read's overscan.
+func handedRows(e *Sharded, rect schema.Rect) (rows, matches int) {
+	e.VisitBatches(rect, func(batch []uint64, sel []int32) {
+		rows += len(batch) / e.arity
+		matches += len(sel)
+	})
+	return rows, matches
+}
+
+// BenchmarkStoreSlab is the read a node's aggregate boundary fold and
+// time-window queries make, on slabLadder: time-only windows (every
+// destination and every octet count) of 10 minutes and 1.5 hours, and a
+// narrow shape — one /24 × 4 minutes × octets >= 256 KB, the Index-2
+// point-ish query. matches/op is the answer size and rows/op the rows of
+// the batches handed over (the leaves that hold a match), so rows/op ÷
+// matches/op is the overscan the cut schedule (cutDim) leaves.
+func BenchmarkStoreSlab(b *testing.B) {
+	e, bounds, prefix := slabLadder()
+	r := rand.New(rand.NewSource(43))
+	slab := func(lo, width uint64) schema.Rect {
+		return schema.Rect{Lo: []uint64{0, lo, 0}, Hi: []uint64{bounds[0], lo + width, bounds[2]}}
+	}
+	narrow := func(lo, width uint64) schema.Rect {
+		p := prefix(r)
+		return schema.Rect{Lo: []uint64{p, lo, 256 << 10}, Hi: []uint64{p + 255, lo + width, bounds[2]}}
 	}
 	for _, w := range []struct {
 		name  string
 		width uint64
-	}{{"10m", 600}, {"1.5h", 5400}} {
+		rect  func(lo, width uint64) schema.Rect
+	}{{"10m", 600, slab}, {"1.5h", 5400, slab}, {"narrow", 240, narrow}} {
 		b.Run(w.name, func(b *testing.B) {
-			matches := 0
+			rows, matches := 0, 0
 			for i := 0; i < b.N; i++ {
-				lo := uint64(r.Intn(86400 - int(w.width)))
-				matches += e.Count(schema.Rect{Lo: []uint64{0, lo, 0}, Hi: []uint64{bounds[0], lo + w.width, bounds[2]}})
+				rw, m := handedRows(e, w.rect(uint64(r.Intn(86400-int(w.width))), w.width))
+				rows += rw
+				matches += m
 			}
 			b.ReportMetric(float64(matches)/float64(b.N), "matches/op")
+			b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
 		})
 	}
 }

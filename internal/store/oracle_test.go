@@ -39,27 +39,33 @@ func fuzzVal(mode, b byte) uint64 {
 // and select ascending row starts inside the rectangle),
 // and Sharded's Len and All must track it after every op. The engines
 // test RAW values against an unclamped rectangle; this is the test that
-// breaks if that identity does.
+// breaks if that identity does. The schema is sch3 (round robin cuts) or
+// sch3 with a time attribute at position 0, 1 or 2, so every phase of
+// the time-first cut schedule (cutDim) is pruned on against the oracle.
 func FuzzStoreOracle(f *testing.F) {
 	// Insert = op, then (mode, byte) per coordinate; query = op 3, then
 	// (mode, byte) for Lo and Hi per dim. One in-range record and the full
 	// space:
-	f.Add([]byte{0, 0, 10, 0, 20, 0, 30, 3, 0, 0, 0, 255, 0, 0, 0, 255, 0, 0, 0, 255}, uint8(0))
+	f.Add([]byte{0, 0, 10, 0, 20, 0, 30, 3, 0, 0, 0, 255, 0, 0, 0, 255, 0, 0, 0, 255}, uint8(0), uint8(0))
 	// A record far above the bound on every dim, then [b, b]³, [b-1, b-1]³,
 	// [b+1, b+1]³ (Lo above the bound) and a rectangle up at MaxUint64.
 	f.Add([]byte{0, 2, 9, 2, 0, 2, 200,
 		3, 1, 128, 1, 128, 1, 128, 1, 128, 1, 128, 1, 128,
 		3, 1, 127, 1, 127, 1, 127, 1, 127, 1, 127, 1, 127,
 		3, 1, 129, 1, 129, 1, 129, 1, 129, 1, 129, 1, 129,
-		3, 2, 9, 2, 0, 2, 9, 2, 0, 2, 9, 2, 0}, uint8(1))
+		3, 2, 9, 2, 0, 2, 9, 2, 0, 2, 9, 2, 0}, uint8(1), uint8(2))
 	for seed := int64(1); seed <= 4; seed++ { // the former seeded differential streams
-		blob := make([]byte, 1000)
+		blob := make([]byte, 2000) // ≈ 175 records: deep enough for a non-time cut
 		rand.New(rand.NewSource(seed)).Read(blob)
-		f.Add(blob, uint8(seed))
+		f.Add(blob, uint8(seed), uint8(seed))
 	}
-	f.Fuzz(func(t *testing.T, data []byte, shardsRaw uint8) {
+	f.Fuzz(func(t *testing.T, data []byte, shardsRaw, schemaRaw uint8) {
 		sch := sch3()
-		eng := smallTail(1<<(shardsRaw%3), 4+int(shardsRaw%13)) // carries every few records
+		if p := int(schemaRaw % 4); p > 0 {
+			sch = schTime(p - 1)
+		}
+		eng := NewSharded(sch, Options{Shards: 1 << (shardsRaw % 3)})
+		eng.tailCap = 4 + int(shardsRaw%13) // carries every few records
 		sc := NewScan(sch)
 		check := func(rect schema.Rect) {
 			want := sc.Query(rect)

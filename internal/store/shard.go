@@ -126,6 +126,7 @@ type Sharded struct {
 	bounds []uint64
 	dims   int
 	arity  int
+	time   int // the schema's TimeDim: every level's cut schedule (cutDim)
 	// tailCap is the tail capacity in rows: tailRows, except that tests
 	// shrink it before the first insert so carries fire every few records.
 	tailCap int
@@ -141,6 +142,7 @@ func NewSharded(sch *schema.Schema, opts Options) *Sharded {
 		bounds:  sch.Bounds(),
 		dims:    sch.Dims(),
 		arity:   sch.Arity(),
+		time:    sch.TimeDim(),
 		tailCap: tailRows,
 		mask:    uint64(opts.Shards - 1),
 		shards:  make([]engineShard, opts.Shards),
@@ -239,7 +241,7 @@ func (e *Sharded) carryLocked(sh *engineShard, snap *shardSnap, everything bool)
 	rows = append(rows, tailRun...)
 	next := &shardSnap{levels: make([]*Static, keep+1)}
 	copy(next.levels, snap.levels[:keep])
-	next.levels[keep] = buildStatic(e.bounds, e.dims, e.arity, rows)
+	next.levels[keep] = buildStatic(e.bounds, e.dims, e.arity, e.time, rows)
 	if !everything {
 		next.tail = e.newTail()
 	}

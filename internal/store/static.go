@@ -16,7 +16,8 @@ import "mind/internal/schema"
 //     children of node i at 2i and 2i+1. Node i over rows [lo, hi) splits
 //     at mid = lo+(hi-lo)/2 into [lo, mid) and [mid, hi), so a descent
 //     re-derives every row range from n alone and the tree costs about
-//     one word per leaf, not per record.
+//     one word per leaf, not per record. The dimension a node splits is
+//     not stored either: it is cutDim of the node's depth and the schema.
 //
 // Rows hold RAW attribute values. The cuts are coordinates clamped to
 // the schema bounds; a traversal never clamps a row, it unclamps the
@@ -38,6 +39,7 @@ type Static struct {
 	bounds []uint64
 	dims   int
 	arity  int
+	time   int      // the schema's TimeDim: the dimension cutDim favours
 	rows   []uint64 // raw records in partition order, stride arity
 	cuts   []uint64 // implicit BFS split values; cuts[0] is unused
 }
@@ -57,9 +59,37 @@ const leafRows = 32
 const staticStackCap = 40
 
 // sframe is one pending subtree of the iterative traversal: node i of
-// the implicit tree and the row range it covers.
+// the implicit tree, the row range it covers and its depth (the root's
+// is 0), which with the schema fixes the dimension it splits.
 type sframe struct {
-	node, lo, hi, dim int32
+	node, lo, hi, depth int32
+}
+
+// cutDim is the cut schedule of every Static: the dimension a node at
+// depth k splits, for dims indexed dimensions whose first time attribute
+// is time (schema.TimeDim; -1: none). It is the one place the choice is
+// made — the build (partition) and the descent (visit) both call it.
+//
+// The queries a monitor issues are windows in time (PAPER.md §1: flows
+// to a prefix above a size "in interval T"), so with a time attribute
+// the schedule cuts it on two levels of every three — depths 3j and
+// 3j+1 — and on depth 3j+2 cuts the other indexed dimensions in turn, in
+// schema order. Every dimension is still cut, so a query that pins one
+// of the others narrowly keeps pruning; 2:1 is the measured knee between
+// time windows and narrow prefix queries (DESIGN.md §4h). Without a time
+// attribute the dimensions take turns, the embedding's own round robin.
+func cutDim(k, dims, time int) int {
+	if time < 0 || dims == 1 {
+		return k % dims
+	}
+	if k%3 != 2 {
+		return time
+	}
+	d := k / 3 % (dims - 1) // the (k/3)-th of the others, cyclically
+	if d >= time {
+		d++
+	}
+	return d
 }
 
 // NewStatic bulk-loads a static index from recs, copying every record
@@ -72,14 +102,14 @@ func NewStatic(sch *schema.Schema, recs []schema.Record) *Static {
 	for i, rec := range recs {
 		copy(rows[i*arity:(i+1)*arity], rec)
 	}
-	return buildStatic(sch.Bounds(), sch.Dims(), arity, rows)
+	return buildStatic(sch.Bounds(), sch.Dims(), arity, sch.TimeDim(), rows)
 }
 
 // buildStatic indexes rows IN PLACE — it takes ownership of the arena,
 // permutes it into partition order and records the cuts. There is no
 // scratch beyond the cuts themselves.
-func buildStatic(bounds []uint64, dims, arity int, rows []uint64) *Static {
-	s := &Static{bounds: bounds, dims: dims, arity: arity, rows: rows}
+func buildStatic(bounds []uint64, dims, arity, time int, rows []uint64) *Static {
+	s := &Static{bounds: bounds, dims: dims, arity: arity, time: time, rows: rows}
 	if n := s.Len(); n > leafRows {
 		s.cuts = make([]uint64, cutsLen(n))
 		s.partition(1, 0, n, 0)
@@ -98,22 +128,20 @@ func cutsLen(n int) int {
 	return size
 }
 
-// partition median-splits rows [lo, hi) on the cycling dimension and
-// recurses: afterwards every row of [lo, mid) is <= cuts[node] <= every
-// row of [mid, hi) on dim's clamped coordinate.
-func (s *Static) partition(node, lo, hi, dim int) {
+// partition median-splits rows [lo, hi), node's range at depth, on the
+// dimension cutDim schedules there and recurses: afterwards every row of
+// [lo, mid) is <= cuts[node] <= every row of [mid, hi) on that
+// dimension's clamped coordinate.
+func (s *Static) partition(node, lo, hi, depth int) {
 	if hi-lo <= leafRows {
 		return
 	}
+	dim := cutDim(depth, s.dims, s.time)
 	mid := lo + (hi-lo)/2
 	s.selectRow(lo, hi-1, mid, dim)
 	s.cuts[node] = min(s.rows[mid*s.arity+dim], s.bounds[dim])
-	nd := dim + 1
-	if nd == s.dims {
-		nd = 0
-	}
-	s.partition(2*node, lo, mid, nd)
-	s.partition(2*node+1, mid, hi, nd)
+	s.partition(2*node, lo, mid, depth+1)
+	s.partition(2*node+1, mid, hi, depth+1)
 }
 
 // selectRow is quickselect over the rows lo..hi (inclusive) of the
@@ -187,29 +215,25 @@ func (s *Static) visit(w *window, sel *selection, fn func(rows []uint64, sel []i
 	if len(s.rows) == 0 {
 		return
 	}
-	dims := int32(s.dims)
 	var stack [staticStackCap]sframe
 	sp := 0
 	f := sframe{node: 1, hi: int32(s.Len())}
 	for {
 		for f.hi-f.lo > leafRows {
+			dim := cutDim(int(f.depth), s.dims, s.time)
 			cut, mid := s.cuts[f.node], f.lo+(f.hi-f.lo)/2
-			nd := f.dim + 1
-			if nd == dims {
-				nd = 0
-			}
 			// Equal coordinates may sit on either side of a median split,
 			// so both prunes admit equality.
-			right := sframe{2*f.node + 1, mid, f.hi, nd}
-			if w.lo[f.dim] > cut {
+			right := sframe{2*f.node + 1, mid, f.hi, f.depth + 1}
+			if w.lo[dim] > cut {
 				f = right
 				continue
 			}
-			if w.hi[f.dim] >= cut {
+			if w.hi[dim] >= cut {
 				stack[sp] = right
 				sp++
 			}
-			f = sframe{2 * f.node, f.lo, mid, nd}
+			f = sframe{2 * f.node, f.lo, mid, f.depth + 1}
 		}
 		scanBatches(s.rows[int(f.lo)*s.arity:int(f.hi)*s.arity], s.arity, w.con, sel, fn)
 		if sp == 0 {

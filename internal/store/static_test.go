@@ -97,69 +97,164 @@ func TestStaticClampedRecords(t *testing.T) {
 // TestStaticPartitionLayout checks the structural invariants of the
 // leaf-bucketed arena: rows are a permutation of the input, every
 // internal node's cut separates its row range on CLAMPED coordinates
-// (left <= cut <= right), every leaf holds at most leafRows rows, cuts
-// is exactly the implicit tree's size, and the deepest path fits the
-// fixed traversal stack.
+// (left <= cut <= right) of the dimension the schedule names for its
+// depth, every leaf holds at most leafRows rows, cuts is exactly the
+// implicit tree's size, and the deepest path fits the fixed traversal
+// stack. The schedule is restated here from its definition: round robin
+// without a time attribute (sch3), and with one the time dimension on
+// depths 3j and 3j+1 and the others in schema order on 3j+2.
 func TestStaticPartitionLayout(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
-	gens := map[string]func(i int) schema.Record{
-		"above-bound": func(i int) schema.Record {
+	gens := map[string]func(i int) []uint64{
+		"above-bound": func(i int) []uint64 {
 			rec := randRec(r)
-			rec[i%3] += uint64(i%4) * 5000 // some coordinates above the bound
-			return rec
+			rec[i%3] += uint64(i%4) * 5000 // some coordinates above sch3's bound
+			return rec[:3]
 		},
-		"dupheavy": func(i int) schema.Record {
+		"dupheavy": func(i int) []uint64 {
 			k := uint64(r.Intn(5))
-			return schema.Record{k * 3000, k * 3000, uint64(r.Intn(2)) * 20000, uint64(i)}
+			return []uint64{k * 3000, k * 3000, uint64(r.Intn(2)) * 20000}
+		},
+		"time-ordered": func(i int) []uint64 { // the live ladder's insert order
+			return []uint64{r.Uint64() % 10000, uint64(i), r.Uint64() % 10000}
 		},
 	}
-	for name, gen := range gens {
-		for _, n := range []int{0, 1, 2, 31, 32, 33, 1000, 4097} {
-			recs := make([]schema.Record, n)
-			for i := range recs {
-				recs[i] = gen(i)
-			}
-			s := NewStatic(sch3(), recs)
-			if s.Len() != n || len(s.rows) != n*s.arity {
-				t.Fatalf("%s n=%d: Len=%d rows=%d", name, n, s.Len(), len(s.rows))
-			}
-			var stored []schema.Record
-			s.All(func(rec schema.Record) bool { stored = append(stored, rec); return true })
-			if !sameRecs(stored, recs) {
-				t.Fatalf("%s n=%d: rows are not a permutation of the input", name, n)
-			}
-			want := 0
-			if n > leafRows {
-				for want = 1; (n+want-1)/want > leafRows; want *= 2 {
+	schemas := map[string]struct {
+		sch  *schema.Schema
+		want func(depth int) int
+	}{
+		"sch3":   {sch3(), func(k int) int { return k % 3 }},
+		"time@0": {schTime(0), timeFirst(0, 1, 2)},
+		"time@2": {schTime(2), timeFirst(2, 0, 1)},
+		"index2": {schema.Index2(86400), timeFirst(1, 0, 2)},
+	}
+	for sname, sc := range schemas {
+		for gname, gen := range gens {
+			for _, n := range []int{0, 1, 2, 31, 32, 33, 1000, 4097} {
+				name := sname + "/" + gname
+				arity := sc.sch.Arity()
+				recs := make([]schema.Record, n)
+				for i := range recs {
+					recs[i] = make(schema.Record, arity)
+					copy(recs[i], gen(i))
+					recs[i][arity-1] = uint64(i)
 				}
-			}
-			if len(s.cuts) != want {
-				t.Fatalf("%s n=%d: len(cuts) = %d, want %d", name, n, len(s.cuts), want)
-			}
-			coord := func(row, dim int) uint64 { return min(s.rows[row*s.arity+dim], s.bounds[dim]) }
-			depth := 0
-			var walk func(node, lo, hi, dim, d int)
-			walk = func(node, lo, hi, dim, d int) {
-				depth = max(depth, d)
-				if hi-lo <= leafRows {
-					return
+				s := NewStatic(sc.sch, recs)
+				if s.Len() != n || len(s.rows) != n*s.arity {
+					t.Fatalf("%s n=%d: Len=%d rows=%d", name, n, s.Len(), len(s.rows))
 				}
-				cut, mid := s.cuts[node], lo+(hi-lo)/2
-				for row := lo; row < hi; row++ {
-					if v := coord(row, dim); (row < mid && v > cut) || (row >= mid && v < cut) {
-						t.Fatalf("%s n=%d: node %d rows [%d,%d) cut %d on dim %d: row %d has %d on the wrong side",
-							name, n, node, lo, hi, cut, dim, row, v)
+				var stored []schema.Record
+				s.All(func(rec schema.Record) bool { stored = append(stored, rec); return true })
+				if !sameRecs(stored, recs) {
+					t.Fatalf("%s n=%d: rows are not a permutation of the input", name, n)
+				}
+				want := 0
+				if n > leafRows {
+					for want = 1; (n+want-1)/want > leafRows; want *= 2 {
 					}
 				}
-				walk(2*node, lo, mid, (dim+1)%s.dims, d+1)
-				walk(2*node+1, mid, hi, (dim+1)%s.dims, d+1)
-			}
-			walk(1, 0, n, 0, 1)
-			if depth+1 > staticStackCap {
-				t.Fatalf("%s n=%d: depth %d would overflow the traversal stack", name, n, depth)
+				if len(s.cuts) != want {
+					t.Fatalf("%s n=%d: len(cuts) = %d, want %d", name, n, len(s.cuts), want)
+				}
+				coord := func(row, dim int) uint64 { return min(s.rows[row*s.arity+dim], s.bounds[dim]) }
+				depth := 0
+				var walk func(node, lo, hi, d int)
+				walk = func(node, lo, hi, d int) {
+					depth = max(depth, d)
+					if hi-lo <= leafRows {
+						return
+					}
+					dim := sc.want(d)
+					cut, mid := s.cuts[node], lo+(hi-lo)/2
+					for row := lo; row < hi; row++ {
+						if v := coord(row, dim); (row < mid && v > cut) || (row >= mid && v < cut) {
+							t.Fatalf("%s n=%d: node %d (depth %d) rows [%d,%d) cut %d on dim %d: row %d has %d on the wrong side",
+								name, n, node, d, lo, hi, cut, dim, row, v)
+						}
+					}
+					walk(2*node, lo, mid, d+1)
+					walk(2*node+1, mid, hi, d+1)
+				}
+				walk(1, 0, n, 0)
+				if depth+1 > staticStackCap {
+					t.Fatalf("%s n=%d: depth %d would overflow the traversal stack", name, n, depth)
+				}
 			}
 		}
 	}
+}
+
+// timeFirst is the time-aware schedule written out for one schema: time
+// on two depths of every three, the others in turn on the third.
+func timeFirst(time int, others ...int) func(depth int) int {
+	return func(k int) int {
+		if k%3 < 2 {
+			return time
+		}
+		return others[k/3%len(others)]
+	}
+}
+
+// TestCutDim pins the schedule's dimension per depth for every shape a
+// schema can give it: 1 to 4 indexed dimensions, with and without a time
+// attribute, a time attribute that is payload only (not indexed, so
+// round robin), and two time attributes (the first is the one favoured,
+// the second is cut as one of the others).
+func TestCutDim(t *testing.T) {
+	attrs := func(kinds ...schema.Kind) []schema.Attr {
+		out := make([]schema.Attr, len(kinds))
+		for i, k := range kinds {
+			out[i] = schema.Attr{Name: string(rune('a' + i)), Kind: k}
+		}
+		return out
+	}
+	u, tm := schema.KindUint, schema.KindTime
+	for _, tc := range []struct {
+		name  string
+		kinds []schema.Kind
+		dims  int
+		want  []int // depths 0, 1, 2, …
+	}{
+		{"1 dim", []schema.Kind{u, u}, 1, []int{0, 0, 0, 0, 0, 0}},
+		{"1 dim, time", []schema.Kind{tm, u}, 1, []int{0, 0, 0, 0, 0, 0}},
+		{"2 dims", []schema.Kind{u, u}, 2, []int{0, 1, 0, 1, 0, 1}},
+		{"2 dims, time@1", []schema.Kind{u, tm}, 2, []int{1, 1, 0, 1, 1, 0, 1, 1, 0}},
+		{"3 dims", []schema.Kind{u, u, u, u}, 3, []int{0, 1, 2, 0, 1, 2, 0}},
+		{"3 dims, time payload only", []schema.Kind{u, u, u, tm}, 3, []int{0, 1, 2, 0, 1, 2, 0}},
+		{"3 dims, time@0", []schema.Kind{tm, u, u}, 3, []int{0, 0, 1, 0, 0, 2, 0, 0, 1}},
+		{"3 dims, time@1 (Index-2)", []schema.Kind{u, tm, u, u}, 3, []int{1, 1, 0, 1, 1, 2, 1, 1, 0}},
+		{"3 dims, time@2", []schema.Kind{u, u, tm}, 3, []int{2, 2, 0, 2, 2, 1, 2, 2, 0}},
+		{"3 dims, time@1 and @2", []schema.Kind{u, tm, tm}, 3, []int{1, 1, 0, 1, 1, 2, 1, 1, 0}},
+		{"4 dims", []schema.Kind{u, u, u, u}, 4, []int{0, 1, 2, 3, 0, 1, 2, 3}},
+		{"4 dims, time@2", []schema.Kind{u, u, tm, u}, 4, []int{2, 2, 0, 2, 2, 1, 2, 2, 3, 2, 2, 0}},
+	} {
+		sch := &schema.Schema{Tag: "s", Attrs: attrs(tc.kinds...), IndexDims: tc.dims}
+		for k, want := range tc.want {
+			if got := cutDim(k, sch.Dims(), sch.TimeDim()); got != want {
+				t.Errorf("%s: depth %d cuts dim %d, want %d", tc.name, k, got, want)
+			}
+		}
+	}
+}
+
+// TestTimeWindowOverscan holds the cut schedule to what it is for: on
+// the live ladder of BenchmarkStoreSlab, a 10-minute window over every
+// destination and octet count hands over at most 4 rows per match (the
+// batches are the leaves that hold one). Round robin hands over 12.8.
+func TestTimeWindowOverscan(t *testing.T) {
+	e, bounds, _ := slabLadder()
+	r := rand.New(rand.NewSource(44))
+	rows, matches := 0, 0
+	for q := 0; q < 200; q++ {
+		lo := uint64(r.Intn(86400 - 600))
+		rw, m := handedRows(e, schema.Rect{Lo: []uint64{0, lo, 0}, Hi: []uint64{bounds[0], lo + 600, bounds[2]}})
+		rows += rw
+		matches += m
+	}
+	if matches == 0 || rows > 4*matches {
+		t.Fatalf("10-minute windows handed %d rows for %d matches (%.2f×), want <= 4×", rows, matches, float64(rows)/float64(max(matches, 1)))
+	}
+	t.Logf("10-minute windows: %d rows handed for %d matches (%.2f×)", rows, matches, float64(rows)/float64(matches))
 }
 
 func TestStaticAllEarlyStop(t *testing.T) {

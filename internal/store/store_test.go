@@ -22,6 +22,14 @@ func sch3() *schema.Schema {
 	}
 }
 
+// schTime is sch3 with its indexed attribute p a time attribute: same
+// bounds and arity, the time-first cut schedule (cutDim).
+func schTime(p int) *schema.Schema {
+	sch := sch3()
+	sch.Attrs[p].Kind = schema.KindTime
+	return sch
+}
+
 func randRec(r *rand.Rand) schema.Record {
 	return schema.Record{r.Uint64() % 10000, r.Uint64() % 10000, r.Uint64() % 10000, r.Uint64()}
 }

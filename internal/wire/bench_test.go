@@ -21,9 +21,8 @@ func benchMessages() []Message {
 		&QueryResp{
 			ReqID: 82, From: NodeInfo{Addr: "10.0.0.2:7001", Code: code},
 			HasCover: true, Cover: code, Versions: []uint64{3},
-			RecID: []uint64{1, 2, 3},
-			Recs:  []schema.Record{{1, 2, 3, 4}, {5, 6, 7, 8}, {9, 10, 11, 12}},
-			Hops:  3,
+			Recs: []schema.Record{{1, 2, 3, 4}, {5, 6, 7, 8}, {9, 10, 11, 12}},
+			Hops: 3,
 		},
 		&InsertAck{ReqID: 81, StoredAt: NodeInfo{Addr: "10.0.0.2:7001", Code: code}, Hops: 2},
 	}
@@ -72,17 +71,16 @@ func BenchmarkWireEncodeBatch(b *testing.B) {
 }
 
 // wideAnswer is the answer-hop micro-benchmarks' input: n Index-2-shaped
-// records (prefix, timestamp, octets, source prefix, node) with their
-// 64-bit content ids, as one responder's QueryResp.
+// records (prefix, timestamp, octets, source prefix, node) as one
+// responder's QueryResp.
 func wideAnswer(n int) *QueryResp {
 	r := rand.New(rand.NewSource(21))
 	m := &QueryResp{
 		ReqID: 82, From: NodeInfo{Addr: "127.0.0.1:40123", Code: bitstr.New(0b101, 3)},
 		HasCover: true, Cover: bitstr.New(0b1011, 4), Versions: []uint64{0}, Hops: 2,
-		RecID: make([]uint64, n), Recs: make([]schema.Record, n),
+		Recs: make([]schema.Record, n),
 	}
 	for i := range m.Recs {
-		m.RecID[i] = r.Uint64()
 		m.Recs[i] = schema.Record{
 			uint64(r.Uint32()) &^ 0xff, uint64(r.Intn(86400)), 1<<20 + uint64(r.Intn(1<<30)),
 			uint64(r.Uint32()) &^ 0xff, uint64(r.Intn(8)),

@@ -633,9 +633,10 @@ type QueryResp struct {
 	HasCover bool
 	Cover    bitstr.Code
 	Versions []uint64 // versions this response pertains to (echo of the sub-query)
-	RecID    []uint64
-	Recs     []schema.Record
-	Hops     uint8 // overlay hops the sub-query travelled
+	// Recs are the matching records. No id travels with them: the
+	// originator derives each record's dedup id from the record itself.
+	Recs []schema.Record
+	Hops uint8 // overlay hops the sub-query travelled
 }
 
 func (m *QueryResp) Kind() Kind { return KindQueryResp }
@@ -645,12 +646,7 @@ func (m *QueryResp) fields(c *codec) {
 	c.Bool(&m.HasCover)
 	c.Code(&m.Cover)
 	c.U64s(&m.Versions)
-	c.U64s(&m.RecID)
 	c.Recs(&m.Recs)
-	if c.dec && len(m.Recs) != len(m.RecID) {
-		// The originator indexes Recs by RecID position.
-		c.fail("record slices disagree: %d ids, %d records", len(m.RecID), len(m.Recs))
-	}
 	c.U8(&m.Hops)
 }
 

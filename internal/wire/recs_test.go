@@ -15,14 +15,13 @@ import (
 // fits the second, and the one opened for a long record is used up by
 // it and the short records between — the decoder's fallback path.
 func alternatingAnswer(n int) *QueryResp {
-	m := &QueryResp{ReqID: 1, From: NodeInfo{Addr: "n"}, Versions: []uint64{0}, RecID: make([]uint64, n), Recs: make([]schema.Record, n)}
+	m := &QueryResp{ReqID: 1, From: NodeInfo{Addr: "n"}, Versions: []uint64{0}, Recs: make([]schema.Record, n)}
 	for i := range m.Recs {
 		arity := 1 + 299*(i%2)
 		m.Recs[i] = make(schema.Record, arity)
 		for j := range m.Recs[i] {
 			m.Recs[i][j] = uint64(i + j)
 		}
-		m.RecID[i] = uint64(i)
 	}
 	return m
 }
@@ -103,7 +102,7 @@ func TestDecodedRecsViewContract(t *testing.T) {
 	recs := wideAnswer(64).Recs
 	recs = append(recs, schema.Record{}, schema.Record{1}, make(schema.Record, 300), schema.Record{2})
 	for _, m := range []Message{
-		&QueryResp{ReqID: 1, From: NodeInfo{Addr: "n"}, RecID: make([]uint64, len(recs)), Recs: recs},
+		&QueryResp{ReqID: 1, From: NodeInfo{Addr: "n"}, Recs: recs},
 		&ClientQueryResp{ReqID: 1, Complete: true, Recs: recs},
 	} {
 		dec, err := Decode(Encode(m))
