@@ -14,7 +14,6 @@
 package bench
 
 import (
-	"runtime"
 	"testing"
 	"time"
 
@@ -141,10 +140,6 @@ func BenchmarkAblationRecovery(b *testing.B) {
 // --- core-path micro benchmarks on a standing cluster --------------------
 
 func benchCluster(b *testing.B, n int) (*cluster.Cluster, *schema.Schema) {
-	return benchClusterCfg(b, n, mind.DefaultConfig(benchSeed))
-}
-
-func benchClusterCfg(b *testing.B, n int, cfg mind.Config) (*cluster.Cluster, *schema.Schema) {
 	b.Helper()
 	sch := &schema.Schema{
 		Tag: "bench",
@@ -160,7 +155,7 @@ func benchClusterCfg(b *testing.B, n int, cfg mind.Config) (*cluster.Cluster, *s
 		N:    n,
 		Seed: benchSeed,
 		Sim:  simnet.Config{Seed: benchSeed, DefaultLatency: 5 * time.Millisecond},
-		Node: cfg,
+		Node: mind.DefaultConfig(benchSeed),
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -254,47 +249,6 @@ func BenchmarkQueryPath(b *testing.B) {
 		if i%500 == 0 {
 			// Drain in-flight inserts; the event queue never fully
 			// empties (heartbeats), so advance virtual time instead.
-			c.Settle(time.Second)
-		}
-	}
-	c.Settle(5 * time.Second)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lo := next() % 86100
-		q := schema.Rect{
-			Lo: []uint64{0, lo, 0},
-			Hi: []uint64{1 << 32, lo + 300, 1 << 20},
-		}
-		res, _, err := c.QueryWait(i%32, sch.Tag, q)
-		if err != nil || !res.Complete {
-			b.Fatalf("query %d incomplete: %v %+v", i, err, res)
-		}
-	}
-}
-
-// BenchmarkQueryPathParallel is BenchmarkQueryPath with the local
-// execution engine's worker pool enabled (QueryParallelism =
-// GOMAXPROCS). Run with -cpu 1,4 to see the pool collapse to inline
-// execution on one core and fan sub-query resolution out on several;
-// determinism of the simulation is deliberately given up here, which is
-// why the figure benchmarks never set QueryParallelism.
-func BenchmarkQueryPathParallel(b *testing.B) {
-	cfg := mind.DefaultConfig(benchSeed)
-	cfg.QueryParallelism = runtime.GOMAXPROCS(0)
-	c, sch := benchClusterCfg(b, 32, cfg)
-	rng := uint64(7)
-	next := func() uint64 {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		return rng
-	}
-	for i := 0; i < 20000; i++ {
-		rec := schema.Record{next() % (1 << 32), next() % 86400, next() % (1 << 20), uint64(i)}
-		if err := c.Nodes[i%32].Insert(sch.Tag, rec, nil); err != nil {
-			b.Fatal(err)
-		}
-		if i%500 == 0 {
 			c.Settle(time.Second)
 		}
 	}

@@ -38,7 +38,6 @@ func main() {
 		join        = flag.String("join", "", "address of an existing node to join through (empty = bootstrap)")
 		replication = flag.Int("replication", 1, "replicas per record (-1 = full)")
 		seed        = flag.Int64("seed", time.Now().UnixNano(), "randomness seed")
-		parallelism = flag.Int("query-parallelism", runtime.GOMAXPROCS(0), "worker pool size for local query execution (<=1 = inline)")
 		storeShards = flag.Int("store-shards", runtime.GOMAXPROCS(0), "per-core store shards per index version (0 = deterministic default)")
 		quiet       = flag.Bool("quiet", false, "suppress periodic status lines")
 
@@ -72,7 +71,6 @@ func main() {
 	}
 	cfg := mind.DefaultConfig(*seed)
 	cfg.Replication = *replication
-	cfg.QueryParallelism = *parallelism
 	cfg.StoreShards = *storeShards
 	cfg.ClientRateLimit = *clientRate
 	cfg.ClientRateBurst = *clientBurst

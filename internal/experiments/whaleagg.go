@@ -130,10 +130,7 @@ func WhaleAgg(seed int64, scale float64) (*Report, error) {
 	buf := make([]schema.Record, 0, n)
 	exactFold := func(rect schema.Rect) (summary.Agg, []schema.Record) {
 		out := summary.NewAgg(arity, sketchK)
-		buf = buf[:0]
-		for i := 0; i < eng.NumShards(); i++ {
-			buf = eng.QueryShardAppend(i, rect, buf)
-		}
+		buf = eng.QueryAppend(rect, buf[:0])
 		for _, rec := range buf {
 			out.Add(rec)
 		}

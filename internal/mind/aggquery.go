@@ -132,7 +132,7 @@ func (aggKind) resolve(n *Node, ix *index, p piece, a answer, replica bool) wire
 		if replica {
 			vs = ix.replicas
 		}
-		n.resolveLocalAgg(vs, versions, aggRect, &out)
+		resolveLocalAgg(vs, versions, aggRect, &out)
 	}
 	if !replica {
 		n.aggAnswered.Add(1)
@@ -226,43 +226,26 @@ func summaryK(requested int) int {
 // folded in place from the shard's records — summary.ResolveShard, one
 // store visit per cell handing over a batch per leaf, no record slice.
 // A shard without a rollup (the replica store) folds the rectangle
-// whole. Fans onto the worker pool when parallelism is enabled; the
-// per-task folds add up exactly and the sketch parts combine in one
-// MergeMany batch, so the response cannot depend on scheduling.
-func (n *Node) resolveLocalAgg(vs *store.Versioned, versions []uint32, rect schema.Rect, out *summary.Agg) {
-	type task struct {
-		eng   *store.Sharded
-		shard int
-	}
-	var tasks []task
+// whole. Every shard folds into the one pooled fold, and the cover parts
+// and the fold's key part combine in one MergeMany batch.
+func resolveLocalAgg(vs *store.Versioned, versions []uint32, rect schema.Rect, out *summary.Agg) {
+	var covers []*summary.Sketch
+	fold := summary.GetFold(len(out.Sums))
 	for _, v := range versions {
 		eng := vs.Get(v)
 		if eng == nil {
 			continue
 		}
 		for s := 0; s < eng.NumShards(); s++ {
-			tasks = append(tasks, task{eng, s})
+			covers = append(covers, summary.ResolveShard(eng.Rollup(s), rect, func(cell schema.Rect, fn func([]uint64, []int32)) {
+				eng.VisitShardBatches(s, cell, fn)
+			}, fold))
 		}
 	}
-	if len(tasks) == 0 {
-		return
+	if covers != nil {
+		out.MergeShards(covers, fold)
 	}
-	folds := make([]*summary.Fold, len(tasks))
-	covers := make([]*summary.Sketch, len(tasks), len(tasks)+1)
-	n.runSubTasks(len(tasks), func(i int) {
-		t := tasks[i]
-		folds[i] = summary.GetFold(len(out.Sums))
-		covers[i] = summary.ResolveShard(t.eng.Rollup(t.shard), rect, func(cell schema.Rect, fn func([]uint64, []int32)) {
-			t.eng.VisitShardBatches(t.shard, cell, fn)
-		}, folds[i])
-	})
-	for _, f := range folds[1:] {
-		folds[0].Merge(f)
-	}
-	out.MergeShards(covers, folds[0])
-	for _, f := range folds {
-		summary.PutFold(f)
-	}
+	summary.PutFold(fold)
 }
 
 // flattenSketch encodes a sketch into a response's parallel slices.

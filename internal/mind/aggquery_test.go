@@ -7,6 +7,7 @@ import (
 
 	"mind/internal/cluster"
 	"mind/internal/schema"
+	"mind/internal/store"
 )
 
 // aggOracle recomputes the exact aggregate of recs over rect: count,
@@ -293,6 +294,87 @@ func TestAggSurvivesKillWithReplication(t *testing.T) {
 	for k, d := range distinct {
 		if !inTop[k] && d > got[1].floor {
 			t.Fatalf("key %d has %d records but is absent with floor %d", k, d, got[1].floor)
+		}
+	}
+}
+
+// TestAggMultiShardTwoVersions runs the node's aggregate resolver over a
+// four-shard store holding two daily versions: every (version, shard)
+// pair folds its boundary cells into one fold beside its rollup's cover
+// part, so COUNT and SUMs must equal a fold of the scan oracle and every
+// reported top-k key's true count must lie in its [Count−Err, Count]
+// bracket, for a rectangle on the summary's cell edges and one off them.
+func TestAggMultiShardTwoVersions(t *testing.T) {
+	c := mkCluster(t, 1, 41, func(o *cluster.Options) {
+		o.Node.StoreShards = 4
+		o.Node.VersionSeconds = 86400
+	})
+	sch := testSchema()
+	sch.Attrs[1].Max = 2*86400 - 1 // two daily versions
+	if err := c.CreateIndex(sch); err != nil {
+		t.Fatal(err)
+	}
+	oracle := store.NewScan(sch)
+	r := rand.New(rand.NewSource(42))
+	for i := 0; i < 2000; i++ {
+		rec := schema.Record{r.Uint64() % 10000, r.Uint64() % (2 * 86400), r.Uint64() % 10000, r.Uint64()}
+		if i%2 == 0 {
+			rec[0] = uint64(r.Intn(16)) * 600 // heavy hitters among a uniform background
+		}
+		res, _, err := c.InsertWait(0, sch.Tag, rec)
+		if err != nil || !res.OK {
+			t.Fatalf("insert %d: %v %+v", i, err, res)
+		}
+		oracle.Insert(rec)
+	}
+	for _, tc := range []struct {
+		name string
+		rect schema.Rect
+	}{
+		// Midpoint cuts of [0, 9999] and [0, 172799]: x's first half, and
+		// the middle two quarter-days, which straddle the version boundary.
+		{"aligned", schema.Rect{Lo: []uint64{0, 43200, 0}, Hi: []uint64{4999, 129599, 9999}}},
+		{"unaligned", schema.Rect{Lo: []uint64{1234, 50000, 100}, Hi: []uint64{8765, 120000, 9000}}},
+	} {
+		ar, _, err := c.AggWait(0, sch.Tag, tc.rect, 8)
+		if err != nil || !ar.Complete {
+			t.Fatalf("%s: %v %+v", tc.name, err, ar)
+		}
+		var count uint64
+		sums := make([]uint64, sch.Arity())
+		keys := make(map[uint64]uint64)
+		for _, rec := range oracle.Query(tc.rect) {
+			count++
+			for i, v := range rec {
+				sums[i] += v
+			}
+			keys[rec[0]]++
+		}
+		if count == 0 {
+			t.Fatalf("%s: oracle matches nothing", tc.name)
+		}
+		if ar.Count != count {
+			t.Fatalf("%s: count %d, want %d", tc.name, ar.Count, count)
+		}
+		for i, s := range sums {
+			if ar.Sums[i] != s {
+				t.Fatalf("%s: sum[%d] %d, want %d", tc.name, i, ar.Sums[i], s)
+			}
+		}
+		if len(ar.TopK) == 0 {
+			t.Fatalf("%s: no top-k entries", tc.name)
+		}
+		reported := make(map[uint64]bool)
+		for _, e := range ar.TopK {
+			reported[e.Key] = true
+			if truth := keys[e.Key]; truth > e.Count || truth < e.Count-e.Err {
+				t.Fatalf("%s: key %d true %d outside [%d,%d]", tc.name, e.Key, truth, e.Count-e.Err, e.Count)
+			}
+		}
+		for k, truth := range keys {
+			if !reported[k] && truth > ar.Floor {
+				t.Fatalf("%s: key %d count %d missing with floor %d", tc.name, k, truth, ar.Floor)
+			}
 		}
 	}
 }

@@ -59,25 +59,16 @@ type Config struct {
 	// The paper avoids data movement; this mode exists as an ablation.
 	TransferOnSplit bool
 
-	// QueryParallelism bounds the worker pool used for local query
-	// execution: sub-query decomposition fan-out and per-version k-d
-	// resolution. Zero or one executes inline in deterministic order —
-	// required under simnet, where send order must be reproducible for a
-	// fixed seed (DefaultConfig leaves it 0). Values above one trade that
-	// ordering guarantee for parallel local execution on real transports.
-	QueryParallelism int
-
 	// StoreShards is the per-core shard count of each index's store
 	// engine (internal/store.Options.Shards): every shard owns its own
 	// writer mutex and ladder of arenas, so insert throughput scales to
 	// the shard count and each shard's working set stays cache-sized.
-	// Zero selects the store's deterministic default (1) — like
-	// QueryParallelism, the default must not probe the hardware, because
-	// shard placement shapes result ordering and merge timing and simnet
-	// seeds must replay identically on every machine. Hash routing means
-	// reads traverse every shard, so shard only where writers contend;
-	// mindnode sizes it to the machine via -store-shards (default
-	// GOMAXPROCS).
+	// Zero selects the store's deterministic default (1) — the default
+	// must not probe the hardware, because shard placement shapes result
+	// ordering and merge timing and simnet seeds must replay identically
+	// on every machine. Hash routing means reads traverse every shard,
+	// so shard only where writers contend; mindnode sizes it to the
+	// machine via -store-shards (default GOMAXPROCS).
 	StoreShards int
 
 	// ClientRateLimit enables per-client token-bucket admission control

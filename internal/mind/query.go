@@ -100,7 +100,7 @@ func (recordKind) resolve(n *Node, ix *index, p piece, a answer, replica bool) w
 	if replica {
 		recs = filterToRegion(ix, p.versions32(), p.rect, p.region)
 	} else {
-		recs = n.resolveLocal(ix.primary, p.versions32(), p.rect)
+		recs = ix.primary.Query(p.versions32(), p.rect)
 	}
 	return &wire.QueryResp{
 		ReqID: a.reqID, From: a.from, HasCover: a.hasCover, Cover: a.cover,

@@ -203,9 +203,9 @@ func (n *Node) scatter(tag string, rect schema.Rect, kind resolver, arg uint32, 
 	op.retry.armLocked(n, func() { n.resendScatter(reqID) })
 	n.mu.Unlock()
 
-	// Per-tree dispatch fans out to the worker pool; inline and in order
-	// when parallelism is off.
-	n.runSubTasks(len(pieces), func(i int) { n.handlePiece(pieces[i]) })
+	for _, p := range pieces {
+		n.handlePiece(p)
+	}
 	return nil
 }
 
@@ -262,18 +262,14 @@ func (n *Node) handlePiece(p piece) {
 		if !n.checkQuerySkew(ix, &p) {
 			return
 		}
-		// The closure captures a copy: capturing p itself would put every
-		// call's piece on the heap, split or not.
-		parent := p
-		subs := ix.tree(uint32(p.versions[0])).Decompose(p.rect, myCode.Len())
-		n.runSubTasks(len(subs), func(i int) {
-			c := parent.child(subs[i].Rect, subs[i].Code)
+		for _, sub := range ix.tree(uint32(p.versions[0])).Decompose(p.rect, myCode.Len()) {
+			c := p.child(sub.Rect, sub.Code)
 			if c.region.Equal(myCode) {
 				n.answerPiece(ix, &c)
 			} else {
 				n.routePiece(&c, "")
 			}
-		})
+		}
 	default:
 		n.routePiece(&p, "")
 	}

@@ -12,12 +12,13 @@ import (
 	"mind/internal/transport/tcpnet"
 )
 
-// TestTCPConcurrentStress hammers one node's local execution engine from
-// eight goroutines mixing inserts and queries, with the query worker
-// pool enabled. A single node owns the whole key space, so every insert
-// stores locally and every query resolves against the k-d snapshots —
-// exactly the paths the lock sharding carved out of the old big lock.
-// Run under -race this is the regression net for the concurrency model.
+// TestTCPConcurrentStress hammers one node from eight goroutines mixing
+// inserts and queries over a four-shard store. A single node owns the
+// whole key space, so every insert stores locally and every query
+// resolves inline against the lock-free shard snapshots while other
+// goroutines write — the concurrency a node gets from concurrent
+// requests. Run under -race this is the regression net for the
+// concurrency model.
 func TestTCPConcurrentStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets and timers")
@@ -27,9 +28,8 @@ func TestTCPConcurrentStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := mind.DefaultConfig(42)
-	cfg.QueryParallelism = 4
 	// Multi-shard store under the full node: concurrent writers land on
-	// different shard mutexes and resolveLocal fans per (version, shard).
+	// different shard mutexes while readers walk every shard's snapshot.
 	cfg.StoreShards = 4
 	node := mind.NewNode(ep, transport.RealClock{}, cfg)
 	defer func() {

@@ -157,7 +157,7 @@ func NewSharded(sch *schema.Schema, opts Options) *Sharded {
 	return e
 }
 
-// NumShards returns the shard count (parallel query fan-out sizing).
+// NumShards returns the shard count.
 func (e *Sharded) NumShards() int { return len(e.shards) }
 
 // shardOf routes a record by an FNV-1a hash of its clamped indexed
@@ -271,11 +271,9 @@ func (e *Sharded) Compact() {
 // VisitShardBatches calls fn with every record of shard i inside rect,
 // a batch at a time (Static.VisitBatches' contract): the shard's levels,
 // oldest first, then its tail in leaf-sized runs, on one published
-// snapshot and one opened window. It is the read primitive everything
-// else wraps — the parallel local execution layer (mind.resolveLocal)
-// fans (version, shard) tasks over it, and the aggregate path folds
-// boundary cells through it batch by batch (summary.Fold.AddBatch)
-// without materializing a record slice.
+// snapshot and one opened window. The aggregate path pairs it with
+// Rollup(i), folding each shard's boundary cells through it batch by
+// batch (summary.Fold.AddBatch) without materializing a record slice.
 func (e *Sharded) VisitShardBatches(i int, rect schema.Rect, fn func(rows []uint64, sel []int32)) {
 	e.visitBatches(i, i+1, rect, fn)
 }
@@ -320,13 +318,6 @@ func (e *Sharded) Query(rect schema.Rect) []schema.Record {
 // extended slice; out grows at most once per batch.
 func (e *Sharded) QueryAppend(rect schema.Rect, out []schema.Record) []schema.Record {
 	e.VisitBatches(rect, func(rows []uint64, sel []int32) { out = appendRecords(out, rows, sel, e.arity) })
-	return out
-}
-
-// QueryShardAppend resolves rect against one shard only, appending
-// matches to out.
-func (e *Sharded) QueryShardAppend(i int, rect schema.Rect, out []schema.Record) []schema.Record {
-	e.VisitShardBatches(i, rect, func(rows []uint64, sel []int32) { out = appendRecords(out, rows, sel, e.arity) })
 	return out
 }
 

@@ -122,10 +122,16 @@ func TestShardedDifferentialFuzz(t *testing.T) {
 	}
 }
 
-// TestShardedQueryShardAppendPartition checks the parallel fan-out
-// primitive: per-shard results concatenated over all shards must equal
-// the whole-engine query.
-func TestShardedQueryShardAppendPartition(t *testing.T) {
+// shardRecs materializes what VisitShardBatches(s) streams for rect.
+func shardRecs(e *Sharded, s int, rect schema.Rect, out []schema.Record) []schema.Record {
+	e.VisitShardBatches(s, rect, func(rows []uint64, sel []int32) { out = appendRecords(out, rows, sel, e.arity) })
+	return out
+}
+
+// TestShardedVisitShardBatchesPartition checks the per-shard visitor the
+// aggregate path folds through: per-shard results concatenated over all
+// shards must equal the whole-engine query.
+func TestShardedVisitShardBatchesPartition(t *testing.T) {
 	r := rand.New(rand.NewSource(91))
 	e := smallTail(4, 16)
 	for i := 0; i < 3000; i++ {
@@ -135,7 +141,7 @@ func TestShardedQueryShardAppendPartition(t *testing.T) {
 		rect := randRect(r)
 		var parts []schema.Record
 		for s := 0; s < e.NumShards(); s++ {
-			parts = e.QueryShardAppend(s, rect, parts)
+			parts = shardRecs(e, s, rect, parts)
 		}
 		if !sameRecs(parts, e.Query(rect)) {
 			t.Fatalf("shard partition mismatch for %v", rect)
@@ -161,8 +167,8 @@ func TestShardedDeterministicPlacement(t *testing.T) {
 		b.Insert(rec)
 	}
 	for s := 0; s < a.NumShards(); s++ {
-		x := a.QueryShardAppend(s, fullRect(), nil)
-		y := b.QueryShardAppend(s, fullRect(), nil)
+		x := shardRecs(a, s, fullRect(), nil)
+		y := shardRecs(b, s, fullRect(), nil)
 		if !sameRecs(x, y) {
 			t.Fatalf("shard %d holds different records across arrival orders", s)
 		}

@@ -207,15 +207,6 @@ func (f *Fold) AddBatch(rows []uint64, sel []int32) {
 	}
 }
 
-// Merge folds o into f (per-task folds of a parallel fan-out).
-func (f *Fold) Merge(o *Fold) {
-	f.Count += o.Count
-	for i, v := range o.Sums {
-		f.Sums[i] += v
-	}
-	f.Keys.Merge(&o.Keys)
-}
-
 // Visitor streams every stored record inside rect to fn a batch at a
 // time: rows is a run of records and sel the word offsets into rows of
 // those inside rect. The production implementation is
@@ -250,7 +241,7 @@ func ResolveShard(s *Summary, rect schema.Rect, visit Visitor, f *Fold) *Sketch 
 // MergeShards closes a node's aggregate: f's exact counters are added,
 // and the shards' cover parts and f's one exact key part combine in a
 // single MergeMany, whose result is a pure function of the multiset of
-// parts — the answer cannot depend on task scheduling.
+// parts — the answer cannot depend on the order the shards were folded.
 func (a *Agg) MergeShards(covers []*Sketch, f *Fold) {
 	a.Merge(f.Count, f.Sums, nil)
 	a.Sketch.MergeMany(append(covers, f.Keys.Part(a.Sketch.K())))

@@ -71,10 +71,16 @@ func TestPeerLifecycle(t *testing.T) {
 	}
 
 	// Bring the peer up on the reserved address: background probing must
-	// recover the connection and deliver.
-	b, err := ListenConfig(target, fastCfg())
-	if err != nil {
-		t.Skipf("rebind %s: %v (port taken)", target, err)
+	// recover the connection and deliver. The rebind retries for a bounded
+	// 2s (the released port may linger briefly) and fails past it.
+	var b *Endpoint
+	for rebind := time.Now().Add(2 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if b, err = ListenConfig(target, fastCfg()); err == nil {
+			break
+		}
+		if time.Now().After(rebind) {
+			t.Fatalf("rebind %s: %v", target, err)
+		}
 	}
 	defer b.Close()
 	got := make(chan struct{}, 1)
