@@ -270,11 +270,16 @@ func BenchmarkQueryPath(b *testing.B) {
 // BenchmarkAggBoundaryFold measures one node's share of an unaligned
 // aggregate: 37,500 Index-2 records of one day over 4,096 destination
 // prefixes (an eighth of the benchmark module's scan_agg preload) in a
-// default store shard with its lockstep summary, and a 6 h window that
-// starts off the summary's 3 h time cells, so half the window is
-// boundary cells folded record by record. The loop is the shipped path
-// (mind.resolveLocalAgg's calls): summary.ResolveShard over the store
-// visitor, closed by Agg.MergeShards, at the requested top-8.
+// default store shard with its lockstep summary. The loop is the shipped
+// path (mind.resolveLocalAgg's calls): summary.ResolveShard over the
+// store visitor, closed by Agg.MergeShards, at the requested top-8. Two
+// shapes:
+//
+//   - window: every destination and octet count over 6 h starting off
+//     the summary's 22.5-minute time cells, so the boundary is the two
+//     cells the window's edges cut and the rest is rollup cover;
+//   - prefix: one /8 over the same 6 h, narrower than any rollup cell on
+//     the destination axis, so every record it matches is boundary.
 func BenchmarkAggBoundaryFold(b *testing.B) {
 	sch := schema.Index2(86400)
 	eng := store.NewSharded(sch, store.Options{})
@@ -296,26 +301,46 @@ func BenchmarkAggBoundaryFold(b *testing.B) {
 	sum.Fold()
 	bounds := sch.Bounds()
 	visit := func(cell schema.Rect, fn func([]uint64, []int32)) { eng.VisitShardBatches(0, cell, fn) }
-	folded := uint64(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lo := next() % (18 * 3600) / 30 * 30 // 30 s windows, as the aggregator emits
-		if lo%(3*3600) == 0 {
-			lo += 30 // keep it unaligned
+	window := func() (lo, hi uint64) {
+		lo = next() % (18 * 3600) / 30 * 30 // 30 s windows, as the aggregator emits
+		if lo%1350 == 0 {
+			lo += 30 // keep it off the 22.5-minute cell edges
 		}
-		rect := schema.Rect{Lo: []uint64{0, lo, 0}, Hi: []uint64{bounds[0], lo + 6*3600, bounds[2]}}
-		out := summary.NewAgg(sch.Arity(), 8)
-		fold := summary.GetFold(sch.Arity())
-		cover := summary.ResolveShard(sum, rect, visit, fold)
-		folded += fold.Count - cover.N()
-		out.MergeShards([]*summary.Sketch{cover}, fold)
-		summary.PutFold(fold)
-		if out.Count == 0 {
-			b.Fatal("empty aggregate")
-		}
+		return lo, lo + 6*3600
 	}
-	b.ReportMetric(float64(folded)/float64(b.N), "boundary-recs/op")
+	for _, shape := range []struct {
+		name string
+		rect func() schema.Rect
+	}{
+		{"window", func() schema.Rect {
+			lo, hi := window()
+			return schema.Rect{Lo: []uint64{0, lo, 0}, Hi: []uint64{bounds[0], hi, bounds[2]}}
+		}},
+		{"prefix", func() schema.Rect {
+			p := next() % 256 << 24
+			lo, hi := window()
+			return schema.Rect{Lo: []uint64{p, lo, 0}, Hi: []uint64{p | 0xffffff, hi, bounds[2]}}
+		}},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			folded, matched := uint64(0), uint64(0)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rect := shape.rect()
+				out := summary.NewAgg(sch.Arity(), 8)
+				fold := summary.GetFold(sch.Arity())
+				cover := summary.ResolveShard(sum, rect, visit, fold)
+				folded += fold.Count - cover.N()
+				out.MergeShards([]*summary.Sketch{cover}, fold)
+				summary.PutFold(fold)
+				matched += out.Count
+			}
+			if matched == 0 {
+				b.Fatal("every aggregate was empty")
+			}
+			b.ReportMetric(float64(folded)/float64(b.N), "boundary-recs/op")
+		})
+	}
 }
 
 // BenchmarkJoinProtocol measures the full join handshake cost as the

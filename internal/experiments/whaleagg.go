@@ -86,10 +86,12 @@ func WhaleAgg(seed int64, scale float64) (*Report, error) {
 	// the tree's own cut geometry (each is a genuine time-dim cell), the
 	// shape operators ask for ("this half of the horizon", "that day") and
 	// the shape the rollup answers from pure cover. One deliberately
-	// unaligned window rides along: its edges fall below the tree's time
-	// resolution, so the rollup degrades toward an exact boundary scan —
-	// still bit-for-bit correct, just not fast. Its ratio is reported
-	// separately and excluded from the headline speedup.
+	// unaligned window rides along: its two edges each cut a leaf time
+	// cell (six of the rollup's eight cuts are time, schema.CutDim, so a
+	// cell is 1/64 of the horizon), and the rollup folds those two cells
+	// record by record — bit-for-bit correct, slower than the aligned
+	// shapes. Its ratio is reported separately and excluded from the
+	// headline speedup.
 	fullRect := func() schema.Rect {
 		rc := schema.Rect{Lo: make([]uint64, len(bounds)), Hi: make([]uint64, len(bounds))}
 		copy(rc.Hi, bounds)

@@ -41,8 +41,8 @@ import (
 //     behind each index's own mutex, and the stores are internally
 //     concurrent (single-writer k-d trees with lock-free snapshot reads).
 //   - Counters and id sequences are atomics.
-//   - linkMu (tupleLinks), ansMu (ansDedup) and batchMu (envelope
-//     counters) are independent leaves.
+//   - linkMu (tupleLinks) and batchMu (envelope counters) are
+//     independent leaves.
 //
 // Lock order: mu → ixMu → index.mu → store internals. A leaf mutex is
 // never held while acquiring an earlier lock, sending, or calling into
@@ -119,10 +119,6 @@ type Node struct {
 	// Aggregate-path counters (aggquery.go).
 	aggAnswered     atomic.Uint64 // aggregate pieces answered from local summaries
 	aggCoverDropped atomic.Uint64 // aggregate responses dropped for overlapping coverage
-	// ansDedup counts repeated sub-query answering work (the request is
-	// still re-answered — the previous response may be the loss).
-	ansMu    sync.Mutex
-	ansDedup *dedupSet
 	// clientSeen dedups client RPC request ids so a retransmitted
 	// ClientInsert is idempotent (client_api.go).
 	clientSeen map[uint64]*clientOpState // mu
@@ -163,7 +159,6 @@ func NewNode(ep transport.Endpoint, clock transport.Clock, cfg Config) *Node {
 		repairAt:      make(map[string]time.Time),
 		addrTag:       hashAddr(ep.Addr()) ^ mix64(uint64(clock.Now().UnixNano())),
 		tupleLinks:    make(map[string]uint64),
-		ansDedup:      newDedupSet(dedupCap),
 		clientSeen:    make(map[uint64]*clientOpState),
 		clientBuckets: newBucketMap(),
 		gossipBuckets: newBucketMap(),
@@ -267,7 +262,11 @@ type Stats struct {
 
 	Retransmits  uint64 // reliable-layer retransmissions sent
 	AcksReceived uint64 // end-to-end acks received over the wire
-	DedupHits    uint64 // duplicate requests absorbed at this receiver
+	// DedupHits counts duplicate requests absorbed at this receiver: a
+	// record already stored, a client RPC already seen, a histogram
+	// report already collected. A re-asked query or aggregate piece is
+	// answered again and not counted.
+	DedupHits uint64
 
 	// Admission-control sheds (admission.go): explicit overload refusals.
 	ShedInserts uint64 // client inserts / index control refused

@@ -340,15 +340,6 @@ func (n *Node) answerPiece(ix *index, p *piece) {
 		return
 	}
 	histActive, histAddr := ix.history(n.clock.Now())
-	n.ansMu.Lock()
-	dup := n.ansDedup.Seen(pieceKey(p))
-	n.ansMu.Unlock()
-	if dup {
-		// The originator's retransmission reached us again. Still answer —
-		// the previous response may be the message that was lost; the
-		// originator's admission makes the re-answer idempotent.
-		n.dedupHits.Add(1)
-	}
 	n.reply(ix, p, !histActive, false)
 	if histActive {
 		// Delegate coverage to the split sibling, which still holds the
@@ -529,16 +520,4 @@ func (n *Node) resendScatter(reqID uint64) {
 			n.routePiece(&w.p, w.exclude)
 		}
 	}
-}
-
-// pieceKey identifies one unit of answering work, for the answerer-side
-// duplicate counter.
-func pieceKey(p *piece) uint64 {
-	bits, length := p.region.Pack()
-	h := p.reqID*0x9e3779b97f4a7c15 + 0x85ebca6b
-	h = (h*1099511628211^bits)*1099511628211 ^ uint64(length)
-	if p.historic {
-		h ^= 0xabcdef
-	}
-	return h
 }

@@ -24,9 +24,10 @@ import (
 // Kind documents how an attribute should be interpreted and rendered;
 // all values are uint64. It never shapes the data-space embedding, whose
 // cuts cycle through the indexed dimensions whatever their kinds. It
-// does shape each node's local store: the first indexed KindTime
+// does shape each node's local partitions: the first indexed KindTime
 // attribute is cut on two levels of every three of the store's k-d
-// partition, because monitoring queries are windows in time.
+// partition and of the aggregate rollup (CutDim), because monitoring
+// queries are windows in time.
 type Kind uint8
 
 const (
@@ -119,7 +120,7 @@ func (s *Schema) Dims() int { return s.IndexDims }
 
 // TimeDim returns the position of the first indexed KindTime attribute,
 // or -1 when no indexed attribute is a time: the dimension versioning
-// (§3.7) buckets by and the local store's partition cuts most often.
+// (§3.7) buckets by and CutDim cuts most often.
 func (s *Schema) TimeDim() int {
 	for i := 0; i < s.IndexDims; i++ {
 		if s.Attrs[i].Kind == KindTime {
@@ -127,6 +128,35 @@ func (s *Schema) TimeDim() int {
 		}
 	}
 	return -1
+}
+
+// CutDim is the cut schedule of a node's local partitions: the dimension
+// a cut at depth k splits, for dims indexed dimensions whose first time
+// attribute is time (TimeDim; -1: none). It is the one place the choice
+// is made — the store's k-d levels (build and descent) and the aggregate
+// rollup's midpoint cells (fold and resolve) all call it, so a rollup
+// cell and a store subtree are cut on the same dimensions.
+//
+// The queries a monitor issues are windows in time (PAPER.md §1: flows
+// to a prefix above a size "in interval T"), so with a time attribute
+// the schedule cuts it on two levels of every three — depths 3j and
+// 3j+1 — and on depth 3j+2 cuts the other indexed dimensions in turn, in
+// schema order. Every dimension is still cut, so a query that pins one
+// of the others narrowly keeps pruning; 2:1 is the measured knee between
+// time windows and narrow prefix queries (DESIGN.md §4h). Without a time
+// attribute the dimensions take turns, the embedding's own round robin.
+func CutDim(k, dims, time int) int {
+	if time < 0 || dims == 1 {
+		return k % dims
+	}
+	if k%3 != 2 {
+		return time
+	}
+	d := k / 3 % (dims - 1) // the (k/3)-th of the others, cyclically
+	if d >= time {
+		d++
+	}
+	return d
 }
 
 // Arity returns the total number of attributes per record.

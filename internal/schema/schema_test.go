@@ -253,3 +253,45 @@ func TestQuickIntersectSymmetric(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestCutDim pins the schedule's dimension per depth for every shape a
+// schema can give it: 1 to 4 indexed dimensions, with and without a time
+// attribute, a time attribute that is payload only (not indexed, so
+// round robin), and two time attributes (the first is the one favoured,
+// the second is cut as one of the others).
+func TestCutDim(t *testing.T) {
+	attrs := func(kinds ...Kind) []Attr {
+		out := make([]Attr, len(kinds))
+		for i, k := range kinds {
+			out[i] = Attr{Name: string(rune('a' + i)), Kind: k}
+		}
+		return out
+	}
+	u, tm := KindUint, KindTime
+	for _, tc := range []struct {
+		name  string
+		kinds []Kind
+		dims  int
+		want  []int // depths 0, 1, 2, …
+	}{
+		{"1 dim", []Kind{u, u}, 1, []int{0, 0, 0, 0, 0, 0}},
+		{"1 dim, time", []Kind{tm, u}, 1, []int{0, 0, 0, 0, 0, 0}},
+		{"2 dims", []Kind{u, u}, 2, []int{0, 1, 0, 1, 0, 1}},
+		{"2 dims, time@1", []Kind{u, tm}, 2, []int{1, 1, 0, 1, 1, 0, 1, 1, 0}},
+		{"3 dims", []Kind{u, u, u, u}, 3, []int{0, 1, 2, 0, 1, 2, 0}},
+		{"3 dims, time payload only", []Kind{u, u, u, tm}, 3, []int{0, 1, 2, 0, 1, 2, 0}},
+		{"3 dims, time@0", []Kind{tm, u, u}, 3, []int{0, 0, 1, 0, 0, 2, 0, 0, 1}},
+		{"3 dims, time@1 (Index-2)", []Kind{u, tm, u, u}, 3, []int{1, 1, 0, 1, 1, 2, 1, 1, 0}},
+		{"3 dims, time@2", []Kind{u, u, tm}, 3, []int{2, 2, 0, 2, 2, 1, 2, 2, 0}},
+		{"3 dims, time@1 and @2", []Kind{u, tm, tm}, 3, []int{1, 1, 0, 1, 1, 2, 1, 1, 0}},
+		{"4 dims", []Kind{u, u, u, u}, 4, []int{0, 1, 2, 3, 0, 1, 2, 3}},
+		{"4 dims, time@2", []Kind{u, u, tm, u}, 4, []int{2, 2, 0, 2, 2, 1, 2, 2, 3, 2, 2, 0}},
+	} {
+		sch := &Schema{Tag: "s", Attrs: attrs(tc.kinds...), IndexDims: tc.dims}
+		for k, want := range tc.want {
+			if got := CutDim(k, sch.Dims(), sch.TimeDim()); got != want {
+				t.Errorf("%s: depth %d cuts dim %d, want %d", tc.name, k, got, want)
+			}
+		}
+	}
+}

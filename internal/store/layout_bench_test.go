@@ -96,7 +96,7 @@ func handedRows(e *Sharded, rect schema.Rect) (rows, matches int) {
 // narrow shape — one /24 × 4 minutes × octets >= 256 KB, the Index-2
 // point-ish query. matches/op is the answer size and rows/op the rows of
 // the batches handed over (the leaves that hold a match), so rows/op ÷
-// matches/op is the overscan the cut schedule (cutDim) leaves.
+// matches/op is the overscan the cut schedule (schema.CutDim) leaves.
 func BenchmarkStoreSlab(b *testing.B) {
 	e, bounds, prefix := slabLadder()
 	r := rand.New(rand.NewSource(43))

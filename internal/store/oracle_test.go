@@ -41,7 +41,8 @@ func fuzzVal(mode, b byte) uint64 {
 // test RAW values against an unclamped rectangle; this is the test that
 // breaks if that identity does. The schema is sch3 (round robin cuts) or
 // sch3 with a time attribute at position 0, 1 or 2, so every phase of
-// the time-first cut schedule (cutDim) is pruned on against the oracle.
+// the time-first cut schedule (schema.CutDim) is pruned on against the
+// oracle.
 func FuzzStoreOracle(f *testing.F) {
 	// Insert = op, then (mode, byte) per coordinate; query = op 3, then
 	// (mode, byte) for Lo and Hi per dim. One in-range record and the full

@@ -126,7 +126,7 @@ type Sharded struct {
 	bounds []uint64
 	dims   int
 	arity  int
-	time   int // the schema's TimeDim: every level's cut schedule (cutDim)
+	time   int // the schema's TimeDim: every level's cut schedule (schema.CutDim)
 	// tailCap is the tail capacity in rows: tailRows, except that tests
 	// shrink it before the first insert so carries fire every few records.
 	tailCap int

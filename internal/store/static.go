@@ -17,7 +17,8 @@ import "mind/internal/schema"
 //     at mid = lo+(hi-lo)/2 into [lo, mid) and [mid, hi), so a descent
 //     re-derives every row range from n alone and the tree costs about
 //     one word per leaf, not per record. The dimension a node splits is
-//     not stored either: it is cutDim of the node's depth and the schema.
+//     not stored either: it is schema.CutDim of the node's depth and the
+//     schema.
 //
 // Rows hold RAW attribute values. The cuts are coordinates clamped to
 // the schema bounds; a traversal never clamps a row, it unclamps the
@@ -39,7 +40,7 @@ type Static struct {
 	bounds []uint64
 	dims   int
 	arity  int
-	time   int      // the schema's TimeDim: the dimension cutDim favours
+	time   int      // the schema's TimeDim: the dimension schema.CutDim favours
 	rows   []uint64 // raw records in partition order, stride arity
 	cuts   []uint64 // implicit BFS split values; cuts[0] is unused
 }
@@ -63,33 +64,6 @@ const staticStackCap = 40
 // is 0), which with the schema fixes the dimension it splits.
 type sframe struct {
 	node, lo, hi, depth int32
-}
-
-// cutDim is the cut schedule of every Static: the dimension a node at
-// depth k splits, for dims indexed dimensions whose first time attribute
-// is time (schema.TimeDim; -1: none). It is the one place the choice is
-// made — the build (partition) and the descent (visit) both call it.
-//
-// The queries a monitor issues are windows in time (PAPER.md §1: flows
-// to a prefix above a size "in interval T"), so with a time attribute
-// the schedule cuts it on two levels of every three — depths 3j and
-// 3j+1 — and on depth 3j+2 cuts the other indexed dimensions in turn, in
-// schema order. Every dimension is still cut, so a query that pins one
-// of the others narrowly keeps pruning; 2:1 is the measured knee between
-// time windows and narrow prefix queries (DESIGN.md §4h). Without a time
-// attribute the dimensions take turns, the embedding's own round robin.
-func cutDim(k, dims, time int) int {
-	if time < 0 || dims == 1 {
-		return k % dims
-	}
-	if k%3 != 2 {
-		return time
-	}
-	d := k / 3 % (dims - 1) // the (k/3)-th of the others, cyclically
-	if d >= time {
-		d++
-	}
-	return d
 }
 
 // NewStatic bulk-loads a static index from recs, copying every record
@@ -129,14 +103,14 @@ func cutsLen(n int) int {
 }
 
 // partition median-splits rows [lo, hi), node's range at depth, on the
-// dimension cutDim schedules there and recurses: afterwards every row of
-// [lo, mid) is <= cuts[node] <= every row of [mid, hi) on that
+// dimension schema.CutDim schedules there and recurses: afterwards every
+// row of [lo, mid) is <= cuts[node] <= every row of [mid, hi) on that
 // dimension's clamped coordinate.
 func (s *Static) partition(node, lo, hi, depth int) {
 	if hi-lo <= leafRows {
 		return
 	}
-	dim := cutDim(depth, s.dims, s.time)
+	dim := schema.CutDim(depth, s.dims, s.time)
 	mid := lo + (hi-lo)/2
 	s.selectRow(lo, hi-1, mid, dim)
 	s.cuts[node] = min(s.rows[mid*s.arity+dim], s.bounds[dim])
@@ -220,7 +194,7 @@ func (s *Static) visit(w *window, sel *selection, fn func(rows []uint64, sel []i
 	f := sframe{node: 1, hi: int32(s.Len())}
 	for {
 		for f.hi-f.lo > leafRows {
-			dim := cutDim(int(f.depth), s.dims, s.time)
+			dim := schema.CutDim(int(f.depth), s.dims, s.time)
 			cut, mid := s.cuts[f.node], f.lo+(f.hi-f.lo)/2
 			// Equal coordinates may sit on either side of a median split,
 			// so both prunes admit equality.

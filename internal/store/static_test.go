@@ -195,48 +195,6 @@ func timeFirst(time int, others ...int) func(depth int) int {
 	}
 }
 
-// TestCutDim pins the schedule's dimension per depth for every shape a
-// schema can give it: 1 to 4 indexed dimensions, with and without a time
-// attribute, a time attribute that is payload only (not indexed, so
-// round robin), and two time attributes (the first is the one favoured,
-// the second is cut as one of the others).
-func TestCutDim(t *testing.T) {
-	attrs := func(kinds ...schema.Kind) []schema.Attr {
-		out := make([]schema.Attr, len(kinds))
-		for i, k := range kinds {
-			out[i] = schema.Attr{Name: string(rune('a' + i)), Kind: k}
-		}
-		return out
-	}
-	u, tm := schema.KindUint, schema.KindTime
-	for _, tc := range []struct {
-		name  string
-		kinds []schema.Kind
-		dims  int
-		want  []int // depths 0, 1, 2, …
-	}{
-		{"1 dim", []schema.Kind{u, u}, 1, []int{0, 0, 0, 0, 0, 0}},
-		{"1 dim, time", []schema.Kind{tm, u}, 1, []int{0, 0, 0, 0, 0, 0}},
-		{"2 dims", []schema.Kind{u, u}, 2, []int{0, 1, 0, 1, 0, 1}},
-		{"2 dims, time@1", []schema.Kind{u, tm}, 2, []int{1, 1, 0, 1, 1, 0, 1, 1, 0}},
-		{"3 dims", []schema.Kind{u, u, u, u}, 3, []int{0, 1, 2, 0, 1, 2, 0}},
-		{"3 dims, time payload only", []schema.Kind{u, u, u, tm}, 3, []int{0, 1, 2, 0, 1, 2, 0}},
-		{"3 dims, time@0", []schema.Kind{tm, u, u}, 3, []int{0, 0, 1, 0, 0, 2, 0, 0, 1}},
-		{"3 dims, time@1 (Index-2)", []schema.Kind{u, tm, u, u}, 3, []int{1, 1, 0, 1, 1, 2, 1, 1, 0}},
-		{"3 dims, time@2", []schema.Kind{u, u, tm}, 3, []int{2, 2, 0, 2, 2, 1, 2, 2, 0}},
-		{"3 dims, time@1 and @2", []schema.Kind{u, tm, tm}, 3, []int{1, 1, 0, 1, 1, 2, 1, 1, 0}},
-		{"4 dims", []schema.Kind{u, u, u, u}, 4, []int{0, 1, 2, 3, 0, 1, 2, 3}},
-		{"4 dims, time@2", []schema.Kind{u, u, tm, u}, 4, []int{2, 2, 0, 2, 2, 1, 2, 2, 3, 2, 2, 0}},
-	} {
-		sch := &schema.Schema{Tag: "s", Attrs: attrs(tc.kinds...), IndexDims: tc.dims}
-		for k, want := range tc.want {
-			if got := cutDim(k, sch.Dims(), sch.TimeDim()); got != want {
-				t.Errorf("%s: depth %d cuts dim %d, want %d", tc.name, k, got, want)
-			}
-		}
-	}
-}
-
 // TestTimeWindowOverscan holds the cut schedule to what it is for: on
 // the live ladder of BenchmarkStoreSlab, a 10-minute window over every
 // destination and octet count hands over at most 4 rows per match (the

@@ -13,7 +13,7 @@
 //     into leaves of at most leafRows rows: no per-node pointers, no
 //     per-query allocations, one iterative traversal (VisitBatches) that
 //     every read is a wrapper over. Its cuts follow one schedule,
-//     cutDim: the schema's time attribute on two levels of every three,
+//     schema.CutDim: the time attribute on two levels of every three,
 //     because the queries a monitor asks are windows in time.
 //   - Sharded (shard.go) is the engine: per-core shards routed by a
 //     hash of the record's indexed point, each a logarithmic-method

@@ -23,7 +23,7 @@ func sch3() *schema.Schema {
 }
 
 // schTime is sch3 with its indexed attribute p a time attribute: same
-// bounds and arity, the time-first cut schedule (cutDim).
+// bounds and arity, the time-first cut schedule (schema.CutDim).
 func schTime(p int) *schema.Schema {
 	sch := sch3()
 	sch.Attrs[p].Kind = schema.KindTime

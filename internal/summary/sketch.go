@@ -33,7 +33,11 @@ type Sketch struct {
 	n       uint64 // total offered weight
 	floor   uint64 // upper bound on the true weight of any absent key
 	entries []Entry
-	idx     map[uint64]int
+	// idx maps a monitored key to its entry: a lookup index only OfferN
+	// needs, built by the first one (lookup) and dropped (nil) by every
+	// method that replaces entries wholesale. A sketch that is only ever
+	// merged — a rollup cell's, a decoded answer's — never pays for one.
+	idx map[uint64]int
 }
 
 // Entry is one monitored key with its bracketed estimate.
@@ -48,7 +52,7 @@ func NewSketch(k int) *Sketch {
 	if k < 1 {
 		k = 1
 	}
-	return &Sketch{k: k, idx: make(map[uint64]int, k)}
+	return &Sketch{k: k}
 }
 
 // FromParts reassembles a sketch from its wire representation. Keys in
@@ -58,10 +62,6 @@ func FromParts(k int, n, floor uint64, entries []Entry) *Sketch {
 		k = len(entries)
 	}
 	s := &Sketch{k: k, n: n, floor: floor, entries: entries}
-	s.idx = make(map[uint64]int, len(entries))
-	for i, e := range entries {
-		s.idx[e.Key] = i
-	}
 	if s.k < 1 {
 		s.k = 1
 	}
@@ -95,7 +95,7 @@ func (s *Sketch) OfferN(key, w uint64) {
 		return
 	}
 	s.n += w
-	if i, ok := s.idx[key]; ok {
+	if i, ok := s.lookup()[key]; ok {
 		s.entries[i].Count += w
 		return
 	}
@@ -126,11 +126,28 @@ func (s *Sketch) OfferN(key, w uint64) {
 	s.entries[mi] = Entry{Key: key, Count: m + w, Err: m}
 }
 
+// lookup returns the key → entry index, building it from the entries on
+// first use. The size hint is capped at DefaultK beyond the entries at
+// hand: k may come off the wire (FromParts), and the map grows anyway.
+func (s *Sketch) lookup() map[uint64]int {
+	if s.idx == nil {
+		s.idx = make(map[uint64]int, max(len(s.entries), min(s.k, DefaultK)))
+		for i, e := range s.entries {
+			s.idx[e.Key] = i
+		}
+	}
+	return s.idx
+}
+
 // Estimate returns the bracketed estimate for key: est-err <= true <=
-// est. For an unmonitored key it returns (Floor, Floor).
+// est. For an unmonitored key it returns (Floor, Floor). It scans the
+// at most K entries rather than building the lookup index, so it never
+// writes to the sketch and is safe on a shared one.
 func (s *Sketch) Estimate(key uint64) (est, err uint64) {
-	if i, ok := s.idx[key]; ok {
-		return s.entries[i].Count, s.entries[i].Err
+	for _, e := range s.entries {
+		if e.Key == key {
+			return e.Count, e.Err
+		}
 	}
 	return s.floor, s.floor
 }
@@ -143,15 +160,10 @@ func (s *Sketch) Top() []Entry {
 	return out
 }
 
-// Clone deep-copies the sketch.
+// Clone deep-copies the sketch's entries; the copy builds its own lookup
+// index if it is offered to.
 func (s *Sketch) Clone() *Sketch {
-	c := &Sketch{k: s.k, n: s.n, floor: s.floor}
-	c.entries = append([]Entry(nil), s.entries...)
-	c.idx = make(map[uint64]int, len(c.entries))
-	for i, e := range c.entries {
-		c.idx[e.Key] = i
-	}
-	return c
+	return &Sketch{k: s.k, n: s.n, floor: s.floor, entries: append([]Entry(nil), s.entries...)}
 }
 
 // Merge folds o into s. Shared keys sum counts and errors exactly; a
@@ -160,42 +172,12 @@ func (s *Sketch) Clone() *Sketch {
 // The union is canonicalized and truncated back to capacity, raising
 // Floor by the truncated estimates. Merge is exactly commutative; it is
 // associative when no truncation occurs and bounds-preserving always.
+// It is MergeMany of one part, so neither side needs a lookup index.
 func (s *Sketch) Merge(o *Sketch) {
 	if o == nil || (o.n == 0 && o.floor == 0 && len(o.entries) == 0) {
 		return
 	}
-	a1, a2 := s.floor, o.floor
-	merged := make([]Entry, 0, len(s.entries)+len(o.entries))
-	for _, e := range s.entries {
-		if j, ok := o.idx[e.Key]; ok {
-			oe := o.entries[j]
-			merged = append(merged, Entry{Key: e.Key, Count: e.Count + oe.Count, Err: e.Err + oe.Err})
-		} else {
-			merged = append(merged, Entry{Key: e.Key, Count: e.Count + a2, Err: e.Err + a2})
-		}
-	}
-	for _, e := range o.entries {
-		if _, ok := s.idx[e.Key]; !ok {
-			merged = append(merged, Entry{Key: e.Key, Count: e.Count + a1, Err: e.Err + a1})
-		}
-	}
-	sortEntries(merged)
-	floor := a1 + a2
-	if len(merged) > s.k {
-		for _, e := range merged[s.k:] {
-			if e.Count > floor {
-				floor = e.Count
-			}
-		}
-		merged = merged[:s.k:s.k]
-	}
-	s.n += o.n
-	s.floor = floor
-	s.entries = merged
-	s.idx = make(map[uint64]int, len(merged))
-	for i, e := range merged {
-		s.idx[e.Key] = i
-	}
+	s.MergeMany([]*Sketch{o})
 }
 
 // MergeMany folds a batch of sketches into s with one combine-and-
@@ -206,8 +188,8 @@ func (s *Sketch) Merge(o *Sketch) {
 // sequential order's. Cost-wise it is one pass over all entries plus one
 // sort instead of a sort and map rebuild per part — the difference
 // between O(cover·K log K) and O(E log E) when a Resolve folds hundreds
-// of covered cells. MergeMany(s, [o]) computes exactly Merge(s, o), and
-// the result is a pure function of the multiset of contributors.
+// of covered cells. Merge(s, o) is MergeMany(s, [o]), and the result is
+// a pure function of the multiset of contributors.
 func (s *Sketch) MergeMany(parts []*Sketch) {
 	type acc struct {
 		key        uint64
@@ -267,10 +249,7 @@ func (s *Sketch) MergeMany(parts []*Sketch) {
 	s.n = n
 	s.floor = floor
 	s.entries = merged
-	s.idx = make(map[uint64]int, len(merged))
-	for i, e := range merged {
-		s.idx[e.Key] = i
-	}
+	s.idx = nil
 }
 
 func sortEntries(es []Entry) { slices.SortFunc(es, entryCmp) }

@@ -1,6 +1,7 @@
 package summary
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 )
@@ -200,8 +201,46 @@ func TestSketchMergedPartialsErrBound(t *testing.T) {
 	}
 }
 
+// mergePair is the pairwise merge written out: a key on both sides sums
+// counts and errors, a key on one side absorbs the other side's floor,
+// and the canonically sorted union is truncated to capacity, the
+// truncated estimates raising the floor.
+func mergePair(a, b *Sketch) *Sketch {
+	in := func(s *Sketch, key uint64) (Entry, bool) {
+		for _, e := range s.entries {
+			if e.Key == key {
+				return e, true
+			}
+		}
+		return Entry{}, false
+	}
+	var merged []Entry
+	for _, e := range a.entries {
+		o, ok := in(b, e.Key)
+		if !ok {
+			o = Entry{Count: b.floor, Err: b.floor}
+		}
+		merged = append(merged, Entry{Key: e.Key, Count: e.Count + o.Count, Err: e.Err + o.Err})
+	}
+	for _, e := range b.entries {
+		if _, ok := in(a, e.Key); !ok {
+			merged = append(merged, Entry{Key: e.Key, Count: e.Count + a.floor, Err: e.Err + a.floor})
+		}
+	}
+	sortEntries(merged)
+	floor := a.floor + b.floor
+	if len(merged) > a.k {
+		for _, e := range merged[a.k:] {
+			floor = max(floor, e.Count)
+		}
+		merged = merged[:a.k]
+	}
+	return FromParts(a.k, a.n+b.n, floor, merged)
+}
+
 // TestSketchMergeManySingleMatchesMerge: a batch of one part computes
-// exactly the pairwise Merge, so MergeMany is a strict generalization.
+// exactly the pairwise merge, so MergeMany is a strict generalization
+// (and Merge, which is MergeMany of one part, is that merge).
 func TestSketchMergeManySingleMatchesMerge(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		r := rand.New(rand.NewSource(seed * 313))
@@ -210,8 +249,7 @@ func TestSketchMergeManySingleMatchesMerge(t *testing.T) {
 		oracle := make(map[uint64]uint64)
 		offerStream(r, a, oracle, 600)
 		offerStream(r, b, oracle, 600)
-		pair := a.Clone()
-		pair.Merge(b)
+		pair := mergePair(a, b)
 		batch := a.Clone()
 		batch.MergeMany([]*Sketch{b})
 		if !sameSketch(pair, batch) {
@@ -329,6 +367,26 @@ func FuzzSketchOracle(f *testing.F) {
 		}
 		if s.N() != total {
 			t.Fatalf("N = %d, oracle total %d", s.N(), total)
+		}
+		checkBoundsFuzz(t, s, oracle)
+
+		// Offering on into a Clone and into a FromParts rebuild — both start
+		// without a lookup index — keeps the brackets and leaves s as it was.
+		n := s.N()
+		for _, c := range []*Sketch{s.Clone(), FromParts(k, s.N(), s.Floor(), s.Top())} {
+			more := maps.Clone(oracle)
+			for i := 1; i < len(data); i += 2 {
+				key := uint64(data[i] % 16)
+				c.Offer(key)
+				more[key]++
+			}
+			if c.N() != n+uint64(len(data)/2) {
+				t.Fatalf("offered-on copy N = %d, want %d", c.N(), n+uint64(len(data)/2))
+			}
+			checkBoundsFuzz(t, c, more)
+		}
+		if s.N() != n {
+			t.Fatalf("offers to a copy moved the original's N to %d", s.N())
 		}
 		checkBoundsFuzz(t, s, oracle)
 

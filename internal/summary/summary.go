@@ -22,8 +22,11 @@ const (
 // Options tunes a summary.
 type Options struct {
 	// Depth is the cut-tree depth: the indexed space is split at the
-	// midpoint round-robin per dimension Depth times, giving 2^Depth leaf
-	// cells. Deeper trees tighten boundary cells (less exact scanning per
+	// midpoint Depth times, giving 2^Depth leaf cells, each split on the
+	// dimension the store's levels cut at that depth (schema.CutDim). With
+	// a time attribute that is time on two cuts of three — six of the
+	// default eight, 22.5-minute cells on a day — and round robin without
+	// one. Deeper trees tighten boundary cells (less exact scanning per
 	// query) at more rollup state per shard. 0 selects 8.
 	Depth int
 	// K is the heavy-hitter sketch capacity per tree node. 0 selects 32.
@@ -79,6 +82,7 @@ type snap struct {
 type Summary struct {
 	sch    *schema.Schema
 	bounds []uint64
+	time   int // sch.TimeDim(): the cut schedule (schema.CutDim)
 	opts   Options
 	mu     sync.Mutex
 	snap   atomic.Pointer[snap]
@@ -89,7 +93,7 @@ func keyOf(rec schema.Record) uint64 { return rec[0] }
 
 // New creates an empty summary.
 func New(sch *schema.Schema, opts Options) *Summary {
-	s := &Summary{sch: sch, bounds: sch.Bounds(), opts: opts.withDefaults()}
+	s := &Summary{sch: sch, bounds: sch.Bounds(), time: sch.TimeDim(), opts: opts.withDefaults()}
 	s.snap.Store(&snap{})
 	return s
 }
@@ -161,6 +165,10 @@ func (s *Summary) foldRecs(root *node, recs []schema.Record) *node {
 	return s.foldNode(root, recs, pts, 0, lo, hi)
 }
 
+// cutDim is the dimension the cells at depth split: the store's schedule,
+// so a rollup cell is cut where the store's levels cut.
+func (s *Summary) cutDim(depth int) int { return schema.CutDim(depth, len(s.bounds), s.time) }
+
 func (s *Summary) foldNode(n *node, recs []schema.Record, pts [][]uint64, depth int, lo, hi []uint64) *node {
 	if len(recs) == 0 {
 		return n
@@ -184,10 +192,11 @@ func (s *Summary) foldNode(n *node, recs []schema.Record, pts [][]uint64, depth 
 		}
 		c.sk.Offer(keyOf(rec))
 	}
+	c.sk.idx = nil // published read-only: readers merge entries, never look up
 	if depth == s.opts.Depth {
 		return c
 	}
-	d := depth % len(s.bounds)
+	d := s.cutDim(depth)
 	cut := lo[d] + (hi[d]-lo[d])/2
 	l := 0
 	for i := range recs {
@@ -374,7 +383,9 @@ func (s *Summary) resolveNode(n *node, rect schema.Rect, depth int, lo, hi []uin
 		// Boundary leaf: emitted even when the static subtree is empty —
 		// delta records and freshly stored records may live here, and
 		// only the caller's store scan sees those.
-		cl := schema.Rect{Lo: make([]uint64, len(lo)), Hi: make([]uint64, len(lo))}
+		dims := len(lo)
+		b := make([]uint64, 2*dims)
+		cl := schema.Rect{Lo: b[:dims:dims], Hi: b[dims:]}
 		for d := range lo {
 			cl.Lo[d] = max(lo[d], rect.Lo[d])
 			cl.Hi[d] = min(hi[d], rect.Hi[d])
@@ -382,7 +393,7 @@ func (s *Summary) resolveNode(n *node, rect schema.Rect, depth int, lo, hi []uin
 		agg.Boundary = append(agg.Boundary, cl)
 		return
 	}
-	d := depth % len(lo)
+	d := s.cutDim(depth)
 	cut := lo[d] + (hi[d]-lo[d])/2
 	var l, r *node
 	if n != nil {
@@ -424,7 +435,7 @@ func (s *Summary) deltaCovered(rect schema.Rect, rec schema.Record, lo, hi []uin
 		if depth == s.opts.Depth {
 			return false
 		}
-		d := depth % len(lo)
+		d := s.cutDim(depth)
 		cut := lo[d] + (hi[d]-lo[d])/2
 		v := rec[d]
 		if v > s.bounds[d] {

@@ -24,6 +24,18 @@ func testSchema() *schema.Schema {
 	}
 }
 
+// timeSchema is testSchema with its second indexed attribute a time, as
+// in Index-2: the rollup then cuts on the store's time-first schedule.
+func timeSchema() *schema.Schema {
+	sch := testSchema()
+	sch.Attrs[1].Kind = schema.KindTime
+	return sch
+}
+
+// rollupSchemas are the two shapes of the cut schedule: round robin, and
+// time on two cuts of every three.
+func rollupSchemas() []*schema.Schema { return []*schema.Schema{testSchema(), timeSchema()} }
+
 func randRec(r *rand.Rand) schema.Record {
 	// Skewed first attribute so the sketch sees real heavy hitters.
 	a := uint64(r.Intn(10000))
@@ -113,9 +125,14 @@ func checkAgg(t *testing.T, tag string, agg Agg, count uint64, sums []uint64, hi
 
 // TestSummaryDifferentialFlatRecount mirrors the store's differential
 // fuzz: a random insert stream checked against a flat recount at a
-// cadence that crosses fold boundaries mid-stream.
+// cadence that crosses fold boundaries mid-stream, on both cut schedules.
 func TestSummaryDifferentialFlatRecount(t *testing.T) {
-	sch := testSchema()
+	for _, sch := range rollupSchemas() {
+		testDifferentialFlatRecount(t, sch)
+	}
+}
+
+func testDifferentialFlatRecount(t *testing.T, sch *schema.Schema) {
 	for _, depth := range []int{2, 5, 8} {
 		r := rand.New(rand.NewSource(int64(depth) * 41))
 		s := New(sch, Options{Depth: depth, K: 16, DeltaMax: 32})
@@ -242,12 +259,14 @@ func TestSummaryCOWConsistency(t *testing.T) {
 }
 
 // FuzzSummaryRollup drives record streams from fuzz bytes through the
-// cut-tree rollup and compares against a flat recount.
+// cut-tree rollup and compares against a flat recount; the depth byte's
+// low bit picks the cut schedule (round robin or time-first).
 func FuzzSummaryRollup(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(4), uint8(8))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(15), uint8(8))
 	f.Fuzz(func(t *testing.T, data []byte, depthRaw, deltaRaw uint8) {
-		sch := testSchema()
-		s := New(sch, Options{Depth: int(depthRaw%10) + 1, K: 8, DeltaMax: int(deltaRaw%16) + 1})
+		sch := rollupSchemas()[depthRaw&1]
+		s := New(sch, Options{Depth: int(depthRaw>>1%10) + 1, K: 8, DeltaMax: int(deltaRaw%16) + 1})
 		var recs []schema.Record
 		for i := 0; i+3 < len(data); i += 4 {
 			rec := schema.Record{
@@ -310,5 +329,63 @@ func TestFoldReuseIsExact(t *testing.T) {
 			t.Fatalf("GetFold(%d) = %d sums, count %d, %d keys", arity, len(f.Sums), f.Count, f.Keys.used)
 		}
 		PutFold(f)
+	}
+}
+
+// TestRollupCutsOnStoreSchedule walks a folded rollup cell by cell with
+// the cells schema.CutDim draws: every node must hold exactly the records
+// inside its cell — which it cannot if the rollup split another
+// dimension anywhere above it — and every published sketch must be
+// without a lookup index, the memory a populated cell would otherwise
+// carry for nothing.
+func TestRollupCutsOnStoreSchedule(t *testing.T) {
+	for _, sch := range rollupSchemas() {
+		r := rand.New(rand.NewSource(5))
+		s := New(sch, Options{Depth: 8, K: 8, DeltaMax: 64})
+		var recs []schema.Record
+		for i := 0; i < 3000; i++ {
+			rec := randRec(r)
+			s.Insert(rec)
+			recs = append(recs, rec)
+		}
+		s.Fold()
+		nodes := 0
+		var walk func(n *node, depth int, cell schema.Rect)
+		walk = func(n *node, depth int, cell schema.Rect) {
+			var in uint64
+			for _, rec := range recs {
+				if cell.ContainsRecord(sch, rec) {
+					in++
+				}
+			}
+			if n == nil {
+				if in != 0 {
+					t.Fatalf("%s: empty cell %v at depth %d holds %d records", sch.Attrs[1].Kind, cell, depth, in)
+				}
+				return
+			}
+			nodes++
+			if n.count != in || n.sk.N() != in {
+				t.Fatalf("%s: cell %v at depth %d: count %d, sketch N %d, %d records inside", sch.Attrs[1].Kind, cell, depth, n.count, n.sk.N(), in)
+			}
+			if n.sk.idx != nil {
+				t.Fatalf("%s: cell %v at depth %d publishes a sketch lookup index", sch.Attrs[1].Kind, cell, depth)
+			}
+			if depth == s.opts.Depth {
+				return
+			}
+			d := schema.CutDim(depth, sch.Dims(), sch.TimeDim())
+			cut := cell.Lo[d] + (cell.Hi[d]-cell.Lo[d])/2
+			l, h := cell.Clone(), cell.Clone()
+			l.Hi[d], h.Lo[d] = cut, cut+1
+			walk(n.left, depth+1, l)
+			if cut < cell.Hi[d] {
+				walk(n.right, depth+1, h)
+			}
+		}
+		walk(s.snap.Load().root, 0, sch.FullRect())
+		if nodes < 1<<s.opts.Depth {
+			t.Fatalf("%s: only %d populated nodes; the walk checked too little", sch.Attrs[1].Kind, nodes)
+		}
 	}
 }
