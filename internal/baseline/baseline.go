@@ -137,10 +137,10 @@ func (n *FloodNode) dispatch(from string, data []byte) {
 	switch msg := m.(type) {
 	case *wire.Query:
 		// Every node evaluates every query: the flooding cost model.
+		resp := &wire.QueryResp{ReqID: msg.ReqID, From: wire.NodeInfo{Addr: n.ep.Addr()}}
 		n.mu.Lock()
-		recs := n.local.Query(msg.Rect)
+		n.local.Visit(msg.Rect, resp.Recs.Append)
 		n.mu.Unlock()
-		resp := &wire.QueryResp{ReqID: msg.ReqID, From: wire.NodeInfo{Addr: n.ep.Addr()}, Recs: recs}
 		_ = n.ep.Send(msg.OriginAddr, wire.Encode(resp))
 	case *wire.QueryResp:
 		n.mu.Lock()
@@ -151,7 +151,7 @@ func (n *FloodNode) dispatch(from string, data []byte) {
 		}
 		if !q.responses[msg.From.Addr] {
 			q.responses[msg.From.Addr] = true
-			q.records = append(q.records, msg.Recs...)
+			q.records = append(q.records, msg.Recs.Records()...)
 		}
 		done := len(q.responses) >= q.expected
 		n.mu.Unlock()

@@ -48,10 +48,10 @@ func (s *CentralServer) dispatch(from string, data []byte) {
 		s.mu.Unlock()
 		_ = s.ep.Send(msg.OriginAddr, wire.Encode(&wire.InsertAck{ReqID: msg.ReqID}))
 	case *wire.Query:
+		resp := &wire.QueryResp{ReqID: msg.ReqID, From: wire.NodeInfo{Addr: s.ep.Addr()}, HasCover: true}
 		s.mu.Lock()
-		recs := s.data.Query(msg.Rect)
+		s.data.Visit(msg.Rect, resp.Recs.Append)
 		s.mu.Unlock()
-		resp := &wire.QueryResp{ReqID: msg.ReqID, From: wire.NodeInfo{Addr: s.ep.Addr()}, HasCover: true, Recs: recs}
 		_ = s.ep.Send(msg.OriginAddr, wire.Encode(resp))
 	}
 }
@@ -157,6 +157,6 @@ func (c *CentralClient) dispatch(from string, data []byte) {
 	case *wire.InsertAck:
 		c.finishInsert(msg.ReqID, true)
 	case *wire.QueryResp:
-		c.finishQuery(msg.ReqID, QueryResult{Complete: true, Responders: 1, Records: msg.Recs})
+		c.finishQuery(msg.ReqID, QueryResult{Complete: true, Responders: 1, Records: msg.Recs.Records()})
 	}
 }

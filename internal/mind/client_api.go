@@ -139,12 +139,12 @@ func (n *Node) handleClientQuery(from string, m *wire.ClientQuery) {
 	n.serveClientRead(from, clientOpKey(from, m.ReqID)^clientQueryKeyMix,
 		func(shed bool) wire.Message { return &wire.ClientQueryResp{ReqID: m.ReqID, Shed: shed} },
 		func(reply func(wire.Message)) error {
-			return n.Query(m.Index, m.Rect, func(res QueryResult) {
+			return n.query(m.Index, m.Rect, func(recs wire.RecList, res QueryResult) {
 				reply(&wire.ClientQueryResp{
 					ReqID:      m.ReqID,
 					Complete:   res.Complete,
 					Responders: uint32(res.Responders),
-					Recs:       res.Records,
+					List:       recs,
 				})
 			})
 		})

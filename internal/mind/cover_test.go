@@ -284,10 +284,10 @@ func rect2(lo0, lo1, hi0, hi1 uint64) schema.Rect {
 	return schema.Rect{Lo: []uint64{lo0, lo1}, Hi: []uint64{hi0, hi1}}
 }
 
-// TestRecHashDistinct holds recHash to what it is used for, a dedup key:
-// over a million generated Index-2 records and the near-duplicates a
-// structured data set is full of, two ids are equal only when the two
-// records are.
+// TestRecHashDistinct holds the content id (recID over a record's
+// canonical bytes) to what it is used for, a dedup key: over a million
+// generated Index-2 records and the near-duplicates a structured data set
+// is full of, two ids are equal only when the two records are.
 func TestRecHashDistinct(t *testing.T) {
 	// Record i of the generated set: 1 100 destination prefixes × 1 000
 	// thirty-second windows, the other attributes drawn per record.
@@ -312,6 +312,7 @@ func TestRecHashDistinct(t *testing.T) {
 			variant(func(r schema.Record) { r[a]++ })
 			variant(func(r schema.Record) { r[a]-- })
 			variant(func(r schema.Record) { r[a] ^= 1 << 63 })
+			variant(func(r schema.Record) { r[a] = 0 })
 			for b := a + 1; b < len(base); b++ {
 				variant(func(r schema.Record) { r[a], r[b] = r[b], r[a] })
 			}
@@ -334,7 +335,7 @@ func TestRecHashDistinct(t *testing.T) {
 	}
 	ids := make([]entry, prefixes*windows+len(near))
 	for i := range ids {
-		ids[i] = entry{recHash(record(i)), int32(i)}
+		ids[i] = entry{recID(recBytes(record(i))), int32(i)}
 	}
 	slices.SortFunc(ids, func(a, b entry) int { return cmp.Compare(a.id, b.id) })
 	distinct := len(ids)
@@ -351,36 +352,35 @@ func TestRecHashDistinct(t *testing.T) {
 	if distinct < 1_000_000 {
 		t.Fatalf("only %d distinct records checked", distinct)
 	}
-	if recHash(record(0)) != recHash(record(0).Clone()) {
-		t.Fatal("hash not deterministic")
+	if recID(recBytes(record(0))) != recID(recBytes(record(0).Clone())) {
+		t.Fatal("id not deterministic")
 	}
 }
 
-// TestRecHashAvalanche: flipping any one bit of any attribute flips
-// every bit of the id about half the time — the chain of one
-// xorshift-multiply round per attribute is as strong as a finaliser per
-// attribute, not merely faster than the byte-wise hash it replaced.
+// TestRecHashAvalanche: flipping any one bit of a record's bytes flips
+// every bit of its content id about half the time — the chain of one
+// xorshift-multiply round per 8-byte word is as strong as a finaliser
+// per word — at the byte lengths of a short record, of exactly one and
+// two words, and of an encoded Index-2 record.
 func TestRecHashAvalanche(t *testing.T) {
 	const samples = 2000
 	r := rand.New(rand.NewSource(7))
-	rec := make(schema.Record, 5)
-	for attr := range rec {
-		for bit := 0; bit < 64; bit++ {
+	for _, size := range []int{3, 7, 8, 16, 20} {
+		b := make([]byte, size)
+		for bit := 0; bit < 8*size; bit++ {
 			var flips [64]int
 			for s := 0; s < samples; s++ {
-				for i := range rec {
-					rec[i] = r.Uint64() >> uint(r.Intn(64))
-				}
-				id := recHash(rec)
-				rec[attr] ^= 1 << bit
-				diff := id ^ recHash(rec)
+				r.Read(b)
+				id := recID(b)
+				b[bit/8] ^= 1 << (bit % 8)
+				diff := id ^ recID(b)
 				for out := range flips {
 					flips[out] += int(diff >> out & 1)
 				}
 			}
 			for out, n := range flips {
 				if n < samples*2/5 || n > samples*3/5 {
-					t.Fatalf("attribute %d bit %d flips id bit %d in %d of %d samples", attr, bit, out, n, samples)
+					t.Fatalf("%d bytes: input bit %d flips id bit %d in %d of %d samples", size, bit, out, n, samples)
 				}
 			}
 		}

@@ -1,8 +1,8 @@
 package mind
 
 import (
+	"encoding/binary"
 	"math/bits"
-	"slices"
 
 	"mind/internal/bitstr"
 	"mind/internal/schema"
@@ -11,11 +11,10 @@ import (
 
 // QueryResult is delivered to the query callback.
 type QueryResult struct {
-	// Records are the deduplicated matching records, in arrival order.
-	// Each is a read-only capped view into the arena its answer was
-	// decoded into (or, for this node's own share, into the store): it
-	// may be retained, and a retained record pins that whole arena;
-	// Clone what must outlive the rest.
+	// Records are the deduplicated matching records, in arrival order,
+	// decoded once, at delivery, from the answers' wire form: each is a
+	// read-only capped view into one arena. It may be retained, and a
+	// retained record pins that arena; Clone what must outlive the rest.
 	Records []schema.Record
 	// Complete is true when every region of the query space was covered
 	// by a response (§3.6: negative responses count, so completeness is
@@ -40,6 +39,18 @@ type QueryResult struct {
 // return directly to this node. The callback fires once, with complete
 // results or with whatever arrived by the timeout.
 func (n *Node) Query(tag string, rect schema.Rect, cb func(QueryResult)) error {
+	return n.query(tag, rect, func(recs wire.RecList, res QueryResult) {
+		if cb != nil {
+			res.Records = recs.Records()
+			cb(res)
+		}
+	})
+}
+
+// query is Query with the records left in their wire form: cb gets the
+// runs the originator spliced from its answers (the client RPC hands
+// them to its response as they stand) and a result without Records.
+func (n *Node) query(tag string, rect schema.Rect, cb func(wire.RecList, QueryResult)) error {
 	return n.scatter(tag, rect, recordKind{}, 0, func(*index) accumulator {
 		return &recordAcc{cb: cb}
 	})
@@ -95,31 +106,39 @@ func answerFromQueryResp(m *wire.QueryResp) answer {
 // follows) keeps a lagging node from claiming the whole query region.
 func (recordKind) epochOnAnswer(p piece) bool { return p.whole }
 
+// resolve encodes the matching records straight from the store's
+// batches into the answer's record list, the one encoding they get on
+// their way to the client.
 func (recordKind) resolve(n *Node, ix *index, p piece, a answer, replica bool) wire.Message {
-	var recs []schema.Record
-	if replica {
-		recs = filterToRegion(ix, p.versions32(), p.rect, p.region)
-	} else {
-		recs = ix.primary.Query(p.versions32(), p.rect)
-	}
-	return &wire.QueryResp{
+	m := &wire.QueryResp{
 		ReqID: a.reqID, From: a.from, HasCover: a.hasCover, Cover: a.cover,
-		Versions: a.versions, Recs: recs, Hops: a.hops,
+		Versions: a.versions, Hops: a.hops,
 	}
+	if replica {
+		m.Recs = filterToRegion(ix, p.versions, p.rect, p.region)
+		return m
+	}
+	arity := ix.sch.Arity()
+	add := func(rows []uint64, sel []int32) { m.Recs.AppendRows(rows, sel, arity) }
+	for _, v := range p.versions {
+		if s := ix.primary.Get(uint32(v)); s != nil {
+			s.VisitBatches(p.rect, add)
+		}
+	}
+	return m
 }
 
 // recordAcc gathers a record query's answers. Overlapping answers
 // (replica fail-over, ring double-delivery, retransmission races) are
-// harmless: records dedup by content id (recHash, computed here as each
-// answer is admitted), so every response is admitted.
-// An answer's record list is kept where it was decoded, with the records
-// already seen squeezed out in place; deliver concatenates the lists
-// once, at their exact total, and an operation one answer resolved hands
-// that answer's list on as it stands.
+// harmless: records dedup by content id (recID, computed here over each
+// record's bytes as its answer is admitted), so every response is
+// admitted. Nothing is decoded: admit walks each answer's record
+// boundaries and splices the runs of fresh records, as they lie in the
+// frames they arrived in, into one list, which deliver hands on.
 type recordAcc struct {
-	cb    func(QueryResult)
-	ids   idSet
-	parts [][]schema.Record
+	cb   func(wire.RecList, QueryResult)
+	ids  idSet
+	list wire.RecList
 }
 
 func (r *recordAcc) admit(a answer, _ *coverSet) bool {
@@ -127,74 +146,83 @@ func (r *recordAcc) admit(a answer, _ *coverSet) bool {
 	if !ok {
 		return false
 	}
-	r.ids.reserve(len(m.Recs))
-	fresh := m.Recs[:0]
-	for _, rec := range m.Recs {
-		if r.ids.add(recHash(rec)) {
-			fresh = append(fresh, rec)
+	r.ids.reserve(m.Recs.Len())
+	for _, run := range m.Recs.Runs() {
+		start, fresh := 0, 0 // run[start:off] holds fresh records
+		for off := 0; off < len(run); {
+			size := wire.RecLen(run[off:])
+			if r.ids.add(recID(run[off : off+size])) {
+				fresh++
+			} else {
+				r.list.Splice(run[start:off], fresh)
+				start, fresh = off+size, 0
+			}
+			off += size
 		}
-	}
-	if len(fresh) > 0 {
-		r.parts = append(r.parts, fresh)
+		r.list.Splice(run[start:], fresh)
 	}
 	return true
 }
 
 func (r *recordAcc) deliver(o outcome) {
-	if r.cb == nil {
-		return
-	}
-	var records []schema.Record
-	if len(r.parts) == 1 {
-		records = r.parts[0]
-	} else {
-		records = slices.Concat(r.parts...)
-	}
-	r.cb(QueryResult{
-		Records: records, Complete: o.complete, Responders: o.responders,
+	r.cb(r.list, QueryResult{
+		Complete: o.complete, Responders: o.responders,
 		MaxHops: o.maxHops, Uncovered: o.uncovered,
 	})
 }
 
 func (r *recordAcc) tally(s *Stats) { s.PendingQueries++ }
 
-// filterToRegion visits the replica store and keeps the records inside
+// filterToRegion visits the replica store and encodes the records inside
 // the region. The replica store reads are snapshot-consistent; no lock
 // is required.
-func filterToRegion(ix *index, versions []uint32, rect schema.Rect, region bitstr.Code) []schema.Record {
-	var out []schema.Record
+func filterToRegion(ix *index, versions []uint64, rect schema.Rect, region bitstr.Code) wire.RecList {
+	var out wire.RecList
 	var scratch []uint64
 	for _, v := range versions {
-		eng := ix.replicas.Get(v)
+		eng := ix.replicas.Get(uint32(v))
 		if eng == nil {
 			continue
 		}
-		tree := ix.tree(v)
+		tree := ix.tree(uint32(v))
 		eng.Visit(rect, func(r schema.Record) {
 			scratch = r.PointInto(ix.sch, scratch)
 			if region.IsPrefixOf(tree.PointCode(scratch, region.Len())) {
-				out = append(out, r)
+				out.Append(r)
 			}
 		})
 	}
 	return out
 }
 
-// recHash derives a record's content id, the key duplicate answers
-// (replica fail-over, ring double-delivery) dedup by — a collision would
-// silently drop a record, so every attribute is folded in by a bijective
-// xorshift-multiply round and one more round closes the chain: each
-// attribute passes through at least the two rounds of a full-avalanche
-// 64-bit finaliser before the id leaves, and two records of one arity
-// that differ in a single attribute cannot collide at all. The arity
-// seeds the chain, so a trailing zero attribute changes the id. Ids are
-// computed only at the originator, from the records it decoded, and never
+// recID derives a record's content id from its canonical bytes, the key
+// duplicate answers (replica fail-over, ring double-delivery) dedup by —
+// a collision would silently drop a record, so every 8-byte word (the
+// last one zero-padded) is folded in by a bijective xorshift-multiply
+// round and one more round closes the chain: each byte passes through at
+// least the two rounds of a full-avalanche 64-bit finaliser before the
+// id leaves, and two records of one byte length that differ in a single
+// word cannot collide at all. The byte length seeds the chain, so the
+// padding never makes two lengths meet. A record has one encoding
+// (wire.RecList), so equal ids of unequal records are collisions, never
+// two spellings. Ids are computed only at the originator and never
 // cross the wire, so no two builds ever have to agree on them.
-func recHash(r []uint64) uint64 {
+func recID(b []byte) uint64 {
 	const m = 0xd6e8feb86659fd93
-	h := uint64(len(r)+1) * 0x9e3779b97f4a7c15
-	for _, v := range r {
-		h ^= v
+	h := uint64(len(b)+1) * 0x9e3779b97f4a7c15
+	for i := 0; i < len(b); i += 8 {
+		var w uint64
+		switch {
+		case len(b)-i >= 8:
+			w = binary.LittleEndian.Uint64(b[i:])
+		case len(b) >= 8: // the tail word is the last eight bytes shifted down
+			w = binary.LittleEndian.Uint64(b[len(b)-8:]) >> (8 * (8 - (len(b) - i)))
+		default:
+			for j := len(b) - 1; j >= i; j-- {
+				w = w<<8 | uint64(b[j])
+			}
+		}
+		h ^= w
 		h ^= h >> 32
 		h *= m
 		h ^= h >> 32

@@ -2,6 +2,7 @@ package mind
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mind/internal/schema"
@@ -34,89 +35,181 @@ func TestIDSet(t *testing.T) {
 	}
 }
 
-// wideAnswers splits n distinct Index-2-shaped records evenly over parts
-// responders' answers.
-func wideAnswers(parts, n int) []*wire.QueryResp {
+// indexTwoRecords returns n distinct Index-2-shaped records.
+func indexTwoRecords(n int) []schema.Record {
 	r := rand.New(rand.NewSource(21))
-	out := make([]*wire.QueryResp, parts)
-	for p := range out {
-		m := &wire.QueryResp{Recs: make([]schema.Record, n/parts)}
-		for i := range m.Recs {
-			m.Recs[i] = schema.Record{
-				uint64(r.Uint32()) &^ 0xff, uint64(r.Intn(86400)), 1<<20 + uint64(r.Intn(1<<30)),
-				uint64(r.Uint32()) &^ 0xff, uint64(r.Intn(8)),
-			}
+	out := make([]schema.Record, n)
+	for i := range out {
+		out[i] = schema.Record{
+			uint64(r.Uint32()) &^ 0xff, uint64(r.Intn(86400)), 1<<20 + uint64(r.Intn(1<<30)),
+			uint64(r.Uint32()) &^ 0xff, uint64(r.Intn(8)),
 		}
-		out[p] = m
 	}
 	return out
 }
 
-// TestRecordAccDedups: an answer repeated (fail-over, retransmission)
-// and a record repeated inside one answer contribute once, in arrival
-// order, and a single answer's list is handed on as it stands.
-func TestRecordAccDedups(t *testing.T) {
-	answers := wideAnswers(3, 300)
-	var want []schema.Record
+// answerFrame encodes recs as one responder's query-resp frame.
+func answerFrame(recs []schema.Record) []byte {
+	m := &wire.QueryResp{ReqID: 82, Versions: []uint64{0}, Hops: 2}
+	for _, rec := range recs {
+		m.Recs.Append(rec)
+	}
+	return wire.Encode(m)
+}
+
+// answerOf is recs as the originator sees them: one responder's answer
+// decoded from its frame, its record list aliasing the frame.
+func answerOf(tb testing.TB, recs []schema.Record) *wire.QueryResp {
+	m, err := wire.Decode(answerFrame(recs))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m.(*wire.QueryResp)
+}
+
+// wideFrames splits n distinct Index-2-shaped records evenly over parts
+// responders' query-resp frames.
+func wideFrames(parts, n int) [][]byte {
+	recs := indexTwoRecords(n)
+	out := make([][]byte, parts)
+	for p := range out {
+		out[p] = answerFrame(recs[p*n/parts : (p+1)*n/parts])
+	}
+	return out
+}
+
+// admitAll admits answers into a fresh accumulator and returns the list
+// it delivers on the client-RPC path.
+func admitAll(answers ...*wire.QueryResp) wire.RecList {
+	var got wire.RecList
+	acc := &recordAcc{cb: func(l wire.RecList, _ QueryResult) { got = l }}
 	for _, m := range answers {
-		want = append(want, m.Recs...)
-	}
-	again := *answers[0]
-	again.Recs = append([]schema.Record(nil), again.Recs...)
-	answers[1].Recs = append(answers[1].Recs, answers[1].Recs[7])
-
-	var got QueryResult
-	acc := &recordAcc{cb: func(res QueryResult) { got = res }}
-	for _, m := range []*wire.QueryResp{answers[0], answers[1], &again, answers[2]} {
-		if !acc.admit(answer{body: m}, nil) {
-			t.Fatal("record answer refused")
-		}
+		acc.admit(answer{body: m}, nil)
 	}
 	acc.deliver(outcome{complete: true})
-	if len(got.Records) != len(want) {
-		t.Fatalf("%d records delivered, want %d", len(got.Records), len(want))
+	return got
+}
+
+// TestRecordAccDedups: an answer repeated (fail-over, retransmission), a
+// record repeated across answers and one repeated inside an answer
+// contribute once, in arrival order; the fresh records between
+// duplicates are spliced as runs of the frames they arrived in, a
+// duplicate splitting its run; and Node.Query's decode of the spliced
+// list is the records themselves.
+func TestRecordAccDedups(t *testing.T) {
+	recs := indexTwoRecords(300)
+	first, second, third := recs[:100], recs[100:200], recs[200:]
+	// Inside the second answer: record 107 again, and record 5 of the
+	// first, each in the middle — three runs.
+	dupInside := append(append(append(append([]schema.Record{}, second[:50]...), second[7]), second[50:80]...), first[5])
+	dupInside = append(dupInside, second[80:]...)
+	// The third answer opens and closes with records already admitted.
+	dupEdges := append(append([]schema.Record{first[0]}, third...), second[99])
+	answers := []*wire.QueryResp{answerOf(t, first), answerOf(t, dupInside), answerOf(t, first), answerOf(t, dupEdges)}
+
+	got := admitAll(answers...)
+	if got.Len() != len(recs) {
+		t.Fatalf("%d records delivered, want %d", got.Len(), len(recs))
 	}
-	for i := range want {
-		if &got.Records[i][0] != &want[i][0] {
-			t.Fatalf("record %d is %v, want %v (the same view)", i, got.Records[i], want[i])
+	if dec := got.Records(); !reflect.DeepEqual(dec, recs) {
+		t.Fatalf("delivered records differ from the distinct records in arrival order")
+	}
+	// first: one run; dupInside: three; the repeat of first: none;
+	// dupEdges: one, with both ends cut off.
+	if runs := got.Runs(); len(runs) != 5 {
+		t.Fatalf("%d runs spliced, want 5", len(runs))
+	}
+	for i, run := range got.Runs() {
+		owned := false
+		for _, m := range answers {
+			owned = owned || within(run, m.Recs.Runs()[0])
+		}
+		if !owned {
+			t.Fatalf("run %d is not a slice of the frame it arrived in", i)
 		}
 	}
 
-	one := wideAnswers(1, 50)[0]
-	acc = &recordAcc{cb: func(res QueryResult) { got = res }}
-	acc.admit(answer{body: one}, nil)
-	acc.deliver(outcome{complete: true})
-	if len(got.Records) != 50 || &got.Records[0] != &one.Recs[0] {
-		t.Fatalf("a lone answer's %d records were copied, want its own list of 50", len(got.Records))
+	var res QueryResult
+	acc := &recordAcc{cb: func(l wire.RecList, r QueryResult) { r.Records = l.Records(); res = r }}
+	acc.admit(answer{body: answers[1]}, nil)
+	acc.deliver(outcome{complete: true, responders: 1})
+	if want := append(append(append([]schema.Record{}, second[:80]...), first[5]), second[80:]...); !res.Complete || res.Responders != 1 || !reflect.DeepEqual(res.Records, want) {
+		t.Fatalf("decoded delivery: %d records (complete %v, responders %d), want %d", len(res.Records), res.Complete, res.Responders, len(want))
 	}
 }
 
+// within reports whether sub lies inside buf's memory.
+func within(sub, buf []byte) bool {
+	for o := range buf {
+		if &buf[o] == &sub[0] {
+			return o+len(sub) <= len(buf)
+		}
+	}
+	return false
+}
+
 // BenchmarkRecordAccAdmit times the originator's side of a wide query:
-// four answers of 525 records admitted and the result delivered.
+// four answers of 525 records admitted and the spliced list delivered.
 func BenchmarkRecordAccAdmit(b *testing.B) {
-	answers := wideAnswers(4, 2100) // no duplicates, so admit's squeeze leaves them whole
+	var answers []*wire.QueryResp
+	for _, f := range wideFrames(4, 2100) {
+		m, _ := wire.Decode(f)
+		answers = append(answers, m.(*wire.QueryResp))
+	}
 	delivered := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		acc := &recordAcc{cb: func(res QueryResult) { delivered += len(res.Records) }}
-		for _, m := range answers {
-			acc.admit(answer{body: m}, nil)
-		}
-		acc.deliver(outcome{complete: true})
+		delivered += admitAll(answers...).Len()
 	}
 	if delivered != 2100*b.N {
 		b.Fatalf("%d records delivered over %d queries", delivered, b.N)
 	}
 }
 
-var hashSink uint64
-
-// BenchmarkRecHash times the content id of a five-attribute record.
-func BenchmarkRecHash(b *testing.B) {
-	recs := wideAnswers(1, 2100)[0].Recs
+// BenchmarkAnswerHop times the originator's whole share of a wide query
+// on the client-RPC path: four responders' query-resp frames decoded
+// (validated in place), admitted, and one client-query-resp encoded from
+// the spliced runs.
+func BenchmarkAnswerHop(b *testing.B) {
+	frames := wideFrames(4, 2100)
+	answers := make([]*wire.QueryResp, len(frames))
+	bytesOut := 0
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hashSink += recHash(recs[i%len(recs)])
+		for j, f := range frames {
+			m, err := wire.Decode(f)
+			if err != nil {
+				b.Fatal(err)
+			}
+			answers[j] = m.(*wire.QueryResp)
+		}
+		out := wire.Encode(&wire.ClientQueryResp{ReqID: 1, Complete: true, Responders: 4, List: admitAll(answers...)})
+		bytesOut = len(out)
+		wire.RecycleBuf(out)
 	}
+	b.ReportMetric(float64(bytesOut), "resp-bytes")
+}
+
+var hashSink uint64
+
+// BenchmarkRecHash times the content id of a five-attribute record's
+// canonical bytes.
+func BenchmarkRecHash(b *testing.B) {
+	var recs [][]byte
+	for _, rec := range indexTwoRecords(2100) {
+		recs = append(recs, recBytes(rec))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hashSink += recID(recs[i%len(recs)])
+	}
+}
+
+// recBytes is rec's canonical encoding.
+func recBytes(rec schema.Record) []byte {
+	var l wire.RecList
+	l.Append(rec)
+	return l.Runs()[0]
 }

@@ -14,7 +14,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"runtime"
 	"testing"
 )
 
@@ -103,15 +102,12 @@ func TestAllocBudgetDecodeInsert(t *testing.T) {
 // happen to be a complete valid encoding.
 func TestDecodeAllocationBounded(t *testing.T) {
 	hostile := binary.AppendUvarint(nil, MaxSliceLen)
-	var before, after runtime.MemStats
 	for _, k := range registered() {
 		valid := Encode(sample(t, k))
 		for cut := 1; cut <= len(valid); cut++ {
 			input := append(valid[:cut:cut], hostile...)
-			runtime.ReadMemStats(&before)
-			m, err := Decode(input)
-			runtime.ReadMemStats(&after)
-			if got, max := after.TotalAlloc-before.TotalAlloc, uint64(64*len(input)+4<<10); got > max {
+			m, err, got := decodeAllocating(input)
+			if max := uint64(64*len(input) + 4<<10); got > max {
 				t.Errorf("%s: %d-byte input (prefix %d + hostile length) made Decode allocate %d bytes, bound %d",
 					k, len(input), cut, got, max)
 			}
@@ -122,24 +118,27 @@ func TestDecodeAllocationBounded(t *testing.T) {
 	}
 }
 
-// TestAllocBudgetDecodeQueryResp: a wide answer decodes into shared
-// arenas, not one slice per record — the message, the codec, the
-// sender's address, the versions, the record list and its arena for a
-// QueryResp; the first, second and last two for a ClientQueryResp.
-// Kept last in this file: the megabytes of garbage it leaves put a
-// collection in flight, and what the runtime allocates meanwhile would
-// land in TestDecodeAllocationBounded's counters.
+// TestAllocBudgetDecodeQueryResp: a wide answer decodes without a slice
+// per record — a QueryResp in five allocations whatever its size (the
+// message, the codec, the sender's address, the versions and the one-run
+// list aliasing the frame), a ClientQueryResp in four (the message, the
+// codec, the records and their one arena).
 func TestAllocBudgetDecodeQueryResp(t *testing.T) {
-	answer := wideAnswer(2000)
-	for _, m := range []Message{answer, &ClientQueryResp{ReqID: 1, Complete: true, Responders: 4, Recs: answer.Recs}} {
-		data := Encode(m)
+	for _, tc := range []struct {
+		m      Message
+		budget float64
+	}{
+		{wideAnswer(2000), 5},
+		{&ClientQueryResp{ReqID: 1, Complete: true, Responders: 4, Recs: wideRecords(2000)}, 4},
+	} {
+		data := Encode(tc.m)
 		allocs := testing.AllocsPerRun(50, func() {
 			if _, err := Decode(data); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if allocs > 6 {
-			t.Errorf("%s of 2000 records decodes in %.0f allocations, want <= 6", m.Kind(), allocs)
+		if allocs > tc.budget {
+			t.Errorf("%s of 2000 records decodes in %.0f allocations, want <= %.0f", tc.m.Kind(), allocs, tc.budget)
 		}
 	}
 }

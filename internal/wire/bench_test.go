@@ -21,7 +21,7 @@ func benchMessages() []Message {
 		&QueryResp{
 			ReqID: 82, From: NodeInfo{Addr: "10.0.0.2:7001", Code: code},
 			HasCover: true, Cover: code, Versions: []uint64{3},
-			Recs: []schema.Record{{1, 2, 3, 4}, {5, 6, 7, 8}, {9, 10, 11, 12}},
+			Recs: listOf(schema.Record{1, 2, 3, 4}, schema.Record{5, 6, 7, 8}, schema.Record{9, 10, 11, 12}),
 			Hops: 3,
 		},
 		&InsertAck{ReqID: 81, StoredAt: NodeInfo{Addr: "10.0.0.2:7001", Code: code}, Hops: 2},
@@ -70,33 +70,60 @@ func BenchmarkWireEncodeBatch(b *testing.B) {
 	}
 }
 
-// wideAnswer is the answer-hop micro-benchmarks' input: n Index-2-shaped
-// records (prefix, timestamp, octets, source prefix, node) as one
-// responder's QueryResp.
-func wideAnswer(n int) *QueryResp {
+// wideRecords is the answer-hop micro-benchmarks' input: n
+// Index-2-shaped records (prefix, timestamp, octets, source prefix,
+// node), one responder's share of a wide query.
+func wideRecords(n int) []schema.Record {
 	r := rand.New(rand.NewSource(21))
-	m := &QueryResp{
-		ReqID: 82, From: NodeInfo{Addr: "127.0.0.1:40123", Code: bitstr.New(0b101, 3)},
-		HasCover: true, Cover: bitstr.New(0b1011, 4), Versions: []uint64{0}, Hops: 2,
-		Recs: make([]schema.Record, n),
-	}
-	for i := range m.Recs {
-		m.Recs[i] = schema.Record{
+	recs := make([]schema.Record, n)
+	for i := range recs {
+		recs[i] = schema.Record{
 			uint64(r.Uint32()) &^ 0xff, uint64(r.Intn(86400)), 1<<20 + uint64(r.Intn(1<<30)),
 			uint64(r.Uint32()) &^ 0xff, uint64(r.Intn(8)),
 		}
 	}
+	return recs
+}
+
+// answerHeader is a wide answer's QueryResp without its records.
+func answerHeader() *QueryResp {
+	return &QueryResp{
+		ReqID: 82, From: NodeInfo{Addr: "127.0.0.1:40123", Code: bitstr.New(0b101, 3)},
+		HasCover: true, Cover: bitstr.New(0b1011, 4), Versions: []uint64{0}, Hops: 2,
+	}
+}
+
+// wideAnswer is n wide records as one responder's QueryResp.
+func wideAnswer(n int) *QueryResp {
+	m := answerHeader()
+	m.Recs = listOf(wideRecords(n)...)
 	return m
 }
 
 // BenchmarkEncodeQueryResp and BenchmarkDecodeQueryResp time the answer
 // hop's codec on a wide answer (2 100 records × 5 attributes, scan_agg's
-// mean); run with -benchmem.
+// mean) from records to frame and back: the encode appends the rows to
+// the record list 32 at a time, as a responder does from its store's
+// leaf batches, and encodes the message; the decode validates the frame
+// and decodes its list. Run with -benchmem.
 func BenchmarkEncodeQueryResp(b *testing.B) {
-	m := wideAnswer(2100)
+	const arity, leaf = 5, 32
+	var rows []uint64
+	for _, rec := range wideRecords(2100) {
+		rows = append(rows, rec...)
+	}
+	sel := make([]int32, leaf)
+	for i := range sel {
+		sel[i] = int32(arity * i)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		m := answerHeader()
+		for lo := 0; lo < len(rows); lo += arity * leaf {
+			batch := rows[lo:min(lo+arity*leaf, len(rows))]
+			m.Recs.AppendRows(batch, sel[:len(batch)/arity], arity)
+		}
 		RecycleBuf(Encode(m))
 	}
 }
@@ -107,8 +134,12 @@ func BenchmarkDecodeQueryResp(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(data); err != nil {
+		m, err := Decode(data)
+		if err != nil {
 			b.Fatal(err)
+		}
+		if recs := m.(*QueryResp).Recs.Records(); len(recs) != 2100 {
+			b.Fatalf("%d records decoded", len(recs))
 		}
 	}
 }

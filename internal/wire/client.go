@@ -102,7 +102,12 @@ type ClientQueryResp struct {
 	ReqID      uint64
 	Complete   bool
 	Responders uint32
-	Recs       []schema.Record
+	// Recs are the records; decoding always fills them.
+	Recs []schema.Record
+	// List is an encode-only source of the records, written in place of
+	// Recs when it is non-empty: the node hands on the runs it spliced
+	// from its answers without decoding them. Both write the same bytes.
+	List RecList
 	// Shed reports overload refusal, as in ClientAck.
 	Shed bool
 }
@@ -113,7 +118,11 @@ func (m *ClientQueryResp) fields(c *codec) {
 	c.Bool(&m.Complete)
 	c.Bool(&m.Shed)
 	c.U32(&m.Responders)
-	c.Recs(&m.Recs)
+	if !c.dec && m.List.Len() > 0 {
+		c.RecList(&m.List)
+	} else {
+		c.Recs(&m.Recs)
+	}
 }
 
 // ClientVersions asks the receiving node for its per-index installed

@@ -237,7 +237,9 @@ func (c *codec) U64(v *uint64) {
 // decoded one fails unless it is at most max and at most the bytes that
 // remain — each element of every repeated shape encodes to at least one
 // byte — so no input makes Decode allocate more than a constant
-// multiple of its own size.
+// multiple of its own size. The one length that does not pass through
+// here, a record's arity, is held to twice the bytes that remain
+// (checkRec), so a decoded list's values too stay within that multiple.
 func (c *codec) count(n, max int) int {
 	if !c.dec {
 		// Uvarint's encode step, repeated here rather than called: a
@@ -295,13 +297,13 @@ func (c *codec) Code(v *bitstr.Code) {
 	*v = bitstr.Unpack(bits, n)
 }
 
-// U64s walks a length-prefixed slice of varint values (a record, a
-// version list, one side of a rectangle).
+// U64s walks a length-prefixed slice of varint values (an inserted
+// record, a version list, one side of a rectangle, a flattened sketch).
 func (c *codec) U64s(v *[]uint64) {
 	n := c.count(len(*v), MaxSliceLen)
 	if !c.dec {
-		// Records are the bulk of every query answer: reserve the worst
-		// case once and fill it without a call per element.
+		// Inserts carry a record each: reserve the worst case once and
+		// fill it without a call per element.
 		b := c.room(n * binary.MaxVarintLen64)
 		for _, x := range *v {
 			b = b[binary.PutUvarint(b, x):]
@@ -316,9 +318,10 @@ func (c *codec) U64s(v *[]uint64) {
 }
 
 // uvarints decodes len(dst) varints into dst: one loop over locals, not
-// a sticky-error method call per value — record values and ids are the
-// bulk of every query answer. With ten bytes in hand (the longest
-// varint) a value is decoded a word at a time: its length is the
+// a sticky-error method call per value — an insert's record, a sketch's
+// keys and counts (answer records have a form of their own: RecList).
+// With ten bytes in hand (the longest varint) a value is decoded a word
+// at a time: its length is the
 // position of the first clear continuation bit in the next eight bytes,
 // and three mask-and-shift steps squeeze those bytes' 7-bit groups
 // together (bytes → 14-bit pairs → 28-bit quads → 56 bits); a ninth and
@@ -382,42 +385,6 @@ func slice[T any](c *codec, v *[]T, max int, elem func(*codec, *T)) {
 func (c *codec) Rect(v *schema.Rect) {
 	c.U64s(&v.Lo)
 	c.U64s(&v.Hi)
-}
-
-// Recs walks a sequence of records. Decoding carves every record out of
-// a shared arena as a capped read-only view arena[b:b+k:b+k] (the
-// store's view contract: a retained record pins its arena, an append
-// reallocates instead of running into the next record). The arena is
-// sized from the first record's arity times the records still to come; a
-// record that does not fit opens a fresh one, sized the same way from
-// its own arity. An arena is never longer than the bytes that remain —
-// every value encodes to at least one byte — and one is abandoned only
-// for a record longer than what it had left, so count's rule holds:
-// decode allocation stays a constant multiple of the input.
-func (c *codec) Recs(v *[]schema.Record) {
-	n := c.count(len(*v), MaxSliceLen)
-	if !c.dec {
-		for i := range *v {
-			c.U64s((*[]uint64)(&(*v)[i]))
-		}
-		return
-	}
-	if c.err != nil {
-		return
-	}
-	recs := make([]schema.Record, n)
-	arena := []uint64{} // non-nil: a zero-arity record decodes empty, not nil
-	for i := range recs {
-		k := c.count(0, MaxSliceLen)
-		if k > len(arena) {
-			arena = make([]uint64, min(uint64(k)*uint64(n-i), uint64(c.remaining())))
-		}
-		recs[i], arena = arena[:k:k], arena[k:]
-		if c.uvarints(recs[i]); c.err != nil {
-			return
-		}
-	}
-	*v = recs
 }
 
 // Node walks a NodeInfo.

@@ -43,9 +43,8 @@ func genScatterMessage(k Kind, r *rand.Rand) Message {
 	case KindQueryResp:
 		m := &QueryResp{ReqID: r.Uint64(), From: ni, HasCover: r.Intn(2) == 1, Cover: code(),
 			Versions: u64s(3), Hops: uint8(r.Intn(256))}
-		m.Recs = make([]schema.Record, r.Intn(6))
-		for i := range m.Recs {
-			m.Recs[i] = u64s(5)
+		for i := r.Intn(6); i > 0; i-- {
+			m.Recs.Append(u64s(5))
 		}
 		return m
 	case KindAggQuery:

@@ -633,9 +633,10 @@ type QueryResp struct {
 	HasCover bool
 	Cover    bitstr.Code
 	Versions []uint64 // versions this response pertains to (echo of the sub-query)
-	// Recs are the matching records. No id travels with them: the
-	// originator derives each record's dedup id from the record itself.
-	Recs []schema.Record
+	// Recs are the matching records, kept in their wire form from the
+	// responder's store to the client's socket. No id travels with them:
+	// the originator derives each record's dedup id from its bytes.
+	Recs RecList
 	Hops uint8 // overlay hops the sub-query travelled
 }
 
@@ -646,7 +647,7 @@ func (m *QueryResp) fields(c *codec) {
 	c.Bool(&m.HasCover)
 	c.Code(&m.Cover)
 	c.U64s(&m.Versions)
-	c.Recs(&m.Recs)
+	c.RecList(&m.Recs)
 	c.U8(&m.Hops)
 }
 

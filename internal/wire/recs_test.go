@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"reflect"
@@ -10,20 +11,33 @@ import (
 	"mind/internal/schema"
 )
 
-// alternatingAnswer is a QueryResp whose n records alternate between
-// arity 1 and arity 300: the arena sized from the first record never
-// fits the second, and the one opened for a long record is used up by
-// it and the short records between — the decoder's fallback path.
-func alternatingAnswer(n int) *QueryResp {
-	m := &QueryResp{ReqID: 1, From: NodeInfo{Addr: "n"}, Versions: []uint64{0}, Recs: make([]schema.Record, n)}
-	for i := range m.Recs {
+// listOf is recs as Decode hands a record list over: one run holding
+// their encoding.
+func listOf(recs ...schema.Record) RecList {
+	enc := &codec{}
+	enc.Recs(&recs)
+	var l RecList
+	decoder(enc.buf[:enc.off]).RecList(&l)
+	return l
+}
+
+// alternatingRecords returns n records that alternate between arity 1
+// and arity 300.
+func alternatingRecords(n int) []schema.Record {
+	recs := make([]schema.Record, n)
+	for i := range recs {
 		arity := 1 + 299*(i%2)
-		m.Recs[i] = make(schema.Record, arity)
-		for j := range m.Recs[i] {
-			m.Recs[i][j] = uint64(i + j)
+		recs[i] = make(schema.Record, arity)
+		for j := range recs[i] {
+			recs[i][j] = uint64(i + j)
 		}
 	}
-	return m
+	return recs
+}
+
+// alternatingAnswer is a QueryResp of n alternatingRecords.
+func alternatingAnswer(n int) *QueryResp {
+	return &QueryResp{ReqID: 1, From: NodeInfo{Addr: "n"}, Versions: []uint64{0}, Recs: listOf(alternatingRecords(n)...)}
 }
 
 // decodeAllocating decodes input and returns what Decode made of it
@@ -42,15 +56,18 @@ func decodeAllocating(input []byte) (m Message, err error, allocated uint64) {
 	return m, err, allocated
 }
 
-// TestDecodeRecsArena: record lists the shared arena was not sized for
-// decode to exactly what was encoded, and hostile ones stay inside
+// TestDecodeRecsArena: record lists of mixed arities decode to exactly
+// what was encoded, and hostile ones stay inside
 // TestDecodeAllocationBounded's bound of 64 bytes per input byte + 4 KiB.
 func TestDecodeRecsArena(t *testing.T) {
 	for name, m := range map[string]Message{
-		"alternating arities": alternatingAnswer(40),
+		"alternating arities":         alternatingAnswer(40),
+		"alternating arities, client": &ClientQueryResp{ReqID: 1, Recs: alternatingRecords(40)},
 		"zero-arity records": &ClientQueryResp{ReqID: 2, Complete: true,
 			Recs: []schema.Record{{}, {7, 8}, {}, {}, {9}, {}}},
 		"only zero-arity records": &ClientQueryResp{ReqID: 3, Recs: []schema.Record{{}, {}, {}}},
+		"zero and full-width values": &ClientQueryResp{ReqID: 4,
+			Recs: []schema.Record{{0, ^uint64(0), 0}, {1 << 56, 0, 1<<56 - 1, 0xff, 0x100}}},
 	} {
 		got, err := Decode(Encode(m))
 		if err != nil {
@@ -65,44 +82,279 @@ func TestDecodeRecsArena(t *testing.T) {
 	// A valid answer cut short inside its record list, followed by a
 	// record count or an arity of MaxSliceLen, wherever the cut falls.
 	hostile := binary.AppendUvarint(nil, MaxSliceLen)
-	valid := Encode(alternatingAnswer(4))
-	for cut := 1; cut <= len(valid); cut++ {
-		input := append(valid[:cut:cut], hostile...)
-		m, err, got := decodeAllocating(input)
-		if got > bound(input) {
-			t.Errorf("prefix %d + hostile length: Decode allocated %d bytes for %d, bound %d", cut, got, len(input), bound(input))
-		}
-		if err == nil && len(Encode(m)) != len(input) {
-			t.Errorf("prefix %d + hostile length decoded without error", cut)
+	for _, valid := range [][]byte{Encode(alternatingAnswer(4)), Encode(&ClientQueryResp{Recs: alternatingRecords(4)})} {
+		for cut := 1; cut <= len(valid); cut++ {
+			input := append(valid[:cut:cut], hostile...)
+			m, err, got := decodeAllocating(input)
+			if got > bound(input) {
+				t.Errorf("prefix %d + hostile length: Decode allocated %d bytes for %d, bound %d", cut, got, len(input), bound(input))
+			}
+			if err == nil && len(Encode(m)) != len(input) {
+				t.Errorf("prefix %d + hostile length decoded without error", cut)
+			}
 		}
 	}
 	// One arena per record: an arena is opened for its record's arity
 	// times the records still to come, so a record one longer than what
 	// its predecessor's arena has left never fits, and every arena but
-	// the last is abandoned with most of its room unused. Whole, and cut
-	// short inside the last record.
+	// the last is abandoned with most of its room unused.
 	const n = 8
 	greedy := &ClientQueryResp{ReqID: 4, Recs: make([]schema.Record, n)}
 	for i, arity := 0, 1; i < n; i, arity = i+1, arity*(n-i-1)+1 {
 		greedy.Recs[i] = make(schema.Record, arity)
 	}
-	whole := Encode(greedy)
-	for _, input := range [][]byte{whole, whole[:len(whole)-1]} {
-		if _, _, got := decodeAllocating(input); got > bound(input) {
-			t.Errorf("one arena per record: Decode allocated %d bytes for %d, bound %d", got, len(input), bound(input))
+	// The most values per input byte a list can hold: zero values, two to
+	// a tag byte.
+	dense := &ClientQueryResp{ReqID: 5, Recs: []schema.Record{make(schema.Record, 4000), {}, make(schema.Record, 3)}}
+	// A long first record and 2 000 empty ones: its arity × the records
+	// still to come would be 4M words; the arena is held to twice the
+	// bytes that remain.
+	long := &ClientQueryResp{ReqID: 6, Recs: append([]schema.Record{make(schema.Record, 2000)}, make([]schema.Record, 2000)...)}
+	for name, m := range map[string]Message{"one arena per record": greedy, "zero values": dense, "long record first": long} {
+		// Whole, and cut short inside the last record.
+		whole := Encode(m)
+		for _, input := range [][]byte{whole, whole[:len(whole)-1]} {
+			if _, _, got := decodeAllocating(input); got > bound(input) {
+				t.Errorf("%s: Decode allocated %d bytes for %d, bound %d", name, got, len(input), bound(input))
+			}
 		}
 	}
 }
 
+// TestRecListRejectsHostile: every rule of the record form, one input
+// each, that a decoder without the rule would accept; and every proper
+// prefix of a valid list. Each is refused by both the in-place decode
+// (QueryResp) and the decoding one (ClientQueryResp).
+func TestRecListRejectsHostile(t *testing.T) {
+	refuses := func(t *testing.T, name string, body []byte) {
+		t.Helper()
+		var l RecList
+		c := decoder(body)
+		if c.RecList(&l); c.err == nil && c.remaining() == 0 {
+			t.Errorf("%s: %x accepted as a RecList", name, body)
+		}
+		var recs []schema.Record
+		c = decoder(body)
+		if c.Recs(&recs); c.err == nil && c.remaining() == 0 {
+			t.Errorf("%s: %x accepted as records", name, body)
+		}
+		if l.Len() != 0 || recs != nil {
+			t.Errorf("%s: a refused decode wrote its target", name)
+		}
+	}
+	one := func(rec ...byte) []byte { return append([]byte{1}, rec...) }
+	for nib := byte(9); nib <= 15; nib++ {
+		nines := bytes.Repeat([]byte{0xff}, int(nib))
+		refuses(t, "low nibble over 8", one(append([]byte{1, nib}, nines...)...))
+		refuses(t, "high nibble over 8", one(append([]byte{2, nib << 4}, nines...)...))
+	}
+	for name, body := range map[string][]byte{
+		"value with a zero top byte":      one(1, 0x02, 0x05, 0x00),
+		"zero value given a byte":         one(1, 0x01, 0x00),
+		"full-width value, top byte zero": one(1, 0x08, 1, 2, 3, 4, 5, 6, 7, 0),
+		"non-minimal arity":               one(0x81, 0x00, 0x01, 0x05),
+		"stray nibble after odd arity":    one(1, 0x11, 0x05, 0x06),
+		"arity over twice the remaining":  one(7, 0, 0, 0),
+		"arity far past the input":        one(binary.AppendUvarint(nil, MaxSliceLen)...),
+		"value past the input":            one(1, 0x04, 1, 2, 3),
+		"missing tag byte":                one(2),
+		"fewer records than the count":    {3, 1, 0x01, 0x05, 0},
+	} {
+		refuses(t, name, body)
+	}
+	// The densest legal record: twice as many zero values as the bytes
+	// after its arity.
+	var l RecList
+	c := decoder(one(6, 0, 0, 0))
+	if c.RecList(&l); c.err != nil || c.remaining() != 0 || l.Len() != 1 {
+		t.Fatalf("six zero values in three tag bytes refused: %v", c.err)
+	}
+	if recs := l.Records(); !reflect.DeepEqual(recs, []schema.Record{make(schema.Record, 6)}) {
+		t.Fatalf("six zero values decoded as %v", recs)
+	}
+	enc := &codec{}
+	enc.Recs(&[]schema.Record{{1, 0, 1 << 40}, {}, {^uint64(0), 5}})
+	valid := enc.buf[:enc.off]
+	for cut := 0; cut < len(valid); cut++ {
+		refuses(t, "truncated list", valid[:cut])
+	}
+}
+
+// TestSplicedEqualsEncoded: a list spliced from a decoded list's runs,
+// cut at record boundaries into any number of runs, encodes byte for
+// byte as the records it holds do, and decodes to them.
+func TestSplicedEqualsEncoded(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 2, 300} {
+		recs := make([]schema.Record, n)
+		for i := range recs {
+			recs[i] = make(schema.Record, r.Intn(7))
+			for j := range recs[i] {
+				recs[i][j] = r.Uint64() >> uint(r.Intn(65))
+			}
+		}
+		frame := Encode(&QueryResp{ReqID: 7, Recs: listOf(recs...)})
+		m, err := Decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Built a record at a time, and as a store's batches of up to 32
+		// rows of one arity (every arity present), the list spans several
+		// runs and encodes the same bytes.
+		var built RecList
+		for _, rec := range recs {
+			built.Append(rec)
+		}
+		if got := Encode(&QueryResp{ReqID: 7, Recs: built}); !bytes.Equal(got, frame) || (n == 300 && len(built.Runs()) < 2) {
+			t.Fatalf("%d records appended one at a time into %d runs encode differently", n, len(built.Runs()))
+		}
+		var batched RecList
+		var want []schema.Record
+		for arity := 0; arity < 7; arity++ {
+			var rows []uint64
+			var sel []int32
+			for _, rec := range recs {
+				if len(rec) == arity {
+					sel = append(sel, int32(len(rows)))
+					rows = append(rows, rec...)
+					want = append(want, rec)
+				}
+			}
+			for lo := 0; lo < len(sel); lo += 32 {
+				batched.AppendRows(rows, sel[lo:min(lo+32, len(sel))], arity)
+			}
+		}
+		if got := Encode(&QueryResp{ReqID: 7, Recs: batched}); !bytes.Equal(got, Encode(&QueryResp{ReqID: 7, Recs: listOf(want...)})) {
+			t.Fatalf("%d records appended as batches encode differently", n)
+		}
+		var bounds []int // record boundaries of the decoded run
+		var run []byte
+		if n > 0 {
+			run = m.(*QueryResp).Recs.Runs()[0]
+		}
+		for off := 0; off < len(run); off += RecLen(run[off:]) {
+			bounds = append(bounds, off)
+		}
+		if len(bounds) != n {
+			t.Fatalf("%d records, RecLen walks %d", n, len(bounds))
+		}
+		for _, pieces := range []int{1, 2, 5, n} {
+			var spliced RecList
+			for p := 0; p < pieces && n > 0; p++ {
+				lo, hi := p*n/pieces, (p+1)*n/pieces
+				end := len(run)
+				if hi < n {
+					end = bounds[hi]
+				}
+				if lo < hi {
+					spliced.Splice(run[bounds[lo]:end], hi-lo)
+				}
+			}
+			if got, want := Encode(&ClientQueryResp{ReqID: 1, List: spliced}), Encode(&ClientQueryResp{ReqID: 1, Recs: recs}); !bytes.Equal(got, want) {
+				t.Fatalf("%d records in %d runs: client-query-resp from runs\n%x\nfrom records\n%x", n, pieces, got, want)
+			}
+			if got := Encode(&QueryResp{ReqID: 7, Recs: spliced}); !bytes.Equal(got, frame) {
+				t.Fatalf("%d records in %d runs: query-resp from runs differs from the frame they were cut from", n, pieces)
+			}
+			if got := spliced.Records(); len(got) != n || (n > 0 && !reflect.DeepEqual(got, recs)) {
+				t.Fatalf("%d records in %d runs decode to %d records", n, pieces, len(got))
+			}
+		}
+	}
+}
+
+// refRecords decodes a record list by the letter of DESIGN.md §6, one
+// byte at a time: a count, then per record a minimal arity, its tag
+// bytes (no stray high nibble), and each value's bytes (length ≤ 8, top
+// byte non-zero). FuzzRecList holds the codec to it.
+func refRecords(b []byte) ([]schema.Record, bool) {
+	n, w := binary.Uvarint(b)
+	if w <= 0 {
+		return nil, false
+	}
+	b = b[w:]
+	var recs []schema.Record
+	for ; n > 0; n-- {
+		k, w := binary.Uvarint(b)
+		if w <= 0 || (w > 1 && b[w-1] == 0) || k/2+k%2 > uint64(len(b)-w) {
+			return nil, false
+		}
+		tags, rest := b[w:w+int(k+1)/2], b[w+int(k+1)/2:]
+		if k%2 == 1 && tags[len(tags)-1]>>4 != 0 {
+			return nil, false
+		}
+		rec := schema.Record{}
+		for i := 0; i < int(k); i++ {
+			l := int(tags[i/2]>>(4*(i%2))) & 15
+			if l > 8 || l > len(rest) || (l > 0 && rest[l-1] == 0) {
+				return nil, false
+			}
+			var v uint64
+			for j := 0; j < l; j++ {
+				v |= uint64(rest[j]) << (8 * j)
+			}
+			rec, rest = append(rec, v), rest[l:]
+		}
+		recs, b = append(recs, rec), rest
+	}
+	return recs, len(b) == 0
+}
+
+// FuzzRecList: bytes decode as a RecList exactly when they decode as a
+// record list (refRecords); then Records() is that decode, and encoding
+// the list — or the records — reproduces the input.
+func FuzzRecList(f *testing.F) {
+	for _, recs := range [][]schema.Record{
+		nil, {{}}, {{0}}, {{1, 2}, {3, 4}}, alternatingRecords(5), wideRecords(8),
+		{{0, ^uint64(0), 1 << 56, 0xff, 0x100}, make(schema.Record, 9)},
+	} {
+		enc := &codec{}
+		enc.Recs(&recs)
+		n, w := binary.Uvarint(enc.buf)
+		f.Add(uint16(n), enc.buf[w:enc.off])
+	}
+	// An arity of 2^64-1, whose tag-byte count overflows if taken as
+	// (k+1)/2.
+	f.Add(uint16(1), binary.AppendUvarint(nil, ^uint64(0)))
+	f.Fuzz(func(t *testing.T, count uint16, body []byte) {
+		data := append(binary.AppendUvarint(nil, uint64(count)), body...)
+		want, ok := refRecords(data)
+		var l RecList
+		c := decoder(data)
+		c.RecList(&l)
+		if got := c.err == nil && c.remaining() == 0; got != ok {
+			t.Fatalf("%x: RecList decode ok %v (%v), reference ok %v", data, got, c.err, ok)
+		}
+		var recs []schema.Record
+		c = decoder(data)
+		c.Recs(&recs)
+		if got := c.err == nil && c.remaining() == 0; got != ok {
+			t.Fatalf("%x: record decode ok %v (%v), reference ok %v", data, got, c.err, ok)
+		}
+		if !ok {
+			return
+		}
+		if got := l.Records(); l.Len() != len(want) || !reflect.DeepEqual(got, recs) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("%x: Records() = %v, reference %v", data, got, want)
+		}
+		for _, enc := range []func(*codec){func(c *codec) { c.RecList(&l) }, func(c *codec) { c.Recs(&want) }} {
+			c := &codec{}
+			enc(c)
+			if !bytes.Equal(c.buf[:c.off], data) {
+				t.Fatalf("re-encoding %x gives %x", data, c.buf[:c.off])
+			}
+		}
+	})
+}
+
 // TestDecodedRecsViewContract: a decoded record is a capped view of its
-// answer's arena (the store's contract, store.TestViewContract) — its
+// list's arena (the store's contract, store.TestViewContract) — its
 // capacity ends where it does, so appending to one reallocates instead
 // of writing into its neighbour.
 func TestDecodedRecsViewContract(t *testing.T) {
-	recs := wideAnswer(64).Recs
-	recs = append(recs, schema.Record{}, schema.Record{1}, make(schema.Record, 300), schema.Record{2})
+	recs := append(wideRecords(64), schema.Record{}, schema.Record{1}, make(schema.Record, 300), schema.Record{2})
 	for _, m := range []Message{
-		&QueryResp{ReqID: 1, From: NodeInfo{Addr: "n"}, Recs: recs},
+		&QueryResp{ReqID: 1, From: NodeInfo{Addr: "n"}, Recs: listOf(recs...)},
 		&ClientQueryResp{ReqID: 1, Complete: true, Recs: recs},
 	} {
 		dec, err := Decode(Encode(m))
@@ -112,7 +364,7 @@ func TestDecodedRecsViewContract(t *testing.T) {
 		var got []schema.Record
 		switch d := dec.(type) {
 		case *QueryResp:
-			got = d.Recs
+			got = d.Recs.Records()
 		case *ClientQueryResp:
 			got = d.Recs
 		}
