@@ -1,16 +1,11 @@
-// Package bench holds the top-level benchmark harness: one testing.B
-// benchmark per table and figure of the paper's evaluation (each runs
-// the corresponding experiment end-to-end and reports its headline
-// metrics), the ablation benches called out in DESIGN.md, and
-// micro-benchmarks of the core insert/query paths on a standing cluster.
+// Package bench holds micro-benchmarks of the core insert, query and
+// aggregate paths on a standing simulated cluster or store. The paper's
+// tables and figures are regenerated by cmd/mindbench and pinned by
+// internal/experiments' golden values, not benchmarked here.
 //
 // Run everything with:
 //
-//	go test -bench=. -benchmem
-//
-// The per-figure experiments are deterministic for a fixed seed, so the
-// reported custom metrics (medians, fractions, ratios) are stable; the
-// ns/op numbers measure the harness's own simulation cost.
+//	go test -run '^$' -bench=. -benchmem
 package bench
 
 import (
@@ -18,7 +13,6 @@ import (
 	"time"
 
 	"mind/internal/cluster"
-	"mind/internal/experiments"
 	"mind/internal/mind"
 	"mind/internal/schema"
 	"mind/internal/store"
@@ -27,117 +21,6 @@ import (
 )
 
 const benchSeed = 20050405
-
-// benchScale keeps each figure regeneration to a few seconds; raise it
-// (≤1.0) for paper-scale runs via cmd/mindbench.
-const benchScale = 0.05
-
-// runExperiment executes one experiment per benchmark iteration and
-// republishes its headline values as benchmark metrics.
-func runExperiment(b *testing.B, id string, metricsOut []string) {
-	b.Helper()
-	var last *experiments.Report
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.Run(id, benchSeed+int64(i), benchScale)
-		if err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-		last = rep
-	}
-	for _, m := range metricsOut {
-		if v, ok := last.Values[m]; ok {
-			b.ReportMetric(v, m)
-		}
-	}
-}
-
-func BenchmarkFig1Aggregation(b *testing.B) {
-	runExperiment(b, "fig1", []string{"reduction_w30_t50"})
-}
-
-func BenchmarkFig2StorageSkew(b *testing.B) {
-	runExperiment(b, "fig2", []string{"imbalance_index1", "imbalance_index2"})
-}
-
-func BenchmarkFig3Stationarity(b *testing.B) {
-	runExperiment(b, "fig3", []string{"day_mismatch_k2", "hour_mismatch_k2"})
-}
-
-func BenchmarkFig7InsertLatency(b *testing.B) {
-	runExperiment(b, "fig7", []string{"median_overall"})
-}
-
-func BenchmarkFig8SlowLink(b *testing.B) {
-	runExperiment(b, "fig8", []string{"worst_link_max_s"})
-}
-
-func BenchmarkFig9QueryCost(b *testing.B) {
-	runExperiment(b, "fig9", []string{"frac_le_4"})
-}
-
-func BenchmarkFig10QueryLatency(b *testing.B) {
-	runExperiment(b, "fig10", []string{"median_s", "p90_s"})
-}
-
-func BenchmarkFig11OutageHotspot(b *testing.B) {
-	runExperiment(b, "fig11", []string{"during_max_s", "before_median_s"})
-}
-
-func BenchmarkFig12LinkTraffic(b *testing.B) {
-	runExperiment(b, "fig12", []string{"max_link_frac_of_inserts"})
-}
-
-func BenchmarkFig13Balance(b *testing.B) {
-	runExperiment(b, "fig13", []string{"uniform_imbalance_i1", "balanced_imbalance_i1"})
-}
-
-func BenchmarkFig14LargeScaleInsert(b *testing.B) {
-	runExperiment(b, "fig14", []string{"median_s"})
-}
-
-func BenchmarkFig15HopCounts(b *testing.B) {
-	runExperiment(b, "fig15", []string{"insert_hops_le5", "query_nodes_le5"})
-}
-
-func BenchmarkFig16Robustness(b *testing.B) {
-	runExperiment(b, "fig16", []string{"one_15", "none_50", "full_50"})
-}
-
-func BenchmarkTable17Anomaly(b *testing.B) {
-	runExperiment(b, "table17", []string{"recall", "avg_response_s"})
-}
-
-// Ablation benches (DESIGN.md §5).
-
-func BenchmarkAblationCuts(b *testing.B) {
-	runExperiment(b, "ablation-cuts", []string{"uniform_imbalance", "balanced_imbalance"})
-}
-
-func BenchmarkAblationCutOrder(b *testing.B) {
-	runExperiment(b, "ablation-cutorder", nil)
-}
-
-func BenchmarkAblationHistGranularity(b *testing.B) {
-	runExperiment(b, "ablation-hist", []string{"imbalance_k2", "imbalance_k16"})
-}
-
-func BenchmarkAblationStore(b *testing.B) {
-	runExperiment(b, "ablation-store", []string{"kd_speedup"})
-}
-
-func BenchmarkAblationArchitectures(b *testing.B) {
-	runExperiment(b, "ablation-arch", []string{"mind_nodes", "flood_nodes"})
-}
-
-func BenchmarkAblationHistoryPointer(b *testing.B) {
-	runExperiment(b, "ablation-history", []string{"history_recall", "transfer_recall"})
-}
-
-func BenchmarkAblationRecovery(b *testing.B) {
-	runExperiment(b, "ablation-recovery", []string{"on_complete", "off_complete"})
-}
-
-// --- core-path micro benchmarks on a standing cluster --------------------
 
 func benchCluster(b *testing.B, n int) (*cluster.Cluster, *schema.Schema) {
 	b.Helper()

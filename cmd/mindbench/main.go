@@ -5,44 +5,28 @@
 //
 //	mindbench -exp fig9                # one experiment
 //	mindbench -exp all -scale 0.1      # everything, smaller workloads
-//	mindbench -exp all -json out.json  # also write headline metrics as JSON
 //	mindbench -list                    # list experiment ids
 //
 // Scale 1.0 runs paper-shaped workloads (day-long traces, 102-node
 // overlays); smaller scales shrink durations and rates proportionally
-// while preserving the qualitative shapes.
+// while preserving the qualitative shapes. The output is a pure function
+// of seed and scale, so two builds' outputs can be diffed directly.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"mind/internal/experiments"
 )
 
-// jsonReport is one experiment's machine-readable summary: the headline
-// Values plus run provenance, so CI can archive a comparable data point
-// per commit.
-type jsonReport struct {
-	ID     string             `json:"id"`
-	Title  string             `json:"title"`
-	Seed   int64              `json:"seed"`
-	Scale  float64            `json:"scale"`
-	WallS  float64            `json:"wall_s"`
-	Values map[string]float64 `json:"values"`
-}
-
 func main() {
 	var (
-		exp      = flag.String("exp", "", "experiment id to run, or 'all'")
-		seed     = flag.Int64("seed", 20050405, "deterministic seed")
-		scale    = flag.Float64("scale", 0.25, "workload scale in (0,1]")
-		list     = flag.Bool("list", false, "list experiment ids and exit")
-		jsonPath = flag.String("json", "", "write headline metrics to this file as JSON")
-		quiet    = flag.Bool("quiet", false, "suppress the text tables (useful with -json)")
+		exp   = flag.String("exp", "", "experiment id to run, or 'all'")
+		seed  = flag.Int64("seed", 20050405, "deterministic seed")
+		scale = flag.Float64("scale", 0.25, "workload scale in (0,1]")
+		list  = flag.Bool("list", false, "list experiment ids and exit")
 	)
 	flag.Parse()
 
@@ -53,7 +37,7 @@ func main() {
 		return
 	}
 	if *exp == "" {
-		fmt.Fprintln(os.Stderr, "usage: mindbench -exp <id>|all [-seed N] [-scale F] [-json FILE]; -list for ids")
+		fmt.Fprintln(os.Stderr, "usage: mindbench -exp <id>|all [-seed N] [-scale F]; -list for ids")
 		os.Exit(2)
 	}
 
@@ -61,41 +45,15 @@ func main() {
 	if *exp == "all" {
 		ids = experiments.IDs()
 	}
-	var out []jsonReport
 	failed := 0
 	for _, id := range ids {
-		start := time.Now()
 		rep, err := experiments.Run(id, *seed, *scale)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", id, err)
 			failed++
 			continue
 		}
-		wall := time.Since(start).Seconds()
-		if !*quiet {
-			fmt.Print(rep.String())
-			fmt.Printf("(%s in %.1fs wall)\n\n", id, wall)
-		}
-		out = append(out, jsonReport{
-			ID:     rep.ID,
-			Title:  rep.Title,
-			Seed:   *seed,
-			Scale:  *scale,
-			WallS:  wall,
-			Values: rep.Values,
-		})
-	}
-	if *jsonPath != "" {
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mindbench: marshal: %v\n", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*jsonPath, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "mindbench: %v\n", err)
-			os.Exit(1)
-		}
+		fmt.Println(rep.String())
 	}
 	if failed > 0 {
 		os.Exit(1)

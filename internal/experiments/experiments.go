@@ -1,9 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§2.2 Figs 1–3, §4 Figs 7–16, §5 Fig 17) on the simulated
 // substrate. Each experiment returns a Report with the same rows or
-// series the paper plots, plus named scalar Values that the benchmark
-// harness and tests assert shape properties on (who wins, by roughly
-// what factor, where crossovers fall).
+// series the paper plots, plus named scalar Values that the tests assert
+// shape properties on (who wins, by roughly what factor, where
+// crossovers fall). Every Value is a pure function of seed and scale, so
+// the tests also pin each one to testdata/values.json.
 package experiments
 
 import (
@@ -28,7 +29,8 @@ type Report struct {
 	Tables []*metrics.Table
 	// Notes carries free-form observations (paper-vs-measured).
 	Notes []string
-	// Values exposes headline numbers for programmatic shape checks.
+	// Values exposes headline numbers for the shape checks and the
+	// golden file.
 	Values map[string]float64
 }
 
@@ -84,9 +86,8 @@ func Registry() map[string]Runner {
 		"ablation-history":  AblationHistoryPointer,
 		"ablation-recovery": AblationRecovery,
 
-		"ingest-stream": IngestStream,
-		"overload":      Overload,
-		"whale-agg":     WhaleAgg,
+		"overload":  Overload,
+		"whale-agg": WhaleAgg,
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 )
 
 // The experiment smoke tests run every figure/table regeneration at a
-// small scale and assert the paper's qualitative claims (the "shape"),
-// not absolute numbers.
+// small scale and assert the paper's qualitative claims (the "shape");
+// run also pins every Value to the golden file (golden_test.go).
 
 // -full adds the two shape tests that take minutes, not seconds — fig16's
 // 3 × 102-node failure escalation (≈ 180 s: the expanding-ring flood at
@@ -28,38 +28,8 @@ func TestFull(t *testing.T) {
 
 const testSeed = 20050405 // ICDE 2005
 
-func TestRegistryComplete(t *testing.T) {
-	ids := IDs()
-	for _, want := range []string{"fig1", "fig2", "fig3", "fig7", "fig8", "fig9", "fig10",
-		"fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "table17",
-		"ablation-cuts", "ablation-cutorder", "ablation-hist", "ablation-store",
-		"ablation-arch", "ablation-history", "ingest-stream", "overload"} {
-		found := false
-		for _, id := range ids {
-			if id == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("experiment %s not registered", want)
-		}
-	}
-	if _, err := Run("nope", 1, 0.5); err == nil {
-		t.Error("unknown experiment accepted")
-	}
-	if _, err := Run("fig1", 1, 0); err == nil {
-		t.Error("zero scale accepted")
-	}
-	if _, err := Run("fig1", 1, 2); err == nil {
-		t.Error("over-scale accepted")
-	}
-}
-
 func TestFig1Shape(t *testing.T) {
-	r, err := Fig1(testSeed, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(t, "fig1", 0.05)
 	// Aggregation + filtering must reduce counts strongly at 30s/50KB.
 	if r.Values["reduction_w30_t50"] < 10 {
 		t.Errorf("30s/50KB reduction = %.1fx, want >= 10x", r.Values["reduction_w30_t50"])
@@ -80,10 +50,7 @@ func TestFig1Shape(t *testing.T) {
 }
 
 func TestFig2Shape(t *testing.T) {
-	r, err := Fig2(testSeed, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(t, "fig2", 0.05)
 	// Skew: heaviest bin far above the mean on every index.
 	for _, k := range []string{"imbalance_index1", "imbalance_index2", "imbalance_index3"} {
 		if r.Values[k] < 3 {
@@ -93,10 +60,7 @@ func TestFig2Shape(t *testing.T) {
 }
 
 func testFig3Shape(t *testing.T) {
-	r, err := Fig3(testSeed, 0.22)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(t, "fig3", 0.22)
 	// Day-to-day mismatch must be well below hour-to-hour at every
 	// granularity (the §3.7 justification for daily re-balancing).
 	for _, k := range []int{2, 3, 4} {
@@ -112,10 +76,7 @@ func testFig3Shape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	r, err := Fig7(testSeed, 0.04)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(t, "fig7", 0.04)
 	if r.Values["inserted"] < 100 {
 		t.Fatalf("only %.0f inserts measured", r.Values["inserted"])
 	}
@@ -131,10 +92,7 @@ func TestFig7Shape(t *testing.T) {
 func TestFig8Shape(t *testing.T) {
 	// Queueing spikes need enough per-window burst volume; run this one
 	// slightly larger than the other smoke tests.
-	r, err := Fig8(testSeed, 0.08)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(t, "fig8", 0.08)
 	// The worst link's max delay should stand well above its median
 	// (queueing behind bursts), the Fig 8 phenomenon.
 	if r.Values["worst_link_max_s"] <= 1.5*r.Values["worst_link_median_s"] {
@@ -144,10 +102,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig9Fig10Shape(t *testing.T) {
-	r9, err := Fig9(testSeed, 0.04)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r9 := run(t, "fig9", 0.04)
 	// Locality: most queries touch few of the 34 nodes.
 	if r9.Values["frac_le_4"] < 0.5 {
 		t.Errorf("only %.0f%% of queries within 4 nodes", 100*r9.Values["frac_le_4"])
@@ -155,10 +110,7 @@ func TestFig9Fig10Shape(t *testing.T) {
 	if r9.Values["frac_le_34"] < 0.999 {
 		t.Error("CDF must reach 1 at the node count")
 	}
-	r10, err := Fig10(testSeed, 0.04)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r10 := run(t, "fig10", 0.04)
 	if r10.Values["median_s"] <= 0 || r10.Values["median_s"] > 5 {
 		t.Errorf("query latency median %.3f s implausible", r10.Values["median_s"])
 	}
@@ -169,10 +121,7 @@ func TestFig9Fig10Shape(t *testing.T) {
 }
 
 func TestFig11Shape(t *testing.T) {
-	r, err := Fig11(testSeed, 0.04)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(t, "fig11", 0.04)
 	// The outage must show up as a latency spike; service must recover.
 	if r.Values["during_max_s"] < 3*r.Values["before_median_s"] {
 		t.Errorf("outage invisible: during max %.3f vs baseline median %.3f",
@@ -185,10 +134,7 @@ func TestFig11Shape(t *testing.T) {
 }
 
 func TestFig12Shape(t *testing.T) {
-	r, err := Fig12(testSeed, 0.04)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(t, "fig12", 0.04)
 	// No link carries more than a modest share of all inserts — the
 	// anti-centralization claim.
 	if r.Values["max_link_frac_of_inserts"] > 0.5 {
@@ -203,10 +149,7 @@ func TestFig13Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two-day workload")
 	}
-	r, err := Fig13(testSeed, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(t, "fig13", 0.05)
 	// Balanced cuts must flatten the distribution substantially on the
 	// heavily skewed indices.
 	for _, i := range []int{1, 2, 3} {
@@ -226,20 +169,14 @@ func TestFig14Fig15Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("102-node run")
 	}
-	r14, err := Fig14(testSeed, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r14 := run(t, "fig14", 0.05)
 	if r14.Values["median_s"] <= 0 || r14.Values["median_s"] > 2 {
 		t.Errorf("102-node median insertion latency %.3f s", r14.Values["median_s"])
 	}
 	if r14.Values["inserted"] < 500 {
 		t.Errorf("only %.0f inserts", r14.Values["inserted"])
 	}
-	r15, err := Fig15(testSeed, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r15 := run(t, "fig15", 0.05)
 	// Most insertions within 5 hops on a ~7-bit hypercube.
 	if r15.Values["insert_hops_le5"] < 0.7 {
 		t.Errorf("only %.0f%% of inserts within 5 hops", 100*r15.Values["insert_hops_le5"])
@@ -250,10 +187,7 @@ func TestFig14Fig15Shape(t *testing.T) {
 }
 
 func testFig16Shape(t *testing.T) {
-	r, err := Fig16(testSeed, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(t, "fig16", 0.05)
 	// All configurations perfect with no failures.
 	for _, k := range []string{"none_0", "one_0", "full_0"} {
 		if r.Values[k] < 0.99 {
@@ -285,10 +219,7 @@ func testFig16Shape(t *testing.T) {
 }
 
 func TestTable17Shape(t *testing.T) {
-	r, err := Table17(testSeed, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(t, "table17", 0.2)
 	if r.Values["recall"] < 1 {
 		t.Errorf("MIND recall = %.2f, paper reports perfect recall", r.Values["recall"])
 	}
@@ -304,61 +235,43 @@ func TestAblations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multiple cluster builds")
 	}
-	cuts, err := AblationCuts(testSeed, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cuts := run(t, "ablation-cuts", 0.1)
 	if cuts.Values["balanced_imbalance"] >= cuts.Values["uniform_imbalance"] {
 		t.Errorf("balanced cuts did not improve balance: %.1f vs %.1f",
 			cuts.Values["balanced_imbalance"], cuts.Values["uniform_imbalance"])
 	}
-	hist, err := AblationHistGranularity(testSeed, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hist := run(t, "ablation-hist", 0.1)
 	if hist.Values["imbalance_k16"] >= hist.Values["imbalance_k1"] {
 		t.Error("finer histograms should balance better than k=1")
 	}
-	st, err := AblationStore(testSeed, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// kd_speedup is wall clock and only reported: it swings with host
-	// load. The assertion is that both stores return the same matches.
+	st := run(t, "ablation-store", 0.1)
 	if kd, sc := st.Values["kd_matches"], st.Values["scan_matches"]; kd != sc || sc == 0 {
 		t.Errorf("k-d store matched %.0f records, scan %.0f", kd, sc)
 	}
-	arch, err := AblationArchitectures(testSeed, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	arch := run(t, "ablation-arch", 0.1)
 	if arch.Values["mind_nodes"] >= arch.Values["flood_nodes"] {
 		t.Errorf("MIND touches %.1f nodes vs flooding %.1f", arch.Values["mind_nodes"], arch.Values["flood_nodes"])
 	}
 	if arch.Values["central_busiest_link"] <= arch.Values["mind_busiest_link"] {
 		t.Error("centralized busiest link should exceed MIND's")
 	}
-	hp, err := AblationHistoryPointer(testSeed, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hp := run(t, "ablation-history", 0.2)
 	if hp.Values["history_recall"] < 0.99 || hp.Values["transfer_recall"] < 0.99 {
 		t.Errorf("post-join recall: history %.2f transfer %.2f", hp.Values["history_recall"], hp.Values["transfer_recall"])
 	}
-	co, err := AblationCutOrder(testSeed, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	co := run(t, "ablation-cutorder", 0.1)
 	if len(co.Tables) == 0 {
 		t.Error("cut-order report empty")
+	}
+	rec := run(t, "ablation-recovery", 0.05)
+	if rec.Values["on_complete"] <= rec.Values["off_complete"] {
+		t.Errorf("ring recovery on completes %.3f of queries, off %.3f",
+			rec.Values["on_complete"], rec.Values["off_complete"])
 	}
 }
 
 func TestOverloadShape(t *testing.T) {
-	r, err := Overload(testSeed, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(t, "overload", 0.05)
 	if r.Values["overload_accounting_ok"] != 1 {
 		t.Errorf("shed accounting broken: %v", r.Notes)
 	}
@@ -368,7 +281,17 @@ func TestOverloadShape(t *testing.T) {
 	if r.Values["recovery_acked_frac"] != 1 {
 		t.Errorf("post-restart client shed: acked frac %.2f", r.Values["recovery_acked_frac"])
 	}
-	if r.Values["rt_flood_shed"] == 0 {
+	if r.Values["flood_shed"] == 0 {
 		t.Error("flood produced no sheds: overload never engaged")
+	}
+}
+
+func TestWhaleAggShape(t *testing.T) {
+	r := run(t, "whale-agg", 0.05)
+	if r.Values["agg_ok"] != 1 {
+		t.Errorf("rollup differs from the exact fold: %v", r.Notes)
+	}
+	if r.Values["whale_found"] != 1 {
+		t.Errorf("a whale is missing or miscounted: %v", r.Notes)
 	}
 }

@@ -13,8 +13,8 @@ import (
 // Overload exercises the production-hardening layer on the simulated
 // substrate: a client floods a rate-limited entry node far past its
 // admission budget, then paces itself back under the limit, and finally
-// keeps working through a node crash and restart. The report's gating
-// values encode the serving contract the hardening layer promises:
+// keeps working through a node crash and restart. Three values encode
+// the serving contract the hardening layer promises:
 //
 //   - overload_accounting_ok: every offered request got exactly one
 //     explicit response (OK or Shed — never a silent drop), the shed
@@ -24,8 +24,8 @@ import (
 //   - recovery_acked_frac: after a crash + same-address restart, a
 //     paced workload acks fully again.
 //
-// The rt_-prefixed values (offered/admitted/shed volumes, rejoin time)
-// are informational; the *_ok / *_frac values gate in benchdiff.
+// The volumes (offered, admitted, shed) and the rejoin time are counted
+// in simulated time, so they are as deterministic as the rest.
 func Overload(seed int64, scale float64) (*Report, error) {
 	r := newReport("overload", "Admission control under client overload: shed accounting and recovery")
 	const (
@@ -187,11 +187,11 @@ func Overload(seed int64, scale float64) (*Report, error) {
 	tb.Row(3, float64(recN), float64(okRec), float64(recN-okRec))
 	r.table(tb)
 
-	r.Values["rt_offered_inserts"] = float64(floodIns + pacedN + recN)
-	r.Values["rt_flood_admitted"] = float64(okFlood)
-	r.Values["rt_flood_shed"] = float64(shedFlood)
-	r.Values["rt_shed_queries"] = float64(shedQ)
-	r.Values["rt_rejoin_s"] = rejoin.Seconds()
+	r.Values["offered_inserts"] = float64(floodIns + pacedN + recN)
+	r.Values["flood_admitted"] = float64(okFlood)
+	r.Values["flood_shed"] = float64(shedFlood)
+	r.Values["shed_queries"] = float64(shedQ)
+	r.Values["rejoin_s"] = rejoin.Seconds()
 	r.Values["overload_accounting_ok"] = b2f(accounting)
 	r.Values["paced_acked_frac"] = float64(okPaced) / float64(pacedN)
 	r.Values["recovery_acked_frac"] = float64(okRec) / float64(recN)
