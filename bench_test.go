@@ -153,7 +153,7 @@ func BenchmarkQueryPath(b *testing.B) {
 // BenchmarkAggBoundaryFold measures one node's share of an unaligned
 // aggregate: 37,500 Index-2 records of one day over 4,096 destination
 // prefixes (an eighth of the benchmark module's scan_agg preload) in a
-// default store shard with its lockstep summary. The loop is the shipped
+// default store ladder with its lockstep summary. The loop is the shipped
 // path (mind.resolveLocalAgg's calls): summary.ResolveShard over the
 // store visitor, closed by Agg.MergeShards, at the requested top-8. Two
 // shapes:
@@ -183,7 +183,6 @@ func BenchmarkAggBoundaryFold(b *testing.B) {
 	eng.Compact()
 	sum.Fold()
 	bounds := sch.Bounds()
-	visit := func(cell schema.Rect, fn func([]uint64, []int32)) { eng.VisitShardBatches(0, cell, fn) }
 	window := func() (lo, hi uint64) {
 		lo = next() % (18 * 3600) / 30 * 30 // 30 s windows, as the aggregator emits
 		if lo%1350 == 0 {
@@ -212,7 +211,7 @@ func BenchmarkAggBoundaryFold(b *testing.B) {
 				rect := shape.rect()
 				out := summary.NewAgg(sch.Arity(), 8)
 				fold := summary.GetFold(sch.Arity())
-				cover := summary.ResolveShard(sum, rect, visit, fold)
+				cover := summary.ResolveShard(sum, rect, eng.VisitBatches, fold)
 				folded += fold.Count - cover.N()
 				out.MergeShards([]*summary.Sketch{cover}, fold)
 				summary.PutFold(fold)

@@ -192,9 +192,6 @@ func (c Code) Compare(d Code) int {
 	}
 }
 
-// Bits returns the left-aligned raw bits; meaningful together with Len.
-func (c Code) Bits() uint64 { return c.b }
-
 // Uint64 returns the code bits right-aligned (as an integer in [0, 2^n)).
 func (c Code) Uint64() uint64 {
 	if c.n == 0 {

@@ -290,8 +290,8 @@ func CheckVersionAgreement(snaps []cluster.NodeState) []string {
 }
 
 // CheckRollup: on every live node and index the aggregate rollups must
-// summarize exactly the primary records — each store shard owns the
-// rollup of its own records, so takeover absorbs, split transfers,
+// summarize exactly the primary records — each version's store ladder
+// owns the rollup of its own records, so takeover absorbs, split transfers,
 // reshuffles and retirements, which insert into, rebuild and drop
 // engines, must never leave a record in one and not the other. An
 // aggregate answer's count is exact only while this holds.

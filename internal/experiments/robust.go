@@ -201,23 +201,6 @@ func fig16Level(seed int64, scale float64, repl int) ([]float64, error) {
 	return success, nil
 }
 
-// driveQueriesFrom is driveQueries pinned to one origin node.
-func driveQueriesFrom(c *cluster.Cluster, spec querySpec, count int, now uint64, rnd func() uint64, from int) []querySample {
-	samples := make([]querySample, 0, count)
-	for q := 0; q < count; q++ {
-		rect := rectFor(spec, now, rnd)
-		res, lat, err := c.QueryWait(from, spec.tag, rect)
-		if err != nil {
-			continue
-		}
-		samples = append(samples, querySample{
-			at: c.Net.Now(), lat: lat, responders: res.Responders,
-			maxHops: res.MaxHops, complete: res.Complete, records: len(res.Records),
-		})
-	}
-	return samples
-}
-
 // rectFor builds one §4.1-style query rectangle: uniform random ranges
 // on every attribute except the timestamp, which covers the last five
 // minutes.

@@ -13,8 +13,8 @@ import (
 // triage query: "how much traffic, and which destinations dominate it,
 // inside this wide rectangle?" A million Index-2-shaped records with a
 // handful of whale destinations hiding in uniform background land in
-// the sharded store, whose shards roll up their own records; each wide
-// rectangle is then answered two ways — exact (materialize every matching record
+// one store ladder, which rolls up its own records; each wide rectangle
+// is then answered two ways — exact (materialize every matching record
 // and fold it, what a coordinator without summaries must do) and
 // rollup (Resolve the cover, drill into only the boundary cells). The
 // agg_ok value is the differential: rollup COUNT and SUMs must equal
@@ -58,17 +58,17 @@ func WhaleAgg(seed int64, scale float64) (*Report, error) {
 		return rec
 	}
 
-	// Shard count is pinned (not a hardware probe) so every Value below is
-	// identical on every machine, as the golden file requires.
 	// The sketch K is raised above the production default because the
 	// background keyspace here is 2^32-uniform: each truncating merge up
 	// the cut tree raises the floor by the smallest discarded estimate,
 	// and at K=32 the accumulated floor at the root rivals a 1/64-share
-	// whale's count at the 50k CI scale. K=128 keeps the low tree levels
-	// exact (leaf cells hold ~n/2^Depth/shards unique keys) so the floor
-	// stays an order of magnitude under the whales.
+	// whale's count at the 50k CI scale. A leaf cell holds ~n/2^Depth
+	// records (≈ 195 at 50k), nearly all distinct background keys, so
+	// even the leaves truncate at K=128; the floor that accumulates to the
+	// root is still under half a whale's count (364 against 782 over the
+	// full space at 50k), so every whale clears it.
 	const sketchK = 128
-	eng := store.NewSharded(sch, store.Options{Shards: 8, Rollup: &summary.Options{K: sketchK}})
+	eng := store.NewSharded(sch, store.Options{Rollup: &summary.Options{K: sketchK}})
 	for i := 0; i < n; i++ {
 		eng.Insert(mkRec(i))
 	}
@@ -130,19 +130,14 @@ func WhaleAgg(seed int64, scale float64) (*Report, error) {
 		return out, buf
 	}
 	// rollupFold is a node's shipped answer path (mind.resolveLocalAgg):
-	// per shard, summary.ResolveShard resolves the cover and folds the
-	// boundary cells in place through the store's batch visitor;
-	// MergeShards closes the answer.
+	// summary.ResolveShard resolves the cover and folds the boundary cells
+	// in place through the store's batch visitor; MergeShards closes the
+	// answer.
 	rollupFold := func(rect schema.Rect) summary.Agg {
 		out := summary.NewAgg(arity, sketchK)
 		fold := summary.NewFold(arity)
-		covers := make([]*summary.Sketch, 0, eng.NumShards()+1)
-		for i := 0; i < eng.NumShards(); i++ {
-			covers = append(covers, summary.ResolveShard(eng.Rollup(i), rect, func(cell schema.Rect, fn func([]uint64, []int32)) {
-				eng.VisitShardBatches(i, cell, fn)
-			}, fold))
-		}
-		out.MergeShards(covers, fold)
+		cover := summary.ResolveShard(eng.Rollup(), rect, eng.VisitBatches, fold)
+		out.MergeShards([]*summary.Sketch{cover}, fold)
 		return out
 	}
 
@@ -203,19 +198,12 @@ func WhaleAgg(seed int64, scale float64) (*Report, error) {
 	}
 	r.table(t)
 
-	var summarized int
-	var folds uint64
-	for i := 0; i < eng.NumShards(); i++ {
-		_, _, f := eng.Rollup(i).Stats()
-		summarized += eng.Rollup(i).Len()
-		folds += f
-	}
+	_, _, folds := eng.Rollup().Stats()
 	r.Values["agg_ok"] = aggOK
 	r.Values["whale_found"] = whaleFound
-	r.Values["summary_records"] = float64(summarized)
+	r.Values["summary_records"] = float64(eng.Rollup().Len())
 	r.Values["summary_folds"] = float64(folds)
 	r.Values["whales_surfaced"] = float64(whalesSurfaced)
-	r.notef("n=%d records over %d shards; rollup count and sums equal the exact fold on every rect: %v",
-		n, eng.NumShards(), aggOK == 1)
+	r.notef("n=%d records; rollup count and sums equal the exact fold on every rect: %v", n, aggOK == 1)
 	return r, nil
 }

@@ -249,13 +249,6 @@ func (o *Overlay) Epoch() uint64 {
 	return o.epoch
 }
 
-// Recon returns the reconciliation counters.
-func (o *Overlay) Recon() ReconStats {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.recon
-}
-
 // Code returns the node's current overlay code.
 func (o *Overlay) Code() bitstr.Code {
 	o.mu.Lock()
@@ -452,11 +445,6 @@ func (o *Overlay) SuspectContact(addr string) {
 // our own: the length of the common prefix. Callers hold o.mu.
 func (o *Overlay) levelOf(c bitstr.Code) int {
 	return o.code.CommonPrefixLen(c)
-}
-
-// removeContact drops a contact. Callers hold o.mu.
-func (o *Overlay) removeContact(addr string) {
-	delete(o.contacts, addr)
 }
 
 // --- Heartbeats and failure handling -------------------------------------

@@ -219,9 +219,9 @@ func TestRetransmitRecycleRace(t *testing.T) {
 	if ep1.droppedAcks() == 0 {
 		t.Fatal("no acks dropped: no record routed to the remote node")
 	}
-	if rt := node0.ReliabilityStats().Retransmits; rt == 0 {
+	if rt := node0.Stats().Retransmits; rt == 0 {
 		t.Fatal("no retransmissions fired: the race window was never exercised")
 	}
 	t.Logf("retransmit/recycle churn: %d records, %d acks dropped, %d retransmits",
-		offered, ep1.droppedAcks(), node0.ReliabilityStats().Retransmits)
+		offered, ep1.droppedAcks(), node0.Stats().Retransmits)
 }

@@ -198,53 +198,6 @@ func (s *Series) MaxValue() (time.Time, float64) {
 	return s.T[bi], s.V[bi]
 }
 
-// Occupancy accumulates how many items rode in how many batches — the
-// headline statistic of the insert-coalescing pipeline (batches sent or
-// received, and their mean fill).
-type Occupancy struct {
-	Batches uint64
-	Items   uint64
-}
-
-// Observe records one batch carrying n items.
-func (o *Occupancy) Observe(n int) {
-	o.Batches++
-	o.Items += uint64(n)
-}
-
-// Mean returns items per batch; NaN before the first observation.
-func (o *Occupancy) Mean() float64 {
-	if o.Batches == 0 {
-		return math.NaN()
-	}
-	return float64(o.Items) / float64(o.Batches)
-}
-
-// Reliability accumulates the reliable-request-layer counters: tracked
-// requests issued, retransmissions sent, end-to-end acks received over
-// the wire, and duplicate requests suppressed or absorbed at idempotent
-// receivers.
-type Reliability struct {
-	Requests    uint64
-	Retransmits uint64
-	Acks        uint64
-	DedupHits   uint64
-}
-
-// RetransmitsPerRequest returns the mean retransmission count per
-// tracked request; NaN before the first request.
-func (r Reliability) RetransmitsPerRequest() float64 {
-	if r.Requests == 0 {
-		return math.NaN()
-	}
-	return float64(r.Retransmits) / float64(r.Requests)
-}
-
-func (r Reliability) String() string {
-	return fmt.Sprintf("requests=%d retransmits=%d acks=%d dedup_hits=%d",
-		r.Requests, r.Retransmits, r.Acks, r.DedupHits)
-}
-
 // Reversion accumulates the live-reversioning counters: cut-tree
 // installs applied and refused by epoch ordering, versions retired,
 // tree pulls/pushes and sync exchanges of the skew-repair machinery,
@@ -289,38 +242,10 @@ type Transport struct {
 	InboundConns  int    `json:"inbound_conns"`
 }
 
-// DropFraction returns frames dropped per frame offered; NaN before the
-// first frame.
-func (t Transport) DropFraction() float64 {
-	total := t.FramesSent + t.FramesDropped
-	if total == 0 {
-		return math.NaN()
-	}
-	return float64(t.FramesDropped) / float64(total)
-}
-
 func (t Transport) String() string {
 	return fmt.Sprintf("dials=%d reconnects=%d evictions=%d sent=%d dropped=%d wtimeouts=%d peers=%d/%d/%d/%d (h/dg/dd/di) in=%d",
 		t.Dials, t.Reconnects, t.Evictions, t.FramesSent, t.FramesDropped, t.WriteTimeouts,
 		t.PeersHealthy, t.PeersDegraded, t.PeersDead, t.PeersDialing, t.InboundConns)
-}
-
-// Admission accumulates the node-level overload-protection counters:
-// client RPCs and gossip floods offered versus shed. The vocabulary
-// mirrors the ingest engine's drop/block admission control — shedding is
-// an explicit drop with a response, never a silent stall.
-type Admission struct {
-	ShedInserts uint64 `json:"shed_inserts"`
-	ShedQueries uint64 `json:"shed_queries"`
-	ShedGossip  uint64 `json:"shed_gossip"`
-}
-
-// Total returns all shed operations.
-func (a Admission) Total() uint64 { return a.ShedInserts + a.ShedQueries + a.ShedGossip }
-
-func (a Admission) String() string {
-	return fmt.Sprintf("shed_inserts=%d shed_queries=%d shed_gossip=%d",
-		a.ShedInserts, a.ShedQueries, a.ShedGossip)
 }
 
 // Counter tracks per-key integer loads (per-link traffic, per-node

@@ -231,19 +231,3 @@ func TestQuickCDFValid(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestOccupancy(t *testing.T) {
-	var o Occupancy
-	if !math.IsNaN(o.Mean()) {
-		t.Error("empty occupancy mean must be NaN")
-	}
-	o.Observe(1)
-	o.Observe(32)
-	o.Observe(15)
-	if o.Batches != 3 || o.Items != 48 {
-		t.Fatalf("batches=%d items=%d", o.Batches, o.Items)
-	}
-	if o.Mean() != 16 {
-		t.Errorf("mean = %v, want 16", o.Mean())
-	}
-}

@@ -1,10 +1,6 @@
 package mind
 
-import (
-	"time"
-
-	"mind/internal/metrics"
-)
+import "time"
 
 // Overload protection: per-source token-bucket admission control on the
 // node's inbound work. The vocabulary mirrors the ingest engine's
@@ -115,13 +111,4 @@ func (n *Node) admitGossip(from string) bool {
 	n.admMu.Lock()
 	defer n.admMu.Unlock()
 	return n.gossipBuckets.take(hashAddr(from), n.clock.Now(), n.cfg.GossipRateLimit, burst)
-}
-
-// AdmissionStats snapshots the shed counters.
-func (n *Node) AdmissionStats() metrics.Admission {
-	return metrics.Admission{
-		ShedInserts: n.shedInserts.Load(),
-		ShedQueries: n.shedQueries.Load(),
-		ShedGossip:  n.shedGossip.Load(),
-	}
 }

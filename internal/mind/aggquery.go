@@ -221,25 +221,19 @@ func summaryK(requested int) int {
 }
 
 // resolveLocalAgg assembles one node's aggregate over rect for the
-// given versions of vs: per (version, shard), the shard's own rollup
-// answers the covered cells in O(cover) and the boundary cells are
-// folded in place from the shard's records — summary.ResolveShard, one
-// store visit per cell handing over a batch per leaf, no record slice.
-// A shard without a rollup (the replica store) folds the rectangle
-// whole. Every shard folds into the one pooled fold, and the cover parts
-// and the fold's key part combine in one MergeMany batch.
+// given versions of vs: per version, the ladder's own rollup answers the
+// covered cells in O(cover) and the boundary cells are folded in place
+// from the ladder's records — summary.ResolveShard, one store visit per
+// cell handing over a batch per leaf, no record slice. A ladder without
+// a rollup (the replica store) folds the rectangle whole. Every version
+// folds into the one pooled fold, and the cover parts and the fold's key
+// part combine in one MergeMany batch.
 func resolveLocalAgg(vs *store.Versioned, versions []uint32, rect schema.Rect, out *summary.Agg) {
 	var covers []*summary.Sketch
 	fold := summary.GetFold(len(out.Sums))
 	for _, v := range versions {
-		eng := vs.Get(v)
-		if eng == nil {
-			continue
-		}
-		for s := 0; s < eng.NumShards(); s++ {
-			covers = append(covers, summary.ResolveShard(eng.Rollup(s), rect, func(cell schema.Rect, fn func([]uint64, []int32)) {
-				eng.VisitShardBatches(s, cell, fn)
-			}, fold))
+		if eng := vs.Get(v); eng != nil {
+			covers = append(covers, summary.ResolveShard(eng.Rollup(), rect, eng.VisitBatches, fold))
 		}
 	}
 	if covers != nil {

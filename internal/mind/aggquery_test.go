@@ -181,8 +181,8 @@ func TestAggAcrossVersions(t *testing.T) {
 	r := rand.New(rand.NewSource(38))
 	var all []schema.Record
 	// Hourly versions (testNodeCfg): spread records across three hours so
-	// the aggregate fans out per (version, shard) and merges across
-	// version tries.
+	// the aggregate fans out per version and merges across version
+	// tries.
 	for i := 0; i < 180; i++ {
 		rec := randRec(r)
 		rec[1] = uint64(i%3)*3600 + r.Uint64()%3600
@@ -298,15 +298,14 @@ func TestAggSurvivesKillWithReplication(t *testing.T) {
 	}
 }
 
-// TestAggMultiShardTwoVersions runs the node's aggregate resolver over a
-// four-shard store holding two daily versions: every (version, shard)
-// pair folds its boundary cells into one fold beside its rollup's cover
-// part, so COUNT and SUMs must equal a fold of the scan oracle and every
-// reported top-k key's true count must lie in its [Count−Err, Count]
-// bracket, for a rectangle on the summary's cell edges and one off them.
-func TestAggMultiShardTwoVersions(t *testing.T) {
+// TestAggTwoVersions runs the node's aggregate resolver over a store
+// holding two daily versions: each version's ladder folds its boundary
+// cells into one fold beside its rollup's cover part, so COUNT and SUMs
+// must equal a fold of the scan oracle and every reported top-k key's
+// true count must lie in its [Count−Err, Count] bracket, for a rectangle
+// on the summary's cell edges and one off them.
+func TestAggTwoVersions(t *testing.T) {
 	c := mkCluster(t, 1, 41, func(o *cluster.Options) {
-		o.Node.StoreShards = 4
 		o.Node.VersionSeconds = 86400
 	})
 	sch := testSchema()

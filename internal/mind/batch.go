@@ -1,9 +1,6 @@
 package mind
 
-import (
-	"mind/internal/metrics"
-	"mind/internal/wire"
-)
+import "mind/internal/wire"
 
 // Envelope-scoped coalescing: while a node handles one inbound
 // wire.Batch, one insert group's dispatch or one group retransmission,
@@ -17,7 +14,7 @@ import (
 // A lost envelope is N lost datagrams to the reliable layer.
 //
 // Locking: an outbox belongs to the one call that created it and needs
-// no lock. batchMu guards only the occupancy counters.
+// no lock; the envelope counters are atomics.
 
 // transportOverheadEstimate approximates the per-message framing and
 // header cost a coalesced sub-message avoids (simnet's default
@@ -116,10 +113,9 @@ func (n *Node) deliverBatch(to string, msgs [][]byte) {
 		wire.RecycleBuf(msgs[0])
 		return
 	}
-	n.batchMu.Lock()
-	n.sentBatches.Observe(len(msgs))
-	n.batchBytesSaved += uint64(len(msgs)-1) * transportOverheadEstimate
-	n.batchMu.Unlock()
+	n.batchesSent.Add(1)
+	n.batchedMsgs.Add(uint64(len(msgs)))
+	n.batchBytesSaved.Add(uint64(len(msgs)-1) * transportOverheadEstimate)
 	env := wire.Encode(&wire.Batch{Msgs: msgs})
 	_ = n.ep.Send(to, env)
 	// Both transports have consumed the bytes by the time Send returns
@@ -137,9 +133,7 @@ func (n *Node) deliverBatch(to string, msgs [][]byte) {
 // and notes the owner once, and any other kind dispatches as if it had
 // arrived alone.
 func (n *Node) handleBatch(from string, b *wire.Batch) {
-	n.batchMu.Lock()
-	n.recvBatches.Observe(len(b.Msgs))
-	n.batchMu.Unlock()
+	n.batchesRecv.Add(1)
 	n.ov.Handle(from, b) // no overlay message: the sender's liveness touch, once per envelope
 	ob := &outbox{n: n}
 	var acks []*wire.InsertAck
@@ -162,20 +156,4 @@ func (n *Node) handleBatch(from string, b *wire.Batch) {
 	}
 	n.handleInsertAcks(acks)
 	ob.flush()
-}
-
-// BatchStats snapshots the coalescing counters.
-type BatchStats struct {
-	Sent metrics.Occupancy // batches sent and the messages they carried
-	Recv metrics.Occupancy // batches received and unwrapped
-	// BytesSaved estimates transport framing bytes avoided by not
-	// sending each coalesced message alone.
-	BytesSaved uint64
-}
-
-// BatchStats returns a snapshot of the coalescing counters.
-func (n *Node) BatchStats() BatchStats {
-	n.batchMu.Lock()
-	defer n.batchMu.Unlock()
-	return BatchStats{Sent: n.sentBatches, Recv: n.recvBatches, BytesSaved: n.batchBytesSaved}
 }

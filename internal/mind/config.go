@@ -59,18 +59,6 @@ type Config struct {
 	// The paper avoids data movement; this mode exists as an ablation.
 	TransferOnSplit bool
 
-	// StoreShards is the per-core shard count of each index's store
-	// engine (internal/store.Options.Shards): every shard owns its own
-	// writer mutex and ladder of arenas, so insert throughput scales to
-	// the shard count and each shard's working set stays cache-sized.
-	// Zero selects the store's deterministic default (1) — the default
-	// must not probe the hardware, because shard placement shapes result
-	// ordering and merge timing and simnet seeds must replay identically
-	// on every machine. Hash routing means reads traverse every shard,
-	// so shard only where writers contend; mindnode sizes it to the
-	// machine via -store-shards (default GOMAXPROCS).
-	StoreShards int
-
 	// ClientRateLimit enables per-client token-bucket admission control
 	// on inbound client RPCs (ClientInsert / ClientQuery / index
 	// control), in requests per second per client address. A refused

@@ -40,7 +40,7 @@ type index struct {
 	epochs map[uint32]uint64
 
 	// primary's engines carry the aggregate summary layer (DESIGN.md
-	// §4i): every (version, shard) owns the rollup of its own records
+	// §4i): every version's engine owns the rollup of its own records
 	// (store.Options.Rollup), so inserting into, dropping or rebuilding a
 	// version's engine is all it takes to keep the two equal. Replica
 	// storage is NOT summarized: fail-over aggregate answers are rare and
@@ -50,17 +50,13 @@ type index struct {
 	// replicaOwners records the owner codes whose data we replicate,
 	// enabling fail-over answers for their regions.
 	replicaOwners map[bitstr.Code]bool
-	// stripes dedup record ids against originator retransmission and
-	// ring-recovery double delivery; bounded, so memory stays O(1) per
-	// index while the window far exceeds any retransmission horizon.
-	// The set is striped by record id so concurrent InsertBatch writers
-	// serialize only per stripe (the store engine underneath is sharded
-	// per core; a single dedup mutex here would re-impose the
-	// single-writer ceiling the sharding removes). The mark and the
-	// store insert happen under one stripe lock, so a retransmitted
-	// record id still can never slip past its first copy's in-flight
-	// store — the old whole-index-mutex guarantee, now per record id.
-	stripes [recStripes]recStripe
+	// primarySeen and replicaSeen dedup record ids against originator
+	// retransmission and ring-recovery double delivery, one set per
+	// store, so primary and replica inserts never share a lock and the
+	// same id may live in both. Each is bounded to half the node-wide
+	// dedup budget, so memory stays O(1) per index while the window far
+	// exceeds any retransmission horizon.
+	primarySeen, replicaSeen recDedup
 
 	// History pointer (§3.4): after this node joined by splitting
 	// histAddr's region, sub-queries are forwarded there until
@@ -80,43 +76,42 @@ type index struct {
 	timeAttr int // index of the KindTime attribute among indexed dims, or -1
 }
 
-// recStripes is the record-dedup stripe count. Power of two; sequential
-// record ids from one originator round-robin the stripes, so the
-// per-stripe dedup window shrinks by the stripe count while the total
-// remembered-id budget stays dedupCap..2·dedupCap.
-const recStripes = 16
-
-// recStripe is one lock-striped slice of the record-id dedup set.
-type recStripe struct {
+// recDedup is one store's record-id dedup set. The mark and the store
+// insert happen under mu, so a retransmitted record id can never slip
+// past its first copy's in-flight store.
+type recDedup struct {
 	mu   sync.Mutex
 	seen *dedupSet
 }
 
-// newIndex creates an index with default store-engine options (tests).
-func newIndex(sch *schema.Schema, base *embed.Tree) *index {
-	return newIndexOpts(sch, base, store.Options{})
+// insert stores rec into version v of vs iff recID is new to d, and
+// reports whether it was.
+func (d *recDedup) insert(vs *store.Versioned, v uint32, recID uint64, rec schema.Record) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.seen.Seen(recID) {
+		return false
+	}
+	vs.Insert(v, rec)
+	return true
 }
 
-// newIndexOpts creates an index whose versioned stores use the given
-// engine options (Config.StoreShards); the primary's engines also carry
-// a rollup with the summary layer's default options.
-func newIndexOpts(sch *schema.Schema, base *embed.Tree, opts store.Options) *index {
-	popts := opts
-	popts.Rollup = &summary.Options{}
-	ix := &index{
+// newIndex creates an index: versioned primary and replica stores, the
+// primary's engines carrying a rollup with the summary layer's default
+// options.
+func newIndex(sch *schema.Schema, base *embed.Tree) *index {
+	return &index{
 		sch:           sch,
 		base:          base,
 		vers:          make(map[uint32]*embed.Tree),
 		epochs:        make(map[uint32]uint64),
-		primary:       store.NewVersionedOpts(sch, popts),
-		replicas:      store.NewVersionedOpts(sch, opts),
+		primary:       store.NewVersionedOpts(sch, store.Options{Rollup: &summary.Options{}}),
+		replicas:      store.NewVersioned(sch),
 		replicaOwners: make(map[bitstr.Code]bool),
+		primarySeen:   recDedup{seen: newDedupSet(dedupCap / 2)},
+		replicaSeen:   recDedup{seen: newDedupSet(dedupCap / 2)},
 		timeAttr:      sch.TimeDim(),
 	}
-	for i := range ix.stripes {
-		ix.stripes[i].seen = newDedupSet(dedupCap / recStripes)
-	}
-	return ix
 }
 
 // tree returns the embedding for a version, falling back to the base.
@@ -304,7 +299,7 @@ func (ix *index) def() wire.IndexDef {
 		d.Versions = append(d.Versions, vd)
 	}
 	for v, t := range ix.vers {
-		if _, ok := ix.epochs[v]; !ok { // a tree with no epoch: indexFromDefOpts accepts one from the wire
+		if _, ok := ix.epochs[v]; !ok { // a tree with no epoch: indexFromDef accepts one from the wire
 			d.Versions = append(d.Versions, wire.VersionDef{Version: v, Tree: t.Marshal()})
 		}
 	}
@@ -317,15 +312,8 @@ func (ix *index) def() wire.IndexDef {
 // list.
 const baseVersionSentinel = ^uint32(0)
 
-// indexFromDef reconstructs an index from a wire definition with
-// default store options (tests and standalone callers).
+// indexFromDef reconstructs an index from a wire definition.
 func indexFromDef(d wire.IndexDef) (*index, error) {
-	return indexFromDefOpts(d, store.Options{})
-}
-
-// indexFromDefOpts reconstructs an index from a wire definition, with
-// the node's store engine options.
-func indexFromDefOpts(d wire.IndexDef, opts store.Options) (*index, error) {
 	if err := d.Schema.Validate(); err != nil {
 		return nil, err
 	}
@@ -353,27 +341,16 @@ func indexFromDefOpts(d wire.IndexDef, opts store.Options) (*index, error) {
 	if base == nil {
 		base = embed.Uniform(d.Schema.Bounds())
 	}
-	ix := newIndexOpts(d.Schema, base, opts)
+	ix := newIndex(d.Schema, base)
 	ix.vers = vers
 	ix.epochs = epochs
 	return ix, nil
 }
 
 // storeRecord inserts into primary storage with RecID dedup; it reports
-// whether the record was new. The dedup check and the insert happen
-// under the record id's stripe lock, so a retransmitted record can
-// never slip past its first copy's in-flight store, while records with
-// different ids proceed on different stripes concurrently into the
-// sharded store engine.
+// whether the record was new.
 func (ix *index) storeRecord(v uint32, recID uint64, rec schema.Record) bool {
-	s := &ix.stripes[recID%recStripes]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.seen.Seen(recID) {
-		return false
-	}
-	ix.primary.Insert(v, rec)
-	return true
+	return ix.primarySeen.insert(ix.primary, v, recID, rec)
 }
 
 // noteReplicaOwner records that this node backs up owner's region. The
@@ -393,14 +370,7 @@ func (ix *index) noteReplicaOwner(owner bitstr.Code) {
 // storeReplica inserts into replica storage; callers have noted the
 // record's owner (noteReplicaOwner).
 func (ix *index) storeReplica(v uint32, recID uint64, rec schema.Record) {
-	key := recID ^ 0x9e3779b97f4a7c15 // replica dedup namespace
-	s := &ix.stripes[key%recStripes]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.seen.Seen(key) {
-		return
-	}
-	ix.replicas.Insert(v, rec)
+	ix.replicaSeen.insert(ix.replicas, v, recID, rec)
 }
 
 // ownerCodes snapshots the replica owner set.

@@ -20,7 +20,6 @@ import (
 	"mind/internal/bitstr"
 	"mind/internal/embed"
 	"mind/internal/hypercube"
-	"mind/internal/metrics"
 	"mind/internal/schema"
 	"mind/internal/store"
 	"mind/internal/transport"
@@ -39,10 +38,10 @@ import (
 //     collect, triggerSubs, clientSeen/clientPrev, rng.
 //   - ixMu guards the indices map only; per-index mutable state is
 //     behind each index's own mutex, and the stores are internally
-//     concurrent (single-writer k-d trees with lock-free snapshot reads).
+//     concurrent (one writer mutex per version's ladder, lock-free
+//     snapshot reads).
 //   - Counters and id sequences are atomics.
-//   - linkMu (tupleLinks) and batchMu (envelope counters) are
-//     independent leaves.
+//   - linkMu (tupleLinks) is an independent leaf.
 //
 // Lock order: mu → ixMu → index.mu → store internals. A leaf mutex is
 // never held while acquiring an earlier lock, sending, or calling into
@@ -60,7 +59,7 @@ type Node struct {
 
 	inserts  map[uint64]*insertOp  // mu; registered by sendInserts only (insert.go)
 	scatters map[uint64]*scatterOp // mu; in-flight queries and aggregates (scatter.go)
-	seenOps  map[uint64]bool       // mu; flood dedup (create/drop/hist-install)
+	seenOps  *dedupSet             // mu; flood dedup (create/drop index, install, retire, recall, trigger remove)
 
 	collect map[string]*histCollect  // mu; designated-node histogram state
 	reports map[uint64]*histReportOp // mu; originator-side tracked reports
@@ -136,10 +135,10 @@ type Node struct {
 	tupleLinks map[string]uint64
 
 	// Envelope counters (batch.go).
-	batchMu         sync.Mutex
-	sentBatches     metrics.Occupancy
-	recvBatches     metrics.Occupancy
-	batchBytesSaved uint64
+	batchesSent     atomic.Uint64
+	batchedMsgs     atomic.Uint64
+	batchesRecv     atomic.Uint64
+	batchBytesSaved atomic.Uint64
 }
 
 // NewNode creates a node bound to an endpoint and clock. The node
@@ -153,7 +152,7 @@ func NewNode(ep transport.Endpoint, clock transport.Clock, cfg Config) *Node {
 		indices:       make(map[string]*index),
 		inserts:       make(map[uint64]*insertOp),
 		scatters:      make(map[uint64]*scatterOp),
-		seenOps:       make(map[uint64]bool),
+		seenOps:       newDedupSet(dedupCap),
 		collect:       make(map[string]*histCollect),
 		reports:       make(map[uint64]*histReportOp),
 		repairAt:      make(map[string]time.Time),
@@ -260,6 +259,7 @@ type Stats struct {
 	BatchOccupancy  float64 // mean messages per sent envelope (NaN before the first)
 	BatchBytesSaved uint64  // estimated framing bytes avoided by coalescing
 
+	Requests     uint64 // acked-tracked inserts, queries, aggregates and reports issued
 	Retransmits  uint64 // reliable-layer retransmissions sent
 	AcksReceived uint64 // end-to-end acks received over the wire
 	// DedupHits counts duplicate requests absorbed at this receiver: a
@@ -299,23 +299,20 @@ type Stats struct {
 func (n *Node) Stats() Stats {
 	s := Stats{
 		Forwarded: n.forwarded.Load(), Stored: n.stored.Load(), Replicated: n.replicated.Load(),
-		Retransmits: n.retransmits.Load(), AcksReceived: n.acksReceived.Load(), DedupHits: n.dedupHits.Load(),
+		Requests: n.reqTracked.Load(), Retransmits: n.retransmits.Load(), AcksReceived: n.acksReceived.Load(), DedupHits: n.dedupHits.Load(),
 		ShedInserts: n.shedInserts.Load(), ShedQueries: n.shedQueries.Load(), ShedGossip: n.shedGossip.Load(),
 		AggAnswered: n.aggAnswered.Load(), AggCoverDropped: n.aggCoverDropped.Load(),
 		DroppedPieces: n.droppedPieces.Load(), DroppedRecords: n.droppedRecords.Load(),
+		BatchesSent: n.batchesSent.Load(), BatchedMsgs: n.batchedMsgs.Load(), BatchesRecv: n.batchesRecv.Load(),
+		BatchBytesSaved: n.batchBytesSaved.Load(),
 	}
+	s.BatchOccupancy = float64(s.BatchedMsgs) / float64(s.BatchesSent) // 0/0 is NaN before the first
 	n.mu.Lock()
 	s.PendingInserts = len(n.inserts)
 	for _, op := range n.scatters {
 		op.acc.tally(&s)
 	}
 	n.mu.Unlock()
-	b := n.BatchStats()
-	s.BatchesSent = b.Sent.Batches
-	s.BatchedMsgs = b.Sent.Items
-	s.BatchesRecv = b.Recv.Batches
-	s.BatchOccupancy = b.Sent.Mean()
-	s.BatchBytesSaved = b.BytesSaved
 	return s
 }
 
@@ -467,9 +464,7 @@ func (n *Node) RetireVersion(tag string, version uint32) error {
 		return fmt.Errorf("mind: unknown index %q", tag)
 	}
 	opID := n.nextReq()
-	n.mu.Lock()
-	n.seenOps[opID] = true
-	n.mu.Unlock()
+	n.markOp(opID)
 	n.retireLocal(tag, version)
 	n.flood(&wire.RetireVersion{OpID: opID, Index: tag, Version: version})
 	return nil
@@ -560,7 +555,7 @@ func (n *Node) onJoined(accept *wire.JoinAccept) {
 			}
 			continue
 		}
-		ix, err := indexFromDefOpts(d, n.storeOpts())
+		ix, err := indexFromDef(d)
 		if err != nil {
 			continue
 		}
@@ -625,14 +620,6 @@ func (n *Node) onRegionDead(dead bitstr.Code) {
 
 // --- Index lifecycle -----------------------------------------------------
 
-// storeOpts maps the node config's store engine knob onto
-// store.Options. Every index this node builds — created locally,
-// reconstructed from a flood, or received in a split transfer — uses
-// the same engine shape.
-func (n *Node) storeOpts() store.Options {
-	return store.Options{Shards: n.cfg.StoreShards}
-}
-
 // CreateIndex installs a new index locally and floods its definition
 // across the overlay (§3.4). A nil tree gets the uniform embedding; pass
 // a histogram-balanced tree to start balanced (§3.7).
@@ -651,14 +638,12 @@ func (n *Node) CreateIndex(sch *schema.Schema, tree *embed.Tree) error {
 		n.ixMu.Unlock()
 		return fmt.Errorf("mind: index %q already exists", sch.Tag)
 	}
-	ix := newIndexOpts(sch.Clone(), tree, n.storeOpts())
+	ix := newIndex(sch.Clone(), tree)
 	n.indices[sch.Tag] = ix
 	n.ixMu.Unlock()
 	def := ix.def()
 	opID := n.nextReq()
-	n.mu.Lock()
-	n.seenOps[opID] = true
-	n.mu.Unlock()
+	n.markOp(opID)
 
 	n.flood(&wire.CreateIndex{OpID: opID, Def: def})
 	return nil
@@ -674,9 +659,7 @@ func (n *Node) DropIndex(tag string) error {
 	delete(n.indices, tag)
 	n.ixMu.Unlock()
 	opID := n.nextReq()
-	n.mu.Lock()
-	n.seenOps[opID] = true
-	n.mu.Unlock()
+	n.markOp(opID)
 
 	n.flood(&wire.DropIndex{OpID: opID, Tag: tag})
 	return nil
@@ -715,29 +698,28 @@ type IndexInfo struct {
 	HistoryAddr string `json:"history_addr,omitempty"`
 	// Summary is the per-index aggregate rollup state (hierarchical
 	// counters plus heavy-hitter sketches), summed over the primary
-	// store's shards, each of which owns its rollup.
+	// store's versions, each of which owns its rollup.
 	Summary SummaryInfo `json:"summary"`
-	// Stores is the shape of every stored version's engines, shard by
-	// shard: ladder levels, tail fill and carry counters.
+	// Stores is the shape of every stored version's ladders: levels, tail
+	// fill and carry counters.
 	Stores []StoreInfo `json:"stores,omitempty"`
 }
 
 // StoreInfo is one index version's store engines as the ladder sees
-// them (store.Sharded.Shape); a shard's CarriedRows over the records it
+// them (store.Sharded.Shape); a ladder's CarriedRows over the records it
 // holds is its write amplification.
 type StoreInfo struct {
 	Version  uint32             `json:"version"`
-	Primary  []store.ShardShape `json:"primary,omitempty"`
-	Replicas []store.ShardShape `json:"replicas,omitempty"`
+	Primary  *store.LadderShape `json:"primary,omitempty"`
+	Replicas *store.LadderShape `json:"replicas,omitempty"`
 }
 
 // SummaryInfo is one index's rollup maintenance state: how many records
 // the folded (static) and unfolded (delta) rollup halves hold across
 // all versions, and how many delta folds have run. StaticRecords +
 // DeltaRecords equals PrimaryRecords at quiescence — every rollup is
-// owned by the store shard whose records it summarizes, fed by that
-// shard's inserts and dropped with it (chaos.CheckRollup holds nodes to
-// it).
+// owned by the version's ladder whose records it summarizes, fed by its
+// inserts and dropped with it (chaos.CheckRollup holds nodes to it).
 type SummaryInfo struct {
 	StaticRecords uint64 `json:"static_records"`
 	DeltaRecords  int    `json:"delta_records"`
@@ -778,16 +760,16 @@ func (n *Node) IndexInfos() []IndexInfo {
 		for _, v := range slices.Compact(versions) {
 			si := StoreInfo{Version: v}
 			if eng := ix.primary.Get(v); eng != nil {
-				si.Primary = eng.Shape()
-				for s := range si.Primary {
-					staticN, deltaN, folds := eng.Rollup(s).Stats()
-					info.Summary.StaticRecords += staticN
-					info.Summary.DeltaRecords += deltaN
-					info.Summary.Folds += folds
-				}
+				shape := eng.Shape()
+				si.Primary = &shape
+				staticN, deltaN, folds := eng.Rollup().Stats()
+				info.Summary.StaticRecords += staticN
+				info.Summary.DeltaRecords += deltaN
+				info.Summary.Folds += folds
 			}
 			if eng := ix.replicas.Get(v); eng != nil {
-				si.Replicas = eng.Shape()
+				shape := eng.Shape()
+				si.Replicas = &shape
 			}
 			info.Stores = append(info.Stores, si)
 		}
@@ -818,7 +800,7 @@ func (n *Node) StoredRecordsVersion(tag string, version uint32) int {
 
 // LocalQuery resolves a range query against this node's primary storage
 // only (no routing) — the view a co-located monitor or a diagnostic tool
-// sees of one node's shard.
+// sees of one node's share of the data.
 func (n *Node) LocalQuery(tag string, rect schema.Rect) []schema.Record {
 	ix, ok := n.getIndex(tag)
 	if !ok {
@@ -847,17 +829,12 @@ func (n *Node) flood(m wire.Message) {
 }
 
 // markOp dedups a flooded operation id; it reports whether the op is new.
+// The originator marks its own op ids through it too, so a copy flooded
+// back is refused.
 func (n *Node) markOp(opID uint64) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.seenOps[opID] {
-		return false
-	}
-	n.seenOps[opID] = true
-	if len(n.seenOps) > 65536 {
-		n.seenOps = map[uint64]bool{opID: true}
-	}
-	return true
+	return !n.seenOps.Seen(opID)
 }
 
 func (n *Node) handleCreateIndex(m *wire.CreateIndex) {
@@ -866,7 +843,7 @@ func (n *Node) handleCreateIndex(m *wire.CreateIndex) {
 	}
 	n.ixMu.Lock()
 	if _, exists := n.indices[m.Def.Schema.Tag]; !exists {
-		if ix, err := indexFromDefOpts(m.Def, n.storeOpts()); err == nil {
+		if ix, err := indexFromDef(m.Def); err == nil {
 			n.indices[m.Def.Schema.Tag] = ix
 		}
 	}

@@ -251,9 +251,7 @@ func (n *Node) InstallCuts(tag string, version uint32, tree *embed.Tree) {
 	treeBytes := tree.Marshal()
 	epoch := nextTreeEpoch(cur, treeBytes)
 	opID := n.nextReq()
-	n.mu.Lock()
-	n.seenOps[opID] = true
-	n.mu.Unlock()
+	n.markOp(opID)
 	n.applyInstall(ix, version, tree, epoch)
 	n.flood(&wire.HistInstall{OpID: opID, Index: tag, Version: version, Tree: treeBytes, Epoch: epoch})
 }

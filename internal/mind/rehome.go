@@ -183,8 +183,6 @@ func (n *Node) onTakeover(dead, oldCode bitstr.Code) {
 	// an empty store for the region, and even after a sibling takeover
 	// stragglers may exist at other replica levels.
 	opID := n.nextReq()
-	n.mu.Lock()
-	n.seenOps[opID] = true
-	n.mu.Unlock()
+	n.markOp(opID)
 	n.flood(&wire.RegionRecall{OpID: opID, Region: dead})
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"mind/internal/bitstr"
-	"mind/internal/metrics"
 	"mind/internal/transport"
 	"mind/internal/wire"
 )
@@ -224,15 +223,5 @@ func (n *Node) suspectHops(hops []string) {
 		if hop != "" && (i == 0 || hop != hops[i-1]) {
 			n.ov.SuspectContact(hop)
 		}
-	}
-}
-
-// ReliabilityStats snapshots the reliable-request-layer counters.
-func (n *Node) ReliabilityStats() metrics.Reliability {
-	return metrics.Reliability{
-		Requests:    n.reqTracked.Load(),
-		Retransmits: n.retransmits.Load(),
-		Acks:        n.acksReceived.Load(),
-		DedupHits:   n.dedupHits.Load(),
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"mind/internal/transport"
 )
 
 // Unit tests for the reliable-request-layer primitives: the bounded
@@ -43,6 +45,33 @@ func TestDedupSetMinimumWindow(t *testing.T) {
 	}
 	if !s.Seen(1000) {
 		t.Fatal("key evicted inside the guaranteed window")
+	}
+}
+
+// TestMarkOpKeepsGenerationBoundary: flood-op dedup is a two-generation
+// set, so an op id marked just before the current generation fills is
+// still refused just after the rotation — a late flood copy is never
+// re-accepted and re-flooded because the set happened to turn over.
+func TestMarkOpKeepsGenerationBoundary(t *testing.T) {
+	n := NewNode(&failEndpoint{addr: "self"}, transport.RealClock{}, DefaultConfig(1))
+	defer n.Close()
+	const last = uint64(1 << 40) // the op id marked just before the boundary
+	for id := uint64(1); id < dedupCap; id++ {
+		if !n.markOp(id) {
+			t.Fatalf("fresh op %d refused", id)
+		}
+	}
+	if !n.markOp(last) {
+		t.Fatal("fresh op refused at the boundary")
+	}
+	if !n.markOp(last + 1) { // rotates: the full generation becomes the previous one
+		t.Fatal("fresh op refused past the boundary")
+	}
+	if n.markOp(last) {
+		t.Fatal("op marked just before the generation boundary re-accepted just after it")
+	}
+	if n.markOp(1) {
+		t.Fatal("oldest op of the previous generation re-accepted")
 	}
 }
 

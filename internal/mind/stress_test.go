@@ -13,12 +13,11 @@ import (
 )
 
 // TestTCPConcurrentStress hammers one node from eight goroutines mixing
-// inserts and queries over a four-shard store. A single node owns the
-// whole key space, so every insert stores locally and every query
-// resolves inline against the lock-free shard snapshots while other
-// goroutines write — the concurrency a node gets from concurrent
-// requests. Run under -race this is the regression net for the
-// concurrency model.
+// inserts and queries. A single node owns the whole key space, so every
+// insert stores locally under the ladder's writer mutex and every query
+// resolves inline against its lock-free snapshot while other goroutines
+// write — the concurrency a node gets from concurrent requests. Run
+// under -race this is the regression net for the concurrency model.
 func TestTCPConcurrentStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets and timers")
@@ -27,11 +26,7 @@ func TestTCPConcurrentStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := mind.DefaultConfig(42)
-	// Multi-shard store under the full node: concurrent writers land on
-	// different shard mutexes while readers walk every shard's snapshot.
-	cfg.StoreShards = 4
-	node := mind.NewNode(ep, transport.RealClock{}, cfg)
+	node := mind.NewNode(ep, transport.RealClock{}, mind.DefaultConfig(42))
 	defer func() {
 		node.Close()
 		ep.Close()

@@ -97,7 +97,7 @@ func (n *Node) RemoveTrigger(id uint64) {
 	opID := n.nextReq()
 	n.mu.Lock()
 	delete(n.triggerSubs, id)
-	n.seenOps[opID] = true
+	n.seenOps.Seen(opID) // markOp under the lock already held
 	n.mu.Unlock()
 	msg := &wire.TriggerRemove{OpID: opID, TriggerID: id}
 	n.removeTriggerLocal(id)

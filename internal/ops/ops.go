@@ -20,7 +20,7 @@
 //	GET /indices  JSON: installed indices with versions, per-version
 //	              tree epochs (and retirement markers), history-pointer
 //	              targets, record counts, and per version the shape of
-//	              every store shard (ladder level lengths, tail fill,
+//	              every store ladder (level lengths, tail fill,
 //	              carries and rows carried — the write amplification)
 //
 // Everything is read-only; the server never mutates node state.
@@ -103,13 +103,11 @@ type statsView struct {
 	Joined    bool    `json:"joined"`
 	UptimeSec float64 `json:"uptime_sec"`
 
-	Node        mind.Stats  `json:"node"`
-	Overlay     overlayView `json:"overlay"`
-	Reversion   interface{} `json:"reversion"`
-	Reliability interface{} `json:"reliability"`
-	Admission   interface{} `json:"admission"`
-	Transport   interface{} `json:"transport,omitempty"`
-	Ingest      interface{} `json:"ingest,omitempty"`
+	Node      mind.Stats  `json:"node"`
+	Overlay   overlayView `json:"overlay"`
+	Reversion interface{} `json:"reversion"`
+	Transport interface{} `json:"transport,omitempty"`
+	Ingest    interface{} `json:"ingest,omitempty"`
 }
 
 // overlayView is the membership-fencing state an operator checks when a
@@ -145,9 +143,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			CollisionsLost:     snap.Recon.CollisionsLost,
 			StepDowns:          snap.Recon.StepDowns,
 		},
-		Reversion:   s.node.ReversionStats(),
-		Reliability: s.node.ReliabilityStats(),
-		Admission:   s.node.AdmissionStats(),
+		Reversion: s.node.ReversionStats(),
 	}
 	if s.ep != nil {
 		v.Transport = s.ep.Health()

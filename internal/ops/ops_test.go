@@ -4,12 +4,12 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"slices"
 	"testing"
 	"time"
 
 	"mind/internal/mind"
 	"mind/internal/schema"
+	"mind/internal/store"
 	"mind/internal/transport"
 	"mind/internal/transport/tcpnet"
 )
@@ -106,11 +106,12 @@ func TestOperatorSurface(t *testing.T) {
 		t.Fatalf("stats: %d", code)
 	}
 	var stats struct {
-		Addr      string `json:"addr"`
-		Joined    bool   `json:"joined"`
-		Admission struct {
-			ShedInserts uint64 `json:"shed_inserts"`
-		} `json:"admission"`
+		Addr   string `json:"addr"`
+		Joined bool   `json:"joined"`
+		Node   *struct {
+			Requests    uint64
+			ShedInserts uint64
+		} `json:"node"`
 		Overlay *struct {
 			Epoch     uint64   `json:"epoch"`
 			Estranged []string `json:"estranged"`
@@ -131,8 +132,8 @@ func TestOperatorSurface(t *testing.T) {
 	if stats.Addr != node1.Addr() || !stats.Joined {
 		t.Fatalf("stats identity: %+v", stats)
 	}
-	if stats.Overlay == nil || stats.Reversion == nil {
-		t.Fatalf("stats missing overlay/reversion sections:\n%s", body)
+	if stats.Node == nil || stats.Overlay == nil || stats.Reversion == nil {
+		t.Fatalf("stats missing node/overlay/reversion sections:\n%s", body)
 	}
 	if stats.Transport.Dials == 0 || stats.Transport.FramesSent == 0 || stats.Transport.PeersHealthy == 0 {
 		t.Fatalf("transport counters empty: %+v", stats.Transport)
@@ -234,16 +235,16 @@ func TestOperatorSurface(t *testing.T) {
 		// record: ten inserts sit in tails, no carry has fired yet.
 		primary, replicas := 0, 0
 		for _, st := range info.Stores {
-			for _, sh := range slices.Concat(st.Primary, st.Replicas) {
-				if len(sh.Levels) != 0 || sh.Carries != 0 {
-					t.Fatalf("store shape of %s v%d after %d inserts: %+v", info.Tag, st.Version, inserts, sh)
+			for _, sh := range []*store.LadderShape{st.Primary, st.Replicas} {
+				if sh != nil && (len(sh.Levels) != 0 || sh.Carries != 0) {
+					t.Fatalf("store shape of %s v%d after %d inserts: %+v", info.Tag, st.Version, inserts, *sh)
 				}
 			}
-			for _, sh := range st.Primary {
-				primary += sh.TailRecords
+			if st.Primary != nil {
+				primary += st.Primary.TailRecords
 			}
-			for _, sh := range st.Replicas {
-				replicas += sh.TailRecords
+			if st.Replicas != nil {
+				replicas += st.Replicas.TailRecords
 			}
 		}
 		if primary != info.PrimaryRecords || replicas != info.ReplicaRecords {

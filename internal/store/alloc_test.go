@@ -12,7 +12,7 @@ import (
 
 // TestAllocBudgetShardedInsert is the CI alloc gate on the store write
 // path, carries INCLUDED: an insert between carries allocates nothing
-// (routing hash + row copy + atomic length store), and a carry allocates
+// (row copy + atomic length store), and a carry allocates
 // a constant handful whatever its size — the new arena, its cuts, the
 // Static, the snapshot, the level slice and the next tail — so over 16
 // carries of every size from 256 to 4096 rows the amortised cost stays
@@ -29,7 +29,7 @@ func TestAllocBudgetShardedInsert(t *testing.T) {
 		for _, rec := range recs {
 			e.Insert(rec)
 		}
-		if s := e.Shape()[0]; s.Carries != inserts/tailRows {
+		if s := e.Shape(); s.Carries != inserts/tailRows {
 			t.Fatalf("%d carries over %d inserts, want %d", s.Carries, inserts, inserts/tailRows)
 		}
 	})
@@ -80,9 +80,7 @@ func TestAllocBudgetBoundaryFold(t *testing.T) {
 		resolve := func() uint64 {
 			out := summary.NewAgg(sch.Arity(), 8)
 			fold := summary.NewFold(sch.Arity())
-			cover := summary.ResolveShard(eng.Rollup(0), rect, func(cell schema.Rect, fn func([]uint64, []int32)) {
-				eng.VisitShardBatches(0, cell, fn)
-			}, fold)
+			cover := summary.ResolveShard(eng.Rollup(), rect, eng.VisitBatches, fold)
 			boundary := fold.Count - cover.N()
 			out.MergeShards([]*summary.Sketch{cover}, fold)
 			if out.Count != uint64(eng.Count(rect)) {

@@ -9,11 +9,11 @@ import (
 )
 
 // TestKDConcurrentInsertQuery exercises the writer-mutex/lock-free-reader
-// contract under -race on ONE shard (TestShardedConcurrentInsertQuery
-// spreads the writers over four): every writer contends on the same
-// mutex and every carry lands beside the same readers, which query,
-// count and stream concurrently; a final differential check against the
-// oracle proves no record was lost or duplicated.
+// contract under -race (TestShardedConcurrentInsertQuery adds a rollup):
+// every writer contends on the one mutex and every carry lands beside
+// the readers, which query, count and stream concurrently; a final
+// differential check against the oracle proves no record was lost or
+// duplicated.
 func TestKDConcurrentInsertQuery(t *testing.T) {
 	const (
 		writers       = 4

@@ -21,11 +21,9 @@ func benchRects(r *rand.Rand) []schema.Rect {
 }
 
 // BenchmarkStoreLayout runs the same selective range queries against
-// each layout on identical data: the bare Static arena and the Sharded
-// engine at 1 and 4 shards. It is the measured basis for the engine's
-// constants — sharded1 matches static, and sharded4 shows the per-shard
-// traversal cost hash routing imposes on every read (why defaultShards
-// is 1).
+// the bare Static arena and the compacted ladder engine on identical
+// data: the ladder's snapshot, tail check and window cost nothing a
+// read can see, so ladder matches static.
 func BenchmarkStoreLayout(b *testing.B) {
 	r := rand.New(rand.NewSource(37))
 	recs := make([]schema.Record, 100000)
@@ -33,14 +31,11 @@ func BenchmarkStoreLayout(b *testing.B) {
 		recs[i] = randRec(r)
 	}
 	st := NewStatic(sch3(), append([]schema.Record(nil), recs...))
-	sh1 := NewSharded(sch3(), Options{Shards: 1})
-	sh4 := NewSharded(sch3(), Options{Shards: 4})
+	lad := NewSharded(sch3(), Options{})
 	for _, rec := range recs {
-		sh1.Insert(rec)
-		sh4.Insert(rec)
+		lad.Insert(rec)
 	}
-	sh1.Compact()
-	sh4.Compact()
+	lad.Compact()
 	rects := benchRects(r)
 	b.Run("static", func(b *testing.B) {
 		var out []schema.Record
@@ -48,28 +43,22 @@ func BenchmarkStoreLayout(b *testing.B) {
 			out = st.QueryAppend(rects[i%256], out[:0])
 		}
 	})
-	b.Run("sharded1", func(b *testing.B) {
+	b.Run("ladder", func(b *testing.B) {
 		var out []schema.Record
 		for i := 0; i < b.N; i++ {
-			out = sh1.QueryAppend(rects[i%256], out[:0])
-		}
-	})
-	b.Run("sharded4", func(b *testing.B) {
-		var out []schema.Record
-		for i := 0; i < b.N; i++ {
-			out = sh4.QueryAppend(rects[i%256], out[:0])
+			out = lad.QueryAppend(rects[i%256], out[:0])
 		}
 	})
 }
 
 // slabLadder is the live ladder BenchmarkStoreSlab and
-// TestTimeWindowOverscan read: one shard of 37,500 Index-2 records
+// TestTimeWindowOverscan read: a ladder of 37,500 Index-2 records
 // inserted in time order over one day and left as the inserts build it
 // (no Compact) — 4 096 /24 destination prefixes, octets uniform below
 // 1 MB. prefix draws one of those prefixes from r.
 func slabLadder() (e *Sharded, bounds []uint64, prefix func(r *rand.Rand) uint64) {
 	sch := schema.Index2(86400)
-	e = NewSharded(sch, Options{Shards: 1})
+	e = NewSharded(sch, Options{})
 	prefix = func(r *rand.Rand) uint64 { return uint64(r.Intn(4096)) * 0x9E3779B1 & 0xffffff00 }
 	r := rand.New(rand.NewSource(41))
 	const n = 37500

@@ -60,13 +60,13 @@ func FuzzStoreOracle(f *testing.F) {
 		rand.New(rand.NewSource(seed)).Read(blob)
 		f.Add(blob, uint8(seed), uint8(seed))
 	}
-	f.Fuzz(func(t *testing.T, data []byte, shardsRaw, schemaRaw uint8) {
+	f.Fuzz(func(t *testing.T, data []byte, tailRaw, schemaRaw uint8) {
 		sch := sch3()
 		if p := int(schemaRaw % 4); p > 0 {
 			sch = schTime(p - 1)
 		}
-		eng := NewSharded(sch, Options{Shards: 1 << (shardsRaw % 3)})
-		eng.tailCap = 4 + int(shardsRaw%13) // carries every few records
+		eng := NewSharded(sch, Options{})
+		eng.tailCap = 4 + int(tailRaw%13) // carries every few records
 		sc := NewScan(sch)
 		check := func(rect schema.Rect) {
 			want := sc.Query(rect)
@@ -192,11 +192,11 @@ func TestViewContract(t *testing.T) {
 		}
 	})
 	t.Run("records returned before a merge read the same after it", func(t *testing.T) {
-		e := smallTail(4, 16)
+		e := smallTail(16)
 		for _, rec := range recs {
 			e.Insert(rec)
 		}
-		held := e.Query(fullRect()) // views into every level and every tail
+		held := e.Query(fullRect()) // views into every level and the tail
 		for _, rec := range held {
 			if len(rec) != 4 || cap(rec) != 4 {
 				t.Fatalf("view len %d cap %d, want 4/4", len(rec), cap(rec))
@@ -219,11 +219,11 @@ func TestViewContract(t *testing.T) {
 		}
 	})
 	t.Run("a tail view survives its carry and append cannot touch the next row", func(t *testing.T) {
-		e := smallTail(1, 16)
+		e := smallTail(16)
 		for _, rec := range recs[:10] { // all ten sit in the tail: no level exists yet
 			e.Insert(rec)
 		}
-		if s := e.Shape()[0]; len(s.Levels) != 0 || s.TailRecords != 10 {
+		if s := e.Shape(); len(s.Levels) != 0 || s.TailRecords != 10 {
 			t.Fatalf("fixture: %+v, want ten tail records and no level", s)
 		}
 		held := e.Query(fullRect())
@@ -250,7 +250,7 @@ func TestViewContract(t *testing.T) {
 }
 
 // TestVisitConcurrentWithMerges runs Visit (and the wrappers over it)
-// against writers that push every shard through carry after carry, and
+// against writers that push the ladder through carry after carry, and
 // asserts the snapshot contract: a visit sees every record acknowledged
 // before it began exactly once, and no record twice. Record (w, i) is a
 // pure function of its writer and ordinal, so a reader knows what it
@@ -260,7 +260,7 @@ func TestViewContract(t *testing.T) {
 func TestVisitConcurrentWithMerges(t *testing.T) {
 	const writers, readers, perWriter = 4, 4, 3000
 	sch := sch3()
-	e := smallTail(4, 16)
+	e := smallTail(16)
 	mk := func(w, i int) schema.Record {
 		rec := schema.Record{uint64(i*7919+w*13)%10000 + uint64(i%3)*6000, uint64(i), uint64(w), 0} // a third above the bound
 		rec[3] = rec[0]*31 + rec[1]*17 + rec[2] + 5

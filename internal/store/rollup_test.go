@@ -19,19 +19,14 @@ func skewRec(r *rand.Rand) schema.Record {
 	return rec
 }
 
-// resolveRollup answers rect the way mind.resolveLocalAgg does: per
-// shard, the shard's own rollup resolves the cover and its boundary
-// cells fold through VisitShardBatches; MergeShards closes the answer.
+// resolveRollup answers rect the way mind.resolveLocalAgg does: the
+// engine's rollup resolves the cover and its boundary cells fold through
+// VisitBatches; MergeShards closes the answer.
 func resolveRollup(e *Sharded, rect schema.Rect, k int) summary.Agg {
 	agg := summary.NewAgg(e.arity, k)
 	fold := summary.NewFold(e.arity)
-	var covers []*summary.Sketch
-	for sh := 0; sh < e.NumShards(); sh++ {
-		covers = append(covers, summary.ResolveShard(e.Rollup(sh), rect, func(cell schema.Rect, fn func([]uint64, []int32)) {
-			e.VisitShardBatches(sh, cell, fn)
-		}, fold))
-	}
-	agg.MergeShards(covers, fold)
+	cover := summary.ResolveShard(e.Rollup(), rect, e.VisitBatches, fold)
+	agg.MergeShards([]*summary.Sketch{cover}, fold)
 	return agg
 }
 
@@ -75,31 +70,21 @@ func checkRollupAgg(t *testing.T, tag string, agg summary.Agg, rect schema.Rect,
 	}
 }
 
-// rollupLen sums the shards' rollups and their lifetime folds.
-func rollupLen(e *Sharded) (n int, folds uint64) {
-	for sh := 0; sh < e.NumShards(); sh++ {
-		_, _, f := e.Rollup(sh).Stats()
-		n += e.Rollup(sh).Len()
-		folds += f
-	}
-	return n, folds
-}
-
 // TestSummaryStoreMergeBoundary is the tail→ladder carry interaction
 // table test for the ownership Options.Rollup sets up: records stream
-// into an engine whose shards feed and fold their own rollups. At the
-// insert that fires each carry and the one after it, and after Compact,
-// the rollups hold exactly the engine's records (Σ Rollup(i).Len() ==
-// Len()), a carry leaves its shard's delta empty, and the aggregate read
-// path agrees with Count and a flat oracle.
+// into an engine that feeds and folds its own rollup. At the insert that
+// fires each carry and the one after it, and after Compact, the rollup
+// holds exactly the engine's records (Rollup().Len() == Len()), a carry
+// leaves its delta empty, and the aggregate read path agrees with Count
+// and a flat oracle.
 func TestSummaryStoreMergeBoundary(t *testing.T) {
-	e := NewSharded(sch3(), Options{Shards: 4, Rollup: &summary.Options{Depth: 6, K: 16, DeltaMax: 64}})
+	e := NewSharded(sch3(), Options{Rollup: &summary.Options{Depth: 6, K: 16, DeltaMax: 64}})
 	r := rand.New(rand.NewSource(7))
 	sc := NewScan(sch3())
 	check := func(tag string) {
 		t.Helper()
-		if n, _ := rollupLen(e); n != e.Len() || n != sc.Len() {
-			t.Fatalf("%s: rollups hold %d records, engine %d, inserted %d", tag, n, e.Len(), sc.Len())
+		if n := e.Rollup().Len(); n != e.Len() || n != sc.Len() {
+			t.Fatalf("%s: rollup holds %d records, engine %d, inserted %d", tag, n, e.Len(), sc.Len())
 		}
 		for q := 0; q < 8; q++ {
 			rect := randRect(r)
@@ -109,23 +94,17 @@ func TestSummaryStoreMergeBoundary(t *testing.T) {
 			checkRollupAgg(t, tag, resolveRollup(e, rect, 16), rect, sc.recs)
 		}
 	}
-	carries := func() (n uint64) {
-		for _, s := range e.Shape() {
-			n += s.Carries
-		}
-		return n
-	}
+	carries := func() uint64 { return e.Shape().Carries }
 	afterCarry := false
-	for i := 0; i < 6000; i++ { // ~1500 per shard: five carries each, three ladder shapes
+	for i := 0; i < 6000; i++ { // 23 carries: ladders of one to four levels
 		before := carries()
 		rec := skewRec(r)
-		sh := e.shardOf(rec)
 		e.Insert(rec)
 		sc.Insert(rec)
 		switch {
 		case carries() != before:
-			if _, deltaN, _ := e.Rollup(sh).Stats(); deltaN != 0 {
-				t.Fatalf("i=%d: shard %d carried and left %d records in its rollup's delta", i, sh, deltaN)
+			if _, deltaN, _ := e.Rollup().Stats(); deltaN != 0 {
+				t.Fatalf("i=%d: carried and left %d records in the rollup's delta", i, deltaN)
 			}
 			check("carry")
 			afterCarry = true
@@ -134,14 +113,14 @@ func TestSummaryStoreMergeBoundary(t *testing.T) {
 			afterCarry = false
 		}
 	}
-	if n := carries(); n < 4*uint64(e.NumShards()) {
+	if n := carries(); n < 16 {
 		t.Fatalf("%d store carries fired; the stream is too short to cross the ladder's shapes", n)
 	}
 	check("final")
-	_, before := rollupLen(e)
+	_, _, before := e.Rollup().Stats()
 	e.Compact()
-	if _, after := rollupLen(e); after == before {
-		t.Fatal("Compact carried the tails without folding the rollups")
+	if _, _, after := e.Rollup().Stats(); after == before {
+		t.Fatal("Compact carried the tail without folding the rollup")
 	}
 	check("post-compact")
 }

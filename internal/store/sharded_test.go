@@ -7,13 +7,14 @@ import (
 	"testing"
 
 	"mind/internal/schema"
+	"mind/internal/summary"
 )
 
-// smallTail builds an engine whose tails hold tailCap rows instead of
+// smallTail builds an engine whose tail holds tailCap rows instead of
 // tailRows, so differential tests cross many carries with modest record
 // counts.
-func smallTail(shards, tailCap int) *Sharded {
-	e := NewSharded(sch3(), Options{Shards: shards})
+func smallTail(tailCap int) *Sharded {
+	e := NewSharded(sch3(), Options{})
 	e.tailCap = tailCap
 	return e
 }
@@ -32,17 +33,8 @@ func TestShardedEmpty(t *testing.T) {
 }
 
 func TestShardedOptionsDefaults(t *testing.T) {
-	if o := (Options{}).withDefaults(); o.Shards != defaultShards {
-		t.Fatalf("defaults = %+v", o)
-	}
-	if e := NewSharded(sch3(), Options{}); e.tailCap != tailRows || e.NumShards() != defaultShards {
-		t.Fatalf("engine defaults: tail %d, shards %d", e.tailCap, e.NumShards())
-	}
-	if got := (Options{Shards: 5}).withDefaults().Shards; got != 8 {
-		t.Fatalf("shards rounded to %d, want 8", got)
-	}
-	if got := (Options{Shards: 1000}).withDefaults().Shards; got != 256 {
-		t.Fatalf("shards capped at %d, want 256", got)
+	if e := NewSharded(sch3(), Options{}); e.tailCap != tailRows || e.Rollup() != nil {
+		t.Fatalf("engine defaults: tail %d, rollup %v", e.tailCap, e.Rollup())
 	}
 }
 
@@ -70,7 +62,7 @@ func TestShardedDifferentialFuzz(t *testing.T) {
 	for name, gen := range gens {
 		t.Run(name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(len(name))*1000 + 9))
-			e := smallTail(4, 16)
+			e := smallTail(16)
 			sc := NewScan(sch3())
 			const total = 4000
 			for i := 0; i < total; i++ {
@@ -122,71 +114,19 @@ func TestShardedDifferentialFuzz(t *testing.T) {
 	}
 }
 
-// shardRecs materializes what VisitShardBatches(s) streams for rect.
-func shardRecs(e *Sharded, s int, rect schema.Rect, out []schema.Record) []schema.Record {
-	e.VisitShardBatches(s, rect, func(rows []uint64, sel []int32) { out = appendRecords(out, rows, sel, e.arity) })
-	return out
-}
-
-// TestShardedVisitShardBatchesPartition checks the per-shard visitor the
-// aggregate path folds through: per-shard results concatenated over all
-// shards must equal the whole-engine query.
-func TestShardedVisitShardBatchesPartition(t *testing.T) {
-	r := rand.New(rand.NewSource(91))
-	e := smallTail(4, 16)
-	for i := 0; i < 3000; i++ {
-		e.Insert(randRec(r))
-	}
-	for q := 0; q < 50; q++ {
-		rect := randRect(r)
-		var parts []schema.Record
-		for s := 0; s < e.NumShards(); s++ {
-			parts = shardRecs(e, s, rect, parts)
-		}
-		if !sameRecs(parts, e.Query(rect)) {
-			t.Fatalf("shard partition mismatch for %v", rect)
-		}
-	}
-}
-
-// TestShardedDeterministicPlacement: shard routing is a pure function
-// of the record, so two engines fed the same stream agree shard by
-// shard — the property simnet reproducibility rests on.
-func TestShardedDeterministicPlacement(t *testing.T) {
-	r := rand.New(rand.NewSource(92))
-	a := smallTail(4, 16)
-	b := smallTail(4, 16)
-	recs := make([]schema.Record, 2000)
-	for i := range recs {
-		recs[i] = randRec(r)
-		a.Insert(recs[i])
-	}
-	// Same records, different arrival order.
-	r.Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
-	for _, rec := range recs {
-		b.Insert(rec)
-	}
-	for s := 0; s < a.NumShards(); s++ {
-		x := shardRecs(a, s, fullRect(), nil)
-		y := shardRecs(b, s, fullRect(), nil)
-		if !sameRecs(x, y) {
-			t.Fatalf("shard %d holds different records across arrival orders", s)
-		}
-	}
-}
-
-// TestShardedConcurrentInsertQuery is TestKDConcurrentInsertQuery over
-// four shards under -race: concurrent writers drive tails
-// through carry after carry while readers query, count and stream, then a
-// differential sweep against the oracle proves nothing was lost or
-// duplicated.
+// TestShardedConcurrentInsertQuery is TestKDConcurrentInsertQuery on a
+// primary's engine under -race: concurrent writers drive the tail and
+// the rollup through carry after carry while readers query, count,
+// stream and resolve aggregates, then a differential sweep against the
+// oracle proves nothing was lost or duplicated in either.
 func TestShardedConcurrentInsertQuery(t *testing.T) {
 	const (
 		writers       = 4
 		readers       = 4
 		recsPerWriter = 2000
 	)
-	e := smallTail(4, 16) // carries constantly
+	e := NewSharded(sch3(), Options{Rollup: &summary.Options{Depth: 6, K: 16, DeltaMax: 64}})
+	e.tailCap = 16 // carries constantly
 	recs := make([][]schema.Record, writers)
 	for w := range recs {
 		r := rand.New(rand.NewSource(int64(300 + w)))
@@ -219,6 +159,7 @@ func TestShardedConcurrentInsertQuery(t *testing.T) {
 				}
 				e.All(func(schema.Record) bool { return true })
 				_ = e.StaticFrac()
+				_ = resolveRollup(e, q, 16)
 			}
 		}(int64(400 + g))
 	}
@@ -245,6 +186,9 @@ func TestShardedConcurrentInsertQuery(t *testing.T) {
 			sc.Insert(rec)
 		}
 	}
+	if n := e.Rollup().Len(); n != e.Len() {
+		t.Fatalf("rollup holds %d records, engine %d", n, e.Len())
+	}
 	r := rand.New(rand.NewSource(43))
 	for i := 0; i < 50; i++ {
 		q := randRect(r)
@@ -252,6 +196,7 @@ func TestShardedConcurrentInsertQuery(t *testing.T) {
 		if !sameRecs(a, b) {
 			t.Fatalf("post-concurrency mismatch: sharded %d recs, scan %d", len(a), len(b))
 		}
+		checkRollupAgg(t, "post-concurrency", resolveRollup(e, q, 16), q, sc.recs)
 	}
 }
 
@@ -298,13 +243,13 @@ func TestKDLenNeverLeadsVisible(t *testing.T) {
 // order.
 func TestLadderShape(t *testing.T) {
 	for _, tailCap := range []int{tailRows, 8} {
-		e := smallTail(1, tailCap)
+		e := smallTail(tailCap)
 		r := rand.New(rand.NewSource(93))
 		var recs []schema.Record
 		check := func(tag string) {
 			t.Helper()
 			n := len(recs)
-			s := e.Shape()[0]
+			s := e.Shape()
 			inLevels := 0
 			for k, l := range s.Levels {
 				if k > 0 && l >= s.Levels[k-1] {
@@ -331,7 +276,7 @@ func TestLadderShape(t *testing.T) {
 			e.Insert(recs[i])
 			check("insert")
 		}
-		if s := e.Shape()[0]; s.Carries != uint64(len(recs)/tailCap) {
+		if s := e.Shape(); s.Carries != uint64(len(recs)/tailCap) {
 			t.Fatalf("tail %d: %d carries over %d inserts", tailCap, s.Carries, len(recs))
 		}
 		var streamed []schema.Record
@@ -339,7 +284,7 @@ func TestLadderShape(t *testing.T) {
 			streamed = append(streamed, rec.Clone())
 			return true
 		})
-		s := e.Shape()[0]
+		s := e.Shape()
 		for i, rec := range recs[len(recs)-s.TailRecords:] { // the tail streams last, in insertion order
 			if got := streamed[len(streamed)-s.TailRecords+i]; !slices.Equal(got, rec) {
 				t.Fatalf("tail %d: All tail position %d = %v, inserted %v", tailCap, i, got, rec)
@@ -354,12 +299,12 @@ func TestLadderShape(t *testing.T) {
 		}
 		e.Compact()
 		check("compact")
-		compacted := e.Shape()[0]
+		compacted := e.Shape()
 		if len(compacted.Levels) != 1 || compacted.Levels[0] != len(recs) || compacted.TailRecords != 0 || compacted.Carries != s.Carries+1 {
 			t.Fatalf("tail %d: Compact left %+v after %+v", tailCap, compacted, s)
 		}
 		e.Compact() // nothing to carry: no new arena
-		if again := e.Shape()[0]; again.Carries != compacted.Carries {
+		if again := e.Shape(); again.Carries != compacted.Carries {
 			t.Fatalf("tail %d: an idle Compact carried (%d → %d)", tailCap, compacted.Carries, again.Carries)
 		}
 	}

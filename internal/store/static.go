@@ -4,7 +4,7 @@ import "mind/internal/schema"
 
 // Static is a bulk-loaded, immutable k-d index over one flat arena — the
 // one index structure of the store engine (DESIGN.md §4h): every level
-// of a shard's ladder is a Static. Everything a traversal touches lives
+// of a version's ladder is a Static. Everything a traversal touches lives
 // in two dense, pointer-free slices the garbage collector never scans:
 //
 //   - rows: the full records (indexed attributes first, payload after),
@@ -46,7 +46,7 @@ type Static struct {
 }
 
 // leafRows is the largest row range a traversal scans instead of
-// splitting. Like defaultShards it is a fixed constant: 16, 32 and 64
+// splitting. Like tailRows it is a fixed constant: 16, 32 and 64
 // were measured once (EXPERIMENTS.md "Ladder of leaf-bucketed arenas")
 // and 32 kept — a leaf of 40 B rows is 20 cache lines read in order —
 // and 16 read worse again once leaves were selected in batches

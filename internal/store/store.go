@@ -5,8 +5,7 @@
 // records, resolve orthogonal range queries — fully in memory and
 // concurrent.
 //
-// The engine is one structure at every size, sharded per core
-// (DESIGN.md §4h):
+// The engine is one structure at every size (DESIGN.md §4h):
 //
 //   - Static (static.go) is a bulk-built, immutable k-d index over one
 //     pointer-free arena of full records in partition order, bucketed
@@ -15,14 +14,13 @@
 //     every read is a wrapper over. Its cuts follow one schedule,
 //     schema.CutDim: the time attribute on two levels of every three,
 //     because the queries a monitor asks are windows in time.
-//   - Sharded (shard.go) is the engine: per-core shards routed by a
-//     hash of the record's indexed point, each a logarithmic-method
-//     ladder of Static arenas behind a small unsorted tail arena that
-//     absorbs inserts and is carried into the ladder when it fills.
-//     A shard built with Options.Rollup also owns the aggregate summary
-//     of its records (internal/summary, DESIGN.md §4i): it feeds it on
-//     insert and folds it on carry, so nothing outside this package
-//     knows how a version's records are partitioned.
+//   - Sharded (shard.go) is the engine: one logarithmic-method ladder
+//     of Static arenas behind a small unsorted tail arena that absorbs
+//     inserts and is carried into the ladder when it fills. An engine
+//     built with Options.Rollup also owns the aggregate summary of its
+//     records (internal/summary, DESIGN.md §4i): it feeds it on insert
+//     and folds it on carry, so nothing outside this package knows how
+//     a version's records are laid out.
 //   - Versioned (versioned.go) keeps one Sharded engine per index
 //     version (§3.7).
 //

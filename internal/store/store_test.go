@@ -73,11 +73,11 @@ func sameRecs(a, b []schema.Record) bool {
 	return true
 }
 
-// contractStore is the engine the Store-contract tests below run on: one
-// shard whose tail holds 16 rows, so a few dozen inserts already cross
+// contractStore is the engine the Store-contract tests below run on: a
+// ladder whose tail holds 16 rows, so a few dozen inserts already cross
 // carries of several sizes. The tests' TestKD names are historical —
 // they were written against the pointer k-d tree the ladder replaced.
-func contractStore() *Sharded { return smallTail(1, 16) }
+func contractStore() *Sharded { return smallTail(16) }
 
 func TestKDEmptyQuery(t *testing.T) {
 	kd := contractStore()
@@ -165,7 +165,7 @@ func TestKDRebalanceMonotoneInsert(t *testing.T) {
 	for i := 0; i < n; i++ {
 		kd.Insert(schema.Record{uint64(i % 9999), uint64(i % 9999), uint64(i % 9999), uint64(i)})
 	}
-	if levels := kd.Shape()[0].Levels; len(levels) > 12 { // ceil(log2(20000/16)) + 1
+	if levels := kd.Shape().Levels; len(levels) > 12 { // ceil(log2(20000/16)) + 1
 		t.Errorf("%d levels %v after monotone insert of %d records", len(levels), levels, n)
 	}
 	// Queries must still be correct after rebuilds.

@@ -14,8 +14,8 @@ import (
 // (§3.7). The version id is the day number (timestamp / 86400) by
 // convention, but Versioned itself treats it as opaque.
 //
-// Each version's store is a Sharded ladder engine (shard.go),
-// constructed with the Options the Versioned was built with.
+// Each version's store is one Sharded ladder (shard.go), constructed
+// with the Options the Versioned was built with.
 //
 // Versioned is safe for concurrent use: an RWMutex guards the version
 // map (held only for map lookups, never across a store operation), and
@@ -34,9 +34,9 @@ func NewVersioned(sch *schema.Schema) *Versioned {
 }
 
 // NewVersionedOpts creates an empty versioned store with explicit
-// engine options (shard count, rollup).
+// engine options (the rollup).
 func NewVersionedOpts(sch *schema.Schema, opts Options) *Versioned {
-	return &Versioned{sch: sch, opts: opts.withDefaults(), versions: make(map[uint32]*Sharded)}
+	return &Versioned{sch: sch, opts: opts, versions: make(map[uint32]*Sharded)}
 }
 
 // Version returns the store for version v, creating it if absent.
@@ -57,8 +57,8 @@ func (vs *Versioned) Version(v uint32) *Sharded {
 }
 
 // Get returns the store for version v, or nil if absent. Unlike
-// Version it never creates the version — read paths (parallel shard
-// fan-out) use it to enumerate shards without materializing stores.
+// Version it never creates the version — read paths use it to skip
+// absent versions without materializing stores.
 func (vs *Versioned) Get(v uint32) *Sharded {
 	vs.mu.RLock()
 	defer vs.mu.RUnlock()

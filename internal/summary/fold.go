@@ -147,8 +147,8 @@ func heapDown(h []Entry, i int) {
 }
 
 // Fold is the exact half of an aggregate under assembly: records
-// streamed by a store visit (boundary cells, shards without a summary,
-// replica stores) add to the count, the per-attribute sums and a key
+// streamed by a store visit (boundary cells, replica stores without a
+// summary) add to the count, the per-attribute sums and a key
 // Tally, in place — no record slice, no sketch offer. AddBatch has the
 // store's batch callback signature.
 type Fold struct {
@@ -210,16 +210,15 @@ func (f *Fold) AddBatch(rows []uint64, sel []int32) {
 // Visitor streams every stored record inside rect to fn a batch at a
 // time: rows is a run of records and sel the word offsets into rows of
 // those inside rect. The production implementation is
-// store.Sharded.VisitShardBatches curried on its shard.
+// store.Sharded.VisitBatches.
 type Visitor func(rect schema.Rect, fn func(rows []uint64, sel []int32))
 
-// ResolveShard answers rect for one (summary shard, store shard) pair:
-// the rollup contributes the cells fully inside rect — counters into f,
-// its merged sketch returned as the cover part — and every boundary
-// cell is folded exactly where it stands, visit streaming its records
-// into f batch by batch. A nil summary (a shard set not aligned with the
-// store, a replica store) folds the whole rectangle and returns no cover
-// part. This is the one implementation of "resolve the cover, drill the
+// ResolveShard answers rect for one store ladder and its rollup: the
+// rollup contributes the cells fully inside rect — counters into f, its
+// merged sketch returned as the cover part — and every boundary cell is
+// folded exactly where it stands, visit streaming its records into f
+// batch by batch. A nil summary (a replica store) folds the whole
+// rectangle and returns no cover part. This is the one implementation of "resolve the cover, drill the
 // boundary"; Agg.MergeShards closes the answer.
 func ResolveShard(s *Summary, rect schema.Rect, visit Visitor, f *Fold) *Sketch {
 	add := f.AddBatch
@@ -239,9 +238,9 @@ func ResolveShard(s *Summary, rect schema.Rect, visit Visitor, f *Fold) *Sketch 
 }
 
 // MergeShards closes a node's aggregate: f's exact counters are added,
-// and the shards' cover parts and f's one exact key part combine in a
+// and the ladders' cover parts and f's one exact key part combine in a
 // single MergeMany, whose result is a pure function of the multiset of
-// parts — the answer cannot depend on the order the shards were folded.
+// parts — the answer cannot depend on the order the ladders were folded.
 func (a *Agg) MergeShards(covers []*Sketch, f *Fold) {
 	a.Merge(f.Count, f.Sums, nil)
 	a.Sketch.MergeMany(append(covers, f.Keys.Part(a.Sketch.K())))

@@ -139,19 +139,6 @@ func (s *Sketch) lookup() map[uint64]int {
 	return s.idx
 }
 
-// Estimate returns the bracketed estimate for key: est-err <= true <=
-// est. For an unmonitored key it returns (Floor, Floor). It scans the
-// at most K entries rather than building the lookup index, so it never
-// writes to the sketch and is safe on a shared one.
-func (s *Sketch) Estimate(key uint64) (est, err uint64) {
-	for _, e := range s.entries {
-		if e.Key == key {
-			return e.Count, e.Err
-		}
-	}
-	return s.floor, s.floor
-}
-
 // Top returns the monitored entries in canonical order (count
 // descending, key ascending), freshly allocated.
 func (s *Sketch) Top() []Entry {

@@ -9,7 +9,7 @@ import (
 	"mind/internal/schema"
 )
 
-// Defaults for Options zero values. Like the store's shard count these
+// Defaults for Options zero values. Like the store's tail size these
 // are fixed constants, not hardware probes: the cut geometry and fold
 // cadence shape aggregate answers and merge timing, and simnet
 // reproducibility requires identical behavior per seed everywhere.
@@ -27,7 +27,7 @@ type Options struct {
 	// a time attribute that is time on two cuts of three — six of the
 	// default eight, 22.5-minute cells on a day — and round robin without
 	// one. Deeper trees tighten boundary cells (less exact scanning per
-	// query) at more rollup state per shard. 0 selects 8.
+	// query) at more rollup state per ladder. 0 selects 8.
 	Depth int
 	// K is the heavy-hitter sketch capacity per tree node. 0 selects 32.
 	K int
@@ -71,9 +71,9 @@ type snap struct {
 	delta []schema.Record
 }
 
-// Summary is one shard's hierarchical aggregate summary, maintained
-// incrementally on insert — in production by the store shard that owns
-// it (store.Options.Rollup). Writes serialize on a writer mutex; reads
+// Summary is one store ladder's hierarchical aggregate summary,
+// maintained incrementally on insert — in production by the ladder that
+// owns it (store.Options.Rollup). Writes serialize on a writer mutex; reads
 // are lock-free against the last published snapshot, so a Resolve never
 // blocks inserts.
 //
@@ -100,7 +100,7 @@ func New(sch *schema.Schema, opts Options) *Summary {
 
 // Insert adds one record. The summary keeps rec in its delta until the
 // next fold, so — store.Store.Insert's contract — the caller must not
-// mutate it after handing it over (a store shard hands over its
+// mutate it after handing it over (a store ladder hands over its
 // immutable tail row). Crossing DeltaMax folds the delta into a fresh
 // static tree.
 func (s *Summary) Insert(rec schema.Record) {
@@ -119,8 +119,8 @@ func (s *Summary) Insert(rec schema.Record) {
 }
 
 // Fold force-folds any buffered delta into the static tree. A store
-// shard ends every carry with it, so its rollup folds at the shard's own
-// carry rhythm and lets go of the retired tail.
+// ladder ends every carry with it, so its rollup folds at the ladder's
+// own carry rhythm and lets go of the retired tail.
 func (s *Summary) Fold() {
 	s.mu.Lock()
 	sn := s.snap.Load()
@@ -258,8 +258,7 @@ func (a *Agg) Add(rec schema.Record) {
 }
 
 // Merge folds a partial aggregate (count, sums, sketch) into a — the
-// coordinator-side combination of per-(version, shard) and per-region
-// partials.
+// coordinator-side combination of per-version and per-region partials.
 func (a *Agg) Merge(count uint64, sums []uint64, sk *Sketch) {
 	a.Count += count
 	for i, v := range sums {

@@ -61,7 +61,7 @@ func randRect(r *rand.Rand) schema.Rect {
 
 // resolveExact finishes a Resolve the way the mind layer does: boundary
 // cells are scanned exactly against the record set (here the flat
-// slice standing in for the store shard) and folded in via Add.
+// slice standing in for the store ladder) and folded in via Add.
 func resolveExact(s *Summary, sch *schema.Schema, rect schema.Rect, recs []schema.Record) Agg {
 	agg := s.Resolve(rect)
 	for _, b := range agg.Boundary {
@@ -188,7 +188,7 @@ func TestSummaryFoldBoundaries(t *testing.T) {
 			count, sums, hist := flatAgg(sch, rect, recs)
 			checkAgg(t, "boundary", agg, count, sums, hist)
 		}
-		// A forced fold (what a store shard's carry ends with) must not change
+		// A forced fold (what a store ladder's carry ends with) must not change
 		// answers.
 		s.Fold()
 		if _, deltaN, _ := s.Stats(); deltaN != 0 {
