@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"mind/internal/bitstr"
 	"mind/internal/schema"
 	"mind/internal/store"
 	"mind/internal/transport"
@@ -41,12 +42,14 @@ func (s *CentralServer) dispatch(from string, data []byte) {
 		return
 	}
 	switch msg := m.(type) {
-	case *wire.Insert:
+	case *wire.InsertRun:
 		s.mu.Lock()
-		s.data.Insert(msg.Rec)
-		s.acked++
+		for _, rec := range msg.Recs.Records() {
+			s.data.Insert(rec)
+		}
+		s.acked += uint64(msg.Recs.Len())
 		s.mu.Unlock()
-		_ = s.ep.Send(msg.OriginAddr, wire.Encode(&wire.InsertAck{ReqID: msg.ReqID}))
+		_ = s.ep.Send(msg.OriginAddr, wire.Encode(&wire.InsertAcks{ReqIDs: msg.ReqIDs, Hops: msg.Hops}))
 	case *wire.Query:
 		resp := &wire.QueryResp{ReqID: msg.ReqID, From: wire.NodeInfo{Addr: s.ep.Addr()}, HasCover: true}
 		s.mu.Lock()
@@ -95,7 +98,9 @@ func (c *CentralClient) Insert(rec schema.Record, timeout time.Duration, cb func
 	c.inserts[reqID] = op
 	op.timer = c.clock.AfterFunc(timeout, func() { c.finishInsert(reqID, false) })
 	c.mu.Unlock()
-	_ = c.ep.Send(c.server, wire.Encode(&wire.Insert{ReqID: reqID, OriginAddr: c.ep.Addr(), Rec: rec}))
+	run := &wire.InsertRun{OriginAddr: c.ep.Addr()}
+	run.Append(reqID, 0, bitstr.Empty, 0, rec)
+	_ = c.ep.Send(c.server, wire.Encode(run))
 }
 
 // Query sends the rect to the central server.
@@ -154,8 +159,10 @@ func (c *CentralClient) dispatch(from string, data []byte) {
 		return
 	}
 	switch msg := m.(type) {
-	case *wire.InsertAck:
-		c.finishInsert(msg.ReqID, true)
+	case *wire.InsertAcks:
+		for _, reqID := range msg.ReqIDs {
+			c.finishInsert(reqID, true)
+		}
 	case *wire.QueryResp:
 		c.finishQuery(msg.ReqID, QueryResult{Complete: true, Responders: 1, Records: msg.Recs.Records()})
 	}

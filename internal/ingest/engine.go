@@ -33,10 +33,11 @@ type Config struct {
 	// until space frees (true) or drop the record and count it (false).
 	// Blocking requires running workers (not Synchronous mode).
 	Block bool
-	// SelfAddr is the owning node's transport address. When set, records
-	// whose ack shows they were stored elsewhere (or not at all) return
-	// to the record pool; records stored locally are retained by the
-	// local store and must not be recycled. Empty disables recycling.
+	// SelfAddr is the owning node's transport address. When set, every
+	// record returns to the record pool once its insert settles: the node
+	// keeps no reference to a settled record (its store copies the row,
+	// the wire copies the bytes, a local trigger subscriber gets a copy).
+	// Empty disables recycling.
 	SelfAddr string
 	// NodePending optionally reports the node's own in-flight tracked
 	// operations (mind.Node.PendingInserts); admission also throttles on
@@ -371,7 +372,7 @@ func (e *Engine) drainSome(s *shard, batch *[]schema.Record, tag *string) int {
 
 // flush ships one batch of records into the node. The records slice is
 // snapshotted because the caller reuses its backing array; the ack
-// callback settles counters and recycles remotely-stored records.
+// callback settles counters and recycles the records.
 func (e *Engine) flush(s *shard, tag string, batch []schema.Record) {
 	recs := make([]schema.Record, len(batch))
 	copy(recs, batch)
@@ -387,10 +388,7 @@ func (e *Engine) flush(s *shard, tag string, batch []schema.Record) {
 			if e.cfg.OnResult != nil {
 				e.cfg.OnResult(tag, recs[i], res)
 			}
-			if e.cfg.SelfAddr != "" && res.StoredAt != e.cfg.SelfAddr {
-				// Stored elsewhere (or nowhere): the wire encode copied the
-				// attributes, so the local buffer is free. Locally-stored
-				// records are retained by the store and stay out.
+			if e.cfg.SelfAddr != "" {
 				e.putRec(recs[i])
 			}
 		}

@@ -2,12 +2,16 @@ package ingest
 
 import (
 	"errors"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
+	"mind/internal/cluster"
 	"mind/internal/mind"
 	"mind/internal/schema"
+	"mind/internal/transport/simnet"
 	"mind/internal/wire"
 )
 
@@ -222,10 +226,9 @@ func TestEngineInsertErrorSettlesBatch(t *testing.T) {
 	}
 }
 
-// TestEngineRecordRecycling checks the pooled-record lifecycle: records
-// acked as stored elsewhere return to the pool (no new pool misses on
-// the second wave), while locally-stored records stay out (the kd store
-// keeps the slice).
+// TestEngineRecordRecycling checks the pooled-record lifecycle: every
+// settled record returns to the pool (no new pool misses on the second
+// wave), wherever it was stored — the node keeps none of them.
 func TestEngineRecordRecycling(t *testing.T) {
 	recs := make([][]uint64, 16)
 	for i := range recs {
@@ -249,17 +252,67 @@ func TestEngineRecordRecycling(t *testing.T) {
 		}
 	})
 
-	t.Run("local stays out", func(t *testing.T) {
-		sink := &fakeSink{storedAt: "self"}
-		eng := New(sink, Config{Shards: 1, RingSize: 64, Synchronous: true, SelfAddr: "self"})
+	t.Run("local recycles", func(t *testing.T) {
+		// A one-node overlay stores every record itself, and a local
+		// trigger sees every one. Once each insert settles its buffer is
+		// back in the pool; scribbling over the whole pool must reach
+		// neither the stored rows nor the trigger's events.
+		c, err := cluster.New(cluster.Options{N: 1, Seed: 3, Sim: simnet.Config{Seed: 3}, Node: mind.DefaultConfig(3)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sch := schema.Index2(1 << 20)
+		if err := c.CreateIndex(sch); err != nil {
+			t.Fatal(err)
+		}
+		node := c.Nodes[0]
+		all := schema.Rect{Lo: []uint64{0, 0, 0}, Hi: []uint64{0xffffffff, 1 << 20, schema.OctetsBound}}
+		var events []string
+		if _, err := node.RegisterTrigger(sch.Tag, all, func(ev mind.TriggerEvent) {
+			events = append(events, recKey(ev.Record))
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		wide := make([][]uint64, 16)
+		for i := range wide {
+			wide[i] = []uint64{uint64(i) << 24, uint64(1000 + i), uint64(40 * i), 7, 1}
+			want = append(want, recKey(wide[i]))
+		}
+		eng := New(node, Config{Shards: 1, RingSize: 64, Synchronous: true, SelfAddr: node.Addr()})
 		defer eng.Close()
-		eng.IngestFrame(frameOf(t, "a", recs))
+		eng.IngestFrame(frameOf(t, sch.Tag, wide))
 		eng.Pump()
 		misses := eng.Stats().PoolMisses
-		eng.IngestFrame(frameOf(t, "a", recs))
+		if st := eng.Stats(); st.Acked != uint64(len(wide)) || len(eng.free) != len(wide) {
+			t.Fatalf("%d acked, %d buffers back in the pool; want %d of each", st.Acked, len(eng.free), len(wide))
+		}
+		for _, b := range eng.free {
+			for j := range b {
+				b[j] = 0xdeadbeef
+			}
+		}
+		res, _, err := c.QueryWait(0, sch.Tag, all)
+		if err != nil || !res.Complete {
+			t.Fatalf("query: %v, complete %v", err, res.Complete)
+		}
+		var got []string
+		for _, rec := range res.Records {
+			got = append(got, recKey(rec))
+		}
+		sort.Strings(got)
+		sort.Strings(events)
+		sort.Strings(want)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("stored records after the pool was overwritten:\n got %v\nwant %v", got, want)
+		}
+		if !reflect.DeepEqual(events, want) {
+			t.Errorf("trigger events after the pool was overwritten:\n got %v\nwant %v", events, want)
+		}
+		eng.IngestFrame(frameOf(t, sch.Tag, wide))
 		eng.Pump()
-		if got := eng.Stats().PoolMisses; got <= misses {
-			t.Fatalf("locally-stored records were recycled (misses %d -> %d)", misses, got)
+		if got := eng.Stats().PoolMisses; got != misses {
+			t.Errorf("second wave missed the pool (%d -> %d): locally stored records not recycled", misses, got)
 		}
 	})
 }

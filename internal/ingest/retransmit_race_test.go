@@ -12,12 +12,12 @@ import (
 	"mind/internal/wire"
 )
 
-// ackDropEndpoint wraps a transport endpoint and swallows the FIRST
-// InsertAck sent for every request id — bare, or riding in an envelope
-// (which is re-wrapped without it) — exactly the loss the transport
-// contract permits. The originator's batch-group retransmission schedule
-// then has to re-send every remote record at least once, while the
-// second (dedup-hit) ack settles it concurrently.
+// ackDropEndpoint wraps a transport endpoint and swallows the FIRST ack
+// sent for every request id — from a bare ack run, or one riding in an
+// envelope (either re-encoded without it) — exactly the loss the
+// transport contract permits. The originator's batch-group retransmission
+// schedule then has to re-send every remote record at least once, while
+// the second (dedup-hit) ack settles it concurrently.
 type ackDropEndpoint struct {
 	transport.Endpoint
 	mu      sync.Mutex
@@ -25,43 +25,58 @@ type ackDropEndpoint struct {
 	dropped int
 }
 
-// firstAck reports (and books) whether data is the first InsertAck seen
-// for its request id.
-func (e *ackDropEndpoint) firstAck(data []byte) bool {
+// keep strips from data, one encoded message, the acks of request ids
+// seen for the first time (booking them) and returns what is left to
+// send — nil when nothing is — and whether anything was stripped.
+func (e *ackDropEndpoint) keep(data []byte) ([]byte, bool) {
 	if len(data) == 0 || wire.Kind(data[0]) != wire.KindInsertAck {
-		return false
+		return data, false
 	}
 	m, err := wire.Decode(data)
 	if err != nil {
-		return false
+		return data, false
 	}
-	reqID := m.(*wire.InsertAck).ReqID
+	acks := m.(*wire.InsertAcks)
+	kept := &wire.InsertAcks{StoredAt: acks.StoredAt}
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.seen[reqID] {
-		return false
+	for i, reqID := range acks.ReqIDs {
+		if e.seen[reqID] {
+			kept.ReqIDs, kept.Hops = append(kept.ReqIDs, reqID), append(kept.Hops, acks.Hops[i])
+			continue
+		}
+		e.seen[reqID] = true
+		e.dropped++
 	}
-	e.seen[reqID] = true
-	e.dropped++
-	return true
+	e.mu.Unlock()
+	switch len(kept.ReqIDs) {
+	case len(acks.ReqIDs):
+		return data, false
+	case 0:
+		return nil, true
+	}
+	return wire.Encode(kept), true
 }
 
 func (e *ackDropEndpoint) Send(to string, msg []byte) error {
-	if e.firstAck(msg) {
+	msg, _ = e.keep(msg)
+	if msg == nil {
 		return nil
 	}
 	if m, err := wire.Decode(msg); err == nil {
 		if env, ok := m.(*wire.Batch); ok {
 			var kept [][]byte
+			stripped := false
 			for _, sub := range env.Msgs {
-				if !e.firstAck(sub) {
+				sub, s := e.keep(sub)
+				stripped = stripped || s
+				if sub != nil {
 					kept = append(kept, sub)
 				}
 			}
 			if len(kept) == 0 {
 				return nil
 			}
-			if len(kept) < len(env.Msgs) {
+			if stripped {
 				msg = wire.Encode(&wire.Batch{Msgs: kept})
 			}
 		}
@@ -77,7 +92,7 @@ func (e *ackDropEndpoint) droppedAcks() int {
 
 // TestRetransmitRecycleRace is the regression net for the data race
 // between batch-group retransmission and ingest record recycling: an
-// insertOp's msg.Rec aliases the engine's pooled record buffer, and a
+// insertOp's record aliases the engine's pooled record buffer, and a
 // member that settles while resendInsertGroup is encoding its
 // retransmission used to let a new producer overwrite the buffer
 // mid-encode (torn record on the wire). The resend must deep-copy the

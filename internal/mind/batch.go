@@ -1,51 +1,55 @@
 package mind
 
-import "mind/internal/wire"
+import (
+	"mind/internal/bitstr"
+	"mind/internal/wire"
+)
 
-// Envelope-scoped coalescing: while a node handles one inbound
-// wire.Batch, one insert group's dispatch or one group retransmission,
-// every message the write path emits — forwarded Insert, Replicate,
-// InsertAck — is encoded at once into a per-call outbox keyed by
-// destination, and when the handler returns each destination gets one
-// frame: one envelope in, at most one envelope out per peer and class,
-// with no timer and nothing to configure (a lone message leaves bare).
-// Everything outside such a scope — messages arriving unbatched, recalls,
-// queries, control traffic — passes a nil outbox and sends immediately.
-// A lost envelope is N lost datagrams to the reliable layer.
+// Envelope-scoped coalescing: while a node handles one inbound frame of
+// write-path traffic (a wire.Batch or a bare run), one insert group's
+// dispatch or one group retransmission, every record the write path
+// emits — forwarded, replicated or acked — joins an open run in a
+// per-call outbox, one run per destination, class and header, and when
+// the handler returns each destination gets one frame per class: its
+// runs, each encoded once, bare when there is one and wrapped in a
+// wire.Batch otherwise — with no timer and nothing to configure.
+// Everything outside such a scope — recalls, split transfers, takeover
+// re-replication — passes a nil outbox and sends each record at once, a
+// run of one. A lost frame is N lost datagrams to the reliable layer.
 //
 // Locking: an outbox belongs to the one call that created it and needs
 // no lock; the envelope counters are atomics.
 
-// transportOverheadEstimate approximates the per-message framing and
-// header cost a coalesced sub-message avoids (simnet's default
-// PerMsgOverheadBytes, and close to TCP/IP header + frame cost), used
-// for the bytes-saved counter.
-const transportOverheadEstimate = 64
-
 // outboxFlushBytes flushes an outbox early once its pending payload
-// reaches it: far below tcpnet.MaxFrame and (every encoded message having
-// at least two bytes) wire.MaxBatchMsgs, and inside the wire encode
-// pool's 64 KiB bound, so envelope buffers keep recycling.
+// reaches it: far below tcpnet.MaxFrame and (every run carrying at least
+// one record) wire.MaxBatchMsgs, and inside the wire encode pool's 64 KiB
+// bound, so envelope buffers keep recycling.
 const outboxFlushBytes = 48 << 10
 
-// outGroup is the pending traffic for one destination.
+// colBytes bounds what one record adds to an insert run besides its own
+// bytes: a ReqID varint, a RecID, a Target code and a hop count.
+const colBytes = 10 + 8 + 9 + 1
+
+// outGroup is the pending traffic of one class for one destination: its
+// open runs, in first-seen header order.
 type outGroup struct {
 	to   string
-	msgs [][]byte
+	runs []wire.Message // *wire.InsertRun, *wire.ReplicateRun, *wire.InsertAcks
 }
 
-// The two classes of an outbox: data (forwarded Inserts, Replicates)
-// flushes before acks, so a replica still leaves before its record's ack.
+// The two classes of an outbox: data (insert and replicate runs) flushes
+// before acks, so a replica still leaves before its record's ack.
 const (
 	outData = iota
 	outAck
 )
 
-// outbox collects what one envelope-scoped call emits. It holds encoded
-// bytes, never message structs: an Insert's Rec may alias an ingest-pooled
-// buffer that is recycled the moment the op settles, so whatever
-// references the record is serialized before that record's finishInsert
-// can run.
+// outbox collects what one envelope-scoped call emits. Its runs hold
+// records as bytes, never as value slices: an originator's record may
+// alias an ingest-pooled buffer that is recycled the moment the op
+// settles, so it is encoded into its run (RecList.Append) before that
+// record's finishInsert can run. Spliced records alias the inbound frame,
+// which outlives the handler that flushes the outbox.
 type outbox struct {
 	n *Node
 	// Per class, in first-seen destination order (reproducible on simnet).
@@ -55,26 +59,118 @@ type outbox struct {
 	resolved bool
 }
 
-// post transmits one write-path message: immediately when ob is nil,
-// else encoded into the destination's group of the given class.
-func (n *Node) post(ob *outbox, class int, to string, m wire.Message) {
-	if ob == nil {
-		n.send(to, m)
-		return
-	}
+// group returns the destination's group of the given class, opening it
+// on first use.
+func (ob *outbox) group(class int, to string) *outGroup {
 	groups := &ob.groups[class]
-	i := 0
-	for i < len(*groups) && (*groups)[i].to != to {
-		i++
+	for i := range *groups {
+		if (*groups)[i].to == to {
+			return &(*groups)[i]
+		}
 	}
-	if i == len(*groups) {
-		*groups = append(*groups, outGroup{to: to})
+	*groups = append(*groups, outGroup{to: to})
+	return &(*groups)[len(*groups)-1]
+}
+
+// added books one record of size bytes and flushes everything once the
+// pending payload reaches outboxFlushBytes (acks alone would overtake
+// their replicas).
+func (ob *outbox) added(size int) {
+	if ob.bytes += size; ob.bytes >= outboxFlushBytes {
+		ob.flush()
 	}
-	data := wire.Encode(m)
-	(*groups)[i].msgs = append((*groups)[i].msgs, data)
-	if ob.bytes += len(data); ob.bytes >= outboxFlushBytes {
-		ob.flush() // everything: acks alone would overtake their replicas
+}
+
+// recBytes is what r's record adds to a run: its bytes when it arrived
+// in one, else a bound on its encoding (arity varint, tag nibbles, eight
+// bytes a value).
+func (r *insertRec) recBytes() int {
+	if r.enc != nil {
+		return len(r.enc)
 	}
+	return 2 + len(r.rec)/2 + 8*len(r.rec)
+}
+
+// addRec puts r's record onto l: its bytes spliced when it arrived in a
+// run, else its values encoded.
+func (r *insertRec) addRec(l *wire.RecList) {
+	if r.enc != nil {
+		l.Splice(r.enc, 1)
+	} else {
+		l.Append(r.rec)
+	}
+}
+
+// postInsert sends r one hop on, to: into the open insert run of its
+// header. A nil outbox stands for "send now": the post opens one and
+// flushes it, so the record leaves alone, a run of one (postReplica and
+// postAck alike).
+func (n *Node) postInsert(ob *outbox, to string, r *insertRec) {
+	if ob == nil {
+		ob = &outbox{n: n}
+		defer ob.flush()
+	}
+	g := ob.group(outData, to)
+	var run *wire.InsertRun
+	for _, m := range g.runs {
+		if x, ok := m.(*wire.InsertRun); ok && x.Version == r.version && x.TreeEpoch == r.epoch &&
+			x.Attempt == r.attempt && x.Index == r.index && x.OriginAddr == r.origin {
+			run = x
+			break
+		}
+	}
+	if run == nil {
+		run = &wire.InsertRun{OriginAddr: r.origin, Index: r.index, Version: r.version, TreeEpoch: r.epoch, Attempt: r.attempt}
+		g.runs = append(g.runs, run)
+	}
+	r.appendTo(run)
+	ob.added(colBytes + r.recBytes())
+}
+
+// postReplica copies r, just stored here as owner, to the replica target
+// to.
+func (n *Node) postReplica(ob *outbox, to string, owner bitstr.Code, r *insertRec) {
+	if ob == nil {
+		ob = &outbox{n: n}
+		defer ob.flush()
+	}
+	g := ob.group(outData, to)
+	var run *wire.ReplicateRun
+	for _, m := range g.runs {
+		if x, ok := m.(*wire.ReplicateRun); ok && x.Version == r.version && x.OwnerCode == owner && x.Index == r.index {
+			run = x
+			break
+		}
+	}
+	if run == nil {
+		run = &wire.ReplicateRun{Index: r.index, Version: r.version, OwnerCode: owner}
+		g.runs = append(g.runs, run)
+	}
+	run.RecIDs = append(run.RecIDs, r.recID)
+	r.addRec(&run.Recs)
+	ob.added(8 + r.recBytes())
+}
+
+// postAck acks r's storage at this node (at) to its origin.
+func (n *Node) postAck(ob *outbox, at wire.NodeInfo, r *insertRec) {
+	if ob == nil {
+		ob = &outbox{n: n}
+		defer ob.flush()
+	}
+	g := ob.group(outAck, r.origin)
+	var run *wire.InsertAcks
+	for _, m := range g.runs {
+		if x, ok := m.(*wire.InsertAcks); ok && x.StoredAt == at {
+			run = x
+			break
+		}
+	}
+	if run == nil {
+		run = &wire.InsertAcks{StoredAt: at}
+		g.runs = append(g.runs, run)
+	}
+	run.ReqIDs, run.Hops = append(run.ReqIDs, r.reqID), append(run.Hops, r.hops)
+	ob.added(11)
 }
 
 // replicasFor returns the node's replica targets, resolved at most once
@@ -94,28 +190,39 @@ func (n *Node) replicasFor(ob *outbox) []string {
 func (ob *outbox) flush() {
 	for _, groups := range ob.groups {
 		for i := range groups {
-			ob.n.deliverBatch(groups[i].to, groups[i].msgs)
-			groups[i].msgs = groups[i].msgs[:0]
+			g := &groups[i]
+			ob.n.deliver(g.to, g.runs)
+			clear(g.runs)
+			g.runs = g.runs[:0]
 		}
 	}
 	ob.bytes = 0
 }
 
-// deliverBatch hands one destination's messages to the transport: a
-// single message goes out bare (the envelope would only add overhead),
-// more wrap into one wire.Batch.
-func (n *Node) deliverBatch(to string, msgs [][]byte) {
-	if len(msgs) == 0 {
+// deliver hands one destination's runs to the transport: each run
+// encoded once, a single run bare (the envelope would only add overhead),
+// more wrapped into one wire.Batch. A frame carrying more than one record
+// counts as an envelope.
+func (n *Node) deliver(to string, runs []wire.Message) {
+	if len(runs) == 0 {
 		return
 	}
-	if len(msgs) == 1 {
-		_ = n.ep.Send(to, msgs[0])
-		wire.RecycleBuf(msgs[0])
+	recs := 0
+	for _, m := range runs {
+		recs += runRecords(m)
+	}
+	if recs > 1 {
+		n.batchesSent.Add(1)
+		n.batchedMsgs.Add(uint64(recs))
+	}
+	if len(runs) == 1 {
+		n.send(to, runs[0])
 		return
 	}
-	n.batchesSent.Add(1)
-	n.batchedMsgs.Add(uint64(len(msgs)))
-	n.batchBytesSaved.Add(uint64(len(msgs)-1) * transportOverheadEstimate)
+	msgs := make([][]byte, len(runs))
+	for i, m := range runs {
+		msgs[i] = wire.Encode(m)
+	}
 	env := wire.Encode(&wire.Batch{Msgs: msgs})
 	_ = n.ep.Send(to, env)
 	// Both transports have consumed the bytes by the time Send returns
@@ -127,33 +234,56 @@ func (n *Node) deliverBatch(to string, msgs [][]byte) {
 	}
 }
 
-// handleBatch unwraps a received envelope under one outbox: Inserts
-// route or store through it, InsertAcks settle together under a single
-// n.mu acquisition, a run of Replicates from one owner resolves its index
-// and notes the owner once, and any other kind dispatches as if it had
-// arrived alone.
-func (n *Node) handleBatch(from string, b *wire.Batch) {
-	n.batchesRecv.Add(1)
-	n.ov.Handle(from, b) // no overlay message: the sender's liveness touch, once per envelope
+// runRecords is the number of records a write-path run carries, 0 for
+// any other message.
+func runRecords(m wire.Message) int {
+	switch m := m.(type) {
+	case *wire.InsertRun:
+		return m.Recs.Len()
+	case *wire.ReplicateRun:
+		return m.Recs.Len()
+	case *wire.InsertAcks:
+		return len(m.ReqIDs)
+	}
+	return 0
+}
+
+// handleWrite handles one inbound frame's messages — an envelope's, or a
+// bare run alone — under one outbox: insert runs route or store through
+// it, ack runs settle under one n.mu acquisition each, replicate runs
+// store, and any other kind dispatches as if it had arrived alone. A
+// frame carrying more than one record counts as an envelope.
+func (n *Node) handleWrite(from string, msgs ...wire.Message) {
 	ob := &outbox{n: n}
-	var acks []*wire.InsertAck
-	var run replicaRun
-	for _, sub := range b.Msgs {
-		m, err := wire.Decode(sub)
-		if err != nil {
-			continue // corrupt sub-message; drop
-		}
+	recs := 0
+	for _, m := range msgs {
+		recs += runRecords(m)
 		switch msg := m.(type) {
-		case *wire.Insert:
-			n.handleInsert(from, msg, ob)
-		case *wire.InsertAck:
-			acks = append(acks, msg)
-		case *wire.Replicate:
-			n.handleReplicate(msg, &run)
+		case *wire.InsertRun:
+			n.handleInsertRun(msg, ob)
+		case *wire.InsertAcks:
+			n.handleInsertAcks(msg)
+		case *wire.ReplicateRun:
+			n.handleReplicateRun(msg)
 		default:
 			n.handleMessage(from, m)
 		}
 	}
-	n.handleInsertAcks(acks)
+	if recs > 1 {
+		n.batchesRecv.Add(1)
+	}
 	ob.flush()
+}
+
+// handleBatch unwraps a received envelope and handles its sub-messages
+// under one outbox.
+func (n *Node) handleBatch(from string, b *wire.Batch) {
+	n.ov.Handle(from, b) // no overlay message: the sender's liveness touch, once per envelope
+	msgs := make([]wire.Message, 0, len(b.Msgs))
+	for _, sub := range b.Msgs {
+		if m, err := wire.Decode(sub); err == nil {
+			msgs = append(msgs, m)
+		} // else a corrupt sub-message: drop it
+	}
+	n.handleWrite(from, msgs...)
 }

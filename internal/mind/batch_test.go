@@ -151,7 +151,6 @@ func TestBatchingReducesTransportSends(t *testing.T) {
 			agg.BatchesSent += s.BatchesSent
 			agg.BatchesRecv += s.BatchesRecv
 			agg.BatchedMsgs += s.BatchedMsgs
-			agg.BatchBytesSaved += s.BatchBytesSaved
 		}
 		return c.Net.Stats().Sent - base, agg, c
 	}
@@ -170,9 +169,6 @@ func TestBatchingReducesTransportSends(t *testing.T) {
 	occ := float64(batchStats.BatchedMsgs) / float64(batchStats.BatchesSent)
 	if occ <= 1 {
 		t.Errorf("mean batch occupancy %.2f, want > 1", occ)
-	}
-	if batchStats.BatchBytesSaved == 0 {
-		t.Error("bytes-saved counter never moved")
 	}
 	for _, nd := range c.Nodes {
 		if s := nd.Stats(); s.BatchesSent > 0 && (math.IsNaN(s.BatchOccupancy) || s.BatchOccupancy < 1) {

@@ -1,7 +1,9 @@
 package mind
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -17,13 +19,15 @@ import (
 
 // frameTap wraps a node's endpoint and books every write-path frame it
 // sends: total frames per destination, and per (destination, kind) the
-// frames carrying that kind and the messages of it. drop may swallow a
-// frame, which to the sender looks like loss in transit.
+// frames carrying that kind and the records its runs carry. edit may
+// rewrite a frame before anything else sees it (nil swallows it); drop
+// may swallow a frame, which to the sender looks like loss in transit.
 type frameTap struct {
 	transport.Endpoint
 	total  map[string]int // write-path frames per destination
-	frames map[tapKey]int // frames carrying at least one message of the kind
-	msgs   map[tapKey]int
+	frames map[tapKey]int // frames carrying at least one run of the kind
+	msgs   map[tapKey]int // records carried by runs of the kind
+	edit   func(to string, msg []byte) []byte
 	drop   func(to string, carries map[wire.Kind]int) bool
 }
 
@@ -33,20 +37,20 @@ type tapKey struct {
 }
 
 func (e *frameTap) Send(to string, msg []byte) error {
-	subs := [][]byte{msg}
-	if wire.Kind(msg[0]) == wire.KindBatch {
-		m, err := wire.Decode(msg)
-		if err != nil {
-			panic(err)
+	if e.edit != nil {
+		// A copy: the sender recycles msg once Send returns, and an edit
+		// may keep what it decodes.
+		if msg = e.edit(to, bytes.Clone(msg)); msg == nil {
+			return nil
 		}
-		subs = m.(*wire.Batch).Msgs
+	}
+	m, err := wire.Decode(msg)
+	if err != nil {
+		panic(err)
 	}
 	carries := make(map[wire.Kind]int)
-	for _, sub := range subs {
-		switch k := wire.Kind(sub[0]); k {
-		case wire.KindInsert, wire.KindReplicate, wire.KindInsertAck:
-			carries[k]++
-		}
+	for _, run := range writeRuns(m) {
+		carries[run.Kind()] += runRecords(run)
 	}
 	if len(carries) > 0 {
 		if e.drop != nil && e.drop(to, carries) {
@@ -335,5 +339,61 @@ func TestEnvelopeRetransmitCountsHopsOnce(t *testing.T) {
 		if res := results[i]; !res.OK || res.StoredAt != "a" || res.Attempts == 0 || res.Hops != 0 {
 			t.Errorf("%s, stored by its origin after takeover: %+v, want a retransmission with 0 hops", w.name, *res)
 		}
+	}
+}
+
+// TestEnvelopeRetransmitsPendingOnly: after a partial ack, the group's
+// retransmission resends exactly the members still pending — one run
+// per first hop, stamped with the attempt — and nothing already acked.
+func TestEnvelopeRetransmitsPendingOnly(t *testing.T) {
+	net, a, _, ta, _, sch := tapPair(t)
+	remote := ownedRecs(t, a, sch.Tag, 61, false, 8)
+	// The first insert run reaches its owner with only its first half:
+	// the second half's members stay pending.
+	var first, resent *wire.InsertRun
+	resends := 0
+	ta.edit = func(to string, msg []byte) []byte {
+		m, err := wire.Decode(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, ok := m.(*wire.InsertRun)
+		if !ok {
+			return msg
+		}
+		if first != nil {
+			resent = run
+			resends++
+			return msg
+		}
+		first = run
+		half := &wire.InsertRun{OriginAddr: run.OriginAddr, Index: run.Index, Version: run.Version, TreeEpoch: run.TreeEpoch}
+		cur := run.Recs.Cursor()
+		for i := 0; i < 4; i++ {
+			half.ReqIDs, half.RecIDs = append(half.ReqIDs, run.ReqIDs[i]), append(half.RecIDs, run.RecIDs[i])
+			half.Targets, half.Hops = append(half.Targets, run.Targets[i]), append(half.Hops, run.Hops[i])
+			half.Recs.Splice(cur.Next(), 1)
+		}
+		return wire.Encode(half)
+	}
+	results := insertBatchSettled(t, net, a, sch.Tag, remote)
+	for i, res := range results {
+		if want := min(i/4, 1); !res.OK || res.StoredAt != "b" || res.Attempts != want {
+			// Attempts reads the group's count at settle time: the acked
+			// half settled before any retransmission.
+			t.Errorf("record %d: %+v, want stored at b after %d retransmissions", i, res, want)
+		}
+	}
+	if first == nil || len(first.ReqIDs) != 8 || first.Attempt != 0 {
+		t.Fatalf("first dispatch %+v, want one run of all 8 records", first)
+	}
+	if resends != 1 || resent.Attempt != 1 {
+		t.Fatalf("%d retransmitted runs (last %+v), want one run on attempt 1", resends, resent)
+	}
+	if !reflect.DeepEqual(resent.ReqIDs, first.ReqIDs[4:]) || !reflect.DeepEqual(resent.Recs.Records(), remote[4:]) {
+		t.Errorf("retransmission carries %v, want the pending %v", resent.ReqIDs, first.ReqIDs[4:])
+	}
+	if !reflect.DeepEqual(resent.Hops, []uint8{1, 1, 1, 1}) {
+		t.Errorf("retransmitted hops %v, want one each", resent.Hops)
 	}
 }

@@ -2,6 +2,7 @@ package mind
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mind/internal/bitstr"
@@ -25,14 +26,64 @@ type InsertResult struct {
 	Err      error
 }
 
-// insertOp is one tracked insert: a member of the insertGroup it settles
-// into. The message is kept for retransmission (reliable.go) until the ack
-// arrives or the group times out.
+// insertOp is one record an originator inserts: a member of the
+// insertGroup it settles into when tracked. It keeps what a
+// retransmission resends (reliable.go) until the ack arrives or the group
+// times out; the index tag is the group's, the origin this node.
 type insertOp struct {
 	grp     *insertGroup
-	slot    int // position in the group, and in its results
-	msg     wire.Insert
-	lastHop string // first hop the latest attempt left through
+	slot    int    // position in the group, and in its results
+	reqID   uint64 // 0 when untracked: solicits no ack
+	recID   uint64
+	version uint32
+	epoch   uint64 // the tree epoch target was computed under
+	target  bitstr.Code
+	rec     schema.Record // may alias the submitter's buffer
+	forward bool          // the first dispatch leaves through lastHop ("": ring recovery)
+	lastHop string        // first hop the latest attempt left through
+}
+
+// inflight is op leaving its originator, under tag, on attempt: its hop
+// count starts at zero on every attempt.
+func (op *insertOp) inflight(origin, tag string, attempt uint8) insertRec {
+	return insertRec{origin: origin, index: tag, version: op.version, epoch: op.epoch, attempt: attempt,
+		reqID: op.reqID, recID: op.recID, target: op.target, rec: op.rec}
+}
+
+// insertRec is one record on the write path at the node handling it: the
+// header of the run it travels in, its column values, and the record —
+// as the bytes it arrived in (enc, spliced on unchanged when forwarded or
+// replicated) and as values (rec: the originator's own, or decoded from
+// enc where this node owns the target).
+type insertRec struct {
+	origin, index string
+	version       uint32
+	epoch         uint64
+	attempt       uint8
+	reqID, recID  uint64
+	target        bitstr.Code
+	hops          uint8
+	enc           []byte
+	rec           schema.Record
+	ix            *index   // the index, resolved once along a run
+	buf           []uint64 // decode scratch, reused along a run
+}
+
+// values returns the record's values, decoded from enc on first use into
+// the run's scratch: the store copies them, and nothing else keeps them.
+func (r *insertRec) values() schema.Record {
+	if r.rec == nil {
+		r.buf = wire.RecInto(r.enc, r.buf)
+		r.rec = r.buf
+	}
+	return r.rec
+}
+
+// appendTo adds r to run, whose header it shares.
+func (r *insertRec) appendTo(run *wire.InsertRun) {
+	run.ReqIDs, run.RecIDs = append(run.ReqIDs, r.reqID), append(run.RecIDs, r.recID)
+	run.Targets, run.Hops = append(run.Targets, r.target), append(run.Hops, r.hops)
+	r.addRec(&run.Recs)
 }
 
 // insertGroup is what every tracked insert is a member of: the ops of
@@ -44,6 +95,7 @@ type insertOp struct {
 // ack tracking, retransmission targeting and timeout semantics and owns
 // the two timers, which end with its last member. n.mu guards it.
 type insertGroup struct {
+	tag     string               // the members' index
 	ops     []insertOp           // members, in input order
 	pending int                  // members still in n.inserts
 	timeout transport.Timer      // InsertTimeout bound of every member
@@ -67,12 +119,12 @@ var errTimeout = fmt.Errorf("mind: operation timed out")
 
 // InsertBatch inserts many records of one index in a single pass: every
 // record is hashed and routed up front, records this node owns store
-// directly, and everything the pass emits — forwarded Inserts, and the
-// Replicates of locally stored records — leaves through one outbox, so
-// each neighbor receives one wire.Batch instead of one message per record
-// (§3.5's per-record stream is the hot path this collapses). Acks still
-// flow back per record; cb (nil for fire-and-forget) receives one
-// InsertResult per input record, in input order, once all have been
+// directly, and everything the pass emits — forwarded records, and the
+// replicas of locally stored ones — leaves through one outbox, so each
+// neighbor receives one frame of runs instead of one message per record
+// (§3.5's per-record stream is the hot path this collapses). Every record
+// is still acked by its own ReqID; cb (nil for fire-and-forget) receives
+// one InsertResult per input record, in input order, once all have been
 // acked or timed out.
 func (n *Node) InsertBatch(tag string, recs []schema.Record, cb func([]InsertResult)) error {
 	if len(recs) == 0 {
@@ -91,7 +143,7 @@ func (n *Node) InsertBatch(tag string, recs []schema.Record, cb func([]InsertRes
 		}
 	}
 	// Hash with no lock held — ~250 PointCodes must not block ack and query
-	// bookkeeping. Ops and their messages are one slab allocation.
+	// bookkeeping. The ops are one slab allocation.
 	depth := clampDepth(n.ov.Code().Len() + n.cfg.InsertDepthSlack)
 	ops := make([]insertOp, len(recs))
 	var pbuf [8]uint64
@@ -100,42 +152,34 @@ func (n *Node) InsertBatch(tag string, recs []schema.Record, cb func([]InsertRes
 		v := ix.version(rec, n.cfg.VersionSeconds)
 		tree, epoch := ix.treeAndEpoch(v)
 		scratch = rec.PointInto(ix.sch, scratch)
-		ops[i].msg = wire.Insert{
-			OriginAddr: n.ep.Addr(),
-			Index:      tag,
-			Version:    v,
-			RecID:      n.nextRecID(),
-			Rec:        rec,
-			Target:     tree.PointCode(scratch, depth),
-			TreeEpoch:  epoch,
-		}
+		ops[i] = insertOp{recID: n.nextRecID(), version: v, epoch: epoch, rec: rec, target: tree.PointCode(scratch, depth)}
 	}
-	n.sendInserts(ops, cb)
+	n.sendInserts(tag, ops, cb)
 	return nil
 }
 
 // sendInserts is the one way an insert leaves its originator: the hashed
-// ops of one call are routed, registered as one insertGroup, dispatched
-// through one outbox and put on one retransmission schedule; done (nil for
-// fire-and-forget) receives every member's outcome once the last settles.
-func (n *Node) sendInserts(ops []insertOp, done func([]InsertResult)) {
+// ops of one call, all of index tag, are routed, registered as one
+// insertGroup, dispatched through one outbox and put on one
+// retransmission schedule; done (nil for fire-and-forget) receives every
+// member's outcome once the last settles.
+func (n *Node) sendInserts(tag string, ops []insertOp, done func([]InsertResult)) {
 	// Track the ops whenever the reliable layer is on, even fire-and-forget
 	// inserts: retransmission needs the pending-ack state, and InsertTimeout
 	// bounds how long an entry can linger. An untracked insert carries
 	// ReqID 0, which solicits no ack.
 	tracked := done != nil || n.retriesEnabled()
-	// Route with no lock held. Nothing is shared yet, so the messages may
-	// still be written; an op's lastHop doubles as its routing decision
-	// ("" = stored here or ring-recovered).
+	// Route with no lock held. Nothing is shared yet, so the ops may still
+	// be written.
 	for i := range ops {
-		if op := &ops[i]; !n.ov.Owns(op.msg.Target) {
-			op.msg.Hops = 1 // leaving the originator
-			op.lastHop, _ = n.ov.NextHop(op.msg.Target)
+		if op := &ops[i]; !n.ov.Owns(op.target) {
+			op.forward = true
+			op.lastHop, _ = n.ov.NextHop(op.target)
 		}
 	}
 	var grp *insertGroup
 	if tracked {
-		grp = &insertGroup{ops: ops, pending: len(ops), done: done}
+		grp = &insertGroup{tag: tag, ops: ops, pending: len(ops), done: done}
 		if done != nil {
 			grp.results = make([]InsertResult, len(ops))
 		}
@@ -144,29 +188,32 @@ func (n *Node) sendInserts(ops []insertOp, done func([]InsertResult)) {
 		n.mu.Lock()
 		for i := range ops {
 			op := &ops[i]
-			op.grp, op.slot, op.msg.ReqID = grp, i, n.nextReq()
-			n.inserts[op.msg.ReqID] = op
+			op.grp, op.slot, op.reqID = grp, i, n.nextReq()
+			n.inserts[op.reqID] = op
 		}
 		grp.timeout = n.clock.AfterFunc(n.cfg.InsertTimeout, func() {
 			for i := range grp.ops {
-				n.finishInsert(grp.ops[i].msg.ReqID, InsertResult{OK: false, Err: errTimeout})
+				n.finishInsert(grp.ops[i].reqID, InsertResult{OK: false, Err: errTimeout})
 			}
 		})
 		n.mu.Unlock()
 	}
 
 	ob := &outbox{n: n}
+	self := n.ep.Addr()
 	for i := range ops {
-		m := &ops[i].msg
+		r := ops[i].inflight(self, tag, 0)
 		switch next := ops[i].lastHop; {
-		case m.Hops == 0:
-			n.handleInsert(n.ep.Addr(), m, ob)
+		case !ops[i].forward:
+			n.routeInsert(&r, ob)
 		case next == "":
-			n.ov.RingRecover(m.Target, wire.Encode(m))
+			r.hops = 1
+			n.ringRecover(&r)
 		default:
+			r.hops = 1 // leaving the originator
 			n.forwarded.Add(1)
 			n.countTuples(next, 1)
-			n.post(ob, outData, next, m)
+			n.postInsert(ob, next, &r)
 		}
 	}
 	ob.flush()
@@ -232,108 +279,129 @@ func (n *Node) finishInsert(reqID uint64, res InsertResult) {
 	}
 }
 
-// handleInsert processes a routed insertion at any hop. Version-skew
+// handleInsertRun routes or stores every record of an inbound insert
+// run through ob, one at a time: values are decoded only where this node
+// owns a record, into one scratch buffer, and a forwarded record's bytes
+// are spliced on.
+func (n *Node) handleInsertRun(m *wire.InsertRun, ob *outbox) {
+	r := insertRec{origin: m.OriginAddr, index: m.Index, version: m.Version, attempt: m.Attempt}
+	cur := m.Recs.Cursor()
+	for i, reqID := range m.ReqIDs {
+		r.epoch, r.reqID, r.recID, r.target, r.hops = m.TreeEpoch, reqID, m.RecIDs[i], m.Targets[i], m.Hops[i]
+		r.enc, r.rec = cur.Next(), nil
+		n.routeInsert(&r, ob)
+	}
+}
+
+// routeInsert processes one routed record at any hop. Version-skew
 // detection happens only here at the ownership point, never on pure
 // forwarding hops: routing needs no tree (Target travels with the
-// message), so an intermediate node's stale tree cannot misroute.
-func (n *Node) handleInsert(from string, m *wire.Insert, ob *outbox) {
+// record), so an intermediate node's stale tree cannot misroute.
+func (n *Node) routeInsert(r *insertRec, ob *outbox) {
 	if !n.ov.Joined() {
 		return
 	}
-	target := m.Target
-	if n.ov.Owns(target) {
-		myCode := n.ov.Code()
-		ix, ok := n.getIndex(m.Index)
-		if !ok {
-			return
-		}
-		// The one place a wire record enters the primary store (and the
-		// re-homing point computation): originators arity-check their
-		// own records, a peer's bytes are checked here. The store keeps
-		// fixed-stride rows, so a short record would panic and a long
-		// one be truncated.
-		if ix.sch.CheckRecord(m.Rec) != nil {
-			n.droppedRecords.Add(1)
-			return
-		}
-		if local := ix.epochOf(m.Version); m.TreeEpoch != local {
-			n.skewInserts.Add(1)
-			if m.TreeEpoch > local {
-				// The originator hashed with a newer tree than ours —
-				// we missed an install. Its Target is authoritative, and
-				// storing needs no tree, so accept the record whenever the
-				// code discriminates at our depth; catch up in parallel.
-				n.treePull(m.OriginAddr, m.Index, m.Version)
-				if target.Len() >= myCode.Len() {
-					n.storeAsOwner(m, ob)
-				}
-				// Too-shallow target: deepening would need the newer tree
-				// we don't have yet. Drop — the originator's
-				// retransmission redelivers after the pull lands.
-				return
-			}
-			// The originator is behind: its Target was computed with a
-			// superseded tree, so the record may belong elsewhere under
-			// the current cuts. Push our tree back (rate-limited),
-			// recompute the placement locally and store or re-route.
-			n.treePushTo(m.OriginAddr, ix, m.Version)
-			if local&retiredEpochBit != 0 {
-				return // version retired here: the pushed marker stops the originator
-			}
-			n.rehomeInsert(ix, m, myCode, ob)
-			return
-		}
-		if target.Len() < myCode.Len() {
-			// Target code too shallow to discriminate among the nodes in
-			// its region: recompute it deeper from the record itself
-			// (§3.5: the computed code may not exactly match a node's
-			// code). Point codes are prefix-stable, so the extension
-			// preserves routing progress.
-			n.rehomeInsert(ix, m, myCode, ob)
-			return
-		}
-		n.storeAsOwner(m, ob)
+	target := r.target
+	if !n.ov.Owns(target) {
+		n.forwardInsert(r, ob)
 		return
 	}
-	fwd := *m
-	n.forwardInsert(&fwd, ob)
+	myCode := n.ov.Code()
+	if r.ix == nil {
+		if r.ix, _ = n.getIndex(r.index); r.ix == nil {
+			return
+		}
+	}
+	ix := r.ix
+	// The one place a wire record enters the primary store (and the
+	// re-homing point computation): originators arity-check their own
+	// records, a peer's bytes are checked here. The store keeps
+	// fixed-stride rows, so a short record would panic and a long one be
+	// truncated.
+	if ix.sch.CheckRecord(r.values()) != nil {
+		n.droppedRecords.Add(1)
+		return
+	}
+	if local := ix.epochOf(r.version); r.epoch != local {
+		n.skewInserts.Add(1)
+		if r.epoch > local {
+			// The originator hashed with a newer tree than ours — we
+			// missed an install. Its Target is authoritative, and storing
+			// needs no tree, so accept the record whenever the code
+			// discriminates at our depth; catch up in parallel.
+			n.treePull(r.origin, r.index, r.version)
+			if target.Len() >= myCode.Len() {
+				n.storeAsOwner(ix, r, ob)
+			}
+			// Too-shallow target: deepening would need the newer tree we
+			// don't have yet. Drop — the originator's retransmission
+			// redelivers after the pull lands.
+			return
+		}
+		// The originator is behind: its Target was computed with a
+		// superseded tree, so the record may belong elsewhere under the
+		// current cuts. Push our tree back (rate-limited), recompute the
+		// placement locally and store or re-route.
+		n.treePushTo(r.origin, ix, r.version)
+		if local&retiredEpochBit != 0 {
+			return // version retired here: the pushed marker stops the originator
+		}
+		n.rehomeInsert(ix, r, myCode, ob)
+		return
+	}
+	if target.Len() < myCode.Len() {
+		// Target code too shallow to discriminate among the nodes in its
+		// region: recompute it deeper from the record itself (§3.5: the
+		// computed code may not exactly match a node's code). Point codes
+		// are prefix-stable, so the extension preserves routing progress.
+		n.rehomeInsert(ix, r, myCode, ob)
+		return
+	}
+	n.storeAsOwner(ix, r, ob)
 }
 
-// rehomeInsert recomputes m's target from the record itself, under this
+// rehomeInsert recomputes r's target from the record itself, under this
 // node's current tree and at its depth, then stores or re-routes it.
-func (n *Node) rehomeInsert(ix *index, m *wire.Insert, myCode bitstr.Code, ob *outbox) {
-	tree, epoch := ix.treeAndEpoch(m.Version)
+func (n *Node) rehomeInsert(ix *index, r *insertRec, myCode bitstr.Code, ob *outbox) {
+	tree, epoch := ix.treeAndEpoch(r.version)
 	var pbuf [8]uint64
-	p := schema.Record(m.Rec).PointInto(ix.sch, pbuf[:0])
-	ext := *m
-	ext.Target = tree.PointCode(p, clampDepth(myCode.Len()+n.cfg.InsertDepthSlack))
-	ext.TreeEpoch = epoch
-	if n.ov.Owns(ext.Target) {
-		n.storeAsOwner(&ext, ob)
+	p := r.values().PointInto(ix.sch, pbuf[:0])
+	ext := *r
+	ext.target = tree.PointCode(p, clampDepth(myCode.Len()+n.cfg.InsertDepthSlack))
+	ext.epoch = epoch
+	if n.ov.Owns(ext.target) {
+		n.storeAsOwner(ix, &ext, ob)
 	} else {
 		n.forwardInsert(&ext, ob)
 	}
 }
 
-// forwardInsert sends the caller's copy of a routed insert one hop on.
-func (n *Node) forwardInsert(m *wire.Insert, ob *outbox) {
-	m.Hops++
-	if next, ok := n.ov.NextHop(m.Target); ok {
+// forwardInsert sends a routed record one hop on.
+func (n *Node) forwardInsert(r *insertRec, ob *outbox) {
+	r.hops++
+	if next, ok := n.ov.NextHop(r.target); ok {
 		n.forwarded.Add(1)
 		n.countTuples(next, 1)
-		if m.OriginAddr == n.ep.Addr() {
+		if r.origin == n.ep.Addr() {
 			// Record the first hop so a retransmission can exclude it.
 			n.mu.Lock()
-			if op, ok := n.inserts[m.ReqID]; ok {
+			if op, ok := n.inserts[r.reqID]; ok {
 				op.lastHop = next
 			}
 			n.mu.Unlock()
 		}
-		n.post(ob, outData, next, m)
+		n.postInsert(ob, next, r)
 		return
 	}
-	// Dead end: recover via expanding-ring broadcast (§3.8).
-	n.ov.RingRecover(m.Target, wire.Encode(m))
+	n.ringRecover(r)
+}
+
+// ringRecover hands a record at a dead end to the expanding-ring
+// broadcast (§3.8), as a run of one.
+func (n *Node) ringRecover(r *insertRec) {
+	run := wire.InsertRun{OriginAddr: r.origin, Index: r.index, Version: r.version, TreeEpoch: r.epoch, Attempt: r.attempt}
+	r.appendTo(&run)
+	n.ov.RingRecover(r.target, wire.Encode(&run))
 }
 
 // storeAsOwner stores the record, replicates it, and acks the origin —
@@ -341,16 +409,13 @@ func (n *Node) forwardInsert(m *wire.Insert, ob *outbox) {
 // when ob is nil. It runs without any node-wide lock: the per-index
 // dedup+insert is atomic inside storeRecord, trigger matching locks the
 // index, and the sends happen lock-free.
-func (n *Node) storeAsOwner(m *wire.Insert, ob *outbox) {
-	ix, ok := n.getIndex(m.Index)
-	if !ok {
-		return
-	}
-	isNew := ix.storeRecord(m.Version, m.RecID, m.Rec)
+func (n *Node) storeAsOwner(ix *index, r *insertRec, ob *outbox) {
+	rec := r.values()
+	isNew := ix.storeRecord(r.version, r.recID, rec)
 	var fired []*trigger
 	if isNew {
 		n.stored.Add(1)
-		fired = ix.fireTriggers(n.clock.Now(), m.RecID, m.Rec)
+		fired = ix.fireTriggers(n.clock.Now(), r.recID, rec)
 	} else {
 		// Retransmission (or ring double-delivery) of a record already
 		// stored: idempotent, but the origin still needs the ack below —
@@ -363,35 +428,32 @@ func (n *Node) storeAsOwner(m *wire.Insert, ob *outbox) {
 	for _, tr := range fired {
 		fire := &wire.TriggerFire{
 			TriggerID: tr.id,
-			Index:     m.Index,
+			Index:     r.index,
 			From:      myInfo,
-			RecID:     m.RecID,
-			Rec:       m.Rec,
+			RecID:     r.recID,
+			Rec:       rec,
 		}
 		if tr.subscriber == n.ep.Addr() {
+			// The event keeps its record, and rec is the submitter's
+			// buffer (recycled once the insert settles) or a run's decode
+			// scratch: the local subscriber gets a copy.
+			fire.Rec = slices.Clone(rec)
 			n.handleTriggerFire(fire)
 		} else {
 			n.send(tr.subscriber, fire)
 		}
 	}
 
-	if isNew && len(replicas) > 0 {
-		rep := &wire.Replicate{
-			Index:     m.Index,
-			Version:   m.Version,
-			RecID:     m.RecID,
-			Rec:       m.Rec,
-			OwnerCode: myInfo.Code,
-		}
+	if isNew {
 		for _, addr := range replicas {
-			n.post(ob, outData, addr, rep)
+			n.postReplica(ob, addr, myInfo.Code, r)
 		}
 	}
-	if m.ReqID != 0 {
-		if m.OriginAddr == n.ep.Addr() {
-			n.finishInsert(m.ReqID, InsertResult{OK: true, Hops: int(m.Hops), StoredAt: myInfo.Addr})
+	if r.reqID != 0 {
+		if r.origin == n.ep.Addr() {
+			n.finishInsert(r.reqID, InsertResult{OK: true, Hops: int(r.hops), StoredAt: myInfo.Addr})
 		} else {
-			n.post(ob, outAck, m.OriginAddr, &wire.InsertAck{ReqID: m.ReqID, StoredAt: myInfo, Hops: m.Hops})
+			n.postAck(ob, myInfo, r)
 		}
 	}
 }
@@ -449,18 +511,14 @@ func replicaSet(myCode bitstr.Code, contacts []wire.NodeInfo, m int) []string {
 	return out
 }
 
-// handleInsertAcks settles one envelope's acks under a single n.mu
-// acquisition; the callbacks run after the lock drops, as in
-// finishInsert.
-func (n *Node) handleInsertAcks(acks []*wire.InsertAck) {
-	if len(acks) == 0 {
-		return
-	}
-	n.acksReceived.Add(uint64(len(acks)))
+// handleInsertAcks settles an ack run under a single n.mu acquisition;
+// the callbacks run after the lock drops, as in finishInsert.
+func (n *Node) handleInsertAcks(m *wire.InsertAcks) {
+	n.acksReceived.Add(uint64(len(m.ReqIDs)))
 	var settled []*insertGroup
 	n.mu.Lock()
-	for _, m := range acks {
-		if g := n.takeInsertLocked(m.ReqID, InsertResult{OK: true, Hops: int(m.Hops), StoredAt: m.StoredAt.Addr}); g != nil {
+	for i, reqID := range m.ReqIDs {
+		if g := n.takeInsertLocked(reqID, InsertResult{OK: true, Hops: int(m.Hops[i]), StoredAt: m.StoredAt.Addr}); g != nil {
 			settled = append(settled, g)
 		}
 	}
@@ -470,26 +528,24 @@ func (n *Node) handleInsertAcks(acks []*wire.InsertAck) {
 	}
 }
 
-// replicaRun remembers the index and owner of an envelope's previous
-// Replicate, so a run from one owner resolves and notes them once.
-type replicaRun struct {
-	ix    *index
-	owner bitstr.Code
-}
-
-func (n *Node) handleReplicate(m *wire.Replicate, run *replicaRun) {
-	if run.ix == nil || m.Index != run.ix.sch.Tag || m.OwnerCode != run.owner {
-		ix, ok := n.getIndex(m.Index)
-		if !ok {
-			return
-		}
-		ix.noteReplicaOwner(m.OwnerCode)
-		*run = replicaRun{ix, m.OwnerCode}
-	}
-	if run.ix.sch.CheckRecord(m.Rec) != nil {
-		n.droppedRecords.Add(1) // as at the owner: see handleInsert
+// handleReplicateRun stores a replicate run's records in replica storage,
+// resolving the index and noting the owner once.
+func (n *Node) handleReplicateRun(m *wire.ReplicateRun) {
+	ix, ok := n.getIndex(m.Index)
+	if !ok {
 		return
 	}
-	run.ix.storeReplica(m.Version, m.RecID, m.Rec)
-	n.replicated.Add(1)
+	ix.noteReplicaOwner(m.OwnerCode)
+	var buf [8]uint64
+	rec := buf[:0]
+	cur := m.Recs.Cursor()
+	for _, recID := range m.RecIDs {
+		rec = wire.RecInto(cur.Next(), rec)
+		if ix.sch.CheckRecord(rec) != nil {
+			n.droppedRecords.Add(1) // as at the owner: see routeInsert
+			continue
+		}
+		ix.storeReplica(m.Version, recID, rec)
+		n.replicated.Add(1)
+	}
 }

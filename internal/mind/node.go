@@ -112,7 +112,7 @@ type Node struct {
 	// guard: unknown index, no versions, invalid or wrong-dimension rect.
 	droppedPieces atomic.Uint64
 	// droppedRecords counts peer-supplied records refused where they
-	// would enter a store (handleInsert at the owner, handleReplicate):
+	// would enter a store (routeInsert at the owner, handleReplicateRun):
 	// wrong arity for the index schema.
 	droppedRecords atomic.Uint64
 	// Aggregate-path counters (aggquery.go).
@@ -135,10 +135,9 @@ type Node struct {
 	tupleLinks map[string]uint64
 
 	// Envelope counters (batch.go).
-	batchesSent     atomic.Uint64
-	batchedMsgs     atomic.Uint64
-	batchesRecv     atomic.Uint64
-	batchBytesSaved atomic.Uint64
+	batchesSent atomic.Uint64
+	batchedMsgs atomic.Uint64
+	batchesRecv atomic.Uint64
 }
 
 // NewNode creates a node bound to an endpoint and clock. The node
@@ -249,15 +248,16 @@ func (n *Node) sortedIndices() []*index {
 
 // Stats is a snapshot of node-level counters.
 type Stats struct {
-	Forwarded  uint64 // routed messages passed on
+	Forwarded  uint64 // records and query pieces routed on, each once per hop
 	Stored     uint64 // records stored as primary owner
 	Replicated uint64 // replica records stored
 
-	BatchesSent     uint64  // wire.Batch envelopes sent
-	BatchesRecv     uint64  // wire.Batch envelopes received and unwrapped
-	BatchedMsgs     uint64  // messages that travelled inside sent envelopes
-	BatchOccupancy  float64 // mean messages per sent envelope (NaN before the first)
-	BatchBytesSaved uint64  // estimated framing bytes avoided by coalescing
+	// An envelope is a write-path frame that carries more than one record:
+	// one run, or a wire.Batch of several (batch.go).
+	BatchesSent    uint64  // envelopes sent
+	BatchesRecv    uint64  // envelopes received and handled
+	BatchedMsgs    uint64  // records carried by sent envelopes
+	BatchOccupancy float64 // mean records per sent envelope (NaN before the first)
 
 	Requests     uint64 // acked-tracked inserts, queries, aggregates and reports issued
 	Retransmits  uint64 // reliable-layer retransmissions sent
@@ -282,7 +282,7 @@ type Stats struct {
 	// DroppedPieces counts query/aggregate pieces refused as malformed
 	// (unknown index, no versions, invalid or wrong-dimension rectangle).
 	DroppedPieces uint64
-	// DroppedRecords counts Insert/Replicate records refused at the owner
+	// DroppedRecords counts insert and replicate records refused at the owner
 	// or replica store for not having the index schema's arity. Such a
 	// record is neither stored, acked nor replicated.
 	DroppedRecords uint64
@@ -304,7 +304,6 @@ func (n *Node) Stats() Stats {
 		AggAnswered: n.aggAnswered.Load(), AggCoverDropped: n.aggCoverDropped.Load(),
 		DroppedPieces: n.droppedPieces.Load(), DroppedRecords: n.droppedRecords.Load(),
 		BatchesSent: n.batchesSent.Load(), BatchedMsgs: n.batchedMsgs.Load(), BatchesRecv: n.batchesRecv.Load(),
-		BatchBytesSaved: n.batchBytesSaved.Load(),
 	}
 	s.BatchOccupancy = float64(s.BatchedMsgs) / float64(s.BatchesSent) // 0/0 is NaN before the first
 	n.mu.Lock()
@@ -395,13 +394,8 @@ func (n *Node) handleMessage(from string, m wire.Message) {
 		}
 	}
 	switch msg := m.(type) {
-	case *wire.Insert:
-		n.handleInsert(from, msg, nil)
-	case *wire.InsertAck:
-		n.acksReceived.Add(1)
-		n.finishInsert(msg.ReqID, InsertResult{OK: true, Hops: int(msg.Hops), StoredAt: msg.StoredAt.Addr})
-	case *wire.Replicate:
-		n.handleReplicate(msg, &replicaRun{})
+	case *wire.InsertRun, *wire.InsertAcks, *wire.ReplicateRun:
+		n.handleWrite(from, msg)
 	case *wire.Query:
 		n.handlePiece(pieceFromQuery(msg))
 	case *wire.SubQuery:

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"mind/internal/bitstr"
 	"mind/internal/schema"
 	"mind/internal/transport"
 	"mind/internal/transport/simnet"
@@ -47,7 +48,7 @@ func TestInsertOriginatorKeepsPooledBuffer(t *testing.T) {
 	// recycle until the same buffer round-trips twice. The probe encodes
 	// larger than any message the insert path could build, so a stray
 	// encode inside Insert cannot skip the resident buffer as too small.
-	probe := &wire.Insert{OriginAddr: "n0", Index: sch.Tag, Rec: make([]uint64, 64)}
+	probe := insertOne("n0", sch.Tag, 0, 0, 0, bitstr.Empty, make([]uint64, 64))
 	var resident *byte
 	for i := 0; i < 10; i++ {
 		b := wire.Encode(probe)
@@ -105,21 +106,25 @@ func TestBatchDeliverRecycleOnSendError(t *testing.T) {
 	defer n.Close()
 	n.Bootstrap()
 
-	// Two flushes of one outbox (a data and an ack envelope, then an ack
-	// envelope from the reused groups) and one single-message bare
-	// delivery, all through the failing Send.
+	// Two flushes of one outbox (a data envelope of two runs and a bare
+	// ack run, then an ack run from the reused groups) and one
+	// single-record bare delivery, all through the failing Send.
 	ob := &outbox{n: n}
+	rec := func(i int) *insertRec {
+		return &insertRec{origin: "peer", index: "x", reqID: uint64(i), recID: uint64(i), rec: schema.Record{1, 2, 3}}
+	}
 	for i := 0; i < 4; i++ {
-		n.post(ob, outData, "peer", &wire.Replicate{Index: "x", RecID: uint64(i)})
-		n.post(ob, outAck, "peer", &wire.InsertAck{ReqID: uint64(i)})
+		n.postInsert(ob, "peer", rec(i))
+		n.postReplica(ob, "peer", bitstr.Empty, rec(i))
+		n.postAck(ob, wire.NodeInfo{Addr: "self"}, rec(i))
 	}
 	ob.flush()
 	for i := 4; i < 8; i++ {
-		n.post(ob, outAck, "peer", &wire.InsertAck{ReqID: uint64(i)})
+		n.postAck(ob, wire.NodeInfo{Addr: "self"}, rec(i))
 	}
 	ob.flush()
 	ob.flush() // nothing pending: must not re-deliver recycled buffers
-	n.post(ob, outAck, "peer", &wire.InsertAck{ReqID: 99})
+	n.postAck(ob, wire.NodeInfo{Addr: "self"}, rec(99))
 	ob.flush()
 
 	// Pool integrity: while previously-handed-out buffers are still
@@ -127,7 +132,7 @@ func TestBatchDeliverRecycleOnSendError(t *testing.T) {
 	seen := make(map[*byte]bool)
 	var held [][]byte
 	for i := 0; i < 16; i++ {
-		b := wire.Encode(&wire.InsertAck{ReqID: uint64(100 + i)})
+		b := wire.Encode(&wire.InsertAcks{ReqIDs: []uint64{uint64(100 + i)}, Hops: []uint8{0}})
 		if seen[&b[0]] {
 			t.Fatalf("encode returned the same buffer twice: a batch-path buffer was recycled more than once")
 		}

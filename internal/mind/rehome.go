@@ -34,16 +34,8 @@ func placed(sch *schema.Schema, tree *embed.Tree, st *store.Sharded, depth int, 
 // repairInsert builds the insert that carries an already stored record of
 // version v toward target, under a fresh record id. ReqID stays 0 — no
 // ack — unless the insert goes out through sendInserts.
-func (n *Node) repairInsert(ix *index, v uint32, epoch uint64, rec schema.Record, target bitstr.Code) wire.Insert {
-	return wire.Insert{
-		OriginAddr: n.ep.Addr(),
-		Index:      ix.sch.Tag,
-		Version:    v,
-		RecID:      n.nextRecID(),
-		Rec:        rec,
-		Target:     target,
-		TreeEpoch:  epoch,
-	}
+func (n *Node) repairInsert(v uint32, epoch uint64, rec schema.Record, target bitstr.Code) insertOp {
+	return insertOp{recID: n.nextRecID(), version: v, epoch: epoch, rec: rec, target: target}
 }
 
 // rehomeForeign re-inserts every primary record of version v that the
@@ -62,11 +54,11 @@ func (n *Node) rehomeForeign(ix *index, v uint32) int {
 	placed(ix.sch, tree, ix.primary.Version(v), clampDepth(myCode.Len()+n.cfg.InsertDepthSlack), func(rec schema.Record, pc bitstr.Code) {
 		if !myCode.IsPrefixOf(pc) {
 			// Cloned: a tracked op's view would pin its arena until the ack.
-			outs = append(outs, insertOp{msg: n.repairInsert(ix, v, epoch, slices.Clone(rec), pc)})
+			outs = append(outs, n.repairInsert(v, epoch, slices.Clone(rec), pc))
 		}
 	})
 	for i := range outs {
-		n.sendInserts(outs[i:i+1], nil) // a group of one per record
+		n.sendInserts(ix.sch.Tag, outs[i:i+1], nil) // a group of one per record
 	}
 	return len(outs)
 }
@@ -82,9 +74,9 @@ func (n *Node) handleRegionRecall(m *wire.RegionRecall) {
 	}
 	n.flood(m)
 
-	myCode := n.ov.Code()
+	myCode, myAddr := n.ov.Code(), n.ep.Addr()
 	depth := clampDepth(m.Region.Len() + n.cfg.InsertDepthSlack)
-	var outs []wire.Insert
+	var outs []insertRec
 	for _, ix := range n.sortedIndices() {
 		// Replicas first, then stranded primary data: records this node
 		// still holds for a region it relocated away from.
@@ -94,14 +86,15 @@ func (n *Node) handleRegionRecall(m *wire.RegionRecall) {
 				placed(ix.sch, tree, vs.Version(v), depth, func(rec schema.Record, pc bitstr.Code) {
 					// What falls inside our own region we already serve.
 					if m.Region.IsPrefixOf(pc) && !myCode.IsPrefixOf(pc) {
-						outs = append(outs, n.repairInsert(ix, v, epoch, rec, pc))
+						op := n.repairInsert(v, epoch, rec, pc)
+						outs = append(outs, op.inflight(myAddr, ix.sch.Tag, 0))
 					}
 				})
 			}
 		}
 	}
 	for i := range outs {
-		n.handleInsert(n.ep.Addr(), &outs[i], nil)
+		n.routeInsert(&outs[i], nil)
 	}
 }
 
@@ -112,7 +105,7 @@ func (n *Node) onSplit(oldCode, newCode bitstr.Code, joiner wire.NodeInfo) {
 	if !n.cfg.TransferOnSplit {
 		return
 	}
-	var pushes []wire.Insert
+	var pushes []insertRec
 	for _, ix := range n.sortedIndices() {
 		for _, v := range ix.primary.Versions() {
 			tree, epoch := ix.treeAndEpoch(v)
@@ -120,7 +113,8 @@ func (n *Node) onSplit(oldCode, newCode bitstr.Code, joiner wire.NodeInfo) {
 			var keep []schema.Record
 			placed(ix.sch, tree, st, joiner.Code.Len(), func(rec schema.Record, pc bitstr.Code) {
 				if joiner.Code.IsPrefixOf(pc) {
-					pushes = append(pushes, n.repairInsert(ix, v, epoch, rec, joiner.Code))
+					op := n.repairInsert(v, epoch, rec, joiner.Code)
+					pushes = append(pushes, op.inflight(n.ep.Addr(), ix.sch.Tag, 0))
 				} else {
 					keep = append(keep, rec)
 				}
@@ -135,7 +129,7 @@ func (n *Node) onSplit(oldCode, newCode bitstr.Code, joiner wire.NodeInfo) {
 		}
 	}
 	for i := range pushes {
-		n.send(joiner.Addr, &pushes[i])
+		n.postInsert(nil, joiner.Addr, &pushes[i])
 	}
 }
 
@@ -147,7 +141,7 @@ func (n *Node) onSplit(oldCode, newCode bitstr.Code, joiner wire.NodeInfo) {
 // what lets one-replica MIND ride out gradual failures (§3.8, Fig 16).
 func (n *Node) onTakeover(dead, oldCode bitstr.Code) {
 	owner := n.ov.Code()
-	var pushes []wire.Replicate
+	var pushes []insertRec
 	for _, ix := range n.sortedIndices() {
 		ix.absorbReplicas(dead)
 		if n.cfg.Replication == 0 {
@@ -160,13 +154,7 @@ func (n *Node) onTakeover(dead, oldCode bitstr.Code) {
 		for _, v := range ix.primary.Versions() {
 			placed(ix.sch, ix.tree(v), ix.primary.Version(v), dead.Len(), func(rec schema.Record, pc bitstr.Code) {
 				if dead.IsPrefixOf(pc) {
-					pushes = append(pushes, wire.Replicate{
-						Index:     ix.sch.Tag,
-						Version:   v,
-						RecID:     n.nextRecID(),
-						Rec:       rec,
-						OwnerCode: owner,
-					})
+					pushes = append(pushes, insertRec{index: ix.sch.Tag, version: v, recID: n.nextRecID(), rec: rec})
 				}
 			})
 		}
@@ -174,7 +162,7 @@ func (n *Node) onTakeover(dead, oldCode bitstr.Code) {
 	replicas := n.replicaTargets()
 	for i := range pushes {
 		for _, addr := range replicas {
-			n.send(addr, &pushes[i])
+			n.postReplica(nil, addr, owner, &pushes[i])
 		}
 	}
 

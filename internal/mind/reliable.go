@@ -6,13 +6,12 @@ import (
 
 	"mind/internal/bitstr"
 	"mind/internal/transport"
-	"mind/internal/wire"
 )
 
 // Reliable request layer: the transport contract is deliberately lossy
 // ("MIND's protocol layers own reliability"), so every tracked insert
 // and every query carries a request id, receivers ack end-to-end (the
-// InsertAck, and a covering QueryResp, ARE the acks — no extra message
+// insert-ack run, and a covering QueryResp, ARE the acks — no extra message
 // kinds), receivers dedup retransmitted work through bounded caches, and
 // originators retransmit un-acked requests on a clock-driven exponential
 // backoff schedule with deterministic jitter from the node's seeded RNG.
@@ -130,74 +129,76 @@ func (s *retrySchedule) stop() {
 	}
 }
 
-// resendCopyLocked returns the message a retransmission sends, with the
-// record deep-copied: op.msg.Rec may alias the submitter's buffer (the
-// ingest engine recycles it the instant the op settles, and a new producer
-// then overwrites it), and a settle can race with the encode once n.mu is
-// released. finishInsert removes the op under n.mu before its callback
-// runs, so an op still tracked cannot have been recycled yet — the copy
-// taken under the lock is stable. Every attempt starts from the originator
-// again, so the copy counts its hops from zero whatever the first dispatch
-// recorded. Callers hold n.mu.
-func (op *insertOp) resendCopyLocked() wire.Insert {
-	msg := op.msg
-	msg.Rec = append([]uint64(nil), op.msg.Rec...)
-	msg.Hops = 0
-	return msg
-}
-
-// retransmitInsert re-routes one retransmitted insert: store locally if
+// retransmitInsert re-routes one retransmitted record: store locally if
 // ownership shifted to us (takeover) since the original attempt, else
 // leave through a first hop excluding the suspect one.
-func (n *Node) retransmitInsert(msg *wire.Insert, exclude string, ob *outbox) {
-	if n.ov.Owns(msg.Target) {
-		n.handleInsert(n.ep.Addr(), msg, ob)
+func (n *Node) retransmitInsert(r *insertRec, exclude string, ob *outbox) {
+	if n.ov.Owns(r.target) {
+		n.routeInsert(r, ob)
 		return
 	}
-	next, ok := n.nextHopAvoiding(msg.Target, exclude)
+	next, ok := n.nextHopAvoiding(r.target, exclude)
 	if !ok {
-		n.ov.RingRecover(msg.Target, wire.Encode(msg))
+		n.ringRecover(r)
 		return
 	}
 	n.mu.Lock()
-	if cur, still := n.inserts[msg.ReqID]; still {
+	if cur, still := n.inserts[r.reqID]; still {
 		cur.lastHop = next
 	}
 	n.mu.Unlock()
-	msg.Hops++
-	n.post(ob, outData, next, msg)
+	r.hops++
+	n.postInsert(ob, next, r)
 }
 
 // resendInsertGroup is an insert group's retransmission check: the
-// members still pending leave again, one envelope per first hop like the
-// original, each through a first hop excluding the one its un-acked
-// attempt used (that path is the prime suspect). Once the group's budget
-// is spent the pending members' last hops go to the overlay's suspicion
-// machinery and the members are left to InsertTimeout.
+// members still pending leave again through one outbox — one run per
+// first hop and header, like the original — each through a first hop
+// excluding the one its un-acked attempt used (that path is the prime
+// suspect). Once the group's budget is spent the pending members' last
+// hops go to the overlay's suspicion machinery and the members are left
+// to InsertTimeout.
+//
+// The pending members are copied under n.mu, their records deep-copied
+// into one slab: an op's record may alias the submitter's buffer (the
+// ingest engine recycles it the instant the op settles, and a new
+// producer then overwrites it), and a settle can race with the encode
+// once n.mu is released. finishInsert removes the op under n.mu before
+// its callback runs, so an op still tracked cannot have been recycled
+// yet — the copy taken under the lock is stable.
 func (n *Node) resendInsertGroup(g *insertGroup) {
 	n.mu.Lock()
-	var msgs []wire.Insert
+	var pending []insertOp
 	var hops []string // each pending member's last first hop
+	size := 0
 	for i := range g.ops {
-		if op := &g.ops[i]; n.inserts[op.msg.ReqID] == op {
-			msgs, hops = append(msgs, op.resendCopyLocked()), append(hops, op.lastHop)
+		if op := &g.ops[i]; n.inserts[op.reqID] == op {
+			pending, hops = append(pending, *op), append(hops, op.lastHop)
+			size += len(op.rec)
 		}
 	}
-	if len(msgs) == 0 || !g.retry.advanceLocked(n) {
+	if len(pending) == 0 || !g.retry.advanceLocked(n) {
 		// The budget is spent — or the last member settled as the timer
 		// fired, and there is nobody to suspect either.
 		n.mu.Unlock()
 		n.suspectHops(hops)
 		return
 	}
+	slab := make([]uint64, 0, size)
+	for i := range pending {
+		k := len(slab)
+		slab = append(slab, pending[i].rec...)
+		pending[i].rec = slab[k:len(slab):len(slab)]
+	}
 	attempt := uint8(g.retry.attempt)
 	n.mu.Unlock()
 
-	n.retransmits.Add(uint64(len(msgs)))
+	n.retransmits.Add(uint64(len(pending)))
 	ob := &outbox{n: n}
-	for i := range msgs {
-		msgs[i].Attempt = attempt
-		n.retransmitInsert(&msgs[i], hops[i], ob)
+	self := n.ep.Addr()
+	for i := range pending {
+		r := pending[i].inflight(self, g.tag, attempt)
+		n.retransmitInsert(&r, hops[i], ob)
 	}
 	ob.flush()
 }

@@ -417,7 +417,7 @@ func (n *Node) serveFromReplicas(p *piece) bool {
 
 // answerArrived is the wire entry for responses. A covering response is
 // its region's end-to-end ack; self-answers short-circuit through reply,
-// so the counter stays wire-only like InsertAck's.
+// so the counter stays wire-only like the insert acks'.
 func (n *Node) answerArrived(a answer) {
 	if a.hasCover {
 		n.acksReceived.Add(1)

@@ -1,6 +1,7 @@
 package mind
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -22,16 +23,44 @@ type sentPiece struct {
 	p  piece
 }
 
+// sentWrite is one write-path frame a node put on the wire: its runs.
+type sentWrite struct {
+	to   string
+	runs []wire.Message
+}
+
 // pieceTap wraps a node's endpoint and books the scatter-gather traffic
 // it sends: pieces (decoded through the resolvers' own wire conversion)
-// and answers. drop may swallow a piece, which to the sender looks like
-// loss in transit.
+// and answers — and the write-path frames. drop may swallow a piece,
+// which to the sender looks like loss in transit.
 type pieceTap struct {
 	transport.Endpoint
 	pieces  []sentPiece
 	answers []answer
 	others  int
+	writes  []sentWrite
 	drop    func(to string, p *piece) bool
+}
+
+// writeRuns returns the write-path runs a frame's message carries: the
+// message itself, or an envelope's runs.
+func writeRuns(m wire.Message) []wire.Message {
+	msgs := []wire.Message{m}
+	if b, ok := m.(*wire.Batch); ok {
+		msgs = msgs[:0]
+		for _, sub := range b.Msgs {
+			if m, err := wire.Decode(sub); err == nil {
+				msgs = append(msgs, m)
+			}
+		}
+	}
+	var runs []wire.Message
+	for _, m := range msgs {
+		if runRecords(m) > 0 {
+			runs = append(runs, m)
+		}
+	}
+	return runs
 }
 
 // pieceOf is the receiving side's view of a request message.
@@ -48,7 +77,9 @@ func pieceOf(m wire.Message) (piece, bool) {
 }
 
 func (e *pieceTap) Send(to string, msg []byte) error {
-	m, err := wire.Decode(msg)
+	// A copy: the sender recycles msg once Send returns, and what decodes
+	// from it is kept.
+	m, err := wire.Decode(bytes.Clone(msg))
 	if err != nil {
 		panic(err)
 	}
@@ -58,6 +89,9 @@ func (e *pieceTap) Send(to string, msg []byte) error {
 	case *wire.AggResp:
 		e.answers = append(e.answers, answerFromAggResp(m))
 	default:
+		if runs := writeRuns(m); runs != nil {
+			e.writes = append(e.writes, sentWrite{to, runs})
+		}
 		p, ok := pieceOf(m)
 		if !ok {
 			e.others++

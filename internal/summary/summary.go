@@ -156,9 +156,11 @@ func (s *Summary) Stats() (staticN uint64, deltaN int, folds uint64) {
 // readers drain on the previous snapshot.
 func (s *Summary) foldRecs(root *node, recs []schema.Record) *node {
 	recs = append([]schema.Record(nil), recs...) // partitioned in place
+	dims := s.sch.IndexDims
+	slab := make([]uint64, len(recs)*dims) // every point, one allocation
 	pts := make([][]uint64, len(recs))
 	for i, rec := range recs {
-		pts[i] = rec.Point(s.sch)
+		pts[i] = rec.PointInto(s.sch, slab[i*dims:(i+1)*dims:(i+1)*dims])
 	}
 	lo := make([]uint64, len(s.bounds))
 	hi := append([]uint64(nil), s.bounds...)

@@ -404,7 +404,7 @@ func TestBatchPayloadRoundTrip(t *testing.T) {
 	b, _ := n.Endpoint("b")
 
 	sub1 := wire.Encode(&wire.Heartbeat{From: wire.NodeInfo{Addr: "a"}, Seq: 1})
-	sub2 := wire.Encode(&wire.InsertAck{ReqID: 7, Hops: 3})
+	sub2 := wire.Encode(&wire.InsertAcks{ReqIDs: []uint64{7}, Hops: []uint8{3}})
 	payload := wire.Encode(&wire.Batch{Msgs: [][]byte{sub1, sub2}})
 
 	var got []byte
@@ -428,7 +428,7 @@ func TestBatchPayloadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a2, ok := ack.(*wire.InsertAck); !ok || a2.ReqID != 7 || a2.Hops != 3 {
+	if a2, ok := ack.(*wire.InsertAcks); !ok || a2.ReqIDs[0] != 7 || a2.Hops[0] != 3 {
 		t.Fatalf("sub-message round-trip: %#v", ack)
 	}
 }

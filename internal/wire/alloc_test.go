@@ -5,8 +5,8 @@
 // instrumentation would skew the counts). The budgets guard the hot
 // paths the streaming ingest engine leans on — frame parsing must not
 // allocate at all, pooled encode must stay at most one allocation per
-// message once the pool is warm, an Insert decodes in five, a wide
-// answer in a handful whatever its record count — and the
+// message once the pool is warm, an insert run and a wide answer each in
+// a handful whatever their record count — and the
 // hostile-input bound: Decode never allocates more than a constant
 // multiple of its input.
 
@@ -56,13 +56,7 @@ func TestAllocBudgetFlowFrameAppend(t *testing.T) {
 }
 
 func TestAllocBudgetEncodePooled(t *testing.T) {
-	msg := &Insert{
-		ReqID:      7,
-		OriginAddr: "n000",
-		Index:      "index2-octets",
-		RecID:      9,
-		Rec:        []uint64{1, 2, 3, 4, 5},
-	}
+	msg := insertRun(1)
 	// Warm the buffer and writer pools.
 	for i := 0; i < 8; i++ {
 		RecycleBuf(Encode(msg))
@@ -75,22 +69,22 @@ func TestAllocBudgetEncodePooled(t *testing.T) {
 	}
 }
 
+// TestAllocBudgetDecodeInsert: an insert run decodes in nine allocations
+// whatever its record count — the message, the codec, the origin and
+// index strings, the four columns and the one-run record list aliasing
+// the frame — so a 64-record run costs what a run of one does.
 func TestAllocBudgetDecodeInsert(t *testing.T) {
-	data := Encode(&Insert{
-		ReqID:      7,
-		OriginAddr: "n000",
-		Index:      "index2-octets",
-		RecID:      9,
-		Rec:        []uint64{1, 2, 3, 4, 5},
-	})
-	// The message, the codec, two strings and the record.
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := Decode(data); err != nil {
-			t.Fatal(err)
+	const budget = 9
+	for _, n := range []int{1, 64} {
+		data := Encode(insertRun(n))
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := Decode(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != budget {
+			t.Errorf("a %d-record insert run decodes in %.1f allocations, want %d", n, allocs, budget)
 		}
-	})
-	if allocs > 5 {
-		t.Fatalf("insert decode allocates %.1f times per message, want <= 5", allocs)
 	}
 }
 

@@ -9,22 +9,20 @@ import (
 )
 
 // benchMessages is a representative hot-path message mix: a routed
-// insert, a small covering query response, and an insert ack.
+// insert run of one, a small covering query response, and an ack.
 func benchMessages() []Message {
 	code := bitstr.New(0b1011, 4)
+	ins := &InsertRun{OriginAddr: "10.0.0.1:7001", Index: "index1-fanout", Version: 3}
+	ins.Append(81, 991, code, 2, []uint64{123456, 77, 4242, 9})
 	return []Message{
-		&Insert{
-			ReqID: 81, OriginAddr: "10.0.0.1:7001", Index: "index1-fanout",
-			Version: 3, RecID: 991, Rec: []uint64{123456, 77, 4242, 9},
-			Target: code, Hops: 2,
-		},
+		ins,
 		&QueryResp{
 			ReqID: 82, From: NodeInfo{Addr: "10.0.0.2:7001", Code: code},
 			HasCover: true, Cover: code, Versions: []uint64{3},
 			Recs: listOf(schema.Record{1, 2, 3, 4}, schema.Record{5, 6, 7, 8}, schema.Record{9, 10, 11, 12}),
 			Hops: 3,
 		},
-		&InsertAck{ReqID: 81, StoredAt: NodeInfo{Addr: "10.0.0.2:7001", Code: code}, Hops: 2},
+		&InsertAcks{StoredAt: NodeInfo{Addr: "10.0.0.2:7001", Code: code}, ReqIDs: []uint64{81}, Hops: []uint8{2}},
 	}
 }
 
@@ -43,7 +41,7 @@ func BenchmarkWireEncodePooled(b *testing.B) {
 }
 
 // BenchmarkWireEncode measures the plain encode path where the caller
-// keeps the buffer (no recycling) — the per-record Insert path.
+// keeps the buffer (no recycling).
 func BenchmarkWireEncode(b *testing.B) {
 	msgs := benchMessages()
 	b.ReportAllocs()
@@ -140,6 +138,37 @@ func BenchmarkDecodeQueryResp(b *testing.B) {
 		}
 		if recs := m.(*QueryResp).Recs.Records(); len(recs) != 2100 {
 			b.Fatalf("%d records decoded", len(recs))
+		}
+	}
+}
+
+// BenchmarkEncodeInsert and BenchmarkDecodeInsert time the write path's
+// codec on a 64-record insert run, an ingest envelope's share for one
+// next hop: the encode appends the records to the run, as an originator
+// does, and encodes it; the decode validates the frame. Run with
+// -benchmem.
+func BenchmarkEncodeInsert(b *testing.B) {
+	recs := wideRecords(64)
+	code := bitstr.New(0b01101001, 8)
+	m := &InsertRun{OriginAddr: "127.0.0.1:40123", Index: "index2-octets", Version: 3}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m.ReqIDs, m.RecIDs, m.Targets, m.Hops, m.Recs = m.ReqIDs[:0], m.RecIDs[:0], m.Targets[:0], m.Hops[:0], RecList{}
+		for j, rec := range recs {
+			m.Append(uint64(j+1)<<40, uint64(j+1)<<32, code, 1, rec)
+		}
+		RecycleBuf(Encode(m))
+	}
+}
+
+func BenchmarkDecodeInsert(b *testing.B) {
+	data := Encode(insertRun(64))
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Decode(data); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

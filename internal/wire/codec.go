@@ -297,13 +297,14 @@ func (c *codec) Code(v *bitstr.Code) {
 	*v = bitstr.Unpack(bits, n)
 }
 
-// U64s walks a length-prefixed slice of varint values (an inserted
-// record, a version list, one side of a rectangle, a flattened sketch).
+// U64s walks a length-prefixed slice of varint values (a client's
+// inserted record, a version list, one side of a rectangle, a flattened
+// sketch).
 func (c *codec) U64s(v *[]uint64) {
 	n := c.count(len(*v), MaxSliceLen)
 	if !c.dec {
-		// Inserts carry a record each: reserve the worst case once and
-		// fill it without a call per element.
+		// Reserve the worst case once and fill it without a call per
+		// element.
 		b := c.room(n * binary.MaxVarintLen64)
 		for _, x := range *v {
 			b = b[binary.PutUvarint(b, x):]
@@ -318,8 +319,9 @@ func (c *codec) U64s(v *[]uint64) {
 }
 
 // uvarints decodes len(dst) varints into dst: one loop over locals, not
-// a sticky-error method call per value — an insert's record, a sketch's
-// keys and counts (answer records have a form of their own: RecList).
+// a sticky-error method call per value — a client insert's record, a
+// sketch's keys and counts (records between nodes have a form of their
+// own: RecList).
 // With ten bytes in hand (the longest varint) a value is decoded a word
 // at a time: its length is the
 // position of the first clear continuation bit in the next eight bytes,

@@ -67,21 +67,30 @@ func genScatterMessage(k Kind, r *rand.Rand) Message {
 
 // FuzzEveryKind holds every registered kind to one contract. Arbitrary
 // bytes under the kind's tag either fail to decode or decode to a
-// message the node can safely index (parallel slices agree, a batch
-// holds only non-empty non-batch sub-messages) that survives
+// message the node can safely index (parallel slices agree, a run's
+// columns hold one value per record, a batch holds only non-empty
+// non-batch sub-messages) that survives
 // encode→decode unchanged, with a re-encoding that is a fixed point;
 // nothing panics. For the five scatter-gather kinds a generated
 // well-formed message also survives encode→decode→encode
 // byte-identically. kind indexes the registry modulo its size, so every
-// input lands on a real kind; the seeds are the registry's samples and
-// an answer whose records alternate between two arities.
+// input lands on a real kind; the seeds are the registry's samples, an
+// answer whose records alternate between two arities, and runs of 1, 2
+// and 65 records of each write-path kind.
 func FuzzEveryKind(f *testing.F) {
 	ks := registered()
 	for i, k := range ks {
 		f.Add(uint8(i), Encode(sample(f, k))[1:])
-		if k == KindQueryResp {
+		switch k {
+		case KindQueryResp:
 			// Records the decoder's shared arena was not sized for.
 			f.Add(uint8(i), Encode(alternatingAnswer(8))[1:])
+		case KindInsert, KindReplicate, KindInsertAck:
+			for _, n := range []int{1, 2, 65} {
+				f.Add(uint8(i), Encode(map[Kind]Message{
+					KindInsert: insertRun(n), KindReplicate: replicateRun(n), KindInsertAck: insertAcks(n),
+				}[k])[1:])
+			}
 		}
 	}
 	f.Fuzz(func(t *testing.T, kind uint8, payload []byte) {
@@ -115,6 +124,19 @@ func FuzzEveryKind(f *testing.F) {
 		case *ClientAggResp:
 			if len(m.Counts) != len(m.Keys) || len(m.Errs) != len(m.Keys) {
 				t.Fatalf("ClientAggResp decoded with disagreeing sketch slices")
+			}
+		case *InsertRun:
+			if n := m.Recs.Len(); n == 0 || len(m.ReqIDs) != n || len(m.RecIDs) != n || len(m.Targets) != n || len(m.Hops) != n {
+				t.Fatalf("InsertRun decoded with %d records and columns of %d, %d, %d, %d",
+					n, len(m.ReqIDs), len(m.RecIDs), len(m.Targets), len(m.Hops))
+			}
+		case *ReplicateRun:
+			if n := m.Recs.Len(); n == 0 || len(m.RecIDs) != n {
+				t.Fatalf("ReplicateRun decoded with %d records and %d ids", n, len(m.RecIDs))
+			}
+		case *InsertAcks:
+			if len(m.ReqIDs) == 0 || len(m.Hops) != len(m.ReqIDs) {
+				t.Fatalf("InsertAcks decoded with %d ids and %d hop counts", len(m.ReqIDs), len(m.Hops))
 			}
 		case *Batch:
 			for i, sub := range m.Msgs {

@@ -101,9 +101,9 @@ var kinds = [256]struct {
 	KindLivenessReply: {"liveness-reply", func() Message { return new(LivenessReply) }},
 	KindRingResumed:   {"ring-resumed", func() Message { return new(RingResumed) }},
 
-	KindInsert:    {"insert", func() Message { return new(Insert) }},
-	KindInsertAck: {"insert-ack", func() Message { return new(InsertAck) }},
-	KindReplicate: {"replicate", func() Message { return new(Replicate) }},
+	KindInsert:    {"insert", func() Message { return new(InsertRun) }},
+	KindInsertAck: {"insert-ack", func() Message { return new(InsertAcks) }},
+	KindReplicate: {"replicate", func() Message { return new(ReplicateRun) }},
 	KindQuery:     {"query", func() Message { return new(Query) }},
 	KindSubQuery:  {"sub-query", func() Message { return new(SubQuery) }},
 	KindQueryResp: {"query-resp", func() Message { return new(QueryResp) }},
@@ -490,69 +490,86 @@ func (m *RingResumed) fields(c *codec) {
 
 // --- Data path ----------------------------------------------------------
 
-// Insert greedy-routes one record toward the code its indexed point
-// hashes to (§3.5). Attempt is 0 for the first transmission and counts
-// up on each originator retransmission of the same ReqID/RecID; owners
-// dedup on RecID, so any attempt is safe to store.
-type Insert struct {
-	ReqID      uint64
+// InsertRun greedy-routes records of one index version toward the codes
+// their indexed points hash to (§3.5): one header, then one column per
+// record field and the records as one record list — a single record is a
+// run of one. Attempt is 0 for the first transmission and counts up on
+// each originator retransmission; owners dedup on RecID, so any attempt
+// is safe to store. TreeEpoch identifies the cut tree the originator used
+// to compute the Targets for Version (version-skew detection, §3.7 under
+// faults). DESIGN.md §6 "The record-list rule".
+type InsertRun struct {
 	OriginAddr string
 	Index      string
 	Version    uint32
-	RecID      uint64 // origin-unique record id, for replica dedup
-	Rec        []uint64
-	Target     bitstr.Code
-	Hops       uint8
+	TreeEpoch  uint64
 	Attempt    uint8
-	// TreeEpoch identifies the cut tree the originator used to compute
-	// Target for Version (version-skew detection, §3.7 under faults).
-	TreeEpoch uint64
+	// Per record, in Recs order.
+	ReqIDs  []uint64 // 0: untracked, solicits no ack
+	RecIDs  []uint64 // origin-unique record id, for replica dedup
+	Targets []bitstr.Code
+	Hops    []uint8
+	Recs    RecList
 }
 
-func (m *Insert) Kind() Kind { return KindInsert }
-func (m *Insert) fields(c *codec) {
-	c.Uvarint(&m.ReqID)
+func (m *InsertRun) Kind() Kind { return KindInsert }
+func (m *InsertRun) fields(c *codec) {
 	c.String(&m.OriginAddr)
 	c.String(&m.Index)
 	c.U32(&m.Version)
-	c.U64(&m.RecID)
-	c.U64s(&m.Rec)
-	c.Code(&m.Target)
-	c.U8(&m.Hops)
-	c.U8(&m.Attempt)
 	c.Uvarint(&m.TreeEpoch)
+	c.U8(&m.Attempt)
+	n := c.run(&m.Recs)
+	column(c, &m.ReqIDs, n, (*codec).Uvarint)
+	column(c, &m.RecIDs, n, (*codec).U64)
+	column(c, &m.Targets, n, (*codec).Code)
+	column(c, &m.Hops, n, (*codec).U8)
 }
 
-// InsertAck confirms storage directly to the originator.
-type InsertAck struct {
-	ReqID    uint64
+// Append adds one record under the run's header: the record's values are
+// encoded onto Recs.
+func (m *InsertRun) Append(reqID, recID uint64, target bitstr.Code, hops uint8, rec []uint64) {
+	m.ReqIDs, m.RecIDs = append(m.ReqIDs, reqID), append(m.RecIDs, recID)
+	m.Targets, m.Hops = append(m.Targets, target), append(m.Hops, hops)
+	m.Recs.Append(rec)
+}
+
+// InsertAcks confirms storage directly to the originator: one ReqID and
+// the hop count its record travelled per stored record.
+type InsertAcks struct {
 	StoredAt NodeInfo
-	Hops     uint8
+	ReqIDs   []uint64
+	Hops     []uint8
 }
 
-func (m *InsertAck) Kind() Kind { return KindInsertAck }
-func (m *InsertAck) fields(c *codec) {
-	c.Uvarint(&m.ReqID)
+func (m *InsertAcks) Kind() Kind { return KindInsertAck }
+func (m *InsertAcks) fields(c *codec) {
 	c.Node(&m.StoredAt)
-	c.U8(&m.Hops)
+	slice(c, &m.ReqIDs, MaxSliceLen, (*codec).Uvarint)
+	if c.dec && c.err == nil && len(m.ReqIDs) == 0 {
+		c.fail("empty ack run")
+	}
+	column(c, &m.Hops, len(m.ReqIDs), (*codec).U8)
 }
 
-// Replicate copies a stored record to a replica-set neighbor (§3.8).
-type Replicate struct {
+// ReplicateRun copies records an owner stored to a replica-set neighbor
+// (§3.8), in the insert run's layout: one header, the record ids as a
+// column and the records as one record list.
+type ReplicateRun struct {
 	Index     string
 	Version   uint32
-	RecID     uint64
-	Rec       []uint64
 	OwnerCode bitstr.Code
+	RecIDs    []uint64
+	Recs      RecList
 }
 
-func (m *Replicate) Kind() Kind { return KindReplicate }
-func (m *Replicate) fields(c *codec) {
+func (m *ReplicateRun) Kind() Kind { return KindReplicate }
+func (m *ReplicateRun) fields(c *codec) {
 	c.String(&m.Index)
 	c.U32(&m.Version)
-	c.U64(&m.RecID)
-	c.U64s(&m.Rec)
 	c.Code(&m.OwnerCode)
+	n := c.run(&m.Recs)
+	column(c, &m.RecIDs, n, (*codec).U64)
 }
 
 // Query is a multi-dimensional range query greedy-routed toward the code

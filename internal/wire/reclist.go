@@ -7,7 +7,8 @@ import (
 	"mind/internal/schema"
 )
 
-// The record list is the one shape query answers carry (query-resp,
+// The record list is the one shape records travel in, on the write path
+// (insert, replicate) and in query answers (query-resp,
 // client-query-resp): a record count, then each record as
 //
 //	arity (minimal uvarint) | ⌈arity/2⌉ tag bytes | the values
@@ -160,6 +161,10 @@ func (c *codec) checkRec() {
 type RecList struct {
 	n    int
 	runs [][]byte
+	// ext is the last run as Splice was handed it, its capacity intact: a
+	// splice of the bytes that follow it in the same list extends the run
+	// instead of adding one. Nil once anything else is appended.
+	ext []byte
 }
 
 const minRun = 1 << 10
@@ -178,6 +183,7 @@ func (l RecList) Runs() [][]byte { return l.runs }
 // run holds at least minRun bytes, so the few small batches of a narrow
 // answer share one run rather than doubling up from the first.
 func (l *RecList) open(n int) []byte {
+	l.ext = nil
 	size := max(n, minRun)
 	if len(l.runs) > 0 {
 		run := l.runs[len(l.runs)-1]
@@ -213,12 +219,76 @@ func (l *RecList) AppendRows(rows []uint64, sel []int32, arity int) {
 
 // Splice appends run, n whole records cut from a decoded list's runs at
 // record boundaries, without copying it: the list aliases run from then
-// on.
+// on. Records spliced one at a time in list order (a RecCursor's) join
+// one run: a splice that starts where the previous one ended extends it.
 func (l *RecList) Splice(run []byte, n int) {
-	if n > 0 {
-		l.runs = append(l.runs, run[:len(run):len(run)])
-		l.n += n
+	if n == 0 {
+		return
 	}
+	l.n += n
+	if e := l.ext; len(e) < cap(e) && len(e)+len(run) <= cap(e) && &e[:len(e)+1][len(e)] == &run[0] {
+		l.ext = e[:len(e)+len(run)]
+		l.runs[len(l.runs)-1] = l.ext[:len(l.ext):len(l.ext)]
+		return
+	}
+	l.ext = run
+	l.runs = append(l.runs, run[:len(run):len(run)])
+}
+
+// RecCursor walks a record list one record at a time, in order.
+type RecCursor struct {
+	runs     [][]byte
+	run      []byte
+	off, end int // the current record is run[off:end]
+}
+
+// Cursor returns a cursor before the list's first record.
+func (l RecList) Cursor() RecCursor { return RecCursor{runs: l.runs} }
+
+// Next steps to the next record and returns its bytes, ready to Splice,
+// or nil past the last one.
+func (c *RecCursor) Next() []byte {
+	for c.end == len(c.run) {
+		if len(c.runs) == 0 {
+			return nil
+		}
+		c.run, c.runs, c.end = c.runs[0], c.runs[1:], 0
+	}
+	c.off = c.end
+	c.end += RecLen(c.run[c.off:])
+	return c.run[c.off:c.end]
+}
+
+// RecInto decodes the record at the front of b — a record RecCursor.Next
+// returned, or any record boundary of a list's run — into dst, resized
+// to its arity (reallocated only if too small), and returns it. Values
+// load a word at a time over b's capacity: a record cut from a run reads
+// the bytes after it and masks them off.
+func RecInto(b []byte, dst []uint64) []uint64 {
+	b = b[:cap(b)]
+	k, n := uint64(b[0]), 1
+	if k >= 0x80 {
+		k, n = binary.Uvarint(b)
+	}
+	if uint64(cap(dst)) < k {
+		dst = make([]uint64, k)
+	}
+	dst = dst[:k]
+	readVals(b, n, dst)
+	return dst
+}
+
+// readVals decodes the values of a record of arity len(rec) whose tag
+// bytes start at run[p], and returns the offset past its last value.
+func readVals(run []byte, p int, rec []uint64) int {
+	tags := run[p : p+(len(rec)+1)/2]
+	p += len(tags)
+	for i := range rec {
+		w := int(tags[i>>1]>>(4*(i&1))) & 15
+		rec[i] = loadVal(run, p, w)
+		p += w
+	}
+	return p
 }
 
 // Records decodes the list. Every record is a capped read-only view
@@ -254,15 +324,8 @@ func (l RecList) Records() []schema.Record {
 			}
 			rec := arena[:k:k]
 			arena = arena[k:]
-			tags := run[off+n : off+n+(k+1)/2]
-			p := off + n + len(tags)
-			for i := range rec {
-				w := int(tags[i>>1]>>(4*(i&1))) & 15
-				rec[i] = loadVal(run, p, w)
-				p += w
-			}
+			off = readVals(run, off+n, rec)
 			recs = append(recs, rec)
-			off = p
 		}
 		left -= len(run)
 	}
@@ -288,6 +351,25 @@ func (c *codec) RecList(l *RecList) {
 	}
 	if run := c.recRun(n); c.err == nil && n > 0 {
 		*l = RecList{n: n, runs: [][]byte{run}}
+	}
+}
+
+// run walks the record list of a run kind (insert, replicate) and
+// returns its record count; a decoded run holds at least one record.
+func (c *codec) run(l *RecList) int {
+	c.RecList(l)
+	if c.dec && c.err == nil && l.n == 0 {
+		c.fail("empty run")
+	}
+	return l.n
+}
+
+// column walks one per-record column of a run: a length prefix, which a
+// decode holds to the run's record count n, then the values.
+func column[T any](c *codec, v *[]T, n int, elem func(*codec, *T)) {
+	slice(c, v, MaxSliceLen, elem)
+	if c.dec && c.err == nil && len(*v) != n {
+		c.fail("column of %d values in a run of %d records", len(*v), n)
 	}
 }
 

@@ -180,9 +180,10 @@ func allMessages() []Message {
 		&RingResumed{ProbeID: 6},
 		&LivenessProbe{ReqID: 7, Asker: ni, Suspect: NodeInfo{Addr: "s", Code: c}, Hops: 1},
 		&LivenessReply{ReqID: 7, Alive: true},
-		&Insert{ReqID: 8, OriginAddr: "o", Index: "idx", Version: 3, RecID: 99, Rec: []uint64{1, 2, 3, 4}, Target: c, Hops: 2, Attempt: 1, TreeEpoch: 1<<16 | 7},
-		&InsertAck{ReqID: 8, StoredAt: ni, Hops: 4},
-		&Replicate{Index: "idx", Version: 3, RecID: 99, Rec: []uint64{1, 2, 3, 4}, OwnerCode: c},
+		&InsertRun{OriginAddr: "o", Index: "idx", Version: 3, TreeEpoch: 1<<16 | 7, Attempt: 1,
+			ReqIDs: []uint64{8}, RecIDs: []uint64{99}, Targets: []bitstr.Code{c}, Hops: []uint8{2}, Recs: listOf(schema.Record{1, 2, 3, 4})},
+		&InsertAcks{StoredAt: ni, ReqIDs: []uint64{8}, Hops: []uint8{4}},
+		&ReplicateRun{Index: "idx", Version: 3, OwnerCode: c, RecIDs: []uint64{99}, Recs: listOf(schema.Record{1, 2, 3, 4})},
 		&Query{ReqID: 9, OriginAddr: "o", Index: "idx", Versions: []uint64{1, 2}, Rect: rect, Target: c, Hops: 1, TreeEpoch: 4},
 		&SubQuery{ReqID: 9, OriginAddr: "o", Index: "idx", Versions: []uint64{1}, Rect: rect, RegionCode: c, Hops: 2, Historic: true, Attempt: 2, TreeEpoch: 4},
 		&QueryResp{ReqID: 9, From: ni, HasCover: true, Cover: c, Versions: []uint64{0, 1}, Recs: listOf(schema.Record{1, 2}, schema.Record{3, 4}), Hops: 3},
@@ -436,29 +437,5 @@ func TestKindString(t *testing.T) {
 	}
 	if got := Kind(200).String(); got != "kind(200)" {
 		t.Errorf("unregistered kind prints %q", got)
-	}
-}
-
-func BenchmarkEncodeInsert(b *testing.B) {
-	m := &Insert{ReqID: 8, OriginAddr: "node-abilene-chin", Index: "index1-fanout",
-		Version: 3, RecID: 99, Rec: []uint64{3232243719, 86000, 1700, 167837697, 5},
-		Target: bitstr.MustParse("01101001"), Hops: 2}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = Encode(m)
-	}
-}
-
-func BenchmarkDecodeInsert(b *testing.B) {
-	m := &Insert{ReqID: 8, OriginAddr: "node-abilene-chin", Index: "index1-fanout",
-		Version: 3, RecID: 99, Rec: []uint64{3232243719, 86000, 1700, 167837697, 5},
-		Target: bitstr.MustParse("01101001"), Hops: 2}
-	data := Encode(m)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decode(data); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
