@@ -15,7 +15,6 @@ import (
 	"mind/internal/aggregate"
 	"mind/internal/cluster"
 	"mind/internal/flowgen"
-	"mind/internal/hypercube"
 	"mind/internal/metrics"
 	"mind/internal/mind"
 	"mind/internal/schema"
@@ -283,21 +282,9 @@ func driveQueries(c *cluster.Cluster, spec querySpec, count int, now uint64, rnd
 	return samples
 }
 
-// fastOverlayConfig tightens protocol timers for virtual-time runs.
-func fastOverlayConfig() hypercube.Config {
-	c := hypercube.DefaultConfig()
-	c.HeartbeatInterval = 2 * time.Second
-	c.FailAfter = 7 * time.Second
-	c.JoinTimeout = 3 * time.Second
-	c.JoinRetryBackoff = 500 * time.Millisecond
-	c.PrepareTimeout = 2 * time.Second
-	return c
-}
-
 // nodeConfig builds the standard experiment node configuration.
 func nodeConfig(seed int64) mind.Config {
 	cfg := mind.DefaultConfig(seed)
-	cfg.Overlay = fastOverlayConfig()
 	cfg.InsertTimeout = 60 * time.Second
 	cfg.QueryTimeout = 60 * time.Second
 	// The figure reproductions run over bandwidth-limited WAN links where

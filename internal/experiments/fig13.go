@@ -62,7 +62,6 @@ func Fig13(seed int64, scale float64) (*Report, error) {
 	nodeCfg.Overlay.HeartbeatInterval = 15 * time.Second
 	nodeCfg.Overlay.FailAfter = time.Minute
 	nodeCfg.HistCollectWait = 10 * time.Second
-	nodeCfg.BalancedCutDepth = 10
 	c, err := cluster.New(cluster.Options{
 		Routers: routers,
 		Seed:    seed,

@@ -12,10 +12,10 @@ import (
 // per-call outbox, one run per destination, class and header, and when
 // the handler returns each destination gets one frame per class: its
 // runs, each encoded once, bare when there is one and wrapped in a
-// wire.Batch otherwise — with no timer and nothing to configure.
-// Everything outside such a scope — recalls, split transfers, takeover
-// re-replication — passes a nil outbox and sends each record at once, a
-// run of one. A lost frame is N lost datagrams to the reliable layer.
+// wire.Batch otherwise — with no timer and nothing to configure. The
+// repairs take the same path: their re-inserts are insert groups
+// (rehome.go), and takeover re-replication posts through one outbox. A
+// lost frame is N lost datagrams to the reliable layer.
 //
 // Locking: an outbox belongs to the one call that created it and needs
 // no lock; the envelope counters are atomics.
@@ -102,14 +102,8 @@ func (r *insertRec) addRec(l *wire.RecList) {
 }
 
 // postInsert sends r one hop on, to: into the open insert run of its
-// header. A nil outbox stands for "send now": the post opens one and
-// flushes it, so the record leaves alone, a run of one (postReplica and
-// postAck alike).
+// header.
 func (n *Node) postInsert(ob *outbox, to string, r *insertRec) {
-	if ob == nil {
-		ob = &outbox{n: n}
-		defer ob.flush()
-	}
 	g := ob.group(outData, to)
 	var run *wire.InsertRun
 	for _, m := range g.runs {
@@ -130,10 +124,6 @@ func (n *Node) postInsert(ob *outbox, to string, r *insertRec) {
 // postReplica copies r, just stored here as owner, to the replica target
 // to.
 func (n *Node) postReplica(ob *outbox, to string, owner bitstr.Code, r *insertRec) {
-	if ob == nil {
-		ob = &outbox{n: n}
-		defer ob.flush()
-	}
 	g := ob.group(outData, to)
 	var run *wire.ReplicateRun
 	for _, m := range g.runs {
@@ -153,10 +143,6 @@ func (n *Node) postReplica(ob *outbox, to string, owner bitstr.Code, r *insertRe
 
 // postAck acks r's storage at this node (at) to its origin.
 func (n *Node) postAck(ob *outbox, at wire.NodeInfo, r *insertRec) {
-	if ob == nil {
-		ob = &outbox{n: n}
-		defer ob.flush()
-	}
 	g := ob.group(outAck, r.origin)
 	var run *wire.InsertAcks
 	for _, m := range g.runs {
@@ -176,9 +162,6 @@ func (n *Node) postAck(ob *outbox, at wire.NodeInfo, r *insertRec) {
 // replicasFor returns the node's replica targets, resolved at most once
 // per outbox (a contacts copy, a level map and a sort).
 func (n *Node) replicasFor(ob *outbox) []string {
-	if ob == nil {
-		return n.replicaTargets()
-	}
 	if !ob.resolved {
 		ob.replicas, ob.resolved = n.replicaTargets(), true
 	}

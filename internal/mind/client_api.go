@@ -35,25 +35,6 @@ const clientQueryKeyMix = 0x517cc1b727220a95
 // clientAggKeyMix separates aggregate-query ids from the other kinds.
 const clientAggKeyMix = 0x2545f4914f6cdd1d
 
-// clientOpLocked looks a request up in the bounded client cache.
-// Callers hold n.mu.
-func (n *Node) clientOpLocked(key uint64) *clientOpState {
-	if st, ok := n.clientSeen[key]; ok {
-		return st
-	}
-	return n.clientPrev[key]
-}
-
-// storeClientOpLocked records a request, rotating generations at the
-// bound (same scheme as dedupSet). Callers hold n.mu.
-func (n *Node) storeClientOpLocked(key uint64, st *clientOpState) {
-	if len(n.clientSeen) >= dedupCap {
-		n.clientPrev = n.clientSeen
-		n.clientSeen = make(map[uint64]*clientOpState)
-	}
-	n.clientSeen[key] = st
-}
-
 // shedAck refuses one client request under overload: an explicit shed
 // response, no execution, no dedup-cache entry (the retry must be
 // re-admitted as a fresh request).
@@ -69,7 +50,7 @@ func (n *Node) handleClientInsert(from string, m *wire.ClientInsert) {
 	}
 	key := clientOpKey(from, m.ReqID)
 	n.mu.Lock()
-	if st := n.clientOpLocked(key); st != nil {
+	if st, ok := n.clientOps.Get(key); ok {
 		n.dedupHits.Add(1)
 		var cached *wire.ClientAck
 		if st.done {
@@ -82,7 +63,7 @@ func (n *Node) handleClientInsert(from string, m *wire.ClientInsert) {
 		return
 	}
 	st := &clientOpState{}
-	n.storeClientOpLocked(key, st)
+	n.clientOps.Put(key, st)
 	n.mu.Unlock()
 
 	finish := func(ack *wire.ClientAck) {
@@ -115,13 +96,13 @@ func (n *Node) serveClientRead(from string, key uint64, refuse func(shed bool) w
 		return
 	}
 	n.mu.Lock()
-	if st := n.clientOpLocked(key); st != nil && !st.done {
+	if st, ok := n.clientOps.Get(key); ok && !st.done {
 		n.dedupHits.Add(1)
 		n.mu.Unlock()
 		return
 	}
 	st := &clientOpState{}
-	n.storeClientOpLocked(key, st)
+	n.clientOps.Put(key, st)
 	n.mu.Unlock()
 
 	reply := func(resp wire.Message) {

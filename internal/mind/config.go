@@ -34,15 +34,14 @@ type Config struct {
 	// RetryBase is the delay before the first retransmission of an
 	// un-acked insert or un-covered query region; each further attempt
 	// doubles it (plus deterministic jitter from the node's seeded RNG)
-	// up to RetryMax. RetryBase 0 disables the reliable request layer
-	// (operations become single-shot datagrams bounded only by the
-	// operation timeouts, the pre-retry behavior).
+	// up to RetryMax.
 	RetryBase time.Duration
 	// RetryMax caps the backoff between retransmissions.
 	RetryMax time.Duration
 	// MaxRetries is how many retransmissions an originator sends before
 	// giving up and feeding the suspected first hop to the overlay's
-	// failure machinery. 0 disables the reliable request layer.
+	// failure machinery. With 0 nothing is retransmitted: the first
+	// check gives up at once and the operation waits out its timeout.
 	MaxRetries int
 
 	// VersionSeconds is the length of one index version period (the
@@ -81,10 +80,10 @@ type Config struct {
 	// GossipRateLimit.
 	GossipRateBurst int
 	// MaxPendingOps sheds new ClientInserts while the node already has
-	// this many tracked in-flight inserts — the node-level analogue of
-	// the ingest engine's ring bound, keeping a request flood from
-	// growing the retransmission layer's state without limit. 0
-	// disables.
+	// this many in-flight inserts (PendingInserts, repair re-inserts
+	// included) — the node-level analogue of the ingest engine's ring
+	// bound, keeping a request flood from growing the retransmission
+	// layer's state without limit. 0 disables.
 	MaxPendingOps int
 
 	// HistCollectWait is how long the designated aggregation node waits

@@ -274,6 +274,59 @@ func TestRetryExhaustion(t *testing.T) {
 			t.Fatal("a dropped report suspected its first hop")
 		}
 	})
+
+	// Exhaustion suspects only the hops of regions still missing: a region
+	// that answered after a retransmission clears its hop.
+	t.Run("answered region", func(t *testing.T) {
+		c := mkCluster(t, 3, 59, func(o *cluster.Options) {
+			o.Node.Replication = 0
+			o.Node.Overlay.FailAfter = 10 * time.Minute
+			o.Node.RetryBase = 500 * time.Millisecond
+			o.Node.RetryMax = 2 * time.Second
+			o.Node.MaxRetries = maxRetries
+		})
+		if err := c.CreateIndex(testSchema()); err != nil {
+			t.Fatal(err)
+		}
+		c.Settle(2 * time.Second)
+		// Two nodes split one half of the space, the third holds the other
+		// half alone: the origin reaches its sibling's region only through
+		// the sibling and the lone node's only through that node.
+		origin, answered, silent := -1, -1, -1
+		for i, n := range c.Nodes {
+			switch {
+			case n.Code().Len() == 1:
+				silent = i
+			case origin < 0:
+				origin = i
+			default:
+				answered = i
+			}
+		}
+		if silent < 0 || answered < 0 {
+			t.Fatalf("codes %v %v %v, want one node at depth 1", c.Nodes[0].Code(), c.Nodes[1].Code(), c.Nodes[2].Code())
+		}
+		c.Kill(silent)
+		// The sibling misses the first attempt and answers the first
+		// retransmission.
+		c.Net.Outage(c.Nodes[origin].Addr(), c.Nodes[answered].Addr(), 200*time.Millisecond)
+		var res *mind.QueryResult
+		if err := c.Nodes[origin].Query("test-index", fullRect(), func(r mind.QueryResult) { res = &r }); err != nil {
+			t.Fatal(err)
+		}
+		if !c.Net.RunUntil(func() bool { return res != nil || suspected(c, origin, silent) }, 50_000_000) || res != nil {
+			t.Fatal("query settled before its retries fed the silent hop to the overlay")
+		}
+		if suspected(c, origin, answered) {
+			t.Fatal("exhaustion suspected the hop of a region that answered")
+		}
+		if !c.Net.RunUntil(func() bool { return res != nil }, 50_000_000) {
+			t.Fatal("query never settled")
+		}
+		if res.Complete || res.Responders != 2 {
+			t.Fatalf("complete %v with %d responders, want the origin and its sibling only", res.Complete, res.Responders)
+		}
+	})
 }
 
 func TestQueriesCompleteAfterLinkCut(t *testing.T) {

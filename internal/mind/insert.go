@@ -19,21 +19,22 @@ type InsertResult struct {
 	StoredAt string // owner node address
 	// Attempts counts originator retransmissions of this insert. A
 	// retransmitted insert may race its first copy through ring recovery
-	// onto distinct owners — the only path by which an acked record can
-	// end up stored twice — so callers needing exact aggregate oracles
-	// (the chaos differential) treat Attempts > 0 as a duplicate risk.
+	// onto distinct owners, so an acked record can end up stored twice —
+	// as can one a repair re-inserts (a region recall copies what replica
+	// holders keep) — and callers needing exact aggregate oracles (the
+	// chaos differential) treat Attempts > 0 as a duplicate risk.
 	Attempts int
 	Err      error
 }
 
 // insertOp is one record an originator inserts: a member of the
-// insertGroup it settles into when tracked. It keeps what a
-// retransmission resends (reliable.go) until the ack arrives or the group
-// times out; the index tag is the group's, the origin this node.
+// insertGroup it settles into. It keeps what a retransmission resends
+// (reliable.go) until the ack arrives or the group times out; the index
+// tag is the group's, the origin this node.
 type insertOp struct {
 	grp     *insertGroup
 	slot    int    // position in the group, and in its results
-	reqID   uint64 // 0 when untracked: solicits no ack
+	reqID   uint64 // the ack key, minted by sendInserts
 	recID   uint64
 	version uint32
 	epoch   uint64 // the tree epoch target was computed under
@@ -86,10 +87,10 @@ func (r *insertRec) appendTo(run *wire.InsertRun) {
 	r.addRec(&run.Recs)
 }
 
-// insertGroup is what every tracked insert is a member of: the ops of
-// one sendInserts call — one for Insert and for each repair re-insertion
-// (rehome.go), N for InsertBatch — sharing one InsertTimeout timer, one
-// retransmission schedule and one callback. Per-record timers are the
+// insertGroup is what every insert is a member of: the ops of one
+// sendInserts call — one for Insert, N for InsertBatch and for a repair's
+// re-inserts of one index (rehome.go) — sharing one InsertTimeout timer,
+// one retransmission schedule and one callback. Per-record timers are the
 // dominant originator-side cost at streaming-ingest rates (two timer
 // allocations and heap operations per record); the group keeps per-record
 // ack tracking, retransmission targeting and timeout semantics and owns
@@ -162,13 +163,10 @@ func (n *Node) InsertBatch(tag string, recs []schema.Record, cb func([]InsertRes
 // ops of one call, all of index tag, are routed, registered as one
 // insertGroup, dispatched through one outbox and put on one
 // retransmission schedule; done (nil for fire-and-forget) receives every
-// member's outcome once the last settles.
+// member's outcome once the last settles. Every group is tracked, even a
+// fire-and-forget one: retransmission needs the pending-ack state, and
+// InsertTimeout bounds how long an entry can linger.
 func (n *Node) sendInserts(tag string, ops []insertOp, done func([]InsertResult)) {
-	// Track the ops whenever the reliable layer is on, even fire-and-forget
-	// inserts: retransmission needs the pending-ack state, and InsertTimeout
-	// bounds how long an entry can linger. An untracked insert carries
-	// ReqID 0, which solicits no ack.
-	tracked := done != nil || n.retriesEnabled()
 	// Route with no lock held. Nothing is shared yet, so the ops may still
 	// be written.
 	for i := range ops {
@@ -177,27 +175,24 @@ func (n *Node) sendInserts(tag string, ops []insertOp, done func([]InsertResult)
 			op.lastHop, _ = n.ov.NextHop(op.target)
 		}
 	}
-	var grp *insertGroup
-	if tracked {
-		grp = &insertGroup{tag: tag, ops: ops, pending: len(ops), done: done}
-		if done != nil {
-			grp.results = make([]InsertResult, len(ops))
-		}
-		n.reqTracked.Add(uint64(len(ops)))
-		n.pendingGauge.Add(int64(len(ops)))
-		n.mu.Lock()
-		for i := range ops {
-			op := &ops[i]
-			op.grp, op.slot, op.reqID = grp, i, n.nextReq()
-			n.inserts[op.reqID] = op
-		}
-		grp.timeout = n.clock.AfterFunc(n.cfg.InsertTimeout, func() {
-			for i := range grp.ops {
-				n.finishInsert(grp.ops[i].reqID, InsertResult{OK: false, Err: errTimeout})
-			}
-		})
-		n.mu.Unlock()
+	grp := &insertGroup{tag: tag, ops: ops, pending: len(ops), done: done}
+	if done != nil {
+		grp.results = make([]InsertResult, len(ops))
 	}
+	n.reqTracked.Add(uint64(len(ops)))
+	n.pendingGauge.Add(int64(len(ops)))
+	n.mu.Lock()
+	for i := range ops {
+		op := &ops[i]
+		op.grp, op.slot, op.reqID = grp, i, n.nextReq()
+		n.inserts[op.reqID] = op
+	}
+	grp.timeout = n.clock.AfterFunc(n.cfg.InsertTimeout, func() {
+		for i := range grp.ops {
+			n.finishInsert(grp.ops[i].reqID, InsertResult{OK: false, Err: errTimeout})
+		}
+	})
+	n.mu.Unlock()
 
 	ob := &outbox{n: n}
 	self := n.ep.Addr()
@@ -217,19 +212,17 @@ func (n *Node) sendInserts(tag string, ops []insertOp, done func([]InsertResult)
 		}
 	}
 	ob.flush()
-	if tracked {
-		// The schedule is armed only now: the loop above reads lastHop with
-		// no lock, and a check firing on a short RetryBase writes it. The
-		// backoff is drawn even when every member has already settled (local
-		// stores), so a node's jitter sequence depends on how many groups it
-		// sent, not on where their records landed.
-		n.mu.Lock()
-		grp.retry.armLocked(n, func() { n.resendInsertGroup(grp) })
-		if grp.pending == 0 {
-			grp.retry.stop()
-		}
-		n.mu.Unlock()
+	// The schedule is armed only now: the loop above reads lastHop with no
+	// lock, and a check firing on a short RetryBase writes it. The backoff
+	// is drawn even when every member has already settled (local stores),
+	// so a node's jitter sequence depends on how many groups it sent, not
+	// on where their records landed.
+	n.mu.Lock()
+	grp.retry.armLocked(n, func() { n.resendInsertGroup(grp) })
+	if grp.pending == 0 {
+		grp.retry.stop()
 	}
+	n.mu.Unlock()
 }
 
 func clampDepth(d int) int {
@@ -242,7 +235,7 @@ func clampDepth(d int) int {
 	return d
 }
 
-// takeInsertLocked settles a tracked insert: the op leaves the table with
+// takeInsertLocked settles an insert: the op leaves the table with
 // its outcome recorded in its group, and a last pending member stops the
 // group's timers. It returns the group when its callback is now due — the
 // caller fires it once n.mu is released — and nil otherwise, also for an
@@ -404,9 +397,8 @@ func (n *Node) ringRecover(r *insertRec) {
 	n.ov.RingRecover(r.target, wire.Encode(&run))
 }
 
-// storeAsOwner stores the record, replicates it, and acks the origin —
-// through ob when the caller is envelope-scoped (batch.go), immediately
-// when ob is nil. It runs without any node-wide lock: the per-index
+// storeAsOwner stores the record, replicates it, and acks the origin,
+// all through ob. It runs without any node-wide lock: the per-index
 // dedup+insert is atomic inside storeRecord, trigger matching locks the
 // index, and the sends happen lock-free.
 func (n *Node) storeAsOwner(ix *index, r *insertRec, ob *outbox) {
@@ -449,12 +441,10 @@ func (n *Node) storeAsOwner(ix *index, r *insertRec, ob *outbox) {
 			n.postReplica(ob, addr, myInfo.Code, r)
 		}
 	}
-	if r.reqID != 0 {
-		if r.origin == n.ep.Addr() {
-			n.finishInsert(r.reqID, InsertResult{OK: true, Hops: int(r.hops), StoredAt: myInfo.Addr})
-		} else {
-			n.postAck(ob, myInfo, r)
-		}
+	if r.origin == n.ep.Addr() {
+		n.finishInsert(r.reqID, InsertResult{OK: true, Hops: int(r.hops), StoredAt: myInfo.Addr})
+	} else {
+		n.postAck(ob, myInfo, r)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"mind/internal/schema"
 	"mind/internal/transport"
+	"mind/internal/wire"
 )
 
 // Tests for the insert group (insert.go): every tracked insert settles
@@ -59,6 +60,8 @@ func ownedRecs(t *testing.T, a *Node, tag string, seed int64, local bool, n int)
 
 // TestInsertGroupTimers: a settled group leaves no live timer behind, and
 // an unsettled one still times out — each member once, at InsertTimeout.
+// A repair's re-inserts are one group too: one timer, one run per first
+// hop.
 func TestInsertGroupTimers(t *testing.T) {
 	// No other timer of the node or its overlay runs 31 s.
 	const insertTimeout = 31 * time.Second
@@ -168,27 +171,36 @@ func TestInsertGroupTimers(t *testing.T) {
 			t.Errorf("PendingInserts = %d after the timeout", p)
 		}
 	})
-}
-
-// TestUntrackedInsertSolicitsNoAck: with the reliable layer off and no
-// callback nothing tracks the insert, so it carries no request id and its
-// owner sends no InsertAck for nobody to receive.
-func TestUntrackedInsertSolicitsNoAck(t *testing.T) {
-	net, a, b, _, _, sch := tapPairWith(t, nil, func(c *Config) { c.RetryBase = 0 })
-	const nrecs = 50
-	for _, rec := range envelopeRecs(31, nrecs) {
-		if err := a.Insert(sch.Tag, rec, nil); err != nil {
-			t.Fatal(err)
+	t.Run("rehome", func(t *testing.T) {
+		clock.timers = nil
+		net, a, b, ta, _, sch := tapPairWith(t, wrap, func(c *Config) { c.InsertTimeout = insertTimeout })
+		ix, _ := a.getIndex(sch.Tag)
+		// Records b owns, stranded in a's primary store.
+		var stranded []schema.Record
+		for _, rec := range ownedRecs(t, a, sch.Tag, 25, false, 40) {
+			if ix.version(rec, a.cfg.VersionSeconds) == 0 {
+				stranded = append(stranded, rec)
+			}
 		}
-	}
-	net.RunFor(time.Second)
-	remote := b.StoredRecords(sch.Tag)
-	if got := a.StoredRecords(sch.Tag) + remote; got != nrecs || remote == 0 {
-		t.Fatalf("stored %d records (%d remote), want %d", got, remote, nrecs)
-	}
-	for _, n := range []*Node{a, b} {
-		if acks := n.Stats().AcksReceived; acks != 0 || n.PendingInserts() != 0 {
-			t.Errorf("%s: %d acks received, %d inserts pending; fire-and-forget inserts want neither", n.Addr(), acks, n.PendingInserts())
+		for i, rec := range stranded {
+			ix.storeRecord(0, uint64(1<<40+i), rec)
 		}
-	}
+		if got := a.rehomeForeign(ix, 0); got != len(stranded) {
+			t.Fatalf("rehomeForeign re-inserted %d records, want %d", got, len(stranded))
+		}
+		if armed, _ := insertTimers(); armed != 1 {
+			t.Errorf("%d InsertTimeout timers armed for %d re-inserts, want 1", armed, len(stranded))
+		}
+		key := tapKey{"b", wire.KindInsert}
+		if ta.frames[key] != 1 || ta.msgs[key] != len(stranded) {
+			t.Errorf("%d insert frames carrying %d records to b, want one run of %d", ta.frames[key], ta.msgs[key], len(stranded))
+		}
+		net.RunFor(5 * time.Second)
+		if got := b.StoredRecords(sch.Tag); got != len(stranded) || a.PendingInserts() != 0 {
+			t.Errorf("b stores %d records with %d pending, want %d acked", got, a.PendingInserts(), len(stranded))
+		}
+		if _, live := insertTimers(); live != 0 {
+			t.Errorf("%d InsertTimeout timers still live after every re-insert acked", live)
+		}
+	})
 }

@@ -35,7 +35,7 @@ import (
 //
 //   - mu guards operation tracking and node-wide control maps: inserts
 //     and their groups, scatters, reports, every retrySchedule, seenOps,
-//     collect, triggerSubs, clientSeen/clientPrev, rng.
+//     collect, triggerSubs, clientOps, rng.
 //   - ixMu guards the indices map only; per-index mutable state is
 //     behind each index's own mutex, and the stores are internally
 //     concurrent (one writer mutex per version's ladder, lock-free
@@ -118,10 +118,9 @@ type Node struct {
 	// Aggregate-path counters (aggquery.go).
 	aggAnswered     atomic.Uint64 // aggregate pieces answered from local summaries
 	aggCoverDropped atomic.Uint64 // aggregate responses dropped for overlapping coverage
-	// clientSeen dedups client RPC request ids so a retransmitted
+	// clientOps dedups client RPC request ids so a retransmitted
 	// ClientInsert is idempotent (client_api.go).
-	clientSeen map[uint64]*clientOpState // mu
-	clientPrev map[uint64]*clientOpState // mu
+	clientOps *genSet[*clientOpState] // mu
 	// Admission control (admission.go). admMu is an independent leaf.
 	admMu         sync.Mutex
 	clientBuckets *bucketMap
@@ -157,7 +156,7 @@ func NewNode(ep transport.Endpoint, clock transport.Clock, cfg Config) *Node {
 		repairAt:      make(map[string]time.Time),
 		addrTag:       hashAddr(ep.Addr()) ^ mix64(uint64(clock.Now().UnixNano())),
 		tupleLinks:    make(map[string]uint64),
-		clientSeen:    make(map[uint64]*clientOpState),
+		clientOps:     newGenSet[*clientOpState](dedupCap),
 		clientBuckets: newBucketMap(),
 		gossipBuckets: newBucketMap(),
 	}
@@ -315,10 +314,10 @@ func (n *Node) Stats() Stats {
 	return s
 }
 
-// PendingInserts returns the number of in-flight tracked inserts from a
-// lock-free gauge. The ingest engine polls it on every admission
-// decision, where taking mu would serialize producers against the
-// node's own operation tracking.
+// PendingInserts returns the number of in-flight inserts, repair
+// re-inserts included, from a lock-free gauge. The ingest engine polls it
+// on every admission decision, where taking mu would serialize producers
+// against the node's own operation tracking.
 func (n *Node) PendingInserts() int { return int(n.pendingGauge.Load()) }
 
 // TupleLinkCounts snapshots how many insert tuples this node sent over

@@ -89,31 +89,29 @@ func (n *Node) LocalHistogram(tag string, day uint32, k int) (*histogram.Hist, e
 // ReportHistogram computes this node's local histogram for the given
 // version and routes it to the designated aggregation node. The
 // experiment harness (or a daily timer in a deployment) calls this on
-// every node at the end of a version period. With the reliable layer
-// on, the report is tracked and retransmitted until acked — and each
-// retransmission re-resolves the designated target, so a coordinator
-// death mid-collection just redirects the report to the takeover node.
+// every node at the end of a version period. The report is tracked and
+// retransmitted until acked — and each retransmission re-resolves the
+// designated target, so a coordinator death mid-collection just
+// redirects the report to the takeover node.
 func (n *Node) ReportHistogram(tag string, day uint32, k int) error {
 	h, err := n.LocalHistogram(tag, day, k)
 	if err != nil {
 		return err
 	}
+	reqID := n.nextReq()
 	msg := &wire.HistReport{
+		ReqID:    reqID,
 		Index:    tag,
 		Day:      day,
 		NodeAddr: n.ep.Addr(),
 		Hist:     h.Marshal(),
 	}
-	if n.retriesEnabled() {
-		msg.ReqID = n.nextReq()
-		op := &histReportOp{msg: msg}
-		reqID := msg.ReqID
-		n.reqTracked.Add(1)
-		n.mu.Lock()
-		n.reports[reqID] = op
-		op.retry.armLocked(n, func() { n.resendReport(reqID) })
-		n.mu.Unlock()
-	}
+	op := &histReportOp{msg: msg}
+	n.reqTracked.Add(1)
+	n.mu.Lock()
+	n.reports[reqID] = op
+	op.retry.armLocked(n, func() { n.resendReport(reqID) })
+	n.mu.Unlock()
 	n.handleHistReport(n.ep.Addr(), msg)
 	return nil
 }
@@ -171,9 +169,6 @@ func (n *Node) handleHistReport(from string, m *wire.HistReport) {
 	// Designated node: ack the reporter, then merge (once per reporter —
 	// a duplicate means our previous ack was lost, so re-ack only).
 	ackReporter := func() {
-		if m.ReqID == 0 {
-			return
-		}
 		ack := &wire.HistReportAck{ReqID: m.ReqID}
 		if m.NodeAddr == n.ep.Addr() {
 			n.handleHistReportAck(ack)

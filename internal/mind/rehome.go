@@ -1,8 +1,6 @@
 package mind
 
 import (
-	"slices"
-
 	"mind/internal/bitstr"
 	"mind/internal/embed"
 	"mind/internal/schema"
@@ -15,7 +13,8 @@ import (
 // split transfer — asks one question of a store: which code does this
 // version's tree place each record at, this deep? This file holds the one
 // walk that answers it, the one constructor of the insert that carries a
-// stored record to its new home, and the repairs built from the two.
+// stored record to its new home, and the repairs built from the two. Every
+// re-insert leaves through sendInserts, one group per call and index.
 // Emission order is behaviour the chaos digests pin: indices by tag,
 // versions ascending, Sharded.All order within one, ids minted in that order.
 
@@ -32,16 +31,25 @@ func placed(sch *schema.Schema, tree *embed.Tree, st *store.Sharded, depth int, 
 }
 
 // repairInsert builds the insert that carries an already stored record of
-// version v toward target, under a fresh record id. ReqID stays 0 — no
-// ack — unless the insert goes out through sendInserts.
+// version v toward target, under a fresh record id. The record may be a
+// store view: sendRepairs copies it out before the insert leaves.
 func (n *Node) repairInsert(v uint32, epoch uint64, rec schema.Record, target bitstr.Code) insertOp {
 	return insertOp{recID: n.nextRecID(), version: v, epoch: epoch, rec: rec, target: target}
 }
 
+// sendRepairs sends one index's re-inserts as one insert group, routed,
+// acked and retransmitted like any other. Their records are copied into
+// one slab first: an op's store view would pin its arena until the ack.
+func (n *Node) sendRepairs(tag string, ops []insertOp) {
+	if len(ops) > 0 {
+		slabRecs(ops)
+		n.sendInserts(tag, ops, nil)
+	}
+}
+
 // rehomeForeign re-inserts every primary record of version v that the
-// version's current tree places outside this node's region, through
-// normal routing and tracked, so the reliable layer retransmits; it
-// returns how many. The local copies stay — content-hash dedup collapses
+// version's current tree places outside this node's region; it returns
+// how many. The local copies stay — content-hash dedup collapses
 // duplicates at query originators, and keeping them is the conservative
 // side of a lost re-insert.
 func (n *Node) rehomeForeign(ix *index, v uint32) int {
@@ -53,13 +61,10 @@ func (n *Node) rehomeForeign(ix *index, v uint32) int {
 	var outs []insertOp
 	placed(ix.sch, tree, ix.primary.Version(v), clampDepth(myCode.Len()+n.cfg.InsertDepthSlack), func(rec schema.Record, pc bitstr.Code) {
 		if !myCode.IsPrefixOf(pc) {
-			// Cloned: a tracked op's view would pin its arena until the ack.
-			outs = append(outs, n.repairInsert(v, epoch, slices.Clone(rec), pc))
+			outs = append(outs, n.repairInsert(v, epoch, rec, pc))
 		}
 	})
-	for i := range outs {
-		n.sendInserts(ix.sch.Tag, outs[i:i+1], nil) // a group of one per record
-	}
+	n.sendRepairs(ix.sch.Tag, outs)
 	return len(outs)
 }
 
@@ -74,10 +79,10 @@ func (n *Node) handleRegionRecall(m *wire.RegionRecall) {
 	}
 	n.flood(m)
 
-	myCode, myAddr := n.ov.Code(), n.ep.Addr()
+	myCode := n.ov.Code()
 	depth := clampDepth(m.Region.Len() + n.cfg.InsertDepthSlack)
-	var outs []insertRec
 	for _, ix := range n.sortedIndices() {
+		var outs []insertOp
 		// Replicas first, then stranded primary data: records this node
 		// still holds for a region it relocated away from.
 		for _, vs := range []*store.Versioned{ix.replicas, ix.primary} {
@@ -86,15 +91,12 @@ func (n *Node) handleRegionRecall(m *wire.RegionRecall) {
 				placed(ix.sch, tree, vs.Version(v), depth, func(rec schema.Record, pc bitstr.Code) {
 					// What falls inside our own region we already serve.
 					if m.Region.IsPrefixOf(pc) && !myCode.IsPrefixOf(pc) {
-						op := n.repairInsert(v, epoch, rec, pc)
-						outs = append(outs, op.inflight(myAddr, ix.sch.Tag, 0))
+						outs = append(outs, n.repairInsert(v, epoch, rec, pc))
 					}
 				})
 			}
 		}
-	}
-	for i := range outs {
-		n.routeInsert(&outs[i], nil)
+		n.sendRepairs(ix.sch.Tag, outs)
 	}
 }
 
@@ -105,16 +107,15 @@ func (n *Node) onSplit(oldCode, newCode bitstr.Code, joiner wire.NodeInfo) {
 	if !n.cfg.TransferOnSplit {
 		return
 	}
-	var pushes []insertRec
 	for _, ix := range n.sortedIndices() {
+		var pushes []insertOp
 		for _, v := range ix.primary.Versions() {
 			tree, epoch := ix.treeAndEpoch(v)
 			st := ix.primary.Version(v)
 			var keep []schema.Record
 			placed(ix.sch, tree, st, joiner.Code.Len(), func(rec schema.Record, pc bitstr.Code) {
 				if joiner.Code.IsPrefixOf(pc) {
-					op := n.repairInsert(v, epoch, rec, joiner.Code)
-					pushes = append(pushes, op.inflight(n.ep.Addr(), ix.sch.Tag, 0))
+					pushes = append(pushes, n.repairInsert(v, epoch, rec, joiner.Code))
 				} else {
 					keep = append(keep, rec)
 				}
@@ -127,9 +128,7 @@ func (n *Node) onSplit(oldCode, newCode bitstr.Code, joiner wire.NodeInfo) {
 				}
 			}
 		}
-	}
-	for i := range pushes {
-		n.postInsert(nil, joiner.Addr, &pushes[i])
+		n.sendRepairs(ix.sch.Tag, pushes)
 	}
 }
 
@@ -160,11 +159,13 @@ func (n *Node) onTakeover(dead, oldCode bitstr.Code) {
 		}
 	}
 	replicas := n.replicaTargets()
+	ob := &outbox{n: n}
 	for i := range pushes {
 		for _, addr := range replicas {
-			n.postReplica(nil, addr, owner, &pushes[i])
+			n.postReplica(ob, addr, owner, &pushes[i])
 		}
 	}
+	ob.flush()
 
 	// Recall any surviving replicas of the adopted region from the rest
 	// of the overlay: after a relocation takeover this node starts with

@@ -30,47 +30,64 @@ import (
 // dedupCap and 2·dedupCap of the most recent keys.
 const dedupCap = 1 << 16
 
-// dedupSet is a bounded two-generation set of uint64 keys: when the
+// genSet is a bounded two-generation map of uint64 keys: when the
 // current generation fills, it becomes the previous generation and a
-// fresh one starts. Lookups consult both, so membership is remembered
-// for at least cap and at most 2·cap recent keys with O(1) operations
-// and bounded memory — the idempotent-receiver cache of the reliable
-// request layer. The retransmission horizon (MaxRetries backoff steps)
-// is far shorter than the time it takes cap fresh keys to arrive, so a
-// retransmitted request always finds its first attempt still cached.
-type dedupSet struct {
+// fresh one starts. Lookups consult both, so a key is remembered for at
+// least cap and at most 2·cap recent insertions with O(1) operations and
+// bounded memory — the idempotent-receiver cache of the reliable request
+// layer (dedupSet) and the client request cache (client_api.go). The
+// retransmission horizon (MaxRetries backoff steps) is far shorter than
+// the time it takes cap fresh keys to arrive, so a retransmitted request
+// always finds its first attempt still cached.
+type genSet[V any] struct {
 	cap  int
-	cur  map[uint64]bool
-	prev map[uint64]bool
+	cur  map[uint64]V
+	prev map[uint64]V
 }
 
-func newDedupSet(capacity int) *dedupSet {
+// dedupSet is a genSet of bare keys.
+type dedupSet = genSet[struct{}]
+
+func newGenSet[V any](capacity int) *genSet[V] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &dedupSet{cap: capacity, cur: make(map[uint64]bool)}
+	return &genSet[V]{cap: capacity, cur: make(map[uint64]V)}
+}
+
+func newDedupSet(capacity int) *dedupSet { return newGenSet[struct{}](capacity) }
+
+// Get looks key up in both generations.
+func (s *genSet[V]) Get(key uint64) (V, bool) {
+	if v, ok := s.cur[key]; ok {
+		return v, true
+	}
+	v, ok := s.prev[key]
+	return v, ok
+}
+
+// Put records key with value v, rotating the generations first when the
+// current one is full.
+func (s *genSet[V]) Put(key uint64, v V) {
+	if len(s.cur) >= s.cap {
+		s.prev = s.cur
+		s.cur = make(map[uint64]V)
+	}
+	s.cur[key] = v
 }
 
 // Seen inserts key and reports whether it was already present.
-func (s *dedupSet) Seen(key uint64) bool {
-	if s.cur[key] || s.prev[key] {
+func (s *genSet[V]) Seen(key uint64) bool {
+	if _, ok := s.Get(key); ok {
 		return true
 	}
-	if len(s.cur) >= s.cap {
-		s.prev = s.cur
-		s.cur = make(map[uint64]bool)
-	}
-	s.cur[key] = true
+	var zero V
+	s.Put(key, zero)
 	return false
 }
 
 // Len returns the number of remembered keys.
-func (s *dedupSet) Len() int { return len(s.cur) + len(s.prev) }
-
-// retriesEnabled reports whether the reliable request layer is active.
-func (n *Node) retriesEnabled() bool {
-	return n.cfg.MaxRetries > 0 && n.cfg.RetryBase > 0
-}
+func (s *genSet[V]) Len() int { return len(s.cur) + len(s.prev) }
 
 // retryDelayLocked computes the backoff before retransmission attempt
 // (1-based): RetryBase doubling per attempt, capped at RetryMax, plus up
@@ -99,13 +116,10 @@ type retrySchedule struct {
 	check   func()
 }
 
-// armLocked schedules the first check, or nothing with the reliable layer
-// off. Callers hold n.mu.
+// armLocked schedules the first check. Callers hold n.mu.
 func (s *retrySchedule) armLocked(n *Node, check func()) {
-	if n.retriesEnabled() {
-		s.check = check
-		s.timer = n.clock.AfterFunc(n.retryDelayLocked(1), check)
-	}
+	s.check = check
+	s.timer = n.clock.AfterFunc(n.retryDelayLocked(1), check)
 }
 
 // advanceLocked is a check that found un-acked work: it reports false
@@ -170,11 +184,9 @@ func (n *Node) resendInsertGroup(g *insertGroup) {
 	n.mu.Lock()
 	var pending []insertOp
 	var hops []string // each pending member's last first hop
-	size := 0
 	for i := range g.ops {
 		if op := &g.ops[i]; n.inserts[op.reqID] == op {
 			pending, hops = append(pending, *op), append(hops, op.lastHop)
-			size += len(op.rec)
 		}
 	}
 	if len(pending) == 0 || !g.retry.advanceLocked(n) {
@@ -184,12 +196,7 @@ func (n *Node) resendInsertGroup(g *insertGroup) {
 		n.suspectHops(hops)
 		return
 	}
-	slab := make([]uint64, 0, size)
-	for i := range pending {
-		k := len(slab)
-		slab = append(slab, pending[i].rec...)
-		pending[i].rec = slab[k:len(slab):len(slab)]
-	}
+	slabRecs(pending)
 	attempt := uint8(g.retry.attempt)
 	n.mu.Unlock()
 
@@ -201,6 +208,21 @@ func (n *Node) resendInsertGroup(g *insertGroup) {
 		n.retransmitInsert(&r, hops[i], ob)
 	}
 	ob.flush()
+}
+
+// slabRecs points every op's record at its own copy, all copies in one
+// slab allocation.
+func slabRecs(ops []insertOp) {
+	size := 0
+	for i := range ops {
+		size += len(ops[i].rec)
+	}
+	slab := make([]uint64, 0, size)
+	for i := range ops {
+		k := len(slab)
+		slab = append(slab, ops[i].rec...)
+		ops[i].rec = slab[k:len(slab):len(slab)]
+	}
 }
 
 // nextHopAvoiding resolves the next hop toward target, avoiding exclude —

@@ -124,15 +124,3 @@ func TestRetryDelayDeterministicPerSeed(t *testing.T) {
 		t.Fatal("different seeds produced identical jitter: jitter inactive")
 	}
 }
-
-func TestRetriesDisabledByConfig(t *testing.T) {
-	for _, cfg := range []Config{
-		{MaxRetries: 0, RetryBase: time.Second},
-		{MaxRetries: 4, RetryBase: 0},
-	} {
-		n := &Node{cfg: cfg}
-		if n.retriesEnabled() {
-			t.Fatalf("retries enabled under %+v", cfg)
-		}
-	}
-}

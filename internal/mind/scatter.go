@@ -469,8 +469,8 @@ func (n *Node) handleAnswer(a answer) {
 // full coverage: the cover tries know exactly which regions never
 // answered, so instead of replaying the whole operation the originator
 // re-issues targeted pieces for the missing regions, excluding the first
-// hop each region's last attempt used. Exhaustion suspects the recorded
-// hops and leaves the op to its QueryTimeout.
+// hop each region's last attempt used. Exhaustion suspects the last hops
+// of the regions still missing and leaves the op to its QueryTimeout.
 func (n *Node) resendScatter(reqID uint64) {
 	n.mu.Lock()
 	op, ok := n.scatters[reqID]
@@ -478,10 +478,21 @@ func (n *Node) resendScatter(reqID uint64) {
 		n.mu.Unlock()
 		return
 	}
+	// lastHop is the first hop a missing region's last attempt used: its
+	// own re-issue's, else — no region-specific attempt yet — the whole
+	// dispatch's, the only path tried so far.
+	lastHop := func(region bitstr.Code) string {
+		if hop := op.retryHops[region]; hop != "" {
+			return hop
+		}
+		return op.wholeHop
+	}
 	if !op.retry.advanceLocked(n) {
-		hops := []string{op.wholeHop}
-		for _, hop := range op.retryHops {
-			hops = append(hops, hop)
+		var hops []string
+		for _, g := range op.groups {
+			for _, region := range g.cover.MissingRegions(g.tree, op.clamped, g.region, 64) {
+				hops = append(hops, lastHop(region))
+			}
 		}
 		n.mu.Unlock()
 		n.suspectHops(hops)
@@ -495,13 +506,7 @@ func (n *Node) resendScatter(reqID uint64) {
 	var work []resend
 	for _, g := range op.groups {
 		for _, region := range g.cover.MissingRegions(g.tree, op.clamped, g.region, 64) {
-			exclude := op.retryHops[region]
-			if exclude == "" {
-				// No region-specific attempt yet: exclude the whole
-				// dispatch's first hop, the only path tried so far.
-				exclude = op.wholeHop
-			}
-			work = append(work, resend{exclude: exclude, p: piece{
+			work = append(work, resend{exclude: lastHop(region), p: piece{
 				kind: op.kind, reqID: reqID, origin: n.ep.Addr(), index: op.index,
 				versions: g.versions, rect: op.rect, region: region, arg: op.arg,
 				epoch: g.epoch, attempt: uint8(op.retry.attempt),

@@ -505,7 +505,7 @@ type InsertRun struct {
 	TreeEpoch  uint64
 	Attempt    uint8
 	// Per record, in Recs order.
-	ReqIDs  []uint64 // 0: untracked, solicits no ack
+	ReqIDs  []uint64 // the originator's ack key, echoed in InsertAcks
 	RecIDs  []uint64 // origin-unique record id, for replica dedup
 	Targets []bitstr.Code
 	Hops    []uint8
