@@ -116,10 +116,13 @@ type runner struct {
 	// copies under fresh record ids), a partition or link cut that
 	// outlived the failure-detection window (false takeovers, dispute
 	// reinsertion), or a retransmitted/timed-out insert (the retry can
-	// race its first copy onto a distinct owner). The record path
-	// collapses such duplicates by content hash; the aggregate path
-	// counts geometrically and cannot, so the differential downgrades
-	// from exact equality to two-sided bounds.
+	// race its first copy onto a distinct owner). Copies that meet at one
+	// owner collapse there (repeat inserts), and copies kept outside
+	// their owner's region never leave it (responders clip to their
+	// cell); copies on two distinct owners remain, and both resolvers
+	// count them alike. The record oracle keys on uid, so a record
+	// returned twice is still a violation; the aggregate differential
+	// downgrades from exact equality to two-sided bounds.
 	dupRisk   bool
 	faultAt   map[string]time.Time // open partition/cutlink windows
 	failAfter time.Duration

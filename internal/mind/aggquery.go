@@ -1,9 +1,8 @@
 package mind
 
 import (
-	"sync/atomic"
-
 	"mind/internal/bitstr"
+	"mind/internal/embed"
 	"mind/internal/schema"
 	"mind/internal/store"
 	"mind/internal/summary"
@@ -14,21 +13,20 @@ import (
 // answered from the per-node summary layer instead of materializing
 // records. It is the scatter-gather engine's (scatter.go) second
 // resolver: the payloads are O(K) aggregates, so the originator merges
-// counters and sketches instead of deduplicating records. Two
+// counters and sketches where the record resolver splices records. Two
 // consequences shape everything below:
 //
-//   - Answers are geometry-dependent. A record is a record wherever it
-//     is found, but an aggregate answer restricts to rect ∩ the
-//     answered region's cell, so the answering side must agree with the
-//     originator's cut tree (epochOnAnswer is unconditional here).
+//   - Answers are geometry-dependent. Both resolvers restrict an answer
+//     to rect ∩ the answered region's cell, but counters merge blind, so
+//     the answering side must agree with the originator's cut tree
+//     (epochOnAnswer is unconditional here).
 //
-//   - There is no per-record identity to dedup by. The record resolver
-//     tolerates overlapping answers (replica fail-over, retransmission
-//     races) by content-hash dedup; here the originator must instead
-//     accept each region's counters exactly once: covering answers are
-//     admitted only while they keep their group's cover trie
-//     prefix-free, and non-covering partials are admitted once per
-//     (responder, group, region).
+//   - There is no per-record identity to dedup by. Covering answers are
+//     admitted by the engine's one rule (scatter.go handleAnswer: only
+//     while they keep their group's cover trie prefix-free), as record
+//     answers are; where the record resolver falls back to content ids
+//     for answers that claim no coverage, non-covering partials are
+//     admitted here once per (responder, group, region).
 
 // AggResult is delivered to the aggregate query callback.
 type AggResult struct {
@@ -76,7 +74,7 @@ func (n *Node) Agg(tag string, rect schema.Rect, topK int, cb func(AggResult)) e
 	return n.scatter(tag, rect, aggKind{}, uint32(topK), func(ix *index) accumulator {
 		return &aggAcc{
 			cb: cb, topK: topK, agg: summary.NewAgg(ix.sch.Arity(), topK),
-			contrib: make(map[aggContrib]bool), dropped: &n.aggCoverDropped,
+			contrib: make(map[aggContrib]bool),
 		}
 	})
 }
@@ -115,19 +113,19 @@ func answerFromAggResp(m *wire.AggResp) answer {
 // tree epoch before its numbers can be merged blind.
 func (aggKind) epochOnAnswer(piece) bool { return true }
 
-// resolve computes the aggregate over rect ∩ the region's cell: local
-// storage may hold records geometrically outside the answered region
-// (reshuffle and step-down keep local copies; the record resolver
-// collapses those by content id, an aggregate has no per-record
-// identity), and a retransmitted piece carries the full query rect. The
-// primary side answers from the summary rollup with boundary cells
-// folded in place; the replica store has no rollup, so the replica side
-// folds the whole rectangle the same way — a fail-over answer carries
-// the same exact-count brackets as a primary one.
+// resolve computes the aggregate over rect ∩ the region's cell, as the
+// record resolver visits it: local storage may hold records
+// geometrically outside the answered region (reshuffle and step-down
+// keep local copies). The primary side answers from the summary rollup
+// with boundary cells folded in place; the replica store has no rollup,
+// so the replica side folds the whole rectangle the same way — a
+// fail-over answer carries the same exact-count brackets as a primary
+// one.
 func (aggKind) resolve(n *Node, ix *index, p piece, a answer, replica bool) wire.Message {
 	versions := p.versions32()
 	out := summary.NewAgg(ix.sch.Arity(), summaryK(int(p.arg)))
-	if aggRect, ok := ix.tree(versions[0]).CodeRect(p.region).Intersect(p.rect); ok {
+	var buf embed.Scratch
+	if aggRect, ok := cellClip(&buf, ix.tree(versions[0]), p.rect, p.region); ok {
 		vs := ix.primary
 		if replica {
 			vs = ix.replicas
@@ -160,7 +158,6 @@ type aggAcc struct {
 	topK    int
 	agg     summary.Agg         // accumulated counters and merged sketch
 	contrib map[aggContrib]bool // contributions already counted
-	dropped *atomic.Uint64      // the node's overlapping-coverage counter
 }
 
 // aggContrib names one contribution: (responder, version group, region).
@@ -175,14 +172,8 @@ func (g *aggAcc) admit(a answer, trie *coverSet) bool {
 	if !ok {
 		return false
 	}
-	if a.hasCover {
-		if trie == nil {
-			return false
-		}
-		if trie.Covers(a.cover) || trie.hasExtension(a.cover) {
-			g.dropped.Add(1)
-			return false
-		}
+	if a.hasCover && trie == nil {
+		return false
 	}
 	group := uint64(0)
 	if len(a.versions) > 0 {
@@ -225,14 +216,21 @@ func summaryK(requested int) int {
 // covered cells in O(cover) and the boundary cells are folded in place
 // from the ladder's records — summary.ResolveShard, one store visit per
 // cell handing over a batch per leaf, no record slice. A ladder without
-// a rollup (the replica store) folds the rectangle whole. Every version
-// folds into the one pooled fold, and the cover parts and the fold's key
-// part combine in one MergeMany batch.
+// a rollup (the replica store) folds the rectangle whole and has no
+// cover part. Every version folds into the one pooled fold, and the
+// cover parts and the fold's key part combine in one MergeMany batch.
+// rect does not escape: it may be a cursor's scratch.
 func resolveLocalAgg(vs *store.Versioned, versions []uint32, rect schema.Rect, out *summary.Agg) {
 	var covers []*summary.Sketch
 	fold := summary.GetFold(len(out.Sums))
 	for _, v := range versions {
-		if eng := vs.Get(v); eng != nil {
+		eng := vs.Get(v)
+		switch {
+		case eng == nil:
+		case eng.Rollup() == nil:
+			eng.VisitBatches(rect, fold.AddBatch)
+			covers = append(covers, nil)
+		default:
 			covers = append(covers, summary.ResolveShard(eng.Rollup(), rect, eng.VisitBatches, fold))
 		}
 	}

@@ -40,12 +40,13 @@ func TestAllocBudgetCoversRect(t *testing.T) {
 // TestAllocBudgetAnswerHop is the alloc gate on the originator's share of
 // a record query on the client-RPC path: admitting four decoded answers
 // and splicing their runs decodes no record, so it allocates as often at
-// 2 000 records per answer as at 500 — the accumulator, the spliced
-// run list and the id tables — and in bytes little more than those
-// tables (decoding the 8 000 records would add their 320 KB of values
-// and 192 KB of record headers).
+// 2 000 records per answer as at 500. Covering answers are spliced whole
+// and reserve no id table, so they allocate a few headers whatever their
+// size; answers that can overlap (no cover) are hashed into id tables,
+// and allocate in bytes little more than those (decoding the 8 000
+// records would add their 320 KB of values and 192 KB of record headers).
 func TestAllocBudgetAnswerHop(t *testing.T) {
-	measure := func(perAnswer int) (allocs float64, bytes uint64) {
+	measure := func(header func(int) (answer, *coverSet), perAnswer int) (allocs float64, bytes uint64) {
 		var answers []*wire.QueryResp
 		for _, f := range wideFrames(4, 4*perAnswer) {
 			m, err := wire.Decode(f)
@@ -55,7 +56,7 @@ func TestAllocBudgetAnswerHop(t *testing.T) {
 			answers = append(answers, m.(*wire.QueryResp))
 		}
 		hop := func() {
-			if got := admitAll(answers...); got.Len() != 4*perAnswer {
+			if got := admitAll(header, answers...); got.Len() != 4*perAnswer {
 				t.Fatalf("%d records delivered, want %d", got.Len(), 4*perAnswer)
 			}
 		}
@@ -69,15 +70,61 @@ func TestAllocBudgetAnswerHop(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
 	}
-	small, _ := measure(500)
-	large, bytes := measure(2000)
-	if small != large {
-		t.Fatalf("admit + splice of 4 answers: %.1f allocations at 500 records per answer, %.1f at 2 000", small, large)
-	}
 	// The tables a set reserves for four answers of 2 000 ids: 4 096,
 	// 8 192 and 16 384 slots.
 	const tables = 8 * (4096 + 8192 + 16384)
-	if bytes > tables+16<<10 {
-		t.Fatalf("admit + splice of 4 answers of 2 000 records allocates %d bytes, want the id tables (%d) and a few headers", bytes, tables)
+	for _, adm := range []struct {
+		name   string
+		header func(int) (answer, *coverSet)
+		bytes  uint64
+	}{{"cover", covering, 1 << 10}, {"overlap", nil, tables + 16<<10}} {
+		small, _ := measure(adm.header, 500)
+		large, bytes := measure(adm.header, 2000)
+		if small != large {
+			t.Errorf("%s: admit + splice of 4 answers: %.1f allocations at 500 records per answer, %.1f at 2 000", adm.name, small, large)
+		}
+		t.Logf("%s: %.0f allocations, %d bytes", adm.name, large, bytes)
+		if bytes > adm.bytes {
+			t.Errorf("%s: admit + splice of 4 answers of 2 000 records allocates %d bytes, budget %d", adm.name, bytes, adm.bytes)
+		}
+	}
+}
+
+// TestAllocBudgetCellClip: every resolver visits its piece's rectangle
+// clipped to the region's cell, computed in place in a cursor's scratch.
+// The clip allocates nothing, nor does a record piece's walk of the
+// primary or the replica store when nothing lies in its cell.
+func TestAllocBudgetCellClip(t *testing.T) {
+	sch := poolTestSchema()
+	ix := newIndex(sch, embed.Uniform(sch.Bounds()))
+	tree := ix.tree(0)
+	inside, outside := bitstr.MustParse("01"), bitstr.MustParse("10")
+	var buf embed.Scratch
+	cell := tree.At(&buf, outside)
+	mid := func(i int) uint64 { return cell.Rect().Lo[i]/2 + cell.Rect().Hi[i]/2 }
+	for i := 0; i < 50; i++ { // records of another region only
+		rec := schema.Record{mid(0), mid(1), mid(2)}
+		ix.primary.Insert(0, rec)
+		ix.replicas.Insert(0, rec)
+	}
+	p := piece{versions: []uint64{0}, rect: sch.FullRect(), region: inside}
+	clip := func() {
+		var buf embed.Scratch
+		if _, ok := cellClip(&buf, tree, p.rect, p.region); !ok {
+			t.Fatal("the full rectangle misses a cell")
+		}
+	}
+	var out wire.RecList
+	for name, f := range map[string]func(){
+		"clip":    clip,
+		"primary": func() { visitCell(ix, ix.primary, p, &out) },
+		"replica": func() { out = filterToRegion(ix, p) },
+	} {
+		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
+			t.Errorf("%s: %.0f allocations, budget is 0", name, allocs)
+		}
+	}
+	if out.Len() != 0 {
+		t.Fatalf("a piece for %v returned %d records of %v", inside, out.Len(), outside)
 	}
 }

@@ -108,13 +108,13 @@ func (n *Node) postInsert(ob *outbox, to string, r *insertRec) {
 	var run *wire.InsertRun
 	for _, m := range g.runs {
 		if x, ok := m.(*wire.InsertRun); ok && x.Version == r.version && x.TreeEpoch == r.epoch &&
-			x.Attempt == r.attempt && x.Index == r.index && x.OriginAddr == r.origin {
+			x.Attempt == r.attempt && x.Repeat == r.repeat && x.Index == r.index && x.OriginAddr == r.origin {
 			run = x
 			break
 		}
 	}
 	if run == nil {
-		run = &wire.InsertRun{OriginAddr: r.origin, Index: r.index, Version: r.version, TreeEpoch: r.epoch, Attempt: r.attempt}
+		run = &wire.InsertRun{OriginAddr: r.origin, Index: r.index, Version: r.version, TreeEpoch: r.epoch, Attempt: r.attempt, Repeat: r.repeat}
 		g.runs = append(g.runs, run)
 	}
 	r.appendTo(run)

@@ -2,6 +2,7 @@ package mind
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -348,9 +349,40 @@ func indexFromDef(d wire.IndexDef) (*index, error) {
 }
 
 // storeRecord inserts into primary storage with RecID dedup; it reports
-// whether the record was new.
-func (ix *index) storeRecord(v uint32, recID uint64, rec schema.Record) bool {
-	return ix.primarySeen.insert(ix.primary, v, recID, rec)
+// whether the record was new. A repeat (a retransmission, a repair
+// re-insert, a ring recovery) is also new only if version v's store
+// holds no byte-identical record: its first copy, or another holder's
+// re-insert of it, may be stored under another RecID — or under this one
+// after the dedup set forgot it. The probe runs under the dedup lock, so
+// two repeats of one record cannot both miss each other.
+func (ix *index) storeRecord(v uint32, recID uint64, rec schema.Record, repeat bool) bool {
+	d := &ix.primarySeen
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.seen.Seen(recID) || repeat && ix.holds(v, rec) {
+		return false
+	}
+	ix.primary.Insert(v, rec)
+	return true
+}
+
+// holds reports whether version v's primary store holds a record equal
+// to rec — byte-identical, a record having one encoding: one point query
+// at rec's indexed point.
+func (ix *index) holds(v uint32, rec schema.Record) bool {
+	st := ix.primary.Get(v)
+	if st == nil {
+		return false
+	}
+	var pbuf [8]uint64
+	p := rec.PointInto(ix.sch, pbuf[:0])
+	arity, found := len(rec), false
+	st.VisitBatches(schema.Rect{Lo: p, Hi: p}, func(rows []uint64, sel []int32) {
+		for _, o := range sel {
+			found = found || slices.Equal(rows[o:int(o)+arity], rec)
+		}
+	})
+	return found
 }
 
 // noteReplicaOwner records that this node backs up owner's region. The
@@ -386,7 +418,12 @@ func (ix *index) ownerCodes() []bitstr.Code {
 
 // absorbReplicas merges replicated data for a dead region into primary
 // storage after a takeover (§3.8: the sibling serves the failed node's
-// hyper-rectangle from its replicas).
+// hyper-rectangle from its replicas). Absorbed records are repeats: the
+// replica store can hold one record more than once (the old owner's copy
+// and a later owner's), and the primary store may hold it already (a
+// recall's re-insert that arrived first), so each is stored only if the
+// primary store holds no byte-identical record, under the dedup lock
+// storeRecord probes under.
 func (ix *index) absorbReplicas(dead bitstr.Code) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -401,10 +438,13 @@ func (ix *index) absorbReplicas(dead bitstr.Code) {
 	}
 	// Replica stores are not segregated by owner; absorbing moves every
 	// replicated record whose point falls inside the dead region.
+	d := &ix.primarySeen
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	for _, v := range ix.replicas.Versions() {
 		eng := ix.primary.Version(v)
 		placed(ix.sch, ix.treeLocked(v), ix.replicas.Version(v), dead.Len(), func(rec schema.Record, pc bitstr.Code) {
-			if dead.IsPrefixOf(pc) {
+			if dead.IsPrefixOf(pc) && !ix.holds(v, rec) {
 				eng.Insert(rec)
 			}
 		})

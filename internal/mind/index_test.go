@@ -120,10 +120,10 @@ func TestIndexDefMissingBaseGetsUniform(t *testing.T) {
 func TestStoreRecordDedup(t *testing.T) {
 	ix := newTestIndex()
 	rec := schema.Record{1, 2, 3, 4}
-	if !ix.storeRecord(0, 42, rec) {
+	if !ix.storeRecord(0, 42, rec, false) {
 		t.Fatal("first store rejected")
 	}
-	if ix.storeRecord(0, 42, rec) {
+	if ix.storeRecord(0, 42, rec, false) {
 		t.Fatal("duplicate RecID accepted (ring double-delivery would duplicate data)")
 	}
 	if ix.primary.Len() != 1 {

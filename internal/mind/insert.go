@@ -18,11 +18,11 @@ type InsertResult struct {
 	Hops     int    // overlay hops the record travelled
 	StoredAt string // owner node address
 	// Attempts counts originator retransmissions of this insert. A
-	// retransmitted insert may race its first copy through ring recovery
-	// onto distinct owners, so an acked record can end up stored twice —
-	// as can one a repair re-inserts (a region recall copies what replica
-	// holders keep) — and callers needing exact aggregate oracles (the
-	// chaos differential) treat Attempts > 0 as a duplicate risk.
+	// retransmission is a repeat, which an owner holding the record
+	// already acks without storing; but it may race its first copy
+	// through ring recovery onto distinct owners, so an acked record can
+	// end up stored twice, and callers needing exact aggregate oracles
+	// (the chaos differential) treat Attempts > 0 as a duplicate risk.
 	Attempts int
 	Err      error
 }
@@ -40,14 +40,17 @@ type insertOp struct {
 	epoch   uint64 // the tree epoch target was computed under
 	target  bitstr.Code
 	rec     schema.Record // may alias the submitter's buffer
+	repeat  bool          // a repair re-insert: the record may be stored at target already
 	forward bool          // the first dispatch leaves through lastHop ("": ring recovery)
 	lastHop string        // first hop the latest attempt left through
 }
 
 // inflight is op leaving its originator, under tag, on attempt: its hop
-// count starts at zero on every attempt.
-func (op *insertOp) inflight(origin, tag string, attempt uint8) insertRec {
-	return insertRec{origin: origin, index: tag, version: op.version, epoch: op.epoch, attempt: attempt,
+// count starts at zero on every attempt, and a retransmission is a repeat
+// (its first copy may have been stored).
+func (op *insertOp) inflight(origin, tag string, attempt int) insertRec {
+	return insertRec{origin: origin, index: tag, version: op.version, epoch: op.epoch,
+		attempt: uint8(min(attempt, wire.MaxAttempt)), repeat: op.repeat || attempt > 0,
 		reqID: op.reqID, recID: op.recID, target: op.target, rec: op.rec}
 }
 
@@ -61,6 +64,7 @@ type insertRec struct {
 	version       uint32
 	epoch         uint64
 	attempt       uint8
+	repeat        bool // the run's Repeat bit
 	reqID, recID  uint64
 	target        bitstr.Code
 	hops          uint8
@@ -277,7 +281,7 @@ func (n *Node) finishInsert(reqID uint64, res InsertResult) {
 // owns a record, into one scratch buffer, and a forwarded record's bytes
 // are spliced on.
 func (n *Node) handleInsertRun(m *wire.InsertRun, ob *outbox) {
-	r := insertRec{origin: m.OriginAddr, index: m.Index, version: m.Version, attempt: m.Attempt}
+	r := insertRec{origin: m.OriginAddr, index: m.Index, version: m.Version, attempt: m.Attempt, repeat: m.Repeat}
 	cur := m.Recs.Cursor()
 	for i, reqID := range m.ReqIDs {
 		r.epoch, r.reqID, r.recID, r.target, r.hops = m.TreeEpoch, reqID, m.RecIDs[i], m.Targets[i], m.Hops[i]
@@ -390,9 +394,10 @@ func (n *Node) forwardInsert(r *insertRec, ob *outbox) {
 }
 
 // ringRecover hands a record at a dead end to the expanding-ring
-// broadcast (§3.8), as a run of one.
+// broadcast (§3.8), as a run of one. Ring recovery may deliver it more
+// than once, so it travels as a repeat.
 func (n *Node) ringRecover(r *insertRec) {
-	run := wire.InsertRun{OriginAddr: r.origin, Index: r.index, Version: r.version, TreeEpoch: r.epoch, Attempt: r.attempt}
+	run := wire.InsertRun{OriginAddr: r.origin, Index: r.index, Version: r.version, TreeEpoch: r.epoch, Attempt: r.attempt, Repeat: true}
 	r.appendTo(&run)
 	n.ov.RingRecover(r.target, wire.Encode(&run))
 }
@@ -403,15 +408,16 @@ func (n *Node) ringRecover(r *insertRec) {
 // index, and the sends happen lock-free.
 func (n *Node) storeAsOwner(ix *index, r *insertRec, ob *outbox) {
 	rec := r.values()
-	isNew := ix.storeRecord(r.version, r.recID, rec)
+	isNew := ix.storeRecord(r.version, r.recID, rec, r.repeat)
 	var fired []*trigger
 	if isNew {
 		n.stored.Add(1)
 		fired = ix.fireTriggers(n.clock.Now(), r.recID, rec)
 	} else {
 		// Retransmission (or ring double-delivery) of a record already
-		// stored: idempotent, but the origin still needs the ack below —
-		// the lost message may have been the previous ack.
+		// stored, or a repeat of a byte-identical stored copy: idempotent,
+		// but the origin still needs the ack below — the lost message may
+		// have been the previous ack.
 		n.dedupHits.Add(1)
 	}
 	myInfo := n.ov.Info()

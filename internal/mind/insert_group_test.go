@@ -183,7 +183,7 @@ func TestInsertGroupTimers(t *testing.T) {
 			}
 		}
 		for i, rec := range stranded {
-			ix.storeRecord(0, uint64(1<<40+i), rec)
+			ix.storeRecord(0, uint64(1<<40+i), rec, false)
 		}
 		if got := a.rehomeForeign(ix, 0); got != len(stranded) {
 			t.Fatalf("rehomeForeign re-inserted %d records, want %d", got, len(stranded))

@@ -115,9 +115,8 @@ type Node struct {
 	// would enter a store (routeInsert at the owner, handleReplicateRun):
 	// wrong arity for the index schema.
 	droppedRecords atomic.Uint64
-	// Aggregate-path counters (aggquery.go).
-	aggAnswered     atomic.Uint64 // aggregate pieces answered from local summaries
-	aggCoverDropped atomic.Uint64 // aggregate responses dropped for overlapping coverage
+	aggAnswered    atomic.Uint64 // aggregate pieces answered from local summaries (aggquery.go)
+	coverDropped   atomic.Uint64 // covering answers dropped for overlapping coverage (scatter.go)
 	// clientOps dedups client RPC request ids so a retransmitted
 	// ClientInsert is idempotent (client_api.go).
 	clientOps *genSet[*clientOpState] // mu
@@ -272,11 +271,12 @@ type Stats struct {
 	ShedQueries uint64 // client queries refused
 	ShedGossip  uint64 // flood/control gossip dropped at admission
 
-	// Aggregate-path counters (aggquery.go): pieces answered from local
-	// summaries, and responses the originator dropped for overlapping
-	// coverage (retransmission races; the remainder regions are re-asked).
-	AggAnswered     uint64
-	AggCoverDropped uint64
+	// AggAnswered counts aggregate pieces answered from local summaries.
+	AggAnswered uint64
+	// CoverDropped counts covering answers, of either kind, the
+	// originator dropped for overlapping coverage (retransmission races,
+	// fail-over answers; the remainder regions are re-asked).
+	CoverDropped uint64
 
 	// DroppedPieces counts query/aggregate pieces refused as malformed
 	// (unknown index, no versions, invalid or wrong-dimension rectangle).
@@ -300,7 +300,7 @@ func (n *Node) Stats() Stats {
 		Forwarded: n.forwarded.Load(), Stored: n.stored.Load(), Replicated: n.replicated.Load(),
 		Requests: n.reqTracked.Load(), Retransmits: n.retransmits.Load(), AcksReceived: n.acksReceived.Load(), DedupHits: n.dedupHits.Load(),
 		ShedInserts: n.shedInserts.Load(), ShedQueries: n.shedQueries.Load(), ShedGossip: n.shedGossip.Load(),
-		AggAnswered: n.aggAnswered.Load(), AggCoverDropped: n.aggCoverDropped.Load(),
+		AggAnswered: n.aggAnswered.Load(), CoverDropped: n.coverDropped.Load(),
 		DroppedPieces: n.droppedPieces.Load(), DroppedRecords: n.droppedRecords.Load(),
 		BatchesSent: n.batchesSent.Load(), BatchedMsgs: n.batchedMsgs.Load(), BatchesRecv: n.batchesRecv.Load(),
 	}

@@ -4,15 +4,18 @@ import (
 	"encoding/binary"
 	"math/bits"
 
-	"mind/internal/bitstr"
+	"mind/internal/embed"
 	"mind/internal/schema"
+	"mind/internal/store"
 	"mind/internal/wire"
 )
 
 // QueryResult is delivered to the query callback.
 type QueryResult struct {
-	// Records are the deduplicated matching records, in arrival order,
-	// decoded once, at delivery, from the answers' wire form: each is a
+	// Records are the matching records, each stored record once (two
+	// byte-identical records inserted separately are both returned, as
+	// an aggregate counts both), in arrival order, decoded once, at
+	// delivery, from the answers' wire form: each is a
 	// read-only capped view into one arena. It may be retained, and a
 	// retained record pins that arena; Clone what must outlive the rest.
 	Records []schema.Record
@@ -108,60 +111,104 @@ func (recordKind) epochOnAnswer(p piece) bool { return p.whole }
 
 // resolve encodes the matching records straight from the store's
 // batches into the answer's record list, the one encoding they get on
-// their way to the client.
+// their way to the client. Every version's store is visited over the
+// piece's rectangle clipped to the region's cell, as the aggregate
+// resolver does: local storage may hold records of other regions (the
+// copies a re-homing repair keeps, a split sibling's leftovers), and a
+// covering answer must hold its cover's records alone for the
+// originator to admit it by cover.
 func (recordKind) resolve(n *Node, ix *index, p piece, a answer, replica bool) wire.Message {
 	m := &wire.QueryResp{
 		ReqID: a.reqID, From: a.from, HasCover: a.hasCover, Cover: a.cover,
 		Versions: a.versions, Hops: a.hops,
 	}
 	if replica {
-		m.Recs = filterToRegion(ix, p.versions, p.rect, p.region)
-		return m
-	}
-	arity := ix.sch.Arity()
-	add := func(rows []uint64, sel []int32) { m.Recs.AppendRows(rows, sel, arity) }
-	for _, v := range p.versions {
-		if s := ix.primary.Get(uint32(v)); s != nil {
-			s.VisitBatches(p.rect, add)
-		}
+		m.Recs = filterToRegion(ix, p)
+	} else {
+		visitCell(ix, ix.primary, p, &m.Recs)
 	}
 	return m
 }
 
-// recordAcc gathers a record query's answers. Overlapping answers
-// (replica fail-over, ring double-delivery, retransmission races) are
-// harmless: records dedup by content id (recID, computed here over each
-// record's bytes as its answer is admitted), so every response is
-// admitted. Nothing is decoded: admit walks each answer's record
-// boundaries and splices the runs of fresh records, as they lie in the
-// frames they arrived in, into one list, which deliver hands on.
-type recordAcc struct {
-	cb   func(wire.RecList, QueryResult)
-	ids  idSet
-	list wire.RecList
+// visitCell encodes onto out every record of vs, in p's versions, that
+// lies inside p.rect ∩ the cell of p.region under the version's tree.
+func visitCell(ix *index, vs *store.Versioned, p piece, out *wire.RecList) {
+	arity := ix.sch.Arity()
+	add := func(rows []uint64, sel []int32) { out.AppendRows(rows, sel, arity) }
+	var buf embed.Scratch
+	for _, v := range p.versions {
+		s := vs.Get(uint32(v))
+		if s == nil {
+			continue
+		}
+		if rect, ok := cellClip(&buf, ix.tree(uint32(v)), p.rect, p.region); ok {
+			s.VisitBatches(rect, add)
+		}
+	}
 }
 
-func (r *recordAcc) admit(a answer, _ *coverSet) bool {
+// recordAcc gathers a record query's answers; deliver hands on one list
+// spliced from the runs they arrived in, with no record decoded. The
+// engine has already dropped a covering answer that overlaps its group's
+// accepted coverage (handleAnswer), and every responder clips its answer
+// to its cover's cell, so covering answers are disjoint: each is spliced
+// whole, run by run, and every stored record is returned once — a
+// multiset, as aggregates count. Two kinds of answer may still repeat
+// records another answer holds: a history-delegating answer (no cover:
+// its split sibling answers the region too) and a version-subset answer
+// (no group to claim coverage in). The first of those switches the op to
+// content ids: the records spliced so far are hashed (recID), and from
+// then on every record is admitted only if its id is new.
+type recordAcc struct {
+	cb        func(wire.RecList, QueryResult)
+	list      wire.RecList
+	byContent bool // an answer that may overlap arrived: dedup by content id
+	ids       idSet
+}
+
+func (r *recordAcc) admit(a answer, trie *coverSet) bool {
 	m, ok := a.body.(*wire.QueryResp)
 	if !ok {
 		return false
 	}
-	r.ids.reserve(m.Recs.Len())
-	for _, run := range m.Recs.Runs() {
+	if !r.byContent {
+		if a.hasCover && trie != nil {
+			r.list.SpliceList(m.Recs)
+			return true
+		}
+		r.byContent = true
+		r.ids.reserve(r.list.Len())
+		for _, run := range r.list.Runs() {
+			for off := 0; off < len(run); {
+				size := wire.RecLen(run[off:])
+				r.ids.add(recID(run[off : off+size]))
+				off += size
+			}
+		}
+	}
+	spliceFresh(&r.ids, &r.list, m.Recs)
+	return true
+}
+
+// spliceFresh splices onto dst the records of src whose content ids are
+// new to ids, adding them: the fresh records between repeats go as runs
+// of the bytes they lie in.
+func spliceFresh(ids *idSet, dst *wire.RecList, src wire.RecList) {
+	ids.reserve(src.Len())
+	for _, run := range src.Runs() {
 		start, fresh := 0, 0 // run[start:off] holds fresh records
 		for off := 0; off < len(run); {
 			size := wire.RecLen(run[off:])
-			if r.ids.add(recID(run[off : off+size])) {
+			if ids.add(recID(run[off : off+size])) {
 				fresh++
 			} else {
-				r.list.Splice(run[start:off], fresh)
+				dst.Splice(run[start:off], fresh)
 				start, fresh = off+size, 0
 			}
 			off += size
 		}
-		r.list.Splice(run[start:], fresh)
+		dst.Splice(run[start:], fresh)
 	}
-	return true
 }
 
 func (r *recordAcc) deliver(o outcome) {
@@ -173,31 +220,24 @@ func (r *recordAcc) deliver(o outcome) {
 
 func (r *recordAcc) tally(s *Stats) { s.PendingQueries++ }
 
-// filterToRegion visits the replica store and encodes the records inside
-// the region. The replica store reads are snapshot-consistent; no lock
-// is required.
-func filterToRegion(ix *index, versions []uint64, rect schema.Rect, region bitstr.Code) wire.RecList {
-	var out wire.RecList
-	var scratch []uint64
-	for _, v := range versions {
-		eng := ix.replicas.Get(uint32(v))
-		if eng == nil {
-			continue
-		}
-		tree := ix.tree(uint32(v))
-		eng.Visit(rect, func(r schema.Record) {
-			scratch = r.PointInto(ix.sch, scratch)
-			if region.IsPrefixOf(tree.PointCode(scratch, region.Len())) {
-				out.Append(r)
-			}
-		})
-	}
+// filterToRegion is a fail-over answer: the replica store's records in
+// p.rect ∩ the cell of p.region, each once. A replica store keeps what
+// every owner it backs up sent it, so it can hold one record twice — the
+// old owner's copy and the new owner's after a repair moved it — and the
+// copies collapse here by content id. The replica store reads are
+// snapshot-consistent; no lock is required.
+func filterToRegion(ix *index, p piece) wire.RecList {
+	var all, out wire.RecList
+	visitCell(ix, ix.replicas, p, &all)
+	var ids idSet
+	spliceFresh(&ids, &out, all)
 	return out
 }
 
 // recID derives a record's content id from its canonical bytes, the key
-// duplicate answers (replica fail-over, ring double-delivery) dedup by —
-// a collision would silently drop a record, so every 8-byte word (the
+// answers that can overlap (history delegation, version subsets, a
+// replica store's two copies) dedup by — a collision would silently drop
+// a record, so every 8-byte word (the
 // last one zero-padded) is folded in by a bijective xorshift-multiply
 // round and one more round closes the chain: each byte passes through at
 // least the two rounds of a full-avalanche 64-bit finaliser before the
@@ -205,8 +245,8 @@ func filterToRegion(ix *index, versions []uint64, rect schema.Rect, region bitst
 // word cannot collide at all. The byte length seeds the chain, so the
 // padding never makes two lengths meet. A record has one encoding
 // (wire.RecList), so equal ids of unequal records are collisions, never
-// two spellings. Ids are computed only at the originator and never
-// cross the wire, so no two builds ever have to agree on them.
+// two spellings. Ids never cross the wire, so no two builds ever have to
+// agree on them.
 func recID(b []byte) uint64 {
 	const m = 0xd6e8feb86659fd93
 	h := uint64(len(b)+1) * 0x9e3779b97f4a7c15

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mind/internal/bitstr"
 	"mind/internal/schema"
 	"mind/internal/wire"
 )
@@ -78,24 +79,71 @@ func wideFrames(parts, n int) [][]byte {
 	return out
 }
 
-// admitAll admits answers into a fresh accumulator and returns the list
-// it delivers on the client-RPC path.
-func admitAll(answers ...*wire.QueryResp) wire.RecList {
+// admitAll admits answers into a fresh accumulator, each as the given
+// answer header makes it (nil: one claiming no coverage), and returns the
+// list it delivers on the client-RPC path.
+func admitAll(header func(i int) (answer, *coverSet), answers ...*wire.QueryResp) wire.RecList {
 	var got wire.RecList
 	acc := &recordAcc{cb: func(l wire.RecList, _ QueryResult) { got = l }}
-	for _, m := range answers {
-		acc.admit(answer{body: m}, nil)
+	for i, m := range answers {
+		a, trie := answer{}, (*coverSet)(nil)
+		if header != nil {
+			a, trie = header(i)
+		}
+		a.body = m
+		acc.admit(a, trie)
 	}
 	acc.deliver(outcome{complete: true})
 	return got
 }
 
-// TestRecordAccDedups: an answer repeated (fail-over, retransmission), a
-// record repeated across answers and one repeated inside an answer
-// contribute once, in arrival order; the fresh records between
-// duplicates are spliced as runs of the frames they arrived in, a
-// duplicate splitting its run; and Node.Query's decode of the spliced
-// list is the records themselves.
+// covering is the header of answer i of a group, and the group's trie,
+// which the engine has let it into: a cover of its own, disjoint from
+// the others'.
+func covering(i int) (answer, *coverSet) {
+	return answer{hasCover: true, cover: bitstr.New(uint64(i), 8)}, groupTrie
+}
+
+// groupTrie stands for a version group's cover trie; admit only asks
+// whether there is one.
+var groupTrie = newCoverSet()
+
+// TestRecordAccSplicesCovering: covering answers are spliced whole — one
+// run per answer, the frame's own, nothing hashed — and a record stored
+// twice comes back twice.
+func TestRecordAccSplicesCovering(t *testing.T) {
+	recs := indexTwoRecords(200)
+	twice := append(append([]schema.Record{}, recs[:100]...), recs[7])
+	answers := []*wire.QueryResp{answerOf(t, twice), answerOf(t, recs[100:])}
+	got := admitAll(covering, answers...)
+	if want := append(append([]schema.Record{}, twice...), recs[100:]...); !reflect.DeepEqual(got.Records(), want) {
+		t.Fatalf("delivered %d records, want both answers whole (%d)", got.Len(), len(want))
+	}
+	for i, run := range got.Runs() {
+		if !reflect.DeepEqual(run, answers[i].Recs.Runs()[0]) || !within(run, answers[i].Recs.Runs()[0]) {
+			t.Fatalf("run %d is not answer %d's frame run", i, i)
+		}
+	}
+	acc := &recordAcc{cb: func(wire.RecList, QueryResult) {}}
+	for i, m := range answers {
+		a, trie := covering(i)
+		a.body = m
+		acc.admit(a, trie)
+	}
+	if acc.byContent || acc.ids.slots != nil {
+		t.Fatal("covering answers built an id table")
+	}
+}
+
+// TestRecordAccDedups: once an answer that can overlap arrives — one
+// delegating its region's history (no cover) or naming a subset of its
+// group's versions (no trie) — the records already spliced are hashed
+// and every later record is admitted once, in arrival order: an answer
+// repeated, a record repeated across answers and one repeated inside an
+// answer contribute once; the fresh records between duplicates are
+// spliced as runs of the frames they arrived in, a duplicate splitting
+// its run; and Node.Query's decode of the spliced list is the records
+// themselves.
 func TestRecordAccDedups(t *testing.T) {
 	recs := indexTwoRecords(300)
 	first, second, third := recs[:100], recs[100:200], recs[200:]
@@ -106,8 +154,17 @@ func TestRecordAccDedups(t *testing.T) {
 	// The third answer opens and closes with records already admitted.
 	dupEdges := append(append([]schema.Record{first[0]}, third...), second[99])
 	answers := []*wire.QueryResp{answerOf(t, first), answerOf(t, dupInside), answerOf(t, first), answerOf(t, dupEdges)}
+	// first covers its region and is spliced whole; dupInside delegates
+	// history; the repeat of first names a version subset; dupEdges
+	// covers another region, after the switch to content ids.
+	first0, trie0 := covering(0)
+	edges1, trie1 := covering(1)
+	headers := []struct {
+		a    answer
+		trie *coverSet
+	}{{first0, trie0}, {answer{hasCover: false}, groupTrie}, {answer{hasCover: true}, nil}, {edges1, trie1}}
 
-	got := admitAll(answers...)
+	got := admitAll(func(i int) (answer, *coverSet) { return headers[i].a, headers[i].trie }, answers...)
 	if got.Len() != len(recs) {
 		t.Fatalf("%d records delivered, want %d", got.Len(), len(recs))
 	}
@@ -148,6 +205,15 @@ func within(sub, buf []byte) bool {
 	return false
 }
 
+// admissions are the two ways a wide query's answers reach the
+// accumulator: covering their regions (the path every query takes) and
+// claiming no coverage (history delegation, version subsets), which
+// dedups by content id.
+var admissions = []struct {
+	name   string
+	header func(int) (answer, *coverSet)
+}{{"cover", covering}, {"overlap", nil}}
+
 // BenchmarkRecordAccAdmit times the originator's side of a wide query:
 // four answers of 525 records admitted and the spliced list delivered.
 func BenchmarkRecordAccAdmit(b *testing.B) {
@@ -156,14 +222,17 @@ func BenchmarkRecordAccAdmit(b *testing.B) {
 		m, _ := wire.Decode(f)
 		answers = append(answers, m.(*wire.QueryResp))
 	}
-	delivered := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		delivered += admitAll(answers...).Len()
-	}
-	if delivered != 2100*b.N {
-		b.Fatalf("%d records delivered over %d queries", delivered, b.N)
+	for _, adm := range admissions {
+		b.Run(adm.name, func(b *testing.B) {
+			delivered := 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				delivered += admitAll(adm.header, answers...).Len()
+			}
+			if delivered != 2100*b.N {
+				b.Fatalf("%d records delivered over %d queries", delivered, b.N)
+			}
+		})
 	}
 }
 
@@ -174,22 +243,25 @@ func BenchmarkRecordAccAdmit(b *testing.B) {
 func BenchmarkAnswerHop(b *testing.B) {
 	frames := wideFrames(4, 2100)
 	answers := make([]*wire.QueryResp, len(frames))
-	bytesOut := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j, f := range frames {
-			m, err := wire.Decode(f)
-			if err != nil {
-				b.Fatal(err)
+	for _, adm := range admissions {
+		b.Run(adm.name, func(b *testing.B) {
+			bytesOut := 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for j, f := range frames {
+					m, err := wire.Decode(f)
+					if err != nil {
+						b.Fatal(err)
+					}
+					answers[j] = m.(*wire.QueryResp)
+				}
+				out := wire.Encode(&wire.ClientQueryResp{ReqID: 1, Complete: true, Responders: 4, List: admitAll(adm.header, answers...)})
+				bytesOut = len(out)
+				wire.RecycleBuf(out)
 			}
-			answers[j] = m.(*wire.QueryResp)
-		}
-		out := wire.Encode(&wire.ClientQueryResp{ReqID: 1, Complete: true, Responders: 4, List: admitAll(answers...)})
-		bytesOut = len(out)
-		wire.RecycleBuf(out)
+			b.ReportMetric(float64(bytesOut), "resp-bytes")
+		})
 	}
-	b.ReportMetric(float64(bytesOut), "resp-bytes")
 }
 
 var hashSink uint64

@@ -31,10 +31,12 @@ func placed(sch *schema.Schema, tree *embed.Tree, st *store.Sharded, depth int, 
 }
 
 // repairInsert builds the insert that carries an already stored record of
-// version v toward target, under a fresh record id. The record may be a
+// version v toward target, under a fresh record id, as a repeat: the
+// owner stores it only if it holds no byte-identical copy (another
+// holder's re-insert of it, or an earlier repair's). The record may be a
 // store view: sendRepairs copies it out before the insert leaves.
 func (n *Node) repairInsert(v uint32, epoch uint64, rec schema.Record, target bitstr.Code) insertOp {
-	return insertOp{recID: n.nextRecID(), version: v, epoch: epoch, rec: rec, target: target}
+	return insertOp{recID: n.nextRecID(), version: v, epoch: epoch, rec: rec, target: target, repeat: true}
 }
 
 // sendRepairs sends one index's re-inserts as one insert group, routed,
@@ -49,9 +51,10 @@ func (n *Node) sendRepairs(tag string, ops []insertOp) {
 
 // rehomeForeign re-inserts every primary record of version v that the
 // version's current tree places outside this node's region; it returns
-// how many. The local copies stay — content-hash dedup collapses
-// duplicates at query originators, and keeping them is the conservative
-// side of a lost re-insert.
+// how many. The local copies stay — keeping them is the conservative side
+// of a lost re-insert — and never reach an answer: a responder clips
+// every piece to its region's cell. The re-inserts are repeats, so an
+// owner that already holds a record (an earlier repair's copy) keeps one.
 func (n *Node) rehomeForeign(ix *index, v uint32) int {
 	tree, epoch := ix.treeAndEpoch(v)
 	if epoch&retiredEpochBit != 0 || !ix.primary.Has(v) {
@@ -71,8 +74,9 @@ func (n *Node) rehomeForeign(ix *index, v uint32) int {
 // handleRegionRecall re-inserts replica records (and stranded primary
 // records of regions this node no longer owns) that fall inside the
 // recalled region; normal greedy routing delivers them to the region's
-// new owner. Content-identical duplicates from multiple replica holders
-// are collapsed by the originator-side dedup on queries.
+// new owner. Every replica holder recalls its own copy, so one record can
+// arrive once per holder under fresh record ids: the re-inserts are
+// repeats, and the owner stores the first and acks the rest.
 func (n *Node) handleRegionRecall(m *wire.RegionRecall) {
 	if !n.markOp(m.OpID) {
 		return

@@ -197,7 +197,7 @@ func (n *Node) resendInsertGroup(g *insertGroup) {
 		return
 	}
 	slabRecs(pending)
-	attempt := uint8(g.retry.attempt)
+	attempt := g.retry.attempt
 	n.mu.Unlock()
 
 	n.retransmits.Add(uint64(len(pending)))

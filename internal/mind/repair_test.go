@@ -29,7 +29,8 @@ func dropFirstInsert(tap *frameTap) *int {
 
 // TestRecallRetransmission: a region recall's re-insert run lost once on
 // the wire still reaches the region's owner by retransmission, and the
-// recalling holder receives the acks.
+// recalling holder receives the acks. The recalled copies are repeats of
+// records the owner still holds, so they are acked but not stored again.
 func TestRecallRetransmission(t *testing.T) {
 	net, a, b, ta, _, sch := tapPair(t)
 	const nrecs = 12
@@ -42,7 +43,7 @@ func TestRecallRetransmission(t *testing.T) {
 	if got := a.ReplicaRecords(sch.Tag); got != nrecs {
 		t.Fatalf("a holds %d replicas, want %d", got, nrecs)
 	}
-	acks := a.Stats().AcksReceived
+	acks, hits := a.Stats().AcksReceived, b.Stats().DedupHits
 	dropped := dropFirstInsert(ta)
 
 	// a recalls b's region: its replicas go back to b under fresh ids.
@@ -54,8 +55,11 @@ func TestRecallRetransmission(t *testing.T) {
 		t.Fatalf("PendingInserts = %d after the recall, want its %d re-inserts", p, nrecs)
 	}
 	net.RunFor(10 * time.Second)
-	if got := b.StoredRecords(sch.Tag); got != 2*nrecs {
-		t.Errorf("b stores %d records, want its %d and the %d recalled copies", got, nrecs, nrecs)
+	if got := b.StoredRecords(sch.Tag); got != nrecs {
+		t.Errorf("b stores %d records, want its %d: the recalled copies collapse onto them", got, nrecs)
+	}
+	if got := b.Stats().DedupHits - hits; got != nrecs {
+		t.Errorf("b counted %d dedup hits for the recall, want %d", got, nrecs)
 	}
 	if got := a.Stats().AcksReceived - acks; got != nrecs {
 		t.Errorf("a received %d acks for the recall, want %d", got, nrecs)

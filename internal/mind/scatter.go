@@ -92,7 +92,8 @@ type resolver interface {
 type accumulator interface {
 	// admit merges a's payload and reports whether a's coverage claim
 	// may enter the cover trie. trie is the cover set of a's version
-	// group (nil when the op has none).
+	// group (nil when the op has none); a covering answer of a group
+	// reaches admit only if its cover overlaps none the trie holds.
 	admit(a answer, trie *coverSet) bool
 	// deliver fires the operation's callback.
 	deliver(o outcome)
@@ -425,9 +426,10 @@ func (n *Node) answerArrived(a answer) {
 	n.handleAnswer(a)
 }
 
-// handleAnswer assembles responses at the originator: the accumulator
-// decides whether the payload and its coverage claim are admissible, the
-// cover tries decide completion.
+// handleAnswer assembles responses at the originator: the one admission
+// rule below drops an overlapping covering answer, the accumulator
+// decides whether the rest's payload and coverage claim are admissible,
+// and the cover tries decide completion.
 func (n *Node) handleAnswer(a answer) {
 	n.mu.Lock()
 	op, ok := n.scatters[a.reqID]
@@ -447,6 +449,17 @@ func (n *Node) handleAnswer(a answer) {
 			trie = op.groups[i].cover
 			break
 		}
+	}
+	// A covering answer is admitted only while it keeps its group's cover
+	// trie prefix-free: a cover inside accepted coverage repeats what was
+	// admitted (a retransmission race, a fail-over answer after the
+	// owner's), and one strictly containing accepted covers would repeat
+	// their interior. Both are dropped, and the retransmission layer
+	// re-asks the regions genuinely missing.
+	if a.hasCover && trie != nil && (trie.Covers(a.cover) || trie.hasExtension(a.cover)) {
+		n.coverDropped.Add(1)
+		n.mu.Unlock()
+		return
 	}
 	complete := false
 	if op.acc.admit(a, trie) && a.hasCover && trie != nil {
@@ -504,11 +517,18 @@ func (n *Node) resendScatter(reqID uint64) {
 		exclude string
 	}
 	var work []resend
+	var buf embed.Scratch
 	for _, g := range op.groups {
 		for _, region := range g.cover.MissingRegions(g.tree, op.clamped, g.region, 64) {
+			// A re-issued piece carries its region's share of the query,
+			// as a decomposed piece does: the full rectangle would fan out
+			// of the region at the first node that re-splits it. Every
+			// missing region meets op.clamped (the coverage walk visits
+			// no other).
+			rect, _ := cellClip(&buf, g.tree, op.clamped, region)
 			work = append(work, resend{exclude: lastHop(region), p: piece{
 				kind: op.kind, reqID: reqID, origin: n.ep.Addr(), index: op.index,
-				versions: g.versions, rect: op.rect, region: region, arg: op.arg,
+				versions: g.versions, rect: rect.Clone(), region: region, arg: op.arg,
 				epoch: g.epoch, attempt: uint8(op.retry.attempt),
 			}})
 		}
@@ -525,4 +545,21 @@ func (n *Node) resendScatter(reqID uint64) {
 			n.routePiece(&w.p, w.exclude)
 		}
 	}
+}
+
+// cellClip returns rect ∩ the cell tree gives region: what a piece for
+// region may visit. ok is false when the two do not meet. The result is
+// a view of buf, which it overwrites (Clone it to keep it): a cursor's
+// rectangle intersected in place, with no allocation for trees of up to
+// eight dimensions.
+func cellClip(buf *embed.Scratch, tree *embed.Tree, rect schema.Rect, region bitstr.Code) (schema.Rect, bool) {
+	cur := tree.At(buf, region)
+	c := cur.Rect()
+	for i := range c.Lo {
+		c.Lo[i], c.Hi[i] = max(c.Lo[i], rect.Lo[i]), min(c.Hi[i], rect.Hi[i])
+		if c.Lo[i] > c.Hi[i] {
+			return c, false
+		}
+	}
+	return c, true
 }

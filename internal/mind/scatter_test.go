@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -404,5 +405,100 @@ func TestMalformedPiecesDropped(t *testing.T) {
 	}
 	if len(tap.answers) != len(scatterKinds) {
 		t.Errorf("%d answers to %d well-formed pieces", len(tap.answers), len(scatterKinds))
+	}
+}
+
+// TestReissueStaysInRegion: the originator's re-issue of a missing
+// region carries the query rectangle clipped to that region's cell, so a
+// node that re-splits it fans out inside the region only, and every
+// answer covers part of it.
+func TestReissueStaysInRegion(t *testing.T) {
+	bodies := map[string]func() wire.Message{
+		"record":    func() wire.Message { return &wire.QueryResp{} },
+		"aggregate": func() wire.Message { return &wire.AggResp{} },
+	}
+	for _, row := range scatterKinds {
+		t.Run(row.name, func(t *testing.T) {
+			net, nodes, taps, sch := tapCluster(t, 8)
+			n := nodes[0]
+			taps[0].drop = func(string, *piece) bool { return true }
+			var done bool
+			if err := row.start(n, sch.Tag, oneDay, &done); err != nil {
+				t.Fatal(err)
+			}
+			// Re-issue the missing region that most nodes share, after
+			// answering every other one.
+			var reqID uint64
+			var g coverGroup
+			var missing []bitstr.Code
+			n.mu.Lock()
+			for id, op := range n.scatters {
+				reqID, g = id, op.groups[0]
+				missing = g.cover.MissingRegions(g.tree, op.clamped, g.region, 64)
+			}
+			n.mu.Unlock()
+			under := func(r bitstr.Code) (k int) {
+				for _, m := range nodes {
+					if r.IsPrefixOf(m.Code()) {
+						k++
+					}
+				}
+				return k
+			}
+			slices.SortStableFunc(missing, func(x, y bitstr.Code) int { return under(y) - under(x) })
+			region := missing[0]
+			if under(region) < 2 {
+				t.Fatalf("missing regions %v: none spans two nodes", missing)
+			}
+			for _, other := range missing[1:] {
+				n.handleAnswer(answer{reqID: reqID, from: wire.NodeInfo{Addr: "x"}, hasCover: true,
+					cover: other, versions: g.versions, body: bodies[row.name]()})
+			}
+			taps[0].drop = nil
+			before := make([][2]int, len(taps))
+			for i, tap := range taps {
+				before[i] = [2]int{len(tap.pieces), len(tap.answers)}
+			}
+			n.resendScatter(reqID)
+			if !net.RunUntil(func() bool { return done }, 1_000_000) {
+				t.Fatal("the re-issued region never completed the op")
+			}
+			cell := g.tree.CodeRect(region)
+			for i, tap := range taps {
+				for _, sp := range tap.pieces[before[i][0]:] {
+					if !region.IsPrefixOf(sp.p.region) || !cell.ContainsRect(sp.p.rect) {
+						t.Errorf("n%d sent a piece for %v over %v, outside the re-issued region %v", i, sp.p.region, sp.p.rect, region)
+					}
+				}
+				for _, a := range tap.answers[before[i][1]:] {
+					if !region.IsPrefixOf(a.cover) {
+						t.Errorf("n%d answered %v, outside the re-issued region %v", i, a.cover, region)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestResolveClipsToCell: a node's store may hold records of other
+// regions — a re-homing repair keeps its local copies — and an answer
+// for its region holds the records of the region's cell alone, for both
+// kinds, however wide the piece's rectangle.
+func TestResolveClipsToCell(t *testing.T) {
+	_, a, _, _, _, sch := tapPair(t)
+	ix, _ := a.getIndex(sch.Tag)
+	own := ownedRecs(t, a, sch.Tag, 84, true, 3)
+	foreign := ownedRecs(t, a, sch.Tag, 85, false, 4)
+	for _, rec := range append(append([]schema.Record{}, own...), foreign...) {
+		ix.primary.Insert(0, rec)
+	}
+	p := piece{index: sch.Tag, versions: []uint64{0}, rect: oneDay, region: a.Code()}
+	m := recordKind{}.resolve(a, ix, p, answer{}, false).(*wire.QueryResp)
+	if got := m.Recs.Records(); !reflect.DeepEqual(got, own) {
+		t.Errorf("record answer carries %v, want the region's %v", got, own)
+	}
+	agg := aggKind{}.resolve(a, ix, p, answer{}, false).(*wire.AggResp)
+	if agg.Count != uint64(len(own)) {
+		t.Errorf("aggregate answer counts %d, want the region's %d", agg.Count, len(own))
 	}
 }

@@ -217,15 +217,13 @@ type Visitor func(rect schema.Rect, fn func(rows []uint64, sel []int32))
 // rollup contributes the cells fully inside rect — counters into f, its
 // merged sketch returned as the cover part — and every boundary cell is
 // folded exactly where it stands, visit streaming its records into f
-// batch by batch. A nil summary (a replica store) folds the whole
-// rectangle and returns no cover part. This is the one implementation of "resolve the cover, drill the
-// boundary"; Agg.MergeShards closes the answer.
+// batch by batch. A ladder without a rollup (a replica store) has no
+// cover to resolve: its caller folds the whole rectangle through the
+// ladder's batch visit itself. This is the one implementation of
+// "resolve the cover, drill the boundary"; Agg.MergeShards closes the
+// answer. rect does not escape.
 func ResolveShard(s *Summary, rect schema.Rect, visit Visitor, f *Fold) *Sketch {
 	add := f.AddBatch
-	if s == nil {
-		visit(rect, add)
-		return nil
-	}
 	r := s.Resolve(rect)
 	f.Count += r.Count
 	for i, v := range r.Sums {

@@ -76,7 +76,8 @@ func genScatterMessage(k Kind, r *rand.Rand) Message {
 // byte-identically. kind indexes the registry modulo its size, so every
 // input lands on a real kind; the seeds are the registry's samples, an
 // answer whose records alternate between two arities, and runs of 1, 2
-// and 65 records of each write-path kind.
+// and 65 records of each write-path kind (insert runs with and without
+// the repeat bit).
 func FuzzEveryKind(f *testing.F) {
 	ks := registered()
 	for i, k := range ks {
@@ -90,6 +91,9 @@ func FuzzEveryKind(f *testing.F) {
 				f.Add(uint8(i), Encode(map[Kind]Message{
 					KindInsert: insertRun(n), KindReplicate: replicateRun(n), KindInsertAck: insertAcks(n),
 				}[k])[1:])
+				if k == KindInsert {
+					f.Add(uint8(i), Encode(repeatRun(n))[1:])
+				}
 			}
 		}
 	}

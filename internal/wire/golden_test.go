@@ -11,15 +11,21 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.txt from the current codec")
 
 // TestGoldenEncodings pins the wire format byte for byte: one line per
-// kind, "<kind name> <hex of Encode(sample)>", in allMessages order.
-// The file was generated on the hand-written encode/decode pairs, so a
-// codec change that passes it unmodified moved nothing on the wire.
+// kind, "<kind name> <hex of Encode(sample)>", in allMessages order, then
+// one per header variant a kind's sample does not show. The file was
+// generated on the hand-written encode/decode pairs, so a codec change
+// that passes it unmodified moved nothing on the wire.
 func TestGoldenEncodings(t *testing.T) {
 	const path = "testdata/golden.txt"
-	var b strings.Builder
+	var b, variants strings.Builder
 	for _, m := range allMessages() {
 		b.WriteString(m.Kind().String() + " " + hex.EncodeToString(Encode(m)) + "\n")
+		if run, ok := m.(*InsertRun); ok {
+			run.Repeat = true
+			variants.WriteString("insert/repeat " + hex.EncodeToString(Encode(run)) + "\n")
+		}
 	}
+	b.WriteString(variants.String())
 	if *updateGolden {
 		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)

@@ -494,16 +494,22 @@ func (m *RingResumed) fields(c *codec) {
 // their indexed points hash to (§3.5): one header, then one column per
 // record field and the records as one record list — a single record is a
 // run of one. Attempt is 0 for the first transmission and counts up on
-// each originator retransmission; owners dedup on RecID, so any attempt
-// is safe to store. TreeEpoch identifies the cut tree the originator used
-// to compute the Targets for Version (version-skew detection, §3.7 under
-// faults). DESIGN.md §6 "The record-list rule".
+// each originator retransmission, to at most MaxAttempt; owners dedup on
+// RecID, so any attempt is safe to store. Repeat marks records that may
+// already be stored at their owner under another RecID — retransmissions,
+// repair re-inserts and ring recoveries — so the owner first looks for a
+// byte-identical stored copy. It travels in the high bit of the attempt
+// byte, so a run without it encodes as it did before the bit existed.
+// TreeEpoch identifies the cut tree the originator used to compute the
+// Targets for Version (version-skew detection, §3.7 under faults).
+// DESIGN.md §6 "The record-list rule".
 type InsertRun struct {
 	OriginAddr string
 	Index      string
 	Version    uint32
 	TreeEpoch  uint64
 	Attempt    uint8
+	Repeat     bool
 	// Per record, in Recs order.
 	ReqIDs  []uint64 // the originator's ack key, echoed in InsertAcks
 	RecIDs  []uint64 // origin-unique record id, for replica dedup
@@ -518,13 +524,27 @@ func (m *InsertRun) fields(c *codec) {
 	c.String(&m.Index)
 	c.U32(&m.Version)
 	c.Uvarint(&m.TreeEpoch)
-	c.U8(&m.Attempt)
+	attempt := min(m.Attempt, MaxAttempt)
+	if m.Repeat {
+		attempt |= repeatBit
+	}
+	c.U8(&attempt)
+	if c.dec {
+		m.Attempt, m.Repeat = attempt&MaxAttempt, attempt&repeatBit != 0
+	}
 	n := c.run(&m.Recs)
 	column(c, &m.ReqIDs, n, (*codec).Uvarint)
 	column(c, &m.RecIDs, n, (*codec).U64)
 	column(c, &m.Targets, n, (*codec).Code)
 	column(c, &m.Hops, n, (*codec).U8)
 }
+
+// MaxAttempt is the largest attempt an insert run carries: its byte's
+// high bit is the repeat bit.
+const (
+	MaxAttempt = 0x7f
+	repeatBit  = 0x80
+)
 
 // Append adds one record under the run's header: the record's values are
 // encoded onto Recs.

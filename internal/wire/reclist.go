@@ -144,8 +144,9 @@ func (c *codec) checkRec() {
 
 // RecList is a record list in its wire form: a record count and the byte
 // runs that, concatenated, are the records' encodings. A responder
-// appends rows to it (AppendRows), an originator splices runs of the
-// answers it admitted into one (Splice), and only the final consumer
+// appends rows to it (AppendRows), an originator splices the answers it
+// admitted into one (SpliceList, or Splice a run of records at a time),
+// and only the final consumer
 // decodes it (Records); encoding copies the runs.
 //
 // A decoded RecList is one run that aliases the frame it was decoded
@@ -233,6 +234,19 @@ func (l *RecList) Splice(run []byte, n int) {
 	}
 	l.ext = run
 	l.runs = append(l.runs, run[:len(run):len(run)])
+}
+
+// SpliceList appends every record of o, run by run, without copying or
+// walking them: the list aliases o's runs from then on.
+func (l *RecList) SpliceList(o RecList) {
+	if o.n == 0 {
+		return
+	}
+	l.n += o.n
+	l.ext = nil
+	for _, run := range o.runs {
+		l.runs = append(l.runs, run[:len(run):len(run)])
+	}
 }
 
 // RecCursor walks a record list one record at a time, in order.

@@ -41,11 +41,19 @@ func insertAcks(n int) *InsertAcks {
 	return m
 }
 
+// repeatRun is an n-record insert run of repeats: a retransmission's or
+// a repair's.
+func repeatRun(n int) *InsertRun {
+	m := insertRun(n)
+	m.Attempt, m.Repeat = 3, true
+	return m
+}
+
 // TestRunsRoundTrip: each run kind survives encode→decode for 1, 2 and
 // 65 records, and a decoded run's records are the ones appended.
 func TestRunsRoundTrip(t *testing.T) {
 	for _, n := range []int{1, 2, 65} {
-		for _, m := range []Message{insertRun(n), replicateRun(n), insertAcks(n)} {
+		for _, m := range []Message{insertRun(n), repeatRun(n), replicateRun(n), insertAcks(n)} {
 			enc := Encode(m)
 			dec, err := Decode(enc)
 			if err != nil {
@@ -58,6 +66,44 @@ func TestRunsRoundTrip(t *testing.T) {
 		run, _ := Decode(Encode(insertRun(n)))
 		if got := run.(*InsertRun).Recs.Records(); !reflect.DeepEqual(got, wideRecords(n)) {
 			t.Fatalf("insert run of %d decoded other records", n)
+		}
+	}
+}
+
+// TestRunRepeatBit: Repeat rides in the high bit of the attempt byte —
+// a run without it encodes exactly as before the bit existed, one with
+// it differs in that bit alone — and an attempt past MaxAttempt is
+// clamped rather than spilling into it.
+func TestRunRepeatBit(t *testing.T) {
+	plain, repeat := Encode(insertRun(2)), Encode(repeatRun(2))
+	if len(plain) != len(repeat) {
+		t.Fatalf("a repeat run encodes to %d bytes, a plain one to %d", len(repeat), len(plain))
+	}
+	diff := 0
+	for i := range plain {
+		if plain[i] != repeat[i] {
+			diff++
+			if plain[i] != 1 || repeat[i] != 3|0x80 {
+				t.Fatalf("byte %d: %#x → %#x, want the attempt byte 0x01 → 0x83", i, plain[i], repeat[i])
+			}
+		}
+	}
+	if diff != 1 {
+		t.Fatalf("%d bytes differ, want the attempt byte alone", diff)
+	}
+	for _, c := range []struct {
+		attempt uint8
+		repeat  bool
+	}{{0, false}, {0, true}, {MaxAttempt, true}, {MaxAttempt + 1, false}, {255, true}} {
+		m := insertRun(1)
+		m.Attempt, m.Repeat = c.attempt, c.repeat
+		dec, err := Decode(Encode(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := dec.(*InsertRun)
+		if got.Attempt != min(c.attempt, MaxAttempt) || got.Repeat != c.repeat {
+			t.Errorf("attempt %d repeat %v decoded as attempt %d repeat %v", c.attempt, c.repeat, got.Attempt, got.Repeat)
 		}
 	}
 }
