@@ -131,13 +131,12 @@ func WhaleAgg(seed int64, scale float64) (*Report, error) {
 	}
 	// rollupFold is a node's shipped answer path (mind.resolveLocalAgg):
 	// summary.ResolveShard resolves the cover and folds the boundary cells
-	// in place through the store's batch visitor; MergeShards closes the
-	// answer.
+	// in place through the store's batch visitor; MergeShards merges the
+	// covered cells' sketches once and closes the answer.
 	rollupFold := func(rect schema.Rect) summary.Agg {
 		out := summary.NewAgg(arity, sketchK)
 		fold := summary.NewFold(arity)
-		cover := summary.ResolveShard(eng.Rollup(), rect, eng.VisitBatches, fold)
-		out.MergeShards([]*summary.Sketch{cover}, fold)
+		out.MergeShards(summary.ResolveShard(eng.Rollup(), rect, eng.VisitBatches, fold, nil), fold)
 		return out
 	}
 

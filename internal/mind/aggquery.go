@@ -156,7 +156,8 @@ func (aggKind) resolve(n *Node, ix *index, p piece, a answer, replica bool) wire
 type aggAcc struct {
 	cb      func(AggResult)
 	topK    int
-	agg     summary.Agg         // accumulated counters and merged sketch
+	agg     summary.Agg         // accumulated counters; its sketch merges at delivery
+	parts   []*summary.Sketch   // admitted answers' sketches, merged once by deliver
 	contrib map[aggContrib]bool // contributions already counted
 }
 
@@ -182,7 +183,8 @@ func (g *aggAcc) admit(a answer, trie *coverSet) bool {
 	key := aggContrib{a.from.Addr, group, a.cover}
 	if !g.contrib[key] {
 		g.contrib[key] = true
-		g.agg.Merge(m.Count, m.Sums, sketchFromResp(m, g.topK))
+		g.agg.Merge(m.Count, m.Sums, nil)
+		g.parts = append(g.parts, sketchFromResp(m, g.topK))
 	}
 	return true
 }
@@ -192,6 +194,7 @@ func (g *aggAcc) deliver(o outcome) {
 		return
 	}
 	sk := g.agg.Sketch
+	sk.MergeMany(g.parts)
 	g.cb(AggResult{
 		Count: g.agg.Count, Sums: g.agg.Sums,
 		TopK: sk.Top(), SketchN: sk.N(), Floor: sk.Floor(), Exact: sk.Exact(),
@@ -217,11 +220,11 @@ func summaryK(requested int) int {
 // from the ladder's records — summary.ResolveShard, one store visit per
 // cell handing over a batch per leaf, no record slice. A ladder without
 // a rollup (the replica store) folds the rectangle whole and has no
-// cover part. Every version folds into the one pooled fold, and the
-// cover parts and the fold's key part combine in one MergeMany batch.
-// rect does not escape: it may be a cursor's scratch.
+// cover parts. Every version folds into the one pooled fold, and every
+// version's covered-cell sketches and the fold's key part combine in one
+// MergeMany batch. rect does not escape: it may be a cursor's scratch.
 func resolveLocalAgg(vs *store.Versioned, versions []uint32, rect schema.Rect, out *summary.Agg) {
-	var covers []*summary.Sketch
+	var parts []*summary.Sketch
 	fold := summary.GetFold(len(out.Sums))
 	for _, v := range versions {
 		eng := vs.Get(v)
@@ -229,14 +232,11 @@ func resolveLocalAgg(vs *store.Versioned, versions []uint32, rect schema.Rect, o
 		case eng == nil:
 		case eng.Rollup() == nil:
 			eng.VisitBatches(rect, fold.AddBatch)
-			covers = append(covers, nil)
 		default:
-			covers = append(covers, summary.ResolveShard(eng.Rollup(), rect, eng.VisitBatches, fold))
+			parts = summary.ResolveShard(eng.Rollup(), rect, eng.VisitBatches, fold, parts)
 		}
 	}
-	if covers != nil {
-		out.MergeShards(covers, fold)
-	}
+	out.MergeShards(parts, fold)
 	summary.PutFold(fold)
 }
 

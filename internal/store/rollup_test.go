@@ -21,12 +21,12 @@ func skewRec(r *rand.Rand) schema.Record {
 
 // resolveRollup answers rect the way mind.resolveLocalAgg does: the
 // engine's rollup resolves the cover and its boundary cells fold through
-// VisitBatches; MergeShards closes the answer.
+// VisitBatches; MergeShards merges the cover's sketches and closes the
+// answer.
 func resolveRollup(e *Sharded, rect schema.Rect, k int) summary.Agg {
 	agg := summary.NewAgg(e.arity, k)
 	fold := summary.NewFold(e.arity)
-	cover := summary.ResolveShard(e.Rollup(), rect, e.VisitBatches, fold)
-	agg.MergeShards([]*summary.Sketch{cover}, fold)
+	agg.MergeShards(summary.ResolveShard(e.Rollup(), rect, e.VisitBatches, fold, nil), fold)
 	return agg
 }
 

@@ -207,6 +207,10 @@ func (f *Fold) AddBatch(rows []uint64, sel []int32) {
 	}
 }
 
+// firstRow selects a batch's first record: AddBatch(rec, firstRow)
+// folds one record.
+var firstRow = []int32{0}
+
 // Visitor streams every stored record inside rect to fn a batch at a
 // time: rows is a run of records and sel the word offsets into rows of
 // those inside rect. The production implementation is
@@ -214,32 +218,29 @@ func (f *Fold) AddBatch(rows []uint64, sel []int32) {
 type Visitor func(rect schema.Rect, fn func(rows []uint64, sel []int32))
 
 // ResolveShard answers rect for one store ladder and its rollup: the
-// rollup contributes the cells fully inside rect — counters into f, its
-// merged sketch returned as the cover part — and every boundary cell is
-// folded exactly where it stands, visit streaming its records into f
-// batch by batch. A ladder without a rollup (a replica store) has no
-// cover to resolve: its caller folds the whole rectangle through the
-// ladder's batch visit itself. This is the one implementation of
-// "resolve the cover, drill the boundary"; Agg.MergeShards closes the
-// answer. rect does not escape.
-func ResolveShard(s *Summary, rect schema.Rect, visit Visitor, f *Fold) *Sketch {
-	add := f.AddBatch
-	r := s.Resolve(rect)
-	f.Count += r.Count
-	for i, v := range r.Sums {
-		f.Sums[i] += v
+// rollup contributes the cells fully inside rect — counters into f,
+// their sketches appended to parts unmerged, and the delta records
+// inside them folded into f exactly — and every boundary cell is folded
+// exactly where it stands, visit streaming its records into f batch by
+// batch. A ladder without a rollup (a replica store) has no cover to
+// resolve: its caller folds the whole rectangle through the ladder's
+// batch visit itself. This is the one implementation of "resolve the
+// cover, drill the boundary"; Agg.MergeShards closes the answer. rect
+// does not escape.
+func ResolveShard(s *Summary, rect schema.Rect, visit Visitor, f *Fold, parts []*Sketch) []*Sketch {
+	parts, boundary := s.cover(rect, f, parts)
+	for _, cell := range boundary {
+		visit(cell, f.AddBatch)
 	}
-	for _, cell := range r.Boundary {
-		visit(cell, add)
-	}
-	return r.Sketch
+	return parts
 }
 
 // MergeShards closes a node's aggregate: f's exact counters are added,
-// and the ladders' cover parts and f's one exact key part combine in a
-// single MergeMany, whose result is a pure function of the multiset of
-// parts — the answer cannot depend on the order the ladders were folded.
-func (a *Agg) MergeShards(covers []*Sketch, f *Fold) {
+// and the covered cells' sketches and f's one exact key part combine in
+// a single MergeMany — the one merge of the answer — whose result is a
+// pure function of the multiset of parts, so the answer cannot depend on
+// the order the cells or ladders were resolved in.
+func (a *Agg) MergeShards(parts []*Sketch, f *Fold) {
 	a.Merge(f.Count, f.Sums, nil)
-	a.Sketch.MergeMany(append(covers, f.Keys.Part(a.Sketch.K())))
+	a.Sketch.MergeMany(append(parts, f.Keys.Part(a.Sketch.K())))
 }

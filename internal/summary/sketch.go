@@ -10,6 +10,7 @@ package summary
 import (
 	"cmp"
 	"slices"
+	"sync"
 )
 
 // Sketch is a deterministic space-saving heavy-hitter sketch with a
@@ -33,11 +34,6 @@ type Sketch struct {
 	n       uint64 // total offered weight
 	floor   uint64 // upper bound on the true weight of any absent key
 	entries []Entry
-	// idx maps a monitored key to its entry: a lookup index only OfferN
-	// needs, built by the first one (lookup) and dropped (nil) by every
-	// method that replaces entries wholesale. A sketch that is only ever
-	// merged — a rollup cell's, a decoded answer's — never pays for one.
-	idx map[uint64]int
 }
 
 // Entry is one monitored key with its bracketed estimate.
@@ -89,20 +85,25 @@ func (s *Sketch) Len() int { return len(s.entries) }
 func (s *Sketch) Offer(key uint64) { s.OfferN(key, 1) }
 
 // OfferN records w occurrences of key — the space-saving step: a new
-// key evicts the minimum entry and inherits its estimate as error.
+// key evicts the minimum entry and inherits its estimate as error. The
+// key is found by scanning the entries: at most K of them, which an
+// eviction scans anyway, and a sketch needs no lookup index to be
+// offered to — the rollup offers a handful of records to a fresh copy
+// of a cell's sketch, where building one cost more than the offers.
 func (s *Sketch) OfferN(key, w uint64) {
 	if w == 0 {
 		return
 	}
 	s.n += w
-	if i, ok := s.lookup()[key]; ok {
-		s.entries[i].Count += w
-		return
+	for i := range s.entries {
+		if s.entries[i].Key == key {
+			s.entries[i].Count += w
+			return
+		}
 	}
 	if len(s.entries) < s.k {
 		// The key may have carried up to Floor weight while absent
 		// (post-merge-truncation sketches have Floor > 0 below capacity).
-		s.idx[key] = len(s.entries)
 		s.entries = append(s.entries, Entry{Key: key, Count: s.floor + w, Err: s.floor})
 		return
 	}
@@ -113,30 +114,11 @@ func (s *Sketch) OfferN(key, w uint64) {
 			mi = i
 		}
 	}
-	ev := s.entries[mi]
 	// The new key's prior weight is bounded by both the evicted estimate
 	// and the floor (merges can leave entries below the floor).
-	m := ev.Count
-	if s.floor > m {
-		m = s.floor
-	}
+	m := max(s.entries[mi].Count, s.floor)
 	s.floor = m
-	delete(s.idx, ev.Key)
-	s.idx[key] = mi
 	s.entries[mi] = Entry{Key: key, Count: m + w, Err: m}
-}
-
-// lookup returns the key → entry index, building it from the entries on
-// first use. The size hint is capped at DefaultK beyond the entries at
-// hand: k may come off the wire (FromParts), and the map grows anyway.
-func (s *Sketch) lookup() map[uint64]int {
-	if s.idx == nil {
-		s.idx = make(map[uint64]int, max(len(s.entries), min(s.k, DefaultK)))
-		for i, e := range s.entries {
-			s.idx[e.Key] = i
-		}
-	}
-	return s.idx
 }
 
 // Top returns the monitored entries in canonical order (count
@@ -147,10 +129,16 @@ func (s *Sketch) Top() []Entry {
 	return out
 }
 
-// Clone deep-copies the sketch's entries; the copy builds its own lookup
-// index if it is offered to.
-func (s *Sketch) Clone() *Sketch {
-	return &Sketch{k: s.k, n: s.n, floor: s.floor, entries: append([]Entry(nil), s.entries...)}
+// Clone deep-copies the sketch's entries.
+func (s *Sketch) Clone() *Sketch { return s.cloneRoom(0) }
+
+// cloneRoom is Clone with room for up to keys more entries, capped at
+// the capacity: a copy about to be offered keys that holds its memory
+// to what they can add, without regrowing.
+func (s *Sketch) cloneRoom(keys int) *Sketch {
+	entries := make([]Entry, len(s.entries), min(s.k, len(s.entries)+keys))
+	copy(entries, s.entries)
+	return &Sketch{k: s.k, n: s.n, floor: s.floor, entries: entries}
 }
 
 // Merge folds o into s. Shared keys sum counts and errors exactly; a
@@ -159,7 +147,7 @@ func (s *Sketch) Clone() *Sketch {
 // The union is canonicalized and truncated back to capacity, raising
 // Floor by the truncated estimates. Merge is exactly commutative; it is
 // associative when no truncation occurs and bounds-preserving always.
-// It is MergeMany of one part, so neither side needs a lookup index.
+// It is MergeMany of one part.
 func (s *Sketch) Merge(o *Sketch) {
 	if o == nil || (o.n == 0 && o.floor == 0 && len(o.entries) == 0) {
 		return
@@ -178,49 +166,34 @@ func (s *Sketch) Merge(o *Sketch) {
 // of covered cells. Merge(s, o) is MergeMany(s, [o]), and the result is
 // a pure function of the multiset of contributors.
 func (s *Sketch) MergeMany(parts []*Sketch) {
-	type acc struct {
-		key        uint64
-		count, err uint64
-		seen       uint64 // Σ floors of contributors monitoring the key
+	m, _ := mergePool.Get().(*mergeScratch)
+	if m == nil {
+		m = new(mergeScratch)
 	}
-	total := s.floor // Σ floors across all contributors
-	n := s.n
 	capE := len(s.entries)
 	for _, p := range parts {
 		if p != nil {
 			capE += len(p.entries)
 		}
 	}
-	accs := make([]acc, 0, capE)
-	at := make(map[uint64]int32, capE)
-	add := func(entries []Entry, floor uint64) {
-		for _, e := range entries {
-			if i, ok := at[e.Key]; ok {
-				a := &accs[i]
-				a.count += e.Count
-				a.err += e.Err
-				a.seen += floor
-				continue
-			}
-			at[e.Key] = int32(len(accs))
-			accs = append(accs, acc{key: e.Key, count: e.Count, err: e.Err, seen: floor})
-		}
-	}
-	add(s.entries, s.floor)
+	m.reset(capE)
+	total := s.floor // Σ floors across all contributors
+	n := s.n
+	m.add(s.entries, s.floor)
 	for _, p := range parts {
 		if p == nil || (p.n == 0 && p.floor == 0 && len(p.entries) == 0) {
 			continue
 		}
 		total += p.floor
 		n += p.n
-		add(p.entries, p.floor)
+		m.add(p.entries, p.floor)
 	}
-	merged := make([]Entry, len(accs))
-	for i, a := range accs {
+	merged := m.merged[:0]
+	for _, a := range m.accs {
 		// Contributors not monitoring the key may have carried up to their
 		// floors of its weight unseen.
 		miss := total - a.seen
-		merged[i] = Entry{Key: a.key, Count: a.count + miss, Err: a.err + miss}
+		merged = append(merged, Entry{Key: a.key, Count: a.count + miss, Err: a.err + miss})
 	}
 	floor := total
 	if len(merged) > s.k {
@@ -230,13 +203,75 @@ func (s *Sketch) MergeMany(parts []*Sketch) {
 				floor = e.Count
 			}
 		}
-		merged = merged[:s.k:s.k]
+		merged = merged[:s.k]
 	}
-	sortEntries(merged)
+	// The kept entries leave in a slice of their own size: the scratch
+	// holding the whole union goes back to the pool.
+	out := make([]Entry, len(merged))
+	copy(out, merged)
+	sortEntries(out)
+	m.merged = merged
+	mergePool.Put(m)
 	s.n = n
 	s.floor = floor
-	s.entries = merged
-	s.idx = nil
+	s.entries = out
+}
+
+// mergeScratch is MergeMany's working set, pooled so a merge allocates
+// only the entries it keeps: the union's accumulators in encounter order
+// (which keeps the union — and so the simnet — deterministic), an
+// open-addressed key → accumulator index over them, and the union's
+// entries before truncation.
+type mergeScratch struct {
+	accs   []mergeAcc
+	slots  []int32 // accs index + 1; 0 marks an empty slot
+	shift  uint    // 64 - log2(len(slots))
+	merged []Entry
+}
+
+type mergeAcc struct {
+	key        uint64
+	count, err uint64
+	seen       uint64 // Σ floors of contributors monitoring the key
+}
+
+var mergePool sync.Pool
+
+// reset empties the scratch for a union of at most capE entries, sizing
+// the index to a power of two at least twice that.
+func (m *mergeScratch) reset(capE int) {
+	m.accs = m.accs[:0]
+	size, shift := 16, uint(60)
+	for size < 2*capE {
+		size <<= 1
+		shift--
+	}
+	if cap(m.slots) < size {
+		m.slots = make([]int32, size)
+	} else {
+		m.slots = m.slots[:size]
+		clear(m.slots)
+	}
+	m.shift = shift
+}
+
+// add accumulates one contributor's entries; floor is its Floor.
+func (m *mergeScratch) add(entries []Entry, floor uint64) {
+	mask := uint64(len(m.slots) - 1)
+next:
+	for _, e := range entries {
+		i := e.Key * 0x9E3779B97F4A7C15 >> m.shift
+		for ; m.slots[i] != 0; i = (i + 1) & mask {
+			if a := &m.accs[m.slots[i]-1]; a.key == e.Key {
+				a.count += e.Count
+				a.err += e.Err
+				a.seen += floor
+				continue next
+			}
+		}
+		m.accs = append(m.accs, mergeAcc{key: e.Key, count: e.Count, err: e.Err, seen: floor})
+		m.slots[i] = int32(len(m.accs))
+	}
 }
 
 func sortEntries(es []Entry) { slices.SortFunc(es, entryCmp) }

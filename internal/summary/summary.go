@@ -63,12 +63,38 @@ type node struct {
 	left, right *node
 }
 
+// sketch returns the cell's sketch; an empty subcell has none.
+func (n *node) sketch() *Sketch {
+	if n == nil {
+		return nil
+	}
+	return n.sk
+}
+
 // snap is a published summary state: an immutable folded tree plus the
-// append-published delta prefix absorbing recent inserts. Readers load
-// the pointer once and resolve against both parts.
+// delta absorbing recent inserts (nil until the first insert after a
+// fold). Readers load the pointer once and resolve against both parts.
 type snap struct {
 	root  *node
-	delta []schema.Record
+	delta *delta
+}
+
+// delta is the insert buffer, published the way a store ladder
+// publishes its tail: a fixed-capacity array of row views filled in
+// place, of which readers see the first n. A fold retires it whole and
+// the next insert starts a fresh one, so a row a reader has loaded is
+// never overwritten.
+type delta struct {
+	recs []schema.Record // len DeltaMax
+	n    atomic.Int32
+}
+
+// published returns the rows readers may see; a nil delta has none.
+func (d *delta) published() []schema.Record {
+	if d == nil {
+		return nil
+	}
+	return d.recs[:d.n.Load()]
 }
 
 // Summary is one store ladder's hierarchical aggregate summary,
@@ -101,19 +127,25 @@ func New(sch *schema.Schema, opts Options) *Summary {
 // Insert adds one record. The summary keeps rec in its delta until the
 // next fold, so — store.Store.Insert's contract — the caller must not
 // mutate it after handing it over (a store ladder hands over its
-// immutable tail row). Crossing DeltaMax folds the delta into a fresh
-// static tree.
+// immutable tail row). Filling the delta's DeltaMax rows folds them into
+// a fresh static tree. Between folds an insert allocates nothing: it
+// writes the row view into the delta and publishes the new length.
 func (s *Summary) Insert(rec schema.Record) {
 	s.mu.Lock()
 	sn := s.snap.Load()
-	delta := append(sn.delta, rec)
-	if len(delta) >= s.opts.DeltaMax {
-		s.snap.Store(&snap{root: s.foldRecs(sn.root, delta)})
+	d := sn.delta
+	if d == nil {
+		d = &delta{recs: make([]schema.Record, s.opts.DeltaMax)}
+		sn = &snap{root: sn.root, delta: d}
+		s.snap.Store(sn)
+	}
+	i := int(d.n.Load())
+	d.recs[i] = rec
+	if i+1 == len(d.recs) {
+		s.snap.Store(&snap{root: s.foldRecs(sn.root, d.recs)})
 		s.folds.Add(1)
 	} else {
-		// Append-publish: the new snap shares the backing array; stale
-		// readers only see their own shorter prefix.
-		s.snap.Store(&snap{root: sn.root, delta: delta})
+		d.n.Store(int32(i + 1))
 	}
 	s.mu.Unlock()
 }
@@ -124,8 +156,8 @@ func (s *Summary) Insert(rec schema.Record) {
 func (s *Summary) Fold() {
 	s.mu.Lock()
 	sn := s.snap.Load()
-	if len(sn.delta) > 0 {
-		s.snap.Store(&snap{root: s.foldRecs(sn.root, sn.delta)})
+	if recs := sn.delta.published(); len(recs) > 0 {
+		s.snap.Store(&snap{root: s.foldRecs(sn.root, recs)})
 		s.folds.Add(1)
 	}
 	s.mu.Unlock()
@@ -134,7 +166,7 @@ func (s *Summary) Fold() {
 // Len returns the number of summarized records (static + delta).
 func (s *Summary) Len() int {
 	sn := s.snap.Load()
-	n := len(sn.delta)
+	n := len(sn.delta.published())
 	if sn.root != nil {
 		n += int(sn.root.count)
 	}
@@ -148,14 +180,16 @@ func (s *Summary) Stats() (staticN uint64, deltaN int, folds uint64) {
 	if sn.root != nil {
 		staticN = sn.root.count
 	}
-	return staticN, len(sn.delta), s.folds.Load()
+	return staticN, len(sn.delta.published()), s.folds.Load()
 }
 
 // foldRecs builds a new static tree with recs folded in, path-copying
 // only the touched cells; old nodes are never mutated, so in-flight
 // readers drain on the previous snapshot.
 func (s *Summary) foldRecs(root *node, recs []schema.Record) *node {
-	recs = append([]schema.Record(nil), recs...) // partitioned in place
+	// Partitioned in place: a copy, since readers of the previous snapshot
+	// may still be walking the retired delta.
+	recs = append([]schema.Record(nil), recs...)
 	dims := s.sch.IndexDims
 	slab := make([]uint64, len(recs)*dims) // every point, one allocation
 	pts := make([][]uint64, len(recs))
@@ -171,6 +205,15 @@ func (s *Summary) foldRecs(root *node, recs []schema.Record) *node {
 // so a rollup cell is cut where the store's levels cut.
 func (s *Summary) cutDim(depth int) int { return schema.CutDim(depth, len(s.bounds), s.time) }
 
+// foldNode folds recs, the fold's records inside n's cell, into a copy
+// of n. A record is offered to one sketch only, its leaf cell's: an
+// inner cell's sketch is the MergeMany of its children's, rebuilt from
+// them after they fold. Merging costs the same whatever the batch, so a
+// cell the fold hands fewer than K records — every cell of a shuffled
+// stream's fold but the few nearest the root — offers them to a copy of
+// its sketch instead, as a leaf does. Either way the sketch is a pure
+// function of the cell's records and the fold schedule, and its brackets
+// hold by the offer's and MergeMany's contracts.
 func (s *Summary) foldNode(n *node, recs []schema.Record, pts [][]uint64, depth int, lo, hi []uint64) *node {
 	if len(recs) == 0 {
 		return n
@@ -179,23 +222,28 @@ func (s *Summary) foldNode(n *node, recs []schema.Record, pts [][]uint64, depth 
 	if n != nil {
 		c.count += n.count
 		c.sums = append([]uint64(nil), n.sums...)
-		c.sk = n.sk.Clone()
 		c.left, c.right = n.left, n.right
 	}
 	if c.sums == nil {
 		c.sums = make([]uint64, s.sch.Arity())
 	}
-	if c.sk == nil {
-		c.sk = NewSketch(s.opts.K)
-	}
 	for _, rec := range recs {
 		for a := range c.sums {
 			c.sums[a] += rec[a]
 		}
-		c.sk.Offer(keyOf(rec))
 	}
-	c.sk.idx = nil // published read-only: readers merge entries, never look up
-	if depth == s.opts.Depth {
+	leaf := depth == s.opts.Depth
+	if leaf || len(recs) < s.opts.K {
+		old := n.sketch()
+		if old == nil {
+			old = &Sketch{k: s.opts.K}
+		}
+		c.sk = old.cloneRoom(len(recs))
+		for _, rec := range recs {
+			c.sk.Offer(keyOf(rec))
+		}
+	}
+	if leaf {
 		return c
 	}
 	d := s.cutDim(depth)
@@ -220,6 +268,11 @@ func (s *Summary) foldNode(n *node, recs []schema.Record, pts [][]uint64, depth 
 		c.right = s.foldNode(c.right, recs[l:], pts[l:], depth+1, lo, hi)
 		lo[d] = olo
 	}
+	if c.sk == nil {
+		c.sk = NewSketch(s.opts.K)
+		children := [2]*Sketch{c.left.sketch(), c.right.sketch()}
+		c.sk.MergeMany(children[:])
+	}
 	return c
 }
 
@@ -234,11 +287,6 @@ type Agg struct {
 	Sums     []uint64
 	Sketch   *Sketch
 	Boundary []schema.Rect
-
-	// parts stages covered cells' sketches during a Resolve so they merge
-	// in one MergeMany batch (tighter floors, one truncation) instead of
-	// a pairwise chain.
-	parts []*Sketch
 }
 
 // NewAgg creates an empty aggregate for a schema (coordinator-side
@@ -277,28 +325,41 @@ func (a *Agg) Merge(count uint64, sums []uint64, sk *Sketch) {
 // contribute their rolled-up counters and sketches; leaf cells that
 // straddle the rect edge are returned clipped in Boundary for the
 // caller to resolve exactly against the record store. Delta records are
-// classified the same way by geometry — covered-cell records are added
-// individually, boundary-cell records are skipped because the caller's
-// exact boundary scan will see them in the store.
+// classified the same way by geometry — covered-cell records are folded
+// exactly, boundary-cell records are skipped because the caller's exact
+// boundary scan will see them in the store. The covered sketches and
+// the delta's exact key part merge once.
 //
 // At quiescence Count and Sums are therefore exact (the store and
 // summary hold the same record multiset); only the sketch is
 // approximate, and exactly when Sketch.Exact() is false.
 func (s *Summary) Resolve(rect schema.Rect) Agg {
-	sn := s.snap.Load()
+	f := GetFold(s.sch.Arity())
+	parts, boundary := s.cover(rect, f, nil)
 	agg := NewAgg(s.sch.Arity(), s.opts.K)
+	agg.Boundary = boundary
+	agg.MergeShards(parts, f)
+	PutFold(f)
+	return agg
+}
+
+// cover resolves rect against the published snapshot without merging:
+// the counters of the cells fully inside rect add to f and their
+// sketches append to parts, delta records in those cells fold into f
+// exactly, and the boundary leaves come back clipped to rect and
+// coalesced.
+func (s *Summary) cover(rect schema.Rect, f *Fold, parts []*Sketch) ([]*Sketch, []schema.Rect) {
+	sn := s.snap.Load()
+	w := coverWalk{s: s, rect: rect, f: f, parts: parts}
 	lo := make([]uint64, len(s.bounds))
 	hi := append([]uint64(nil), s.bounds...)
-	s.resolveNode(sn.root, rect, 0, lo, hi, &agg)
-	agg.Sketch.MergeMany(agg.parts)
-	agg.parts = nil
-	agg.Boundary = coalesceRects(agg.Boundary)
-	for _, rec := range sn.delta {
-		if s.deltaCovered(rect, rec, lo, hi) {
-			agg.Add(rec)
+	w.descend(sn.root, 0, lo, hi)
+	for _, rec := range sn.delta.published() {
+		if rect.ContainsRecord(s.sch, rec) && s.deltaCovered(rect, rec, lo, hi) {
+			f.AddBatch(rec, firstRow)
 		}
 	}
-	return agg
+	return w.parts, coalesceRects(w.boundary)
 }
 
 // coalesceRects merges abutting boundary cells into maximal axis-aligned
@@ -360,7 +421,17 @@ func sameExcept(a, b schema.Rect, d int) bool {
 	return true
 }
 
-func (s *Summary) resolveNode(n *node, rect schema.Rect, depth int, lo, hi []uint64, agg *Agg) {
+// coverWalk is one cover resolution in progress.
+type coverWalk struct {
+	s        *Summary
+	rect     schema.Rect
+	f        *Fold
+	parts    []*Sketch
+	boundary []schema.Rect
+}
+
+func (w *coverWalk) descend(n *node, depth int, lo, hi []uint64) {
+	rect := w.rect
 	inside := true
 	for d := range lo {
 		if hi[d] < rect.Lo[d] || rect.Hi[d] < lo[d] {
@@ -372,15 +443,15 @@ func (s *Summary) resolveNode(n *node, rect schema.Rect, depth int, lo, hi []uin
 	}
 	if inside {
 		if n != nil {
-			agg.Count += n.count
+			w.f.Count += n.count
 			for i, v := range n.sums {
-				agg.Sums[i] += v
+				w.f.Sums[i] += v
 			}
-			agg.parts = append(agg.parts, n.sk)
+			w.parts = append(w.parts, n.sk)
 		}
 		return
 	}
-	if depth == s.opts.Depth {
+	if depth == w.s.opts.Depth {
 		// Boundary leaf: emitted even when the static subtree is empty —
 		// delta records and freshly stored records may live here, and
 		// only the caller's store scan sees those.
@@ -391,10 +462,10 @@ func (s *Summary) resolveNode(n *node, rect schema.Rect, depth int, lo, hi []uin
 			cl.Lo[d] = max(lo[d], rect.Lo[d])
 			cl.Hi[d] = min(hi[d], rect.Hi[d])
 		}
-		agg.Boundary = append(agg.Boundary, cl)
+		w.boundary = append(w.boundary, cl)
 		return
 	}
-	d := s.cutDim(depth)
+	d := w.s.cutDim(depth)
 	cut := lo[d] + (hi[d]-lo[d])/2
 	var l, r *node
 	if n != nil {
@@ -402,19 +473,19 @@ func (s *Summary) resolveNode(n *node, rect schema.Rect, depth int, lo, hi []uin
 	}
 	ohi := hi[d]
 	hi[d] = cut
-	s.resolveNode(l, rect, depth+1, lo, hi, agg)
+	w.descend(l, depth+1, lo, hi)
 	hi[d] = ohi
 	if cut < hi[d] {
 		olo := lo[d]
 		lo[d] = cut + 1
-		s.resolveNode(r, rect, depth+1, lo, hi, agg)
+		w.descend(r, depth+1, lo, hi)
 		lo[d] = olo
 	}
 }
 
-// deltaCovered reports whether rec's point lands in a cell fully inside
-// rect (count it) as opposed to a boundary leaf or outside (skip). lo
-// and hi are caller scratch.
+// deltaCovered reports whether rec's point, known to lie inside rect,
+// lands in a cell fully inside rect (count it) as opposed to a boundary
+// leaf (skip). lo and hi are caller scratch.
 func (s *Summary) deltaCovered(rect schema.Rect, rec schema.Record, lo, hi []uint64) bool {
 	for d := range lo {
 		lo[d] = 0
@@ -423,9 +494,6 @@ func (s *Summary) deltaCovered(rect schema.Rect, rec schema.Record, lo, hi []uin
 	for depth := 0; ; depth++ {
 		inside := true
 		for d := range lo {
-			if hi[d] < rect.Lo[d] || rect.Hi[d] < lo[d] {
-				return false
-			}
 			if lo[d] < rect.Lo[d] || hi[d] > rect.Hi[d] {
 				inside = false
 			}

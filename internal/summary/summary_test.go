@@ -1,6 +1,7 @@
 package summary
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -261,9 +262,18 @@ func TestSummaryCOWConsistency(t *testing.T) {
 // FuzzSummaryRollup drives record streams from fuzz bytes through the
 // cut-tree rollup and compares against a flat recount; the depth byte's
 // low bit picks the cut schedule (round robin or time-first).
+//
+// The stream seeds are 256 skewed records in time order and the same
+// records shuffled, on the time schema at depth 8 with 16-record folds:
+// a time-ordered fold hands a few cells its whole batch, a shuffled one
+// hands most cells fewer records than K, so both sides of the rollup's
+// merge-or-offer rule are seeded.
 func FuzzSummaryRollup(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(4), uint8(8))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(15), uint8(8))
+	ordered, shuffled := streamSeeds(256)
+	f.Add(ordered, uint8(15), uint8(15))
+	f.Add(shuffled, uint8(15), uint8(15))
 	f.Fuzz(func(t *testing.T, data []byte, depthRaw, deltaRaw uint8) {
 		sch := rollupSchemas()[depthRaw&1]
 		s := New(sch, Options{Depth: int(depthRaw>>1%10) + 1, K: 8, DeltaMax: int(deltaRaw%16) + 1})
@@ -335,9 +345,8 @@ func TestFoldReuseIsExact(t *testing.T) {
 // TestRollupCutsOnStoreSchedule walks a folded rollup cell by cell with
 // the cells schema.CutDim draws: every node must hold exactly the records
 // inside its cell — which it cannot if the rollup split another
-// dimension anywhere above it — and every published sketch must be
-// without a lookup index, the memory a populated cell would otherwise
-// carry for nothing.
+// dimension anywhere above it — and every published sketch must hold
+// no more than K entries' memory, whether it was offered to or merged.
 func TestRollupCutsOnStoreSchedule(t *testing.T) {
 	for _, sch := range rollupSchemas() {
 		r := rand.New(rand.NewSource(5))
@@ -368,8 +377,8 @@ func TestRollupCutsOnStoreSchedule(t *testing.T) {
 			if n.count != in || n.sk.N() != in {
 				t.Fatalf("%s: cell %v at depth %d: count %d, sketch N %d, %d records inside", sch.Attrs[1].Kind, cell, depth, n.count, n.sk.N(), in)
 			}
-			if n.sk.idx != nil {
-				t.Fatalf("%s: cell %v at depth %d publishes a sketch lookup index", sch.Attrs[1].Kind, cell, depth)
+			if cap(n.sk.entries) > s.opts.K {
+				t.Fatalf("%s: cell %v at depth %d publishes a sketch of %d entries' memory, K is %d", sch.Attrs[1].Kind, cell, depth, cap(n.sk.entries), s.opts.K)
 			}
 			if depth == s.opts.Depth {
 				return
@@ -386,6 +395,112 @@ func TestRollupCutsOnStoreSchedule(t *testing.T) {
 		walk(s.snap.Load().root, 0, sch.FullRect())
 		if nodes < 1<<s.opts.Depth {
 			t.Fatalf("%s: only %d populated nodes; the walk checked too little", sch.Attrs[1].Kind, nodes)
+		}
+	}
+}
+
+// streamSeeds encodes n skewed records in FuzzSummaryRollup's 4-byte
+// form, timestamps (the second byte) rising with the stream, and the
+// same records shuffled.
+func streamSeeds(n int) (ordered, shuffled []byte) {
+	r := rand.New(rand.NewSource(23))
+	for i := 0; i < n; i++ {
+		key := byte(r.Intn(256))
+		if r.Intn(2) == 0 {
+			key = byte(r.Intn(6)) * 40
+		}
+		ordered = append(ordered, key, byte(i*256/n), byte(r.Intn(256)), byte(r.Intn(256)))
+	}
+	shuffled = slices.Clone(ordered)
+	r.Shuffle(n, func(i, j int) {
+		for b := 0; b < 4; b++ {
+			shuffled[4*i+b], shuffled[4*j+b] = shuffled[4*j+b], shuffled[4*i+b]
+		}
+	})
+	return ordered, shuffled
+}
+
+// TestRollupCellBrackets holds every cell's published sketch to an exact
+// tally of the records inside the cell: every kept key's true count lies
+// in [Count-Err, Count], every absent key's is at most Floor, N is the
+// cell's record count, and an Exact sketch counts exactly. The streams
+// are time ordered and shuffled, folded at two delta sizes, so cells are
+// handed batches on both sides of K: offered to (leaves, and inner cells
+// given fewer than K records) and merged from their children (inner
+// cells given K or more) — and offered to again after a merge, and
+// merged again after offers, as later folds reach them.
+func TestRollupCellBrackets(t *testing.T) {
+	sch := timeSchema()
+	const n, k = 6000, 8
+	r := rand.New(rand.NewSource(31))
+	ordered := make([]schema.Record, n)
+	for i := range ordered {
+		ordered[i] = randRec(r)
+		ordered[i][1] = uint64(i * 10000 / n)
+	}
+	shuffled := slices.Clone(ordered)
+	r.Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for _, order := range []struct {
+		name string
+		recs []schema.Record
+	}{{"time_ordered", ordered}, {"shuffled", shuffled}} {
+		for _, deltaMax := range []int{4 * k, 64 * k} {
+			s := New(sch, Options{Depth: 8, K: k, DeltaMax: deltaMax})
+			for _, rec := range order.recs {
+				s.Insert(rec)
+			}
+			s.Fold()
+			cells := 0
+			var walk func(nd *node, depth int, cell schema.Rect)
+			walk = func(nd *node, depth int, cell schema.Rect) {
+				if nd == nil {
+					return
+				}
+				cells++
+				truth := make(map[uint64]uint64)
+				var count uint64
+				for _, rec := range order.recs {
+					if cell.ContainsRecord(sch, rec) {
+						truth[keyOf(rec)]++
+						count++
+					}
+				}
+				sk := nd.sk
+				tag := fmt.Sprintf("%s/delta=%d: cell %v at depth %d", order.name, deltaMax, cell, depth)
+				if sk.N() != count || nd.count != count {
+					t.Fatalf("%s: sketch N %d, count %d, %d records inside", tag, sk.N(), nd.count, count)
+				}
+				kept := make(map[uint64]bool)
+				for _, e := range sk.Top() {
+					kept[e.Key] = true
+					if w := truth[e.Key]; e.Count-e.Err > w || w > e.Count {
+						t.Fatalf("%s: key %d true %d outside [%d, %d]", tag, e.Key, w, e.Count-e.Err, e.Count)
+					}
+					if sk.Exact() && e.Count != truth[e.Key] {
+						t.Fatalf("%s: exact sketch counts key %d as %d, true %d", tag, e.Key, e.Count, truth[e.Key])
+					}
+				}
+				for key, w := range truth {
+					if !kept[key] && w > sk.Floor() {
+						t.Fatalf("%s: absent key %d weighs %d > floor %d", tag, key, w, sk.Floor())
+					}
+				}
+				if depth == s.opts.Depth {
+					return
+				}
+				d := schema.CutDim(depth, sch.Dims(), sch.TimeDim())
+				cut := cell.Lo[d] + (cell.Hi[d]-cell.Lo[d])/2
+				l, h := cell.Clone(), cell.Clone()
+				l.Hi[d], h.Lo[d] = cut, cut+1
+				walk(nd.left, depth+1, l)
+				if cut < cell.Hi[d] {
+					walk(nd.right, depth+1, h)
+				}
+			}
+			walk(s.snap.Load().root, 0, sch.FullRect())
+			if cells < 1<<s.opts.Depth {
+				t.Fatalf("%s/delta=%d: only %d populated cells; the walk checked too little", order.name, deltaMax, cells)
+			}
 		}
 	}
 }
