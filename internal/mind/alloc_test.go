@@ -128,3 +128,26 @@ func TestAllocBudgetCellClip(t *testing.T) {
 		t.Fatalf("a piece for %v returned %d records of %v", inside, out.Len(), outside)
 	}
 }
+
+// TestAllocBudgetDedupSet: a two-generation dedup set warmed through two
+// rotations has both generations at full size, and a rotation clears
+// and reuses the previous generation's table, so Seen allocates nothing
+// from then on — rotations included.
+func TestAllocBudgetDedupSet(t *testing.T) {
+	const capacity = 1024
+	s := newDedupSet(capacity)
+	k := uint64(0)
+	for ; k < 2*capacity; k++ {
+		s.Seen(k<<32 | k)
+	}
+	// 4·capacity fresh keys per run: four rotations.
+	allocs := testing.AllocsPerRun(5, func() {
+		for i := 0; i < 4*capacity; i++ {
+			s.Seen(k<<32 | k)
+			k++
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a warmed dedup set allocates %.0f times per %d fresh keys, budget is 0", allocs, 4*capacity)
+	}
+}

@@ -44,8 +44,11 @@ type index struct {
 	// §4i): every version's engine owns the rollup of its own records
 	// (store.Options.Rollup), so inserting into, dropping or rebuilding a
 	// version's engine is all it takes to keep the two equal. Replica
-	// storage is NOT summarized: fail-over aggregate answers are rare and
-	// scan the replica store exactly.
+	// storage is NOT summarized and NOT indexed: its engines append
+	// (store.Options.Append) — a full tail is sealed as it is and never
+	// carried — because a replica is read only when its owner fails, and
+	// fail-over answers, replica-served aggregates, absorptions and
+	// recalls scan it exactly.
 	primary  *store.Versioned
 	replicas *store.Versioned
 	// replicaOwners records the owner codes whose data we replicate,
@@ -77,9 +80,10 @@ type index struct {
 	timeAttr int // index of the KindTime attribute among indexed dims, or -1
 }
 
-// recDedup is one store's record-id dedup set. The mark and the store
-// insert happen under mu, so a retransmitted record id can never slip
-// past its first copy's in-flight store.
+// recDedup is one store's record-id dedup set, a flat two-generation
+// table (genSet). The mark and the store insert happen under mu, so a
+// retransmitted record id can never slip past its first copy's
+// in-flight store.
 type recDedup struct {
 	mu   sync.Mutex
 	seen *dedupSet
@@ -99,7 +103,7 @@ func (d *recDedup) insert(vs *store.Versioned, v uint32, recID uint64, rec schem
 
 // newIndex creates an index: versioned primary and replica stores, the
 // primary's engines carrying a rollup with the summary layer's default
-// options.
+// options, the replicas' appending.
 func newIndex(sch *schema.Schema, base *embed.Tree) *index {
 	return &index{
 		sch:           sch,
@@ -107,7 +111,7 @@ func newIndex(sch *schema.Schema, base *embed.Tree) *index {
 		vers:          make(map[uint32]*embed.Tree),
 		epochs:        make(map[uint32]uint64),
 		primary:       store.NewVersionedOpts(sch, store.Options{Rollup: &summary.Options{}}),
-		replicas:      store.NewVersioned(sch),
+		replicas:      store.NewVersionedOpts(sch, store.Options{Append: true}),
 		replicaOwners: make(map[bitstr.Code]bool),
 		primarySeen:   recDedup{seen: newDedupSet(dedupCap / 2)},
 		replicaSeen:   recDedup{seen: newDedupSet(dedupCap / 2)},
@@ -399,10 +403,11 @@ func (ix *index) noteReplicaOwner(owner bitstr.Code) {
 	}
 }
 
-// storeReplica inserts into replica storage; callers have noted the
-// record's owner (noteReplicaOwner).
-func (ix *index) storeReplica(v uint32, recID uint64, rec schema.Record) {
-	ix.replicaSeen.insert(ix.replicas, v, recID, rec)
+// storeReplica inserts into replica storage and reports whether the
+// record id was new; callers have noted the record's owner
+// (noteReplicaOwner).
+func (ix *index) storeReplica(v uint32, recID uint64, rec schema.Record) bool {
+	return ix.replicaSeen.insert(ix.replicas, v, recID, rec)
 }
 
 // ownerCodes snapshots the replica owner set.

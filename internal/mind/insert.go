@@ -541,7 +541,8 @@ func (n *Node) handleReplicateRun(m *wire.ReplicateRun) {
 			n.droppedRecords.Add(1) // as at the owner: see routeInsert
 			continue
 		}
-		ix.storeReplica(m.Version, recID, rec)
-		n.replicated.Add(1)
+		if ix.storeReplica(m.Version, recID, rec) {
+			n.replicated.Add(1)
+		}
 	}
 }

@@ -699,8 +699,10 @@ type IndexInfo struct {
 }
 
 // StoreInfo is one index version's store engines as the ladder sees
-// them (store.Sharded.Shape); a ladder's CarriedRows over the records it
-// holds is its write amplification.
+// them (store.Sharded.Shape); the primary ladder's CarriedRows over the
+// records it holds is its write amplification. The replica ladder
+// appends — every level one sealed tail — so its Carries and
+// CarriedRows stay 0.
 type StoreInfo struct {
 	Version  uint32             `json:"version"`
 	Primary  *store.LadderShape `json:"primary,omitempty"`

@@ -1,6 +1,7 @@
 package mind
 
 import (
+	"math/bits"
 	"sort"
 	"time"
 
@@ -30,50 +31,156 @@ import (
 // dedupCap and 2·dedupCap of the most recent keys.
 const dedupCap = 1 << 16
 
-// genSet is a bounded two-generation map of uint64 keys: when the
-// current generation fills, it becomes the previous generation and a
-// fresh one starts. Lookups consult both, so a key is remembered for at
-// least cap and at most 2·cap recent insertions with O(1) operations and
-// bounded memory — the idempotent-receiver cache of the reliable request
-// layer (dedupSet) and the client request cache (client_api.go). The
-// retransmission horizon (MaxRetries backoff steps) is far shorter than
-// the time it takes cap fresh keys to arrive, so a retransmitted request
-// always finds its first attempt still cached.
+// genSet is a bounded two-generation table of uint64 keys: when the
+// current generation fills, it becomes the previous generation and the
+// old previous one, cleared, becomes the current. Lookups consult both,
+// so a key is remembered for at least cap and at most 2·cap recent
+// insertions with O(1) operations and bounded memory — the
+// idempotent-receiver cache of the reliable request layer (dedupSet:
+// record ids at owners and replica holders, flood op ids) and the client
+// request cache (client_api.go). The retransmission horizon (MaxRetries
+// backoff steps) is far shorter than the time it takes cap fresh keys to
+// arrive, so a retransmitted request always finds its first attempt
+// still cached.
+//
+// A generation is a flat open-addressed table (genTable), not a Go map:
+// a lookup touches one slot, usually one cache line, and a set warmed
+// by two rotations allocates nothing more — rotation reuses the
+// previous generation's slices.
 type genSet[V any] struct {
-	cap  int
-	cur  map[uint64]V
-	prev map[uint64]V
+	cap       int
+	cur, prev genTable[V]
+}
+
+// genTable is one generation: keys in linear-probed slots of a
+// power-of-two table kept at most half full, the empty slot being 0, so
+// key 0 lives in its own flag. vals parallels keys (zero-size for a
+// bare set). The table starts small and doubles as it fills, up to the
+// slots cap keys need at load ½; a cleared table keeps its slices.
+type genTable[V any] struct {
+	keys  []uint64
+	vals  []V
+	n     int // keys held, key 0 included
+	shift uint
+	zero  bool // key 0 held
+	zeroV V
 }
 
 // dedupSet is a genSet of bare keys.
 type dedupSet = genSet[struct{}]
 
+// genMinSlots is a fresh table's size: small, since most sets (flood op
+// ids, client requests) stay tiny.
+const genMinSlots = 16
+
 func newGenSet[V any](capacity int) *genSet[V] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &genSet[V]{cap: capacity, cur: make(map[uint64]V)}
+	return &genSet[V]{cap: capacity}
 }
 
 func newDedupSet(capacity int) *dedupSet { return newGenSet[struct{}](capacity) }
 
+// slot is key's home slot: the top bits of key times 2^64/φ
+// (Fibonacci hashing), which spread an origin's sequence numbers
+// (nextRecID) over the table.
+func (t *genTable[V]) slot(key uint64) int {
+	return int((key * 0x9e3779b97f4a7c15) >> t.shift)
+}
+
+// find returns key's slot and whether it is there; absent, the slot is
+// where it would go. key is non-zero and the table non-empty.
+func (t *genTable[V]) find(key uint64) (int, bool) {
+	mask := len(t.keys) - 1
+	for i := t.slot(key); ; i = (i + 1) & mask {
+		switch t.keys[i] {
+		case key:
+			return i, true
+		case 0:
+			return i, false
+		}
+	}
+}
+
+// get looks key up.
+func (t *genTable[V]) get(key uint64) (V, bool) {
+	if key == 0 {
+		return t.zeroV, t.zero
+	}
+	if len(t.keys) > 0 {
+		if i, ok := t.find(key); ok {
+			return t.vals[i], true
+		}
+	}
+	var zero V
+	return zero, false
+}
+
+// put records key with value v, growing the table first if one more
+// key would take it past half full; limit is the largest size it may
+// reach, which holds the set's cap keys at load ½.
+func (t *genTable[V]) put(key uint64, v V, limit int) {
+	if key == 0 {
+		if !t.zero {
+			t.n++
+		}
+		t.zero, t.zeroV = true, v
+		return
+	}
+	if 2*(t.n+1) > len(t.keys) && len(t.keys) < limit {
+		t.grow(min(max(2*len(t.keys), genMinSlots), limit))
+	}
+	i, ok := t.find(key)
+	if !ok {
+		t.keys[i] = key
+		t.n++
+	}
+	t.vals[i] = v
+}
+
+// grow rehashes the table into size slots.
+func (t *genTable[V]) grow(size int) {
+	keys, vals := t.keys, t.vals
+	t.keys, t.vals = make([]uint64, size), make([]V, size)
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for j, k := range keys {
+		if k != 0 {
+			i, _ := t.find(k)
+			t.keys[i], t.vals[i] = k, vals[j]
+		}
+	}
+}
+
+// reset empties the table, keeping its slices.
+func (t *genTable[V]) reset() {
+	clear(t.keys)
+	clear(t.vals)
+	var zero V
+	t.n, t.zero, t.zeroV = 0, false, zero
+}
+
 // Get looks key up in both generations.
 func (s *genSet[V]) Get(key uint64) (V, bool) {
-	if v, ok := s.cur[key]; ok {
+	if v, ok := s.cur.get(key); ok {
 		return v, true
 	}
-	v, ok := s.prev[key]
-	return v, ok
+	return s.prev.get(key)
 }
 
 // Put records key with value v, rotating the generations first when the
 // current one is full.
 func (s *genSet[V]) Put(key uint64, v V) {
-	if len(s.cur) >= s.cap {
-		s.prev = s.cur
-		s.cur = make(map[uint64]V)
+	if s.cur.n >= s.cap {
+		s.prev.reset()
+		s.cur, s.prev = s.prev, s.cur
 	}
-	s.cur[key] = v
+	s.cur.put(key, v, s.limit())
+}
+
+// limit is the table size cap keys need at load ½.
+func (s *genSet[V]) limit() int {
+	return max(1<<bits.Len(uint(2*s.cap-1)), genMinSlots)
 }
 
 // Seen inserts key and reports whether it was already present.
@@ -87,7 +194,7 @@ func (s *genSet[V]) Seen(key uint64) bool {
 }
 
 // Len returns the number of remembered keys.
-func (s *genSet[V]) Len() int { return len(s.cur) + len(s.prev) }
+func (s *genSet[V]) Len() int { return s.cur.n + s.prev.n }
 
 // retryDelayLocked computes the backoff before retransmission attempt
 // (1-based): RetryBase doubling per attempt, capped at RetryMax, plus up

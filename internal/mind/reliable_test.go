@@ -1,6 +1,7 @@
 package mind
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"time"
@@ -45,6 +46,111 @@ func TestDedupSetMinimumWindow(t *testing.T) {
 	}
 	if !s.Seen(1000) {
 		t.Fatal("key evicted inside the guaranteed window")
+	}
+}
+
+// TestDedupSetKeyZero: the table's empty slot is 0, so key 0 lives in
+// its own flag — remembered, counted, rotated with its generation and
+// forgotten with it like any other key.
+func TestDedupSetKeyZero(t *testing.T) {
+	s := newGenSet[int](4)
+	if _, ok := s.Get(0); ok || s.Seen(0) {
+		t.Fatal("fresh set holds key 0")
+	}
+	if !s.Seen(0) || s.Len() != 1 {
+		t.Fatalf("key 0 not remembered (Len %d)", s.Len())
+	}
+	s.Put(0, 7)
+	if v, ok := s.Get(0); !ok || v != 7 || s.Len() != 1 {
+		t.Fatalf("Put over key 0: Get = %d, %v, Len %d", v, ok, s.Len())
+	}
+	for k := uint64(1); k <= 4; k++ { // fills the generation, then rotates it out
+		s.Seen(k)
+	}
+	if v, ok := s.Get(0); !ok || v != 7 {
+		t.Fatal("key 0 lost in the rotation to the previous generation")
+	}
+	for k := uint64(5); k <= 8; k++ { // rotates the generation holding key 0 away
+		s.Seen(k)
+	}
+	if _, ok := s.Get(0); ok {
+		t.Fatal("key 0 outlived two rotations")
+	}
+	if s.Seen(0) || !s.Seen(0) {
+		t.Fatal("key 0 not re-admitted after it was forgotten")
+	}
+}
+
+// collidingKeys returns n non-zero keys sharing one home slot in a table
+// of size slots.
+func collidingKeys(n, size int) []uint64 {
+	probe := genTable[struct{}]{shift: uint(64 - bits.TrailingZeros(uint(size)))}
+	var out []uint64
+	for k := uint64(1); len(out) < n; k++ {
+		if probe.slot(k) == probe.slot(1) {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// TestDedupSetCollidingKeysAcrossRotation: keys that share a home slot
+// probe past each other in the current generation, keep their values
+// when the generation rotates to the previous one, do not shadow each
+// other when the same slot is reused in the recycled table, and are
+// forgotten together with their generation.
+func TestDedupSetCollidingKeysAcrossRotation(t *testing.T) {
+	const capacity = 8
+	s := newGenSet[uint64](capacity)
+	keys := collidingKeys(3*capacity, s.limit())
+	for i, k := range keys[:capacity] {
+		s.Put(k, uint64(i))
+	}
+	for i, k := range keys[capacity:] { // the second generation's keys collide with the first's
+		if _, ok := s.Get(k); ok {
+			t.Fatalf("colliding key %d reported present before it was put", k)
+		}
+		s.Put(k, uint64(capacity+i))
+		if i == capacity-1 {
+			for j, k := range keys[:2*capacity] {
+				if v, ok := s.Get(k); !ok || v != uint64(j) {
+					t.Fatalf("colliding key %d after one rotation: Get = %d, %v; want %d", k, v, ok, j)
+				}
+			}
+		}
+	}
+	for j, k := range keys {
+		v, ok := s.Get(k)
+		if want := j >= capacity; ok != want || ok && v != uint64(j) {
+			t.Fatalf("colliding key %d (#%d) after two rotations: Get = %d, %v; want present=%v", k, j, v, ok, want)
+		}
+	}
+	if s.Len() != 2*capacity {
+		t.Fatalf("Len = %d, want %d", s.Len(), 2*capacity)
+	}
+}
+
+// TestDedupSetGrowth: a generation starts small and doubles as it fills,
+// never past half full and never past the size its cap needs, keeping
+// every key and value through each rehash.
+func TestDedupSetGrowth(t *testing.T) {
+	const capacity = 1000
+	s := newGenSet[uint64](capacity)
+	sizes := map[int]bool{}
+	for k := uint64(1); k <= capacity; k++ {
+		s.Put(k<<32|k, k)
+		if 2*s.cur.n > len(s.cur.keys) || len(s.cur.keys) > s.limit() {
+			t.Fatalf("after %d keys: table of %d slots holds %d", k, len(s.cur.keys), s.cur.n)
+		}
+		sizes[len(s.cur.keys)] = true
+	}
+	if len(sizes) < 4 || len(s.cur.keys) != 2048 {
+		t.Fatalf("table sizes %v ending at %d: it should start small and grow to 2048", sizes, len(s.cur.keys))
+	}
+	for k := uint64(1); k <= capacity; k++ {
+		if v, ok := s.Get(k<<32 | k); !ok || v != k {
+			t.Fatalf("key %d after growth: Get = %d, %v", k, v, ok)
+		}
 	}
 }
 
@@ -122,5 +228,44 @@ func TestRetryDelayDeterministicPerSeed(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical jitter: jitter inactive")
+	}
+}
+
+// BenchmarkDedupSet is the record-id dedup a replica holder or owner
+// runs per record: ids shaped like nextRecID (an origin's 32-bit tag
+// over its sequence number) from 8 origins interleaved at random, each
+// id new, into a set of a store's size (dedupCap/2), warmed through two
+// rotations first.
+func BenchmarkDedupSet(b *testing.B) {
+	r := rand.New(rand.NewSource(9))
+	var tags, seqs [8]uint64
+	for i := range tags {
+		tags[i] = r.Uint64() &^ 0xffffffff
+	}
+	next := func() uint64 {
+		o := r.Intn(len(tags))
+		seqs[o]++
+		return tags[o] | seqs[o]&0xffffffff
+	}
+	s := newDedupSet(dedupCap / 2)
+	for i := 0; i < dedupCap; i++ {
+		s.Seen(next())
+	}
+	ids := make([]uint64, 1<<16)
+	for i := range ids {
+		ids[i] = next()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i&(len(ids)-1) == 0 && i > 0 {
+			b.StopTimer()
+			for j := range ids {
+				ids[j] = next()
+			}
+			b.StartTimer()
+		}
+		if s.Seen(ids[i&(len(ids)-1)]) {
+			b.Fatal("fresh id reported seen")
+		}
 	}
 }

@@ -247,3 +247,24 @@ func TestOriginatorMixesOwnedAndForwarded(t *testing.T) {
 			a.StoredRecords(sch.Tag), b.StoredRecords(sch.Tag), b.ReplicaRecords(sch.Tag))
 	}
 }
+
+// TestReplicatedCountsStoredRecords: Stats.Replicated counts the replica
+// records a node stored, so a replicate run delivered twice — a
+// retransmission, or a ring recovery's second delivery — counts its
+// records once, as the replica store holds them once.
+func TestReplicatedCountsStoredRecords(t *testing.T) {
+	_, nodes, _, sch := tapCluster(t, 4)
+	n, owner := nodes[2], nodes[1].Code()
+	m := &wire.ReplicateRun{Index: sch.Tag, OwnerCode: owner}
+	for i := uint64(0); i < 3; i++ {
+		m.RecIDs = append(m.RecIDs, 500+i)
+		m.Recs.Append([]uint64{i, i * 7, 3})
+	}
+	frame := wire.Encode(m)
+	n.dispatch("n1", frame)
+	n.dispatch("n1", frame)
+	got, stored := n.Stats().Replicated, n.ReplicaRecords(sch.Tag)
+	if stored != 3 || got != uint64(stored) {
+		t.Fatalf("Replicated = %d, replica store holds %d; want both 3", got, stored)
+	}
+}

@@ -4,6 +4,7 @@ package store
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"mind/internal/schema"
@@ -35,6 +36,58 @@ func TestAllocBudgetShardedInsert(t *testing.T) {
 	})
 	if per := allocs / inserts; per > 0.05 {
 		t.Fatalf("insert path allocates %.4f per record (%.0f over %d inserts incl. carries), budget is 0.05", per, allocs, inserts)
+	}
+}
+
+// TestAllocBudgetAppendInsert is the alloc gate on an appending
+// ladder's write path (Options.Append): an insert between seals
+// allocates nothing, and a seal allocates only the fresh tail — its
+// arena, its header, the Static naming the sealed arena and the snapshot
+// publishing both; the level list grows in place. No seal copies or
+// indexes a row, so over 16 seals the bytes allocated stay within a
+// quarter above the 16 tail arenas themselves; a seal that copied its
+// tail into a fresh level would double them.
+func TestAllocBudgetAppendInsert(t *testing.T) {
+	r := rand.New(rand.NewSource(48))
+	recs := make([]schema.Record, 16*tailRows)
+	for i := range recs {
+		recs[i] = randRec(r)
+	}
+	e := NewSharded(sch3(), Options{Append: true})
+	e.Insert(recs[0]) // the first tail
+	k := 1
+	if allocs := testing.AllocsPerRun(tailRows/2, func() { e.Insert(recs[k]); k++ }); allocs != 0 {
+		t.Fatalf("an insert between seals allocates %.2f times, want 0", allocs)
+	}
+
+	// One run is one tail's worth of inserts, so one seal.
+	e = NewSharded(sch3(), Options{Append: true})
+	k = 0
+	perSeal := testing.AllocsPerRun(15, func() {
+		for _, rec := range recs[k*tailRows : (k+1)*tailRows] {
+			e.Insert(rec)
+		}
+		k++
+	})
+	if s := e.Shape(); len(s.Levels) != 16 || s.Carries != 0 {
+		t.Fatalf("fixture: %+v, want 16 sealed levels", s)
+	}
+	if perSeal > 5 {
+		t.Fatalf("a seal allocates %.0f times; budget is 4 and the level list's amortised growth", perSeal)
+	}
+
+	var before, after runtime.MemStats
+	e = NewSharded(sch3(), Options{Append: true})
+	runtime.ReadMemStats(&before)
+	for _, rec := range recs {
+		e.Insert(rec)
+	}
+	runtime.ReadMemStats(&after)
+	tailBytes := uint64(tailRows * sch3().Arity() * 8)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("16 seals: %.0f allocations each, %d bytes in all (tail arena %d bytes)", perSeal, bytes, tailBytes)
+	if bytes > 17*tailBytes*5/4 {
+		t.Fatalf("16 seals allocated %d bytes; their 17 tail arenas are %d: a seal copies rows", bytes, 17*tailBytes)
 	}
 }
 

@@ -57,13 +57,18 @@ func BenchmarkStoreLayout(b *testing.B) {
 // (no Compact) — 4 096 /24 destination prefixes, octets uniform below
 // 1 MB. prefix draws one of those prefixes from r.
 func slabLadder() (e *Sharded, bounds []uint64, prefix func(r *rand.Rand) uint64) {
+	return index2Ladder(Options{}, 37500)
+}
+
+// index2Ladder is slabLadder's stream at n records into a ladder built
+// with opts.
+func index2Ladder(opts Options, n int) (e *Sharded, bounds []uint64, prefix func(r *rand.Rand) uint64) {
 	sch := schema.Index2(86400)
-	e = NewSharded(sch, Options{})
+	e = NewSharded(sch, opts)
 	prefix = func(r *rand.Rand) uint64 { return uint64(r.Intn(4096)) * 0x9E3779B1 & 0xffffff00 }
 	r := rand.New(rand.NewSource(41))
-	const n = 37500
 	for i := 0; i < n; i++ {
-		e.Insert(schema.Record{prefix(r), uint64(i) * 86400 / n, uint64(r.Intn(1 << 20)), r.Uint64() >> 32, uint64(r.Intn(64))})
+		e.Insert(schema.Record{prefix(r), uint64(i) * 86400 / uint64(n), uint64(r.Intn(1 << 20)), r.Uint64() >> 32, uint64(r.Intn(64))})
 	}
 	return e, sch.Bounds(), prefix
 }
@@ -110,6 +115,46 @@ func BenchmarkStoreSlab(b *testing.B) {
 			}
 			b.ReportMetric(float64(matches)/float64(b.N), "matches/op")
 			b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+		})
+	}
+}
+
+// BenchmarkReplicaRead prices the read side of a replica store that
+// appends instead of indexing (Options.Append): the same 50k Index-2
+// records, in time order, read from an appending ladder — every sealed
+// tail scanned whole — and from a merging one. narrow is a fail-over
+// point query (one /24 × 4 minutes × octets >= 256 KB), wide a fail-over
+// scan (every destination over 1.5 hours). Replicas are read only when
+// their owner fails, so the appending ladder trades this read for every
+// carry a replica would otherwise pay.
+func BenchmarkReplicaRead(b *testing.B) {
+	const n = 50000
+	for _, w := range []struct {
+		name  string
+		width uint64
+		wide  bool
+	}{{"narrow", 240, false}, {"wide", 5400, true}} {
+		b.Run(w.name, func(b *testing.B) {
+			for _, eng := range []struct {
+				name string
+				opts Options
+			}{{"append", Options{Append: true}}, {"merged", Options{}}} {
+				e, bounds, prefix := index2Ladder(eng.opts, n)
+				b.Run(eng.name, func(b *testing.B) {
+					r := rand.New(rand.NewSource(44))
+					matches := 0
+					for i := 0; i < b.N; i++ {
+						lo := uint64(r.Intn(86400 - int(w.width)))
+						rect := schema.Rect{Lo: []uint64{0, lo, 0}, Hi: []uint64{bounds[0], lo + w.width, bounds[2]}}
+						if !w.wide {
+							p := prefix(r)
+							rect = schema.Rect{Lo: []uint64{p, lo, 256 << 10}, Hi: []uint64{p + 255, lo + w.width, bounds[2]}}
+						}
+						matches += e.Count(rect)
+					}
+					b.ReportMetric(float64(matches)/float64(b.N), "matches/op")
+				})
+			}
 		})
 	}
 }

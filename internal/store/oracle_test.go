@@ -33,11 +33,13 @@ func fuzzVal(mode, b byte) uint64 {
 // whatever the stream — attribute values above the schema bound,
 // rectangle edges at, just below and above it, Lo above the bound (must
 // be empty), inverted rectangles, records straddling tail → ladder
-// carries — Static and Sharded must answer VisitBatches, Visit, Query
-// and Count exactly as the Scan oracle, which clamps every record the
-// slow way (a batch must also hold whole rows, at most a leaf of them,
-// and select ascending row starts inside the rectangle),
-// and Sharded's Len and All must track it after every op. The engines
+// carries or seals — Static, Sharded and an appending Sharded
+// (Options.Append, sealing a tail every few records and compacted at the
+// end) must answer VisitBatches, Visit, Query and Count exactly as the
+// Scan oracle, which clamps every record the slow way (a batch must also
+// hold whole rows, at most a leaf of them, and select ascending row
+// starts inside the rectangle), and both ladders' Len and All must track
+// it after every op — the appending one's All in insertion order. The engines
 // test RAW values against an unclamped rectangle; this is the test that
 // breaks if that identity does. The schema is sch3 (round robin cuts) or
 // sch3 with a time attribute at position 0, 1 or 2, so every phase of
@@ -67,6 +69,8 @@ func FuzzStoreOracle(f *testing.F) {
 		}
 		eng := NewSharded(sch, Options{})
 		eng.tailCap = 4 + int(tailRaw%13) // carries every few records
+		app := NewSharded(sch, Options{Append: true})
+		app.tailCap = eng.tailCap // seals every few records
 		sc := NewScan(sch)
 		check := func(rect schema.Rect) {
 			want := sc.Query(rect)
@@ -76,7 +80,7 @@ func FuzzStoreOracle(f *testing.F) {
 				Visit(schema.Rect, func(schema.Record))
 				Query(schema.Rect) []schema.Record
 				Count(schema.Rect) int
-			}{"static": st, "sharded": eng} {
+			}{"static": st, "sharded": eng, "append": app} {
 				var batched []schema.Record
 				e.VisitBatches(rect, func(rows []uint64, sel []int32) {
 					const arity = 4
@@ -117,11 +121,17 @@ func FuzzStoreOracle(f *testing.F) {
 					fuzzVal(data[i+5], data[i+6]), uint64(i),
 				}
 				eng.Insert(rec)
+				app.Insert(rec)
 				sc.Insert(rec)
 				var all []schema.Record
 				eng.All(func(rec schema.Record) bool { all = append(all, rec); return true })
 				if eng.Len() != sc.Len() || !sameRecs(all, append([]schema.Record(nil), sc.recs...)) {
 					t.Fatalf("after insert %d: Len %d, All streams %d, oracle %d", i, eng.Len(), len(all), sc.Len())
+				}
+				all = all[:0] // an appending ladder streams in insertion order
+				app.All(func(rec schema.Record) bool { all = append(all, rec); return true })
+				if app.Len() != sc.Len() || !slices.EqualFunc(all, sc.recs, slices.Equal) {
+					t.Fatalf("after insert %d: appending Len %d, All streams %d, not the oracle's %d in order", i, app.Len(), len(all), sc.Len())
 				}
 				i += 7
 				continue
@@ -158,9 +168,11 @@ func FuzzStoreOracle(f *testing.F) {
 		if got := eng.Count(schema.Rect{Lo: []uint64{b + 1, 0, 0}, Hi: []uint64{m, m, m}}); got != 0 {
 			t.Fatalf("Lo above the bound matched %d records", got)
 		}
-		if eng.Len() != sc.Len() {
-			t.Fatalf("Len: sharded %d oracle %d", eng.Len(), sc.Len())
+		if eng.Len() != sc.Len() || app.Len() != sc.Len() {
+			t.Fatalf("Len: sharded %d appending %d oracle %d", eng.Len(), app.Len(), sc.Len())
 		}
+		app.Compact() // one indexed level: answers as the oracle does
+		check(schema.Rect{Lo: []uint64{0, 0, 0}, Hi: []uint64{b, b, b}})
 	})
 }
 
@@ -247,6 +259,38 @@ func TestViewContract(t *testing.T) {
 			t.Fatalf("engine holds %d records after appends to tail views, want the 400 inserted", len(got))
 		}
 	})
+	t.Run("an appending ladder's sealed tail is its level: views survive seals and Compact", func(t *testing.T) {
+		e := NewSharded(sch3(), Options{Append: true})
+		e.tailCap = 16
+		for _, rec := range recs[:40] { // two sealed levels and eight rows in the tail
+			e.Insert(rec)
+		}
+		held := e.Query(fullRect()) // levels, then tail, each scanned in insertion order
+		for i, rec := range held {
+			if len(rec) != 4 || cap(rec) != 4 || !slices.Equal(rec, recs[i]) {
+				t.Fatalf("view %d = %v (cap %d), inserted %v", i, rec, cap(rec), recs[i])
+			}
+			grown := append(rec, 0xdead, 0xbeef)
+			grown[len(grown)-1]++
+		}
+		for _, rec := range recs[40:] { // seals the held tail, then many more
+			e.Insert(rec)
+		}
+		for i, rec := range held {
+			if !slices.Equal(rec, recs[i]) {
+				t.Fatalf("view %d reads %v after seals, was %v", i, rec, recs[i])
+			}
+		}
+		e.Compact()
+		for i, rec := range held {
+			if !slices.Equal(rec, recs[i]) {
+				t.Fatalf("view %d reads %v after Compact, was %v", i, rec, recs[i])
+			}
+		}
+		if got := e.Query(fullRect()); !sameRecs(got, append([]schema.Record(nil), recs...)) {
+			t.Fatalf("engine holds %d records after appends to views, want the %d inserted", len(got), len(recs))
+		}
+	})
 }
 
 // TestVisitConcurrentWithMerges runs Visit (and the wrappers over it)
@@ -256,11 +300,20 @@ func TestViewContract(t *testing.T) {
 // pure function of its writer and ordinal, so a reader knows what it
 // must find, and every record carries a checksum of its coordinates as
 // payload, so a torn or recycled row cannot pass for a record.
-// Meaningful under -race.
+// The same runs on an appending ladder, whose tails are sealed as they
+// fill instead. Meaningful under -race.
 func TestVisitConcurrentWithMerges(t *testing.T) {
+	t.Run("merging", func(t *testing.T) { visitConcurrentWithWriters(t, smallTail(16)) })
+	t.Run("appending", func(t *testing.T) {
+		e := NewSharded(sch3(), Options{Append: true})
+		e.tailCap = 16
+		visitConcurrentWithWriters(t, e)
+	})
+}
+
+func visitConcurrentWithWriters(t *testing.T, e *Sharded) {
 	const writers, readers, perWriter = 4, 4, 3000
 	sch := sch3()
-	e := smallTail(16)
 	mk := func(w, i int) schema.Record {
 		rec := schema.Record{uint64(i*7919+w*13)%10000 + uint64(i%3)*6000, uint64(i), uint64(w), 0} // a third above the bound
 		rec[3] = rec[0]*31 + rec[1]*17 + rec[2] + 5

@@ -25,6 +25,13 @@ type Options struct {
 	// ladder and its rollup hold the same records by construction. Nil
 	// (replica stores) keeps no rollup.
 	Rollup *summary.Options
+	// Append makes the ladder a log: a full tail is sealed as it is —
+	// its own arena, unindexed — and appended as a level, so no record
+	// is ever copied or partitioned again and reads scan the sealed
+	// levels whole. It suits a store written far more than read: a
+	// replica store (DESIGN.md §4h, "Replicas append"). Compact still
+	// merges everything into one indexed level.
+	Append bool
 }
 
 // tail is the ladder's insert buffer: one fixed-capacity arena of
@@ -47,7 +54,8 @@ func (t *tail) published(arity int) []uint64 {
 }
 
 // ladderSnap is the ladder's published state: its immutable levels,
-// oldest and largest first with strictly decreasing lengths, and the
+// oldest first — in a merging ladder also largest first with strictly
+// decreasing lengths, in an appending one each a sealed tail — and the
 // tail absorbing inserts (nil until the first insert and after
 // Compact). Readers load the pointer once and resolve against all of
 // it; a carry publishes a replacement snap without mutating any old
@@ -64,9 +72,12 @@ type ladderSnap struct {
 // Static arena, built by appending the source arenas and partitioning in
 // place. A record is therefore rebuilt O(log(n/tailRows)) times over its
 // life, no insert ever pays for more than the levels it absorbs, and
-// there is one index structure at every size. The name (and NewSharded,
-// Options) outlived the hash sharding it once described because
-// benchmark/isolation.go compiles against it.
+// there is one index structure at every size. An appending ladder
+// (Options.Append) seals a full tail as an unindexed level instead and
+// never carries: its records are written once and read by whole scans,
+// and the carry bounds above hold for merging ladders only. The name
+// (and NewSharded, Options) outlived the hash sharding it once described
+// because benchmark/isolation.go compiles against it.
 //
 // Concurrency: inserts serialize on the writer mutex. Readers (Query,
 // Count, All, Len) are lock-free: they load the published snapshot and
@@ -81,6 +92,7 @@ type Sharded struct {
 	// tailCap is the tail capacity in rows: tailRows, except that tests
 	// shrink it before the first insert so carries fire every few records.
 	tailCap int
+	append  bool // Options.Append: seal full tails, never carry
 
 	mu          sync.Mutex
 	snap        atomic.Pointer[ladderSnap]
@@ -98,6 +110,7 @@ func NewSharded(sch *schema.Schema, opts Options) *Sharded {
 		arity:   sch.Arity(),
 		time:    sch.TimeDim(),
 		tailCap: tailRows,
+		append:  opts.Append,
 	}
 	e.snap.Store(&ladderSnap{})
 	if opts.Rollup != nil {
@@ -137,7 +150,11 @@ func (e *Sharded) Insert(rec schema.Record) {
 	if e.roll != nil {
 		e.roll.Insert(row)
 	}
-	if n+1 == e.tailCap {
+	switch {
+	case n+1 < e.tailCap:
+	case e.append:
+		e.sealLocked(snap)
+	default:
 		e.carryLocked(snap, false)
 	}
 	e.mu.Unlock()
@@ -176,6 +193,16 @@ func (e *Sharded) carryLocked(snap *ladderSnap, everything bool) {
 	if e.roll != nil {
 		e.roll.Fold()
 	}
+}
+
+// sealLocked appends the full tail to the levels as an unindexed level
+// over the tail's own arena — no copy, no build — and publishes the
+// result with a fresh tail. The level list grows in place: a published
+// snapshot never reads past its own length, and only the writer appends.
+// Caller holds e.mu.
+func (e *Sharded) sealLocked(snap *ladderSnap) {
+	sealed := &Static{bounds: e.bounds, dims: e.dims, arity: e.arity, time: e.time, rows: snap.tail.rows}
+	e.snap.Store(&ladderSnap{levels: append(snap.levels, sealed), tail: e.newTail()})
 }
 
 // Compact carries the tail and every level into one level, leaving no

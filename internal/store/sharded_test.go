@@ -309,3 +309,52 @@ func TestLadderShape(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendLadderShape: an appending ladder (Options.Append) never
+// carries — no carry, no row written twice — and every level is one
+// sealed tail exactly, unindexed (a whole-scan level: no cuts), holding
+// the records inserted in its turn; All streams in insertion order, and
+// Compact still merges everything into one indexed level.
+func TestAppendLadderShape(t *testing.T) {
+	for _, tailCap := range []int{tailRows, 8} {
+		e := NewSharded(sch3(), Options{Append: true})
+		e.tailCap = tailCap
+		r := rand.New(rand.NewSource(94))
+		var recs []schema.Record
+		for i := 0; i < 3000; i++ {
+			recs = append(recs, randRec(r))
+			e.Insert(recs[i])
+		}
+		s := e.Shape()
+		if s.Carries != 0 || s.CarriedRows != 0 {
+			t.Fatalf("tail %d: an appending ladder carried: %+v", tailCap, s)
+		}
+		if len(s.Levels) != len(recs)/tailCap || s.TailRecords != len(recs)%tailCap || e.Len() != len(recs) {
+			t.Fatalf("tail %d: %d levels + %d in the tail over %d inserts", tailCap, len(s.Levels), s.TailRecords, len(recs))
+		}
+		for k, l := range e.snap.Load().levels {
+			if l.Len() != tailCap || l.cuts != nil {
+				t.Fatalf("tail %d: level %d holds %d rows (cuts %v), want one sealed tail of %d", tailCap, k, l.Len(), l.cuts != nil, tailCap)
+			}
+		}
+		i := 0
+		e.All(func(rec schema.Record) bool {
+			if !slices.Equal(rec, recs[i]) {
+				t.Fatalf("tail %d: All position %d = %v, inserted %v", tailCap, i, rec, recs[i])
+			}
+			i++
+			return true
+		})
+		e.Compact()
+		c := e.Shape()
+		if len(c.Levels) != 1 || c.Levels[0] != len(recs) || c.TailRecords != 0 || c.Carries != 1 || c.CarriedRows != uint64(len(recs)) {
+			t.Fatalf("tail %d: Compact left %+v", tailCap, c)
+		}
+		if l := e.snap.Load().levels[0]; l.cuts == nil {
+			t.Fatalf("tail %d: the compacted level is not indexed", tailCap)
+		}
+		if got := e.Query(fullRect()); !sameRecs(got, append([]schema.Record(nil), recs...)) {
+			t.Fatalf("tail %d: compacted ladder holds %d records, want %d", tailCap, len(got), len(recs))
+		}
+	}
+}

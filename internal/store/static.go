@@ -13,8 +13,10 @@ import "mind/internal/schema"
 //     most leafRows rows, the unit a visit selects from and hands over
 //     as one batch;
 //   - cuts: the split values as an implicit BFS tree — root at 1, the
-//     children of node i at 2i and 2i+1. Node i over rows [lo, hi) splits
-//     at mid = lo+(hi-lo)/2 into [lo, mid) and [mid, hi), so a descent
+//     children of node i at 2i and 2i+1; nil for a level scanned whole
+//     (at most leafRows rows, or a tail an appending ladder sealed,
+//     shard.go). Node i over rows [lo, hi) splits at
+//     mid = lo+(hi-lo)/2 into [lo, mid) and [mid, hi), so a descent
 //     re-derives every row range from n alone and the tree costs about
 //     one word per leaf, not per record. The dimension a node splits is
 //     not stored either: it is schema.CutDim of the node's depth and the
@@ -183,10 +185,12 @@ func (s *Static) Visit(rect schema.Rect, fn func(schema.Record)) {
 
 // visit is VisitBatches on an already opened window: a depth-first
 // descent that follows a lone surviving child in place and stacks the
-// right child only where both survive. An open window is never
-// inverted, so at least one child always survives.
+// right child only where both survive; a level without cuts is one
+// scan in leaf-sized runs. An open window is never inverted, so at least
+// one child always survives.
 func (s *Static) visit(w *window, sel *selection, fn func(rows []uint64, sel []int32)) {
-	if len(s.rows) == 0 {
+	if s.cuts == nil {
+		scanBatches(s.rows, s.arity, w.con, sel, fn)
 		return
 	}
 	var stack [staticStackCap]sframe

@@ -230,7 +230,7 @@ func TestScanAll(t *testing.T) {
 }
 
 func TestVersioned(t *testing.T) {
-	vs := NewVersioned(sch3())
+	vs := NewVersionedOpts(sch3(), Options{})
 	vs.Insert(1, schema.Record{10, 10, 10, 1})
 	vs.Insert(2, schema.Record{10, 10, 10, 2})
 	vs.Insert(2, schema.Record{90, 90, 90, 3})

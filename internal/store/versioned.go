@@ -27,14 +27,8 @@ type Versioned struct {
 	versions map[uint32]*Sharded
 }
 
-// NewVersioned creates an empty versioned store with default engine
-// options.
-func NewVersioned(sch *schema.Schema) *Versioned {
-	return NewVersionedOpts(sch, Options{})
-}
-
-// NewVersionedOpts creates an empty versioned store with explicit
-// engine options (the rollup).
+// NewVersionedOpts creates an empty versioned store whose engines are
+// built with opts (a primary store's rollup, a replica store's Append).
 func NewVersionedOpts(sch *schema.Schema, opts Options) *Versioned {
 	return &Versioned{sch: sch, opts: opts, versions: make(map[uint32]*Sharded)}
 }
