@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"flag"
 	"fmt"
 	"strings"
 	"testing"
@@ -10,21 +9,6 @@ import (
 // The experiment smoke tests run every figure/table regeneration at a
 // small scale and assert the paper's qualitative claims (the "shape");
 // run also pins every Value to the golden file (golden_test.go).
-
-// -full adds the two shape tests that take minutes, not seconds — fig16's
-// 3 × 102-node failure escalation (≈ 180 s: the expanding-ring flood at
-// 30–50 % failures) and fig3's multi-day generation (≈ 17 s): `go test
-// ./internal/experiments -full`. CI runs them in their own job; without
-// the flag `go test ./...` stays under a minute.
-var full = flag.Bool("full", false, "also run the minutes-long shape tests (fig3, fig16)")
-
-func TestFull(t *testing.T) {
-	if !*full {
-		t.Skip("pass -full to run the fig3 and fig16 shape tests")
-	}
-	t.Run("Fig3Shape", testFig3Shape)
-	t.Run("Fig16Shape", testFig16Shape)
-}
 
 const testSeed = 20050405 // ICDE 2005
 
@@ -59,7 +43,10 @@ func TestFig2Shape(t *testing.T) {
 	}
 }
 
-func testFig3Shape(t *testing.T) {
+// fig3's multi-day generation and fig16's 3 × 102-node failure
+// escalation are the two slowest shape tests, about 20 s each on a 2-vCPU
+// host.
+func TestFig3Shape(t *testing.T) {
 	r := run(t, "fig3", 0.22)
 	// Day-to-day mismatch must be well below hour-to-hour at every
 	// granularity (the §3.7 justification for daily re-balancing).
@@ -186,7 +173,7 @@ func TestFig14Fig15Shape(t *testing.T) {
 	}
 }
 
-func testFig16Shape(t *testing.T) {
+func TestFig16Shape(t *testing.T) {
 	r := run(t, "fig16", 0.05)
 	// All configurations perfect with no failures.
 	for _, k := range []string{"none_0", "one_0", "full_0"} {
@@ -215,6 +202,12 @@ func testFig16Shape(t *testing.T) {
 	// even at 50%.
 	if r.Values["one_50"] < r.Values["none_50"] {
 		t.Errorf("one-replica (%.2f) below none (%.2f) at 50%%", r.Values["one_50"], r.Values["none_50"])
+	}
+	// Full replication survives beyond 50 % failures (the paper's Fig 16).
+	for _, k := range []string{"full_40", "full_50"} {
+		if r.Values[k] < 0.9 {
+			t.Errorf("%s = %.2f, want ≥ 0.9 (paper: full replication survives > 50%%)", k, r.Values[k])
+		}
 	}
 }
 

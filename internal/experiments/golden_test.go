@@ -15,10 +15,10 @@ import (
 // new reading; if the move is intended, rerun with -update and commit
 // the file, so the diff shows in review:
 //
-//	go test ./internal/experiments -full -update
+//	go test ./internal/experiments -update
 //
 // -update rewrites the entries of the experiments that ran and keeps the
-// rest, so an update without -full keeps the fig3 and fig16 entries.
+// rest, so an update under -run rewrites only the experiments it ran.
 var update = flag.Bool("update", false, "rewrite testdata/values.json from this run's reports")
 
 const goldenPath = "testdata/values.json"

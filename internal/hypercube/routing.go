@@ -113,8 +113,8 @@ func (o *Overlay) RingRecover(target bitstr.Code, payload []byte) {
 	for i, ttl := range ttls[1:] {
 		ring, ttl := i+1, ttl
 		o.clock.AfterFunc(time.Duration(ring)*o.cfg.RingTimeout, func() {
-			// A RingResumed notification (or MarkProbeResumed) marks the
-			// probe id; escalation stops once someone picked the payload up.
+			// A RingResumed notification marks the probe id; escalation
+			// stops once someone picked the payload up.
 			o.mu.Lock()
 			resumed := o.seenProbes[id]
 			o.mu.Unlock()
@@ -204,15 +204,9 @@ func (o *Overlay) handleRingProbe(_ string, m *wire.RingProbe) {
 // handleRingResumed records at the origin that a probe's payload was
 // picked up, suppressing further TTL escalation.
 func (o *Overlay) handleRingResumed(m *wire.RingResumed) {
-	o.MarkProbeResumed(m.ProbeID)
-}
-
-// MarkProbeResumed lets the origin record that a probe id completed (the
-// resumed message reached it), suppressing further TTL escalation.
-func (o *Overlay) MarkProbeResumed(id uint64) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.seenProbes[id] = true
+	o.seenProbes[m.ProbeID] = true
 }
 
 // probeHopLocked picks where to send a liveness probe about a suspect:

@@ -54,8 +54,8 @@ type index struct {
 	// replicaOwners records the owner codes whose data we replicate,
 	// enabling fail-over answers for their regions.
 	replicaOwners map[bitstr.Code]bool
-	// primarySeen and replicaSeen dedup record ids against originator
-	// retransmission and ring-recovery double delivery, one set per
+	// primarySeen and replicaSeen dedup record ids against a record
+	// delivered twice (an originator retransmission), one set per
 	// store, so primary and replica inserts never share a lock and the
 	// same id may live in both. Each is bounded to half the node-wide
 	// dedup budget, so memory stays O(1) per index while the window far
@@ -353,8 +353,8 @@ func indexFromDef(d wire.IndexDef) (*index, error) {
 }
 
 // storeRecord inserts into primary storage with RecID dedup; it reports
-// whether the record was new. A repeat (a retransmission, a repair
-// re-insert, a ring recovery) is also new only if version v's store
+// whether the record was new. A repeat (a retransmission or a repair
+// re-insert) is also new only if version v's store
 // holds no byte-identical record: its first copy, or another holder's
 // re-insert of it, may be stored under another RecID — or under this one
 // after the dedup set forgot it. The probe runs under the dedup lock, so

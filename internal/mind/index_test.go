@@ -124,7 +124,7 @@ func TestStoreRecordDedup(t *testing.T) {
 		t.Fatal("first store rejected")
 	}
 	if ix.storeRecord(0, 42, rec, false) {
-		t.Fatal("duplicate RecID accepted (ring double-delivery would duplicate data)")
+		t.Fatal("duplicate RecID accepted (a retransmission would duplicate data)")
 	}
 	if ix.primary.Len() != 1 {
 		t.Fatalf("stored = %d", ix.primary.Len())

@@ -19,10 +19,10 @@ type InsertResult struct {
 	StoredAt string // owner node address
 	// Attempts counts originator retransmissions of this insert. A
 	// retransmission is a repeat, which an owner holding the record
-	// already acks without storing; but it may race its first copy
-	// through ring recovery onto distinct owners, so an acked record can
-	// end up stored twice, and callers needing exact aggregate oracles
-	// (the chaos differential) treat Attempts > 0 as a duplicate risk.
+	// already acks without storing; but ownership may move between two
+	// attempts, so an acked record can end up stored twice, and callers
+	// needing exact aggregate oracles (the chaos differential) treat
+	// Attempts > 0 as a duplicate risk.
 	Attempts int
 	Err      error
 }
@@ -41,7 +41,7 @@ type insertOp struct {
 	target  bitstr.Code
 	rec     schema.Record // may alias the submitter's buffer
 	repeat  bool          // a repair re-insert: the record may be stored at target already
-	forward bool          // the first dispatch leaves through lastHop ("": ring recovery)
+	forward bool          // the first dispatch leaves through lastHop ("": a dead end)
 	lastHop string        // first hop the latest attempt left through
 }
 
@@ -206,8 +206,7 @@ func (n *Node) sendInserts(tag string, ops []insertOp, done func([]InsertResult)
 		case !ops[i].forward:
 			n.routeInsert(&r, ob)
 		case next == "":
-			r.hops = 1
-			n.ringRecover(&r)
+			n.deadEnds.Add(1) // the group's retransmission re-resolves the first hop
 		default:
 			r.hops = 1 // leaving the originator
 			n.forwarded.Add(1)
@@ -373,7 +372,9 @@ func (n *Node) rehomeInsert(ix *index, r *insertRec, myCode bitstr.Code, ob *out
 	}
 }
 
-// forwardInsert sends a routed record one hop on.
+// forwardInsert sends a routed record one hop on, or drops it at a dead
+// end (no greedy next hop) for its group's retransmission to resend:
+// inserts take no expanding ring (§3.8, DESIGN.md §4c).
 func (n *Node) forwardInsert(r *insertRec, ob *outbox) {
 	r.hops++
 	if next, ok := n.ov.NextHop(r.target); ok {
@@ -390,16 +391,7 @@ func (n *Node) forwardInsert(r *insertRec, ob *outbox) {
 		n.postInsert(ob, next, r)
 		return
 	}
-	n.ringRecover(r)
-}
-
-// ringRecover hands a record at a dead end to the expanding-ring
-// broadcast (§3.8), as a run of one. Ring recovery may deliver it more
-// than once, so it travels as a repeat.
-func (n *Node) ringRecover(r *insertRec) {
-	run := wire.InsertRun{OriginAddr: r.origin, Index: r.index, Version: r.version, TreeEpoch: r.epoch, Attempt: r.attempt, Repeat: true}
-	r.appendTo(&run)
-	n.ov.RingRecover(r.target, wire.Encode(&run))
+	n.deadEnds.Add(1)
 }
 
 // storeAsOwner stores the record, replicates it, and acks the origin,
@@ -414,10 +406,10 @@ func (n *Node) storeAsOwner(ix *index, r *insertRec, ob *outbox) {
 		n.stored.Add(1)
 		fired = ix.fireTriggers(n.clock.Now(), r.recID, rec)
 	} else {
-		// Retransmission (or ring double-delivery) of a record already
-		// stored, or a repeat of a byte-identical stored copy: idempotent,
-		// but the origin still needs the ack below — the lost message may
-		// have been the previous ack.
+		// Retransmission of a record already stored, or a repeat of a
+		// byte-identical stored copy: idempotent, but the origin still
+		// needs the ack below — the lost message may have been the
+		// previous ack.
 		n.dedupHits.Add(1)
 	}
 	myInfo := n.ov.Info()

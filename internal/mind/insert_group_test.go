@@ -204,3 +204,44 @@ func TestInsertGroupTimers(t *testing.T) {
 		}
 	})
 }
+
+// TestInsertDeadEndResent: an insert whose first hop is a dead end is
+// dropped, not flooded — no ring probe carries it — and its group's
+// retransmission delivers it once a route exists.
+func TestInsertDeadEndResent(t *testing.T) {
+	net, a, b, ta, _, sch := tapPair(t)
+	probes := 0 // ring-probe frames from a that carry an insert run
+	ta.edit = func(_ string, msg []byte) []byte {
+		if m, err := wire.Decode(msg); err == nil {
+			if p, ok := m.(*wire.RingProbe); ok {
+				if pm, err := wire.Decode(p.Payload); err == nil && pm.Kind() == wire.KindInsert {
+					probes++
+				}
+			}
+		}
+		return msg
+	}
+	rec := ownedRecs(t, a, sch.Tag, 11, false, 1)[0]
+	// b is a's only contact. Suspected, it leaves a without a first hop
+	// until b's next heartbeat clears the suspicion.
+	a.ov.SuspectContact(b.Addr())
+	var res *InsertResult
+	if err := a.Insert(sch.Tag, rec, func(r InsertResult) { res = &r }); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.Stats().DeadEnds; got != 1 {
+		t.Fatalf("DeadEnds = %d after an insert with no first hop, want 1", got)
+	}
+	if !net.RunUntil(func() bool { return res != nil }, 10_000_000) {
+		t.Fatal("insert never settled")
+	}
+	if probes != 0 {
+		t.Fatalf("%d ring probes carried the insert", probes)
+	}
+	if !res.OK || res.StoredAt != b.Addr() || res.Attempts < 1 {
+		t.Fatalf("result %+v, want stored at %s by a retransmission", *res, b.Addr())
+	}
+	if st := b.Stats(); st.Stored != 1 || st.DeadEnds != 0 {
+		t.Fatalf("b stored %d records with %d dead ends, want 1 and 0", st.Stored, st.DeadEnds)
+	}
+}

@@ -115,6 +115,7 @@ type Node struct {
 	// would enter a store (routeInsert at the owner, handleReplicateRun):
 	// wrong arity for the index schema.
 	droppedRecords atomic.Uint64
+	deadEnds       atomic.Uint64 // inserts dropped for lack of a greedy next hop (insert.go)
 	aggAnswered    atomic.Uint64 // aggregate pieces answered from local summaries (aggquery.go)
 	coverDropped   atomic.Uint64 // covering answers dropped for overlapping coverage (scatter.go)
 	// clientOps dedups client RPC request ids so a retransmitted
@@ -285,6 +286,7 @@ type Stats struct {
 	// or replica store for not having the index schema's arity. Such a
 	// record is neither stored, acked nor replicated.
 	DroppedRecords uint64
+	DeadEnds       uint64 // records dropped for lack of a greedy next hop; their originator resends them
 
 	// In-flight originator-side operations still awaiting an ack, a
 	// covering response, or their timeout. All are zero at quiescence;
@@ -301,7 +303,7 @@ func (n *Node) Stats() Stats {
 		Requests: n.reqTracked.Load(), Retransmits: n.retransmits.Load(), AcksReceived: n.acksReceived.Load(), DedupHits: n.dedupHits.Load(),
 		ShedInserts: n.shedInserts.Load(), ShedQueries: n.shedQueries.Load(), ShedGossip: n.shedGossip.Load(),
 		AggAnswered: n.aggAnswered.Load(), CoverDropped: n.coverDropped.Load(),
-		DroppedPieces: n.droppedPieces.Load(), DroppedRecords: n.droppedRecords.Load(),
+		DroppedPieces: n.droppedPieces.Load(), DroppedRecords: n.droppedRecords.Load(), DeadEnds: n.deadEnds.Load(),
 		BatchesSent: n.batchesSent.Load(), BatchedMsgs: n.batchedMsgs.Load(), BatchesRecv: n.batchesRecv.Load(),
 	}
 	s.BatchOccupancy = float64(s.BatchedMsgs) / float64(s.BatchesSent) // 0/0 is NaN before the first

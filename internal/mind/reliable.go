@@ -260,7 +260,7 @@ func (n *Node) retransmitInsert(r *insertRec, exclude string, ob *outbox) {
 	}
 	next, ok := n.nextHopAvoiding(r.target, exclude)
 	if !ok {
-		n.ringRecover(r)
+		n.deadEnds.Add(1) // the next check tries again
 		return
 	}
 	n.mu.Lock()

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"mind/internal/schema"
 	"mind/internal/transport"
+	"mind/internal/wire"
 )
 
 // Unit tests for the reliable-request-layer primitives: the bounded
@@ -267,5 +269,35 @@ func BenchmarkDedupSet(b *testing.B) {
 		if s.Seen(ids[i&(len(ids)-1)]) {
 			b.Fatal("fresh id reported seen")
 		}
+	}
+}
+
+// TestTriggerSeenBounded: a subscriber's RecID dedup forgets old matches
+// instead of keeping every one for the trigger's lifetime, and still
+// suppresses a recent match's second copy.
+func TestTriggerSeenBounded(t *testing.T) {
+	_, a, _, _, _, sch := tapPair(t)
+	fired := 0
+	rect := schema.Rect{Lo: make([]uint64, sch.IndexDims), Hi: sch.Bounds()}
+	id, err := a.RegisterTrigger(sch.Tag, rect, func(TriggerEvent) { fired++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 2*dedupCap + 100
+	for rec := uint64(1); rec <= n; rec++ {
+		a.handleTriggerFire(&wire.TriggerFire{TriggerID: id, Index: sch.Tag, RecID: rec})
+	}
+	if fired != n {
+		t.Fatalf("%d callbacks for %d distinct matches", fired, n)
+	}
+	a.mu.Lock()
+	held := a.triggerSubs[id].seen.Len()
+	a.mu.Unlock()
+	if held > 2*dedupCap {
+		t.Fatalf("subscriber remembers %d matches, want at most %d", held, 2*dedupCap)
+	}
+	a.handleTriggerFire(&wire.TriggerFire{TriggerID: id, Index: sch.Tag, RecID: n})
+	if fired != n {
+		t.Fatal("a recent match's second copy fired again")
 	}
 }

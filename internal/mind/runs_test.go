@@ -249,8 +249,7 @@ func TestOriginatorMixesOwnedAndForwarded(t *testing.T) {
 }
 
 // TestReplicatedCountsStoredRecords: Stats.Replicated counts the replica
-// records a node stored, so a replicate run delivered twice — a
-// retransmission, or a ring recovery's second delivery — counts its
+// records a node stored, so a replicate run delivered twice counts its
 // records once, as the replica store holds them once.
 func TestReplicatedCountsStoredRecords(t *testing.T) {
 	_, nodes, _, sch := tapCluster(t, 4)

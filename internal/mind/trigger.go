@@ -40,8 +40,12 @@ type trigger struct {
 
 // triggerSub is the subscriber-side state.
 type triggerSub struct {
-	cb    func(TriggerEvent)
-	seen  map[uint64]bool // RecID dedup: multiple owners can match one record's replicas
+	cb func(TriggerEvent)
+	// seen dedups RecIDs: multiple owners can match one record's
+	// replicas. The copies of one match arrive within its insert's
+	// retransmission horizon, as the copies a store dedups do, so the
+	// node-wide bound dedupCap holds them; the table grows on demand.
+	seen  *dedupSet
 	timer transport.Timer
 }
 
@@ -68,7 +72,7 @@ func (n *Node) RegisterTrigger(tag string, rect schema.Rect, cb func(TriggerEven
 	if n.triggerSubs == nil {
 		n.triggerSubs = make(map[uint64]*triggerSub)
 	}
-	n.triggerSubs[id] = &triggerSub{cb: cb, seen: make(map[uint64]bool)}
+	n.triggerSubs[id] = &triggerSub{cb: cb, seen: newDedupSet(dedupCap)}
 	n.mu.Unlock()
 	// Route toward the newest version's embedding; inserts for current
 	// traffic land under it.
@@ -232,11 +236,10 @@ func (ix *index) fireTriggers(now time.Time, recID uint64, rec schema.Record) []
 func (n *Node) handleTriggerFire(m *wire.TriggerFire) {
 	n.mu.Lock()
 	sub, ok := n.triggerSubs[m.TriggerID]
-	if !ok || sub.seen[m.RecID] {
+	if !ok || sub.seen.Seen(m.RecID) {
 		n.mu.Unlock()
 		return
 	}
-	sub.seen[m.RecID] = true
 	cb := sub.cb
 	n.mu.Unlock()
 	if cb != nil {

@@ -111,6 +111,7 @@ func TestOperatorSurface(t *testing.T) {
 		Node   *struct {
 			Requests    uint64
 			ShedInserts uint64
+			DeadEnds    *uint64
 		} `json:"node"`
 		Overlay *struct {
 			Epoch     uint64   `json:"epoch"`
@@ -134,6 +135,9 @@ func TestOperatorSurface(t *testing.T) {
 	}
 	if stats.Node == nil || stats.Overlay == nil || stats.Reversion == nil {
 		t.Fatalf("stats missing node/overlay/reversion sections:\n%s", body)
+	}
+	if stats.Node.DeadEnds == nil {
+		t.Fatalf("stats node section has no DeadEnds:\n%s", body)
 	}
 	if stats.Transport.Dials == 0 || stats.Transport.FramesSent == 0 || stats.Transport.PeersHealthy == 0 {
 		t.Fatalf("transport counters empty: %+v", stats.Transport)

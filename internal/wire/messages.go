@@ -496,9 +496,9 @@ func (m *RingResumed) fields(c *codec) {
 // run of one. Attempt is 0 for the first transmission and counts up on
 // each originator retransmission, to at most MaxAttempt; owners dedup on
 // RecID, so any attempt is safe to store. Repeat marks records that may
-// already be stored at their owner under another RecID — retransmissions,
-// repair re-inserts and ring recoveries — so the owner first looks for a
-// byte-identical stored copy. It travels in the high bit of the attempt
+// already be stored at their owner under another RecID — retransmissions
+// and repair re-inserts — so the owner first looks for a byte-identical
+// stored copy. It travels in the high bit of the attempt
 // byte, so a run without it encodes as it did before the bit existed.
 // TreeEpoch identifies the cut tree the originator used to compute the
 // Targets for Version (version-skew detection, §3.7 under faults).
