@@ -99,7 +99,7 @@ func (c *CentralClient) Insert(rec schema.Record, timeout time.Duration, cb func
 	op.timer = c.clock.AfterFunc(timeout, func() { c.finishInsert(reqID, false) })
 	c.mu.Unlock()
 	run := &wire.InsertRun{OriginAddr: c.ep.Addr()}
-	run.Append(reqID, 0, bitstr.Empty, 0, rec)
+	run.Append(reqID, bitstr.Empty, 0, rec)
 	_ = c.ep.Send(c.server, wire.Encode(run))
 }
 

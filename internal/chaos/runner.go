@@ -113,7 +113,7 @@ type runner struct {
 	// dupRisk flips (permanently — the copies persist in the stores) once
 	// some event may have left a record stored as two primary copies:
 	// a kill (the post-takeover RegionRecall re-inserts surviving replica
-	// copies under fresh record ids), a partition or link cut that
+	// copies under fresh ReqIDs), a partition or link cut that
 	// outlived the failure-detection window (false takeovers, dispute
 	// reinsertion), or a retransmitted/timed-out insert (the retry can
 	// race its first copy onto a distinct owner). Copies that meet at one

@@ -31,20 +31,6 @@ type Config struct {
 	// LookupDepth is the random-code depth used to sample a node during
 	// join lookups.
 	LookupDepth int
-	// EstrangedTTL bounds how long a node keeps heartbeat-probing a peer
-	// it declared dead, waiting for a partition heal to reconnect the
-	// fenced halves. Zero derives 20×FailAfter — long enough to span any
-	// partition the chaos schedules produce, short enough that genuinely
-	// dead peers stop costing probe traffic.
-	EstrangedTTL time.Duration
-}
-
-// estrangedTTL returns the effective estranged-probe lifetime.
-func (c Config) estrangedTTL() time.Duration {
-	if c.EstrangedTTL > 0 {
-		return c.EstrangedTTL
-	}
-	return 20 * c.FailAfter
 }
 
 // DefaultConfig returns timers suitable for both the simulated WAN and a

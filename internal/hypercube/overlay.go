@@ -537,12 +537,14 @@ func (o *Overlay) heartbeatTick() {
 		}
 	}
 	// Keep probing estranged peers: a genuinely dead node ignores the
-	// heartbeats until the TTL writes it off, but a partitioned-away peer
-	// answers after the heal, re-entering the contact table (direct
-	// traffic) and surfacing any code collision for reconciliation.
+	// heartbeats until 20×FailAfter writes it off, but a partitioned-away
+	// peer answers after the heal, re-entering the contact table (direct
+	// traffic) and surfacing any code collision for reconciliation. The
+	// span outlasts any partition the chaos schedules produce, and is
+	// short enough that genuinely dead peers stop costing probe traffic.
 	var estrangedTargets []string
 	for addr, e := range o.estranged {
-		if now.Sub(e.at) > o.cfg.estrangedTTL() {
+		if now.Sub(e.at) > 20*o.cfg.FailAfter {
 			delete(o.estranged, addr)
 			continue
 		}

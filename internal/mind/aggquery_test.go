@@ -218,7 +218,7 @@ func TestAggSurvivesKillWithReplication(t *testing.T) {
 	// answers must still complete and must never undercount. Exact
 	// equality with the record-path query is NOT guaranteed here: the
 	// post-takeover RegionRecall re-inserts surviving replica copies
-	// under fresh record ids, the record path collapses those duplicates
+	// under fresh ReqIDs, the record path collapses those duplicates
 	// by content hash, and aggregates count geometrically (the documented
 	// DESIGN.md §4i duplicate-copy caveat) — so the upper bound is the
 	// total primary copies actually stored across live nodes, and the

@@ -27,8 +27,8 @@ import (
 const outboxFlushBytes = 48 << 10
 
 // colBytes bounds what one record adds to an insert run besides its own
-// bytes: a ReqID varint, a RecID, a Target code and a hop count.
-const colBytes = 10 + 8 + 9 + 1
+// bytes: a ReqID varint, a Target code and a hop count.
+const colBytes = 10 + 9 + 1
 
 // outGroup is the pending traffic of one class for one destination: its
 // open runs, in first-seen header order.
@@ -136,9 +136,8 @@ func (n *Node) postReplica(ob *outbox, to string, owner bitstr.Code, r *insertRe
 		run = &wire.ReplicateRun{Index: r.index, Version: r.version, OwnerCode: owner}
 		g.runs = append(g.runs, run)
 	}
-	run.RecIDs = append(run.RecIDs, r.recID)
 	r.addRec(&run.Recs)
-	ob.added(8 + r.recBytes())
+	ob.added(r.recBytes())
 }
 
 // postAck acks r's storage at this node (at) to its origin.

@@ -370,8 +370,7 @@ func TestEnvelopeRetransmitsPendingOnly(t *testing.T) {
 		half := &wire.InsertRun{OriginAddr: run.OriginAddr, Index: run.Index, Version: run.Version, TreeEpoch: run.TreeEpoch}
 		cur := run.Recs.Cursor()
 		for i := 0; i < 4; i++ {
-			half.ReqIDs, half.RecIDs = append(half.ReqIDs, run.ReqIDs[i]), append(half.RecIDs, run.RecIDs[i])
-			half.Targets, half.Hops = append(half.Targets, run.Targets[i]), append(half.Hops, run.Hops[i])
+			half.ReqIDs, half.Targets, half.Hops = append(half.ReqIDs, run.ReqIDs[i]), append(half.Targets, run.Targets[i]), append(half.Hops, run.Hops[i])
 			half.Recs.Splice(cur.Next(), 1)
 		}
 		return wire.Encode(half)

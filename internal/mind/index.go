@@ -54,13 +54,13 @@ type index struct {
 	// replicaOwners records the owner codes whose data we replicate,
 	// enabling fail-over answers for their regions.
 	replicaOwners map[bitstr.Code]bool
-	// primarySeen and replicaSeen dedup record ids against a record
-	// delivered twice (an originator retransmission), one set per
-	// store, so primary and replica inserts never share a lock and the
-	// same id may live in both. Each is bounded to half the node-wide
-	// dedup budget, so memory stays O(1) per index while the window far
-	// exceeds any retransmission horizon.
-	primarySeen, replicaSeen recDedup
+	// reqSeen dedups the primary store's inserts on their ReqIDs against
+	// a record delivered twice (an originator retransmission). It is
+	// bounded to half the node-wide dedup budget, so memory stays O(1)
+	// per index while the window far exceeds any retransmission horizon.
+	// The replica store needs no such set: an owner replicates a record
+	// once, when it first stores it.
+	reqSeen reqDedup
 
 	// History pointer (§3.4): after this node joined by splitting
 	// histAddr's region, sub-queries are forwarded there until
@@ -80,25 +80,13 @@ type index struct {
 	timeAttr int // index of the KindTime attribute among indexed dims, or -1
 }
 
-// recDedup is one store's record-id dedup set, a flat two-generation
-// table (genSet). The mark and the store insert happen under mu, so a
-// retransmitted record id can never slip past its first copy's
-// in-flight store.
-type recDedup struct {
+// reqDedup is the primary store's ReqID dedup set, a flat
+// two-generation table (genSet). The mark and the store insert happen
+// under mu, so a retransmitted ReqID can never slip past its first
+// copy's in-flight store.
+type reqDedup struct {
 	mu   sync.Mutex
 	seen *dedupSet
-}
-
-// insert stores rec into version v of vs iff recID is new to d, and
-// reports whether it was.
-func (d *recDedup) insert(vs *store.Versioned, v uint32, recID uint64, rec schema.Record) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.seen.Seen(recID) {
-		return false
-	}
-	vs.Insert(v, rec)
-	return true
 }
 
 // newIndex creates an index: versioned primary and replica stores, the
@@ -113,8 +101,7 @@ func newIndex(sch *schema.Schema, base *embed.Tree) *index {
 		primary:       store.NewVersionedOpts(sch, store.Options{Rollup: &summary.Options{}}),
 		replicas:      store.NewVersionedOpts(sch, store.Options{Append: true}),
 		replicaOwners: make(map[bitstr.Code]bool),
-		primarySeen:   recDedup{seen: newDedupSet(dedupCap / 2)},
-		replicaSeen:   recDedup{seen: newDedupSet(dedupCap / 2)},
+		reqSeen:       reqDedup{seen: newDedupSet(dedupCap / 2)},
 		timeAttr:      sch.TimeDim(),
 	}
 }
@@ -352,18 +339,18 @@ func indexFromDef(d wire.IndexDef) (*index, error) {
 	return ix, nil
 }
 
-// storeRecord inserts into primary storage with RecID dedup; it reports
+// storeRecord inserts into primary storage with ReqID dedup; it reports
 // whether the record was new. A repeat (a retransmission or a repair
 // re-insert) is also new only if version v's store
 // holds no byte-identical record: its first copy, or another holder's
-// re-insert of it, may be stored under another RecID — or under this one
+// re-insert of it, may be stored under another ReqID — or under this one
 // after the dedup set forgot it. The probe runs under the dedup lock, so
 // two repeats of one record cannot both miss each other.
-func (ix *index) storeRecord(v uint32, recID uint64, rec schema.Record, repeat bool) bool {
-	d := &ix.primarySeen
+func (ix *index) storeRecord(v uint32, reqID uint64, rec schema.Record, repeat bool) bool {
+	d := &ix.reqSeen
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.seen.Seen(recID) || repeat && ix.holds(v, rec) {
+	if d.seen.Seen(reqID) || repeat && ix.holds(v, rec) {
 		return false
 	}
 	ix.primary.Insert(v, rec)
@@ -403,13 +390,6 @@ func (ix *index) noteReplicaOwner(owner bitstr.Code) {
 	}
 }
 
-// storeReplica inserts into replica storage and reports whether the
-// record id was new; callers have noted the record's owner
-// (noteReplicaOwner).
-func (ix *index) storeReplica(v uint32, recID uint64, rec schema.Record) bool {
-	return ix.replicaSeen.insert(ix.replicas, v, recID, rec)
-}
-
 // ownerCodes snapshots the replica owner set.
 func (ix *index) ownerCodes() []bitstr.Code {
 	ix.mu.RLock()
@@ -443,7 +423,7 @@ func (ix *index) absorbReplicas(dead bitstr.Code) {
 	}
 	// Replica stores are not segregated by owner; absorbing moves every
 	// replicated record whose point falls inside the dead region.
-	d := &ix.primarySeen
+	d := &ix.reqSeen
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, v := range ix.replicas.Versions() {

@@ -117,6 +117,8 @@ func TestIndexDefMissingBaseGetsUniform(t *testing.T) {
 	}
 }
 
+// TestStoreRecordDedup: the primary store keeps one copy per ReqID, and
+// two inserts of one record under different ReqIDs are both new.
 func TestStoreRecordDedup(t *testing.T) {
 	ix := newTestIndex()
 	rec := schema.Record{1, 2, 3, 4}
@@ -124,19 +126,13 @@ func TestStoreRecordDedup(t *testing.T) {
 		t.Fatal("first store rejected")
 	}
 	if ix.storeRecord(0, 42, rec, false) {
-		t.Fatal("duplicate RecID accepted (a retransmission would duplicate data)")
+		t.Fatal("duplicate ReqID accepted (a retransmission would duplicate data)")
 	}
-	if ix.primary.Len() != 1 {
-		t.Fatalf("stored = %d", ix.primary.Len())
+	if !ix.storeRecord(0, 43, rec, false) {
+		t.Fatal("a second insert of the record, under its own ReqID, rejected")
 	}
-	// A replica with the same id is in a different dedup namespace.
-	ix.storeReplica(0, 42, rec)
-	if ix.replicas.Len() != 1 {
-		t.Fatal("replica with same RecID rejected")
-	}
-	ix.storeReplica(0, 42, rec)
-	if ix.replicas.Len() != 1 {
-		t.Fatal("duplicate replica accepted")
+	if ix.primary.Len() != 2 {
+		t.Fatalf("stored = %d, want 2", ix.primary.Len())
 	}
 }
 
@@ -155,8 +151,8 @@ func TestAbsorbReplicas(t *testing.T) {
 	}
 	ix.noteReplicaOwner(owner)
 	ix.noteReplicaOwner(owner) // idempotent: a known owner takes only the read lock
-	ix.storeReplica(0, 1, inside)
-	ix.storeReplica(0, 2, outside)
+	ix.replicas.Insert(0, inside)
+	ix.replicas.Insert(0, outside)
 	ix.absorbReplicas(owner)
 	if ix.primary.Len() != 1 {
 		t.Fatalf("absorbed %d records, want exactly the in-region one", ix.primary.Len())

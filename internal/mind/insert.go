@@ -34,8 +34,7 @@ type InsertResult struct {
 type insertOp struct {
 	grp     *insertGroup
 	slot    int    // position in the group, and in its results
-	reqID   uint64 // the ack key, minted by sendInserts
-	recID   uint64
+	reqID   uint64 // the ack and dedup key, minted by sendInserts
 	version uint32
 	epoch   uint64 // the tree epoch target was computed under
 	target  bitstr.Code
@@ -51,7 +50,7 @@ type insertOp struct {
 func (op *insertOp) inflight(origin, tag string, attempt int) insertRec {
 	return insertRec{origin: origin, index: tag, version: op.version, epoch: op.epoch,
 		attempt: uint8(min(attempt, wire.MaxAttempt)), repeat: op.repeat || attempt > 0,
-		reqID: op.reqID, recID: op.recID, target: op.target, rec: op.rec}
+		reqID: op.reqID, target: op.target, rec: op.rec}
 }
 
 // insertRec is one record on the write path at the node handling it: the
@@ -65,7 +64,7 @@ type insertRec struct {
 	epoch         uint64
 	attempt       uint8
 	repeat        bool // the run's Repeat bit
-	reqID, recID  uint64
+	reqID         uint64
 	target        bitstr.Code
 	hops          uint8
 	enc           []byte
@@ -86,8 +85,7 @@ func (r *insertRec) values() schema.Record {
 
 // appendTo adds r to run, whose header it shares.
 func (r *insertRec) appendTo(run *wire.InsertRun) {
-	run.ReqIDs, run.RecIDs = append(run.ReqIDs, r.reqID), append(run.RecIDs, r.recID)
-	run.Targets, run.Hops = append(run.Targets, r.target), append(run.Hops, r.hops)
+	run.ReqIDs, run.Targets, run.Hops = append(run.ReqIDs, r.reqID), append(run.Targets, r.target), append(run.Hops, r.hops)
 	r.addRec(&run.Recs)
 }
 
@@ -157,7 +155,7 @@ func (n *Node) InsertBatch(tag string, recs []schema.Record, cb func([]InsertRes
 		v := ix.version(rec, n.cfg.VersionSeconds)
 		tree, epoch := ix.treeAndEpoch(v)
 		scratch = rec.PointInto(ix.sch, scratch)
-		ops[i] = insertOp{recID: n.nextRecID(), version: v, epoch: epoch, rec: rec, target: tree.PointCode(scratch, depth)}
+		ops[i] = insertOp{version: v, epoch: epoch, rec: rec, target: tree.PointCode(scratch, depth)}
 	}
 	n.sendInserts(tag, ops, cb)
 	return nil
@@ -283,7 +281,7 @@ func (n *Node) handleInsertRun(m *wire.InsertRun, ob *outbox) {
 	r := insertRec{origin: m.OriginAddr, index: m.Index, version: m.Version, attempt: m.Attempt, repeat: m.Repeat}
 	cur := m.Recs.Cursor()
 	for i, reqID := range m.ReqIDs {
-		r.epoch, r.reqID, r.recID, r.target, r.hops = m.TreeEpoch, reqID, m.RecIDs[i], m.Targets[i], m.Hops[i]
+		r.epoch, r.reqID, r.target, r.hops = m.TreeEpoch, reqID, m.Targets[i], m.Hops[i]
 		r.enc, r.rec = cur.Next(), nil
 		n.routeInsert(&r, ob)
 	}
@@ -400,11 +398,11 @@ func (n *Node) forwardInsert(r *insertRec, ob *outbox) {
 // index, and the sends happen lock-free.
 func (n *Node) storeAsOwner(ix *index, r *insertRec, ob *outbox) {
 	rec := r.values()
-	isNew := ix.storeRecord(r.version, r.recID, rec, r.repeat)
+	isNew := ix.storeRecord(r.version, r.reqID, rec, r.repeat)
 	var fired []*trigger
 	if isNew {
 		n.stored.Add(1)
-		fired = ix.fireTriggers(n.clock.Now(), r.recID, rec)
+		fired = ix.fireTriggers(n.clock.Now(), rec)
 	} else {
 		// Retransmission of a record already stored, or a repeat of a
 		// byte-identical stored copy: idempotent, but the origin still
@@ -420,7 +418,7 @@ func (n *Node) storeAsOwner(ix *index, r *insertRec, ob *outbox) {
 			TriggerID: tr.id,
 			Index:     r.index,
 			From:      myInfo,
-			RecID:     r.recID,
+			ReqID:     r.reqID,
 			Rec:       rec,
 		}
 		if tr.subscriber == n.ep.Addr() {
@@ -517,7 +515,10 @@ func (n *Node) handleInsertAcks(m *wire.InsertAcks) {
 }
 
 // handleReplicateRun stores a replicate run's records in replica storage,
-// resolving the index and noting the owner once.
+// resolving the index and noting the owner once. It keeps every record
+// that passes CheckRecord: an owner replicates only a newly stored
+// record, and a transport never delivers a frame twice
+// (transport.Endpoint), so a run carries no ids to dedup on.
 func (n *Node) handleReplicateRun(m *wire.ReplicateRun) {
 	ix, ok := n.getIndex(m.Index)
 	if !ok {
@@ -527,14 +528,13 @@ func (n *Node) handleReplicateRun(m *wire.ReplicateRun) {
 	var buf [8]uint64
 	rec := buf[:0]
 	cur := m.Recs.Cursor()
-	for _, recID := range m.RecIDs {
+	for range m.Recs.Len() {
 		rec = wire.RecInto(cur.Next(), rec)
 		if ix.sch.CheckRecord(rec) != nil {
 			n.droppedRecords.Add(1) // as at the owner: see routeInsert
 			continue
 		}
-		if ix.storeReplica(m.Version, recID, rec) {
-			n.replicated.Add(1)
-		}
+		ix.replicas.Insert(m.Version, rec)
+		n.replicated.Add(1)
 	}
 }

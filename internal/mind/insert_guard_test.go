@@ -26,11 +26,11 @@ func TestMalformedRecordsDropped(t *testing.T) {
 	for name, rec := range map[string][]uint64{"short": {1, 2}, "long": {1, 2, 3, 4}, "empty": nil} {
 		for _, target := range []bitstr.Code{n.Code(), bitstr.Empty} {
 			for _, ep := range []uint64{epoch, epoch + 1} {
-				n.dispatch("n0", wire.Encode(insertOne("n0", sch.Tag, ep, 5, 77, target, rec)))
+				n.dispatch("n0", wire.Encode(insertOne("n0", sch.Tag, ep, 5, target, rec)))
 				want++
 			}
 		}
-		n.dispatch("n0", wire.Encode(replicateOne(sch.Tag, 78, rec, nodes[0].Code())))
+		n.dispatch("n0", wire.Encode(replicateOne(sch.Tag, rec, nodes[0].Code())))
 		want++
 		if got := sent() - base; got != 0 {
 			t.Fatalf("%s record produced %d messages", name, got)
@@ -44,8 +44,8 @@ func TestMalformedRecordsDropped(t *testing.T) {
 	}
 	// The same messages well-formed are stored, replicated and acked.
 	good := []uint64{1, 2, 3}
-	n.dispatch("n0", wire.Encode(insertOne("n0", sch.Tag, epoch, 6, 79, n.Code(), good)))
-	n.dispatch("n0", wire.Encode(replicateOne(sch.Tag, 80, good, nodes[0].Code())))
+	n.dispatch("n0", wire.Encode(insertOne("n0", sch.Tag, epoch, 6, n.Code(), good)))
+	n.dispatch("n0", wire.Encode(replicateOne(sch.Tag, good, nodes[0].Code())))
 	if s, r := n.StoredRecords(sch.Tag), n.ReplicaRecords(sch.Tag); s != 1 || r != 1 {
 		t.Errorf("well-formed records: %d primary, %d replica, want 1 and 1", s, r)
 	}

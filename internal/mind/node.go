@@ -74,14 +74,13 @@ type Node struct {
 	triggerSubs map[uint64]*triggerSub // mu; subscriber-side standing queries
 
 	reqSeq atomic.Uint64
-	recSeq atomic.Uint64
 	// pendingGauge mirrors len(inserts) as an atomic so hot admission
 	// paths (the ingest engine's backpressure check) can read the
 	// node-level in-flight insert count without taking mu.
 	pendingGauge atomic.Int64
-	// addrTag is the origin-unique id namespace for record and request
-	// ids. It is salted with the node's start instant: a restarted node
-	// reuses its address and restarts its sequence counters, so an
+	// addrTag is the origin-unique namespace of the ids nextReq mints.
+	// It is salted with the node's start instant: a restarted node
+	// reuses its address and restarts its sequence counter, so an
 	// unsalted namespace would re-mint the previous incarnation's ids
 	// and receivers that still remember them would silently swallow the
 	// new records as idempotent duplicates — while acking them.
@@ -357,11 +356,6 @@ func (n *Node) send(to string, m wire.Message) {
 // nextReq issues a node-unique request id.
 func (n *Node) nextReq() uint64 {
 	return n.addrTag&0xffffffff00000000 | n.reqSeq.Add(1)&0xffffffff
-}
-
-// nextRecID issues an origin-unique record id.
-func (n *Node) nextRecID() uint64 {
-	return n.addrTag&0xffffffff00000000 | n.recSeq.Add(1)&0xffffffff
 }
 
 // dispatch is the endpoint handler: decode, give the overlay first

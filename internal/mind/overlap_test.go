@@ -173,7 +173,7 @@ func ownerTarget(t *testing.T, a *Node, tag string, rec schema.Record) (v uint32
 
 // TestOverlapRecallCopies: after a takeover every replica holder
 // re-inserts the copies it keeps of the adopted region, so one record
-// reaches its new owner once per holder, under fresh record ids. The
+// reaches its new owner once per holder, under fresh ReqIDs. The
 // re-inserts are repeats: the owner stores the first and acks the rest,
 // and replicates once. Two byte-identical records a client inserts are
 // not repeats — both are stored, and a query returns both.
@@ -227,8 +227,8 @@ func TestOverlapReplicaStoreCopies(t *testing.T) {
 	_, a, b, _, _, sch := tapPair(t)
 	x := ownedRecs(t, a, sch.Tag, 82, false, 1)[0]
 	v, _, _ := ownerTarget(t, a, sch.Tag, x)
-	for i, owner := range []bitstr.Code{b.Code(), b.Code().Append(1)} {
-		run := &wire.ReplicateRun{Index: sch.Tag, Version: v, OwnerCode: owner, RecIDs: []uint64{uint64(1 + i)}}
+	for _, owner := range []bitstr.Code{b.Code(), b.Code().Append(1)} {
+		run := &wire.ReplicateRun{Index: sch.Tag, Version: v, OwnerCode: owner}
 		run.Recs.Append(x)
 		a.handleReplicateRun(run)
 	}
@@ -243,7 +243,19 @@ func TestOverlapReplicaStoreCopies(t *testing.T) {
 	}
 }
 
-// TestOverlapRotatedRetransmission: an owner's record-id dedup set is
+// deliverAttempt hands owner attempt of the insert of rec under reqID,
+// as a's originator would send it.
+func deliverAttempt(t *testing.T, a, owner *Node, tag string, reqID uint64, rec schema.Record, attempt int) {
+	t.Helper()
+	v, epoch, target := ownerTarget(t, a, tag, rec)
+	op := insertOp{reqID: reqID, version: v, epoch: epoch, rec: rec, target: target}
+	r := op.inflight(a.ep.Addr(), tag, attempt)
+	ob := &outbox{n: owner}
+	owner.routeInsert(&r, ob)
+	ob.flush()
+}
+
+// TestOverlapRotatedRetransmission: an owner's ReqID dedup set is
 // bounded, so a retransmission arriving after it forgot the id is caught
 // by the repeat bit alone: the retransmitted record is byte-identical to
 // the stored first copy, and is acked but not stored again.
@@ -251,19 +263,14 @@ func TestOverlapRotatedRetransmission(t *testing.T) {
 	_, a, b, _, _, sch := tapPair(t)
 	recs := ownedRecs(t, a, sch.Tag, 83, false, 3)
 	ix, _ := b.getIndex(sch.Tag)
-	ix.primarySeen.seen = newDedupSet(1) // remembers the last two ids
-	deliver := func(recID uint64, rec schema.Record, attempt int) {
-		v, epoch, target := ownerTarget(t, a, sch.Tag, rec)
-		op := insertOp{recID: recID, version: v, epoch: epoch, rec: rec, target: target}
-		r := op.inflight("a", sch.Tag, attempt)
-		ob := &outbox{n: b}
-		b.routeInsert(&r, ob)
-		ob.flush()
+	ix.reqSeen.seen = newDedupSet(1) // remembers the last two ids
+	deliver := func(reqID uint64, rec schema.Record, attempt int) {
+		deliverAttempt(t, a, b, sch.Tag, reqID, rec, attempt)
 	}
 	for i, rec := range recs {
 		deliver(uint64(100+i), rec, 0)
 	}
-	if _, still := ix.primarySeen.seen.Get(100); still {
+	if _, still := ix.reqSeen.seen.Get(100); still {
 		t.Fatal("dedup set still remembers the first id")
 	}
 	hits := b.Stats().DedupHits
@@ -273,6 +280,25 @@ func TestOverlapRotatedRetransmission(t *testing.T) {
 	}
 	if got := b.Stats().DedupHits - hits; got != 1 {
 		t.Fatalf("owner counted %d dedup hits, want the retransmission", got)
+	}
+}
+
+// TestOverlapOvertakingRetransmission: a retransmission leaves through
+// another first hop (nextHopAvoiding), so it can reach the owner before
+// the delayed first attempt. The first attempt is no repeat, so no
+// content probe runs for it; the ReqID both attempts carry is what the
+// owner dedups it on: one copy stored, one dedup hit.
+func TestOverlapOvertakingRetransmission(t *testing.T) {
+	_, a, b, _, _, sch := tapPair(t)
+	x := ownedRecs(t, a, sch.Tag, 87, false, 1)[0]
+	hits := b.Stats().DedupHits
+	deliverAttempt(t, a, b, sch.Tag, 300, x, 1)
+	deliverAttempt(t, a, b, sch.Tag, 300, x, 0)
+	if got := b.StoredRecords(sch.Tag); got != 1 {
+		t.Fatalf("owner stores %d copies after both attempts, want 1", got)
+	}
+	if got := b.Stats().DedupHits - hits; got != 1 {
+		t.Fatalf("owner counted %d dedup hits, want the late first attempt", got)
 	}
 }
 
@@ -286,8 +312,8 @@ func TestOverlapAbsorbedReplicas(t *testing.T) {
 	recs := ownedRecs(t, a, sch.Tag, 86, false, 2)
 	x, y := recs[0], recs[1]
 	v, _, _ := ownerTarget(t, a, sch.Tag, x)
-	for i, owner := range []bitstr.Code{b.Code(), b.Code().Append(1)} {
-		run := &wire.ReplicateRun{Index: sch.Tag, Version: v, OwnerCode: owner, RecIDs: []uint64{uint64(1 + 2*i), uint64(2 + 2*i)}}
+	for _, owner := range []bitstr.Code{b.Code(), b.Code().Append(1)} {
+		run := &wire.ReplicateRun{Index: sch.Tag, Version: v, OwnerCode: owner}
 		run.Recs.Append(x)
 		run.Recs.Append(y)
 		a.handleReplicateRun(run)

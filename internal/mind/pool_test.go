@@ -48,7 +48,7 @@ func TestInsertOriginatorKeepsPooledBuffer(t *testing.T) {
 	// recycle until the same buffer round-trips twice. The probe encodes
 	// larger than any message the insert path could build, so a stray
 	// encode inside Insert cannot skip the resident buffer as too small.
-	probe := insertOne("n0", sch.Tag, 0, 0, 0, bitstr.Empty, make([]uint64, 64))
+	probe := insertOne("n0", sch.Tag, 0, 0, bitstr.Empty, make([]uint64, 64))
 	var resident *byte
 	for i := 0; i < 10; i++ {
 		b := wire.Encode(probe)
@@ -111,7 +111,7 @@ func TestBatchDeliverRecycleOnSendError(t *testing.T) {
 	// single-record bare delivery, all through the failing Send.
 	ob := &outbox{n: n}
 	rec := func(i int) *insertRec {
-		return &insertRec{origin: "peer", index: "x", reqID: uint64(i), recID: uint64(i), rec: schema.Record{1, 2, 3}}
+		return &insertRec{origin: "peer", index: "x", reqID: uint64(i), rec: schema.Record{1, 2, 3}}
 	}
 	for i := 0; i < 4; i++ {
 		n.postInsert(ob, "peer", rec(i))

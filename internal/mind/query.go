@@ -2,7 +2,6 @@ package mind
 
 import (
 	"encoding/binary"
-	"math/bits"
 
 	"mind/internal/embed"
 	"mind/internal/schema"
@@ -163,7 +162,7 @@ type recordAcc struct {
 	cb        func(wire.RecList, QueryResult)
 	list      wire.RecList
 	byContent bool // an answer that may overlap arrived: dedup by content id
-	ids       idSet
+	ids       genTable[struct{}]
 }
 
 func (r *recordAcc) admit(a answer, trie *coverSet) bool {
@@ -193,7 +192,7 @@ func (r *recordAcc) admit(a answer, trie *coverSet) bool {
 // spliceFresh splices onto dst the records of src whose content ids are
 // new to ids, adding them: the fresh records between repeats go as runs
 // of the bytes they lie in.
-func spliceFresh(ids *idSet, dst *wire.RecList, src wire.RecList) {
+func spliceFresh(ids *genTable[struct{}], dst *wire.RecList, src wire.RecList) {
 	ids.reserve(src.Len())
 	for _, run := range src.Runs() {
 		start, fresh := 0, 0 // run[start:off] holds fresh records
@@ -229,7 +228,7 @@ func (r *recordAcc) tally(s *Stats) { s.PendingQueries++ }
 func filterToRegion(ix *index, p piece) wire.RecList {
 	var all, out wire.RecList
 	visitCell(ix, ix.replicas, p, &all)
-	var ids idSet
+	var ids genTable[struct{}]
 	spliceFresh(&ids, &out, all)
 	return out
 }
@@ -269,58 +268,4 @@ func recID(b []byte) uint64 {
 	}
 	h *= m
 	return h ^ h>>32
-}
-
-// idSet is the set of record ids an operation has admitted: flat,
-// open-addressed, linear probing on a multiply-shift hash, in the style
-// of summary.Tally. 0 marks an empty slot, so id 0 has a flag of its own.
-// The zero idSet is empty; reserve sizes it.
-type idSet struct {
-	slots []uint64 // len is a power of two
-	used  int
-	shift uint // 64 - log2(len(slots))
-	zero  bool // id 0 is in the set
-}
-
-const idSetMinSlots = 64
-
-// reserve makes room for n more ids at a load of at most 1/2, so an
-// answer rehashes the set at most once, to a size set by the ids that
-// have arrived.
-func (s *idSet) reserve(n int) {
-	need := 2 * (s.used + n)
-	if need <= len(s.slots) {
-		return
-	}
-	old := s.slots
-	size := max(1<<bits.Len(uint(need-1)), idSetMinSlots)
-	s.slots = make([]uint64, size)
-	s.shift = uint(64 - bits.TrailingZeros(uint(size)))
-	s.used = 0
-	for _, id := range old {
-		if id != 0 {
-			s.add(id)
-		}
-	}
-}
-
-// add puts id in the set and reports whether it was new. The caller has
-// reserved room for it.
-func (s *idSet) add(id uint64) bool {
-	if id == 0 {
-		was := s.zero
-		s.zero = true
-		return !was
-	}
-	mask := uint64(len(s.slots) - 1)
-	for i := id * 0x9e3779b97f4a7c15 >> s.shift; ; i = (i + 1) & mask {
-		switch s.slots[i] {
-		case 0:
-			s.slots[i] = id
-			s.used++
-			return true
-		case id:
-			return false
-		}
-	}
 }

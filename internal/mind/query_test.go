@@ -10,12 +10,12 @@ import (
 	"mind/internal/wire"
 )
 
-// TestIDSet checks the dedup set against a map: what add reports, over
-// ids that repeat, include 0 and arrive in reserved batches of every
-// size from none to thousands.
+// TestIDSet checks a genTable used as a query's content-id set against
+// a map: what add reports, over ids that repeat, include 0 and arrive in
+// reserved batches of every size from none to thousands.
 func TestIDSet(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	var s idSet
+	var s genTable[struct{}]
 	seen := map[uint64]bool{}
 	for batch := 0; batch < 200; batch++ {
 		n := r.Intn(1 << uint(r.Intn(13)))
@@ -27,8 +27,8 @@ func TestIDSet(t *testing.T) {
 			}
 			seen[id] = true
 		}
-		if 2*s.used > len(s.slots) {
-			t.Fatalf("batch %d: %d ids in %d slots, load over 1/2", batch, s.used, len(s.slots))
+		if 2*s.n > len(s.keys) {
+			t.Fatalf("batch %d: %d ids in %d slots, load over 1/2", batch, s.n, len(s.keys))
 		}
 	}
 	if !seen[0] {
@@ -130,7 +130,7 @@ func TestRecordAccSplicesCovering(t *testing.T) {
 		a.body = m
 		acc.admit(a, trie)
 	}
-	if acc.byContent || acc.ids.slots != nil {
+	if acc.byContent || acc.ids.keys != nil {
 		t.Fatal("covering answers built an id table")
 	}
 }

@@ -31,12 +31,12 @@ func placed(sch *schema.Schema, tree *embed.Tree, st *store.Sharded, depth int, 
 }
 
 // repairInsert builds the insert that carries an already stored record of
-// version v toward target, under a fresh record id, as a repeat: the
+// version v toward target, under a fresh ReqID, as a repeat: the
 // owner stores it only if it holds no byte-identical copy (another
 // holder's re-insert of it, or an earlier repair's). The record may be a
 // store view: sendRepairs copies it out before the insert leaves.
 func (n *Node) repairInsert(v uint32, epoch uint64, rec schema.Record, target bitstr.Code) insertOp {
-	return insertOp{recID: n.nextRecID(), version: v, epoch: epoch, rec: rec, target: target, repeat: true}
+	return insertOp{version: v, epoch: epoch, rec: rec, target: target, repeat: true}
 }
 
 // sendRepairs sends one index's re-inserts as one insert group, routed,
@@ -75,7 +75,7 @@ func (n *Node) rehomeForeign(ix *index, v uint32) int {
 // records of regions this node no longer owns) that fall inside the
 // recalled region; normal greedy routing delivers them to the region's
 // new owner. Every replica holder recalls its own copy, so one record can
-// arrive once per holder under fresh record ids: the re-inserts are
+// arrive once per holder under fresh ReqIDs: the re-inserts are
 // repeats, and the owner stores the first and acks the rest.
 func (n *Node) handleRegionRecall(m *wire.RegionRecall) {
 	if !n.markOp(m.OpID) {
@@ -157,7 +157,7 @@ func (n *Node) onTakeover(dead, oldCode bitstr.Code) {
 		for _, v := range ix.primary.Versions() {
 			placed(ix.sch, ix.tree(v), ix.primary.Version(v), dead.Len(), func(rec schema.Record, pc bitstr.Code) {
 				if dead.IsPrefixOf(pc) {
-					pushes = append(pushes, insertRec{index: ix.sch.Tag, version: v, recID: n.nextRecID(), rec: rec})
+					pushes = append(pushes, insertRec{index: ix.sch.Tag, version: v, rec: rec})
 				}
 			})
 		}

@@ -37,7 +37,7 @@ const dedupCap = 1 << 16
 // so a key is remembered for at least cap and at most 2·cap recent
 // insertions with O(1) operations and bounded memory — the
 // idempotent-receiver cache of the reliable request layer (dedupSet:
-// record ids at owners and replica holders, flood op ids) and the client
+// insert ReqIDs at owners, flood op ids) and the client
 // request cache (client_api.go). The retransmission horizon (MaxRetries
 // backoff steps) is far shorter than the time it takes cap fresh keys to
 // arrive, so a retransmitted request always finds its first attempt
@@ -56,7 +56,9 @@ type genSet[V any] struct {
 // power-of-two table kept at most half full, the empty slot being 0, so
 // key 0 lives in its own flag. vals parallels keys (zero-size for a
 // bare set). The table starts small and doubles as it fills, up to the
-// slots cap keys need at load ½; a cleared table keeps its slices.
+// slots cap keys need at load ½; a cleared table keeps its slices. A
+// genTable[struct{}] on its own, sized by reserve, is an unbounded key
+// set: a query's content ids (query.go).
 type genTable[V any] struct {
 	keys  []uint64
 	vals  []V
@@ -84,7 +86,7 @@ func newDedupSet(capacity int) *dedupSet { return newGenSet[struct{}](capacity) 
 
 // slot is key's home slot: the top bits of key times 2^64/φ
 // (Fibonacci hashing), which spread an origin's sequence numbers
-// (nextRecID) over the table.
+// (nextReq) over the table.
 func (t *genTable[V]) slot(key uint64) int {
 	return int((key * 0x9e3779b97f4a7c15) >> t.shift)
 }
@@ -117,16 +119,18 @@ func (t *genTable[V]) get(key uint64) (V, bool) {
 	return zero, false
 }
 
-// put records key with value v, growing the table first if one more
-// key would take it past half full; limit is the largest size it may
-// reach, which holds the set's cap keys at load ½.
-func (t *genTable[V]) put(key uint64, v V, limit int) {
+// put records key with value v and reports whether key was new,
+// growing the table first if one more key would take it past half full;
+// limit is the largest size it may reach, which holds the set's cap keys
+// at load ½.
+func (t *genTable[V]) put(key uint64, v V, limit int) bool {
 	if key == 0 {
-		if !t.zero {
+		was := t.zero
+		if !was {
 			t.n++
 		}
 		t.zero, t.zeroV = true, v
-		return
+		return !was
 	}
 	if 2*(t.n+1) > len(t.keys) && len(t.keys) < limit {
 		t.grow(min(max(2*len(t.keys), genMinSlots), limit))
@@ -137,6 +141,22 @@ func (t *genTable[V]) put(key uint64, v V, limit int) {
 		t.n++
 	}
 	t.vals[i] = v
+	return !ok
+}
+
+// reserve makes room for n more keys at a load of at most ½, so a batch
+// of n adds rehashes the table at most once.
+func (t *genTable[V]) reserve(n int) {
+	if need := 2 * (t.n + n); need > len(t.keys) {
+		t.grow(max(1<<bits.Len(uint(need-1)), genMinSlots))
+	}
+}
+
+// add records key and reports whether it was new. The caller has
+// reserved room for it, so the table never grows here.
+func (t *genTable[V]) add(key uint64) bool {
+	var zero V
+	return t.put(key, zero, len(t.keys))
 }
 
 // grow rehashes the table into size slots.

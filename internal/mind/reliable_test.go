@@ -233,9 +233,9 @@ func TestRetryDelayDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-// BenchmarkDedupSet is the record-id dedup a replica holder or owner
-// runs per record: ids shaped like nextRecID (an origin's 32-bit tag
-// over its sequence number) from 8 origins interleaved at random, each
+// BenchmarkDedupSet is the ReqID dedup an owner runs per record: ids
+// shaped like nextReq (an origin's 32-bit tag over its sequence
+// number) from 8 origins interleaved at random, each
 // id new, into a set of a store's size (dedupCap/2), warmed through two
 // rotations first.
 func BenchmarkDedupSet(b *testing.B) {
@@ -272,7 +272,7 @@ func BenchmarkDedupSet(b *testing.B) {
 	}
 }
 
-// TestTriggerSeenBounded: a subscriber's RecID dedup forgets old matches
+// TestTriggerSeenBounded: a subscriber's ReqID dedup forgets old matches
 // instead of keeping every one for the trigger's lifetime, and still
 // suppresses a recent match's second copy.
 func TestTriggerSeenBounded(t *testing.T) {
@@ -285,7 +285,7 @@ func TestTriggerSeenBounded(t *testing.T) {
 	}
 	const n = 2*dedupCap + 100
 	for rec := uint64(1); rec <= n; rec++ {
-		a.handleTriggerFire(&wire.TriggerFire{TriggerID: id, Index: sch.Tag, RecID: rec})
+		a.handleTriggerFire(&wire.TriggerFire{TriggerID: id, Index: sch.Tag, ReqID: rec})
 	}
 	if fired != n {
 		t.Fatalf("%d callbacks for %d distinct matches", fired, n)
@@ -296,7 +296,7 @@ func TestTriggerSeenBounded(t *testing.T) {
 	if held > 2*dedupCap {
 		t.Fatalf("subscriber remembers %d matches, want at most %d", held, 2*dedupCap)
 	}
-	a.handleTriggerFire(&wire.TriggerFire{TriggerID: id, Index: sch.Tag, RecID: n})
+	a.handleTriggerFire(&wire.TriggerFire{TriggerID: id, Index: sch.Tag, ReqID: n})
 	if fired != n {
 		t.Fatal("a recent match's second copy fired again")
 	}

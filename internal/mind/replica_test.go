@@ -153,7 +153,7 @@ func TestReplicaServedAggIsExact(t *testing.T) {
 		key := region.Lo[0] + uint64(r.Intn(r.Intn(20)+1))*step
 		rec := schema.Record{key, uint64(r.Intn(86401)), uint64(r.Intn(10000))}
 		recs = append(recs, rec)
-		n.dispatch("n1", wire.Encode(replicateOne(sch.Tag, uint64(i+1), rec, owner)))
+		n.dispatch("n1", wire.Encode(replicateOne(sch.Tag, rec, owner)))
 	}
 	rect := schema.Rect{Lo: []uint64{3, 1000, 17}, Hi: []uint64{9000, 80000, 9990}}
 	const topK = 4

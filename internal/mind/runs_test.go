@@ -14,15 +14,15 @@ import (
 // splits, stores, replicates and acks the records of one inbound run.
 
 // insertOne is a run of one record, as a peer would send it.
-func insertOne(origin, tag string, epoch, reqID, recID uint64, target bitstr.Code, rec []uint64) *wire.InsertRun {
+func insertOne(origin, tag string, epoch, reqID uint64, target bitstr.Code, rec []uint64) *wire.InsertRun {
 	m := &wire.InsertRun{OriginAddr: origin, Index: tag, TreeEpoch: epoch}
-	m.Append(reqID, recID, target, 0, rec)
+	m.Append(reqID, target, 0, rec)
 	return m
 }
 
 // replicateOne is a replicate run of one record.
-func replicateOne(tag string, recID uint64, rec []uint64, owner bitstr.Code) *wire.ReplicateRun {
-	m := &wire.ReplicateRun{Index: tag, OwnerCode: owner, RecIDs: []uint64{recID}}
+func replicateOne(tag string, rec []uint64, owner bitstr.Code) *wire.ReplicateRun {
+	m := &wire.ReplicateRun{Index: tag, OwnerCode: owner}
 	m.Recs.Append(rec)
 	return m
 }
@@ -53,7 +53,7 @@ func framesTo(tap *pieceTap, to string) int {
 
 // TestRunSplitsAcrossNextHops: a forwarding node splits one inbound run
 // by next hop into one run per hop, each in one frame, and every record
-// leaves with its ReqID, RecID, Target and bytes, one hop further.
+// leaves with its ReqID, Target and bytes, one hop further.
 func TestRunSplitsAcrossNextHops(t *testing.T) {
 	net, nodes, taps, sch := tapCluster(t, 8)
 	// A forwarder with two codes it does not own behind different hops.
@@ -85,7 +85,7 @@ func TestRunSplitsAcrossNextHops(t *testing.T) {
 	in := &wire.InsertRun{OriginAddr: "elsewhere", Index: sch.Tag, TreeEpoch: ix.epochOf(0)}
 	recs := envelopeRecs(31, 6)
 	for i, rec := range recs {
-		in.Append(uint64(100+i), uint64(200+i), targets[i%2], uint8(1+i), rec)
+		in.Append(uint64(100+i), targets[i%2], uint8(1+i), rec)
 	}
 	before := len(tap.writes)
 	n.dispatch("n9", wire.Encode(in))
@@ -109,11 +109,11 @@ func TestRunSplitsAcrossNextHops(t *testing.T) {
 		}
 		for j := range got {
 			i := k + 2*j
-			if out.ReqIDs[j] != in.ReqIDs[i] || out.RecIDs[j] != in.RecIDs[i] || out.Targets[j] != targets[k] ||
+			if out.ReqIDs[j] != in.ReqIDs[i] || out.Targets[j] != targets[k] ||
 				out.Hops[j] != in.Hops[i]+1 || !reflect.DeepEqual(got[j], recs[i]) {
-				t.Errorf("record %d left for %s as (%d, %d, %v, %d hops, %v), want (%d, %d, %v, %d hops, %v)",
-					i, hops[k], out.ReqIDs[j], out.RecIDs[j], out.Targets[j], out.Hops[j], got[j],
-					in.ReqIDs[i], in.RecIDs[i], targets[k], in.Hops[i]+1, recs[i])
+				t.Errorf("record %d left for %s as (%d, %v, %d hops, %v), want (%d, %v, %d hops, %v)",
+					i, hops[k], out.ReqIDs[j], out.Targets[j], out.Hops[j], got[j],
+					in.ReqIDs[i], targets[k], in.Hops[i]+1, recs[i])
 			}
 		}
 	}
@@ -147,7 +147,7 @@ func TestReplicaRunCarriesNewRecordsOnly(t *testing.T) {
 	send := func(ids ...int) {
 		in := &wire.InsertRun{OriginAddr: "n0", Index: sch.Tag, TreeEpoch: epoch}
 		for _, i := range ids {
-			in.Append(uint64(500+i), uint64(900+i), n.Code(), 2, recs[i])
+			in.Append(uint64(500+i), n.Code(), 2, recs[i])
 		}
 		tap.writes = nil
 		n.dispatch("n0", wire.Encode(in))
@@ -165,13 +165,12 @@ func TestReplicaRunCarriesNewRecordsOnly(t *testing.T) {
 			if len(runs) != 1 {
 				t.Fatalf("%s: %d replicate runs to %s, want 1", stage, len(runs), to)
 			}
-			var ids []uint64
 			var want []schema.Record
 			for _, i := range replicated {
-				ids, want = append(ids, uint64(900+i)), append(want, recs[i])
+				want = append(want, recs[i])
 			}
-			if r := runs[0]; !reflect.DeepEqual(r.RecIDs, ids) || !reflect.DeepEqual(r.Recs.Records(), want) || r.OwnerCode != n.Code() {
-				t.Errorf("%s: replicated %v %v to %s, want %v %v", stage, r.RecIDs, r.Recs.Records(), to, ids, want)
+			if r := runs[0]; !reflect.DeepEqual(r.Recs.Records(), want) || r.OwnerCode != n.Code() {
+				t.Errorf("%s: replicated %v to %s, want %v", stage, r.Recs.Records(), to, want)
 			}
 		}
 		acks := runsTo[*wire.InsertAcks](tap, "n0")
@@ -249,21 +248,21 @@ func TestOriginatorMixesOwnedAndForwarded(t *testing.T) {
 }
 
 // TestReplicatedCountsStoredRecords: Stats.Replicated counts the replica
-// records a node stored, so a replicate run delivered twice counts its
-// records once, as the replica store holds them once.
+// records a node stored. A replicate run carries no ids — an owner sends
+// a record once and a transport never delivers a frame twice — so a
+// frame handed over twice anyway is stored twice, and counted twice.
 func TestReplicatedCountsStoredRecords(t *testing.T) {
 	_, nodes, _, sch := tapCluster(t, 4)
 	n, owner := nodes[2], nodes[1].Code()
 	m := &wire.ReplicateRun{Index: sch.Tag, OwnerCode: owner}
 	for i := uint64(0); i < 3; i++ {
-		m.RecIDs = append(m.RecIDs, 500+i)
 		m.Recs.Append([]uint64{i, i * 7, 3})
 	}
 	frame := wire.Encode(m)
 	n.dispatch("n1", frame)
 	n.dispatch("n1", frame)
 	got, stored := n.Stats().Replicated, n.ReplicaRecords(sch.Tag)
-	if stored != 3 || got != uint64(stored) {
-		t.Fatalf("Replicated = %d, replica store holds %d; want both 3", got, stored)
+	if stored != 6 || got != uint64(stored) {
+		t.Fatalf("Replicated = %d, replica store holds %d; want both 6", got, stored)
 	}
 }

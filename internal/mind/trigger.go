@@ -41,7 +41,7 @@ type trigger struct {
 // triggerSub is the subscriber-side state.
 type triggerSub struct {
 	cb func(TriggerEvent)
-	// seen dedups RecIDs: multiple owners can match one record's
+	// seen dedups ReqIDs: multiple owners can match one record's
 	// replicas. The copies of one match arrive within its insert's
 	// retransmission horizon, as the copies a store dedups do, so the
 	// node-wide bound dedupCap holds them; the table grows on demand.
@@ -212,7 +212,7 @@ func (n *Node) handleTriggerRemove(m *wire.TriggerRemove) {
 // fireTriggers checks a freshly stored record against installed
 // triggers and returns the notifications to send; the caller must not
 // hold ix.mu. Expired triggers are dropped in the same pass.
-func (ix *index) fireTriggers(now time.Time, recID uint64, rec schema.Record) []*trigger {
+func (ix *index) fireTriggers(now time.Time, rec schema.Record) []*trigger {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if len(ix.triggers) == 0 {
@@ -236,7 +236,7 @@ func (ix *index) fireTriggers(now time.Time, recID uint64, rec schema.Record) []
 func (n *Node) handleTriggerFire(m *wire.TriggerFire) {
 	n.mu.Lock()
 	sub, ok := n.triggerSubs[m.TriggerID]
-	if !ok || sub.seen.Seen(m.RecID) {
+	if !ok || sub.seen.Seen(m.ReqID) {
 		n.mu.Unlock()
 		return
 	}

@@ -691,8 +691,9 @@ func TestStallNodeOverlap(t *testing.T) {
 }
 
 // TestReorderOvertakes checks that with reordering enabled some messages
-// arrive out of send order, and that SetReorder(0, 0) restores strict
-// FIFO-per-link delivery.
+// arrive out of send order, each exactly once (the at-most-once delivery
+// transport.Endpoint promises), and that SetReorder(0, 0) restores
+// strict FIFO-per-link delivery.
 func TestReorderOvertakes(t *testing.T) {
 	n := New(Config{Seed: 5, DefaultLatency: 5 * time.Millisecond})
 	a, _ := n.Endpoint("a")
@@ -707,6 +708,15 @@ func TestReorderOvertakes(t *testing.T) {
 	n.Run(0)
 	if len(order) != 64 {
 		t.Fatalf("delivered %d/64", len(order))
+	}
+	var got [64]int
+	for _, m := range order {
+		got[m]++
+	}
+	for i, c := range got {
+		if c != 1 {
+			t.Fatalf("message %d delivered %d times, want once", i, c)
+		}
 	}
 	inverted := 0
 	for i := 1; i < len(order); i++ {

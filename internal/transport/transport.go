@@ -24,8 +24,11 @@ type Endpoint interface {
 	Addr() string
 	// Send queues msg for delivery to the endpoint addressed by to.
 	// It returns an error only for immediately-detectable failures
-	// (closed endpoint, unknown peer on a connected transport); silent
-	// loss in transit is always possible.
+	// (closed endpoint, unknown peer on a connected transport). A
+	// message may be lost, delayed or reordered in transit, but is
+	// delivered at most once: no implementation re-sends a frame. The
+	// replica store relies on this — a replicate run carries no ids, so
+	// a frame delivered twice would store its records twice.
 	Send(to string, msg []byte) error
 	// SetHandler installs the receive callback. Must be called before
 	// any delivery is expected.

@@ -69,12 +69,12 @@ func TestAllocBudgetEncodePooled(t *testing.T) {
 	}
 }
 
-// TestAllocBudgetDecodeInsert: an insert run decodes in nine allocations
+// TestAllocBudgetDecodeInsert: an insert run decodes in eight allocations
 // whatever its record count — the message, the codec, the origin and
-// index strings, the four columns and the one-run record list aliasing
+// index strings, the three columns and the one-run record list aliasing
 // the frame — so a 64-record run costs what a run of one does.
 func TestAllocBudgetDecodeInsert(t *testing.T) {
-	const budget = 9
+	const budget = 8
 	for _, n := range []int{1, 64} {
 		data := Encode(insertRun(n))
 		allocs := testing.AllocsPerRun(200, func() {

@@ -13,7 +13,7 @@ import (
 func benchMessages() []Message {
 	code := bitstr.New(0b1011, 4)
 	ins := &InsertRun{OriginAddr: "10.0.0.1:7001", Index: "index1-fanout", Version: 3}
-	ins.Append(81, 991, code, 2, []uint64{123456, 77, 4242, 9})
+	ins.Append(81, code, 2, []uint64{123456, 77, 4242, 9})
 	return []Message{
 		ins,
 		&QueryResp{
@@ -153,9 +153,9 @@ func BenchmarkEncodeInsert(b *testing.B) {
 	m := &InsertRun{OriginAddr: "127.0.0.1:40123", Index: "index2-octets", Version: 3}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m.ReqIDs, m.RecIDs, m.Targets, m.Hops, m.Recs = m.ReqIDs[:0], m.RecIDs[:0], m.Targets[:0], m.Hops[:0], RecList{}
+		m.ReqIDs, m.Targets, m.Hops, m.Recs = m.ReqIDs[:0], m.Targets[:0], m.Hops[:0], RecList{}
 		for j, rec := range recs {
-			m.Append(uint64(j+1)<<40, uint64(j+1)<<32, code, 1, rec)
+			m.Append(uint64(j+1)<<40, code, 1, rec)
 		}
 		RecycleBuf(Encode(m))
 	}

@@ -218,7 +218,8 @@ func (c *codec) U32(v *uint32) {
 }
 
 // U64 walks a fixed-width little-endian uint64 (used where varints
-// would bloat high-entropy values such as record ids and digests).
+// would bloat high-entropy values such as digests and a trigger fire's
+// ReqID).
 func (c *codec) U64(v *uint64) {
 	if !c.dec {
 		binary.LittleEndian.PutUint64(c.room(8), *v)

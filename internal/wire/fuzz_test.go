@@ -130,13 +130,13 @@ func FuzzEveryKind(f *testing.F) {
 				t.Fatalf("ClientAggResp decoded with disagreeing sketch slices")
 			}
 		case *InsertRun:
-			if n := m.Recs.Len(); n == 0 || len(m.ReqIDs) != n || len(m.RecIDs) != n || len(m.Targets) != n || len(m.Hops) != n {
-				t.Fatalf("InsertRun decoded with %d records and columns of %d, %d, %d, %d",
-					n, len(m.ReqIDs), len(m.RecIDs), len(m.Targets), len(m.Hops))
+			if n := m.Recs.Len(); n == 0 || len(m.ReqIDs) != n || len(m.Targets) != n || len(m.Hops) != n {
+				t.Fatalf("InsertRun decoded with %d records and columns of %d, %d, %d",
+					n, len(m.ReqIDs), len(m.Targets), len(m.Hops))
 			}
 		case *ReplicateRun:
-			if n := m.Recs.Len(); n == 0 || len(m.RecIDs) != n {
-				t.Fatalf("ReplicateRun decoded with %d records and %d ids", n, len(m.RecIDs))
+			if m.Recs.Len() == 0 {
+				t.Fatalf("ReplicateRun decoded with no records")
 			}
 		case *InsertAcks:
 			if len(m.ReqIDs) == 0 || len(m.Hops) != len(m.ReqIDs) {

@@ -494,11 +494,11 @@ func (m *RingResumed) fields(c *codec) {
 // their indexed points hash to (§3.5): one header, then one column per
 // record field and the records as one record list — a single record is a
 // run of one. Attempt is 0 for the first transmission and counts up on
-// each originator retransmission, to at most MaxAttempt; owners dedup on
-// RecID, so any attempt is safe to store. Repeat marks records that may
-// already be stored at their owner under another RecID — retransmissions
-// and repair re-inserts — so the owner first looks for a byte-identical
-// stored copy. It travels in the high bit of the attempt
+// each originator retransmission, to at most MaxAttempt; every attempt
+// carries the same ReqID and owners dedup on it, so any attempt is safe
+// to store. Repeat marks records that may already be stored at their
+// owner under another ReqID — retransmissions and repair re-inserts — so
+// the owner first looks for a byte-identical stored copy. It travels in the high bit of the attempt
 // byte, so a run without it encodes as it did before the bit existed.
 // TreeEpoch identifies the cut tree the originator used to compute the
 // Targets for Version (version-skew detection, §3.7 under faults).
@@ -511,8 +511,7 @@ type InsertRun struct {
 	Attempt    uint8
 	Repeat     bool
 	// Per record, in Recs order.
-	ReqIDs  []uint64 // the originator's ack key, echoed in InsertAcks
-	RecIDs  []uint64 // origin-unique record id, for replica dedup
+	ReqIDs  []uint64 // the originator's ack and the owner's dedup key
 	Targets []bitstr.Code
 	Hops    []uint8
 	Recs    RecList
@@ -534,7 +533,6 @@ func (m *InsertRun) fields(c *codec) {
 	}
 	n := c.run(&m.Recs)
 	column(c, &m.ReqIDs, n, (*codec).Uvarint)
-	column(c, &m.RecIDs, n, (*codec).U64)
 	column(c, &m.Targets, n, (*codec).Code)
 	column(c, &m.Hops, n, (*codec).U8)
 }
@@ -548,9 +546,8 @@ const (
 
 // Append adds one record under the run's header: the record's values are
 // encoded onto Recs.
-func (m *InsertRun) Append(reqID, recID uint64, target bitstr.Code, hops uint8, rec []uint64) {
-	m.ReqIDs, m.RecIDs = append(m.ReqIDs, reqID), append(m.RecIDs, recID)
-	m.Targets, m.Hops = append(m.Targets, target), append(m.Hops, hops)
+func (m *InsertRun) Append(reqID uint64, target bitstr.Code, hops uint8, rec []uint64) {
+	m.ReqIDs, m.Targets, m.Hops = append(m.ReqIDs, reqID), append(m.Targets, target), append(m.Hops, hops)
 	m.Recs.Append(rec)
 }
 
@@ -572,14 +569,14 @@ func (m *InsertAcks) fields(c *codec) {
 	column(c, &m.Hops, len(m.ReqIDs), (*codec).U8)
 }
 
-// ReplicateRun copies records an owner stored to a replica-set neighbor
-// (§3.8), in the insert run's layout: one header, the record ids as a
-// column and the records as one record list.
+// ReplicateRun copies records an owner newly stored to a replica-set
+// neighbor (§3.8): one header and the records as one record list. It
+// carries no ids: an owner sends each stored record once, and a transport
+// never delivers a frame twice, so the replica store keeps every record.
 type ReplicateRun struct {
 	Index     string
 	Version   uint32
 	OwnerCode bitstr.Code
-	RecIDs    []uint64
 	Recs      RecList
 }
 
@@ -588,8 +585,7 @@ func (m *ReplicateRun) fields(c *codec) {
 	c.String(&m.Index)
 	c.U32(&m.Version)
 	c.Code(&m.OwnerCode)
-	n := c.run(&m.Recs)
-	column(c, &m.RecIDs, n, (*codec).U64)
+	c.run(&m.Recs)
 }
 
 // Query is a multi-dimensional range query greedy-routed toward the code

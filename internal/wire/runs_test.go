@@ -15,8 +15,7 @@ import (
 func insertRun(n int) *InsertRun {
 	m := &InsertRun{OriginAddr: "127.0.0.1:40123", Index: "index2-octets", Version: 3, TreeEpoch: 1<<16 | 7, Attempt: 1}
 	for i, rec := range wideRecords(n) {
-		m.Append(0x9e3779b97f4a0000|uint64(i+1), 0xc2b2ae3d00000000|uint64(i+1),
-			bitstr.New(uint64(i)&0xfff, 12), uint8(1+i%3), rec)
+		m.Append(0x9e3779b97f4a0000|uint64(i+1), bitstr.New(uint64(i)&0xfff, 12), uint8(1+i%3), rec)
 	}
 	return m
 }
@@ -24,8 +23,7 @@ func insertRun(n int) *InsertRun {
 // replicateRun is an n-record replicate run.
 func replicateRun(n int) *ReplicateRun {
 	m := &ReplicateRun{Index: "index2-octets", Version: 3, OwnerCode: bitstr.New(0b101, 3)}
-	for i, rec := range wideRecords(n) {
-		m.RecIDs = append(m.RecIDs, 0xc2b2ae3d00000000|uint64(i+1))
+	for _, rec := range wideRecords(n) {
 		m.Recs.Append(rec)
 	}
 	return m
@@ -125,19 +123,17 @@ func TestRunsRejectHostile(t *testing.T) {
 			}
 			return append(v, 7)
 		}
-		for col := 0; col < 4; col++ {
+		for col := 0; col < 3; col++ {
 			m := insertRun(3)
 			switch col {
 			case 0:
 				m.ReqIDs = resize(m.ReqIDs)
 			case 1:
-				m.RecIDs = resize(m.RecIDs)
-			case 2:
 				m.Targets = m.Targets[:len(m.Targets)+min(delta, 0)]
 				if delta > 0 {
 					m.Targets = append(m.Targets, bitstr.Empty)
 				}
-			case 3:
+			case 2:
 				m.Hops = m.Hops[:len(m.Hops)+min(delta, 0)]
 				if delta > 0 {
 					m.Hops = append(m.Hops, 1)
@@ -145,9 +141,6 @@ func TestRunsRejectHostile(t *testing.T) {
 			}
 			refuses("insert column length off the record count", Encode(m))
 		}
-		r := replicateRun(3)
-		r.RecIDs = resize(r.RecIDs)
-		refuses("replicate column length off the record count", Encode(r))
 		a := insertAcks(3)
 		a.Hops = a.Hops[:len(a.Hops)+min(delta, 0)]
 		if delta > 0 {
@@ -168,7 +161,7 @@ func TestRunsRejectHostile(t *testing.T) {
 	// values than bytes remain, or its last varint is cut short.
 	m := insertRun(2)
 	head := len(Encode(&InsertRun{OriginAddr: m.OriginAddr, Index: m.Index, Version: m.Version,
-		TreeEpoch: m.TreeEpoch, Attempt: m.Attempt, Recs: m.Recs})) - 4 // four empty columns
+		TreeEpoch: m.TreeEpoch, Attempt: m.Attempt, Recs: m.Recs})) - 3 // three empty columns
 	valid := Encode(m)
 	long := append(valid[:head:head], binary.AppendUvarint(nil, 1<<20)...)
 	refuses("ReqID column longer than the frame", append(long, valid[head+1:]...))
@@ -177,7 +170,7 @@ func TestRunsRejectHostile(t *testing.T) {
 	refuses("ReqID varint cut by the frame's end", append(short, 0x80))
 
 	// A Target longer than bitstr.MaxLen: the first target's length byte
-	// sits after the ReqID and RecID columns and the Targets length.
+	// sits after the ReqID column and the Targets length.
 	one := insertRun(1)
 	enc := Encode(one)
 	pos := len(enc) - 2 - 9 // Hops column (length, value), then the code's length byte and 8 bits bytes

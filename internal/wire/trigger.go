@@ -81,12 +81,13 @@ func (m *TriggerInstall) fields(c *codec) {
 	c.U8(&m.Hops)
 }
 
-// TriggerFire delivers one matching record to the subscriber.
+// TriggerFire delivers one matching record to the subscriber, under the
+// ReqID of the insert that stored it: the subscriber's dedup key.
 type TriggerFire struct {
 	TriggerID uint64
 	Index     string
 	From      NodeInfo
-	RecID     uint64
+	ReqID     uint64
 	Rec       []uint64
 }
 
@@ -95,7 +96,7 @@ func (m *TriggerFire) fields(c *codec) {
 	c.Uvarint(&m.TriggerID)
 	c.String(&m.Index)
 	c.Node(&m.From)
-	c.U64(&m.RecID)
+	c.U64(&m.ReqID)
 	c.U64s(&m.Rec)
 }
 

@@ -181,9 +181,9 @@ func allMessages() []Message {
 		&LivenessProbe{ReqID: 7, Asker: ni, Suspect: NodeInfo{Addr: "s", Code: c}, Hops: 1},
 		&LivenessReply{ReqID: 7, Alive: true},
 		&InsertRun{OriginAddr: "o", Index: "idx", Version: 3, TreeEpoch: 1<<16 | 7, Attempt: 1,
-			ReqIDs: []uint64{8}, RecIDs: []uint64{99}, Targets: []bitstr.Code{c}, Hops: []uint8{2}, Recs: listOf(schema.Record{1, 2, 3, 4})},
+			ReqIDs: []uint64{8}, Targets: []bitstr.Code{c}, Hops: []uint8{2}, Recs: listOf(schema.Record{1, 2, 3, 4})},
 		&InsertAcks{StoredAt: ni, ReqIDs: []uint64{8}, Hops: []uint8{4}},
-		&ReplicateRun{Index: "idx", Version: 3, OwnerCode: c, RecIDs: []uint64{99}, Recs: listOf(schema.Record{1, 2, 3, 4})},
+		&ReplicateRun{Index: "idx", Version: 3, OwnerCode: c, Recs: listOf(schema.Record{1, 2, 3, 4})},
 		&Query{ReqID: 9, OriginAddr: "o", Index: "idx", Versions: []uint64{1, 2}, Rect: rect, Target: c, Hops: 1, TreeEpoch: 4},
 		&SubQuery{ReqID: 9, OriginAddr: "o", Index: "idx", Versions: []uint64{1}, Rect: rect, RegionCode: c, Hops: 2, Historic: true, Attempt: 2, TreeEpoch: 4},
 		&QueryResp{ReqID: 9, From: ni, HasCover: true, Cover: c, Versions: []uint64{0, 1}, Recs: listOf(schema.Record{1, 2}, schema.Record{3, 4}), Hops: 3},
@@ -218,7 +218,7 @@ func allMessages() []Message {
 			Count: 42, Sums: []uint64{1, 2, 3, 4}, SketchN: 42, Floor: 0,
 			Keys: []uint64{9}, Counts: []uint64{42}, Errs: []uint64{0}},
 		&TriggerInstall{TriggerID: 26, Subscriber: "s", Index: "idx", Rect: rect, Target: c, Hops: 1},
-		&TriggerFire{TriggerID: 27, Index: "idx", From: ni, RecID: 5, Rec: []uint64{9, 9}},
+		&TriggerFire{TriggerID: 27, Index: "idx", From: ni, ReqID: 5, Rec: []uint64{9, 9}},
 		&TriggerRemove{OpID: 28, TriggerID: 27},
 		&RetireVersion{OpID: 29, Index: "idx", Version: 3},
 		&RegionRecall{OpID: 34, Region: c},
