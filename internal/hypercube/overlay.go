@@ -1149,7 +1149,8 @@ func (o *Overlay) handleTakeover(m *wire.Takeover) {
 	// declared dead by a THIRD party dropped the corpse from its contact
 	// table here, never fired OnContactDead, and kept delegating §3.4
 	// history coverage to the void — every query over its region timed
-	// out incomplete until HistoryTTL.
+	// out incomplete until the history pointer expired (mind's
+	// historyTTL).
 	sort.Slice(dropped, func(i, j int) bool { return dropped[i].Addr < dropped[j].Addr })
 	if o.cb.OnContactDead != nil {
 		for _, d := range dropped {

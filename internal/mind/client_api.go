@@ -10,18 +10,13 @@ import (
 // operation on the client's behalf and replies directly.
 //
 // Clients retransmit un-acked requests (the transport is lossy), so the
-// entry node keeps a bounded cache of recent client request ids: a
-// duplicate ClientInsert does not insert a second record — the cached
-// ack is replayed if the operation finished, or the duplicate is
-// absorbed while it is still in flight (the pending callback will ack).
-// Duplicate queries are suppressed only while in flight; a re-ask of a
-// finished query simply re-executes (reads are naturally idempotent).
-
-// clientOpState tracks one client request through execution.
-type clientOpState struct {
-	done bool
-	ack  *wire.ClientAck // insert outcome, replayed to duplicates
-}
+// entry node keeps a bounded cache of recent ClientInsert request ids:
+// a duplicate does not insert a second record — the cached ack is
+// replayed if the insert finished, or the duplicate is absorbed while it
+// is still in flight (the pending callback will ack). Reads keep no
+// such history: a query or aggregate is remembered only while it is in
+// flight, so a duplicate arriving then is absorbed, and a re-ask of a
+// finished read simply re-executes (reads are naturally idempotent).
 
 // clientOpKey namespaces a client request id by the client's address, so
 // independent clients reusing request ids cannot collide.
@@ -29,10 +24,7 @@ func clientOpKey(from string, reqID uint64) uint64 {
 	return hashAddr(from) ^ reqID*0x9e3779b97f4a7c15
 }
 
-// clientQueryKeyMix separates query ids from insert ids in the cache.
-const clientQueryKeyMix = 0x517cc1b727220a95
-
-// clientAggKeyMix separates aggregate-query ids from the other kinds.
+// clientAggKeyMix separates aggregate ids from query ids in flight.
 const clientAggKeyMix = 0x2545f4914f6cdd1d
 
 // shedAck refuses one client request under overload: an explicit shed
@@ -50,26 +42,20 @@ func (n *Node) handleClientInsert(from string, m *wire.ClientInsert) {
 	}
 	key := clientOpKey(from, m.ReqID)
 	n.mu.Lock()
-	if st, ok := n.clientOps.Get(key); ok {
+	if cached, ok := n.clientOps.Get(key); ok {
 		n.dedupHits.Add(1)
-		var cached *wire.ClientAck
-		if st.done {
-			cached = st.ack
-		}
 		n.mu.Unlock()
 		if cached != nil {
 			n.send(from, cached)
 		}
 		return
 	}
-	st := &clientOpState{}
-	n.clientOps.Put(key, st)
+	n.clientOps.Put(key, nil)
 	n.mu.Unlock()
 
 	finish := func(ack *wire.ClientAck) {
 		n.mu.Lock()
-		st.done = true
-		st.ack = ack
+		n.clientOps.Put(key, ack)
 		n.mu.Unlock()
 		n.send(from, ack)
 	}
@@ -87,8 +73,10 @@ func (n *Node) handleClientInsert(from string, m *wire.ClientInsert) {
 
 // serveClientRead is the skeleton of every client read RPC: admit, absorb
 // a duplicate of a request still in flight (its callback will respond),
-// run, and mark the request done as the reply leaves. refuse builds the
-// kind's empty incomplete response, flagged Shed for overload refusal.
+// run, and forget the request as its one reply leaves (a scatter
+// replies at completion or QueryTimeout, a refused run here). refuse
+// builds the kind's empty incomplete response, flagged Shed for overload
+// refusal.
 func (n *Node) serveClientRead(from string, key uint64, refuse func(shed bool) wire.Message, run func(reply func(wire.Message)) error) {
 	if !n.admitClient(from, false) {
 		n.shedQueries.Add(1)
@@ -96,18 +84,17 @@ func (n *Node) serveClientRead(from string, key uint64, refuse func(shed bool) w
 		return
 	}
 	n.mu.Lock()
-	if st, ok := n.clientOps.Get(key); ok && !st.done {
+	if _, ok := n.clientReads[key]; ok {
 		n.dedupHits.Add(1)
 		n.mu.Unlock()
 		return
 	}
-	st := &clientOpState{}
-	n.clientOps.Put(key, st)
+	n.clientReads[key] = struct{}{}
 	n.mu.Unlock()
 
 	reply := func(resp wire.Message) {
 		n.mu.Lock()
-		st.done = true
+		delete(n.clientReads, key)
 		n.mu.Unlock()
 		n.send(from, resp)
 	}
@@ -117,7 +104,7 @@ func (n *Node) serveClientRead(from string, key uint64, refuse func(shed bool) w
 }
 
 func (n *Node) handleClientQuery(from string, m *wire.ClientQuery) {
-	n.serveClientRead(from, clientOpKey(from, m.ReqID)^clientQueryKeyMix,
+	n.serveClientRead(from, clientOpKey(from, m.ReqID),
 		func(shed bool) wire.Message { return &wire.ClientQueryResp{ReqID: m.ReqID, Shed: shed} },
 		func(reply func(wire.Message)) error {
 			return n.query(m.Index, m.Rect, func(recs wire.RecList, res QueryResult) {

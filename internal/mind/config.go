@@ -48,11 +48,6 @@ type Config struct {
 	// paper versions indices daily: 86400).
 	VersionSeconds uint64
 
-	// HistoryTTL is how long after a split the joiner forwards
-	// sub-queries to its split sibling for data stored before the split
-	// (§3.4's history pointer; "the pointer will be dropped once the
-	// data have aged").
-	HistoryTTL time.Duration
 	// TransferOnSplit, when set, moves the joiner-region records from
 	// the split target to the joiner instead of using a history pointer.
 	// The paper avoids data movement; this mode exists as an ablation.
@@ -117,7 +112,6 @@ func DefaultConfig(seed int64) Config {
 		RetryMax:         8 * time.Second,
 		MaxRetries:       4,
 		VersionSeconds:   86400,
-		HistoryTTL:       10 * time.Minute,
 		HistCollectWait:  5 * time.Second,
 		BalancedCutDepth: 10,
 	}

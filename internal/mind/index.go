@@ -177,6 +177,11 @@ func (ix *index) retire(v uint32, marker uint64) bool {
 	return true
 }
 
+// historyTTL is how long after a split the joiner forwards sub-queries
+// to its split sibling for data stored before the split (§3.4: "the
+// pointer will be dropped once the data have aged").
+const historyTTL = 10 * time.Minute
+
 // setHistory arms the §3.4 history pointer toward the split sibling on
 // an already-published index (the rejoin path; a fresh join sets the
 // fields directly before publication).

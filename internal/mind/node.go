@@ -35,7 +35,7 @@ import (
 //
 //   - mu guards operation tracking and node-wide control maps: inserts
 //     and their groups, scatters, reports, every retrySchedule, seenOps,
-//     collect, triggerSubs, clientOps, rng.
+//     collect, triggerSubs, clientOps, clientReads, rng.
 //   - ixMu guards the indices map only; per-index mutable state is
 //     behind each index's own mutex, and the stores are internally
 //     concurrent (one writer mutex per version's ladder, lock-free
@@ -117,9 +117,11 @@ type Node struct {
 	deadEnds       atomic.Uint64 // inserts dropped for lack of a greedy next hop (insert.go)
 	aggAnswered    atomic.Uint64 // aggregate pieces answered from local summaries (aggquery.go)
 	coverDropped   atomic.Uint64 // covering answers dropped for overlapping coverage (scatter.go)
-	// clientOps dedups client RPC request ids so a retransmitted
-	// ClientInsert is idempotent (client_api.go).
-	clientOps *genSet[*clientOpState] // mu
+	// clientOps caches ClientInsert acks (nil while in flight) so a
+	// retransmitted insert is idempotent; clientReads holds the client
+	// reads in flight (client_api.go).
+	clientOps   *genSet[*wire.ClientAck] // mu
+	clientReads map[uint64]struct{}      // mu
 	// Admission control (admission.go). admMu is an independent leaf.
 	admMu         sync.Mutex
 	clientBuckets *bucketMap
@@ -155,7 +157,8 @@ func NewNode(ep transport.Endpoint, clock transport.Clock, cfg Config) *Node {
 		repairAt:      make(map[string]time.Time),
 		addrTag:       hashAddr(ep.Addr()) ^ mix64(uint64(clock.Now().UnixNano())),
 		tupleLinks:    make(map[string]uint64),
-		clientOps:     newGenSet[*clientOpState](dedupCap),
+		clientOps:     newGenSet[*wire.ClientAck](dedupCap),
+		clientReads:   make(map[uint64]struct{}),
 		clientBuckets: newBucketMap(),
 		gossipBuckets: newBucketMap(),
 	}
@@ -531,8 +534,8 @@ func (n *Node) onJoined(accept *wire.JoinAccept) {
 			// there — without re-arming the pointer, a post-step-down
 			// node silently stops covering them (found by the chaos
 			// harness's long-partition schedules).
-			if !n.cfg.TransferOnSplit && n.cfg.HistoryTTL > 0 {
-				ix.setHistory(accept.Sibling.Addr, accept.Sibling.Code, n.clock.Now().Add(n.cfg.HistoryTTL))
+			if !n.cfg.TransferOnSplit {
+				ix.setHistory(accept.Sibling.Addr, accept.Sibling.Code, n.clock.Now().Add(historyTTL))
 			}
 			for _, vd := range d.Versions {
 				if vd.Version == baseVersionSentinel || vd.Epoch == 0 {
@@ -548,12 +551,12 @@ func (n *Node) onJoined(accept *wire.JoinAccept) {
 		if err != nil {
 			continue
 		}
-		if !n.cfg.TransferOnSplit && n.cfg.HistoryTTL > 0 {
+		if !n.cfg.TransferOnSplit {
 			// The index is not yet published, so direct field access is
 			// safe here.
 			ix.histAddr = accept.Sibling.Addr
 			ix.histRegion = accept.Sibling.Code
-			ix.histUntil = n.clock.Now().Add(n.cfg.HistoryTTL)
+			ix.histUntil = n.clock.Now().Add(historyTTL)
 		}
 		n.indices[d.Schema.Tag] = ix
 	}
@@ -580,7 +583,7 @@ func (n *Node) onJoined(accept *wire.JoinAccept) {
 // index whose history pointer targets the dead peer stops delegating
 // query coverage to it. Found by the chaos harness: a joiner whose
 // split sibling later died kept forwarding Historic sub-queries into
-// the void for the full HistoryTTL, so every query touching its region
+// the void for the full historyTTL, so every query touching its region
 // timed out incomplete.
 func (n *Node) onContactDead(info wire.NodeInfo) {
 	for _, ix := range n.sortedIndices() {

@@ -37,8 +37,8 @@ const dedupCap = 1 << 16
 // so a key is remembered for at least cap and at most 2·cap recent
 // insertions with O(1) operations and bounded memory — the
 // idempotent-receiver cache of the reliable request layer (dedupSet:
-// insert ReqIDs at owners, flood op ids) and the client
-// request cache (client_api.go). The retransmission horizon (MaxRetries
+// insert ReqIDs at owners, flood op ids) and the ClientInsert ack cache
+// (client_api.go). The retransmission horizon (MaxRetries
 // backoff steps) is far shorter than the time it takes cap fresh keys to
 // arrive, so a retransmitted request always finds its first attempt
 // still cached.
@@ -72,7 +72,7 @@ type genTable[V any] struct {
 type dedupSet = genSet[struct{}]
 
 // genMinSlots is a fresh table's size: small, since most sets (flood op
-// ids, client requests) stay tiny.
+// ids, client inserts) stay tiny.
 const genMinSlots = 16
 
 func newGenSet[V any](capacity int) *genSet[V] {

@@ -80,7 +80,6 @@ type peer struct {
 	state      PeerState
 	stateSince time.Time
 	conn       net.Conn
-	bw         *bufio.Writer // wraps conn; writer-goroutine use only
 	backoff    time.Duration
 	nextDialAt time.Time
 	consec     int
@@ -187,13 +186,16 @@ func (p *peer) drainAndClose() {
 			if p.conn != nil {
 				p.conn.Close()
 				p.conn = nil
-				p.bw = nil
 			}
 			p.mu.Unlock()
 			return
 		}
 	}
 }
+
+// burstWriters lends each burst its write buffer: an idle connection
+// holds none.
+var burstWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 64<<10) }}
 
 // writeBurst ships one frame plus everything else already queued in a
 // single buffered write: one flush (and mostly one syscall) per burst
@@ -202,13 +204,16 @@ func (p *peer) drainAndClose() {
 // the protocol layer don't overflow the bounded queue just because each
 // frame is tiny. The per-frame write deadline is refreshed before every
 // frame, covering bufio's intermediate auto-flushes, so a peer that
-// stalls mid-burst still fails within WriteTimeout.
+// stalls mid-burst still fails within WriteTimeout. Reset(nil) hands the
+// buffer back without unflushed bytes or a failed write's sticky error.
 func (p *peer) writeBurst(first []byte) {
-	conn, bw := p.ensureConn()
+	conn := p.ensureConn()
 	if conn == nil {
 		putSendBuf(first)
 		return // dial failed or backoff pending; frame dropped (counted)
 	}
+	bw := burstWriters.Get().(*bufio.Writer)
+	bw.Reset(conn)
 	frames, bytes := 0, 0
 	buf := first
 	var err error
@@ -231,6 +236,8 @@ func (p *peer) writeBurst(first []byte) {
 		err = bw.Flush()
 		break
 	}
+	bw.Reset(nil)
+	burstWriters.Put(bw)
 	p.mu.Lock()
 	if err != nil {
 		// Everything written into the buffer this burst is suspect; count
@@ -255,20 +262,20 @@ func (p *peer) writeBurst(first []byte) {
 	p.mu.Unlock()
 }
 
-// ensureConn returns the live connection and its buffered writer,
-// dialing when allowed. A nil return means the frame should be dropped:
-// either the reconnect backoff has not elapsed, or the dial failed.
-func (p *peer) ensureConn() (net.Conn, *bufio.Writer) {
+// ensureConn returns the live connection, dialing when allowed. A nil
+// return means the frame should be dropped: either the reconnect
+// backoff has not elapsed, or the dial failed.
+func (p *peer) ensureConn() net.Conn {
 	p.mu.Lock()
 	if p.conn != nil {
-		conn, bw := p.conn, p.bw
+		conn := p.conn
 		p.mu.Unlock()
-		return conn, bw
+		return conn
 	}
 	if !p.nextDialAt.IsZero() && time.Now().Before(p.nextDialAt) {
 		p.dropsBackoff++
 		p.mu.Unlock()
-		return nil, nil
+		return nil
 	}
 	wasFailed := p.consec > 0
 	p.dials++
@@ -282,21 +289,20 @@ func (p *peer) ensureConn() (net.Conn, *bufio.Writer) {
 	if err != nil {
 		p.dropsWrite++ // the frame that triggered the dial is lost
 		p.failLocked()
-		return nil, nil
+		return nil
 	}
 	select {
 	case <-p.quit:
 		conn.Close()
-		return nil, nil
+		return nil
 	default:
 	}
 	p.conn = conn
-	p.bw = bufio.NewWriterSize(conn, 64<<10)
 	if wasFailed {
 		p.reconnects++
 	}
 	p.setStateLocked(StateHealthy)
-	return p.conn, p.bw
+	return conn
 }
 
 // failLocked records one connection-level failure: close the connection,
@@ -307,7 +313,6 @@ func (p *peer) failLocked() {
 	if p.conn != nil {
 		p.conn.Close()
 		p.conn = nil
-		p.bw = nil
 		p.evictions++
 	}
 	p.consec++

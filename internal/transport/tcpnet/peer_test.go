@@ -1,7 +1,12 @@
 package tcpnet
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
 	"net"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 )
@@ -268,5 +273,172 @@ func TestSlowPeerEviction(t *testing.T) {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestPeerFootprint holds a connected, idle peer to a small fixed cost:
+// one endpoint sends one frame to each of 64 listeners, and once every
+// burst is over, the live heap may grow by at most 24 KB per peer. That
+// covers both ends of a connection — the 12 KB send-queue array, the
+// inbound side's 4 KB read buffer, the conns and the peer itself — but
+// not a write buffer, which a peer borrows only for a burst.
+func TestPeerFootprint(t *testing.T) {
+	const peers = 64
+	const perPeer = 24 << 10
+	var got sync.WaitGroup
+	got.Add(peers + 1)
+	listeners := make([]*Endpoint, peers+1)
+	for i := range listeners {
+		l, err := Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		l.SetHandler(func(string, []byte) { got.Done() })
+		listeners[i] = l
+	}
+	a, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+
+	heapInuse := func() uint64 {
+		runtime.GC()
+		runtime.GC() // a second cycle empties sync.Pool's victim cache
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
+	}
+	// One warm-up peer first, so the runtime's and net's one-time costs
+	// (threads, first dial) land before the baseline.
+	if err := a.Send(listeners[peers].Addr(), []byte("hello")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return a.NetStats().Peers[0].FramesSent == 1 })
+	before := heapInuse()
+	for _, l := range listeners[:peers] {
+		if err := a.Send(l.Addr(), []byte("hello")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got.Wait()
+	// Delivery precedes the sender's bookkeeping: wait until every
+	// writer has counted its burst, so no burst still holds a buffer.
+	waitFor(t, func() bool {
+		for _, ps := range a.NetStats().Peers {
+			if ps.FramesSent != 1 {
+				return false
+			}
+		}
+		return true
+	})
+	after := heapInuse()
+	grown := int64(after) - int64(before)
+	t.Logf("heap in use grew %d B for %d peers (%d B each)", grown, peers, grown/peers)
+	if grown > peers*perPeer {
+		t.Fatalf("heap in use grew %d B for %d idle peers, %d B each; want <= %d B each",
+			grown, peers, grown/peers, perPeer)
+	}
+}
+
+// TestBurstBufferCleanAfterWriteError: a burst whose write fails midway
+// (the peer closed its end) leaves unflushed bytes and a sticky error in
+// its buffer. The buffer it hands back must be empty, and the next
+// burst, to a live peer, must deliver intact frames in order. One P
+// makes the pool hand the failed burst's buffer to the next borrower.
+func TestBurstBufferCleanAfterWriteError(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	a, err := ListenConfig("127.0.0.1:0", fastCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := ListenConfig("127.0.0.1:0", fastCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	var mu sync.Mutex
+	var recv [][]byte
+	b.SetHandler(func(_ string, msg []byte) {
+		mu.Lock()
+		recv = append(recv, msg)
+		mu.Unlock()
+	})
+
+	// closer accepts, reads the hello and closes: the sender's next
+	// writes on that connection fail.
+	closer, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	go func() {
+		for {
+			c, err := closer.Accept()
+			if err != nil {
+				return
+			}
+			c.Read(make([]byte, 64))
+			c.Close()
+		}
+	}()
+
+	frame := func(seq int) []byte {
+		f := bytes.Repeat([]byte{byte(seq)}, 10<<10)
+		binary.BigEndian.PutUint64(f, uint64(seq))
+		return f
+	}
+	seq := 0
+	for round := 0; round < 3; round++ {
+		fails := func() uint64 {
+			for _, ps := range a.NetStats().Peers {
+				if ps.Addr == closer.Addr().String() {
+					return ps.DropsWrite
+				}
+			}
+			return 0
+		}
+		before := fails()
+		deadline := time.Now().Add(5 * time.Second)
+		for fails() == before {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: no write to the closed peer failed", round)
+			}
+			for i := 0; i < 8; i++ {
+				a.Send(closer.Addr().String(), frame(0))
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		for i := 0; i < 4; i++ {
+			bw := burstWriters.Get().(*bufio.Writer)
+			if bw.Buffered() != 0 {
+				t.Fatalf("round %d: pooled write buffer holds %d stale bytes", round, bw.Buffered())
+			}
+			burstWriters.Put(bw)
+		}
+		for i := 0; i < 16; i++ {
+			seq++
+			if err := a.Send(b.Addr(), frame(seq)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitFor(t, func() bool {
+			mu.Lock()
+			defer mu.Unlock()
+			return len(recv) >= seq
+		})
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(recv) != seq {
+		t.Fatalf("live peer got %d frames, sent %d", len(recv), seq)
+	}
+	for i, msg := range recv {
+		if !bytes.Equal(msg, frame(i+1)) {
+			t.Fatalf("frame %d arrived damaged or out of order (seq %d, %d bytes)",
+				i+1, binary.BigEndian.Uint64(msg), len(msg))
+		}
 	}
 }
