@@ -2,7 +2,6 @@ package mind
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -372,13 +371,30 @@ func (ix *index) holds(v uint32, rec schema.Record) bool {
 	}
 	var pbuf [8]uint64
 	p := rec.PointInto(ix.sch, pbuf[:0])
-	arity, found := len(rec), false
-	st.VisitBatches(schema.Rect{Lo: p, Hi: p}, func(rows []uint64, sel []int32) {
-		for _, o := range sel {
-			found = found || slices.Equal(rows[o:int(o)+arity], rec)
+	found := false
+	st.VisitBatches(schema.Rect{Lo: p, Hi: p}, func(rows schema.Rows, sel []int32) {
+		if rows.W32 != nil {
+			found = found || holdsRow(rows.W32, sel, rec)
+		} else {
+			found = found || holdsRow(rows.W64, sel, rec)
 		}
 	})
 	return found
+}
+
+// holdsRow reports whether a selected row of a batch equals rec value
+// for value, at the batch's width.
+func holdsRow[W schema.Word](rows []W, sel []int32, rec schema.Record) bool {
+	for _, o := range sel {
+		i := 0
+		for i < len(rec) && uint64(rows[int(o)+i]) == rec[i] {
+			i++
+		}
+		if i == len(rec) {
+			return true
+		}
+	}
+	return false
 }
 
 // noteReplicaOwner records that this node backs up owner's region. The

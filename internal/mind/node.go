@@ -699,7 +699,9 @@ type IndexInfo struct {
 
 // StoreInfo is one index version's store engines as the ladder sees
 // them (store.Sharded.Shape); the primary ladder's CarriedRows over the
-// records it holds is its write amplification. The replica ladder
+// records it holds is its write amplification, and a ladder's Bytes over
+// its records its footprint — ≈ 4 B per value while WideLevels is 0, up
+// to 8 in the levels holding a value ≥ 2³². The replica ladder
 // appends — every level one sealed tail — so its Carries and
 // CarriedRows stay 0.
 type StoreInfo struct {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -227,6 +228,11 @@ func TestOperatorSurface(t *testing.T) {
 	if err := json.Unmarshal(body, &infos); err != nil {
 		t.Fatalf("indices json after inserts: %v\n%s", err, body)
 	}
+	for _, key := range []string{`"bytes":`, `"wide_levels":`} {
+		if !strings.Contains(string(body), key) {
+			t.Fatalf("/indices serves no %s per ladder:\n%s", key, body)
+		}
+	}
 	total := 0
 	for _, info := range append(infos, node0.IndexInfos()...) {
 		got := int(info.Summary.StaticRecords) + info.Summary.DeltaRecords
@@ -236,12 +242,16 @@ func TestOperatorSurface(t *testing.T) {
 		}
 		total += got
 		// The store shape is served per version and accounts for every
-		// record: ten inserts sit in tails, no carry has fired yet.
+		// record: ten inserts sit in tails, no carry has fired yet, so no
+		// level is wide and a ladder's bytes are its tail's 64-bit arena.
 		primary, replicas := 0, 0
 		for _, st := range info.Stores {
 			for _, sh := range []*store.LadderShape{st.Primary, st.Replicas} {
 				if sh != nil && (len(sh.Levels) != 0 || sh.Carries != 0) {
 					t.Fatalf("store shape of %s v%d after %d inserts: %+v", info.Tag, st.Version, inserts, *sh)
+				}
+				if sh != nil && (sh.WideLevels != 0 || sh.Bytes%(8*sch.Arity()) != 0 || sh.Bytes < 8*sch.Arity()*max(sh.TailRecords, 1)) {
+					t.Fatalf("store footprint of %s v%d after %d inserts: %d bytes, %d wide levels", info.Tag, st.Version, inserts, sh.Bytes, sh.WideLevels)
 				}
 			}
 			if st.Primary != nil {

@@ -5,6 +5,7 @@ package store
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"mind/internal/schema"
@@ -41,53 +42,79 @@ func TestAllocBudgetShardedInsert(t *testing.T) {
 
 // TestAllocBudgetAppendInsert is the alloc gate on an appending
 // ladder's write path (Options.Append): an insert between seals
-// allocates nothing, and a seal allocates only the fresh tail — its
-// arena, its header, the Static naming the sealed arena and the snapshot
-// publishing both; the level list grows in place. No seal copies or
-// indexes a row, so over 16 seals the bytes allocated stay within a
-// quarter above the 16 tail arenas themselves; a seal that copied its
-// tail into a fresh level would double them.
+// allocates nothing, and a seal allocates the fresh tail — its arena and
+// its header — the Static naming the sealed level and the snapshot
+// publishing both, plus, when every value in the tail fits 32 bits, the
+// one narrow copy that becomes the level; the level list grows in place.
+// No seal indexes or reorders a row: every sealed level is uncut and
+// holds its tail in insertion order. Over 16 seals the bytes allocated
+// stay within a quarter above the 17 tail arenas and, for narrow
+// records, the 16 half-size copies; a seal that copied its tail at full
+// width, or twice, would blow that. Records whose payload needs 64 bits
+// are sealed as the tail itself, with no copy at all.
 func TestAllocBudgetAppendInsert(t *testing.T) {
-	r := rand.New(rand.NewSource(48))
-	recs := make([]schema.Record, 16*tailRows)
-	for i := range recs {
-		recs[i] = randRec(r)
-	}
-	e := NewSharded(sch3(), Options{Append: true})
-	e.Insert(recs[0]) // the first tail
-	k := 1
-	if allocs := testing.AllocsPerRun(tailRows/2, func() { e.Insert(recs[k]); k++ }); allocs != 0 {
-		t.Fatalf("an insert between seals allocates %.2f times, want 0", allocs)
-	}
+	for _, width := range []string{"narrow", "wide"} {
+		t.Run(width, func(t *testing.T) {
+			r := rand.New(rand.NewSource(48))
+			recs := make([]schema.Record, 16*tailRows)
+			for i := range recs {
+				recs[i] = randRec(r)
+				if width == "narrow" {
+					recs[i][3] >>= 32
+				}
+			}
+			e := NewSharded(sch3(), Options{Append: true})
+			e.Insert(recs[0]) // the first tail
+			k := 1
+			if allocs := testing.AllocsPerRun(tailRows/2, func() { e.Insert(recs[k]); k++ }); allocs != 0 {
+				t.Fatalf("an insert between seals allocates %.2f times, want 0", allocs)
+			}
 
-	// One run is one tail's worth of inserts, so one seal.
-	e = NewSharded(sch3(), Options{Append: true})
-	k = 0
-	perSeal := testing.AllocsPerRun(15, func() {
-		for _, rec := range recs[k*tailRows : (k+1)*tailRows] {
-			e.Insert(rec)
-		}
-		k++
-	})
-	if s := e.Shape(); len(s.Levels) != 16 || s.Carries != 0 {
-		t.Fatalf("fixture: %+v, want 16 sealed levels", s)
-	}
-	if perSeal > 5 {
-		t.Fatalf("a seal allocates %.0f times; budget is 4 and the level list's amortised growth", perSeal)
-	}
+			// One run is one tail's worth of inserts, so one seal.
+			e = NewSharded(sch3(), Options{Append: true})
+			k = 0
+			perSeal := testing.AllocsPerRun(15, func() {
+				for _, rec := range recs[k*tailRows : (k+1)*tailRows] {
+					e.Insert(rec)
+				}
+				k++
+			})
+			s := e.Shape()
+			if len(s.Levels) != 16 || s.Carries != 0 || (s.WideLevels == 16) != (width == "wide") || (s.WideLevels == 0) != (width == "narrow") {
+				t.Fatalf("fixture: %+v, want 16 sealed %s levels", s, width)
+			}
+			budget := 4.0
+			if width == "narrow" {
+				budget++ // the narrow copy
+			}
+			if perSeal > budget+1 {
+				t.Fatalf("a seal allocates %.0f times; budget is %.0f and the level list's amortised growth", perSeal, budget)
+			}
+			for j, l := range e.snap.Load().levels {
+				i := j * tailRows
+				if indexed(l) || !l.each(func(rec schema.Record) bool { i++; return slices.Equal(rec, recs[i-1]) }) {
+					t.Fatalf("sealed level %d is cut (%v) or not its tail in insertion order", j, indexed(l))
+				}
+			}
 
-	var before, after runtime.MemStats
-	e = NewSharded(sch3(), Options{Append: true})
-	runtime.ReadMemStats(&before)
-	for _, rec := range recs {
-		e.Insert(rec)
-	}
-	runtime.ReadMemStats(&after)
-	tailBytes := uint64(tailRows * sch3().Arity() * 8)
-	bytes := after.TotalAlloc - before.TotalAlloc
-	t.Logf("16 seals: %.0f allocations each, %d bytes in all (tail arena %d bytes)", perSeal, bytes, tailBytes)
-	if bytes > 17*tailBytes*5/4 {
-		t.Fatalf("16 seals allocated %d bytes; their 17 tail arenas are %d: a seal copies rows", bytes, 17*tailBytes)
+			var before, after runtime.MemStats
+			e = NewSharded(sch3(), Options{Append: true})
+			runtime.ReadMemStats(&before)
+			for _, rec := range recs {
+				e.Insert(rec)
+			}
+			runtime.ReadMemStats(&after)
+			tailBytes := uint64(tailRows * sch3().Arity() * 8)
+			want := 17 * tailBytes
+			if width == "narrow" {
+				want += 16 * tailBytes / 2
+			}
+			bytes := after.TotalAlloc - before.TotalAlloc
+			t.Logf("16 seals: %.0f allocations each, %d bytes in all (tail arena %d bytes)", perSeal, bytes, tailBytes)
+			if bytes > want*5/4 {
+				t.Fatalf("16 seals allocated %d bytes; their tail arenas and narrow copies are %d: a seal copies rows at full width", bytes, want)
+			}
+		})
 	}
 }
 
@@ -160,5 +187,88 @@ func TestAllocBudgetBoundaryFold(t *testing.T) {
 	if large > small {
 		t.Fatalf("boundary fold allocations grew with the boundary: %.0f allocs over %d records, %.0f over %d",
 			small, smallRecs, large, largeRecs)
+	}
+}
+
+// TestLadderFootprint is the gate on the store's bytes per record: 64 k
+// records in Index-2's ranges, spread over a day (every value fits 32
+// bits, as NetFlow's fields do), retain at most 24 B of heap each in a
+// merging ladder with its rollup (a primary store, as a node builds it)
+// and in an appending one (a replica store) — ≈ 20 B of narrow rows and
+// what the cuts and the tail add; 64-bit rows alone are 40 B. The
+// rollup's own heap is a fixed ≈ 480 KB whatever the ladder's width (a
+// sketch per cell), 7 B per record at this size, so it is measured on
+// its own, fed the same records, and not charged to the ladder. One
+// record holding a value ≥ 2³² then widens only the level that holds it:
+// the 64 k narrow records stay narrow beside it, and Shape reports the
+// one wide level and the bytes it adds.
+func TestLadderFootprint(t *testing.T) {
+	const n = 1 << 16
+	sch := schema.Index2(86400)
+	r := rand.New(rand.NewSource(49))
+	recs := make([]schema.Record, n+2*tailRows)
+	for i := range recs {
+		recs[i] = schema.Record{uint64(r.Intn(4096)) * 0x9E3779B1 & 0xffffff00, uint64(i) * 86400 / n % 86400,
+			uint64(r.Intn(1 << 21)), r.Uint64() >> 32, uint64(r.Intn(64))}
+	}
+	recs[n][3] = 1 << 40 // the first record after the 64 k: a value past 32 bits
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	roll := summary.New(sch, summary.Options{})
+	for _, rec := range recs[:n] {
+		roll.Insert(rec)
+	}
+	rollup := float64(int64(heap())-int64(before)) / n
+	runtime.KeepAlive(roll)
+	for _, tc := range []struct {
+		name    string
+		opts    Options
+		rollups float64 // the rollup's own heap per record, not the ladder's
+	}{
+		{"merging+rollup", Options{Rollup: &summary.Options{}}, rollup},
+		{"appending", Options{Append: true}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := heap()
+			e := NewSharded(sch, tc.opts)
+			for _, rec := range recs[:n] {
+				e.Insert(rec)
+			}
+			per := float64(int64(heap())-int64(before))/n - tc.rollups
+			s := e.Shape()
+			t.Logf("%d records: %.1f B of heap each beside %.1f B of rollup, Shape.Bytes %.1f each, %d levels, %d wide",
+				n, per, tc.rollups, float64(s.Bytes)/n, len(s.Levels), s.WideLevels)
+			if per > 24 {
+				t.Fatalf("%d records retain %.1f B of heap each, budget 24", n, per)
+			}
+			if s.WideLevels != 0 || s.Bytes > n*21 || s.Bytes < n*4*sch.Arity() {
+				t.Fatalf("%d narrow records: %d wide levels, %d bytes of rows and cuts", n, s.WideLevels, s.Bytes)
+			}
+			for _, rec := range recs[n:] { // the wide record's tail, then one more
+				e.Insert(rec)
+			}
+			w := e.Shape()
+			var wide []int
+			for k, l := range e.snap.Load().levels {
+				if l.isWide() {
+					wide = append(wide, k)
+					if !slices.ContainsFunc(wideRows(l), func(v uint64) bool { return v == 1<<40 }) {
+						t.Fatalf("level %d of %d rows is wide without holding the wide record", k, l.Len())
+					}
+				}
+			}
+			if len(wide) != 1 || w.WideLevels != 1 || e.snap.Load().levels[wide[0]].Len() > 2*tailRows {
+				t.Fatalf("one value ≥ 2³² widened levels %v of %v (Shape says %d)", wide, w.Levels, w.WideLevels)
+			}
+			if grown := w.Bytes - s.Bytes; grown > 2*tailRows*8*sch.Arity()+8*tailRows {
+				t.Fatalf("%d more records, one of them wide, added %d bytes", 2*tailRows, grown)
+			}
+			runtime.KeepAlive(recs)
+		})
 	}
 }

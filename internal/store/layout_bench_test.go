@@ -77,8 +77,8 @@ func index2Ladder(opts Options, n int) (e *Sharded, bounds []uint64, prefix func
 // batch (the leaves and tail runs holding a match) and the matches among
 // them. rows ÷ matches is the read's overscan.
 func handedRows(e *Sharded, rect schema.Rect) (rows, matches int) {
-	e.VisitBatches(rect, func(batch []uint64, sel []int32) {
-		rows += len(batch) / e.arity
+	e.VisitBatches(rect, func(batch schema.Rows, sel []int32) {
+		rows += (len(batch.W64) + len(batch.W32)) / e.arity
 		matches += len(sel)
 	})
 	return rows, matches

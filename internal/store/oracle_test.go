@@ -13,19 +13,46 @@ import (
 )
 
 // fuzzVal maps two fuzz bytes to an attribute value or rectangle edge
-// that stresses the unclamp identity (sch3's bound is 9999): spread over
-// and past the bound, hugging it from both sides, near MaxUint64, and
-// tiny (duplicate-heavy).
+// that stresses the unclamp identity (sch3's bound is 9999) and the
+// ladder's word width: spread over and past the bound, hugging it from
+// both sides, near MaxUint64, straddling 2³² (half of them need 64-bit
+// rows) and tiny (duplicate-heavy). The two wide modes are one in eight,
+// so a stream mixes narrow and wide tails and levels.
 func fuzzVal(mode, b byte) uint64 {
+	switch mode % 16 {
+	case 2:
+		return math.MaxUint64 - uint64(b)
+	case 6:
+		return 1<<32 - 128 + uint64(b)
+	}
 	switch mode % 4 {
-	case 0:
+	case 0, 2:
 		return uint64(b) * 41 // 0 … 10455: crosses the bound
 	case 1:
 		return 9999 - 128 + uint64(b) // bound-128 … bound+127
-	case 2:
-		return math.MaxUint64 - uint64(b)
 	default:
 		return uint64(b % 8)
+	}
+}
+
+// batchRec returns record o (a word offset) of a batch as a 64-bit copy.
+func batchRec(rows schema.Rows, o, arity int) schema.Record {
+	if rows.W32 != nil {
+		return widen(rows.W32[o : o+arity])
+	}
+	return slices.Clone(rows.W64[o : o+arity])
+}
+
+// checkWidths holds every level of e to the width rule: a level keeps
+// 64-bit rows iff it holds a value that needs them.
+func checkWidths(t *testing.T, name string, e *Sharded) {
+	t.Helper()
+	for k, l := range e.snap.Load().levels {
+		var high uint64
+		l.All(func(rec schema.Record) bool { high |= highBits(rec); return true })
+		if l.isWide() != (high != 0) {
+			t.Fatalf("%s level %d of %d rows: wide %v, but holds a value ≥ 2³² %v", name, k, l.Len(), l.isWide(), high != 0)
+		}
 	}
 }
 
@@ -44,7 +71,9 @@ func fuzzVal(mode, b byte) uint64 {
 // breaks if that identity does. The schema is sch3 (round robin cuts) or
 // sch3 with a time attribute at position 0, 1 or 2, so every phase of
 // the time-first cut schedule (schema.CutDim) is pruned on against the
-// oracle.
+// oracle. Values straddle 2³² too, so narrow and wide tails, carries and
+// seals mix, and every level of both ladders is held to the width rule
+// (checkWidths) after every insert.
 func FuzzStoreOracle(f *testing.F) {
 	// Insert = op, then (mode, byte) per coordinate; query = op 3, then
 	// (mode, byte) for Lo and Hi per dim. One in-range record and the full
@@ -57,6 +86,27 @@ func FuzzStoreOracle(f *testing.F) {
 		3, 1, 127, 1, 127, 1, 127, 1, 127, 1, 127, 1, 127,
 		3, 1, 129, 1, 129, 1, 129, 1, 129, 1, 129, 1, 129,
 		3, 2, 9, 2, 0, 2, 9, 2, 0, 2, 9, 2, 0}, uint8(1), uint8(2))
+	// Width transitions, tail 4: narrow levels, a wide tail carried into
+	// a narrow level, a narrow tail carried into the wide level that made,
+	// and a narrow level beside it; the appending ladder seals the same
+	// tails, narrow and wide, and Compact merges them all.
+	narrowRec := func(k byte) []byte { return []byte{0, 0, k, 1, k, 3, k} }
+	wideRec := func(k byte) []byte { return []byte{0, 6, 100 + k, 0, k, 3, k} } // x = 2³² - 28 + k
+	everything := []byte{3, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 2, 0}
+	var widths []byte
+	for k := byte(0); k < 24; k++ {
+		if k == 7 {
+			widths = append(widths, wideRec(k+28)...) // the 8th record: ≥ 2³²
+		} else {
+			widths = append(widths, narrowRec(k)...)
+		}
+		if k%4 == 3 {
+			widths = append(widths, everything...)
+		}
+	}
+	f.Add(widths, uint8(0), uint8(0))
+	// A value just below 2³² keeps its levels narrow; tail 6, time at 0.
+	f.Add(append(slices.Clone(widths[:len(widths)/2]), wideRec(0)...), uint8(2), uint8(1))
 	for seed := int64(1); seed <= 4; seed++ { // the former seeded differential streams
 		blob := make([]byte, 2000) // ≈ 175 records: deep enough for a non-time cut
 		rand.New(rand.NewSource(seed)).Read(blob)
@@ -75,23 +125,27 @@ func FuzzStoreOracle(f *testing.F) {
 		check := func(rect schema.Rect) {
 			want := sc.Query(rect)
 			st := NewStatic(sch, sc.recs)
+			if high := slices.ContainsFunc(sc.recs, func(rec schema.Record) bool { return highBits(rec) != 0 }); st.isWide() != high {
+				t.Fatalf("static of %d records: wide %v, holds a value ≥ 2³² %v", st.Len(), st.isWide(), high)
+			}
 			for name, e := range map[string]interface {
-				VisitBatches(schema.Rect, func([]uint64, []int32))
+				VisitBatches(schema.Rect, func(schema.Rows, []int32))
 				Visit(schema.Rect, func(schema.Record))
 				Query(schema.Rect) []schema.Record
 				Count(schema.Rect) int
 			}{"static": st, "sharded": eng, "append": app} {
 				var batched []schema.Record
-				e.VisitBatches(rect, func(rows []uint64, sel []int32) {
+				e.VisitBatches(rect, func(rows schema.Rows, sel []int32) {
 					const arity = 4
-					if len(rows)%arity != 0 || len(rows) > leafRows*arity || len(sel) == 0 {
-						t.Fatalf("%s batch over %v: %d words, %d selected", name, rect, len(rows), len(sel))
+					words := len(rows.W64) + len(rows.W32)
+					if (rows.W64 == nil) == (rows.W32 == nil) || words%arity != 0 || words > leafRows*arity || len(sel) == 0 {
+						t.Fatalf("%s batch over %v: %d+%d words, %d selected", name, rect, len(rows.W64), len(rows.W32), len(sel))
 					}
 					for j, o := range sel {
-						if o%arity != 0 || int(o) >= len(rows) || (j > 0 && o <= sel[j-1]) {
-							t.Fatalf("%s batch over %v: offsets %v in %d words are not ascending row starts", name, rect, sel, len(rows))
+						if o%arity != 0 || int(o) >= words || (j > 0 && o <= sel[j-1]) {
+							t.Fatalf("%s batch over %v: offsets %v in %d words are not ascending row starts", name, rect, sel, words)
 						}
-						rec := rows[o : o+arity]
+						rec := batchRec(rows, int(o), arity)
 						if !rectContains(sc.bounds, rect, rec) {
 							t.Fatalf("%s batch over %v selected %v, outside it", name, rect, rec)
 						}
@@ -133,6 +187,8 @@ func FuzzStoreOracle(f *testing.F) {
 				if app.Len() != sc.Len() || !slices.EqualFunc(all, sc.recs, slices.Equal) {
 					t.Fatalf("after insert %d: appending Len %d, All streams %d, not the oracle's %d in order", i, app.Len(), len(all), sc.Len())
 				}
+				checkWidths(t, "sharded", eng)
+				checkWidths(t, "append", app)
 				i += 7
 				continue
 			}
@@ -172,14 +228,24 @@ func FuzzStoreOracle(f *testing.F) {
 			t.Fatalf("Len: sharded %d appending %d oracle %d", eng.Len(), app.Len(), sc.Len())
 		}
 		app.Compact() // one indexed level: answers as the oracle does
+		checkWidths(t, "compacted", app)
 		check(schema.Rect{Lo: []uint64{0, 0, 0}, Hi: []uint64{b, b, b}})
 	})
 }
 
 // TestViewContract pins what a record handed out by the arena engine is:
 // a capped, read-only view that survives everything the engine does
-// afterwards.
-func TestViewContract(t *testing.T) {
+// afterwards. Its records' payloads need 64 bits, so every level is wide
+// and a view is of the arena itself.
+func TestViewContract(t *testing.T) { viewContract(t, randRec) }
+
+// TestViewContractNarrow holds narrow levels to the same contract: their
+// records fit 32 bits, and a view is of a copy.
+func TestViewContractNarrow(t *testing.T) {
+	viewContract(t, func(r *rand.Rand) schema.Record { rec := randRec(r); rec[3] >>= 32; return rec })
+}
+
+func viewContract(t *testing.T, randRec func(*rand.Rand) schema.Record) {
 	r := rand.New(rand.NewSource(81))
 	recs := make([]schema.Record, 500)
 	for i := range recs {
@@ -187,7 +253,7 @@ func TestViewContract(t *testing.T) {
 	}
 	t.Run("append cannot touch the neighbour row", func(t *testing.T) {
 		s := NewStatic(sch3(), recs)
-		before := append([]uint64(nil), s.rows...)
+		before := slices.Clone(wideRows(s))
 		visit := func(rec schema.Record) {
 			if len(rec) != 4 || cap(rec) != 4 {
 				t.Fatalf("view len %d cap %d, want 4/4", len(rec), cap(rec))
@@ -197,7 +263,7 @@ func TestViewContract(t *testing.T) {
 		}
 		s.Visit(fullRect(), visit)
 		s.All(func(rec schema.Record) bool { visit(rec); return true })
-		for i, v := range s.rows {
+		for i, v := range wideRows(s) {
 			if v != before[i] {
 				t.Fatalf("rows[%d] changed from %d to %d by an append to a view", i, before[i], v)
 			}

@@ -14,7 +14,8 @@ import (
 // the insert buffer every read scans linearly: large enough that a
 // carry's handful of allocations amortises to nothing per record, small
 // enough (10 KB of 40 B rows, half full on average) that the scan costs
-// about what one level's descent does.
+// about what one level's descent does. Tails stay 64-bit whatever their
+// values: the insert path and the rollup's row views never change width.
 const tailRows = 256
 
 // Options tunes the Sharded engine.
@@ -43,7 +44,14 @@ type Options struct {
 type tail struct {
 	rows []uint64     // stride arity; len is the fixed capacity
 	n    atomic.Int64 // published rows
+	// high is the OR of every inserted value's high half: nonzero once
+	// some value needs 64 bits. Only the writer reads or writes it.
+	high uint64
 }
+
+// narrow reports whether every row the tail holds fits 32-bit words; a
+// nil tail holds none.
+func (t *tail) narrow() bool { return t == nil || t.high == 0 }
 
 // published returns the rows readers may see; a nil tail has none.
 func (t *tail) published(arity int) []uint64 {
@@ -85,10 +93,7 @@ type ladderSnap struct {
 // so a record is seen at most once. A concurrent insert may or may not
 // be visible, an acknowledged one always is.
 type Sharded struct {
-	bounds []uint64
-	dims   int
-	arity  int
-	time   int // the schema's TimeDim: every level's cut schedule (schema.CutDim)
+	geom // shared by every level: the schema's bounds, dims, arity and cut schedule
 	// tailCap is the tail capacity in rows: tailRows, except that tests
 	// shrink it before the first insert so carries fire every few records.
 	tailCap int
@@ -105,10 +110,7 @@ type Sharded struct {
 // insert: an empty store is a few words.
 func NewSharded(sch *schema.Schema, opts Options) *Sharded {
 	e := &Sharded{
-		bounds:  sch.Bounds(),
-		dims:    sch.Dims(),
-		arity:   sch.Arity(),
-		time:    sch.TimeDim(),
+		geom:    newGeom(sch),
 		tailCap: tailRows,
 		append:  opts.Append,
 	}
@@ -146,6 +148,7 @@ func (e *Sharded) Insert(rec schema.Record) {
 	n := int(t.n.Load())
 	row := t.rows[n*e.arity : (n+1)*e.arity : (n+1)*e.arity]
 	copy(row, rec)
+	t.high |= highBits(row)
 	t.n.Store(int64(n + 1))
 	if e.roll != nil {
 		e.roll.Insert(row)
@@ -165,43 +168,62 @@ func (e *Sharded) Insert(rec schema.Record) {
 // absorbs, newest first, every level no longer than itself (all of them
 // when everything is set) — the binary-counter carry, which keeps level
 // lengths strictly decreasing. The new level's arena is the absorbed
-// arenas and the tail appended oldest first, then partitioned in place,
-// and the rollup folds last, so its delta never outlives the tail it
-// views. Caller holds e.mu. The old snapshot's parts are never mutated:
-// in-flight readers drain on them and the GC reclaims them after.
+// arenas and the tail appended oldest first, then partitioned in place;
+// it is narrow iff the tail and every absorbed level are, so a wide
+// value widens only the levels that come to hold it. The rollup folds
+// last, so its delta never outlives the tail it views. Caller holds
+// e.mu. The old snapshot's parts are never mutated: in-flight readers
+// drain on them and the GC reclaims them after.
 func (e *Sharded) carryLocked(snap *ladderSnap, everything bool) {
 	tailRun := snap.tail.published(e.arity)
-	run, keep := len(tailRun), len(snap.levels)
-	for keep > 0 && (everything || len(snap.levels[keep-1].rows) <= run) {
+	run, keep, narrow := len(tailRun)/e.arity, len(snap.levels), snap.tail.narrow()
+	for keep > 0 && (everything || snap.levels[keep-1].Len() <= run) {
 		keep--
-		run += len(snap.levels[keep].rows)
+		run += snap.levels[keep].Len()
+		narrow = narrow && !snap.levels[keep].isWide()
 	}
-	rows := make([]uint64, 0, run)
-	for _, l := range snap.levels[keep:] {
-		rows = append(rows, l.rows...)
-	}
-	rows = append(rows, tailRun...)
 	next := &ladderSnap{levels: make([]*Static, keep+1)}
 	copy(next.levels, snap.levels[:keep])
-	next.levels[keep] = buildStatic(e.bounds, e.dims, e.arity, e.time, rows)
+	if narrow {
+		next.levels[keep] = newLevel(&e.geom, gather[uint32](snap.levels[keep:], tailRun, run*e.arity), true)
+	} else {
+		next.levels[keep] = newLevel(&e.geom, gather[uint64](snap.levels[keep:], tailRun, run*e.arity), true)
+	}
 	if !everything {
 		next.tail = e.newTail()
 	}
 	e.snap.Store(next)
 	e.carries.Add(1)
-	e.carriedRows.Add(uint64(run / e.arity))
+	e.carriedRows.Add(uint64(run))
 	if e.roll != nil {
 		e.roll.Fold()
 	}
 }
 
+// gather appends the levels' rows, oldest first, and then tailRun into
+// one fresh arena of words W holding exactly words of them.
+func gather[W schema.Word](levels []*Static, tailRun []uint64, words int) []W {
+	rows := make([]W, 0, words)
+	for _, l := range levels {
+		rows = appendWords(rows, l.narrow.rows)
+		rows = appendWords(rows, l.wide.rows)
+	}
+	return appendWords(rows, tailRun)
+}
+
 // sealLocked appends the full tail to the levels as an unindexed level
-// over the tail's own arena — no copy, no build — and publishes the
-// result with a fresh tail. The level list grows in place: a published
-// snapshot never reads past its own length, and only the writer appends.
-// Caller holds e.mu.
+// and publishes the result with a fresh tail: a narrow tail is copied
+// into a 32-bit arena of its own — one copy, no build — and a wide one
+// becomes the level as it is. The level list grows in place: a
+// published snapshot never reads past its own length, and only the
+// writer appends. Caller holds e.mu.
 func (e *Sharded) sealLocked(snap *ladderSnap) {
-	sealed := &Static{bounds: e.bounds, dims: e.dims, arity: e.arity, time: e.time, rows: snap.tail.rows}
+	var sealed *Static
+	if t := snap.tail; t.narrow() {
+		sealed = newLevel(&e.geom, appendWords(make([]uint32, 0, len(t.rows)), t.rows), false)
+	} else {
+		sealed = newLevel(&e.geom, t.rows, false)
+	}
 	e.snap.Store(&ladderSnap{levels: append(snap.levels, sealed), tail: e.newTail()})
 }
 
@@ -223,7 +245,7 @@ func (e *Sharded) Compact() {
 // window. The aggregate path pairs it with Rollup, folding the rollup's
 // boundary cells through it batch by batch (summary.Fold.AddBatch)
 // without materializing a record slice.
-func (e *Sharded) VisitBatches(rect schema.Rect, fn func(rows []uint64, sel []int32)) {
+func (e *Sharded) VisitBatches(rect schema.Rect, fn func(rows schema.Rows, sel []int32)) {
 	var buf windowBuf
 	w, ok := openWindow(e.bounds, rect, &buf)
 	if !ok {
@@ -250,9 +272,10 @@ func (e *Sharded) Query(rect schema.Rect) []schema.Record {
 }
 
 // QueryAppend resolves rect and appends matches to out, returning the
-// extended slice; out grows at most once per batch.
+// extended slice; out grows at most once per batch, and a narrow
+// level's batch is copied once (Static's view contract).
 func (e *Sharded) QueryAppend(rect schema.Rect, out []schema.Record) []schema.Record {
-	e.VisitBatches(rect, func(rows []uint64, sel []int32) { out = appendRecords(out, rows, sel, e.arity) })
+	e.VisitBatches(rect, func(rows schema.Rows, sel []int32) { out = appendRecords(out, rows, sel, e.arity) })
 	return out
 }
 
@@ -260,32 +283,43 @@ func (e *Sharded) QueryAppend(rect schema.Rect, out []schema.Record) []schema.Re
 // them.
 func (e *Sharded) Count(rect schema.Rect) int {
 	n := 0
-	e.VisitBatches(rect, func(_ []uint64, sel []int32) { n += len(sel) })
+	e.VisitBatches(rect, func(_ schema.Rows, sel []int32) { n += len(sel) })
 	return n
 }
 
 // LadderShape is the ladder as an operator sees it. CarriedRows ÷
-// records inserted is the write amplification.
+// records inserted is the write amplification; Bytes ÷ records is the
+// footprint, ≈ 4·arity per record while every level is narrow and up to
+// twice that once WideLevels counts levels holding a value ≥ 2³².
 type LadderShape struct {
 	Levels      []int  `json:"levels"` // level lengths, oldest first
 	TailRecords int    `json:"tail_records"`
 	Carries     uint64 `json:"carries"`
 	CarriedRows uint64 `json:"carried_rows"`
+	Bytes       int    `json:"bytes"`       // every level's rows and cuts, plus the tail arena
+	WideLevels  int    `json:"wide_levels"` // levels keeping 64-bit rows
 }
 
 // Shape snapshots the ladder (ops surface, tests).
 func (e *Sharded) Shape() LadderShape {
 	snap := e.snap.Load()
-	levels := make([]int, len(snap.levels))
-	for k, l := range snap.levels {
-		levels[k] = l.Len()
-	}
-	return LadderShape{
-		Levels:      levels,
+	shape := LadderShape{
+		Levels:      make([]int, len(snap.levels)),
 		TailRecords: len(snap.tail.published(e.arity)) / e.arity,
 		Carries:     e.carries.Load(),
 		CarriedRows: e.carriedRows.Load(),
 	}
+	for k, l := range snap.levels {
+		shape.Levels[k] = l.Len()
+		shape.Bytes += l.bytes()
+		if l.isWide() {
+			shape.WideLevels++
+		}
+	}
+	if snap.tail != nil {
+		shape.Bytes += 8 * len(snap.tail.rows)
+	}
+	return shape
 }
 
 // count returns the records held in levels and in the tail.
@@ -311,7 +345,7 @@ func (e *Sharded) Len() int {
 func (e *Sharded) All(yield func(rec schema.Record) bool) {
 	snap := e.snap.Load()
 	for _, l := range snap.levels {
-		if !eachRow(l.rows, e.arity, yield) {
+		if !l.each(yield) {
 			return
 		}
 	}

@@ -333,8 +333,8 @@ func TestAppendLadderShape(t *testing.T) {
 			t.Fatalf("tail %d: %d levels + %d in the tail over %d inserts", tailCap, len(s.Levels), s.TailRecords, len(recs))
 		}
 		for k, l := range e.snap.Load().levels {
-			if l.Len() != tailCap || l.cuts != nil {
-				t.Fatalf("tail %d: level %d holds %d rows (cuts %v), want one sealed tail of %d", tailCap, k, l.Len(), l.cuts != nil, tailCap)
+			if l.Len() != tailCap || indexed(l) {
+				t.Fatalf("tail %d: level %d holds %d rows (cuts %v), want one sealed tail of %d", tailCap, k, l.Len(), indexed(l), tailCap)
 			}
 		}
 		i := 0
@@ -350,7 +350,7 @@ func TestAppendLadderShape(t *testing.T) {
 		if len(c.Levels) != 1 || c.Levels[0] != len(recs) || c.TailRecords != 0 || c.Carries != 1 || c.CarriedRows != uint64(len(recs)) {
 			t.Fatalf("tail %d: Compact left %+v", tailCap, c)
 		}
-		if l := e.snap.Load().levels[0]; l.cuts == nil {
+		if l := e.snap.Load().levels[0]; !indexed(l) {
 			t.Fatalf("tail %d: the compacted level is not indexed", tailCap)
 		}
 		if got := e.Query(fullRect()); !sameRecs(got, append([]schema.Record(nil), recs...)) {

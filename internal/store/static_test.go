@@ -2,10 +2,30 @@ package store
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mind/internal/schema"
 )
+
+// wideRows and wideCuts read a level's arena as 64-bit words, whatever
+// width it keeps.
+func wideRows(s *Static) []uint64 {
+	if s.isWide() {
+		return s.wide.rows
+	}
+	return widen(s.narrow.rows)
+}
+
+func wideCuts(s *Static) []uint64 {
+	if s.isWide() {
+		return s.wide.cuts
+	}
+	return widen(s.narrow.cuts)
+}
+
+// indexed reports whether a level has cuts (a sealed tail has none).
+func indexed(s *Static) bool { return s.wide.cuts != nil || s.narrow.cuts != nil }
 
 func fullRect() schema.Rect {
 	return schema.Rect{Lo: []uint64{0, 0, 0}, Hi: []uint64{9999, 9999, 9999}}
@@ -102,7 +122,10 @@ func TestStaticClampedRecords(t *testing.T) {
 // implicit tree's size, and the deepest path fits the fixed traversal
 // stack. The schedule is restated here from its definition: round robin
 // without a time attribute (sch3), and with one the time dimension on
-// depths 3j and 3j+1 and the others in schema order on 3j+2.
+// depths 3j and 3j+1 and the others in schema order on 3j+2. Every case
+// is built twice, with payloads that fit 32 bits (a narrow level) and
+// with payloads that do not (a wide one): the width is the data's, and
+// both widths hold the same rows in the same partition order.
 func TestStaticPartitionLayout(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	gens := map[string]func(i int) []uint64{
@@ -139,9 +162,26 @@ func TestStaticPartitionLayout(t *testing.T) {
 					copy(recs[i], gen(i))
 					recs[i][arity-1] = uint64(i)
 				}
+				narrow := NewStatic(sc.sch, recs)
+				for _, rec := range recs {
+					rec[arity-1] |= 1 << 40
+				}
 				s := NewStatic(sc.sch, recs)
-				if s.Len() != n || len(s.rows) != n*s.arity {
-					t.Fatalf("%s n=%d: Len=%d rows=%d", name, n, s.Len(), len(s.rows))
+				if n > 0 && (narrow.isWide() || !s.isWide()) {
+					t.Fatalf("%s n=%d: 32-bit payloads built a wide level (%v) or 2⁴⁰ ones a narrow level (%v)", name, n, narrow.isWide(), !s.isWide())
+				}
+				if nr, wr := wideRows(narrow), wideRows(s); len(nr) != len(wr) || !slices.Equal(wideCuts(narrow), wideCuts(s)) {
+					t.Fatalf("%s n=%d: narrow and wide levels differ in size or cuts", name, n)
+				} else {
+					for i := range nr {
+						if i%arity != arity-1 && nr[i] != wr[i] || i%arity == arity-1 && nr[i]|1<<40 != wr[i] {
+							t.Fatalf("%s n=%d: narrow and wide partition orders differ at word %d", name, n, i)
+						}
+					}
+				}
+				rows, cuts := wideRows(s), wideCuts(s)
+				if s.Len() != n || len(rows) != n*s.arity {
+					t.Fatalf("%s n=%d: Len=%d rows=%d", name, n, s.Len(), len(rows))
 				}
 				var stored []schema.Record
 				s.All(func(rec schema.Record) bool { stored = append(stored, rec); return true })
@@ -153,10 +193,10 @@ func TestStaticPartitionLayout(t *testing.T) {
 					for want = 1; (n+want-1)/want > leafRows; want *= 2 {
 					}
 				}
-				if len(s.cuts) != want {
-					t.Fatalf("%s n=%d: len(cuts) = %d, want %d", name, n, len(s.cuts), want)
+				if len(cuts) != want {
+					t.Fatalf("%s n=%d: len(cuts) = %d, want %d", name, n, len(cuts), want)
 				}
-				coord := func(row, dim int) uint64 { return min(s.rows[row*s.arity+dim], s.bounds[dim]) }
+				coord := func(row, dim int) uint64 { return min(rows[row*s.arity+dim], s.bounds[dim]) }
 				depth := 0
 				var walk func(node, lo, hi, d int)
 				walk = func(node, lo, hi, d int) {
@@ -165,7 +205,7 @@ func TestStaticPartitionLayout(t *testing.T) {
 						return
 					}
 					dim := sc.want(d)
-					cut, mid := s.cuts[node], lo+(hi-lo)/2
+					cut, mid := cuts[node], lo+(hi-lo)/2
 					for row := lo; row < hi; row++ {
 						if v := coord(row, dim); (row < mid && v > cut) || (row >= mid && v < cut) {
 							t.Fatalf("%s n=%d: node %d (depth %d) rows [%d,%d) cut %d on dim %d: row %d has %d on the wrong side",

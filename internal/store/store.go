@@ -11,9 +11,12 @@
 //     pointer-free arena of full records in partition order, bucketed
 //     into leaves of at most leafRows rows: no per-node pointers, no
 //     per-query allocations, one iterative traversal (VisitBatches) that
-//     every read is a wrapper over. Its cuts follow one schedule,
-//     schema.CutDim: the time attribute on two levels of every three,
-//     because the queries a monitor asks are windows in time.
+//     every read is a wrapper over. A level whose every value fits 32
+//     bits keeps 32-bit words, any other 64-bit ones; the kernels are
+//     generic over the word (schema.Word) and exist once. Its cuts
+//     follow one schedule, schema.CutDim: the time attribute on two
+//     levels of every three, because the queries a monitor asks are
+//     windows in time.
 //   - Sharded (shard.go) is the engine: one logarithmic-method ladder
 //     of Static arenas behind a small unsorted tail arena that absorbs
 //     inserts and is carried into the ladder when it fills. An engine
@@ -25,8 +28,9 @@
 //     version (§3.7).
 //
 // Every read hands its matches over a batch at a time: one leaf's row
-// slice (a tail is cut into leaf-sized runs) plus a selection, the
-// ascending word offsets of the rows inside the query window.
+// slice in its level's width (schema.Rows; a tail is cut into
+// leaf-sized runs) plus a selection, the ascending word offsets of the
+// rows inside the query window.
 // selectRows picks them without a data-dependent branch, one column at
 // a time — the first constrained column over every row, each later one
 // over the rows that survived — so a leaf that straddles a window edge
@@ -179,8 +183,9 @@ var selPool = sync.Pool{New: func() any { return new(selection) }}
 // row and each later bound only over the rows that survived, so a
 // selective first column (a destination prefix) leaves little for the
 // others to test, as the early exit of a row-at-a-time scan did. With no
-// bound at all every row is selected.
-func selectRows(rows []uint64, arity int, con []bound, sel *selection) []int32 {
+// bound at all every row is selected. A narrow row's value is widened
+// to 64 bits on load, so one bound serves both widths.
+func selectRows[W schema.Word](rows []W, arity int, con []bound, sel *selection) []int32 {
 	k := 0
 	if len(con) == 0 {
 		for b := 0; b < len(rows); b += arity {
@@ -192,13 +197,13 @@ func selectRows(rows []uint64, arity int, con []bound, sel *selection) []int32 {
 	c := con[0]
 	for b := 0; b < len(rows); b += arity {
 		sel[k] = int32(b)
-		k += inside(rows[b+c.dim], c)
+		k += inside(uint64(rows[b+c.dim]), c)
 	}
 	for _, c := range con[1:] {
 		n := 0
 		for _, b := range sel[:k] {
 			sel[n] = b
-			n += inside(rows[int(b)+c.dim], c)
+			n += inside(uint64(rows[int(b)+c.dim]), c)
 		}
 		k = n
 	}
@@ -216,44 +221,82 @@ func inside(v uint64, c bound) int {
 // scanBatches hands fn, one leaf-sized run at a time, the rows of rows
 // (stride arity) that satisfy every bound; a run with none is skipped.
 // It is the one row scan: a Static leaf is a single run, a tail several.
-func scanBatches(rows []uint64, arity int, con []bound, sel *selection, fn func(rows []uint64, sel []int32)) {
+func scanBatches[W schema.Word](rows []W, arity int, con []bound, sel *selection, fn func(rows schema.Rows, sel []int32)) {
 	for step := leafRows * arity; len(rows) > 0; {
 		run := rows[:min(step, len(rows))]
 		rows = rows[len(run):]
 		if in := selectRows(run, arity, con, sel); len(in) > 0 {
-			fn(run, in)
+			fn(rowsOf(run), in)
 		}
+	}
+}
+
+// rowsOf names a run of words as the batch type its width is.
+func rowsOf[W schema.Word](run []W) schema.Rows {
+	switch run := any(run).(type) {
+	case []uint32:
+		return schema.Rows{W32: run}
+	case []uint64:
+		return schema.Rows{W64: run}
+	}
+	panic("unreachable: schema.Word has two widths")
+}
+
+// widen returns run as 64-bit words: run itself when it is 64-bit, a
+// fresh copy when it is narrow.
+func widen[W schema.Word](run []W) []uint64 {
+	if w, ok := any(run).([]uint64); ok {
+		return w
+	}
+	return appendWords(make([]uint64, 0, len(run)), run)
+}
+
+// eachSelected calls fn with every selected record of a batch as a
+// capped 64-bit view. A 64-bit batch's views are of the arena itself; a
+// narrow batch's are of one fresh packed copy of just the selected rows,
+// made once per batch — either way the view contract (Static) holds.
+func eachSelected(rows schema.Rows, sel []int32, arity int, fn func(schema.Record)) {
+	if rows.W32 == nil {
+		for _, o := range sel {
+			b := int(o)
+			fn(rows.W64[b : b+arity : b+arity])
+		}
+		return
+	}
+	words := make([]uint64, 0, len(sel)*arity)
+	for _, o := range sel {
+		b, n := int(o), len(words)
+		words = appendWords(words, rows.W32[b:b+arity])
+		fn(words[n : n+arity : n+arity])
 	}
 }
 
 // recordsOf adapts a record callback to batches: fn sees every selected
-// row as a capped view.
-func recordsOf(arity int, fn func(schema.Record)) func(rows []uint64, sel []int32) {
-	return func(rows []uint64, sel []int32) {
-		for _, o := range sel {
-			b := int(o)
-			fn(rows[b : b+arity : b+arity])
-		}
-	}
+// row as a capped 64-bit view (eachSelected).
+func recordsOf(arity int, fn func(schema.Record)) func(rows schema.Rows, sel []int32) {
+	return func(rows schema.Rows, sel []int32) { eachSelected(rows, sel, arity, fn) }
 }
 
 // appendRecords appends every selected row of a batch to out as a capped
-// view, growing out once per batch.
-func appendRecords(out []schema.Record, rows []uint64, sel []int32, arity int) []schema.Record {
+// view (eachSelected), growing out once per batch.
+func appendRecords(out []schema.Record, rows schema.Rows, sel []int32, arity int) []schema.Record {
 	out = slices.Grow(out, len(sel))
-	for _, o := range sel {
-		b := int(o)
-		out = append(out, rows[b:b+arity:b+arity])
-	}
+	eachSelected(rows, sel, arity, func(rec schema.Record) { out = append(out, rec) })
 	return out
 }
 
-// eachRow streams rows (stride arity) as capped views until yield
-// returns false, and reports whether it ran to the end.
-func eachRow(rows []uint64, arity int, yield func(schema.Record) bool) bool {
-	for b := 0; b+arity <= len(rows); b += arity {
-		if !yield(rows[b : b+arity : b+arity]) {
-			return false
+// eachRow streams rows (stride arity) as capped 64-bit views until yield
+// returns false, and reports whether it ran to the end. A narrow arena
+// is widened a leaf-sized run at a time, into a fresh copy each (the
+// view contract).
+func eachRow[W schema.Word](rows []W, arity int, yield func(schema.Record) bool) bool {
+	for step := leafRows * arity; len(rows) > 0; {
+		run := widen(rows[:min(step, len(rows))])
+		rows = rows[len(run):]
+		for b := 0; b+arity <= len(run); b += arity {
+			if !yield(run[b : b+arity : b+arity]) {
+				return false
+			}
 		}
 	}
 	return true
