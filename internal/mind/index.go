@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mind/internal/bitstr"
@@ -53,10 +54,13 @@ type index struct {
 	// replicaOwners records the owner codes whose data we replicate,
 	// enabling fail-over answers for their regions.
 	replicaOwners map[bitstr.Code]bool
-	// reqSeen dedups the primary store's inserts on their ReqIDs against
-	// a record delivered twice (an originator retransmission). It is
-	// bounded to half the node-wide dedup budget, so memory stays O(1)
-	// per index while the window far exceeds any retransmission horizon.
+	// reqSeen remembers the ReqIDs of the repeats (retransmissions and
+	// repair re-inserts) that reached the primary store, so a delayed
+	// original overtaken by its own retransmission is not stored twice.
+	// Originals leave no id in it: a transport delivers each frame at
+	// most once, so an original can collide only with a repeat, and in
+	// steady state the set holds nothing. It is bounded to half the
+	// node-wide dedup budget; the window is counted in repeats only.
 	// The replica store needs no such set: an owner replicates a record
 	// once, when it first stores it.
 	reqSeen reqDedup
@@ -73,16 +77,19 @@ type index struct {
 	histUntil  time.Time
 
 	// triggers are the standing queries installed at this node for the
-	// regions it owns (paper footnote 1).
+	// regions it owns (paper footnote 1). armed mirrors len(triggers) > 0,
+	// written under mu, so storing a record while none is installed reads
+	// neither the clock nor mu (fireTriggers).
 	triggers []*trigger
+	armed    atomic.Bool
 
 	timeAttr int // index of the KindTime attribute among indexed dims, or -1
 }
 
-// reqDedup is the primary store's ReqID dedup set, a flat
-// two-generation table (genSet). The mark and the store insert happen
-// under mu, so a retransmitted ReqID can never slip past its first
-// copy's in-flight store.
+// reqDedup is the primary store's set of repeat ReqIDs, a flat
+// two-generation table (genSet). The mark or lookup and the store insert
+// happen under mu, so neither an original nor a repeat can slip past the
+// other's in-flight store.
 type reqDedup struct {
 	mu   sync.Mutex
 	seen *dedupSet
@@ -345,16 +352,22 @@ func indexFromDef(d wire.IndexDef) (*index, error) {
 
 // storeRecord inserts into primary storage with ReqID dedup; it reports
 // whether the record was new. A repeat (a retransmission or a repair
-// re-insert) is also new only if version v's store
-// holds no byte-identical record: its first copy, or another holder's
-// re-insert of it, may be stored under another ReqID — or under this one
-// after the dedup set forgot it. The probe runs under the dedup lock, so
-// two repeats of one record cannot both miss each other.
+// re-insert) marks its ReqID in reqSeen and is new only if the id was
+// unmarked and version v's store holds no byte-identical record: its
+// first copy, or another holder's re-insert of it, may be stored under
+// another ReqID, or under this one (an original leaves no mark). An
+// original only looks its ReqID up: it is dropped only if a repeat of it
+// overtook it and was stored first. Both run under the dedup lock, so
+// two copies of one record cannot both miss each other.
 func (ix *index) storeRecord(v uint32, reqID uint64, rec schema.Record, repeat bool) bool {
 	d := &ix.reqSeen
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.seen.Seen(reqID) || repeat && ix.holds(v, rec) {
+	if repeat {
+		if d.seen.Seen(reqID) || ix.holds(v, rec) {
+			return false
+		}
+	} else if _, overtaken := d.seen.Get(reqID); overtaken {
 		return false
 	}
 	ix.primary.Insert(v, rec)

@@ -1,12 +1,15 @@
 package mind
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"mind/internal/bitstr"
 	"mind/internal/embed"
 	"mind/internal/schema"
+	"mind/internal/transport"
 	"mind/internal/wire"
 )
 
@@ -118,14 +121,15 @@ func TestIndexDefMissingBaseGetsUniform(t *testing.T) {
 }
 
 // TestStoreRecordDedup: the primary store keeps one copy per ReqID, and
-// two inserts of one record under different ReqIDs are both new.
+// two inserts of one record under different ReqIDs are both new. The
+// second copy is a retransmission, a repeat as every sender sends it.
 func TestStoreRecordDedup(t *testing.T) {
 	ix := newTestIndex()
 	rec := schema.Record{1, 2, 3, 4}
 	if !ix.storeRecord(0, 42, rec, false) {
 		t.Fatal("first store rejected")
 	}
-	if ix.storeRecord(0, 42, rec, false) {
+	if ix.storeRecord(0, 42, rec, true) {
 		t.Fatal("duplicate ReqID accepted (a retransmission would duplicate data)")
 	}
 	if !ix.storeRecord(0, 43, rec, false) {
@@ -134,6 +138,77 @@ func TestStoreRecordDedup(t *testing.T) {
 	if ix.primary.Len() != 2 {
 		t.Fatalf("stored = %d, want 2", ix.primary.Len())
 	}
+}
+
+// TestRepeatDedupOriginalsLeaveNoState: originals only look their
+// ReqIDs up, so any number of them leaves the owner's dedup set empty,
+// with no table allocated in either generation.
+func TestRepeatDedupOriginalsLeaveNoState(t *testing.T) {
+	ix := newTestIndex()
+	for i := range uint64(100_000) {
+		if !ix.storeRecord(0, i+1, schema.Record{i % 1000, i % 86400, i / 1000 % 1000, i}, false) {
+			t.Fatalf("original %d dropped", i+1)
+		}
+	}
+	d := ix.reqSeen.seen
+	if d.Len() != 0 || len(d.cur.keys) != 0 || len(d.prev.keys) != 0 {
+		t.Fatalf("dedup set holds %d ids in %d+%d slots after originals only, want none",
+			d.Len(), len(d.cur.keys), len(d.prev.keys))
+	}
+}
+
+// countingClock counts Now calls; it schedules nothing.
+type countingClock struct {
+	transport.Clock
+	now   time.Time
+	reads atomic.Int64
+}
+
+func (c *countingClock) Now() time.Time { c.reads.Add(1); return c.now }
+
+// TestFireTriggersArmed: storing a record reads the clock only while a
+// trigger is installed, and the last trigger expiring disarms the index
+// again. Installs and removals racing the store path are safe.
+func TestFireTriggersArmed(t *testing.T) {
+	ix := newTestIndex()
+	clk := &countingClock{now: time.Unix(1000, 0)}
+	rec := schema.Record{1, 2, 3, 4}
+	if fired := ix.fireTriggers(clk, rec); fired != nil || clk.reads.Load() != 0 {
+		t.Fatalf("no trigger: fired %d, read the clock %d times, want 0 and 0", len(fired), clk.reads.Load())
+	}
+	tr := &trigger{id: 1, rect: ix.sch.FullRect(), expires: clk.now.Add(time.Minute)}
+	ix.mu.Lock()
+	ix.setTriggersLocked([]*trigger{tr})
+	ix.mu.Unlock()
+	if fired := ix.fireTriggers(clk, rec); len(fired) != 1 || clk.reads.Load() != 1 {
+		t.Fatalf("one trigger: fired %d, read the clock %d times, want 1 and 1", len(fired), clk.reads.Load())
+	}
+	clk.now = clk.now.Add(2 * time.Minute)
+	if fired := ix.fireTriggers(clk, rec); fired != nil || ix.armed.Load() {
+		t.Fatalf("expired trigger: fired %d, armed %v, want 0 and false", len(fired), ix.armed.Load())
+	}
+
+	clk.now = time.Unix(1000, 0)
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 1000 {
+				ix.fireTriggers(clk, rec)
+			}
+		}()
+	}
+	for i := range 1000 {
+		ix.mu.Lock()
+		if i%2 == 0 {
+			ix.setTriggersLocked([]*trigger{tr})
+		} else {
+			ix.setTriggersLocked(nil)
+		}
+		ix.mu.Unlock()
+	}
+	wg.Wait()
 }
 
 func TestAbsorbReplicas(t *testing.T) {

@@ -395,14 +395,15 @@ func (n *Node) forwardInsert(r *insertRec, ob *outbox) {
 // storeAsOwner stores the record, replicates it, and acks the origin,
 // all through ob. It runs without any node-wide lock: the per-index
 // dedup+insert is atomic inside storeRecord, trigger matching locks the
-// index, and the sends happen lock-free.
+// index only while a trigger is installed, and the sends happen
+// lock-free.
 func (n *Node) storeAsOwner(ix *index, r *insertRec, ob *outbox) {
 	rec := r.values()
 	isNew := ix.storeRecord(r.version, r.reqID, rec, r.repeat)
 	var fired []*trigger
 	if isNew {
 		n.stored.Add(1)
-		fired = ix.fireTriggers(n.clock.Now(), rec)
+		fired = ix.fireTriggers(n.clock, rec)
 	} else {
 		// Retransmission of a record already stored, or a repeat of a
 		// byte-identical stored copy: idempotent, but the origin still

@@ -255,23 +255,23 @@ func deliverAttempt(t *testing.T, a, owner *Node, tag string, reqID uint64, rec 
 	ob.flush()
 }
 
-// TestOverlapRotatedRetransmission: an owner's ReqID dedup set is
-// bounded, so a retransmission arriving after it forgot the id is caught
-// by the repeat bit alone: the retransmitted record is byte-identical to
-// the stored first copy, and is acked but not stored again.
+// TestOverlapRotatedRetransmission: an owner's ReqID dedup set holds
+// repeats only, so a retransmission of a stored original finds no id and
+// is caught by the repeat bit alone: the retransmitted record is
+// byte-identical to the stored first copy, and is acked but not stored
+// again.
 func TestOverlapRotatedRetransmission(t *testing.T) {
 	_, a, b, _, _, sch := tapPair(t)
 	recs := ownedRecs(t, a, sch.Tag, 83, false, 3)
 	ix, _ := b.getIndex(sch.Tag)
-	ix.reqSeen.seen = newDedupSet(1) // remembers the last two ids
 	deliver := func(reqID uint64, rec schema.Record, attempt int) {
 		deliverAttempt(t, a, b, sch.Tag, reqID, rec, attempt)
 	}
 	for i, rec := range recs {
 		deliver(uint64(100+i), rec, 0)
 	}
-	if _, still := ix.reqSeen.seen.Get(100); still {
-		t.Fatal("dedup set still remembers the first id")
+	if n := ix.reqSeen.seen.Len(); n != 0 {
+		t.Fatalf("dedup set remembers %d ids of originals, want none", n)
 	}
 	hits := b.Stats().DedupHits
 	deliver(100, recs[0], 1)
@@ -296,6 +296,32 @@ func TestOverlapOvertakingRetransmission(t *testing.T) {
 	deliverAttempt(t, a, b, sch.Tag, 300, x, 0)
 	if got := b.StoredRecords(sch.Tag); got != 1 {
 		t.Fatalf("owner stores %d copies after both attempts, want 1", got)
+	}
+	if got := b.Stats().DedupHits - hits; got != 1 {
+		t.Fatalf("owner counted %d dedup hits, want the late first attempt", got)
+	}
+}
+
+// TestRepeatDedupOutlivesBulk: the owner's ReqID set counts repeats
+// only, so a stored retransmission stays remembered however many
+// originals follow it: more than its two generations hold do not push it
+// out, and the delayed first attempt arriving after them is still
+// dropped as a dedup hit.
+func TestRepeatDedupOutlivesBulk(t *testing.T) {
+	_, a, b, _, _, sch := tapPair(t)
+	x := ownedRecs(t, a, sch.Tag, 89, false, 1)[0]
+	ix, _ := b.getIndex(sch.Tag)
+	v, _, _ := ownerTarget(t, a, sch.Tag, x)
+	deliverAttempt(t, a, b, sch.Tag, 400, x, 1)
+	for i, rec := range envelopeRecs(90, 2*(dedupCap/2)+1) {
+		if !ix.storeRecord(v, uint64(1_000_000+i), rec, false) {
+			t.Fatalf("original %d under a fresh id dropped", i)
+		}
+	}
+	stored, hits := b.StoredRecords(sch.Tag), b.Stats().DedupHits
+	deliverAttempt(t, a, b, sch.Tag, 400, x, 0)
+	if got := b.StoredRecords(sch.Tag) - stored; got != 0 {
+		t.Fatalf("owner stored the late first attempt %d times, want 0", got)
 	}
 	if got := b.Stats().DedupHits - hits; got != 1 {
 		t.Fatalf("owner counted %d dedup hits, want the late first attempt", got)

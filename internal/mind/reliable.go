@@ -35,13 +35,21 @@ const dedupCap = 1 << 16
 // current generation fills, it becomes the previous generation and the
 // old previous one, cleared, becomes the current. Lookups consult both,
 // so a key is remembered for at least cap and at most 2·cap recent
-// insertions with O(1) operations and bounded memory — the
-// idempotent-receiver cache of the reliable request layer (dedupSet:
-// insert ReqIDs at owners, flood op ids) and the ClientInsert ack cache
-// (client_api.go). The retransmission horizon (MaxRetries
-// backoff steps) is far shorter than the time it takes cap fresh keys to
-// arrive, so a retransmitted request always finds its first attempt
-// still cached.
+// insertions with O(1) operations and bounded memory. A key is caught
+// only while fewer than cap fresh keys have arrived after it, which each
+// user bounds on its own terms:
+//   - an owner's insert ReqIDs (index.reqSeen) hold repeats only, the
+//     retransmissions and repair re-inserts; originals only look up, so
+//     the window is counted in repeats, not in the owner's insert rate;
+//   - flood op ids (Node.seenOps) grow one key per flooded operation
+//     (index create and drop, version install and retire, recall,
+//     trigger remove), rare next to inserts;
+//   - the ClientInsert ack cache (client_api.go) grows one key per
+//     client insert the node serves, so a client's retry finds its ack
+//     while fewer than cap client inserts reached the node after it;
+//   - a trigger subscriber's match ids (triggerSub.seen) grow one key
+//     per match, and the copies of one match arrive within its insert's
+//     retransmission horizon.
 //
 // A generation is a flat open-addressed table (genTable), not a Go map:
 // a lookup touches one slot, usually one cache line, and a set warmed

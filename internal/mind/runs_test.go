@@ -144,8 +144,10 @@ func TestReplicaRunCarriesNewRecordsOnly(t *testing.T) {
 		t.Fatal("owner has no replica target")
 	}
 	recs := envelopeRecs(41, 4)
-	send := func(ids ...int) {
-		in := &wire.InsertRun{OriginAddr: "n0", Index: sch.Tag, TreeEpoch: epoch}
+	// A retransmission is a run with Attempt ≥ 1 and the Repeat bit set,
+	// as resendInsertGroup sends it.
+	send := func(attempt uint8, ids ...int) {
+		in := &wire.InsertRun{OriginAddr: "n0", Index: sch.Tag, TreeEpoch: epoch, Attempt: attempt, Repeat: attempt > 0}
 		for _, i := range ids {
 			in.Append(uint64(500+i), n.Code(), 2, recs[i])
 		}
@@ -185,11 +187,11 @@ func TestReplicaRunCarriesNewRecordsOnly(t *testing.T) {
 			t.Errorf("%s: acked %v from %s, want %v from %s", stage, a.ReqIDs, a.StoredAt.Addr, ids, n.Addr())
 		}
 	}
-	send(0, 1, 2)
+	send(0, 0, 1, 2)
 	check("first run", []int{0, 1, 2}, []int{0, 1, 2})
-	send(1, 3)
+	send(1, 1, 3)
 	check("run with a retransmitted record", []int{3}, []int{1, 3})
-	send(2)
+	send(2, 2)
 	check("retransmission alone", nil, []int{2})
 	net.RunFor(time.Second)
 	if got := n.StoredRecords(sch.Tag); got != 4 {

@@ -117,7 +117,7 @@ func (n *Node) removeTriggerLocal(id uint64) {
 				kept = append(kept, tr)
 			}
 		}
-		ix.triggers = kept
+		ix.setTriggersLocked(kept)
 		ix.mu.Unlock()
 	}
 }
@@ -193,12 +193,19 @@ func (n *Node) installTrigger(m *wire.TriggerInstall) {
 			return
 		}
 	}
-	ix.triggers = append(ix.triggers, &trigger{
+	ix.setTriggersLocked(append(ix.triggers, &trigger{
 		id:         m.TriggerID,
 		subscriber: m.Subscriber,
 		rect:       m.Rect.Clone(),
 		expires:    n.clock.Now().Add(TriggerTTL),
-	})
+	}))
+}
+
+// setTriggersLocked replaces the installed triggers; the caller holds
+// ix.mu.
+func (ix *index) setTriggersLocked(ts []*trigger) {
+	ix.triggers = ts
+	ix.armed.Store(len(ts) > 0)
 }
 
 func (n *Node) handleTriggerRemove(m *wire.TriggerRemove) {
@@ -211,13 +218,15 @@ func (n *Node) handleTriggerRemove(m *wire.TriggerRemove) {
 
 // fireTriggers checks a freshly stored record against installed
 // triggers and returns the notifications to send; the caller must not
-// hold ix.mu. Expired triggers are dropped in the same pass.
-func (ix *index) fireTriggers(now time.Time, rec schema.Record) []*trigger {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if len(ix.triggers) == 0 {
+// hold ix.mu. Expired triggers are dropped in the same pass. With none
+// installed it reads neither the clock nor ix.mu.
+func (ix *index) fireTriggers(clock transport.Clock, rec schema.Record) []*trigger {
+	if !ix.armed.Load() {
 		return nil
 	}
+	now := clock.Now()
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	var fired []*trigger
 	kept := ix.triggers[:0]
 	for _, tr := range ix.triggers {
@@ -229,7 +238,7 @@ func (ix *index) fireTriggers(now time.Time, rec schema.Record) []*trigger {
 			fired = append(fired, tr)
 		}
 	}
-	ix.triggers = kept
+	ix.setTriggersLocked(kept)
 	return fired
 }
 
