@@ -257,9 +257,11 @@ func TestAblations(t *testing.T) {
 		t.Error("cut-order report empty")
 	}
 	rec := run(t, "ablation-recovery", 0.05)
-	if rec.Values["on_complete"] <= rec.Values["off_complete"] {
-		t.Errorf("ring recovery on completes %.3f of queries, off %.3f",
-			rec.Values["on_complete"], rec.Values["off_complete"])
+	// The detour matches the expanding ring it replaced (0.733 complete,
+	// recall 0.99927; no recovery completes 0.600), EXPERIMENTS.md.
+	if rec.Values["on_complete"] < 0.733 || rec.Values["on_recall"] < 0.9992 {
+		t.Errorf("detour completes %.3f of queries with recall %.5f; the ring read 0.733 and 0.99927",
+			rec.Values["on_complete"], rec.Values["on_recall"])
 	}
 }
 

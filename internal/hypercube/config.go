@@ -23,15 +23,11 @@ type Config struct {
 	// PrepareTimeout bounds how long a split target waits for neighbor
 	// approvals before aborting.
 	PrepareTimeout time.Duration
-	// RingTTLs are the successive expanding-ring broadcast scopes tried
-	// when greedy routing dead-ends (§3.8).
-	RingTTLs []uint8
-	// RingTimeout is the wait between ring escalations.
-	RingTimeout time.Duration
-	// LookupDepth is the random-code depth used to sample a node during
-	// join lookups.
-	LookupDepth int
 }
+
+// lookupDepth is the random-code depth used to sample a node during join
+// lookups and level-repair lookups.
+const lookupDepth = 24
 
 // DefaultConfig returns timers suitable for both the simulated WAN and a
 // real deployment.
@@ -43,8 +39,5 @@ func DefaultConfig() Config {
 		JoinTimeout:         3 * time.Second,
 		JoinRetryBackoff:    500 * time.Millisecond,
 		PrepareTimeout:      2 * time.Second,
-		RingTTLs:            []uint8{2, 4, 6},
-		RingTimeout:         2 * time.Second,
-		LookupDepth:         24,
 	}
 }

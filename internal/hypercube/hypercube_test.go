@@ -396,74 +396,6 @@ func TestPreemptionShallowerWins(t *testing.T) {
 	}
 }
 
-func TestRingProbeResume(t *testing.T) {
-	net := simnet.New(simnet.Config{Seed: 41, DefaultLatency: 5 * time.Millisecond})
-	nodes := newCluster(t, net, 8, testConfig())
-	joinAll(t, net, nodes, true)
-	net.RunFor(2 * time.Second)
-
-	// Pick a target owned by a node that is NOT a contact of nodes[1],
-	// then strip nodes[1]'s routing table to force a dead end.
-	src := nodes[1]
-	var dst *testNode
-	for _, tn := range nodes {
-		if tn == src {
-			continue
-		}
-		dst = tn
-	}
-	target := dst.ov.Code()
-
-	resumed := make(map[string]bool)
-	for _, tn := range nodes {
-		tn := tn
-		tn.ov.cb.OnResume = func(from string, payload []byte) {
-			resumed[tn.name] = true
-		}
-	}
-	// Clear src's contacts except one poor contact to guarantee a
-	// dead end, keeping connectivity for the broadcast.
-	src.ov.mu.Lock()
-	var keep *contact
-	for _, c := range src.ov.contacts {
-		if c.info.Code.CommonPrefixLen(target) <= src.ov.code.CommonPrefixLen(target) {
-			keep = c
-		}
-	}
-	if keep == nil {
-		// All contacts improve on the target; fabricate the dead end by
-		// keeping just the sibling-side contact with the worst match.
-		for _, c := range src.ov.contacts {
-			if keep == nil || c.info.Code.CommonPrefixLen(target) < keep.info.Code.CommonPrefixLen(target) {
-				keep = c
-			}
-		}
-	}
-	src.ov.contacts = map[string]*contact{keep.info.Addr: keep}
-	src.ov.mu.Unlock()
-
-	src.ov.RingRecover(target, []byte("stuck-payload"))
-	net.RunFor(10 * time.Second)
-
-	if len(resumed) == 0 {
-		t.Fatal("no node resumed the stuck message")
-	}
-	// The owner or a strictly-better-matching node resumed it.
-	if !resumed[dst.name] {
-		// Accept any resumer with a strictly better match.
-		ok := false
-		srcMatch := src.ov.Code().CommonPrefixLen(target)
-		for _, tn := range nodes {
-			if resumed[tn.name] && tn.ov.Code().CommonPrefixLen(target) > srcMatch {
-				ok = true
-			}
-		}
-		if !ok {
-			t.Fatalf("resumers %v have no better match than origin", resumed)
-		}
-	}
-}
-
 func TestLivenessProbe(t *testing.T) {
 	net := simnet.New(simnet.Config{Seed: 43, DefaultLatency: 5 * time.Millisecond})
 	nodes := newCluster(t, net, 8, testConfig())

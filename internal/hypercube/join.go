@@ -36,7 +36,7 @@ func (o *Overlay) joinLookup() {
 	j := o.joining
 	j.attempt++
 	j.reqID = uint64(j.attempt)<<32 | uint64(o.rng.Uint32())
-	target := bitstr.New(o.rng.Uint64()>>(64-uint(o.cfg.LookupDepth)), o.cfg.LookupDepth)
+	target := bitstr.New(o.rng.Uint64()>>(64-lookupDepth), lookupDepth)
 	// Rotate through the seed list across attempts: a post-step-down
 	// rejoin must not spin forever on a winner that died before the
 	// rejoin completed.

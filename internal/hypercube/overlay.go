@@ -1,13 +1,13 @@
 // Package hypercube implements MIND's overlay: node codes forming the
 // leaves of a binary partition of the code space, the modified Adler
 // join protocol with deadlock-free serialization of concurrent joins
-// (§3.3, Fig 4), greedy longest-prefix hypercube routing (§3.5),
-// expanding-ring recovery from routing dead-ends, heartbeat-based
-// failure detection and sibling takeover (§3.8).
+// (§3.3, Fig 4), greedy longest-prefix hypercube routing (§3.5) with a
+// bounded detour around dead ends, heartbeat-based failure detection and
+// sibling takeover (§3.8).
 //
 // An Overlay is one node's view of the hypercube. It owns the join and
 // maintenance message kinds; routed data messages belong to the host
-// (the mind node), which uses Owns/NextHop/RingRecover to move them.
+// (the mind node), which uses Owns/Route to move them.
 package hypercube
 
 import (
@@ -35,13 +35,6 @@ type Callbacks struct {
 	// OnTakeover fires after this node shortened its code to absorb a
 	// dead sibling region.
 	OnTakeover func(dead, oldCode bitstr.Code)
-	// OnResume re-injects a routed message recovered by an
-	// expanding-ring probe, exactly as if it had just arrived.
-	OnResume func(from string, payload []byte)
-	// CanResume lets the host volunteer to resume a probed message even
-	// without a better prefix match — e.g. because it holds replicas
-	// covering the target region (§3.8 fail-over).
-	CanResume func(target bitstr.Code) bool
 	// OnContactDead fires when a contact is declared failed.
 	OnContactDead func(info wire.NodeInfo)
 	// OnContactMoved fires (from the heartbeat tick, at most one tick
@@ -161,8 +154,6 @@ type Overlay struct {
 	// from the address (a genuine restart) clears the tombstone at once.
 	tombstones map[string]time.Time
 
-	seenProbes   map[uint64]bool
-	probeSeq     uint64
 	livenessSeq  uint64
 	livenessWait map[uint64]func(alive bool)
 }
@@ -221,7 +212,6 @@ func New(ep transport.Endpoint, clock transport.Clock, cfg Config, seed int64, c
 		cb:             cb,
 		rng:            rand.New(rand.NewSource(seed)),
 		contacts:       make(map[string]*contact),
-		seenProbes:     make(map[uint64]bool),
 		livenessWait:   make(map[uint64]func(bool)),
 		repairAttempts: make(map[int]int),
 		tombstones:     make(map[string]time.Time),
@@ -376,24 +366,6 @@ func (o *Overlay) learnContact(info wire.NodeInfo, direct bool) {
 	}
 	o.moved = append(o.moved, info)
 	o.contacts[info.Addr] = &contact{info: info, lastSeen: now}
-}
-
-// repairRelayLocked picks a reachable contact to carry a repair lookup
-// that cannot make greedy progress from here, choosing deterministically:
-// longest common prefix with the target, then lowest address.
-func (o *Overlay) repairRelayLocked(target bitstr.Code) string {
-	best := ""
-	bestCPL := -1
-	for addr, c := range o.contacts {
-		if c.unreachable {
-			continue
-		}
-		cpl := c.info.Code.CommonPrefixLen(target)
-		if cpl > bestCPL || (cpl == bestCPL && (best == "" || addr < best)) {
-			best, bestCPL = addr, cpl
-		}
-	}
-	return best
 }
 
 // touch refreshes a contact's liveness on any inbound traffic.
@@ -585,7 +557,7 @@ func (o *Overlay) heartbeatTick() {
 			}
 			o.repairAttempts[i]++
 			t := o.code.NeighborCode(i)
-			for t.Len() < o.cfg.LookupDepth && t.Len() < bitstr.MaxLen {
+			for t.Len() < lookupDepth && t.Len() < bitstr.MaxLen {
 				t = t.Append(int(o.rng.Uint64() & 1))
 			}
 			req := repairReq{target: t}
@@ -597,7 +569,7 @@ func (o *Overlay) heartbeatTick() {
 				// hole. Relay through the closest live contact instead; its
 				// table spans levels ours does not, so one non-greedy hop
 				// breaks the deadlock.
-				req.relay = o.repairRelayLocked(t)
+				req.relay = o.closestLocked(t, "", "")
 			}
 			repair = append(repair, req)
 		}
@@ -853,14 +825,10 @@ func (o *Overlay) Handle(from string, m wire.Message) bool {
 		o.handleCollisionReply(msg)
 	case *wire.CollisionHint:
 		o.handleCollisionHint(msg)
-	case *wire.RingProbe:
-		o.handleRingProbe(from, msg)
 	case *wire.LivenessProbe:
 		o.handleLivenessProbe(from, msg)
 	case *wire.LivenessReply:
 		o.handleLivenessReply(msg)
-	case *wire.RingResumed:
-		o.handleRingResumed(msg)
 	default:
 		return false
 	}

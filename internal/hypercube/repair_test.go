@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"mind/internal/bitstr"
 	"mind/internal/transport/simnet"
 	"mind/internal/wire"
 )
@@ -167,151 +166,6 @@ func TestRelocationTakeoverCoversDeadPair(t *testing.T) {
 	a, b := survivors[0].ov.Code(), survivors[1].ov.Code()
 	if a.IsPrefixOf(b) || b.IsPrefixOf(a) {
 		t.Fatalf("overlapping survivor codes %s / %s", a, b)
-	}
-}
-
-func TestCanResumeCallback(t *testing.T) {
-	net := simnet.New(simnet.Config{Seed: 67, DefaultLatency: 5 * time.Millisecond})
-	nodes := newCluster(t, net, 6, testConfig())
-	// Wire a CanResume that volunteers for one specific target.
-	special := bitstr.MustParse("1111111111")
-	resumed := map[string][]byte{}
-	for _, tn := range nodes {
-		tn := tn
-		tn.ov.cb.CanResume = func(target bitstr.Code) bool {
-			return tn.name == "n04" && target.Equal(special)
-		}
-		tn.ov.cb.OnResume = func(from string, payload []byte) {
-			resumed[tn.name] = payload
-		}
-	}
-	joinAll(t, net, nodes, true)
-	net.RunFor(3 * time.Second)
-
-	// A probe for a target nobody matches better than n00: only the
-	// CanResume volunteer may take it.
-	origin := nodes[0]
-	origin.ov.mu.Lock()
-	origin.ov.contacts = map[string]*contact{}
-	origin.ov.mu.Unlock()
-	// Rebuild one contact so the broadcast has somewhere to go.
-	origin.ov.Handle(nodes[1].name, &wire.Heartbeat{From: nodes[1].ov.Info(), Seq: 9})
-	origin.ov.RingRecover(special, []byte("payload"))
-	net.RunFor(30 * time.Second)
-	if _, ok := resumed["n04"]; !ok {
-		// The probe may also have been resumed by a genuinely
-		// better-matching node; accept either, but SOMEONE must resume.
-		if len(resumed) == 0 {
-			t.Fatal("no resumption at all")
-		}
-	}
-}
-
-// ringChain hand-builds a frozen four-node chain A—B—C—D (no heartbeats,
-// no joins): each node only knows its neighbors, so a ring probe from A
-// needs successively wider TTLs to reach D, the only node owning the
-// target region "1".
-func ringChain(t *testing.T, net *simnet.Network, cfg Config) []*testNode {
-	t.Helper()
-	specs := []struct{ name, code string }{
-		{"ra", "000"}, {"rb", "001"}, {"rc", "01"}, {"rd", "1"},
-	}
-	nodes := make([]*testNode, len(specs))
-	for i, s := range specs {
-		ep, err := net.Endpoint(s.name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tn := &testNode{ep: ep, name: s.name}
-		tn.ov = New(ep, net.Clock(), cfg, int64(3000+i), Callbacks{})
-		ep.SetHandler(func(from string, data []byte) {
-			m, err := wire.Decode(data)
-			if err != nil {
-				t.Errorf("%s: decode: %v", tn.name, err)
-				return
-			}
-			tn.ov.Handle(from, m)
-		})
-		tn.ov.mu.Lock()
-		tn.ov.joined = true
-		tn.ov.code = bitstr.MustParse(s.code)
-		tn.ov.mu.Unlock()
-		nodes[i] = tn
-	}
-	link := func(a, b *testNode) {
-		now := net.Clock().Now()
-		a.ov.mu.Lock()
-		a.ov.contacts[b.name] = &contact{info: wire.NodeInfo{Addr: b.name, Code: b.ov.code}, lastSeen: now}
-		a.ov.mu.Unlock()
-		b.ov.mu.Lock()
-		b.ov.contacts[a.name] = &contact{info: wire.NodeInfo{Addr: a.name, Code: a.ov.code}, lastSeen: now}
-		b.ov.mu.Unlock()
-	}
-	link(nodes[0], nodes[1])
-	link(nodes[1], nodes[2])
-	link(nodes[2], nodes[3])
-	return nodes
-}
-
-func TestRingRecoverTTLEscalation(t *testing.T) {
-	// The target is three hops from the origin, so rings with TTL 1 and 2
-	// die out and only the third escalation (TTL 3) reaches the owner:
-	// the expanding ring must actually expand through nodes earlier
-	// rounds already touched, and the RingResumed notification must stop
-	// the fourth round from being launched.
-	net := simnet.New(simnet.Config{Seed: 73, DefaultLatency: 5 * time.Millisecond})
-	cfg := testConfig()
-	cfg.RingTTLs = []uint8{1, 2, 3, 3}
-	cfg.RingTimeout = time.Second
-	nodes := ringChain(t, net, cfg)
-	a, b, d := nodes[0], nodes[1], nodes[3]
-
-	var resumes []string
-	var resumedAt []time.Time
-	var gotPayload []byte
-	for _, tn := range nodes {
-		tn := tn
-		tn.ov.cb.OnResume = func(from string, payload []byte) {
-			resumes = append(resumes, tn.name)
-			resumedAt = append(resumedAt, net.Clock().Now())
-			gotPayload = payload
-			if from != a.name {
-				t.Errorf("resume reports origin %q, want %q", from, a.name)
-			}
-		}
-	}
-	// Count ring-probe frames B receives from the origin: one per
-	// launched round.
-	launched := 0
-	prev := b.ep
-	bHandler := func(from string, data []byte) {
-		m, err := wire.Decode(data)
-		if err != nil {
-			t.Errorf("rb: decode: %v", err)
-			return
-		}
-		if _, ok := m.(*wire.RingProbe); ok && from == a.name {
-			launched++
-		}
-		b.ov.Handle(from, m)
-	}
-	prev.SetHandler(bHandler)
-
-	start := net.Clock().Now()
-	a.ov.RingRecover(bitstr.MustParse("1"), []byte("stuck"))
-	net.RunFor(10 * time.Second)
-
-	if len(resumes) != 1 || resumes[0] != d.name {
-		t.Fatalf("resumes = %v, want exactly one at %s", resumes, d.name)
-	}
-	if string(gotPayload) != "stuck" {
-		t.Fatalf("payload %q corrupted", gotPayload)
-	}
-	if got := resumedAt[0].Sub(start); got < 2*cfg.RingTimeout {
-		t.Fatalf("resumed after %v, before the TTL-3 round could have launched", got)
-	}
-	if launched != 3 {
-		t.Fatalf("origin launched %d rounds, want 3 (TTL 1, 2, 3; 4th suppressed by RingResumed)", launched)
 	}
 }
 

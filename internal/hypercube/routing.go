@@ -1,9 +1,6 @@
 package hypercube
 
 import (
-	"sort"
-	"time"
-
 	"mind/internal/bitstr"
 	"mind/internal/wire"
 )
@@ -26,8 +23,7 @@ func (o *Overlay) ownsLocked(target bitstr.Code) bool {
 // NextHop picks the greedy next hop toward the target: the contact whose
 // code shares the longest prefix with the target, provided it improves
 // strictly on our own match (greedy hypercube routing, §3.5). ok is
-// false at a routing dead end, where the host should fall back to
-// RingRecover.
+// false at a routing dead end.
 func (o *Overlay) NextHop(target bitstr.Code) (addr string, ok bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -38,18 +34,7 @@ func (o *Overlay) nextHopLocked(target bitstr.Code) (string, bool) {
 	return o.nextHopExcludingLocked(target, "")
 }
 
-// NextHopExcluding is NextHop skipping one address: the reliable request
-// layer uses it to route a retransmission around the first hop the
-// original attempt used, in case that contact (or the link to it) is the
-// reason the ack never came.
-func (o *Overlay) NextHopExcluding(target bitstr.Code, exclude string) (addr string, ok bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.nextHopExcludingLocked(target, exclude)
-}
-
-// nextHopExcludingLocked is nextHopLocked skipping one address; liveness
-// probes use it to route around the very peer under suspicion.
+// nextHopExcludingLocked is nextHopLocked skipping one address.
 func (o *Overlay) nextHopExcludingLocked(target bitstr.Code, exclude string) (string, bool) {
 	own := o.code.CommonPrefixLen(target)
 	bestMatch := own
@@ -77,162 +62,76 @@ func (o *Overlay) nextHopExcludingLocked(target bitstr.Code, exclude string) (st
 	return bestAddr, bestAddr != ""
 }
 
-// RingRecover launches the expanding-ring scoped broadcast of §3.8 for a
-// routed message that dead-ended here: successive probes with growing
-// TTLs carry the stuck payload until some node with a strictly better
-// prefix match (or outright ownership) resumes forwarding it.
-func (o *Overlay) RingRecover(target bitstr.Code, payload []byte) {
-	o.mu.Lock()
-	if o.closed {
-		o.mu.Unlock()
-		return
-	}
-	o.probeSeq++
-	// Probe ids must be globally unique; mix in the address hash.
-	id := o.probeSeq<<20 ^ hashString(o.ep.Addr())
-	origin := wire.NodeInfo{Addr: o.ep.Addr(), Code: o.code}
-	match := uint8(o.code.CommonPrefixLen(target))
-	ttls := o.cfg.RingTTLs
-	o.mu.Unlock()
-
-	if len(ttls) == 0 {
-		return
-	}
-	send := func(ring int, ttl uint8) {
-		o.broadcastProbe(&wire.RingProbe{
-			ProbeID:  id,
-			Origin:   origin,
-			Target:   target,
-			MatchLen: match,
-			TTL:      ttl,
-			Ring:     uint8(ring),
-			Payload:  payload,
-		})
-	}
-	send(0, ttls[0])
-	for i, ttl := range ttls[1:] {
-		ring, ttl := i+1, ttl
-		o.clock.AfterFunc(time.Duration(ring)*o.cfg.RingTimeout, func() {
-			// A RingResumed notification marks the probe id; escalation
-			// stops once someone picked the payload up.
-			o.mu.Lock()
-			resumed := o.seenProbes[id]
-			o.mu.Unlock()
-			if !resumed {
-				send(ring, ttl)
-			}
-		})
-	}
-}
-
-func hashString(s string) uint64 {
-	var h uint64 = 1469598103934665603
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h &^ (0xfffff) // leave room for the sequence bits
-}
-
-func (o *Overlay) broadcastProbe(p *wire.RingProbe) {
-	o.mu.Lock()
-	var peers []string
-	for addr := range o.contacts {
-		peers = append(peers, addr)
-	}
-	o.mu.Unlock()
-	sort.Strings(peers)
-	for _, addr := range peers {
-		o.send(addr, p)
-	}
-}
-
-// handleRingProbe either resumes the stuck message (strictly better
-// match than the probe origin) or re-broadcasts within the TTL. Each
-// node acts on a given (probe id, ring) at most once — the dedup must be
-// per ring, not per id, or a wider escalation round would die at the
-// first-round neighbors and the ring could never expand. A node that
-// resumes notifies the origin (RingResumed), which stops escalating.
-func (o *Overlay) handleRingProbe(_ string, m *wire.RingProbe) {
-	o.mu.Lock()
-	if m.Origin.Addr == o.ep.Addr() {
-		// Our own probe echoed back by a neighbor's rebroadcast; acting on
-		// it would mark the probe id and falsely suppress escalation.
-		o.mu.Unlock()
-		return
-	}
-	ringKey := m.ProbeID ^ (uint64(m.Ring+1) * 0x9e3779b97f4a7c15)
-	if o.seenProbes[ringKey] || !o.joined {
-		o.mu.Unlock()
-		return
-	}
-	o.seenProbes[ringKey] = true
-	// Resuming once per probe id is enough, however many rounds reach us.
-	resumedBefore := o.seenProbes[m.ProbeID]
-	if len(o.seenProbes) > 65536 {
-		// Crude bound; ids are random enough that clearing is safe.
-		o.seenProbes = map[uint64]bool{ringKey: true}
-		resumedBefore = false
-	}
-	myMatch := o.code.CommonPrefixLen(m.Target)
-	better := myMatch > int(m.MatchLen) || o.ownsLocked(m.Target)
-	o.mu.Unlock()
-
-	if !better && o.cb.CanResume != nil && o.cb.CanResume(m.Target) {
-		better = true
-	}
-	if better {
-		if resumedBefore {
-			return
+// closestLocked is the way out of a greedy dead end: the reachable
+// contact sharing the longest prefix with the target, skipping the two
+// given addresses, with no strict improvement on our own match required.
+// Routed messages detour through it (Route), liveness probes wander
+// through it (probeHopLocked) and repair lookups relay through it. Ties
+// break by address: the scan runs in map order, and the pick must not
+// depend on it (same-seed simnet reproducibility).
+func (o *Overlay) closestLocked(target bitstr.Code, skip1, skip2 string) string {
+	bestAddr := ""
+	bestMatch := -1
+	for _, c := range o.contacts {
+		if c.unreachable || c.info.Addr == skip1 || c.info.Addr == skip2 {
+			continue
 		}
-		o.mu.Lock()
-		o.seenProbes[m.ProbeID] = true
-		o.mu.Unlock()
-		o.send(m.Origin.Addr, &wire.RingResumed{ProbeID: m.ProbeID})
-		if o.cb.OnResume != nil {
-			o.cb.OnResume(m.Origin.Addr, m.Payload)
+		if m := c.info.Code.CommonPrefixLen(target); m > bestMatch ||
+			(m == bestMatch && c.info.Addr < bestAddr) {
+			bestMatch, bestAddr = m, c.info.Addr
 		}
-		return
 	}
-	if m.TTL > 1 {
-		fwd := *m
-		fwd.TTL--
-		o.broadcastProbe(&fwd)
-	}
+	return bestAddr
 }
 
-// handleRingResumed records at the origin that a probe's payload was
-// picked up, suppressing further TTL escalation.
-func (o *Overlay) handleRingResumed(m *wire.RingResumed) {
+// maxDetourHops bounds detours: a routed message that has travelled this
+// many hops takes no further one. Greedy hops strictly lengthen the match
+// with the target, so only detours can loop, and past the cap at most one
+// greedy chain follows. 16 is about twice the code length of a 102-node
+// overlay: a message that dead-ends at the end of a full greedy path
+// keeps as many hops again for its detour, and one circling a region no
+// live node holds costs at most that many frames before its operation's
+// retry takes over.
+const maxDetourHops = 16
+
+// Route is the one forwarding rule for every routed message (§3.5, §3.8):
+// the greedy hop (NextHop), avoiding avoid while another greedy exit
+// exists, unless that hop turns the message back to from, the contact it
+// arrived from ("" at its originator). Otherwise the message is at a dead
+// end and detours to the closest reachable contact other than from
+// (closestLocked), provided it has travelled fewer than maxDetourHops
+// hops; greedy routing resumes from there. next is "" when no hop
+// exists: the host drops the message and counts it, and the operation's
+// retry resends it. detour reports that there is no greedy hop, so the
+// host may serve the message itself instead (replica fail-over).
+func (o *Overlay) Route(target bitstr.Code, hops int, from, avoid string) (next string, detour bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.seenProbes[m.ProbeID] = true
+	next, ok := o.nextHopExcludingLocked(target, avoid)
+	if !ok && avoid != "" {
+		next, ok = o.nextHopLocked(target)
+	}
+	if ok && next != from {
+		return next, false
+	}
+	if hops >= maxDetourHops {
+		return "", true
+	}
+	return o.closestLocked(target, from, ""), true
 }
 
 // probeHopLocked picks where to send a liveness probe about a suspect:
 // a strictly-better greedy hop toward the suspect's code if one exists,
-// otherwise the best-matching reachable contact other than the suspect
-// (and the sender) — the probe must leave this node even when the only
+// otherwise the closest reachable contact other than the suspect (and
+// the sender) — the probe must leave this node even when the only
 // greedy exit IS the suspect, e.g. when probing one's own sibling. The
 // probe's hop cap bounds any resulting wandering.
 func (o *Overlay) probeHopLocked(target bitstr.Code, suspectAddr, fromAddr string) (string, bool) {
 	if next, ok := o.nextHopExcludingLocked(target, suspectAddr); ok && next != fromAddr {
 		return next, true
 	}
-	bestAddr := ""
-	bestMatch := -1
-	for _, c := range o.contacts {
-		if c.unreachable || c.info.Addr == suspectAddr || c.info.Addr == fromAddr {
-			continue
-		}
-		// Ties break by address: the scan runs in map order, and the pick
-		// must not depend on it (same-seed simnet reproducibility).
-		if m := c.info.Code.CommonPrefixLen(target); m > bestMatch ||
-			(m == bestMatch && c.info.Addr < bestAddr) {
-			bestMatch, bestAddr = m, c.info.Addr
-		}
-	}
-	return bestAddr, bestAddr != ""
+	next := o.closestLocked(target, suspectAddr, fromAddr)
+	return next, next != ""
 }
 
 // ProbeLiveness routes a liveness probe toward a suspect peer's code;
@@ -251,6 +150,17 @@ func (o *Overlay) ProbeLiveness(suspect wire.NodeInfo, onReply func(alive bool))
 		return
 	}
 	o.send(next, &wire.LivenessProbe{ReqID: id, Asker: self, Suspect: suspect})
+}
+
+// hashString mixes an address into a request id; the low 20 bits are
+// left for a per-node sequence number.
+func hashString(s string) uint64 {
+	var h uint64 = 1469598103934665603
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h &^ (0xfffff)
 }
 
 func (o *Overlay) handleLivenessProbe(from string, m *wire.LivenessProbe) {

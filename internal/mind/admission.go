@@ -91,7 +91,7 @@ func (n *Node) admitClient(from string, countPending bool) bool {
 	}
 	burst := float64(n.cfg.ClientRateBurst)
 	if burst < 1 {
-		burst = n.cfg.ClientRateLimit
+		burst = max(n.cfg.ClientRateLimit, 1)
 	}
 	n.admMu.Lock()
 	defer n.admMu.Unlock()
@@ -99,16 +99,13 @@ func (n *Node) admitClient(from string, countPending bool) bool {
 }
 
 // admitGossip charges one flood/control message against the sending
-// peer's bucket.
+// peer's bucket, which holds one second of the rate and at least one
+// token: a bucket capped below one token would refuse every message.
 func (n *Node) admitGossip(from string) bool {
 	if n.cfg.GossipRateLimit <= 0 {
 		return true
 	}
-	burst := float64(n.cfg.GossipRateBurst)
-	if burst < 1 {
-		burst = n.cfg.GossipRateLimit
-	}
 	n.admMu.Lock()
 	defer n.admMu.Unlock()
-	return n.gossipBuckets.take(hashAddr(from), n.clock.Now(), n.cfg.GossipRateLimit, burst)
+	return n.gossipBuckets.take(hashAddr(from), n.clock.Now(), n.cfg.GossipRateLimit, max(n.cfg.GossipRateLimit, 1))
 }

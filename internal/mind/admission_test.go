@@ -125,8 +125,7 @@ func TestClientAdmissionShed(t *testing.T) {
 // mark, a re-flood after refill still applies.
 func TestGossipAdmissionShed(t *testing.T) {
 	c := mkCluster(t, 2, 12, func(o *cluster.Options) {
-		o.Node.GossipRateLimit = 0.5 // one flood per 2s per peer
-		o.Node.GossipRateBurst = 1
+		o.Node.GossipRateLimit = 0.5 // one flood per 2s per peer, one-message bucket
 	})
 	if err := c.Nodes[0].CreateIndex(testSchema(), nil); err != nil {
 		t.Fatal(err)

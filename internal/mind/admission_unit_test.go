@@ -100,3 +100,41 @@ func TestAdmitClientPendingCeiling(t *testing.T) {
 		}
 	}
 }
+
+// TestAdmitSubUnitRate: a limit below one request per second with the
+// default burst admits one request per 1/rate seconds, on both bucket
+// families — the bucket must hold a whole token, or it never admits.
+func TestAdmitSubUnitRate(t *testing.T) {
+	net := simnet.New(simnet.Config{})
+	ep, err := net.Endpoint("n1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(1)
+	cfg.ClientRateLimit = 0.5
+	cfg.GossipRateLimit = 0.5
+	n := NewNode(ep, net.Clock(), cfg)
+	defer n.Close()
+
+	admit := map[string]func() bool{
+		"client": func() bool { return n.admitClient("client", false) },
+		"gossip": func() bool { return n.admitGossip("peer") },
+	}
+	for period := 0; period < 3; period++ {
+		for name, take := range admit {
+			if !take() {
+				t.Fatalf("%s: refused the request of period %d", name, period)
+			}
+			if take() {
+				t.Fatalf("%s: admitted a second request in period %d", name, period)
+			}
+		}
+		net.RunFor(time.Second)
+		for name, take := range admit {
+			if take() {
+				t.Fatalf("%s: admitted a request half way through period %d", name, period)
+			}
+		}
+		net.RunFor(time.Second)
+	}
+}

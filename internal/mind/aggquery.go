@@ -93,11 +93,11 @@ func (aggKind) request(p piece) wire.Message {
 	}
 }
 
-func pieceFromAggQuery(m *wire.AggQuery) piece {
+func pieceFromAggQuery(m *wire.AggQuery, from string) piece {
 	return piece{
 		kind: aggKind{}, reqID: m.ReqID, origin: m.OriginAddr, index: m.Index,
 		versions: m.Versions, rect: m.Rect, region: m.RegionCode, arg: m.TopK,
-		hops: m.Hops, historic: m.Historic, attempt: m.Attempt, epoch: m.TreeEpoch,
+		hops: m.Hops, from: from, historic: m.Historic, attempt: m.Attempt, epoch: m.TreeEpoch,
 	}
 }
 

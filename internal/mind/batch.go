@@ -242,7 +242,7 @@ func (n *Node) handleWrite(from string, msgs ...wire.Message) {
 		recs += runRecords(m)
 		switch msg := m.(type) {
 		case *wire.InsertRun:
-			n.handleInsertRun(msg, ob)
+			n.handleInsertRun(from, msg, ob)
 		case *wire.InsertAcks:
 			n.handleInsertAcks(msg)
 		case *wire.ReplicateRun:

@@ -62,18 +62,17 @@ type Config struct {
 	// and the chaos harness see no admission at all).
 	ClientRateLimit float64
 	// ClientRateBurst is the bucket capacity (and a new client's opening
-	// balance); 0 defaults to ClientRateLimit.
+	// balance); 0 defaults to ClientRateLimit, and to 1 below one
+	// request per second.
 	ClientRateBurst int
 	// GossipRateLimit enables per-peer admission control on flood and
 	// control gossip (CreateIndex, DropIndex, HistInstall,
 	// RetireVersion, RegionRecall), in messages per second per peer.
 	// Refused floods are counted and dropped before the dedup mark, so
 	// the operation still propagates via another contact or a later
-	// arrival. 0 disables.
+	// arrival. A peer's bucket holds GossipRateLimit messages, and at
+	// least one. 0 disables.
 	GossipRateLimit float64
-	// GossipRateBurst is the gossip bucket capacity; 0 defaults to
-	// GossipRateLimit.
-	GossipRateBurst int
 	// MaxPendingOps sheds new ClientInserts while the node already has
 	// this many in-flight inserts (PendingInserts, repair re-inserts
 	// included) — the node-level analogue of the ingest engine's ring

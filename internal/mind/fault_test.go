@@ -101,7 +101,7 @@ func TestInsertsSurviveMessageLoss(t *testing.T) {
 func TestInsertsSurviveHeavyMessageLoss(t *testing.T) {
 	// Companion at 10% loss: each attempt's ~5-message path now fails
 	// ~2 times in 5, but five attempts drive the residual below 1%;
-	// the ≥95% floor leaves margin for unlucky seeds and ring detours.
+	// the ≥95% floor leaves margin for unlucky seeds and dead-end detours.
 	n := 150
 	ok, recall, _ := runLossyInserts(t, 0.10, n)
 	if float64(ok) < 0.95*float64(n) {
@@ -348,7 +348,7 @@ func TestQueriesCompleteAfterLinkCut(t *testing.T) {
 	// a cut originator link would block responses by design, the §4.2
 	// pathology). Greedy routes through the cut links black-hole until
 	// unreachability detection; afterwards routing must flow around via
-	// other contacts or the expanding ring.
+	// other contacts or a dead-end detour.
 	origin := 5
 	c.Net.CutLink(c.Nodes[0].Addr(), c.Nodes[1].Addr())
 	c.Net.CutLink(c.Nodes[2].Addr(), c.Nodes[1].Addr())

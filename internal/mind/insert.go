@@ -60,6 +60,7 @@ func (op *insertOp) inflight(origin, tag string, attempt int) insertRec {
 // enc where this node owns the target).
 type insertRec struct {
 	origin, index string
+	from          string // the contact the record arrived from ("" at its originator)
 	version       uint32
 	epoch         uint64
 	attempt       uint8
@@ -174,7 +175,7 @@ func (n *Node) sendInserts(tag string, ops []insertOp, done func([]InsertResult)
 	for i := range ops {
 		if op := &ops[i]; !n.ov.Owns(op.target) {
 			op.forward = true
-			op.lastHop, _ = n.ov.NextHop(op.target)
+			op.lastHop, _ = n.ov.Route(op.target, 0, "", "")
 		}
 	}
 	grp := &insertGroup{tag: tag, ops: ops, pending: len(ops), done: done}
@@ -274,11 +275,11 @@ func (n *Node) finishInsert(reqID uint64, res InsertResult) {
 }
 
 // handleInsertRun routes or stores every record of an inbound insert
-// run through ob, one at a time: values are decoded only where this node
-// owns a record, into one scratch buffer, and a forwarded record's bytes
-// are spliced on.
-func (n *Node) handleInsertRun(m *wire.InsertRun, ob *outbox) {
-	r := insertRec{origin: m.OriginAddr, index: m.Index, version: m.Version, attempt: m.Attempt, repeat: m.Repeat}
+// run, received from the contact from, through ob, one at a time: values
+// are decoded only where this node owns a record, into one scratch
+// buffer, and a forwarded record's bytes are spliced on.
+func (n *Node) handleInsertRun(from string, m *wire.InsertRun, ob *outbox) {
+	r := insertRec{origin: m.OriginAddr, from: from, index: m.Index, version: m.Version, attempt: m.Attempt, repeat: m.Repeat}
 	cur := m.Recs.Cursor()
 	for i, reqID := range m.ReqIDs {
 		r.epoch, r.reqID, r.target, r.hops = m.TreeEpoch, reqID, m.Targets[i], m.Hops[i]
@@ -370,12 +371,12 @@ func (n *Node) rehomeInsert(ix *index, r *insertRec, myCode bitstr.Code, ob *out
 	}
 }
 
-// forwardInsert sends a routed record one hop on, or drops it at a dead
-// end (no greedy next hop) for its group's retransmission to resend:
-// inserts take no expanding ring (§3.8, DESIGN.md §4c).
+// forwardInsert sends a routed record one hop on (hypercube.Route: greedy,
+// or a detour at a dead end), or drops it for its group's retransmission
+// to resend when no hop is left.
 func (n *Node) forwardInsert(r *insertRec, ob *outbox) {
-	r.hops++
-	if next, ok := n.ov.NextHop(r.target); ok {
+	if next, _ := n.ov.Route(r.target, int(r.hops), r.from, ""); next != "" {
+		r.hops++
 		n.forwarded.Add(1)
 		n.countTuples(next, 1)
 		if r.origin == n.ep.Addr() {

@@ -205,17 +205,17 @@ func TestInsertGroupTimers(t *testing.T) {
 	})
 }
 
-// TestInsertDeadEndResent: an insert whose first hop is a dead end is
-// dropped, not flooded — no ring probe carries it — and its group's
-// retransmission delivers it once a route exists.
+// TestInsertDeadEndResent: an insert with neither a first hop nor a
+// detour is dropped and counted — its first attempt leaves in no frame —
+// and its group's retransmission delivers it once a route exists.
 func TestInsertDeadEndResent(t *testing.T) {
 	net, a, b, ta, _, sch := tapPair(t)
-	probes := 0 // ring-probe frames from a that carry an insert run
+	firstAttempts := 0 // frames from a carrying the insert's first attempt
 	ta.edit = func(_ string, msg []byte) []byte {
 		if m, err := wire.Decode(msg); err == nil {
-			if p, ok := m.(*wire.RingProbe); ok {
-				if pm, err := wire.Decode(p.Payload); err == nil && pm.Kind() == wire.KindInsert {
-					probes++
+			for _, run := range writeRuns(m) {
+				if ir, ok := run.(*wire.InsertRun); ok && ir.Attempt == 0 {
+					firstAttempts++
 				}
 			}
 		}
@@ -235,8 +235,8 @@ func TestInsertDeadEndResent(t *testing.T) {
 	if !net.RunUntil(func() bool { return res != nil }, 10_000_000) {
 		t.Fatal("insert never settled")
 	}
-	if probes != 0 {
-		t.Fatalf("%d ring probes carried the insert", probes)
+	if firstAttempts != 0 {
+		t.Fatalf("%d frames carried the dead-ended first attempt", firstAttempts)
 	}
 	if !res.OK || res.StoredAt != b.Addr() || res.Attempts < 1 {
 		t.Fatalf("result %+v, want stored at %s by a retransmission", *res, b.Addr())

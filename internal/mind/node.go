@@ -114,7 +114,7 @@ type Node struct {
 	// would enter a store (routeInsert at the owner, handleReplicateRun):
 	// wrong arity for the index schema.
 	droppedRecords atomic.Uint64
-	deadEnds       atomic.Uint64 // inserts dropped for lack of a greedy next hop (insert.go)
+	deadEnds       atomic.Uint64 // routed messages dropped with no hop left (hypercube.Route)
 	aggAnswered    atomic.Uint64 // aggregate pieces answered from local summaries (aggquery.go)
 	coverDropped   atomic.Uint64 // covering answers dropped for overlapping coverage (scatter.go)
 	// clientOps caches ClientInsert acks (nil while in flight) so a
@@ -166,8 +166,6 @@ func NewNode(ep transport.Endpoint, clock transport.Clock, cfg Config) *Node {
 		OnJoined:       n.onJoined,
 		OnSplit:        n.onSplit,
 		OnTakeover:     n.onTakeover,
-		OnResume:       n.onResume,
-		CanResume:      n.canResumeFromReplicas,
 		OnContactDead:  n.onContactDead,
 		OnContactMoved: n.onContactMoved,
 		OnRegionDead:   n.onRegionDead,
@@ -288,7 +286,7 @@ type Stats struct {
 	// or replica store for not having the index schema's arity. Such a
 	// record is neither stored, acked nor replicated.
 	DroppedRecords uint64
-	DeadEnds       uint64 // records dropped for lack of a greedy next hop; their originator resends them
+	DeadEnds       uint64 // routed messages of any kind dropped with no greedy hop and no detour left; their operation's retry resends them
 
 	// In-flight originator-side operations still awaiting an ack, a
 	// covering response, or their timeout. All are zero at quiescence;
@@ -356,6 +354,18 @@ func (n *Node) send(to string, m wire.Message) {
 	wire.RecycleBuf(data)
 }
 
+// sendRouted sends a routed control message (histogram report, trigger
+// install) one hop toward target, greedy or on its detour
+// (hypercube.Route), or drops and counts it when no hop is left: the
+// operation's retry resends it.
+func (n *Node) sendRouted(target bitstr.Code, hops int, from string, m wire.Message) {
+	if next, _ := n.ov.Route(target, hops, from, ""); next != "" {
+		n.send(next, m)
+		return
+	}
+	n.deadEnds.Add(1)
+}
+
 // nextReq issues a node-unique request id.
 func (n *Node) nextReq() uint64 {
 	return n.addrTag&0xffffffff00000000 | n.reqSeq.Add(1)&0xffffffff
@@ -395,11 +405,11 @@ func (n *Node) handleMessage(from string, m wire.Message) {
 	case *wire.InsertRun, *wire.InsertAcks, *wire.ReplicateRun:
 		n.handleWrite(from, msg)
 	case *wire.Query:
-		n.handlePiece(pieceFromQuery(msg))
+		n.handlePiece(pieceFromQuery(msg, from))
 	case *wire.SubQuery:
-		n.handlePiece(pieceFromSubQuery(msg))
+		n.handlePiece(pieceFromSubQuery(msg, from))
 	case *wire.AggQuery:
-		n.handlePiece(pieceFromAggQuery(msg))
+		n.handlePiece(pieceFromAggQuery(msg, from))
 	case *wire.QueryResp:
 		n.answerArrived(answerFromQueryResp(msg))
 	case *wire.AggResp:
@@ -478,29 +488,6 @@ func (n *Node) handleRetireVersion(m *wire.RetireVersion) {
 	}
 	n.retireLocal(m.Index, m.Version)
 	n.flood(m)
-}
-
-// onResume re-injects a routed message recovered by an expanding-ring
-// probe.
-func (n *Node) onResume(from string, payload []byte) {
-	n.dispatch(from, payload)
-}
-
-// canResumeFromReplicas volunteers this node as the resumption point for
-// a ring-probed message whose target region it holds replicas for: a
-// dead region's sub-queries then fail over to its replica holders even
-// when greedy routing would never land there (§3.8).
-func (n *Node) canResumeFromReplicas(target bitstr.Code) bool {
-	n.ixMu.RLock()
-	defer n.ixMu.RUnlock()
-	for _, ix := range n.indices {
-		for _, owner := range ix.ownerCodes() {
-			if owner.IsPrefixOf(target) || target.IsPrefixOf(owner) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // indexDefs snapshots all index definitions for join accepts, in

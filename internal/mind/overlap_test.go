@@ -284,7 +284,7 @@ func TestOverlapRotatedRetransmission(t *testing.T) {
 }
 
 // TestOverlapOvertakingRetransmission: a retransmission leaves through
-// another first hop (nextHopAvoiding), so it can reach the owner before
+// another first hop (hypercube.Route), so it can reach the owner before
 // the delayed first attempt. The first attempt is no repeat, so no
 // content probe runs for it; the ReqID both attempts carry is what the
 // owner dedups it on: one copy stored, one dedup hit.

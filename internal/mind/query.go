@@ -77,18 +77,18 @@ func (recordKind) request(p piece) wire.Message {
 	}
 }
 
-func pieceFromQuery(m *wire.Query) piece {
+func pieceFromQuery(m *wire.Query, from string) piece {
 	return piece{
 		kind: recordKind{}, reqID: m.ReqID, origin: m.OriginAddr, index: m.Index,
-		versions: m.Versions, rect: m.Rect, region: m.Target, hops: m.Hops,
+		versions: m.Versions, rect: m.Rect, region: m.Target, hops: m.Hops, from: from,
 		epoch: m.TreeEpoch, whole: true,
 	}
 }
 
-func pieceFromSubQuery(m *wire.SubQuery) piece {
+func pieceFromSubQuery(m *wire.SubQuery, from string) piece {
 	return piece{
 		kind: recordKind{}, reqID: m.ReqID, origin: m.OriginAddr, index: m.Index,
-		versions: m.Versions, rect: m.Rect, region: m.RegionCode, hops: m.Hops,
+		versions: m.Versions, rect: m.Rect, region: m.RegionCode, hops: m.Hops, from: from,
 		historic: m.Historic, attempt: m.Attempt, epoch: m.TreeEpoch,
 	}
 }

@@ -159,11 +159,7 @@ func (n *Node) handleHistReport(from string, m *wire.HistReport) {
 	if !n.ov.Owns(designatedTarget) {
 		fwd := *m
 		fwd.Hops++
-		if next, ok := n.ov.NextHop(designatedTarget); ok {
-			n.send(next, &fwd)
-		} else {
-			n.ov.RingRecover(designatedTarget, wire.Encode(&fwd))
-		}
+		n.sendRouted(designatedTarget, int(m.Hops), from, &fwd)
 		return
 	}
 	// Designated node: ack the reporter, then merge (once per reporter —

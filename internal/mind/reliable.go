@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"mind/internal/bitstr"
 	"mind/internal/transport"
 )
 
@@ -280,14 +279,16 @@ func (s *retrySchedule) stop() {
 
 // retransmitInsert re-routes one retransmitted record: store locally if
 // ownership shifted to us (takeover) since the original attempt, else
-// leave through a first hop excluding the suspect one.
+// leave through a first hop avoiding the suspect one while another
+// exists: the suspect may be the only exit, and a repeat of a
+// possibly-fine path is better than a guaranteed dead end.
 func (n *Node) retransmitInsert(r *insertRec, exclude string, ob *outbox) {
 	if n.ov.Owns(r.target) {
 		n.routeInsert(r, ob)
 		return
 	}
-	next, ok := n.nextHopAvoiding(r.target, exclude)
-	if !ok {
+	next, _ := n.ov.Route(r.target, 0, "", exclude)
+	if next == "" {
 		n.deadEnds.Add(1) // the next check tries again
 		return
 	}
@@ -358,18 +359,6 @@ func slabRecs(ops []insertOp) {
 		slab = append(slab, ops[i].rec...)
 		ops[i].rec = slab[k:len(slab):len(slab)]
 	}
-}
-
-// nextHopAvoiding resolves the next hop toward target, avoiding exclude —
-// the first hop an un-acked attempt left through — while another exit
-// exists: the excluded contact may be the only one, and a repeat of a
-// possibly-fine path is better than a guaranteed dead end.
-func (n *Node) nextHopAvoiding(target bitstr.Code, exclude string) (string, bool) {
-	next, ok := n.ov.NextHopExcluding(target, exclude)
-	if !ok && exclude != "" {
-		next, ok = n.ov.NextHop(target)
-	}
-	return next, ok
 }
 
 // suspectHops reports the distinct non-empty hops to the overlay's

@@ -29,6 +29,7 @@ type piece struct {
 	kind     resolver
 	reqID    uint64
 	origin   string
+	from     string // the contact the piece arrived from ("" at its originator)
 	index    string
 	versions []uint64 // one tree group; versions[0] names the group
 	rect     schema.Rect
@@ -298,19 +299,20 @@ func (n *Node) checkQuerySkew(ix *index, p *piece) bool {
 	return false
 }
 
-// routePiece forwards a piece one hop toward its region, avoiding the
-// exclude contact when another exit exists, with replica fail-over and
-// ring recovery at dead ends. The originator records each first hop so
-// a retransmission can leave through a different one.
+// routePiece forwards a piece one hop toward its region (hypercube.Route),
+// avoiding the exclude contact when another exit exists. At a dead end
+// the region's nodes are unreachable from here: a node backing the
+// region up serves it from replicas (§3.8), any other sends it on its
+// detour or, with none left, drops it for the originator's retransmission.
+// The originator records each first hop so a retransmission can leave
+// through a different one.
 func (n *Node) routePiece(p *piece, exclude string) {
-	next, ok := n.nextHopAvoiding(p.region, exclude)
-	if !ok {
-		// Dead end: the region's nodes are unreachable. Serve from
-		// replicas if this node backs the region up (§3.8), else probe
-		// the ring.
-		if !n.serveFromReplicas(p) {
-			n.ov.RingRecover(p.region, wire.Encode(p.kind.request(*p)))
-		}
+	next, detour := n.ov.Route(p.region, int(p.hops), p.from, exclude)
+	if detour && n.serveFromReplicas(p) {
+		return
+	}
+	if next == "" {
+		n.deadEnds.Add(1)
 		return
 	}
 	n.forwarded.Add(1)

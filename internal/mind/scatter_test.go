@@ -68,11 +68,11 @@ func writeRuns(m wire.Message) []wire.Message {
 func pieceOf(m wire.Message) (piece, bool) {
 	switch m := m.(type) {
 	case *wire.Query:
-		return pieceFromQuery(m), true
+		return pieceFromQuery(m, ""), true
 	case *wire.SubQuery:
-		return pieceFromSubQuery(m), true
+		return pieceFromSubQuery(m, ""), true
 	case *wire.AggQuery:
-		return pieceFromAggQuery(m), true
+		return pieceFromAggQuery(m, ""), true
 	}
 	return piece{}, false
 }
@@ -180,7 +180,7 @@ func TestOriginatorRecordsFirstHops(t *testing.T) {
 						continue
 					}
 					hop, _ := n.ov.NextHop(sub.Code)
-					if other, ok := n.ov.NextHopExcluding(sub.Code, hop); ok && origin < 0 {
+					if other, detour := n.ov.Route(sub.Code, 0, "", hop); hop != "" && !detour && other != hop && origin < 0 {
 						origin, victim, first, alt = i, sub.Code, hop, other
 					}
 				}

@@ -131,11 +131,7 @@ func (n *Node) handleTriggerInstall(from string, m *wire.TriggerInstall) {
 	if !n.ov.Owns(m.Target) {
 		fwd := *m
 		fwd.Hops++
-		if next, ok := n.ov.NextHop(m.Target); ok {
-			n.send(next, &fwd)
-		} else {
-			n.ov.RingRecover(m.Target, wire.Encode(&fwd))
-		}
+		n.sendRouted(m.Target, int(m.Hops), from, &fwd)
 		return
 	}
 	ix, ok := n.getIndex(m.Index)
@@ -168,11 +164,7 @@ func (n *Node) handleTriggerInstall(from string, m *wire.TriggerInstall) {
 		} else {
 			fwd := *si
 			fwd.Hops++
-			if next, ok := n.ov.NextHop(sub.Code); ok {
-				n.send(next, &fwd)
-			} else {
-				n.ov.RingRecover(sub.Code, wire.Encode(&fwd))
-			}
+			n.sendRouted(sub.Code, int(m.Hops), from, &fwd)
 		}
 	}
 }

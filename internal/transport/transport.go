@@ -6,7 +6,7 @@
 //
 // The abstraction is deliberately datagram-like and asynchronous: Send
 // never blocks on the receiver and delivery is not guaranteed. MIND's
-// protocol layers (retries, heartbeats, expanding-ring recovery) own
+// protocol layers (retries, heartbeats, dead-end detours) own
 // reliability, exactly as the paper's prototype owns it above raw
 // connections.
 package transport

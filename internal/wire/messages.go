@@ -33,10 +33,10 @@ const (
 	KindHeartbeat
 	KindHeartbeatAck
 	KindTakeover
-	KindRingProbe
+	_ // 13: reserved, was the expanding-ring probe
 	KindLivenessProbe
 	KindLivenessReply
-	KindRingResumed
+	_ // 16: reserved, was the expanding-ring resume notice
 
 	// Data path.
 	KindInsert
@@ -96,10 +96,8 @@ var kinds = [256]struct {
 	KindHeartbeat:     {"heartbeat", func() Message { return new(Heartbeat) }},
 	KindHeartbeatAck:  {"heartbeat-ack", func() Message { return new(HeartbeatAck) }},
 	KindTakeover:      {"takeover", func() Message { return new(Takeover) }},
-	KindRingProbe:     {"ring-probe", func() Message { return new(RingProbe) }},
 	KindLivenessProbe: {"liveness-probe", func() Message { return new(LivenessProbe) }},
 	KindLivenessReply: {"liveness-reply", func() Message { return new(LivenessReply) }},
-	KindRingResumed:   {"ring-resumed", func() Message { return new(RingResumed) }},
 
 	KindInsert:    {"insert", func() Message { return new(InsertRun) }},
 	KindInsertAck: {"insert-ack", func() Message { return new(InsertAcks) }},
@@ -419,35 +417,6 @@ func (m *Takeover) fields(c *codec) {
 	c.String(&m.DeadAddr)
 }
 
-// RingProbe is the expanding-ring scoped broadcast used when greedy
-// routing dead-ends: it carries the stuck message so that a node with a
-// strictly better prefix match can resume forwarding it (§3.8).
-type RingProbe struct {
-	ProbeID  uint64
-	Origin   NodeInfo // node where greedy routing failed
-	Target   bitstr.Code
-	MatchLen uint8 // best prefix-match length at the origin
-	TTL      uint8
-	// Ring is the escalation round (index into the origin's TTL
-	// schedule), constant across rebroadcasts of one round. Receivers
-	// dedup per (ProbeID, Ring), so a wider round travels through nodes
-	// an earlier round already touched — without it the ring could never
-	// actually expand.
-	Ring    uint8
-	Payload []byte // the stuck, fully-encoded routed message
-}
-
-func (m *RingProbe) Kind() Kind { return KindRingProbe }
-func (m *RingProbe) fields(c *codec) {
-	c.Uvarint(&m.ProbeID)
-	c.Node(&m.Origin)
-	c.Code(&m.Target)
-	c.U8(&m.MatchLen)
-	c.U8(&m.TTL)
-	c.U8(&m.Ring)
-	c.Bytes(&m.Payload)
-}
-
 // LivenessProbe is overlay-routed toward a suspect peer's code to ask
 // its neighborhood whether the peer is alive (§3.8: reconnect vs repair).
 type LivenessProbe struct {
@@ -475,17 +444,6 @@ func (m *LivenessReply) Kind() Kind { return KindLivenessReply }
 func (m *LivenessReply) fields(c *codec) {
 	c.Uvarint(&m.ReqID)
 	c.Bool(&m.Alive)
-}
-
-// RingResumed tells a ring probe's origin that some node resumed the
-// stuck payload, so the origin stops escalating to wider TTLs.
-type RingResumed struct {
-	ProbeID uint64
-}
-
-func (m *RingResumed) Kind() Kind { return KindRingResumed }
-func (m *RingResumed) fields(c *codec) {
-	c.Uvarint(&m.ProbeID)
 }
 
 // --- Data path ----------------------------------------------------------

@@ -75,7 +75,7 @@ func TestReaderStickyError(t *testing.T) {
 }
 
 func TestReaderTrailingBytes(t *testing.T) {
-	data := append(Encode(&RingResumed{ProbeID: 1}), 2)
+	data := append(Encode(&HistReportAck{ReqID: 1}), 2)
 	if _, err := Decode(data); err == nil {
 		t.Fatal("trailing bytes not reported")
 	}
@@ -176,8 +176,6 @@ func allMessages() []Message {
 		&Heartbeat{From: ni, Seq: 42, VerDigest: 0xdeadbeef},
 		&HeartbeatAck{From: ni, Seq: 42, VerDigest: 0xdeadbeef},
 		&Takeover{From: ni, OldCode: c.Append(0), Dead: c.Append(1), Epoch: 5, DeadAddr: "d"},
-		&RingProbe{ProbeID: 6, Origin: ni, Target: c, MatchLen: 2, TTL: 3, Ring: 1, Payload: []byte{9, 9}},
-		&RingResumed{ProbeID: 6},
 		&LivenessProbe{ReqID: 7, Asker: ni, Suspect: NodeInfo{Addr: "s", Code: c}, Hops: 1},
 		&LivenessReply{ReqID: 7, Alive: true},
 		&InsertRun{OriginAddr: "o", Index: "idx", Version: 3, TreeEpoch: 1<<16 | 7, Attempt: 1,
