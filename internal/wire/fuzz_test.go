@@ -75,9 +75,9 @@ func genScatterMessage(k Kind, r *rand.Rand) Message {
 // well-formed message also survives encode→decode→encode
 // byte-identically. kind indexes the registry modulo its size, so every
 // input lands on a real kind; the seeds are the registry's samples, an
-// answer whose records alternate between two arities, and runs of 1, 2
+// answer whose records alternate between two arities, runs of 1, 2
 // and 65 records of each write-path kind (insert runs with and without
-// the repeat bit).
+// the repeat bit), a batch of routed messages and a nested batch.
 func FuzzEveryKind(f *testing.F) {
 	ks := registered()
 	for i, k := range ks {
@@ -86,6 +86,12 @@ func FuzzEveryKind(f *testing.F) {
 		case KindQueryResp:
 			// Records the decoder's shared arena was not sized for.
 			f.Add(uint8(i), Encode(alternatingAnswer(8))[1:])
+		case KindBatch:
+			// Routed messages coalesced into one write burst.
+			routed := [][]byte{Encode(insertRun(2)), Encode(sample(f, KindSubQuery)), Encode(sample(f, KindTriggerInstall))}
+			f.Add(uint8(i), Encode(&Batch{Msgs: routed})[1:])
+			// A batch inside a batch, which must not decode.
+			f.Add(uint8(i), Encode(&Batch{Msgs: [][]byte{Encode(&Batch{Msgs: routed[:1]})}})[1:])
 		case KindInsert, KindReplicate, KindInsertAck:
 			for _, n := range []int{1, 2, 65} {
 				f.Add(uint8(i), Encode(map[Kind]Message{
