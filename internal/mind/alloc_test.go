@@ -151,3 +151,38 @@ func TestAllocBudgetDedupSet(t *testing.T) {
 		t.Fatalf("a warmed dedup set allocates %.0f times per %d fresh keys, budget is 0", allocs, 4*capacity)
 	}
 }
+
+// TestInsertTableFootprint: a Go map never shrinks, so a node's insert
+// table that once held 50 k in-flight inserts used to keep the buckets
+// of that peak — ≈ 1 MB — long after every insert settled. A table that
+// drains after a peak of insertsShrinkAt or more is replaced, so what the
+// settled node retains for its table (the heap a collection frees once a
+// fresh map is swapped in) stays under 16 KB.
+func TestInsertTableFootprint(t *testing.T) {
+	net, a, _, _, _, sch := tapPair(t)
+	const inserts = 50000
+	for i, res := range insertBatchSettled(t, net, a, sch.Tag, envelopeRecs(9, inserts)) {
+		if !res.OK {
+			t.Fatalf("insert %d: %+v", i, res)
+		}
+	}
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC() // the second empties the sync.Pool victim caches
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	a.mu.Lock()
+	left := len(a.inserts)
+	a.mu.Unlock()
+	before := heap()
+	a.mu.Lock()
+	a.inserts = make(map[uint64]*insertOp)
+	a.mu.Unlock()
+	retained := before - heap()
+	t.Logf("%d inserts settled, %d left in the table, which retained %d bytes", inserts, left, retained)
+	if left != 0 || retained > 16<<10 {
+		t.Fatalf("after %d inserts settled the table holds %d entries and retains %d bytes; the bound is 16 KB", inserts, left, retained)
+	}
+}

@@ -45,10 +45,11 @@ type index struct {
 	// (store.Options.Rollup), so inserting into, dropping or rebuilding a
 	// version's engine is all it takes to keep the two equal. Replica
 	// storage is NOT summarized and NOT indexed: its engines append
-	// (store.Options.Append) — a full tail is sealed as it is and never
-	// carried — because a replica is read only when its owner fails, and
-	// fail-over answers, replica-served aggregates, absorptions and
-	// recalls scan it exactly.
+	// (store.Options.Append) — a full tail is packed into a block and
+	// never carried — because a replica is read only when its owner
+	// fails, and fail-over answers, replica-served aggregates,
+	// absorptions and recalls read it block by block, skipping the
+	// blocks whose box misses the rectangle.
 	primary  *store.Versioned
 	replicas *store.Versioned
 	// replicaOwners records the owner codes whose data we replicate,

@@ -190,6 +190,7 @@ func (n *Node) sendInserts(tag string, ops []insertOp, done func([]InsertResult)
 		op.grp, op.slot, op.reqID = grp, i, n.nextReq()
 		n.inserts[op.reqID] = op
 	}
+	n.insertsPeak = max(n.insertsPeak, len(n.inserts))
 	grp.timeout = n.clock.AfterFunc(n.cfg.InsertTimeout, func() {
 		for i := range grp.ops {
 			n.finishInsert(grp.ops[i].reqID, InsertResult{OK: false, Err: errTimeout})
@@ -237,17 +238,30 @@ func clampDepth(d int) int {
 	return d
 }
 
+// insertsShrinkAt is the peak after which a drained insert table is
+// replaced by an empty one. It is a fixed hysteresis, not a knob: a
+// table that peaked lower (≈ 150 KB at most) is kept, so a stream whose
+// table drains between small frames never reallocates it, and one that
+// is replaced has settled at least this many inserts since it was made,
+// which amortises its regrowth.
+const insertsShrinkAt = 4096
+
 // takeInsertLocked settles an insert: the op leaves the table with
 // its outcome recorded in its group, and a last pending member stops the
 // group's timers. It returns the group when its callback is now due — the
 // caller fires it once n.mu is released — and nil otherwise, also for an
-// op that already settled. Callers hold n.mu.
+// op that already settled. A table left empty after a peak of
+// insertsShrinkAt or more is replaced, giving back the memory of its
+// peak. Callers hold n.mu.
 func (n *Node) takeInsertLocked(reqID uint64, res InsertResult) *insertGroup {
 	op, ok := n.inserts[reqID]
 	if !ok {
 		return nil
 	}
 	delete(n.inserts, reqID)
+	if len(n.inserts) == 0 && n.insertsPeak >= insertsShrinkAt {
+		n.inserts, n.insertsPeak = make(map[uint64]*insertOp), 0
+	}
 	n.pendingGauge.Add(-1)
 	g := op.grp
 	if g.done != nil {

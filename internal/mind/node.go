@@ -61,6 +61,11 @@ type Node struct {
 	scatters map[uint64]*scatterOp // mu; in-flight queries and aggregates (scatter.go)
 	seenOps  *dedupSet             // mu; flood dedup (create/drop index, install, retire, recall, trigger remove)
 
+	// insertsPeak is the most entries inserts has held since it was
+	// made: a table that drains after a peak of insertsShrinkAt or more
+	// is replaced (takeInsertLocked), since a Go map never shrinks.
+	insertsPeak int // mu
+
 	collect map[string]*histCollect  // mu; designated-node histogram state
 	reports map[uint64]*histReportOp // mu; originator-side tracked reports
 
@@ -687,10 +692,11 @@ type IndexInfo struct {
 // StoreInfo is one index version's store engines as the ladder sees
 // them (store.Sharded.Shape); the primary ladder's CarriedRows over the
 // records it holds is its write amplification, and a ladder's Bytes over
-// its records its footprint — ≈ 4 B per value while WideLevels is 0, up
-// to 8 in the levels holding a value ≥ 2³². The replica ladder
-// appends — every level one sealed tail — so its Carries and
-// CarriedRows stay 0.
+// its records its footprint — in the primary ladder ≈ 4 B per value
+// while WideLevels is 0, up to 8 in the levels holding a value ≥ 2³².
+// The replica ladder appends — every level one packed block, each
+// column at the bits its range needs — so its Carries and CarriedRows
+// stay 0.
 type StoreInfo struct {
 	Version  uint32             `json:"version"`
 	Primary  *store.LadderShape `json:"primary,omitempty"`

@@ -42,16 +42,16 @@ func TestAllocBudgetShardedInsert(t *testing.T) {
 
 // TestAllocBudgetAppendInsert is the alloc gate on an appending
 // ladder's write path (Options.Append): an insert between seals
-// allocates nothing, and a seal allocates the fresh tail — its arena and
-// its header — the Static naming the sealed level and the snapshot
-// publishing both, plus, when every value in the tail fits 32 bits, the
-// one narrow copy that becomes the level; the level list grows in place.
-// No seal indexes or reorders a row: every sealed level is uncut and
-// holds its tail in insertion order. Over 16 seals the bytes allocated
-// stay within a quarter above the 17 tail arenas and, for narrow
-// records, the 16 half-size copies; a seal that copied its tail at full
-// width, or twice, would blow that. Records whose payload needs 64 bits
-// are sealed as the tail itself, with no copy at all.
+// allocates nothing, and a seal allocates four times whatever the
+// records' width — the fresh tail (its arena and its header), the
+// block's one slice of words the full tail is packed into, and the
+// snapshot publishing both; the block list, which holds blocks by
+// value, grows in place. No seal indexes or reorders a row: every sealed
+// level is a block holding its tail in insertion order. Each block is at
+// most half a tail arena — no larger than the 32-bit copy of the tail a
+// narrow seal once made — and over 16 seals the bytes allocated stay
+// within a quarter above the 17 tail arenas and 16 such halves; a seal
+// that copied its tail at full width, or twice, would blow that.
 func TestAllocBudgetAppendInsert(t *testing.T) {
 	for _, width := range []string{"narrow", "wide"} {
 		t.Run(width, func(t *testing.T) {
@@ -83,18 +83,25 @@ func TestAllocBudgetAppendInsert(t *testing.T) {
 			if len(s.Levels) != 16 || s.Carries != 0 || (s.WideLevels == 16) != (width == "wide") || (s.WideLevels == 0) != (width == "narrow") {
 				t.Fatalf("fixture: %+v, want 16 sealed %s levels", s, width)
 			}
-			budget := 4.0
-			if width == "narrow" {
-				budget++ // the narrow copy
-			}
+			const budget = 4
 			if perSeal > budget+1 {
-				t.Fatalf("a seal allocates %.0f times; budget is %.0f and the level list's amortised growth", perSeal, budget)
+				t.Fatalf("a seal allocates %.1f times; budget is %d and the block list's amortised growth", perSeal, budget)
 			}
-			for j, l := range e.snap.Load().levels {
-				i := j * tailRows
-				if indexed(l) || !l.each(func(rec schema.Record) bool { i++; return slices.Equal(rec, recs[i-1]) }) {
-					t.Fatalf("sealed level %d is cut (%v) or not its tail in insertion order", j, indexed(l))
+			tailBytes := tailRows * sch3().Arity() * 8
+			snap := e.snap.Load()
+			if len(snap.levels) != 0 {
+				t.Fatalf("%d indexed levels beside the blocks", len(snap.levels))
+			}
+			blockBytes := 0
+			for j := range snap.blocks {
+				b, i := &snap.blocks[j], j*tailRows
+				if !b.each(func(rec schema.Record) bool { i++; return slices.Equal(rec, recs[i-1]) }) {
+					t.Fatalf("block %d is not its tail in insertion order", j)
 				}
+				if b.bytes() > tailBytes/2 {
+					t.Fatalf("block %d takes %d bytes, more than the %d of a 32-bit copy of its tail", j, b.bytes(), tailBytes/2)
+				}
+				blockBytes += b.bytes()
 			}
 
 			var before, after runtime.MemStats
@@ -104,15 +111,11 @@ func TestAllocBudgetAppendInsert(t *testing.T) {
 				e.Insert(rec)
 			}
 			runtime.ReadMemStats(&after)
-			tailBytes := uint64(tailRows * sch3().Arity() * 8)
-			want := 17 * tailBytes
-			if width == "narrow" {
-				want += 16 * tailBytes / 2
-			}
+			want := uint64(17*tailBytes + 16*tailBytes/2)
 			bytes := after.TotalAlloc - before.TotalAlloc
-			t.Logf("16 seals: %.0f allocations each, %d bytes in all (tail arena %d bytes)", perSeal, bytes, tailBytes)
+			t.Logf("16 seals: %.1f allocations each, %d bytes in all (tail arena %d bytes, blocks %d bytes each)", perSeal, bytes, tailBytes, blockBytes/16)
 			if bytes > want*5/4 {
-				t.Fatalf("16 seals allocated %d bytes; their tail arenas and narrow copies are %d: a seal copies rows at full width", bytes, want)
+				t.Fatalf("16 seals allocated %d bytes; their tail arenas and half-tail blocks are %d: a seal copies rows at full width", bytes, want)
 			}
 		})
 	}
@@ -194,8 +197,11 @@ func TestAllocBudgetBoundaryFold(t *testing.T) {
 // records in Index-2's ranges, spread over a day (every value fits 32
 // bits, as NetFlow's fields do), retain at most 24 B of heap each in a
 // merging ladder with its rollup (a primary store, as a node builds it)
-// and in an appending one (a replica store) — ≈ 20 B of narrow rows and
-// what the cuts and the tail add; 64-bit rows alone are 40 B. The
+// — ≈ 20 B of narrow rows and what the cuts and the tail add; 64-bit
+// rows alone are 40 B — and at most 14 B in an appending one (a replica
+// store), whose blocks pack each column at the bits its range needs:
+// 24 + 9 + 21 + 32 + 6 = 92 bits, 11.5 B a row, plus each block's
+// header and the tail. The
 // rollup's own heap is a fixed ≈ 480 KB whatever the ladder's width (a
 // sketch per cell), 7 B per record at this size, so it is measured on
 // its own, fed the same records, and not charged to the ladder. One
@@ -229,9 +235,11 @@ func TestLadderFootprint(t *testing.T) {
 		name    string
 		opts    Options
 		rollups float64 // the rollup's own heap per record, not the ladder's
+		budget  float64 // heap per record
+		bytes   [2]int  // the bounds on Shape.Bytes per record
 	}{
-		{"merging+rollup", Options{Rollup: &summary.Options{}}, rollup},
-		{"appending", Options{Append: true}, 0},
+		{"merging+rollup", Options{Rollup: &summary.Options{}}, rollup, 24, [2]int{4 * sch.Arity(), 21}},
+		{"appending", Options{Append: true}, 0, 14, [2]int{11, 13}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := heap()
@@ -243,27 +251,37 @@ func TestLadderFootprint(t *testing.T) {
 			s := e.Shape()
 			t.Logf("%d records: %.1f B of heap each beside %.1f B of rollup, Shape.Bytes %.1f each, %d levels, %d wide",
 				n, per, tc.rollups, float64(s.Bytes)/n, len(s.Levels), s.WideLevels)
-			if per > 24 {
-				t.Fatalf("%d records retain %.1f B of heap each, budget 24", n, per)
+			if per > tc.budget {
+				t.Fatalf("%d records retain %.1f B of heap each, budget %.0f", n, per, tc.budget)
 			}
-			if s.WideLevels != 0 || s.Bytes > n*21 || s.Bytes < n*4*sch.Arity() {
-				t.Fatalf("%d narrow records: %d wide levels, %d bytes of rows and cuts", n, s.WideLevels, s.Bytes)
+			if s.WideLevels != 0 || s.Bytes > n*tc.bytes[1] || s.Bytes < n*tc.bytes[0] {
+				t.Fatalf("%d narrow records: %d wide levels, %d bytes of levels and tail, want %d–%d B each", n, s.WideLevels, s.Bytes, tc.bytes[0], tc.bytes[1])
 			}
 			for _, rec := range recs[n:] { // the wide record's tail, then one more
 				e.Insert(rec)
 			}
 			w := e.Shape()
-			var wide []int
-			for k, l := range e.snap.Load().levels {
+			var wide []int // the lengths of the wide levels and blocks
+			holds := func(rows []uint64) bool { return slices.Contains(rows, 1<<40) }
+			snap := e.snap.Load()
+			for k, l := range snap.levels {
 				if l.isWide() {
-					wide = append(wide, k)
-					if !slices.ContainsFunc(wideRows(l), func(v uint64) bool { return v == 1<<40 }) {
+					wide = append(wide, l.Len())
+					if !holds(wideRows(l)) {
 						t.Fatalf("level %d of %d rows is wide without holding the wide record", k, l.Len())
 					}
 				}
 			}
-			if len(wide) != 1 || w.WideLevels != 1 || e.snap.Load().levels[wide[0]].Len() > 2*tailRows {
-				t.Fatalf("one value ≥ 2³² widened levels %v of %v (Shape says %d)", wide, w.Levels, w.WideLevels)
+			for k := range snap.blocks {
+				if b := &snap.blocks[k]; b.isWide() {
+					wide = append(wide, b.n)
+					if !holds(appendBlock[uint64](nil, b)) {
+						t.Fatalf("block %d is wide without holding the wide record", k)
+					}
+				}
+			}
+			if len(wide) != 1 || w.WideLevels != 1 || wide[0] > 2*tailRows {
+				t.Fatalf("one value ≥ 2³² widened levels of lengths %v among %v (Shape says %d)", wide, w.Levels, w.WideLevels)
 			}
 			if grown := w.Bytes - s.Bytes; grown > 2*tailRows*8*sch.Arity()+8*tailRows {
 				t.Fatalf("%d more records, one of them wide, added %d bytes", 2*tailRows, grown)

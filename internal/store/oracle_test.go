@@ -2,6 +2,7 @@ package store
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -43,15 +44,53 @@ func batchRec(rows schema.Rows, o, arity int) schema.Record {
 	return slices.Clone(rows.W64[o : o+arity])
 }
 
-// checkWidths holds every level of e to the width rule: a level keeps
-// 64-bit rows iff it holds a value that needs them.
+// checkWidths holds every level and block of e to the width rule: a
+// level keeps 64-bit rows, and a block decodes into them, iff it holds a
+// value that needs them.
 func checkWidths(t *testing.T, name string, e *Sharded) {
 	t.Helper()
-	for k, l := range e.snap.Load().levels {
+	snap := e.snap.Load()
+	for k, l := range snap.levels {
 		var high uint64
-		l.All(func(rec schema.Record) bool { high |= highBits(rec); return true })
+		l.each(func(rec schema.Record) bool { high |= highBits(rec); return true })
 		if l.isWide() != (high != 0) {
 			t.Fatalf("%s level %d of %d rows: wide %v, but holds a value ≥ 2³² %v", name, k, l.Len(), l.isWide(), high != 0)
+		}
+	}
+	for k := range snap.blocks {
+		b := &snap.blocks[k]
+		var high uint64
+		b.each(func(rec schema.Record) bool { high |= highBits(rec); return true })
+		if b.isWide() != (high != 0) {
+			t.Fatalf("%s block %d of %d rows: wide %v, but holds a value ≥ 2³² %v", name, k, b.n, b.isWide(), high != 0)
+		}
+	}
+}
+
+// checkBlocks holds every sealed block of e to its frames: each
+// column's reference and maximum are its values' extent (the box), the
+// shift is the trailing zeros every offset from the reference shares and
+// no more, and the width the bits the largest shifted offset needs.
+func checkBlocks(t *testing.T, e *Sharded) {
+	t.Helper()
+	snap := e.snap.Load()
+	for k := range snap.blocks {
+		b := &snap.blocks[k]
+		rows := appendBlock[uint64](nil, b)
+		for c := 0; c < b.arity; c++ {
+			ref, hi, shift, width := b.frame(c)
+			lo, top, differ := uint64(math.MaxUint64), uint64(0), uint64(0)
+			for i := c; i < len(rows); i += b.arity {
+				lo, top, differ = min(lo, rows[i]), max(top, rows[i]), differ|(rows[i]-ref)
+			}
+			wantShift := uint(0)
+			if differ != 0 {
+				wantShift = uint(bits.TrailingZeros64(differ))
+			}
+			if ref != lo || hi != top || shift != wantShift || width != uint(bits.Len64((hi-ref)>>shift)) {
+				t.Fatalf("block %d column %d: frame ref %d max %d shift %d width %d; values span [%d, %d], offsets share %d trailing zeros",
+					k, c, ref, hi, shift, width, lo, top, wantShift)
+			}
 		}
 	}
 }
@@ -73,7 +112,11 @@ func checkWidths(t *testing.T, name string, e *Sharded) {
 // the time-first cut schedule (schema.CutDim) is pruned on against the
 // oracle. Values straddle 2³² too, so narrow and wide tails, carries and
 // seals mix, and every level of both ladders is held to the width rule
-// (checkWidths) after every insert.
+// (checkWidths) after every insert, and every sealed block to its frames
+// (checkBlocks). In packed-block mode (schemaRaw bit 3) the payload
+// column is fuzzed as the coordinates are instead of counting inserts,
+// so a block's payload may be constant (width 0), span all 64 bits or
+// straddle 2³², beside coordinates that do the same.
 func FuzzStoreOracle(f *testing.F) {
 	// Insert = op, then (mode, byte) per coordinate; query = op 3, then
 	// (mode, byte) for Lo and Hi per dim. One in-range record and the full
@@ -112,6 +155,35 @@ func FuzzStoreOracle(f *testing.F) {
 		rand.New(rand.NewSource(seed)).Read(blob)
 		f.Add(blob, uint8(seed), uint8(seed))
 	}
+	// Packed-block mode, tail 4: a block whose payload is constant (width
+	// 0), one whose payload spans all 64 bits beside an x that does too,
+	// and one whose x and payload straddle 2³²; then rectangles on x over
+	// two more blocks, x in [0, 123] and x in [4100, 4223]: the first
+	// block inside and the second disjoint, both straddling, both inside.
+	// An insert's payload mode is its op byte >> 2, its byte z's.
+	packedRec := func(op, xm, xb, z byte) []byte { return []byte{op, xm, xb, 0, xb, 0, z} }
+	var packed []byte
+	for k := byte(0); k < 4; k++ {
+		packed = append(packed, packedRec(12, 0, k, 8*k)...) // payload z%8 = 0
+	}
+	packed = append(packed, packedRec(8, 2, 0, 0)...) // x and payload MaxUint64
+	packed = append(packed, packedRec(0, 0, 0, 0)...) // x and payload 0
+	packed = append(packed, packedRec(8, 2, 9, 3)...)
+	packed = append(packed, packedRec(0, 0, 7, 1)...)
+	for k := byte(0); k < 4; k++ {
+		packed = append(packed, packedRec(24, 6, 126+k, 126+k)...) // 2³² - 2 … 2³² + 1
+	}
+	for k := byte(0); k < 4; k++ {
+		packed = append(packed, packedRec(0, 0, k, k)...)
+	}
+	for k := byte(100); k < 104; k++ {
+		packed = append(packed, packedRec(0, 0, k, k)...)
+	}
+	xRect := func(lo, hi byte) []byte { return []byte{3, 0, lo, 0, hi, 0, 0, 2, 0, 0, 0, 2, 0} }
+	packed = append(packed, xRect(0, 3)...)
+	packed = append(packed, xRect(1, 101)...)
+	packed = append(packed, xRect(0, 103)...)
+	f.Add(packed, uint8(0), uint8(8))
 	f.Fuzz(func(t *testing.T, data []byte, tailRaw, schemaRaw uint8) {
 		sch := sch3()
 		if p := int(schemaRaw % 4); p > 0 {
@@ -169,10 +241,13 @@ func FuzzStoreOracle(f *testing.F) {
 			}
 		}
 		for i := 0; i+7 <= len(data); {
-			if data[i]%4 != 3 { // insert: 3 coordinates, payload = ordinal
+			if data[i]%4 != 3 { // insert: 3 coordinates, payload = ordinal or fuzzed
 				rec := schema.Record{
 					fuzzVal(data[i+1], data[i+2]), fuzzVal(data[i+3], data[i+4]),
 					fuzzVal(data[i+5], data[i+6]), uint64(i),
+				}
+				if schemaRaw&8 != 0 {
+					rec[3] = fuzzVal(data[i]>>2, data[i+6])
 				}
 				eng.Insert(rec)
 				app.Insert(rec)
@@ -189,6 +264,7 @@ func FuzzStoreOracle(f *testing.F) {
 				}
 				checkWidths(t, "sharded", eng)
 				checkWidths(t, "append", app)
+				checkBlocks(t, app)
 				i += 7
 				continue
 			}
@@ -357,6 +433,83 @@ func viewContract(t *testing.T, randRec func(*rand.Rand) schema.Record) {
 			t.Fatalf("engine holds %d records after appends to views, want the %d inserted", len(got), len(recs))
 		}
 	})
+}
+
+// TestPackedBlockViews: what a read of a sealed block hands over is its
+// own fresh decode, so a batch's rows and a record may be retained. A
+// batch from a block inside the window (selected whole) and one from a
+// block straddling it, and the records Query returned, are held while the
+// same blocks are read again — a decode into a reused buffer would
+// overwrite them — and while more tails seal and Compact merges every
+// block away. Each reads as inserted throughout, and appending to a
+// retained record reallocates instead of touching the next row.
+func TestPackedBlockViews(t *testing.T) {
+	r := rand.New(rand.NewSource(82))
+	e := NewSharded(sch3(), Options{Append: true})
+	e.tailCap = 16
+	var recs []schema.Record
+	for i := 0; i < 64; i++ { // four blocks: x rises with i, so each block's x range is its own
+		rec := randRec(r)
+		rec[0], rec[3] = uint64(i)*100, uint64(i)
+		recs = append(recs, rec)
+		e.Insert(rec)
+	}
+	if s := e.Shape(); len(s.Levels) != 4 || s.TailRecords != 0 {
+		t.Fatalf("fixture: %+v, want four sealed blocks", s)
+	}
+	// x in [1600, 3950]: block 1 (rows 16–31, x 1600–3100) inside, block 2
+	// (rows 32–47, x 3200–4700) straddling, blocks 0 and 3 disjoint.
+	rect := schema.Rect{Lo: []uint64{1600, 0, 0}, Hi: []uint64{3950, 9999, 9999}}
+	type held struct {
+		rows schema.Rows
+		sel  []int32
+		want []schema.Record
+	}
+	var batches []held
+	e.VisitBatches(rect, func(rows schema.Rows, sel []int32) {
+		h := held{rows: rows, sel: slices.Clone(sel)}
+		for _, o := range sel {
+			h.want = append(h.want, batchRec(rows, int(o), 4))
+		}
+		batches = append(batches, h)
+	})
+	records := e.Query(rect)
+	if len(batches) != 2 || len(batches[0].sel) != 16 || len(records) != 16+8 {
+		t.Fatalf("fixture: %d batches, %d records; want the inside block whole and 8 rows of the straddling one", len(batches), len(records))
+	}
+	for i, rec := range records {
+		if !slices.Equal(rec, recs[16+i]) || cap(rec) != 4 {
+			t.Fatalf("record %d = %v (cap %d), inserted %v", i, rec, cap(rec), recs[16+i])
+		}
+		grown := append(rec, 0xdead)
+		grown[len(grown)-1]++
+	}
+	check := func(when string) {
+		t.Helper()
+		for j, h := range batches {
+			for k, o := range h.sel {
+				if got := batchRec(h.rows, int(o), 4); !slices.Equal(got, h.want[k]) {
+					t.Fatalf("%s: retained batch %d row %d reads %v, was %v", when, j, k, got, h.want[k])
+				}
+			}
+		}
+		for i, rec := range records {
+			if !slices.Equal(rec, recs[16+i]) {
+				t.Fatalf("%s: retained record %d reads %v, inserted %v", when, i, rec, recs[16+i])
+			}
+		}
+	}
+	for i := 0; i < 3; i++ {
+		e.Count(rect)
+		e.Query(fullRect())
+		e.All(func(schema.Record) bool { return true })
+	}
+	check("after more reads of the same blocks")
+	for i := 0; i < 200; i++ {
+		e.Insert(randRec(r))
+	}
+	e.Compact()
+	check("after more seals and Compact")
 }
 
 // TestVisitConcurrentWithMerges runs Visit (and the wrappers over it)

@@ -26,12 +26,13 @@ type Options struct {
 	// ladder and its rollup hold the same records by construction. Nil
 	// (replica stores) keeps no rollup.
 	Rollup *summary.Options
-	// Append makes the ladder a log: a full tail is sealed as it is —
-	// its own arena, unindexed — and appended as a level, so no record
-	// is ever copied or partitioned again and reads scan the sealed
-	// levels whole. It suits a store written far more than read: a
-	// replica store (DESIGN.md §4h, "Replicas append"). Compact still
-	// merges everything into one indexed level.
+	// Append makes the ladder a log: a full tail is sealed — packed by
+	// column into one immutable block with a box (block.go) — and
+	// appended to the ladder's blocks, so no record is ever partitioned
+	// or merged again, and a read skips or decodes each sealed block by
+	// its box. It suits a store written far more than read: a replica
+	// store (DESIGN.md §4h, "Replicas append"). Compact still merges
+	// everything into one indexed level.
 	Append bool
 }
 
@@ -61,15 +62,18 @@ func (t *tail) published(arity int) []uint64 {
 	return t.rows[:int(t.n.Load())*arity]
 }
 
-// ladderSnap is the ladder's published state: its immutable levels,
-// oldest first — in a merging ladder also largest first with strictly
-// decreasing lengths, in an appending one each a sealed tail — and the
-// tail absorbing inserts (nil until the first insert and after
-// Compact). Readers load the pointer once and resolve against all of
-// it; a carry publishes a replacement snap without mutating any old
-// part, so in-flight readers finish on a consistent view.
+// ladderSnap is the ladder's published state: its immutable indexed
+// levels, oldest first — in a merging ladder largest first with
+// strictly decreasing lengths, in an appending one none, or the one a
+// Compact built — then the blocks an appending ladder sealed since,
+// oldest first, and the tail absorbing inserts (nil until the first
+// insert and after Compact). Readers load the pointer once and resolve
+// against all of it in that order; a carry publishes a replacement snap
+// without mutating any old part, so in-flight readers finish on a
+// consistent view.
 type ladderSnap struct {
 	levels []*Static
+	blocks []block
 	tail   *tail
 }
 
@@ -81,8 +85,8 @@ type ladderSnap struct {
 // place. A record is therefore rebuilt O(log(n/tailRows)) times over its
 // life, no insert ever pays for more than the levels it absorbs, and
 // there is one index structure at every size. An appending ladder
-// (Options.Append) seals a full tail as an unindexed level instead and
-// never carries: its records are written once and read by whole scans,
+// (Options.Append) seals a full tail into a packed block instead and
+// never carries: its records are packed once and read block by block,
 // and the carry bounds above hold for merging ladders only. The name
 // (and NewSharded, Options) outlived the hash sharding it once described
 // because benchmark/isolation.go compiles against it.
@@ -141,7 +145,7 @@ func (e *Sharded) Insert(rec schema.Record) {
 	e.mu.Lock()
 	snap := e.snap.Load()
 	if snap.tail == nil {
-		snap = &ladderSnap{levels: snap.levels, tail: e.newTail()}
+		snap = &ladderSnap{levels: snap.levels, blocks: snap.blocks, tail: e.newTail()}
 		e.snap.Store(snap)
 	}
 	t := snap.tail
@@ -167,16 +171,22 @@ func (e *Sharded) Insert(rec schema.Record) {
 // with a fresh tail. The run being formed starts as the tail and
 // absorbs, newest first, every level no longer than itself (all of them
 // when everything is set) — the binary-counter carry, which keeps level
-// lengths strictly decreasing. The new level's arena is the absorbed
-// arenas and the tail appended oldest first, then partitioned in place;
-// it is narrow iff the tail and every absorbed level are, so a wide
-// value widens only the levels that come to hold it. The rollup folds
-// last, so its delta never outlives the tail it views. Caller holds
-// e.mu. The old snapshot's parts are never mutated: in-flight readers
-// drain on them and the GC reclaims them after.
+// lengths strictly decreasing. Blocks, which only an appending ladder
+// holds and only its Compact carries, are absorbed whole. The new
+// level's arena is the absorbed arenas and the tail appended oldest
+// first, then partitioned in place; it is narrow iff the tail and every
+// absorbed level are, so a wide value widens only the levels that come
+// to hold it. The rollup folds last, so its delta never outlives the
+// tail it views. Caller holds e.mu. The old snapshot's parts are never
+// mutated: in-flight readers drain on them and the GC reclaims them
+// after.
 func (e *Sharded) carryLocked(snap *ladderSnap, everything bool) {
 	tailRun := snap.tail.published(e.arity)
 	run, keep, narrow := len(tailRun)/e.arity, len(snap.levels), snap.tail.narrow()
+	for i := range snap.blocks {
+		run += snap.blocks[i].n
+		narrow = narrow && !snap.blocks[i].isWide()
+	}
 	for keep > 0 && (everything || snap.levels[keep-1].Len() <= run) {
 		keep--
 		run += snap.levels[keep].Len()
@@ -185,9 +195,9 @@ func (e *Sharded) carryLocked(snap *ladderSnap, everything bool) {
 	next := &ladderSnap{levels: make([]*Static, keep+1)}
 	copy(next.levels, snap.levels[:keep])
 	if narrow {
-		next.levels[keep] = newLevel(&e.geom, gather[uint32](snap.levels[keep:], tailRun, run*e.arity), true)
+		next.levels[keep] = newLevel(&e.geom, gather[uint32](snap.levels[keep:], snap.blocks, tailRun, run*e.arity))
 	} else {
-		next.levels[keep] = newLevel(&e.geom, gather[uint64](snap.levels[keep:], tailRun, run*e.arity), true)
+		next.levels[keep] = newLevel(&e.geom, gather[uint64](snap.levels[keep:], snap.blocks, tailRun, run*e.arity))
 	}
 	if !everything {
 		next.tail = e.newTail()
@@ -200,31 +210,30 @@ func (e *Sharded) carryLocked(snap *ladderSnap, everything bool) {
 	}
 }
 
-// gather appends the levels' rows, oldest first, and then tailRun into
-// one fresh arena of words W holding exactly words of them.
-func gather[W schema.Word](levels []*Static, tailRun []uint64, words int) []W {
+// gather appends the levels' rows, oldest first, then the blocks' and
+// then tailRun into one fresh arena of words W holding exactly words of
+// them.
+func gather[W schema.Word](levels []*Static, blocks []block, tailRun []uint64, words int) []W {
 	rows := make([]W, 0, words)
 	for _, l := range levels {
 		rows = appendWords(rows, l.narrow.rows)
 		rows = appendWords(rows, l.wide.rows)
 	}
+	for i := range blocks {
+		rows = appendBlock(rows, &blocks[i])
+	}
 	return appendWords(rows, tailRun)
 }
 
-// sealLocked appends the full tail to the levels as an unindexed level
-// and publishes the result with a fresh tail: a narrow tail is copied
-// into a 32-bit arena of its own — one copy, no build — and a wide one
-// becomes the level as it is. The level list grows in place: a
-// published snapshot never reads past its own length, and only the
-// writer appends. Caller holds e.mu.
+// sealLocked packs the full tail into a block, appends it to the blocks
+// and publishes the result with a fresh tail: one pass over the tail's
+// rows to frame each column and one to pack it, no build. The retired
+// tail is left to the readers still holding its rows. The block list
+// grows in place: a published snapshot never reads past its own length,
+// and only the writer appends. Caller holds e.mu.
 func (e *Sharded) sealLocked(snap *ladderSnap) {
-	var sealed *Static
-	if t := snap.tail; t.narrow() {
-		sealed = newLevel(&e.geom, appendWords(make([]uint32, 0, len(t.rows)), t.rows), false)
-	} else {
-		sealed = newLevel(&e.geom, t.rows, false)
-	}
-	e.snap.Store(&ladderSnap{levels: append(snap.levels, sealed), tail: e.newTail()})
+	blocks := append(snap.blocks, pack(&e.geom, snap.tail.published(e.arity)))
+	e.snap.Store(&ladderSnap{levels: snap.levels, blocks: blocks, tail: e.newTail()})
 }
 
 // Compact carries the tail and every level into one level, leaving no
@@ -233,7 +242,7 @@ func (e *Sharded) sealLocked(snap *ladderSnap) {
 func (e *Sharded) Compact() {
 	e.mu.Lock()
 	snap := e.snap.Load()
-	if len(snap.levels) > 1 || len(snap.tail.published(e.arity)) > 0 {
+	if len(snap.levels)+len(snap.blocks) > 1 || len(snap.tail.published(e.arity)) > 0 {
 		e.carryLocked(snap, true)
 	}
 	e.mu.Unlock()
@@ -241,7 +250,7 @@ func (e *Sharded) Compact() {
 
 // VisitBatches calls fn with every record inside rect, a batch at a
 // time (Static.VisitBatches' contract): the levels, oldest first, then
-// the tail in leaf-sized runs, on one published snapshot and one opened
+// the blocks, then the tail in leaf-sized runs, on one published snapshot and one opened
 // window. The aggregate path pairs it with Rollup, folding the rollup's
 // boundary cells through it batch by batch (summary.Fold.AddBatch)
 // without materializing a record slice.
@@ -255,6 +264,9 @@ func (e *Sharded) VisitBatches(rect schema.Rect, fn func(rows schema.Rows, sel [
 	snap := e.snap.Load()
 	for _, l := range snap.levels {
 		l.visit(&w, sel, fn)
+	}
+	for i := range snap.blocks {
+		snap.blocks[i].visit(&w, sel, fn)
 	}
 	scanBatches(snap.tail.published(e.arity), e.arity, w.con, sel, fn)
 	selPool.Put(sel)
@@ -289,30 +301,40 @@ func (e *Sharded) Count(rect schema.Rect) int {
 
 // LadderShape is the ladder as an operator sees it. CarriedRows ÷
 // records inserted is the write amplification; Bytes ÷ records is the
-// footprint, ≈ 4·arity per record while every level is narrow and up to
-// twice that once WideLevels counts levels holding a value ≥ 2³².
+// footprint: in a merging ladder ≈ 4·arity per record while every level
+// is narrow and up to twice that once WideLevels counts levels holding a
+// value ≥ 2³², in an appending one the bits each block's value ranges
+// need.
 type LadderShape struct {
-	Levels      []int  `json:"levels"` // level lengths, oldest first
+	Levels      []int  `json:"levels"` // level lengths, then block lengths, oldest first
 	TailRecords int    `json:"tail_records"`
 	Carries     uint64 `json:"carries"`
 	CarriedRows uint64 `json:"carried_rows"`
-	Bytes       int    `json:"bytes"`       // every level's rows and cuts, plus the tail arena
-	WideLevels  int    `json:"wide_levels"` // levels keeping 64-bit rows
+	Bytes       int    `json:"bytes"`       // every level's rows and cuts or packed block, plus the tail arena
+	WideLevels  int    `json:"wide_levels"` // levels holding a value ≥ 2³²
 }
 
 // Shape snapshots the ladder (ops surface, tests).
 func (e *Sharded) Shape() LadderShape {
 	snap := e.snap.Load()
 	shape := LadderShape{
-		Levels:      make([]int, len(snap.levels)),
+		Levels:      make([]int, 0, len(snap.levels)+len(snap.blocks)),
 		TailRecords: len(snap.tail.published(e.arity)) / e.arity,
 		Carries:     e.carries.Load(),
 		CarriedRows: e.carriedRows.Load(),
 	}
-	for k, l := range snap.levels {
-		shape.Levels[k] = l.Len()
+	for _, l := range snap.levels {
+		shape.Levels = append(shape.Levels, l.Len())
 		shape.Bytes += l.bytes()
 		if l.isWide() {
+			shape.WideLevels++
+		}
+	}
+	for i := range snap.blocks {
+		b := &snap.blocks[i]
+		shape.Levels = append(shape.Levels, b.n)
+		shape.Bytes += b.bytes()
+		if b.isWide() {
 			shape.WideLevels++
 		}
 	}
@@ -328,6 +350,9 @@ func (e *Sharded) count() (levels, inTail int) {
 	for _, l := range snap.levels {
 		levels += l.Len()
 	}
+	for i := range snap.blocks {
+		levels += snap.blocks[i].n
+	}
 	return levels, len(snap.tail.published(e.arity)) / e.arity
 }
 
@@ -338,14 +363,19 @@ func (e *Sharded) Len() int {
 }
 
 // All streams every stored record; stops early if yield returns false.
-// The levels stream oldest first, then the tail in insertion order — a
-// deterministic order for a deterministic op history, which the simnet
-// reproducibility contract requires of the replication and rebalance
-// hand-off paths built on All.
+// The levels stream oldest first, then the blocks, then the tail in
+// insertion order — a deterministic order for a deterministic op
+// history, which the simnet reproducibility contract requires of the
+// replication and rebalance hand-off paths built on All.
 func (e *Sharded) All(yield func(rec schema.Record) bool) {
 	snap := e.snap.Load()
 	for _, l := range snap.levels {
 		if !l.each(yield) {
+			return
+		}
+	}
+	for i := range snap.blocks {
+		if !snap.blocks[i].each(yield) {
 			return
 		}
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -312,9 +313,10 @@ func TestLadderShape(t *testing.T) {
 
 // TestAppendLadderShape: an appending ladder (Options.Append) never
 // carries — no carry, no row written twice — and every level is one
-// sealed tail exactly, unindexed (a whole-scan level: no cuts), holding
-// the records inserted in its turn; All streams in insertion order, and
-// Compact still merges everything into one indexed level.
+// sealed tail exactly, packed into a block whose box on every indexed
+// dimension is its rows' extent, holding the records inserted in its
+// turn; All streams in insertion order, and Compact still merges
+// everything into one indexed level.
 func TestAppendLadderShape(t *testing.T) {
 	for _, tailCap := range []int{tailRows, 8} {
 		e := NewSharded(sch3(), Options{Append: true})
@@ -332,9 +334,21 @@ func TestAppendLadderShape(t *testing.T) {
 		if len(s.Levels) != len(recs)/tailCap || s.TailRecords != len(recs)%tailCap || e.Len() != len(recs) {
 			t.Fatalf("tail %d: %d levels + %d in the tail over %d inserts", tailCap, len(s.Levels), s.TailRecords, len(recs))
 		}
-		for k, l := range e.snap.Load().levels {
-			if l.Len() != tailCap || indexed(l) {
-				t.Fatalf("tail %d: level %d holds %d rows (cuts %v), want one sealed tail of %d", tailCap, k, l.Len(), indexed(l), tailCap)
+		if snap := e.snap.Load(); len(snap.levels) != 0 || len(snap.blocks) != len(s.Levels) {
+			t.Fatalf("tail %d: %d indexed levels and %d blocks, want only the %d sealed blocks", tailCap, len(snap.levels), len(snap.blocks), len(s.Levels))
+		}
+		for k, b := range e.snap.Load().blocks {
+			if b.n != tailCap {
+				t.Fatalf("tail %d: block %d holds %d rows, want one sealed tail of %d", tailCap, k, b.n, tailCap)
+			}
+			for d := 0; d < b.dims; d++ {
+				lo, hi := uint64(math.MaxUint64), uint64(0)
+				for _, rec := range recs[k*tailCap : (k+1)*tailCap] {
+					lo, hi = min(lo, rec[d]), max(hi, rec[d])
+				}
+				if ref, top, _, _ := b.frame(d); ref != lo || top != hi {
+					t.Fatalf("tail %d: block %d's box on dim %d is [%d, %d], its rows span [%d, %d]", tailCap, k, d, ref, top, lo, hi)
+				}
 			}
 		}
 		i := 0

@@ -18,9 +18,8 @@ import (
 //     most leafRows rows, the unit a visit selects from and hands over
 //     as one batch;
 //   - cuts: the split values as an implicit BFS tree — root at 1, the
-//     children of node i at 2i and 2i+1; nil for a level scanned whole
-//     (at most leafRows rows, or a tail an appending ladder sealed,
-//     shard.go). Node i over rows [lo, hi) splits at
+//     children of node i at 2i and 2i+1; nil for a level of at most
+//     leafRows rows, scanned whole. Node i over rows [lo, hi) splits at
 //     mid = lo+(hi-lo)/2 into [lo, mid) and [mid, hi), so a descent
 //     re-derives every row range from n alone and the tree costs about
 //     one word per leaf, not per record. The dimension a node splits is
@@ -114,9 +113,9 @@ func NewStatic(sch *schema.Schema, recs []schema.Record) *Static {
 		high |= highBits(rec[:min(len(rec), g.arity)])
 	}
 	if high == 0 {
-		return newLevel(&g, copyRecs[uint32](recs, g.arity), true)
+		return newLevel(&g, copyRecs[uint32](recs, g.arity))
 	}
-	return newLevel(&g, copyRecs[uint64](recs, g.arity), true)
+	return newLevel(&g, copyRecs[uint64](recs, g.arity))
 }
 
 // highBits is the OR of the high halves of rec's values: zero iff
@@ -159,12 +158,11 @@ func appendWords[D, S schema.Word](dst []D, src []S) []D {
 }
 
 // newLevel makes rows a level at their width, taking ownership of the
-// arena; index permutes it into partition order and records the cuts
-// (a sealed tail is left unindexed). There is no scratch beyond the
-// cuts themselves.
-func newLevel[W schema.Word](g *geom, rows []W, index bool) *Static {
+// arena, permuting it into partition order and recording the cuts.
+// There is no scratch beyond the cuts themselves.
+func newLevel[W schema.Word](g *geom, rows []W) *Static {
 	a := arena[W]{rows: rows}
-	if n := len(rows) / g.arity; index && n > leafRows {
+	if n := len(rows) / g.arity; n > leafRows {
 		a.cuts = make([]W, cutsLen(n))
 		a.partition(g, 1, 0, n, 0)
 	}

@@ -24,7 +24,7 @@ func wideCuts(s *Static) []uint64 {
 	return widen(s.narrow.cuts)
 }
 
-// indexed reports whether a level has cuts (a sealed tail has none).
+// indexed reports whether a level has cuts.
 func indexed(s *Static) bool { return s.wide.cuts != nil || s.narrow.cuts != nil }
 
 func fullRect() schema.Rect {

@@ -19,7 +19,10 @@
 //     windows in time.
 //   - Sharded (shard.go) is the engine: one logarithmic-method ladder
 //     of Static arenas behind a small unsorted tail arena that absorbs
-//     inserts and is carried into the ladder when it fills. An engine
+//     inserts and is carried into the ladder when it fills. A replica
+//     store's ladder appends instead (Options.Append): a full tail is
+//     packed by column into an immutable block (block.go) whose box a
+//     read tests before it decodes anything. An engine
 //     built with Options.Rollup also owns the aggregate summary of its
 //     records (internal/summary, DESIGN.md §4i): it feeds it on insert
 //     and folds it on carry, so nothing outside this package knows how
