@@ -116,10 +116,14 @@ func TestRetransmitRecycleRace(t *testing.T) {
 		cfg.InsertTimeout = 10 * time.Second
 		cfg.QueryTimeout = 10 * time.Second
 		// Aggressive retransmission: the dropped first acks force one
-		// resend per remote record almost immediately.
+		// resend per remote record almost immediately. The budget is
+		// counted in retries that together outlast the insert timeout,
+		// not in wall time: however slowly a loaded host delivers the
+		// second ack, the group keeps resending until it settles, and
+		// only an insert that would time out anyway runs out of retries.
 		cfg.RetryBase = 2 * time.Millisecond
 		cfg.RetryMax = 8 * time.Millisecond
-		cfg.MaxRetries = 6
+		cfg.MaxRetries = int(cfg.InsertTimeout / cfg.RetryMax)
 		return cfg
 	}
 
