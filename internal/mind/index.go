@@ -2,6 +2,7 @@ package mind
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -385,30 +386,13 @@ func (ix *index) holds(v uint32, rec schema.Record) bool {
 	}
 	var pbuf [8]uint64
 	p := rec.PointInto(ix.sch, pbuf[:0])
-	found := false
-	st.VisitBatches(schema.Rect{Lo: p, Hi: p}, func(rows schema.Rows, sel []int32) {
-		if rows.W32 != nil {
-			found = found || holdsRow(rows.W32, sel, rec)
-		} else {
-			found = found || holdsRow(rows.W64, sel, rec)
+	found, arity := false, ix.sch.Arity()
+	st.VisitBatches(schema.Rect{Lo: p, Hi: p}, func(rows []uint64, sel []int32) {
+		for _, o := range sel {
+			found = found || slices.Equal(rows[o:int(o)+arity], rec)
 		}
 	})
 	return found
-}
-
-// holdsRow reports whether a selected row of a batch equals rec value
-// for value, at the batch's width.
-func holdsRow[W schema.Word](rows []W, sel []int32, rec schema.Record) bool {
-	for _, o := range sel {
-		i := 0
-		for i < len(rec) && uint64(rows[int(o)+i]) == rec[i] {
-			i++
-		}
-		if i == len(rec) {
-			return true
-		}
-	}
-	return false
 }
 
 // noteReplicaOwner records that this node backs up owner's region. The

@@ -133,7 +133,7 @@ func (recordKind) resolve(n *Node, ix *index, p piece, a answer, replica bool) w
 // lies inside p.rect ∩ the cell of p.region under the version's tree.
 func visitCell(ix *index, vs *store.Versioned, p piece, out *wire.RecList) {
 	arity := ix.sch.Arity()
-	add := func(rows schema.Rows, sel []int32) { out.AppendRows(rows, sel, arity) }
+	add := func(rows []uint64, sel []int32) { out.AppendRows(rows, sel, arity) }
 	var buf embed.Scratch
 	for _, v := range p.versions {
 		s := vs.Get(uint32(v))

@@ -202,19 +202,6 @@ type Record []uint64
 // Clone returns a copy of the record.
 func (r Record) Clone() Record { return append(Record(nil), r...) }
 
-// Word is the width a store keeps a run of records in: 64 bits, every
-// value as a Record holds it, or 32 bits for a run whose values all fit.
-type Word interface{ uint32 | uint64 }
-
-// Rows is one run of whole records as a store visit hands it over, in
-// the words its level keeps: W64 when the level is 64-bit, W32 when it
-// is narrow, the other nil. A consumer dispatches once per run to a loop
-// generic over Word, never per value.
-type Rows struct {
-	W64 []uint64
-	W32 []uint32
-}
-
 // Point extracts the indexed-dimension coordinates of the record under the
 // given schema, clamping each coordinate to the attribute bound.
 func (r Record) Point(s *Schema) []uint64 {

@@ -46,9 +46,10 @@ func TestAllocBudgetShardedInsert(t *testing.T) {
 }
 
 // TestAllocBudgetCount: a count allocates nothing on a merging ladder
-// (levels and a tail), an appending one (blocks and a tail) or a lone
-// Static. It is a counting visit on pooled scratch: the window is a
-// local buffer, and the tail's counting callback stays on the stack.
+// (levels and a tail), an appending one (blocks and a tail) or a
+// compacted one (one level, no tail). It is a counting visit on pooled
+// scratch: the window is a local buffer, and the tail's counting
+// callback stays on the stack.
 func TestAllocBudgetCount(t *testing.T) {
 	r := rand.New(rand.NewSource(47))
 	recs := make([]schema.Record, 3000)
@@ -60,7 +61,7 @@ func TestAllocBudgetCount(t *testing.T) {
 		merged.Insert(rec)
 		appended.Insert(rec)
 	}
-	static := NewStatic(sch3(), recs)
+	compacted := oneLevel(sch3(), recs)
 	rects := make([]schema.Rect, 64)
 	for i := range rects {
 		rects[i] = randRect(r)
@@ -68,7 +69,7 @@ func TestAllocBudgetCount(t *testing.T) {
 	for _, eng := range []struct {
 		name string
 		e    interface{ Count(schema.Rect) int }
-	}{{"merged", merged}, {"append", appended}, {"static", static}} {
+	}{{"merged", merged}, {"append", appended}, {"compacted", compacted}} {
 		q := 0
 		if allocs := testing.AllocsPerRun(len(rects), func() { eng.e.Count(rects[q%len(rects)]); q++ }); allocs != 0 {
 			t.Errorf("%s: Count allocates %.1f per call, want 0", eng.name, allocs)

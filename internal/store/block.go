@@ -21,8 +21,9 @@ import (
 // lies inside it without testing a row, and decodes only the constrained
 // columns of any other until a row of it is found inside (visitPacked).
 // One kernel — frameOf, packRun, column, unpack — packs and reads values
-// of either word width, for blocks and leaves alike; only where a run
-// keeps its frames differs.
+// for blocks and leaves alike; only where a run keeps its frames differs.
+// It packs from rows of either storage width (a block's 64-bit tail, a
+// level's gather arena), and a read always decodes into 64-bit rows.
 
 // frame is one column's frame over a run of rows.
 type frame struct {
@@ -33,7 +34,7 @@ type frame struct {
 // frameOf computes column c's frame over rows (stride arity). The
 // offsets from the reference share exactly the trailing zeros in which
 // every value agrees with the first, so one pass finds all four.
-func frameOf[W schema.Word](rows []W, arity, c int) frame {
+func frameOf[W word](rows []W, arity, c int) frame {
 	ref, hi, first := uint64(math.MaxUint64), uint64(0), uint64(rows[c])
 	var differ uint64
 	for i := c; i < len(rows); i += arity {
@@ -59,7 +60,7 @@ func packedWords(n int, frames []frame) int {
 
 // packRun packs rows' offsets (stride arity), one column per frame, into
 // dst from its first word on.
-func packRun[W schema.Word](dst []uint64, rows []W, arity int, frames []frame) {
+func packRun[W word](dst []uint64, rows []W, arity int, frames []frame) {
 	// acc gathers the have low bits of dst[k] not yet stored; a value
 	// that fills it stores the word and leaves its remaining bits.
 	k, acc, have := 0, uint64(0), uint(0)
@@ -104,7 +105,7 @@ func newColumn(ref uint64, shift, width, start uint) column {
 
 // decodeRows appends rows [r, r+m) of a packed run to dst in dst's word
 // width, in row order. Narrowing is exact only when the run's values fit.
-func decodeRows[W schema.Word](dst []W, cols []column, words []uint64, r, m int) []W {
+func decodeRows[W word](dst []W, cols []column, words []uint64, r, m int) []W {
 	base := len(dst)
 	dst = slices.Grow(dst, m*len(cols))[:base+m*len(cols)]
 	for c := range cols {
@@ -120,7 +121,7 @@ func decodeRows[W schema.Word](dst []W, cols []column, words []uint64, r, m int)
 // registers, and a column without a shift skips the multiply: a read
 // whose leaves lie inside the window decodes 14–27 % faster for it
 // (EXPERIMENTS.md "Primary leaves packed", the unshifted loop).
-func unpack[W schema.Word](out []W, arity int, words []uint64, ref, mask, scale uint64, width, start uint) {
+func unpack[W word](out []W, arity int, words []uint64, ref, mask, scale uint64, width, start uint) {
 	switch {
 	case width == 0:
 		for i := 0; i < len(out); i += arity {
@@ -141,22 +142,22 @@ func unpack[W schema.Word](out []W, arity int, words []uint64, ref, mask, scale 
 
 // decodeColumn decodes column c of a packed run's rows from row r on
 // into rows (stride len(cols)), as many as rows holds.
-func decodeColumn[W schema.Word](rows []W, cols []column, c int, words []uint64, r int) {
+func decodeColumn[W word](rows []W, cols []column, c int, words []uint64, r int) {
 	col := cols[c]
 	unpack(rows[c:], len(cols), words, col.ref, col.mask, col.scale, col.width, col.start+uint(r)*col.width)
 }
 
 // visitPacked hands fn, a leaf-sized run at a time, the rows of a packed
-// run of n rows inside the window, decoded into the visit's scratch at
-// width W. in says the run's box lies inside the window: every row is
-// decoded and selected without a test. Otherwise the constrained columns
-// are decoded first, one at a time, each selecting among the rows the
-// ones before it left (selectFirst, selectMore), and the rest of the
-// columns only for a run that still holds a row: a run the window
-// straddles without holding a match is never decoded whole. A nil fn
-// counts the matches into sc.count instead, decoding no more than the
-// constrained columns of a straddled run and nothing of one inside.
-func visitPacked[W schema.Word](sc *scratch, cols []column, words []uint64, n int, con []bound, in bool, fn func(rows schema.Rows, sel []int32)) {
+// run of n rows inside the window, decoded into the visit's scratch. in
+// says the run's box lies inside the window: every row is decoded and
+// selected without a test. Otherwise the constrained columns are decoded
+// first, one at a time, each selecting among the rows the ones before it
+// left (selectFirst, selectMore), and the rest of the columns only for a
+// run that still holds a row: a run the window straddles without holding
+// a match is never decoded whole. A nil fn counts the matches into
+// sc.count instead, decoding no more than the constrained columns of a
+// straddled run and nothing of one inside.
+func visitPacked(sc *scratch, cols []column, words []uint64, n int, con []bound, in bool, fn func(rows []uint64, sel []int32)) {
 	if in {
 		if fn == nil {
 			sc.count += n
@@ -164,11 +165,11 @@ func visitPacked[W schema.Word](sc *scratch, cols []column, words []uint64, n in
 		}
 		con = nil
 	}
-	dst, arity := decodeBuf[W](sc), len(cols)
+	arity := len(cols)
 	for r := 0; r < n; r += leafRows {
 		m := min(leafRows, n-r)
-		rows := slices.Grow((*dst)[:0], m*arity)[:m*arity]
-		*dst = rows
+		rows := slices.Grow(sc.rows[:0], m*arity)[:m*arity]
+		sc.rows = rows
 		var done uint64 // the columns decoded for every row, below column 64
 		k := m
 		for i, c := range con {
@@ -198,7 +199,7 @@ func visitPacked[W schema.Word](sc *scratch, cols []column, words []uint64, n in
 		if len(con) == 0 {
 			selectRows(rows, arity, nil, &sc.sel)
 		}
-		fn(rowsOf(rows), sc.sel[:k])
+		fn(rows, sc.sel[:k])
 	}
 }
 
@@ -206,7 +207,7 @@ func visitPacked[W schema.Word](sc *scratch, cols []column, words []uint64, n in
 // skip when the box misses the window on one of them, in when it lies
 // inside on all of them. Indexed dimension d's reference is box[d·step]
 // and its maximum box[hi+d·step].
-func boxTest[W schema.Word](con []bound, box []W, step, hi int) (skip, in bool) {
+func boxTest[W word](con []bound, box []W, step, hi int) (skip, in bool) {
 	in = true
 	for _, c := range con {
 		lo, top := uint64(box[c.dim*step]), uint64(box[hi+c.dim*step])
@@ -229,8 +230,7 @@ func boxTest[W schema.Word](con []bound, box []W, step, hi int) (skip, in bool) 
 //	                        one a value starts in
 //
 // A block is immutable. A read decodes it a leaf-sized run at a time
-// into the visit's scratch, in 32-bit words when every value fits them
-// and 64-bit ones otherwise, as a Static decodes its leaves (Static's
+// into the visit's scratch, as a Static decodes its leaves (Static's
 // view contract). A ladder keeps its blocks by value (ladderSnap.blocks),
 // so sealing one allocates only its words.
 type block struct {
@@ -274,13 +274,13 @@ func (b *block) columns(cols []column) []column {
 
 // appendBlock appends the block's rows to dst in dst's word width, in
 // row order. Narrowing is exact only when the block is not wide.
-func appendBlock[W schema.Word](dst []W, b *block) []W {
+func appendBlock[W word](dst []W, b *block) []W {
 	var buf [maxCols]column
 	return decodeRows(dst, b.columns(buf[:0]), b.words, 0, b.n)
 }
 
 // isWide reports whether some value the block holds needs more than 32
-// bits: a read decodes it into 64-bit words.
+// bits: a carry that absorbs it builds a wide level.
 func (b *block) isWide() bool {
 	for c := 0; c < b.arity; c++ {
 		if b.words[3*c+1]>>32 != 0 {
@@ -298,22 +298,17 @@ func (b *block) bytes() int { return 8 * len(b.words) }
 // constrained dimension is skipped undecoded, one inside it on every
 // constrained dimension is decoded and selected whole, and any other is
 // read run by run as visitPacked reads it.
-func (b *block) visit(w *window, sc *scratch, fn func(rows schema.Rows, sel []int32)) {
+func (b *block) visit(w *window, sc *scratch, fn func(rows []uint64, sel []int32)) {
 	skip, in := boxTest(w.con, b.words, 3, 1)
 	if skip {
 		return
 	}
-	cols := b.columns(sc.cols[:0])
-	sc.cols = cols
-	if b.isWide() {
-		visitPacked[uint64](sc, cols, b.words, b.n, w.con, in, fn)
-	} else {
-		visitPacked[uint32](sc, cols, b.words, b.n, w.con, in, fn)
-	}
+	sc.cols = b.columns(sc.cols[:0])
+	visitPacked(sc, sc.cols, b.words, b.n, w.con, in, fn)
 }
 
 // each streams the block's rows in row order as views of one fresh
-// 64-bit decode, and reports whether it ran to the end.
+// decode, and reports whether it ran to the end.
 func (b *block) each(yield func(schema.Record) bool) bool {
 	return eachRow(appendBlock[uint64](nil, b), b.arity, yield)
 }

@@ -17,8 +17,8 @@ import (
 // fuzzVal maps two fuzz bytes to an attribute value or rectangle edge
 // that stresses the unclamp identity (sch3's bound is 9999) and the
 // ladder's word width: spread over and past the bound, hugging it from
-// both sides, near MaxUint64, straddling 2³² (half of them need 64-bit
-// rows) and tiny (duplicate-heavy). The two wide modes are one in eight,
+// both sides, near MaxUint64, straddling 2³² (half of them need 64
+// bits) and tiny (duplicate-heavy). The two wide modes are one in eight,
 // so a stream mixes narrow and wide tails and levels.
 func fuzzVal(mode, b byte) uint64 {
 	switch mode % 16 {
@@ -37,17 +37,14 @@ func fuzzVal(mode, b byte) uint64 {
 	}
 }
 
-// batchRec returns record o (a word offset) of a batch as a 64-bit copy.
-func batchRec(rows schema.Rows, o, arity int) schema.Record {
-	if rows.W32 != nil {
-		return widen(rows.W32[o : o+arity])
-	}
-	return slices.Clone(rows.W64[o : o+arity])
+// batchRec returns record o (a word offset) of a batch as a copy.
+func batchRec(rows []uint64, o, arity int) schema.Record {
+	return slices.Clone(rows[o : o+arity])
 }
 
 // checkWidths holds every level and block of e to the width rule: a
-// level keeps 64-bit rows, and a block decodes into them, iff it holds a
-// value that needs them.
+// level keeps 64-bit cuts and frames, and a block counts as wide, iff it
+// holds a value that needs them.
 func checkWidths(t *testing.T, name string, e *Sharded) {
 	t.Helper()
 	snap := e.snap.Load()
@@ -138,12 +135,13 @@ func checkFrames(t *testing.T, name string, rows []uint64, arity, maxed int, fra
 // whatever the stream — attribute values above the schema bound,
 // rectangle edges at, just below and above it, Lo above the bound (must
 // be empty), inverted rectangles, records straddling tail → ladder
-// carries or seals — Static, Sharded and an appending Sharded
-// (Options.Append, sealing a tail every few records and compacted at the
-// end) must answer VisitBatches, Visit, Query and Count exactly as the
-// Scan oracle, which clamps every record the slow way (a batch must also
-// hold whole rows, at most a leaf of them, and select ascending row
-// starts inside the rectangle), and both ladders' Len and All must track
+// carries or seals — a one-level ladder of every record so far (oneLevel:
+// one Static), Sharded and an appending Sharded (Options.Append, sealing
+// a tail every few records and compacted at the end) must answer
+// VisitBatches, Visit, Query and Count exactly as the Scan oracle, which
+// clamps every record the slow way (a batch must also hold whole 64-bit
+// rows, at most a leaf of them, whatever width its level keeps, and
+// select ascending row starts inside the rectangle), and both ladders' Len and All must track
 // it after every op — the appending one's All in insertion order. The engines
 // test RAW values against an unclamped rectangle; this is the test that
 // breaks if that identity does. The schema is sch3 (round robin cuts) or
@@ -246,22 +244,17 @@ func FuzzStoreOracle(f *testing.F) {
 		sc := NewScan(sch)
 		check := func(rect schema.Rect) {
 			want := sc.Query(rect)
-			st := NewStatic(sch, sc.recs)
-			if high := slices.ContainsFunc(sc.recs, func(rec schema.Record) bool { return highBits(rec) != 0 }); st.isWide() != high {
-				t.Fatalf("static of %d records: wide %v, holds a value ≥ 2³² %v", st.Len(), st.isWide(), high)
+			st := oneLevel(sch, sc.recs)
+			if high, l := slices.ContainsFunc(sc.recs, func(rec schema.Record) bool { return highBits(rec) != 0 }), levelOf(st); l.isWide() != high {
+				t.Fatalf("level of %d records: wide %v, holds a value ≥ 2³² %v", l.Len(), l.isWide(), high)
 			}
-			for name, e := range map[string]interface {
-				VisitBatches(schema.Rect, func(schema.Rows, []int32))
-				Visit(schema.Rect, func(schema.Record))
-				Query(schema.Rect) []schema.Record
-				Count(schema.Rect) int
-			}{"static": st, "sharded": eng, "append": app} {
+			for name, e := range map[string]*Sharded{"static": st, "sharded": eng, "append": app} {
 				var batched []schema.Record
-				e.VisitBatches(rect, func(rows schema.Rows, sel []int32) {
+				e.VisitBatches(rect, func(rows []uint64, sel []int32) {
 					const arity = 4
-					words := len(rows.W64) + len(rows.W32)
-					if (rows.W64 == nil) == (rows.W32 == nil) || words%arity != 0 || words > leafRows*arity || len(sel) == 0 {
-						t.Fatalf("%s batch over %v: %d+%d words, %d selected", name, rect, len(rows.W64), len(rows.W32), len(sel))
+					words := len(rows)
+					if words == 0 || words%arity != 0 || words > leafRows*arity || len(sel) == 0 || len(sel) > words/arity {
+						t.Fatalf("%s batch over %v: %d words, %d selected; want whole 64-bit rows, at most a leaf of them", name, rect, words, len(sel))
 					}
 					for j, o := range sel {
 						if o%arity != 0 || int(o) >= words || (j > 0 && o <= sel[j-1]) {
@@ -370,7 +363,7 @@ func FuzzStoreOracle(f *testing.F) {
 func TestViewContract(t *testing.T) { viewContract(t, randRec) }
 
 // TestViewContractNarrow holds narrow levels to the same contract: their
-// records fit 32 bits, and a leaf decodes into 32-bit rows.
+// records fit 32 bits, so they keep 32-bit cuts and frames.
 func TestViewContractNarrow(t *testing.T) {
 	viewContract(t, func(r *rand.Rand) schema.Record { rec := randRec(r); rec[3] >>= 32; return rec })
 }
@@ -382,8 +375,9 @@ func viewContract(t *testing.T, randRec func(*rand.Rand) schema.Record) {
 		recs[i] = randRec(r)
 	}
 	t.Run("append cannot touch the neighbour row", func(t *testing.T) {
-		s := NewStatic(sch3(), recs)
-		before := slices.Clone(wideRows(s))
+		e := oneLevel(sch3(), recs)
+		l := levelOf(e)
+		before := slices.Clone(wideRows(l))
 		visit := func(rec schema.Record) {
 			if len(rec) != 4 || cap(rec) != 4 {
 				t.Fatalf("view len %d cap %d, want 4/4", len(rec), cap(rec))
@@ -391,9 +385,9 @@ func viewContract(t *testing.T, randRec func(*rand.Rand) schema.Record) {
 			grown := append(rec, 0xdead, 0xbeef)
 			grown[len(grown)-1]++
 		}
-		s.Visit(fullRect(), visit)
-		s.All(func(rec schema.Record) bool { visit(rec); return true })
-		for i, v := range wideRows(s) {
+		e.Visit(fullRect(), visit)
+		e.All(func(rec schema.Record) bool { visit(rec); return true })
+		for i, v := range wideRows(l) {
 			if v != before[i] {
 				t.Fatalf("rows[%d] changed from %d to %d by an append to a view", i, before[i], v)
 			}
@@ -550,7 +544,7 @@ func TestPackedBlockViews(t *testing.T) {
 	rect := schema.Rect{Lo: []uint64{1600, 0, 0}, Hi: []uint64{3950, 9999, 9999}}
 	var batches [][]int32
 	var got []schema.Record
-	e.VisitBatches(rect, func(rows schema.Rows, sel []int32) {
+	e.VisitBatches(rect, func(rows []uint64, sel []int32) {
 		batches = append(batches, slices.Clone(sel))
 		for _, o := range sel {
 			got = append(got, batchRec(rows, int(o), 4))
@@ -563,7 +557,7 @@ func TestPackedBlockViews(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		e.Count(rect)
 		e.Query(fullRect())
-		e.VisitBatches(fullRect(), func(schema.Rows, []int32) {})
+		e.VisitBatches(fullRect(), func([]uint64, []int32) {})
 	}
 	check("after more reads of the same blocks")
 	for i := 0; i < 200; i++ {
@@ -614,7 +608,7 @@ func TestPackedLeafViews(t *testing.T) {
 	}
 	var got []schema.Record
 	whole := 0
-	e.VisitBatches(rect, func(rows schema.Rows, sel []int32) {
+	e.VisitBatches(rect, func(rows []uint64, sel []int32) {
 		if len(sel) == leafRows {
 			whole++
 		}
@@ -632,7 +626,7 @@ func TestPackedLeafViews(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		e.Count(rect)
 		e.Query(fullRect())
-		e.VisitBatches(fullRect(), func(schema.Rows, []int32) {})
+		e.VisitBatches(fullRect(), func([]uint64, []int32) {})
 	}
 	check("after more reads of the same leaves")
 	for i := 0; i < 500; i++ {
@@ -672,7 +666,7 @@ func TestLeafScratchConcurrent(t *testing.T) {
 			for round := 0; round < 200; round++ {
 				k := (round*7 + g) % len(rects)
 				n := 0
-				e.VisitBatches(rects[k], func(rows schema.Rows, sel []int32) {
+				e.VisitBatches(rects[k], func(rows []uint64, sel []int32) {
 					for _, o := range sel {
 						rec := batchRec(rows, int(o), 4)
 						if rec[3] != rec[0]*31+rec[1]*17+rec[2]+5 || !rects[k].ContainsRecord(sch3(), rec) {

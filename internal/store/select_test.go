@@ -23,9 +23,8 @@ func selectWant(bounds []uint64, rect schema.Rect, rows []uint64, arity int) []i
 
 // TestSelectRows pins the branch-free selection against its definition:
 // a table of the edges the wrapping compare and the column-at-a-time
-// order must get right, a random sweep against rectContains (every
-// other leaf also in 32-bit words, as a narrow level holds it), and a
-// full tail handed over in leaf-sized runs.
+// order must get right, a random sweep against rectContains, and a full
+// tail handed over in leaf-sized runs.
 func TestSelectRows(t *testing.T) {
 	const arity = 4
 	bounds := sch3().Bounds()
@@ -128,11 +127,6 @@ func TestSelectRows(t *testing.T) {
 			if got := selectRows(rows, arity, w.con, &sel); !slices.Equal(got, want) {
 				t.Fatalf("%v over %v: selected %v, want %v", rect, rows, got, want)
 			}
-			if it%2 == 1 {
-				if got := selectRows(appendWords([]uint32(nil), rows), arity, w.con, &sel); !slices.Equal(got, want) {
-					t.Fatalf("%v over 32-bit %v: selected %v, want %v", rect, rows, got, want)
-				}
-			}
 		}
 	})
 
@@ -148,8 +142,7 @@ func TestSelectRows(t *testing.T) {
 		var sel selection
 		var got []int32
 		runs := 0
-		scanBatches(rows, arity, w.con, &sel, func(batch schema.Rows, in []int32) {
-			run := batch.W64
+		scanBatches(rows, arity, w.con, &sel, func(run []uint64, in []int32) {
 			base := len(rows) - cap(run) // run is a view: its start within rows
 			if base != runs*leafRows*arity || len(run) != leafRows*arity {
 				t.Fatalf("run %d starts at word %d with %d words, want word %d and %d", runs, base, len(run), runs*leafRows*arity, leafRows*arity)

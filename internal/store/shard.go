@@ -215,7 +215,7 @@ func (e *Sharded) carryLocked(snap *ladderSnap, everything bool) {
 // gather decodes the levels' rows, oldest first and each leaf by leaf,
 // then the blocks', and appends tailRun, into one fresh arena of words W
 // holding exactly words of them.
-func gather[W schema.Word](levels []*Static, blocks []block, tailRun []uint64, words int) []W {
+func gather[W word](levels []*Static, blocks []block, tailRun []uint64, words int) []W {
 	rows := make([]W, 0, words)
 	for _, l := range levels {
 		rows = appendLevel(rows, l)
@@ -250,12 +250,18 @@ func (e *Sharded) Compact() {
 }
 
 // VisitBatches calls fn with every record inside rect, a batch at a
-// time (Static.VisitBatches' contract): the levels, oldest first, then
-// the blocks, then the tail in leaf-sized runs, on one published snapshot and one opened
-// window. The aggregate path pairs it with Rollup, folding the rollup's
-// boundary cells through it batch by batch (summary.Fold.AddBatch)
-// without materializing a record slice.
-func (e *Sharded) VisitBatches(rect schema.Rect, fn func(rows schema.Rows, sel []int32)) {
+// time: the levels, oldest first, each in partition order, then the
+// blocks, then the tail in leaf-sized runs, on one published snapshot
+// and one opened window. A batch is one leaf's rows, 64-bit words of
+// stride arity, and sel the ascending word offsets of the records
+// inside rect among them: record j is rows[sel[j] : sel[j]+arity]. It
+// is THE traversal — Visit, Query, QueryAppend and Count are wrappers —
+// and allocates nothing: the selection and the rows are the visit's
+// scratch, recycled, so fn must not retain either (Static's view
+// contract). The aggregate path pairs it with Rollup, folding the
+// rollup's boundary cells through it batch by batch
+// (summary.Fold.AddBatch) without materializing a record slice.
+func (e *Sharded) VisitBatches(rect schema.Rect, fn func(rows []uint64, sel []int32)) {
 	var buf windowBuf
 	if w, ok := openWindow(e.bounds, rect, &buf); ok {
 		sc := scratchPool.Get().(*scratch)
@@ -266,7 +272,7 @@ func (e *Sharded) VisitBatches(rect schema.Rect, fn func(rows schema.Rows, sel [
 
 // visit is VisitBatches on an opened window and a scratch; a nil fn
 // counts the matches into sc.count (visitPacked).
-func (e *Sharded) visit(w *window, sc *scratch, fn func(rows schema.Rows, sel []int32)) {
+func (e *Sharded) visit(w *window, sc *scratch, fn func(rows []uint64, sel []int32)) {
 	snap := e.snap.Load()
 	for _, l := range snap.levels {
 		l.visit(w, sc, fn)
@@ -275,7 +281,7 @@ func (e *Sharded) visit(w *window, sc *scratch, fn func(rows schema.Rows, sel []
 		snap.blocks[i].visit(w, sc, fn)
 	}
 	if fn == nil {
-		fn = func(_ schema.Rows, sel []int32) { sc.count += len(sel) }
+		fn = func(_ []uint64, sel []int32) { sc.count += len(sel) }
 	}
 	scanBatches(snap.tail.published(e.arity), e.arity, w.con, &sc.sel, fn)
 }
@@ -295,7 +301,7 @@ func (e *Sharded) Query(rect schema.Rect) []schema.Record {
 // extended slice; out grows at most once per batch, and each batch's
 // selected rows are copied once (Static's view contract).
 func (e *Sharded) QueryAppend(rect schema.Rect, out []schema.Record) []schema.Record {
-	e.VisitBatches(rect, func(rows schema.Rows, sel []int32) { out = appendRecords(out, rows, sel, e.arity) })
+	e.VisitBatches(rect, func(rows []uint64, sel []int32) { out = appendRecords(out, rows, sel, e.arity) })
 	return out
 }
 
@@ -362,22 +368,17 @@ func (e *Sharded) Shape() LadderShape {
 	return shape
 }
 
-// count returns the records held in levels and in the tail.
-func (e *Sharded) count() (levels, inTail int) {
-	snap := e.snap.Load()
-	for _, l := range snap.levels {
-		levels += l.Len()
-	}
-	for i := range snap.blocks {
-		levels += snap.blocks[i].n
-	}
-	return levels, len(snap.tail.published(e.arity)) / e.arity
-}
-
 // Len returns the number of stored records.
 func (e *Sharded) Len() int {
-	levels, inTail := e.count()
-	return levels + inTail
+	snap := e.snap.Load()
+	n := len(snap.tail.published(e.arity)) / e.arity
+	for _, l := range snap.levels {
+		n += l.Len()
+	}
+	for i := range snap.blocks {
+		n += snap.blocks[i].n
+	}
+	return n
 }
 
 // All streams every stored record; stops early if yield returns false.
@@ -398,15 +399,4 @@ func (e *Sharded) All(yield func(rec schema.Record) bool) {
 		}
 	}
 	eachRow(snap.tail.published(e.arity), e.arity, yield)
-}
-
-// StaticFrac reports the fraction of records currently resident in the
-// ladder's levels (diagnostics: 1.0 right after Compact, dipping as
-// the tail fills).
-func (e *Sharded) StaticFrac() float64 {
-	levels, inTail := e.count()
-	if levels+inTail == 0 {
-		return 1
-	}
-	return float64(levels) / float64(levels+inTail)
 }

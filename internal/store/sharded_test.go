@@ -28,8 +28,8 @@ func TestShardedEmpty(t *testing.T) {
 	if got := e.Query(fullRect()); len(got) != 0 {
 		t.Fatalf("empty engine returned %d records", len(got))
 	}
-	if e.StaticFrac() != 1 {
-		t.Fatalf("empty StaticFrac = %v", e.StaticFrac())
+	if s := e.Shape(); s.TailRecords != 0 || len(s.Levels) != 0 {
+		t.Fatalf("empty engine's shape: %+v", s)
 	}
 }
 
@@ -102,8 +102,8 @@ func TestShardedDifferentialFuzz(t *testing.T) {
 			}
 			// Compact must not change query results.
 			e.Compact()
-			if e.StaticFrac() != 1 {
-				t.Fatalf("post-Compact StaticFrac = %v", e.StaticFrac())
+			if s := e.Shape(); s.TailRecords != 0 || len(s.Levels) != 1 {
+				t.Fatalf("post-Compact shape: %+v, want one level and no tail", s)
 			}
 			for q := 0; q < 50; q++ {
 				rect := randRect(r)
@@ -159,7 +159,7 @@ func TestShardedConcurrentInsertQuery(t *testing.T) {
 					}
 				}
 				e.All(func(schema.Record) bool { return true })
-				_ = e.StaticFrac()
+				_ = e.Shape()
 				_ = resolveRollup(e, q, 16)
 			}
 		}(int64(400 + g))

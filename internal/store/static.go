@@ -8,14 +8,15 @@ import (
 	"mind/internal/schema"
 )
 
-// Static is a bulk-loaded, immutable k-d index whose leaves are packed by
-// frame of reference — the one index structure of the store engine
-// (DESIGN.md §4h): every level of a merging ladder is a Static. The build
-// permutes the records into k-d PARTITION ORDER, in which every subtree
-// of the index is one contiguous row range, then packs the range of every
-// leaf with block.go's kernel and keeps nothing unpacked. Everything a
-// traversal touches lives in pointer-free slices the garbage collector
-// never scans (an arena):
+// Static is one level of a ladder: an immutable k-d index whose leaves
+// are packed by frame of reference — the one index structure of the
+// store engine (DESIGN.md §4h). Only a carry builds one (newLevel), and
+// only the ladder reads it (Sharded). The build permutes the records
+// into k-d PARTITION ORDER, in which every subtree of the index is one
+// contiguous row range, then packs the range of every leaf with
+// block.go's kernel and keeps nothing unpacked. Everything a traversal
+// touches lives in pointer-free slices the garbage collector never scans
+// (an arena):
 //
 //   - cuts: the split values as an implicit BFS tree — root at 1, the
 //     children of node i at 2i and 2i+1; nil for a level of at most
@@ -49,11 +50,12 @@ import (
 // block gets).
 //
 // Width: a level whose every value fits 32 bits keeps its cuts and
-// frames in 32-bit words (narrow) and decodes a leaf into 32-bit rows,
-// any other level in 64-bit words (wide) — the data decides, there is no
-// knob. The kernels (partition, selectRow, visit, selectRows, the frame
-// kernel) are written once, generic over the word, and a batch hands its
-// consumer whichever word slice the level decodes into (schema.Rows).
+// frames in 32-bit words (narrow), any other level in 64-bit words
+// (wide) — the data decides, there is no knob, and only the carry
+// decides it (carryLocked). The width is what a level stores, never what
+// it hands over: every leaf decodes into the visit's 64-bit scratch, so
+// a batch is []uint64 whatever the level. The build (partition,
+// selectRow, the frame kernel) is written once, generic over the word.
 // Partition order does not depend on the width: a quickselect compares
 // the same clamped coordinates either way.
 //
@@ -61,10 +63,10 @@ import (
 // coordinates clamped to the schema bounds; a traversal never clamps a
 // row, it unclamps the query rectangle once instead (window, store.go).
 //
-// View contract. A batch's rows (VisitBatches) are the visit's scratch:
-// one decode buffer per visit, reused for every leaf, so fn may read
-// them only until it returns and must copy what it keeps. A record
-// handed out (Visit, Query, All) is a capped 64-bit view
+// View contract. A batch's rows (Sharded.VisitBatches) are the visit's
+// scratch: one decode buffer per visit, reused for every leaf, so fn may
+// read them only until it returns and must copy what it keeps. A record
+// handed out (Sharded's Visit, Query, All) is a capped view
 // words[b : b+arity : b+arity] of a fresh copy — one per batch, of the
 // selected rows, for Visit and Query; one per leaf for All — never of
 // the scratch: it is read-only, may be retained for any length of time
@@ -100,10 +102,17 @@ func newGeom(sch *schema.Schema) geom {
 	return geom{bounds: sch.Bounds(), dims: sch.Dims(), arity: sch.Arity(), time: sch.TimeDim()}
 }
 
+// word is the width a level stores its cuts and boxes in, and the width
+// the carry that builds it gathers its rows at (gather): the build
+// (partition, selectRow, frameOf, packRun), the box test and the
+// gather's decode are generic over it. No read is: every leaf decodes
+// into 64-bit rows.
+type word interface{ uint32 | uint64 }
+
 // arena is one level's storage at word width W: the implicit BFS split
 // values (cuts[0] is unused) — clamped coordinates and therefore no
 // wider than the rows — and the packed leaves (Static).
-type arena[W schema.Word] struct {
+type arena[W word] struct {
 	cuts  []W
 	box   []W      // stride arity+dims: references, then indexed maxima
 	shape []uint16 // stride arity: shift | width<<8
@@ -131,22 +140,6 @@ type sframe struct {
 	node, lo, hi, depth int32
 }
 
-// NewStatic bulk-loads a static index from recs, copying every record
-// (exactly sch.Arity() attributes each — callers arity-check what they
-// store), narrow when every value fits 32 bits. recs is neither retained
-// nor reordered. An empty or nil recs yields an empty index.
-func NewStatic(sch *schema.Schema, recs []schema.Record) *Static {
-	g := newGeom(sch)
-	var high uint64
-	for _, rec := range recs {
-		high |= highBits(rec[:min(len(rec), g.arity)])
-	}
-	if high == 0 {
-		return newLevel(&g, copyRecs[uint32](recs, g.arity))
-	}
-	return newLevel(&g, copyRecs[uint64](recs, g.arity))
-}
-
 // highBits is the OR of the high halves of rec's values: zero iff
 // every value fits 32 bits.
 func highBits(rec []uint64) uint64 {
@@ -157,31 +150,14 @@ func highBits(rec []uint64) uint64 {
 	return or >> 32
 }
 
-// copyRecs copies recs into one fresh arena of words W, arity words
-// per record.
-func copyRecs[W schema.Word](recs []schema.Record, arity int) []W {
-	rows := make([]W, len(recs)*arity)
-	for i, rec := range recs {
-		row := rows[i*arity : (i+1)*arity]
-		for k, v := range rec[:min(len(rec), arity)] {
-			row[k] = W(v)
-		}
-	}
-	return rows
-}
-
-// appendWords appends src to dst in dst's width: a plain copy when the
-// widths agree, a per-word conversion otherwise. Narrowing is exact only
-// for words that fit — callers narrow only runs whose high halves are
-// all zero (highBits, tail.high).
-func appendWords[D, S schema.Word](dst []D, src []S) []D {
-	if same, ok := any(src).([]D); ok {
-		return append(dst, same...)
-	}
+// appendWords appends src to dst in dst's width. Narrowing is exact only
+// for words that fit: the carry narrows only runs whose high halves are
+// all zero (tail.high, isWide).
+func appendWords[W word](dst []W, src []uint64) []W {
 	n := len(dst)
 	dst = slices.Grow(dst, len(src))[:n+len(src)]
 	for i, v := range src {
-		dst[n+i] = D(v)
+		dst[n+i] = W(v)
 	}
 	return dst
 }
@@ -190,7 +166,7 @@ func appendWords[D, S schema.Word](dst []D, src []S) []D {
 // permutes them into partition order in place, recording the cuts, and
 // packs every leaf. rows is scratch afterwards; the level keeps none of
 // it.
-func newLevel[W schema.Word](g *geom, rows []W) *Static {
+func newLevel[W word](g *geom, rows []W) *Static {
 	n := len(rows) / g.arity
 	var a arena[W]
 	if n > leafRows {
@@ -312,7 +288,7 @@ func (a *arena[W]) columns(g *geom, j, n int, cols []column) []column {
 // dimension schema.CutDim schedules there and recurses: afterwards every
 // row of [lo, mid) is <= cuts[node] <= every row of [mid, hi) on that
 // dimension's clamped coordinate.
-func partition[W schema.Word](g *geom, rows, cuts []W, node, lo, hi, depth int) {
+func partition[W word](g *geom, rows, cuts []W, node, lo, hi, depth int) {
 	if hi-lo <= leafRows {
 		return
 	}
@@ -330,7 +306,7 @@ func partition[W schema.Word](g *geom, rows, cuts []W, node, lo, hi, depth int) 
 // coordinate on dim clamped to b, every row before it is <= and every
 // row after it >=. The comparisons, and so the swaps, are the same at
 // either width.
-func selectRow[W schema.Word](rows []W, arity, lo, hi, n, dim int, b W) {
+func selectRow[W word](rows []W, arity, lo, hi, n, dim int, b W) {
 	at := func(i int) W { return min(rows[i*arity+dim], b) }
 	for lo < hi {
 		// Median-of-three pivot to dodge sorted-input quadratic blowup.
@@ -380,35 +356,16 @@ func (s *Static) bytes() int {
 }
 
 func (a *arena[W]) bytes() int {
-	word := bits.Len64(uint64(^W(0))) / 8
-	return word*(len(a.cuts)+len(a.box)) + 2*len(a.shape) + 4*len(a.offs) + 8*len(a.words)
+	size := bits.Len64(uint64(^W(0))) / 8
+	return size*(len(a.cuts)+len(a.box)) + 2*len(a.shape) + 4*len(a.offs) + 8*len(a.words)
 }
 
-// VisitBatches calls fn once per leaf that holds records inside rect, in
-// partition order, with the leaf's rows and the ascending word offsets of
-// those records among them: record j is rows[sel[j] : sel[j]+arity] of
-// whichever word slice the batch carries. It is THE static traversal —
-// Visit, Query, QueryAppend and Count are wrappers — and performs no
-// allocation: the stack is a fixed local array, and the selection and
-// the rows are the visit's scratch, recycled — fn must not retain
-// either (the view contract above).
-func (s *Static) VisitBatches(rect schema.Rect, fn func(rows schema.Rows, sel []int32)) {
-	var buf windowBuf
-	if w, ok := openWindow(s.bounds, rect, &buf); ok {
-		sc := scratchPool.Get().(*scratch)
-		s.visit(&w, sc, fn)
-		scratchPool.Put(sc)
-	}
-}
-
-// Visit calls fn with every record inside rect, in partition order.
-func (s *Static) Visit(rect schema.Rect, fn func(schema.Record)) {
-	s.VisitBatches(rect, recordsOf(s.arity, fn))
-}
-
-// visit is VisitBatches on an already opened window, at the level's
-// width; a nil fn counts the matches into sc.count (visitPacked).
-func (s *Static) visit(w *window, sc *scratch, fn func(rows schema.Rows, sel []int32)) {
+// visit calls fn once per leaf that holds records inside the opened
+// window, in partition order, with the leaf's rows decoded into sc and
+// the ascending word offsets of those records among them (the view
+// contract above); a nil fn counts the matches into sc.count
+// (visitPacked). The level's width picks the arena, nothing more.
+func (s *Static) visit(w *window, sc *scratch, fn func(rows []uint64, sel []int32)) {
 	if s.isWide() {
 		s.wide.visit(s.geom, s.n, w, sc, fn)
 	} else {
@@ -422,7 +379,7 @@ func (s *Static) visit(w *window, sc *scratch, fn func(rows schema.Rows, sel []i
 // has no cut, and both its halves survive. An open window is never
 // inverted, so at least one child always survives a cut. Each leaf
 // reached is read by its box (visitLeaf) into sc.
-func (a *arena[W]) visit(g *geom, n int, w *window, sc *scratch, fn func(rows schema.Rows, sel []int32)) {
+func (a *arena[W]) visit(g *geom, n int, w *window, sc *scratch, fn func(rows []uint64, sel []int32)) {
 	if n == 0 {
 		return
 	}
@@ -464,19 +421,19 @@ func (a *arena[W]) visit(g *geom, n int, w *window, sc *scratch, fn func(rows sc
 // visitLeaf reads leaf j, of n rows, by its box: skipped when the box
 // misses the window, handed over whole when it lies inside, read by
 // visitPacked otherwise.
-func (a *arena[W]) visitLeaf(g *geom, j, n int, w *window, sc *scratch, fn func(rows schema.Rows, sel []int32)) {
+func (a *arena[W]) visitLeaf(g *geom, j, n int, w *window, sc *scratch, fn func(rows []uint64, sel []int32)) {
 	skip, in := boxTest(w.con, a.box[j*(g.arity+g.dims):], 1, g.arity)
 	if skip {
 		return
 	}
 	sc.cols = a.columns(g, j, n, sc.cols[:0])
-	visitPacked[W](sc, sc.cols, a.words, n, w.con, in, fn)
+	visitPacked(sc, sc.cols, a.words, n, w.con, in, fn)
 }
 
 // appendLevel appends the level's rows to dst in dst's word width, in
 // partition order, decoding leaf by leaf. Narrowing is exact only when
 // the level is not wide.
-func appendLevel[D schema.Word](dst []D, s *Static) []D {
+func appendLevel[D word](dst []D, s *Static) []D {
 	for j, leaves := 0, s.leaves(); j < leaves; j++ {
 		dst = appendLeaf(dst, s, j)
 	}
@@ -484,7 +441,7 @@ func appendLevel[D schema.Word](dst []D, s *Static) []D {
 }
 
 // appendLeaf appends leaf j's rows to dst in dst's word width.
-func appendLeaf[D schema.Word](dst []D, s *Static, j int) []D {
+func appendLeaf[D word](dst []D, s *Static, j int) []D {
 	lo, hi := leafRange(s.n, bits.TrailingZeros(uint(s.leaves())), j)
 	var buf [maxCols]column
 	if s.isWide() {
@@ -493,42 +450,9 @@ func appendLeaf[D schema.Word](dst []D, s *Static, j int) []D {
 	return decodeRows(dst, s.narrow.columns(s.geom, j, hi-lo, buf[:0]), s.narrow.words, 0, hi-lo)
 }
 
-// QueryAppend resolves rect, appending matches to out. Beyond out's
-// growth — at most once per batch — and a batch's copy (the view
-// contract) it performs no allocation.
-func (s *Static) QueryAppend(rect schema.Rect, out []schema.Record) []schema.Record {
-	s.VisitBatches(rect, func(rows schema.Rows, sel []int32) { out = appendRecords(out, rows, sel, s.arity) })
-	return out
-}
-
-// Query resolves an orthogonal range query.
-func (s *Static) Query(rect schema.Rect) []schema.Record {
-	return s.QueryAppend(rect, nil)
-}
-
-// Count returns the number of records inside rect without materializing
-// them: a leaf inside the window counts undecoded, a straddled one by its
-// constrained columns alone.
-func (s *Static) Count(rect schema.Rect) int {
-	var buf windowBuf
-	w, ok := openWindow(s.bounds, rect, &buf)
-	if !ok {
-		return 0
-	}
-	sc := scratchPool.Get().(*scratch)
-	sc.count = 0
-	s.visit(&w, sc, nil)
-	n := sc.count
-	scratchPool.Put(sc)
-	return n
-}
-
-// All streams every record in partition order; stops early if yield
-// returns false.
-func (s *Static) All(yield func(rec schema.Record) bool) { s.each(yield) }
-
-// each is All reporting whether it ran to the end: every leaf is
-// decoded into a fresh 64-bit copy (the view contract).
+// each streams every record in partition order until yield returns
+// false, and reports whether it ran to the end: every leaf is decoded
+// into a fresh copy (the view contract).
 func (s *Static) each(yield func(rec schema.Record) bool) bool {
 	for j, leaves := 0, s.leaves(); j < leaves; j++ {
 		if !eachRow(appendLeaf[uint64](nil, s, j), s.arity, yield) {

@@ -17,29 +17,49 @@ func wideCuts(s *Static) []uint64 {
 	if s.isWide() {
 		return s.wide.cuts
 	}
-	return widen(s.narrow.cuts)
-}
-
-// widen returns run as 64-bit words: run itself when it is 64-bit, a
-// fresh copy when it is narrow.
-func widen[W schema.Word](run []W) []uint64 {
-	if w, ok := any(run).([]uint64); ok {
-		return w
+	cuts := make([]uint64, len(s.narrow.cuts))
+	for i, c := range s.narrow.cuts {
+		cuts[i] = uint64(c)
 	}
-	return appendWords(make([]uint64, 0, len(run)), run)
+	return cuts
 }
 
 // indexed reports whether a level has cuts.
 func indexed(s *Static) bool { return s.wide.cuts != nil || s.narrow.cuts != nil }
+
+// oneLevel builds a one-level ladder holding recs: every record
+// inserted, then Compact. It is how a test reads a Static of its own
+// records: through the ladder, as every reader does.
+func oneLevel(sch *schema.Schema, recs []schema.Record) *Sharded {
+	e := NewSharded(sch, Options{})
+	for _, rec := range recs {
+		e.Insert(rec)
+	}
+	e.Compact()
+	return e
+}
+
+// levelOf returns a one-level ladder's level, or an empty one when it
+// holds no record.
+func levelOf(e *Sharded) *Static {
+	snap := e.snap.Load()
+	if len(snap.levels) == 0 {
+		return &Static{geom: &e.geom}
+	}
+	if len(snap.levels) != 1 || len(snap.tail.published(e.arity)) != 0 {
+		panic("levelOf: not a one-level ladder")
+	}
+	return snap.levels[0]
+}
 
 func fullRect() schema.Rect {
 	return schema.Rect{Lo: []uint64{0, 0, 0}, Hi: []uint64{9999, 9999, 9999}}
 }
 
 func TestStaticEmpty(t *testing.T) {
-	s := NewStatic(sch3(), nil)
-	if s.Len() != 0 {
-		t.Fatalf("Len = %d", s.Len())
+	s := oneLevel(sch3(), nil)
+	if s.Len() != 0 || len(s.Shape().Levels) != 0 {
+		t.Fatalf("Len = %d, levels %v", s.Len(), s.Shape().Levels)
 	}
 	if got := s.Query(fullRect()); len(got) != 0 {
 		t.Fatalf("empty static returned %d records", len(got))
@@ -54,8 +74,8 @@ func TestStaticEmpty(t *testing.T) {
 }
 
 func TestStaticSingle(t *testing.T) {
-	s := NewStatic(sch3(), []schema.Record{{10, 20, 30, 7}})
-	if s.Len() != 1 {
+	s := oneLevel(sch3(), []schema.Record{{10, 20, 30, 7}})
+	if s.Len() != 1 || levelOf(s).Len() != 1 {
 		t.Fatalf("Len = %d", s.Len())
 	}
 	q := schema.Rect{Lo: []uint64{10, 20, 30}, Hi: []uint64{10, 20, 30}}
@@ -77,8 +97,8 @@ func TestStaticMatchesScan(t *testing.T) {
 			recs[i] = randRec(r)
 			sc.Insert(recs[i])
 		}
-		s := NewStatic(sch3(), recs)
-		if s.Len() != n {
+		s := oneLevel(sch3(), recs)
+		if s.Len() != n || levelOf(s).Len() != n {
 			t.Fatalf("n=%d: Len = %d", n, s.Len())
 		}
 		for q := 0; q < 40; q++ {
@@ -101,7 +121,7 @@ func TestStaticDuplicatePoints(t *testing.T) {
 	for i := range recs {
 		recs[i] = schema.Record{42, 42, 42, uint64(i)}
 	}
-	s := NewStatic(sch3(), recs)
+	s := oneLevel(sch3(), recs)
 	q := schema.Rect{Lo: []uint64{42, 42, 42}, Hi: []uint64{42, 42, 42}}
 	if got := s.Query(q); len(got) != 100 {
 		t.Fatalf("duplicate point query returned %d of 100", len(got))
@@ -112,7 +132,7 @@ func TestStaticDuplicatePoints(t *testing.T) {
 }
 
 func TestStaticClampedRecords(t *testing.T) {
-	s := NewStatic(sch3(), []schema.Record{{50000, 1, 1, 0}}) // x clamps to 9999
+	s := oneLevel(sch3(), []schema.Record{{50000, 1, 1, 0}}) // x clamps to 9999
 	q := schema.Rect{Lo: []uint64{9999, 0, 0}, Hi: []uint64{9999, 9999, 9999}}
 	if len(s.Query(q)) != 1 {
 		t.Error("clamped record not found in topmost region")
@@ -167,11 +187,11 @@ func TestStaticPartitionLayout(t *testing.T) {
 					copy(recs[i], gen(i))
 					recs[i][arity-1] = uint64(i)
 				}
-				narrow := NewStatic(sc.sch, recs)
+				narrow := levelOf(oneLevel(sc.sch, recs))
 				for _, rec := range recs {
 					rec[arity-1] |= 1 << 40
 				}
-				s := NewStatic(sc.sch, recs)
+				s := levelOf(oneLevel(sc.sch, recs))
 				if n > 0 && (narrow.isWide() || !s.isWide()) {
 					t.Fatalf("%s n=%d: 32-bit payloads built a wide level (%v) or 2⁴⁰ ones a narrow level (%v)", name, n, narrow.isWide(), !s.isWide())
 				}
@@ -189,7 +209,7 @@ func TestStaticPartitionLayout(t *testing.T) {
 					t.Fatalf("%s n=%d: Len=%d rows=%d", name, n, s.Len(), len(rows))
 				}
 				var stored []schema.Record
-				s.All(func(rec schema.Record) bool { stored = append(stored, rec); return true })
+				s.each(func(rec schema.Record) bool { stored = append(stored, rec); return true })
 				if !sameRecs(stored, recs) {
 					t.Fatalf("%s n=%d: rows are not a permutation of the input", name, n)
 				}
@@ -320,7 +340,7 @@ func TestStaticAllEarlyStop(t *testing.T) {
 	for i := range recs {
 		recs[i] = randRec(r)
 	}
-	s := NewStatic(sch3(), recs)
+	s := oneLevel(sch3(), recs)
 	n := 0
 	s.All(func(schema.Record) bool { n++; return true })
 	if n != 100 {
@@ -339,7 +359,7 @@ func BenchmarkStaticQuery(b *testing.B) {
 	for i := range recs {
 		recs[i] = randRec(r)
 	}
-	s := NewStatic(sch3(), recs)
+	s := oneLevel(sch3(), recs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = s.Query(randRect(r))
@@ -354,6 +374,6 @@ func BenchmarkStaticBulkLoad(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = NewStatic(sch3(), src)
+		_ = oneLevel(sch3(), src)
 	}
 }

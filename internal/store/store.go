@@ -7,18 +7,17 @@
 //
 // The engine is one structure at every size (DESIGN.md §4h):
 //
-//   - Static (static.go) is a bulk-built, immutable k-d index whose
-//     records, in partition order, are bucketed into leaves of at most
-//     leafRows rows, each packed by frame of reference (block.go's
-//     kernel) with its frame kept as the box a read prunes it by: no
-//     per-node pointers, no per-query allocations, one iterative
-//     traversal (VisitBatches) that every read is a wrapper over. A
-//     level whose every value fits 32 bits keeps 32-bit cuts and frames
-//     and decodes into 32-bit rows, any other 64-bit ones; the kernels
-//     are generic over the word (schema.Word) and exist once. Its cuts
-//     follow one schedule, schema.CutDim: the time attribute on two
-//     levels of every three, because the queries a monitor asks are
-//     windows in time.
+//   - Static (static.go) is one level of a ladder: an immutable k-d
+//     index whose records, in partition order, are bucketed into leaves
+//     of at most leafRows rows, each packed by frame of reference
+//     (block.go's kernel) with its frame kept as the box a read prunes
+//     it by: no per-node pointers, no per-query allocations, one
+//     iterative traversal. A level whose every value fits 32 bits keeps
+//     32-bit cuts and frames, any other 64-bit ones; that width is the
+//     level's storage detail, decided by the carry alone, and no read
+//     sees it. Its cuts follow one schedule, schema.CutDim: the time
+//     attribute on two levels of every three, because the queries a
+//     monitor asks are windows in time.
 //   - Sharded (shard.go) is the engine: one logarithmic-method ladder
 //     of Static levels behind a small unsorted tail arena that absorbs
 //     inserts and is carried into the ladder when it fills. A replica
@@ -32,11 +31,11 @@
 //   - Versioned (versioned.go) keeps one Sharded engine per index
 //     version (§3.7).
 //
-// Every read hands its matches over a batch at a time: one leaf's rows,
-// decoded into the visit's scratch in its level's width (schema.Rows; a
-// tail is cut into leaf-sized runs and handed as it is) plus a
-// selection, the ascending word offsets of the rows inside the query
-// window. A batch is valid only while its callback runs.
+// Every read hands its matches over a batch at a time: one leaf's rows
+// as 64-bit words — a packed leaf or block run decoded into the visit's
+// scratch, or a leaf-sized run of the tail as it is — plus a selection,
+// the ascending word offsets of the rows inside the query window. A
+// batch is valid only while its callback runs.
 // selectRows picks them without a data-dependent branch, one column at
 // a time — the first constrained column over every row, each later one
 // over the rows that survived — so a leaf that straddles a window edge
@@ -176,27 +175,17 @@ func openWindow(bounds []uint64, rect schema.Rect, buf *windowBuf) (w window, ok
 type selection [leafRows]int32
 
 // scratch is what one visit reads into: the selection, and the buffer
-// a packed leaf or block run is decoded into at the width it decodes
-// to. It is reused for every leaf the visit reads, so a batch handed
-// out of it is valid only while its callback runs (Static's view
-// contract).
+// a packed leaf or block run is decoded into. It is reused for every
+// leaf the visit reads, so a batch handed out of it is valid only while
+// its callback runs (Static's view contract).
 type scratch struct {
 	sel  selection
-	w32  []uint32
-	w64  []uint64
+	rows []uint64
 	cols []column // the column readers of the run being read
 	// count sums the matches of a counting visit (a nil batch callback,
 	// Count): a run inside the window adds its length undecoded, any
 	// other only the rows its constrained columns select.
 	count int
-}
-
-// decodeBuf is the scratch buffer a run decodes into at width W.
-func decodeBuf[W schema.Word](sc *scratch) *[]W {
-	if p, ok := any(&sc.w32).(*[]W); ok {
-		return p
-	}
-	return any(&sc.w64).(*[]W)
 }
 
 // scratchPool recycles scratch between visits. A batch callback keeps
@@ -213,9 +202,8 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // row and each later bound only over the rows that survived, so a
 // selective first column (a destination prefix) leaves little for the
 // others to test, as the early exit of a row-at-a-time scan did. With no
-// bound at all every row is selected. A narrow row's value is widened
-// to 64 bits on load, so one bound serves both widths.
-func selectRows[W schema.Word](rows []W, arity int, con []bound, sel *selection) []int32 {
+// bound at all every row is selected.
+func selectRows(rows []uint64, arity int, con []bound, sel *selection) []int32 {
 	if len(con) == 0 {
 		k := 0
 		for b := 0; b < len(rows); b += arity {
@@ -233,21 +221,21 @@ func selectRows[W schema.Word](rows []W, arity int, con []bound, sel *selection)
 
 // selectFirst tests c over every row of rows, writing the offsets of the
 // rows inside it to a prefix of sel, and returns how many there are.
-func selectFirst[W schema.Word](rows []W, arity int, c bound, sel *selection) int {
+func selectFirst(rows []uint64, arity int, c bound, sel *selection) int {
 	k := 0
 	for b := 0; b < len(rows); b += arity {
 		sel[k] = int32(b)
-		k += inside(uint64(rows[b+c.dim]), c)
+		k += inside(rows[b+c.dim], c)
 	}
 	return k
 }
 
 // selectMore narrows the k offsets selected so far to the rows inside c.
-func selectMore[W schema.Word](rows []W, c bound, sel *selection, k int) int {
+func selectMore(rows []uint64, c bound, sel *selection, k int) int {
 	n := 0
 	for _, b := range sel[:k] {
 		sel[n] = b
-		n += inside(uint64(rows[int(b)+c.dim]), c)
+		n += inside(rows[int(b)+c.dim], c)
 	}
 	return n
 }
@@ -264,59 +252,44 @@ func inside(v uint64, c bound) int {
 // tail (stride arity) that satisfy every bound; a run with none is
 // skipped. The runs are views of the tail's published rows, which are
 // never rewritten. Packed leaves and blocks are read by visitPacked.
-func scanBatches(rows []uint64, arity int, con []bound, sel *selection, fn func(rows schema.Rows, sel []int32)) {
+func scanBatches(rows []uint64, arity int, con []bound, sel *selection, fn func(rows []uint64, sel []int32)) {
 	for step := leafRows * arity; len(rows) > 0; {
 		run := rows[:min(step, len(rows))]
 		rows = rows[len(run):]
 		if in := selectRows(run, arity, con, sel); len(in) > 0 {
-			fn(rowsOf(run), in)
+			fn(run, in)
 		}
 	}
-}
-
-// rowsOf names a run of words as the batch type its width is.
-func rowsOf[W schema.Word](run []W) schema.Rows {
-	switch run := any(run).(type) {
-	case []uint32:
-		return schema.Rows{W32: run}
-	case []uint64:
-		return schema.Rows{W64: run}
-	}
-	panic("unreachable: schema.Word has two widths")
 }
 
 // eachSelected calls fn with every selected record of a batch as a
-// capped 64-bit view of one fresh copy of just the selected rows, made
-// once per batch: a batch may be the visit's scratch, so a record handed
-// on is never a view of it (Static's view contract).
-func eachSelected(rows schema.Rows, sel []int32, arity int, fn func(schema.Record)) {
+// capped view of one fresh copy of just the selected rows, made once per
+// batch: a batch may be the visit's scratch, so a record handed on is
+// never a view of it (Static's view contract).
+func eachSelected(rows []uint64, sel []int32, arity int, fn func(schema.Record)) {
 	words := make([]uint64, 0, len(sel)*arity)
 	for _, o := range sel {
-		b, n := int(o), len(words)
-		if rows.W32 != nil {
-			words = appendWords(words, rows.W32[b:b+arity])
-		} else {
-			words = append(words, rows.W64[b:b+arity]...)
-		}
+		n := len(words)
+		words = append(words, rows[o:int(o)+arity]...)
 		fn(words[n : n+arity : n+arity])
 	}
 }
 
 // recordsOf adapts a record callback to batches: fn sees every selected
-// row as a capped 64-bit view (eachSelected).
-func recordsOf(arity int, fn func(schema.Record)) func(rows schema.Rows, sel []int32) {
-	return func(rows schema.Rows, sel []int32) { eachSelected(rows, sel, arity, fn) }
+// row as a capped view (eachSelected).
+func recordsOf(arity int, fn func(schema.Record)) func(rows []uint64, sel []int32) {
+	return func(rows []uint64, sel []int32) { eachSelected(rows, sel, arity, fn) }
 }
 
 // appendRecords appends every selected row of a batch to out as a capped
 // view (eachSelected), growing out once per batch.
-func appendRecords(out []schema.Record, rows schema.Rows, sel []int32, arity int) []schema.Record {
+func appendRecords(out []schema.Record, rows []uint64, sel []int32, arity int) []schema.Record {
 	out = slices.Grow(out, len(sel))
 	eachSelected(rows, sel, arity, func(rec schema.Record) { out = append(out, rec) })
 	return out
 }
 
-// eachRow streams rows (stride arity) as capped 64-bit views until yield
+// eachRow streams rows (stride arity) as capped views until yield
 // returns false, and reports whether it ran to the end. The rows are a
 // tail's published rows or a fresh decode (the view contract).
 func eachRow(rows []uint64, arity int, yield func(schema.Record) bool) bool {

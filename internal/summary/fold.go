@@ -194,30 +194,20 @@ func (f *Fold) Reset() {
 
 // AddBatch folds the selected records of one store batch: rows is a run
 // of records and sel the word offsets into rows of those to fold, each
-// starting a record at least len(f.Sums) words long. It dispatches once
-// per batch on the run's width.
-func (f *Fold) AddBatch(rows schema.Rows, sel []int32) {
-	if rows.W32 != nil {
-		addRows(f, rows.W32, sel)
-	} else {
-		addRows(f, rows.W64, sel)
-	}
-}
-
-// addRows is AddBatch at one word width.
-func addRows[W schema.Word](f *Fold, rows []W, sel []int32) {
+// starting a record at least len(f.Sums) words long.
+func (f *Fold) AddBatch(rows []uint64, sel []int32) {
 	f.Count += uint64(len(sel))
 	sums := f.Sums
 	for _, o := range sel {
 		rec := rows[o : int(o)+len(sums)]
 		for i, v := range rec {
-			sums[i] += uint64(v)
+			sums[i] += v
 		}
 		f.Keys.AddN(keyOf(rec), 1)
 	}
 }
 
-// firstRow selects a batch's first record: addRows(f, rec, firstRow)
+// firstRow selects a batch's first record: f.AddBatch(rec, firstRow)
 // folds one record.
 var firstRow = []int32{0}
 
@@ -225,7 +215,7 @@ var firstRow = []int32{0}
 // time: rows is a run of records and sel the word offsets into rows of
 // those inside rect. The production implementation is
 // store.Sharded.VisitBatches.
-type Visitor func(rect schema.Rect, fn func(rows schema.Rows, sel []int32))
+type Visitor func(rect schema.Rect, fn func(rows []uint64, sel []int32))
 
 // ResolveShard answers rect for one store ladder and its rollup: the
 // rollup contributes the cells fully inside rect — counters into f,

@@ -115,7 +115,7 @@ type Summary struct {
 	folds  atomic.Uint64
 }
 
-func keyOf[W schema.Word](rec []W) uint64 { return uint64(rec[0]) }
+func keyOf(rec []uint64) uint64 { return rec[0] }
 
 // New creates an empty summary.
 func New(sch *schema.Schema, opts Options) *Summary {
@@ -356,7 +356,7 @@ func (s *Summary) cover(rect schema.Rect, f *Fold, parts []*Sketch) ([]*Sketch, 
 	w.descend(sn.root, 0, lo, hi)
 	for _, rec := range sn.delta.published() {
 		if rect.ContainsRecord(s.sch, rec) && s.deltaCovered(rect, rec, lo, hi) {
-			addRows(f, rec, firstRow)
+			f.AddBatch(rec, firstRow)
 		}
 	}
 	return w.parts, coalesceRects(w.boundary)

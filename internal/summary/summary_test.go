@@ -304,13 +304,12 @@ func FuzzSummaryRollup(f *testing.F) {
 // part — and GetFold never hands out a fold of another arity. The
 // fresh fold takes the stream as one batch whose selection skips a decoy
 // row after every record, so it also pins that AddBatch folds exactly
-// the selected rows — and a third fold takes the same batch in 32-bit
-// words, as a narrow store level hands it over, and must agree too.
+// the selected rows.
 func TestFoldReuseIsExact(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	used := NewFold(4)
 	for i := 0; i < 5000; i++ { // ~5000 distinct keys: the table grows well past the second stream's
-		used.AddBatch(schema.Rows{W64: []uint64{uint64(r.Intn(1 << 30)), 1, 2, 3}}, []int32{0})
+		used.AddBatch([]uint64{uint64(r.Intn(1 << 30)), 1, 2, 3}, []int32{0})
 	}
 	used.Reset()
 	fresh := NewFold(4)
@@ -318,31 +317,19 @@ func TestFoldReuseIsExact(t *testing.T) {
 	var sel []int32
 	for i := 0; i < 700; i++ {
 		rec := randRec(r)
-		used.AddBatch(schema.Rows{W64: rec}, []int32{0})
+		used.AddBatch(rec, []int32{0})
 		sel = append(sel, int32(len(rows)))
 		rows = append(rows, rec...)
 		rows = append(rows, 1<<40, 7, 7, 7)
 	}
-	fresh.AddBatch(schema.Rows{W64: rows}, sel)
+	fresh.AddBatch(rows, sel)
 	if used.Count != fresh.Count || !slices.Equal(used.Sums, fresh.Sums) {
 		t.Fatalf("reused fold: count %d sums %v, fresh %d %v", used.Count, used.Sums, fresh.Count, fresh.Sums)
 	}
-	rows32 := make([]uint32, len(rows))
-	for i, v := range rows {
-		rows32[i] = uint32(v) // the decoy's 2⁴⁰ wraps to 0; it is never selected
-	}
-	narrow := NewFold(4)
-	narrow.AddBatch(schema.Rows{W32: rows32}, sel)
-	if narrow.Count != fresh.Count || !slices.Equal(narrow.Sums, fresh.Sums) {
-		t.Fatalf("32-bit batch: count %d sums %v, 64-bit %d %v", narrow.Count, narrow.Sums, fresh.Count, fresh.Sums)
-	}
 	for _, k := range []int{1, 8, 1000} {
-		a, b, c := used.Keys.Part(k), fresh.Keys.Part(k), narrow.Keys.Part(k)
+		a, b := used.Keys.Part(k), fresh.Keys.Part(k)
 		if a.N() != b.N() || a.Floor() != b.Floor() || !slices.Equal(a.Top(), b.Top()) {
 			t.Fatalf("k=%d: reused fold's key part differs from a fresh fold's", k)
-		}
-		if c.N() != b.N() || c.Floor() != b.Floor() || !slices.Equal(c.Top(), b.Top()) {
-			t.Fatalf("k=%d: a 32-bit batch's key part differs from the 64-bit one's", k)
 		}
 	}
 	PutFold(used)

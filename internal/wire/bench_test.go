@@ -120,7 +120,7 @@ func BenchmarkEncodeQueryResp(b *testing.B) {
 		m := answerHeader()
 		for lo := 0; lo < len(rows); lo += arity * leaf {
 			batch := rows[lo:min(lo+arity*leaf, len(rows))]
-			m.Recs.AppendRows(schema.Rows{W64: batch}, sel[:len(batch)/arity], arity)
+			m.Recs.AppendRows(batch, sel[:len(batch)/arity], arity)
 		}
 		RecycleBuf(Encode(m))
 	}

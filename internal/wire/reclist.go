@@ -44,7 +44,7 @@ func byteLen(v uint64) int { return (bits.Len64(v) + 7) >> 3 }
 // whole word and the write advances by its length, so the next value
 // overwrites the zero bytes above it; values go two to a tag byte, the
 // pairs first and an odd arity's last value after them.
-func putRec[W schema.Word](b []byte, rec []W) int {
+func putRec(b []byte, rec []uint64) int {
 	t := 1
 	if len(rec) < 0x80 {
 		b[0] = byte(len(rec))
@@ -54,7 +54,7 @@ func putRec[W schema.Word](b []byte, rec []W) int {
 	p := t + (len(rec)+1)/2
 	i := 0
 	for ; i+1 < len(rec); i += 2 {
-		v, w := uint64(rec[i]), uint64(rec[i+1])
+		v, w := rec[i], rec[i+1]
 		l, h := byteLen(v), byteLen(w)
 		binary.LittleEndian.PutUint64(b[p:], v)
 		binary.LittleEndian.PutUint64(b[p+l:], w)
@@ -63,7 +63,7 @@ func putRec[W schema.Word](b []byte, rec []W) int {
 		p += l + h
 	}
 	if i < len(rec) {
-		v := uint64(rec[i])
+		v := rec[i]
 		binary.LittleEndian.PutUint64(b[p:], v)
 		b[t] = byte(byteLen(v))
 		p += int(b[t])
@@ -206,18 +206,8 @@ func (l *RecList) Append(rec schema.Record) {
 
 // AppendRows encodes the selected rows of a store batch (rows of stride
 // arity, sel their offsets, store.Sharded.VisitBatches' contract) onto
-// the end of the list, growing it once per batch. A record encodes the
-// same from either word width.
-func (l *RecList) AppendRows(rows schema.Rows, sel []int32, arity int) {
-	if rows.W32 != nil {
-		appendRows(l, rows.W32, sel, arity)
-	} else {
-		appendRows(l, rows.W64, sel, arity)
-	}
-}
-
-// appendRows is AppendRows at one word width.
-func appendRows[W schema.Word](l *RecList, rows []W, sel []int32, arity int) {
+// the end of the list, growing it once per batch.
+func (l *RecList) AppendRows(rows []uint64, sel []int32, arity int) {
 	run := l.open(len(sel) * maxRecLen(arity))
 	room, w := run[len(run):cap(run)], 0
 	for _, o := range sel {

@@ -3,11 +3,9 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
-	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
-	"slices"
 	"testing"
 
 	"mind/internal/schema"
@@ -210,14 +208,11 @@ func TestSplicedEqualsEncoded(t *testing.T) {
 		if got := Encode(&QueryResp{ReqID: 7, Recs: built}); !bytes.Equal(got, frame) || (n == 300 && len(built.Runs()) < 2) {
 			t.Fatalf("%d records appended one at a time into %d runs encode differently", n, len(built.Runs()))
 		}
-		// The records whose values all fit 32 bits go once more as the
-		// 32-bit batches of a narrow store level: same bytes again.
-		var batched, narrowed RecList
-		var want, wantNarrow []schema.Record
+		var batched RecList
+		var want []schema.Record
 		for arity := 0; arity < 7; arity++ {
 			var rows []uint64
-			var rows32 []uint32
-			var sel, sel32 []int32
+			var sel []int32
 			for _, rec := range recs {
 				if len(rec) != arity {
 					continue
@@ -225,26 +220,13 @@ func TestSplicedEqualsEncoded(t *testing.T) {
 				sel = append(sel, int32(len(rows)))
 				rows = append(rows, rec...)
 				want = append(want, rec)
-				if !slices.ContainsFunc(rec, func(v uint64) bool { return v > math.MaxUint32 }) {
-					sel32 = append(sel32, int32(len(rows32)))
-					for _, v := range rec {
-						rows32 = append(rows32, uint32(v))
-					}
-					wantNarrow = append(wantNarrow, rec)
-				}
 			}
 			for lo := 0; lo < len(sel); lo += 32 {
-				batched.AppendRows(schema.Rows{W64: rows}, sel[lo:min(lo+32, len(sel))], arity)
-			}
-			for lo := 0; lo < len(sel32); lo += 32 {
-				narrowed.AppendRows(schema.Rows{W32: rows32}, sel32[lo:min(lo+32, len(sel32))], arity)
+				batched.AppendRows(rows, sel[lo:min(lo+32, len(sel))], arity)
 			}
 		}
 		if got := Encode(&QueryResp{ReqID: 7, Recs: batched}); !bytes.Equal(got, Encode(&QueryResp{ReqID: 7, Recs: listOf(want...)})) {
 			t.Fatalf("%d records appended as batches encode differently", n)
-		}
-		if got := Encode(&QueryResp{ReqID: 7, Recs: narrowed}); !bytes.Equal(got, Encode(&QueryResp{ReqID: 7, Recs: listOf(wantNarrow...)})) || (n == 300 && len(wantNarrow) < 50) {
-			t.Fatalf("%d of %d records appended as 32-bit batches encode differently", len(wantNarrow), n)
 		}
 		var bounds []int // record boundaries of the decoded run
 		var run []byte
