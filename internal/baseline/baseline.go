@@ -139,7 +139,8 @@ func (n *FloodNode) dispatch(from string, data []byte) {
 		// Every node evaluates every query: the flooding cost model.
 		resp := &wire.QueryResp{ReqID: msg.ReqID, From: wire.NodeInfo{Addr: n.ep.Addr()}}
 		n.mu.Lock()
-		n.local.Visit(msg.Rect, resp.Recs.Append)
+		arity := n.sch.Arity()
+		n.local.VisitBatches(msg.Rect, func(rows []uint64, sel []int32) { resp.Recs.AppendRows(rows, sel, arity) })
 		n.mu.Unlock()
 		_ = n.ep.Send(msg.OriginAddr, wire.Encode(resp))
 	case *wire.QueryResp:

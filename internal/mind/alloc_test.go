@@ -39,12 +39,13 @@ func TestAllocBudgetCoversRect(t *testing.T) {
 
 // TestAllocBudgetAnswerHop is the alloc gate on the originator's share of
 // a record query on the client-RPC path: admitting four decoded answers
-// and splicing their runs decodes no record, so it allocates as often at
-// 2 000 records per answer as at 500. Covering answers are spliced whole
-// and reserve no id table, so they allocate a few headers whatever their
-// size; answers that can overlap (no cover) are hashed into id tables,
-// and allocate in bytes little more than those (decoding the 8 000
-// records would add their 320 KB of values and 192 KB of record headers).
+// and splicing their groups materializes no record, so it allocates as
+// often at 2 000 records per answer as at 500. Covering answers are
+// spliced whole and reserve no id table, so they allocate a few headers
+// whatever their size; answers that can overlap (no cover) are decoded a
+// group at a time into one scratch and hashed into id tables, and
+// allocate in bytes little more than those (decoding the 8 000 records
+// would add their 320 KB of values and 192 KB of record headers).
 func TestAllocBudgetAnswerHop(t *testing.T) {
 	measure := func(header func(int) (answer, *coverSet), perAnswer int) (allocs float64, bytes uint64) {
 		var answers []*wire.QueryResp
@@ -114,10 +115,13 @@ func TestAllocBudgetCellClip(t *testing.T) {
 			t.Fatal("the full rectangle misses a cell")
 		}
 	}
-	var out wire.RecList
+	var out wire.Groups
+	arity := sch.Arity()
 	for name, f := range map[string]func(){
-		"clip":    clip,
-		"primary": func() { visitCell(ix, ix.primary, p, &out) },
+		"clip": clip,
+		"primary": func() {
+			visitCell(ix, ix.primary, p, func(rows []uint64, sel []int32) { out.AppendRows(rows, sel, arity) })
+		},
 		"replica": func() { out = filterToRegion(ix, p) },
 	} {
 		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {

@@ -13,7 +13,7 @@ import (
 )
 
 // TestStoreBatchConsumers holds the node's three consumers of a store
-// batch — the answer encoder (wire.RecList.AppendRows), the aggregate
+// batch — the answer encoder (wire.Groups.AppendRows), the aggregate
 // fold (summary.Fold.AddBatch) and the owner's repeat probe (holds) — to
 // the records inserted, on a primary ladder whose levels keep both
 // widths: two narrow levels, one wide level (it holds the one record
@@ -54,7 +54,7 @@ func TestStoreBatchConsumers(t *testing.T) {
 	for _, rect := range rects {
 		want := oracle.Query(rect)
 
-		var list wire.RecList
+		var list wire.Groups
 		st.VisitBatches(rect, func(rows []uint64, sel []int32) { list.AppendRows(rows, sel, sch.Arity()) })
 		m, err := wire.Decode(wire.Encode(&wire.QueryResp{ReqID: 1, Recs: list}))
 		if err != nil {

@@ -107,7 +107,7 @@ func (n *Node) handleClientQuery(from string, m *wire.ClientQuery) {
 	n.serveClientRead(from, clientOpKey(from, m.ReqID),
 		func(shed bool) wire.Message { return &wire.ClientQueryResp{ReqID: m.ReqID, Shed: shed} },
 		func(reply func(wire.Message)) error {
-			return n.query(m.Index, m.Rect, func(recs wire.RecList, res QueryResult) {
+			return n.query(m.Index, m.Rect, func(recs wire.Groups, res QueryResult) {
 				reply(&wire.ClientQueryResp{
 					ReqID:      m.ReqID,
 					Complete:   res.Complete,

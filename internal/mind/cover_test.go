@@ -285,9 +285,10 @@ func rect2(lo0, lo1, hi0, hi1 uint64) schema.Rect {
 }
 
 // TestRecHashDistinct holds the content id (recID over a record's
-// canonical bytes) to what it is used for, a dedup key: over a million
-// generated Index-2 records and the near-duplicates a structured data set
-// is full of, two ids are equal only when the two records are.
+// values) to what it is used for, a dedup key: over a million generated
+// Index-2 records and the near-duplicates a structured data set is full
+// of — every one-value edit among them, which recID never lets collide —
+// two ids are equal only when the two records are.
 func TestRecHashDistinct(t *testing.T) {
 	// Record i of the generated set: 1 100 destination prefixes × 1 000
 	// thirty-second windows, the other attributes drawn per record.
@@ -335,7 +336,7 @@ func TestRecHashDistinct(t *testing.T) {
 	}
 	ids := make([]entry, prefixes*windows+len(near))
 	for i := range ids {
-		ids[i] = entry{recID(recBytes(record(i))), int32(i)}
+		ids[i] = entry{recID(record(i)), int32(i)}
 	}
 	slices.SortFunc(ids, func(a, b entry) int { return cmp.Compare(a.id, b.id) })
 	distinct := len(ids)
@@ -352,35 +353,36 @@ func TestRecHashDistinct(t *testing.T) {
 	if distinct < 1_000_000 {
 		t.Fatalf("only %d distinct records checked", distinct)
 	}
-	if recID(recBytes(record(0))) != recID(recBytes(record(0).Clone())) {
+	if recID(record(0)) != recID(record(0).Clone()) {
 		t.Fatal("id not deterministic")
 	}
 }
 
-// TestRecHashAvalanche: flipping any one bit of a record's bytes flips
+// TestRecHashAvalanche: flipping any one bit of a record's values flips
 // every bit of its content id about half the time — the chain of one
-// xorshift-multiply round per 8-byte word is as strong as a finaliser
-// per word — at the byte lengths of a short record, of exactly one and
-// two words, and of an encoded Index-2 record.
+// xorshift-multiply round per value is as strong as a finaliser per
+// value — at the arities of a short record and of an Index-2 record.
 func TestRecHashAvalanche(t *testing.T) {
 	const samples = 2000
 	r := rand.New(rand.NewSource(7))
-	for _, size := range []int{3, 7, 8, 16, 20} {
-		b := make([]byte, size)
-		for bit := 0; bit < 8*size; bit++ {
+	for _, arity := range []int{1, 2, 3, 5} {
+		rec := make([]uint64, arity)
+		for bit := 0; bit < 64*arity; bit++ {
 			var flips [64]int
 			for s := 0; s < samples; s++ {
-				r.Read(b)
-				id := recID(b)
-				b[bit/8] ^= 1 << (bit % 8)
-				diff := id ^ recID(b)
+				for i := range rec {
+					rec[i] = r.Uint64()
+				}
+				id := recID(rec)
+				rec[bit/64] ^= 1 << (bit % 64)
+				diff := id ^ recID(rec)
 				for out := range flips {
 					flips[out] += int(diff >> out & 1)
 				}
 			}
 			for out, n := range flips {
 				if n < samples*2/5 || n > samples*3/5 {
-					t.Fatalf("%d bytes: input bit %d flips id bit %d in %d of %d samples", size, bit, out, n, samples)
+					t.Fatalf("arity %d: input bit %d flips id bit %d in %d of %d samples", arity, bit, out, n, samples)
 				}
 			}
 		}

@@ -1,8 +1,6 @@
 package mind
 
 import (
-	"encoding/binary"
-
 	"mind/internal/embed"
 	"mind/internal/schema"
 	"mind/internal/store"
@@ -12,8 +10,8 @@ import (
 // QueryResult is delivered to the query callback.
 type QueryResult struct {
 	// Records are the matching records, each stored record once (two
-	// byte-identical records inserted separately are both returned, as
-	// an aggregate counts both), in arrival order, decoded once, at
+	// identical records inserted separately are both returned, as an
+	// aggregate counts both), in arrival order, decoded once, at
 	// delivery, from the answers' wire form: each is a
 	// read-only capped view into one arena. It may be retained, and a
 	// retained record pins that arena; Clone what must outlive the rest.
@@ -41,7 +39,7 @@ type QueryResult struct {
 // return directly to this node. The callback fires once, with complete
 // results or with whatever arrived by the timeout.
 func (n *Node) Query(tag string, rect schema.Rect, cb func(QueryResult)) error {
-	return n.query(tag, rect, func(recs wire.RecList, res QueryResult) {
+	return n.query(tag, rect, func(recs wire.Groups, res QueryResult) {
 		if cb != nil {
 			res.Records = recs.Records()
 			cb(res)
@@ -50,9 +48,9 @@ func (n *Node) Query(tag string, rect schema.Rect, cb func(QueryResult)) error {
 }
 
 // query is Query with the records left in their wire form: cb gets the
-// runs the originator spliced from its answers (the client RPC hands
+// groups the originator spliced from its answers (the client RPC hands
 // them to its response as they stand) and a result without Records.
-func (n *Node) query(tag string, rect schema.Rect, cb func(wire.RecList, QueryResult)) error {
+func (n *Node) query(tag string, rect schema.Rect, cb func(wire.Groups, QueryResult)) error {
 	return n.scatter(tag, rect, recordKind{}, 0, func(*index) accumulator {
 		return &recordAcc{cb: cb}
 	})
@@ -108,14 +106,14 @@ func answerFromQueryResp(m *wire.QueryResp) answer {
 // follows) keeps a lagging node from claiming the whole query region.
 func (recordKind) epochOnAnswer(p piece) bool { return p.whole }
 
-// resolve encodes the matching records straight from the store's
-// batches into the answer's record list, the one encoding they get on
-// their way to the client. Every version's store is visited over the
-// piece's rectangle clipped to the region's cell, as the aggregate
-// resolver does: local storage may hold records of other regions (the
-// copies a re-homing repair keeps, a split sibling's leftovers), and a
-// covering answer must hold its cover's records alone for the
-// originator to admit it by cover.
+// resolve packs the matching records straight from the store's batches
+// into the answer's groups, the one encoding they get on their way to
+// the client. Every version's store is visited over the piece's
+// rectangle clipped to the region's cell, as the aggregate resolver
+// does: local storage may hold records of other regions (the copies a
+// re-homing repair keeps, a split sibling's leftovers), and a covering
+// answer must hold its cover's records alone for the originator to
+// admit it by cover.
 func (recordKind) resolve(n *Node, ix *index, p piece, a answer, replica bool) wire.Message {
 	m := &wire.QueryResp{
 		ReqID: a.reqID, From: a.from, HasCover: a.hasCover, Cover: a.cover,
@@ -124,16 +122,15 @@ func (recordKind) resolve(n *Node, ix *index, p piece, a answer, replica bool) w
 	if replica {
 		m.Recs = filterToRegion(ix, p)
 	} else {
-		visitCell(ix, ix.primary, p, &m.Recs)
+		arity := ix.sch.Arity()
+		visitCell(ix, ix.primary, p, func(rows []uint64, sel []int32) { m.Recs.AppendRows(rows, sel, arity) })
 	}
 	return m
 }
 
-// visitCell encodes onto out every record of vs, in p's versions, that
-// lies inside p.rect ∩ the cell of p.region under the version's tree.
-func visitCell(ix *index, vs *store.Versioned, p piece, out *wire.RecList) {
-	arity := ix.sch.Arity()
-	add := func(rows []uint64, sel []int32) { out.AppendRows(rows, sel, arity) }
+// visitCell hands fn every batch of vs, in p's versions, inside p.rect ∩
+// the cell of p.region under the version's tree.
+func visitCell(ix *index, vs *store.Versioned, p piece, fn func(rows []uint64, sel []int32)) {
 	var buf embed.Scratch
 	for _, v := range p.versions {
 		s := vs.Get(uint32(v))
@@ -141,13 +138,13 @@ func visitCell(ix *index, vs *store.Versioned, p piece, out *wire.RecList) {
 			continue
 		}
 		if rect, ok := cellClip(&buf, ix.tree(uint32(v)), p.rect, p.region); ok {
-			s.VisitBatches(rect, add)
+			s.VisitBatches(rect, fn)
 		}
 	}
 }
 
 // recordAcc gathers a record query's answers; deliver hands on one list
-// spliced from the runs they arrived in, with no record decoded. The
+// spliced from the groups they arrived in, with no record decoded. The
 // engine has already dropped a covering answer that overlaps its group's
 // accepted coverage (handleAnswer), and every responder clips its answer
 // to its cover's cell, so covering answers are disjoint: each is spliced
@@ -156,14 +153,19 @@ func visitCell(ix *index, vs *store.Versioned, p piece, out *wire.RecList) {
 // records another answer holds: a history-delegating answer (no cover:
 // its split sibling answers the region too) and a version-subset answer
 // (no group to claim coverage in). The first of those switches the op to
-// content ids: the records spliced so far are hashed (recID), and from
-// then on every record is admitted only if its id is new.
+// content ids: the records spliced so far are decoded a group at a time
+// and hashed (recID), and from then on every record is admitted only if
+// its id is new.
 type recordAcc struct {
-	cb        func(wire.RecList, QueryResult)
-	list      wire.RecList
+	cb        func(wire.Groups, QueryResult)
+	list      wire.Groups
 	byContent bool // an answer that may overlap arrived: dedup by content id
 	ids       genTable[struct{}]
 }
+
+// groupBuf is the stack buffer a group is decoded into on the content-id
+// path: a full group of arity 8; a wider one allocates.
+type groupBuf = [wire.MaxGroupRows * 8]uint64
 
 func (r *recordAcc) admit(a answer, trie *coverSet) bool {
 	m, ok := a.body.(*wire.QueryResp)
@@ -177,36 +179,50 @@ func (r *recordAcc) admit(a answer, trie *coverSet) bool {
 		}
 		r.byContent = true
 		r.ids.reserve(r.list.Len())
+		var buf groupBuf
 		for _, run := range r.list.Runs() {
 			for off := 0; off < len(run); {
-				size := wire.RecLen(run[off:])
-				r.ids.add(recID(run[off : off+size]))
+				rows, n, size := wire.DecodeGroup(run[off:], buf[:0])
+				for i, k := 0, len(rows)/n; i < n; i++ {
+					r.ids.add(recID(rows[i*k : (i+1)*k]))
+				}
 				off += size
 			}
 		}
 	}
-	spliceFresh(&r.ids, &r.list, m.Recs)
+	r.spliceFresh(m.Recs)
 	return true
 }
 
-// spliceFresh splices onto dst the records of src whose content ids are
-// new to ids, adding them: the fresh records between repeats go as runs
-// of the bytes they lie in.
-func spliceFresh(ids *genTable[struct{}], dst *wire.RecList, src wire.RecList) {
-	ids.reserve(src.Len())
+// spliceFresh splices onto the list the records of src whose content ids
+// are new, adding them. Each group is decoded once: one whose rows are
+// all fresh goes on as the bytes it arrived in, a stretch of them as one
+// run, and the fresh rows of any other are re-packed into a group of
+// their own.
+func (r *recordAcc) spliceFresh(src wire.Groups) {
+	r.ids.reserve(src.Len())
+	var buf groupBuf
+	var sel [wire.MaxGroupRows]int32 // the word offsets of a group's fresh rows
 	for _, run := range src.Runs() {
-		start, fresh := 0, 0 // run[start:off] holds fresh records
+		start, fresh := 0, 0 // run[start:off] holds groups of fresh records
 		for off := 0; off < len(run); {
-			size := wire.RecLen(run[off:])
-			if ids.add(recID(run[off : off+size])) {
-				fresh++
+			rows, n, size := wire.DecodeGroup(run[off:], buf[:0])
+			k, kept := len(rows)/n, sel[:0]
+			for i := 0; i < n; i++ {
+				if r.ids.add(recID(rows[i*k : (i+1)*k])) {
+					kept = append(kept, int32(i*k))
+				}
+			}
+			if len(kept) == n {
+				fresh += n
 			} else {
-				dst.Splice(run[start:off], fresh)
+				r.list.Splice(run[start:off], fresh)
+				r.list.AppendRows(rows, kept, k)
 				start, fresh = off+size, 0
 			}
 			off += size
 		}
-		dst.Splice(run[start:], fresh)
+		r.list.Splice(run[start:], fresh)
 	}
 }
 
@@ -223,44 +239,42 @@ func (r *recordAcc) tally(s *Stats) { s.PendingQueries++ }
 // p.rect ∩ the cell of p.region, each once. A replica store keeps what
 // every owner it backs up sent it, so it can hold one record twice — the
 // old owner's copy and the new owner's after a repair moved it — and the
-// copies collapse here by content id. The replica store reads are
-// snapshot-consistent; no lock is required.
-func filterToRegion(ix *index, p piece) wire.RecList {
-	var all, out wire.RecList
-	visitCell(ix, ix.replicas, p, &all)
+// copies collapse here by content id, hashed straight from the store's
+// batches: each batch's fresh rows are packed into a group. The replica
+// store reads are snapshot-consistent; no lock is required.
+func filterToRegion(ix *index, p piece) wire.Groups {
+	var out wire.Groups
 	var ids genTable[struct{}]
-	spliceFresh(&ids, &out, all)
+	var fresh []int32
+	arity := ix.sch.Arity()
+	visitCell(ix, ix.replicas, p, func(rows []uint64, sel []int32) {
+		ids.reserve(len(sel))
+		fresh = fresh[:0]
+		for _, o := range sel {
+			if ids.add(recID(rows[o : int(o)+arity])) {
+				fresh = append(fresh, o)
+			}
+		}
+		out.AppendRows(rows, fresh, arity)
+	})
 	return out
 }
 
-// recID derives a record's content id from its canonical bytes, the key
-// answers that can overlap (history delegation, version subsets, a
-// replica store's two copies) dedup by — a collision would silently drop
-// a record, so every 8-byte word (the
-// last one zero-padded) is folded in by a bijective xorshift-multiply
-// round and one more round closes the chain: each byte passes through at
+// recID derives a record's content id from its values, the key answers
+// that can overlap (history delegation, version subsets, a replica
+// store's two copies) dedup by — a collision would silently drop a
+// record, so every value is folded in by a bijective xorshift-multiply
+// round and one more round closes the chain: each bit passes through at
 // least the two rounds of a full-avalanche 64-bit finaliser before the
-// id leaves, and two records of one byte length that differ in a single
-// word cannot collide at all. The byte length seeds the chain, so the
-// padding never makes two lengths meet. A record has one encoding
-// (wire.RecList), so equal ids of unequal records are collisions, never
-// two spellings. Ids never cross the wire, so no two builds ever have to
-// agree on them.
-func recID(b []byte) uint64 {
+// id leaves, and two records of one arity that differ in a single value
+// cannot collide at all. The arity seeds the chain. Equal ids of unequal
+// records are collisions; how a record was packed on the wire never
+// enters. Ids never cross the wire, so no two builds ever have to agree
+// on them.
+func recID(rec []uint64) uint64 {
 	const m = 0xd6e8feb86659fd93
-	h := uint64(len(b)+1) * 0x9e3779b97f4a7c15
-	for i := 0; i < len(b); i += 8 {
-		var w uint64
-		switch {
-		case len(b)-i >= 8:
-			w = binary.LittleEndian.Uint64(b[i:])
-		case len(b) >= 8: // the tail word is the last eight bytes shifted down
-			w = binary.LittleEndian.Uint64(b[len(b)-8:]) >> (8 * (8 - (len(b) - i)))
-		default:
-			for j := len(b) - 1; j >= i; j-- {
-				w = w<<8 | uint64(b[j])
-			}
-		}
+	h := uint64(len(rec)+1) * 0x9e3779b97f4a7c15
+	for _, w := range rec {
 		h ^= w
 		h ^= h >> 32
 		h *= m

@@ -49,17 +49,16 @@ func indexTwoRecords(n int) []schema.Record {
 	return out
 }
 
-// answerFrame encodes recs as one responder's query-resp frame.
+// answerFrame encodes recs as one responder's query-resp frame, 32
+// records to a group.
 func answerFrame(recs []schema.Record) []byte {
 	m := &wire.QueryResp{ReqID: 82, Versions: []uint64{0}, Hops: 2}
-	for _, rec := range recs {
-		m.Recs.Append(rec)
-	}
+	m.Recs.Append(recs...)
 	return wire.Encode(m)
 }
 
 // answerOf is recs as the originator sees them: one responder's answer
-// decoded from its frame, its record list aliasing the frame.
+// decoded from its frame, its groups aliasing the frame.
 func answerOf(tb testing.TB, recs []schema.Record) *wire.QueryResp {
 	m, err := wire.Decode(answerFrame(recs))
 	if err != nil {
@@ -82,9 +81,9 @@ func wideFrames(parts, n int) [][]byte {
 // admitAll admits answers into a fresh accumulator, each as the given
 // answer header makes it (nil: one claiming no coverage), and returns the
 // list it delivers on the client-RPC path.
-func admitAll(header func(i int) (answer, *coverSet), answers ...*wire.QueryResp) wire.RecList {
-	var got wire.RecList
-	acc := &recordAcc{cb: func(l wire.RecList, _ QueryResult) { got = l }}
+func admitAll(header func(i int) (answer, *coverSet), answers ...*wire.QueryResp) wire.Groups {
+	var got wire.Groups
+	acc := &recordAcc{cb: func(l wire.Groups, _ QueryResult) { got = l }}
 	for i, m := range answers {
 		a, trie := answer{}, (*coverSet)(nil)
 		if header != nil {
@@ -124,7 +123,7 @@ func TestRecordAccSplicesCovering(t *testing.T) {
 			t.Fatalf("run %d is not answer %d's frame run", i, i)
 		}
 	}
-	acc := &recordAcc{cb: func(wire.RecList, QueryResult) {}}
+	acc := &recordAcc{cb: func(wire.Groups, QueryResult) {}}
 	for i, m := range answers {
 		a, trie := covering(i)
 		a.body = m
@@ -140,18 +139,19 @@ func TestRecordAccSplicesCovering(t *testing.T) {
 // group's versions (no trie) — the records already spliced are hashed
 // and every later record is admitted once, in arrival order: an answer
 // repeated, a record repeated across answers and one repeated inside an
-// answer contribute once; the fresh records between duplicates are
-// spliced as runs of the frames they arrived in, a duplicate splitting
-// its run; and Node.Query's decode of the spliced list is the records
-// themselves.
+// answer contribute once; a group of fresh records is spliced as the
+// bytes it arrived in, a stretch of them as one run, and a group holding
+// a duplicate has its fresh records re-packed into a group of their own;
+// and Node.Query's decode of the spliced list is the records themselves.
 func TestRecordAccDedups(t *testing.T) {
 	recs := indexTwoRecords(300)
 	first, second, third := recs[:100], recs[100:200], recs[200:]
-	// Inside the second answer: record 107 again, and record 5 of the
-	// first, each in the middle — three runs.
+	// Inside the second answer, in its second and third groups of 32:
+	// record 107 again, and record 5 of the first.
 	dupInside := append(append(append(append([]schema.Record{}, second[:50]...), second[7]), second[50:80]...), first[5])
 	dupInside = append(dupInside, second[80:]...)
-	// The third answer opens and closes with records already admitted.
+	// The third answer opens and closes with records already admitted:
+	// its first and last groups hold a duplicate.
 	dupEdges := append(append([]schema.Record{first[0]}, third...), second[99])
 	answers := []*wire.QueryResp{answerOf(t, first), answerOf(t, dupInside), answerOf(t, first), answerOf(t, dupEdges)}
 	// first covers its region and is spliced whole; dupInside delegates
@@ -171,23 +171,24 @@ func TestRecordAccDedups(t *testing.T) {
 	if dec := got.Records(); !reflect.DeepEqual(dec, recs) {
 		t.Fatalf("delivered records differ from the distinct records in arrival order")
 	}
-	// first: one run; dupInside: three; the repeat of first: none;
-	// dupEdges: one, with both ends cut off.
-	if runs := got.Runs(); len(runs) != 5 {
-		t.Fatalf("%d runs spliced, want 5", len(runs))
-	}
-	for i, run := range got.Runs() {
-		owned := false
+	// first: one spliced run; dupInside: its first group spliced, its
+	// second and third re-packed into one run, its fourth spliced; the
+	// repeat of first: none; dupEdges: its first group re-packed, the two
+	// between spliced as one run, its last re-packed.
+	spliced := 0
+	for _, run := range got.Runs() {
 		for _, m := range answers {
-			owned = owned || within(run, m.Recs.Runs()[0])
+			if within(run, m.Recs.Runs()[0]) {
+				spliced++
+			}
 		}
-		if !owned {
-			t.Fatalf("run %d is not a slice of the frame it arrived in", i)
-		}
+	}
+	if runs := len(got.Runs()); runs != 7 || spliced != 4 {
+		t.Fatalf("%d runs, %d of them slices of the frames they arrived in; want 7 and 4", runs, spliced)
 	}
 
 	var res QueryResult
-	acc := &recordAcc{cb: func(l wire.RecList, r QueryResult) { r.Records = l.Records(); res = r }}
+	acc := &recordAcc{cb: func(l wire.Groups, r QueryResult) { r.Records = l.Records(); res = r }}
 	acc.admit(answer{body: answers[1]}, nil)
 	acc.deliver(outcome{complete: true, responders: 1})
 	if want := append(append(append([]schema.Record{}, second[:80]...), first[5]), second[80:]...); !res.Complete || res.Responders != 1 || !reflect.DeepEqual(res.Records, want) {
@@ -266,22 +267,11 @@ func BenchmarkAnswerHop(b *testing.B) {
 
 var hashSink uint64
 
-// BenchmarkRecHash times the content id of a five-attribute record's
-// canonical bytes.
+// BenchmarkRecHash times the content id of a five-attribute record.
 func BenchmarkRecHash(b *testing.B) {
-	var recs [][]byte
-	for _, rec := range indexTwoRecords(2100) {
-		recs = append(recs, recBytes(rec))
-	}
+	recs := indexTwoRecords(2100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		hashSink += recID(recs[i%len(recs)])
 	}
-}
-
-// recBytes is rec's canonical encoding.
-func recBytes(rec schema.Record) []byte {
-	var l wire.RecList
-	l.Append(rec)
-	return l.Runs()[0]
 }

@@ -1,0 +1,87 @@
+package mind
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"mind/internal/embed"
+	"mind/internal/schema"
+	"mind/internal/wire"
+)
+
+// BenchmarkResolveWide times a responder's share of a wide query: one
+// node's day of 37 500 Index-2 records (destination prefixes Zipf(1.1)
+// over 4 096 /24s, octets log-uniform in [2⁶, 2²¹], in time order, as
+// the benchmark preloads them), answered for 10-minute windows over
+// every prefix — ≈ 260 records an answer — from the store's batches to
+// the encoded query-resp frame (encode), one batch packed into a group
+// alone (pack), and the frame checked as an originator decodes it
+// (check).
+func BenchmarkResolveWide(b *testing.B) {
+	const n = 37500
+	sch := schema.Index2(86400)
+	ix := newIndex(sch, embed.Uniform(sch.Bounds()))
+	r := rand.New(rand.NewSource(45))
+	z := rand.NewZipf(r, 1.1, 1, 4095)
+	for i := 0; i < n; i++ {
+		octets := uint64(math.Exp(math.Log(1<<6) + r.Float64()*(math.Log(1<<21)-math.Log(1<<6))))
+		ix.primary.Insert(0, schema.Record{z.Uint64() * 0x9E3779B1 & 0xffffff00, uint64(i) * 86400 / n, octets, r.Uint64() >> 32, uint64(r.Intn(64))})
+	}
+	bounds := sch.Bounds()
+	pieces := make([]piece, 144)
+	for i := range pieces {
+		pieces[i] = piece{versions: []uint64{0}, rect: schema.Rect{Lo: []uint64{0, uint64(i) * 600, 0}, Hi: []uint64{bounds[0], uint64(i)*600 + 599, bounds[2]}}}
+	}
+	b.Run("encode", func(b *testing.B) {
+		recs, frameBytes := 0, 0
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m := recordKind{}.resolve(nil, ix, pieces[i%len(pieces)], answer{}, false).(*wire.QueryResp)
+			f := wire.Encode(m)
+			recs, frameBytes = recs+m.Recs.Len(), frameBytes+len(f)
+			wire.RecycleBuf(f)
+		}
+		b.ReportMetric(float64(recs)/float64(b.N), "recs/op")
+		b.ReportMetric(float64(frameBytes)/float64(max(recs, 1)), "B/rec")
+	})
+	// The batches of every window, copied, to time the packing alone.
+	type batch struct {
+		rows []uint64
+		sel  []int32
+	}
+	var batches []batch
+	for _, p := range pieces {
+		ix.primary.Get(0).VisitBatches(p.rect, func(rows []uint64, sel []int32) {
+			batches = append(batches, batch{append([]uint64(nil), rows...), append([]int32(nil), sel...)})
+		})
+	}
+	// A batch is packed while the visit's decode of it is fresh in the
+	// cache, so the packing replays 16 of them, about 20 KB of rows.
+	hot := batches[:16]
+	b.Run("pack", func(b *testing.B) {
+		b.ReportAllocs()
+		var l wire.Groups
+		rows := 0
+		for i := 0; i < b.N; i++ {
+			if i%1024 == 0 {
+				l = wire.Groups{}
+			}
+			l.AppendRows(hot[i%len(hot)].rows, hot[i%len(hot)].sel, sch.Arity())
+			rows += len(hot[i%len(hot)].sel)
+		}
+		b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+	})
+	frames := make([][]byte, len(pieces))
+	for i, p := range pieces {
+		frames[i] = wire.Encode(recordKind{}.resolve(nil, ix, p, answer{}, false))
+	}
+	b.Run("check", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := wire.Decode(frames[i%len(frames)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

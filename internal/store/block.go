@@ -1,150 +1,36 @@
 package store
 
 import (
-	"math"
-	"math/bits"
 	"slices"
 
 	"mind/internal/schema"
 )
 
-// The frame-of-reference kernel. A run of rows — a sealed block, or one
-// leaf of a level (static.go) — is packed by column: each column keeps a
-// reference (its minimum), a shift (the trailing zero bits every offset
-// from the reference shares) and a width, the bits the largest shifted
-// offset needs, and the rows' offsets (v-ref)>>shift follow at that
-// width, column after column, in row order, least significant bit first.
-// A column of equal values has width 0 and costs no bits; one spanning
-// all 64 bits has width 64. The indexed columns also keep their maxima,
+// A packed run — a sealed block, or one leaf of a level (static.go) — is
+// framed and packed by schema's frame-of-reference kernel (FramesOf,
+// PackRun, Column, Unpack). The indexed columns also keep their maxima,
 // and references and maxima together are the run's box: a read skips a
 // run whose box misses the window, hands over every row of one whose box
 // lies inside it without testing a row, and decodes only the constrained
 // columns of any other until a row of it is found inside (visitPacked).
-// One kernel — frameOf, packRun, column, unpack — packs and reads values
-// for blocks and leaves alike; only where a run keeps its frames differs.
-// It packs from rows of either storage width (a block's 64-bit tail, a
+// Blocks and leaves differ only in where they keep their frames. A run
+// packs from rows of either storage width (a block's 64-bit tail, a
 // level's gather arena), and a read always decodes into 64-bit rows.
-
-// frame is one column's frame over a run of rows.
-type frame struct {
-	ref, hi      uint64
-	shift, width uint
-}
-
-// frameOf computes column c's frame over rows (stride arity). The
-// offsets from the reference share exactly the trailing zeros in which
-// every value agrees with the first, so one pass finds all four.
-func frameOf[W word](rows []W, arity, c int) frame {
-	ref, hi, first := uint64(math.MaxUint64), uint64(0), uint64(rows[c])
-	var differ uint64
-	for i := c; i < len(rows); i += arity {
-		v := uint64(rows[i])
-		ref, hi, differ = min(ref, v), max(hi, v), differ|(v^first)
-	}
-	if differ == 0 {
-		return frame{ref: ref, hi: hi}
-	}
-	shift := uint(bits.TrailingZeros64(differ))
-	return frame{ref: ref, hi: hi, shift: shift, width: uint(bits.Len64((hi - ref) >> shift))}
-}
-
-// packedWords is the number of words the offsets of n rows framed by
-// frames fill.
-func packedWords(n int, frames []frame) int {
-	nbits := 0
-	for _, f := range frames {
-		nbits += n * int(f.width)
-	}
-	return (nbits + 63) / 64
-}
-
-// packRun packs rows' offsets (stride arity), one column per frame, into
-// dst from its first word on.
-func packRun[W word](dst []uint64, rows []W, arity int, frames []frame) {
-	// acc gathers the have low bits of dst[k] not yet stored; a value
-	// that fills it stores the word and leaves its remaining bits.
-	k, acc, have := 0, uint64(0), uint(0)
-	for c, f := range frames {
-		if f.width == 0 {
-			continue
-		}
-		for i := c; i < len(rows); i += arity {
-			v := (uint64(rows[i]) - f.ref) >> f.shift
-			acc |= v << have
-			if have += f.width; have >= 64 {
-				dst[k] = acc
-				k, have = k+1, have-64
-				acc = v >> 1 >> (f.width - have - 1) // the bits of v past the stored word; none when it ended there
-			}
-		}
-	}
-	if have > 0 {
-		dst[k] = acc
-	}
-}
-
-// column reads one column of a packed run: its reference, the mask of
-// its width, the scale its shift multiplies an offset by (a multiply is
-// cheaper here than a shift by a variable count) and the bit its first
-// offset starts at.
-type column struct {
-	ref, mask, scale uint64
-	width, start     uint
-}
 
 // maxCols is the arity up to which a build or a full decode keeps its
 // frames or column readers in a stack buffer (more allocate once per
 // run, nothing else changes); a visit keeps its readers in its scratch.
 const maxCols = 16
 
-// newColumn reads a column framed by ref, shift and width whose offsets
-// start at bit start.
-func newColumn(ref uint64, shift, width, start uint) column {
-	return column{ref: ref, mask: 1<<width - 1, scale: 1 << shift, width: width, start: start} // mask: all ones at width 64
-}
-
 // decodeRows appends rows [r, r+m) of a packed run to dst in dst's word
 // width, in row order. Narrowing is exact only when the run's values fit.
-func decodeRows[W word](dst []W, cols []column, words []uint64, r, m int) []W {
+func decodeRows[W word](dst []W, cols []schema.Column, words []uint64, r, m int) []W {
 	base := len(dst)
 	dst = slices.Grow(dst, m*len(cols))[:base+m*len(cols)]
 	for c := range cols {
-		decodeColumn(dst[base:], cols, c, words, r)
+		schema.DecodeColumn(dst[base:], cols, c, words, r)
 	}
 	return dst
-}
-
-// unpack decodes one column into out[0], out[arity], out[2·arity] and
-// on. Word k+1 adds nothing when a value starts a word, and a width-0
-// column reads no word at all: its offsets may start past the last one.
-// The frame comes as plain arguments so that the loop keeps it in
-// registers, and a column without a shift skips the multiply: a read
-// whose leaves lie inside the window decodes 14–27 % faster for it
-// (EXPERIMENTS.md "Primary leaves packed", the unshifted loop).
-func unpack[W word](out []W, arity int, words []uint64, ref, mask, scale uint64, width, start uint) {
-	switch {
-	case width == 0:
-		for i := 0; i < len(out); i += arity {
-			out[i] = W(ref)
-		}
-	case scale == 1:
-		for i, pos := 0, start; i < len(out); i, pos = i+arity, pos+width {
-			k, s := pos>>6, pos&63
-			out[i] = W(ref + (words[k]>>s|words[k+1]<<1<<(63-s))&mask)
-		}
-	default:
-		for i, pos := 0, start; i < len(out); i, pos = i+arity, pos+width {
-			k, s := pos>>6, pos&63
-			out[i] = W(ref + (words[k]>>s|words[k+1]<<1<<(63-s))&mask*scale)
-		}
-	}
-}
-
-// decodeColumn decodes column c of a packed run's rows from row r on
-// into rows (stride len(cols)), as many as rows holds.
-func decodeColumn[W word](rows []W, cols []column, c int, words []uint64, r int) {
-	col := cols[c]
-	unpack(rows[c:], len(cols), words, col.ref, col.mask, col.scale, col.width, col.start+uint(r)*col.width)
 }
 
 // visitPacked hands fn, a leaf-sized run at a time, the rows of a packed
@@ -157,7 +43,7 @@ func decodeColumn[W word](rows []W, cols []column, c int, words []uint64, r int)
 // a match is never decoded whole. A nil fn counts the matches into
 // sc.count instead, decoding no more than the constrained columns of a
 // straddled run and nothing of one inside.
-func visitPacked(sc *scratch, cols []column, words []uint64, n int, con []bound, in bool, fn func(rows []uint64, sel []int32)) {
+func visitPacked(sc *scratch, cols []schema.Column, words []uint64, n int, con []bound, in bool, fn func(rows []uint64, sel []int32)) {
 	if in {
 		if fn == nil {
 			sc.count += n
@@ -173,7 +59,7 @@ func visitPacked(sc *scratch, cols []column, words []uint64, n int, con []bound,
 		var done uint64 // the columns decoded for every row, below column 64
 		k := m
 		for i, c := range con {
-			decodeColumn(rows, cols, c.dim, words, r)
+			schema.DecodeColumn(rows, cols, c.dim, words, r)
 			done |= 1 << c.dim
 			if i == 0 {
 				k = selectFirst(rows, arity, c, &sc.sel)
@@ -193,7 +79,7 @@ func visitPacked(sc *scratch, cols []column, words []uint64, n int, con []bound,
 		}
 		for c := range cols {
 			if c >= 64 || done&(1<<c) == 0 {
-				decodeColumn(rows, cols, c, words, r)
+				schema.DecodeColumn(rows, cols, c, words, r)
 			}
 		}
 		if len(con) == 0 {
@@ -220,7 +106,7 @@ func boxTest[W word](con []bound, box []W, step, hi int) (skip, in bool) {
 }
 
 // block is a tail an appending ladder (Options.Append) sealed, packed by
-// the frame kernel above. It keeps every column's frame in front of the
+// the frame kernel. It keeps every column's frame in front of the
 // offsets, in one pointer-free slice:
 //
 //	words[3c], words[3c+1]  column c's reference and maximum
@@ -241,17 +127,14 @@ type block struct {
 
 // pack seals rows, a full tail (stride g.arity), into a block.
 func pack(g *geom, rows []uint64) block {
-	var buf [maxCols]frame // the frames of up to 16 columns stay off the heap
-	frames := buf[:0]
-	for c := 0; c < g.arity; c++ {
-		frames = append(frames, frameOf(rows, g.arity, c))
-	}
+	var buf [maxCols]schema.Frame // the frames of up to 16 columns stay off the heap
+	frames := schema.FramesOf(buf[:0], rows, nil, g.arity)
 	n, head := len(rows)/g.arity, 3*g.arity
-	b := block{geom: g, n: n, words: make([]uint64, head+packedWords(n, frames)+1)}
+	b := block{geom: g, n: n, words: make([]uint64, head+schema.PackedWords(n, frames)+1)}
 	for c, f := range frames {
-		b.words[3*c], b.words[3*c+1], b.words[3*c+2] = f.ref, f.hi, uint64(f.shift)|uint64(f.width)<<8
+		b.words[3*c], b.words[3*c+1], b.words[3*c+2] = f.Ref, f.Hi, uint64(f.Shift)|uint64(f.Width)<<8
 	}
-	packRun(b.words[head:], rows, g.arity, frames)
+	schema.PackRun(b.words[head:], rows, nil, g.arity, frames)
 	return b
 }
 
@@ -262,11 +145,11 @@ func (b *block) frame(c int) (ref, hi uint64, shift, width uint) {
 }
 
 // columns appends the block's column readers to cols.
-func (b *block) columns(cols []column) []column {
+func (b *block) columns(cols []schema.Column) []schema.Column {
 	start := uint(64 * 3 * b.arity)
 	for c := 0; c < b.arity; c++ {
 		ref, _, shift, width := b.frame(c)
-		cols = append(cols, newColumn(ref, shift, width, start))
+		cols = append(cols, schema.NewColumn(ref, shift, width, start))
 		start += uint(b.n) * width
 	}
 	return cols
@@ -275,7 +158,7 @@ func (b *block) columns(cols []column) []column {
 // appendBlock appends the block's rows to dst in dst's word width, in
 // row order. Narrowing is exact only when the block is not wide.
 func appendBlock[W word](dst []W, b *block) []W {
-	var buf [maxCols]column
+	var buf [maxCols]schema.Column
 	return decodeRows(dst, b.columns(buf[:0]), b.words, 0, b.n)
 }
 

@@ -78,10 +78,10 @@ func checkBlocks(t *testing.T, e *Sharded) {
 	snap := e.snap.Load()
 	for k := range snap.blocks {
 		b := &snap.blocks[k]
-		var frames []frame
+		var frames []schema.Frame
 		for c := 0; c < b.arity; c++ {
 			ref, hi, shift, width := b.frame(c)
-			frames = append(frames, frame{ref: ref, hi: hi, shift: shift, width: width})
+			frames = append(frames, schema.Frame{Ref: ref, Hi: hi, Shift: shift, Width: width})
 		}
 		checkFrames(t, fmt.Sprintf("block %d", k), appendBlock[uint64](nil, b), b.arity, b.arity, frames)
 	}
@@ -94,7 +94,7 @@ func checkBlocks(t *testing.T, e *Sharded) {
 				t.Fatalf("level %d of %d rows: leaf %d holds %d rows", k, l.Len(), j, n)
 			}
 			rows += n
-			var frames []frame
+			var frames []schema.Frame
 			if l.isWide() {
 				frames = l.wide.frames(l.geom, j, nil)
 			} else {
@@ -110,23 +110,23 @@ func checkBlocks(t *testing.T, e *Sharded) {
 
 // checkFrames holds one packed run's frames to its rows (stride arity);
 // the first maxed columns keep a maximum.
-func checkFrames(t *testing.T, name string, rows []uint64, arity, maxed int, frames []frame) {
+func checkFrames(t *testing.T, name string, rows []uint64, arity, maxed int, frames []schema.Frame) {
 	t.Helper()
 	for c, f := range frames {
 		lo, top, differ := uint64(math.MaxUint64), uint64(0), uint64(0)
 		for i := c; i < len(rows); i += arity {
-			lo, top, differ = min(lo, rows[i]), max(top, rows[i]), differ|(rows[i]-f.ref)
+			lo, top, differ = min(lo, rows[i]), max(top, rows[i]), differ|(rows[i]-f.Ref)
 		}
 		wantShift := uint(0)
 		if differ != 0 {
 			wantShift = uint(bits.TrailingZeros64(differ))
 		}
 		if c >= maxed {
-			f.hi = top // no maximum kept: the width is held to the values' extent
+			f.Hi = top // no maximum kept: the width is held to the values' extent
 		}
-		if f.ref != lo || f.hi != top || f.shift != wantShift || f.width != uint(bits.Len64((top-lo)>>wantShift)) {
+		if f.Ref != lo || f.Hi != top || f.Shift != wantShift || f.Width != uint(bits.Len64((top-lo)>>wantShift)) {
 			t.Fatalf("%s column %d: frame ref %d max %d shift %d width %d; values span [%d, %d], offsets share %d trailing zeros",
-				name, c, f.ref, f.hi, f.shift, f.width, lo, top, wantShift)
+				name, c, f.Ref, f.Hi, f.Shift, f.Width, lo, top, wantShift)
 		}
 	}
 }

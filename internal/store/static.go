@@ -14,7 +14,7 @@ import (
 // only the ladder reads it (Sharded). The build permutes the records
 // into k-d PARTITION ORDER, in which every subtree of the index is one
 // contiguous row range, then packs the range of every leaf with
-// block.go's kernel and keeps nothing unpacked. Everything a traversal
+// schema's frame-of-reference kernel and keeps nothing unpacked. Everything a traversal
 // touches lives in pointer-free slices the garbage collector never scans
 // (an arena):
 //
@@ -40,7 +40,7 @@ import (
 //     must start below word 2³² (32 GiB of words before it); a build past
 //     that panics rather than wrap an offset (leafOffset).
 //   - words: every leaf's offsets, leaf after leaf, each leaf's columns
-//     one after another (packRun), and one spare word at the end.
+//     one after another (schema.PackRun), and one spare word at the end.
 //
 // A descent prunes on the cuts, then tests each leaf it reaches by its
 // box: a leaf whose box misses the window is skipped undecoded, one whose
@@ -223,29 +223,26 @@ func (a *arena[W]) pack(g *geom, rows []W, n int) {
 	a.box = make([]W, leaves*stride)
 	a.shape = make([]uint16, leaves*g.arity)
 	a.offs = make([]uint32, leaves)
-	var buf [maxCols]frame
+	var buf [maxCols]schema.Frame
 	total := 0
 	for j := range leaves {
 		lo, hi := leafRange(n, depth, j)
-		frames := buf[:0]
-		for c := 0; c < g.arity; c++ {
-			frames = append(frames, frameOf(rows[lo*g.arity:hi*g.arity], g.arity, c))
-		}
+		frames := schema.FramesOf(buf[:0], rows[lo*g.arity:hi*g.arity], nil, g.arity)
 		box, shape := a.box[j*stride:(j+1)*stride], a.shape[j*g.arity:(j+1)*g.arity]
 		for c, f := range frames {
-			box[c], shape[c] = W(f.ref), uint16(f.shift|f.width<<8)
+			box[c], shape[c] = W(f.Ref), uint16(f.Shift|f.Width<<8)
 			if c < g.dims {
-				box[g.arity+c] = W(f.hi)
+				box[g.arity+c] = W(f.Hi)
 			}
 		}
 		a.offs[j] = leafOffset(total)
-		total += packedWords(hi-lo, frames)
+		total += schema.PackedWords(hi-lo, frames)
 	}
 	a.words = make([]uint64, total+1)
 	for j := range leaves {
 		lo, hi := leafRange(n, depth, j)
 		frames := a.frames(g, j, buf[:0])
-		packRun(a.words[a.offs[j]:], rows[lo*g.arity:hi*g.arity], g.arity, frames)
+		schema.PackRun(a.words[a.offs[j]:], rows[lo*g.arity:hi*g.arity], nil, g.arity, frames)
 	}
 }
 
@@ -260,12 +257,12 @@ func leafOffset(total int) uint32 {
 
 // frames appends leaf j's column frames to dst; a maximum is known for
 // the indexed columns only.
-func (a *arena[W]) frames(g *geom, j int, dst []frame) []frame {
+func (a *arena[W]) frames(g *geom, j int, dst []schema.Frame) []schema.Frame {
 	box, shape := a.box[j*(g.arity+g.dims):], a.shape[j*g.arity:]
 	for c := 0; c < g.arity; c++ {
-		f := frame{ref: uint64(box[c]), shift: uint(shape[c] & 0xff), width: uint(shape[c] >> 8)}
+		f := schema.Frame{Ref: uint64(box[c]), Shift: uint(shape[c] & 0xff), Width: uint(shape[c] >> 8)}
 		if c < g.dims {
-			f.hi = uint64(box[g.arity+c])
+			f.Hi = uint64(box[g.arity+c])
 		}
 		dst = append(dst, f)
 	}
@@ -273,12 +270,12 @@ func (a *arena[W]) frames(g *geom, j int, dst []frame) []frame {
 }
 
 // columns appends the column readers of leaf j, of n rows, to cols.
-func (a *arena[W]) columns(g *geom, j, n int, cols []column) []column {
+func (a *arena[W]) columns(g *geom, j, n int, cols []schema.Column) []schema.Column {
 	box, shape := a.box[j*(g.arity+g.dims):], a.shape[j*g.arity:]
 	start := 64 * uint(a.offs[j]) // a bit position past 2³²: widen before the multiply
 	for c := 0; c < g.arity; c++ {
 		width := uint(shape[c] >> 8)
-		cols = append(cols, newColumn(uint64(box[c]), uint(shape[c]&0xff), width, start))
+		cols = append(cols, schema.NewColumn(uint64(box[c]), uint(shape[c]&0xff), width, start))
 		start += uint(n) * width
 	}
 	return cols
@@ -443,7 +440,7 @@ func appendLevel[D word](dst []D, s *Static) []D {
 // appendLeaf appends leaf j's rows to dst in dst's word width.
 func appendLeaf[D word](dst []D, s *Static, j int) []D {
 	lo, hi := leafRange(s.n, bits.TrailingZeros(uint(s.leaves())), j)
-	var buf [maxCols]column
+	var buf [maxCols]schema.Column
 	if s.isWide() {
 		return decodeRows(dst, s.wide.columns(s.geom, j, hi-lo, buf[:0]), s.wide.words, 0, hi-lo)
 	}

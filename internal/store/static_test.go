@@ -317,8 +317,8 @@ func TestLeafOffsetFar(t *testing.T) {
 		}
 		start := 64 * uint(off)
 		for c, col := range a.columns(&g, 0, leafRows, nil) {
-			if col.start != start {
-				t.Fatalf("offs %d: column %d starts at bit %d, want %d", off, c, col.start, start)
+			if col.Start != start {
+				t.Fatalf("offs %d: column %d starts at bit %d, want %d", off, c, col.Start, start)
 			}
 			start += leafRows * uint(7+c)
 		}

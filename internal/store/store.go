@@ -10,7 +10,7 @@
 //   - Static (static.go) is one level of a ladder: an immutable k-d
 //     index whose records, in partition order, are bucketed into leaves
 //     of at most leafRows rows, each packed by frame of reference
-//     (block.go's kernel) with its frame kept as the box a read prunes
+//     (schema's kernel) with its frame kept as the box a read prunes
 //     it by: no per-node pointers, no per-query allocations, one
 //     iterative traversal. A level whose every value fits 32 bits keeps
 //     32-bit cuts and frames, any other 64-bit ones; that width is the
@@ -181,7 +181,7 @@ type selection [leafRows]int32
 type scratch struct {
 	sel  selection
 	rows []uint64
-	cols []column // the column readers of the run being read
+	cols []schema.Column // the column readers of the run being read
 	// count sums the matches of a counting visit (a nil batch callback,
 	// Count): a run inside the window adds its length undecoded, any
 	// other only the rows its constrained columns select.

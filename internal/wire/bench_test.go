@@ -19,7 +19,7 @@ func benchMessages() []Message {
 		&QueryResp{
 			ReqID: 82, From: NodeInfo{Addr: "10.0.0.2:7001", Code: code},
 			HasCover: true, Cover: code, Versions: []uint64{3},
-			Recs: listOf(schema.Record{1, 2, 3, 4}, schema.Record{5, 6, 7, 8}, schema.Record{9, 10, 11, 12}),
+			Recs: groupsOf(schema.Record{1, 2, 3, 4}, schema.Record{5, 6, 7, 8}, schema.Record{9, 10, 11, 12}),
 			Hops: 3,
 		},
 		&InsertAcks{StoredAt: NodeInfo{Addr: "10.0.0.2:7001", Code: code}, ReqIDs: []uint64{81}, Hops: []uint8{2}},
@@ -94,7 +94,7 @@ func answerHeader() *QueryResp {
 // wideAnswer is n wide records as one responder's QueryResp.
 func wideAnswer(n int) *QueryResp {
 	m := answerHeader()
-	m.Recs = listOf(wideRecords(n)...)
+	m.Recs = groupsOf(wideRecords(n)...)
 	return m
 }
 

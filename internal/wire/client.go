@@ -105,9 +105,9 @@ type ClientQueryResp struct {
 	// Recs are the records; decoding always fills them.
 	Recs []schema.Record
 	// List is an encode-only source of the records, written in place of
-	// Recs when it is non-empty: the node hands on the runs it spliced
-	// from its answers without decoding them. Both write the same bytes.
-	List RecList
+	// Recs when it is non-empty: the node hands on the groups it spliced
+	// from its answers without decoding them.
+	List Groups
 	// Shed reports overload refusal, as in ClientAck.
 	Shed bool
 }
@@ -119,9 +119,9 @@ func (m *ClientQueryResp) fields(c *codec) {
 	c.Bool(&m.Shed)
 	c.U32(&m.Responders)
 	if !c.dec && m.List.Len() > 0 {
-		c.RecList(&m.List)
+		c.Groups(&m.List)
 	} else {
-		c.Recs(&m.Recs)
+		c.GroupRecs(&m.Recs)
 	}
 }
 

@@ -84,6 +84,7 @@ type codec struct {
 	off int
 	err error
 	dec bool
+	enc groupEnc // an encode's group scratch (GroupRecs), pooled with the codec
 }
 
 // maxPooledBuf bounds the capacity of buffers kept in the encode pools;
@@ -238,9 +239,10 @@ func (c *codec) U64(v *uint64) {
 // decoded one fails unless it is at most max and at most the bytes that
 // remain — each element of every repeated shape encodes to at least one
 // byte — so no input makes Decode allocate more than a constant
-// multiple of its own size. The one length that does not pass through
-// here, a record's arity, is held to twice the bytes that remain
-// (checkRec), so a decoded list's values too stay within that multiple.
+// multiple of its own size. The lengths that do not pass through here —
+// a record's arity, held to twice the bytes that remain (checkRec), and
+// a group's rows and arity, held to the density rule (readGroup) — keep
+// a decoded list's values within that multiple too.
 func (c *codec) count(n, max int) int {
 	if !c.dec {
 		// Uvarint's encode step, repeated here rather than called: a
@@ -321,8 +323,8 @@ func (c *codec) U64s(v *[]uint64) {
 
 // uvarints decodes len(dst) varints into dst: one loop over locals, not
 // a sticky-error method call per value — a client insert's record, a
-// sketch's keys and counts (records between nodes have a form of their
-// own: RecList).
+// sketch's keys and counts (records between nodes have forms of their
+// own: RecList, Groups).
 // With ten bytes in hand (the longest varint) a value is decoded a word
 // at a time: its length is the
 // position of the first clear continuation bit in the next eight bytes,

@@ -43,8 +43,16 @@ func genScatterMessage(k Kind, r *rand.Rand) Message {
 	case KindQueryResp:
 		m := &QueryResp{ReqID: r.Uint64(), From: ni, HasCover: r.Intn(2) == 1, Cover: code(),
 			Versions: u64s(3), Hops: uint8(r.Intn(256))}
-		for i := r.Intn(6); i > 0; i-- {
-			m.Recs.Append(u64s(5))
+		for i := r.Intn(4); i > 0; i-- { // batches of one arity, up to two groups each
+			recs := make([]schema.Record, 1+r.Intn(40))
+			arity := r.Intn(6)
+			for j := range recs {
+				recs[j] = u64s(arity)[:0]
+				for range arity {
+					recs[j] = append(recs[j], r.Uint64()>>uint(r.Intn(65)))
+				}
+			}
+			m.Recs.Append(recs...)
 		}
 		return m
 	case KindAggQuery:
@@ -75,7 +83,8 @@ func genScatterMessage(k Kind, r *rand.Rand) Message {
 // well-formed message also survives encode→decode→encode
 // byte-identically. kind indexes the registry modulo its size, so every
 // input lands on a real kind; the seeds are the registry's samples, an
-// answer whose records alternate between two arities, runs of 1, 2
+// answer whose records alternate between two arities, an answer whose
+// group list breaks one rule of the group form for each rule, runs of 1, 2
 // and 65 records of each write-path kind (insert runs with and without
 // the repeat bit), a batch of routed messages and a nested batch.
 func FuzzEveryKind(f *testing.F) {
@@ -84,8 +93,11 @@ func FuzzEveryKind(f *testing.F) {
 		f.Add(uint8(i), Encode(sample(f, k))[1:])
 		switch k {
 		case KindQueryResp:
-			// Records the decoder's shared arena was not sized for.
+			// A group per record, of alternating arities.
 			f.Add(uint8(i), Encode(alternatingAnswer(8))[1:])
+			for _, h := range hostileGroups() {
+				f.Add(uint8(i), queryRespWith(h.bad))
+			}
 		case KindBatch:
 			// Routed messages coalesced into one write burst.
 			routed := [][]byte{Encode(insertRun(2)), Encode(sample(f, KindSubQuery)), Encode(sample(f, KindTriggerInstall))}
@@ -167,4 +179,17 @@ func FuzzEveryKind(f *testing.F) {
 			t.Fatalf("%s re-encoding is not a fixed point", k)
 		}
 	})
+}
+
+// queryRespWith is a query-resp payload (no kind byte) whose group list
+// is list, as raw bytes.
+func queryRespWith(list []byte) []byte {
+	m := answerHeader()
+	c := &codec{}
+	c.Uvarint(&m.ReqID)
+	c.Node(&m.From)
+	c.Bool(&m.HasCover)
+	c.Code(&m.Cover)
+	c.U64s(&m.Versions)
+	return append(append(c.buf[:c.off:c.off], list...), m.Hops)
 }

@@ -624,10 +624,11 @@ type QueryResp struct {
 	HasCover bool
 	Cover    bitstr.Code
 	Versions []uint64 // versions this response pertains to (echo of the sub-query)
-	// Recs are the matching records, kept in their wire form from the
-	// responder's store to the client's socket. No id travels with them:
-	// the originator derives each record's dedup id from its bytes.
-	Recs RecList
+	// Recs are the matching records, kept in their wire form, groups,
+	// from the responder's store to the client's socket. No id travels
+	// with them: an originator that must dedup derives each record's id
+	// from its values.
+	Recs Groups
 	Hops uint8 // overlay hops the sub-query travelled
 }
 
@@ -638,7 +639,7 @@ func (m *QueryResp) fields(c *codec) {
 	c.Bool(&m.HasCover)
 	c.Code(&m.Cover)
 	c.U64s(&m.Versions)
-	c.RecList(&m.Recs)
+	c.Groups(&m.Recs)
 	c.U8(&m.Hops)
 }
 

@@ -7,9 +7,9 @@ import (
 	"mind/internal/schema"
 )
 
-// The record list is the one shape records travel in, on the write path
-// (insert, replicate) and in query answers (query-resp,
-// client-query-resp): a record count, then each record as
+// The record list is the shape records travel in on the write path
+// (insert, replicate; query answers travel as groups, groups.go): a
+// record count, then each record as
 //
 //	arity (minimal uvarint) | ⌈arity/2⌉ tag bytes | the values
 //
@@ -84,10 +84,10 @@ func loadVal(b []byte, p, l int) uint64 {
 	return v
 }
 
-// RecLen returns the byte length of the record at the front of b, which
+// recLen returns the byte length of the record at the front of b, which
 // must start at a record boundary of a decoded RecList's run: the arity,
 // the tag bytes and the sum of their nibbles.
-func RecLen(b []byte) int {
+func recLen(b []byte) int {
 	k, n := uint64(b[0]), 1
 	if k >= 0x80 {
 		k, n = binary.Uvarint(b)
@@ -143,15 +143,14 @@ func (c *codec) checkRec() {
 }
 
 // RecList is a record list in its wire form: a record count and the byte
-// runs that, concatenated, are the records' encodings. A responder
-// appends rows to it (AppendRows), an originator splices the answers it
-// admitted into one (SpliceList, or Splice a run of records at a time),
-// and only the final consumer
-// decodes it (Records); encoding copies the runs.
+// runs that, concatenated, are the records' encodings. An originator
+// appends an inserted record to its run once (Append), every hop splices
+// it on a record at a time (Splice), and only the owner decodes it
+// (Records, RecInto); encoding copies the runs.
 //
 // A decoded RecList is one run that aliases the frame it was decoded
 // from, validated record by record but not copied: a frame must not be
-// reused while a list decoded from it lives. Every path a query-resp
+// reused while a list decoded from it lives. Every path a message
 // arrives by hands Decode a buffer of its own — tcpnet reads each frame
 // into a fresh one, simnet copies in Send, and a batch's sub-messages
 // are copies made when the batch decodes; the one caller that reuses its
@@ -173,28 +172,37 @@ const minRun = 1 << 10
 // Len returns the number of records in the list.
 func (l RecList) Len() int { return l.n }
 
-// Runs returns the list's byte runs; each holds whole records, so
-// RecLen walks it from its start. The runs are read-only.
+// Runs returns the list's byte runs; each holds whole records. The runs
+// are read-only.
 func (l RecList) Runs() [][]byte { return l.runs }
 
-// open returns the list's last run with room for n more bytes. When the
-// last run has too little it opens a new one of twice its capacity
-// instead of growing it: a responder's list grows a batch at a time to
-// tens of kilobytes in a few runs, and no byte is ever copied. The first
-// run holds at least minRun bytes, so the few small batches of a narrow
-// answer share one run rather than doubling up from the first.
+// open returns the list's last run with room for n more bytes
+// (openRun).
 func (l *RecList) open(n int) []byte {
 	l.ext = nil
+	var run []byte
+	l.runs, run = openRun(l.runs, n)
+	return run
+}
+
+// openRun returns runs with a last run that has room for n more bytes,
+// and that run. When the last run has too little it opens a new one of
+// twice its capacity instead of growing it: a responder's list grows a
+// batch at a time to tens of kilobytes in a few runs, and no byte is
+// ever copied. The first run holds at least minRun bytes, so the few
+// small batches of a narrow answer share one run rather than doubling up
+// from the first.
+func openRun(runs [][]byte, n int) ([][]byte, []byte) {
 	size := max(n, minRun)
-	if len(l.runs) > 0 {
-		run := l.runs[len(l.runs)-1]
+	if len(runs) > 0 {
+		run := runs[len(runs)-1]
 		if cap(run)-len(run) >= n {
-			return run
+			return runs, run
 		}
 		size = max(n, 2*cap(run))
 	}
-	l.runs = append(l.runs, make([]byte, 0, size))
-	return l.runs[len(l.runs)-1]
+	runs = append(runs, make([]byte, 0, size))
+	return runs, runs[len(runs)-1]
 }
 
 // Append encodes rec onto the end of the list.
@@ -202,20 +210,6 @@ func (l *RecList) Append(rec schema.Record) {
 	run := l.open(maxRecLen(len(rec)))
 	l.runs[len(l.runs)-1] = run[:len(run)+putRec(run[len(run):cap(run)], rec)]
 	l.n++
-}
-
-// AppendRows encodes the selected rows of a store batch (rows of stride
-// arity, sel their offsets, store.Sharded.VisitBatches' contract) onto
-// the end of the list, growing it once per batch.
-func (l *RecList) AppendRows(rows []uint64, sel []int32, arity int) {
-	run := l.open(len(sel) * maxRecLen(arity))
-	room, w := run[len(run):cap(run)], 0
-	for _, o := range sel {
-		b := int(o)
-		w += putRec(room[w:], rows[b:b+arity])
-	}
-	l.runs[len(l.runs)-1] = run[:len(run)+w]
-	l.n += len(sel)
 }
 
 // Splice appends run, n whole records cut from a decoded list's runs at
@@ -234,19 +228,6 @@ func (l *RecList) Splice(run []byte, n int) {
 	}
 	l.ext = run
 	l.runs = append(l.runs, run[:len(run):len(run)])
-}
-
-// SpliceList appends every record of o, run by run, without copying or
-// walking them: the list aliases o's runs from then on.
-func (l *RecList) SpliceList(o RecList) {
-	if o.n == 0 {
-		return
-	}
-	l.n += o.n
-	l.ext = nil
-	for _, run := range o.runs {
-		l.runs = append(l.runs, run[:len(run):len(run)])
-	}
 }
 
 // RecCursor walks a record list one record at a time, in order.
@@ -269,7 +250,7 @@ func (c *RecCursor) Next() []byte {
 		c.run, c.runs, c.end = c.runs[0], c.runs[1:], 0
 	}
 	c.off = c.end
-	c.end += RecLen(c.run[c.off:])
+	c.end += recLen(c.run[c.off:])
 	return c.run[c.off:c.end]
 }
 
@@ -384,22 +365,6 @@ func column[T any](c *codec, v *[]T, n int, elem func(*codec, *T)) {
 	slice(c, v, MaxSliceLen, elem)
 	if c.dec && c.err == nil && len(*v) != n {
 		c.fail("column of %d values in a run of %d records", len(*v), n)
-	}
-}
-
-// Recs walks a decoded record list: encoding writes each record straight
-// into the message, byte for byte what a RecList of the same records
-// writes; decoding validates the list and decodes it (RecList.Records).
-func (c *codec) Recs(v *[]schema.Record) {
-	n := c.count(len(*v), MaxSliceLen)
-	if !c.dec {
-		for _, rec := range *v {
-			c.off += putRec(c.room(maxRecLen(len(rec))), rec)
-		}
-		return
-	}
-	if run := c.recRun(n); c.err == nil {
-		*v = RecList{n: n, runs: [][]byte{run}}.Records()
 	}
 }
 

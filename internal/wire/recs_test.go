@@ -14,10 +14,24 @@ import (
 // listOf is recs as Decode hands a record list over: one run holding
 // their encoding.
 func listOf(recs ...schema.Record) RecList {
+	var built RecList
+	for _, rec := range recs {
+		built.Append(rec)
+	}
 	enc := &codec{}
-	enc.Recs(&recs)
+	enc.RecList(&built)
 	var l RecList
 	decoder(enc.buf[:enc.off]).RecList(&l)
+	return l
+}
+
+// groupsOf is recs as Decode hands a group list over: one run holding
+// their groups, each stretch of one arity 32 records at a time.
+func groupsOf(recs ...schema.Record) Groups {
+	enc := &codec{}
+	enc.GroupRecs(&recs)
+	var l Groups
+	decoder(enc.buf[:enc.off]).Groups(&l)
 	return l
 }
 
@@ -37,7 +51,7 @@ func alternatingRecords(n int) []schema.Record {
 
 // alternatingAnswer is a QueryResp of n alternatingRecords.
 func alternatingAnswer(n int) *QueryResp {
-	return &QueryResp{ReqID: 1, From: NodeInfo{Addr: "n"}, Versions: []uint64{0}, Recs: listOf(alternatingRecords(n)...)}
+	return &QueryResp{ReqID: 1, From: NodeInfo{Addr: "n"}, Versions: []uint64{0}, Recs: groupsOf(alternatingRecords(n)...)}
 }
 
 // decodeAllocating decodes input and returns what Decode made of it
@@ -56,9 +70,10 @@ func decodeAllocating(input []byte) (m Message, err error, allocated uint64) {
 	return m, err, allocated
 }
 
-// TestDecodeRecsArena: record lists of mixed arities decode to exactly
-// what was encoded, and hostile ones stay inside
-// TestDecodeAllocationBounded's bound of 64 bytes per input byte + 4 KiB.
+// TestDecodeRecsArena: answers of mixed arities decode, a group at a
+// time, to exactly what was encoded, into one arena, and hostile ones
+// stay inside TestDecodeAllocationBounded's bound of 64 bytes per input
+// byte + 4 KiB.
 func TestDecodeRecsArena(t *testing.T) {
 	for name, m := range map[string]Message{
 		"alternating arities":         alternatingAnswer(40),
@@ -79,7 +94,7 @@ func TestDecodeRecsArena(t *testing.T) {
 	}
 
 	bound := func(input []byte) uint64 { return uint64(64*len(input) + 4<<10) }
-	// A valid answer cut short inside its record list, followed by a
+	// A valid answer cut short inside its group list, followed by a
 	// record count or an arity of MaxSliceLen, wherever the cut falls.
 	hostile := binary.AppendUvarint(nil, MaxSliceLen)
 	for _, valid := range [][]byte{Encode(alternatingAnswer(4)), Encode(&ClientQueryResp{Recs: alternatingRecords(4)})} {
@@ -94,24 +109,25 @@ func TestDecodeRecsArena(t *testing.T) {
 			}
 		}
 	}
-	// One arena per record: an arena is opened for its record's arity
-	// times the records still to come, so a record one longer than what
-	// its predecessor's arena has left never fits, and every arena but
-	// the last is abandoned with most of its room unused.
+	// Arities 1, 8, 49, … one record each: a group per record.
 	const n = 8
 	greedy := &ClientQueryResp{ReqID: 4, Recs: make([]schema.Record, n)}
 	for i, arity := 0, 1; i < n; i, arity = i+1, arity*(n-i-1)+1 {
 		greedy.Recs[i] = make(schema.Record, arity)
 	}
-	// The most values per input byte a list can hold: zero values, two to
-	// a tag byte.
+	// The most values per input byte a group can hold: zero values, each
+	// column's header two bytes and no offset.
 	dense := &ClientQueryResp{ReqID: 5, Recs: []schema.Record{make(schema.Record, 4000), {}, make(schema.Record, 3)}}
-	// A long first record and 2 000 empty ones: its arity × the records
-	// still to come would be 4M words; the arena is held to twice the
-	// bytes that remain.
+	// A long first record and 2 000 empty ones.
 	long := &ClientQueryResp{ReqID: 6, Recs: append([]schema.Record{make(schema.Record, 2000)}, make([]schema.Record, 2000)...)}
-	for name, m := range map[string]Message{"one arena per record": greedy, "zero values": dense, "long record first": long} {
-		// Whole, and cut short inside the last record.
+	// 2 000 equal records: every column width 0, so the density rule
+	// splits each 32-row stretch down to groups the bytes pay for.
+	same := &ClientQueryResp{ReqID: 7, Recs: make([]schema.Record, 2000)}
+	for i := range same.Recs {
+		same.Recs[i] = schema.Record{7, 1 << 40, 0, 5, 9}
+	}
+	for name, m := range map[string]Message{"one arity per record": greedy, "zero values": dense, "long record first": long, "equal records": same} {
+		// Whole, and cut short inside the last group.
 		whole := Encode(m)
 		for _, input := range [][]byte{whole, whole[:len(whole)-1]} {
 			if _, _, got := decodeAllocating(input); got > bound(input) {
@@ -119,12 +135,14 @@ func TestDecodeRecsArena(t *testing.T) {
 			}
 		}
 	}
+	if got, err := Decode(Encode(same)); err != nil || !reflect.DeepEqual(got, same) {
+		t.Errorf("equal records: round trip failed (%v)", err)
+	}
 }
 
 // TestRecListRejectsHostile: every rule of the record form, one input
 // each, that a decoder without the rule would accept; and every proper
-// prefix of a valid list. Each is refused by both the in-place decode
-// (QueryResp) and the decoding one (ClientQueryResp).
+// prefix of a valid list. Each is refused, and leaves its target alone.
 func TestRecListRejectsHostile(t *testing.T) {
 	refuses := func(t *testing.T, name string, body []byte) {
 		t.Helper()
@@ -133,12 +151,7 @@ func TestRecListRejectsHostile(t *testing.T) {
 		if c.RecList(&l); c.err == nil && c.remaining() == 0 {
 			t.Errorf("%s: %x accepted as a RecList", name, body)
 		}
-		var recs []schema.Record
-		c = decoder(body)
-		if c.Recs(&recs); c.err == nil && c.remaining() == 0 {
-			t.Errorf("%s: %x accepted as records", name, body)
-		}
-		if l.Len() != 0 || recs != nil {
+		if l.Len() != 0 {
 			t.Errorf("%s: a refused decode wrote its target", name)
 		}
 	}
@@ -172,84 +185,82 @@ func TestRecListRejectsHostile(t *testing.T) {
 	if recs := l.Records(); !reflect.DeepEqual(recs, []schema.Record{make(schema.Record, 6)}) {
 		t.Fatalf("six zero values decoded as %v", recs)
 	}
-	enc := &codec{}
-	enc.Recs(&[]schema.Record{{1, 0, 1 << 40}, {}, {^uint64(0), 5}})
-	valid := enc.buf[:enc.off]
+	valid := encodeList(listOf(schema.Record{1, 0, 1 << 40}, schema.Record{}, schema.Record{^uint64(0), 5}))
 	for cut := 0; cut < len(valid); cut++ {
 		refuses(t, "truncated list", valid[:cut])
 	}
 }
 
-// TestSplicedEqualsEncoded: a list spliced from a decoded list's runs,
-// cut at record boundaries into any number of runs, encodes byte for
-// byte as the records it holds do, and decodes to them.
+// encodeList is l's wire form.
+func encodeList(l RecList) []byte {
+	enc := &codec{}
+	enc.RecList(&l)
+	return enc.buf[:enc.off]
+}
+
+// TestSplicedEqualsEncoded: a group list spliced from a decoded list's
+// runs, cut at group boundaries into any number of runs, encodes byte
+// for byte as the records it holds do, and decodes to them; and a list
+// packed from store-shaped batches encodes as its records do.
 func TestSplicedEqualsEncoded(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for _, n := range []int{0, 1, 2, 300} {
-		recs := make([]schema.Record, n)
-		for i := range recs {
-			recs[i] = make(schema.Record, r.Intn(7))
-			for j := range recs[i] {
-				recs[i][j] = r.Uint64() >> uint(r.Intn(65))
+		// Records in stretches of one arity (0–6), values of every width.
+		var recs []schema.Record
+		for len(recs) < n {
+			arity := r.Intn(7)
+			for j := min(1+r.Intn(70), n-len(recs)); j > 0; j-- {
+				rec := make(schema.Record, arity)
+				for v := range rec {
+					rec[v] = r.Uint64() >> uint(r.Intn(65))
+				}
+				recs = append(recs, rec)
 			}
 		}
-		frame := Encode(&QueryResp{ReqID: 7, Recs: listOf(recs...)})
+		frame := Encode(&QueryResp{ReqID: 7, Recs: groupsOf(recs...)})
 		m, err := Decode(frame)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Built a record at a time, and as a store's batches of up to 32
-		// rows of one arity (every arity present), the list spans several
-		// runs and encodes the same bytes.
-		var built RecList
-		for _, rec := range recs {
-			built.Append(rec)
-		}
-		if got := Encode(&QueryResp{ReqID: 7, Recs: built}); !bytes.Equal(got, frame) || (n == 300 && len(built.Runs()) < 2) {
-			t.Fatalf("%d records appended one at a time into %d runs encode differently", n, len(built.Runs()))
-		}
-		var batched RecList
-		var want []schema.Record
-		for arity := 0; arity < 7; arity++ {
+		// Packed as a store's batches of up to 32 rows of one arity, with
+		// rows between the selected ones, the list encodes the same bytes.
+		var batched Groups
+		for lo := 0; lo < n; {
+			hi := lo + 1
+			for hi < n && hi-lo < 32 && len(recs[hi]) == len(recs[lo]) {
+				hi++
+			}
+			arity := len(recs[lo])
 			var rows []uint64
 			var sel []int32
-			for _, rec := range recs {
-				if len(rec) != arity {
-					continue
-				}
+			for _, rec := range recs[lo:hi] {
+				rows = append(rows, make([]uint64, arity)...) // an unselected row
 				sel = append(sel, int32(len(rows)))
 				rows = append(rows, rec...)
-				want = append(want, rec)
 			}
-			for lo := 0; lo < len(sel); lo += 32 {
-				batched.AppendRows(rows, sel[lo:min(lo+32, len(sel))], arity)
-			}
+			batched.AppendRows(rows, sel, arity)
+			lo = hi
 		}
-		if got := Encode(&QueryResp{ReqID: 7, Recs: batched}); !bytes.Equal(got, Encode(&QueryResp{ReqID: 7, Recs: listOf(want...)})) {
-			t.Fatalf("%d records appended as batches encode differently", n)
+		if got := Encode(&QueryResp{ReqID: 7, Recs: batched}); !bytes.Equal(got, frame) {
+			t.Fatalf("%d records packed as batches encode differently", n)
 		}
-		var bounds []int // record boundaries of the decoded run
+		var bounds []int // group boundaries of the decoded run
 		var run []byte
 		if n > 0 {
 			run = m.(*QueryResp).Recs.Runs()[0]
 		}
-		for off := 0; off < len(run); off += RecLen(run[off:]) {
-			bounds = append(bounds, off)
+		rowsBefore := []int{}
+		for off, rows := 0, 0; off < len(run); off += groupLen(run[off:]) {
+			bounds, rowsBefore = append(bounds, off), append(rowsBefore, rows)
+			rows += int(run[off])
 		}
-		if len(bounds) != n {
-			t.Fatalf("%d records, RecLen walks %d", n, len(bounds))
-		}
-		for _, pieces := range []int{1, 2, 5, n} {
-			var spliced RecList
-			for p := 0; p < pieces && n > 0; p++ {
-				lo, hi := p*n/pieces, (p+1)*n/pieces
-				end := len(run)
-				if hi < n {
-					end = bounds[hi]
-				}
-				if lo < hi {
-					spliced.Splice(run[bounds[lo]:end], hi-lo)
-				}
+		bounds, rowsBefore = append(bounds, len(run)), append(rowsBefore, n)
+		groups := len(bounds) - 1
+		for _, pieces := range []int{1, 2, 5, groups} {
+			var spliced Groups
+			for p := 0; p < pieces && groups > 0; p++ {
+				lo, hi := p*groups/pieces, (p+1)*groups/pieces
+				spliced.Splice(run[bounds[lo]:bounds[hi]], rowsBefore[hi]-rowsBefore[lo])
 			}
 			if got, want := Encode(&ClientQueryResp{ReqID: 1, List: spliced}), Encode(&ClientQueryResp{ReqID: 1, Recs: recs}); !bytes.Equal(got, want) {
 				t.Fatalf("%d records in %d runs: client-query-resp from runs\n%x\nfrom records\n%x", n, pieces, got, want)
@@ -303,16 +314,15 @@ func refRecords(b []byte) ([]schema.Record, bool) {
 
 // FuzzRecList: bytes decode as a RecList exactly when they decode as a
 // record list (refRecords); then Records() is that decode, and encoding
-// the list — or the records — reproduces the input.
+// the list — or a list built from the records — reproduces the input.
 func FuzzRecList(f *testing.F) {
 	for _, recs := range [][]schema.Record{
 		nil, {{}}, {{0}}, {{1, 2}, {3, 4}}, alternatingRecords(5), wideRecords(8),
 		{{0, ^uint64(0), 1 << 56, 0xff, 0x100}, make(schema.Record, 9)},
 	} {
-		enc := &codec{}
-		enc.Recs(&recs)
-		n, w := binary.Uvarint(enc.buf)
-		f.Add(uint16(n), enc.buf[w:enc.off])
+		enc := encodeList(listOf(recs...))
+		n, w := binary.Uvarint(enc)
+		f.Add(uint16(n), enc[w:])
 	}
 	// An arity of 2^64-1, whose tag-byte count overflows if taken as
 	// (k+1)/2.
@@ -326,26 +336,28 @@ func FuzzRecList(f *testing.F) {
 		if got := c.err == nil && c.remaining() == 0; got != ok {
 			t.Fatalf("%x: RecList decode ok %v (%v), reference ok %v", data, got, c.err, ok)
 		}
-		var recs []schema.Record
-		c = decoder(data)
-		c.Recs(&recs)
-		if got := c.err == nil && c.remaining() == 0; got != ok {
-			t.Fatalf("%x: record decode ok %v (%v), reference ok %v", data, got, c.err, ok)
-		}
 		if !ok {
 			return
 		}
-		if got := l.Records(); l.Len() != len(want) || !reflect.DeepEqual(got, recs) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+		if got := l.Records(); l.Len() != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 			t.Fatalf("%x: Records() = %v, reference %v", data, got, want)
 		}
-		for _, enc := range []func(*codec){func(c *codec) { c.RecList(&l) }, func(c *codec) { c.Recs(&want) }} {
-			c := &codec{}
-			enc(c)
-			if !bytes.Equal(c.buf[:c.off], data) {
-				t.Fatalf("re-encoding %x gives %x", data, c.buf[:c.off])
+		var built RecList
+		for _, rec := range want {
+			built.Append(rec)
+		}
+		for _, enc := range []RecList{l, built} {
+			if got := encodeList(enc); !bytes.Equal(got, data) {
+				t.Fatalf("re-encoding %x gives %x", data, got)
 			}
 		}
 	})
+}
+
+// groupLen is the byte length of the group at the front of b.
+func groupLen(b []byte) int {
+	_, _, size := DecodeGroup(b, nil)
+	return size
 }
 
 // TestDecodedRecsViewContract: a decoded record is a capped view of its
@@ -355,7 +367,7 @@ func FuzzRecList(f *testing.F) {
 func TestDecodedRecsViewContract(t *testing.T) {
 	recs := append(wideRecords(64), schema.Record{}, schema.Record{1}, make(schema.Record, 300), schema.Record{2})
 	for _, m := range []Message{
-		&QueryResp{ReqID: 1, From: NodeInfo{Addr: "n"}, Recs: listOf(recs...)},
+		&QueryResp{ReqID: 1, From: NodeInfo{Addr: "n"}, Recs: groupsOf(recs...)},
 		&ClientQueryResp{ReqID: 1, Complete: true, Recs: recs},
 	} {
 		dec, err := Decode(Encode(m))

@@ -222,11 +222,7 @@ func TestSpliceJoinsAdjacentRecords(t *testing.T) {
 	if got.Len() != len(want) || !reflect.DeepEqual(got.Records(), want) {
 		t.Fatalf("spliced list holds %v, want %v", got.Records(), want)
 	}
-	enc := &codec{}
-	enc.RecList(&got)
-	direct := &codec{}
-	direct.Recs(&want)
-	if !bytes.Equal(enc.buf[:enc.off], direct.buf[:direct.off]) {
+	if !bytes.Equal(encodeList(got), encodeList(listOf(want...))) {
 		t.Fatal("spliced list encodes differently from its records")
 	}
 	// RecInto decodes what the cursor steps over.

@@ -184,7 +184,7 @@ func allMessages() []Message {
 		&ReplicateRun{Index: "idx", Version: 3, OwnerCode: c, Recs: listOf(schema.Record{1, 2, 3, 4})},
 		&Query{ReqID: 9, OriginAddr: "o", Index: "idx", Versions: []uint64{1, 2}, Rect: rect, Target: c, Hops: 1, TreeEpoch: 4},
 		&SubQuery{ReqID: 9, OriginAddr: "o", Index: "idx", Versions: []uint64{1}, Rect: rect, RegionCode: c, Hops: 2, Historic: true, Attempt: 2, TreeEpoch: 4},
-		&QueryResp{ReqID: 9, From: ni, HasCover: true, Cover: c, Versions: []uint64{0, 1}, Recs: listOf(schema.Record{1, 2}, schema.Record{3, 4}), Hops: 3},
+		&QueryResp{ReqID: 9, From: ni, HasCover: true, Cover: c, Versions: []uint64{0, 1}, Recs: groupsOf(schema.Record{1, 2}, schema.Record{3, 4}), Hops: 3},
 		&CreateIndex{OpID: 10, Def: IndexDef{Schema: testSchema(), Versions: []VersionDef{{Version: 0, Tree: []byte{7}}}}},
 		&DropIndex{OpID: 11, Tag: "idx"},
 		&HistReport{Index: "idx", Day: 12, NodeAddr: "n", Hist: []byte{1, 2, 3}, Hops: 5, ReqID: 31},
