@@ -9,7 +9,8 @@
 package aggregate
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"mind/internal/flowgen"
 	"mind/internal/schema"
@@ -31,8 +32,10 @@ type Agg struct {
 	Octets  uint64
 	Packets uint64
 	Flows   int
-	// conns tracks distinct (srcHost, dstHost, dstPort) connections.
-	conns map[connKey]struct{}
+	// conns tracks distinct connections: within one aggregate the /24
+	// prefixes are the key's, so a connection is its two host bytes and
+	// its destination port (connOf).
+	conns map[uint32]struct{}
 	// shortAttempts counts short connection attempts — every small flow,
 	// including repeats. Index-1's fanout counts attempts, so a flood or
 	// scan is not capped by the 254 hosts of a /24 (the paper's §5
@@ -40,9 +43,10 @@ type Agg struct {
 	shortAttempts uint64
 }
 
-type connKey struct {
-	src, dst uint64
-	port     uint16
+// connOf packs a flow's connection within its aggregate: the host
+// bytes of its source and destination and its destination port.
+func connOf(f flowgen.Flow) uint32 {
+	return uint32(f.SrcIP&0xff)<<24 | uint32(f.DstIP&0xff)<<16 | uint32(f.DstPort)
 }
 
 // ShortFlowOctets is the per-flow size at or below which a connection
@@ -78,8 +82,25 @@ type Windower struct {
 	cfg      Config
 	winStart uint64
 	started  bool
-	aggs     map[Key]*Agg
+	aggs     map[packedKey]*Agg // reused from window to window
 	emit     func(winStart uint64, aggs []*Agg)
+}
+
+// packedKey is a Key in two words, in its sort order: the node and the
+// destination prefix, then the source prefix and the destination port.
+// Flows are IPv4, so a prefix fits 32 bits; a map keyed by it hashes 16
+// bytes instead of the Key's 32.
+type packedKey struct{ hi, lo uint64 }
+
+func packKey(k Key) packedKey {
+	return packedKey{hi: uint64(k.Node)<<32 | k.DstPrefix, lo: k.SrcPrefix<<16 | uint64(k.DstPort)}
+}
+
+func (k packedKey) cmp(o packedKey) int {
+	if c := cmp.Compare(k.hi, o.hi); c != 0 {
+		return c
+	}
+	return cmp.Compare(k.lo, o.lo)
 }
 
 // NewWindower creates a windower delivering completed windows to emit.
@@ -89,7 +110,7 @@ func NewWindower(cfg Config, emit func(winStart uint64, aggs []*Agg)) *Windower 
 	if cfg.WindowSec == 0 {
 		cfg.WindowSec = 30
 	}
-	return &Windower{cfg: cfg, aggs: make(map[Key]*Agg), emit: emit}
+	return &Windower{cfg: cfg, aggs: make(map[packedKey]*Agg), emit: emit}
 }
 
 // Add ingests one flow. Flows must arrive in nondecreasing timestamp
@@ -112,15 +133,16 @@ func (w *Windower) Add(f flowgen.Flow) {
 	if w.cfg.SplitPorts {
 		k.DstPort = f.DstPort
 	}
-	a, ok := w.aggs[k]
+	pk := packKey(k)
+	a, ok := w.aggs[pk]
 	if !ok {
-		a = &Agg{Key: k, conns: make(map[connKey]struct{})}
-		w.aggs[k] = a
+		a = &Agg{Key: k, conns: make(map[uint32]struct{})}
+		w.aggs[pk] = a
 	}
 	a.Octets += f.Octets
 	a.Packets += f.Packets
 	a.Flows++
-	a.conns[connKey{src: f.SrcIP, dst: f.DstIP, port: f.DstPort}] = struct{}{}
+	a.conns[connOf(f)] = struct{}{}
 	if f.Octets <= ShortFlowOctets {
 		a.shortAttempts++
 	}
@@ -142,22 +164,9 @@ func (w *Windower) flush() {
 	for _, a := range w.aggs {
 		batch = append(batch, a)
 	}
-	sort.Slice(batch, func(i, j int) bool { return lessKey(batch[i].Key, batch[j].Key) })
+	slices.SortFunc(batch, func(a, b *Agg) int { return packKey(a.Key).cmp(packKey(b.Key)) })
+	clear(w.aggs)
 	w.emit(w.winStart, batch)
-	w.aggs = make(map[Key]*Agg)
-}
-
-func lessKey(a, b Key) bool {
-	if a.Node != b.Node {
-		return a.Node < b.Node
-	}
-	if a.DstPrefix != b.DstPrefix {
-		return a.DstPrefix < b.DstPrefix
-	}
-	if a.SrcPrefix != b.SrcPrefix {
-		return a.SrcPrefix < b.SrcPrefix
-	}
-	return a.DstPort < b.DstPort
 }
 
 // Index1Record converts an aggregate into an Index-1 record

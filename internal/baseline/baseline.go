@@ -139,8 +139,7 @@ func (n *FloodNode) dispatch(from string, data []byte) {
 		// Every node evaluates every query: the flooding cost model.
 		resp := &wire.QueryResp{ReqID: msg.ReqID, From: wire.NodeInfo{Addr: n.ep.Addr()}}
 		n.mu.Lock()
-		arity := n.sch.Arity()
-		n.local.VisitBatches(msg.Rect, func(rows []uint64, sel []int32) { resp.Recs.AppendRows(rows, sel, arity) })
+		n.local.VisitBatches(msg.Rect, resp.Recs.AppendBatch)
 		n.mu.Unlock()
 		_ = n.ep.Send(msg.OriginAddr, wire.Encode(resp))
 	case *wire.QueryResp:

@@ -53,8 +53,7 @@ func (s *CentralServer) dispatch(from string, data []byte) {
 	case *wire.Query:
 		resp := &wire.QueryResp{ReqID: msg.ReqID, From: wire.NodeInfo{Addr: s.ep.Addr()}, HasCover: true}
 		s.mu.Lock()
-		arity := s.sch.Arity()
-		s.data.VisitBatches(msg.Rect, func(rows []uint64, sel []int32) { resp.Recs.AppendRows(rows, sel, arity) })
+		s.data.VisitBatches(msg.Rect, resp.Recs.AppendBatch)
 		s.mu.Unlock()
 		_ = s.ep.Send(msg.OriginAddr, wire.Encode(resp))
 	}

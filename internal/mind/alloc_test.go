@@ -116,11 +116,10 @@ func TestAllocBudgetCellClip(t *testing.T) {
 		}
 	}
 	var out wire.Groups
-	arity := sch.Arity()
 	for name, f := range map[string]func(){
 		"clip": clip,
 		"primary": func() {
-			visitCell(ix, ix.primary, p, func(rows []uint64, sel []int32) { out.AppendRows(rows, sel, arity) })
+			visitCell(ix, ix.primary, p, out.AppendBatch)
 		},
 		"replica": func() { out = filterToRegion(ix, p) },
 	} {

@@ -12,10 +12,11 @@ import (
 	"mind/internal/wire"
 )
 
-// TestStoreBatchConsumers holds the node's three consumers of a store
-// batch — the answer encoder (wire.Groups.AppendRows), the aggregate
-// fold (summary.Fold.AddBatch) and the owner's repeat probe (holds) — to
-// the records inserted, on a primary ladder whose levels keep both
+// TestStoreBatchConsumers holds the node's consumers of a store batch —
+// the answer encoder, both from the packed view (wire.Groups.AppendBatch)
+// and from its decoded rows (AppendRows), the aggregate fold
+// (summary.Fold.AddBatch) and the owner's repeat probe (holds) — to the
+// records inserted, on a primary ladder whose levels keep both
 // widths: two narrow levels, one wide level (it holds the one record
 // whose octets are 2⁴⁰) and a tail. Every batch is 64-bit rows whatever
 // its level keeps, so the answer must decode to exactly the records
@@ -54,14 +55,20 @@ func TestStoreBatchConsumers(t *testing.T) {
 	for _, rect := range rects {
 		want := oracle.Query(rect)
 
-		var list wire.Groups
-		st.VisitBatches(rect, func(rows []uint64, sel []int32) { list.AppendRows(rows, sel, sch.Arity()) })
-		m, err := wire.Decode(wire.Encode(&wire.QueryResp{ReqID: 1, Recs: list}))
-		if err != nil {
-			t.Fatalf("%v: the answer does not decode: %v", rect, err)
-		}
-		if got := m.(*wire.QueryResp).Recs.Records(); !sameSorted(got, want) {
-			t.Fatalf("%v: the answer decodes to %d records, the oracle holds %d (or their values differ)", rect, len(got), len(want))
+		var packed, decoded wire.Groups
+		st.VisitBatches(rect, packed.AppendBatch)
+		st.VisitBatches(rect, func(b *schema.Batch) {
+			rows, sel := b.Rows()
+			decoded.AppendRows(rows, sel, b.Arity())
+		})
+		for name, list := range map[string]*wire.Groups{"packed": &packed, "decoded": &decoded} {
+			m, err := wire.Decode(wire.Encode(&wire.QueryResp{ReqID: 1, Recs: *list}))
+			if err != nil {
+				t.Fatalf("%v: the %s answer does not decode: %v", rect, name, err)
+			}
+			if got := m.(*wire.QueryResp).Recs.Records(); !sameSorted(got, want) {
+				t.Fatalf("%v: the %s answer decodes to %d records, the oracle holds %d (or their values differ)", rect, name, len(got), len(want))
+			}
 		}
 
 		fold, ref := summary.NewFold(sch.Arity()), summary.NewFold(sch.Arity())
@@ -71,7 +78,9 @@ func TestStoreBatchConsumers(t *testing.T) {
 			for i, v := range rec {
 				sums[i] += v
 			}
-			ref.AddBatch(rec, []int32{0})
+			var one schema.Batch
+			one.SetRows(rec, []int32{0}, len(rec))
+			ref.AddBatch(&one)
 		}
 		if fold.Count != uint64(len(want)) || !slices.Equal(fold.Sums, sums) {
 			t.Fatalf("%v: batched fold counts %d with sums %v, the oracle %d with %v", rect, fold.Count, fold.Sums, len(want), sums)

@@ -387,7 +387,8 @@ func (ix *index) holds(v uint32, rec schema.Record) bool {
 	var pbuf [8]uint64
 	p := rec.PointInto(ix.sch, pbuf[:0])
 	found, arity := false, ix.sch.Arity()
-	st.VisitBatches(schema.Rect{Lo: p, Hi: p}, func(rows []uint64, sel []int32) {
+	st.VisitBatches(schema.Rect{Lo: p, Hi: p}, func(b *schema.Batch) {
+		rows, sel := b.Rows()
 		for _, o := range sel {
 			found = found || slices.Equal(rows[o:int(o)+arity], rec)
 		}

@@ -108,12 +108,14 @@ func (recordKind) epochOnAnswer(p piece) bool { return p.whole }
 
 // resolve packs the matching records straight from the store's batches
 // into the answer's groups, the one encoding they get on their way to
-// the client. Every version's store is visited over the piece's
-// rectangle clipped to the region's cell, as the aggregate resolver
-// does: local storage may hold records of other regions (the copies a
-// re-homing repair keeps, a split sibling's leftovers), and a covering
-// answer must hold its cover's records alone for the originator to
-// admit it by cover.
+// the client: each batch at the frames of the leaf or block it rests in,
+// with nothing decoded but the columns the read tested
+// (wire.Groups.AppendBatch). Every version's store is visited over the
+// piece's rectangle clipped to the region's cell, as the aggregate
+// resolver does: local storage may hold records of other regions (the
+// copies a re-homing repair keeps, a split sibling's leftovers), and a
+// covering answer must hold its cover's records alone for the
+// originator to admit it by cover.
 func (recordKind) resolve(n *Node, ix *index, p piece, a answer, replica bool) wire.Message {
 	m := &wire.QueryResp{
 		ReqID: a.reqID, From: a.from, HasCover: a.hasCover, Cover: a.cover,
@@ -122,15 +124,15 @@ func (recordKind) resolve(n *Node, ix *index, p piece, a answer, replica bool) w
 	if replica {
 		m.Recs = filterToRegion(ix, p)
 	} else {
-		arity := ix.sch.Arity()
-		visitCell(ix, ix.primary, p, func(rows []uint64, sel []int32) { m.Recs.AppendRows(rows, sel, arity) })
+		visitCell(ix, ix.primary, p, m.Recs.AppendBatch)
+		m.Recs.Close()
 	}
 	return m
 }
 
 // visitCell hands fn every batch of vs, in p's versions, inside p.rect ∩
 // the cell of p.region under the version's tree.
-func visitCell(ix *index, vs *store.Versioned, p piece, fn func(rows []uint64, sel []int32)) {
+func visitCell(ix *index, vs *store.Versioned, p piece, fn func(*schema.Batch)) {
 	var buf embed.Scratch
 	for _, v := range p.versions {
 		s := vs.Get(uint32(v))
@@ -227,6 +229,7 @@ func (r *recordAcc) spliceFresh(src wire.Groups) {
 }
 
 func (r *recordAcc) deliver(o outcome) {
+	r.list.Close()
 	r.cb(r.list, QueryResult{
 		Complete: o.complete, Responders: o.responders,
 		MaxHops: o.maxHops, Uncovered: o.uncovered,
@@ -240,14 +243,16 @@ func (r *recordAcc) tally(s *Stats) { s.PendingQueries++ }
 // every owner it backs up sent it, so it can hold one record twice — the
 // old owner's copy and the new owner's after a repair moved it — and the
 // copies collapse here by content id, hashed straight from the store's
-// batches: each batch's fresh rows are packed into a group. The replica
-// store reads are snapshot-consistent; no lock is required.
+// batches (decoded, Batch.Rows): each batch's fresh rows are packed into
+// a group. The replica store reads are snapshot-consistent; no lock is
+// required.
 func filterToRegion(ix *index, p piece) wire.Groups {
 	var out wire.Groups
 	var ids genTable[struct{}]
 	var fresh []int32
 	arity := ix.sch.Arity()
-	visitCell(ix, ix.replicas, p, func(rows []uint64, sel []int32) {
+	visitCell(ix, ix.replicas, p, func(b *schema.Batch) {
+		rows, sel := b.Rows()
 		ids.reserve(len(sel))
 		fresh = fresh[:0]
 		for _, o := range sel {
@@ -257,6 +262,7 @@ func filterToRegion(ix *index, p piece) wire.Groups {
 		}
 		out.AppendRows(rows, fresh, arity)
 	})
+	out.Close()
 	return out
 }
 

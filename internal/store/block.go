@@ -11,11 +11,13 @@ import (
 // PackRun, Column, Unpack). The indexed columns also keep their maxima,
 // and references and maxima together are the run's box: a read skips a
 // run whose box misses the window, hands over every row of one whose box
-// lies inside it without testing a row, and decodes only the constrained
-// columns of any other until a row of it is found inside (visitPacked).
-// Blocks and leaves differ only in where they keep their frames. A run
-// packs from rows of either storage width (a block's 64-bit tail, a
-// level's gather arena), and a read always decodes into 64-bit rows.
+// lies inside it without testing or decoding a row, and decodes only the
+// constrained columns of any other (visitPacked). What it hands over is
+// a packed view of the run (schema.Batch, Static's view contract), which
+// a consumer decodes into 64-bit rows or packs onto the wire as it
+// rests. Blocks and leaves differ only in where they keep their frames.
+// A run packs from rows of either storage width (a block's 64-bit tail,
+// a level's gather arena).
 
 // maxCols is the arity up to which a build or a full decode keeps its
 // frames or column readers in a stack buffer (more allocate once per
@@ -34,16 +36,17 @@ func decodeRows[W word](dst []W, cols []schema.Column, words []uint64, r, m int)
 }
 
 // visitPacked hands fn, a leaf-sized run at a time, the rows of a packed
-// run of n rows inside the window, decoded into the visit's scratch. in
-// says the run's box lies inside the window: every row is decoded and
-// selected without a test. Otherwise the constrained columns are decoded
-// first, one at a time, each selecting among the rows the ones before it
-// left (selectFirst, selectMore), and the rest of the columns only for a
-// run that still holds a row: a run the window straddles without holding
-// a match is never decoded whole. A nil fn counts the matches into
-// sc.count instead, decoding no more than the constrained columns of a
-// straddled run and nothing of one inside.
-func visitPacked(sc *scratch, cols []schema.Column, words []uint64, n int, con []bound, in bool, fn func(rows []uint64, sel []int32)) {
+// run of n rows inside the window, as packed views (schema.Batch) over
+// the visit's scratch. in says the run's box lies inside the window:
+// every row is selected without a test and nothing is decoded. Otherwise
+// the constrained columns are decoded, one at a time, each selecting
+// among the rows the ones before it left (selectFirst, selectMore), and
+// a run that still holds a row is handed over with those columns
+// decoded and no other: a consumer decodes the rest (Batch.Rows) or
+// packs the selection from the run as it rests (Batch.Pack). A nil fn
+// counts the matches into sc.count instead, decoding no more than the
+// constrained columns of a straddled run and nothing of one inside.
+func visitPacked(sc *scratch, cols []schema.Column, words []uint64, n int, con []bound, in bool, fn func(*schema.Batch)) {
 	if in {
 		if fn == nil {
 			sc.count += n
@@ -51,16 +54,15 @@ func visitPacked(sc *scratch, cols []schema.Column, words []uint64, n int, con [
 		}
 		con = nil
 	}
-	arity := len(cols)
+	arity, b := len(cols), &sc.batch
 	for r := 0; r < n; r += leafRows {
 		m := min(leafRows, n-r)
 		rows := slices.Grow(sc.rows[:0], m*arity)[:m*arity]
 		sc.rows = rows
-		var done uint64 // the columns decoded for every row, below column 64
+		b.Open(cols, words, r, rows)
 		k := m
 		for i, c := range con {
-			schema.DecodeColumn(rows, cols, c.dim, words, r)
-			done |= 1 << c.dim
+			b.Test(c.dim)
 			if i == 0 {
 				k = selectFirst(rows, arity, c, &sc.sel)
 			} else {
@@ -77,15 +79,11 @@ func visitPacked(sc *scratch, cols []schema.Column, words []uint64, n int, con [
 			sc.count += k
 			continue
 		}
-		for c := range cols {
-			if c >= 64 || done&(1<<c) == 0 {
-				schema.DecodeColumn(rows, cols, c, words, r)
-			}
-		}
 		if len(con) == 0 {
 			selectRows(rows, arity, nil, &sc.sel)
 		}
-		fn(rows, sc.sel[:k])
+		b.Select(sc.sel[:k])
+		fn(b)
 	}
 }
 
@@ -115,10 +113,10 @@ func boxTest[W word](con []bound, box []W, step, hi int) (skip, in bool) {
 //	                        unpack may always read the word after the
 //	                        one a value starts in
 //
-// A block is immutable. A read decodes it a leaf-sized run at a time
-// into the visit's scratch, as a Static decodes its leaves (Static's
-// view contract). A ladder keeps its blocks by value (ladderSnap.blocks),
-// so sealing one allocates only its words.
+// A block is immutable. A read hands it over a leaf-sized run at a time,
+// as a packed view over the visit's scratch, as a Static hands over its
+// leaves (Static's view contract). A ladder keeps its blocks by value
+// (ladderSnap.blocks), so sealing one allocates only its words.
 type block struct {
 	*geom
 	n     int
@@ -179,9 +177,9 @@ func (b *block) bytes() int { return 8 * len(b.words) }
 // visit hands fn the block's rows inside the window, a leaf-sized run at
 // a time. The box decides first: a block outside the window on some
 // constrained dimension is skipped undecoded, one inside it on every
-// constrained dimension is decoded and selected whole, and any other is
-// read run by run as visitPacked reads it.
-func (b *block) visit(w *window, sc *scratch, fn func(rows []uint64, sel []int32)) {
+// constrained dimension is selected whole without a decode, and any
+// other is read run by run as visitPacked reads it.
+func (b *block) visit(w *window, sc *scratch, fn func(*schema.Batch)) {
 	skip, in := boxTest(w.con, b.words, 3, 1)
 	if skip {
 		return

@@ -140,7 +140,8 @@ func leavesKept[W word](l *Static, box []W, con []bound) (rows int) {
 // batch (the leaves and tail runs holding a match) and the matches among
 // them. rows ÷ matches is the read's overscan.
 func handedRows(e *Sharded, rect schema.Rect) (rows, matches int) {
-	e.VisitBatches(rect, func(batch []uint64, sel []int32) {
+	e.VisitBatches(rect, func(b *schema.Batch) {
+		batch, sel := b.Rows()
 		rows += len(batch) / e.arity
 		matches += len(sel)
 	})

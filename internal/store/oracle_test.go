@@ -250,7 +250,8 @@ func FuzzStoreOracle(f *testing.F) {
 			}
 			for name, e := range map[string]*Sharded{"static": st, "sharded": eng, "append": app} {
 				var batched []schema.Record
-				e.VisitBatches(rect, func(rows []uint64, sel []int32) {
+				e.VisitBatches(rect, func(b *schema.Batch) {
+					rows, sel := b.Rows()
 					const arity = 4
 					words := len(rows)
 					if words == 0 || words%arity != 0 || words > leafRows*arity || len(sel) == 0 || len(sel) > words/arity {
@@ -544,7 +545,8 @@ func TestPackedBlockViews(t *testing.T) {
 	rect := schema.Rect{Lo: []uint64{1600, 0, 0}, Hi: []uint64{3950, 9999, 9999}}
 	var batches [][]int32
 	var got []schema.Record
-	e.VisitBatches(rect, func(rows []uint64, sel []int32) {
+	e.VisitBatches(rect, func(b *schema.Batch) {
+		rows, sel := b.Rows()
 		batches = append(batches, slices.Clone(sel))
 		for _, o := range sel {
 			got = append(got, batchRec(rows, int(o), 4))
@@ -557,7 +559,7 @@ func TestPackedBlockViews(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		e.Count(rect)
 		e.Query(fullRect())
-		e.VisitBatches(fullRect(), func([]uint64, []int32) {})
+		e.VisitBatches(fullRect(), func(*schema.Batch) {})
 	}
 	check("after more reads of the same blocks")
 	for i := 0; i < 200; i++ {
@@ -608,7 +610,8 @@ func TestPackedLeafViews(t *testing.T) {
 	}
 	var got []schema.Record
 	whole := 0
-	e.VisitBatches(rect, func(rows []uint64, sel []int32) {
+	e.VisitBatches(rect, func(b *schema.Batch) {
+		rows, sel := b.Rows()
 		if len(sel) == leafRows {
 			whole++
 		}
@@ -626,7 +629,7 @@ func TestPackedLeafViews(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		e.Count(rect)
 		e.Query(fullRect())
-		e.VisitBatches(fullRect(), func([]uint64, []int32) {})
+		e.VisitBatches(fullRect(), func(*schema.Batch) {})
 	}
 	check("after more reads of the same leaves")
 	for i := 0; i < 500; i++ {
@@ -666,7 +669,8 @@ func TestLeafScratchConcurrent(t *testing.T) {
 			for round := 0; round < 200; round++ {
 				k := (round*7 + g) % len(rects)
 				n := 0
-				e.VisitBatches(rects[k], func(rows []uint64, sel []int32) {
+				e.VisitBatches(rects[k], func(b *schema.Batch) {
+					rows, sel := b.Rows()
 					for _, o := range sel {
 						rec := batchRec(rows, int(o), 4)
 						if rec[3] != rec[0]*31+rec[1]*17+rec[2]+5 || !rects[k].ContainsRecord(sch3(), rec) {

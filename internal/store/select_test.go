@@ -139,10 +139,11 @@ func TestSelectRows(t *testing.T) {
 		rect := schema.Rect{Lo: []uint64{0, 2000, 0}, Hi: []uint64{9999, 7000, m}}
 		var buf windowBuf
 		w, _ := openWindow(bounds, rect, &buf)
-		var sel selection
+		var sc scratch
 		var got []int32
 		runs := 0
-		scanBatches(rows, arity, w.con, &sel, func(run []uint64, in []int32) {
+		scanBatches(rows, arity, w.con, &sc, func(b *schema.Batch) {
+			run, in := b.Rows()
 			base := len(rows) - cap(run) // run is a view: its start within rows
 			if base != runs*leafRows*arity || len(run) != leafRows*arity {
 				t.Fatalf("run %d starts at word %d with %d words, want word %d and %d", runs, base, len(run), runs*leafRows*arity, leafRows*arity)

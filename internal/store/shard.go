@@ -252,16 +252,16 @@ func (e *Sharded) Compact() {
 // VisitBatches calls fn with every record inside rect, a batch at a
 // time: the levels, oldest first, each in partition order, then the
 // blocks, then the tail in leaf-sized runs, on one published snapshot
-// and one opened window. A batch is one leaf's rows, 64-bit words of
-// stride arity, and sel the ascending word offsets of the records
-// inside rect among them: record j is rows[sel[j] : sel[j]+arity]. It
-// is THE traversal — Visit, Query, QueryAppend and Count are wrappers —
-// and allocates nothing: the selection and the rows are the visit's
-// scratch, recycled, so fn must not retain either (Static's view
-// contract). The aggregate path pairs it with Rollup, folding the
+// and one opened window. A batch is a view of one leaf's rows, 64-bit
+// words of stride arity, and their selection, the ascending word offsets
+// of the records inside rect among them: record j is
+// rows[sel[j] : sel[j]+arity] of Batch.Rows. It is THE traversal —
+// Visit, Query, QueryAppend and Count are wrappers — and allocates
+// nothing: the view, the selection and the rows are the visit's scratch,
+// recycled, so fn must not retain any of them (Static's view contract). The aggregate path pairs it with Rollup, folding the
 // rollup's boundary cells through it batch by batch
 // (summary.Fold.AddBatch) without materializing a record slice.
-func (e *Sharded) VisitBatches(rect schema.Rect, fn func(rows []uint64, sel []int32)) {
+func (e *Sharded) VisitBatches(rect schema.Rect, fn func(*schema.Batch)) {
 	var buf windowBuf
 	if w, ok := openWindow(e.bounds, rect, &buf); ok {
 		sc := scratchPool.Get().(*scratch)
@@ -272,7 +272,7 @@ func (e *Sharded) VisitBatches(rect schema.Rect, fn func(rows []uint64, sel []in
 
 // visit is VisitBatches on an opened window and a scratch; a nil fn
 // counts the matches into sc.count (visitPacked).
-func (e *Sharded) visit(w *window, sc *scratch, fn func(rows []uint64, sel []int32)) {
+func (e *Sharded) visit(w *window, sc *scratch, fn func(*schema.Batch)) {
 	snap := e.snap.Load()
 	for _, l := range snap.levels {
 		l.visit(w, sc, fn)
@@ -281,9 +281,9 @@ func (e *Sharded) visit(w *window, sc *scratch, fn func(rows []uint64, sel []int
 		snap.blocks[i].visit(w, sc, fn)
 	}
 	if fn == nil {
-		fn = func(_ []uint64, sel []int32) { sc.count += len(sel) }
+		fn = func(b *schema.Batch) { sc.count += b.Len() }
 	}
-	scanBatches(snap.tail.published(e.arity), e.arity, w.con, &sc.sel, fn)
+	scanBatches(snap.tail.published(e.arity), e.arity, w.con, sc, fn)
 }
 
 // Visit calls fn with every record inside rect. The records are
@@ -301,7 +301,10 @@ func (e *Sharded) Query(rect schema.Rect) []schema.Record {
 // extended slice; out grows at most once per batch, and each batch's
 // selected rows are copied once (Static's view contract).
 func (e *Sharded) QueryAppend(rect schema.Rect, out []schema.Record) []schema.Record {
-	e.VisitBatches(rect, func(rows []uint64, sel []int32) { out = appendRecords(out, rows, sel, e.arity) })
+	e.VisitBatches(rect, func(b *schema.Batch) {
+		rows, sel := b.Rows()
+		out = appendRecords(out, rows, sel, e.arity)
+	})
 	return out
 }
 

@@ -44,10 +44,10 @@ import (
 //
 // A descent prunes on the cuts, then tests each leaf it reaches by its
 // box: a leaf whose box misses the window is skipped undecoded, one whose
-// box lies inside it is decoded and handed over whole without a per-row
-// test, and any other decodes its constrained columns first and the
-// rest only once a row of it is selected (visitPacked, the read a sealed
-// block gets).
+// box lies inside it is handed over whole, undecoded and without a
+// per-row test, and any other decodes its constrained columns, selects
+// by them and is handed over with nothing else decoded (visitPacked, the
+// read a sealed block gets).
 //
 // Width: a level whose every value fits 32 bits keeps its cuts and
 // frames in 32-bit words (narrow), any other level in 64-bit words
@@ -63,9 +63,17 @@ import (
 // coordinates clamped to the schema bounds; a traversal never clamps a
 // row, it unclamps the query rectangle once instead (window, store.go).
 //
-// View contract. A batch's rows (Sharded.VisitBatches) are the visit's
-// scratch: one decode buffer per visit, reused for every leaf, so fn may
-// read them only until it returns and must copy what it keeps. A record
+// View contract. A batch (Sharded.VisitBatches, schema.Batch) is a
+// packed view of one leaf: the leaf's words and column readers, the
+// selection, and the columns the read decoded to test — no other. It has
+// two ways out: Rows decodes the rest and returns the rows, for a
+// consumer that needs values (the aggregate fold, the repeat probe, the
+// content-id and replica paths, Visit and Query); Frames and Pack give
+// the selection as one group at the leaf's own frames, decoding nothing
+// they send (wire.Groups.AppendBatch, a responder's answer). The view,
+// its rows and its selection are the visit's scratch: one decode buffer
+// per visit, reused for every leaf, so fn may read them only until it
+// returns and must copy what it keeps. A record
 // handed out (Sharded's Visit, Query, All) is a capped view
 // words[b : b+arity : b+arity] of a fresh copy — one per batch, of the
 // selected rows, for Visit and Query; one per leaf for All — never of
@@ -358,11 +366,11 @@ func (a *arena[W]) bytes() int {
 }
 
 // visit calls fn once per leaf that holds records inside the opened
-// window, in partition order, with the leaf's rows decoded into sc and
-// the ascending word offsets of those records among them (the view
-// contract above); a nil fn counts the matches into sc.count
+// window, in partition order, with a packed view of the leaf over sc
+// and the ascending word offsets of those records among its rows (the
+// view contract above); a nil fn counts the matches into sc.count
 // (visitPacked). The level's width picks the arena, nothing more.
-func (s *Static) visit(w *window, sc *scratch, fn func(rows []uint64, sel []int32)) {
+func (s *Static) visit(w *window, sc *scratch, fn func(*schema.Batch)) {
 	if s.isWide() {
 		s.wide.visit(s.geom, s.n, w, sc, fn)
 	} else {
@@ -376,7 +384,7 @@ func (s *Static) visit(w *window, sc *scratch, fn func(rows []uint64, sel []int3
 // has no cut, and both its halves survive. An open window is never
 // inverted, so at least one child always survives a cut. Each leaf
 // reached is read by its box (visitLeaf) into sc.
-func (a *arena[W]) visit(g *geom, n int, w *window, sc *scratch, fn func(rows []uint64, sel []int32)) {
+func (a *arena[W]) visit(g *geom, n int, w *window, sc *scratch, fn func(*schema.Batch)) {
 	if n == 0 {
 		return
 	}
@@ -418,7 +426,7 @@ func (a *arena[W]) visit(g *geom, n int, w *window, sc *scratch, fn func(rows []
 // visitLeaf reads leaf j, of n rows, by its box: skipped when the box
 // misses the window, handed over whole when it lies inside, read by
 // visitPacked otherwise.
-func (a *arena[W]) visitLeaf(g *geom, j, n int, w *window, sc *scratch, fn func(rows []uint64, sel []int32)) {
+func (a *arena[W]) visitLeaf(g *geom, j, n int, w *window, sc *scratch, fn func(*schema.Batch)) {
 	skip, in := boxTest(w.con, a.box[j*(g.arity+g.dims):], 1, g.arity)
 	if skip {
 		return

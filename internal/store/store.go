@@ -31,11 +31,13 @@
 //   - Versioned (versioned.go) keeps one Sharded engine per index
 //     version (§3.7).
 //
-// Every read hands its matches over a batch at a time: one leaf's rows
-// as 64-bit words — a packed leaf or block run decoded into the visit's
-// scratch, or a leaf-sized run of the tail as it is — plus a selection,
-// the ascending word offsets of the rows inside the query window. A
-// batch is valid only while its callback runs.
+// Every read hands its matches over a batch at a time (schema.Batch):
+// one leaf's rows — a packed view of a leaf or block run, decoded only
+// in the columns the read tested, or a leaf-sized run of the tail as it
+// is — plus a selection, the ascending word offsets of the rows inside
+// the query window. A consumer decodes the rows (Batch.Rows) or packs
+// the selection as it rests (Batch.Pack). A batch is valid only while
+// its callback runs.
 // selectRows picks them without a data-dependent branch, one column at
 // a time — the first constrained column over every row, each later one
 // over the rows that survived — so a leaf that straddles a window edge
@@ -174,14 +176,15 @@ func openWindow(bounds []uint64, rect schema.Rect, buf *windowBuf) (w window, ok
 // selection is the scratch a visit selects one leaf's rows into.
 type selection [leafRows]int32
 
-// scratch is what one visit reads into: the selection, and the buffer
-// a packed leaf or block run is decoded into. It is reused for every
-// leaf the visit reads, so a batch handed out of it is valid only while
-// its callback runs (Static's view contract).
+// scratch is what one visit reads into: the selection, the buffer a
+// packed leaf or block run is decoded into and the view handed over. It
+// is reused for every leaf the visit reads, so a batch handed out of it
+// is valid only while its callback runs (Static's view contract).
 type scratch struct {
-	sel  selection
-	rows []uint64
-	cols []schema.Column // the column readers of the run being read
+	sel   selection
+	rows  []uint64
+	cols  []schema.Column // the column readers of the run being read
+	batch schema.Batch    // the view of the run handed over
 	// count sums the matches of a counting visit (a nil batch callback,
 	// Count): a run inside the window adds its length undecoded, any
 	// other only the rows its constrained columns select.
@@ -252,12 +255,13 @@ func inside(v uint64, c bound) int {
 // tail (stride arity) that satisfy every bound; a run with none is
 // skipped. The runs are views of the tail's published rows, which are
 // never rewritten. Packed leaves and blocks are read by visitPacked.
-func scanBatches(rows []uint64, arity int, con []bound, sel *selection, fn func(rows []uint64, sel []int32)) {
+func scanBatches(rows []uint64, arity int, con []bound, sc *scratch, fn func(*schema.Batch)) {
 	for step := leafRows * arity; len(rows) > 0; {
 		run := rows[:min(step, len(rows))]
 		rows = rows[len(run):]
-		if in := selectRows(run, arity, con, sel); len(in) > 0 {
-			fn(run, in)
+		if in := selectRows(run, arity, con, &sc.sel); len(in) > 0 {
+			sc.batch.SetRows(run, in, arity)
+			fn(&sc.batch)
 		}
 	}
 }
@@ -277,8 +281,11 @@ func eachSelected(rows []uint64, sel []int32, arity int, fn func(schema.Record))
 
 // recordsOf adapts a record callback to batches: fn sees every selected
 // row as a capped view (eachSelected).
-func recordsOf(arity int, fn func(schema.Record)) func(rows []uint64, sel []int32) {
-	return func(rows []uint64, sel []int32) { eachSelected(rows, sel, arity, fn) }
+func recordsOf(arity int, fn func(schema.Record)) func(*schema.Batch) {
+	return func(b *schema.Batch) {
+		rows, sel := b.Rows()
+		eachSelected(rows, sel, arity, fn)
+	}
 }
 
 // appendRecords appends every selected row of a batch to out as a capped

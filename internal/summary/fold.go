@@ -150,7 +150,7 @@ func heapDown(h []Entry, i int) {
 // streamed by a store visit (boundary cells, replica stores without a
 // summary) add to the count, the per-attribute sums and a key
 // Tally, in place — no record slice, no sketch offer. AddBatch has the
-// store's batch callback signature.
+// store's batch callback signature and decodes the batch (Batch.Rows).
 type Fold struct {
 	Count uint64
 	Sums  []uint64
@@ -192,10 +192,12 @@ func (f *Fold) Reset() {
 	f.Keys.Reset()
 }
 
-// AddBatch folds the selected records of one store batch: rows is a run
-// of records and sel the word offsets into rows of those to fold, each
+// AddBatch folds the selected records of one store batch.
+func (f *Fold) AddBatch(b *schema.Batch) { f.add(b.Rows()) }
+
+// add folds the records of rows at the word offsets sel lists, each
 // starting a record at least len(f.Sums) words long.
-func (f *Fold) AddBatch(rows []uint64, sel []int32) {
+func (f *Fold) add(rows []uint64, sel []int32) {
 	f.Count += uint64(len(sel))
 	sums := f.Sums
 	for _, o := range sel {
@@ -207,15 +209,14 @@ func (f *Fold) AddBatch(rows []uint64, sel []int32) {
 	}
 }
 
-// firstRow selects a batch's first record: f.AddBatch(rec, firstRow)
-// folds one record.
+// firstRow selects a batch's first record: f.add(rec, firstRow) folds
+// one record.
 var firstRow = []int32{0}
 
 // Visitor streams every stored record inside rect to fn a batch at a
-// time: rows is a run of records and sel the word offsets into rows of
-// those inside rect. The production implementation is
+// time (schema.Batch). The production implementation is
 // store.Sharded.VisitBatches.
-type Visitor func(rect schema.Rect, fn func(rows []uint64, sel []int32))
+type Visitor func(rect schema.Rect, fn func(*schema.Batch))
 
 // ResolveShard answers rect for one store ladder and its rollup: the
 // rollup contributes the cells fully inside rect — counters into f,

@@ -356,7 +356,7 @@ func (s *Summary) cover(rect schema.Rect, f *Fold, parts []*Sketch) ([]*Sketch, 
 	w.descend(sn.root, 0, lo, hi)
 	for _, rec := range sn.delta.published() {
 		if rect.ContainsRecord(s.sch, rec) && s.deltaCovered(rect, rec, lo, hi) {
-			f.AddBatch(rec, firstRow)
+			f.add(rec, firstRow)
 		}
 	}
 	return w.parts, coalesceRects(w.boundary)

@@ -305,11 +305,18 @@ func FuzzSummaryRollup(f *testing.F) {
 // fresh fold takes the stream as one batch whose selection skips a decoy
 // row after every record, so it also pins that AddBatch folds exactly
 // the selected rows.
+// batchOf is a store batch of plain rows of arity 4 and a selection.
+func batchOf(rows []uint64, sel []int32) *schema.Batch {
+	var b schema.Batch
+	b.SetRows(rows, sel, 4)
+	return &b
+}
+
 func TestFoldReuseIsExact(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	used := NewFold(4)
 	for i := 0; i < 5000; i++ { // ~5000 distinct keys: the table grows well past the second stream's
-		used.AddBatch([]uint64{uint64(r.Intn(1 << 30)), 1, 2, 3}, []int32{0})
+		used.AddBatch(batchOf([]uint64{uint64(r.Intn(1 << 30)), 1, 2, 3}, []int32{0}))
 	}
 	used.Reset()
 	fresh := NewFold(4)
@@ -317,12 +324,12 @@ func TestFoldReuseIsExact(t *testing.T) {
 	var sel []int32
 	for i := 0; i < 700; i++ {
 		rec := randRec(r)
-		used.AddBatch(rec, []int32{0})
+		used.AddBatch(batchOf(rec, []int32{0}))
 		sel = append(sel, int32(len(rows)))
 		rows = append(rows, rec...)
 		rows = append(rows, 1<<40, 7, 7, 7)
 	}
-	fresh.AddBatch(rows, sel)
+	fresh.AddBatch(batchOf(rows, sel))
 	if used.Count != fresh.Count || !slices.Equal(used.Sums, fresh.Sums) {
 		t.Fatalf("reused fold: count %d sums %v, fresh %d %v", used.Count, used.Sums, fresh.Count, fresh.Sums)
 	}

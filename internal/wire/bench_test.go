@@ -142,6 +142,46 @@ func BenchmarkDecodeQueryResp(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeClientQueryResp times the client's share of a wide
+// query: decoding the client-query-resp a node sends it, 2 083 records
+// (scan_agg's mean answer) whose groups eight responders packed 17 rows
+// at a time — a straddled leaf's share of a ten-minute window — and the
+// originator spliced, as it does, into one list. The records are
+// Index-2-shaped: destination /24s, timestamps in one ten-minute window,
+// log-spread octets, source prefixes and a node id.
+func BenchmarkDecodeClientQueryResp(b *testing.B) {
+	const n, arity, batch, answers = 2083, 5, 17, 8
+	r := rand.New(rand.NewSource(56))
+	var list Groups
+	for a := 0; a < answers; a++ {
+		var answer Groups
+		for lo := a * n / answers; lo < (a+1)*n/answers; lo += batch {
+			var rows []uint64
+			var sel []int32
+			for i := lo; i < min(lo+batch, (a+1)*n/answers); i++ {
+				sel = append(sel, int32(len(rows)))
+				rows = append(rows, uint64(r.Intn(4096))<<8, 1_700_000_000+uint64(i)*600/n, uint64(64)<<r.Intn(15)+uint64(r.Intn(64)), uint64(r.Uint32()), uint64(r.Intn(64)))
+			}
+			answer.AppendRows(rows, sel, arity)
+		}
+		list.SpliceList(answer)
+	}
+	data := Encode(&ClientQueryResp{ReqID: 1, Complete: true, Responders: answers, List: list})
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := Decode(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if recs := m.(*ClientQueryResp).Recs; len(recs) != n {
+			b.Fatalf("%d records decoded", len(recs))
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/rec")
+}
+
 // BenchmarkEncodeInsert and BenchmarkDecodeInsert time the write path's
 // codec on a 64-record insert run, an ingest envelope's share for one
 // next hop: the encode appends the records to the run, as an originator

@@ -34,9 +34,10 @@ import (
 const MaxGroupRows = 32
 
 // stackCols and stackWords size the stack buffers a decode keeps a
-// group's column readers and offset words in: arity 8, and 32 rows of
-// 120 bits (the spare word included); a larger group allocates them once
-// per decode.
+// group's column readers and, for a group it cannot read in place, its
+// offset bytes in (8·stackWords of them): arity 8, and 32 rows of 120
+// bits with 16 bytes to spare; a larger group allocates them once per
+// decode.
 const (
 	stackCols  = 8
 	stackWords = 64
@@ -68,34 +69,52 @@ type groupEnc struct {
 }
 
 // frame frames the rows of rows (stride arity) at the word offsets sel
-// lists, 1 to 32 of them, as one group and returns its byte length, or
-// ok false when the group would break the density rule (a single row
-// never does).
-func (e *groupEnc) frame(rows []uint64, sel []int32, arity int) (size int, ok bool) {
+// lists, 1 to 32 of them, as one group, and returns the byte lengths of
+// its header and of its offsets (fitFrames).
+func (e *groupEnc) frame(rows []uint64, sel []int32, arity int) (head, body int) {
 	if cap(e.frames) < arity {
 		e.frames = make([]schema.Frame, 0, arity)
 	}
 	e.frames = schema.FramesOf(e.frames[:0], rows, sel, arity)
-	size = 1 + uvarintLen(uint64(arity))
-	for c, f := range e.frames {
-		f = fit(f)
-		e.frames[c] = f
-		size += uvarintLen(f.Ref) + uvarintLen(uint64(f.Width|f.Shift<<7))
-	}
-	size += (schema.PackedBits(len(sel), e.frames) + 7) / 8
-	return size, len(sel) == 1 || len(sel)*(arity+3) <= 4*size
+	head, body, _ = e.fitFrames(len(sel), arity)
+	return head, body
 }
 
-// put writes the group frame just framed, of size bytes, at the front of
-// b, which has eight bytes of room past it: the offsets are copied a
-// word at a time.
-func (e *groupEnc) put(b []byte, rows []uint64, sel []int32, arity, size int) {
-	b[0] = byte(len(sel))
+// fitFrames fits every frame of e.frames (fit), the frames of a group of
+// n rows of the arity, and returns the byte lengths of the group's
+// header and of its offsets, and whether fit moved a reference.
+func (e *groupEnc) fitFrames(n, arity int) (head, body int, moved bool) {
+	head = 1 + uvarintLen(uint64(arity))
+	for c, f := range e.frames {
+		if g := fit(f); g != f {
+			e.frames[c], f, moved = g, g, true
+		}
+		head += uvarintLen(f.Ref) + uvarintLen(uint64(f.Width|f.Shift<<7))
+	}
+	return head, (schema.PackedBits(n, e.frames) + 7) / 8, moved
+}
+
+// dense reports whether a group of n rows of the arity and size bytes
+// keeps the density rule (a single row always does).
+func dense(n, arity, size int) bool { return n == 1 || n*(arity+3) <= 4*size }
+
+// putHead writes the header of a group of n rows framed by e.frames at
+// the front of b and returns its length.
+func (e *groupEnc) putHead(b []byte, n, arity int) int {
+	b[0] = byte(n)
 	p := 1 + binary.PutUvarint(b[1:], uint64(arity))
 	for _, f := range e.frames {
 		p += binary.PutUvarint(b[p:], f.Ref)
 		p += binary.PutUvarint(b[p:], uint64(f.Width|f.Shift<<7))
 	}
+	return p
+}
+
+// put writes the group just framed (frame) of the rows sel lists, of
+// size bytes, at the front of b, which has eight bytes of room past it:
+// the offsets are copied a word at a time.
+func (e *groupEnc) put(b []byte, rows []uint64, sel []int32, arity, size int) {
+	p := e.putHead(b, len(sel), arity)
 	var wbuf [8]uint64 // a narrow answer's groups need no more
 	words, n := wbuf[:], (size-p+7)/8
 	if n > len(words) {
@@ -110,6 +129,14 @@ func (e *groupEnc) put(b []byte, rows []uint64, sel []int32, arity, size int) {
 	}
 }
 
+// putBatch writes the group of a batch's selection just framed
+// (Batch.Frames, fitFrames) at the front of b, which has eight bytes of
+// room past it: the offsets are packed from the run as it rests
+// (Batch.Pack).
+func (e *groupEnc) putBatch(b []byte, bt *schema.Batch) {
+	bt.Pack(b[e.putHead(b, bt.Len(), bt.Arity()):], e.frames)
+}
+
 // uvarintLen is the byte length of v as a uvarint.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
@@ -121,110 +148,120 @@ type groupHead struct {
 }
 
 // readGroup reads and checks the header of the group at the front of b,
-// in O(arity) and without reading an offset. why names the first rule
-// the group breaks, or is empty.
-func readGroup(b []byte) (h groupHead, why string) {
+// in O(arity) and without reading an offset, and, when cols is not nil,
+// appends a reader per column to cols in the same walk and returns it
+// (reallocated, empty, at the group's arity when it has too little
+// room). why names the first rule the group breaks, or is empty.
+func readGroup(b []byte, cols []schema.Column) (h groupHead, _ []schema.Column, why string) {
 	if len(b) == 0 {
-		return h, "short group"
+		return h, cols, "short group"
 	}
 	if h.rows = int(b[0]); h.rows == 0 || h.rows > MaxGroupRows {
-		return h, "group row count outside 1–32"
+		return h, cols, "group row count outside 1–32"
 	}
 	k, n := binary.Uvarint(b[1:])
 	p := 1 + n
 	switch {
 	case n <= 0:
-		return h, "bad group arity"
+		return h, cols, "bad group arity"
 	case k > uint64(len(b)-p)/2: // a column's header takes at least two bytes
-		return h, "group arity past the input"
+		return h, cols, "group arity past the input"
 	}
 	h.arity = int(k)
+	if cols != nil && cap(cols)-len(cols) < h.arity {
+		cols = make([]schema.Column, 0, h.arity) // once, at its size: a column costs at least two input bytes
+	}
 	nbits := 0
 	for range h.arity {
 		ref, n := binary.Uvarint(b[p:])
 		if n <= 0 {
-			return h, "bad column reference"
+			return h, cols, "bad column reference"
 		}
 		p += n
 		sw, n := binary.Uvarint(b[p:])
 		if n <= 0 {
-			return h, "bad column shift and width"
+			return h, cols, "bad column shift and width"
 		}
 		p += n
 		width, shift := uint(sw&127), sw>>7
 		switch {
 		case width > 64:
-			return h, "column width over 64"
+			return h, cols, "column width over 64"
 		case shift > 64-uint64(width):
-			return h, "column shift + width over 64"
+			return h, cols, "column shift + width over 64"
 		case ref > math.MaxUint64-(uint64(1)<<width-1)<<shift:
-			return h, "column reference + largest offset past 2^64"
+			return h, cols, "column reference + largest offset past 2^64"
+		}
+		if cols != nil {
+			cols = append(cols, schema.NewColumn(ref, uint(shift), width, uint(nbits)))
 		}
 		nbits += h.rows * int(width)
 	}
 	h.body, h.size = p, p+(nbits+7)/8
 	switch {
 	case h.size > len(b):
-		return h, "group offsets past the input"
+		return h, cols, "group offsets past the input"
 	case h.rows*(h.arity+3) > 4*h.size:
-		return h, "group decodes to over 4 words a byte"
+		return h, cols, "group decodes to over 4 words a byte"
 	}
-	return h, ""
+	return h, cols, ""
 }
 
-// loadWords loads b's bytes little-endian into words, reallocated only
-// if too small, with one zero word to spare (Unpack reads the word after
-// the one an offset starts in).
-func loadWords(words []uint64, b []byte) []uint64 {
-	n := len(b)/8 + 2
-	if cap(words) < n {
-		words = make([]uint64, n)
+// unpackBytes is schema.Unpack over offsets read in place from b, the
+// bytes of a group's offsets and 16 more: column col of the group's rows
+// into out[0], out[arity] and on. An offset is read by one unaligned
+// little-endian load at the byte it starts in, which holds all of it up
+// to a width of 57 bits; a wider one takes a second load.
+func unpackBytes(out []uint64, arity int, b []byte, col schema.Column) {
+	ref, mask, scale, width := col.Ref, col.Mask, col.Scale, col.Width
+	switch {
+	case width == 0:
+		for i := 0; i < len(out); i += arity {
+			out[i] = ref
+		}
+	case width > 57:
+		for i, pos := 0, col.Start; i < len(out); i, pos = i+arity, pos+width {
+			k, s := pos>>3, pos&7
+			out[i] = ref + (binary.LittleEndian.Uint64(b[k:])>>s|binary.LittleEndian.Uint64(b[k+8:])<<(64-s))&mask*scale
+		}
+	case scale == 1:
+		for i, pos := 0, col.Start; i < len(out); i, pos = i+arity, pos+width {
+			out[i] = ref + binary.LittleEndian.Uint64(b[pos>>3:])>>(pos&7)&mask
+		}
+	default:
+		for i, pos := 0, col.Start; i < len(out); i, pos = i+arity, pos+width {
+			out[i] = ref + binary.LittleEndian.Uint64(b[pos>>3:])>>(pos&7)&mask*scale
+		}
 	}
-	words = words[:n]
-	i := 0
-	for ; i+8 <= len(b); i += 8 {
-		words[i/8] = binary.LittleEndian.Uint64(b[i:])
-	}
-	var w uint64
-	for j := len(b) - 1; j >= i; j-- {
-		w = w<<8 | uint64(b[j])
-	}
-	words[i/8], words[n-1] = w, 0
-	return words
 }
 
-// groupCols walks the header of the checked group at the front of b
-// once and returns it with a reader per column, appended to cols, which
-// is reallocated only if it has too little room.
-func groupCols(b []byte, cols []schema.Column) (h groupHead, _ []schema.Column) {
-	k, n := binary.Uvarint(b[1:])
-	h.rows, h.arity = int(b[0]), int(k)
-	if cap(cols) < h.arity {
-		cols = make([]schema.Column, 0, h.arity) // once, at its size: a column costs at least two input bytes
+// decodeGroup decodes the checked group at the front of b, whose header
+// and column readers readGroup returned, into out (h.rows × h.arity
+// words), a column at a time. Its offsets are read where they are when
+// b holds 16 bytes past them (the bytes past the group are masked away);
+// only a group that ends less than 16 bytes before its input does is
+// copied first, zero-padded (decodeTail).
+func decodeGroup(b []byte, h groupHead, cols []schema.Column, out []uint64) {
+	if len(b) < h.size+16 {
+		decodeTail(b[h.body:h.size], cols, out)
+		return
 	}
-	p, start := 1+n, uint(0)
-	for range h.arity {
-		ref, n := binary.Uvarint(b[p:])
-		p += n
-		sw, n := binary.Uvarint(b[p:])
-		p += n
-		col := schema.NewColumn(ref, uint(sw>>7), uint(sw&127), start)
-		cols = append(cols, col)
-		start += uint(h.rows) * col.Width
+	for c, col := range cols {
+		unpackBytes(out[c:], len(cols), b[h.body:], col)
 	}
-	h.body, h.size = p, p+int(start+7)/8
-	return h, cols
 }
 
-// decodeGroup decodes the group at the front of b, whose header and
-// column readers groupCols returned, into out (h.rows × h.arity words),
-// a column at a time; words is scratch, returned grown if it had to be.
-func decodeGroup(b []byte, h groupHead, cols []schema.Column, words, out []uint64) []uint64 {
-	words = loadWords(words, b[h.body:h.size])
-	for c := range cols {
-		schema.DecodeColumn(out, cols, c, words, 0)
+// decodeTail is decodeGroup over a copy of the group's offset bytes.
+func decodeTail(body []byte, cols []schema.Column, out []uint64) {
+	var buf [8 * stackWords]byte
+	padded := buf[:]
+	if need := len(body) + 16; need > len(padded) {
+		padded = make([]byte, need)
 	}
-	return words
+	copy(padded, body)
+	for c, col := range cols {
+		unpackBytes(out[c:], len(cols), padded, col)
+	}
 }
 
 // DecodeGroup decodes the group at the front of b — a checked list's run
@@ -234,45 +271,84 @@ func decodeGroup(b []byte, h groupHead, cols []schema.Column, words, out []uint6
 // the arity, so a scratch handed back in is reallocated once.
 func DecodeGroup(b []byte, dst []uint64) (rows []uint64, n, size int) {
 	var cbuf [stackCols]schema.Column
-	var wbuf [stackWords]uint64
-	h, cols := groupCols(b, cbuf[:0])
+	h, cols, _ := readGroup(b, cbuf[:0])
 	if k := h.rows * h.arity; cap(dst) < k {
 		dst = make([]uint64, k, MaxGroupRows*h.arity)
 	} else {
 		dst = dst[:k]
 	}
-	decodeGroup(b, h, cols, wbuf[:], dst)
+	decodeGroup(b, h, cols, dst)
 	return dst, h.rows, h.size
 }
 
 // Groups is a record list in groups, in its wire form: a record count
 // and the byte runs that, concatenated, are its groups. A responder
-// packs its store batches into one (AppendRows), an originator splices
-// the groups it admitted into one (SpliceList, or Splice a run of groups
-// at a time), and only the final consumer decodes it (Records).
+// packs its store batches into one (AppendBatch, AppendRows), an
+// originator splices the groups it admitted into one (SpliceList, or
+// Splice a run of groups at a time), and only the final consumer decodes
+// it (Records).
+//
+// A batch whose own group would be mostly header — a narrow answer's
+// record or two, a window's edge in a wide one — does not get one: its
+// rows join the list's open group, which collects such rows, up to 32,
+// and is framed when it closes: when it is full, or when the list is
+// read or encoded, or a splice goes on after it. Its records follow
+// those of the groups packed while it was open.
 //
 // A decoded Groups is one run that aliases the frame it was decoded
 // from, checked group by group but not copied: a frame must not be
 // reused while a list decoded from it lives (RecList says why every
 // path a query-resp arrives by is safe). Spliced and decoded runs are
 // capped, so appending to the list never writes into the frame behind
-// them. A Groups has one owner: copies of one share runs.
+// them. A Groups has one owner: copies of one share runs and the open
+// group, so a list is closed before it is handed on.
 type Groups struct {
-	n    int
+	n    int // the records in runs
 	runs [][]byte
-	enc  groupEnc // AppendRows' scratch
+	pk   *packer // nil until the list packs a row: a decoded list needs none
+}
+
+// packer is what a list that packs groups keeps: the encoder's scratch
+// and the open group's rows, in buffers of its own up to 8 columns and
+// a narrow answer's few rows.
+type packer struct {
+	groupEnc
+	open  []uint64 // the open group's rows, stride openK
+	openN int      // and their number
+	openK int
+	fbuf  [stackCols]schema.Frame
+	obuf  [32]uint64
+}
+
+// packer returns the list's packer, made on first use.
+func (l *Groups) packer() *packer {
+	if l.pk == nil {
+		l.pk = new(packer)
+		l.pk.frames, l.pk.open = l.pk.fbuf[:0], l.pk.obuf[:0]
+	}
+	return l.pk
 }
 
 // Len returns the number of records in the list.
-func (l Groups) Len() int { return l.n }
+func (l Groups) Len() int {
+	if l.pk == nil {
+		return l.n
+	}
+	return l.n + l.pk.openN
+}
 
-// Runs returns the list's byte runs; each holds whole groups, so
-// DecodeGroup walks it from its start. The runs are read-only.
-func (l Groups) Runs() [][]byte { return l.runs }
+// Runs returns the list's byte runs, the open group closed first; each
+// holds whole groups, so DecodeGroup walks it from its start. The runs
+// are read-only.
+func (l *Groups) Runs() [][]byte {
+	l.Close()
+	return l.runs
+}
 
 // AppendRows packs the rows of a store batch (rows of stride arity, sel
-// their word offsets, store.Sharded.VisitBatches' contract) onto the end
-// of the list, 32 to a group, straight from rows: nothing is gathered.
+// their word offsets) onto the end of the list, 32 to a group, straight
+// from rows: nothing is gathered but the rows a small group would hold,
+// which join the open group instead.
 func (l *Groups) AppendRows(rows []uint64, sel []int32, arity int) {
 	for len(sel) > 0 {
 		m := min(len(sel), MaxGroupRows)
@@ -281,18 +357,108 @@ func (l *Groups) AppendRows(rows []uint64, sel []int32, arity int) {
 	}
 }
 
-// appendGroup packs the rows sel lists, 1 to 32, as one group, or as
-// the groups its halves make when one would break the density rule.
+// AppendBatch packs a store batch's selection onto the end of the list
+// as one group at the frames of the run it rests in (schema.Batch's
+// Frames and Pack): nothing it packs is decoded. A batch whose group
+// would be mostly header is decoded into the open group; a batch of
+// plain rows (a tail's), or one whose frames a group cannot carry as
+// they are (a reference fit must lower, a group the density rule
+// splits), is decoded and packed as AppendRows packs.
+func (l *Groups) AppendBatch(b *schema.Batch) {
+	e := &l.packer().groupEnc
+	n, arity := b.Len(), b.Arity()
+	// Every column's header takes two bytes or more, and no offset is
+	// wider than the run keeps it: a batch whose offsets fill fewer bytes
+	// than that is small without being framed.
+	small := b.Packed() && (n*b.RowBits()+7)/8 < 2+2*arity
+	if b.Packed() && !small {
+		if cap(e.frames) < arity {
+			e.frames = make([]schema.Frame, 0, arity)
+		}
+		e.frames = b.Frames(e.frames[:0])
+		head, body, moved := e.fitFrames(n, arity)
+		if !moved && head <= body && dense(n, arity, head+body) {
+			size := head + body
+			var run []byte
+			l.runs, run = openRun(l.runs, size+8)
+			e.putBatch(run[len(run):cap(run)], b)
+			l.runs[len(l.runs)-1] = run[:len(run)+size]
+			l.n += n
+			return
+		}
+		small = !moved && head > body
+	}
+	rows, sel := b.Rows()
+	if small {
+		l.hold(rows, sel, arity)
+	} else {
+		l.AppendRows(rows, sel, arity)
+	}
+}
+
+// appendGroup packs the rows sel lists, 1 to 32, as one group, or into
+// the open group when their own would be mostly header.
 func (l *Groups) appendGroup(rows []uint64, sel []int32, arity int) {
-	size, ok := l.enc.frame(rows, sel, arity)
-	if !ok {
-		l.appendGroup(rows, sel[:len(sel)/2], arity)
-		l.appendGroup(rows, sel[len(sel)/2:], arity)
+	if head, body := l.packer().frame(rows, sel, arity); head > body {
+		l.hold(rows, sel, arity)
+		return
+	}
+	l.put(rows, sel, arity)
+}
+
+// hold adds the rows sel lists to the open group, closing it first when
+// it holds rows of another arity and whenever it fills.
+func (l *Groups) hold(rows []uint64, sel []int32, arity int) {
+	pk := l.pk
+	if pk.openN > 0 && pk.openK != arity {
+		l.Close()
+	}
+	pk.openK = arity
+	for _, o := range sel {
+		pk.open = append(pk.open, rows[o:int(o)+arity]...)
+		if pk.openN++; pk.openN == MaxGroupRows {
+			l.Close()
+		}
+	}
+}
+
+// Close frames and packs the open group's rows, if it holds any. A list
+// closes itself before it is read, encoded or spliced onto; a responder
+// closes its answer before handing it on, so that copies of the list
+// share only whole groups.
+func (l *Groups) Close() {
+	pk := l.pk
+	if pk == nil || pk.openN == 0 {
+		return
+	}
+	var sbuf [MaxGroupRows]int32
+	sel := sbuf[:pk.openN]
+	for i := range sel {
+		sel[i] = int32(i * pk.openK)
+	}
+	pk.frame(pk.open, sel, pk.openK)
+	l.put(pk.open, sel, pk.openK)
+	pk.open, pk.openN = pk.open[:0], 0
+}
+
+// put packs the rows sel lists, 1 to 32, framed just now (frame), as one
+// group, or as the groups its halves make when one would break the
+// density rule.
+func (l *Groups) put(rows []uint64, sel []int32, arity int) {
+	e := &l.pk.groupEnc
+	head, body, _ := e.fitFrames(len(sel), arity)
+	size := head + body
+	if !dense(len(sel), arity, size) {
+		h := len(sel) / 2
+		e.frame(rows, sel[:h], arity)
+		l.put(rows, sel[:h], arity)
+		e.frame(rows, sel[h:], arity)
+		l.put(rows, sel[h:], arity)
 		return
 	}
 	var run []byte
 	l.runs, run = openRun(l.runs, size+8)
-	l.enc.put(run[len(run):cap(run)], rows, sel, arity, size)
+	e.put(run[len(run):cap(run)], rows, sel, arity, size)
 	l.runs[len(l.runs)-1] = run[:len(run)+size]
 	l.n += len(sel)
 }
@@ -328,6 +494,7 @@ func gatherGroup(recs []schema.Record, rows []uint64, sel []int32) ([]uint64, []
 // from then on.
 func (l *Groups) Splice(run []byte, n int) {
 	if n > 0 {
+		l.Close()
 		l.n += n
 		l.runs = append(l.runs, run[:len(run):len(run)])
 	}
@@ -336,10 +503,11 @@ func (l *Groups) Splice(run []byte, n int) {
 // SpliceList appends every group of o, run by run, without copying or
 // walking them: the list aliases o's runs from then on.
 func (l *Groups) SpliceList(o Groups) {
-	l.n += o.n
-	for _, run := range o.runs {
+	l.Close()
+	for _, run := range o.Runs() {
 		l.runs = append(l.runs, run[:len(run):len(run)])
 	}
+	l.n += o.n
 }
 
 // Records decodes the list, each group once. Every record is a capped
@@ -348,49 +516,76 @@ func (l *Groups) SpliceList(o Groups) {
 // an append reallocates instead of running into the next record). An
 // empty list decodes to nil; a zero-arity record to an empty non-nil
 // record.
-func (l Groups) Records() []schema.Record {
+func (l *Groups) Records() []schema.Record {
+	l.Close()
+	if l.n == 0 {
+		return nil
+	}
 	values := 0
 	for _, run := range l.runs {
 		for off := 0; off < len(run); {
-			h, _ := readGroup(run[off:])
+			h, _, _ := readGroup(run[off:], nil)
 			values += h.rows * h.arity
 			off += h.size
 		}
 	}
-	return l.records(values)
-}
-
-// records is Records with the list's value count known.
-func (l Groups) records(values int) []schema.Record {
-	if l.n == 0 {
-		return nil
-	}
-	recs := make([]schema.Record, 0, l.n)
-	arena := make([]uint64, values)
+	var d groupDec
 	var cbuf [stackCols]schema.Column
-	var wbuf [stackWords]uint64
-	cols, words := cbuf[:0], wbuf[:]
+	d.start(l.n, values)
 	for _, run := range l.runs {
 		for off := 0; off < len(run); {
-			var h groupHead
-			h, cols = groupCols(run[off:], cols[:0])
-			k := h.arity
-			out := arena[:h.rows*k]
-			words = decodeGroup(run[off:], h, cols, words, out)
-			for r := range h.rows {
-				recs = append(recs, out[r*k:(r+1)*k:(r+1)*k])
-			}
-			arena = arena[len(out):]
+			h, _ := d.next(run[off:], cbuf[:0])
 			off += h.size
 		}
 	}
-	return recs
+	return d.recs
+}
+
+// groupDec decodes checked groups one after another into one arena,
+// each in one walk of its header (readGroup) and with its offsets read
+// in place (decodeGroup), and keeps a capped view of every record.
+type groupDec struct {
+	recs  []schema.Record
+	arena []uint64
+}
+
+// start readies the decode of n records of values values.
+func (d *groupDec) start(n, values int) {
+	d.recs = make([]schema.Record, 0, n)
+	d.arena = make([]uint64, values)
+}
+
+// pastArena is why a group that breaks no rule is not decoded: it holds
+// more values than the arena has left.
+const pastArena = "group values past the arena"
+
+// next checks the group at the front of b and decodes it, unless it
+// breaks a rule or holds more values than the arena has left (why);
+// cols is the column readers' scratch (readGroup).
+func (d *groupDec) next(b []byte, cols []schema.Column) (h groupHead, why string) {
+	if h, cols, why = readGroup(b, cols); why != "" {
+		return h, why
+	}
+	k := h.arity
+	if h.rows*k > len(d.arena) {
+		return h, pastArena
+	}
+	out := d.arena[:h.rows*k]
+	decodeGroup(b, h, cols, out)
+	for r := range h.rows {
+		d.recs = append(d.recs, out[r*k:(r+1)*k:(r+1)*k])
+	}
+	d.arena = d.arena[len(out):]
+	return h, ""
 }
 
 // Groups walks a group list: encoding copies the runs; decoding checks
 // every group by its header and keeps the bytes where they are (see
 // Groups).
 func (c *codec) Groups(l *Groups) {
+	if !c.dec {
+		l.Close()
+	}
 	n := c.count(l.n, MaxSliceLen)
 	if !c.dec {
 		total := 0
@@ -427,23 +622,73 @@ func (c *codec) GroupRecs(v *[]schema.Record) {
 		}
 		return
 	}
-	if run, values := c.groupRun(n); c.err == nil {
-		*v = Groups{n: n, runs: [][]byte{run}}.records(values)
+	*v = c.groupRecs(n)
+}
+
+// groupRecs decodes n records' groups at the decode cursor in one walk,
+// each group checked and decoded at once (groupDec.next), into an arena
+// sized as though every group had the first one's arity. When the
+// groups hold more values than that (groups of mixed arity), or that
+// many would break the density rule, the groups are checked first
+// (groupRun) and decoded again into an arena of their exact size, the
+// first one's reused when it is large enough.
+func (c *codec) groupRecs(n int) []schema.Record {
+	if n == 0 || c.err != nil {
+		return nil
 	}
+	start, b := c.off, c.buf[c.off:]
+	var guess int // values, as though every group had the first one's arity
+	if k, m := binary.Uvarint(b[1:]); m > 0 && k <= uint64(len(b))/2 && n*(int(k)+3) <= 4*len(b) {
+		guess = n * int(k)
+	}
+	var d groupDec
+	var cbuf [stackCols]schema.Column
+	d.start(n, guess)
+	arena := d.arena
+	for left := n; left > 0; {
+		h, why := d.next(c.buf[c.off:], cbuf[:0])
+		switch {
+		case why == pastArena:
+			c.off = start
+			run, values := c.groupRun(n)
+			if c.err != nil {
+				return nil
+			}
+			if values > len(arena) {
+				arena = make([]uint64, values)
+			}
+			d.recs, d.arena = d.recs[:0], arena
+			for off := 0; off < len(run); {
+				h, _ := d.next(run[off:], cbuf[:0])
+				off += h.size
+			}
+			return d.recs
+		case why != "":
+			c.fail("%s", why)
+		case h.rows > left:
+			c.fail("group of %d rows past the %d records the count leaves", h.rows, left)
+		}
+		if c.err != nil {
+			return nil
+		}
+		left -= h.rows
+		c.off += h.size
+	}
+	return d.recs
 }
 
 // putGroup encodes the rows sel lists, 1 to 32, as one group, or as the
 // groups its halves make when one would break the density rule
-// (Groups.appendGroup), with the codec's pooled scratch.
+// (Groups.put), with the codec's pooled scratch.
 func (c *codec) putGroup(rows []uint64, sel []int32, arity int) {
-	size, ok := c.enc.frame(rows, sel, arity)
-	if !ok {
-		c.putGroup(rows, sel[:len(sel)/2], arity)
-		c.putGroup(rows, sel[len(sel)/2:], arity)
+	head, body := c.enc.frame(rows, sel, arity)
+	if size := head + body; dense(len(sel), arity, size) {
+		c.enc.put(c.room(size+8), rows, sel, arity, size)
+		c.off += size
 		return
 	}
-	c.enc.put(c.room(size+8), rows, sel, arity, size)
-	c.off += size
+	c.putGroup(rows, sel[:len(sel)/2], arity)
+	c.putGroup(rows, sel[len(sel)/2:], arity)
 }
 
 // groupRun checks groups at the decode cursor, by their headers, until
@@ -452,7 +697,7 @@ func (c *codec) putGroup(rows []uint64, sel []int32, arity int) {
 func (c *codec) groupRun(n int) (run []byte, values int) {
 	start := c.off
 	for left := n; left > 0 && c.err == nil; {
-		h, why := readGroup(c.buf[c.off:])
+		h, _, why := readGroup(c.buf[c.off:], nil)
 		switch {
 		case why != "":
 			c.fail("%s", why)

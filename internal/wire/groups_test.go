@@ -158,7 +158,7 @@ func TestGroupsRoundTrip(t *testing.T) {
 			l.Append(recs...)
 			for _, run := range l.Runs() {
 				for off := 0; off < len(run); {
-					h, why := readGroup(run[off:])
+					h, _, why := readGroup(run[off:], nil)
 					if why != "" {
 						t.Fatalf("%s, %d records: the encoder wrote a group its decoder refuses: %s", name, n, why)
 					}
