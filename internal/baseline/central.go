@@ -43,13 +43,16 @@ func (s *CentralServer) dispatch(from string, data []byte) {
 	}
 	switch msg := m.(type) {
 	case *wire.InsertRun:
+		acks := &wire.InsertAcks{}
 		s.mu.Lock()
-		for _, rec := range msg.Recs.Records() {
+		msg.Rows.EachRow(func(row []uint64) {
+			reqID, _, hops, rec := wire.InsertRow(row)
 			s.data.Insert(rec)
-		}
-		s.acked += uint64(msg.Recs.Len())
+			acks.Append(reqID, hops)
+		})
+		s.acked += uint64(msg.Rows.Len())
 		s.mu.Unlock()
-		_ = s.ep.Send(msg.OriginAddr, wire.Encode(&wire.InsertAcks{ReqIDs: msg.ReqIDs, Hops: msg.Hops}))
+		_ = s.ep.Send(msg.OriginAddr, wire.Encode(acks))
 	case *wire.Query:
 		resp := &wire.QueryResp{ReqID: msg.ReqID, From: wire.NodeInfo{Addr: s.ep.Addr()}, HasCover: true}
 		s.mu.Lock()
@@ -160,9 +163,10 @@ func (c *CentralClient) dispatch(from string, data []byte) {
 	}
 	switch msg := m.(type) {
 	case *wire.InsertAcks:
-		for _, reqID := range msg.ReqIDs {
+		msg.Rows.EachRow(func(row []uint64) {
+			reqID, _ := wire.AckRow(row)
 			c.finishInsert(reqID, true)
-		}
+		})
 	case *wire.QueryResp:
 		c.finishQuery(msg.ReqID, QueryResult{Complete: true, Responders: 1, Records: msg.Recs.Records()})
 	}

@@ -14,7 +14,7 @@ import (
 // -update rewrites testdata/digests.txt from the current code: the
 // conventional golden-file flag, for a change that moves the event log
 // on purpose.
-var update = flag.Bool("update", false, "rewrite testdata/digests.txt")
+var update = flag.Bool("update", false, "rewrite testdata/digests.txt and testdata/sweep.txt")
 
 const (
 	goldenPath  = "testdata/digests.txt"

@@ -39,17 +39,18 @@ func (e *ackDropEndpoint) keep(data []byte) ([]byte, bool) {
 	acks := m.(*wire.InsertAcks)
 	kept := &wire.InsertAcks{StoredAt: acks.StoredAt}
 	e.mu.Lock()
-	for i, reqID := range acks.ReqIDs {
+	acks.Rows.EachRow(func(row []uint64) {
+		reqID, hops := wire.AckRow(row)
 		if e.seen[reqID] {
-			kept.ReqIDs, kept.Hops = append(kept.ReqIDs, reqID), append(kept.Hops, acks.Hops[i])
-			continue
+			kept.Append(reqID, hops)
+			return
 		}
 		e.seen[reqID] = true
 		e.dropped++
-	}
+	})
 	e.mu.Unlock()
-	switch len(kept.ReqIDs) {
-	case len(acks.ReqIDs):
+	switch kept.Rows.Len() {
+	case acks.Rows.Len():
 		return data, false
 	case 0:
 		return nil, true

@@ -23,12 +23,13 @@ import (
 // outboxFlushBytes flushes an outbox early once its pending payload
 // reaches it: far below tcpnet.MaxFrame and (every run carrying at least
 // one record) wire.MaxBatchMsgs, and inside the wire encode pool's 64 KiB
-// bound, so envelope buffers keep recycling.
+// bound, so envelope buffers keep recycling. The payload is booked at
+// eight bytes a value (valueBytes), which a packed group never exceeds
+// by more than its header.
 const outboxFlushBytes = 48 << 10
 
-// colBytes bounds what one record adds to an insert run besides its own
-// bytes: a ReqID varint, a Target code and a hop count.
-const colBytes = 10 + 9 + 1
+// valueBytes is what the outbox books per value a row adds.
+const valueBytes = 8
 
 // outGroup is the pending traffic of one class for one destination: its
 // open runs, in first-seen header order.
@@ -45,11 +46,12 @@ const (
 )
 
 // outbox collects what one envelope-scoped call emits. Its runs hold
-// records as bytes, never as value slices: an originator's record may
-// alias an ingest-pooled buffer that is recycled the moment the op
-// settles, so it is encoded into its run (RecList.Append) before that
-// record's finishInsert can run. Spliced records alias the inbound frame,
-// which outlives the handler that flushes the outbox.
+// copies of the records, never the value slices they were handed: an
+// originator's record may alias an ingest-pooled buffer that is recycled
+// the moment the op settles, and a forwarded one is a row of an inbound
+// run's decode scratch, so each joins its run's open group, which copies
+// it (wire.Groups.AppendRow), before that record's finishInsert can run
+// or the next group is decoded.
 type outbox struct {
 	n *Node
 	// Per class, in first-seen destination order (reproducible on simnet).
@@ -72,32 +74,12 @@ func (ob *outbox) group(class int, to string) *outGroup {
 	return &(*groups)[len(*groups)-1]
 }
 
-// added books one record of size bytes and flushes everything once the
-// pending payload reaches outboxFlushBytes (acks alone would overtake
-// their replicas).
-func (ob *outbox) added(size int) {
-	if ob.bytes += size; ob.bytes >= outboxFlushBytes {
+// added books a row of that many values and flushes everything once
+// the pending payload reaches outboxFlushBytes (acks alone would
+// overtake their replicas).
+func (ob *outbox) added(values int) {
+	if ob.bytes += valueBytes * values; ob.bytes >= outboxFlushBytes {
 		ob.flush()
-	}
-}
-
-// recBytes is what r's record adds to a run: its bytes when it arrived
-// in one, else a bound on its encoding (arity varint, tag nibbles, eight
-// bytes a value).
-func (r *insertRec) recBytes() int {
-	if r.enc != nil {
-		return len(r.enc)
-	}
-	return 2 + len(r.rec)/2 + 8*len(r.rec)
-}
-
-// addRec puts r's record onto l: its bytes spliced when it arrived in a
-// run, else its values encoded.
-func (r *insertRec) addRec(l *wire.RecList) {
-	if r.enc != nil {
-		l.Splice(r.enc, 1)
-	} else {
-		l.Append(r.rec)
 	}
 }
 
@@ -117,8 +99,8 @@ func (n *Node) postInsert(ob *outbox, to string, r *insertRec) {
 		run = &wire.InsertRun{OriginAddr: r.origin, Index: r.index, Version: r.version, TreeEpoch: r.epoch, Attempt: r.attempt, Repeat: r.repeat}
 		g.runs = append(g.runs, run)
 	}
-	r.appendTo(run)
-	ob.added(colBytes + r.recBytes())
+	run.Append(r.reqID, r.target, r.hops, r.rec)
+	ob.added(wire.InsertCols + len(r.rec))
 }
 
 // postReplica copies r, just stored here as owner, to the replica target
@@ -136,8 +118,8 @@ func (n *Node) postReplica(ob *outbox, to string, owner bitstr.Code, r *insertRe
 		run = &wire.ReplicateRun{Index: r.index, Version: r.version, OwnerCode: owner}
 		g.runs = append(g.runs, run)
 	}
-	r.addRec(&run.Recs)
-	ob.added(r.recBytes())
+	run.Recs.AppendRow(r.rec)
+	ob.added(len(r.rec))
 }
 
 // postAck acks r's storage at this node (at) to its origin.
@@ -154,8 +136,8 @@ func (n *Node) postAck(ob *outbox, at wire.NodeInfo, r *insertRec) {
 		run = &wire.InsertAcks{StoredAt: at}
 		g.runs = append(g.runs, run)
 	}
-	run.ReqIDs, run.Hops = append(run.ReqIDs, r.reqID), append(run.Hops, r.hops)
-	ob.added(11)
+	run.Append(r.reqID, r.hops)
+	ob.added(2)
 }
 
 // replicasFor returns the node's replica targets, resolved at most once
@@ -221,11 +203,11 @@ func (n *Node) deliver(to string, runs []wire.Message) {
 func runRecords(m wire.Message) int {
 	switch m := m.(type) {
 	case *wire.InsertRun:
-		return m.Recs.Len()
+		return m.Rows.Len()
 	case *wire.ReplicateRun:
 		return m.Recs.Len()
 	case *wire.InsertAcks:
-		return len(m.ReqIDs)
+		return m.Rows.Len()
 	}
 	return 0
 }

@@ -368,10 +368,9 @@ func TestEnvelopeRetransmitsPendingOnly(t *testing.T) {
 		}
 		first = run
 		half := &wire.InsertRun{OriginAddr: run.OriginAddr, Index: run.Index, Version: run.Version, TreeEpoch: run.TreeEpoch}
-		cur := run.Recs.Cursor()
+		rows := rowsOf(run)
 		for i := 0; i < 4; i++ {
-			half.ReqIDs, half.Targets, half.Hops = append(half.ReqIDs, run.ReqIDs[i]), append(half.Targets, run.Targets[i]), append(half.Hops, run.Hops[i])
-			half.Recs.Splice(cur.Next(), 1)
+			half.Append(rows.ids[i], rows.targets[i], rows.hops[i], rows.recs[i])
 		}
 		return wire.Encode(half)
 	}
@@ -383,16 +382,17 @@ func TestEnvelopeRetransmitsPendingOnly(t *testing.T) {
 			t.Errorf("record %d: %+v, want stored at b after %d retransmissions", i, res, want)
 		}
 	}
-	if first == nil || len(first.ReqIDs) != 8 || first.Attempt != 0 {
+	if first == nil || first.Rows.Len() != 8 || first.Attempt != 0 {
 		t.Fatalf("first dispatch %+v, want one run of all 8 records", first)
 	}
 	if resends != 1 || resent.Attempt != 1 {
 		t.Fatalf("%d retransmitted runs (last %+v), want one run on attempt 1", resends, resent)
 	}
-	if !reflect.DeepEqual(resent.ReqIDs, first.ReqIDs[4:]) || !reflect.DeepEqual(resent.Recs.Records(), remote[4:]) {
-		t.Errorf("retransmission carries %v, want the pending %v", resent.ReqIDs, first.ReqIDs[4:])
+	firstRows, resentRows := rowsOf(first), rowsOf(resent)
+	if !reflect.DeepEqual(resentRows.ids, firstRows.ids[4:]) || !reflect.DeepEqual(resentRows.recs, remote[4:]) {
+		t.Errorf("retransmission carries %v, want the pending %v", resentRows.ids, firstRows.ids[4:])
 	}
-	if !reflect.DeepEqual(resent.Hops, []uint8{1, 1, 1, 1}) {
-		t.Errorf("retransmitted hops %v, want one each", resent.Hops)
+	if !reflect.DeepEqual(resentRows.hops, []uint8{1, 1, 1, 1}) {
+		t.Errorf("retransmitted hops %v, want one each", resentRows.hops)
 	}
 }

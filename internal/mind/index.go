@@ -355,7 +355,7 @@ func indexFromDef(d wire.IndexDef) (*index, error) {
 // storeRecord inserts into primary storage with ReqID dedup; it reports
 // whether the record was new. A repeat (a retransmission or a repair
 // re-insert) marks its ReqID in reqSeen and is new only if the id was
-// unmarked and version v's store holds no byte-identical record: its
+// unmarked and version v's store holds no equal record: its
 // first copy, or another holder's re-insert of it, may be stored under
 // another ReqID, or under this one (an original leaves no mark). An
 // original only looks its ReqID up: it is dropped only if a repeat of it
@@ -377,8 +377,7 @@ func (ix *index) storeRecord(v uint32, reqID uint64, rec schema.Record, repeat b
 }
 
 // holds reports whether version v's primary store holds a record equal
-// to rec — byte-identical, a record having one encoding: one point query
-// at rec's indexed point.
+// to rec, value for value: one point query at rec's indexed point.
 func (ix *index) holds(v uint32, rec schema.Record) bool {
 	st := ix.primary.Get(v)
 	if st == nil {
@@ -427,7 +426,7 @@ func (ix *index) ownerCodes() []bitstr.Code {
 // replica store can hold one record more than once (the old owner's copy
 // and a later owner's), and the primary store may hold it already (a
 // recall's re-insert that arrived first), so each is stored only if the
-// primary store holds no byte-identical record, under the dedup lock
+// primary store holds no equal record, under the dedup lock
 // storeRecord probes under.
 func (ix *index) absorbReplicas(dead bitstr.Code) {
 	ix.mu.Lock()

@@ -54,10 +54,9 @@ func (op *insertOp) inflight(origin, tag string, attempt int) insertRec {
 }
 
 // insertRec is one record on the write path at the node handling it: the
-// header of the run it travels in, its column values, and the record —
-// as the bytes it arrived in (enc, spliced on unchanged when forwarded or
-// replicated) and as values (rec: the originator's own, or decoded from
-// enc where this node owns the target).
+// header of the run it travels in, its row's columns and its values (the
+// originator's own, or the tail of the row decoded from an inbound run,
+// valid only while the run's handler walks that row).
 type insertRec struct {
 	origin, index string
 	from          string // the contact the record arrived from ("" at its originator)
@@ -68,26 +67,8 @@ type insertRec struct {
 	reqID         uint64
 	target        bitstr.Code
 	hops          uint8
-	enc           []byte
 	rec           schema.Record
-	ix            *index   // the index, resolved once along a run
-	buf           []uint64 // decode scratch, reused along a run
-}
-
-// values returns the record's values, decoded from enc on first use into
-// the run's scratch: the store copies them, and nothing else keeps them.
-func (r *insertRec) values() schema.Record {
-	if r.rec == nil {
-		r.buf = wire.RecInto(r.enc, r.buf)
-		r.rec = r.buf
-	}
-	return r.rec
-}
-
-// appendTo adds r to run, whose header it shares.
-func (r *insertRec) appendTo(run *wire.InsertRun) {
-	run.ReqIDs, run.Targets, run.Hops = append(run.ReqIDs, r.reqID), append(run.Targets, r.target), append(run.Hops, r.hops)
-	r.addRec(&run.Recs)
+	ix            *index // the index, resolved once along a run
 }
 
 // insertGroup is what every insert is a member of: the ops of one
@@ -289,17 +270,15 @@ func (n *Node) finishInsert(reqID uint64, res InsertResult) {
 }
 
 // handleInsertRun routes or stores every record of an inbound insert
-// run, received from the contact from, through ob, one at a time: values
-// are decoded only where this node owns a record, into one scratch
-// buffer, and a forwarded record's bytes are spliced on.
+// run, received from the contact from, through ob, one at a time: each
+// group is decoded once into one scratch buffer (Groups.EachRow), and
+// whatever a record is sent on in copies its values.
 func (n *Node) handleInsertRun(from string, m *wire.InsertRun, ob *outbox) {
-	r := insertRec{origin: m.OriginAddr, from: from, index: m.Index, version: m.Version, attempt: m.Attempt, repeat: m.Repeat}
-	cur := m.Recs.Cursor()
-	for i, reqID := range m.ReqIDs {
-		r.epoch, r.reqID, r.target, r.hops = m.TreeEpoch, reqID, m.Targets[i], m.Hops[i]
-		r.enc, r.rec = cur.Next(), nil
+	r := insertRec{origin: m.OriginAddr, from: from, index: m.Index, version: m.Version, epoch: m.TreeEpoch, attempt: m.Attempt, repeat: m.Repeat}
+	m.Rows.EachRow(func(row []uint64) {
+		r.reqID, r.target, r.hops, r.rec = wire.InsertRow(row)
 		n.routeInsert(&r, ob)
-	}
+	})
 }
 
 // routeInsert processes one routed record at any hop. Version-skew
@@ -327,7 +306,7 @@ func (n *Node) routeInsert(r *insertRec, ob *outbox) {
 	// records, a peer's bytes are checked here. The store keeps
 	// fixed-stride rows, so a short record would panic and a long one be
 	// truncated.
-	if ix.sch.CheckRecord(r.values()) != nil {
+	if ix.sch.CheckRecord(r.rec) != nil {
 		n.droppedRecords.Add(1)
 		return
 	}
@@ -374,7 +353,7 @@ func (n *Node) routeInsert(r *insertRec, ob *outbox) {
 func (n *Node) rehomeInsert(ix *index, r *insertRec, myCode bitstr.Code, ob *outbox) {
 	tree, epoch := ix.treeAndEpoch(r.version)
 	var pbuf [8]uint64
-	p := r.values().PointInto(ix.sch, pbuf[:0])
+	p := r.rec.PointInto(ix.sch, pbuf[:0])
 	ext := *r
 	ext.target = tree.PointCode(p, clampDepth(myCode.Len()+n.cfg.InsertDepthSlack))
 	ext.epoch = epoch
@@ -413,15 +392,15 @@ func (n *Node) forwardInsert(r *insertRec, ob *outbox) {
 // index only while a trigger is installed, and the sends happen
 // lock-free.
 func (n *Node) storeAsOwner(ix *index, r *insertRec, ob *outbox) {
-	rec := r.values()
+	rec := r.rec
 	isNew := ix.storeRecord(r.version, r.reqID, rec, r.repeat)
 	var fired []*trigger
 	if isNew {
 		n.stored.Add(1)
 		fired = ix.fireTriggers(n.clock, rec)
 	} else {
-		// Retransmission of a record already stored, or a repeat of a
-		// byte-identical stored copy: idempotent, but the origin still
+		// Retransmission of a record already stored, or a repeat of an
+		// equal stored copy: idempotent, but the origin still
 		// needs the ack below — the lost message may have been the
 		// previous ack.
 		n.dedupHits.Add(1)
@@ -516,14 +495,15 @@ func replicaSet(myCode bitstr.Code, contacts []wire.NodeInfo, m int) []string {
 // handleInsertAcks settles an ack run under a single n.mu acquisition;
 // the callbacks run after the lock drops, as in finishInsert.
 func (n *Node) handleInsertAcks(m *wire.InsertAcks) {
-	n.acksReceived.Add(uint64(len(m.ReqIDs)))
+	n.acksReceived.Add(uint64(m.Rows.Len()))
 	var settled []*insertGroup
 	n.mu.Lock()
-	for i, reqID := range m.ReqIDs {
-		if g := n.takeInsertLocked(reqID, InsertResult{OK: true, Hops: int(m.Hops[i]), StoredAt: m.StoredAt.Addr}); g != nil {
+	m.Rows.EachRow(func(row []uint64) {
+		reqID, hops := wire.AckRow(row)
+		if g := n.takeInsertLocked(reqID, InsertResult{OK: true, Hops: int(hops), StoredAt: m.StoredAt.Addr}); g != nil {
 			settled = append(settled, g)
 		}
-	}
+	})
 	n.mu.Unlock()
 	for _, g := range settled {
 		g.done(g.results)
@@ -541,16 +521,12 @@ func (n *Node) handleReplicateRun(m *wire.ReplicateRun) {
 		return
 	}
 	ix.noteReplicaOwner(m.OwnerCode)
-	var buf [8]uint64
-	rec := buf[:0]
-	cur := m.Recs.Cursor()
-	for range m.Recs.Len() {
-		rec = wire.RecInto(cur.Next(), rec)
+	m.Recs.EachRow(func(rec []uint64) {
 		if ix.sch.CheckRecord(rec) != nil {
 			n.droppedRecords.Add(1) // as at the owner: see routeInsert
-			continue
+			return
 		}
 		ix.replicas.Insert(m.Version, rec)
 		n.replicated.Add(1)
-	}
+	})
 }

@@ -132,7 +132,9 @@ func TestBatchDeliverRecycleOnSendError(t *testing.T) {
 	seen := make(map[*byte]bool)
 	var held [][]byte
 	for i := 0; i < 16; i++ {
-		b := wire.Encode(&wire.InsertAcks{ReqIDs: []uint64{uint64(100 + i)}, Hops: []uint8{0}})
+		ack := &wire.InsertAcks{}
+		ack.Append(uint64(100+i), 0)
+		b := wire.Encode(ack)
 		if seen[&b[0]] {
 			t.Fatalf("encode returned the same buffer twice: a batch-path buffer was recycled more than once")
 		}

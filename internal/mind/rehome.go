@@ -32,7 +32,7 @@ func placed(sch *schema.Schema, tree *embed.Tree, st *store.Sharded, depth int, 
 
 // repairInsert builds the insert that carries an already stored record of
 // version v toward target, under a fresh ReqID, as a repeat: the
-// owner stores it only if it holds no byte-identical copy (another
+// owner stores it only if it holds no equal copy (another
 // holder's re-insert of it, or an earlier repair's). The record may be a
 // store view: sendRepairs copies it out before the insert leaves.
 func (n *Node) repairInsert(v uint32, epoch uint64, rec schema.Record, target bitstr.Code) insertOp {

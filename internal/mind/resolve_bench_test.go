@@ -125,3 +125,27 @@ func BenchmarkResolveWide(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkResolveNarrow times a responder's share of a narrow query on
+// wideSample: one stored record's destination prefix over the two
+// minutes around it, resolved from the store and encoded as a
+// query-resp frame — a few records, most of the answer header.
+func BenchmarkResolveNarrow(b *testing.B) {
+	ix, _ := wideSample()
+	var pieces []piece
+	bounds := ix.sch.Bounds()
+	ix.primary.Get(0).Visit(schema.Rect{Lo: []uint64{0, 0, 0}, Hi: bounds}, func(rec schema.Record) {
+		if t := rec[1]; len(pieces) < 256 {
+			pieces = append(pieces, piece{versions: []uint64{0}, rect: schema.Rect{
+				Lo: []uint64{rec[0], max(t, 60) - 60, 0}, Hi: []uint64{rec[0], t + 60, bounds[2]}}})
+		}
+	})
+	recs := 0
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m := recordKind{}.resolve(nil, ix, pieces[i%len(pieces)], answer{}, false).(*wire.QueryResp)
+		recs += m.Recs.Len()
+		wire.RecycleBuf(wire.Encode(m))
+	}
+	b.ReportMetric(float64(recs)/float64(b.N), "recs/op")
+}

@@ -23,8 +23,38 @@ func insertOne(origin, tag string, epoch, reqID uint64, target bitstr.Code, rec 
 // replicateOne is a replicate run of one record.
 func replicateOne(tag string, rec []uint64, owner bitstr.Code) *wire.ReplicateRun {
 	m := &wire.ReplicateRun{Index: tag, OwnerCode: owner}
-	m.Recs.Append(rec)
+	m.Recs.AppendRow(rec)
 	return m
+}
+
+// insertRows is what an insert run carries, a slice per column: each
+// record's ReqID, target, hop count and values (copies).
+type insertRows struct {
+	ids     []uint64
+	targets []bitstr.Code
+	hops    []uint8
+	recs    []schema.Record
+}
+
+// rowsOf decodes an insert run's rows.
+func rowsOf(m *wire.InsertRun) insertRows {
+	var out insertRows
+	m.Rows.EachRow(func(row []uint64) {
+		id, target, hops, rec := wire.InsertRow(row)
+		out.ids, out.targets, out.hops = append(out.ids, id), append(out.targets, target), append(out.hops, hops)
+		out.recs = append(out.recs, append(schema.Record{}, rec...))
+	})
+	return out
+}
+
+// ackedIDs decodes an ack run's ReqIDs.
+func ackedIDs(m *wire.InsertAcks) []uint64 {
+	var ids []uint64
+	m.Rows.EachRow(func(row []uint64) {
+		id, _ := wire.AckRow(row)
+		ids = append(ids, id)
+	})
+	return ids
 }
 
 // runsTo returns the runs of type M that tap's node sent to, in order.
@@ -53,7 +83,7 @@ func framesTo(tap *pieceTap, to string) int {
 
 // TestRunSplitsAcrossNextHops: a forwarding node splits one inbound run
 // by next hop into one run per hop, each in one frame, and every record
-// leaves with its ReqID, Target and bytes, one hop further.
+// leaves with its ReqID, Target and values, one hop further.
 func TestRunSplitsAcrossNextHops(t *testing.T) {
 	net, nodes, taps, sch := tapCluster(t, 8)
 	// A forwarder with two codes it does not own behind different hops.
@@ -87,6 +117,7 @@ func TestRunSplitsAcrossNextHops(t *testing.T) {
 	for i, rec := range recs {
 		in.Append(uint64(100+i), targets[i%2], uint8(1+i), rec)
 	}
+	sent := rowsOf(in)
 	before := len(tap.writes)
 	n.dispatch("n9", wire.Encode(in))
 	tap.writes = tap.writes[before:]
@@ -103,17 +134,17 @@ func TestRunSplitsAcrossNextHops(t *testing.T) {
 		if out.OriginAddr != in.OriginAddr || out.Index != in.Index || out.TreeEpoch != in.TreeEpoch || out.Attempt != in.Attempt {
 			t.Errorf("run to %s changed its header: %+v", hops[k], out)
 		}
-		got := out.Recs.Records()
-		if len(got) != 3 {
-			t.Fatalf("run to %s carries %d records, want 3", hops[k], len(got))
+		got := rowsOf(out)
+		if len(got.recs) != 3 {
+			t.Fatalf("run to %s carries %d records, want 3", hops[k], len(got.recs))
 		}
-		for j := range got {
+		for j := range got.recs {
 			i := k + 2*j
-			if out.ReqIDs[j] != in.ReqIDs[i] || out.Targets[j] != targets[k] ||
-				out.Hops[j] != in.Hops[i]+1 || !reflect.DeepEqual(got[j], recs[i]) {
+			if got.ids[j] != sent.ids[i] || got.targets[j] != targets[k] ||
+				got.hops[j] != sent.hops[i]+1 || !reflect.DeepEqual(got.recs[j], recs[i]) {
 				t.Errorf("record %d left for %s as (%d, %v, %d hops, %v), want (%d, %v, %d hops, %v)",
-					i, hops[k], out.ReqIDs[j], out.Targets[j], out.Hops[j], got[j],
-					in.ReqIDs[i], targets[k], in.Hops[i]+1, recs[i])
+					i, hops[k], got.ids[j], got.targets[j], got.hops[j], got.recs[j],
+					sent.ids[i], targets[k], sent.hops[i]+1, recs[i])
 			}
 		}
 	}
@@ -183,8 +214,8 @@ func TestReplicaRunCarriesNewRecordsOnly(t *testing.T) {
 		for _, i := range acked {
 			ids = append(ids, uint64(500+i))
 		}
-		if a := acks[0]; !reflect.DeepEqual(a.ReqIDs, ids) || a.StoredAt.Addr != n.Addr() {
-			t.Errorf("%s: acked %v from %s, want %v from %s", stage, a.ReqIDs, a.StoredAt.Addr, ids, n.Addr())
+		if a := acks[0]; !reflect.DeepEqual(ackedIDs(a), ids) || a.StoredAt.Addr != n.Addr() {
+			t.Errorf("%s: acked %v from %s, want %v from %s", stage, ackedIDs(a), a.StoredAt.Addr, ids, n.Addr())
 		}
 	}
 	send(0, 0, 1, 2)
@@ -237,8 +268,8 @@ func TestOriginatorMixesOwnedAndForwarded(t *testing.T) {
 	if !ok1 || !ok2 {
 		t.Fatalf("the frame carries %T and %T, want the insert run first (its record came first)", sent[0], sent[1])
 	}
-	if got := ins.Recs.Records(); !reflect.DeepEqual(got, remote) || !reflect.DeepEqual(ins.Hops, []uint8{1, 1, 1}) || ins.OriginAddr != "a" {
-		t.Errorf("insert run carries %v with hops %v from %s, want %v one hop out of a", got, ins.Hops, ins.OriginAddr, remote)
+	if got := rowsOf(ins); !reflect.DeepEqual(got.recs, remote) || !reflect.DeepEqual(got.hops, []uint8{1, 1, 1}) || ins.OriginAddr != "a" {
+		t.Errorf("insert run carries %v with hops %v from %s, want %v one hop out of a", got.recs, got.hops, ins.OriginAddr, remote)
 	}
 	if got := rep.Recs.Records(); !reflect.DeepEqual(got, local) || rep.OwnerCode != a.Code() {
 		t.Errorf("replicate run carries %v from owner %v, want %v from %v", got, rep.OwnerCode, local, a.Code())
@@ -258,7 +289,7 @@ func TestReplicatedCountsStoredRecords(t *testing.T) {
 	n, owner := nodes[2], nodes[1].Code()
 	m := &wire.ReplicateRun{Index: sch.Tag, OwnerCode: owner}
 	for i := uint64(0); i < 3; i++ {
-		m.Recs.Append([]uint64{i, i * 7, 3})
+		m.Recs.AppendRow([]uint64{i, i * 7, 3})
 	}
 	frame := wire.Encode(m)
 	n.dispatch("n1", frame)

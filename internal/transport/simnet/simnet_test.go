@@ -1,11 +1,13 @@
 package simnet
 
 import (
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"mind/internal/schema"
 	"mind/internal/wire"
 )
 
@@ -404,7 +406,9 @@ func TestBatchPayloadRoundTrip(t *testing.T) {
 	b, _ := n.Endpoint("b")
 
 	sub1 := wire.Encode(&wire.Heartbeat{From: wire.NodeInfo{Addr: "a"}, Seq: 1})
-	sub2 := wire.Encode(&wire.InsertAcks{ReqIDs: []uint64{7}, Hops: []uint8{3}})
+	sent := &wire.InsertAcks{}
+	sent.Append(7, 3)
+	sub2 := wire.Encode(sent)
 	payload := wire.Encode(&wire.Batch{Msgs: [][]byte{sub1, sub2}})
 
 	var got []byte
@@ -428,7 +432,7 @@ func TestBatchPayloadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a2, ok := ack.(*wire.InsertAcks); !ok || a2.ReqIDs[0] != 7 || a2.Hops[0] != 3 {
+	if a2, ok := ack.(*wire.InsertAcks); !ok || !reflect.DeepEqual(a2.Rows.Records(), []schema.Record{{7, 3}}) {
 		t.Fatalf("sub-message round-trip: %#v", ack)
 	}
 }

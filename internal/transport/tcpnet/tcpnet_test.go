@@ -2,10 +2,12 @@ package tcpnet
 
 import (
 	"bytes"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"mind/internal/schema"
 	"mind/internal/wire"
 )
 
@@ -241,7 +243,9 @@ func TestBatchPayloadRoundTrip(t *testing.T) {
 	defer b.Close()
 
 	sub1 := wire.Encode(&wire.Heartbeat{From: wire.NodeInfo{Addr: a.Addr()}, Seq: 1})
-	sub2 := wire.Encode(&wire.InsertAcks{ReqIDs: []uint64{42}, Hops: []uint8{5}})
+	sent := &wire.InsertAcks{}
+	sent.Append(42, 5)
+	sub2 := wire.Encode(sent)
 	payload := wire.Encode(&wire.Batch{Msgs: [][]byte{sub1, sub2}})
 
 	var mu sync.Mutex
@@ -272,7 +276,7 @@ func TestBatchPayloadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a2, ok := ack.(*wire.InsertAcks); !ok || a2.ReqIDs[0] != 42 || a2.Hops[0] != 5 {
+	if a2, ok := ack.(*wire.InsertAcks); !ok || !reflect.DeepEqual(a2.Rows.Records(), []schema.Record{{42, 5}}) {
 		t.Fatalf("sub-message round-trip: %#v", ack)
 	}
 }

@@ -69,12 +69,12 @@ func TestAllocBudgetEncodePooled(t *testing.T) {
 	}
 }
 
-// TestAllocBudgetDecodeInsert: an insert run decodes in eight allocations
+// TestAllocBudgetDecodeInsert: an insert run decodes in five allocations
 // whatever its record count — the message, the codec, the origin and
-// index strings, the three columns and the one-run record list aliasing
-// the frame — so a 64-record run costs what a run of one does.
+// index strings and the one-run group list aliasing the frame — so a
+// 64-record run costs what a run of one does.
 func TestAllocBudgetDecodeInsert(t *testing.T) {
-	const budget = 8
+	const budget = 5
 	for _, n := range []int{1, 64} {
 		data := Encode(insertRun(n))
 		allocs := testing.AllocsPerRun(200, func() {

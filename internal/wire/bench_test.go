@@ -14,6 +14,8 @@ func benchMessages() []Message {
 	code := bitstr.New(0b1011, 4)
 	ins := &InsertRun{OriginAddr: "10.0.0.1:7001", Index: "index1-fanout", Version: 3}
 	ins.Append(81, code, 2, []uint64{123456, 77, 4242, 9})
+	ack := &InsertAcks{StoredAt: NodeInfo{Addr: "10.0.0.2:7001", Code: code}}
+	ack.Append(81, 2)
 	return []Message{
 		ins,
 		&QueryResp{
@@ -22,7 +24,7 @@ func benchMessages() []Message {
 			Recs: groupsOf(schema.Record{1, 2, 3, 4}, schema.Record{5, 6, 7, 8}, schema.Record{9, 10, 11, 12}),
 			Hops: 3,
 		},
-		&InsertAcks{StoredAt: NodeInfo{Addr: "10.0.0.2:7001", Code: code}, ReqIDs: []uint64{81}, Hops: []uint8{2}},
+		ack,
 	}
 }
 
@@ -193,7 +195,7 @@ func BenchmarkEncodeInsert(b *testing.B) {
 	m := &InsertRun{OriginAddr: "127.0.0.1:40123", Index: "index2-octets", Version: 3}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m.ReqIDs, m.Targets, m.Hops, m.Recs = m.ReqIDs[:0], m.Targets[:0], m.Hops[:0], RecList{}
+		m.Rows = Groups{}
 		for j, rec := range recs {
 			m.Append(uint64(j+1)<<40, code, 1, rec)
 		}

@@ -240,7 +240,6 @@ func (c *codec) U64(v *uint64) {
 // remain — each element of every repeated shape encodes to at least one
 // byte — so no input makes Decode allocate more than a constant
 // multiple of its own size. The lengths that do not pass through here —
-// a record's arity, held to twice the bytes that remain (checkRec), and
 // a group's rows and arity, held to the density rule (readGroup) — keep
 // a decoded list's values within that multiple too.
 func (c *codec) count(n, max int) int {
@@ -323,8 +322,8 @@ func (c *codec) U64s(v *[]uint64) {
 
 // uvarints decodes len(dst) varints into dst: one loop over locals, not
 // a sticky-error method call per value — a client insert's record, a
-// sketch's keys and counts (records between nodes have forms of their
-// own: RecList, Groups).
+// sketch's keys and counts (records between nodes travel as groups:
+// Groups).
 // With ten bytes in hand (the longest varint) a value is decoded a word
 // at a time: its length is the
 // position of the first clear continuation bit in the next eight bytes,

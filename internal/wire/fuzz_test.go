@@ -75,9 +75,9 @@ func genScatterMessage(k Kind, r *rand.Rand) Message {
 
 // FuzzEveryKind holds every registered kind to one contract. Arbitrary
 // bytes under the kind's tag either fail to decode or decode to a
-// message the node can safely index (parallel slices agree, a run's
-// columns hold one value per record, a batch holds only non-empty
-// non-batch sub-messages) that survives
+// message the node can safely index (parallel slices agree, a run holds
+// a record and its rows keep their kind's rule, a batch holds only
+// non-empty non-batch sub-messages) that survives
 // encode→decode unchanged, with a re-encoding that is a fixed point;
 // nothing panics. For the five scatter-gather kinds a generated
 // well-formed message also survives encode→decode→encode
@@ -86,7 +86,8 @@ func genScatterMessage(k Kind, r *rand.Rand) Message {
 // answer whose records alternate between two arities, an answer whose
 // group list breaks one rule of the group form for each rule, runs of 1, 2
 // and 65 records of each write-path kind (insert runs with and without
-// the repeat bit), a batch of routed messages and a nested batch.
+// the repeat bit), a run breaking each rule of its kind (hostileRuns), a
+// batch of routed messages and a nested batch.
 func FuzzEveryKind(f *testing.F) {
 	ks := registered()
 	for i, k := range ks {
@@ -111,6 +112,12 @@ func FuzzEveryKind(f *testing.F) {
 				}[k])[1:])
 				if k == KindInsert {
 					f.Add(uint8(i), Encode(repeatRun(n))[1:])
+				}
+			}
+			// A run breaking each rule of its kind.
+			for _, h := range hostileRuns() {
+				if Kind(h.enc[0]) == k {
+					f.Add(uint8(i), h.enc[1:])
 				}
 			}
 		}
@@ -148,18 +155,27 @@ func FuzzEveryKind(f *testing.F) {
 				t.Fatalf("ClientAggResp decoded with disagreeing sketch slices")
 			}
 		case *InsertRun:
-			if n := m.Recs.Len(); n == 0 || len(m.ReqIDs) != n || len(m.Targets) != n || len(m.Hops) != n {
-				t.Fatalf("InsertRun decoded with %d records and columns of %d, %d, %d",
-					n, len(m.ReqIDs), len(m.Targets), len(m.Hops))
+			if m.Rows.Len() == 0 {
+				t.Fatalf("InsertRun decoded with no records")
 			}
+			m.Rows.EachRow(func(row []uint64) {
+				if len(row) < InsertCols || row[rowTargetLen] > bitstr.MaxLen || row[rowHops] > 255 {
+					t.Fatalf("InsertRun decoded with row %v", row)
+				}
+			})
 		case *ReplicateRun:
 			if m.Recs.Len() == 0 {
 				t.Fatalf("ReplicateRun decoded with no records")
 			}
 		case *InsertAcks:
-			if len(m.ReqIDs) == 0 || len(m.Hops) != len(m.ReqIDs) {
-				t.Fatalf("InsertAcks decoded with %d ids and %d hop counts", len(m.ReqIDs), len(m.Hops))
+			if m.Rows.Len() == 0 {
+				t.Fatalf("InsertAcks decoded with no records")
 			}
+			m.Rows.EachRow(func(row []uint64) {
+				if len(row) != 2 || row[1] > 255 {
+					t.Fatalf("InsertAcks decoded with row %v", row)
+				}
+			})
 		case *Batch:
 			for i, sub := range m.Msgs {
 				if len(sub) == 0 || Kind(sub[0]) == KindBatch {

@@ -4,12 +4,15 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
+	"sync"
 
 	"mind/internal/schema"
 )
 
-// Query answers (query-resp, client-query-resp) carry their records as
-// groups: a record count, then groups whose row counts sum to it, each
+// Every record list between nodes — query answers (query-resp,
+// client-query-resp) and the write path's runs (insert, replicate,
+// insert-ack) — is in groups: a record count, then groups whose row
+// counts sum to it, each
 //
 //	rows (one byte, 1–32) | arity (uvarint) |
 //	per column: reference (uvarint), width | shift<<7 (uvarint) |
@@ -20,7 +23,9 @@ import (
 // the offsets bit-packed column after column, least significant bit
 // first. A responder packs each store batch's selection straight into
 // one group; the originator checks a group by its header alone and
-// splices it on as bytes; only the final consumer decodes it. The header
+// splices it on as bytes; only the final consumer decodes it. A
+// write-path hop decodes each group of a run once and re-packs its rows
+// by next hop. The header
 // is the whole check, because it bounds every value the offsets can
 // spell: width ≤ 64, shift + width ≤ 64, and reference + the largest
 // offset its width holds, shifted, below 2⁶⁴ (an encoder lowers a
@@ -35,12 +40,12 @@ const MaxGroupRows = 32
 
 // stackCols and stackWords size the stack buffers a decode keeps a
 // group's column readers and, for a group it cannot read in place, its
-// offset bytes in (8·stackWords of them): arity 8, and 32 rows of 120
-// bits with 16 bytes to spare; a larger group allocates them once per
-// decode.
+// offset bytes in (8·stackWords of them): arity 16 — an insert run's row
+// of a 12-value record — and 32 rows of 252 bits with 16 bytes to spare;
+// a larger group allocates them once per decode.
 const (
-	stackCols  = 8
-	stackWords = 64
+	stackCols  = 16
+	stackWords = 128
 )
 
 // gatherWords sizes the stack buffer an encode from records gathers a
@@ -282,60 +287,50 @@ func DecodeGroup(b []byte, dst []uint64) (rows []uint64, n, size int) {
 }
 
 // Groups is a record list in groups, in its wire form: a record count
-// and the byte runs that, concatenated, are its groups. A responder
+// and the byte runs that, concatenated, are its groups. Every record list
+// between nodes is one: a query answer's records, and a write-path run's
+// rows (an insert run's, a replicate run's, an ack run's). A responder
 // packs its store batches into one (AppendBatch, AppendRows), an
 // originator splices the groups it admitted into one (SpliceList, or
-// Splice a run of groups at a time), and only the final consumer decodes
-// it (Records).
+// Splice a run of groups at a time), a write-path hop adds rows one at a
+// time (AppendRow), and only the final consumer decodes it (Records,
+// EachRow).
 //
 // A batch whose own group would be mostly header — a narrow answer's
-// record or two, a window's edge in a wide one — does not get one: its
-// rows join the list's open group, which collects such rows, up to 32,
-// and is framed when it closes: when it is full, or when the list is
-// read or encoded, or a splice goes on after it. Its records follow
-// those of the groups packed while it was open.
+// record or two, a window's edge in a wide one, a routed record — does
+// not get one: its rows join the list's open group, which copies such
+// rows, up to 32, and is framed when it closes: when it is full, or when
+// the list is read or encoded, or a splice goes on after it. Its records
+// follow those of the groups packed while it was open. The list keeps no
+// packing scratch of its own: a call that frames a group borrows it
+// (encPool).
 //
 // A decoded Groups is one run that aliases the frame it was decoded
 // from, checked group by group but not copied: a frame must not be
-// reused while a list decoded from it lives (RecList says why every
-// path a query-resp arrives by is safe). Spliced and decoded runs are
-// capped, so appending to the list never writes into the frame behind
-// them. A Groups has one owner: copies of one share runs and the open
-// group, so a list is closed before it is handed on.
+// reused while a list decoded from it lives. Every path a message
+// arrives by hands Decode a buffer of its own — tcpnet reads each frame
+// into a fresh one, simnet copies in Send, and a batch's sub-messages
+// are copies made when the batch decodes; the one caller that reuses its
+// read buffer, the ingest client, keeps only stream-status frames.
+// Spliced and decoded runs are capped, so appending to the list never
+// writes into the frame behind them. A Groups has one owner: copies of
+// one share runs and the open group's rows, so a list is closed before
+// it is handed on.
 type Groups struct {
 	n    int // the records in runs
 	runs [][]byte
-	pk   *packer // nil until the list packs a row: a decoded list needs none
+	// The open group: its rows (stride openK), copied in, and their
+	// number.
+	open         []uint64
+	openN, openK int
 }
 
-// packer is what a list that packs groups keeps: the encoder's scratch
-// and the open group's rows, in buffers of its own up to 8 columns and
-// a narrow answer's few rows.
-type packer struct {
-	groupEnc
-	open  []uint64 // the open group's rows, stride openK
-	openN int      // and their number
-	openK int
-	fbuf  [stackCols]schema.Frame
-	obuf  [32]uint64
-}
-
-// packer returns the list's packer, made on first use.
-func (l *Groups) packer() *packer {
-	if l.pk == nil {
-		l.pk = new(packer)
-		l.pk.frames, l.pk.open = l.pk.fbuf[:0], l.pk.obuf[:0]
-	}
-	return l.pk
-}
+// encPool lends a call that frames groups its scratch (groupEnc): the
+// frames and offset words are used only within the call.
+var encPool = sync.Pool{New: func() any { return new(groupEnc) }}
 
 // Len returns the number of records in the list.
-func (l Groups) Len() int {
-	if l.pk == nil {
-		return l.n
-	}
-	return l.n + l.pk.openN
-}
+func (l Groups) Len() int { return l.n + l.openN }
 
 // Runs returns the list's byte runs, the open group closed first; each
 // holds whole groups, so DecodeGroup walks it from its start. The runs
@@ -345,16 +340,41 @@ func (l *Groups) Runs() [][]byte {
 	return l.runs
 }
 
+// openRun returns runs with a last run that has room for n more bytes,
+// and that run. When the last run has too little it opens a new one of
+// twice its capacity, or of n bytes when that is more, instead of
+// growing it: a responder's list grows a batch at a time to tens of
+// kilobytes in a few runs, and no byte is ever copied. The first run
+// holds n rounded up to a power of two: what a narrow answer or a short
+// run needs, in a few size classes whatever its groups' sizes: runs of
+// every size would scatter over many classes and keep in use the spans
+// they share with long-lived data (EXPERIMENTS.md, "One record codec on
+// the wire").
+func openRun(runs [][]byte, n int) ([][]byte, []byte) {
+	size := 1 << bits.Len(uint(n-1))
+	if len(runs) > 0 {
+		run := runs[len(runs)-1]
+		if cap(run)-len(run) >= n {
+			return runs, run
+		}
+		size = max(n, 2*cap(run))
+	}
+	runs = append(runs, make([]byte, 0, size))
+	return runs, runs[len(runs)-1]
+}
+
 // AppendRows packs the rows of a store batch (rows of stride arity, sel
 // their word offsets) onto the end of the list, 32 to a group, straight
 // from rows: nothing is gathered but the rows a small group would hold,
 // which join the open group instead.
 func (l *Groups) AppendRows(rows []uint64, sel []int32, arity int) {
+	e := encPool.Get().(*groupEnc)
 	for len(sel) > 0 {
 		m := min(len(sel), MaxGroupRows)
-		l.appendGroup(rows, sel[:m], arity)
+		l.appendGroup(e, rows, sel[:m], arity)
 		sel = sel[m:]
 	}
+	encPool.Put(e)
 }
 
 // AppendBatch packs a store batch's selection onto the end of the list
@@ -365,13 +385,13 @@ func (l *Groups) AppendRows(rows []uint64, sel []int32, arity int) {
 // they are (a reference fit must lower, a group the density rule
 // splits), is decoded and packed as AppendRows packs.
 func (l *Groups) AppendBatch(b *schema.Batch) {
-	e := &l.packer().groupEnc
 	n, arity := b.Len(), b.Arity()
 	// Every column's header takes two bytes or more, and no offset is
 	// wider than the run keeps it: a batch whose offsets fill fewer bytes
 	// than that is small without being framed.
 	small := b.Packed() && (n*b.RowBits()+7)/8 < 2+2*arity
 	if b.Packed() && !small {
+		e := encPool.Get().(*groupEnc)
 		if cap(e.frames) < arity {
 			e.frames = make([]schema.Frame, 0, arity)
 		}
@@ -384,8 +404,10 @@ func (l *Groups) AppendBatch(b *schema.Batch) {
 			e.putBatch(run[len(run):cap(run)], b)
 			l.runs[len(l.runs)-1] = run[:len(run)+size]
 			l.n += n
+			encPool.Put(e)
 			return
 		}
+		encPool.Put(e)
 		small = !moved && head > body
 	}
 	rows, sel := b.Rows()
@@ -398,27 +420,44 @@ func (l *Groups) AppendBatch(b *schema.Batch) {
 
 // appendGroup packs the rows sel lists, 1 to 32, as one group, or into
 // the open group when their own would be mostly header.
-func (l *Groups) appendGroup(rows []uint64, sel []int32, arity int) {
-	if head, body := l.packer().frame(rows, sel, arity); head > body {
+func (l *Groups) appendGroup(e *groupEnc, rows []uint64, sel []int32, arity int) {
+	if head, body := e.frame(rows, sel, arity); head > body {
 		l.hold(rows, sel, arity)
 		return
 	}
-	l.put(rows, sel, arity)
+	l.put(e, rows, sel, arity)
 }
 
-// hold adds the rows sel lists to the open group, closing it first when
-// it holds rows of another arity and whenever it fills.
+// hold adds the rows sel lists to the open group (AppendRow).
 func (l *Groups) hold(rows []uint64, sel []int32, arity int) {
-	pk := l.pk
-	if pk.openN > 0 && pk.openK != arity {
+	for _, o := range sel {
+		l.AppendRow(rows[o : int(o)+arity])
+	}
+}
+
+// openRows is the rows the open group first makes room for: a narrow
+// answer's or a short run's. One that outgrows them gets room for a
+// full group, so the open group allocates at most twice.
+const openRows = 4
+
+// AppendRow adds one row to the list's open group, copying it: a row
+// framed alone would be mostly header. The open group closes first when
+// it holds rows of another arity, and whenever it fills.
+func (l *Groups) AppendRow(row []uint64) {
+	if l.openN > 0 && l.openK != len(row) {
 		l.Close()
 	}
-	pk.openK = arity
-	for _, o := range sel {
-		pk.open = append(pk.open, rows[o:int(o)+arity]...)
-		if pk.openN++; pk.openN == MaxGroupRows {
-			l.Close()
+	l.openK = len(row)
+	if cap(l.open)-len(l.open) < len(row) {
+		rows := openRows
+		if cap(l.open) > 0 {
+			rows = MaxGroupRows
 		}
+		l.open = append(make([]uint64, 0, rows*len(row)), l.open...)
+	}
+	l.open = append(l.open, row...)
+	if l.openN++; l.openN == MaxGroupRows {
+		l.Close()
 	}
 }
 
@@ -427,33 +466,33 @@ func (l *Groups) hold(rows []uint64, sel []int32, arity int) {
 // closes its answer before handing it on, so that copies of the list
 // share only whole groups.
 func (l *Groups) Close() {
-	pk := l.pk
-	if pk == nil || pk.openN == 0 {
+	if l.openN == 0 {
 		return
 	}
 	var sbuf [MaxGroupRows]int32
-	sel := sbuf[:pk.openN]
+	sel := sbuf[:l.openN]
 	for i := range sel {
-		sel[i] = int32(i * pk.openK)
+		sel[i] = int32(i * l.openK)
 	}
-	pk.frame(pk.open, sel, pk.openK)
-	l.put(pk.open, sel, pk.openK)
-	pk.open, pk.openN = pk.open[:0], 0
+	e := encPool.Get().(*groupEnc)
+	e.frame(l.open, sel, l.openK)
+	l.put(e, l.open, sel, l.openK)
+	encPool.Put(e)
+	l.open, l.openN = l.open[:0], 0
 }
 
 // put packs the rows sel lists, 1 to 32, framed just now (frame), as one
 // group, or as the groups its halves make when one would break the
 // density rule.
-func (l *Groups) put(rows []uint64, sel []int32, arity int) {
-	e := &l.pk.groupEnc
+func (l *Groups) put(e *groupEnc, rows []uint64, sel []int32, arity int) {
 	head, body, _ := e.fitFrames(len(sel), arity)
 	size := head + body
 	if !dense(len(sel), arity, size) {
 		h := len(sel) / 2
 		e.frame(rows, sel[:h], arity)
-		l.put(rows, sel[:h], arity)
+		l.put(e, rows, sel[:h], arity)
 		e.frame(rows, sel[h:], arity)
-		l.put(rows, sel[h:], arity)
+		l.put(e, rows, sel[h:], arity)
 		return
 	}
 	var run []byte
@@ -539,6 +578,30 @@ func (l *Groups) Records() []schema.Record {
 		}
 	}
 	return d.recs
+}
+
+// rowPool lends EachRow its decode scratch, a full group of up to
+// stackCols columns.
+var rowPool = sync.Pool{New: func() any { return new([MaxGroupRows * stackCols]uint64) }}
+
+// EachRow calls fn with every row of the list, in order: each group is
+// decoded once (DecodeGroup) into one scratch buffer that the next group
+// reuses (rowPool's, up to arity 16), so fn must not keep a row. A row
+// is capped: appending to it reallocates.
+func (l *Groups) EachRow(fn func(row []uint64)) {
+	scratch := rowPool.Get().(*[MaxGroupRows * stackCols]uint64)
+	buf := scratch[:0]
+	for _, run := range l.Runs() {
+		for off := 0; off < len(run); {
+			rows, n, size := DecodeGroup(run[off:], buf)
+			k := len(rows) / n
+			for r := range n {
+				fn(rows[r*k : (r+1)*k : (r+1)*k])
+			}
+			buf, off = rows, off+size
+		}
+	}
+	rowPool.Put(scratch)
 }
 
 // groupDec decodes checked groups one after another into one arena,
@@ -710,4 +773,61 @@ func (c *codec) groupRun(n int) (run []byte, values int) {
 		}
 	}
 	return c.buf[start:c.off:c.off], values
+}
+
+// rowRule is what every row of a write-path run's group list holds: at
+// least arity columns (exactly arity, when exact), and no value over
+// max[i] in its column i.
+type rowRule struct {
+	arity int
+	exact bool
+	max   []uint64
+}
+
+// run walks the group list of a write-path run (Groups); decoding, it
+// fails an empty run and one with a group whose rows break rule.
+func (c *codec) run(l *Groups, rule rowRule) {
+	c.Groups(l)
+	switch {
+	case !c.dec || c.err != nil:
+	case l.n == 0:
+		c.fail("empty run")
+	default:
+		c.checkRows(l.runs[0], rule)
+	}
+}
+
+// checkRows holds every group of run, a decoded list's, to rule. A
+// group whose bounded columns' headers bound every value they can spell
+// within the rule passes by its header alone; any other is decoded and
+// its values compared.
+func (c *codec) checkRows(run []byte, rule rowRule) {
+	var cbuf [stackCols]schema.Column
+	var buf []uint64
+	for off := 0; off < len(run); {
+		b := run[off:]
+		h, cols, _ := readGroup(b, cbuf[:0])
+		if h.arity < rule.arity || rule.exact && h.arity != rule.arity {
+			c.fail("group of arity %d in a run whose rows have %d columns", h.arity, rule.arity)
+			return
+		}
+		loose := false
+		for i, most := range rule.max {
+			loose = loose || cols[i].Ref+cols[i].Mask*cols[i].Scale > most
+		}
+		if loose {
+			var rows []uint64
+			rows, _, _ = DecodeGroup(b, buf)
+			for r := 0; r < len(rows); r += h.arity {
+				for i, most := range rule.max {
+					if v := rows[r+i]; v > most {
+						c.fail("value %d in column %d of a run's row, over %d", v, i, most)
+						return
+					}
+				}
+			}
+			buf = rows
+		}
+		off += h.size
+	}
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"math"
 
 	"mind/internal/bitstr"
 	"mind/internal/schema"
@@ -449,18 +450,21 @@ func (m *LivenessReply) fields(c *codec) {
 // --- Data path ----------------------------------------------------------
 
 // InsertRun greedy-routes records of one index version toward the codes
-// their indexed points hash to (§3.5): one header, then one column per
-// record field and the records as one record list — a single record is a
-// run of one. Attempt is 0 for the first transmission and counts up on
-// each originator retransmission, to at most MaxAttempt; every attempt
-// carries the same ReqID and owners dedup on it, so any attempt is safe
-// to store. Repeat marks records that may already be stored at their
-// owner under another ReqID — retransmissions and repair re-inserts — so
-// the owner first looks for a byte-identical stored copy. It travels in the high bit of the attempt
-// byte, so a run without it encodes as it did before the bit existed.
-// TreeEpoch identifies the cut tree the originator used to compute the
-// Targets for Version (version-skew detection, §3.7 under faults).
-// DESIGN.md §6 "The record-list rule".
+// their indexed points hash to (§3.5): one header, then a row per record
+// in one group list (Groups) — the record's ReqID, its target (Code.Pack's
+// left-aligned bits, then its length), its hop count and then its values
+// (InsertRow); a single record is a run of one. The ReqID is the
+// originator's ack key and the owner's dedup key. Attempt is 0 for the
+// first transmission and counts up on each originator retransmission, to
+// at most MaxAttempt; every attempt carries the same ReqID and owners
+// dedup on it, so any attempt is safe to store. Repeat marks records
+// that may already be stored at their owner under another ReqID —
+// retransmissions and repair re-inserts — so the owner first looks for a
+// stored copy with the same values. It travels in the high bit of the
+// attempt byte, so a run without it encodes as it did before the bit
+// existed. TreeEpoch identifies the cut tree the originator used to
+// compute the targets for Version (version-skew detection, §3.7 under
+// faults). DESIGN.md §6 "The group rule".
 type InsertRun struct {
 	OriginAddr string
 	Index      string
@@ -468,12 +472,23 @@ type InsertRun struct {
 	TreeEpoch  uint64
 	Attempt    uint8
 	Repeat     bool
-	// Per record, in Recs order.
-	ReqIDs  []uint64 // the originator's ack and the owner's dedup key
-	Targets []bitstr.Code
-	Hops    []uint8
-	Recs    RecList
+	Rows       Groups
 }
+
+// The columns of an insert run's row before its record's values.
+const (
+	rowReqID = iota
+	rowTarget
+	rowTargetLen
+	rowHops
+	InsertCols // the record's values start at this column
+)
+
+// insertRows is the rule every insert run's row keeps: its four columns
+// and a target length and hop count that fit.
+var insertRows = rowRule{arity: InsertCols, max: []uint64{
+	rowReqID: math.MaxUint64, rowTarget: math.MaxUint64, rowTargetLen: bitstr.MaxLen, rowHops: math.MaxUint8,
+}}
 
 func (m *InsertRun) Kind() Kind { return KindInsert }
 func (m *InsertRun) fields(c *codec) {
@@ -489,10 +504,7 @@ func (m *InsertRun) fields(c *codec) {
 	if c.dec {
 		m.Attempt, m.Repeat = attempt&MaxAttempt, attempt&repeatBit != 0
 	}
-	n := c.run(&m.Recs)
-	column(c, &m.ReqIDs, n, (*codec).Uvarint)
-	column(c, &m.Targets, n, (*codec).Code)
-	column(c, &m.Hops, n, (*codec).U8)
+	c.run(&m.Rows, insertRows)
 }
 
 // MaxAttempt is the largest attempt an insert run carries: its byte's
@@ -502,40 +514,57 @@ const (
 	repeatBit  = 0x80
 )
 
-// Append adds one record under the run's header: the record's values are
-// encoded onto Recs.
+// Append adds one record under the run's header: its row joins Rows'
+// open group, which copies it.
 func (m *InsertRun) Append(reqID uint64, target bitstr.Code, hops uint8, rec []uint64) {
-	m.ReqIDs, m.Targets, m.Hops = append(m.ReqIDs, reqID), append(m.Targets, target), append(m.Hops, hops)
-	m.Recs.Append(rec)
+	var buf [stackCols]uint64
+	bits, n := target.Pack()
+	m.Rows.AppendRow(append(append(buf[:0], reqID, bits, uint64(n), uint64(hops)), rec...))
 }
 
-// InsertAcks confirms storage directly to the originator: one ReqID and
-// the hop count its record travelled per stored record.
+// InsertRow splits an insert run's row into its record's ReqID, target,
+// hop count and values; the values are the row's tail, not a copy.
+// Stray target bits past its length are zeroed (bitstr.Unpack).
+func InsertRow(row []uint64) (reqID uint64, target bitstr.Code, hops uint8, rec schema.Record) {
+	return row[rowReqID], bitstr.Unpack(row[rowTarget], uint8(row[rowTargetLen])), uint8(row[rowHops]), row[InsertCols:]
+}
+
+// InsertAcks confirms storage directly to the originator: a row per
+// stored record, in one group list — its ReqID and the hop count it
+// travelled (AckRow).
 type InsertAcks struct {
 	StoredAt NodeInfo
-	ReqIDs   []uint64
-	Hops     []uint8
+	Rows     Groups
 }
+
+// ackRows is the rule every ack run's row keeps: a ReqID and a hop
+// count that fits.
+var ackRows = rowRule{arity: 2, exact: true, max: []uint64{math.MaxUint64, math.MaxUint8}}
 
 func (m *InsertAcks) Kind() Kind { return KindInsertAck }
 func (m *InsertAcks) fields(c *codec) {
 	c.Node(&m.StoredAt)
-	slice(c, &m.ReqIDs, MaxSliceLen, (*codec).Uvarint)
-	if c.dec && c.err == nil && len(m.ReqIDs) == 0 {
-		c.fail("empty ack run")
-	}
-	column(c, &m.Hops, len(m.ReqIDs), (*codec).U8)
+	c.run(&m.Rows, ackRows)
 }
 
+// Append acks one record.
+func (m *InsertAcks) Append(reqID uint64, hops uint8) {
+	row := [2]uint64{reqID, uint64(hops)}
+	m.Rows.AppendRow(row[:])
+}
+
+// AckRow splits an ack run's row into its ReqID and hop count.
+func AckRow(row []uint64) (reqID uint64, hops uint8) { return row[0], uint8(row[1]) }
+
 // ReplicateRun copies records an owner newly stored to a replica-set
-// neighbor (§3.8): one header and the records as one record list. It
+// neighbor (§3.8): one header and the records as one group list. It
 // carries no ids: an owner sends each stored record once, and a transport
 // never delivers a frame twice, so the replica store keeps every record.
 type ReplicateRun struct {
 	Index     string
 	Version   uint32
 	OwnerCode bitstr.Code
-	Recs      RecList
+	Recs      Groups
 }
 
 func (m *ReplicateRun) Kind() Kind { return KindReplicate }
@@ -543,7 +572,7 @@ func (m *ReplicateRun) fields(c *codec) {
 	c.String(&m.Index)
 	c.U32(&m.Version)
 	c.Code(&m.OwnerCode)
-	c.run(&m.Recs)
+	c.run(&m.Recs, rowRule{})
 }
 
 // Query is a multi-dimensional range query greedy-routed toward the code

@@ -11,20 +11,6 @@ import (
 	"mind/internal/schema"
 )
 
-// listOf is recs as Decode hands a record list over: one run holding
-// their encoding.
-func listOf(recs ...schema.Record) RecList {
-	var built RecList
-	for _, rec := range recs {
-		built.Append(rec)
-	}
-	enc := &codec{}
-	enc.RecList(&built)
-	var l RecList
-	decoder(enc.buf[:enc.off]).RecList(&l)
-	return l
-}
-
 // groupsOf is recs as Decode hands a group list over: one run holding
 // their groups, each stretch of one arity 32 records at a time.
 func groupsOf(recs ...schema.Record) Groups {
@@ -140,64 +126,6 @@ func TestDecodeRecsArena(t *testing.T) {
 	}
 }
 
-// TestRecListRejectsHostile: every rule of the record form, one input
-// each, that a decoder without the rule would accept; and every proper
-// prefix of a valid list. Each is refused, and leaves its target alone.
-func TestRecListRejectsHostile(t *testing.T) {
-	refuses := func(t *testing.T, name string, body []byte) {
-		t.Helper()
-		var l RecList
-		c := decoder(body)
-		if c.RecList(&l); c.err == nil && c.remaining() == 0 {
-			t.Errorf("%s: %x accepted as a RecList", name, body)
-		}
-		if l.Len() != 0 {
-			t.Errorf("%s: a refused decode wrote its target", name)
-		}
-	}
-	one := func(rec ...byte) []byte { return append([]byte{1}, rec...) }
-	for nib := byte(9); nib <= 15; nib++ {
-		nines := bytes.Repeat([]byte{0xff}, int(nib))
-		refuses(t, "low nibble over 8", one(append([]byte{1, nib}, nines...)...))
-		refuses(t, "high nibble over 8", one(append([]byte{2, nib << 4}, nines...)...))
-	}
-	for name, body := range map[string][]byte{
-		"value with a zero top byte":      one(1, 0x02, 0x05, 0x00),
-		"zero value given a byte":         one(1, 0x01, 0x00),
-		"full-width value, top byte zero": one(1, 0x08, 1, 2, 3, 4, 5, 6, 7, 0),
-		"non-minimal arity":               one(0x81, 0x00, 0x01, 0x05),
-		"stray nibble after odd arity":    one(1, 0x11, 0x05, 0x06),
-		"arity over twice the remaining":  one(7, 0, 0, 0),
-		"arity far past the input":        one(binary.AppendUvarint(nil, MaxSliceLen)...),
-		"value past the input":            one(1, 0x04, 1, 2, 3),
-		"missing tag byte":                one(2),
-		"fewer records than the count":    {3, 1, 0x01, 0x05, 0},
-	} {
-		refuses(t, name, body)
-	}
-	// The densest legal record: twice as many zero values as the bytes
-	// after its arity.
-	var l RecList
-	c := decoder(one(6, 0, 0, 0))
-	if c.RecList(&l); c.err != nil || c.remaining() != 0 || l.Len() != 1 {
-		t.Fatalf("six zero values in three tag bytes refused: %v", c.err)
-	}
-	if recs := l.Records(); !reflect.DeepEqual(recs, []schema.Record{make(schema.Record, 6)}) {
-		t.Fatalf("six zero values decoded as %v", recs)
-	}
-	valid := encodeList(listOf(schema.Record{1, 0, 1 << 40}, schema.Record{}, schema.Record{^uint64(0), 5}))
-	for cut := 0; cut < len(valid); cut++ {
-		refuses(t, "truncated list", valid[:cut])
-	}
-}
-
-// encodeList is l's wire form.
-func encodeList(l RecList) []byte {
-	enc := &codec{}
-	enc.RecList(&l)
-	return enc.buf[:enc.off]
-}
-
 // TestSplicedEqualsEncoded: a group list spliced from a decoded list's
 // runs, cut at group boundaries into any number of runs, encodes byte
 // for byte as the records it holds do, and decodes to them; and a list
@@ -273,85 +201,6 @@ func TestSplicedEqualsEncoded(t *testing.T) {
 			}
 		}
 	}
-}
-
-// refRecords decodes a record list by the letter of DESIGN.md §6, one
-// byte at a time: a count, then per record a minimal arity, its tag
-// bytes (no stray high nibble), and each value's bytes (length ≤ 8, top
-// byte non-zero). FuzzRecList holds the codec to it.
-func refRecords(b []byte) ([]schema.Record, bool) {
-	n, w := binary.Uvarint(b)
-	if w <= 0 {
-		return nil, false
-	}
-	b = b[w:]
-	var recs []schema.Record
-	for ; n > 0; n-- {
-		k, w := binary.Uvarint(b)
-		if w <= 0 || (w > 1 && b[w-1] == 0) || k/2+k%2 > uint64(len(b)-w) {
-			return nil, false
-		}
-		tags, rest := b[w:w+int(k+1)/2], b[w+int(k+1)/2:]
-		if k%2 == 1 && tags[len(tags)-1]>>4 != 0 {
-			return nil, false
-		}
-		rec := schema.Record{}
-		for i := 0; i < int(k); i++ {
-			l := int(tags[i/2]>>(4*(i%2))) & 15
-			if l > 8 || l > len(rest) || (l > 0 && rest[l-1] == 0) {
-				return nil, false
-			}
-			var v uint64
-			for j := 0; j < l; j++ {
-				v |= uint64(rest[j]) << (8 * j)
-			}
-			rec, rest = append(rec, v), rest[l:]
-		}
-		recs, b = append(recs, rec), rest
-	}
-	return recs, len(b) == 0
-}
-
-// FuzzRecList: bytes decode as a RecList exactly when they decode as a
-// record list (refRecords); then Records() is that decode, and encoding
-// the list — or a list built from the records — reproduces the input.
-func FuzzRecList(f *testing.F) {
-	for _, recs := range [][]schema.Record{
-		nil, {{}}, {{0}}, {{1, 2}, {3, 4}}, alternatingRecords(5), wideRecords(8),
-		{{0, ^uint64(0), 1 << 56, 0xff, 0x100}, make(schema.Record, 9)},
-	} {
-		enc := encodeList(listOf(recs...))
-		n, w := binary.Uvarint(enc)
-		f.Add(uint16(n), enc[w:])
-	}
-	// An arity of 2^64-1, whose tag-byte count overflows if taken as
-	// (k+1)/2.
-	f.Add(uint16(1), binary.AppendUvarint(nil, ^uint64(0)))
-	f.Fuzz(func(t *testing.T, count uint16, body []byte) {
-		data := append(binary.AppendUvarint(nil, uint64(count)), body...)
-		want, ok := refRecords(data)
-		var l RecList
-		c := decoder(data)
-		c.RecList(&l)
-		if got := c.err == nil && c.remaining() == 0; got != ok {
-			t.Fatalf("%x: RecList decode ok %v (%v), reference ok %v", data, got, c.err, ok)
-		}
-		if !ok {
-			return
-		}
-		if got := l.Records(); l.Len() != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-			t.Fatalf("%x: Records() = %v, reference %v", data, got, want)
-		}
-		var built RecList
-		for _, rec := range want {
-			built.Append(rec)
-		}
-		for _, enc := range []RecList{l, built} {
-			if got := encodeList(enc); !bytes.Equal(got, data) {
-				t.Fatalf("re-encoding %x gives %x", data, got)
-			}
-		}
-	})
 }
 
 // groupLen is the byte length of the group at the front of b.

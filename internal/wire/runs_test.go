@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -24,7 +23,7 @@ func insertRun(n int) *InsertRun {
 func replicateRun(n int) *ReplicateRun {
 	m := &ReplicateRun{Index: "index2-octets", Version: 3, OwnerCode: bitstr.New(0b101, 3)}
 	for _, rec := range wideRecords(n) {
-		m.Recs.Append(rec)
+		m.Recs.AppendRow(rec)
 	}
 	return m
 }
@@ -33,8 +32,7 @@ func replicateRun(n int) *ReplicateRun {
 func insertAcks(n int) *InsertAcks {
 	m := &InsertAcks{StoredAt: NodeInfo{Addr: "127.0.0.1:40124", Code: bitstr.New(0b1011, 4)}}
 	for i := 0; i < n; i++ {
-		m.ReqIDs = append(m.ReqIDs, 0x9e3779b97f4a0000|uint64(i+1))
-		m.Hops = append(m.Hops, uint8(i%4))
+		m.Append(0x9e3779b97f4a0000|uint64(i+1), uint8(i%4))
 	}
 	return m
 }
@@ -62,8 +60,28 @@ func TestRunsRoundTrip(t *testing.T) {
 			}
 		}
 		run, _ := Decode(Encode(insertRun(n)))
-		if got := run.(*InsertRun).Recs.Records(); !reflect.DeepEqual(got, wideRecords(n)) {
-			t.Fatalf("insert run of %d decoded other records", n)
+		i := 0
+		run.(*InsertRun).Rows.EachRow(func(row []uint64) {
+			reqID, target, hops, rec := InsertRow(row)
+			if reqID != 0x9e3779b97f4a0000|uint64(i+1) || target != bitstr.New(uint64(i)&0xfff, 12) || hops != uint8(1+i%3) ||
+				!reflect.DeepEqual(rec, wideRecords(n)[i]) {
+				t.Fatalf("insert run of %d: row %d decoded as %d %s %d %v", n, i, reqID, target, hops, rec)
+			}
+			i++
+		})
+		if i != n {
+			t.Fatalf("insert run of %d decoded %d rows", n, i)
+		}
+		acks, _ := Decode(Encode(insertAcks(n)))
+		i = 0
+		acks.(*InsertAcks).Rows.EachRow(func(row []uint64) {
+			if reqID, hops := AckRow(row); reqID != 0x9e3779b97f4a0000|uint64(i+1) || hops != uint8(i%4) {
+				t.Fatalf("ack run of %d: row %d decoded as %d %d", n, i, reqID, hops)
+			}
+			i++
+		})
+		if i != n {
+			t.Fatalf("ack run of %d decoded %d rows", n, i)
 		}
 	}
 }
@@ -106,8 +124,47 @@ func TestRunRepeatBit(t *testing.T) {
 	}
 }
 
-// TestRunsRejectHostile: a run's columns must each hold one value per
-// record, within the frame, and a run must hold a record.
+// hostileRun is a write-path run that breaks one decode rule.
+type hostileRun struct {
+	name string
+	enc  []byte
+}
+
+// hostileRuns breaks each rule a decoded run keeps, one input each: a
+// run holds a record, an insert row has its four columns, a target
+// length at most bitstr.MaxLen and a hop count at most 255, and an ack
+// row is a ReqID and a hop count of at most 255. A bound is broken both
+// where the group's header shows it (one row) and where only a value
+// does (a second row widens the frame past the bound).
+func hostileRuns() []hostileRun {
+	ins := func(rows ...schema.Record) []byte {
+		return Encode(&InsertRun{OriginAddr: "o", Index: "idx", Rows: groupsOf(rows...)})
+	}
+	ack := func(rows ...schema.Record) []byte {
+		return Encode(&InsertAcks{StoredAt: NodeInfo{Addr: "n"}, Rows: groupsOf(rows...)})
+	}
+	const over = bitstr.MaxLen + 1
+	return []hostileRun{
+		{"empty insert run", ins()},
+		{"empty replicate run", Encode(&ReplicateRun{Index: "idx"})},
+		{"empty ack run", ack()},
+		{"insert row of arity 3", ins(schema.Record{8, 0, 4})},
+		{"insert rows of arity 4, then 3", ins(schema.Record{8, 0, 0, 1}, schema.Record{8, 0, 4})},
+		{"target length over bitstr.MaxLen", ins(schema.Record{8, 0, over, 1, 5})},
+		{"target length over bitstr.MaxLen in a wide frame", ins(schema.Record{8, 0, 0, 1, 5}, schema.Record{9, 0, over, 1, 5})},
+		{"hop count over 255", ins(schema.Record{8, 0, 4, 256, 5})},
+		{"hop count over 255 in a wide frame", ins(schema.Record{8, 0, 4, 0, 5}, schema.Record{9, 0, 4, 256, 5})},
+		{"ack row of arity 1", ack(schema.Record{8})},
+		{"ack row of arity 3", ack(schema.Record{8, 1, 0})},
+		{"ack hop count over 255", ack(schema.Record{8, 256})},
+		{"ack hop count over 255 in a wide frame", ack(schema.Record{8, 0}, schema.Record{9, 256})},
+	}
+}
+
+// TestRunsRejectHostile: every rule a decoded run keeps refuses its
+// hostile input (hostileRuns), rows whose frames could spell a value
+// past a bound but hold none are accepted, and every truncation of every
+// layout is refused.
 func TestRunsRejectHostile(t *testing.T) {
 	refuses := func(name string, data []byte) {
 		t.Helper()
@@ -115,122 +172,28 @@ func TestRunsRejectHostile(t *testing.T) {
 			t.Errorf("%s: decoded to %+v", name, m)
 		}
 	}
-	// Every column one value short, then one value long.
-	for _, delta := range []int{-1, 1} {
-		resize := func(v []uint64) []uint64 {
-			if delta < 0 {
-				return v[:len(v)-1]
-			}
-			return append(v, 7)
+	for _, h := range hostileRuns() {
+		refuses(h.name, h.enc)
+	}
+	for name, m := range map[string]Message{
+		"target lengths 0 and bitstr.MaxLen": &InsertRun{OriginAddr: "o", Index: "idx",
+			Rows: groupsOf(schema.Record{8, 0, 0, 1, 5}, schema.Record{9, 0, bitstr.MaxLen, 1, 5})},
+		"hop counts 0 and 255": &InsertRun{OriginAddr: "o", Index: "idx",
+			Rows: groupsOf(schema.Record{8, 0, 4, 0, 5}, schema.Record{9, 0, 4, 255, 5})},
+		"ack hop counts 0 and 255": &InsertAcks{StoredAt: NodeInfo{Addr: "n"},
+			Rows: groupsOf(schema.Record{8, 0}, schema.Record{9, 255})},
+		"insert row of no values": &InsertRun{OriginAddr: "o", Index: "idx", Rows: groupsOf(schema.Record{8, 0, 0, 0})},
+	} {
+		if _, err := Decode(Encode(m)); err != nil {
+			t.Errorf("%s: refused: %v", name, err)
 		}
-		for col := 0; col < 3; col++ {
-			m := insertRun(3)
-			switch col {
-			case 0:
-				m.ReqIDs = resize(m.ReqIDs)
-			case 1:
-				m.Targets = m.Targets[:len(m.Targets)+min(delta, 0)]
-				if delta > 0 {
-					m.Targets = append(m.Targets, bitstr.Empty)
-				}
-			case 2:
-				m.Hops = m.Hops[:len(m.Hops)+min(delta, 0)]
-				if delta > 0 {
-					m.Hops = append(m.Hops, 1)
-				}
-			}
-			refuses("insert column length off the record count", Encode(m))
-		}
-		a := insertAcks(3)
-		a.Hops = a.Hops[:len(a.Hops)+min(delta, 0)]
-		if delta > 0 {
-			a.Hops = append(a.Hops, 1)
-		}
-		refuses("ack hops off the ReqID count", Encode(a))
 	}
 
-	// Every truncation of every layout, inside its columns too.
-	for _, m := range []Message{insertRun(3), replicateRun(3), insertAcks(3)} {
+	// Every truncation of every layout.
+	for _, m := range []Message{insertRun(3), replicateRun(3), insertAcks(3), insertRun(65)} {
 		valid := Encode(m)
 		for cut := 1; cut < len(valid); cut++ {
 			refuses("truncated "+m.Kind().String(), valid[:cut])
-		}
-	}
-
-	// A ReqID column that runs past the frame: its length claims more
-	// values than bytes remain, or its last varint is cut short.
-	m := insertRun(2)
-	head := len(Encode(&InsertRun{OriginAddr: m.OriginAddr, Index: m.Index, Version: m.Version,
-		TreeEpoch: m.TreeEpoch, Attempt: m.Attempt, Recs: m.Recs})) - 3 // three empty columns
-	valid := Encode(m)
-	long := append(valid[:head:head], binary.AppendUvarint(nil, 1<<20)...)
-	refuses("ReqID column longer than the frame", append(long, valid[head+1:]...))
-	short := append(valid[:head:head], 2)
-	short = binary.AppendUvarint(short, m.ReqIDs[0])
-	refuses("ReqID varint cut by the frame's end", append(short, 0x80))
-
-	// A Target longer than bitstr.MaxLen: the first target's length byte
-	// sits after the ReqID column and the Targets length.
-	one := insertRun(1)
-	enc := Encode(one)
-	pos := len(enc) - 2 - 9 // Hops column (length, value), then the code's length byte and 8 bits bytes
-	if int(enc[pos]) != one.Targets[0].Len() {
-		t.Fatalf("target length byte not at %d", pos)
-	}
-	enc[pos] = bitstr.MaxLen + 1
-	refuses("Target longer than bitstr.MaxLen", enc)
-
-	// Empty runs.
-	refuses("empty insert run", Encode(&InsertRun{OriginAddr: "o", Index: "idx"}))
-	refuses("empty replicate run", Encode(&ReplicateRun{Index: "idx"}))
-	refuses("empty ack run", Encode(&InsertAcks{StoredAt: NodeInfo{Addr: "n"}}))
-}
-
-// TestSpliceJoinsAdjacentRecords: records of a decoded list spliced one
-// at a time, in order, make one run; a gap, another list or an Append in
-// between starts a new one, and the list encodes as its records do.
-func TestSpliceJoinsAdjacentRecords(t *testing.T) {
-	recs := wideRecords(6)
-	src := listOf(recs...)
-	other := listOf(recs[:1]...)
-	var got RecList
-	var want []schema.Record
-	cur := src.Cursor()
-	for i := 0; i < len(recs); i++ {
-		rec := cur.Next()
-		if i == 3 {
-			continue // a gap: record 4 starts a run of its own
-		}
-		got.Splice(rec, 1)
-		want = append(want, recs[i])
-	}
-	if cur.Next() != nil {
-		t.Fatal("cursor ran past the last record")
-	}
-	if len(got.Runs()) != 2 {
-		t.Fatalf("%d runs for two adjacent spans, want 2", len(got.Runs()))
-	}
-	o := other.Cursor()
-	got.Splice(o.Next(), 1)
-	got.Append(recs[5])
-	c := src.Cursor()
-	got.Splice(c.Next(), 1)
-	want = append(want, recs[0], recs[5], recs[0])
-	if len(got.Runs()) != 5 {
-		t.Fatalf("%d runs, want 5: another list, an Append and a splice after it each start one", len(got.Runs()))
-	}
-	if got.Len() != len(want) || !reflect.DeepEqual(got.Records(), want) {
-		t.Fatalf("spliced list holds %v, want %v", got.Records(), want)
-	}
-	if !bytes.Equal(encodeList(got), encodeList(listOf(want...))) {
-		t.Fatal("spliced list encodes differently from its records")
-	}
-	// RecInto decodes what the cursor steps over.
-	c = src.Cursor()
-	var buf []uint64
-	for i := range recs {
-		if buf = RecInto(c.Next(), buf); !reflect.DeepEqual(schema.Record(buf), recs[i]) {
-			t.Fatalf("record %d decoded as %v, want %v", i, buf, recs[i])
 		}
 	}
 }

@@ -179,9 +179,9 @@ func allMessages() []Message {
 		&LivenessProbe{ReqID: 7, Asker: ni, Suspect: NodeInfo{Addr: "s", Code: c}, Hops: 1},
 		&LivenessReply{ReqID: 7, Alive: true},
 		&InsertRun{OriginAddr: "o", Index: "idx", Version: 3, TreeEpoch: 1<<16 | 7, Attempt: 1,
-			ReqIDs: []uint64{8}, Targets: []bitstr.Code{c}, Hops: []uint8{2}, Recs: listOf(schema.Record{1, 2, 3, 4})},
-		&InsertAcks{StoredAt: ni, ReqIDs: []uint64{8}, Hops: []uint8{4}},
-		&ReplicateRun{Index: "idx", Version: 3, OwnerCode: c, Recs: listOf(schema.Record{1, 2, 3, 4})},
+			Rows: groupsOf(schema.Record{8, c.Uint64() << 60, 4, 2, 1, 2, 3, 4})},
+		&InsertAcks{StoredAt: ni, Rows: groupsOf(schema.Record{8, 4})},
+		&ReplicateRun{Index: "idx", Version: 3, OwnerCode: c, Recs: groupsOf(schema.Record{1, 2, 3, 4})},
 		&Query{ReqID: 9, OriginAddr: "o", Index: "idx", Versions: []uint64{1, 2}, Rect: rect, Target: c, Hops: 1, TreeEpoch: 4},
 		&SubQuery{ReqID: 9, OriginAddr: "o", Index: "idx", Versions: []uint64{1}, Rect: rect, RegionCode: c, Hops: 2, Historic: true, Attempt: 2, TreeEpoch: 4},
 		&QueryResp{ReqID: 9, From: ni, HasCover: true, Cover: c, Versions: []uint64{0, 1}, Recs: groupsOf(schema.Record{1, 2}, schema.Record{3, 4}), Hops: 3},
