@@ -161,10 +161,11 @@ func TestAllocBudgetAppendInsert(t *testing.T) {
 // TestAllocBudgetRollupInsert: an engine that carries a rollup hands it
 // the tail row it just published, and the rollup publishes its delta as
 // the ladder publishes its tail — a row view written into a fixed array
-// and a new length stored — so a primary insert between carries
-// allocates nothing. What the run allocates is a constant handful: the
-// engine and its rollup (8), the first insert's tail and delta arrays
-// and the snapshots publishing them (6). One allocation per record —
+// and a new length stored, under no lock a reader takes — so a primary
+// insert between carries allocates nothing. What the run allocates is a
+// constant handful: the engine and its rollup (8), the first insert's
+// tail and the snapshot publishing it (3) and the rollup's delta array,
+// which every fold empties and reuses (1). One allocation per record —
 // a record copy, a snapshot per insert, a regrown delta — puts it past 1.
 func TestAllocBudgetRollupInsert(t *testing.T) {
 	const inserts = tailRows - 1 // no carry, no DeltaMax fold: the insert path alone
@@ -189,8 +190,9 @@ func TestAllocBudgetRollupInsert(t *testing.T) {
 // record, nor per leaf a read decodes — a visit decodes every packed
 // leaf into its one pooled scratch. The same unaligned rectangle is
 // resolved over the same cut geometry and key universe at n and 8n
-// records (198 allocations at both sizes, as when leaves were kept
-// unpacked); the materializing path this replaced allocated (and
+// records (205 allocations at both sizes, the fresh fold's copies of the
+// covered cells' sketches among them: one grow per cover walk whatever
+// the sketches hold); the materializing path this replaced allocated (and
 // regrew) one result slice per boundary cell, so its count climbed
 // with n, and a fresh decode per leaf would climb with it too.
 func TestAllocBudgetBoundaryFold(t *testing.T) {

@@ -22,7 +22,9 @@ const tailRows = 256
 type Options struct {
 	// Rollup, when non-nil, gives the engine its own aggregate summary
 	// (DESIGN.md §4i) built with these options: Insert feeds it the row
-	// it just published, every carry folds it, and Rollup reads it — the
+	// it just published, every carry folds it into the rollup's arena in
+	// place, under the rollup's own write lock, which an aggregate holds
+	// for reading only over its cover walk, and Rollup reads it — the
 	// ladder and its rollup hold the same records by construction. Nil
 	// (replica stores) keeps no rollup.
 	Rollup *summary.Options

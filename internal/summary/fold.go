@@ -1,6 +1,7 @@
 package summary
 
 import (
+	"slices"
 	"sync"
 
 	"mind/internal/schema"
@@ -14,11 +15,16 @@ import (
 // record to end up with worse brackets than simply counting. The zero
 // Tally is empty and ready; it allocates on first use and then only
 // when the number of DISTINCT keys doubles.
+//
+// A pooled tally keeps the largest table any earlier stream grew it to,
+// so Part, Merge and Reset walk the occupied slots' list, not the table:
+// the list sits in the table's own allocation, past its end, a slot per
+// key holding the key's table index.
 type Tally struct {
 	slots []tallySlot // len is a power of two; w == 0 marks an empty slot
-	used  int
-	shift uint   // 64 - log2(len(slots))
-	total uint64 // Σ weights
+	occ   []tallySlot // key is the table index of an occupied slot, in insertion order
+	shift uint        // 64 - log2(len(slots))
+	total uint64      // Σ weights
 }
 
 type tallySlot struct{ key, w uint64 }
@@ -30,7 +36,7 @@ func (t *Tally) AddN(key, w uint64) {
 	if w == 0 {
 		return
 	}
-	if 2*(t.used+1) > len(t.slots) {
+	if 2*(len(t.occ)+1) > len(t.slots) {
 		t.grow()
 	}
 	t.total += w
@@ -39,7 +45,7 @@ func (t *Tally) AddN(key, w uint64) {
 		s := &t.slots[i]
 		if s.w == 0 {
 			*s = tallySlot{key, w}
-			t.used++
+			t.occ = append(t.occ, tallySlot{key: i})
 			return
 		}
 		if s.key == key {
@@ -49,28 +55,34 @@ func (t *Tally) AddN(key, w uint64) {
 	}
 }
 
-// grow doubles the table (load stays at or below 1/2) and reinserts.
+// grow doubles the table (load stays at or below 1/2, so at most half
+// its slots need a place on the list) and reinserts.
 func (t *Tally) grow() {
-	old := t.slots
-	n := max(2*len(old), tallyMinSlots)
-	t.slots = make([]tallySlot, n)
+	old := *t
+	n := max(2*len(old.slots), tallyMinSlots)
+	all := make([]tallySlot, n+n/2)
+	t.slots, t.occ = all[:n:n], all[n:n]
 	t.shift = 64
 	for ; n > 1; n >>= 1 {
 		t.shift--
 	}
-	t.used, t.total = 0, 0
-	t.Merge(&Tally{slots: old})
+	t.total = 0
+	t.Merge(&old)
 }
 
 // Reset empties the tally in place, keeping its table.
 func (t *Tally) Reset() {
-	clear(t.slots)
-	t.used, t.total = 0, 0
+	for _, o := range t.occ {
+		t.slots[o.key] = tallySlot{}
+	}
+	t.occ = t.occ[:0]
+	t.total = 0
 }
 
 // Merge adds every weight of o into t.
 func (t *Tally) Merge(o *Tally) {
-	for _, s := range o.slots {
+	for _, occ := range o.occ {
+		s := o.slots[occ.key]
 		t.AddN(s.key, s.w)
 	}
 }
@@ -87,18 +99,16 @@ func (t *Tally) Merge(o *Tally) {
 // in MergeMany like any other contributor; truncating once here, after
 // the last record, is what keeps the brackets exact up to that point.
 //
-// The selection is one pass over the table into a k-entry heap whose
-// root is the last kept entry in canonical order: a key that does not
-// beat the root is truncated on the spot, so nothing but the k kept
+// The selection is one pass over the occupied slots into a k-entry heap
+// whose root is the last kept entry in canonical order: a key that does
+// not beat the root is truncated on the spot, so nothing but the k kept
 // entries is ever copied out.
 func (t *Tally) Part(k int) *Sketch {
 	k = max(k, 1)
-	top := make([]Entry, 0, min(k, t.used))
+	top := make([]Entry, 0, min(k, len(t.occ)))
 	var floor uint64
-	for _, s := range t.slots {
-		if s.w == 0 {
-			continue
-		}
+	for _, occ := range t.occ {
+		s := t.slots[occ.key]
 		e := Entry{Key: s.key, Count: s.w}
 		switch {
 		case len(top) < k:
@@ -151,10 +161,14 @@ func heapDown(h []Entry, i int) {
 // summary) add to the count, the per-attribute sums and a key
 // Tally, in place — no record slice, no sketch offer. AddBatch has the
 // store's batch callback signature and decodes the batch (Batch.Rows).
+// The fold also holds the copies of the covered cells' sketches that
+// ResolveShard hands back as parts, so they live until it is reset.
 type Fold struct {
 	Count uint64
 	Sums  []uint64
 	Keys  Tally
+	parts []Sketch // covered cells' sketches, copied by keepParts
+	ents  []Entry  // their entries
 }
 
 // NewFold creates an empty fold for records of the given arity.
@@ -176,20 +190,42 @@ func GetFold(arity int) *Fold {
 	return f
 }
 
-// PutFold resets f and releases it for reuse. Nothing may retain f or
-// its slices; Tally.Part copies what it returns, so a closed aggregate
-// does not.
+// PutFold resets f and releases it for reuse. Nothing may retain f, its
+// slices or the parts ResolveShard kept in it; Tally.Part and MergeMany
+// copy what they return, so a closed aggregate does not.
 func PutFold(f *Fold) {
 	f.Reset()
 	foldPool.Put(f)
 }
 
 // Reset empties the fold in place: counters and key slots are zeroed,
-// capacity is kept.
+// the parts it kept are dropped, capacity is kept.
 func (f *Fold) Reset() {
 	f.Count = 0
 	clear(f.Sums)
 	f.Keys.Reset()
+	f.parts, f.ents = f.parts[:0], f.ents[:0]
+}
+
+// keepParts copies the entries of f.parts[from:], views of rollup
+// cells' sketches taken under the rollup's read lock, into the fold's
+// own scratch, grown once for all of them, and appends the copies to
+// parts. The scratch is only appended to until Reset, so the copies an
+// earlier call kept stay as they are when a later one regrows it.
+func (f *Fold) keepParts(from int, parts []*Sketch) []*Sketch {
+	n := 0
+	for _, sk := range f.parts[from:] {
+		n += len(sk.entries)
+	}
+	f.ents = slices.Grow(f.ents, n)
+	for j := from; j < len(f.parts); j++ {
+		sk := &f.parts[j]
+		at := len(f.ents)
+		f.ents = append(f.ents, sk.entries...)
+		sk.entries = f.ents[at:len(f.ents):len(f.ents)]
+		parts = append(parts, sk)
+	}
+	return parts
 }
 
 // AddBatch folds the selected records of one store batch.
@@ -220,12 +256,14 @@ type Visitor func(rect schema.Rect, fn func(*schema.Batch))
 
 // ResolveShard answers rect for one store ladder and its rollup: the
 // rollup contributes the cells fully inside rect — counters into f,
-// their sketches appended to parts unmerged, and the delta records
-// inside them folded into f exactly — and every boundary cell is folded
-// exactly where it stands, visit streaming its records into f batch by
-// batch. A ladder without a rollup (a replica store) has no cover to
-// resolve: its caller folds the whole rectangle through the ladder's
-// batch visit itself. This is the one implementation of "resolve the
+// copies of their sketches, kept in f until it is reset, appended to
+// parts unmerged, and the delta records inside them folded into f
+// exactly — and every boundary cell is folded exactly where it stands,
+// visit streaming its records into f batch by batch. The cover walk
+// holds the rollup's read lock and has let it go before the first
+// boundary cell is visited. A ladder without a rollup (a replica store)
+// has no cover to resolve: its caller folds the whole rectangle through
+// the ladder's batch visit itself. This is the one implementation of "resolve the
 // cover, drill the boundary"; Agg.MergeShards closes the answer. rect
 // does not escape.
 func ResolveShard(s *Summary, rect schema.Rect, visit Visitor, f *Fold, parts []*Sketch) []*Sketch {

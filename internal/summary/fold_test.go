@@ -11,7 +11,7 @@ import (
 // take the largest of the rest as the floor. It is the oracle the heap
 // version is held to.
 func partReference(t *Tally, k int) *Sketch {
-	entries := make([]Entry, 0, t.used)
+	entries := make([]Entry, 0, len(t.occ))
 	for _, s := range t.slots {
 		if s.w != 0 {
 			entries = append(entries, Entry{Key: s.key, Count: s.w})
@@ -54,7 +54,7 @@ func TestTallyPartVsReference(t *testing.T) {
 			got, want := tally.Part(k), partReference(&tally, k)
 			if got.K() != want.K() || got.N() != want.N() || got.Floor() != want.Floor() || !slices.Equal(got.Top(), want.Top()) {
 				t.Fatalf("iteration %d, %d keys, k=%d: part K=%d N=%d floor=%d top=%v, reference K=%d N=%d floor=%d top=%v",
-					it, tally.used, k, got.K(), got.N(), got.Floor(), got.Top(), want.K(), want.N(), want.Floor(), want.Top())
+					it, len(tally.occ), k, got.K(), got.N(), got.Floor(), got.Top(), want.K(), want.N(), want.Floor(), want.Top())
 			}
 		}
 	}

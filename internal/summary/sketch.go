@@ -1,10 +1,11 @@
 // Package summary maintains the per-node hierarchical aggregate layer:
 // per-prefix counters (record counts and per-attribute sums) rolled up a
 // fixed binary cut of the indexed data space, plus a bounded
-// heavy-hitter sketch per tree node, snapshotted copy-on-write like the
-// record store so reads are lock-free. It is the Flowyager-style
-// summary MIND answers COUNT/SUM/top-k whale queries from in O(cover)
-// instead of touching every record (DESIGN.md §4i).
+// heavy-hitter sketch per tree node, held in an arena of pointer-free
+// slots that each fold updates in place under a write lock, while a
+// reader holds the read lock only for its cover walk. It is the
+// Flowyager-style summary MIND answers COUNT/SUM/top-k whale queries
+// from in O(cover) instead of touching every record (DESIGN.md §4i).
 package summary
 
 import (
@@ -88,8 +89,8 @@ func (s *Sketch) Offer(key uint64) { s.OfferN(key, 1) }
 // key evicts the minimum entry and inherits its estimate as error. The
 // key is found by scanning the entries: at most K of them, which an
 // eviction scans anyway, and a sketch needs no lookup index to be
-// offered to — the rollup offers a handful of records to a fresh copy
-// of a cell's sketch, where building one cost more than the offers.
+// offered to — the rollup offers a handful of records to a cell's
+// sketch, where building one cost more than the offers.
 func (s *Sketch) OfferN(key, w uint64) {
 	if w == 0 {
 		return
@@ -130,15 +131,8 @@ func (s *Sketch) Top() []Entry {
 }
 
 // Clone deep-copies the sketch's entries.
-func (s *Sketch) Clone() *Sketch { return s.cloneRoom(0) }
-
-// cloneRoom is Clone with room for up to keys more entries, capped at
-// the capacity: a copy about to be offered keys that holds its memory
-// to what they can add, without regrowing.
-func (s *Sketch) cloneRoom(keys int) *Sketch {
-	entries := make([]Entry, len(s.entries), min(s.k, len(s.entries)+keys))
-	copy(entries, s.entries)
-	return &Sketch{k: s.k, n: s.n, floor: s.floor, entries: entries}
+func (s *Sketch) Clone() *Sketch {
+	return &Sketch{k: s.k, n: s.n, floor: s.floor, entries: slices.Clone(s.entries)}
 }
 
 // Merge folds o into s. Shared keys sum counts and errors exactly; a
@@ -166,10 +160,21 @@ func (s *Sketch) Merge(o *Sketch) {
 // of covered cells. Merge(s, o) is MergeMany(s, [o]), and the result is
 // a pure function of the multiset of contributors.
 func (s *Sketch) MergeMany(parts []*Sketch) {
-	m, _ := mergePool.Get().(*mergeScratch)
-	if m == nil {
-		m = new(mergeScratch)
-	}
+	m := getMerge()
+	kept := m.merge(s, parts)
+	// The kept entries leave in a slice of their own size: the scratch
+	// holding the whole union goes back to the pool.
+	out := make([]Entry, len(kept))
+	copy(out, kept)
+	sortEntries(out)
+	mergePool.Put(m)
+	s.entries = out
+}
+
+// merge is MergeMany's combine-and-truncate step: it sets s's N and
+// Floor to the merged sketch's and returns the entries it keeps, unsorted
+// and in m's scratch, for the caller to copy into s.
+func (m *mergeScratch) merge(s *Sketch, parts []*Sketch) []Entry {
 	capE := len(s.entries)
 	for _, p := range parts {
 		if p != nil {
@@ -205,16 +210,10 @@ func (s *Sketch) MergeMany(parts []*Sketch) {
 		}
 		merged = merged[:s.k]
 	}
-	// The kept entries leave in a slice of their own size: the scratch
-	// holding the whole union goes back to the pool.
-	out := make([]Entry, len(merged))
-	copy(out, merged)
-	sortEntries(out)
 	m.merged = merged
-	mergePool.Put(m)
 	s.n = n
 	s.floor = floor
-	s.entries = out
+	return merged
 }
 
 // mergeScratch is MergeMany's working set, pooled so a merge allocates
@@ -236,6 +235,15 @@ type mergeAcc struct {
 }
 
 var mergePool sync.Pool
+
+// getMerge takes a merge scratch from the pool, or a new one.
+func getMerge() *mergeScratch {
+	m, _ := mergePool.Get().(*mergeScratch)
+	if m == nil {
+		m = new(mergeScratch)
+	}
+	return m
+}
 
 // reset empties the scratch for a union of at most capE entries, sizing
 // the index to a power of two at least twice that.

@@ -31,9 +31,8 @@ type Options struct {
 	Depth int
 	// K is the heavy-hitter sketch capacity per tree node. 0 selects 32.
 	K int
-	// DeltaMax bounds the insert delta buffer; crossing it folds the
-	// delta into a fresh static tree (COW, like the store merge). 0
-	// selects 256.
+	// DeltaMax bounds the insert delta buffer; filling it folds the
+	// delta into the tree in place. 0 selects 256.
 	DeltaMax int
 }
 
@@ -53,55 +52,37 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// node is one cell of the cut tree, immutable once published: total
-// record count and per-attribute sums over the whole subtree, plus the
-// cell's heavy-hitter sketch. A nil child means an empty subcell.
-type node struct {
+// cell is one populated cell of the cut tree, held in the summary's
+// arena at its slot number: its record count, its children's slots
+// (empty for an empty subcell) and the header of its sketch — total
+// weight, floor and entry count. The cell's sums are the arity words at
+// its slot of Summary.sums and its sketch's entries the K at its slot of
+// Summary.ents. A slot is allocated when its cell first holds a record
+// and never frees; every later fold rewrites it in place.
+type cell struct {
 	count       uint64
-	sums        []uint64 // per attribute, wrapping mod 2^64
-	sk          *Sketch
-	left, right *node
+	skN, floor  uint64
+	left, right int32
+	entries     int32
 }
 
-// sketch returns the cell's sketch; an empty subcell has none.
-func (n *node) sketch() *Sketch {
-	if n == nil {
-		return nil
-	}
-	return n.sk
-}
+// chunkSlots is the number of slots an entry chunk holds: 6 KB at the
+// default K.
+const chunkSlots = 8
 
-// snap is a published summary state: an immutable folded tree plus the
-// delta absorbing recent inserts (nil until the first insert after a
-// fold). Readers load the pointer once and resolve against both parts.
-type snap struct {
-	root  *node
-	delta *delta
-}
-
-// delta is the insert buffer, published the way a store ladder
-// publishes its tail: a fixed-capacity array of row views filled in
-// place, of which readers see the first n. A fold retires it whole and
-// the next insert starts a fresh one, so a row a reader has loaded is
-// never overwritten.
-type delta struct {
-	recs []schema.Record // len DeltaMax
-	n    atomic.Int32
-}
-
-// published returns the rows readers may see; a nil delta has none.
-func (d *delta) published() []schema.Record {
-	if d == nil {
-		return nil
-	}
-	return d.recs[:d.n.Load()]
-}
+// empty is the slot number of an empty cell. The root, once populated,
+// is slot 0, and no cell's child.
+const empty int32 = -1
 
 // Summary is one store ladder's hierarchical aggregate summary,
 // maintained incrementally on insert — in production by the ladder that
-// owns it (store.Options.Rollup). Writes serialize on a writer mutex; reads
-// are lock-free against the last published snapshot, so a Resolve never
-// blocks inserts.
+// owns it (store.Options.Rollup). The folded tree is an arena of
+// pointer-free slots, one per populated cell, updated in place: writes
+// serialize on a writer mutex, and a fold also holds rw for writing,
+// while a reader holds it for reading over its cover walk and copies
+// out every sketch it keeps. An insert between folds takes no lock a
+// reader takes: it writes a row view into the delta and publishes the
+// delta's new length with one atomic store.
 //
 // The sketch key is the record's first attribute (the paper's Index-1/2
 // destination prefix) — "top destinations by record count" per cell.
@@ -110,8 +91,21 @@ type Summary struct {
 	bounds []uint64
 	time   int // sch.TimeDim(): the cut schedule (schema.CutDim)
 	opts   Options
-	mu     sync.Mutex
-	snap   atomic.Pointer[snap]
+	mu     sync.Mutex   // serializes Insert and Fold
+	rw     sync.RWMutex // held by a fold to write the arena, by a cover walk to read it
+	cells  []cell
+	sums   []uint64 // arity words per slot, wrapping mod 2^64
+	// ents holds K sketch entries per slot in chunks of chunkSlots slots:
+	// a chunk, once allocated, is never copied or regrown, so the arena
+	// grows without leaving old copies behind and is never more than a
+	// chunk larger than its cells need.
+	ents [][]Entry
+	// delta is the insert buffer of DeltaMax row views, allocated by the
+	// first insert, of which readers see the first n. A fold empties it
+	// in place and clears its views, so it holds no retired tail row.
+	delta  []schema.Record
+	n      atomic.Int32
+	lo, hi []uint64 // the fold's cell bounds
 	folds  atomic.Uint64
 }
 
@@ -120,7 +114,9 @@ func keyOf(rec []uint64) uint64 { return rec[0] }
 // New creates an empty summary.
 func New(sch *schema.Schema, opts Options) *Summary {
 	s := &Summary{sch: sch, bounds: sch.Bounds(), time: sch.TimeDim(), opts: opts.withDefaults()}
-	s.snap.Store(&snap{})
+	dims := len(s.bounds)
+	b := make([]uint64, 2*dims)
+	s.lo, s.hi = b[:dims:dims], b[dims:]
 	return s
 }
 
@@ -128,152 +124,192 @@ func New(sch *schema.Schema, opts Options) *Summary {
 // next fold, so — store.Store.Insert's contract — the caller must not
 // mutate it after handing it over (a store ladder hands over its
 // immutable tail row). Filling the delta's DeltaMax rows folds them into
-// a fresh static tree. Between folds an insert allocates nothing: it
-// writes the row view into the delta and publishes the new length.
+// the tree. Between folds an insert allocates nothing: it writes the row
+// view into the delta and publishes the new length.
 func (s *Summary) Insert(rec schema.Record) {
 	s.mu.Lock()
-	sn := s.snap.Load()
-	d := sn.delta
-	if d == nil {
-		d = &delta{recs: make([]schema.Record, s.opts.DeltaMax)}
-		sn = &snap{root: sn.root, delta: d}
-		s.snap.Store(sn)
+	if s.delta == nil {
+		s.rw.Lock()
+		s.delta = make([]schema.Record, s.opts.DeltaMax)
+		s.rw.Unlock()
 	}
-	i := int(d.n.Load())
-	d.recs[i] = rec
-	if i+1 == len(d.recs) {
-		s.snap.Store(&snap{root: s.foldRecs(sn.root, d.recs)})
-		s.folds.Add(1)
+	i := int(s.n.Load())
+	s.delta[i] = rec
+	if i+1 == len(s.delta) {
+		s.fold(s.delta)
 	} else {
-		d.n.Store(int32(i + 1))
+		s.n.Store(int32(i + 1))
 	}
 	s.mu.Unlock()
 }
 
-// Fold force-folds any buffered delta into the static tree. A store
-// ladder ends every carry with it, so its rollup folds at the ladder's
-// own carry rhythm and lets go of the retired tail.
+// Fold force-folds any buffered delta into the tree. A store ladder ends
+// every carry with it, so its rollup folds at the ladder's own carry
+// rhythm and lets go of the retired tail.
 func (s *Summary) Fold() {
 	s.mu.Lock()
-	sn := s.snap.Load()
-	if recs := sn.delta.published(); len(recs) > 0 {
-		s.snap.Store(&snap{root: s.foldRecs(sn.root, recs)})
-		s.folds.Add(1)
+	if n := s.n.Load(); n > 0 {
+		s.fold(s.delta[:n])
 	}
 	s.mu.Unlock()
 }
 
 // Len returns the number of summarized records (static + delta).
 func (s *Summary) Len() int {
-	sn := s.snap.Load()
-	n := len(sn.delta.published())
-	if sn.root != nil {
-		n += int(sn.root.count)
-	}
-	return n
+	staticN, deltaN, _ := s.Stats()
+	return int(staticN) + deltaN
 }
 
 // Stats reports the static record count, buffered delta length and
 // lifetime fold count (ops surface).
 func (s *Summary) Stats() (staticN uint64, deltaN int, folds uint64) {
-	sn := s.snap.Load()
-	if sn.root != nil {
-		staticN = sn.root.count
+	s.rw.RLock()
+	if len(s.cells) > 0 {
+		staticN = s.cells[0].count
 	}
-	return staticN, len(sn.delta.published()), s.folds.Load()
+	deltaN = int(s.n.Load())
+	s.rw.RUnlock()
+	return staticN, deltaN, s.folds.Load()
 }
 
-// foldRecs builds a new static tree with recs folded in, path-copying
-// only the touched cells; old nodes are never mutated, so in-flight
-// readers drain on the previous snapshot.
-func (s *Summary) foldRecs(root *node, recs []schema.Record) *node {
-	// Partitioned in place: a copy, since readers of the previous snapshot
-	// may still be walking the retired delta.
-	recs = append([]schema.Record(nil), recs...)
-	dims := s.sch.IndexDims
-	slab := make([]uint64, len(recs)*dims) // every point, one allocation
-	pts := make([][]uint64, len(recs))
-	for i, rec := range recs {
-		pts[i] = rec.PointInto(s.sch, slab[i*dims:(i+1)*dims:(i+1)*dims])
+// root returns the root's slot, empty before the first fold.
+func (s *Summary) root() int32 {
+	if len(s.cells) == 0 {
+		return empty
 	}
-	lo := make([]uint64, len(s.bounds))
-	hi := append([]uint64(nil), s.bounds...)
-	return s.foldNode(root, recs, pts, 0, lo, hi)
+	return 0
+}
+
+// sketch returns a view of slot i's sketch: its entries are the slot's
+// own, with room for K, so offering to the view writes the slot in place
+// and setSketch publishes the header.
+func (s *Summary) sketch(i int32) Sketch {
+	c, k := &s.cells[i], s.opts.K
+	at := int(i%chunkSlots) * k
+	return Sketch{k: k, n: c.skN, floor: c.floor, entries: s.ents[i/chunkSlots][at : at+int(c.entries) : at+k]}
+}
+
+// setSketch stores the header of sk, a view of slot i's sketch.
+func (s *Summary) setSketch(i int32, sk *Sketch) {
+	c := &s.cells[i]
+	c.skN, c.floor, c.entries = sk.n, sk.floor, int32(len(sk.entries))
+}
+
+// alloc appends a slot for a newly populated cell: no records, no
+// children, an empty sketch.
+func (s *Summary) alloc() int32 {
+	i := int32(len(s.cells))
+	s.cells = append(s.cells, cell{left: empty, right: empty})
+	s.sums = append(s.sums, make([]uint64, s.sch.Arity())...)
+	if i%chunkSlots == 0 {
+		s.ents = append(s.ents, make([]Entry, chunkSlots*s.opts.K))
+	}
+	return i
+}
+
+// fold folds recs, the delta's published rows, into the tree under the
+// write lock, then empties the delta. recs are partitioned in place:
+// no reader sees the delta until the lock is released. Caller holds mu.
+func (s *Summary) fold(recs []schema.Record) {
+	s.rw.Lock()
+	copy(s.hi, s.bounds)
+	clear(s.lo)
+	s.foldCell(s.root(), recs, 0)
+	clear(recs)
+	s.n.Store(0)
+	s.rw.Unlock()
+	s.folds.Add(1)
 }
 
 // cutDim is the dimension the cells at depth split: the store's schedule,
 // so a rollup cell is cut where the store's levels cut.
 func (s *Summary) cutDim(depth int) int { return schema.CutDim(depth, len(s.bounds), s.time) }
 
-// foldNode folds recs, the fold's records inside n's cell, into a copy
-// of n. A record is offered to one sketch only, its leaf cell's: an
-// inner cell's sketch is the MergeMany of its children's, rebuilt from
-// them after they fold. Merging costs the same whatever the batch, so a
-// cell the fold hands fewer than K records — every cell of a shuffled
-// stream's fold but the few nearest the root — offers them to a copy of
+// foldCell folds recs, the fold's records inside the cell bounded by
+// s.lo and s.hi, into slot i — allocating it if the cell was empty — and
+// returns the slot. A record is offered to one sketch only, its leaf
+// cell's: an inner cell's sketch is the MergeMany of its children's,
+// rebuilt from them after they fold. Merging costs the same whatever the
+// batch, so a cell the fold hands fewer than K records — every cell of a
+// shuffled stream's fold but the few nearest the root — offers them to
 // its sketch instead, as a leaf does. Either way the sketch is a pure
 // function of the cell's records and the fold schedule, and its brackets
 // hold by the offer's and MergeMany's contracts.
-func (s *Summary) foldNode(n *node, recs []schema.Record, pts [][]uint64, depth int, lo, hi []uint64) *node {
+func (s *Summary) foldCell(i int32, recs []schema.Record, depth int) int32 {
 	if len(recs) == 0 {
-		return n
+		return i
 	}
-	c := &node{count: uint64(len(recs))}
-	if n != nil {
-		c.count += n.count
-		c.sums = append([]uint64(nil), n.sums...)
-		c.left, c.right = n.left, n.right
+	if i == empty {
+		i = s.alloc()
 	}
-	if c.sums == nil {
-		c.sums = make([]uint64, s.sch.Arity())
-	}
+	s.cells[i].count += uint64(len(recs))
+	arity := s.sch.Arity()
+	sums := s.sums[int(i)*arity : int(i+1)*arity]
 	for _, rec := range recs {
-		for a := range c.sums {
-			c.sums[a] += rec[a]
+		for a := range sums {
+			sums[a] += rec[a]
 		}
 	}
 	leaf := depth == s.opts.Depth
 	if leaf || len(recs) < s.opts.K {
-		old := n.sketch()
-		if old == nil {
-			old = &Sketch{k: s.opts.K}
-		}
-		c.sk = old.cloneRoom(len(recs))
+		sk := s.sketch(i)
 		for _, rec := range recs {
-			c.sk.Offer(keyOf(rec))
+			sk.Offer(keyOf(rec))
 		}
+		s.setSketch(i, &sk)
 	}
 	if leaf {
-		return c
+		return i
 	}
-	d := s.cutDim(depth)
+	d, lo, hi := s.cutDim(depth), s.lo, s.hi
 	cut := lo[d] + (hi[d]-lo[d])/2
 	l := 0
-	for i := range recs {
-		if pts[i][d] <= cut {
-			recs[l], recs[i] = recs[i], recs[l]
-			pts[l], pts[i] = pts[i], pts[l]
+	for j, rec := range recs {
+		if min(rec[d], s.bounds[d]) <= cut {
+			recs[l], recs[j] = recs[j], recs[l]
 			l++
 		}
 	}
+	// A child's fold may grow the arena: the cell is re-read by slot.
 	if l > 0 {
 		ohi := hi[d]
 		hi[d] = cut
-		c.left = s.foldNode(c.left, recs[:l], pts[:l], depth+1, lo, hi)
+		left := s.foldCell(s.cells[i].left, recs[:l], depth+1)
+		s.cells[i].left = left
 		hi[d] = ohi
 	}
 	if l < len(recs) && cut < hi[d] {
 		olo := lo[d]
 		lo[d] = cut + 1
-		c.right = s.foldNode(c.right, recs[l:], pts[l:], depth+1, lo, hi)
+		right := s.foldCell(s.cells[i].right, recs[l:], depth+1)
+		s.cells[i].right = right
 		lo[d] = olo
 	}
-	if c.sk == nil {
-		c.sk = NewSketch(s.opts.K)
-		children := [2]*Sketch{c.left.sketch(), c.right.sketch()}
-		c.sk.MergeMany(children[:])
+	if len(recs) >= s.opts.K {
+		s.mergeChildren(i)
 	}
-	return c
+	return i
+}
+
+// mergeChildren rebuilds slot i's sketch as the MergeMany of its
+// children's into an empty sketch, written straight into the slot.
+func (s *Summary) mergeChildren(i int32) {
+	var kids [2]Sketch
+	var parts [2]*Sketch
+	for j, c := range [2]int32{s.cells[i].left, s.cells[i].right} {
+		if c != empty {
+			kids[j] = s.sketch(c)
+			parts[j] = &kids[j]
+		}
+	}
+	sk := s.sketch(i)
+	sk.n, sk.floor, sk.entries = 0, 0, sk.entries[:0]
+	m := getMerge()
+	kept := m.merge(&sk, parts[:])
+	sk.entries = append(sk.entries, kept...)
+	sortEntries(sk.entries)
+	mergePool.Put(m)
+	s.setSketch(i, &sk)
 }
 
 // Agg is an aggregate answer being assembled: exact count and
@@ -343,23 +379,27 @@ func (s *Summary) Resolve(rect schema.Rect) Agg {
 	return agg
 }
 
-// cover resolves rect against the published snapshot without merging:
-// the counters of the cells fully inside rect add to f and their
-// sketches append to parts, delta records in those cells fold into f
-// exactly, and the boundary leaves come back clipped to rect and
-// coalesced.
+// cover resolves rect against the tree and the delta without merging:
+// the counters of the cells fully inside rect add to f and copies of
+// their sketches, kept in f, append to parts; delta records in those
+// cells fold into f exactly; and the boundary leaves come back clipped
+// to rect and coalesced. The walk holds the read lock, and nothing it
+// returns points into the arena, so a later fold cannot reach a part.
 func (s *Summary) cover(rect schema.Rect, f *Fold, parts []*Sketch) ([]*Sketch, []schema.Rect) {
-	sn := s.snap.Load()
-	w := coverWalk{s: s, rect: rect, f: f, parts: parts}
+	w := coverWalk{s: s, rect: rect, f: f}
 	lo := make([]uint64, len(s.bounds))
 	hi := append([]uint64(nil), s.bounds...)
-	w.descend(sn.root, 0, lo, hi)
-	for _, rec := range sn.delta.published() {
+	from := len(f.parts)
+	s.rw.RLock()
+	w.descend(s.root(), 0, lo, hi)
+	parts = f.keepParts(from, parts)
+	for _, rec := range s.delta[:s.n.Load()] {
 		if rect.ContainsRecord(s.sch, rec) && s.deltaCovered(rect, rec, lo, hi) {
 			f.add(rec, firstRow)
 		}
 	}
-	return w.parts, coalesceRects(w.boundary)
+	s.rw.RUnlock()
+	return parts, coalesceRects(w.boundary)
 }
 
 // coalesceRects merges abutting boundary cells into maximal axis-aligned
@@ -426,11 +466,10 @@ type coverWalk struct {
 	s        *Summary
 	rect     schema.Rect
 	f        *Fold
-	parts    []*Sketch
 	boundary []schema.Rect
 }
 
-func (w *coverWalk) descend(n *node, depth int, lo, hi []uint64) {
+func (w *coverWalk) descend(i int32, depth int, lo, hi []uint64) {
 	rect := w.rect
 	inside := true
 	for d := range lo {
@@ -442,12 +481,13 @@ func (w *coverWalk) descend(n *node, depth int, lo, hi []uint64) {
 		}
 	}
 	if inside {
-		if n != nil {
-			w.f.Count += n.count
-			for i, v := range n.sums {
-				w.f.Sums[i] += v
+		if i != empty {
+			w.f.Count += w.s.cells[i].count
+			arity := w.s.sch.Arity()
+			for a, v := range w.s.sums[int(i)*arity : int(i+1)*arity] {
+				w.f.Sums[a] += v
 			}
-			w.parts = append(w.parts, n.sk)
+			w.f.parts = append(w.f.parts, w.s.sketch(i))
 		}
 		return
 	}
@@ -467,9 +507,9 @@ func (w *coverWalk) descend(n *node, depth int, lo, hi []uint64) {
 	}
 	d := w.s.cutDim(depth)
 	cut := lo[d] + (hi[d]-lo[d])/2
-	var l, r *node
-	if n != nil {
-		l, r = n.left, n.right
+	l, r := empty, empty
+	if i != empty {
+		l, r = w.s.cells[i].left, w.s.cells[i].right
 	}
 	ohi := hi[d]
 	hi[d] = cut

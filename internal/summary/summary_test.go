@@ -3,8 +3,10 @@ package summary
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"mind/internal/schema"
@@ -205,39 +207,76 @@ func TestSummaryFoldBoundaries(t *testing.T) {
 }
 
 // TestSummaryCOWConsistency hammers concurrent inserts and resolves
-// under -race: every read must see an internally consistent snapshot.
-// The payload attribute is pinned to 1, so Sums[payload] == Count must
-// hold in every observed aggregate regardless of timing.
+// under -race: every read must see an internally consistent rollup. The
+// payload attribute is pinned to 1, so Sums[payload] == Count must hold
+// in every observed aggregate regardless of timing. Every other read is
+// ResolveShard's, whose parts are copies a fold cannot reach: the reader
+// keeps them while the writer folds twice more into the cells they came
+// from, then checks each still holds what it held when handed over. A
+// part that aliased a cell's slot in the arena would change under the
+// fold, and the race detector reports the fold's write against the
+// re-read.
 func TestSummaryCOWConsistency(t *testing.T) {
 	sch := testSchema()
 	s := New(sch, Options{Depth: 6, K: 8, DeltaMax: 32})
 	full := sch.FullRect()
+	noStore := func(schema.Rect, func(*schema.Batch)) {}
 	stop := make(chan struct{})
+	stopped := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return false
+		}
+	}
 	var wg sync.WaitGroup
+	var kept atomic.Int64 // parts re-checked after two folds
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for i := 0; !stopped(); i++ {
 				rect := full
 				if r.Intn(2) == 0 {
 					rect = randRect(r)
 				}
-				agg := s.Resolve(rect)
-				for range agg.Boundary {
-					// boundary cells resolve against the store in
-					// production; here we only check rollup consistency
+				if i%2 == 0 {
+					agg := s.Resolve(rect)
+					if len(agg.Boundary) == 0 && agg.Sums[3] != agg.Count {
+						t.Errorf("inconsistent rollup: count %d, payload sum %d", agg.Count, agg.Sums[3])
+						return
+					}
+					continue
 				}
-				if len(agg.Boundary) == 0 && agg.Sums[3] != agg.Count {
-					t.Errorf("inconsistent snapshot: count %d, payload sum %d", agg.Count, agg.Sums[3])
+				f := GetFold(sch.Arity())
+				parts := ResolveShard(s, rect, noStore, f, nil)
+				var covered uint64
+				held := make([]*Sketch, len(parts))
+				for j, p := range parts {
+					covered += p.N()
+					held[j] = p.Clone()
+				}
+				if f.Sums[3] != f.Count || covered > f.Count {
+					t.Errorf("inconsistent rollup: count %d, payload sum %d, covered cells' sketches %d", f.Count, f.Sums[3], covered)
 					return
 				}
+				_, _, folds := s.Stats()
+				for _, _, now := s.Stats(); now < folds+2; _, _, now = s.Stats() {
+					if stopped() {
+						return
+					}
+					runtime.Gosched()
+				}
+				kept.Add(int64(len(parts)))
+				for j, p := range parts {
+					if !sameSketch(p, held[j]) {
+						t.Errorf("part %d of %d changed after later folds: N %d → %d, floor %d → %d", j, len(parts), held[j].N(), p.N(), held[j].Floor(), p.Floor())
+						return
+					}
+				}
+				PutFold(f)
 			}
 		}(int64(100 + g))
 	}
@@ -252,6 +291,9 @@ func TestSummaryCOWConsistency(t *testing.T) {
 	wg.Wait()
 	if s.Len() != n {
 		t.Fatalf("Len = %d, want %d", s.Len(), n)
+	}
+	if kept.Load() == 0 {
+		t.Fatal("no part was held across two folds: the aliasing check checked nothing")
 	}
 	agg := s.Resolve(full)
 	if agg.Count != n || agg.Sums[3] != n {
@@ -342,8 +384,8 @@ func TestFoldReuseIsExact(t *testing.T) {
 	PutFold(used)
 	for _, arity := range []int{3, 4, 4, 6} {
 		f := GetFold(arity)
-		if len(f.Sums) != arity || f.Count != 0 || f.Keys.used != 0 {
-			t.Fatalf("GetFold(%d) = %d sums, count %d, %d keys", arity, len(f.Sums), f.Count, f.Keys.used)
+		if len(f.Sums) != arity || f.Count != 0 || len(f.Keys.occ) != 0 {
+			t.Fatalf("GetFold(%d) = %d sums, count %d, %d keys", arity, len(f.Sums), f.Count, len(f.Keys.occ))
 		}
 		PutFold(f)
 	}
@@ -366,26 +408,27 @@ func TestRollupCutsOnStoreSchedule(t *testing.T) {
 		}
 		s.Fold()
 		nodes := 0
-		var walk func(n *node, depth int, cell schema.Rect)
-		walk = func(n *node, depth int, cell schema.Rect) {
+		var walk func(i int32, depth int, cell schema.Rect)
+		walk = func(i int32, depth int, cell schema.Rect) {
 			var in uint64
 			for _, rec := range recs {
 				if cell.ContainsRecord(sch, rec) {
 					in++
 				}
 			}
-			if n == nil {
+			if i == empty {
 				if in != 0 {
 					t.Fatalf("%s: empty cell %v at depth %d holds %d records", sch.Attrs[1].Kind, cell, depth, in)
 				}
 				return
 			}
 			nodes++
-			if n.count != in || n.sk.N() != in {
-				t.Fatalf("%s: cell %v at depth %d: count %d, sketch N %d, %d records inside", sch.Attrs[1].Kind, cell, depth, n.count, n.sk.N(), in)
+			n, sk := s.cells[i], s.sketch(i)
+			if n.count != in || sk.N() != in {
+				t.Fatalf("%s: cell %v at depth %d: count %d, sketch N %d, %d records inside", sch.Attrs[1].Kind, cell, depth, n.count, sk.N(), in)
 			}
-			if cap(n.sk.entries) > s.opts.K {
-				t.Fatalf("%s: cell %v at depth %d publishes a sketch of %d entries' memory, K is %d", sch.Attrs[1].Kind, cell, depth, cap(n.sk.entries), s.opts.K)
+			if sk.Len() > s.opts.K || cap(sk.entries) != s.opts.K {
+				t.Fatalf("%s: cell %v at depth %d holds %d entries in a sketch slot of %d, K is %d", sch.Attrs[1].Kind, cell, depth, sk.Len(), cap(sk.entries), s.opts.K)
 			}
 			if depth == s.opts.Depth {
 				return
@@ -399,7 +442,7 @@ func TestRollupCutsOnStoreSchedule(t *testing.T) {
 				walk(n.right, depth+1, h)
 			}
 		}
-		walk(s.snap.Load().root, 0, sch.FullRect())
+		walk(s.root(), 0, sch.FullRect())
 		if nodes < 1<<s.opts.Depth {
 			t.Fatalf("%s: only %d populated nodes; the walk checked too little", sch.Attrs[1].Kind, nodes)
 		}
@@ -458,11 +501,12 @@ func TestRollupCellBrackets(t *testing.T) {
 			}
 			s.Fold()
 			cells := 0
-			var walk func(nd *node, depth int, cell schema.Rect)
-			walk = func(nd *node, depth int, cell schema.Rect) {
-				if nd == nil {
+			var walk func(i int32, depth int, cell schema.Rect)
+			walk = func(i int32, depth int, cell schema.Rect) {
+				if i == empty {
 					return
 				}
+				nd := s.cells[i]
 				cells++
 				truth := make(map[uint64]uint64)
 				var count uint64
@@ -472,7 +516,7 @@ func TestRollupCellBrackets(t *testing.T) {
 						count++
 					}
 				}
-				sk := nd.sk
+				sk := s.sketch(i)
 				tag := fmt.Sprintf("%s/delta=%d: cell %v at depth %d", order.name, deltaMax, cell, depth)
 				if sk.N() != count || nd.count != count {
 					t.Fatalf("%s: sketch N %d, count %d, %d records inside", tag, sk.N(), nd.count, count)
@@ -504,7 +548,7 @@ func TestRollupCellBrackets(t *testing.T) {
 					walk(nd.right, depth+1, h)
 				}
 			}
-			walk(s.snap.Load().root, 0, sch.FullRect())
+			walk(s.root(), 0, sch.FullRect())
 			if cells < 1<<s.opts.Depth {
 				t.Fatalf("%s/delta=%d: only %d populated cells; the walk checked too little", order.name, deltaMax, cells)
 			}
