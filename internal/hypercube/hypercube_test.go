@@ -15,6 +15,9 @@ type testNode struct {
 	ov   *Overlay
 	ep   *simnet.Endpoint
 	name string
+	// tap, when set, sees every message the node receives before the
+	// overlay handles it.
+	tap func(from string, m wire.Message)
 }
 
 func testConfig() Config {
@@ -44,6 +47,9 @@ func newCluster(t *testing.T, net *simnet.Network, n int, cfg Config) []*testNod
 			if err != nil {
 				t.Errorf("%s: decode: %v", name, err)
 				return
+			}
+			if tn.tap != nil {
+				tn.tap(from, m)
 			}
 			tn.ov.Handle(from, m)
 		})
@@ -89,13 +95,24 @@ func joinAll(t *testing.T, net *simnet.Network, nodes []*testNode, seq bool) {
 // of the code space.
 func checkPartition(t *testing.T, nodes []*testNode) {
 	t.Helper()
+	total := 0.0
+	for _, c := range checkPrefixFree(t, nodes) {
+		total += math.Pow(2, -float64(c.Len()))
+	}
+	if math.Abs(total-1) > 1e-9 {
+		t.Fatalf("codes tile %.6f of the space, want 1", total)
+	}
+}
+
+// checkPrefixFree verifies that no two nodes' codes overlap, and returns
+// the codes.
+func checkPrefixFree(t *testing.T, nodes []*testNode) []bitstr.Code {
+	t.Helper()
 	var codes []bitstr.Code
 	for _, tn := range nodes {
 		codes = append(codes, tn.ov.Code())
 	}
-	total := 0.0
 	for i, a := range codes {
-		total += math.Pow(2, -float64(a.Len()))
 		for j, b := range codes {
 			if i == j {
 				continue
@@ -105,9 +122,7 @@ func checkPartition(t *testing.T, nodes []*testNode) {
 			}
 		}
 	}
-	if math.Abs(total-1) > 1e-9 {
-		t.Fatalf("codes tile %.6f of the space, want 1", total)
-	}
+	return codes
 }
 
 func TestBootstrapAndSingleJoin(t *testing.T) {
@@ -167,11 +182,24 @@ func TestConcurrentJoins(t *testing.T) {
 	checkPartition(t, nodes)
 }
 
+// TestConcurrentJoinsWithLoss checks what may be wrong and what may be
+// missing separately. A lost join-accept after the split target committed
+// leaves a hole at the instant every node reports joined: the target
+// holds the joiner as its sibling until failure detection declares that
+// identity dead and the takeover rule absorbs the region. No two codes
+// may overlap at any instant, and the tiling must be exact once the
+// overlay has had time to repair.
 func TestConcurrentJoinsWithLoss(t *testing.T) {
-	net := simnet.New(simnet.Config{Seed: 13, DefaultLatency: 5 * time.Millisecond, LossProb: 0.02})
-	nodes := newCluster(t, net, 12, testConfig())
-	joinAll(t, net, nodes, false)
-	checkPartition(t, nodes)
+	for seed := int64(1); seed <= 20; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			net := simnet.New(simnet.Config{Seed: seed, DefaultLatency: 5 * time.Millisecond, LossProb: 0.02})
+			nodes := newCluster(t, net, 12, testConfig())
+			joinAll(t, net, nodes, false)
+			checkPrefixFree(t, nodes)
+			net.RunFor(10 * time.Second)
+			checkPartition(t, nodes)
+		})
+	}
 }
 
 func TestGreedyRoutingReachesOwner(t *testing.T) {

@@ -17,8 +17,8 @@ type ContactState struct {
 	// Probing marks a contact whose liveness is being verified via an
 	// overlay-routed probe.
 	Probing bool
-	// Unreachable marks a contact suspended from routing (no direct ack
-	// past FailAfter) that has not yet been declared dead.
+	// Unreachable marks a contact suspended from routing (silent past
+	// FailAfter) that has not yet been declared dead.
 	Unreachable bool
 	// AttestedAt is when a probe last vouched for the contact
 	// second-hand; zero if never.

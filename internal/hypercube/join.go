@@ -344,12 +344,13 @@ func (o *Overlay) handleJoinAccept(m *wire.JoinAccept) {
 		o.scheduleHeartbeatLocked()
 	}
 	self := wire.NodeInfo{Addr: o.ep.Addr(), Code: o.code}
+	now := o.clock.Now()
 	var peers []string
-	for addr := range o.contacts {
-		peers = append(peers, addr)
+	for addr, c := range o.contacts {
+		if o.heartbeatDueLocked(c, now) {
+			peers = append(peers, addr)
+		}
 	}
-	o.hbSeq++
-	seq := o.hbSeq
 	o.mu.Unlock()
 
 	// Announce ourselves to the inherited neighborhood immediately. The
@@ -358,7 +359,7 @@ func (o *Overlay) handleJoinAccept(m *wire.JoinAccept) {
 	// deterministic for same-seed runs to be bit-identical.
 	sort.Strings(peers)
 	for _, addr := range peers {
-		o.send(addr, &wire.Heartbeat{From: self, Seq: seq})
+		o.send(addr, &wire.Heartbeat{From: self})
 	}
 	if o.cb.OnJoined != nil {
 		o.cb.OnJoined(m)

@@ -56,11 +56,11 @@ type Callbacks struct {
 	// accepts.
 	IndexDefs func() []wire.IndexDef
 	// VersionDigest supplies the host's current tree-version digest,
-	// carried on heartbeats and acks so peers can detect version skew
+	// carried on heartbeats so peers can detect version skew
 	// without extra round trips (anti-entropy for missed HistInstall
 	// floods). Zero means "all indices at base version".
 	VersionDigest func() uint64
-	// OnVersionSkew fires when a heartbeat exchange reveals a peer whose
+	// OnVersionSkew fires when a heartbeat reveals a peer whose
 	// version digest differs from ours. The host decides who is behind
 	// (via a TreeSync exchange); the overlay only reports the mismatch.
 	OnVersionSkew func(peer wire.NodeInfo)
@@ -74,12 +74,15 @@ type Callbacks struct {
 type contact struct {
 	info     wire.NodeInfo
 	lastSeen time.Time
+	// sentAt is when this node last sent the contact a heartbeat, on its
+	// tick or as an answer: at most one goes out per HeartbeatInterval.
+	sentAt time.Time
 	// probing marks a silent contact whose liveness is being checked via
 	// an overlay-routed probe before it is declared failed (§3.8: a
 	// flaky link is not a dead peer).
 	probing   bool
 	suspectAt time.Time
-	// unreachable marks a contact we cannot reach directly (no ack past
+	// unreachable marks a contact we cannot reach directly (silent past
 	// FailAfter) even though it may still be alive: routing skips it
 	// while reconnection attempts continue (§3.8's transient-link
 	// handling).
@@ -138,7 +141,6 @@ type Overlay struct {
 	pending *pendingPrepare
 
 	hbTimer   transport.Timer
-	hbSeq     uint64
 	hbRunning bool
 	closed    bool
 	// repairAttempts counts consecutive failed level-repair lookups per
@@ -308,12 +310,14 @@ func (o *Overlay) learn(info wire.NodeInfo) {
 
 // learnGossip records a contact carried as third-party information
 // (neighborhood lists in join lookups/accepts, the joiner in a commit
-// notice). Gossip may introduce unknown contacts and refresh codes, but
-// it must NOT advance lastSeen of an existing entry: lookup responses
-// echo stale entries for dead peers, and treating the echo as liveness
-// lets one node keep a corpse perpetually "fresh" — it then attests
-// every liveness probe for the dead peer and no node ever declares the
-// death, so the takeover that would re-cover the region never fires.
+// notice). Gossip may introduce unknown contacts but must NOT change an
+// existing entry: lookup responses echo stale entries for dead or moved
+// peers. An echo that advanced lastSeen would keep a corpse perpetually
+// "fresh" (it attests every liveness probe for the dead peer, so no
+// death and no takeover). An echo that rewrote the code would undo the
+// code the peer's own heartbeats carry: two siblings whose only entry in
+// a level is a relocated peer answer each other's repair lookups with its
+// old code, and the entry flips back after every heartbeat.
 func (o *Overlay) learnGossip(info wire.NodeInfo) {
 	o.learnContact(info, false)
 }
@@ -333,13 +337,14 @@ func (o *Overlay) learnContact(info wire.NodeInfo, direct bool) {
 		delete(o.tombstones, info.Addr)
 	}
 	if c, ok := o.contacts[info.Addr]; ok {
+		if !direct {
+			return
+		}
 		if !c.info.Code.Equal(info.Code) {
 			o.moved = append(o.moved, info)
 		}
 		c.info = info
-		if direct {
-			c.lastSeen = now
-		}
+		c.lastSeen = now
 		return
 	}
 	// Enforce the per-level cap by evicting the stalest same-level
@@ -435,11 +440,21 @@ func (o *Overlay) scheduleHeartbeatLocked() {
 	o.hbTimer = o.clock.AfterFunc(o.cfg.HeartbeatInterval, o.heartbeatTick)
 }
 
-// heartbeatTick sends heartbeats to all contacts and sweeps for failed
-// ones. A contact that has been silent past FailAfter is first probed
-// for liveness through the overlay (another node may still reach it even
-// if our direct link is down); only a negative or absent probe reply
-// declares it dead (§3.8).
+// heartbeatDueLocked reports whether c was sent no heartbeat within the
+// interval, and if so stamps it sent. Callers hold o.mu and send after.
+func (o *Overlay) heartbeatDueLocked(c *contact, now time.Time) bool {
+	if now.Sub(c.sentAt) < o.cfg.HeartbeatInterval {
+		return false
+	}
+	c.sentAt = now
+	return true
+}
+
+// heartbeatTick sends heartbeats to the contacts not sent one within the
+// interval and sweeps for failed ones. A contact silent past FailAfter is
+// first probed for liveness through the overlay (another node may still
+// reach it even if our direct link is down); only a negative or absent
+// probe reply declares it dead (§3.8).
 func (o *Overlay) heartbeatTick() {
 	var digest uint64
 	if o.cb.VersionDigest != nil {
@@ -451,7 +466,6 @@ func (o *Overlay) heartbeatTick() {
 		o.mu.Unlock()
 		return
 	}
-	o.hbSeq++
 	self := wire.NodeInfo{Addr: o.ep.Addr(), Code: o.code}
 	now := o.clock.Now()
 	var targets []string
@@ -463,7 +477,6 @@ func (o *Overlay) heartbeatTick() {
 		case silent <= o.cfg.FailAfter:
 			c.probing = false
 			c.unreachable = false
-			targets = append(targets, addr)
 		case !c.probing:
 			// Direct silence past FailAfter: stop routing through this
 			// contact and check with its other neighbors whether it is
@@ -472,7 +485,6 @@ func (o *Overlay) heartbeatTick() {
 			c.unreachable = true
 			c.suspectAt = now
 			probe = append(probe, c.info)
-			targets = append(targets, addr) // keep attempting reconnection
 		case now.Sub(c.suspectAt) > o.cfg.FailAfter && c.attestedAt.Before(c.suspectAt):
 			// Probe window elapsed and no attestation arrived within it:
 			// dead. Bump the fencing epoch — takeovers and relocations
@@ -486,13 +498,15 @@ func (o *Overlay) heartbeatTick() {
 			o.tombstones[addr] = now
 			o.epoch++
 			o.estranged[addr] = estrangedEntry{info: c.info, at: now}
+			continue
 		case now.Sub(c.suspectAt) > o.cfg.FailAfter:
 			// Attested alive during this window: restart the probe
 			// cycle; if the attestations dry up, a later window declares
 			// it dead.
 			c.probing = false
-			targets = append(targets, addr)
-		default:
+		}
+		// A suspected contact too: reconnection attempts continue.
+		if o.heartbeatDueLocked(c, now) {
 			targets = append(targets, addr)
 		}
 	}
@@ -594,7 +608,6 @@ func (o *Overlay) heartbeatTick() {
 		uncleCode = o.code.NeighborCode(uncleLevel)
 		o.repairAttempts = make(map[int]int)
 	}
-	seq := o.hbSeq
 	o.scheduleHeartbeatLocked()
 	moved := o.moved
 	o.moved = nil
@@ -622,11 +635,8 @@ func (o *Overlay) heartbeatTick() {
 		o.maybeRelocate(wire.NodeInfo{Code: uncleCode})
 	}
 
-	for _, addr := range targets {
-		o.send(addr, &wire.Heartbeat{From: self, Seq: seq, VerDigest: digest})
-	}
-	for _, addr := range estrangedTargets {
-		o.send(addr, &wire.Heartbeat{From: self, Seq: seq, VerDigest: digest})
+	for _, addr := range append(targets, estrangedTargets...) {
+		o.send(addr, &wire.Heartbeat{From: self, VerDigest: digest})
 	}
 	for _, r := range repair {
 		lk := &wire.JoinLookup{JoinerAddr: o.ep.Addr(), Target: r.target}
@@ -793,7 +803,9 @@ func (o *Overlay) maybeRelocate(dead wire.NodeInfo) {
 // message kind belongs to the overlay (false means the host should
 // process it).
 func (o *Overlay) Handle(from string, m wire.Message) bool {
-	o.touch(from)
+	if !fromJoiner(from, m) {
+		o.touch(from)
+	}
 	switch msg := m.(type) {
 	case *wire.JoinLookup:
 		o.handleJoinLookup(from, msg)
@@ -814,9 +826,7 @@ func (o *Overlay) Handle(from string, m wire.Message) bool {
 	case *wire.JoinCommit:
 		o.handleJoinCommit(msg)
 	case *wire.Heartbeat:
-		o.handleHeartbeat(from, msg)
-	case *wire.HeartbeatAck:
-		o.handleHeartbeatAck(msg)
+		o.handleHeartbeat(msg)
 	case *wire.Takeover:
 		o.handleTakeover(msg)
 	case *wire.CollisionProbe:
@@ -835,11 +845,29 @@ func (o *Overlay) Handle(from string, m wire.Message) bool {
 	return true
 }
 
-func (o *Overlay) handleHeartbeat(from string, m *wire.Heartbeat) {
+// fromJoiner reports whether m is a join lookup (repair lookups have
+// ReqID 0) or join request sent by its joiner. A joiner holds no code, so
+// this must not keep an entry under its address fresh (DESIGN.md §4g): a
+// stepped-down node would stay its old contacts' shallowest split target
+// and refuse every join, its own included.
+func fromJoiner(from string, m wire.Message) bool {
+	switch msg := m.(type) {
+	case *wire.JoinLookup:
+		return msg.ReqID != 0 && msg.JoinerAddr == from
+	case *wire.JoinRequest:
+		return msg.JoinerAddr == from
+	}
+	return false
+}
+
+// handleHeartbeat runs a heartbeat's checks and answers it with the
+// heartbeat the sender is owed, unless one went to it within the interval:
+// so an answer is never answered.
+func (o *Overlay) handleHeartbeat(m *wire.Heartbeat) {
 	o.mu.Lock()
 	// An unjoined node must not attest: a restarted process listening on
-	// a dead node's address would otherwise ack heartbeats meant for its
-	// predecessor, keeping the ghost identity perpetually "fresh" (its
+	// a dead node's address would otherwise answer heartbeats meant for
+	// its predecessor, keeping the ghost identity perpetually "fresh" (its
 	// death is never declared) and poisoning the sender's contact table
 	// with the joiner's pre-join code.
 	if !o.joined {
@@ -849,34 +877,16 @@ func (o *Overlay) handleHeartbeat(from string, m *wire.Heartbeat) {
 	probe, probeEpoch := o.collisionCheckLocked(m.From)
 	hints := o.collisionHintsLocked(m.From)
 	o.learn(m.From)
+	c := o.contacts[m.From.Addr]
+	answer := c != nil && o.heartbeatDueLocked(c, o.clock.Now())
 	self := wire.NodeInfo{Addr: o.ep.Addr(), Code: o.code}
 	o.mu.Unlock()
 	digest := o.versionDigest()
 	if digest != m.VerDigest && o.cb.OnVersionSkew != nil {
 		o.cb.OnVersionSkew(m.From)
 	}
-	o.send(from, &wire.HeartbeatAck{From: self, Seq: m.Seq, VerDigest: digest})
-	if probe {
-		o.send(m.From.Addr, &wire.CollisionProbe{From: self, Epoch: probeEpoch})
-	}
-	for _, h := range hints {
-		o.send(h.to, &wire.CollisionHint{Peer: h.peer})
-	}
-}
-
-func (o *Overlay) handleHeartbeatAck(m *wire.HeartbeatAck) {
-	o.mu.Lock()
-	if !o.joined {
-		o.mu.Unlock()
-		return
-	}
-	probe, probeEpoch := o.collisionCheckLocked(m.From)
-	hints := o.collisionHintsLocked(m.From)
-	o.learn(m.From)
-	self := wire.NodeInfo{Addr: o.ep.Addr(), Code: o.code}
-	o.mu.Unlock()
-	if o.versionDigest() != m.VerDigest && o.cb.OnVersionSkew != nil {
-		o.cb.OnVersionSkew(m.From)
+	if answer {
+		o.send(m.From.Addr, &wire.Heartbeat{From: self, VerDigest: digest})
 	}
 	if probe {
 		o.send(m.From.Addr, &wire.CollisionProbe{From: self, Epoch: probeEpoch})

@@ -37,7 +37,7 @@ func TestUnreachableContactSkippedByRouting(t *testing.T) {
 		t.Fatalf("routing chose unreachable contact %s", next)
 	}
 	// Receiving traffic from the victim clears the flag.
-	src.ov.Handle(victimAddr, &wire.Heartbeat{From: wire.NodeInfo{Addr: victimAddr, Code: victimCode}, Seq: 1})
+	src.ov.Handle(victimAddr, &wire.Heartbeat{From: wire.NodeInfo{Addr: victimAddr, Code: victimCode}})
 	if next, ok := src.ov.NextHop(victimCode); !ok || next != victimAddr {
 		t.Fatalf("cleared contact not used again (next=%q ok=%v)", next, ok)
 	}

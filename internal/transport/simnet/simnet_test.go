@@ -405,7 +405,7 @@ func TestBatchPayloadRoundTrip(t *testing.T) {
 	a, _ := n.Endpoint("a")
 	b, _ := n.Endpoint("b")
 
-	sub1 := wire.Encode(&wire.Heartbeat{From: wire.NodeInfo{Addr: "a"}, Seq: 1})
+	sub1 := wire.Encode(&wire.Heartbeat{From: wire.NodeInfo{Addr: "a"}})
 	sent := &wire.InsertAcks{}
 	sent.Append(7, 3)
 	sub2 := wire.Encode(sent)

@@ -242,7 +242,7 @@ func TestBatchPayloadRoundTrip(t *testing.T) {
 	b, _ := Listen("127.0.0.1:0")
 	defer b.Close()
 
-	sub1 := wire.Encode(&wire.Heartbeat{From: wire.NodeInfo{Addr: a.Addr()}, Seq: 1})
+	sub1 := wire.Encode(&wire.Heartbeat{From: wire.NodeInfo{Addr: a.Addr()}})
 	sent := &wire.InsertAcks{}
 	sent.Append(42, 5)
 	sub2 := wire.Encode(sent)

@@ -32,7 +32,7 @@ const (
 
 	// Overlay maintenance.
 	KindHeartbeat
-	KindHeartbeatAck
+	_ // 11: reserved, was the heartbeat ack
 	KindTakeover
 	_ // 13: reserved, was the expanding-ring probe
 	KindLivenessProbe
@@ -95,7 +95,6 @@ var kinds = [256]struct {
 	KindJoinCommit:      {"join-commit", func() Message { return new(JoinCommit) }},
 
 	KindHeartbeat:     {"heartbeat", func() Message { return new(Heartbeat) }},
-	KindHeartbeatAck:  {"heartbeat-ack", func() Message { return new(HeartbeatAck) }},
 	KindTakeover:      {"takeover", func() Message { return new(Takeover) }},
 	KindLivenessProbe: {"liveness-probe", func() Message { return new(LivenessProbe) }},
 	KindLivenessReply: {"liveness-reply", func() Message { return new(LivenessReply) }},
@@ -357,36 +356,20 @@ func (m *JoinCommit) fields(c *codec) {
 
 // --- Overlay maintenance -----------------------------------------------
 
-// Heartbeat probes a neighbor's liveness and carries the sender's
-// current code so stale neighbor entries self-correct. VerDigest is an
-// order-independent digest of the sender's installed cut-tree epochs;
-// a mismatch triggers the tree-summary exchange that lets nodes which
-// missed a HistInstall flood (e.g. across a partition) catch up without
-// waiting for data traffic.
+// Heartbeat is the one liveness message, sent to each contact at most
+// once per interval, on the tick or as an answer. It carries the sender's
+// current code so stale neighbor entries self-correct. VerDigest digests
+// the sender's installed cut-tree epochs; a mismatch triggers the
+// tree-summary exchange that lets nodes which missed a HistInstall flood
+// (e.g. across a partition) catch up without waiting for data traffic.
 type Heartbeat struct {
 	From      NodeInfo
-	Seq       uint64
 	VerDigest uint64
 }
 
 func (m *Heartbeat) Kind() Kind { return KindHeartbeat }
 func (m *Heartbeat) fields(c *codec) {
 	c.Node(&m.From)
-	c.Uvarint(&m.Seq)
-	c.U64(&m.VerDigest)
-}
-
-// HeartbeatAck answers a heartbeat.
-type HeartbeatAck struct {
-	From      NodeInfo
-	Seq       uint64
-	VerDigest uint64
-}
-
-func (m *HeartbeatAck) Kind() Kind { return KindHeartbeatAck }
-func (m *HeartbeatAck) fields(c *codec) {
-	c.Node(&m.From)
-	c.Uvarint(&m.Seq)
 	c.U64(&m.VerDigest)
 }
 

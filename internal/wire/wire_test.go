@@ -173,8 +173,7 @@ func allMessages() []Message {
 			Indices: []IndexDef{{Schema: testSchema(), Versions: []VersionDef{{Version: 1, Tree: []byte{1, 2}, Epoch: 3}}}}},
 		&JoinReject{ReqID: 5, Reason: "busy"},
 		&JoinCommit{OldCode: c, Target: ni, Joiner: NodeInfo{Addr: "j", Code: c.Append(1)}},
-		&Heartbeat{From: ni, Seq: 42, VerDigest: 0xdeadbeef},
-		&HeartbeatAck{From: ni, Seq: 42, VerDigest: 0xdeadbeef},
+		&Heartbeat{From: ni, VerDigest: 0xdeadbeef},
 		&Takeover{From: ni, OldCode: c.Append(0), Dead: c.Append(1), Epoch: 5, DeadAddr: "d"},
 		&LivenessProbe{ReqID: 7, Asker: ni, Suspect: NodeInfo{Addr: "s", Code: c}, Hops: 1},
 		&LivenessReply{ReqID: 7, Alive: true},
