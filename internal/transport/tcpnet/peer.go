@@ -279,7 +279,11 @@ func (p *peer) ensureConn() net.Conn {
 	}
 	wasFailed := p.consec > 0
 	p.dials++
-	p.setStateLocked(StateDialing)
+	if p.state != StateDead {
+		// A dead peer's probe leaves the circuit open until it connects:
+		// Send keeps reporting the peer dead while the dial is in flight.
+		p.setStateLocked(StateDialing)
+	}
 	p.mu.Unlock()
 
 	conn, err := p.e.dial(p.addr)

@@ -87,7 +87,8 @@ func genScatterMessage(k Kind, r *rand.Rand) Message {
 // group list breaks one rule of the group form for each rule, runs of 1, 2
 // and 65 records of each write-path kind (insert runs with and without
 // the repeat bit), a run breaking each rule of its kind (hostileRuns), a
-// batch of routed messages and a nested batch.
+// heartbeat from an unjoined sender, a batch of routed messages and a
+// nested batch.
 func FuzzEveryKind(f *testing.F) {
 	ks := registered()
 	for i, k := range ks {
@@ -99,6 +100,9 @@ func FuzzEveryKind(f *testing.F) {
 			for _, h := range hostileGroups() {
 				f.Add(uint8(i), queryRespWith(h.bad))
 			}
+		case KindHeartbeat:
+			// An unjoined sender's heartbeat: no code and no digest.
+			f.Add(uint8(i), Encode(&Heartbeat{From: NodeInfo{Addr: "j"}})[1:])
 		case KindBatch:
 			// Routed messages coalesced into one write burst.
 			routed := [][]byte{Encode(insertRun(2)), Encode(sample(f, KindSubQuery)), Encode(sample(f, KindTriggerInstall))}
