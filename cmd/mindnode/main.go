@@ -52,10 +52,9 @@ func main() {
 		writeTimeout = flag.Duration("write-timeout", 0, "per-frame write deadline; a peer stalled past this is evicted (0 = 10s default)")
 		sendQueue    = flag.Int("send-queue", 0, "per-peer bounded send-queue length (0 = 512 default)")
 
-		clientRate    = flag.Float64("client-rate-limit", 0, "per-client admission rate on client RPCs, req/s (0 = unlimited)")
-		clientBurst   = flag.Int("client-rate-burst", 0, "per-client admission burst (0 = rate)")
-		gossipRate    = flag.Float64("gossip-rate-limit", 0, "per-peer admission rate on flood gossip, msg/s (0 = unlimited)")
-		maxPendingOps = flag.Int("max-pending-ops", 0, "shed client inserts past this many in-flight tracked inserts (0 = unlimited)")
+		clientRate  = flag.Float64("client-rate-limit", 0, "per-client admission rate on client RPCs, req/s (0 = unlimited)")
+		clientBurst = flag.Int("client-rate-burst", 0, "per-client admission burst (0 = rate)")
+		gossipRate  = flag.Float64("gossip-rate-limit", 0, "per-peer admission rate on flood gossip, msg/s (0 = unlimited)")
 	)
 	flag.Parse()
 
@@ -73,7 +72,6 @@ func main() {
 	cfg.ClientRateLimit = *clientRate
 	cfg.ClientRateBurst = *clientBurst
 	cfg.GossipRateLimit = *gossipRate
-	cfg.MaxPendingOps = *maxPendingOps
 	node := mind.NewNode(ep, transport.RealClock{}, cfg)
 
 	if *join == "" {

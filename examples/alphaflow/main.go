@@ -25,7 +25,6 @@ import (
 func main() {
 	cfg := mind.DefaultConfig(11)
 	cfg.HistCollectWait = 5 * time.Second
-	cfg.BalancedCutDepth = 10
 	c, err := cluster.New(cluster.Options{
 		N:    16,
 		Seed: 11,

@@ -59,7 +59,7 @@ func main() {
 	g := flowgen.New(gcfg)
 	truth := g.StandardAnomalies(start)
 
-	det := detect.New(detect.Config{})
+	det := detect.New()
 	inserted := 0
 	w := aggregate.NewWindower(aggregate.Config{WindowSec: 30}, func(ws uint64, aggs []*aggregate.Agg) {
 		for _, a := range aggs {
@@ -82,7 +82,7 @@ func main() {
 	w.Flush()
 	events := det.Finish()
 	fmt.Printf("indexed %d records; off-line detector found %d events (recall vs ground truth: %.0f%%)\n\n",
-		inserted, len(events), 100*detect.Recall(events, truth, 300))
+		inserted, len(events), 100*detect.Recall(events, truth, detect.WindowSec))
 
 	fmt.Println("anomaly        time   index          result  recalled  avg_resp  monitors")
 	fmt.Println("-------        ----   -----          ------  --------  --------  --------")

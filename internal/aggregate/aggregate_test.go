@@ -197,8 +197,6 @@ func TestDeterministicEmitOrder(t *testing.T) {
 
 func TestReductionSweepFig1Shape(t *testing.T) {
 	cfg := flowgen.DefaultConfig(99)
-	cfg.NumDstPrefixes = 256
-	cfg.NumSrcPrefixes = 256
 	cfg.BaseFlowsPerSec = 20
 	g := flowgen.New(cfg)
 	gen := func(emit func(flowgen.Flow)) { g.Generate(0, 1800, emit) }

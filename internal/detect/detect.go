@@ -57,26 +57,17 @@ func (e Event) String() string {
 		e.Octets, e.Fanout, e.Nodes)
 }
 
-// Config tunes the detector thresholds; both default to the §5 query
-// constants.
-type Config struct {
-	WindowSec       uint64 // default 300 (the paper's 5-minute windows)
-	VolumeThreshold uint64 // default 4,000,000 octets
-	FanoutThreshold uint64 // default 1500 short connections
-}
-
-func (c Config) withDefaults() Config {
-	if c.WindowSec == 0 {
-		c.WindowSec = 300
-	}
-	if c.VolumeThreshold == 0 {
-		c.VolumeThreshold = 4_000_000
-	}
-	if c.FanoutThreshold == 0 {
-		c.FanoutThreshold = 1500
-	}
-	return c
-}
+// The detector's thresholds are the §5 query constants.
+const (
+	// WindowSec is the aggregation window (the paper's 5-minute windows).
+	WindowSec = 300
+	// VolumeThreshold is the octets a prefix pair must move in one
+	// window to be a volume anomaly.
+	VolumeThreshold = 4_000_000
+	// FanoutThreshold is the short connections a prefix pair must make
+	// at one monitor in one window to be a fanout anomaly.
+	FanoutThreshold = 1500
+)
 
 type pairKey struct {
 	src, dst uint64
@@ -93,7 +84,6 @@ type pairAgg struct {
 
 // Detector consumes a timestamp-ordered flow stream.
 type Detector struct {
-	cfg      Config
 	winStart uint64
 	started  bool
 	pairs    map[pairKey]*pairAgg
@@ -101,19 +91,19 @@ type Detector struct {
 }
 
 // New creates a detector.
-func New(cfg Config) *Detector {
-	return &Detector{cfg: cfg.withDefaults(), pairs: make(map[pairKey]*pairAgg)}
+func New() *Detector {
+	return &Detector{pairs: make(map[pairKey]*pairAgg)}
 }
 
 // Add ingests one flow.
 func (d *Detector) Add(f flowgen.Flow) {
-	ws := f.Start - f.Start%d.cfg.WindowSec
+	ws := f.Start - f.Start%WindowSec
 	if !d.started {
 		d.winStart, d.started = ws, true
 	}
 	for ws > d.winStart {
 		d.flush()
-		d.winStart += d.cfg.WindowSec
+		d.winStart += WindowSec
 	}
 	k := pairKey{src: schema.Prefix24(f.SrcIP), dst: schema.Prefix24(f.DstIP)}
 	a, ok := d.pairs[k]
@@ -168,7 +158,7 @@ func (d *Detector) flush() {
 		if len(nodes) > 1 {
 			oct /= uint64(len(nodes))
 		}
-		if oct >= d.cfg.VolumeThreshold {
+		if oct >= VolumeThreshold {
 			d.events = append(d.events, Event{
 				Kind: Volume, WindowStart: d.winStart,
 				SrcPrefix: k.src, DstPrefix: k.dst,
@@ -181,7 +171,7 @@ func (d *Detector) flush() {
 				fanout = c
 			}
 		}
-		if fanout >= d.cfg.FanoutThreshold {
+		if fanout >= FanoutThreshold {
 			d.events = append(d.events, Event{
 				Kind: Fanout, WindowStart: d.winStart,
 				SrcPrefix: k.src, DstPrefix: k.dst,

@@ -9,8 +9,6 @@ import (
 
 func cfgSmall() flowgen.Config {
 	c := flowgen.DefaultConfig(77)
-	c.NumDstPrefixes = 256
-	c.NumSrcPrefixes = 256
 	c.BaseFlowsPerSec = 5
 	return c
 }
@@ -23,7 +21,7 @@ func TestDetectsInjectedAlphaFlow(t *testing.T) {
 		Routers: []int{2, 5}, Intensity: 80_000_000,
 	}
 	g.Inject(a)
-	d := New(Config{})
+	d := New()
 	g.Generate(0, 900, func(f flowgen.Flow) { d.Add(f) })
 	events := d.Finish()
 	found := false
@@ -54,7 +52,7 @@ func TestDetectsDoSAndScanAsFanout(t *testing.T) {
 	}
 	g.Inject(dos)
 	g.Inject(scan)
-	d := New(Config{FanoutThreshold: 1000})
+	d := New()
 	g.Generate(0, 600, func(f flowgen.Flow) { d.Add(f) })
 	events := d.Finish()
 	if Recall(events, []flowgen.Anomaly{dos, scan}, 300) != 1 {
@@ -64,7 +62,7 @@ func TestDetectsDoSAndScanAsFanout(t *testing.T) {
 
 func TestNoFalsePositivesOnQuietTraffic(t *testing.T) {
 	g := flowgen.New(cfgSmall())
-	d := New(Config{})
+	d := New()
 	g.Generate(0, 600, func(f flowgen.Flow) { d.Add(f) })
 	events := d.Finish()
 	for _, e := range events {
@@ -75,9 +73,9 @@ func TestNoFalsePositivesOnQuietTraffic(t *testing.T) {
 }
 
 func TestWindowAttribution(t *testing.T) {
-	d := New(Config{WindowSec: 300, VolumeThreshold: 1000})
+	d := New()
 	mk := func(ts uint64) flowgen.Flow {
-		return flowgen.Flow{Node: 0, SrcIP: schema.IPv4(172, 16, 0, 1), DstIP: schema.IPv4(10, 0, 0, 1), Start: ts, Octets: 5000, Packets: 5}
+		return flowgen.Flow{Node: 0, SrcIP: schema.IPv4(172, 16, 0, 1), DstIP: schema.IPv4(10, 0, 0, 1), Start: ts, Octets: 5_000_000, Packets: 5000}
 	}
 	d.Add(mk(10))
 	d.Add(mk(400)) // next window
@@ -92,18 +90,18 @@ func TestWindowAttribution(t *testing.T) {
 
 func TestMultiNodeVolumeNormalization(t *testing.T) {
 	// A flow seen at 4 monitors must not count 4× toward volume.
-	d := New(Config{WindowSec: 300, VolumeThreshold: 3000})
+	d := New()
 	for node := 0; node < 4; node++ {
-		d.Add(flowgen.Flow{Node: node, SrcIP: schema.IPv4(172, 16, 0, 1), DstIP: schema.IPv4(10, 0, 0, 1), Start: 5, Octets: 2500, Packets: 3})
+		d.Add(flowgen.Flow{Node: node, SrcIP: schema.IPv4(172, 16, 0, 1), DstIP: schema.IPv4(10, 0, 0, 1), Start: 5, Octets: 3_000_000, Packets: 3000})
 	}
 	events := d.Finish()
 	if len(events) != 0 {
 		t.Fatalf("multi-monitor inflation: %v", events)
 	}
 	// But a genuinely large flow on 4 monitors is still detected.
-	d2 := New(Config{WindowSec: 300, VolumeThreshold: 3000})
+	d2 := New()
 	for node := 0; node < 4; node++ {
-		d2.Add(flowgen.Flow{Node: node, SrcIP: schema.IPv4(172, 16, 0, 1), DstIP: schema.IPv4(10, 0, 0, 1), Start: 5, Octets: 5000, Packets: 5})
+		d2.Add(flowgen.Flow{Node: node, SrcIP: schema.IPv4(172, 16, 0, 1), DstIP: schema.IPv4(10, 0, 0, 1), Start: 5, Octets: 5_000_000, Packets: 5000})
 	}
 	if len(d2.Finish()) != 1 {
 		t.Fatal("large multi-monitor flow missed")

@@ -69,10 +69,10 @@ func Table17(seed int64, scale float64) (*Report, error) {
 	truth := g.StandardAnomalies(wallStart)
 
 	// Off-line detector ground-truth cross-check over the same flows.
-	det := detect.New(detect.Config{})
+	det := detect.New()
 	recs := buildWorkloadTap(g, wallStart, wallStart+dur, ix, true, true, false, det.Add)
 	events := det.Finish()
-	offlineRecall := detect.Recall(events, truth, 300)
+	offlineRecall := detect.Recall(events, truth, detect.WindowSec)
 
 	driveInserts(c, recs, wallStart)
 	c.Settle(5 * time.Second)

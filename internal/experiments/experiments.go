@@ -202,26 +202,38 @@ type insertSample struct {
 	ok   bool
 }
 
+// kill is one churn event of a drive: node is killed just before the
+// record with index at is issued.
+type kill struct{ node, at int }
+
 // driveInserts replays timed records into the cluster in virtual time:
 // the clock advances to each record's emission instant (with a small
 // deterministic per-node spread inside the window) and the insert is
-// issued from the record's monitor node. It returns one sample per
-// insert after draining the tail.
-func driveInserts(c *cluster.Cluster, recs []timedRec, wallStart uint64) []insertSample {
+// issued from the record's monitor node. Each kill, in record order,
+// takes its node down on the way (the §4.3 run saw the operational node
+// count vary between 70 and 102), and a record whose monitor is dead is
+// skipped. It returns one sample per record after draining the tail.
+func driveInserts(c *cluster.Cluster, recs []timedRec, wallStart uint64, kills ...kill) []insertSample {
 	samples := make([]insertSample, len(recs))
-	issued := 0
-	done := 0
+	issued, done := 0, 0
 	epoch := c.Net.Now()
 	for i, tr := range recs {
+		if len(kills) > 0 && i >= kills[0].at {
+			c.Kill(kills[0].node)
+			kills = kills[1:]
+		}
 		// Spread same-window emissions across the window deterministically.
 		offMs := uint64(tr.node*977+i*131) % 27000
 		at := epoch.Add(time.Duration(tr.at-wallStart)*time.Second + time.Duration(offMs)*time.Millisecond)
 		if at.After(c.Net.Now()) {
 			c.Net.RunFor(at.Sub(c.Net.Now()))
 		}
+		node := c.Nodes[tr.node%len(c.Nodes)]
+		if c.Net.IsDead(node.Addr()) {
+			continue
+		}
 		i := i
 		start := c.Net.Now()
-		node := c.Nodes[tr.node%len(c.Nodes)]
 		samples[i].at = start
 		issued++
 		err := node.Insert(tr.tag, tr.rec, func(res mind.InsertResult) {
@@ -235,7 +247,7 @@ func driveInserts(c *cluster.Cluster, recs []timedRec, wallStart uint64) []inser
 			done++
 		}
 	}
-	c.Net.RunUntil(func() bool { return done >= issued }, 100_000_000)
+	c.Net.RunUntil(func() bool { return done >= issued }, 200_000_000)
 	return samples
 }
 

@@ -7,7 +7,6 @@ import (
 	"mind/internal/cluster"
 	"mind/internal/flowgen"
 	"mind/internal/metrics"
-	"mind/internal/mind"
 	"mind/internal/topo"
 	"mind/internal/transport/simnet"
 )
@@ -67,47 +66,6 @@ func setupLarge102(seed int64, scale float64) (*cluster.Cluster, indexSet, []tim
 	return c, ix, recs, wallStart, nil
 }
 
-// driveInsertsWithChurn replays the workload while killing a node every
-// churnEvery records (the §4.3 run saw the operational node count vary
-// between 70 and 102). Inserts from dead monitors are skipped.
-func driveInsertsWithChurn(c *cluster.Cluster, recs []timedRec, wallStart uint64, kills []int, killAt []int) []insertSample {
-	samples := make([]insertSample, len(recs))
-	issued, done := 0, 0
-	epoch := c.Net.Now()
-	nextKill := 0
-	for i, tr := range recs {
-		if nextKill < len(killAt) && i >= killAt[nextKill] {
-			c.Kill(kills[nextKill])
-			nextKill++
-		}
-		offMs := uint64(tr.node*977+i*131) % 27000
-		at := epoch.Add(time.Duration(tr.at-wallStart)*time.Second + time.Duration(offMs)*time.Millisecond)
-		if at.After(c.Net.Now()) {
-			c.Net.RunFor(at.Sub(c.Net.Now()))
-		}
-		node := c.Nodes[tr.node%len(c.Nodes)]
-		if c.Net.IsDead(node.Addr()) {
-			samples[i].ok = false
-			continue
-		}
-		i := i
-		start := c.Net.Now()
-		samples[i].at = start
-		issued++
-		err := node.Insert(tr.tag, tr.rec, func(res mind.InsertResult) {
-			samples[i].lat = c.Net.Now().Sub(start)
-			samples[i].hops = res.Hops
-			samples[i].ok = res.OK
-			done++
-		})
-		if err != nil {
-			done++
-		}
-	}
-	c.Net.RunUntil(func() bool { return done >= issued }, 200_000_000)
-	return samples
-}
-
 // fig14Run executes the shared 102-node churn run.
 func fig14Run(seed int64, scale float64) (*cluster.Cluster, []insertSample, []querySample, error) {
 	c, ix, recs, wallStart, err := setupLarge102(seed, scale)
@@ -115,13 +73,12 @@ func fig14Run(seed int64, scale float64) (*cluster.Cluster, []insertSample, []qu
 		return nil, nil, nil, err
 	}
 	// Kill ~10% of nodes spread through the run.
-	var kills, killAt []int
-	nKills := 10
+	var kills []kill
+	const nKills = 10
 	for k := 0; k < nKills; k++ {
-		kills = append(kills, 7+k*9)
-		killAt = append(killAt, (k+1)*len(recs)/(nKills+1))
+		kills = append(kills, kill{node: 7 + k*9, at: (k + 1) * len(recs) / (nKills + 1)})
 	}
-	samples := driveInsertsWithChurn(c, recs, wallStart, kills, killAt)
+	samples := driveInserts(c, recs, wallStart, kills...)
 	c.Settle(20 * time.Second)
 
 	rng := xorshift(uint64(seed) + 1717)

@@ -38,80 +38,68 @@ type Flow struct {
 	Packets uint64
 }
 
-// Config tunes the generator.
-type Config struct {
-	Seed    int64
-	Routers []topo.Router
-
+// The shape of the traffic. These fix the model that stands in for the
+// Abilene and GÉANT traces, not a deployment.
+const (
 	// Prefix universe: hosts live in NumDstPrefixes /24s (dst side) and
 	// NumSrcPrefixes /24s (src side), drawn with Zipf popularity.
-	NumDstPrefixes int
-	NumSrcPrefixes int
+	NumDstPrefixes = 4096
+	NumSrcPrefixes = 4096
 	// ZipfS is the Zipf exponent (>1); larger means more skew.
-	ZipfS float64
+	ZipfS = 1.15
 
-	// BaseFlowsPerSec is the per-router flow rate at diurnal peak for a
-	// router of weight 1, before sampling-rate division.
-	BaseFlowsPerSec float64
 	// DiurnalAmplitude in [0,1): rate swings between (1-A) and 1 of the
 	// base across the day.
-	DiurnalAmplitude float64
+	DiurnalAmplitude = 0.6
 	// HourlyChurn in [0,1]: the fraction of source prefixes that are
 	// only active in a rotating hour-of-day-dependent subset, producing
 	// hour-to-hour distribution shift.
-	HourlyChurn float64
+	HourlyChurn = 0.5
 
 	// HotPairs is the number of "chatty" prefix pairs that exchange
 	// bursts of short connections (P2P swarms, NAT gateways, busy mail
 	// relays). They give Index-1 its background population: aggregates
 	// whose fanout clears the insertion threshold without being attacks.
-	HotPairs int
+	HotPairs = 48
 	// HotPairFrac is the probability that a background emission is a
 	// short-connection burst between a hot pair instead of a plain flow.
-	HotPairFrac float64
+	HotPairFrac = 0.15
+)
+
+// churned is how many source prefixes HourlyChurn governs: the lowest
+// indices, the Zipf head.
+const churned = int(HourlyChurn * NumSrcPrefixes)
+
+// Config tunes the generator.
+type Config struct {
+	Seed    int64
+	Routers []topo.Router
+
+	// BaseFlowsPerSec is the per-router flow rate at diurnal peak for a
+	// router of weight 1, before sampling-rate division.
+	BaseFlowsPerSec float64
 
 	// Start is the epoch (unix seconds) of the first generated flow.
 	Start uint64
 }
 
 // DefaultConfig returns a workload shaped like the paper's: the 34
-// combined Abilene+GÉANT routers and a prefix universe big enough to
-// show realistic skew.
+// combined Abilene+GÉANT routers at 40 flows per second.
 func DefaultConfig(seed int64) Config {
 	return Config{
-		Seed:             seed,
-		Routers:          topo.Combined(),
-		NumDstPrefixes:   4096,
-		NumSrcPrefixes:   4096,
-		ZipfS:            1.15,
-		BaseFlowsPerSec:  40,
-		DiurnalAmplitude: 0.6,
-		HourlyChurn:      0.5,
-		Start:            0,
+		Seed:            seed,
+		Routers:         topo.Combined(),
+		BaseFlowsPerSec: 40,
+		Start:           0,
 	}
 }
 
 func (c Config) withDefaults() Config {
-	if c.NumDstPrefixes == 0 {
-		c.NumDstPrefixes = 1024
-	}
-	if c.NumSrcPrefixes == 0 {
-		c.NumSrcPrefixes = 1024
-	}
-	if c.ZipfS == 0 {
-		c.ZipfS = 1.15
-	}
 	if c.BaseFlowsPerSec == 0 {
 		c.BaseFlowsPerSec = 20
 	}
 	if len(c.Routers) == 0 {
 		c.Routers = topo.Combined()
-	}
-	if c.HotPairs == 0 {
-		c.HotPairs = 48
-	}
-	if c.HotPairFrac == 0 {
-		c.HotPairFrac = 0.15
 	}
 	return c
 }
@@ -133,8 +121,8 @@ func New(cfg Config) *Generator {
 		cfg: cfg,
 		rng: rng,
 		// rand.Zipf draws from [0, imax] with P(k) ∝ 1/(k+1)^s.
-		dstZipf: rand.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.NumDstPrefixes-1)),
-		srcZipf: rand.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.NumSrcPrefixes-1)),
+		dstZipf: rand.NewZipf(rng, ZipfS, 1, NumDstPrefixes-1),
+		srcZipf: rand.NewZipf(rng, ZipfS, 1, NumSrcPrefixes-1),
 	}
 }
 
@@ -166,19 +154,16 @@ func (g *Generator) diurnalFactor(t uint64) float64 {
 	secOfDay := float64(t % 86400)
 	// Peak around 14:00, trough around 02:00.
 	phase := 2 * math.Pi * (secOfDay/86400 - 14.0/24)
-	return 1 - g.cfg.DiurnalAmplitude*(1-math.Cos(phase))/2
+	return 1 - DiurnalAmplitude*(1-math.Cos(phase))/2
 }
 
 // srcActive reports whether a churn-governed source prefix is active in
 // the hour containing t. A deterministic hash rotates the active subset
 // with the hour of day, so the same hours on different days activate the
 // same subsets (daily stationarity) while adjacent hours differ.
-func (g *Generator) srcActive(prefix int, t uint64) bool {
-	if g.cfg.HourlyChurn <= 0 {
-		return true
-	}
+func srcActive(prefix int, t uint64) bool {
 	// The top (1-churn) fraction of prefixes is always active.
-	if float64(prefix) >= g.cfg.HourlyChurn*float64(g.cfg.NumSrcPrefixes) {
+	if prefix >= churned {
 		return true
 	}
 	hourOfDay := (t / 3600) % 24
@@ -217,18 +202,15 @@ func (g *Generator) GenerateSecond(t uint64, emit func(Flow)) {
 }
 
 func (g *Generator) emitBackground(node int, t uint64, emit func(Flow)) {
-	if g.cfg.HotPairFrac > 0 && g.rng.Float64() < g.cfg.HotPairFrac {
+	if g.rng.Float64() < HotPairFrac {
 		g.emitHotBurst(node, t, emit)
 		return
 	}
 	dst := int(g.dstZipf.Uint64())
 	src := int(g.srcZipf.Uint64())
-	if !g.srcActive(src, t) {
+	if !srcActive(src, t) {
 		// Redirect the draw to an always-active prefix.
-		src = int(g.cfg.HourlyChurn*float64(g.cfg.NumSrcPrefixes)) + src%maxInt(1, g.cfg.NumSrcPrefixes-int(g.cfg.HourlyChurn*float64(g.cfg.NumSrcPrefixes)))
-		if src >= g.cfg.NumSrcPrefixes {
-			src = g.cfg.NumSrcPrefixes - 1
-		}
+		src = churned + src%(NumSrcPrefixes-churned)
 	}
 	port := wellKnownPorts[g.rng.Intn(len(wellKnownPorts))]
 	if g.rng.Float64() < 0.25 {
@@ -251,9 +233,9 @@ func (g *Generator) emitBackground(node int, t uint64, emit func(Flow)) {
 // uniform draw.
 func (g *Generator) emitHotBurst(node int, t uint64, emit func(Flow)) {
 	u := g.rng.Float64()
-	pair := int(u * u * float64(g.cfg.HotPairs))
-	if pair >= g.cfg.HotPairs {
-		pair = g.cfg.HotPairs - 1
+	pair := int(u * u * HotPairs)
+	if pair >= HotPairs {
+		pair = HotPairs - 1
 	}
 	// Stable pair → prefix mapping, disjoint from the Zipf universes'
 	// hottest entries only by chance; overlap is harmless.
@@ -309,14 +291,7 @@ func (g *Generator) Generate(from, to uint64, emit func(Flow)) {
 	}
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func (g *Generator) String() string {
 	return fmt.Sprintf("flowgen(routers=%d, dst=%d, src=%d, zipf=%.2f)",
-		len(g.cfg.Routers), g.cfg.NumDstPrefixes, g.cfg.NumSrcPrefixes, g.cfg.ZipfS)
+		len(g.cfg.Routers), NumDstPrefixes, NumSrcPrefixes, ZipfS)
 }

@@ -10,8 +10,6 @@ import (
 
 func smallConfig(seed int64) Config {
 	c := DefaultConfig(seed)
-	c.NumDstPrefixes = 256
-	c.NumSrcPrefixes = 256
 	c.BaseFlowsPerSec = 5
 	return c
 }

@@ -46,7 +46,6 @@ func TestAllocBudgetIngestParse(t *testing.T) {
 	eng := New(&poolSink{}, Config{
 		Shards:      1,
 		RingSize:    1 << 10,
-		MaxBatch:    count,
 		Synchronous: true,
 		SelfAddr:    "self", // acks say "remote", so every record recycles
 	})

@@ -25,11 +25,6 @@ type Config struct {
 	// RingSize is the per-shard ring capacity (rounded up to a power of
 	// two); 0 means 8192.
 	RingSize int
-	// MaxBatch caps the records one InsertBatch call carries; 0 means 256.
-	MaxBatch int
-	// MaxPending caps a shard's in-flight (submitted but un-acked)
-	// records before admission control engages; 0 means 8192.
-	MaxPending int
 	// Block selects the admission mode on overload: block the producer
 	// until space frees (true) or drop the record and count it (false).
 	// Blocking requires running workers (not Synchronous mode).
@@ -41,12 +36,11 @@ type Config struct {
 	// Empty disables recycling.
 	SelfAddr string
 	// NodePending optionally reports the node's own in-flight tracked
-	// operations (mind.Node.PendingInserts); admission also throttles on
-	// it so a node falling behind on acks sheds load at the edge instead
-	// of growing its tracking tables without bound.
+	// operations (mind.Node.PendingInserts); admission also refuses at
+	// mind.MaxPendingInserts of them, the ceiling the node sheds client
+	// inserts at, so a node falling behind on acks sheds load at the
+	// edge instead of growing its tracking tables without bound.
 	NodePending func() int
-	// NodePendingLimit is the NodePending admission bound; 0 means 65536.
-	NodePendingLimit int
 	// OnResult, when set, observes every record's final InsertResult.
 	// The record slice is only valid during the call when recycling is
 	// enabled — clone it to retain it.
@@ -66,17 +60,16 @@ func (c *Config) withDefaults() Config {
 	if out.RingSize <= 0 {
 		out.RingSize = 8192
 	}
-	if out.MaxBatch <= 0 {
-		out.MaxBatch = 256
-	}
-	if out.MaxPending <= 0 {
-		out.MaxPending = 8192
-	}
-	if out.NodePendingLimit <= 0 {
-		out.NodePendingLimit = 1 << 16
-	}
 	return out
 }
+
+// maxBatch caps the records one InsertBatch call carries. It is a
+// variable only so TestRetransmitRecycleRace can lower it (see there).
+var maxBatch = 256
+
+// maxPending caps a shard's in-flight (submitted but un-acked) records
+// before admission control engages.
+const maxPending = 8192
 
 // shard is one ring/worker pair. pushMu serializes producers (see ring);
 // pending counts submitted-but-unresolved records for admission control.
@@ -142,7 +135,7 @@ func New(ins BatchInserter, cfg Config) *Engine {
 	}
 	// Bound the free list by the maximum live-record population: every
 	// ring slot plus every in-flight record, across all shards.
-	e.freeCap = cfg.Shards * (e.shards[0].ring.capacity() + cfg.MaxPending)
+	e.freeCap = cfg.Shards * (e.shards[0].ring.capacity() + maxPending)
 	if !cfg.Synchronous {
 		for _, s := range e.shards {
 			e.wg.Add(1)
@@ -322,8 +315,7 @@ func (e *Engine) submit(tag string, rec schema.Record) bool {
 	}
 	s := e.shardFor(rec)
 	for {
-		if int(s.pending.Load()) >= e.cfg.MaxPending ||
-			(e.cfg.NodePending != nil && e.cfg.NodePending() >= e.cfg.NodePendingLimit) {
+		if int(s.pending.Load()) >= maxPending || e.nodePending() >= mind.MaxPendingInserts {
 			if e.block(s) {
 				continue
 			}
@@ -376,10 +368,10 @@ func (e *Engine) wake(s *shard) {
 }
 
 // worker drains one shard's ring into InsertBatch calls, batching
-// consecutive same-tag records up to MaxBatch.
+// consecutive same-tag records up to maxBatch.
 func (e *Engine) worker(s *shard) {
 	defer e.wg.Done()
-	batch := make([]schema.Record, 0, e.cfg.MaxBatch)
+	batch := make([]schema.Record, 0, maxBatch)
 	var tag string
 	for {
 		n := e.drainSome(s, &batch, &tag)
@@ -403,7 +395,7 @@ func (e *Engine) worker(s *shard) {
 func (e *Engine) drainSome(s *shard, batch *[]schema.Record, tag *string) int {
 	b := (*batch)[:0]
 	consumed := 0
-	for len(b) < e.cfg.MaxBatch {
+	for len(b) < maxBatch {
 		it, ok := s.ring.pop()
 		if !ok {
 			break
@@ -469,7 +461,7 @@ func (e *Engine) flush(s *shard, tag string, batch []schema.Record) {
 // in index order.
 func (e *Engine) Pump() int {
 	total := 0
-	batch := make([]schema.Record, 0, e.cfg.MaxBatch)
+	batch := make([]schema.Record, 0, maxBatch)
 	var tag string
 	for _, s := range e.shards {
 		for {
@@ -527,15 +519,20 @@ func (e *Engine) Backpressured() bool { return e.Stats().Backpressured }
 
 func (e *Engine) backpressured(st Stats) bool {
 	for _, s := range e.shards {
-		if int(s.pending.Load()) >= e.cfg.MaxPending*3/4 {
+		if int(s.pending.Load()) >= maxPending*3/4 {
 			return true
 		}
 		if s.ring.len() >= s.ring.capacity()*3/4 {
 			return true
 		}
 	}
-	if e.cfg.NodePending != nil && e.cfg.NodePending() >= e.cfg.NodePendingLimit*3/4 {
-		return true
+	return e.nodePending() >= mind.MaxPendingInserts*3/4
+}
+
+// nodePending reads the node's in-flight insert gauge, 0 without one.
+func (e *Engine) nodePending() int {
+	if e.cfg.NodePending == nil {
+		return 0
 	}
-	return false
+	return e.cfg.NodePending()
 }

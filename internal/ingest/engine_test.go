@@ -72,39 +72,39 @@ func frameOf(t *testing.T, tag string, recs [][]uint64) *wire.FlowFrame {
 }
 
 func TestEngineSynchronousBatching(t *testing.T) {
+	total := 2*maxBatch + 10
 	sink := &fakeSink{storedAt: "remote"}
-	eng := New(sink, Config{Shards: 1, RingSize: 64, MaxBatch: 4, Synchronous: true})
+	eng := New(sink, Config{Shards: 1, RingSize: 1024, Synchronous: true})
 	defer eng.Close()
-	for i := 0; i < 10; i++ {
+	for i := 0; i < total; i++ {
 		if !eng.Submit("a", schema.Record{uint64(i), 1, 2}) {
 			t.Fatalf("submit %d rejected", i)
 		}
 	}
-	if n := eng.Pump(); n != 10 {
-		t.Fatalf("Pump consumed %d, want 10", n)
+	if n := eng.Pump(); n != total {
+		t.Fatalf("Pump consumed %d, want %d", n, total)
 	}
-	total := 0
+	want := []int{maxBatch, maxBatch, 10}
+	if len(sink.batches) != len(want) {
+		t.Fatalf("%d batches, want %d", len(sink.batches), len(want))
+	}
 	for i, b := range sink.batches {
-		if len(b) > 4 {
-			t.Fatalf("batch %d has %d records, MaxBatch 4", i, len(b))
+		if len(b) != want[i] {
+			t.Fatalf("batch %d has %d records, want %d", i, len(b), want[i])
 		}
 		if sink.tags[i] != "a" {
 			t.Fatalf("batch %d tag %q", i, sink.tags[i])
 		}
-		total += len(b)
-	}
-	if total != 10 {
-		t.Fatalf("sink saw %d records, want 10", total)
 	}
 	st := eng.Stats()
-	if st.Received != 10 || st.Accepted != 10 || st.Acked != 10 || st.Failed != 0 || st.Pending != 0 {
+	if n := uint64(total); st.Received != n || st.Accepted != n || st.Acked != n || st.Failed != 0 || st.Pending != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
 func TestEngineFlushesAtTagBoundary(t *testing.T) {
 	sink := &fakeSink{}
-	eng := New(sink, Config{Shards: 1, RingSize: 64, MaxBatch: 100, Synchronous: true})
+	eng := New(sink, Config{Shards: 1, RingSize: 64, Synchronous: true})
 	defer eng.Close()
 	tags := []string{"a", "a", "b", "b", "b", "a"}
 	for i, tag := range tags {
@@ -154,24 +154,26 @@ func TestEngineDropWhenRingFull(t *testing.T) {
 
 func TestEngineMaxPendingAdmission(t *testing.T) {
 	sink := &fakeSink{hold: true}
-	eng := New(sink, Config{Shards: 1, RingSize: 64, MaxBatch: 4, MaxPending: 4, Synchronous: true})
+	eng := New(sink, Config{Shards: 1, RingSize: maxPending, Synchronous: true})
 	defer eng.Close()
-	for i := 0; i < 4; i++ {
-		eng.Submit("a", schema.Record{uint64(i)})
+	for i := 0; i < maxPending; i++ {
+		if !eng.Submit("a", schema.Record{uint64(i)}) {
+			t.Fatalf("submit %d rejected below maxPending", i)
+		}
 	}
-	eng.Pump() // 4 records now in flight, callbacks held
-	if st := eng.Stats(); st.Pending != 4 {
-		t.Fatalf("pending = %d, want 4", st.Pending)
+	eng.Pump() // maxPending records now in flight, callbacks held
+	if st := eng.Stats(); st.Pending != maxPending {
+		t.Fatalf("pending = %d, want %d", st.Pending, maxPending)
 	}
 	if eng.Submit("a", schema.Record{99}) {
-		t.Fatalf("submit admitted past MaxPending")
+		t.Fatalf("submit admitted past maxPending")
 	}
 	if st := eng.Stats(); st.DroppedPending != 1 {
 		t.Fatalf("droppedPending = %d, want 1", st.DroppedPending)
 	}
 	sink.release()
 	st := eng.Stats()
-	if st.Pending != 0 || st.Acked != 4 {
+	if st.Pending != 0 || st.Acked != maxPending {
 		t.Fatalf("after release: %+v", st)
 	}
 	if !eng.Submit("a", schema.Record{100}) {
@@ -184,16 +186,25 @@ func TestEngineNodePendingAdmission(t *testing.T) {
 	sink := &fakeSink{}
 	eng := New(sink, Config{
 		Shards: 1, RingSize: 64, Synchronous: true,
-		NodePending: func() int { return gauge }, NodePendingLimit: 8,
+		NodePending: func() int { return gauge },
 	})
 	defer eng.Close()
-	gauge = 8
+	gauge = mind.MaxPendingInserts
 	if eng.Submit("a", schema.Record{1}) {
-		t.Fatalf("submit admitted past NodePendingLimit")
+		t.Fatalf("submit admitted at mind.MaxPendingInserts")
 	}
-	gauge = 0
+	gauge = mind.MaxPendingInserts - 1
 	if !eng.Submit("a", schema.Record{2}) {
-		t.Fatalf("submit rejected below NodePendingLimit")
+		t.Fatalf("submit rejected below mind.MaxPendingInserts")
+	}
+	// Backpressure rises at 3/4 of the ceiling.
+	gauge = mind.MaxPendingInserts*3/4 - 1
+	if eng.Backpressured() {
+		t.Fatalf("backpressured below 3/4 of mind.MaxPendingInserts")
+	}
+	gauge = mind.MaxPendingInserts * 3 / 4
+	if !eng.Backpressured() {
+		t.Fatalf("not backpressured at 3/4 of mind.MaxPendingInserts")
 	}
 }
 
@@ -334,7 +345,7 @@ func TestEngineSubmitAfterClose(t *testing.T) {
 // final-drain-on-Close path.
 func TestEngineWorkersDrain(t *testing.T) {
 	sink := &fakeSink{storedAt: "remote"}
-	eng := New(sink, Config{Shards: 2, RingSize: 1 << 12, MaxBatch: 32, SelfAddr: "self"})
+	eng := New(sink, Config{Shards: 2, RingSize: 1 << 12, SelfAddr: "self"})
 	const total = 5000
 	var wg sync.WaitGroup
 	for p := 0; p < 4; p++ {
@@ -373,7 +384,7 @@ func TestEngineWorkersDrain(t *testing.T) {
 // admitted and none dropped.
 func TestEngineBlockMode(t *testing.T) {
 	sink := &fakeSink{storedAt: "remote"}
-	eng := New(sink, Config{Shards: 1, RingSize: 8, MaxBatch: 8, Block: true, SelfAddr: "self"})
+	eng := New(sink, Config{Shards: 1, RingSize: 8, Block: true, SelfAddr: "self"})
 	const total = 2000
 	for i := 0; i < total; i++ {
 		if !eng.Submit("a", schema.Record{uint64(i), 1, 2}) {

@@ -48,8 +48,7 @@ func TestIngestOverloadOracle(t *testing.T) {
 	var failed int
 	eng := New(node, Config{
 		Shards:      2,
-		RingSize:    32, // tiny on purpose: overload must shed
-		MaxBatch:    16,
+		RingSize:    32,   // tiny on purpose: overload must shed
 		Synchronous: true, // deterministic under the simulator
 		SelfAddr:    node.Addr(),
 		NodePending: node.PendingInserts,

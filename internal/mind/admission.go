@@ -10,8 +10,8 @@ import "time"
 // is driven by the node's transport.Clock, so admission decisions are
 // deterministic under simnet.
 //
-// Two bucket families exist, both disabled by default (Config zero
-// values) so lab runs and the chaos harness see no admission at all:
+// A ClientInsert is always shed at MaxPendingInserts in-flight inserts.
+// Beside it two bucket families exist, both off by default (zero Config):
 //
 //   - client buckets, keyed by the client's address: ClientInsert /
 //     ClientQuery / ClientCreateIndex / ClientDropIndex. A refused
@@ -79,11 +79,10 @@ func (bm *bucketMap) take(key uint64, now time.Time, rate, burst float64) bool {
 
 // admitClient charges one client RPC against the per-client bucket and
 // the node-wide pending-insert ceiling. countPending selects the
-// MaxPendingOps check (inserts add tracked in-flight state; queries and
-// index control don't).
+// MaxPendingInserts check (inserts add tracked in-flight state; queries
+// and index control don't).
 func (n *Node) admitClient(from string, countPending bool) bool {
-	if countPending && n.cfg.MaxPendingOps > 0 &&
-		int(n.pendingGauge.Load()) >= n.cfg.MaxPendingOps {
+	if countPending && int(n.pendingGauge.Load()) >= MaxPendingInserts {
 		return false
 	}
 	if n.cfg.ClientRateLimit <= 0 {

@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"mind/internal/cluster"
+	"mind/internal/ingest"
+	"mind/internal/mind"
 	"mind/internal/schema"
 	"mind/internal/wire"
 )
@@ -116,6 +118,47 @@ func TestClientAdmissionShed(t *testing.T) {
 	}
 	if total != burst+1 {
 		t.Fatalf("stored %d records, want %d", total, burst+1)
+	}
+}
+
+// TestAdmitPendingCeilingSharedWithIngest: a node sheds a ClientInsert,
+// and the ingest engine in front of it refuses a record, at the same
+// in-flight count, mind.MaxPendingInserts; one below it both admit.
+func TestAdmitPendingCeilingSharedWithIngest(t *testing.T) {
+	c := mkCluster(t, 1, 12, nil)
+	if err := c.CreateIndex(testSchema()); err != nil {
+		t.Fatal(err)
+	}
+	node := c.Nodes[0]
+	eng := ingest.New(node, ingest.Config{Shards: 1, RingSize: 64, Synchronous: true, NodePending: node.PendingInserts})
+	defer eng.Close()
+
+	client, err := c.Net.Endpoint("client:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	acks := make(map[uint64]*wire.ClientAck)
+	client.SetHandler(func(_ string, data []byte) {
+		if a, err := wire.Decode(data); err == nil {
+			if a, ok := a.(*wire.ClientAck); ok {
+				acks[a.ReqID] = a
+			}
+		}
+	})
+	for i, pending := range []int{mind.MaxPendingInserts, mind.MaxPendingInserts - 1} {
+		admit := pending < mind.MaxPendingInserts
+		node.SetPendingInserts(pending)
+		if got := eng.Submit("test-index", schema.Record{1, 1, 1, 1}); got != admit {
+			t.Fatalf("%d pending: ingest admitted %v, want %v", pending, got, admit)
+		}
+		id := uint64(i + 1)
+		client.Send(node.Addr(), wire.Encode(&wire.ClientInsert{ReqID: id, Index: "test-index", Rec: schema.Record{2, 2, 2, 2}}))
+		if !c.Net.RunUntil(func() bool { return acks[id] != nil }, 1_000_000) {
+			t.Fatalf("%d pending: no answer to the client insert", pending)
+		}
+		if a := acks[id]; a.Shed == admit || a.OK != admit {
+			t.Fatalf("%d pending: client insert answered %+v, want admitted %v", pending, a, admit)
+		}
 	}
 }
 

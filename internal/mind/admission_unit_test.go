@@ -75,16 +75,14 @@ func TestAdmitClientPendingCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(1)
-	cfg.MaxPendingOps = 5
-	n := NewNode(ep, net.Clock(), cfg)
+	n := NewNode(ep, net.Clock(), DefaultConfig(1))
 	defer n.Close()
 
-	n.pendingGauge.Store(4)
+	n.pendingGauge.Store(MaxPendingInserts - 1)
 	if !n.admitClient("client", true) {
 		t.Fatal("refused below the pending ceiling")
 	}
-	n.pendingGauge.Store(5)
+	n.pendingGauge.Store(MaxPendingInserts)
 	if n.admitClient("client", true) {
 		t.Fatal("admitted at the pending ceiling")
 	}

@@ -59,7 +59,7 @@ type Config struct {
 	// request is shed explicitly — ClientAck{Shed:true} or
 	// ClientQueryResp{Shed:true} — without recording its request id, so
 	// a later retry is re-admitted. 0 disables (the default: lab runs
-	// and the chaos harness see no admission at all).
+	// and the chaos harness see no rate limit).
 	ClientRateLimit float64
 	// ClientRateBurst is the bucket capacity (and a new client's opening
 	// balance); 0 defaults to ClientRateLimit, and to 1 below one
@@ -73,12 +73,6 @@ type Config struct {
 	// arrival. A peer's bucket holds GossipRateLimit messages, and at
 	// least one. 0 disables.
 	GossipRateLimit float64
-	// MaxPendingOps sheds new ClientInserts while the node already has
-	// this many in-flight inserts (PendingInserts, repair re-inserts
-	// included) — the node-level analogue of the ingest engine's ring
-	// bound, keeping a request flood from growing the retransmission
-	// layer's state without limit. 0 disables.
-	MaxPendingOps int
 
 	// HistCollectWait is how long the designated aggregation node waits
 	// after the first histogram report before computing balanced cuts.
@@ -90,13 +84,20 @@ type Config struct {
 	// 0 disables auto-retirement (versions live until an explicit
 	// RetireVersion).
 	RetainVersions int
-	// BalancedCutDepth is the explicit depth of installed balanced cut
-	// trees.
-	BalancedCutDepth int
 }
 
 // ReplicateAll selects full replication (one replica per neighbor level).
 const ReplicateAll = -1
+
+const (
+	// MaxPendingInserts is the node's ceiling on in-flight inserts
+	// (PendingInserts, repair re-inserts included): a ClientInsert
+	// arriving at it is shed, and the ingest engine refuses records at it.
+	MaxPendingInserts = 1 << 16
+	// BalancedCutDepth is the explicit depth of the balanced cut trees a
+	// reversion computes (§3.7).
+	BalancedCutDepth = 10
+)
 
 // DefaultConfig returns production-shaped defaults.
 func DefaultConfig(seed int64) Config {
@@ -112,6 +113,5 @@ func DefaultConfig(seed int64) Config {
 		MaxRetries:       4,
 		VersionSeconds:   86400,
 		HistCollectWait:  5 * time.Second,
-		BalancedCutDepth: 10,
 	}
 }

@@ -10,6 +10,11 @@ func (n *Node) PendingReports() int {
 	return len(n.reports)
 }
 
+// SetPendingInserts overwrites the in-flight insert gauge that both
+// admission paths read, so a test can stand a node at its ceiling
+// without that many inserts in flight (external tests).
+func (n *Node) SetPendingInserts(v int) { n.pendingGauge.Store(int64(v)) }
+
 // TapSends hands tap every frame the node sends from now on, before the
 // transport takes it (external tests). Set it before the node sends
 // anything the test counts, on a single-threaded transport.

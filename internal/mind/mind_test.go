@@ -564,7 +564,6 @@ func TestVersionedQueriesSpanVersions(t *testing.T) {
 func TestRebalanceInstallsCuts(t *testing.T) {
 	c := mkCluster(t, 8, 22, func(o *cluster.Options) {
 		o.Node.HistCollectWait = 2 * time.Second
-		o.Node.BalancedCutDepth = 6
 	})
 	sch := testSchema()
 	if err := c.CreateIndex(sch); err != nil {
@@ -595,8 +594,8 @@ func TestRebalanceInstallsCuts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tr.ExplicitDepth() != 6 {
-			t.Fatalf("%s: version-1 tree depth %d, want balanced depth 6", nd.Addr(), tr.ExplicitDepth())
+		if tr.ExplicitDepth() != mind.BalancedCutDepth {
+			t.Fatalf("%s: version-1 tree depth %d, want balanced depth %d", nd.Addr(), tr.ExplicitDepth(), mind.BalancedCutDepth)
 		}
 		if ref == nil {
 			ref = tr

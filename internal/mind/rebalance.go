@@ -212,11 +212,10 @@ func (n *Node) finalizeRebalance(key string) {
 		return
 	}
 	delete(n.collect, key)
-	depth := n.cfg.BalancedCutDepth
 	merged := c.merged
 	n.mu.Unlock()
 
-	tree, err := embed.Balanced(merged, depth)
+	tree, err := embed.Balanced(merged, BalancedCutDepth)
 	if err != nil {
 		return
 	}

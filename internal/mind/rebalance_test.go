@@ -6,6 +6,7 @@ import (
 
 	"mind/internal/cluster"
 	"mind/internal/embed"
+	"mind/internal/mind"
 	"mind/internal/schema"
 )
 
@@ -57,7 +58,6 @@ func TestLocalHistogramProjectsTimestamps(t *testing.T) {
 func TestHistogramCollectionDesignatedNode(t *testing.T) {
 	c := mkCluster(t, 8, 63, func(o *cluster.Options) {
 		o.Node.HistCollectWait = 2 * time.Second
-		o.Node.BalancedCutDepth = 5
 	})
 	sch := testSchema()
 	if err := c.CreateIndex(sch); err != nil {
@@ -85,7 +85,7 @@ func TestHistogramCollectionDesignatedNode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tr.ExplicitDepth() != 5 {
+		if tr.ExplicitDepth() != mind.BalancedCutDepth {
 			t.Fatalf("%s: depth %d", nd.Addr(), tr.ExplicitDepth())
 		}
 		code := tr.PointCode(probe, 10).String()
@@ -105,7 +105,6 @@ func TestHistogramCollectionDesignatedNode(t *testing.T) {
 // rollover at ^uint32(0) (day+1 wraps to version 0; the install must
 // land there rather than panic or vanish).
 func TestRebalanceEdgeCases(t *testing.T) {
-	const cutDepth = 5
 	cases := []struct {
 		name        string
 		nodes       int
@@ -125,7 +124,6 @@ func TestRebalanceEdgeCases(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := mkCluster(t, tc.nodes, 64+int64(ci), func(o *cluster.Options) {
 				o.Node.HistCollectWait = 2 * time.Second
-				o.Node.BalancedCutDepth = cutDepth
 			})
 			sch := testSchema()
 			if err := c.CreateIndex(sch); err != nil {
@@ -159,9 +157,9 @@ func TestRebalanceEdgeCases(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if tr.ExplicitDepth() != cutDepth {
+				if tr.ExplicitDepth() != mind.BalancedCutDepth {
 					t.Fatalf("%s: version %d tree depth %d, want %d",
-						nd.Addr(), tc.wantVersion, tr.ExplicitDepth(), cutDepth)
+						nd.Addr(), tc.wantVersion, tr.ExplicitDepth(), mind.BalancedCutDepth)
 				}
 				if tc.wantMidpoint {
 					for _, p := range probes {
