@@ -78,9 +78,6 @@ type Config struct {
 	// BaseFlowsPerSec is the per-router flow rate at diurnal peak for a
 	// router of weight 1, before sampling-rate division.
 	BaseFlowsPerSec float64
-
-	// Start is the epoch (unix seconds) of the first generated flow.
-	Start uint64
 }
 
 // DefaultConfig returns a workload shaped like the paper's: the 34
@@ -90,7 +87,6 @@ func DefaultConfig(seed int64) Config {
 		Seed:            seed,
 		Routers:         topo.Combined(),
 		BaseFlowsPerSec: 40,
-		Start:           0,
 	}
 }
 

@@ -3,8 +3,6 @@
 package ingest
 
 import (
-	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"mind/internal/mind"
@@ -31,7 +29,7 @@ func (s *poolSink) InsertBatch(tag string, recs []schema.Record, cb func([]mind.
 }
 
 // TestAllocBudgetIngestParse is the CI alloc gate on the ingest parse
-// path: frame parse + pooled record copy + ring + batch flush must cost
+// path: frame parse + record copy into a chunk + ring + batch flush must cost
 // well under one allocation per record at steady state (the budget the
 // issue sets is <= 1; the structural cost is ~3 allocations per batch,
 // amortized across the batch).
@@ -69,59 +67,8 @@ func TestAllocBudgetIngestParse(t *testing.T) {
 		t.Fatalf("ingest parse path allocates %.3f per record (%.0f per %d-record frame), budget is 1",
 			perRecord, allocs, count)
 	}
-	if st := eng.Stats(); st.PoolMisses > count*2 {
-		t.Fatalf("record pool not recycling: %d misses for %d live records", st.PoolMisses, count)
-	}
-}
-
-// TestFreeListFootprint: the record free list keeps what recent use
-// needs, not its peak. A burst of 16 k records in flight at once — every
-// one a pool miss — settles into the list, and a second burst reuses
-// every one of them. Two garbage collections with no ingest in between
-// then free all but idleKeep of them — the heap the engine holds beyond
-// what it held empty stays under 128 KB (16 k records and their list
-// slots are 1.2 MB) — so a third burst misses the pool for all but
-// those. (The list used to keep all 16 k until the engine was dropped.)
-// Automatic collection is off throughout, so that only the forced ones
-// can drop the list.
-func TestFreeListFootprint(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	const records, frame = 16384, 512
-	recs := make([][]uint64, frame)
-	for i := range recs {
-		recs[i] = []uint64{uint64(i), 1, 2, 3, 4}
-	}
-	f := frameOf(t, "a", recs)
-	eng := New(&poolSink{}, Config{Shards: 1, RingSize: records, Synchronous: true, SelfAddr: "self"})
-	defer eng.Close()
-	heap := func() int64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapAlloc)
-	}
-	empty := heap()
-	burst := func() uint64 {
-		misses := eng.Stats().PoolMisses
-		for i := 0; i < records/frame; i++ {
-			eng.IngestFrame(f)
-		}
-		if n := eng.Pump(); n != records {
-			t.Fatalf("pumped %d records, want %d", n, records)
-		}
-		return eng.Stats().PoolMisses - misses
-	}
-	if m := burst(); m != records {
-		t.Fatalf("fixture: the first burst missed the pool %d times, want %d", m, records)
-	}
-	if m := burst(); m != 0 {
-		t.Fatalf("a second burst missed the pool %d times: settled records were not kept for it", m)
-	}
-	if held := heap() - empty; held > 128<<10 {
-		t.Fatalf("after two collections of an idle engine it still holds %d bytes more than it did empty", held)
-	}
-	if m := burst(); m < records-idleKeep {
-		t.Fatalf("after two collections of an idle engine a burst missed the pool only %d times: the engine kept %d records, at most %d may stay", m, records-int(m), idleKeep)
+	// 101 frames fill ≈ 32 chunks; settled ones come back from the pool.
+	if st := eng.Stats(); st.PoolMisses > 4 {
+		t.Fatalf("record chunks not recycled: %d fresh chunks for 101 frames of %d records", st.PoolMisses, count)
 	}
 }

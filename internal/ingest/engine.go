@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,8 +28,8 @@ type Config struct {
 	// until space frees (true) or drop the record and count it (false).
 	// Blocking requires running workers (not Synchronous mode).
 	Block bool
-	// SelfAddr is the owning node's transport address. When set, every
-	// record returns to the record pool once its insert settles: the node
+	// SelfAddr is the owning node's transport address. When set, a
+	// record's storage is recycled once its insert settles: the node
 	// keeps no reference to a settled record (its store copies the row,
 	// the wire copies the bytes, a local trigger subscriber gets a copy).
 	// Empty disables recycling.
@@ -71,11 +70,61 @@ var maxBatch = 256
 // before admission control engages.
 const maxPending = 8192
 
-// shard is one ring/worker pair. pushMu serializes producers (see ring);
+// chunkWords is the size of a record chunk: 16 KB, 409 Index-2 records.
+const chunkWords = 2048
+
+// chunk is where a shard's admitted records live, copied back to back
+// into one pointer-free array. live counts its records not yet settled,
+// plus one while it is its shard's open chunk; the release that takes it
+// to zero hands the chunk back to the engine's pool whole. Records are
+// never freed one at a time, so none is left alone to pin a span.
+type chunk struct {
+	vals []uint64
+	live atomic.Int32
+}
+
+// spans counts a batch's records in the chunks they live in. A batch's
+// records are consecutive in its shard's chunks and it ends before a
+// third, so two spans hold it; a batch of Index-2 records (409 to a
+// chunk, at most maxBatch to a batch) never ends there. Each span is
+// the batch's n records in chunk c.
+type spans [2]struct {
+	c *chunk
+	n int32
+}
+
+// fits reports whether a record in c can join the batch.
+func (sp *spans) fits(c *chunk) bool { return sp[1].c == nil || sp[1].c == c }
+
+// add counts one more record, in chunk c.
+func (sp *spans) add(c *chunk) {
+	i := 0
+	if sp[0].c != nil && sp[0].c != c {
+		i = 1
+	}
+	sp[i].c = c
+	sp[i].n++
+}
+
+// release drops the batch's hold on its chunks.
+func (sp spans) release(e *Engine) {
+	for _, x := range sp {
+		if x.c != nil {
+			e.release(x.c, x.n)
+		}
+	}
+}
+
+// shard is one ring/worker pair. pushMu serializes producers (see ring)
+// and guards the open chunk new records are copied into; batch is the
+// ring's one consumer's (the worker's, or Pump's) reused batch buffer;
 // pending counts submitted-but-unresolved records for admission control.
 type shard struct {
 	ring    *ring
 	pushMu  sync.Mutex
+	open    *chunk
+	used    int // words of open handed out
+	batch   []item
 	pending atomic.Int64
 	notify  chan struct{} // producer → worker wakeup, capacity 1
 }
@@ -94,20 +143,7 @@ type Engine struct {
 	failed         atomic.Uint64
 	poolMisses     atomic.Uint64
 
-	// Record free list. A plain LIFO under a mutex rather than a
-	// sync.Pool: Put on a sync.Pool boxes the slice header, which is one
-	// heap allocation per recycled record — exactly the per-record cost
-	// the pool exists to avoid. The list is bounded to the engine's
-	// maximum live-record population so it cannot grow past what the
-	// rings and in-flight window can hold. Once no record is queued or in
-	// flight a list of more than idleKeep records is parked in a
-	// sync.Pool (parkIfIdle): getRec takes it back when the list runs
-	// dry, and garbage collections drop what the engine left there, so
-	// an idle engine does not keep every record that was once in flight.
-	freeMu  sync.Mutex
-	free    []schema.Record
-	freeCap int
-	parked  sync.Pool // of *[]schema.Record, each at most idleKeep long
+	chunks sync.Pool // of *chunk; New counts a miss
 
 	tagMu sync.RWMutex
 	tags  map[string]string // interned index tags
@@ -130,12 +166,14 @@ func New(ins BatchInserter, cfg Config) *Engine {
 	for i := 0; i < cfg.Shards; i++ {
 		e.shards = append(e.shards, &shard{
 			ring:   newRing(cfg.RingSize),
+			batch:  make([]item, 0, maxBatch),
 			notify: make(chan struct{}, 1),
 		})
 	}
-	// Bound the free list by the maximum live-record population: every
-	// ring slot plus every in-flight record, across all shards.
-	e.freeCap = cfg.Shards * (e.shards[0].ring.capacity() + maxPending)
+	e.chunks.New = func() any {
+		e.poolMisses.Add(1)
+		return &chunk{vals: make([]uint64, chunkWords)}
+	}
 	if !cfg.Synchronous {
 		for _, s := range e.shards {
 			e.wg.Add(1)
@@ -156,7 +194,7 @@ func (e *Engine) Close() {
 	// workers' final drain then consumes it), and any later producer
 	// re-checks closed under the lock and drops. Without this fence a
 	// push could land after a worker's final drain — counted accepted but
-	// never flushed, its pooled buffer stranded. Only Close multi-locks
+	// never flushed, its chunk never released. Only Close multi-locks
 	// (producers take exactly one pushMu), so there is no ordering
 	// deadlock.
 	for _, s := range e.shards {
@@ -169,81 +207,33 @@ func (e *Engine) Close() {
 	e.wg.Wait()
 }
 
-// getRec returns a record buffer with exactly arity attributes, pooled
-// when possible.
-func (e *Engine) getRec(arity int) schema.Record {
-	var b schema.Record
-	e.freeMu.Lock()
-	if len(e.free) == 0 {
-		if p, _ := e.parked.Get().(*[]schema.Record); p != nil {
-			e.free = *p
+// place copies rec into s's open chunk, opening another when it has no
+// room, and returns the ring item that names it. Callers hold s.pushMu.
+func (e *Engine) place(s *shard, tag string, rec schema.Record) item {
+	c := s.open
+	if c == nil || s.used+len(rec) > len(c.vals) {
+		if c != nil {
+			e.release(c, 1)
 		}
+		c = e.chunks.Get().(*chunk)
+		if len(c.vals) < len(rec) {
+			c.vals = make([]uint64, len(rec)) // a record wider than a chunk
+		}
+		c.live.Store(1)
+		s.open, s.used = c, 0
 	}
-	if n := len(e.free); n > 0 {
-		b = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-	}
-	e.freeMu.Unlock()
-	if cap(b) >= arity {
-		return b[:arity]
-	}
-	e.poolMisses.Add(1)
-	return make([]uint64, arity)
+	off := s.used
+	s.used += copy(c.vals[off:], rec)
+	c.live.Add(1)
+	return item{tag: tag, c: c, off: int32(off), n: int32(len(rec))}
 }
 
-// putRec returns a record buffer to the free list (dropped when the
-// list is at capacity, which only happens transiently around arity
-// changes).
-func (e *Engine) putRec(rec schema.Record) {
-	e.freeMu.Lock()
-	if len(e.free) < e.freeCap {
-		e.free = append(e.free, rec)
+// release drops n of c's holds: settled records, or its shard's when it
+// stops being the open chunk. The last one returns c to the pool.
+func (e *Engine) release(c *chunk, n int32) {
+	if c.live.Add(-n) == 0 {
+		e.chunks.Put(c)
 	}
-	e.freeMu.Unlock()
-}
-
-// idleKeep is the most free records an idle engine keeps to itself; a
-// longer list is parked, in pieces of this many. A fixed constant: ≈ 70
-// KB of Index-2 records, small next to a backfill's peak population
-// (≈ 27 k records in flight) and above what a stream fed a frame at a
-// time keeps, so such a stream never parks between its frames.
-const idleKeep = 1024
-
-// parkIfIdle parks the free list when no shard has a record queued or in
-// flight and the list holds more than idleKeep records. It goes into the
-// pool copied into pieces of idleKeep — each its own array, so that a
-// collection can free one piece while another is in use — and the first
-// piece comes straight back as the list the engine keeps: a sync.Pool
-// holds the first object a processor puts in a slot that only that
-// processor's Get reaches, where a piece could wait out its collections
-// while other processors miss. The pool, not a plain cut of the list,
-// because a backfill goes idle between windows: a list cut to idleKeep
-// at each such gap made the next window miss for ≈ 20 k records, and
-// ingest_bulk's misses per 1 000 records went from 64–78 to 133–239 in
-// 4 of 11 runs. A miss happens only when the list and the pool are both
-// empty, so together they hold no more records than the engine ever had
-// in flight at once. Settling calls it after recycling a batch.
-func (e *Engine) parkIfIdle() {
-	for _, s := range e.shards {
-		if s.pending.Load() != 0 || s.ring.len() != 0 {
-			return
-		}
-	}
-	e.freeMu.Lock()
-	if free := e.free; len(free) > idleKeep {
-		for len(free) > 0 {
-			n := min(idleKeep, len(free))
-			piece := slices.Clone(free[:n])
-			free = free[n:]
-			e.parked.Put(&piece)
-		}
-		e.free = nil
-		if p, _ := e.parked.Get().(*[]schema.Record); p != nil {
-			e.free = *p
-		}
-	}
-	e.freeMu.Unlock()
 }
 
 // internTag maps a tag's byte view to a shared string without
@@ -282,27 +272,25 @@ func (e *Engine) shardFor(rec schema.Record) *shard {
 }
 
 // IngestFrame admits one parsed flow frame: each record is copied into
-// a pooled buffer and pushed to its shard's ring. It returns how many
-// records were accepted and how many admission control dropped (in
+// its shard's open chunk and pushed to the shard's ring. It returns how
+// many records were accepted and how many admission control dropped (in
 // Block mode dropped is 0 unless the engine is closed).
 func (e *Engine) IngestFrame(f *wire.FlowFrame) (accepted, dropped int) {
 	tag := e.internTag(f.Tag)
+	var buf [wire.MaxFlowFrameArity]uint64
+	rec := buf[:f.Arity]
 	for i := 0; i < f.Count; i++ {
-		rec := e.getRec(f.Arity)
-		f.Record(i, rec)
-		if e.submit(tag, rec) {
+		if e.submit(tag, f.Record(i, rec)) {
 			accepted++
 		} else {
-			e.putRec(rec)
 			dropped++
 		}
 	}
 	return accepted, dropped
 }
 
-// Submit admits one record the caller owns (the engine retains it until
-// its insert resolves; do not reuse the slice). It reports whether the
-// record was accepted.
+// Submit admits one record; the engine copies it, so the caller keeps
+// the slice. It reports whether the record was accepted.
 func (e *Engine) Submit(tag string, rec schema.Record) bool {
 	return e.submit(e.internTag([]byte(tag)), rec)
 }
@@ -331,7 +319,11 @@ func (e *Engine) submit(tag string, rec schema.Record) bool {
 			e.droppedRing.Add(1)
 			return false
 		}
-		ok := s.ring.push(item{tag: tag, rec: rec})
+		// The only producer under pushMu: room now is room at the push.
+		ok := s.ring.len() < s.ring.capacity()
+		if ok {
+			s.ring.push(e.place(s, tag, rec))
+		}
 		s.pushMu.Unlock()
 		if ok {
 			e.wake(s)
@@ -371,29 +363,28 @@ func (e *Engine) wake(s *shard) {
 // consecutive same-tag records up to maxBatch.
 func (e *Engine) worker(s *shard) {
 	defer e.wg.Done()
-	batch := make([]schema.Record, 0, maxBatch)
-	var tag string
 	for {
-		n := e.drainSome(s, &batch, &tag)
-		if n > 0 {
+		if e.drainSome(s) > 0 {
 			continue
 		}
 		select {
 		case <-s.notify:
 		case <-e.quit:
 			// Final drain: admitted records still complete after Close.
-			for e.drainSome(s, &batch, &tag) > 0 {
+			for e.drainSome(s) > 0 {
 			}
 			return
 		}
 	}
 }
 
-// drainSome pops up to one batch from the ring and flushes it; it
-// returns how many records it consumed. batch and tag carry the reused
-// buffer between calls.
-func (e *Engine) drainSome(s *shard, batch *[]schema.Record, tag *string) int {
-	b := (*batch)[:0]
+// drainSome pops up to one batch from the ring into s.batch and flushes
+// it; it returns how many records it consumed. A flushed batch is
+// cleared, so the buffer names no chunk it no longer needs.
+func (e *Engine) drainSome(s *shard) int {
+	b := s.batch[:0]
+	var tag string
+	var sp spans
 	consumed := 0
 	for len(b) < maxBatch {
 		it, ok := s.ring.pop()
@@ -401,59 +392,64 @@ func (e *Engine) drainSome(s *shard, batch *[]schema.Record, tag *string) int {
 			break
 		}
 		consumed++
-		if len(b) > 0 && it.tag != *tag {
-			// Tag boundary: flush what we have, start a fresh batch.
-			e.flush(s, *tag, b)
-			b = b[:0]
+		if len(b) > 0 && (it.tag != tag || !sp.fits(it.c)) {
+			// Tag or chunk boundary: flush what we have, start afresh.
+			e.flush(s, tag, b, sp)
+			clear(b)
+			b, sp = b[:0], spans{}
 		}
-		*tag = it.tag
-		b = append(b, it.rec)
+		tag = it.tag
+		b = append(b, it)
+		sp.add(it.c)
 	}
 	if len(b) > 0 {
-		e.flush(s, *tag, b)
+		e.flush(s, tag, b, sp)
+		clear(b)
 	}
-	*batch = b[:0]
+	s.batch = b[:0]
 	return consumed
 }
 
-// flush ships one batch of records into the node. The records slice is
-// snapshotted because the caller reuses its backing array; the ack
-// callback settles counters and recycles the records.
-func (e *Engine) flush(s *shard, tag string, batch []schema.Record) {
+// flush ships one batch of records into the node, each a view of its
+// chunk. Its callback settles them, carrying held, the batch's chunk
+// counts, by value.
+func (e *Engine) flush(s *shard, tag string, batch []item, held spans) {
 	recs := make([]schema.Record, len(batch))
-	copy(recs, batch)
+	for i, it := range batch {
+		recs[i] = it.rec()
+	}
 	s.pending.Add(int64(len(recs)))
 	err := e.ins.InsertBatch(tag, recs, func(results []mind.InsertResult) {
-		s.pending.Add(-int64(len(recs)))
-		for i, res := range results {
-			if res.OK {
-				e.acked.Add(1)
-			} else {
-				e.failed.Add(1)
-			}
-			if e.cfg.OnResult != nil {
-				e.cfg.OnResult(tag, recs[i], res)
-			}
-			if e.cfg.SelfAddr != "" {
-				e.putRec(recs[i])
-			}
-		}
-		e.parkIfIdle()
+		e.settle(s, tag, recs, results, held)
 	})
 	if err != nil {
 		// Rejected wholesale (unknown index, bad arity): settle directly.
-		s.pending.Add(-int64(len(recs)))
-		e.failed.Add(uint64(len(recs)))
-		for i, rec := range recs {
-			if e.cfg.OnResult != nil {
-				e.cfg.OnResult(tag, recs[i], mind.InsertResult{OK: false, Err: err})
-			}
-			if e.cfg.SelfAddr != "" {
-				e.putRec(rec)
-			}
+		results := make([]mind.InsertResult, len(recs))
+		for i := range results {
+			results[i].Err = err
 		}
-		e.parkIfIdle()
+		e.settle(s, tag, recs, results, held)
 	}
+}
+
+// settle counts a batch's outcomes and reports each to OnResult. Then it
+// releases the records' chunks and, last, their pending count, so a
+// caller that sees nothing pending sees every settled chunk released.
+func (e *Engine) settle(s *shard, tag string, recs []schema.Record, results []mind.InsertResult, held spans) {
+	for i, res := range results {
+		if res.OK {
+			e.acked.Add(1)
+		} else {
+			e.failed.Add(1)
+		}
+		if e.cfg.OnResult != nil {
+			e.cfg.OnResult(tag, recs[i], res)
+		}
+	}
+	if e.cfg.SelfAddr != "" {
+		held.release(e)
+	}
+	s.pending.Add(-int64(len(recs)))
 }
 
 // Pump drains every shard inline (Synchronous mode) and returns the
@@ -461,14 +457,8 @@ func (e *Engine) flush(s *shard, tag string, batch []schema.Record) {
 // in index order.
 func (e *Engine) Pump() int {
 	total := 0
-	batch := make([]schema.Record, 0, maxBatch)
-	var tag string
 	for _, s := range e.shards {
-		for {
-			n := e.drainSome(s, &batch, &tag)
-			if n == 0 {
-				break
-			}
+		for n := e.drainSome(s); n > 0; n = e.drainSome(s) {
 			total += n
 		}
 	}
@@ -485,7 +475,7 @@ type Stats struct {
 	Failed         uint64 // records failed or timed out
 	Pending        int64  // in-flight records (submitted, not settled)
 	Queued         int    // records sitting in the rings
-	PoolMisses     uint64 // record-pool misses (fresh allocations)
+	PoolMisses     uint64 // record chunks allocated fresh: the pool had none
 	Backpressured  bool   // admission is near its bounds
 }
 

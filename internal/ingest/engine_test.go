@@ -3,8 +3,11 @@ package ingest
 import (
 	"errors"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -237,8 +240,8 @@ func TestEngineInsertErrorSettlesBatch(t *testing.T) {
 	}
 }
 
-// TestEngineRecordRecycling checks the pooled-record lifecycle: every
-// settled record returns to the pool (no new pool misses on the second
+// TestEngineRecordRecycling checks the record-chunk lifecycle: every
+// settled record gives its chunk back (no new pool misses on the second
 // wave), wherever it was stored — the node keeps none of them.
 func TestEngineRecordRecycling(t *testing.T) {
 	recs := make([][]uint64, 16)
@@ -265,9 +268,9 @@ func TestEngineRecordRecycling(t *testing.T) {
 
 	t.Run("local recycles", func(t *testing.T) {
 		// A one-node overlay stores every record itself, and a local
-		// trigger sees every one. Once each insert settles its buffer is
-		// back in the pool; scribbling over the whole pool must reach
-		// neither the stored rows nor the trigger's events.
+		// trigger sees every one. Once each insert settles its chunk may
+		// be reused; scribbling over the whole chunk must reach neither
+		// the stored rows nor the trigger's events.
 		c, err := cluster.New(cluster.Options{N: 1, Seed: 3, Sim: simnet.Config{Seed: 3}, Node: mind.DefaultConfig(3)})
 		if err != nil {
 			t.Fatal(err)
@@ -295,13 +298,14 @@ func TestEngineRecordRecycling(t *testing.T) {
 		eng.IngestFrame(frameOf(t, sch.Tag, wide))
 		eng.Pump()
 		misses := eng.Stats().PoolMisses
-		if st := eng.Stats(); st.Acked != uint64(len(wide)) || len(eng.free) != len(wide) {
-			t.Fatalf("%d acked, %d buffers back in the pool; want %d of each", st.Acked, len(eng.free), len(wide))
+		// Every record lies in the shard's open chunk, and once they have
+		// settled its one remaining hold is the shard's own.
+		open := eng.shards[0].open
+		if st := eng.Stats(); st.Acked != uint64(len(wide)) || open.live.Load() != 1 {
+			t.Fatalf("%d acked, %d holds on the open chunk; want %d and 1", st.Acked, open.live.Load(), len(wide))
 		}
-		for _, b := range eng.free {
-			for j := range b {
-				b[j] = 0xdeadbeef
-			}
+		for j := range open.vals {
+			open.vals[j] = 0xdeadbeef
 		}
 		res, _, err := c.QueryWait(0, sch.Tag, all)
 		if err != nil || !res.Complete {
@@ -402,5 +406,63 @@ func TestEngineBlockMode(t *testing.T) {
 	st := eng.Stats()
 	if st.DroppedRing != 0 || st.DroppedPending != 0 {
 		t.Fatalf("block mode dropped records: %+v", st)
+	}
+}
+
+// TestChunkFootprint: once every record has settled, the engine keeps no
+// chunk but its shards' open ones. A burst of 16 k records goes through
+// running workers, not Pump, and settles; two collections later every
+// other chunk it filled is freed. The pool drops what it held, and
+// neither a worker's reused batch buffer nor a ring slot still names a
+// settled record's chunk. Automatic collection is off, so only the
+// forced collections free anything.
+func TestChunkFootprint(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const records, frame = 16384, 512
+	recs := make([][]uint64, frame)
+	for i := range recs {
+		recs[i] = []uint64{uint64(i), 1, 2, 3, 4}
+	}
+	f := frameOf(t, "a", recs)
+	eng := New(&fakeSink{storedAt: "remote"}, Config{Shards: 2, RingSize: 1 << 12, Block: true, SelfAddr: "self"})
+	defer eng.Close()
+	var made, freed atomic.Int64
+	newChunk := eng.chunks.New
+	eng.chunks.New = func() any {
+		c := newChunk()
+		made.Add(1)
+		runtime.SetFinalizer(c.(*chunk), func(*chunk) { freed.Add(1) })
+		return c
+	}
+	for i := 0; i < records/frame; i++ {
+		eng.IngestFrame(f)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for st := eng.Stats(); st.Acked != records || st.Pending != 0 || st.Queued != 0; st = eng.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("the burst did not settle: %+v", st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	runtime.GC()
+	runtime.GC()
+	open := int64(0)
+	for _, s := range eng.shards {
+		s.pushMu.Lock()
+		if s.open != nil {
+			open++
+		}
+		s.pushMu.Unlock()
+	}
+	if made.Load() <= open {
+		t.Fatalf("fixture: the burst filled %d chunks, no more than the %d open ones", made.Load(), open)
+	}
+	// The finalizers of what the collections found unreachable run on
+	// their own goroutine; wait for them, collecting nothing more.
+	for deadline = time.Now().Add(5 * time.Second); made.Load()-freed.Load() != open && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if kept := made.Load() - freed.Load(); kept != open {
+		t.Fatalf("two collections after the burst settled %d of its %d chunks are still reachable; want only the %d open ones", kept, made.Load(), open)
 	}
 }

@@ -93,16 +93,16 @@ func (e *ackDropEndpoint) droppedAcks() int {
 
 // TestRetransmitRecycleRace is the regression net for the data race
 // between batch-group retransmission and ingest record recycling: an
-// insertOp's record aliases the engine's pooled record buffer, and a
+// insertOp's record aliases the engine's record chunk, and a
 // member that settles while resendInsertGroup is encoding its
-// retransmission used to let a new producer overwrite the buffer
+// retransmission used to let a new producer overwrite the record
 // mid-encode (torn record on the wire). The resend must deep-copy the
 // record under the node lock; run under -race this test trips on the
 // old shallow copy.
 //
 // Topology: two nodes over real TCP, the remote owner dropping the
 // first ack of every insert so every remote record is retransmitted at
-// least once, while concurrent producers keep the engine's record pool
+// least once, while concurrent producers keep the engine's record chunks
 // churning through frame parses.
 func TestRetransmitRecycleRace(t *testing.T) {
 	if testing.Short() {
@@ -167,8 +167,8 @@ func TestRetransmitRecycleRace(t *testing.T) {
 	waitFor("index flood", func() bool { return node1.HasIndex(sch.Tag) })
 
 	// Block mode so overload never sheds: every offered record must
-	// settle, keeping the pool churn (putRec on remote settle, getRec on
-	// the next frame) running for the whole test. Batches of 32, not
+	// settle, keeping the chunk churn (a chunk released once its records
+	// settle, reused by the next frames) running for the whole test. Batches of 32, not
 	// maxBatch's 256, make eight times the insert groups, each a chance
 	// for its last member to settle and recycle the batch while a resend
 	// encodes it. With the shallow copy on a 2-vCPU host, 256 tripped

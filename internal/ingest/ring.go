@@ -1,6 +1,6 @@
 // Package ingest is the streaming ingest front-end: it takes raw flow
-// frames (from a socket, or replayed flowgen traffic), parses them
-// zero-alloc into pooled records, and feeds per-core sharded ingestion
+// frames (from a socket, or replayed flowgen traffic), copies their
+// records into pooled chunks, and feeds per-core sharded ingestion
 // workers through bounded SPSC ring buffers into the node's coalesced
 // InsertBatch path. Admission control is explicit — a full ring either
 // drops the record (counted) or blocks the producer, configurable — and
@@ -14,11 +14,16 @@ import (
 	"mind/internal/schema"
 )
 
-// item is one admitted record waiting for a shard worker.
+// item is one admitted record waiting for a shard worker: words
+// [off, off+n) of chunk c.
 type item struct {
-	tag string // interned index tag; shared, never per-record allocated
-	rec schema.Record
+	tag    string // interned index tag; shared, never per-record allocated
+	c      *chunk
+	off, n int32
 }
+
+// rec is the item's record, a view of its chunk.
+func (it item) rec() schema.Record { return it.c.vals[it.off : it.off+it.n : it.off+it.n] }
 
 // ring is a bounded single-producer single-consumer queue of items. The
 // producer owns tail, the consumer owns head; each side only ever

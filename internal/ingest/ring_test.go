@@ -5,12 +5,11 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-
-	"mind/internal/schema"
 )
 
+// numbered is item i of a test sequence; its offset carries i.
 func numbered(i uint64) item {
-	return item{tag: "t", rec: schema.Record{i}}
+	return item{tag: "t", off: int32(i)}
 }
 
 func TestRingCapacityRounding(t *testing.T) {
@@ -49,8 +48,8 @@ func TestRingFIFOAcrossWrap(t *testing.T) {
 				}
 				break
 			}
-			if it.rec[0] != popped {
-				t.Fatalf("popped %d, want %d (lost or duplicated across wrap)", it.rec[0], popped)
+			if uint64(it.off) != popped {
+				t.Fatalf("popped %d, want %d (lost or duplicated across wrap)", uint64(it.off), popped)
 			}
 			popped++
 		}
@@ -75,8 +74,8 @@ func TestRingFullAndEmpty(t *testing.T) {
 	}
 	for i := uint64(0); i < 4; i++ {
 		it, ok := r.pop()
-		if !ok || it.rec[0] != i {
-			t.Fatalf("pop %d: ok=%v rec=%v", i, ok, it.rec)
+		if !ok || uint64(it.off) != i {
+			t.Fatalf("pop %d: ok=%v item %d", i, ok, it.off)
 		}
 	}
 	if _, ok := r.pop(); ok {
@@ -102,8 +101,8 @@ func TestRingConcurrentSPSC(t *testing.T) {
 				runtime.Gosched()
 				continue
 			}
-			if it.rec[0] != want {
-				done <- errOutOfOrder(it.rec[0], want)
+			if uint64(it.off) != want {
+				done <- errOutOfOrder(uint64(it.off), want)
 				return
 			}
 			want++

@@ -78,10 +78,14 @@ type insertRec struct {
 // dominant originator-side cost at streaming-ingest rates (two timer
 // allocations and heap operations per record); the group keeps per-record
 // ack tracking, retransmission targeting and timeout semantics and owns
-// the two timers, which end with its last member. n.mu guards it.
+// the two timers, which end with its last member. A settled group keeps
+// only its timers: a stopped timer can outlive it in the runtime's timer
+// heap, holding the group through its callback, so the members and the
+// callback, which reference the submitter's records, are dropped. n.mu
+// guards it.
 type insertGroup struct {
 	tag     string               // the members' index
-	ops     []insertOp           // members, in input order
+	ops     []insertOp           // members, in input order; nil once settled
 	pending int                  // members still in n.inserts
 	timeout transport.Timer      // InsertTimeout bound of every member
 	retry   retrySchedule        // shared by the pending members
@@ -172,11 +176,7 @@ func (n *Node) sendInserts(tag string, ops []insertOp, done func([]InsertResult)
 		n.inserts[op.reqID] = op
 	}
 	n.insertsPeak = max(n.insertsPeak, len(n.inserts))
-	grp.timeout = n.clock.AfterFunc(n.cfg.InsertTimeout, func() {
-		for i := range grp.ops {
-			n.finishInsert(grp.ops[i].reqID, InsertResult{OK: false, Err: errTimeout})
-		}
-	})
+	grp.timeout = n.clock.AfterFunc(n.cfg.InsertTimeout, func() { n.expireInsertGroup(grp) })
 	n.mu.Unlock()
 
 	ob := &outbox{n: n}
@@ -227,17 +227,30 @@ func clampDepth(d int) int {
 // which amortises its regrowth.
 const insertsShrinkAt = 4096
 
+// groupOutcome is a settled group's callback and its members' results,
+// fired once n.mu is released; the zero value fires nothing.
+type groupOutcome struct {
+	done    func([]InsertResult)
+	results []InsertResult
+}
+
+func (o groupOutcome) fire() {
+	if o.done != nil {
+		o.done(o.results)
+	}
+}
+
 // takeInsertLocked settles an insert: the op leaves the table with
 // its outcome recorded in its group, and a last pending member stops the
-// group's timers. It returns the group when its callback is now due — the
-// caller fires it once n.mu is released — and nil otherwise, also for an
-// op that already settled. A table left empty after a peak of
-// insertsShrinkAt or more is replaced, giving back the memory of its
-// peak. Callers hold n.mu.
-func (n *Node) takeInsertLocked(reqID uint64, res InsertResult) *insertGroup {
+// group's timers and empties the group. It returns the group's outcome
+// when its callback is now due — the caller fires it once n.mu is
+// released — and the zero outcome otherwise, also for an op that already
+// settled. A table left empty after a peak of insertsShrinkAt or more is
+// replaced, giving back the memory of its peak. Callers hold n.mu.
+func (n *Node) takeInsertLocked(reqID uint64, res InsertResult) groupOutcome {
 	op, ok := n.inserts[reqID]
 	if !ok {
-		return nil
+		return groupOutcome{}
 	}
 	delete(n.inserts, reqID)
 	if len(n.inserts) == 0 && n.insertsPeak >= insertsShrinkAt {
@@ -253,20 +266,33 @@ func (n *Node) takeInsertLocked(reqID uint64, res InsertResult) *insertGroup {
 	if g.pending--; g.pending == 0 {
 		g.timeout.Stop()
 		g.retry.stop()
-		if g.done != nil {
-			return g
-		}
+		o := groupOutcome{g.done, g.results}
+		g.ops, g.done, g.results = nil, nil, nil
+		return o
 	}
-	return nil
+	return groupOutcome{}
 }
 
 func (n *Node) finishInsert(reqID uint64, res InsertResult) {
 	n.mu.Lock()
-	g := n.takeInsertLocked(reqID, res)
+	o := n.takeInsertLocked(reqID, res)
 	n.mu.Unlock()
-	if g != nil {
-		g.done(g.results)
+	o.fire()
+}
+
+// expireInsertGroup is a group's InsertTimeout: every member still
+// pending fails.
+func (n *Node) expireInsertGroup(g *insertGroup) {
+	var due groupOutcome
+	n.mu.Lock()
+	ops := g.ops // settling the last member empties the group
+	for i := range ops {
+		if o := n.takeInsertLocked(ops[i].reqID, InsertResult{OK: false, Err: errTimeout}); o.done != nil {
+			due = o
+		}
 	}
+	n.mu.Unlock()
+	due.fire()
 }
 
 // handleInsertRun routes or stores every record of an inbound insert
@@ -496,17 +522,17 @@ func replicaSet(myCode bitstr.Code, contacts []wire.NodeInfo, m int) []string {
 // the callbacks run after the lock drops, as in finishInsert.
 func (n *Node) handleInsertAcks(m *wire.InsertAcks) {
 	n.acksReceived.Add(uint64(m.Rows.Len()))
-	var settled []*insertGroup
+	var settled []groupOutcome
 	n.mu.Lock()
 	m.Rows.EachRow(func(row []uint64) {
 		reqID, hops := wire.AckRow(row)
-		if g := n.takeInsertLocked(reqID, InsertResult{OK: true, Hops: int(hops), StoredAt: m.StoredAt.Addr}); g != nil {
-			settled = append(settled, g)
+		if o := n.takeInsertLocked(reqID, InsertResult{OK: true, Hops: int(hops), StoredAt: m.StoredAt.Addr}); o.done != nil {
+			settled = append(settled, o)
 		}
 	})
 	n.mu.Unlock()
-	for _, g := range settled {
-		g.done(g.results)
+	for _, o := range settled {
+		o.fire()
 	}
 }
 

@@ -1,20 +1,27 @@
 package mind
 
 import (
+	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"mind/internal/schema"
 	"mind/internal/transport"
+	"mind/internal/transport/simnet"
 	"mind/internal/wire"
 )
 
 // Tests for the insert group (insert.go): every tracked insert settles
 // into one, and the group owns the timers.
 
-// timerLog is what recordingClock keeps of one AfterFunc.
+// timerLog is what recordingClock keeps of one AfterFunc, its callback
+// included: Go's runtime keeps a stopped timer, and so what its callback
+// references, in its timer heap until it cleans it.
 type timerLog struct {
 	delay        time.Duration
+	fn           func()
 	ran, stopped bool
 }
 
@@ -26,7 +33,7 @@ type recordingClock struct {
 }
 
 func (c *recordingClock) AfterFunc(d time.Duration, f func()) transport.Timer {
-	l := &timerLog{delay: d}
+	l := &timerLog{delay: d, fn: f}
 	c.timers = append(c.timers, l)
 	return recordedTimer{c.Clock.AfterFunc(d, func() { l.ran = true; f() }), l}
 }
@@ -99,6 +106,20 @@ func TestInsertGroupTimers(t *testing.T) {
 		}
 		if p := a.PendingInserts(); p != 0 {
 			t.Errorf("PendingInserts = %d after every member acked", p)
+		}
+	})
+
+	t.Run("lets go", func(t *testing.T) {
+		clock.timers = nil
+		net, a, _, _, _, sch := tapPairWith(t, wrap, func(c *Config) { c.InsertTimeout = insertTimeout })
+		for _, local := range []bool{true, false} {
+			recs := ownedRecs(t, a, sch.Tag, 26, local, 16)
+			if kept, cbKept := settledGroupHolds(t, net, a, sch.Tag, recs); kept != 0 || cbKept {
+				t.Errorf("local=%v: a settled group still reaches %d of its %d records and its callback=%v; want none of either", local, kept, len(recs), cbKept)
+			}
+		}
+		if armed, live := insertTimers(); armed != 2 || live != 0 {
+			t.Errorf("%d InsertTimeout timers armed, %d still live; want 2 and 0", armed, live)
 		}
 	})
 
@@ -203,6 +224,41 @@ func TestInsertGroupTimers(t *testing.T) {
 			t.Errorf("%d InsertTimeout timers still live after every re-insert acked", live)
 		}
 	})
+}
+
+// settledGroupHolds runs one InsertBatch of copies of recs from a to
+// completion and reports how many of the copies, and whether what its
+// callback captured, are still reachable two collections later. The
+// recording clock still holds every timer's callback, as the runtime's
+// timer heap holds a stopped timer's, and through it the group.
+func settledGroupHolds(t *testing.T, net *simnet.Network, a *Node, tag string, recs []schema.Record) (kept int, cbKept bool) {
+	t.Helper()
+	var recsFreed, cbFreed atomic.Int64
+	settled := false
+	func() {
+		batch := make([]schema.Record, len(recs))
+		for i, rec := range recs {
+			batch[i] = slices.Clone(rec)
+			runtime.SetFinalizer(&batch[i][0], func(*uint64) { recsFreed.Add(1) })
+		}
+		token := new([4]uint64) // reachable through the callback alone
+		runtime.SetFinalizer(token, func(*[4]uint64) { cbFreed.Add(1) })
+		if err := a.InsertBatch(tag, batch, func([]InsertResult) { token[0]++; settled = true }); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	if !net.RunUntil(func() bool { return settled }, 10_000_000) {
+		t.Fatal("batch never settled")
+	}
+	runtime.GC()
+	runtime.GC()
+	// Finalizers run on their own goroutine; wait for them.
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if int(recsFreed.Load()) == len(recs) && cbFreed.Load() == 1 {
+			break
+		}
+	}
+	return len(recs) - int(recsFreed.Load()), cbFreed.Load() == 0
 }
 
 // TestInsertDeadEndResent: an insert with neither a first hop nor a
